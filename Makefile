@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-shards bench-pruning bench-expansion bench-blockmax bench-hotpath bench-check shard-parity index-parity segment-parity serve-smoke precompute-smoke ingest-smoke distributed-smoke load-smoke chaos fuzz verify
+.PHONY: build test race vet fmt bench bench-build bench-shards bench-pruning bench-expansion bench-blockmax bench-hotpath bench-check shard-parity index-parity segment-parity serve-smoke precompute-smoke ingest-smoke distributed-smoke load-smoke chaos fuzz verify
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ race:
 
 bench:
 	$(GO) test -run NONE -bench 'SearchExpandedTopK' -benchmem .
+
+# bench/ is a nested module, so the root `go vet ./...` and
+# `go test ./...` skip it: this is what notices a refactor breaking the
+# surface bench/sut.go compiles against.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Sharded-retrieval throughput at 1/2/4/8 shards on the expanded-query
 # workload; writes the measurements (including GOMAXPROCS, so readers
@@ -72,10 +78,11 @@ bench-hotpath:
 bench-check:
 	$(GO) run ./cmd/bench-check
 
-# The bit-identity gates for sharded retrieval: evaluator-level and
-# engine-level differential tests across shard counts and models.
+# The bit-identity gates for partitioned retrieval: the coordinator
+# contract over every partition kind, plus the evaluator-level and
+# engine-level sharded differential tests across shard counts and models.
 shard-parity:
-	$(GO) test -run 'Sharded' -count=1 . ./internal/index/... ./internal/search/...
+	$(GO) test -run 'Sharded|CoordinatorContract' -count=1 . ./internal/index/... ./internal/search/...
 
 # The on-disk format gate: the v1-vs-v2-vs-memory differential tests
 # (engine-level across models, request shapes and shard counts; plus
@@ -173,5 +180,5 @@ fuzz:
 	$(GO) test -fuzz FuzzSegmentManifest -fuzztime 30s -run '^$$' ./internal/index/
 
 # The full gate run before every commit.
-verify: vet fmt build race test shard-parity index-parity segment-parity bench-check serve-smoke precompute-smoke ingest-smoke distributed-smoke load-smoke chaos
+verify: vet fmt build bench-build race test shard-parity index-parity segment-parity bench-check serve-smoke precompute-smoke ingest-smoke distributed-smoke load-smoke chaos
 	@echo "verify: OK"

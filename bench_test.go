@@ -18,6 +18,7 @@ package sqe
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -294,7 +295,7 @@ func benchSearchTopKSharded(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ss.Search(nodes[i%len(nodes)], 10)
+		_, _ = ss.Evaluate(context.Background(), nodes[i%len(nodes)], 10, search.EvalOptions{})
 	}
 }
 

@@ -68,34 +68,6 @@ func TestDAATMatchesLegacyOnDemoSmall(t *testing.T) {
 	}
 }
 
-// TestEngineLegacyScorerToggle checks the Engine-level option drives the
-// same pipeline to identical results.
-func TestEngineLegacyScorerToggle(t *testing.T) {
-	env := demo(t)
-	q := env.Queries[0]
-	req := SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
-	daatResp, err := env.Engine.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The scorer choice is construction-time configuration now; build a
-	// second engine over the same graph and index with the legacy scorer.
-	legacyEng := NewEngine(env.Engine.Graph(), env.Engine.Index(), WithLegacyScorer())
-	legacyResp, err := legacyEng.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	daat, legacy := daatResp.Results, legacyResp.Results
-	if len(daat) != len(legacy) {
-		t.Fatalf("result counts differ: %d vs %d", len(daat), len(legacy))
-	}
-	for i := range daat {
-		if daat[i] != legacy[i] {
-			t.Errorf("rank %d: %v vs %v", i, daat[i], legacy[i])
-		}
-	}
-}
-
 // TestSearchWithStatsPopulates checks the stats plumbing end to end:
 // running the SQE_C pipeline with a collector attached must attribute
 // time to every stage and count 3 retrievals per query.

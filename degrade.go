@@ -127,10 +127,10 @@ func (d *Degradation) absorb(pi search.PartialInfo) {
 	d.Retries += pi.Retries
 }
 
-// searchDegradeOptions maps the engine policy onto the sharded
+// searchDegradeOptions maps the engine policy onto the partitioned
 // searcher's knobs.
-func (e *Engine) searchDegradeOptions() search.DegradeOptions {
-	return search.DegradeOptions{
+func (e *Engine) searchDegradeOptions() *search.DegradeOptions {
+	return &search.DegradeOptions{
 		AllowPartial:  e.degrade.PartialShards,
 		ShardDeadline: e.degrade.ShardDeadline,
 		MaxRetries:    e.degrade.MaxRetries,

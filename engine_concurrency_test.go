@@ -19,6 +19,25 @@ func parallelEngine(t *testing.T, opts ...Option) *Engine {
 	return NewEngine(e.Engine.Graph(), e.Engine.Index(), opts...)
 }
 
+// doResults runs req and returns just the ranking.
+func doResults(ctx context.Context, eng *Engine, req SearchRequest) ([]Result, error) {
+	resp, err := eng.Do(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Results, nil
+}
+
+// searchC runs the SQE_C combination.
+func searchC(ctx context.Context, eng *Engine, q DemoQuery, k int) ([]Result, error) {
+	return doResults(ctx, eng, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: k})
+}
+
+// searchBaseline runs the unexpanded QL_Q baseline.
+func searchBaseline(ctx context.Context, eng *Engine, q DemoQuery, k int) ([]Result, error) {
+	return doResults(ctx, eng, SearchRequest{Query: q.Text, K: k, Baseline: true})
+}
+
 // TestParallelSQECMatchesSequential is the parity gate for the
 // concurrent serving layer: the parallel SQE_C path must return
 // byte-identical rankings AND scores to the sequential path for every
@@ -31,12 +50,12 @@ func TestParallelSQECMatchesSequential(t *testing.T) {
 		WithSQECWorkers(3), WithExpansionCache(1024))
 	for _, k := range []int{10, 300} {
 		for _, q := range e.Queries {
-			want, err := seq.Search(q.Text, q.EntityTitles, k)
+			want, err := searchC(context.Background(), seq, q, k)
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", q.ID, err)
 			}
 			for name, eng := range map[string]*Engine{"parallel": par, "parallel+cache": parCached} {
-				got, err := eng.Search(q.Text, q.EntityTitles, k)
+				got, err := searchC(context.Background(), eng, q, k)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", q.ID, name, err)
 				}
@@ -57,11 +76,12 @@ func TestParallelSQECStats(t *testing.T) {
 	seq := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithSQECWorkers(1))
 	par := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithSQECWorkers(3))
 	var psSeq, psPar PipelineStats
-	if _, err := seq.SearchWithStats(q.Text, q.EntityTitles, 50, &psSeq); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := par.SearchWithStatsContext(context.Background(), q.Text, q.EntityTitles, 50, &psPar); err != nil {
-		t.Fatal(err)
+	for eng, ps := range map[*Engine]*PipelineStats{seq: &psSeq, par: &psPar} {
+		resp, err := eng.Do(context.Background(), SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 50, CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		*ps = *resp.Stats
 	}
 	if psSeq.Queries != psPar.Queries || psSeq.Retrievals != psPar.Retrievals ||
 		psSeq.Features != psPar.Features {
@@ -90,11 +110,11 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 	want := make([]expect, len(queries))
 	for i, q := range queries {
-		s, err := eng.Search(q.Text, q.EntityTitles, 20)
+		s, err := searchC(context.Background(), eng, q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := eng.BaselineSearch(q.Text, 20)
+		b, err := searchBaseline(context.Background(), eng, q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,15 +139,15 @@ func TestEngineConcurrentStress(t *testing.T) {
 				q := queries[qi]
 				switch it % 4 {
 				case 0:
-					got, err := eng.Search(q.Text, q.EntityTitles, 20)
+					got, err := searchC(context.Background(), eng, q, 20)
 					if err != nil || !reflect.DeepEqual(got, want[qi].search) {
-						t.Errorf("worker %d: Search diverged (err=%v)", w, err)
+						t.Errorf("worker %d: SQE_C diverged (err=%v)", w, err)
 						return
 					}
 				case 1:
-					got, err := eng.BaselineSearch(q.Text, 20)
+					got, err := searchBaseline(context.Background(), eng, q, 20)
 					if err != nil || !reflect.DeepEqual(got, want[qi].baseline) {
-						t.Errorf("worker %d: BaselineSearch diverged (err=%v)", w, err)
+						t.Errorf("worker %d: BaselineSQE_C diverged (err=%v)", w, err)
 						return
 					}
 				case 2:
@@ -137,8 +157,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, err := eng.SearchSet(MotifT, q.Text, q.EntityTitles, 10); err != nil {
-						t.Errorf("worker %d: SearchSet: %v", w, err)
+					if _, err := eng.Do(context.Background(), SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifT, K: 10}); err != nil {
+						t.Errorf("worker %d: Do(MotifT): %v", w, err)
 						return
 					}
 				}
@@ -181,30 +201,24 @@ func TestEngineExpansionCache(t *testing.T) {
 	}
 }
 
-// TestEngineOptions covers the functional options the deprecated Set*
-// tests used to cover via mutation.
+// TestEngineOptions checks the retrieval options take effect.
 func TestEngineOptions(t *testing.T) {
 	e := demo(t)
 	q := e.Queries[0]
 	def := parallelEngine(t)
 	small := parallelEngine(t, WithDirichletMu(10))
 	bm25 := parallelEngine(t, WithRetrievalModel(ModelBM25, ModelParams{}))
-	legacy := parallelEngine(t, WithLegacyScorer())
-	rd, err := def.BaselineSearch(q.Text, 5)
+	rd, err := searchBaseline(context.Background(), def, q, 5)
 	if err != nil || len(rd) == 0 {
 		t.Fatalf("default engine: %v (%d results)", err, len(rd))
 	}
-	rs, err := small.BaselineSearch(q.Text, 5)
+	rs, err := searchBaseline(context.Background(), small, q, 5)
 	if err != nil || len(rs) == 0 || rs[0].Score == rd[0].Score {
 		t.Errorf("WithDirichletMu had no effect: err=%v", err)
 	}
-	rb, err := bm25.BaselineSearch(q.Text, 5)
+	rb, err := searchBaseline(context.Background(), bm25, q, 5)
 	if err != nil || len(rb) == 0 || rb[0].Score == rd[0].Score {
 		t.Errorf("WithRetrievalModel had no effect: err=%v", err)
-	}
-	rl, err := legacy.BaselineSearch(q.Text, 5)
-	if err != nil || !reflect.DeepEqual(rd, rl) {
-		t.Errorf("WithLegacyScorer must not change rankings: err=%v", err)
 	}
 }
 
@@ -217,11 +231,11 @@ func TestSearchContextCancellation(t *testing.T) {
 		eng := parallelEngine(t, WithSQECWorkers(workers))
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := eng.SearchContext(ctx, q.Text, q.EntityTitles, 10); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: SearchContext want context.Canceled, got %v", workers, err)
+		if _, err := searchC(ctx, eng, q, 10); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: SQE_C want context.Canceled, got %v", workers, err)
 		}
-		if _, err := eng.BaselineSearchContext(ctx, q.Text, 10); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: BaselineSearchContext want context.Canceled, got %v", workers, err)
+		if _, err := searchBaseline(ctx, eng, q, 10); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: BaselineSQE_C want context.Canceled, got %v", workers, err)
 		}
 		if _, err := eng.ExpandContext(ctx, q.Text, q.EntityTitles, MotifTS); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: ExpandContext want context.Canceled, got %v", workers, err)
@@ -231,7 +245,7 @@ func TestSearchContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	eng := parallelEngine(t, WithSQECWorkers(3))
-	res, err := eng.SearchContext(ctx, q.Text, q.EntityTitles, 10)
+	res, err := searchC(ctx, eng, q, 10)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("deadline search failed: %v (%d results)", err, len(res))
 	}

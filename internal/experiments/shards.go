@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -95,7 +96,8 @@ func ShardBench(s *Suite, inst *dataset.Instance, shardCounts []int, k, reps int
 		}
 		ss := search.NewShardedSearcher(index.NewSharded(inst.Index, sc))
 		ns, res := timeAll(func(n search.Node) []search.Result {
-			return ss.Search(n, k)
+			ev, _ := ss.Evaluate(context.Background(), n, k, search.EvalOptions{})
+			return ev.Results
 		})
 		identical := true
 		for i := range res {

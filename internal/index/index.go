@@ -205,14 +205,22 @@ func (ix *Index) CollectionProb(term string) float64 {
 
 // FloorProb converts a collection frequency into a probability with a
 // 0.5-occurrence floor (the usual OOV treatment in LM retrieval).
-func (ix *Index) FloorProb(cf int64) float64 {
-	if ix.totalToks == 0 {
+func (ix *Index) FloorProb(cf int64) float64 { return FloorProb(cf, ix.totalToks) }
+
+// FloorProb is P(w|C) = cf/|C| over a collection of totalToks tokens,
+// floored at half an occurrence for out-of-vocabulary leaves. Every
+// collection view (Index, Sharded, Snapshot, the search coordinator's
+// cross-partition totals) goes through this one expression — sharded,
+// segmented and distributed scores are bit-identical to monolithic ones
+// only while they all agree on it.
+func FloorProb(cf, totalToks int64) float64 {
+	if totalToks == 0 {
 		return 1e-12
 	}
 	if cf <= 0 {
-		return 0.5 / float64(ix.totalToks)
+		return 0.5 / float64(totalToks)
 	}
-	return float64(cf) / float64(ix.totalToks)
+	return float64(cf) / float64(totalToks)
 }
 
 // AvgDocLen returns the mean document length.

@@ -669,15 +669,7 @@ func (sn *Snapshot) AvgDocLen() float64 {
 
 // FloorProb converts a live collection frequency into a probability
 // with the same 0.5-occurrence OOV floor as Index.FloorProb.
-func (sn *Snapshot) FloorProb(cf int64) float64 {
-	if sn.totalToks == 0 {
-		return 1e-12
-	}
-	if cf <= 0 {
-		return 0.5 / float64(sn.totalToks)
-	}
-	return float64(cf) / float64(sn.totalToks)
-}
+func (sn *Snapshot) FloorProb(cf int64) float64 { return FloorProb(cf, sn.totalToks) }
 
 // GlobalDoc maps segment i's local DocID to the global DocID a
 // monolithic index over the surviving documents (in ingestion order)

@@ -104,15 +104,7 @@ func (sh *Sharded) AvgDocLen() float64 {
 // same 0.5-occurrence OOV floor as Index.FloorProb, over the global
 // token count — the global-stats invariant that keeps sharded smoothing
 // bit-identical to unsharded.
-func (sh *Sharded) FloorProb(cf int64) float64 {
-	if sh.totalToks == 0 {
-		return 1e-12
-	}
-	if cf <= 0 {
-		return 0.5 / float64(sh.totalToks)
-	}
-	return float64(cf) / float64(sh.totalToks)
-}
+func (sh *Sharded) FloorProb(cf int64) float64 { return FloorProb(cf, sh.totalToks) }
 
 // GlobalDoc maps a shard-local document ID back to the global DocID.
 func (sh *Sharded) GlobalDoc(shard int, local DocID) DocID {

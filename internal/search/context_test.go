@@ -49,7 +49,7 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	// passed: run the evaluators directly.
 	var leaves []leaf
 	s.flatten(q, 1, &leaves)
-	score := s.newScorer()
+	score := buildScorer(s.Model, s.resolveParams(), collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()})
 	cancel()
 	if _, err := searchDAAT(ctx, s.ix, leaves, 10, score, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("DAAT: want context.Canceled, got %v", err)

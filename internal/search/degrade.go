@@ -2,29 +2,27 @@ package search
 
 import (
 	"context"
-	"runtime/debug"
 	"time"
-
-	"repro/internal/fault"
 )
 
-// DegradeOptions configures graceful degradation for sharded retrieval.
-// The zero value disables every mechanism, reproducing the strict
-// all-or-nothing behaviour of SearchContext.
+// DegradeOptions configures graceful degradation for partitioned
+// retrieval. The zero value disables every mechanism: any partition
+// failure fails the query.
 type DegradeOptions struct {
-	// AllowPartial merges the surviving shards' results when some shards
-	// fail (error, panic, or per-shard deadline), instead of failing the
-	// whole query. Parent-context cancellation is never degraded away:
-	// if the caller's ctx is done, the search fails with ctx.Err()
+	// AllowPartial merges the surviving partitions' results when some
+	// fail (error, panic, or per-partition deadline), instead of failing
+	// the whole query. Parent-context cancellation is never degraded
+	// away: if the caller's ctx is done, the search fails with ctx.Err()
 	// regardless of this setting.
 	AllowPartial bool
-	// ShardDeadline bounds each shard's evaluation (0 = no per-shard
-	// deadline). A shard that exceeds it is treated like a failed shard:
-	// dropped under AllowPartial, fatal otherwise.
+	// ShardDeadline bounds each attempt of each partition call (0 = no
+	// per-partition deadline). A partition that exceeds it is treated
+	// like a failed one: dropped under AllowPartial, fatal otherwise.
 	ShardDeadline time.Duration
-	// MaxRetries re-runs a shard evaluation that failed with a transient
-	// fault (fault.IsTransient) up to this many extra times before
-	// declaring the shard failed.
+	// MaxRetries re-runs a partition call that failed with a failure the
+	// partition classifies as transient (fault.IsTransient in process,
+	// rpc.IsTransport across the wire) up to this many extra times
+	// before declaring the partition failed.
 	MaxRetries int
 	// RetryBackoff is the base delay between retry attempts; attempt i
 	// waits i×RetryBackoff (linear backoff, bounded by MaxRetries).
@@ -33,87 +31,46 @@ type DegradeOptions struct {
 
 // PartialInfo reports what degradation did to one search.
 type PartialInfo struct {
-	// DroppedShards lists the shards whose results are missing from the
-	// merge, ascending.
+	// DroppedShards lists the partitions whose results are missing from
+	// the merge, ascending.
 	DroppedShards []int
-	// ShardErrors[i] is the failure that dropped DroppedShards[i].
+	// ShardErrors[i] is the failure that dropped DroppedShards[i];
+	// stats-tier drops carry a "stats phase: " prefix.
 	ShardErrors []string
-	// Retries counts shard evaluation re-runs after transient faults
+	// Retries counts partition call re-runs after transient failures
 	// (successful or not).
 	Retries int
 }
 
-// Degraded reports whether any shard was dropped.
+// Degraded reports whether any partition was dropped.
 func (p *PartialInfo) Degraded() bool { return p != nil && len(p.DroppedShards) > 0 }
 
-// SearchDegraded is SearchContext with graceful degradation: per-shard
-// deadlines, transient-fault retries, and — under opts.AllowPartial —
-// partial merges that drop failed shards instead of failing the query.
-//
-// The partial merge is exact on what remains: shards fail or survive
-// phase 3 (evaluation) only, after the cross-shard statistics override,
-// so every surviving shard scored with the full global statistics and
-// the degraded ranking is precisely the complete ranking minus the
-// dropped shards' documents. A search where every shard fails returns
-// the first shard's error.
-func (ss *ShardedSearcher) SearchDegraded(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
-	var pi PartialInfo
-	res, err := ss.search(ctx, q, k, nil, &opts, &pi)
-	return res, pi, err
-}
-
-// SearchDegradedWithStats is SearchDegraded plus instrumentation.
-// Dropped shards still report the counters for the work they did before
-// failing.
-func (ss *ShardedSearcher) SearchDegradedWithStats(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, SearchStats, PartialInfo, error) {
-	var st SearchStats
-	var pi PartialInfo
-	start := time.Now()
-	res, err := ss.search(ctx, q, k, &st, &opts, &pi)
-	st.Elapsed = time.Since(start)
-	return res, st, pi, err
-}
-
-// evalShardGuarded runs one shard evaluation attempt with the fault
-// hook and panic containment. Shard evaluations run on worker
-// goroutines, where an uncaught panic — injected or genuine — would
-// kill the process before any engine-level recovery could run, so the
-// recover here is unconditional, not gated on degradation being
-// enabled.
-func evalShardGuarded(eval func() ([]Result, error)) (res []Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, fault.AsPanicError(v, debug.Stack())
-		}
-	}()
-	if err := fault.Check(fault.ShardEval); err != nil {
-		return nil, err
-	}
-	return eval()
-}
-
-// evalShardDegraded is the per-shard driver for phase 3: it applies the
-// per-shard deadline and retries transient faults with linear backoff.
-// With nil opts it degenerates to a single guarded attempt under the
-// caller's context. retries reports how many re-runs happened; shards
-// run concurrently, so the caller sums the per-shard counts after the
-// fan-out instead of sharing a counter.
-func evalShardDegraded(ctx context.Context, opts *DegradeOptions, eval func(ctx context.Context) ([]Result, error)) (res []Result, retries int, err error) {
+// attempt drives one partition call under the degradation policy: a
+// per-attempt deadline (opts.ShardDeadline) and bounded retry with
+// linear backoff for failures the partition calls retryable — both
+// partition calls are pure reads, so a retry after an ambiguous failure
+// is safe. Everything else (deterministic application errors, deadline
+// expiry, parent cancellation) ends the loop. With nil opts it is a
+// single attempt under the caller's context. retries reports how many
+// re-runs happened; partitions run concurrently, so the coordinator
+// sums the per-partition counts after the fan-out instead of sharing a
+// counter.
+func attempt(ctx context.Context, opts *DegradeOptions, retryable func(error) bool, call func(ctx context.Context) error) (retries int, err error) {
 	attempts := 1
 	var backoff time.Duration
 	if opts != nil {
 		attempts += opts.MaxRetries
 		backoff = opts.RetryBackoff
 	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
+	for i := 0; i < attempts; i++ {
+		if i > 0 {
 			retries++
 			if backoff > 0 {
-				t := time.NewTimer(time.Duration(attempt) * backoff)
+				t := time.NewTimer(time.Duration(i) * backoff)
 				select {
 				case <-ctx.Done():
 					t.Stop()
-					return nil, retries, ctx.Err()
+					return retries, ctx.Err()
 				case <-t.C:
 				}
 			}
@@ -123,13 +80,13 @@ func evalShardDegraded(ctx context.Context, opts *DegradeOptions, eval func(ctx 
 		if opts != nil && opts.ShardDeadline > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, opts.ShardDeadline)
 		}
-		res, err = evalShardGuarded(func() ([]Result, error) { return eval(attemptCtx) })
+		err = call(attemptCtx)
 		if cancel != nil {
 			cancel()
 		}
-		if err == nil || !fault.IsTransient(err) || ctx.Err() != nil {
+		if err == nil || !retryable(err) || ctx.Err() != nil {
 			break
 		}
 	}
-	return res, retries, err
+	return retries, err
 }

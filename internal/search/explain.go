@@ -44,8 +44,9 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	// l.postings.Docs), so streaming leaves are resolved eagerly here —
 	// this is a debugging path, not the query hot path.
 	s.materializeLeaves(leaves)
-	prepareLeaves(s.Model, collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}, leaves)
-	score := s.newScorer()
+	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
+	prepareLeaves(s.Model, cs, leaves)
+	score := buildScorer(s.Model, s.resolveParams(), cs)
 	dl := float64(s.ix.DocLen(doc))
 	ex := Explanation{Doc: doc, Name: s.ix.DocName(doc)}
 	for li := range leaves {

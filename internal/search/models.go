@@ -87,16 +87,6 @@ func (s *Searcher) resolveParams() ModelParams {
 	return params
 }
 
-// newScorer builds the scoring closure for the searcher's model. The
-// caller must run prepareLeaves over its flattened leaves first (the
-// BM25 closure reads the cached idf).
-func (s *Searcher) newScorer() scorer {
-	return buildScorer(s.Model, s.resolveParams(), collStats{
-		numDocs:   float64(s.ix.NumDocs()),
-		avgDocLen: s.ix.AvgDocLen(),
-	})
-}
-
 // prepareLeaves fills the per-leaf scoring caches that depend on the
 // model and the (possibly overridden) collection statistics — today
 // just BM25's idf. It MUST run after any cross-shard statistics

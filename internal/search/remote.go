@@ -3,70 +3,21 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
-	"repro/internal/index"
 	"repro/internal/rpc"
 )
 
 // RemoteSharded is the coordinator side of shard-per-process serving:
-// it evaluates structured queries across N shard servers (each a
+// the coordinator over one remote partition per shard server (each a
 // ShardService over one slice of an index.Sharded partition, fronted by
-// a replica Group) and merges the per-shard top-k heaps into the final
-// ranking.
-//
-// Scores are bit-identical to the in-process ShardedSearcher over the
-// same corpus and shard count, because the search runs the same four
-// phases with the same arithmetic — only the transport differs:
-//
-//	A (stats)  each shard flattens the tree locally and reports
-//	           per-leaf {cf, df}; the coordinator sums them (integer
-//	           and float sums in fixed shard order) and computes each
-//	           leaf's collection probability with the global OOV floor
-//	           — the same expressions index.Sharded.FloorProb uses.
-//	B (eval)   each shard re-flattens, overrides its leaves with the
-//	           global statistics, builds the scorer from the global
-//	           document count and token total, evaluates its local
-//	           DAAT/MaxScore top k, and remaps DocIDs to global.
-//	merge      (score desc, global DocID asc), truncate to k — exactly
-//	           the in-process phase 4.
-//
-// Degradation reuses PR 5's semantics verbatim where they apply:
-//
-//   - An eval-phase failure (timeout, refused connection, truncated
-//     stream, server error) drops that shard from the merge under
-//     opts.AllowPartial. The drop happens AFTER the global-stats
-//     override, so the partial ranking is exactly the complete ranking
-//     minus the dropped shards' documents — PR 5's exact-partial tier.
-//   - A stats-phase failure (the shard never answered phase A, i.e. it
-//     is dead, not slow) cannot leave the global sums intact. Under
-//     AllowPartial the shard is excluded from the corpus entirely: the
-//     surviving shards score against the surviving sub-corpus's
-//     statistics. This weaker tier is still deterministic — it equals
-//     single-process search over the surviving shards — and is
-//     reported through the same PartialInfo fields with a
-//     "stats phase:" error prefix.
-//   - Parent-context cancellation is never degraded away, and a search
-//     where every shard fails returns the first shard's error — both
-//     exactly as in-process.
-//
-// Like ShardedSearcher, the configuration fields are read on every call
-// and must not be mutated concurrently with searches.
+// a replica Group). Scores are bit-identical to the in-process
+// ShardedSearcher over the same corpus and shard count — the shard
+// servers run the same localPartition code, only the transport differs.
+// Replica failover inside a Group is a transport detail, not a
+// degradation; what the coordinator sees fail is the whole group.
 type RemoteSharded struct {
+	coordinator
 	groups []*rpc.Group
-	infos  []InfoResponse
-	// Mu is the Dirichlet smoothing parameter; zero means DefaultMu.
-	Mu float64
-	// Model selects the retrieval function (default Dirichlet QL).
-	Model Model
-	// Params holds the other models' parameters.
-	Params ModelParams
-	// DisablePruning turns off MaxScore pruning in every shard server.
-	DisablePruning bool
-	// Sem, when non-nil, bounds the coordinator's fan-out goroutines
-	// (shared with the engine's SQE_C pool; try-acquire only).
-	Sem chan struct{}
 }
 
 // NewRemoteSharded performs the handshake against one replica group per
@@ -77,7 +28,7 @@ func NewRemoteSharded(ctx context.Context, groups []*rpc.Group) (*RemoteSharded,
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("search: remote coordinator needs at least one shard group")
 	}
-	rs := &RemoteSharded{groups: groups, infos: make([]InfoResponse, len(groups))}
+	parts := make([]partition, len(groups))
 	for i, g := range groups {
 		out, err := g.Call(ctx, MethodInfo, struct{}{}, func() any { return &InfoResponse{} })
 		if err != nil {
@@ -88,21 +39,12 @@ func NewRemoteSharded(ctx context.Context, groups []*rpc.Group) (*RemoteSharded,
 			return nil, fmt.Errorf("search: shard group %d serves shard %d/%d, want %d/%d",
 				i, info.Shard, info.NumShards, i, len(groups))
 		}
-		rs.infos[i] = info
+		parts[i] = &remotePartition{group: g, info: info}
 	}
-	return rs, nil
-}
-
-// NumShards returns the shard count S.
-func (rs *RemoteSharded) NumShards() int { return len(rs.groups) }
-
-// Configure implements Distributed.
-func (rs *RemoteSharded) Configure(cfg ShardConfig) {
-	rs.Mu = cfg.Mu
-	rs.Model = cfg.Model
-	rs.Params = cfg.Params
-	rs.DisablePruning = cfg.DisablePruning
-	rs.Sem = cfg.Sem
+	return &RemoteSharded{
+		coordinator: coordinator{shards: len(groups), pin: fixed(parts)},
+		groups:      groups,
+	}, nil
 }
 
 // Close closes every shard group's clients.
@@ -110,345 +52,4 @@ func (rs *RemoteSharded) Close() {
 	for _, g := range rs.groups {
 		g.Close()
 	}
-}
-
-// SearchContext implements Distributed.
-func (rs *RemoteSharded) SearchContext(ctx context.Context, q Node, k int) ([]Result, error) {
-	return rs.search(ctx, q, k, nil, nil, nil)
-}
-
-// SearchWithStatsContext implements Distributed.
-func (rs *RemoteSharded) SearchWithStatsContext(ctx context.Context, q Node, k int) ([]Result, SearchStats, error) {
-	var st SearchStats
-	start := time.Now()
-	res, err := rs.search(ctx, q, k, &st, nil, nil)
-	st.Elapsed = time.Since(start)
-	return res, st, err
-}
-
-// SearchDegraded implements Distributed.
-func (rs *RemoteSharded) SearchDegraded(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
-	var pi PartialInfo
-	res, err := rs.search(ctx, q, k, nil, &opts, &pi)
-	return res, pi, err
-}
-
-// SearchDegradedWithStats implements Distributed.
-func (rs *RemoteSharded) SearchDegradedWithStats(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, SearchStats, PartialInfo, error) {
-	var st SearchStats
-	var pi PartialInfo
-	start := time.Now()
-	res, err := rs.search(ctx, q, k, &st, &opts, &pi)
-	st.Elapsed = time.Since(start)
-	return res, st, pi, err
-}
-
-func (rs *RemoteSharded) resolveParams() ModelParams {
-	params := rs.Params.withDefaults()
-	if rs.Mu > 0 {
-		params.Mu = rs.Mu
-	}
-	return params
-}
-
-// droppedByShard sorts a PartialInfo's parallel dropped-shard slices by
-// shard index.
-type droppedByShard struct{ pi *PartialInfo }
-
-func (d droppedByShard) Len() int { return len(d.pi.DroppedShards) }
-func (d droppedByShard) Less(i, j int) bool {
-	return d.pi.DroppedShards[i] < d.pi.DroppedShards[j]
-}
-func (d droppedByShard) Swap(i, j int) {
-	p := d.pi
-	p.DroppedShards[i], p.DroppedShards[j] = p.DroppedShards[j], p.DroppedShards[i]
-	p.ShardErrors[i], p.ShardErrors[j] = p.ShardErrors[j], p.ShardErrors[i]
-}
-
-// callOut is one shard RPC's outcome.
-type callOut struct {
-	out     any
-	retries int
-	err     error
-}
-
-// callShardDegraded drives one shard RPC with the degradation policy:
-// per-attempt deadline (opts.ShardDeadline), bounded retry with linear
-// backoff for transport failures (the methods are pure reads, so a
-// retry after an ambiguous failure is safe). Application errors from
-// the shard are deterministic and never retried. With nil opts it is a
-// single attempt under the caller's context.
-func callShardDegraded(ctx context.Context, opts *DegradeOptions, g *rpc.Group, method string, req any, newOut func() any) callOut {
-	attempts := 1
-	var backoff time.Duration
-	if opts != nil {
-		attempts += opts.MaxRetries
-		backoff = opts.RetryBackoff
-	}
-	var co callOut
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			co.retries++
-			if backoff > 0 {
-				t := time.NewTimer(time.Duration(attempt) * backoff)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					co.err = ctx.Err()
-					return co
-				case <-t.C:
-				}
-			}
-		}
-		attemptCtx := ctx
-		var cancel context.CancelFunc
-		if opts != nil && opts.ShardDeadline > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, opts.ShardDeadline)
-		}
-		co.out, co.err = g.Call(attemptCtx, method, req, newOut)
-		if cancel != nil {
-			cancel()
-		}
-		if co.err == nil || !rpc.IsTransport(co.err) || ctx.Err() != nil {
-			break
-		}
-	}
-	return co
-}
-
-// search runs the two-phase distributed evaluation (see the type
-// comment for the protocol and the degradation tiers).
-func (rs *RemoteSharded) search(ctx context.Context, q Node, k int, st *SearchStats, opts *DegradeOptions, pi *PartialInfo) ([]Result, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := len(rs.groups)
-	wq, err := EncodeNode(q)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase A: per-shard flatten + leaf statistics, in parallel.
-	statsOuts := make([]callOut, n)
-	fanOutShards(rs.Sem, n, func(i int) {
-		statsOuts[i] = callShardDegraded(ctx, opts, rs.groups[i], MethodStats,
-			StatsRequest{Query: wq}, func() any { return &StatsResponse{} })
-	})
-	if pi != nil {
-		for i := range statsOuts {
-			pi.Retries += statsOuts[i].retries
-		}
-	}
-	// A shard that never answered phase A is dead (not merely slow) and
-	// cannot contribute statistics; under AllowPartial it is excluded
-	// from the corpus — the weaker degradation tier.
-	alive := make([]bool, n)
-	var firstErr error
-	aliveCount := 0
-	for i := range statsOuts {
-		if statsOuts[i].err == nil {
-			alive[i] = true
-			aliveCount++
-			continue
-		}
-		if opts == nil || !opts.AllowPartial || ctx.Err() != nil {
-			return nil, statsOuts[i].err
-		}
-		if firstErr == nil {
-			firstErr = statsOuts[i].err
-		}
-		if pi != nil {
-			pi.DroppedShards = append(pi.DroppedShards, i)
-			pi.ShardErrors = append(pi.ShardErrors, "stats phase: "+statsOuts[i].err.Error())
-		}
-	}
-	if aliveCount == 0 {
-		return nil, firstErr
-	}
-
-	// Leaf-count consistency across the answering shards: flatten is
-	// structure-driven, so a divergence means a shard was built against
-	// a different analyzer and scoring would be silently wrong.
-	nLeaves := -1
-	ref := -1
-	for i := range statsOuts {
-		if !alive[i] {
-			continue
-		}
-		got := len(statsOuts[i].out.(*StatsResponse).Leaves)
-		if nLeaves == -1 {
-			nLeaves, ref = got, i
-		} else if got != nLeaves {
-			return nil, fmt.Errorf("search: shard %d flattened %d leaves, shard %d flattened %d", i, got, ref, nLeaves)
-		}
-	}
-	if nLeaves == 0 {
-		return nil, nil
-	}
-	if st != nil {
-		st.Leaves = nLeaves
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Global statistics over the contributing shards. Sums run in fixed
-	// shard order (the same order the in-process override loop uses), so
-	// the float df sum — and everything downstream — is bit-identical
-	// when every shard is alive.
-	var numDocs int
-	var totalToks int64
-	for i := range rs.infos {
-		if alive[i] {
-			numDocs += rs.infos[i].NumDocs
-			totalToks += rs.infos[i].TotalToks
-		}
-	}
-	overrides := make([]LeafOverride, nLeaves)
-	for li := 0; li < nLeaves; li++ {
-		var cf int64
-		var df float64
-		for i := range statsOuts {
-			if !alive[i] {
-				continue
-			}
-			ls := statsOuts[i].out.(*StatsResponse).Leaves[li]
-			cf += ls.CF
-			df += ls.DF
-		}
-		// The global OOV floor, computed exactly as index.Sharded.FloorProb.
-		var collProb float64
-		switch {
-		case totalToks == 0:
-			collProb = 1e-12
-		case cf <= 0:
-			collProb = 0.5 / float64(totalToks)
-		default:
-			collProb = float64(cf) / float64(totalToks)
-		}
-		overrides[li] = LeafOverride{CF: cf, DF: df, CollProb: collProb}
-	}
-
-	// Phase B: per-shard evaluation under the global statistics.
-	params := rs.resolveParams()
-	evalReq := EvalRequest{
-		Query:          wq,
-		K:              k,
-		Model:          int(rs.Model),
-		Mu:             params.Mu,
-		Lambda:         params.Lambda,
-		K1:             params.K1,
-		B:              params.B,
-		DisablePruning: rs.DisablePruning,
-		NumDocs:        numDocs,
-		TotalToks:      totalToks,
-		Overrides:      overrides,
-		WantStats:      st != nil,
-	}
-	evalOuts := make([]callOut, n)
-	var shardElapsed []time.Duration
-	if st != nil {
-		shardElapsed = make([]time.Duration, n)
-	}
-	fanOutShards(rs.Sem, n, func(i int) {
-		if !alive[i] {
-			return
-		}
-		start := time.Now()
-		evalOuts[i] = callShardDegraded(ctx, opts, rs.groups[i], MethodEval,
-			evalReq, func() any { return &EvalResponse{} })
-		if st != nil {
-			shardElapsed[i] = time.Since(start)
-		}
-	})
-	if pi != nil {
-		for i := range evalOuts {
-			pi.Retries += evalOuts[i].retries
-		}
-	}
-
-	// Eval failures drop shards AFTER the stats override — PR 5's
-	// exact-partial tier.
-	dropped := make([]bool, n)
-	evalFailed := 0
-	var firstEvalErr error
-	for i := range evalOuts {
-		if !alive[i] || evalOuts[i].err == nil {
-			continue
-		}
-		if opts == nil || !opts.AllowPartial || ctx.Err() != nil {
-			return nil, evalOuts[i].err
-		}
-		dropped[i] = true
-		evalFailed++
-		if firstEvalErr == nil {
-			firstEvalErr = evalOuts[i].err
-		}
-		if pi != nil {
-			pi.DroppedShards = append(pi.DroppedShards, i)
-			pi.ShardErrors = append(pi.ShardErrors, evalOuts[i].err.Error())
-		}
-	}
-	if evalFailed == aliveCount {
-		// Nothing survived; a fully empty "partial" result would be
-		// indistinguishable from a query matching nothing.
-		return nil, firstEvalErr
-	}
-	if pi != nil && len(pi.DroppedShards) > 1 {
-		// Stats-phase and eval-phase drops were appended per tier; the
-		// PartialInfo contract lists dropped shards ascending.
-		sort.Sort(droppedByShard{pi})
-	}
-
-	// Merge by the global result ordering and truncate — phase 4
-	// verbatim. Shards answered with global DocIDs and resolved names.
-	// Like the in-process coordinator, the merge runs in a pooled
-	// backing; only the final ≤ k slice is copied out.
-	msc := getScratch()
-	defer putScratch(msc)
-	all := msc.merged[:0]
-	if st != nil {
-		st.Shards = make([]ShardStats, n)
-	}
-	for i := range evalOuts {
-		if !alive[i] || dropped[i] {
-			continue
-		}
-		resp := evalOuts[i].out.(*EvalResponse)
-		for _, wr := range resp.Results {
-			all = append(all, Result{Doc: index.DocID(wr.Doc), Name: wr.Name, Score: wr.Score})
-		}
-		if st != nil && resp.Stats != nil {
-			ws := resp.Stats
-			st.CandidatesExamined += ws.CandidatesExamined
-			st.PostingsAdvanced += ws.PostingsAdvanced
-			st.DocsSkipped += ws.DocsSkipped
-			st.BoundEvaluations += ws.BoundEvaluations
-			st.BlockBoundEvaluations += ws.BlockBoundEvaluations
-			st.BlocksDecoded += ws.BlocksDecoded
-			st.BlocksTotal += ws.BlocksTotal
-			st.HeapPushes += ws.HeapPushes
-			st.HeapEvictions += ws.HeapEvictions
-			st.Shards[i] = ShardStats{
-				Elapsed:            shardElapsed[i],
-				CandidatesExamined: ws.CandidatesExamined,
-				PostingsAdvanced:   ws.PostingsAdvanced,
-				DocsSkipped:        ws.DocsSkipped,
-			}
-		}
-	}
-	msc.merged = all
-	sort.Sort(&resultSorter{all})
-	if len(all) > k {
-		all = all[:k]
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	out := make([]Result, len(all))
-	copy(out, all)
-	return out, nil
 }

@@ -62,13 +62,27 @@ func bootRemote(t *testing.T, ix *index.Index, n int) (*RemoteSharded, *ShardedS
 	return rs, NewShardedSearcher(sh)
 }
 
+// evalDegraded is Evaluate under opts, unpacked.
+func evalDegraded(d Distributed, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
+	ev, err := d.Evaluate(context.Background(), q, k, EvalOptions{Degrade: &opts})
+	return ev.Results, ev.Partial, err
+}
+
 func TestWireNodeRoundTrip(t *testing.T) {
 	for qi, q := range shardQueries() {
-		data, err := MarshalQuery(q)
+		wn, err := EncodeNode(q)
 		if err != nil {
 			t.Fatalf("q=%d: %v", qi, err)
 		}
-		back, err := UnmarshalQuery(data)
+		data, err := json.Marshal(wn)
+		if err != nil {
+			t.Fatalf("q=%d: %v", qi, err)
+		}
+		var decoded WireNode
+		if err := json.Unmarshal(data, &decoded); err != nil {
+			t.Fatalf("q=%d: %v", qi, err)
+		}
+		back, err := DecodeNode(decoded)
 		if err != nil {
 			t.Fatalf("q=%d: %v", qi, err)
 		}
@@ -81,62 +95,10 @@ func TestWireNodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteShardedBitIdentical is the distributed counterpart of
-// TestShardedBitIdentical: for every model, shard count and query, the
-// coordinator + shard-server evaluation must reproduce the in-process
-// sharded ranking — and therefore the unsharded one — with bit-identical
-// scores (==, no tolerance).
-func TestRemoteShardedBitIdentical(t *testing.T) {
-	ix := buildShardCorpus(120, 9)
-	models := []struct {
-		name   string
-		model  Model
-		params ModelParams
-	}{
-		{"dirichlet", ModelDirichlet, ModelParams{}},
-		{"jelinek-mercer", ModelJelinekMercer, ModelParams{Lambda: 0.4}},
-		{"bm25", ModelBM25, ModelParams{K1: 1.2, B: 0.75}},
-	}
-	for _, s := range []int{1, 2, 4} {
-		rs, ss := bootRemote(t, ix, s)
-		ref := NewSearcher(ix)
-		for _, m := range models {
-			cfg := ShardConfig{Model: m.model, Params: m.params}
-			rs.Configure(cfg)
-			ss.Configure(cfg)
-			ref.Model, ref.Params = m.model, m.params
-			for qi, q := range shardQueries() {
-				for _, k := range []int{1, 5, 50} {
-					want := ref.Search(q, k)
-					local := ss.Search(q, k)
-					got, err := rs.SearchContext(context.Background(), q, k)
-					if err != nil {
-						t.Fatalf("%s S=%d q=%d k=%d: %v", m.name, s, qi, k, err)
-					}
-					if len(got) != len(want) || len(local) != len(want) {
-						t.Fatalf("%s S=%d q=%d k=%d: remote %d, local %d, unsharded %d results",
-							m.name, s, qi, k, len(got), len(local), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s S=%d q=%d k=%d rank %d: remote (%d,%q,%v) want (%d,%q,%v)",
-								m.name, s, qi, k, i,
-								got[i].Doc, got[i].Name, got[i].Score,
-								want[i].Doc, want[i].Name, want[i].Score)
-						}
-						if local[i] != want[i] {
-							t.Fatalf("%s S=%d q=%d k=%d rank %d: in-process sharding diverged", m.name, s, qi, k, i)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRemoteShardedStatsMatchInProcess checks the deterministic
-// evaluator counters survive the wire: the remote stats must equal the
-// in-process sharded stats counter for counter.
+// TestRemoteShardedStatsMatchInProcess checks every deterministic
+// evaluator counter survives the wire (the pruning and heap counters
+// included, which the coordinator contract compares only in process):
+// remote stats must equal in-process sharded stats counter for counter.
 func TestRemoteShardedStatsMatchInProcess(t *testing.T) {
 	ix := buildShardCorpus(150, 21)
 	rs, ss := bootRemote(t, ix, 4)
@@ -149,15 +111,7 @@ func TestRemoteShardedStatsMatchInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSt.Leaves != wantSt.Leaves ||
-		gotSt.CandidatesExamined != wantSt.CandidatesExamined ||
-		gotSt.PostingsAdvanced != wantSt.PostingsAdvanced ||
-		gotSt.DocsSkipped != wantSt.DocsSkipped ||
-		gotSt.BoundEvaluations != wantSt.BoundEvaluations ||
-		gotSt.HeapPushes != wantSt.HeapPushes ||
-		gotSt.HeapEvictions != wantSt.HeapEvictions {
-		t.Fatalf("remote stats %+v != in-process %+v", gotSt, wantSt)
-	}
+	sameCounters(t, "remote vs in-process", gotSt, wantSt, true)
 	if len(gotSt.Shards) != 4 {
 		t.Fatalf("remote stats carry %d shard rows, want 4", len(gotSt.Shards))
 	}
@@ -193,7 +147,7 @@ func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
 	defer rs.Close()
 
 	q := Combine(Term{Text: "cable"}, Term{Text: "car"}, Term{Text: "tram"})
-	res, pi, err := rs.SearchDegraded(context.Background(), q, k, DegradeOptions{
+	res, pi, err := evalDegraded(rs, q, k, DegradeOptions{
 		AllowPartial:  true,
 		ShardDeadline: 50 * time.Millisecond,
 	})
@@ -255,7 +209,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	q := Term{Text: "cable"}
 
 	// Healthy first: not degraded.
-	if _, pi, err := rs.SearchDegraded(context.Background(), q, 5, DegradeOptions{AllowPartial: true}); err != nil || pi.Degraded() {
+	if _, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true}); err != nil || pi.Degraded() {
 		t.Fatalf("healthy search: err=%v degraded=%v", err, pi.Degraded())
 	}
 
@@ -263,7 +217,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	deadSrv.Close()
 	groups[dead].Close() // drop pooled connections to the dead server
 
-	res, pi, err := rs.SearchDegraded(context.Background(), q, 5, DegradeOptions{AllowPartial: true, MaxRetries: 1})
+	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true, MaxRetries: 1})
 	if err != nil {
 		t.Fatalf("dead shard with AllowPartial: %v", err)
 	}
@@ -280,7 +234,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 		t.Fatal("surviving shard produced no results for an in-vocabulary term")
 	}
 	// Deterministic: the same degraded query again gives the same answer.
-	res2, _, err := rs.SearchDegraded(context.Background(), q, 5, DegradeOptions{AllowPartial: true})
+	res2, _, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +245,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	}
 
 	// Without AllowPartial the query must fail outright.
-	if _, _, err := rs.SearchDegraded(context.Background(), q, 5, DegradeOptions{}); err == nil {
+	if _, _, err := evalDegraded(rs, q, 5, DegradeOptions{}); err == nil {
 		t.Fatal("dead shard without AllowPartial: expected an error")
 	}
 }
@@ -381,7 +335,7 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 	defer rs.Close()
 
 	q := Term{Text: "cable"}
-	res, pi, err := rs.SearchDegraded(context.Background(), q, 5, DegradeOptions{AllowPartial: true})
+	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatalf("truncated shard with AllowPartial: %v", err)
 	}
@@ -393,7 +347,7 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 	}
 
 	// Strict mode surfaces the transport error instead.
-	_, err = rs.SearchContext(context.Background(), q, 5)
+	_, err = rs.Evaluate(context.Background(), q, 5, EvalOptions{})
 	if err == nil || !rpc.IsTransport(err) {
 		t.Fatalf("strict search against truncating shard: err = %v, want transport error", err)
 	}
@@ -431,14 +385,14 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	defer rs.Close()
 
 	q := Combine(Term{Text: "cable"}, Term{Text: "bay"})
-	res, pi, err := rs.SearchDegraded(context.Background(), q, 10, DegradeOptions{AllowPartial: true})
+	res, pi, err := evalDegraded(rs, q, 10, DegradeOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pi.Degraded() {
 		t.Fatalf("failover surfaced as degradation: %+v", pi)
 	}
-	want := NewShardedSearcher(sh).Search(q, 10)
+	want := rank(t, NewShardedSearcher(sh), q, 10)
 	if len(res) != len(want) {
 		t.Fatalf("%d results, want %d", len(res), len(want))
 	}
@@ -499,7 +453,7 @@ func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
 	defer rs.Close()
 
 	q := Term{Text: "cable"}
-	res, pi, err := rs.SearchDegraded(context.Background(), q, 5, DegradeOptions{AllowPartial: true, MaxRetries: 2})
+	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true, MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,5 +468,60 @@ func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
 	}
 	if len(res) == 0 {
 		t.Fatal("no results from the surviving shard")
+	}
+}
+
+// TestShardEvalRejectsMalformedFrames: shard.eval answers a frame no
+// well-formed coordinator sends with a terminal ServerError instead of
+// scoring it — an out-of-range model used to fall through to Dirichlet
+// and hand a version-skewed coordinator a silently mis-scored shard.
+func TestShardEvalRejectsMalformedFrames(t *testing.T) {
+	ix := buildShardCorpus(40, 3)
+	addr, _ := startShardServer(t, NewShardService(index.NewSharded(ix, 1).Shard(0), 0, 1), nil)
+	g := rpc.NewGroup([]*rpc.Client{rpc.NewClient(addr, testClientOptions())}, rpc.GroupOptions{})
+	defer g.Close()
+	call := func(req any) (*EvalResponse, error) {
+		out, err := g.Call(context.Background(), MethodEval, req, func() any { return &EvalResponse{} })
+		if err != nil {
+			return nil, err
+		}
+		return out.(*EvalResponse), nil
+	}
+
+	wq, err := EncodeNode(Term{Text: "cable"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := EvalRequest{
+		Query: wq, K: 5, Model: int(ModelBM25), Mu: 2500, Lambda: 0.4, K1: 1.2, B: 0.75,
+		NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens(),
+		Overrides: []LeafOverride{{CF: 30, DF: 20, CollProb: 0.05}},
+	}
+	if resp, err := call(good); err != nil || len(resp.Results) == 0 {
+		t.Fatalf("well-formed frame: %v, %+v", err, resp)
+	}
+	goodJSON, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(edit func(*EvalRequest)) EvalRequest {
+		req := good
+		edit(&req)
+		return req
+	}
+	for name, req := range map[string]any{
+		"model past the last": with(func(r *EvalRequest) { r.Model = int(ModelBM25) + 1 }),
+		"negative model":      with(func(r *EvalRequest) { r.Model = -1 }),
+		"negative num_docs":   with(func(r *EvalRequest) { r.NumDocs = -1 }),
+		"negative total_toks": with(func(r *EvalRequest) { r.TotalToks = -1 }),
+		// JSON cannot carry NaN or ±Inf; an overflowing literal is how a
+		// non-finite parameter would arrive.
+		"non-finite mu": json.RawMessage(strings.Replace(string(goodJSON), `"mu":2500`, `"mu":1e999`, 1)),
+	} {
+		_, err := call(req)
+		var se *rpc.ServerError
+		if !errors.As(err, &se) || rpc.IsTransport(err) {
+			t.Errorf("%s: err = %v, want a terminal rpc.ServerError", name, err)
+		}
 	}
 }

@@ -297,22 +297,53 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params := s.resolveParams()
-	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
-	prepareLeaves(s.Model, cs, leaves)
-	score := buildScorer(s.Model, params, cs)
+	cfg := scoring{
+		model:          s.Model,
+		params:         s.resolveParams(),
+		cs:             collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()},
+		disablePruning: s.DisablePruning,
+		forcePrune:     s.forcePrune,
+	}
 	if s.UseLegacyScorer {
+		prepareLeaves(cfg.model, cfg.cs, leaves)
 		s.materializeLeaves(leaves)
-		return s.searchLegacy(ctx, leaves, k, score, st)
+		return s.searchLegacy(ctx, leaves, k, buildScorer(cfg.model, cfg.params, cfg.cs), st)
 	}
-	if s.DisablePruning {
-		return searchDAAT(ctx, s.ix, leaves, k, score, st, sc)
+	return evalLeaves(ctx, s.ix, leaves, k, cfg, st, sc)
+}
+
+// scoring is the resolved configuration of one evaluation: the model,
+// its parameters, the collection statistics the scorer closes over (the
+// index's own for a monolithic search, the cross-partition globals
+// under a coordinator) and the pruning switches.
+type scoring struct {
+	model          Model
+	params         ModelParams
+	cs             collStats
+	disablePruning bool
+	forcePrune     bool
+}
+
+// evalLeaves scores flattened leaves against ix and returns its top k.
+// It is the one place the evaluator is chosen — exhaustive DAAT when
+// pruning is off or the cost model says it will not pay, MaxScore
+// otherwise — so a monolithic search, a shard, a segment and a shard
+// server cannot disagree about it. Any statistics override must already
+// be written to the leaves: the per-leaf caches and the bound
+// arithmetic derive from what they hold now, while postings summaries
+// and the minimum document length stay local to ix (bounds only need to
+// dominate the documents ix can produce).
+func evalLeaves(ctx context.Context, ix *index.Index, leaves []leaf, k int, cfg scoring, st *SearchStats, sc *evalScratch) ([]Result, error) {
+	prepareLeaves(cfg.model, cfg.cs, leaves)
+	score := buildScorer(cfg.model, cfg.params, cfg.cs)
+	if cfg.disablePruning {
+		return searchDAAT(ctx, ix, leaves, k, score, st, sc)
 	}
-	pb := derivePruneBounds(s.Model, params, cs, s.ix.MinDocLen(), leaves, sc)
-	if !s.forcePrune && !pruneWorthwhile(leaves, pb) {
-		return searchDAAT(ctx, s.ix, leaves, k, score, st, sc)
+	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, sc)
+	if !cfg.forcePrune && !pruneWorthwhile(leaves, pb) {
+		return searchDAAT(ctx, ix, leaves, k, score, st, sc)
 	}
-	return searchMaxScore(ctx, s.ix, leaves, k, score, pb, st, sc)
+	return searchMaxScore(ctx, ix, leaves, k, score, pb, st, sc)
 }
 
 // searchLegacy is the original term-at-a-time evaluator: accumulate a

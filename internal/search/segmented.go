@@ -2,133 +2,40 @@ package search
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"time"
+	"errors"
 
 	"repro/internal/index"
 )
 
 // SegmentedSearcher evaluates structured queries against a live
-// index.Segmented: per query it pins the current snapshot, fans the
-// query tree out to one evaluator per live segment, and merges the
-// per-segment bounded top-k heaps into the final ranking. Results and
-// scores are bit-identical to evaluating the same query on a monolithic
-// index built from the snapshot's surviving documents in ingestion
-// order, for every retrieval model. The argument is the sharded
-// searcher's, plus two tombstone obligations:
+// index.Segmented: per query it pins the current snapshot and runs the
+// coordinator over one in-process partition per live segment. Results
+// and scores are bit-identical to evaluating the same query on a
+// monolithic index built from the snapshot's surviving documents in
+// ingestion order, for every retrieval model: survivors remap to the
+// DocIDs that rebuild would assign (segment base + survivor rank),
+// which preserves the (score desc, DocID asc) tie-break bit for bit.
+// localPartition says where tombstones enter.
 //
-//   - flatten is structure-driven, so every segment produces the same
-//     leaf list; each leaf's collection statistics are first corrected
-//     for the segment's tombstones (a dead document's term frequency
-//     leaves cf, its membership leaves df) and then replaced by their
-//     exact cross-segment sums, so smoothing sees precisely the live
-//     collection. Segments with tombstones flatten with streaming
-//     disabled — a streaming leaf carries no materialised postings to
-//     subtract from, and a silent miss there would skew cf/df.
-//   - a segment's evaluator cannot be told about tombstones (bounds and
-//     scoring stay untouched), so it is asked for the top
-//     k + |tombstones| — dead documents can displace at most
-//     |tombstones| live ones — and dead entries are filtered from its
-//     ranking afterwards. Survivor local DocIDs then remap to the
-//     global IDs a monolithic rebuild would assign (segment base +
-//     survivor rank), which preserves the (score desc, DocID asc)
-//     tie-break bit for bit.
-//
-// Per-segment TermBounds/BlockBounds were computed over the full
-// segment — a superset of its live documents — so every pruning bound
-// still dominates and MaxScore/Block-Max stay score-safe unchanged.
-//
-// SegmentedSearcher implements Distributed, so an Engine drives it
-// exactly like in-process sharding or the RPC coordinator, degradation
-// included: a failing segment evaluation retries/drops like a failing
-// shard, and partial merges stay exact on the surviving segments
-// because statistics are settled before evaluation starts.
-type SegmentedSearcher struct {
-	live *index.Segmented
-	// Mu is the Dirichlet smoothing parameter; zero means DefaultMu.
-	Mu float64
-	// Model selects the retrieval function (default Dirichlet QL).
-	Model Model
-	// Params holds the other models' parameters.
-	Params ModelParams
-	// DisablePruning turns off MaxScore pruning in every segment's
-	// evaluator.
-	DisablePruning bool
-	// forcePrune mirrors Searcher.forcePrune (test-only).
-	forcePrune bool
-	// Sem, when non-nil, bounds extra fan-out goroutines; same
-	// try-acquire discipline as ShardedSearcher.Sem.
-	Sem chan struct{}
-}
+// A segmented index is one logical shard (NumShards is 1) — the segment
+// count varies per snapshot and shows in SearchStats.Shards and
+// PartialInfo.DroppedShards, where segments take the role of shards.
+type SegmentedSearcher struct{ coordinator }
 
 // NewSegmentedSearcher returns a SegmentedSearcher over live with the
 // default μ.
 func NewSegmentedSearcher(live *index.Segmented) *SegmentedSearcher {
-	return &SegmentedSearcher{live: live, Mu: DefaultMu}
-}
-
-// Live returns the underlying segmented index.
-func (gs *SegmentedSearcher) Live() *index.Segmented { return gs.live }
-
-// NumShards implements Distributed. A segmented index is one logical
-// shard — the segment count varies per snapshot and is reported in
-// SearchStats.Shards, not here.
-func (gs *SegmentedSearcher) NumShards() int { return 1 }
-
-// Configure implements Distributed.
-func (gs *SegmentedSearcher) Configure(cfg ShardConfig) {
-	gs.Mu = cfg.Mu
-	gs.Model = cfg.Model
-	gs.Params = cfg.Params
-	gs.DisablePruning = cfg.DisablePruning
-	gs.Sem = cfg.Sem
-}
-
-// Search scores the query against the current snapshot and returns the
-// global top k (score desc, DocID asc).
-func (gs *SegmentedSearcher) Search(q Node, k int) []Result {
-	res, _ := gs.SearchContext(context.Background(), q, k)
-	return res
-}
-
-// SearchContext is Search under a context.
-func (gs *SegmentedSearcher) SearchContext(ctx context.Context, q Node, k int) ([]Result, error) {
-	return gs.search(ctx, nil, q, k, nil, nil, nil)
-}
-
-// SearchWithStats is Search plus instrumentation; SearchStats.Shards
-// carries one entry per live segment of the pinned snapshot.
-func (gs *SegmentedSearcher) SearchWithStats(q Node, k int) ([]Result, SearchStats) {
-	res, st, _ := gs.SearchWithStatsContext(context.Background(), q, k)
-	return res, st
-}
-
-// SearchWithStatsContext is SearchContext plus instrumentation.
-func (gs *SegmentedSearcher) SearchWithStatsContext(ctx context.Context, q Node, k int) ([]Result, SearchStats, error) {
-	var st SearchStats
-	start := time.Now()
-	res, err := gs.search(ctx, nil, q, k, &st, nil, nil)
-	st.Elapsed = time.Since(start)
-	return res, st, err
-}
-
-// SearchDegraded implements Distributed (see ShardedSearcher's for the
-// exactness argument; segments take the role of shards).
-func (gs *SegmentedSearcher) SearchDegraded(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
-	var pi PartialInfo
-	res, err := gs.search(ctx, nil, q, k, nil, &opts, &pi)
-	return res, pi, err
-}
-
-// SearchDegradedWithStats implements Distributed.
-func (gs *SegmentedSearcher) SearchDegradedWithStats(ctx context.Context, q Node, k int, opts DegradeOptions) ([]Result, SearchStats, PartialInfo, error) {
-	var st SearchStats
-	var pi PartialInfo
-	start := time.Now()
-	res, err := gs.search(ctx, nil, q, k, &st, &opts, &pi)
-	st.Elapsed = time.Since(start)
-	return res, st, pi, err
+	return &SegmentedSearcher{coordinator{
+		ShardConfig: ShardConfig{Mu: DefaultMu},
+		shards:      1,
+		pin: func() ([]partition, func(), error) {
+			sn := live.Acquire()
+			if sn == nil {
+				return nil, nil, errors.New("search: segmented index is closed")
+			}
+			return snapshotPartitions(sn), sn.Release, nil
+		},
+	}}
 }
 
 // SearchSnapshot evaluates q against an explicitly pinned snapshot
@@ -137,227 +44,8 @@ func (gs *SegmentedSearcher) SearchDegradedWithStats(ctx context.Context, q Node
 // rebuild while mutations and faults race past it. The caller owns sn's
 // pin; it is not released here.
 func (gs *SegmentedSearcher) SearchSnapshot(ctx context.Context, sn *index.Snapshot, q Node, k int) ([]Result, error) {
-	return gs.search(ctx, sn, q, k, nil, nil, nil)
-}
-
-func (gs *SegmentedSearcher) resolveParams() ModelParams {
-	params := gs.Params.withDefaults()
-	if gs.Mu > 0 {
-		params.Mu = gs.Mu
-	}
-	return params
-}
-
-// search runs the four-phase evaluation against sn (pinning the current
-// snapshot when sn is nil). The phases mirror ShardedSearcher.search —
-// failures are confined to phase 3, after the statistics override.
-func (gs *SegmentedSearcher) search(ctx context.Context, sn *index.Snapshot, q Node, k int, st *SearchStats, opts *DegradeOptions, pi *PartialInfo) ([]Result, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if sn == nil {
-		sn = gs.live.Acquire()
-		if sn == nil {
-			return nil, fmt.Errorf("search: segmented index is closed")
-		}
-		defer sn.Release()
-	}
-	n := sn.NumSegments()
-	if n == 0 {
-		return nil, nil
-	}
-
-	// Phase 1: flatten per segment, in parallel, correcting each leaf's
-	// collection statistics for the segment's tombstones. Tombstoned
-	// segments materialise every term leaf (no streaming) so the
-	// correction always has a postings row to subtract from.
-	segLeaves := make([][]leaf, n)
-	fanOutShards(gs.Sem, n, func(i int) {
-		tombs := sn.Tombstones(i)
-		local := &Searcher{ix: sn.Segment(i), DisableStreaming: len(tombs) > 0}
-		var ls []leaf
-		local.flatten(q, 1, &ls)
-		for li := range ls {
-			l := &ls[li]
-			for _, d := range tombs {
-				if pos := findDoc(l.postings.Docs, d); pos >= 0 {
-					l.cf -= int64(l.postings.Freqs[pos])
-					l.df--
-				}
-			}
-		}
-		segLeaves[i] = ls
-	})
-	nLeaves := len(segLeaves[0])
-	for i := 1; i < n; i++ {
-		if len(segLeaves[i]) != nLeaves {
-			// flatten is structure-driven over a shared analyzer; a
-			// divergence means a segment was built against a different
-			// analyzer and scoring would be silently wrong.
-			return nil, fmt.Errorf("search: segment %d flattened %d leaves, segment 0 flattened %d", i, len(segLeaves[i]), nLeaves)
-		}
-	}
-	if nLeaves == 0 {
-		return nil, nil
-	}
-	if st != nil {
-		st.Leaves = nLeaves
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the global-stats override, against the snapshot's exact
-	// live-collection statistics.
-	for li := 0; li < nLeaves; li++ {
-		var cf int64
-		var df float64
-		for s := 0; s < n; s++ {
-			cf += segLeaves[s][li].cf
-			df += segLeaves[s][li].df
-		}
-		collProb := sn.FloorProb(cf)
-		for s := 0; s < n; s++ {
-			l := &segLeaves[s][li]
-			l.cf, l.df, l.collProb = cf, df, collProb
-		}
-	}
-	params := gs.resolveParams()
-	cs := collStats{
-		numDocs:   float64(sn.NumDocs()),
-		avgDocLen: sn.AvgDocLen(),
-	}
-	for s := 0; s < n; s++ {
-		prepareLeaves(gs.Model, cs, segLeaves[s])
-	}
-	score := buildScorer(gs.Model, params, cs)
-
-	// Phase 3: per-segment evaluation. Each segment is asked for the top
-	// k + |tombstones| so filtering dead documents out of its ranking
-	// can never lose a live top-k document, then survivors remap to the
-	// global (monolithic-rebuild) DocIDs.
-	type segOut struct {
-		res     []Result
-		retries int
-		err     error
-	}
-	outs := make([]segOut, n)
-	var segStats []SearchStats
-	if st != nil {
-		segStats = make([]SearchStats, n)
-	}
-	fanOutShards(gs.Sem, n, func(i int) {
-		var sst *SearchStats
-		var start time.Time
-		if st != nil {
-			sst = &segStats[i]
-			start = time.Now()
-		}
-		ix := sn.Segment(i)
-		tombs := sn.Tombstones(i)
-		k2 := k + len(tombs)
-		sc := getScratch()
-		defer putScratch(sc)
-		res, retries, err := evalShardDegraded(ctx, opts, func(sctx context.Context) ([]Result, error) {
-			if gs.DisablePruning {
-				return searchDAAT(sctx, ix, segLeaves[i], k2, score, sst, sc)
-			}
-			pb := derivePruneBounds(gs.Model, params, cs, ix.MinDocLen(), segLeaves[i], sc)
-			if !gs.forcePrune && !pruneWorthwhile(segLeaves[i], pb) {
-				return searchDAAT(sctx, ix, segLeaves[i], k2, score, sst, sc)
-			}
-			return searchMaxScore(sctx, ix, segLeaves[i], k2, score, pb, sst, sc)
-		})
-		if sst != nil {
-			sst.Elapsed = time.Since(start)
-		}
-		if err == nil {
-			live := res[:0]
-			for _, r := range res {
-				if len(tombs) > 0 && findDoc(tombs, r.Doc) >= 0 {
-					continue
-				}
-				r.Doc = sn.GlobalDoc(i, r.Doc)
-				live = append(live, r)
-			}
-			if len(live) > k {
-				live = live[:k]
-			}
-			res = live
-		}
-		outs[i] = segOut{res: res, retries: retries, err: err}
-	})
-	if st != nil {
-		st.Shards = make([]ShardStats, n)
-		for i, sst := range segStats {
-			st.CandidatesExamined += sst.CandidatesExamined
-			st.PostingsAdvanced += sst.PostingsAdvanced
-			st.DocsSkipped += sst.DocsSkipped
-			st.BoundEvaluations += sst.BoundEvaluations
-			st.BlockBoundEvaluations += sst.BlockBoundEvaluations
-			st.BlocksDecoded += sst.BlocksDecoded
-			st.BlocksTotal += sst.BlocksTotal
-			st.HeapPushes += sst.HeapPushes
-			st.HeapEvictions += sst.HeapEvictions
-			st.Shards[i] = ShardStats{
-				Elapsed:            sst.Elapsed,
-				CandidatesExamined: sst.CandidatesExamined,
-				PostingsAdvanced:   sst.PostingsAdvanced,
-				DocsSkipped:        sst.DocsSkipped,
-			}
-		}
-	}
-	if pi != nil {
-		for i := range outs {
-			pi.Retries += outs[i].retries
-		}
-	}
-	dropped := make([]bool, n)
-	failed := 0
-	for i := range outs {
-		if outs[i].err == nil {
-			continue
-		}
-		if opts == nil || !opts.AllowPartial || ctx.Err() != nil {
-			return nil, outs[i].err
-		}
-		dropped[i] = true
-		failed++
-		if pi != nil {
-			pi.DroppedShards = append(pi.DroppedShards, i)
-			pi.ShardErrors = append(pi.ShardErrors, outs[i].err.Error())
-		}
-	}
-	if failed == n {
-		for i := range outs {
-			if outs[i].err != nil {
-				return nil, outs[i].err
-			}
-		}
-	}
-
-	// Phase 4: merge the survivors by the global result ordering and
-	// truncate to k.
-	msc := getScratch()
-	defer putScratch(msc)
-	all := msc.merged[:0]
-	for i := range outs {
-		if !dropped[i] {
-			all = append(all, outs[i].res...)
-		}
-	}
-	msc.merged = all
-	sort.Sort(&resultSorter{all})
-	if len(all) > k {
-		all = all[:k]
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	out := make([]Result, len(all))
-	copy(out, all)
-	return out, nil
+	pinned := gs.coordinator
+	pinned.pin = fixed(snapshotPartitions(sn))
+	ev, err := pinned.Evaluate(ctx, q, k, EvalOptions{})
+	return ev.Results, err
 }

@@ -144,11 +144,7 @@ func TestSegmentedSearcherParity(t *testing.T) {
 						for qi, q := range segTestQueries() {
 							label := fmt.Sprintf("flush=%d del=%d compact=%v model=%d prune=%v q=%d", flushDocs, di, compact, model, prune, qi)
 							want := mono.Search(q, 10)
-							got, err := gs.SearchContext(context.Background(), q, 10)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							requireSameResults(t, got, want, label)
+							requireSameResults(t, rank(t, gs, q, 10), want, label)
 						}
 					}
 				}
@@ -162,8 +158,8 @@ func TestSegmentedSearcherParity(t *testing.T) {
 func TestSegmentedSearcherEmpty(t *testing.T) {
 	live := buildSegmented(t, nil, 8, nil, false)
 	gs := NewSegmentedSearcher(live)
-	if res, err := gs.SearchContext(context.Background(), Term{Text: "alpha"}, 10); err != nil || len(res) != 0 {
-		t.Fatalf("empty index: %v, %v", res, err)
+	if res := rank(t, gs, Term{Text: "alpha"}, 10); len(res) != 0 {
+		t.Fatalf("empty index: %v", res)
 	}
 	docs := segTestCorpus(9, 12)
 	var all []string
@@ -172,8 +168,8 @@ func TestSegmentedSearcherEmpty(t *testing.T) {
 	}
 	live2 := buildSegmented(t, docs, 4, all, false)
 	gs2 := NewSegmentedSearcher(live2)
-	if res, err := gs2.SearchContext(context.Background(), Term{Text: "alpha"}, 10); err != nil || len(res) != 0 {
-		t.Fatalf("fully deleted index: %v, %v", res, err)
+	if res := rank(t, gs2, Term{Text: "alpha"}, 10); len(res) != 0 {
+		t.Fatalf("fully deleted index: %v", res)
 	}
 }
 
@@ -198,9 +194,11 @@ func TestSegmentedSearcherStats(t *testing.T) {
 	}
 }
 
-// TestSegmentedSearcherDegradation: a failing segment evaluation drops
-// that segment under AllowPartial, keeping the others' results exact;
-// without AllowPartial it fails the query.
+// TestSegmentedSearcherDegradation: the in-process fault point
+// (fault.ShardEval) is wired into segment evaluation — an injected
+// failure drops that segment under AllowPartial and fails the query
+// without it. What a drop does to the ranking is the coordinator
+// contract's business (coordinator_test.go).
 func TestSegmentedSearcherDegradation(t *testing.T) {
 	docs := segTestCorpus(60, 14)
 	live := buildSegmented(t, docs, 20, nil, false)
@@ -208,19 +206,19 @@ func TestSegmentedSearcherDegradation(t *testing.T) {
 
 	fault.Arm(fault.NewRegistry(42).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 1}))
 	defer fault.Disarm()
-	res, pi, err := gs.SearchDegraded(context.Background(), Term{Text: "alpha"}, 10, DegradeOptions{AllowPartial: true})
+	ev, err := gs.Evaluate(context.Background(), Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true}})
 	if err != nil {
 		t.Fatalf("degraded search failed: %v", err)
 	}
-	if !pi.Degraded() || len(pi.DroppedShards) != 1 {
-		t.Fatalf("expected exactly one dropped segment, got %+v", pi)
+	if !ev.Partial.Degraded() || len(ev.Partial.DroppedShards) != 1 {
+		t.Fatalf("expected exactly one dropped segment, got %+v", ev.Partial)
 	}
-	if len(res) == 0 {
+	if len(ev.Results) == 0 {
 		t.Fatal("surviving segments produced no results")
 	}
 
 	fault.Arm(fault.NewRegistry(42).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 1}))
-	if _, _, err := gs.SearchDegraded(context.Background(), Term{Text: "alpha"}, 10, DegradeOptions{}); err == nil {
+	if _, err := gs.Evaluate(context.Background(), Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{}}); err == nil {
 		t.Fatal("strict mode should fail on a segment fault")
 	}
 }
@@ -268,7 +266,7 @@ func TestSegmentedSearcherClosed(t *testing.T) {
 	live := buildSegmented(t, segTestCorpus(10, 16), 4, nil, false)
 	gs := NewSegmentedSearcher(live)
 	live.Close()
-	if _, err := gs.SearchContext(context.Background(), Term{Text: "alpha"}, 5); err == nil {
+	if _, err := gs.Evaluate(context.Background(), Term{Text: "alpha"}, 5, EvalOptions{}); err == nil {
 		t.Fatal("search on closed index should fail")
 	}
 }

@@ -56,12 +56,13 @@ type LeafOverride struct {
 	CollProb float64 `json:"coll_prob"`
 }
 
-// EvalRequest asks a shard to evaluate a query under coordinator-
-// supplied global statistics (phase B). The shard re-flattens the tree
-// (stateless — no per-query state survives between the two phases),
-// overrides each leaf's statistics with Overrides, scores with a
-// scorer built from the global NumDocs/TotalToks, and returns its local
-// top k remapped to global DocIDs.
+// EvalRequest asks a partition to evaluate a query under coordinator-
+// supplied global statistics (phase B): override each leaf's statistics
+// with Overrides, score with a scorer built from the global
+// NumDocs/TotalToks, and return the local top k remapped to global
+// DocIDs. It is the one request shape in process and on the wire; only
+// a remote partition fills Query (the shard server re-flattens the tree
+// — no per-query state survives between the two phases).
 type EvalRequest struct {
 	Query WireNode `json:"query"`
 	K     int      `json:"k"`
@@ -82,6 +83,9 @@ type EvalRequest struct {
 	TotalToks int64          `json:"total_toks"`
 	Overrides []LeafOverride `json:"overrides"`
 	WantStats bool           `json:"want_stats,omitempty"`
+	// forcePrune is Searcher.forcePrune for in-process partitions
+	// (test-only); unexported, so it never reaches the wire.
+	forcePrune bool
 }
 
 // WireResult is one ranked document crossing the wire; Doc is the
@@ -111,13 +115,46 @@ type EvalResponse struct {
 	Stats   *WireEvalStats `json:"stats,omitempty"`
 }
 
+// searchStats converts the wire counters back into a SearchStats.
+func (ws *WireEvalStats) searchStats() SearchStats {
+	return SearchStats{
+		CandidatesExamined:    ws.CandidatesExamined,
+		PostingsAdvanced:      ws.PostingsAdvanced,
+		DocsSkipped:           ws.DocsSkipped,
+		BoundEvaluations:      ws.BoundEvaluations,
+		BlockBoundEvaluations: ws.BlockBoundEvaluations,
+		BlocksDecoded:         ws.BlocksDecoded,
+		BlocksTotal:           ws.BlocksTotal,
+		HeapPushes:            ws.HeapPushes,
+		HeapEvictions:         ws.HeapEvictions,
+	}
+}
+
+// validate rejects an eval frame no well-formed coordinator sends. An
+// unknown model would otherwise fall through buildScorer's default to
+// Dirichlet, and a version-skewed coordinator would merge a silently
+// mis-scored shard into its ranking; the error crosses the wire as a
+// terminal ServerError, so it is dropped or surfaced, never retried.
+// (Non-finite parameters never get this far: JSON has no encoding for
+// them and the decoder refuses an overflowing literal.)
+func (req *EvalRequest) validate() error {
+	switch Model(req.Model) {
+	case ModelDirichlet, ModelJelinekMercer, ModelBM25:
+	default:
+		return fmt.Errorf("unknown model %d", req.Model)
+	}
+	if req.NumDocs < 0 || req.TotalToks < 0 {
+		return fmt.Errorf("negative collection totals (num_docs %d, total_toks %d)", req.NumDocs, req.TotalToks)
+	}
+	return nil
+}
+
 // ShardService serves one shard of the corpus over RPC: the shard's
-// slice of an index.Sharded partition, evaluated by the same package-
-// internal machinery (flatten, buildScorer, searchDAAT/searchMaxScore)
-// the in-process ShardedSearcher uses — which is what makes the
+// slice of an index.Sharded partition behind the same localPartition
+// the in-process ShardedSearcher evaluates — which is what makes the
 // distributed scores bit-identical to single-process sharding.
 type ShardService struct {
-	local     *Searcher
+	part      localPartition
 	shard     int
 	numShards int
 }
@@ -130,7 +167,12 @@ func NewShardService(ix *index.Index, shard, numShards int) *ShardService {
 	if shard < 0 || shard >= numShards {
 		panic(fmt.Sprintf("search: shard %d out of range of %d", shard, numShards))
 	}
-	return &ShardService{local: &Searcher{ix: ix}, shard: shard, numShards: numShards}
+	// The shard server holds only its slice, so it remaps local→global
+	// with index.Sharded.GlobalDoc's expression rather than the method.
+	global := func(d index.DocID) index.DocID {
+		return d*index.DocID(numShards) + index.DocID(shard)
+	}
+	return &ShardService{part: localPartition{ix: ix, global: global}, shard: shard, numShards: numShards}
 }
 
 // Register installs the shard methods on srv.
@@ -141,12 +183,8 @@ func (svc *ShardService) Register(srv *rpc.Server) {
 }
 
 func (svc *ShardService) handleInfo(ctx context.Context, body json.RawMessage) (any, error) {
-	return InfoResponse{
-		Shard:     svc.shard,
-		NumShards: svc.numShards,
-		NumDocs:   svc.local.ix.NumDocs(),
-		TotalToks: svc.local.ix.TotalTokens(),
-	}, nil
+	numDocs, totalToks := svc.part.totals()
+	return InfoResponse{Shard: svc.shard, NumShards: svc.numShards, NumDocs: numDocs, TotalToks: totalToks}, nil
 }
 
 func (svc *ShardService) handleStats(ctx context.Context, body json.RawMessage) (any, error) {
@@ -158,18 +196,16 @@ func (svc *ShardService) handleStats(ctx context.Context, body json.RawMessage) 
 	if err != nil {
 		return nil, err
 	}
-	var leaves []leaf
-	svc.local.flatten(q, 1, &leaves)
-	resp := StatsResponse{Leaves: make([]LeafStats, len(leaves))}
-	for i := range leaves {
-		resp.Leaves[i] = LeafStats{CF: leaves[i].cf, DF: leaves[i].df}
-	}
-	return resp, nil
+	leaves, _, err := svc.part.stats(ctx, q)
+	return StatsResponse{Leaves: leaves}, err
 }
 
 func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (any, error) {
 	var req EvalRequest
 	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, err
+	}
+	if err := req.validate(); err != nil {
 		return nil, err
 	}
 	q, err := DecodeNode(req.Query)
@@ -179,70 +215,43 @@ func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (
 	if req.K <= 0 {
 		return EvalResponse{}, nil
 	}
-	var leaves []leaf
-	svc.local.flatten(q, 1, &leaves)
+	// Stateless between the phases: the shard flattens again rather
+	// than remembering phase A's leaves.
+	leaves := svc.part.flatten(q)
 	if len(leaves) != len(req.Overrides) {
 		// The coordinator derived the overrides from this query's flatten
 		// on other shards; a count mismatch means this shard was built
 		// against a different analyzer and scoring would be silently
-		// wrong — same invariant as the in-process leaf-count check.
+		// wrong — same invariant as the coordinator's leaf-count check.
 		return nil, fmt.Errorf("shard %d flattened %d leaves, coordinator supplied %d overrides",
 			svc.shard, len(leaves), len(req.Overrides))
 	}
 	if len(leaves) == 0 {
 		return EvalResponse{}, nil
 	}
-	for i := range leaves {
-		o := req.Overrides[i]
-		leaves[i].cf, leaves[i].df, leaves[i].collProb = o.CF, o.DF, o.CollProb
-	}
-	params := ModelParams{Mu: req.Mu, Lambda: req.Lambda, K1: req.K1, B: req.B}
-	var avgDocLen float64
-	if req.NumDocs > 0 {
-		avgDocLen = float64(req.TotalToks) / float64(req.NumDocs)
-	}
-	cs := collStats{numDocs: float64(req.NumDocs), avgDocLen: avgDocLen}
-	prepareLeaves(Model(req.Model), cs, leaves)
-	score := buildScorer(Model(req.Model), params, cs)
-
-	var sst *SearchStats
+	var st *SearchStats
 	if req.WantStats {
-		sst = &SearchStats{}
+		st = &SearchStats{}
 	}
-	// One pooled scratch per eval request, returned on every exit path.
-	sc := getScratch()
-	defer putScratch(sc)
-	var res []Result
-	if req.DisablePruning {
-		res, err = searchDAAT(ctx, svc.local.ix, leaves, req.K, score, sst, sc)
-	} else if pb := derivePruneBounds(Model(req.Model), params, cs, svc.local.ix.MinDocLen(), leaves, sc); !pruneWorthwhile(leaves, pb) {
-		res, err = searchDAAT(ctx, svc.local.ix, leaves, req.K, score, sst, sc)
-	} else {
-		res, err = searchMaxScore(ctx, svc.local.ix, leaves, req.K, score, pb, sst, sc)
-	}
+	res, err := svc.part.score(ctx, leaves, &req, st)
 	if err != nil {
 		return nil, err
 	}
 	resp := EvalResponse{Results: make([]WireResult, len(res))}
 	for i, r := range res {
-		// Remap local→global exactly like index.Sharded.GlobalDoc.
-		resp.Results[i] = WireResult{
-			Doc:   int64(r.Doc)*int64(svc.numShards) + int64(svc.shard),
-			Name:  r.Name,
-			Score: r.Score,
-		}
+		resp.Results[i] = WireResult{Doc: int64(r.Doc), Name: r.Name, Score: r.Score}
 	}
-	if sst != nil {
+	if st != nil {
 		resp.Stats = &WireEvalStats{
-			CandidatesExamined:    sst.CandidatesExamined,
-			PostingsAdvanced:      sst.PostingsAdvanced,
-			DocsSkipped:           sst.DocsSkipped,
-			BoundEvaluations:      sst.BoundEvaluations,
-			BlockBoundEvaluations: sst.BlockBoundEvaluations,
-			BlocksDecoded:         sst.BlocksDecoded,
-			BlocksTotal:           sst.BlocksTotal,
-			HeapPushes:            sst.HeapPushes,
-			HeapEvictions:         sst.HeapEvictions,
+			CandidatesExamined:    st.CandidatesExamined,
+			PostingsAdvanced:      st.PostingsAdvanced,
+			DocsSkipped:           st.DocsSkipped,
+			BoundEvaluations:      st.BoundEvaluations,
+			BlockBoundEvaluations: st.BlockBoundEvaluations,
+			BlocksDecoded:         st.BlocksDecoded,
+			BlocksTotal:           st.BlocksTotal,
+			HeapPushes:            st.HeapPushes,
+			HeapEvictions:         st.HeapEvictions,
 		}
 	}
 	return resp, nil

@@ -1,315 +1,22 @@
 package search
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"time"
+import "repro/internal/index"
 
-	"repro/internal/index"
-)
-
-// ShardedSearcher evaluates structured queries against an index.Sharded,
-// fanning the query tree out to one document-at-a-time evaluator per
-// shard and merging the per-shard bounded top-k heaps into the final
-// ranking. Results and scores are bit-identical to evaluating the same
-// query on the unsharded index, for every retrieval model:
-//
-//   - flatten is structure-driven (leaf set, order and normalised
-//     weights depend only on the query tree and the analyzer), so every
-//     shard produces the same leaf list;
-//   - each leaf's collection statistics (collection frequency, document
-//     frequency, collection probability) are replaced by their exact
-//     cross-shard sums before scoring, so the smoothing terms match the
-//     global index bit for bit;
-//   - within a shard, ascending local DocIDs correspond to ascending
-//     global DocIDs (round-robin assignment), so the per-shard top-k
-//     under (score desc, local DocID asc) is exactly the shard's slice
-//     of the global top-k ordering, and the merge — (score desc, global
-//     DocID asc), truncate to k — reconstructs the unsharded ranking.
-//
-// Like Searcher, the configuration fields are read on every call and
-// must not be mutated concurrently with searches.
-type ShardedSearcher struct {
-	sh     *index.Sharded
-	locals []*Searcher // one per shard, used for flattening
-	// Mu is the Dirichlet smoothing parameter; zero means DefaultMu.
-	Mu float64
-	// Model selects the retrieval function (default Dirichlet QL).
-	Model Model
-	// Params holds the other models' parameters.
-	Params ModelParams
-	// DisablePruning turns off MaxScore pruning in every shard's
-	// evaluator (see Searcher.DisablePruning). With pruning on, each
-	// shard prunes against its own top-k threshold — shared-nothing, no
-	// cross-shard coordination — which is safe because every shard must
-	// surface its local top k for the merge regardless of what other
-	// shards hold. Results are bit-identical either way.
-	DisablePruning bool
-	// forcePrune mirrors Searcher.forcePrune for the per-shard
-	// evaluators (test-only; see searcher.go).
-	forcePrune bool
-	// Sem, when non-nil, bounds how many shard evaluations run on extra
-	// goroutines (it is shared with the engine's SQE_C run pool). The
-	// fan-out only try-acquires: when the pool is saturated the shard
-	// evaluates inline on the caller's goroutine, so a caller that
-	// already holds a slot can always finish — sharing the semaphore
-	// cannot deadlock.
-	Sem chan struct{}
-}
+// ShardedSearcher evaluates structured queries against an index.Sharded:
+// the coordinator over one in-process partition per round-robin shard.
+// Results and scores are bit-identical to evaluating the same query on
+// the unsharded index, for every retrieval model — within a shard,
+// ascending local DocIDs correspond to ascending global DocIDs, so each
+// shard's top k under (score desc, local DocID asc) is exactly its
+// slice of the global ordering and the merge reconstructs the unsharded
+// ranking.
+type ShardedSearcher struct{ coordinator }
 
 // NewShardedSearcher returns a ShardedSearcher over sh with the default μ.
 func NewShardedSearcher(sh *index.Sharded) *ShardedSearcher {
-	ss := &ShardedSearcher{sh: sh, Mu: DefaultMu}
-	ss.locals = make([]*Searcher, sh.NumShards())
-	for i := range ss.locals {
-		ss.locals[i] = &Searcher{ix: sh.Shard(i)}
-	}
-	return ss
-}
-
-// Sharded returns the underlying sharded index.
-func (ss *ShardedSearcher) Sharded() *index.Sharded { return ss.sh }
-
-// Search scores the query across all shards and returns the global top k
-// (score desc, DocID asc) — the same contract as Searcher.Search.
-func (ss *ShardedSearcher) Search(q Node, k int) []Result {
-	res, _ := ss.SearchContext(context.Background(), q, k)
-	return res
-}
-
-// SearchContext is Search under a context; cancellation propagates into
-// every shard's evaluation loop.
-func (ss *ShardedSearcher) SearchContext(ctx context.Context, q Node, k int) ([]Result, error) {
-	return ss.search(ctx, q, k, nil, nil, nil)
-}
-
-// SearchWithStats is Search plus instrumentation, including per-shard
-// timings in SearchStats.Shards.
-func (ss *ShardedSearcher) SearchWithStats(q Node, k int) ([]Result, SearchStats) {
-	res, st, _ := ss.SearchWithStatsContext(context.Background(), q, k)
-	return res, st
-}
-
-// SearchWithStatsContext is SearchContext plus instrumentation.
-func (ss *ShardedSearcher) SearchWithStatsContext(ctx context.Context, q Node, k int) ([]Result, SearchStats, error) {
-	var st SearchStats
-	start := time.Now()
-	res, err := ss.search(ctx, q, k, &st, nil, nil)
-	st.Elapsed = time.Since(start)
-	return res, st, err
-}
-
-func (ss *ShardedSearcher) resolveParams() ModelParams {
-	params := ss.Params.withDefaults()
-	if ss.Mu > 0 {
-		params.Mu = ss.Mu
-	}
-	return params
-}
-
-// search runs the four-phase sharded evaluation. opts/pi, when non-nil,
-// enable graceful degradation (see SearchDegraded): failures are
-// confined to phase 3, AFTER the cross-shard statistics override, so a
-// partial merge never changes a surviving shard's scores.
-func (ss *ShardedSearcher) search(ctx context.Context, q Node, k int, st *SearchStats, opts *DegradeOptions, pi *PartialInfo) ([]Result, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := ss.sh.NumShards()
-
-	// Phase 1: flatten per shard (materialises phrase/window postings
-	// against each shard's local postings), in parallel — for expanded
-	// queries this is a large share of the evaluation cost.
-	shardLeaves := make([][]leaf, n)
-	ss.forEachShard(n, func(i int) {
-		var ls []leaf
-		ss.locals[i].flatten(q, 1, &ls)
-		shardLeaves[i] = ls
-	})
-	nLeaves := len(shardLeaves[0])
-	for i := 1; i < n; i++ {
-		if len(shardLeaves[i]) != nLeaves {
-			// flatten is structure-driven; a divergence means a shard was
-			// built against a different analyzer and scoring would be
-			// silently wrong.
-			return nil, fmt.Errorf("search: shard %d flattened %d leaves, shard 0 flattened %d", i, len(shardLeaves[i]), nLeaves)
-		}
-	}
-	if nLeaves == 0 {
-		return nil, nil
-	}
-	if st != nil {
-		st.Leaves = nLeaves
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the global-stats override. Replace every leaf's collection
-	// statistics with the exact cross-shard sums (integer sums are
-	// order-independent, so cf and df equal the unsharded values bit for
-	// bit), then build one scorer from the global document count and
-	// average length. Every shard scores with the same closure over the
-	// same statistics.
-	for li := 0; li < nLeaves; li++ {
-		var cf int64
-		var df float64
-		for s := 0; s < n; s++ {
-			cf += shardLeaves[s][li].cf
-			df += shardLeaves[s][li].df
-		}
-		collProb := ss.sh.FloorProb(cf)
-		for s := 0; s < n; s++ {
-			l := &shardLeaves[s][li]
-			l.cf, l.df, l.collProb = cf, df, collProb
-		}
-	}
-	params := ss.resolveParams()
-	cs := collStats{
-		numDocs:   float64(ss.sh.NumDocs()),
-		avgDocLen: ss.sh.AvgDocLen(),
-	}
-	// Per-leaf caches derive from the GLOBAL df just written, so every
-	// shard scores with the same cached values (bit-identity again).
-	for s := 0; s < n; s++ {
-		prepareLeaves(ss.Model, cs, shardLeaves[s])
-	}
-	score := buildScorer(ss.Model, params, cs)
-
-	// Phase 3: per-shard DAAT evaluation into bounded top-k heaps, then
-	// remap the survivors' local DocIDs back to global.
-	type shardOut struct {
-		res     []Result
-		retries int
-		err     error
-	}
-	outs := make([]shardOut, n)
-	var shardStats []SearchStats
-	if st != nil {
-		shardStats = make([]SearchStats, n)
-	}
-	ss.forEachShard(n, func(i int) {
-		var sst *SearchStats
-		var start time.Time
-		if st != nil {
-			sst = &shardStats[i]
-			start = time.Now()
-		}
-		// One pooled scratch per shard evaluation, returned when the
-		// shard is done — including after degradation retries (the
-		// evaluators reset every scratch field they read, so a retry
-		// reusing the same scratch is safe).
-		sc := getScratch()
-		defer putScratch(sc)
-		res, retries, err := evalShardDegraded(ctx, opts, func(sctx context.Context) ([]Result, error) {
-			if ss.DisablePruning {
-				return searchDAAT(sctx, ss.sh.Shard(i), shardLeaves[i], k, score, sst, sc)
-			}
-			// Bounds derive AFTER the global-stats override, so the bound
-			// arithmetic sees the same collProb/df the scorer does, while
-			// the postings summaries (MaxTF, MinDL, ratio pair, per-block)
-			// and the minimum document length stay shard-local — bounds
-			// only need to dominate the documents this shard can produce.
-			pb := derivePruneBounds(ss.Model, params, cs, ss.sh.Shard(i).MinDocLen(), shardLeaves[i], sc)
-			if !ss.forcePrune && !pruneWorthwhile(shardLeaves[i], pb) {
-				return searchDAAT(sctx, ss.sh.Shard(i), shardLeaves[i], k, score, sst, sc)
-			}
-			return searchMaxScore(sctx, ss.sh.Shard(i), shardLeaves[i], k, score, pb, sst, sc)
-		})
-		if sst != nil {
-			sst.Elapsed = time.Since(start)
-		}
-		for r := range res {
-			res[r].Doc = ss.sh.GlobalDoc(i, res[r].Doc)
-		}
-		outs[i] = shardOut{res: res, retries: retries, err: err}
-	})
-	if st != nil {
-		st.Shards = make([]ShardStats, n)
-		for i, sst := range shardStats {
-			st.CandidatesExamined += sst.CandidatesExamined
-			st.PostingsAdvanced += sst.PostingsAdvanced
-			st.DocsSkipped += sst.DocsSkipped
-			st.BoundEvaluations += sst.BoundEvaluations
-			st.BlockBoundEvaluations += sst.BlockBoundEvaluations
-			st.BlocksDecoded += sst.BlocksDecoded
-			st.BlocksTotal += sst.BlocksTotal
-			st.HeapPushes += sst.HeapPushes
-			st.HeapEvictions += sst.HeapEvictions
-			st.Shards[i] = ShardStats{
-				Elapsed:            sst.Elapsed,
-				CandidatesExamined: sst.CandidatesExamined,
-				PostingsAdvanced:   sst.PostingsAdvanced,
-				DocsSkipped:        sst.DocsSkipped,
-			}
-		}
-	}
-	if pi != nil {
-		for i := range outs {
-			pi.Retries += outs[i].retries
-		}
-	}
-	dropped := make([]bool, n)
-	failed := 0
-	for i := range outs {
-		if outs[i].err == nil {
-			continue
-		}
-		// Parent-context cancellation is the caller's signal, not a shard
-		// failure; it is never degraded into a partial result.
-		if opts == nil || !opts.AllowPartial || ctx.Err() != nil {
-			return nil, outs[i].err
-		}
-		dropped[i] = true
-		failed++
-		if pi != nil {
-			pi.DroppedShards = append(pi.DroppedShards, i)
-			pi.ShardErrors = append(pi.ShardErrors, outs[i].err.Error())
-		}
-	}
-	if failed == n {
-		// Nothing survived; a fully empty "partial" result would be
-		// indistinguishable from a query matching nothing.
-		for i := range outs {
-			if outs[i].err != nil {
-				return nil, outs[i].err
-			}
-		}
-	}
-
-	// Phase 4: merge the ≤ S·k survivors by the global result ordering
-	// and truncate. Document names were resolved per shard (shards carry
-	// the original names), so survivors are complete Results already. The
-	// merge accumulates into a pooled backing; only the final ≤ k slice is
-	// copied out (results outlive the scratch).
-	msc := getScratch()
-	defer putScratch(msc)
-	all := msc.merged[:0]
-	for i := range outs {
-		if !dropped[i] {
-			all = append(all, outs[i].res...)
-		}
-	}
-	msc.merged = all
-	sort.Sort(&resultSorter{all})
-	if len(all) > k {
-		all = all[:k]
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	out := make([]Result, len(all))
-	copy(out, all)
-	return out, nil
-}
-
-// forEachShard runs f(0..n-1), using extra goroutines where the
-// semaphore (if any) has free slots and the caller's goroutine
-// otherwise. It never blocks on the semaphore — see the Sem field.
-func (ss *ShardedSearcher) forEachShard(n int, f func(i int)) {
-	fanOutShards(ss.Sem, n, f)
+	return &ShardedSearcher{coordinator{
+		ShardConfig: ShardConfig{Mu: DefaultMu},
+		shards:      sh.NumShards(),
+		pin:         fixed(shardPartitions(sh)),
+	}}
 }

@@ -1,9 +1,6 @@
 package search
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // WireNode is the JSON form of a query tree crossing the coordinator→
 // shard RPC boundary. The tree is encoded structurally — terms are
@@ -84,23 +81,4 @@ func DecodeNode(wn WireNode) (Node, error) {
 	default:
 		return nil, fmt.Errorf("search: unknown wire node type %q", wn.T)
 	}
-}
-
-// MarshalQuery encodes a query tree to JSON bytes (convenience for
-// callers outside the RPC path, e.g. debugging tools).
-func MarshalQuery(n Node) ([]byte, error) {
-	wn, err := EncodeNode(n)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(wn)
-}
-
-// UnmarshalQuery decodes JSON bytes produced by MarshalQuery.
-func UnmarshalQuery(data []byte) (Node, error) {
-	var wn WireNode
-	if err := json.Unmarshal(data, &wn); err != nil {
-		return nil, err
-	}
-	return DecodeNode(wn)
 }

@@ -43,13 +43,11 @@ func OpenLiveIndex(dir string, flushDocs int) (*LiveIndex, error) {
 // documents. Documents enter and leave through Engine.Ingest and
 // Engine.Delete (or the serving layer's /v1/ingest).
 //
-// Two configurations are unsupported on a live engine and are
-// overridden or rejected: WithLegacyScorer (the legacy oracle walks a
-// single immutable index) is forced off, and requests with PRF fail —
-// both would otherwise silently evaluate against an empty placeholder
-// index rather than the live document set. WithShards and
-// WithDistributedSearcher are superseded: the live index's segments are
-// the parallelism unit, evaluated with the same fan-out pool.
+// Requests with PRF fail on a live engine — feedback would otherwise
+// silently come from an empty placeholder index rather than the live
+// document set. WithShards and WithDistributedSearcher are superseded:
+// the live index's segments are the parallelism unit, evaluated with
+// the same fan-out pool.
 func NewLiveEngine(g *Graph, live *LiveIndex, opts ...Option) *Engine {
 	// The placeholder satisfies the Engine plumbing that expects an
 	// immutable index (analyzer lookup, option application); every
@@ -60,7 +58,6 @@ func NewLiveEngine(g *Graph, live *LiveIndex, opts ...Option) *Engine {
 		WithDistributedSearcher(search.NewSegmentedSearcher(live)))
 	e := NewEngine(g, placeholder, opts...)
 	e.live = live
-	e.searcher.UseLegacyScorer = false
 	return e
 }
 

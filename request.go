@@ -15,9 +15,7 @@ import (
 )
 
 // SearchRequest describes one retrieval through the SQE pipeline — the
-// single request shape behind Engine.Do, which replaces the old
-// Search/SearchSet/SearchWithStats/SearchPRF × Context × Stats method
-// matrix.
+// single request shape behind Engine.Do.
 type SearchRequest struct {
 	// Query is the user's free-text query.
 	Query string
@@ -100,11 +98,10 @@ type SearchResponse struct {
 	Degraded *Degradation
 }
 
-// Do runs one retrieval through the SQE pipeline. It is the primary
-// entry point: every deprecated Search* method is a thin wrapper over
-// the same machinery. The context's deadline or cancellation aborts
-// retrieval mid-evaluation (including inside every shard's loop on a
-// sharded engine).
+// Do runs one retrieval through the SQE pipeline; it is the retrieval
+// entry point. The context's deadline or cancellation aborts retrieval
+// mid-evaluation (including inside every shard's loop on a sharded
+// engine).
 func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -180,7 +177,7 @@ func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTi
 			ps.Stages.QueryBuild += time.Since(start)
 		}
 	}
-	res, err := e.retrieveTimed(ctx, node, k, ps, deg)
+	res, err := e.retrieve(ctx, node, k, ps, deg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -306,7 +303,7 @@ func (e *Engine) doBaseline(ctx context.Context, query string, k int, prfCfg *PR
 	if ps != nil {
 		ps.Stages.QueryBuild += time.Since(start)
 	}
-	return e.retrieveTimed(ctx, node, k, ps, deg)
+	return e.retrieve(ctx, node, k, ps, deg)
 }
 
 // expansionOf converts the expander's query graph into the public
@@ -326,74 +323,51 @@ func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 	return exp
 }
 
-// retrieve routes a retrieval to the sharded searcher when the engine
-// was built with WithShards (the legacy scorer has no sharded variant
-// and keeps the unsharded path). Results are bit-identical either way.
-// With degradation enabled (deg non-nil) the sharded path runs with
-// per-shard deadlines, transient retries and — under PartialShards —
-// partial merges, while the unsharded path gets panic containment and
-// transient retries (there is no partial result to salvage from a
-// single index).
-func (e *Engine) retrieve(ctx context.Context, node search.Node, k int, deg *Degradation) ([]Result, error) {
-	if e.sharded != nil && !e.searcher.UseLegacyScorer {
-		if deg != nil && e.degrade != nil {
-			res, pi, err := e.sharded.SearchDegraded(ctx, node, k, e.searchDegradeOptions())
-			deg.absorb(pi)
-			return res, err
-		}
-		return e.sharded.SearchContext(ctx, node, k)
-	}
-	if deg != nil && e.degrade != nil {
-		var res []Result
-		err := retryTransient(ctx, e.degrade, deg, func() error {
-			return guardPanic(func() error {
-				var err error
-				res, err = e.searcher.SearchContext(ctx, node, k)
-				return err
-			})
-		})
-		return res, err
-	}
-	return e.searcher.SearchContext(ctx, node, k)
-}
-
-// retrieveStats is retrieve with evaluator instrumentation (including
-// per-shard timings on a sharded engine).
-func (e *Engine) retrieveStats(ctx context.Context, node search.Node, k int, deg *Degradation) ([]Result, SearchStats, error) {
-	if e.sharded != nil && !e.searcher.UseLegacyScorer {
-		if deg != nil && e.degrade != nil {
-			res, st, pi, err := e.sharded.SearchDegradedWithStats(ctx, node, k, e.searchDegradeOptions())
-			deg.absorb(pi)
-			return res, st, err
-		}
-		return e.sharded.SearchWithStatsContext(ctx, node, k)
-	}
-	if deg != nil && e.degrade != nil {
-		var res []Result
-		var st SearchStats
-		err := retryTransient(ctx, e.degrade, deg, func() error {
-			return guardPanic(func() error {
-				var err error
-				res, st, err = e.searcher.SearchWithStatsContext(ctx, node, k)
-				return err
-			})
-		})
-		return res, st, err
-	}
-	return e.searcher.SearchWithStatsContext(ctx, node, k)
-}
-
-// retrieveTimed runs the routed retrieval, attributing wall-clock and
-// evaluator counters to ps when non-nil.
-func (e *Engine) retrieveTimed(ctx context.Context, node search.Node, k int, ps *PipelineStats, deg *Degradation) ([]Result, error) {
-	if ps == nil {
-		return e.retrieve(ctx, node, k, deg)
-	}
+// retrieve runs one retrieval: through the partitioned searcher when the
+// engine has one (WithShards, WithDistributedSearcher, NewLiveEngine),
+// the monolithic searcher otherwise — results are bit-identical either
+// way. Wall-clock and evaluator counters (per-partition rows included)
+// are attributed to ps when non-nil. With degradation enabled (deg
+// non-nil) the partitioned path runs with per-partition deadlines,
+// transient retries and — under PartialShards — partial merges, while
+// the monolithic path gets panic containment and transient retries
+// (there is no partial result to salvage from a single index).
+func (e *Engine) retrieve(ctx context.Context, node search.Node, k int, ps *PipelineStats, deg *Degradation) ([]Result, error) {
 	start := time.Now()
-	res, st, err := e.retrieveStats(ctx, node, k, deg)
-	ps.Stages.Retrieval += time.Since(start)
-	ps.Search.Add(st)
-	ps.Retrievals++
+	var res []Result
+	var st SearchStats
+	var err error
+	if e.sharded != nil {
+		opts := search.EvalOptions{CollectStats: ps != nil}
+		if deg != nil {
+			opts.Degrade = e.searchDegradeOptions()
+		}
+		var ev search.Evaluation
+		ev, err = e.sharded.Evaluate(ctx, node, k, opts)
+		if deg != nil {
+			deg.absorb(ev.Partial)
+		}
+		res, st = ev.Results, ev.Stats
+	} else {
+		eval := func() (err error) {
+			if ps == nil {
+				res, err = e.searcher.SearchContext(ctx, node, k)
+			} else {
+				res, st, err = e.searcher.SearchWithStatsContext(ctx, node, k)
+			}
+			return err
+		}
+		if deg != nil {
+			err = retryTransient(ctx, e.degrade, deg, func() error { return guardPanic(eval) })
+		} else {
+			err = eval()
+		}
+	}
+	if ps != nil {
+		ps.Stages.Retrieval += time.Since(start)
+		ps.Search.Add(st)
+		ps.Retrievals++
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -52,68 +52,8 @@ func TestSearchRequestValidation(t *testing.T) {
 	}
 }
 
-// TestDoParityWithDeprecatedMethods is the wrapper parity gate: every
-// deprecated method must return exactly what the equivalent Do request
-// returns, for every demo query.
-func TestDoParityWithDeprecatedMethods(t *testing.T) {
-	e := demo(t)
-	eng := e.Engine
-	ctx := context.Background()
-	cfg := PRFConfig{FbDocs: 5, FbTerms: 10}
-	for _, q := range e.Queries {
-		// SQE_C.
-		do, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 20})
-		if err != nil {
-			t.Fatalf("%s: Do: %v", q.ID, err)
-		}
-		old, err := eng.Search(q.Text, q.EntityTitles, 20)
-		if err != nil || !reflect.DeepEqual(do.Results, old) {
-			t.Fatalf("%s: Search != Do (err=%v)", q.ID, err)
-		}
-		// Single sets.
-		for _, set := range []MotifSet{MotifT, MotifTS, MotifS} {
-			do, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: set, K: 20})
-			if err != nil {
-				t.Fatalf("%s set=%v: Do: %v", q.ID, set, err)
-			}
-			old, err := eng.SearchSet(set, q.Text, q.EntityTitles, 20)
-			if err != nil || !reflect.DeepEqual(do.Results, old) {
-				t.Fatalf("%s set=%v: SearchSet != Do (err=%v)", q.ID, set, err)
-			}
-		}
-		// Baseline.
-		do, err = eng.Do(ctx, SearchRequest{Query: q.Text, K: 20, Baseline: true})
-		if err != nil {
-			t.Fatalf("%s: Do baseline: %v", q.ID, err)
-		}
-		old, err = eng.BaselineSearch(q.Text, 20)
-		if err != nil || !reflect.DeepEqual(do.Results, old) {
-			t.Fatalf("%s: BaselineSearch != Do (err=%v)", q.ID, err)
-		}
-		// PRF over a set and over the baseline.
-		do, err = eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 20, PRF: &cfg})
-		if err != nil {
-			t.Fatalf("%s: Do PRF: %v", q.ID, err)
-		}
-		old, err = eng.SearchPRF(MotifTS, q.Text, q.EntityTitles, cfg, 20)
-		if err != nil || !reflect.DeepEqual(do.Results, old) {
-			t.Fatalf("%s: SearchPRF != Do (err=%v)", q.ID, err)
-		}
-		do, err = eng.Do(ctx, SearchRequest{Query: q.Text, K: 20, Baseline: true, PRF: &cfg})
-		if err != nil {
-			t.Fatalf("%s: Do baseline PRF: %v", q.ID, err)
-		}
-		old, err = eng.BaselineSearchPRF(q.Text, cfg, 20)
-		if err != nil || !reflect.DeepEqual(do.Results, old) {
-			t.Fatalf("%s: BaselineSearchPRF != Do (err=%v)", q.ID, err)
-		}
-	}
-}
-
-// TestDoStatsParity pins the stats contracts: Do counts one query per
-// call and every deprecated wrapper — the set path included — counts
-// the same way, so aggregating across entry points into one
-// PipelineStats stays coherent.
+// TestDoStatsParity pins Do's stats contract: one query per call, one
+// retrieval per run (three for SQE_C, one for an explicit set).
 func TestDoStatsParity(t *testing.T) {
 	e := demo(t)
 	eng := e.Engine
@@ -127,47 +67,12 @@ func TestDoStatsParity(t *testing.T) {
 	if do.Stats == nil || do.Stats.Queries != 1 || do.Stats.Retrievals != 3 {
 		t.Fatalf("Do SQE_C stats: %+v", do.Stats)
 	}
-	var ps PipelineStats
-	if _, err := eng.SearchWithStats(q.Text, q.EntityTitles, 20, &ps); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Queries != do.Stats.Queries || ps.Retrievals != do.Stats.Retrievals || ps.Features != do.Stats.Features {
-		t.Fatalf("SearchWithStats counters %+v != Do %+v", ps, *do.Stats)
-	}
-	if ps.Search.CandidatesExamined != do.Stats.Search.CandidatesExamined {
-		t.Fatalf("evaluator counters diverge: %d != %d", ps.Search.CandidatesExamined, do.Stats.Search.CandidatesExamined)
-	}
-
 	doSet, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 20, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if doSet.Stats.Queries != 1 || doSet.Stats.Retrievals != 1 {
 		t.Fatalf("Do set stats: %+v", doSet.Stats)
-	}
-	var psSet PipelineStats
-	if _, err := eng.SearchSetStats(MotifTS, q.Text, q.EntityTitles, 20, &psSet); err != nil {
-		t.Fatal(err)
-	}
-	if psSet.Queries != 1 {
-		t.Fatalf("legacy set path must count one query like Do, got %d", psSet.Queries)
-	}
-	if psSet.Retrievals != 1 || psSet.Features != doSet.Stats.Features ||
-		psSet.Search.CandidatesExamined != doSet.Stats.Search.CandidatesExamined {
-		t.Fatalf("legacy set counters %+v != Do %+v", psSet, *doSet.Stats)
-	}
-
-	// The legacy quirk paths (k <= 0, set == 0) bypass Do but must count
-	// queries identically.
-	var psQuirk PipelineStats
-	if _, err := eng.SearchSetStats(MotifTS, q.Text, q.EntityTitles, 0, &psQuirk); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.SearchSetStats(0, q.Text, q.EntityTitles, 20, &psQuirk); err != nil {
-		t.Fatal(err)
-	}
-	if psQuirk.Queries != 2 {
-		t.Fatalf("legacy quirk paths must count one query each, got %d", psQuirk.Queries)
 	}
 }
 
@@ -209,8 +114,7 @@ func TestDoExpansion(t *testing.T) {
 	}
 }
 
-// TestDoUnknownEntity: entity-resolution failures surface from Do like
-// they did from the deprecated methods.
+// TestDoUnknownEntity: entity-resolution failures surface from Do.
 func TestDoUnknownEntity(t *testing.T) {
 	e := demo(t)
 	_, err := e.Engine.Do(context.Background(), SearchRequest{

@@ -438,11 +438,11 @@ func TestSegmentedCrashRestartDifferential(t *testing.T) {
 		mono := search.NewSearcher(monoIx)
 		mono.Model = m
 		for qi, q := range chaosQueries() {
-			got, err := gs.SearchContext(context.Background(), q, 10)
+			got, err := gs.Evaluate(context.Background(), q, 10, search.EvalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := mono.Search(q, 10); !reflect.DeepEqual(want, got) {
+			if want := mono.Search(q, 10); !reflect.DeepEqual(want, got.Results) {
 				t.Errorf("recovered model %v query %d: diverges from monolithic rebuild", m, qi)
 			}
 		}

@@ -37,6 +37,15 @@ func TestEngineShardedBitIdentical(t *testing.T) {
 			if s > 1 && sh.Shards() != s {
 				t.Fatalf("%s S=%d: Shards()=%d", m.name, s, sh.Shards())
 			}
+			// ParseQuery retrieves through the shards too.
+			wp, err := ref.ParseQuery("#weight(0.7 cable 0.3 car)", 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gp, err := sh.ParseQuery("#weight(0.7 cable 0.3 car)", 15)
+			if err != nil || !reflect.DeepEqual(wp, gp) {
+				t.Fatalf("%s S=%d: ParseQuery diverges on sharded engine (err=%v)", m.name, s, err)
+			}
 			for _, q := range e.Queries {
 				for _, req := range []SearchRequest{
 					{Query: q.Text, EntityTitles: q.EntityTitles, K: 10},                    // SQE_C
@@ -88,48 +97,6 @@ func TestEngineShardedPRFBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(want.Results, got.Results) {
 			t.Fatalf("%s: sharded PRF results diverge", q.ID)
 		}
-	}
-}
-
-// TestEngineShardedDeprecatedPaths drives the deprecated wrappers on a
-// sharded engine — they route retrieval through the shards too.
-func TestEngineShardedDeprecatedPaths(t *testing.T) {
-	e := demo(t)
-	ref, sh := shardedPair(t, 4)
-	q := e.Queries[0]
-	ws, _ := ref.Search(q.Text, q.EntityTitles, 15)
-	gs, err := sh.Search(q.Text, q.EntityTitles, 15)
-	if err != nil || !reflect.DeepEqual(ws, gs) {
-		t.Fatalf("Search diverges on sharded engine (err=%v)", err)
-	}
-	wb, _ := ref.BaselineSearch(q.Text, 15)
-	gb, err := sh.BaselineSearch(q.Text, 15)
-	if err != nil || !reflect.DeepEqual(wb, gb) {
-		t.Fatalf("BaselineSearch diverges on sharded engine (err=%v)", err)
-	}
-	wp, err := ref.ParseQuery("#weight(0.7 cable 0.3 car)", 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := sh.ParseQuery("#weight(0.7 cable 0.3 car)", 15)
-	if err != nil || !reflect.DeepEqual(wp, gp) {
-		t.Fatalf("ParseQuery diverges on sharded engine (err=%v)", err)
-	}
-}
-
-// TestEngineShardedLegacyScorer: the legacy scorer has no sharded
-// variant; WithShards + WithLegacyScorer must keep the reference
-// (unsharded legacy) results.
-func TestEngineShardedLegacyScorer(t *testing.T) {
-	e := demo(t)
-	q := e.Queries[0]
-	ref := NewEngine(e.Engine.Graph(), e.Engine.Index())
-	leg := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithShards(4), WithLegacyScorer())
-	req := SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
-	want, _ := ref.Do(context.Background(), req)
-	got, err := leg.Do(context.Background(), req)
-	if err != nil || !reflect.DeepEqual(want.Results, got.Results) {
-		t.Fatalf("legacy+sharded diverges (err=%v)", err)
 	}
 }
 

@@ -34,14 +34,12 @@
 //		sqe.WithShards(4),
 //	)
 //
-// Engine.Do is the primary retrieval entry point: one context-first
-// call whose SearchRequest selects the configuration (SQE_C by default;
-// an explicit MotifSet, the QL baseline, or PRF on top of either) and
-// whose SearchResponse carries the ranking, the expansion used, and
-// optional per-stage instrumentation. The pre-Do method matrix
-// (Search/SearchSet/SearchWithStats/SearchPRF × Context × Stats) remains
-// as deprecated wrappers over the same machinery. Expansion without
-// retrieval stays on Expand/ExpandContext.
+// Engine.Do is the retrieval entry point: one context-first call whose
+// SearchRequest selects the configuration (SQE_C by default; an explicit
+// MotifSet, the QL baseline, or PRF on top of either) and whose
+// SearchResponse carries the ranking, the expansion used, and optional
+// per-stage instrumentation. Expansion without retrieval is
+// Expand/ExpandContext.
 //
 // WithShards(n) partitions the index into n round-robin shards whose
 // retrievals evaluate in parallel and merge into a final top-k —
@@ -163,10 +161,8 @@ type Expansion struct {
 // retrieval pipeline.
 //
 // An Engine is configured through the Options passed to NewEngine and is
-// immutable afterwards: any number of goroutines may call its Search,
-// Expand and Baseline methods concurrently. (The deprecated Set*
-// mutators remain for old callers; they are construction-time-only and
-// not synchronised.)
+// immutable afterwards: any number of goroutines may call Do, Expand
+// and ParseQuery concurrently.
 type Engine struct {
 	graph    *Graph
 	searcher *search.Searcher
@@ -191,16 +187,17 @@ type Engine struct {
 	workers int
 	// sem is the engine-wide worker semaphore (nil when workers <= 1).
 	// SQE_C runs block on it; shard fan-outs only try-acquire it (see
-	// search.ShardedSearcher.Sem), so sharing one pool cannot deadlock.
+	// search.ShardConfig.Sem), so sharing one pool cannot deadlock.
 	sem chan struct{}
 	// shards is the shard count requested via WithShards (0/1 =
 	// unsharded).
 	shards int
-	// sharded is the parallel per-shard retrieval path; nil when the
-	// engine is unsharded. It is either the in-process ShardedSearcher
-	// (WithShards) or an RPC coordinator over shard-server processes
-	// (WithDistributedSearcher); both return results bit-identical to
-	// the unsharded searcher — see internal/search.Distributed.
+	// sharded is the partitioned retrieval path; nil when the engine is
+	// monolithic. It is the in-process ShardedSearcher (WithShards), an
+	// RPC coordinator over shard-server processes
+	// (WithDistributedSearcher) or a snapshot-pinning segmented searcher
+	// (NewLiveEngine); all return results bit-identical to a monolithic
+	// searcher over the same documents — see internal/search.Distributed.
 	sharded search.Distributed
 	// degrade, when non-nil, enables graceful degradation in Do (see
 	// WithDegradation and DegradationPolicy); nil keeps the strict
@@ -239,13 +236,6 @@ func WithDirichletMu(mu float64) Option {
 	return func(e *Engine) { e.searcher.Mu = mu }
 }
 
-// WithLegacyScorer switches retrieval to the pre-DAAT map-and-sort
-// evaluator (the reference oracle used by the differential tests).
-// Rankings and scores are identical either way; only cost differs.
-func WithLegacyScorer() Option {
-	return func(e *Engine) { e.searcher.UseLegacyScorer = true }
-}
-
 // WithPruning toggles MaxScore-style score-safe dynamic pruning in the
 // document-at-a-time evaluator (default on). With pruning, candidates
 // that provably cannot enter the current top-k — judged against
@@ -255,7 +245,7 @@ func WithLegacyScorer() Option {
 // retrieval model and shard count (the differential tests in
 // pruning_diff_test.go enforce this). WithPruning(false) is the escape
 // hatch for debugging and the full-evaluation side of
-// `sqe-bench -exp pruning`; the legacy scorer ignores the flag.
+// `sqe-bench -exp pruning`.
 func WithPruning(on bool) Option {
 	return func(e *Engine) { e.searcher.DisablePruning = !on }
 }
@@ -454,7 +444,7 @@ func (e *Engine) ParseQueryContext(ctx context.Context, query string, k int) ([]
 	if err != nil {
 		return nil, err
 	}
-	return e.retrieve(ctx, node, k, nil)
+	return e.retrieve(ctx, node, k, nil, nil)
 }
 
 // resolveEntities maps entity titles to query nodes; unknown titles are
