@@ -16,13 +16,19 @@ test:
 	$(GO) test ./...
 
 # Race-checks the packages with concurrency: parallel expansion, the
+# index's positional-leaf memo (its contention test ten times over), the
 # retrieval hot path, the HTTP serving layer, and the root package's
 # parallel-SQE_C / shared-Engine stress tests.
 race:
-	$(GO) test -race . ./internal/core/... ./internal/search/... ./internal/serve/...
+	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/serve/...
+	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent' ./internal/index/
 
+# Expanded retrieval, the positional miss path it rests on (the exported
+# phrase / window materialisers run the same intersection the memo
+# fills from), and the memo hit every warm phrase leaf takes.
 bench:
-	$(GO) test -run NONE -bench 'SearchExpandedTopK' -benchmem .
+	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|UnorderedWindow' -benchmem .
+	$(GO) test -run NONE -bench 'PositionalLeafHit' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
 # `go test ./...` skip it: this is what notices a refactor breaking the

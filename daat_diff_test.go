@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/motif"
 	"repro/internal/search"
 )
@@ -64,6 +67,112 @@ func TestDAATMatchesLegacyOnDemoSmall(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSingleConstituentPositionalIsTheTerm is the bit-identity case for
+// the one-term #1(t) / #uwN(t) a parsed query or a shard.eval frame can
+// carry: flatten serves it as the term leaf (streaming on the mmap'd v2
+// index) instead of a per-query deep copy of the term's row, and the
+// ranking, the scores and the legacy oracle cannot tell the difference.
+// A window narrower than one term still matches nothing.
+func TestSingleConstituentPositionalIsTheTerm(t *testing.T) {
+	env := demo(t)
+	mem := env.Engine.Index()
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := index.WriteFile(path, mem, index.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := index.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+
+	a := mem.Analyzer()
+	for _, q := range env.Queries {
+		terms := a.AnalyzeTerms(q.Text)
+		if len(terms) < 2 {
+			continue
+		}
+		t0, t1 := terms[0], terms[1]
+		wrapped := search.Weight([]float64{2, 1, 1, 1}, []search.Node{
+			search.Phrase{Terms: []string{t0}},
+			search.Unordered{Terms: []string{t1}, Width: 4},
+			search.Unordered{Terms: []string{t0}, Width: 0},
+			search.Phrase{Terms: []string{"zzzunseenterm"}},
+		})
+		plain := search.Weight([]float64{2, 1, 1, 1}, []search.Node{
+			search.Term{Text: t0},
+			search.Term{Text: t1},
+			search.Unordered{Terms: []string{t0, t1}, Width: 1}, // an empty leaf, by another route
+			search.Term{Text: "zzzunseenterm"},
+		})
+		for _, m := range []RetrievalModel{ModelDirichlet, ModelJelinekMercer, ModelBM25} {
+			for name, ix := range map[string]*Index{"memory": mem, "v2": v2} {
+				s := search.NewSearcher(ix)
+				s.Model = m
+				legacy := search.NewSearcher(ix)
+				legacy.Model, legacy.UseLegacyScorer = m, true
+				for _, k := range []int{10, 1000} {
+					want := s.Search(plain, k)
+					if len(want) == 0 {
+						t.Fatalf("%s/%s/%v: term query matched nothing", q.ID, name, m)
+					}
+					if got := s.Search(wrapped, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s/%v/k=%d: one-term operators rank differently from the terms", q.ID, name, m, k)
+					}
+					if got := legacy.Search(wrapped, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s/%v/k=%d: legacy oracle diverges on one-term operators", q.ID, name, m, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExpandedRetrievalAllocations is the expanded-query twin of the
+// hot path's "3 allocations per term query": once the index has resolved
+// a query's title phrases, retrieving an SQE-expanded query over the
+// mmap'd v2 index allocates a small constant — the result slice and the
+// evaluator's closures — where it used to allocate per matching document
+// of every phrase (thousands per query).
+func TestExpandedRetrievalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches at random")
+	}
+	env := demo(t)
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := index.WriteFile(path, env.Engine.Index(), index.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := index.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	g, ex := env.Engine.Graph(), env.Engine.Expander()
+	s := search.NewSearcher(v2)
+	for _, q := range env.Queries {
+		var nodes []NodeID
+		for _, title := range q.EntityTitles {
+			if id := g.ByTitle(title); id >= 0 {
+				nodes = append(nodes, id)
+			}
+		}
+		node := ex.BuildQuery(q.Text, ex.BuildQueryGraph(nodes, motif.SetTS))
+		_, st := s.SearchWithStats(node, 10)
+		if st.PositionalHits+st.PositionalMisses == 0 {
+			t.Fatalf("%s: the expanded query has no phrase leaf", q.ID)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if len(s.Search(node, 10)) == 0 {
+				t.Fatalf("%s: no results", q.ID)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("%s: a warmed expanded retrieval allocates %.0f times, want <= 32", q.ID, allocs)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/kb"
@@ -45,6 +46,10 @@ type Expander struct {
 	graph    *kb.Graph
 	matcher  *motif.Matcher
 	analyzer analysis.Analyzer
+	// titles[id] is node id's title as the analyzer renders it, filled
+	// the first time a query names the node. It holds terms, not query
+	// nodes: TitleWindowSlack may change between two queries.
+	titles []atomic.Pointer[[]string]
 
 	// Weights are the three-part combination weights (user query,
 	// entity titles, expansion titles). The zero value means equal
@@ -89,15 +94,36 @@ func (w PartWeights) normalized() PartWeights {
 
 // NewExpander returns an Expander with the paper's motif conditions.
 func NewExpander(g *kb.Graph, a analysis.Analyzer) *Expander {
-	return &Expander{graph: g, matcher: motif.NewMatcher(g), analyzer: a, TitleWindowSlack: -1}
+	return &Expander{
+		graph:            g,
+		matcher:          motif.NewMatcher(g),
+		analyzer:         a,
+		titles:           make([]atomic.Pointer[[]string], g.NumNodes()),
+		TitleWindowSlack: -1,
+	}
 }
 
-// titleNode renders one title under the configured proximity operator.
-func (e *Expander) titleNode(title string) search.Node {
-	if e.TitleWindowSlack >= 0 {
-		return search.TitleWindow(e.analyzer, title, e.TitleWindowSlack)
+// titleTerms returns node id's analysed title, running the tokenizer
+// and stemmer over it only the first time. Goroutines racing on a cold
+// node all compute the same terms, so whichever store lands last is as
+// good as the first. The slice is shared and read-only.
+func (e *Expander) titleTerms(id kb.NodeID) []string {
+	slot := &e.titles[id]
+	if t := slot.Load(); t != nil {
+		return *t
 	}
-	return search.TitlePhrase(e.analyzer, title)
+	terms := e.analyzer.AnalyzeTerms(e.graph.Title(id))
+	slot.Store(&terms)
+	return terms
+}
+
+// titleNode renders one node's title under the configured proximity
+// operator.
+func (e *Expander) titleNode(id kb.NodeID) search.Node {
+	if e.TitleWindowSlack >= 0 {
+		return search.WindowOfTerms(e.titleTerms(id), e.TitleWindowSlack)
+	}
+	return search.PhraseOfTerms(e.titleTerms(id))
 }
 
 // Matcher exposes the underlying motif matcher so callers can toggle the
@@ -140,7 +166,7 @@ func GroundTruthGraph(queryNodes []kb.NodeID, features []Feature) QueryGraph {
 func (e *Expander) entityPart(queryNodes []kb.NodeID) search.Node {
 	nodes := make([]search.Node, 0, len(queryNodes))
 	for _, q := range queryNodes {
-		nodes = append(nodes, e.titleNode(e.graph.Title(q)))
+		nodes = append(nodes, e.titleNode(q))
 	}
 	return search.Combine(nodes...)
 }
@@ -152,7 +178,7 @@ func (e *Expander) expansionPart(features []Feature) search.Node {
 	nodes := make([]search.Node, 0, len(features))
 	for _, f := range features {
 		weights = append(weights, f.Weight)
-		nodes = append(nodes, e.titleNode(e.graph.Title(f.Article)))
+		nodes = append(nodes, e.titleNode(f.Article))
 	}
 	return search.Weight(weights, nodes)
 }

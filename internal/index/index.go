@@ -73,6 +73,10 @@ type Index struct {
 	// v2.go); nil for in-memory indexes. When set, ix.postings starts as
 	// zero values and each term's row is decoded on first PostingsFor.
 	lazy *lazyPostings
+
+	// positionals memoises resolved phrase/window leaves for the life of
+	// the index (see positional.go). Usable from its zero value.
+	positionals positionalMemo
 }
 
 // Close releases the resources of an index loaded from a FormatV2 file

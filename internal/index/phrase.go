@@ -10,73 +10,15 @@ package index
 // function.
 //
 // Phrases with out-of-vocabulary constituents have empty postings.
-// A single-constituent "phrase" returns a copy of that term's postings.
 //
-// The returned Postings is always owned by the caller: multi-constituent
-// results are materialised fresh, and the single-constituent case is
-// deep-copied rather than aliased, so mutating the result can never
-// corrupt the index's live postings.
+// The returned Postings is always owned by the caller — every slice,
+// position lists included, is built fresh, also for a single-constituent
+// "phrase" (a copy of that term's postings) — so mutating the result can
+// never corrupt the index's live postings. Retrieval does not call
+// this: it resolves phrases through PhraseLeaf, which runs the same
+// intersection once per index and keeps counts only.
 func (ix *Index) PhrasePostings(terms []string) Postings {
-	if len(terms) == 0 {
-		return Postings{}
-	}
-	lists := make([]*Postings, len(terms))
-	for i, t := range terms {
-		lists[i] = ix.PostingsFor(t)
-		if lists[i] == nil || len(lists[i].Docs) == 0 {
-			return Postings{}
-		}
-	}
-	if len(lists) == 1 {
-		return clonePostings(lists[0])
-	}
-	// Intersect document lists, driving from the rarest constituent.
-	rarest := 0
-	for i, l := range lists {
-		if len(l.Docs) < len(lists[rarest].Docs) {
-			rarest = i
-		}
-	}
-	var out Postings
-	cursors := make([]int, len(lists))
-	for _, doc := range lists[rarest].Docs {
-		rows := make([]int, len(lists))
-		ok := true
-		for i, l := range lists {
-			j := advance(l.Docs, cursors[i], doc)
-			cursors[i] = j
-			if j == len(l.Docs) || l.Docs[j] != doc {
-				ok = false
-				break
-			}
-			rows[i] = j
-		}
-		if !ok {
-			continue
-		}
-		positions := chainPositions(lists, rows)
-		if len(positions) == 0 {
-			continue
-		}
-		out.Docs = append(out.Docs, doc)
-		out.Freqs = append(out.Freqs, int32(len(positions)))
-		out.Positions = append(out.Positions, positions)
-	}
-	return out
-}
-
-// clonePostings deep-copies p; the caller owns every slice of the
-// result, including the per-document position lists.
-func clonePostings(p *Postings) Postings {
-	out := Postings{
-		Docs:      append([]DocID(nil), p.Docs...),
-		Freqs:     append([]int32(nil), p.Freqs...),
-		Positions: make([][]int32, len(p.Positions)),
-	}
-	for i, pos := range p.Positions {
-		out.Positions[i] = append([]int32(nil), pos...)
-	}
-	return out
+	return ix.materialize(terms, 0, chainMatches)
 }
 
 // advance moves cursor forward in docs (sorted ascending) until
@@ -109,11 +51,17 @@ func advance(docs []DocID, cursor int, target DocID) int {
 	return lo
 }
 
-// chainPositions returns the start positions p such that constituent i
-// occurs at p+i for all i, given each constituent's row in its postings.
-func chainPositions(lists []*Postings, rows []int) []int32 {
+// chainMatches is the #1 matcher: it counts (and, when collect is set,
+// returns) the start positions p such that constituent i occurs at p+i
+// for all i.
+func chainMatches(sc *PositionalScratch, rows []int, _ int32, collect bool) (int32, []int32) {
+	lists := sc.lists
 	starts := lists[0].Positions[rows[0]]
-	matched := make([]int32, 0, len(starts))
+	var matched []int32
+	if collect {
+		matched = make([]int32, 0, len(starts))
+	}
+	var n int32
 	for _, p := range starts {
 		ok := true
 		for i := 1; i < len(lists); i++ {
@@ -123,10 +71,13 @@ func chainPositions(lists []*Postings, rows []int) []int32 {
 			}
 		}
 		if ok {
-			matched = append(matched, p)
+			n++
+			if collect {
+				matched = append(matched, p)
+			}
 		}
 	}
-	return matched
+	return n, matched
 }
 
 // containsPos binary-searches a sorted position list.

@@ -10,67 +10,29 @@ package index
 // keeps one cursor per constituent and, whenever the current span fits,
 // records a match and advances the cursor at the lowest position.
 // Constituents must be distinct terms; a window smaller than the number
-// of constituents can never match.
+// of constituents can never match. The result is caller-owned, like
+// PhrasePostings'; retrieval resolves windows through WindowLeaf.
 func (ix *Index) UnorderedWindowPostings(terms []string, window int) Postings {
-	if len(terms) == 0 || window < len(terms) {
+	if window < len(terms) {
 		return Postings{}
 	}
-	lists := make([]*Postings, len(terms))
-	for i, t := range terms {
-		lists[i] = ix.PostingsFor(t)
-		if lists[i] == nil || len(lists[i].Docs) == 0 {
-			return Postings{}
-		}
-	}
-	if len(lists) == 1 {
-		// Copy, as in PhrasePostings: aliasing the index's live postings
-		// would let caller mutations corrupt the index.
-		return clonePostings(lists[0])
-	}
-	rarest := 0
-	for i, l := range lists {
-		if len(l.Docs) < len(lists[rarest].Docs) {
-			rarest = i
-		}
-	}
-	var out Postings
-	cursors := make([]int, len(lists))
-	for _, doc := range lists[rarest].Docs {
-		rows := make([]int, len(lists))
-		ok := true
-		for i, l := range lists {
-			j := advance(l.Docs, cursors[i], doc)
-			cursors[i] = j
-			if j == len(l.Docs) || l.Docs[j] != doc {
-				ok = false
-				break
-			}
-			rows[i] = j
-		}
-		if !ok {
-			continue
-		}
-		positions := windowMatches(lists, rows, int32(window))
-		if len(positions) == 0 {
-			continue
-		}
-		out.Docs = append(out.Docs, doc)
-		out.Freqs = append(out.Freqs, int32(len(positions)))
-		out.Positions = append(out.Positions, positions)
-	}
-	return out
+	return ix.materialize(terms, int32(window), windowMatches)
 }
 
-// windowMatches sweeps the constituents' position lists and returns the
-// start position of every minimal window of width ≤ window covering one
+// windowMatches is the #uwN matcher: it sweeps the constituents'
+// position lists and counts (and, when collect is set, returns the start
+// position of) every minimal window of width ≤ window covering one
 // occurrence of each constituent.
-func windowMatches(lists []*Postings, rows []int, window int32) []int32 {
-	ptr := make([]int, len(lists))
-	pos := make([][]int32, len(lists))
-	for i := range lists {
-		pos[i] = lists[i].Positions[rows[i]]
+func windowMatches(sc *PositionalScratch, rows []int, window int32, collect bool) (int32, []int32) {
+	lists := sc.lists
+	sc.ptr = zeroed(sc.ptr, len(lists))
+	sc.pos = sc.pos[:0]
+	for i, l := range lists {
+		sc.pos = append(sc.pos, l.Positions[rows[i]])
 	}
+	ptr, pos := sc.ptr, sc.pos
 	var matches []int32
+	var n int32
 	for {
 		lo, hi := int32(1<<30), int32(-1)
 		loIdx := -1
@@ -84,11 +46,14 @@ func windowMatches(lists []*Postings, rows []int, window int32) []int32 {
 			}
 		}
 		if hi-lo+1 <= window {
-			matches = append(matches, lo)
+			n++
+			if collect {
+				matches = append(matches, lo)
+			}
 		}
 		ptr[loIdx]++
 		if ptr[loIdx] == len(pos[loIdx]) {
-			return matches
+			return n, matches
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	// enter through the internal path with the up-front checks already
 	// passed: run the evaluators directly.
 	var leaves []leaf
-	s.flatten(q, 1, &leaves)
+	s.flatten(q, 1, &leaves, new(index.PositionalScratch), nil)
 	score := buildScorer(s.Model, s.resolveParams(), collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()})
 	cancel()
 	if _, err := searchDAAT(ctx, s.ix, leaves, 10, score, nil, nil); !errors.Is(err, context.Canceled) {

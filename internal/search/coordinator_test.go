@@ -66,11 +66,11 @@ func next(errs *[]error) error {
 	return err
 }
 
-func (p *scriptedPartition) stats(ctx context.Context, q Node) ([]LeafStats, any, error) {
+func (p *scriptedPartition) stats(ctx context.Context, q Node, st *SearchStats) ([]LeafStats, any, error) {
 	if err := next(&p.script.stats); err != nil {
 		return nil, nil, err
 	}
-	return p.partition.stats(ctx, q)
+	return p.partition.stats(ctx, q, st)
 }
 
 func (p *scriptedPartition) eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) ([]Result, error) {

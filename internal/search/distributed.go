@@ -217,14 +217,27 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 		return nil
 	}
 
-	// Phase A: flatten and per-leaf statistics, in parallel — for
-	// expanded queries flattening (it materialises phrase and window
-	// postings) is a large share of the evaluation cost.
+	// partStats[i] collects partition i's counters over both phases:
+	// the positional-memo lookups of its flatten, then its evaluator's.
+	var partStats []SearchStats
+	if st != nil {
+		partStats = make([]SearchStats, n)
+	}
+	partStat := func(i int) *SearchStats {
+		if st == nil {
+			return nil
+		}
+		return &partStats[i]
+	}
+
+	// Phase A: flatten and per-leaf statistics, in parallel — on a cold
+	// index flattening an expanded query (it intersects the phrase and
+	// window leaves nobody resolved yet) is a large share of the cost.
 	statsOuts := make([]call, n)
 	fanOutShards(c.Sem, n, func(i int) {
 		o := &statsOuts[i]
 		o.retries, o.err = attempt(ctx, opts, parts[i].retryable, func(ctx context.Context) (err error) {
-			o.leaves, o.prepared, err = parts[i].stats(ctx, q)
+			o.leaves, o.prepared, err = parts[i].stats(ctx, q, partStat(i))
 			return err
 		})
 	})
@@ -299,18 +312,11 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 	// Failed attempts leave their counters in the partition's stats, so
 	// a dropped partition still reports the work it did.
 	evalOuts := make([]call, n)
-	var partStats []SearchStats
-	if st != nil {
-		partStats = make([]SearchStats, n)
-	}
 	fanOutShards(c.Sem, n, func(i int) {
 		if down[i] != nil {
 			return
 		}
-		var pst *SearchStats
-		if st != nil {
-			pst = &partStats[i]
-		}
+		pst := partStat(i)
 		start := time.Now()
 		o := &evalOuts[i]
 		o.retries, o.err = attempt(ctx, opts, parts[i].retryable, func(ctx context.Context) (err error) {

@@ -39,7 +39,8 @@ type LeafContribution struct {
 func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	var leaves []leaf
 	var names []string
-	s.flattenNamed(q, 1, &leaves, &names)
+	var ps index.PositionalScratch
+	s.flattenNamed(q, 1, &leaves, &names, &ps)
 	// Explain walks materialised postings rows directly (findDoc over
 	// l.postings.Docs), so streaming leaves are resolved eagerly here —
 	// this is a debugging path, not the query hot path.
@@ -89,14 +90,14 @@ func indexOfLeaf(names []string, name string) int {
 }
 
 // flattenNamed mirrors flatten but also records each leaf's syntax.
-func (s *Searcher) flattenNamed(n Node, w float64, out *[]leaf, names *[]string) {
+func (s *Searcher) flattenNamed(n Node, w float64, out *[]leaf, names *[]string, ps *index.PositionalScratch) {
 	if w <= 0 {
 		return
 	}
 	switch x := n.(type) {
 	case Term, Phrase, Unordered:
 		before := len(*out)
-		s.flatten(n, w, out)
+		s.flatten(n, w, out, ps, nil)
 		for i := before; i < len(*out); i++ {
 			*names = append(*names, x.(Node).String())
 		}
@@ -112,7 +113,7 @@ func (s *Searcher) flattenNamed(n Node, w float64, out *[]leaf, names *[]string)
 		}
 		for _, c := range x.Children {
 			if c.Weight > 0 && !IsEmpty(c.Node) {
-				s.flattenNamed(c.Node, w*c.Weight/total, out, names)
+				s.flattenNamed(c.Node, w*c.Weight/total, out, names, ps)
 			}
 		}
 	}

@@ -218,7 +218,7 @@ func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 	ix := buildSkewedIndex(500, 13)
 	s := NewSearcher(ix)
 	var leaves []leaf
-	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &leaves)
+	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &leaves, new(index.PositionalScratch), nil)
 	for li := range leaves {
 		leaves[li].bounded = false
 	}
@@ -237,7 +237,7 @@ func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fullLeaves []leaf
-	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &fullLeaves)
+	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &fullLeaves, new(index.PositionalScratch), nil)
 	want, err := searchDAAT(context.Background(), ix, fullLeaves, 10, score, &fst, nil)
 	if err != nil {
 		t.Fatal(err)

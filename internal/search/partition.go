@@ -22,8 +22,9 @@ type partition interface {
 	// local collection and document frequency over its live documents,
 	// in flatten order, plus an opaque handle that lets eval reuse the
 	// work (the flattened leaves in process, the encoded tree on the
-	// wire).
-	stats(ctx context.Context, q Node) (leaves []LeafStats, prepared any, err error)
+	// wire). A local partition counts its positional-memo hits and
+	// misses into st when non-nil.
+	stats(ctx context.Context, q Node, st *SearchStats) (leaves []LeafStats, prepared any, err error)
 	// eval scores the partition's documents under the global statistics
 	// in req and returns its top req.K in (score desc, DocID asc) order,
 	// already carrying global DocIDs. Evaluator counters accumulate into
@@ -83,10 +84,12 @@ func snapshotPartitions(sn *index.Snapshot) []partition {
 
 // flatten flattens q against the partition's index and corrects each
 // leaf's statistics for the tombstones.
-func (p *localPartition) flatten(q Node) []leaf {
+func (p *localPartition) flatten(q Node, st *SearchStats) []leaf {
 	local := Searcher{ix: p.ix, DisableStreaming: len(p.tombs) > 0}
+	sc := getScratch()
+	defer putScratch(sc)
 	var leaves []leaf
-	local.flatten(q, 1, &leaves)
+	local.flatten(q, 1, &leaves, &sc.positional, st)
 	for li := range leaves {
 		l := &leaves[li]
 		for _, d := range p.tombs {
@@ -99,8 +102,8 @@ func (p *localPartition) flatten(q Node) []leaf {
 	return leaves
 }
 
-func (p *localPartition) stats(ctx context.Context, q Node) ([]LeafStats, any, error) {
-	leaves := p.flatten(q)
+func (p *localPartition) stats(ctx context.Context, q Node, st *SearchStats) ([]LeafStats, any, error) {
+	leaves := p.flatten(q, st)
 	out := make([]LeafStats, len(leaves))
 	for i := range leaves {
 		out[i] = LeafStats{CF: leaves[i].cf, DF: leaves[i].df}
@@ -183,7 +186,7 @@ type remotePartition struct {
 	info  InfoResponse
 }
 
-func (p *remotePartition) stats(ctx context.Context, q Node) ([]LeafStats, any, error) {
+func (p *remotePartition) stats(ctx context.Context, q Node, _ *SearchStats) ([]LeafStats, any, error) {
 	wq, err := EncodeNode(q)
 	if err != nil {
 		return nil, nil, err

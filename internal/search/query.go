@@ -65,7 +65,12 @@ func (u Unordered) String() string {
 // the given slack (width = #terms + slack), a looser alternative to
 // TitlePhrase; single-word titles collapse to a Term.
 func TitleWindow(a analysis.Analyzer, title string, slack int) Node {
-	terms := a.AnalyzeTerms(title)
+	return WindowOfTerms(a.AnalyzeTerms(title), slack)
+}
+
+// WindowOfTerms is TitleWindow over an already-analysed title. The node
+// shares terms, which must not be modified afterwards.
+func WindowOfTerms(terms []string, slack int) Node {
 	switch len(terms) {
 	case 0:
 		return Phrase{}
@@ -140,7 +145,12 @@ func BagOfWords(a analysis.Analyzer, text string) Weighted {
 // TitlePhrase analyzes a title and returns it as a phrase leaf for exact
 // n-gram matching; single-word titles collapse to a Term.
 func TitlePhrase(a analysis.Analyzer, title string) Node {
-	terms := a.AnalyzeTerms(title)
+	return PhraseOfTerms(a.AnalyzeTerms(title))
+}
+
+// PhraseOfTerms is TitlePhrase over an already-analysed title. The node
+// shares terms, which must not be modified afterwards.
+func PhraseOfTerms(terms []string) Node {
 	switch len(terms) {
 	case 0:
 		return Phrase{}

@@ -26,6 +26,10 @@ type evalScratch struct {
 	curs   []index.TermCursor
 	curDoc []index.DocID
 
+	// positional is flatten's key and intersection state for the index's
+	// positional-leaf memo; it holds no index reference between lookups.
+	positional index.PositionalScratch
+
 	// MaxScore partition state.
 	order      []int
 	rank       []int

@@ -75,8 +75,8 @@ type leaf struct {
 	df       float64
 	// bounds summarises the postings for score-bound derivation: term
 	// leaves read the index's precomputed metadata, phrase/window leaves
-	// summarise their materialised postings, so positional bounds are
-	// just as tight. bounded=false marks a leaf with no safe summary;
+	// the summary their memo entry was filled with, so positional bounds
+	// are just as tight. bounded=false marks a leaf with no safe summary;
 	// the pruned evaluator gives it an infinite upper bound, keeping it
 	// permanently essential (full evaluation), which preserves safety
 	// for any future leaf type that cannot produce one.
@@ -86,7 +86,7 @@ type leaf struct {
 	// size block in posting order (nil for empty leaves). Same sourcing
 	// split as bounds: term leaves share the index's metadata (which a v2
 	// file carries precomputed in its block directory), positional leaves
-	// summarise their materialised postings.
+	// share their memo entry's.
 	blocks []index.BlockBounds
 	// idf caches BM25's per-leaf inverse document frequency so the hot
 	// scoring and bound paths do not recompute the log per posting. It is
@@ -111,7 +111,13 @@ type leaf struct {
 // leaves. Empty leaves are kept (they contribute only background mass) —
 // dropping them would change ranking between two queries that differ in
 // an OOV term, which matters for the QL baselines.
-func (s *Searcher) flatten(n Node, w float64, out *[]leaf) {
+//
+// Phrase and window leaves come out of the index's positional memo
+// (index.PhraseLeaf / WindowLeaf; DESIGN.md "Positional leaves are
+// resolved once per index"): ps holds the lookup key, and st, when
+// non-nil, counts the leaves found resolved against the intersections
+// this call had to run.
+func (s *Searcher) flatten(n Node, w float64, out *[]leaf, ps *index.PositionalScratch, st *SearchStats) {
 	if w <= 0 {
 		return
 	}
@@ -120,36 +126,26 @@ func (s *Searcher) flatten(n Node, w float64, out *[]leaf) {
 		if x.Text == "" {
 			return
 		}
-		if !s.DisableStreaming {
-			if id, ok := s.ix.StreamableTerm(x.Text); ok {
-				// v2-backed term leaf: stats and bounds come from the
-				// stored (Open-cross-validated) metadata; the postings
-				// stay on disk until a block cursor touches them.
-				*out = append(*out, newStreamLeaf(s.ix, w, id))
-				return
-			}
-		}
-		var p index.Postings
-		var b index.TermBounds
-		var bb []index.BlockBounds
-		if pp := s.ix.PostingsFor(x.Text); pp != nil {
-			p = *pp
-			b, _ = s.ix.BoundsFor(x.Text)
-			bb, _ = s.ix.BlockBoundsFor(x.Text)
-		}
-		*out = append(*out, newLeaf(s.ix, w, p, b, bb))
+		*out = append(*out, s.termLeaf(x.Text, w))
 	case Phrase:
-		if len(x.Terms) == 0 {
-			return
+		switch len(x.Terms) {
+		case 0:
+		case 1:
+			// #1(t) is t: the term's own row, never a copy of it.
+			*out = append(*out, s.termLeaf(x.Terms[0], w))
+		default:
+			p, hit := s.ix.PhraseLeaf(x.Terms, ps)
+			*out = append(*out, positionalLeaf(s.ix, w, p, hit, st))
 		}
-		p := s.ix.PhrasePostings(x.Terms)
-		*out = append(*out, newLeaf(s.ix, w, p, s.ix.PostingsBounds(&p), s.ix.PostingsBlockBounds(&p)))
 	case Unordered:
-		if len(x.Terms) == 0 {
-			return
+		switch {
+		case len(x.Terms) == 0:
+		case len(x.Terms) == 1 && x.Width >= 1:
+			*out = append(*out, s.termLeaf(x.Terms[0], w))
+		default:
+			p, hit := s.ix.WindowLeaf(x.Terms, x.Width, ps)
+			*out = append(*out, positionalLeaf(s.ix, w, p, hit, st))
 		}
-		p := s.ix.UnorderedWindowPostings(x.Terms, x.Width)
-		*out = append(*out, newLeaf(s.ix, w, p, s.ix.PostingsBounds(&p), s.ix.PostingsBlockBounds(&p)))
 	case Weighted:
 		var total float64
 		for _, c := range x.Children {
@@ -162,16 +158,51 @@ func (s *Searcher) flatten(n Node, w float64, out *[]leaf) {
 		}
 		for _, c := range x.Children {
 			if c.Weight > 0 && !IsEmpty(c.Node) {
-				s.flatten(c.Node, w*c.Weight/total, out)
+				s.flatten(c.Node, w*c.Weight/total, out, ps, st)
 			}
 		}
 	}
 }
 
+// termLeaf is the leaf of one analysed term: streaming on a v2-backed
+// index, the shared materialised row otherwise, empty when the term is
+// out of vocabulary.
+func (s *Searcher) termLeaf(term string, w float64) leaf {
+	if !s.DisableStreaming {
+		if id, ok := s.ix.StreamableTerm(term); ok {
+			// v2-backed term leaf: stats and bounds come from the
+			// stored (Open-cross-validated) metadata; the postings
+			// stay on disk until a block cursor touches them.
+			return newStreamLeaf(s.ix, w, id)
+		}
+	}
+	var p index.Postings
+	var b index.TermBounds
+	var bb []index.BlockBounds
+	if pp := s.ix.PostingsFor(term); pp != nil {
+		p = *pp
+		b, _ = s.ix.BoundsFor(term)
+		bb, _ = s.ix.BlockBoundsFor(term)
+	}
+	return newLeaf(s.ix, w, p, p.CollectionFreq(), b, bb)
+}
+
+// positionalLeaf is the leaf of a resolved phrase or window. It shares
+// the memo entry's rows, which every consumer only reads.
+func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, st *SearchStats) leaf {
+	if st != nil {
+		if hit {
+			st.PositionalHits++
+		} else {
+			st.PositionalMisses++
+		}
+	}
+	return newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds, p.Blocks)
+}
+
 // newLeaf fills a leaf's collection statistics from the index it was
 // flattened against.
-func newLeaf(ix *index.Index, w float64, p index.Postings, b index.TermBounds, bb []index.BlockBounds) leaf {
-	cf := p.CollectionFreq()
+func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.TermBounds, bb []index.BlockBounds) leaf {
 	return leaf{
 		weight:   w,
 		postings: p,
@@ -283,7 +314,7 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 	sc := getScratch()
 	defer putScratch(sc)
 	leaves := sc.leaves[:0]
-	s.flatten(q, 1, &leaves)
+	s.flatten(q, 1, &leaves, &sc.positional, st)
 	sc.leaves = leaves
 	if len(leaves) == 0 {
 		return nil, nil
@@ -291,9 +322,9 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 	if st != nil {
 		st.Leaves = len(leaves)
 	}
-	// Flattening materialises phrase/window postings, which can be the
-	// bulk of the work for heavily expanded queries; re-check before the
-	// evaluation loop starts.
+	// Flattening intersects the phrase/window leaves no earlier query
+	// resolved, which can be the bulk of the work for a heavily expanded
+	// query on a cold index; re-check before the evaluation loop starts.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -410,8 +441,11 @@ func (s *Searcher) searchLegacy(ctx context.Context, leaves []leaf, k int, score
 // ScoreDoc computes the query-likelihood score of a single document; used
 // by the relevance-model PRF, which needs P(Q|D) for the feedback set.
 func (s *Searcher) ScoreDoc(q Node, doc index.DocID) float64 {
-	var leaves []leaf
-	s.flatten(q, 1, &leaves)
+	sc := getScratch()
+	defer putScratch(sc)
+	leaves := sc.leaves[:0]
+	s.flatten(q, 1, &leaves, &sc.positional, nil)
+	sc.leaves = leaves
 	s.materializeLeaves(leaves)
 	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
 	prepareLeaves(s.Model, cs, leaves)

@@ -196,7 +196,7 @@ func (svc *ShardService) handleStats(ctx context.Context, body json.RawMessage) 
 	if err != nil {
 		return nil, err
 	}
-	leaves, _, err := svc.part.stats(ctx, q)
+	leaves, _, err := svc.part.stats(ctx, q, nil)
 	return StatsResponse{Leaves: leaves}, err
 }
 
@@ -216,8 +216,9 @@ func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (
 		return EvalResponse{}, nil
 	}
 	// Stateless between the phases: the shard flattens again rather
-	// than remembering phase A's leaves.
-	leaves := svc.part.flatten(q)
+	// than remembering phase A's leaves. The index's positional memo
+	// makes the second flatten a set of lookups.
+	leaves := svc.part.flatten(q, nil)
 	if len(leaves) != len(req.Overrides) {
 		// The coordinator derived the overrides from this query's flatten
 		// on other shards; a count mismatch means this shard was built

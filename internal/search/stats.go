@@ -54,6 +54,13 @@ type SearchStats struct {
 	// every block it is offered, so the fraction approaches 1 there.
 	BlocksDecoded int64
 	BlocksTotal   int64
+	// PositionalHits counts the phrase/window leaves flatten found
+	// already resolved in the index's positional memo (or trivially empty:
+	// an out-of-vocabulary constituent), PositionalMisses those whose
+	// intersection this retrieval ran. Counted by in-process partitions
+	// only; a shard server's lookups do not cross the wire.
+	PositionalHits   int64
+	PositionalMisses int64
 	// HeapPushes counts insertions into the bounded top-k heap while it
 	// was still filling.
 	HeapPushes int64
@@ -98,6 +105,8 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.BlockBoundEvaluations += o.BlockBoundEvaluations
 	s.BlocksDecoded += o.BlocksDecoded
 	s.BlocksTotal += o.BlocksTotal
+	s.PositionalHits += o.PositionalHits
+	s.PositionalMisses += o.PositionalMisses
 	s.HeapPushes += o.HeapPushes
 	s.HeapEvictions += o.HeapEvictions
 	s.Elapsed += o.Elapsed

@@ -119,6 +119,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&sb, "sqe_search_bound_evaluations_total %d\n", ps.Search.BoundEvaluations)
 	counter("sqe_search_block_bound_evaluations_total", "Block-Max directory lookups inside the candidate filter.")
 	fmt.Fprintf(&sb, "sqe_search_block_bound_evaluations_total %d\n", ps.Search.BlockBoundEvaluations)
+	counter("sqe_search_positional_hits_total", "Phrase/window leaves found already resolved in an index's positional memo.")
+	fmt.Fprintf(&sb, "sqe_search_positional_hits_total %d\n", ps.Search.PositionalHits)
+	counter("sqe_search_positional_misses_total", "Phrase/window leaves whose positional intersection the retrieval had to run.")
+	fmt.Fprintf(&sb, "sqe_search_positional_misses_total %d\n", ps.Search.PositionalMisses)
 	counter("sqe_search_heap_pushes_total", "Insertions into the bounded top-k heap.")
 	fmt.Fprintf(&sb, "sqe_search_heap_pushes_total %d\n", ps.Search.HeapPushes)
 	counter("sqe_search_heap_evictions_total", "Candidates that displaced the current k-th best.")

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	sqe "repro"
+	"repro/internal/index"
 )
 
 var (
@@ -193,6 +195,46 @@ func TestShardMetrics(t *testing.T) {
 	ps := s.Pipeline()
 	if len(ps.Search.Shards) != 4 {
 		t.Fatalf("aggregated shard stats = %d entries, want 4", len(ps.Search.Shards))
+	}
+}
+
+// TestPositionalMemoMetrics: /metrics counts how many phrase/window
+// leaves retrieval found resolved in the index's memo and how many it
+// had to intersect. Over a fresh index the first request pays the
+// misses; an identical second one pays none and finds every positional
+// leaf of the query resolved — on a monolithic engine and on in-process
+// shards alike.
+func TestPositionalMemoMetrics(t *testing.T) {
+	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	for _, shards := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "ix.v2")
+		if err := index.WriteFile(path, env.Engine.Index(), index.FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := index.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		s, q := testServer(t, Config{Engine: sqe.NewEngine(env.Engine.Graph(), ix, sqe.WithShards(shards))})
+		target := "/v1/search?q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q))
+		var hits, misses [2]float64
+		for i := range hits {
+			if w := do(t, s, http.MethodGet, target, ""); w.Code != http.StatusOK {
+				t.Fatalf("shards=%d: search status %d: %s", shards, w.Code, w.Body.String())
+			}
+			hits[i] = metricValue(t, s, "sqe_search_positional_hits_total")
+			misses[i] = metricValue(t, s, "sqe_search_positional_misses_total")
+		}
+		if misses[0] == 0 {
+			t.Errorf("shards=%d: the first request over a fresh index intersected nothing", shards)
+		}
+		if misses[1] != misses[0] {
+			t.Errorf("shards=%d: the repeated request missed %v times", shards, misses[1]-misses[0])
+		}
+		if leaves := hits[0] + misses[0]; hits[1]-hits[0] != leaves {
+			t.Errorf("shards=%d: the repeated request hit %v of %v positional leaves", shards, hits[1]-hits[0], leaves)
+		}
 	}
 }
 
