@@ -3,12 +3,11 @@
 //
 // Usage:
 //
-//	sqe-bench [-scale small|default] [-exp all|fig2|tab1|fig5|tab2|fig6|tab3|tab4|stages|shards|pruning|expansion|blockmax|hotpath]
-//	          [-shards 1,2,4,8] [-shards-json BENCH_shards.json]
-//	          [-pruning-json BENCH_pruning.json]
-//	          [-expansion-json BENCH_expansion.json]
-//	          [-blockmax-json BENCH_blockmax.json]
-//	          [-hotpath-json BENCH_hotpath.json]
+//	sqe-bench [-scale small|default] [-trec dir]
+//	          [-exp all|fig2,tab1,fig5,tab2,fig6,tab3,tab4,stages,models,ablation,mining,summary]
+//
+// How fast the system serves is measured by bench/ (see bench/README.md),
+// not here.
 package main
 
 import (
@@ -16,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,19 +23,38 @@ import (
 	"repro/internal/experiments"
 )
 
+// experimentNames are the values -exp accepts besides "all".
+var experimentNames = []string{"fig2", "tab1", "fig5", "tab2", "fig6", "tab3", "tab4",
+	"stages", "models", "ablation", "mining", "summary"}
+
+// parseExperiments turns an -exp value — names separated by commas or
+// spaces — into a set. An unknown name is an error, not an experiment
+// that silently never runs.
+func parseExperiments(spec string) (map[string]bool, error) {
+	set := make(map[string]bool)
+	for _, name := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' || r == ' ' }) {
+		if name != "all" && !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)", name, strings.Join(experimentNames, ", "))
+		}
+		set[name] = true
+	}
+	return set, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sqe-bench: ")
 	scaleFlag := flag.String("scale", "default", "environment scale: small|default")
-	expFlag := flag.String("exp", "all", "experiment: all or substring list of fig2,tab1,fig5,tab2,fig6,tab3,tab4,stages,ablation,mining,summary,shards,pruning,expansion,blockmax,hotpath")
+	expFlag := flag.String("exp", "all", "experiments to run: all, or a comma-separated list of "+strings.Join(experimentNames, ","))
 	trecFlag := flag.String("trec", "", "directory to export TREC qrels/run files into")
-	shardsFlag := flag.String("shards", "1,2,4,8", "comma-separated shard counts for -exp shards")
-	shardsJSON := flag.String("shards-json", "", "file to write the shard bench result to as JSON")
-	pruningJSON := flag.String("pruning-json", "", "file to write the pruning bench result to as JSON")
-	expansionJSON := flag.String("expansion-json", "", "file to write the expansion bench result to as JSON")
-	blockmaxJSON := flag.String("blockmax-json", "", "file to write the block-max bench result to as JSON")
-	hotpathJSON := flag.String("hotpath-json", "", "file to write the hot-path bench result to as JSON")
 	flag.Parse()
+
+	selected, err := parseExperiments(*expFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sqe-bench: -exp: %v\n", err)
+		os.Exit(2)
+	}
+	want := func(name string) bool { return selected["all"] || selected[name] }
 
 	scale := dataset.ScaleDefault
 	switch *scaleFlag {
@@ -57,8 +76,6 @@ func main() {
 			inst.Name, inst.Index, len(inst.Queries), inst.Qrels.AvgRelevant())
 	}
 	fmt.Printf("generated in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	want := func(name string) bool { return *expFlag == "all" || strings.Contains(*expFlag, name) }
 
 	var t1 *experiments.Table1Result
 	if want("tab1") || want("fig5") {
@@ -99,8 +116,7 @@ func main() {
 		fmt.Println(experiments.Table4(suite))
 	}
 	if want("stages") {
-		// Per-stage cost attribution of the SQE_C workload (see README
-		// "Reading the stage timings").
+		// See README "Reading the stage timings".
 		for _, inst := range suite.Instances() {
 			fmt.Println(experiments.StageProfile(suite, inst))
 		}
@@ -125,100 +141,6 @@ func main() {
 		}
 		if len(t2s) > 0 {
 			fmt.Println(experiments.SigMatrix(t2s[0], 10))
-		}
-	}
-	if want("shards") {
-		var counts []int
-		for _, f := range strings.Split(*shardsFlag, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil {
-				log.Fatalf("bad -shards %q", *shardsFlag)
-			}
-			counts = append(counts, n)
-		}
-		sb := experiments.ShardBench(suite, suite.ImageCLEF, counts, 10, 3)
-		fmt.Println(sb)
-		if *shardsJSON != "" {
-			data, err := sb.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*shardsJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *shardsJSON)
-		}
-	}
-	if want("pruning") {
-		// MaxScore pruning effectiveness on the expanded-query workload
-		// (single-core honest numbers; see README "Dynamic pruning").
-		pr := experiments.PruningBench(suite, suite.ImageCLEF, 10, 3)
-		fmt.Println(pr)
-		if *pruningJSON != "" {
-			data, err := pr.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*pruningJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *pruningJSON)
-		}
-	}
-	if want("expansion") {
-		// Cold vs warm-LRU vs precomputed-store expansion latency (see
-		// README "Precomputed expansions").
-		eb := experiments.ExpansionBench(suite, suite.ImageCLEF, 3)
-		fmt.Println(eb)
-		if *expansionJSON != "" {
-			data, err := eb.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*expansionJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *expansionJSON)
-		}
-	}
-	if want("blockmax") {
-		// Block-Max MaxScore vs exhaustive DAAT over an mmap'd FormatV2
-		// file, on the suite's largest corpus — block skipping is a
-		// long-postings-list mechanism (see README "Block-Max pruning").
-		bm, err := experiments.BlockMaxBench(suite, experiments.DefaultBlockMaxInstance(suite), 10, 5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bm)
-		if *blockmaxJSON != "" {
-			data, err := bm.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*blockmaxJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *blockmaxJSON)
-		}
-	}
-	if want("hotpath") {
-		// Streaming per-block cursors + pooled evaluation scratch vs the
-		// eager whole-term hot path, on CHiC 2012 (see README "Streaming
-		// hot path").
-		hp, err := experiments.HotpathBench(suite, experiments.DefaultHotpathInstance(suite), 10, 5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(hp)
-		if *hotpathJSON != "" {
-			data, err := hp.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*hotpathJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *hotpathJSON)
 		}
 	}
 	if *trecFlag != "" {

@@ -31,8 +31,8 @@
 //
 // -selfcheck reopens the written store and replays every enumerated
 // (entity set, motif set) pair against a fresh live expansion,
-// demanding byte-identical graphs — the same parity invariant the
-// serving smoke (`make precompute-smoke`) enforces end to end.
+// demanding byte-identical graphs — the same parity invariant
+// TestPrecomputedStoreParity enforces at engine level.
 package main
 
 import (

@@ -1,32 +1,21 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"net/http"
-	"net/url"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	sqe "repro"
-	"repro/internal/fault"
 	"repro/internal/index"
 	"repro/internal/rpc"
 	"repro/internal/search"
-	"repro/internal/serve"
 )
 
 // runShardServer is -mode shard: it obtains the corpus index — from an
@@ -35,8 +24,8 @@ import (
 // otherwise — carves out slice i of an N-way round-robin partition (the
 // same partition function the coordinator's parity baseline uses) and
 // serves it over the RPC protocol until SIGINT/SIGTERM. The bound
-// address is printed to stdout as "LISTEN <addr>" so a supervisor (or
-// the distributed smoke) can pass :0 and discover the port.
+// address is printed to stdout as "LISTEN <addr>" so a supervisor can
+// pass :0 and discover the port.
 func runShardServer(scale sqe.DemoScale, spec, addr, indexPath string) error {
 	shard, numShards, err := parseShardSpec(spec)
 	if err != nil {
@@ -127,356 +116,4 @@ func dialShardGroups(spec string) (*search.RemoteSharded, error) {
 	}
 	log.Printf("coordinator connected to %d shard groups", rs.NumShards())
 	return rs, nil
-}
-
-// shardProc is one re-exec'd shard server child process.
-type shardProc struct {
-	cmd  *exec.Cmd
-	addr string
-}
-
-func (p *shardProc) kill() {
-	if p.cmd.Process != nil {
-		_ = p.cmd.Process.Kill()
-		_, _ = p.cmd.Process.Wait()
-	}
-}
-
-// spawnShard re-execs this binary as a shard server on an ephemeral
-// port and waits for its LISTEN line.
-func spawnShard(exe, scaleFlag, spec string, extraArgs ...string) (*shardProc, error) {
-	args := append([]string{"-mode", "shard", "-shard", spec, "-addr", "127.0.0.1:0", "-scale", scaleFlag}, extraArgs...)
-	cmd := exec.Command(exe, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &shardProc{cmd: cmd}
-	addrc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			if a, ok := strings.CutPrefix(sc.Text(), "LISTEN "); ok {
-				addrc <- a
-				break
-			}
-		}
-		close(addrc)
-	}()
-	select {
-	case a, ok := <-addrc:
-		if !ok || a == "" {
-			p.kill()
-			return nil, fmt.Errorf("shard %s exited before listening", spec)
-		}
-		p.addr = a
-		return p, nil
-	case <-time.After(2 * time.Minute):
-		p.kill()
-		return nil, fmt.Errorf("shard %s never printed its listen address", spec)
-	}
-}
-
-// runDistributedSmoke is the multi-process gate behind `make
-// distributed-smoke`. It re-execs this binary as real shard server
-// processes (shard 0 with two replicas, shard 1 with one), boots a
-// coordinator engine over them, and checks, in order:
-//
-//  1. parity — SQE_C, single-set and baseline rankings bit-identical
-//     to a single-process WithShards(2) engine over every demo query;
-//  2. end-to-end serving — /v1/search over real HTTP answers 200 with
-//     the same ranking and no degradation;
-//  3. chaos — with faults injected at the coordinator's rpc.client_call
-//     point, every HTTP response is 200-with-results (degraded or not)
-//     or a clean typed 5xx envelope, and full fidelity returns after
-//     disarm;
-//  4. replica failover — killing one replica of shard 0 leaves
-//     responses complete (the group fails over), not degraded;
-//  5. dead shard — killing shard 1's only server degrades responses per
-//     the PR 5 semantics (stats-phase exclusion, surfaced end to end:
-//     Degraded JSON field, X-SQE-Degraded header, 200 status);
-//  6. on-disk v2 leg — the index is written to a FormatV2 file, a fresh
-//     shard topology boots with -index (each process index.Opens the
-//     mmap'd file instead of regenerating the corpus), and rankings
-//     stay bit-identical to the single-process engine.
-func runDistributedSmoke(scale sqe.DemoScale, scaleFlag string) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	log.Println("spawning shard servers (shard 0 ×2 replicas, shard 1 ×1) …")
-	var procs []*shardProc
-	defer func() {
-		for _, p := range procs {
-			p.kill()
-		}
-	}()
-	specs := []string{"0/2", "0/2", "1/2"}
-	for _, spec := range specs {
-		p, err := spawnShard(exe, scaleFlag, spec)
-		if err != nil {
-			return err
-		}
-		procs = append(procs, p)
-		log.Printf("  shard %s up on %s", spec, p.addr)
-	}
-
-	remote, err := dialShardGroups(procs[0].addr + "|" + procs[1].addr + "," + procs[2].addr)
-	if err != nil {
-		return err
-	}
-	defer remote.Close()
-
-	log.Println("generating coordinator + parity environments …")
-	env, err := sqe.GenerateDemo(scale, sqe.WithShards(2))
-	if err != nil {
-		return err
-	}
-	dist := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(),
-		sqe.WithDistributedSearcher(remote),
-		sqe.WithDegradation(sqe.DefaultDegradation()))
-
-	// 1. Bit-identity against single-process sharding, across request
-	// shapes: the full SQE_C pipeline, one explicit motif set, and the
-	// baseline, for every demo query.
-	ctx := context.Background()
-	compared := 0
-	for i := range env.Queries {
-		q := &env.Queries[i]
-		reqs := []sqe.SearchRequest{
-			{Query: q.Text, EntityTitles: q.EntityTitles, K: 10},
-			{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: sqe.MotifT, K: 10},
-			{Query: q.Text, K: 10, Baseline: true},
-		}
-		for _, req := range reqs {
-			want, err := env.Engine.Do(ctx, req)
-			if err != nil {
-				return fmt.Errorf("parity: single-process %s: %v", q.ID, err)
-			}
-			got, err := dist.Do(ctx, req)
-			if err != nil {
-				return fmt.Errorf("parity: distributed %s: %v", q.ID, err)
-			}
-			if got.Degraded != nil {
-				return fmt.Errorf("parity: %s degraded with all shards up: %+v", q.ID, got.Degraded)
-			}
-			if !reflect.DeepEqual(want.Results, got.Results) {
-				return fmt.Errorf("parity: query %s: distributed ranking differs from single-process WithShards(2)", q.ID)
-			}
-			compared++
-		}
-	}
-	log.Printf("  ok parity        %d request configurations bit-identical across processes", compared)
-
-	// 2. End to end over real HTTP.
-	srv := serve.New(serve.Config{Engine: dist})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{Timeout: 30 * time.Second}
-	q := env.Queries[0]
-	searchPath := "/v1/search?q=" + url.QueryEscape(q.Text) +
-		"&entities=" + url.QueryEscape(strings.Join(q.EntityTitles, ",")) + "&k=10"
-
-	get := func(path string) (int, http.Header, []byte, error) {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, resp.Header, body, err
-	}
-	code, hdr, body, err := get(searchPath)
-	if err != nil {
-		return fmt.Errorf("http: %v", err)
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("http: status %d: %s", code, body)
-	}
-	if err := wantResults(body); err != nil {
-		return fmt.Errorf("http: %v", err)
-	}
-	if hdr.Get(serve.DegradedHeader) != "" {
-		return fmt.Errorf("http: degraded with all shards up: %q", hdr.Get(serve.DegradedHeader))
-	}
-	log.Printf("  ok http          coordinator serves /v1/search over %d shard processes", remote.NumShards())
-
-	// 3. Chaos at the coordinator's RPC boundary: transient transport
-	// faults on outgoing calls must degrade or fail cleanly, never hang
-	// or corrupt, and fidelity must return after disarm.
-	fault.Arm(fault.NewRegistry(11).Set(fault.RPCClient,
-		fault.Policy{ErrRate: 0.3, Transient: true}))
-	okN, degradedN, failedN := 0, 0, 0
-	for i := 0; i < 40; i++ {
-		code, hdr, body, err := get(searchPath)
-		if err != nil {
-			fault.Disarm()
-			return fmt.Errorf("chaos: %v", err)
-		}
-		switch {
-		case code == http.StatusOK:
-			if err := wantResults(body); err != nil {
-				fault.Disarm()
-				return fmt.Errorf("chaos: 200 but %v", err)
-			}
-			okN++
-			if hdr.Get(serve.DegradedHeader) != "" {
-				degradedN++
-			}
-		case code >= 500:
-			var envl struct {
-				Error struct {
-					Code string `json:"code"`
-				} `json:"error"`
-			}
-			if err := json.Unmarshal(body, &envl); err != nil || envl.Error.Code == "" {
-				fault.Disarm()
-				return fmt.Errorf("chaos: HTTP %d with malformed envelope %q", code, body)
-			}
-			failedN++
-		default:
-			fault.Disarm()
-			return fmt.Errorf("chaos: unexpected HTTP %d: %s", code, body)
-		}
-	}
-	fault.Disarm()
-	log.Printf("  ok chaos         40 requests under rpc.client_call faults — %d ok (%d degraded), %d clean 5xx",
-		okN, degradedN, failedN)
-	if code, hdr, _, err := get(searchPath); err != nil || code != http.StatusOK || hdr.Get(serve.DegradedHeader) != "" {
-		return fmt.Errorf("chaos: post-disarm replay not clean (err=%v code=%d degraded=%q)",
-			err, code, hdr.Get(serve.DegradedHeader))
-	}
-
-	// 4. Replica failover: shard 0 loses one of its two replicas; the
-	// group fails over and responses stay complete and bit-identical.
-	procs[0].kill()
-	want, err := env.Engine.Do(ctx, sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10})
-	if err != nil {
-		return err
-	}
-	got, err := dist.Do(ctx, sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10})
-	if err != nil {
-		return fmt.Errorf("failover: %v", err)
-	}
-	if got.Degraded.Degraded() {
-		return fmt.Errorf("failover: degraded despite a live replica: %+v", got.Degraded)
-	}
-	if !reflect.DeepEqual(want.Results, got.Results) {
-		return errors.New("failover: ranking changed after losing a redundant replica")
-	}
-	log.Println("  ok failover      shard 0 replica killed; group failed over, results bit-identical")
-
-	// 5. Dead shard: shard 1 has no replicas left, so its stats phase
-	// fails and PR 5's degradation excludes it from the corpus — and the
-	// serving layer surfaces that end to end.
-	procs[2].kill()
-	code, hdr, body, err = get(searchPath)
-	if err != nil {
-		return fmt.Errorf("dead shard: %v", err)
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("dead shard: status %d, want degraded 200: %s", code, body)
-	}
-	if err := wantResults(body); err != nil {
-		return fmt.Errorf("dead shard: %v", err)
-	}
-	if !strings.Contains(hdr.Get(serve.DegradedHeader), "shards=") {
-		return fmt.Errorf("dead shard: %s header = %q, want a shard drop", serve.DegradedHeader, hdr.Get(serve.DegradedHeader))
-	}
-	var dresp struct {
-		Degraded *sqe.Degradation `json:"degraded"`
-	}
-	if err := json.Unmarshal(body, &dresp); err != nil {
-		return fmt.Errorf("dead shard: %v", err)
-	}
-	if dresp.Degraded == nil || len(dresp.Degraded.DroppedShards) == 0 {
-		return fmt.Errorf("dead shard: no degraded field in body: %s", body)
-	}
-	for _, sh := range dresp.Degraded.DroppedShards {
-		if sh != 1 {
-			return fmt.Errorf("dead shard: dropped shard %d, want only shard 1: %+v", sh, dresp.Degraded)
-		}
-	}
-	statsTier := false
-	for _, e := range dresp.Degraded.ShardErrors {
-		if strings.HasPrefix(e, "stats phase: ") {
-			statsTier = true
-		}
-	}
-	if !statsTier {
-		return fmt.Errorf("dead shard: expected a stats-phase exclusion, got %v", dresp.Degraded.ShardErrors)
-	}
-	log.Println("  ok degradation   dead shard excluded per PR 5 semantics, surfaced in header + body")
-
-	// 6. The on-disk leg: same coordinator topology, but every shard
-	// process serves slices of an mmap'd FormatV2 file instead of a
-	// regenerated in-memory corpus.
-	dir, err := os.MkdirTemp("", "sqe-dist-v2")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	v2Path := filepath.Join(dir, "index.v2")
-	if err := index.WriteFile(v2Path, env.Engine.Index(), index.FormatV2); err != nil {
-		return err
-	}
-	log.Printf("spawning v2-file shard servers over %s …", v2Path)
-	var v2procs []*shardProc
-	defer func() {
-		for _, p := range v2procs {
-			p.kill()
-		}
-	}()
-	for _, spec := range []string{"0/2", "1/2"} {
-		p, err := spawnShard(exe, scaleFlag, spec, "-index", v2Path)
-		if err != nil {
-			return err
-		}
-		v2procs = append(v2procs, p)
-		log.Printf("  shard %s up on %s (v2 file)", spec, p.addr)
-	}
-	v2remote, err := dialShardGroups(v2procs[0].addr + "," + v2procs[1].addr)
-	if err != nil {
-		return err
-	}
-	defer v2remote.Close()
-	v2dist := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(),
-		sqe.WithDistributedSearcher(v2remote),
-		sqe.WithDegradation(sqe.DefaultDegradation()))
-	v2compared := 0
-	for i := range env.Queries {
-		qq := &env.Queries[i]
-		for _, req := range []sqe.SearchRequest{
-			{Query: qq.Text, EntityTitles: qq.EntityTitles, K: 10},
-			{Query: qq.Text, K: 10, Baseline: true},
-		} {
-			want, err := env.Engine.Do(ctx, req)
-			if err != nil {
-				return fmt.Errorf("v2 parity: single-process %s: %v", qq.ID, err)
-			}
-			got, err := v2dist.Do(ctx, req)
-			if err != nil {
-				return fmt.Errorf("v2 parity: distributed %s: %v", qq.ID, err)
-			}
-			if got.Degraded != nil {
-				return fmt.Errorf("v2 parity: %s degraded with all shards up: %+v", qq.ID, got.Degraded)
-			}
-			if !reflect.DeepEqual(want.Results, got.Results) {
-				return fmt.Errorf("v2 parity: query %s: v2-file shard ranking differs from single-process", qq.ID)
-			}
-			v2compared++
-		}
-	}
-	log.Printf("  ok v2 index      %d request configurations bit-identical over mmap'd v2 shard processes", v2compared)
-	return nil
 }

@@ -7,22 +7,21 @@
 //
 //	sqe-serve [-mode serve|shard|coordinator] [-addr :8344]
 //	          [-scale small|default] [-timeout 10s] [-max-inflight 64]
-//	          [-queue 0] [-cache 4096] [-workers 0] [-shards 1]
-//	          [-degrade] [-smoke] [-chaos] [-chaos-seed 1]
-//	          [-distributed-smoke]
-//	          [-index file] [-write-index file] [-index-format v2]
-//	          [-ingest] [-segments dir] [-flush-docs 0] [-ingest-smoke]
+//	          [-queue 0] [-queue-timeout 0] [-cache 4096] [-workers 0]
+//	          [-shards 1] [-shard i/N] [-degrade] [-precomputed file]
+//	          [-index file] [-write-index file]
+//	          [-ingest] [-segments dir] [-flush-docs 0]
 //
 // On-disk index (DESIGN.md §5j): -write-index builds the demo corpus,
-// writes its index to the given path in -index-format (v1 or v2,
-// default v2) and exits. -index makes -mode serve and -mode shard
-// retrieve from that file via index.Open — for v2 an mmap with lazy
-// per-block decode — instead of the in-memory demo index; everything
-// else (knowledge graph, expansion, queries) still comes from the
-// deterministic demo environment, so the file must describe the same
-// corpus at the same -scale (checked at boot).
+// writes its index to the given path as a FormatV2 file and exits.
+// -index makes -mode serve and -mode shard retrieve from such a file
+// via index.Open — an mmap with lazy per-block decode — instead of the
+// in-memory demo index; everything else (knowledge graph, expansion,
+// queries) still comes from the deterministic demo environment, so the
+// file must describe the same corpus at the same -scale (checked at
+// boot).
 //
-// Modes (the tentpole topology — see DESIGN.md §5i):
+// Modes (see DESIGN.md §5i):
 //
 //	-mode serve        (default) one process, optional in-process shards
 //	                   (-shards N).
@@ -36,8 +35,10 @@
 //	                   Replicas of one shard are separated by "|":
 //	                   "a1|a2,b" is shard 0 on {a1,a2}, shard 1 on b.
 //
-// HTTP endpoints (see internal/serve); the unversioned paths still work
-// but answer with a Deprecation header:
+// Every mode prints "LISTEN <addr>" to stdout once its socket is bound,
+// so a supervisor can pass -addr 127.0.0.1:0 and discover the port.
+//
+// HTTP endpoints (see internal/serve):
 //
 //	GET  /v1/search?q=cable+cars&entities=Cable+car&k=10  SQE_C search
 //	GET  /v1/expand?q=…&entities=…&set=TS                 expansion only
@@ -49,21 +50,6 @@
 // All work endpoints also accept POST with a JSON body
 // {"query": …, "entities": […], "k": …, "set": …}.
 //
-// -smoke runs the self-test instead of serving: it binds an ephemeral
-// port, issues one in-process request per endpoint, checks HTTP 200 and
-// non-empty payloads, and exits 0/1. The Makefile's serve-smoke target
-// (part of `make verify`) runs exactly this — no curl required.
-//
-// -chaos runs the chaos smoke instead of serving: with graceful
-// degradation enabled it arms the fault-injection registry (seeded by
-// -chaos-seed) with error, latency and panic policies at every
-// registered point, hammers /v1/search and /v1/baseline, and demands
-// every response be well-formed — 200 with results (degraded or not) or
-// a clean 5xx typed error envelope; no hangs, no crashes. It then
-// disarms the registry, replays a request, and verifies the response is
-// fault-free again. The Makefile's chaos target runs this after the
-// -race chaos tests.
-//
 // -ingest serves a live segmented engine (DESIGN.md §5l) instead of an
 // immutable one: the deterministic demo corpus is streamed into an LSM
 // index rooted at -segments (a fresh temp directory when unset) and
@@ -73,77 +59,50 @@
 // manifest (including deletes) and skips re-seeding the demo corpus.
 // -flush-docs bounds the in-memory buffer before an automatic flush.
 //
-// -ingest-smoke runs the live-indexing gate instead of serving: it
-// boots a live engine over an empty segment directory on an ephemeral
-// port, streams the demo corpus through POST /v1/ingest in batches
-// while a concurrent reader hammers the search endpoints, then demands
-// bit-identical rankings against the monolithic demo engine, exercises
-// delete+compact through the endpoint against a survivors oracle, and
-// checks the sqe_live_* metrics family. The Makefile's ingest-smoke
-// target (part of `make verify`) runs exactly this.
-//
-// -distributed-smoke re-execs this binary as real shard server
-// processes (os.Executable), boots a coordinator over them, and runs
-// the multi-process gate: bit-identity against single-process sharding,
-// replica failover, and dead-shard degradation surfaced end to end over
-// HTTP. The Makefile's distributed-smoke target runs exactly this.
+// The binary carries no self-test: main_test.go drives the three modes
+// as real processes, and everything below the process boundary is
+// covered by `go test ./...` (DESIGN.md "Where things are verified and
+// measured").
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"os/signal"
-	"reflect"
 	"strconv"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	sqe "repro"
-	"repro/internal/fault"
 	"repro/internal/index"
 	"repro/internal/search"
 	"repro/internal/serve"
 )
 
 // runWriteIndex is -write-index: build the deterministic demo corpus,
-// write its index image to path in the requested on-disk format
-// (atomic temp+fsync+rename inside index.WriteFile) and exit.
-func runWriteIndex(scale sqe.DemoScale, path, format string) error {
-	var f index.Format
-	switch format {
-	case "v1":
-		f = index.FormatV1
-	case "v2":
-		f = index.FormatV2
-	default:
-		return fmt.Errorf("-index-format %q: want v1 or v2", format)
-	}
+// write its FormatV2 index image to path (atomic temp+fsync+rename
+// inside index.WriteFile) and exit.
+func runWriteIndex(scale sqe.DemoScale, path string) error {
 	log.Println("generating demo environment …")
 	env, err := sqe.GenerateDemo(scale)
 	if err != nil {
 		return err
 	}
-	if err := index.WriteFile(path, env.Engine.Index(), f); err != nil {
+	if err := index.WriteFile(path, env.Engine.Index(), index.FormatV2); err != nil {
 		return err
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	log.Printf("wrote %s index of %s (%d docs) to %s (%d bytes)",
-		format, env.DatasetName, env.Engine.Index().NumDocs(), path, fi.Size())
+	log.Printf("wrote index of %s (%d docs) to %s (%d bytes)",
+		env.DatasetName, env.Engine.Index().NumDocs(), path, fi.Size())
 	return nil
 }
 
@@ -183,15 +142,9 @@ func main() {
 	precomputed := flag.String("precomputed", "", "path to a precomputed expansion store built by sqe-precompute (dropped with a warning if its KB hash mismatches)")
 	indexPath := flag.String("index", "", "serve retrieval from this on-disk index file (written by -write-index) instead of the in-memory demo index")
 	writeIndex := flag.String("write-index", "", "write the demo corpus index to this path and exit")
-	indexFormat := flag.String("index-format", "v2", "on-disk format for -write-index: v1|v2")
-	smoke := flag.Bool("smoke", false, "boot on an ephemeral port, self-test every endpoint, exit")
-	chaos := flag.Bool("chaos", false, "boot on an ephemeral port, hammer the work endpoints under fault injection, exit")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-schedule seed for -chaos")
-	distSmoke := flag.Bool("distributed-smoke", false, "spawn shard processes + coordinator, run the multi-process parity and chaos gate, exit")
 	ingest := flag.Bool("ingest", false, "serve a live segmented engine: seed the demo corpus into an LSM index at -segments and accept POST /v1/ingest")
 	segmentsDir := flag.String("segments", "", "-ingest: segment directory (empty = fresh temp dir; a persistent path recovers committed segments across restarts)")
 	flushDocs := flag.Int("flush-docs", 0, "-ingest: buffered documents that trigger an automatic segment flush (0 = package default)")
-	ingestSmoke := flag.Bool("ingest-smoke", false, "boot a live engine on an ephemeral port, stream the corpus via /v1/ingest under concurrent queries, verify parity with the monolithic engine, exit")
 	flag.Parse()
 
 	scale := sqe.DemoSmall
@@ -200,23 +153,9 @@ func main() {
 	}
 
 	if *writeIndex != "" {
-		if err := runWriteIndex(scale, *writeIndex, *indexFormat); err != nil {
+		if err := runWriteIndex(scale, *writeIndex); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-	if *distSmoke {
-		if err := runDistributedSmoke(scale, *scaleFlag); err != nil {
-			log.Fatalf("DISTRIBUTED SMOKE FAIL: %v", err)
-		}
-		log.Println("DISTRIBUTED SMOKE OK")
-		return
-	}
-	if *ingestSmoke {
-		if err := runIngestSmoke(scale, *cacheSize); err != nil {
-			log.Fatalf("INGEST SMOKE FAIL: %v", err)
-		}
-		log.Println("INGEST SMOKE OK")
 		return
 	}
 	if *mode == "shard" {
@@ -251,7 +190,7 @@ func main() {
 	default:
 		log.Fatalf("unknown -mode %q (serve, shard or coordinator)", *mode)
 	}
-	if *degrade || *chaos {
+	if *degrade {
 		opts = append(opts, sqe.WithDegradation(sqe.DefaultDegradation()))
 	}
 	if *precomputed != "" {
@@ -303,32 +242,22 @@ func main() {
 		QueueTimeout: *queueTimeout,
 	})
 
-	if *smoke {
-		if err := runSmoke(srv, env, *precomputed != ""); err != nil {
-			log.Fatalf("SMOKE FAIL: %v", err)
-		}
-		log.Println("SMOKE OK")
-		return
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *chaos {
-		if err := runChaos(srv, env, *chaosSeed); err != nil {
-			log.Fatalf("CHAOS FAIL: %v", err)
-		}
-		log.Println("CHAOS OK")
-		return
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	fmt.Printf("LISTEN %s\n", ln.Addr())
+	httpSrv := &http.Server{Handler: srv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 	role := "single-process"
 	if remote != nil {
 		role = fmt.Sprintf("coordinator over %d shard servers", remote.NumShards())
 	}
 	log.Printf("serving %s on %s as %s (%d queries in corpus; try /v1/search?q=%s)",
-		env.DatasetName, *addr, role, len(env.Queries), url.QueryEscape(env.Queries[0].Text))
+		env.DatasetName, ln.Addr(), role, len(env.Queries), url.QueryEscape(env.Queries[0].Text))
 	select {
 	case err := <-errc:
 		log.Fatal(err)
@@ -349,294 +278,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runSmoke boots the server on an ephemeral loopback port and drives one
-// request through every endpoint, checking status and payload shape.
-// With a precomputed store attached (hasStore) it additionally demands
-// the store be non-stale, byte-identical to live expansion over every
-// demo query, actually consulted (hits > 0), and visible in /metrics —
-// the Makefile's precompute-smoke target runs exactly this.
-func runSmoke(srv *serve.Server, env *sqe.DemoEnv, hasStore bool) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-	q := env.Queries[0]
-	params := "q=" + url.QueryEscape(q.Text) + "&entities=" + url.QueryEscape(strings.Join(q.EntityTitles, ","))
-
-	checks := []struct {
-		name, path string
-		check      func(body []byte) error
-	}{
-		{"search", "/v1/search?" + params + "&k=10", wantResults},
-		{"search set=T", "/v1/search?" + params + "&k=5&set=T", wantResults},
-		{"expand", "/v1/expand?" + params, func(b []byte) error {
-			var resp struct {
-				QueryNodeTitles []string `json:"query_node_titles"`
-			}
-			if err := json.Unmarshal(b, &resp); err != nil {
-				return err
-			}
-			if len(resp.QueryNodeTitles) == 0 {
-				return errors.New("no query nodes resolved")
-			}
-			return nil
-		}},
-		{"baseline", "/v1/baseline?" + params + "&k=10", wantResults},
-		{"legacy alias", "/search?" + params + "&k=10", wantResults},
-		{"healthz", "/healthz", func(b []byte) error {
-			if !strings.Contains(string(b), `"ok"`) {
-				return fmt.Errorf("unexpected body %s", b)
-			}
-			return nil
-		}},
-		{"metrics", "/metrics", func(b []byte) error {
-			want := []string{"sqe_http_requests_total", "sqe_pipeline_retrievals_total"}
-			if _, ok := env.Engine.ExpansionCacheStats(); ok {
-				want = append(want, "sqe_expansion_cache_hits_total")
-			}
-			if hasStore {
-				want = append(want,
-					"sqe_expansion_store_hits_total",
-					"sqe_expansion_store_misses_total",
-					"sqe_expansion_store_entries",
-					"sqe_expansion_store_stale 0")
-			}
-			if env.Engine.Shards() > 1 {
-				want = append(want, `sqe_search_shard_seconds_total{shard="0"}`)
-			}
-			for _, m := range want {
-				if !strings.Contains(string(b), m) {
-					return fmt.Errorf("metric %s missing", m)
-				}
-			}
-			return nil
-		}},
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	for _, c := range checks {
-		resp, err := client.Get(base + c.path)
-		if err != nil {
-			return fmt.Errorf("%s: %v", c.name, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("%s: read: %v", c.name, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: HTTP %d: %s", c.name, resp.StatusCode, body)
-		}
-		if err := c.check(body); err != nil {
-			return fmt.Errorf("%s: %v", c.name, err)
-		}
-		log.Printf("  ok %-12s %s", c.name, c.path)
-	}
-	if hasStore {
-		if err := checkStoreParity(env); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkStoreParity compares the store-backed serving engine against a
-// freshly built live-expansion engine over the same graph and index:
-// every demo query, every motif configuration (SQE_C plus the three
-// explicit sets), byte-identical results. It then demands the store (or
-// the cache warmed from it) actually served lookups.
-func checkStoreParity(env *sqe.DemoEnv) error {
-	st, ok := env.Engine.ExpansionStoreStats()
-	if !ok {
-		return errors.New("precomputed: flag set but engine reports no store")
-	}
-	if st.Stale {
-		return errors.New("precomputed: store is stale for this KB")
-	}
-	live := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index())
-	ctx := context.Background()
-	compared := 0
-	for i := range env.Queries {
-		q := &env.Queries[i]
-		if len(q.EntityTitles) == 0 {
-			continue
-		}
-		for _, set := range []sqe.MotifSet{0 /* SQE_C */, sqe.MotifT, sqe.MotifTS, sqe.MotifS} {
-			req := sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: set, K: 20}
-			want, err := live.Do(ctx, req)
-			if err != nil {
-				return fmt.Errorf("precomputed: live %s: %v", q.ID, err)
-			}
-			got, err := env.Engine.Do(ctx, req)
-			if err != nil {
-				return fmt.Errorf("precomputed: stored %s: %v", q.ID, err)
-			}
-			if !reflect.DeepEqual(want.Results, got.Results) {
-				return fmt.Errorf("precomputed: query %s set %v: store-served results differ from live expansion", q.ID, set)
-			}
-			compared++
-		}
-	}
-	if compared == 0 {
-		return errors.New("precomputed: no demo queries with entities to compare")
-	}
-	st, _ = env.Engine.ExpansionStoreStats()
-	if st.Hits == 0 {
-		// With an expansion cache configured the engine warms it from the
-		// store at boot, so lookups legitimately land there instead.
-		if cs, ok := env.Engine.ExpansionCacheStats(); !ok || cs.Hits == 0 {
-			return errors.New("precomputed: store attached but never consulted")
-		}
-	}
-	log.Printf("  ok precomputed  parity over %d request configurations (%d store hits)", compared, st.Hits)
-	return nil
-}
-
-func wantResults(b []byte) error {
-	var resp struct {
-		Results []struct {
-			Name string `json:"name"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return err
-	}
-	if len(resp.Results) == 0 {
-		return errors.New("empty results")
-	}
-	return nil
-}
-
-// runChaos boots the server on an ephemeral loopback port, arms the
-// fault-injection registry with a policy at every registered point, and
-// hammers the work endpoints. Every response must be well-formed: 200
-// with results (degraded or not) or a clean 5xx JSON error envelope.
-// The client timeout is the watchdog — a hang fails the smoke. Finally
-// it disarms the registry and verifies a replayed request is fault-free.
-func runChaos(srv *serve.Server, env *sqe.DemoEnv, seed int64) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	reg := fault.NewRegistry(seed)
-	for _, p := range fault.Points() {
-		pol := fault.Policy{ErrRate: 0.02, Transient: true, LatencyRate: 0.01, Latency: 200 * time.Microsecond}
-		switch p {
-		case fault.ShardEval, fault.SQECRun:
-			pol.ErrRate, pol.PanicRate = 0.15, 0.05
-		case fault.MotifExpand:
-			pol.ErrRate, pol.Transient = 0.25, false
-		case fault.ExpansionCache:
-			pol.ErrRate = 0.30
-		}
-		reg.Set(p, pol)
-	}
-	fault.Arm(reg)
-	defer fault.Disarm()
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	q := env.Queries[0]
-	params := "q=" + url.QueryEscape(q.Text) + "&entities=" + url.QueryEscape(strings.Join(q.EntityTitles, ","))
-	paths := []string{
-		"/v1/search?" + params + "&k=10",
-		"/v1/search?" + params + "&k=5&set=T",
-		"/v1/baseline?" + params + "&k=10",
-	}
-
-	const iters = 60
-	type tally struct{ ok, degraded, failed int }
-	var counts tally
-	hit := func(path string) error {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			return fmt.Errorf("GET %s: %v", path, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("GET %s: read: %v", path, err)
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			if err := wantResults(body); err != nil {
-				return fmt.Errorf("GET %s: 200 but %v", path, err)
-			}
-			counts.ok++
-			if resp.Header.Get(serve.DegradedHeader) != "" {
-				counts.degraded++
-			}
-		case resp.StatusCode >= 500:
-			var envl struct {
-				Error struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				} `json:"error"`
-			}
-			if err := json.Unmarshal(body, &envl); err != nil || envl.Error.Code == "" || envl.Error.Message == "" {
-				return fmt.Errorf("GET %s: HTTP %d with malformed error envelope %q", path, resp.StatusCode, body)
-			}
-			counts.failed++
-		default:
-			return fmt.Errorf("GET %s: unexpected HTTP %d: %s", path, resp.StatusCode, body)
-		}
-		return nil
-	}
-	for i := 0; i < iters; i++ {
-		if err := hit(paths[i%len(paths)]); err != nil {
-			return err
-		}
-	}
-	log.Printf("  chaos: %d requests — %d ok (%d degraded), %d clean 5xx",
-		iters, counts.ok, counts.degraded, counts.failed)
-	if reg.TotalInjected() == 0 {
-		return errors.New("registry injected no faults; chaos exercised nothing")
-	}
-
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return fmt.Errorf("metrics: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("metrics: read: %v", err)
-	}
-	if !strings.Contains(string(body), "sqe_fault_injected_total") {
-		return errors.New("metrics: sqe_fault_injected_total family missing while registry armed")
-	}
-
-	// Disarm and replay: the engine must return to full-fidelity serving.
-	fault.Disarm()
-	resp, err = client.Get(base + paths[0])
-	if err != nil {
-		return fmt.Errorf("post-disarm: %v", err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("post-disarm: read: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("post-disarm: HTTP %d: %s", resp.StatusCode, body)
-	}
-	if err := wantResults(body); err != nil {
-		return fmt.Errorf("post-disarm: %v", err)
-	}
-	if resp.Header.Get(serve.DegradedHeader) != "" {
-		return errors.New("post-disarm: response still marked degraded")
-	}
-	log.Printf("  ok post-disarm replay fault-free")
-	return nil
 }
 
 // buildLiveServing is -ingest: open (or create) the segmented index at
@@ -675,316 +316,4 @@ func buildLiveServing(scale sqe.DemoScale, dir string, flushDocs int, opts []sqe
 	log.Printf("live index: %d docs in %d segments (%d tombstones)",
 		ls.LiveDocs, ls.DiskSegments, ls.Tombstones)
 	return env, nil
-}
-
-// runIngestSmoke is the live-indexing gate (the Makefile's ingest-smoke
-// target, part of `make verify`). It boots a live engine over an EMPTY
-// segment directory on an ephemeral loopback port, streams the demo
-// corpus through POST /v1/ingest in batches while a concurrent reader
-// hammers the search endpoints (every response it sees — over any
-// half-ingested snapshot — must be well-formed), and then:
-//
-//   - demands bit-identical /v1/search and /v1/baseline rankings
-//     against the monolithic GenerateDemo engine over the same corpus,
-//   - deletes every 7th document and compacts through the endpoint,
-//     re-checking bit-identity against a monolithic survivors oracle
-//     and that no deleted document is still ranked,
-//   - verifies the sqe_live_* metrics family and the ingest endpoint
-//     counters, and the typed 405 envelope on GET.
-func runIngestSmoke(scale sqe.DemoScale, cacheSize int) error {
-	dir, err := os.MkdirTemp("", "sqe-ingest-smoke-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	opts := []sqe.Option{sqe.WithExpansionCache(cacheSize)}
-	log.Println("generating demo environment …")
-	env, docs, err := sqe.GenerateDemoLive(scale, dir, 64, opts...)
-	if err != nil {
-		return err
-	}
-	defer env.Engine.Live().Close()
-	ref, err := sqe.GenerateDemo(scale, opts...)
-	if err != nil {
-		return err
-	}
-
-	srv := serve.New(serve.Config{Engine: env.Engine})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{Timeout: 30 * time.Second}
-
-	type addDoc struct {
-		Name string `json:"name"`
-		Text string `json:"text"`
-	}
-	type ingestReq struct {
-		Add     []addDoc `json:"add,omitempty"`
-		Delete  []string `json:"delete,omitempty"`
-		Flush   bool     `json:"flush,omitempty"`
-		Compact bool     `json:"compact,omitempty"`
-	}
-	type ingestWire struct {
-		Added      int `json:"added"`
-		Deleted    int `json:"deleted"`
-		Segments   int `json:"segments"`
-		BufferDocs int `json:"buffer_docs"`
-		LiveDocs   int `json:"live_docs"`
-		Tombstones int `json:"tombstones"`
-	}
-	post := func(req ingestReq) (ingestWire, error) {
-		var out ingestWire
-		body, err := json.Marshal(req)
-		if err != nil {
-			return out, err
-		}
-		resp, err := client.Post(base+"/v1/ingest", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return out, err
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return out, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return out, fmt.Errorf("POST /v1/ingest: HTTP %d: %s", resp.StatusCode, b)
-		}
-		return out, json.Unmarshal(b, &out)
-	}
-
-	// Concurrent reader: search must stay available and well-formed over
-	// every intermediate snapshot while the corpus streams in. Result
-	// sets legitimately grow request to request; an error status or a
-	// malformed body fails the smoke.
-	q0 := env.Queries[0]
-	params := "q=" + url.QueryEscape(q0.Text) + "&entities=" + url.QueryEscape(strings.Join(q0.EntityTitles, ","))
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	readerErr := make(chan error, 1)
-	var probes atomic.Int64
-	go func() {
-		defer close(readerDone)
-		paths := []string{"/v1/search?" + params + "&k=10", "/v1/baseline?" + params + "&k=10"}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := client.Get(base + paths[i%len(paths)])
-			if err != nil {
-				readerErr <- fmt.Errorf("concurrent reader: %v", err)
-				return
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				readerErr <- fmt.Errorf("concurrent reader: HTTP %d (read err %v): %s", resp.StatusCode, err, body)
-				return
-			}
-			var sr struct {
-				Results []json.RawMessage `json:"results"`
-			}
-			if err := json.Unmarshal(body, &sr); err != nil {
-				readerErr <- fmt.Errorf("concurrent reader: malformed body: %v", err)
-				return
-			}
-			probes.Add(1)
-		}
-	}()
-
-	// Stream the corpus in batches, then flush the tail.
-	const batch = 40
-	total := 0
-	for i := 0; i < len(docs); i += batch {
-		end := i + batch
-		if end > len(docs) {
-			end = len(docs)
-		}
-		add := make([]addDoc, 0, end-i)
-		for _, d := range docs[i:end] {
-			add = append(add, addDoc{Name: d.Name, Text: d.Text})
-		}
-		r, err := post(ingestReq{Add: add})
-		if err != nil {
-			return err
-		}
-		total += r.Added
-	}
-	r, err := post(ingestReq{Flush: true})
-	if err != nil {
-		return err
-	}
-	close(stop)
-	<-readerDone
-	select {
-	case err := <-readerErr:
-		return err
-	default:
-	}
-	if total != len(docs) || r.LiveDocs != len(docs) || r.BufferDocs != 0 {
-		return fmt.Errorf("streamed %d/%d docs but index reports %d live, %d buffered",
-			total, len(docs), r.LiveDocs, r.BufferDocs)
-	}
-	log.Printf("  ok streamed %d docs in %d-doc batches under %d concurrent query probes (%d segments)",
-		total, batch, probes.Load(), r.Segments)
-
-	// checkParity compares live HTTP rankings bit-for-bit (names AND
-	// scores — Go's JSON float encoding round-trips float64 exactly)
-	// against a monolithic oracle engine evaluated in-process.
-	checkParity := func(leg string, oracle *sqe.Engine, deleted map[string]bool) error {
-		ctx := context.Background()
-		compared := 0
-		for i := range env.Queries {
-			q := &env.Queries[i]
-			for _, endpoint := range []string{"search", "baseline"} {
-				p := "q=" + url.QueryEscape(q.Text) + "&k=10"
-				req := sqe.SearchRequest{Query: q.Text, K: 10, Baseline: true}
-				if endpoint == "search" {
-					if len(q.EntityTitles) == 0 {
-						continue
-					}
-					p += "&entities=" + url.QueryEscape(strings.Join(q.EntityTitles, ","))
-					req.EntityTitles = q.EntityTitles
-					req.Baseline = false
-				}
-				want, err := oracle.Do(ctx, req)
-				if err != nil {
-					return fmt.Errorf("%s: oracle %s: %v", leg, q.ID, err)
-				}
-				resp, err := client.Get(base + "/v1/" + endpoint + "?" + p)
-				if err != nil {
-					return fmt.Errorf("%s: GET /v1/%s: %v", leg, endpoint, err)
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					return fmt.Errorf("%s: read: %v", leg, err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					return fmt.Errorf("%s: GET /v1/%s: HTTP %d: %s", leg, endpoint, resp.StatusCode, body)
-				}
-				var got struct {
-					Results []struct {
-						Name  string  `json:"name"`
-						Score float64 `json:"score"`
-					} `json:"results"`
-				}
-				if err := json.Unmarshal(body, &got); err != nil {
-					return fmt.Errorf("%s: GET /v1/%s: %v", leg, endpoint, err)
-				}
-				if len(got.Results) != len(want.Results) {
-					return fmt.Errorf("%s: %s /v1/%s: %d results, oracle has %d",
-						leg, q.ID, endpoint, len(got.Results), len(want.Results))
-				}
-				for j, gr := range got.Results {
-					if deleted[gr.Name] {
-						return fmt.Errorf("%s: %s /v1/%s: deleted document %s still ranked at %d",
-							leg, q.ID, endpoint, gr.Name, j+1)
-					}
-					if gr.Name != want.Results[j].Name || gr.Score != want.Results[j].Score {
-						return fmt.Errorf("%s: %s /v1/%s rank %d: live %s %v, oracle %s %v",
-							leg, q.ID, endpoint, j+1, gr.Name, gr.Score,
-							want.Results[j].Name, want.Results[j].Score)
-					}
-				}
-				compared++
-			}
-		}
-		if compared == 0 {
-			return fmt.Errorf("%s: no query/endpoint pairs compared", leg)
-		}
-		log.Printf("  ok %s parity over %d endpoint/query pairs", leg, compared)
-		return nil
-	}
-	if err := checkParity("post-ingest", ref.Engine, nil); err != nil {
-		return err
-	}
-
-	// Delete every 7th document and compact the tombstones away, then
-	// re-check bit-identity against a monolithic index over the
-	// survivors only.
-	deleted := map[string]bool{}
-	var delNames []string
-	for i, d := range docs {
-		if i%7 == 0 {
-			deleted[d.Name] = true
-			delNames = append(delNames, d.Name)
-		}
-	}
-	if r, err = post(ingestReq{Delete: delNames, Compact: true}); err != nil {
-		return err
-	}
-	if r.Deleted != len(delNames) || r.Tombstones != 0 || r.Segments != 1 || r.LiveDocs != len(docs)-len(delNames) {
-		return fmt.Errorf("delete+compact: unexpected state %+v (deleted %d of %d)", r, r.Deleted, len(delNames))
-	}
-	b := sqe.NewIndexBuilder()
-	for _, d := range docs {
-		if !deleted[d.Name] {
-			b.Add(d.Name, d.Text)
-		}
-	}
-	oracle := sqe.NewEngine(ref.Engine.Graph(), b.Build(), opts...)
-	if err := checkParity("post-delete", oracle, deleted); err != nil {
-		return err
-	}
-	log.Printf("  ok delete+compact: %d deleted, %d survivors in %d segment(s)",
-		len(delNames), r.LiveDocs, r.Segments)
-
-	// The live gauge/counter family and the ingest endpoint counters
-	// must be exported.
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return fmt.Errorf("metrics: %v", err)
-	}
-	mbody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("metrics: read: %v", err)
-	}
-	for _, m := range []string{
-		fmt.Sprintf("sqe_live_docs %d", len(docs)-len(delNames)),
-		fmt.Sprintf("sqe_live_ingested_total %d", len(docs)),
-		fmt.Sprintf("sqe_live_deleted_total %d", len(delNames)),
-		"sqe_live_segments 1",
-		"sqe_live_tombstones 0",
-		"sqe_live_compactions_total 1",
-		`sqe_http_requests_total{endpoint="ingest"}`,
-	} {
-		if !strings.Contains(string(mbody), m) {
-			return fmt.Errorf("metrics: %q missing", m)
-		}
-	}
-	log.Printf("  ok metrics: sqe_live_* family exported")
-
-	// Mutations must be POST-only, with the typed envelope.
-	resp, err = client.Get(base + "/v1/ingest")
-	if err != nil {
-		return fmt.Errorf("GET /v1/ingest: %v", err)
-	}
-	ebody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("GET /v1/ingest: read: %v", err)
-	}
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		return fmt.Errorf("GET /v1/ingest: HTTP %d, want 405", resp.StatusCode)
-	}
-	var envl struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(ebody, &envl); err != nil || envl.Error.Code == "" {
-		return fmt.Errorf("GET /v1/ingest: malformed 405 envelope %q", ebody)
-	}
-	log.Printf("  ok GET rejected with typed 405 envelope (%s)", envl.Error.Code)
-	return nil
 }

@@ -62,8 +62,8 @@ type DemoDoc struct {
 // GenerateDemoCorpus is GenerateDemo plus the raw document stream: the
 // returned docs are every indexed document in index order, so a caller
 // can rebuild (or incrementally re-ingest) a corpus guaranteed
-// identical to the environment's index. The ingest smoke and the
-// segment differential tests are built on this.
+// identical to the environment's index. The /v1/ingest streaming test
+// and the segment differential tests are built on this.
 func GenerateDemoCorpus(scale DemoScale, opts ...Option) (*DemoEnv, []DemoDoc, error) {
 	return generateDemo(scale, &[]DemoDoc{}, opts...)
 }

@@ -101,6 +101,12 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 				if gd != DocEnd && st.Freq() != sl.Freq() {
 					t.Fatalf("%s: Advance(%d) Freq %d vs %d", label, target, st.Freq(), sl.Freq())
 				}
+				// One skip decodes at most the landing block, never the
+				// blocks it skipped over: decoded < total on any
+				// multi-block list.
+				if st.Decoded > 1 {
+					t.Fatalf("%s: Advance(%d) decoded %d of %d blocks", label, target, st.Decoded, st.NumBlocks())
+				}
 			}
 
 			// Seeded random interleavings of Next/Advance/Freq/PeekNext.

@@ -95,6 +95,7 @@ func TestBlockMaxOverV2File(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
+	var scoredFull, scoredPruned, blockEvals, decoded, blocks int64
 	for _, m := range pruningModels {
 		for qname, q := range pruningQueries() {
 			for _, k := range []int{1, 5, 25} {
@@ -104,11 +105,25 @@ func TestBlockMaxOverV2File(t *testing.T) {
 				full := NewSearcher(mem)
 				full.Model, full.Params, full.Mu = m.model, m.params, m.mu
 				full.DisablePruning = true
-				want := full.Search(q, k)
-				got := pruned.Search(q, k)
+				want, fst := full.SearchWithStats(q, k)
+				got, pst := pruned.SearchWithStats(q, k)
 				assertIdenticalResults(t, fmt.Sprintf("v2/%s/%s k=%d", m.name, qname, k), got, want)
+				scoredFull += fst.CandidatesExamined
+				scoredPruned += pst.CandidatesExamined
+				blockEvals += pst.BlockBoundEvaluations
+				decoded += pst.BlocksDecoded
+				blocks += pst.BlocksTotal
 			}
 		}
+	}
+	if blockEvals == 0 {
+		t.Error("block bounds were never consulted over the v2 file")
+	}
+	if decoded == 0 || decoded >= blocks {
+		t.Errorf("streaming cursors decoded %d of %d blocks: skipping saved no decode", decoded, blocks)
+	}
+	if scoredFull < 2*scoredPruned {
+		t.Errorf("pruning over the v2 file scored %d documents against %d exhaustive: less than the 2x floor", scoredPruned, scoredFull)
 	}
 	if disk.Err() != nil {
 		t.Fatalf("lazy decode recorded an error: %v", disk.Err())

@@ -2,7 +2,6 @@ package search
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/index"
 )
@@ -57,23 +56,7 @@ type evalScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
-// scratchPoolingOff disables reuse when set (each get allocates a fresh
-// scratch, puts drop it) — the control leg of the hotpath benchmark's
-// allocation measurements. Zero value: pooling on.
-var scratchPoolingOff atomic.Bool
-
-// SetScratchPooling toggles evaluator-scratch pooling at runtime.
-// Pooling is on by default; turning it off makes every query allocate
-// fresh evaluator state, which is only useful for benchmarking the
-// pool's effect.
-func SetScratchPooling(on bool) { scratchPoolingOff.Store(!on) }
-
-func getScratch() *evalScratch {
-	if scratchPoolingOff.Load() {
-		return new(evalScratch)
-	}
-	return scratchPool.Get().(*evalScratch)
-}
+func getScratch() *evalScratch { return scratchPool.Get().(*evalScratch) }
 
 // putScratch returns sc to the pool after dropping every reference that
 // could pin an index, an mmap region, or a caller-visible result across
@@ -107,9 +90,6 @@ func putScratch(sc *evalScratch) {
 	}
 	sc.merged = sc.merged[:0]
 	sc.sorter = ubSorter{}
-	if scratchPoolingOff.Load() {
-		return
-	}
 	scratchPool.Put(sc)
 }
 

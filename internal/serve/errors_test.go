@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -10,6 +12,9 @@ import (
 
 	sqe "repro"
 	"repro/internal/fault"
+	"repro/internal/index"
+	"repro/internal/rpc"
+	"repro/internal/search"
 )
 
 // metricValue scrapes one un-labelled (or fully-labelled) counter from
@@ -50,7 +55,7 @@ func TestErrorPaths(t *testing.T) {
 		{
 			name:       "malformed JSON body",
 			method:     http.MethodPost,
-			target:     "/search",
+			target:     "/v1/search",
 			body:       `{"query": "cable cars",`,
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -63,7 +68,7 @@ func TestErrorPaths(t *testing.T) {
 		{
 			name:       "unknown JSON field",
 			method:     http.MethodPost,
-			target:     "/search",
+			target:     "/v1/search",
 			body:       `{"query": "cable cars", "entites": ["Cable car"]}`,
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -72,7 +77,7 @@ func TestErrorPaths(t *testing.T) {
 		{
 			name:       "wrong JSON type",
 			method:     http.MethodPost,
-			target:     "/baseline",
+			target:     "/v1/baseline",
 			body:       `{"query": "cable cars", "k": "ten"}`,
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -85,7 +90,7 @@ func TestErrorPaths(t *testing.T) {
 			name:       "oversized body",
 			cfg:        Config{MaxBodyBytes: 64},
 			method:     http.MethodPost,
-			target:     "/search",
+			target:     "/v1/search",
 			body:       bigBody,
 			wantStatus: http.StatusRequestEntityTooLarge,
 			wantCode:   CodeBodyTooLarge,
@@ -249,5 +254,108 @@ func TestBackendFailureIs503(t *testing.T) {
 	}
 	if got := metricValue(t, s, `sqe_http_errors_total{endpoint="baseline"}`); got != 1 {
 		t.Errorf("error counter = %g, want 1", got)
+	}
+}
+
+// loopbackShards serves ix as n RPC shard servers on loopback TCP and
+// returns the coordinator over them, wired as sqe-serve's coordinator
+// mode wires it (client retries off: the degradation policy owns them).
+func loopbackShards(t *testing.T, ix *index.Index, n int) *search.RemoteSharded {
+	t.Helper()
+	sh := index.NewSharded(ix, n)
+	groups := make([]*rpc.Group, n)
+	for i := range groups {
+		srv := rpc.NewServer()
+		search.NewShardService(sh.Shard(i), i, n).Register(srv)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		c := rpc.NewClient(ln.Addr().String(), rpc.ClientOptions{MaxRetries: -1})
+		groups[i] = rpc.NewGroup([]*rpc.Client{c}, rpc.GroupOptions{})
+	}
+	rs, err := search.NewRemoteSharded(context.Background(), groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	return rs
+}
+
+// TestChaosOverHTTP: seeded random error, latency and panic faults
+// driven through the HTTP handlers — at every registered point over
+// in-process shards, and at the coordinator's rpc.client_call over RPC
+// shard servers (they share this process's registry, so arming the rest
+// would inject inside the shard handlers, which a coordinator process
+// never does). Every reply must be a 200 with results (degraded or not)
+// or a typed 5xx envelope, and once the registry is disarmed the same
+// request serves clean again.
+func TestChaosOverHTTP(t *testing.T) {
+	defer fault.Disarm()
+	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	g, ix := env.Engine.Graph(), env.Engine.Index()
+	q := env.Queries[0]
+	params := "q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q))
+	paths := []string{"/v1/search?" + params + "&k=10", "/v1/search?" + params + "&k=5&set=T", "/v1/baseline?" + params + "&k=10"}
+	for _, c := range []struct {
+		name     string
+		searcher sqe.Option
+		points   []fault.Point
+	}{
+		{"in-process shards", sqe.WithShards(4), fault.Points()},
+		{"rpc shards", sqe.WithDistributedSearcher(loopbackShards(t, ix, 2)), []fault.Point{fault.RPCClient}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := testServer(t, Config{Engine: sqe.NewEngine(g, ix, c.searcher,
+				sqe.WithExpansionCache(256), sqe.WithDegradation(sqe.DefaultDegradation()))})
+			reg := fault.NewRegistry(1)
+			for _, p := range c.points {
+				pol := fault.Policy{ErrRate: 0.02, Transient: true, LatencyRate: 0.01, Latency: 200 * time.Microsecond}
+				switch p {
+				case fault.ShardEval, fault.SQECRun:
+					pol.ErrRate, pol.PanicRate = 0.15, 0.05
+				case fault.MotifExpand:
+					pol.ErrRate, pol.Transient = 0.25, false
+				case fault.ExpansionCache, fault.RPCClient:
+					pol.ErrRate = 0.30
+				}
+				reg.Set(p, pol)
+			}
+			fault.Arm(reg)
+			defer fault.Disarm()
+			for i := 0; i < 60; i++ {
+				w := do(t, s, http.MethodGet, paths[i%len(paths)], "")
+				switch {
+				case w.Code == http.StatusOK:
+					if len(decodeSearch(t, w).Results) == 0 {
+						t.Fatalf("request %d: 200 without results: %s", i, w.Body.String())
+					}
+				case w.Code >= 500:
+					var e apiError
+					if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Err.Code == "" || e.Err.Message == "" {
+						t.Fatalf("request %d: HTTP %d with malformed envelope %q", i, w.Code, w.Body.String())
+					}
+				default:
+					t.Fatalf("request %d: unexpected HTTP %d: %s", i, w.Code, w.Body.String())
+				}
+			}
+			if reg.TotalInjected() == 0 {
+				t.Fatal("registry injected no faults; chaos exercised nothing")
+			}
+			if !strings.Contains(do(t, s, http.MethodGet, "/metrics", "").Body.String(), "sqe_fault_injected_total{") {
+				t.Error("sqe_fault_injected_total family missing while the registry is armed")
+			}
+
+			fault.Disarm()
+			w := do(t, s, http.MethodGet, paths[0], "")
+			if w.Code != http.StatusOK || len(decodeSearch(t, w).Results) == 0 {
+				t.Fatalf("post-disarm: HTTP %d: %s", w.Code, w.Body.String())
+			}
+			if h := w.Header().Get(DegradedHeader); h != "" {
+				t.Errorf("post-disarm reply still marked degraded: %q", h)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,12 +89,118 @@ func TestIngestEndpoint(t *testing.T) {
 		"sqe_live_tombstones 0",
 		"sqe_live_ingested_total 20",
 		"sqe_live_deleted_total 2",
+		"sqe_live_compactions_total 1",
 		`sqe_http_requests_total{endpoint="ingest"} 3`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// TestIngestStreamParity: the demo corpus streamed through POST
+// /v1/ingest in batches — while a concurrent reader queries whatever
+// half-ingested snapshot is current — ends up answering /v1/search and
+// /v1/baseline exactly (names and scores) as a monolithic engine over
+// the same documents does; and again after deleting every 7th document
+// and compacting, against an index built from the survivors only.
+func TestIngestStreamParity(t *testing.T) {
+	ref, docs, err := sqe.GenerateDemoCorpus(sqe.DemoSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := sqe.OpenLiveIndex(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	s := New(Config{Engine: sqe.NewLiveEngine(ref.Engine.Graph(), live)})
+	post := func(req ingestRequest) ingestResponse {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, s, http.MethodPost, "/v1/ingest", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST /v1/ingest: status %d: %s", w.Code, w.Body.String())
+		}
+		return decodeIngest(t, w)
+	}
+	targets := func(q sqe.DemoQuery) []string {
+		return []string{
+			"/v1/search?q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q)) + "&k=10",
+			"/v1/baseline?q=" + paramEscape(q.Text) + "&k=10",
+		}
+	}
+
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	readerTargets := targets(ref.Queries[0])
+	go func() {
+		defer close(readerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			target := readerTargets[i%len(readerTargets)]
+			w := do(t, s, http.MethodGet, target, "")
+			var sr searchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &sr); w.Code != http.StatusOK || err != nil {
+				t.Errorf("reader during ingest: %s: status %d, decode error %v: %s", target, w.Code, err, w.Body.String())
+				return
+			}
+		}
+	}()
+	const batch = 40
+	for i := 0; i < len(docs); i += batch {
+		var req ingestRequest
+		for _, d := range docs[i:min(i+batch, len(docs))] {
+			req.Add = append(req.Add, ingestDoc{Name: d.Name, Text: d.Text})
+		}
+		if r := post(req); r.Added != len(req.Add) {
+			t.Fatalf("batch at %d: added %d of %d", i, r.Added, len(req.Add))
+		}
+	}
+	r := post(ingestRequest{Flush: true})
+	close(stop)
+	<-readerDone
+	if r.LiveDocs != len(docs) || r.BufferDocs != 0 {
+		t.Fatalf("streamed %d docs, index reports %d live and %d buffered", len(docs), r.LiveDocs, r.BufferDocs)
+	}
+
+	// sameAs demands every demo query's replies equal the ones a server
+	// over the oracle engine gives, took_ms aside.
+	sameAs := func(leg string, oracle *sqe.Engine) {
+		t.Helper()
+		oracleSrv := New(Config{Engine: oracle})
+		for _, q := range ref.Queries {
+			for _, target := range targets(q) {
+				got, want := decodeSearch(t, do(t, s, http.MethodGet, target, "")), decodeSearch(t, do(t, oracleSrv, http.MethodGet, target, ""))
+				got.TookMs, want.TookMs = 0, 0
+				if len(want.Results) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s %s:\nlive:   %+v\noracle: %+v", leg, q.ID, target, got, want)
+				}
+			}
+		}
+	}
+	sameAs("post-ingest", ref.Engine)
+
+	var deleted []string
+	b := sqe.NewIndexBuilder()
+	for i, d := range docs {
+		if i%7 == 0 {
+			deleted = append(deleted, d.Name)
+		} else {
+			b.Add(d.Name, d.Text)
+		}
+	}
+	r = post(ingestRequest{Delete: deleted, Compact: true})
+	if r.Deleted != len(deleted) || r.Tombstones != 0 || r.Segments != 1 || r.LiveDocs != len(docs)-len(deleted) {
+		t.Fatalf("delete+compact of %d docs left %+v", len(deleted), r)
+	}
+	sameAs("post-delete", sqe.NewEngine(ref.Engine.Graph(), b.Build()))
 }
 
 func TestIngestMethodAndBodyErrors(t *testing.T) {

@@ -47,8 +47,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&sb, "sqe_http_queue_waits_total %d\n", s.queueWaits.Load())
 	counter("sqe_http_queue_timeouts_total", "Queued requests shed after waiting QueueTimeout without a slot.")
 	fmt.Fprintf(&sb, "sqe_http_queue_timeouts_total %d\n", s.queueTimeouts.Load())
-	counter("sqe_http_deprecated_requests_total", "Requests served through a deprecated unversioned path alias.")
-	fmt.Fprintf(&sb, "sqe_http_deprecated_requests_total %d\n", s.deprecated.Load())
 	counter("sqe_http_timeouts_total", "Requests that hit the per-request deadline (504).")
 	fmt.Fprintf(&sb, "sqe_http_timeouts_total %d\n", s.timeouts.Load())
 	gauge("sqe_http_in_flight", "Work requests currently evaluating.")
@@ -206,7 +204,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // Pipeline returns a copy of the aggregated pipeline stats served so far
-// (what /metrics exports); useful for tests and the -smoke self-check.
+// (what /metrics exports); useful for tests.
 func (s *Server) Pipeline() sqe.PipelineStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

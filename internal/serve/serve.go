@@ -13,12 +13,6 @@
 //	GET      /metrics      — Prometheus text metrics (pipeline stages,
 //	                         evaluator counters, expansion cache, HTTP)
 //
-// The original unversioned paths (/search, /expand, /baseline) remain
-// as aliases onto the same handlers — responses are byte-identical —
-// but every reply through them carries a Deprecation header and a Link
-// to the v1 successor, so clients can be found and migrated before the
-// aliases are removed.
-//
 // Work endpoints accept either query parameters (?q=…&entities=a,b&k=10)
 // or a JSON body ({"query": …, "entities": […], "k": …}); responses are
 // JSON. Errors use one typed envelope on every endpoint and version:
@@ -135,7 +129,6 @@ type Server struct {
 	queueLen      atomic.Int64 // requests currently waiting for a slot
 	queueWaits    atomic.Int64 // requests that entered the wait queue
 	queueTimeouts atomic.Int64 // queued requests shed after QueueTimeout
-	deprecated    atomic.Int64 // requests served through a legacy alias
 
 	// Degradation counters, folded from SearchResponse.Degraded by every
 	// work request that goes through runDo.
@@ -162,19 +155,11 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight > 0 {
 		s.limiter = make(chan struct{}, cfg.MaxInFlight)
 	}
-	for name, h := range map[string]http.HandlerFunc{
-		"search":   s.work(&s.search, s.handleSearch),
-		"expand":   s.work(&s.expand, s.handleExpand),
-		"baseline": s.work(&s.baseline, s.handleBaseline),
-	} {
-		s.mux.HandleFunc("/v1/"+name, h)
-		// The pre-versioning path serves the identical handler — bodies
-		// are byte-for-byte the same — plus the deprecation headers.
-		s.mux.HandleFunc("/"+name, s.deprecatedAlias(name, h))
-	}
-	// Ingest is v1-only (no legacy alias existed) and POST-only: it
-	// mutates the index, so serving it on GET would invite accidental
-	// replays by crawlers and prefetchers.
+	s.mux.HandleFunc("/v1/search", s.work(&s.search, s.handleSearch))
+	s.mux.HandleFunc("/v1/expand", s.work(&s.expand, s.handleExpand))
+	s.mux.HandleFunc("/v1/baseline", s.work(&s.baseline, s.handleBaseline))
+	// Ingest is POST-only: it mutates the index, so serving it on GET
+	// would invite accidental replays by crawlers and prefetchers.
 	s.mux.HandleFunc("/v1/ingest", s.postOnly(&s.ingest, s.work(&s.ingest, s.handleIngest)))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -191,18 +176,6 @@ func (s *Server) postOnly(st *endpointStats, h http.HandlerFunc) http.HandlerFun
 			writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "use POST")
 			return
 		}
-		h(w, r)
-	}
-}
-
-// deprecatedAlias wraps a v1 handler for its legacy unversioned path:
-// same handler, same body, plus the RFC 8594 Deprecation header and a
-// successor-version Link clients can follow to migrate.
-func (s *Server) deprecatedAlias(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.deprecated.Add(1)
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1/"+name+">; rel=\"successor-version\"")
 		h(w, r)
 	}
 }

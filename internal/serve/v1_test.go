@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -11,87 +10,6 @@ import (
 
 	sqe "repro"
 )
-
-// stripTook re-marshals a JSON body with the took_ms timing field
-// removed (map marshalling sorts keys), so two responses can be compared
-// byte-for-byte modulo the one field that legitimately differs per
-// request.
-func stripTook(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("bad JSON body: %v\n%s", err, body)
-	}
-	delete(m, "took_ms")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestV1LegacyParity: the unversioned paths are aliases onto the exact
-// v1 handlers — same engine, byte-identical bodies (modulo took_ms) —
-// distinguished only by the Deprecation/Link headers on the legacy side.
-func TestV1LegacyParity(t *testing.T) {
-	s, q := testServer(t, Config{})
-	for _, ep := range []struct{ name, params string }{
-		{"search", "?q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q)) + "&k=10"},
-		{"baseline", "?q=" + paramEscape(q.Text) + "&k=5"},
-		{"expand", "?q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q))},
-	} {
-		t.Run(ep.name, func(t *testing.T) {
-			v1 := do(t, s, http.MethodGet, "/v1/"+ep.name+ep.params, "")
-			legacy := do(t, s, http.MethodGet, "/"+ep.name+ep.params, "")
-			if v1.Code != http.StatusOK || legacy.Code != v1.Code {
-				t.Fatalf("status v1=%d legacy=%d: %s", v1.Code, legacy.Code, legacy.Body.String())
-			}
-			if got, want := stripTook(t, legacy.Body.Bytes()), stripTook(t, v1.Body.Bytes()); !bytes.Equal(got, want) {
-				t.Errorf("legacy body diverges from v1:\nlegacy: %s\nv1:     %s", got, want)
-			}
-			if dep := legacy.Header().Get("Deprecation"); dep != "true" {
-				t.Errorf("legacy alias Deprecation header = %q, want \"true\"", dep)
-			}
-			wantLink := "</v1/" + ep.name + ">; rel=\"successor-version\""
-			if link := legacy.Header().Get("Link"); link != wantLink {
-				t.Errorf("legacy alias Link header = %q, want %q", link, wantLink)
-			}
-			if dep := v1.Header().Get("Deprecation"); dep != "" {
-				t.Errorf("v1 response carries Deprecation header %q", dep)
-			}
-			if link := v1.Header().Get("Link"); link != "" {
-				t.Errorf("v1 response carries Link header %q", link)
-			}
-		})
-	}
-	if n := s.deprecated.Load(); n != 3 {
-		t.Errorf("deprecated-alias counter = %d, want 3", n)
-	}
-}
-
-// TestErrorParityAcrossVersions: error envelopes are identical on both
-// surfaces — same status, same typed {"error":{"code","message"}} body.
-func TestErrorParityAcrossVersions(t *testing.T) {
-	s, _ := testServer(t, Config{})
-	for _, target := range []string{"/search?k=abc", "/v1/search?k=abc"} {
-		w := do(t, s, http.MethodGet, target, "")
-		if w.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", target, w.Code)
-		}
-		var env apiError
-		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
-			t.Fatalf("%s: not the typed envelope: %v", target, err)
-		}
-		if env.Err.Code != CodeBadRequest {
-			t.Errorf("%s: code %q, want %q", target, env.Err.Code, CodeBadRequest)
-		}
-	}
-	v1 := do(t, s, http.MethodGet, "/v1/search?k=abc", "")
-	legacy := do(t, s, http.MethodGet, "/search?k=abc", "")
-	if !bytes.Equal(v1.Body.Bytes(), legacy.Body.Bytes()) {
-		t.Errorf("error bodies diverge:\nlegacy: %s\nv1:     %s", legacy.Body.String(), v1.Body.String())
-	}
-}
 
 // TestAdmissionQueueAdmits: with the limiter saturated and a queue
 // configured, a request waits for the slot instead of shedding, and is

@@ -60,6 +60,7 @@ func TestEnginePruningStats(t *testing.T) {
 	full := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithPruning(false))
 	pruned := NewEngine(e.Engine.Graph(), e.Engine.Index())
 	var sawSkip bool
+	var scoredFull, scoredPruned int64
 	for _, q := range e.Queries {
 		req := SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 10, CollectStats: true}
 		want, err := full.Do(context.Background(), req)
@@ -84,8 +85,15 @@ func TestEnginePruningStats(t *testing.T) {
 		if ps.DocsSkipped > 0 {
 			sawSkip = true
 		}
+		scoredFull += fs.CandidatesExamined
+		scoredPruned += ps.CandidatesExamined
 	}
 	if !sawSkip {
 		t.Fatal("pruning never skipped a posting across the demo workload")
+	}
+	// Pruning that stops paying for itself is a regression even when
+	// nothing is wrong numerically.
+	if scoredFull < 2*scoredPruned {
+		t.Fatalf("pruned engine scored %d documents against %d exhaustive: less than the 2x floor", scoredPruned, scoredFull)
 	}
 }

@@ -244,8 +244,8 @@ func WithDirichletMu(mu float64) Option {
 // scores stay bit-identical to the unpruned evaluator for every
 // retrieval model and shard count (the differential tests in
 // pruning_diff_test.go enforce this). WithPruning(false) is the escape
-// hatch for debugging and the full-evaluation side of
-// `sqe-bench -exp pruning`.
+// hatch for debugging and the exhaustive reference those tests and the
+// bench/ oracle compare against.
 func WithPruning(on bool) Option {
 	return func(e *Engine) { e.searcher.DisablePruning = !on }
 }
@@ -337,8 +337,9 @@ type DistributedSearcher = search.Distributed
 // The shard servers must hold the same corpus partitioned with the same
 // round-robin function (index.NewSharded) and the same analyzer — the
 // coordinator verifies shard identity at handshake and leaf-count
-// agreement per query, and `make distributed-smoke` enforces the full
-// bit-identity end to end. Takes precedence over WithShards.
+// agreement per query, and cmd/sqe-serve's TestMultiProcessServing
+// enforces the full bit-identity over real processes. Takes precedence
+// over WithShards.
 func WithDistributedSearcher(d DistributedSearcher) Option {
 	return func(e *Engine) { e.sharded = d }
 }
