@@ -16,19 +16,21 @@ test:
 	$(GO) test ./...
 
 # Race-checks the packages with concurrency: parallel expansion, the
-# index's positional-leaf memo (its contention test ten times over), the
-# retrieval hot path, the RPC wire, the fault-injection chaos harness,
+# index's positional-leaf and tombstone-correction memos (their
+# contention tests ten times over), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
 # the HTTP serving layer, and the root package's parallel-SQE_C /
 # shared-Engine / index-while-chaos stress tests.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
-	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent' ./internal/index/
+	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent' ./internal/index/
 
 # Expanded retrieval, the positional miss path it rests on (the exported
 # phrase / window materialisers run the same intersection the memo
-# fills from), and the memo hit every warm phrase leaf takes.
+# fills from), the memo hit every warm phrase leaf takes, and SQE_C over
+# a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
+# read flat across the three).
 bench:
-	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|UnorderedWindow' -benchmem .
+	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|UnorderedWindow|SegmentedTombstoned' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
@@ -54,7 +56,7 @@ index-parity:
 # The live index (DESIGN.md §5l): segmented vs monolithic, chaos and
 # crash/restart differentials, manifests, /v1/ingest.
 segment-parity:
-	$(GO) test -race -count=1 -run 'TestSegmented|TestIndexWhileChaos|TestManifest|TestWriteReadManifest|TestReadManifest|TestCleanOrphans|TestCloseIdempotent|TestOpenCloseLeakFree|TestIngest' . ./internal/index/ ./internal/search/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestSegmented|TestTombstone|TestIndexWhileChaos|TestManifest|TestWriteReadManifest|TestReadManifest|TestCleanOrphans|TestCloseIdempotent|TestOpenCloseLeakFree|TestIngest' . ./internal/index/ ./internal/search/ ./internal/serve/
 
 # Fault injection (DESIGN.md §5g): the registry, the engine-level chaos
 # harness and the HTTP-level one.

@@ -19,6 +19,7 @@ package sqe
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -480,5 +481,55 @@ func BenchmarkUnorderedWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := windows[i%len(windows)]
 		_ = ix.UnorderedWindowPostings(w, len(w)+2)
+	}
+}
+
+// BenchmarkSegmentedTombstoned is SQE_C retrieval (k = 10) over a live
+// index holding the DemoSmall collection as one v2 segment, with 0, 64
+// and 1 024 of its documents tombstoned, warmed so the expansion cache,
+// the positional memo and the tombstone-correction memo all hit. A
+// tombstone costs one bit test per candidate and nothing per leaf, so
+// ns/op and allocs/op must stay flat from the first row to the last.
+func BenchmarkSegmentedTombstoned(b *testing.B) {
+	for _, tombstones := range []int{0, 64, 1024} {
+		b.Run(fmt.Sprintf("tombstones=%d", tombstones), func(b *testing.B) {
+			env, docs, err := GenerateDemoLive(DemoSmall, b.TempDir(), 1<<20, WithExpansionCache(256)) // no automatic flush
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer env.Engine.Live().Close()
+			for _, d := range docs {
+				if err := env.Engine.Ingest(d.Name, d.Text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := env.Engine.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			var dead []string
+			for i := 0; i < tombstones; i++ {
+				dead = append(dead, docs[i*len(docs)/tombstones].Name)
+			}
+			if n, err := env.Engine.DeleteBatch(dead); err != nil || n != tombstones {
+				b.Fatalf("DeleteBatch = %d, %v; want %d", n, err, tombstones)
+			}
+			reqs := make([]SearchRequest, len(env.Queries))
+			for i, q := range env.Queries {
+				reqs[i] = SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
+			}
+			ctx := context.Background()
+			for _, req := range reqs { // warm
+				if _, err := env.Engine.Do(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.Engine.Do(ctx, reqs[i%len(reqs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,9 +41,20 @@ import (
 //
 // A Segmented is safe for concurrent use: mutators serialise on an
 // internal lock, readers are lock-free (one atomic load + refcount per
-// query).
+// query) unless ingests are pending publication, and then wait only on
+// memory-speed sections — never on a flush, a merge or a manifest
+// commit.
 type Segmented struct {
+	// mu serialises the mutators (Ingest, DeleteBatch, Flush, Compact,
+	// Close) and is held across their disk I/O. pub guards the state a
+	// snapshot is built from and is only ever held for memory-speed
+	// sections: a mutator takes it, after mu, around each in-memory state
+	// change; Acquire takes it alone to publish pending ingests. State
+	// the mutators write is written under both locks, so it may be read
+	// under either; state Acquire's publication writes (the seal, gen,
+	// cur) is pub's alone.
 	mu       sync.Mutex
+	pub      sync.Mutex
 	dir      string
 	analyzer analysis.Analyzer
 	// flushDocs is the buffer-size flush trigger, in documents.
@@ -50,19 +62,20 @@ type Segmented struct {
 
 	// disk holds the committed segments, ascending by sequence number —
 	// which is ingestion order, the property global DocID assignment
-	// relies on. tombs holds their authoritative tombstone sets; the
-	// slices are replaced, never appended to, so snapshots alias them
-	// safely.
-	disk  []*segment
-	tombs map[uint64][]DocID
+	// relies on. Each carries its own delete-side state.
+	disk []*segment
 
-	// buf accumulates streamed documents; bufTombs are deletes that hit
-	// buffered docs. bufSealed caches the immutable copy of the buffer
-	// at generation bufSealedGen — valid until the next Ingest (deletes
-	// do not touch the builder, so the seal survives them).
+	// buf accumulates streamed documents; bufDel are the deletes that hit
+	// buffered docs and bufNames indexes the buffer by document name (kept
+	// at Ingest). bufSealed caches the immutable copy of the buffer at
+	// generation bufSealedGen — valid until the next Ingest (deletes do
+	// not touch the builder, so the seal survives them) — and bufMemo is
+	// that seal's tombstone-correction memo.
 	buf          *Builder
-	bufTombs     []DocID
+	bufDel       tombstones
+	bufNames     *nameIndex
 	bufSealed    *Index
+	bufMemo      *corrections
 	bufGen       uint64
 	bufSealedGen uint64
 
@@ -83,6 +96,12 @@ type Segmented struct {
 	deleted     atomic.Int64
 	flushes     atomic.Int64
 	compactions atomic.Int64
+	commits     atomic.Int64
+
+	// mergeGate, when non-nil, runs inside Compact once the merge is
+	// under way (mu held, nothing swapped yet). Tests park the mutator
+	// there to prove readers do not wait on it.
+	mergeGate func()
 }
 
 // segment is one committed on-disk segment. refs counts the snapshots
@@ -94,6 +113,69 @@ type segment struct {
 	ix   *Index
 	refs atomic.Int32
 	dead atomic.Bool
+
+	// del is the segment's authoritative tombstone state and memo the
+	// correction memo over its log; both live and die with the segment.
+	del  tombstones
+	memo *corrections
+	// names finds the segment's documents, live or deleted, by name.
+	// Memory-only and built under Segmented.mu — handed over by the buffer
+	// at flush, built from the merged names at compact, and otherwise (a
+	// segment found at open) on the first delete.
+	names *nameIndex
+}
+
+// byName returns sg.names, building it on first use.
+func (sg *segment) byName() *nameIndex {
+	if sg.names == nil {
+		sg.names = nameIndexOf(sg.ix.docNames)
+	}
+	return sg.names
+}
+
+// nameIndex maps a document name to the local DocIDs carrying it. Names
+// are almost always unique, so the first document of a name sits in the
+// map itself and only repeats pay for a slice.
+type nameIndex struct {
+	first map[string]DocID
+	more  map[string][]DocID
+}
+
+// nameIndexOf indexes a document-name column by name.
+func nameIndexOf(docNames []string) *nameIndex {
+	n := &nameIndex{first: make(map[string]DocID, len(docNames))}
+	for id, name := range docNames {
+		n.add(name, DocID(id))
+	}
+	return n
+}
+
+func (n *nameIndex) add(name string, d DocID) {
+	if _, dup := n.first[name]; !dup {
+		n.first[name] = d
+		return
+	}
+	if n.more == nil {
+		n.more = make(map[string][]DocID)
+	}
+	n.more[name] = append(n.more[name], d)
+}
+
+// live appends to dst the documents named name that are not in dead.
+func (n *nameIndex) live(dst []DocID, name string, dead DocSet) []DocID {
+	d, ok := n.first[name]
+	if !ok {
+		return dst
+	}
+	if !dead.Has(d) {
+		dst = append(dst, d)
+	}
+	for _, d := range n.more[name] {
+		if !dead.Has(d) {
+			dst = append(dst, d)
+		}
+	}
+	return dst
 }
 
 func (sg *segment) retain() { sg.refs.Add(1) }
@@ -150,7 +232,7 @@ func OpenSegmented(dir string, a analysis.Analyzer, opts ...SegmentedOption) (*S
 		dir:       dir,
 		analyzer:  a,
 		flushDocs: DefaultFlushDocs,
-		tombs:     make(map[uint64][]DocID),
+		bufNames:  nameIndexOf(nil),
 		nextSeq:   m.NextSeq,
 	}
 	for _, opt := range opts {
@@ -175,8 +257,8 @@ func OpenSegmented(dir string, a analysis.Analyzer, opts ...SegmentedOption) (*S
 				return nil, fmt.Errorf("segment %s: tombstone %d out of range (%d docs)", segFileName(e.Seq), d, ix.NumDocs())
 			}
 		}
-		s.disk = append(s.disk, &segment{seq: e.Seq, path: path, ix: ix})
-		s.tombs[e.Seq] = e.Tombs
+		del := tombstones{}.with(ix.docLens, e.Tombs)
+		s.disk = append(s.disk, &segment{seq: e.Seq, path: path, ix: ix, del: del, memo: newCorrections(del.log)})
 	}
 	s.buf = NewBuilder(a)
 	s.installLocked()
@@ -212,27 +294,33 @@ type SegmentedStats struct {
 	Gen uint64
 	// Ingested, Deleted, Flushes, Compactions are lifetime counters.
 	Ingested, Deleted, Flushes, Compactions int64
+	// ManifestCommits counts the manifests committed (temp + fsync +
+	// rename) since open: one per flush, per compaction, and per delete
+	// batch that touched a committed segment.
+	ManifestCommits int64
 }
 
 // Stats reports the live index's current state and lifetime counters.
+// Like Acquire it does not wait on a mutator's disk I/O.
 func (s *Segmented) Stats() SegmentedStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.pub.Lock()
+	defer s.pub.Unlock()
 	st := SegmentedStats{
-		DiskSegments: len(s.disk),
-		BufferDocs:   s.buf.NumDocs(),
-		Gen:          s.gen,
-		Ingested:     s.ingested.Load(),
-		Deleted:      s.deleted.Load(),
-		Flushes:      s.flushes.Load(),
-		Compactions:  s.compactions.Load(),
+		DiskSegments:    len(s.disk),
+		BufferDocs:      s.buf.NumDocs(),
+		Gen:             s.gen,
+		Ingested:        s.ingested.Load(),
+		Deleted:         s.deleted.Load(),
+		Flushes:         s.flushes.Load(),
+		Compactions:     s.compactions.Load(),
+		ManifestCommits: s.commits.Load(),
 	}
 	for _, sg := range s.disk {
-		st.LiveDocs += sg.ix.NumDocs() - len(s.tombs[sg.seq])
-		st.Tombstones += len(s.tombs[sg.seq])
+		st.LiveDocs += sg.ix.NumDocs() - len(sg.del.sorted)
+		st.Tombstones += len(sg.del.sorted)
 	}
-	st.LiveDocs += s.buf.NumDocs() - len(s.bufTombs)
-	st.Tombstones += len(s.bufTombs)
+	st.LiveDocs += s.buf.NumDocs() - len(s.bufDel.sorted)
+	st.Tombstones += len(s.bufDel.sorted)
 	return st
 }
 
@@ -254,97 +342,110 @@ func (s *Segmented) Ingest(name, text string) error {
 	if s.closed {
 		return fmt.Errorf("index: segmented index is closed")
 	}
-	s.buf.Add(name, text)
+	s.pub.Lock()
+	id := s.buf.Add(name, text)
+	s.bufNames.add(name, id)
 	s.bufGen++
+	s.stale.Store(true)
+	s.pub.Unlock()
 	s.ingested.Add(1)
 	if s.buf.NumDocs() >= s.flushDocs {
 		if err := s.flushLocked(); err != nil {
-			s.stale.Store(true)
 			return fmt.Errorf("index: flush after ingest: %w", err)
 		}
-		return nil
 	}
-	s.stale.Store(true)
 	return nil
 }
 
 // Delete tombstones every live document named name (committed or
-// buffered) and returns how many were deleted. Deletes of committed
-// documents persist immediately through a manifest commit; a commit
-// failure leaves the index (memory and disk) unchanged. Deleting a name
-// with no live document is a no-op, not an error.
+// buffered) and returns how many were deleted: DeleteBatch of one name.
 func (s *Segmented) Delete(name string) (int, error) {
+	return s.DeleteBatch([]string{name})
+}
+
+// DeleteBatch tombstones every live document carrying one of names and
+// returns how many were deleted; a name with no live document — unknown,
+// already deleted, or listed a second time — contributes zero and is not
+// an error. The batch is atomic: every tombstone of the list is staged
+// first, the committed segments' share persists through ONE manifest
+// commit, and ONE snapshot publishes the lot, so no reader sees part of
+// a batch. A commit failure leaves the index (memory and disk) unchanged
+// for the whole list, buffered documents included.
+func (s *Segmented) DeleteBatch(names []string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, fmt.Errorf("index: segmented index is closed")
 	}
-	// Stage the new tombstone sets as copies; nothing is visible until
-	// the manifest (when needed) commits.
-	newTombs := make(map[uint64][]DocID)
-	count := 0
-	for _, sg := range s.disk {
-		cur := s.tombs[sg.seq]
-		var add []DocID
-		for id := 0; id < sg.ix.NumDocs(); id++ {
-			if sg.ix.DocName(DocID(id)) == name && !containsDoc(cur, DocID(id)) {
-				add = append(add, DocID(id))
-			}
+	// Stage: the documents to tombstone, per segment and for the buffer.
+	// Nothing is visible until the manifest (when needed) commits.
+	adds := make([][]DocID, len(s.disk))
+	var bufAdd []DocID
+	committed := 0
+	seen := make(map[string]struct{}, len(names))
+	for _, name := range names {
+		if _, dup := seen[name]; dup {
+			continue
 		}
-		if len(add) > 0 {
-			merged := append(append([]DocID(nil), cur...), add...)
-			sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-			newTombs[sg.seq] = merged
-			count += len(add)
+		seen[name] = struct{}{}
+		for i, sg := range s.disk {
+			adds[i] = sg.byName().live(adds[i], name, sg.del.dead)
 		}
+		bufAdd = s.bufNames.live(bufAdd, name, s.bufDel.dead)
 	}
-	var newBufTombs []DocID
-	for id := 0; id < s.buf.NumDocs(); id++ {
-		if s.buf.docNames[id] == name && !containsDoc(s.bufTombs, DocID(id)) {
-			newBufTombs = append(newBufTombs, DocID(id))
-		}
+	for i := range adds {
+		committed += len(adds[i])
 	}
-	if count == 0 && len(newBufTombs) == 0 {
+	if committed == 0 && len(bufAdd) == 0 {
 		return 0, nil
 	}
-	if len(newTombs) > 0 {
-		m := s.manifestLocked(newTombs)
-		if err := writeManifest(s.dir, m); err != nil {
+	staged := make([]tombstones, len(s.disk))
+	for i, sg := range s.disk {
+		staged[i] = sg.del.with(sg.ix.docLens, adds[i])
+	}
+	if committed > 0 {
+		m := s.manifestLocked()
+		for i := range staged {
+			m.Segments[i].Tombs = staged[i].sorted
+		}
+		if err := s.commitLocked(m); err != nil {
 			return 0, err
 		}
-		for seq, t := range newTombs {
-			s.tombs[seq] = t
+	}
+	s.pub.Lock()
+	for i, sg := range s.disk {
+		if len(adds[i]) > 0 {
+			sg.del = staged[i]
+			sg.memo.extend(sg.del.log)
 		}
 	}
-	if len(newBufTombs) > 0 {
-		count += len(newBufTombs)
-		merged := append(append([]DocID(nil), s.bufTombs...), newBufTombs...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-		s.bufTombs = merged
+	s.bufDel = s.bufDel.with(s.buf.docLens, bufAdd)
+	if s.bufMemo != nil {
+		s.bufMemo.extend(s.bufDel.log)
 	}
-	s.deleted.Add(int64(count))
 	s.installLocked()
+	s.pub.Unlock()
+	count := committed + len(bufAdd)
+	s.deleted.Add(int64(count))
 	return count, nil
 }
 
-// containsDoc reports whether sorted holds d.
-func containsDoc(sorted []DocID, d DocID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= d })
-	return i < len(sorted) && sorted[i] == d
-}
-
-// manifestLocked renders the current committed state as a manifest,
-// with override tombstone sets (keyed by seq) taking precedence.
-func (s *Segmented) manifestLocked(override map[uint64][]DocID) *manifest {
+// manifestLocked renders the current committed state as a manifest.
+func (s *Segmented) manifestLocked() *manifest {
 	m := &manifest{NextSeq: s.nextSeq}
 	for _, sg := range s.disk {
-		t := s.tombs[sg.seq]
-		if o, ok := override[sg.seq]; ok {
-			t = o
-		}
-		m.Segments = append(m.Segments, manifestEntry{Seq: sg.seq, Tombs: t})
+		m.Segments = append(m.Segments, manifestEntry{Seq: sg.seq, Tombs: sg.del.sorted})
 	}
 	return m
+}
+
+// commitLocked commits m as the directory's manifest and counts it.
+func (s *Segmented) commitLocked(m *manifest) error {
+	if err := writeManifest(s.dir, m); err != nil {
+		return err
+	}
+	s.commits.Add(1)
+	return nil
 }
 
 // Flush forces the buffer into a new committed segment; a no-op on an
@@ -365,7 +466,9 @@ func (s *Segmented) Flush() error {
 // the manifest, and installs the new snapshot. On any error the
 // in-memory state is unchanged (the buffer keeps its documents); a
 // segment file written before a failed manifest commit is debris that
-// the next flush overwrites or recovery removes.
+// the next flush overwrites or recovery removes. Requires mu; pub is
+// taken only around the seal and the final swap, so readers keep
+// acquiring (and publishing pending ingests) while the file is written.
 func (s *Segmented) flushLocked() error {
 	if s.buf.NumDocs() == 0 {
 		return nil
@@ -373,7 +476,9 @@ func (s *Segmented) flushLocked() error {
 	if err := fault.Check(fault.SegmentFlush); err != nil {
 		return err
 	}
+	s.pub.Lock()
 	sealed := s.sealBufferLocked()
+	s.pub.Unlock()
 	seq := s.nextSeq
 	path := filepath.Join(s.dir, segFileName(seq))
 	if err := WriteFile(path, sealed, FormatV2); err != nil {
@@ -383,23 +488,28 @@ func (s *Segmented) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	m := s.manifestLocked(nil)
-	m.Segments = append(m.Segments, manifestEntry{Seq: seq, Tombs: s.bufTombs})
+	m := s.manifestLocked()
+	m.Segments = append(m.Segments, manifestEntry{Seq: seq, Tombs: s.bufDel.sorted})
 	m.NextSeq = seq + 1
-	if err := writeManifest(s.dir, m); err != nil {
+	if err := s.commitLocked(m); err != nil {
 		ix.Close()
 		return err
 	}
-	s.disk = append(s.disk, &segment{seq: seq, path: path, ix: ix})
-	s.tombs[seq] = s.bufTombs
+	// The new segment holds the buffer's documents under the same local
+	// DocIDs, so the buffer's delete state and name index are its own.
+	s.pub.Lock()
+	s.disk = append(s.disk, &segment{seq: seq, path: path, ix: ix,
+		del: s.bufDel, memo: newCorrections(s.bufDel.log), names: s.bufNames})
 	s.nextSeq = seq + 1
 	s.buf = NewBuilder(s.analyzer)
-	s.bufTombs = nil
-	s.bufSealed = nil
+	s.bufDel = tombstones{}
+	s.bufNames = nameIndexOf(nil)
+	s.bufSealed, s.bufMemo = nil, nil
 	s.bufGen++
 	s.bufSealedGen = 0
 	s.flushes.Add(1)
 	s.installLocked()
+	s.pub.Unlock()
 	return nil
 }
 
@@ -407,7 +517,8 @@ func (s *Segmented) flushLocked() error {
 // documents and preserving ingestion order, then swaps the segment set
 // atomically. Old segment files are deleted once the last snapshot
 // pinning them is released. The buffer is untouched. A no-op when
-// nothing is committed.
+// nothing is committed. Like a flush, the merge holds mu but not pub:
+// readers keep acquiring — pinning the pre-merge segments — throughout.
 func (s *Segmented) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -420,9 +531,12 @@ func (s *Segmented) Compact() error {
 	if err := fault.Check(fault.SegmentMerge); err != nil {
 		return err
 	}
+	if s.mergeGate != nil {
+		s.mergeGate()
+	}
 	ins := make([]mergeInput, len(s.disk))
 	for i, sg := range s.disk {
-		ins[i] = mergeInput{ix: sg.ix, tombs: s.tombs[sg.seq]}
+		ins[i] = mergeInput{ix: sg.ix, dead: sg.del.dead}
 	}
 	merged := mergeInputs(s.analyzer, ins)
 	seq := s.nextSeq
@@ -441,19 +555,21 @@ func (s *Segmented) Compact() error {
 		return err
 	}
 	m := &manifest{Segments: []manifestEntry{{Seq: seq}}, NextSeq: seq + 1}
-	if err := writeManifest(s.dir, m); err != nil {
+	if err := s.commitLocked(m); err != nil {
 		ix.Close()
 		return err
 	}
+	sg := &segment{seq: seq, path: path, ix: ix, memo: newCorrections(nil), names: nameIndexOf(ix.docNames)}
+	s.pub.Lock()
 	old := s.disk
-	s.disk = []*segment{{seq: seq, path: path, ix: ix}}
-	s.tombs = map[uint64][]DocID{seq: nil}
+	s.disk = []*segment{sg}
 	s.nextSeq = seq + 1
 	for _, sg := range old {
 		sg.dead.Store(true)
 	}
 	s.compactions.Add(1)
 	s.installLocked()
+	s.pub.Unlock()
 	return nil
 }
 
@@ -468,19 +584,25 @@ func (s *Segmented) Close() error {
 	if s.closed {
 		return nil
 	}
+	s.pub.Lock()
 	s.closed = true
 	if old := s.cur.Swap(nil); old != nil {
 		old.unref()
 	}
+	s.pub.Unlock()
 	return nil
 }
 
 // sealBufferLocked returns an immutable Index over the buffer's current
 // contents without consuming the Builder, reusing the cached seal when
-// no document arrived since it was made. Row slices are copied at the
-// outer level only: a past document's inner position slices never grow
-// again (the Builder appends to them only while that document is the
-// one being Added), so aliasing them is safe.
+// no document arrived since it was made. Nothing but the term map is
+// copied: every column and row is the Builder's own, cut at its current
+// length and capacity. That is safe because the Builder only ever
+// appends — a later Add writes past the cut (or into a regrown array),
+// and the one place it writes in place, the running frequency and
+// position list of the document being added, is by construction past
+// every seal taken before that Add began. A new seal is a new Index, so
+// it starts a new correction memo. Requires pub.
 func (s *Segmented) sealBufferLocked() *Index {
 	if s.bufSealed != nil && s.bufSealedGen == s.bufGen {
 		return s.bufSealed
@@ -489,9 +611,9 @@ func (s *Segmented) sealBufferLocked() *Index {
 	ix := &Index{
 		analyzer:  b.analyzer,
 		terms:     make(map[string]int32, len(b.terms)),
-		termText:  append([]string(nil), b.termText...),
-		docNames:  append([]string(nil), b.docNames...),
-		docLens:   append([]int32(nil), b.docLens...),
+		termText:  slices.Clip(b.termText),
+		docNames:  slices.Clip(b.docNames),
+		docLens:   slices.Clip(b.docLens),
 		totalToks: b.totalToks,
 		postings:  make([]Postings, len(b.termText)),
 	}
@@ -500,12 +622,12 @@ func (s *Segmented) sealBufferLocked() *Index {
 	}
 	for id := range b.termText {
 		ix.postings[id] = Postings{
-			Docs:      append([]DocID(nil), b.docs[id]...),
-			Freqs:     append([]int32(nil), b.freqs[id]...),
-			Positions: append([][]int32(nil), b.pos[id]...),
+			Docs:      slices.Clip(b.docs[id]),
+			Freqs:     slices.Clip(b.freqs[id]),
+			Positions: slices.Clip(b.pos[id]),
 		}
 	}
-	s.bufSealed = ix
+	s.bufSealed, s.bufMemo = ix, newCorrections(s.bufDel.log)
 	s.bufSealedGen = s.bufGen
 	return ix
 }
@@ -513,32 +635,31 @@ func (s *Segmented) sealBufferLocked() *Index {
 // installLocked builds the snapshot of the current state and publishes
 // it, releasing the previous snapshot's pin. Fully tombstoned segments
 // are skipped — they contribute no live documents and no statistics.
+// Requires pub (or, at open, sole ownership).
 func (s *Segmented) installLocked() {
 	s.gen++
 	sn := &Snapshot{gen: s.gen}
 	sn.refs.Store(1)
+	view := func(sg *segment, ix *Index, del tombstones, memo *corrections) {
+		live := ix.NumDocs() - len(del.sorted)
+		sn.views = append(sn.views, segView{seg: sg, ix: ix, tombs: del.sorted, dead: del.dead, memo: memo,
+			liveDocs: live, liveToks: ix.TotalTokens() - del.toks})
+	}
 	for _, sg := range s.disk {
-		t := s.tombs[sg.seq]
-		live := sg.ix.NumDocs() - len(t)
-		if live == 0 {
+		if sg.ix.NumDocs() == len(sg.del.sorted) {
 			continue
 		}
 		sg.retain()
-		sn.views = append(sn.views, segView{seg: sg, ix: sg.ix, tombs: t, liveDocs: live})
+		view(sg, sg.ix, sg.del, sg.memo)
 	}
-	if s.buf.NumDocs() > len(s.bufTombs) {
-		sealed := s.sealBufferLocked()
-		sn.views = append(sn.views, segView{ix: sealed, tombs: s.bufTombs, liveDocs: sealed.NumDocs() - len(s.bufTombs)})
+	if s.buf.NumDocs() > len(s.bufDel.sorted) {
+		view(nil, s.sealBufferLocked(), s.bufDel, s.bufMemo)
 	}
 	sn.prefix = make([]int, len(sn.views)+1)
 	for i, v := range sn.views {
 		sn.prefix[i+1] = sn.prefix[i] + v.liveDocs
 		sn.numDocs += v.liveDocs
-		toks := v.ix.TotalTokens()
-		for _, d := range v.tombs {
-			toks -= int64(v.ix.DocLen(d))
-		}
-		sn.totalToks += toks
+		sn.totalToks += v.liveToks
 	}
 	if old := s.cur.Swap(sn); old != nil {
 		old.unref()
@@ -554,9 +675,9 @@ func (s *Segmented) installLocked() {
 func (s *Segmented) Acquire() *Snapshot {
 	for {
 		if s.stale.Load() {
-			s.mu.Lock()
+			s.pub.Lock()
 			if s.closed {
-				s.mu.Unlock()
+				s.pub.Unlock()
 				return nil
 			}
 			if s.stale.Load() {
@@ -564,9 +685,9 @@ func (s *Segmented) Acquire() *Snapshot {
 			}
 			sn := s.cur.Load()
 			// cur holds its own reference until the next install, so
-			// under the mutex the pin cannot fail.
+			// under the lock the pin cannot fail.
 			ok := sn != nil && sn.tryRef()
-			s.mu.Unlock()
+			s.pub.Unlock()
 			if !ok {
 				return nil
 			}
@@ -597,12 +718,17 @@ type Snapshot struct {
 	totalToks int64
 }
 
-// segView is one segment's slice of a snapshot.
+// segView is one segment's slice of a snapshot. tombs and dead are the
+// same deleted documents (ascending list, bitset); memo is the correction
+// memo of ix, whose log starts with them.
 type segView struct {
 	seg      *segment // nil for the buffer's sealed copy
 	ix       *Index
 	tombs    []DocID
+	dead     DocSet
+	memo     *corrections
 	liveDocs int
+	liveToks int64
 }
 
 // tryRef acquires a reference unless the snapshot already drained.
@@ -648,8 +774,38 @@ func (sn *Snapshot) Segment(i int) *Index { return sn.views[i].ix }
 // Shared with the snapshot; do not modify.
 func (sn *Snapshot) Tombstones(i int) []DocID { return sn.views[i].tombs }
 
+// Dead returns segment i's tombstoned documents as a set — the same
+// documents as Tombstones(i), in the form an evaluator tests per
+// candidate. Nil when the segment has none.
+func (sn *Snapshot) Dead(i int) DocSet { return sn.views[i].dead }
+
 // SegmentLiveDocs returns segment i's live-document count.
 func (sn *Snapshot) SegmentLiveDocs(i int) int { return sn.views[i].liveDocs }
+
+// SegmentLiveTokens returns the token count of segment i's live
+// documents.
+func (sn *Snapshot) SegmentLiveTokens(i int) int64 { return sn.views[i].liveToks }
+
+// TermCorrection returns what segment i's tombstones take off term id's
+// collection and document frequency in that segment, memoised on the
+// segment (see corrections).
+func (sn *Snapshot) TermCorrection(i int, id int32) Correction {
+	v := &sn.views[i]
+	if len(v.tombs) == 0 {
+		return Correction{}
+	}
+	return v.memo.lookup(v.ix, v.tombs, leafKey{term: id}, nil)
+}
+
+// PositionalCorrection is TermCorrection for a phrase or window leaf
+// resolved against segment i's index.
+func (sn *Snapshot) PositionalCorrection(i int, p *Positional) Correction {
+	v := &sn.views[i]
+	if len(v.tombs) == 0 || len(p.Docs) == 0 {
+		return Correction{}
+	}
+	return v.memo.lookup(v.ix, v.tombs, leafKey{term: -1, positional: p.key}, p)
+}
 
 // NumDocs returns the number of live documents across all segments.
 func (sn *Snapshot) NumDocs() int { return sn.numDocs }
@@ -689,7 +845,7 @@ func (sn *Snapshot) LiveDocNames() []string {
 	for i := range sn.views {
 		v := &sn.views[i]
 		for id := 0; id < v.ix.NumDocs(); id++ {
-			if !containsDoc(v.tombs, DocID(id)) {
+			if !v.dead.Has(DocID(id)) {
 				out = append(out, v.ix.DocName(DocID(id)))
 			}
 		}
@@ -699,8 +855,8 @@ func (sn *Snapshot) LiveDocNames() []string {
 
 // mergeInput is one segment (plus its tombstones) entering a merge.
 type mergeInput struct {
-	ix    *Index
-	tombs []DocID
+	ix   *Index
+	dead DocSet
 }
 
 // mergeInputs builds the in-memory index equivalent to indexing every
@@ -713,15 +869,20 @@ type mergeInput struct {
 // across inputs; scoring never depends on term order.
 func mergeInputs(a analysis.Analyzer, ins []mergeInput) *Index {
 	out := &Index{analyzer: a, terms: make(map[string]int32)}
+	total := 0
+	for _, in := range ins {
+		total += in.ix.NumDocs()
+	}
+	out.docNames = make([]string, 0, total)
+	out.docLens = make([]int32, 0, total)
 	base := 0
 	for _, in := range ins {
-		in.ix.materializeAll()
 		n := in.ix.NumDocs()
 		// remap[local] is the merged DocID, or -1 for tombstoned docs.
 		remap := make([]int32, n)
 		next := base
 		for id := 0; id < n; id++ {
-			if containsDoc(in.tombs, DocID(id)) {
+			if in.dead.Has(DocID(id)) {
 				remap[id] = -1
 				continue
 			}
@@ -733,28 +894,42 @@ func mergeInputs(a analysis.Analyzer, ins []mergeInput) *Index {
 			out.totalToks += int64(dl)
 		}
 		for tid := 0; tid < in.ix.NumTerms(); tid++ {
-			p := in.ix.PostingsByID(int32(tid))
-			text := in.ix.TermText(int32(tid))
-			var mid int32 = -1
-			for pi, doc := range p.Docs {
-				nd := remap[doc]
-				if nd < 0 {
-					continue
-				}
-				if mid < 0 {
-					var ok bool
-					if mid, ok = out.terms[text]; !ok {
-						mid = int32(len(out.termText))
-						out.terms[text] = mid
-						out.termText = append(out.termText, text)
-						out.postings = append(out.postings, Postings{})
-					}
-				}
-				mp := &out.postings[mid]
-				mp.Docs = append(mp.Docs, DocID(nd))
-				mp.Freqs = append(mp.Freqs, p.Freqs[pi])
-				mp.Positions = append(mp.Positions, p.Positions[pi])
+			// The merge works on a row of its own: a v2-backed input is
+			// decoded a row at a time and caches nothing (it is about to be
+			// retired), an in-memory input's row is copied.
+			var row Postings
+			if lz := in.ix.lazy; lz != nil {
+				row = lz.decode(in.ix, int32(tid), false)
+			} else {
+				src := &in.ix.postings[tid]
+				row = Postings{Docs: slices.Clone(src.Docs), Freqs: slices.Clone(src.Freqs), Positions: slices.Clone(src.Positions)}
 			}
+			// Survivors move to the front of the row, under their new IDs.
+			k := 0
+			for pi, doc := range row.Docs {
+				if nd := remap[doc]; nd >= 0 {
+					row.Docs[k], row.Freqs[k], row.Positions[k] = DocID(nd), row.Freqs[pi], row.Positions[pi]
+					k++
+				}
+			}
+			if k == 0 {
+				continue
+			}
+			row = Postings{Docs: row.Docs[:k:k], Freqs: row.Freqs[:k:k], Positions: row.Positions[:k:k]}
+			text := in.ix.TermText(int32(tid))
+			mid, ok := out.terms[text]
+			if !ok {
+				// The term's first input — for most terms the only one,
+				// the large segment — becomes the merged row as it stands.
+				out.terms[text] = int32(len(out.termText))
+				out.termText = append(out.termText, text)
+				out.postings = append(out.postings, row)
+				continue
+			}
+			mp := &out.postings[mid]
+			mp.Docs = append(mp.Docs, row.Docs...)
+			mp.Freqs = append(mp.Freqs, row.Freqs...)
+			mp.Positions = append(mp.Positions, row.Positions...)
 		}
 		base = next
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -199,9 +200,9 @@ func TestSegmentedDeleteAndGlobalDocs(t *testing.T) {
 	next := DocID(0)
 	for i := 0; i < sn.NumSegments(); i++ {
 		ix := sn.Segment(i)
-		tombs := sn.Tombstones(i)
+		dead := sn.Dead(i)
 		for d := 0; d < ix.NumDocs(); d++ {
-			if containsDoc(tombs, DocID(d)) {
+			if dead.Has(DocID(d)) {
 				continue
 			}
 			if g := sn.GlobalDoc(i, DocID(d)); g != next {
@@ -415,9 +416,9 @@ func TestSegmentedFaultedMutationsLeaveStateUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.Stats()
 	snBefore := s.Acquire()
 	defer snBefore.Release()
+	before := s.Stats()
 
 	for _, pt := range []fault.Point{fault.SegmentFlush, fault.SegmentManifest} {
 		fault.Arm(fault.NewRegistry(1).Set(pt, fault.Policy{ErrRate: 1}))
@@ -435,18 +436,40 @@ func TestSegmentedFaultedMutationsLeaveStateUnchanged(t *testing.T) {
 			t.Fatalf("%s: Compact err = %v, want injected", pt, err)
 		}
 	}
-	fault.Arm(fault.NewRegistry(1).Set(fault.SegmentManifest, fault.Policy{ErrRate: 1}))
-	_, err := s.Delete("D00001")
-	fault.Disarm()
-	if err == nil || !fault.IsInjected(err) {
-		t.Fatalf("Delete err = %v, want injected", err)
+	// A delete batch is all-or-nothing: the list below spans both
+	// committed segments and the buffer, and the failed commit must leave
+	// every one of its documents live — the buffered one too, although its
+	// tombstone would not have needed the manifest — and the manifest file
+	// as it was.
+	manifest, err := os.ReadFile(filepath.Join(s.Dir(), manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range [][]string{{"D00001"}, {"D00002", "D00015", "D00022"}} {
+		fault.Arm(fault.NewRegistry(1).Set(fault.SegmentManifest, fault.Policy{ErrRate: 1}))
+		n, err := s.DeleteBatch(names)
+		fault.Disarm()
+		if n != 0 || !fault.IsInjected(err) {
+			t.Fatalf("DeleteBatch(%v) = %d, %v; want 0 and the injected fault", names, n, err)
+		}
+	}
+	if now, err := os.ReadFile(filepath.Join(s.Dir(), manifestName)); err != nil || !bytes.Equal(now, manifest) {
+		t.Fatalf("faulted mutations rewrote the manifest (err %v)", err)
 	}
 
 	after := s.Stats()
 	if after.DiskSegments != before.DiskSegments || after.BufferDocs != before.BufferDocs ||
-		after.LiveDocs != before.LiveDocs || after.Tombstones != before.Tombstones {
+		after.LiveDocs != before.LiveDocs || after.Tombstones != before.Tombstones ||
+		after.ManifestCommits != before.ManifestCommits || after.Gen != before.Gen {
 		t.Fatalf("faulted mutations changed state: before %+v after %+v", before, after)
 	}
+	snAfter := s.Acquire()
+	for i := 0; i < snAfter.NumSegments(); i++ {
+		if len(snAfter.Tombstones(i)) != 0 || snAfter.Dead(i) != nil {
+			t.Fatalf("segment %d carries tombstones after failed deletes", i)
+		}
+	}
+	snAfter.Release()
 
 	// The failed mutations must all be retryable now that faults are off.
 	if err := s.Flush(); err != nil {

@@ -163,13 +163,24 @@ func (lz *lazyPostings) record(err error) {
 // by the derived (exact) values, keeping pruning score-safe even when a
 // CRC-consistent file lies about them.
 func (lz *lazyPostings) materialize(ix *Index, id int32) {
+	ix.postings[id] = lz.decode(ix, id, true)
+}
+
+// decode decodes term id's blocks into a fresh row; a failure is
+// recorded and yields the empty row. adopt is materialize's mode: each
+// block's bound summary is re-derived, and a stored one the postings
+// contradict is overwritten — which only the holder of the term's Once
+// may do. Without it the bounds are neither read nor written and the row
+// is the caller's alone: how a merge reads its inputs, whose rows it
+// rewrites in place and whose bounds it derives afresh for its output.
+func (lz *lazyPostings) decode(ix *Index, id int32, adopt bool) Postings {
 	if lz.closed.Load() {
 		lz.record(fmt.Errorf("index: term %d materialised after Close", id))
-		return
+		return Postings{}
 	}
 	df := int(lz.df[id])
 	if df == 0 {
-		return
+		return Postings{}
 	}
 	var p Postings
 	p.Docs = make([]DocID, 0, prealloc(uint64(df)))
@@ -183,23 +194,26 @@ func (lz *lazyPostings) materialize(ix *Index, id int32) {
 		buf := lz.post[ext.off : ext.off+int64(ext.size)]
 		if !lz.verifyBlock(int(b), buf) {
 			lz.record(fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[id], blk))
-			ix.postings[id] = Postings{}
-			return
+			return Postings{}
 		}
-		want := &ix.blockBounds[id][blk]
 		n := lz.blockSz
 		if rest := df - blk*lz.blockSz; rest < n {
 			n = rest
 		}
-		derived, err := decodeBlock(buf, base, n, int32(len(ix.docLens)), ix.docLens, &p)
+		var err error
+		if adopt {
+			var derived BlockBounds
+			derived, err = decodeBlock(buf, base, n, int32(len(ix.docLens)), ix.docLens, &p)
+			if want := &ix.blockBounds[id][blk]; err == nil && derived != *want {
+				*want = derived
+				dirty = true
+			}
+		} else {
+			err = decodeBlockInto(buf, base, n, int32(len(ix.docLens)), &p.Docs, &p.Freqs, &p.Positions)
+		}
 		if err != nil {
 			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], blk, err))
-			ix.postings[id] = Postings{}
-			return
-		}
-		if derived != *want {
-			*want = derived
-			dirty = true
+			return Postings{}
 		}
 		base = p.Docs[len(p.Docs)-1]
 	}
@@ -216,7 +230,7 @@ func (lz *lazyPostings) materialize(ix *Index, id int32) {
 	if got := p.CollectionFreq(); got != lz.cf[id] {
 		lz.record(fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], lz.cf[id], got))
 	}
-	ix.postings[id] = p
+	return p
 }
 
 // decodeBlock decodes one compressed block (exactly n postings) into p
@@ -287,12 +301,22 @@ func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID
 		}
 		*freqs = append(*freqs, int32(f))
 	}
+	// One backing array holds the whole block's position lists, each
+	// handed out as a full slice expression of it: a block costs one
+	// allocation instead of one per posting. Rows are read-only, so
+	// sharing a backing is safe. (Should the count exceed the prealloc
+	// cap the backing regrows and earlier lists keep the old array.)
+	var backing []int32
+	if positions != nil {
+		var total uint64
+		for _, f := range (*freqs)[fstart:] {
+			total += uint64(f)
+		}
+		backing = make([]int32, 0, prealloc(total))
+	}
 	for i := 0; i < n; i++ {
 		f := (*freqs)[fstart+i]
-		var plist []int32
-		if positions != nil {
-			plist = make([]int32, 0, prealloc(uint64(f)))
-		}
+		start := len(backing)
 		prevPos := int32(0)
 		for j := int32(0); j < f; j++ {
 			pd, err := read()
@@ -308,11 +332,11 @@ func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID
 			}
 			prevPos = pp
 			if positions != nil {
-				plist = append(plist, pp)
+				backing = append(backing, pp)
 			}
 		}
 		if positions != nil {
-			*positions = append(*positions, plist)
+			*positions = append(*positions, backing[start:len(backing):len(backing)])
 		}
 	}
 	if pos != len(buf) {
@@ -390,16 +414,21 @@ func encodeV2(w io.Writer, ix *Index) error {
 	}
 	docs = crcTrail(docs)
 
-	// Terms section.
+	// Terms section. postingsSize estimates the postings section on the
+	// way: a posting is rarely more than a byte each for its delta, its
+	// frequency and each of its positions.
 	var terms []byte
+	var postingsSize int64
 	terms = appendUvarint(terms, uint64(len(ix.termText)))
 	terms = appendUvarint(terms, uint64(bs))
 	for tid, text := range ix.termText {
 		p := &ix.postings[tid]
+		cf := p.CollectionFreq()
+		postingsSize += 2*int64(len(p.Docs)) + cf
 		terms = appendUvarint(terms, uint64(len(text)))
 		terms = append(terms, text...)
 		terms = appendUvarint(terms, uint64(len(p.Docs)))
-		terms = appendUvarint(terms, uint64(p.CollectionFreq()))
+		terms = appendUvarint(terms, uint64(cf))
 		b := ix.termBounds[tid]
 		for _, v := range [4]int32{b.MaxTF, b.MinDL, b.MaxRatioTF, b.MaxRatioDL} {
 			terms = appendUvarint(terms, uint64(v))
@@ -407,8 +436,11 @@ func encodeV2(w io.Writer, ix *Index) error {
 	}
 	terms = crcTrail(terms)
 
-	// Block directory + postings sections, built together.
-	var dir, post []byte
+	// Block directory + postings sections, built together. The postings
+	// section is by far the largest, so it is sized up front rather than
+	// doubled into.
+	post := make([]byte, 0, postingsSize+postingsSize/8)
+	var dir []byte
 	var crcBuf [4]byte
 	for tid := range ix.termText {
 		p := &ix.postings[tid]

@@ -51,10 +51,10 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	s.flatten(q, 1, &leaves, new(index.PositionalScratch), nil)
 	score := buildScorer(s.Model, s.resolveParams(), collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()})
 	cancel()
-	if _, err := searchDAAT(ctx, s.ix, leaves, 10, score, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := searchDAAT(ctx, s.ix, nil, leaves, 10, score, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("DAAT: want context.Canceled, got %v", err)
 	}
-	if _, err := s.searchLegacy(ctx, leaves, 10, score, nil); !errors.Is(err, context.Canceled) {
+	if _, err := s.searchLegacy(ctx, nil, leaves, 10, score, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("legacy: want context.Canceled, got %v", err)
 	}
 }

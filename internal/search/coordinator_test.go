@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,8 +127,26 @@ func rpcFixture(t *testing.T) *contractFixture {
 // segmentFixture is four disk segments plus the buffer, with tombstones
 // in the first, a middle and the buffer segment.
 func segmentFixture(t *testing.T) *contractFixture {
+	return segmentFixtureDeleting(t, []string{"D00000", "D00007", "D00031", "D00064", "D00119"})
+}
+
+// segmentRank1Fixture is the same five segments with the tombstones
+// where they hurt most: on the document each contract query ranks
+// first, so every partition holding one must fill its top k from rank 2
+// down while the dead document still heads its postings.
+func segmentRank1Fixture(t *testing.T) *contractFixture {
+	full := monoSearcher(segTestCorpus(120, 11))
+	var deletes []string
+	for _, q := range segTestQueries() {
+		if top := full.Search(q, 1)[0].Name; !slices.Contains(deletes, top) {
+			deletes = append(deletes, top)
+		}
+	}
+	return segmentFixtureDeleting(t, deletes)
+}
+
+func segmentFixtureDeleting(t *testing.T, deletes []string) *contractFixture {
 	docs := segTestCorpus(120, 11)
-	deletes := []string{"D00000", "D00007", "D00031", "D00064", "D00119"}
 	live := buildSegmented(t, docs, 25, deletes, false)
 	gs := NewSegmentedSearcher(live)
 	sn := live.Acquire()
@@ -178,6 +197,7 @@ func TestCoordinatorContract(t *testing.T) {
 		{"shards-2", shardFixture(2)},
 		{"shards-4", shardFixture(4)},
 		{"segments-tombstoned", segmentFixture},
+		{"segments-rank1-dead", segmentRank1Fixture},
 		{"rpc-3", rpcFixture},
 	}
 	models := []ShardConfig{

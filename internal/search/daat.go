@@ -34,7 +34,12 @@ const exhausted = index.DocEnd
 // searchDAAT is a free function over an explicit index so the sharded
 // evaluator can drive it per shard with globally-statted leaves. sc is
 // the caller's pooled scratch; nil self-acquires one for the call.
-func searchDAAT(ctx context.Context, ix *index.Index, leaves []leaf, k int, score scorer, st *SearchStats, sc *evalScratch) ([]Result, error) {
+//
+// dead lists documents of ix that no longer exist (a live segment's
+// tombstones). Their postings are still walked — they are in the lists —
+// but they are never offered to the heap, so the k survivors and the
+// threshold they set are exactly those of an index without them.
+func searchDAAT(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, k int, score scorer, st *SearchStats, sc *evalScratch) ([]Result, error) {
 	if sc == nil {
 		sc = getScratch()
 		defer putScratch(sc)
@@ -98,7 +103,9 @@ func searchDAAT(ctx context.Context, ix *index.Index, leaves []leaf, k int, scor
 			}
 		}
 		cands++
-		h.offer(doc, total, st)
+		if !dead.Has(doc) {
+			h.offer(doc, total, st)
+		}
 	}
 	flushStats()
 	return h.drain(ix), nil

@@ -388,7 +388,14 @@ func pruneSlack(bound, threshold float64) float64 {
 // bit-identical results; see the file comment for the safety argument.
 // sc is the caller's pooled scratch (pb normally lives inside it); nil
 // self-acquires one for the call.
-func searchMaxScore(ctx context.Context, ix *index.Index, leaves []leaf, k int, score scorer, pb *pruneBounds, st *SearchStats, sc *evalScratch) ([]Result, error) {
+//
+// dead is searchDAAT's: documents that are scored if the merge reaches
+// them but never offered. Pruning stays safe with them in the lists —
+// every bound is taken over a superset of the live documents, so it
+// still dominates each live one, and a document that is never offered
+// cannot raise θ, so nothing is skipped that an index without the dead
+// documents would have kept.
+func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, k int, score scorer, pb *pruneBounds, st *SearchStats, sc *evalScratch) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -785,6 +792,9 @@ func searchMaxScore(ctx context.Context, ix *index.Index, leaves []leaf, k int, 
 			}
 		}
 		cands++
+		if dead.Has(doc) {
+			continue
+		}
 		h.offer(doc, total, st)
 		if len(h.docs) == k && h.scores[0] > threshold {
 			threshold = h.scores[0]

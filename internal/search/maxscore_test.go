@@ -232,13 +232,13 @@ func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 		}
 	}
 	var pst, fst SearchStats
-	got, err := searchMaxScore(context.Background(), ix, leaves, 10, score, pb, &pst, nil)
+	got, err := searchMaxScore(context.Background(), ix, nil, leaves, 10, score, pb, &pst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fullLeaves []leaf
 	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &fullLeaves, new(index.PositionalScratch), nil)
-	want, err := searchDAAT(context.Background(), ix, fullLeaves, 10, score, &fst, nil)
+	want, err := searchDAAT(context.Background(), ix, nil, fullLeaves, 10, score, &fst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"runtime/debug"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/index"
@@ -38,21 +39,23 @@ type partition interface {
 }
 
 // localPartition evaluates an index in this process: a round-robin
-// shard, a live segment (tombs lists its deleted documents, ascending),
-// or — inside ShardService — the slice a shard server holds.
+// shard, a live segment (segment seg of the pinned snapshot sn), or —
+// inside ShardService — the slice a shard server holds.
 //
-// A tombstoned segment is evaluated as-is: its postings, bounds and
-// block metadata still cover the dead documents, which keeps every
-// pruning bound dominating. Tombstones enter in exactly two places.
-// stats subtracts each dead document's contribution from cf and df (and
-// flattens with streaming off, so there is always a postings row to
-// subtract from); eval asks for the top K+|tombs| — dead documents can
-// displace at most |tombs| live ones — and filters them out before
-// remapping survivors to global DocIDs.
+// A tombstoned segment is flattened and evaluated exactly like any
+// other: its postings, bounds and block metadata still cover the dead
+// documents, which keeps every pruning bound dominating. Tombstones
+// enter in exactly two places, both owned by the snapshot: stats takes
+// the segment's memoised correction off each leaf's cf and df, and eval
+// hands the evaluator the dead-document set, which it consults before
+// offering a candidate to the heap — so a tombstoned partition is
+// evaluated with the request's own K.
 type localPartition struct {
 	ix     *index.Index
-	tombs  []index.DocID
 	global func(local index.DocID) index.DocID
+	// sn is nil unless the partition is a live segment.
+	sn  *index.Snapshot
+	seg int
 }
 
 // shardPartitions views an index.Sharded as one partition per shard.
@@ -75,8 +78,9 @@ func snapshotPartitions(sn *index.Snapshot) []partition {
 	for i := range parts {
 		parts[i] = &localPartition{
 			ix:     sn.Segment(i),
-			tombs:  sn.Tombstones(i),
 			global: func(d index.DocID) index.DocID { return sn.GlobalDoc(i, d) },
+			sn:     sn,
+			seg:    i,
 		}
 	}
 	return parts
@@ -85,18 +89,30 @@ func snapshotPartitions(sn *index.Snapshot) []partition {
 // flatten flattens q against the partition's index and corrects each
 // leaf's statistics for the tombstones.
 func (p *localPartition) flatten(q Node, st *SearchStats) []leaf {
-	local := Searcher{ix: p.ix, DisableStreaming: len(p.tombs) > 0}
+	local := Searcher{ix: p.ix}
 	sc := getScratch()
 	defer putScratch(sc)
-	var leaves []leaf
-	local.flatten(q, 1, &leaves, &sc.positional, st)
+	// Flattened into the scratch, then copied out at size: the leaves
+	// outlive this call (they are the prepared handle eval reuses).
+	sc.leaves = sc.leaves[:0]
+	local.flatten(q, 1, &sc.leaves, &sc.positional, st)
+	leaves := slices.Clone(sc.leaves)
+	if p.sn == nil || len(p.sn.Tombstones(p.seg)) == 0 {
+		return leaves
+	}
 	for li := range leaves {
 		l := &leaves[li]
-		for _, d := range p.tombs {
-			if pos := findDoc(l.postings.Docs, d); pos >= 0 {
-				l.cf -= int64(l.postings.Freqs[pos])
-				l.df--
-			}
+		var c index.Correction
+		switch {
+		case l.positional != nil:
+			c = p.sn.PositionalCorrection(p.seg, l.positional)
+		case l.termID >= 0:
+			c = p.sn.TermCorrection(p.seg, l.termID)
+		}
+		l.cf -= c.CF
+		l.df -= float64(c.DF)
+		if st != nil {
+			st.correctionProbes += int64(c.Probes)
 		}
 	}
 	return leaves
@@ -131,6 +147,31 @@ func (p *localPartition) eval(ctx context.Context, prepared any, req *EvalReques
 // evaluates them. It rewrites only the fields the override owns, so a
 // retry over the same leaves is safe.
 func (p *localPartition) score(ctx context.Context, leaves []leaf, req *EvalRequest, st *SearchStats) ([]Result, error) {
+	cfg := p.override(leaves, req)
+	sc := getScratch()
+	defer putScratch(sc)
+	res, err := evalLeaves(ctx, p.ix, p.dead(), leaves, req.K, cfg, st, sc)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res {
+		res[i].Doc = p.global(res[i].Doc)
+	}
+	return res, nil
+}
+
+// dead returns the partition's deleted documents; nil unless it is a
+// tombstoned live segment.
+func (p *localPartition) dead() index.DocSet {
+	if p.sn == nil {
+		return nil
+	}
+	return p.sn.Dead(p.seg)
+}
+
+// override writes req's global statistics over the leaves' local ones
+// and returns the scoring configuration req asks for.
+func (p *localPartition) override(leaves []leaf, req *EvalRequest) scoring {
 	for i := range leaves {
 		o := req.Overrides[i]
 		leaves[i].cf, leaves[i].df, leaves[i].collProb = o.CF, o.DF, o.CollProb
@@ -140,39 +181,20 @@ func (p *localPartition) score(ctx context.Context, leaves []leaf, req *EvalRequ
 	if req.NumDocs > 0 {
 		avgDocLen = float64(req.TotalToks) / float64(req.NumDocs)
 	}
-	cfg := scoring{
+	return scoring{
 		model:          Model(req.Model),
 		params:         ModelParams{Mu: req.Mu, Lambda: req.Lambda, K1: req.K1, B: req.B},
 		cs:             collStats{numDocs: float64(req.NumDocs), avgDocLen: avgDocLen},
 		disablePruning: req.DisablePruning,
 		forcePrune:     req.forcePrune,
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	res, err := evalLeaves(ctx, p.ix, leaves, req.K+len(p.tombs), cfg, st, sc)
-	if err != nil {
-		return nil, err
-	}
-	live := res[:0]
-	for _, r := range res {
-		if len(p.tombs) > 0 && findDoc(p.tombs, r.Doc) >= 0 {
-			continue
-		}
-		r.Doc = p.global(r.Doc)
-		live = append(live, r)
-	}
-	if len(live) > req.K {
-		live = live[:req.K]
-	}
-	return live, nil
 }
 
 func (p *localPartition) totals() (int, int64) {
-	numDocs, totalToks := p.ix.NumDocs()-len(p.tombs), p.ix.TotalTokens()
-	for _, d := range p.tombs {
-		totalToks -= int64(p.ix.DocLen(d))
+	if p.sn != nil {
+		return p.sn.SegmentLiveDocs(p.seg), p.sn.SegmentLiveTokens(p.seg)
 	}
-	return numDocs, totalToks
+	return p.ix.NumDocs(), p.ix.TotalTokens()
 }
 
 func (p *localPartition) retryable(err error) bool { return fault.IsTransient(err) }

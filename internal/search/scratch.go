@@ -119,7 +119,7 @@ func (sc *evalScratch) cursors(ix *index.Index, leaves []leaf) []index.TermCurso
 	for li := range leaves {
 		l := &leaves[li]
 		if l.stream {
-			sc.curs[li].ResetStream(ix, l.streamID)
+			sc.curs[li].ResetStream(ix, l.termID)
 		} else {
 			sc.curs[li].Reset(&l.postings)
 		}

@@ -47,12 +47,6 @@ type Searcher struct {
 	// differential suites exercise the pruned evaluator on corpora and
 	// queries the cost model would (correctly) route to DAAT.
 	forcePrune bool
-	// DisableStreaming makes term leaves of a v2-backed index
-	// materialise their whole postings row up front (the pre-streaming
-	// behaviour) instead of decoding block-by-block through a streaming
-	// cursor. Results are bit-identical either way; the switch exists
-	// for the eager side of benchmarks and for differential tests.
-	DisableStreaming bool
 }
 
 // NewSearcher returns a Searcher over ix with the default μ.
@@ -93,13 +87,19 @@ type leaf struct {
 	// filled by prepareLeaves AFTER any collection-statistics override
 	// (the sharded evaluators rewrite df first); zero for other models.
 	idf float64
+	// termID is the index's ID of a term leaf's term, -1 for an out-of-
+	// vocabulary term and for phrase/window leaves; positional is the memo
+	// entry a phrase/window leaf was resolved to, nil for term leaves.
+	// Together they name the leaf within its index, which is what a live
+	// segment's tombstone corrections are memoised under.
+	termID     int32
+	positional *index.Positional
 	// stream marks a term leaf of a v2-backed index that the evaluators
 	// walk through a streaming block cursor instead of a materialised
-	// postings row: postings stays empty and streamID names the term.
-	// Paths that need the real row (legacy oracle, ScoreDoc, Explain)
-	// convert via materializeLeaves first.
-	stream   bool
-	streamID int32
+	// postings row: postings stays empty and termID names the row. Paths
+	// that need the real row (legacy oracle, ScoreDoc, Explain) convert
+	// via materializeLeaves first.
+	stream bool
 	// nPost is the leaf's postings count independent of materialisation
 	// (len(postings.Docs) for materialised leaves, the stored df for
 	// streaming ones) — what cost decisions consult instead of touching
@@ -168,23 +168,22 @@ func (s *Searcher) flatten(n Node, w float64, out *[]leaf, ps *index.PositionalS
 // index, the shared materialised row otherwise, empty when the term is
 // out of vocabulary.
 func (s *Searcher) termLeaf(term string, w float64) leaf {
-	if !s.DisableStreaming {
-		if id, ok := s.ix.StreamableTerm(term); ok {
-			// v2-backed term leaf: stats and bounds come from the
-			// stored (Open-cross-validated) metadata; the postings
-			// stay on disk until a block cursor touches them.
-			return newStreamLeaf(s.ix, w, id)
-		}
+	if id, ok := s.ix.StreamableTerm(term); ok {
+		// v2-backed term leaf: stats and bounds come from the stored
+		// (Open-cross-validated) metadata; the postings stay on disk
+		// until a block cursor touches them.
+		return newStreamLeaf(s.ix, w, id)
 	}
-	var p index.Postings
-	var b index.TermBounds
-	var bb []index.BlockBounds
-	if pp := s.ix.PostingsFor(term); pp != nil {
-		p = *pp
-		b, _ = s.ix.BoundsFor(term)
-		bb, _ = s.ix.BlockBoundsFor(term)
+	id, ok := s.ix.TermID(term)
+	if !ok {
+		return newLeaf(s.ix, w, index.Postings{}, 0, index.TermBounds{}, nil)
 	}
-	return newLeaf(s.ix, w, p, p.CollectionFreq(), b, bb)
+	p := s.ix.PostingsByID(id)
+	b, _ := s.ix.BoundsFor(term)
+	bb, _ := s.ix.BlockBoundsFor(term)
+	l := newLeaf(s.ix, w, *p, p.CollectionFreq(), b, bb)
+	l.termID = id
+	return l
 }
 
 // positionalLeaf is the leaf of a resolved phrase or window. It shares
@@ -197,11 +196,14 @@ func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, s
 			st.PositionalMisses++
 		}
 	}
-	return newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds, p.Blocks)
+	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds, p.Blocks)
+	l.positional = p
+	return l
 }
 
 // newLeaf fills a leaf's collection statistics from the index it was
-// flattened against.
+// flattened against. The leaf is anonymous (termID -1) until its caller
+// names it.
 func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.TermBounds, bb []index.BlockBounds) leaf {
 	return leaf{
 		weight:   w,
@@ -212,6 +214,7 @@ func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.Ter
 		bounds:   b,
 		bounded:  true,
 		blocks:   bb,
+		termID:   -1,
 		nPost:    len(p.Docs),
 	}
 }
@@ -229,8 +232,8 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 		bounds:   b,
 		bounded:  true,
 		blocks:   bb,
+		termID:   id,
 		stream:   true,
-		streamID: id,
 		nPost:    df,
 	}
 }
@@ -244,7 +247,7 @@ func (s *Searcher) materializeLeaves(leaves []leaf) {
 		if !l.stream {
 			continue
 		}
-		if p := s.ix.PostingsByID(l.streamID); p != nil {
+		if p := s.ix.PostingsByID(l.termID); p != nil {
 			l.postings = *p
 		}
 		l.stream = false
@@ -338,9 +341,9 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 	if s.UseLegacyScorer {
 		prepareLeaves(cfg.model, cfg.cs, leaves)
 		s.materializeLeaves(leaves)
-		return s.searchLegacy(ctx, leaves, k, buildScorer(cfg.model, cfg.params, cfg.cs), st)
+		return s.searchLegacy(ctx, nil, leaves, k, buildScorer(cfg.model, cfg.params, cfg.cs), st)
 	}
-	return evalLeaves(ctx, s.ix, leaves, k, cfg, st, sc)
+	return evalLeaves(ctx, s.ix, nil, leaves, k, cfg, st, sc)
 }
 
 // scoring is the resolved configuration of one evaluation: the model,
@@ -355,8 +358,9 @@ type scoring struct {
 	forcePrune     bool
 }
 
-// evalLeaves scores flattened leaves against ix and returns its top k.
-// It is the one place the evaluator is chosen — exhaustive DAAT when
+// evalLeaves scores flattened leaves against ix and returns its top k
+// among the documents not in dead (a live segment's tombstones; nil
+// everywhere else). It is the one place the evaluator is chosen — exhaustive DAAT when
 // pruning is off or the cost model says it will not pay, MaxScore
 // otherwise — so a monolithic search, a shard, a segment and a shard
 // server cannot disagree about it. Any statistics override must already
@@ -364,23 +368,24 @@ type scoring struct {
 // arithmetic derive from what they hold now, while postings summaries
 // and the minimum document length stay local to ix (bounds only need to
 // dominate the documents ix can produce).
-func evalLeaves(ctx context.Context, ix *index.Index, leaves []leaf, k int, cfg scoring, st *SearchStats, sc *evalScratch) ([]Result, error) {
+func evalLeaves(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, k int, cfg scoring, st *SearchStats, sc *evalScratch) ([]Result, error) {
 	prepareLeaves(cfg.model, cfg.cs, leaves)
 	score := buildScorer(cfg.model, cfg.params, cfg.cs)
 	if cfg.disablePruning {
-		return searchDAAT(ctx, ix, leaves, k, score, st, sc)
+		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
 	}
 	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, sc)
 	if !cfg.forcePrune && !pruneWorthwhile(leaves, pb) {
-		return searchDAAT(ctx, ix, leaves, k, score, st, sc)
+		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
 	}
-	return searchMaxScore(ctx, ix, leaves, k, score, pb, st, sc)
+	return searchMaxScore(ctx, ix, dead, leaves, k, score, pb, st, sc)
 }
 
 // searchLegacy is the original term-at-a-time evaluator: accumulate a
 // per-candidate tf vector in a map, score every candidate, fully sort.
-// Kept as the reference oracle for the DAAT differential tests.
-func (s *Searcher) searchLegacy(ctx context.Context, leaves []leaf, k int, score scorer, st *SearchStats) ([]Result, error) {
+// Kept as the reference oracle for the DAAT differential tests; like the
+// other evaluators it ranks only documents outside dead.
+func (s *Searcher) searchLegacy(ctx context.Context, dead index.DocSet, leaves []leaf, k int, score scorer, st *SearchStats) ([]Result, error) {
 	// Per-candidate term frequencies, leaf-major.
 	type cand struct {
 		tfs []int32
@@ -419,6 +424,9 @@ func (s *Searcher) searchLegacy(ctx context.Context, leaves []leaf, k int, score
 			}
 		}
 		scored++
+		if dead.Has(doc) {
+			continue
+		}
 		dl := float64(s.ix.DocLen(doc))
 		total := 0.0
 		for li := range leaves {

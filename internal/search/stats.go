@@ -68,6 +68,13 @@ type SearchStats struct {
 	// best; CandidatesExamined − HeapPushes − HeapEvictions documents
 	// were rejected without touching the heap.
 	HeapEvictions int64
+	// correctionProbes counts the tombstones that live segments had to
+	// look up in a leaf's postings because their memoised correction was
+	// behind the snapshot (index.Correction.Probes, summed over leaves and
+	// segments): zero on a repeat query against an unchanged snapshot.
+	// Unexported — the tests' evidence that corrections are incremental,
+	// not an operator metric.
+	correctionProbes int64
 	// Elapsed is the wall-clock time of the evaluation.
 	Elapsed time.Duration
 	// Shards holds per-shard instrumentation when the retrieval ran on a
@@ -109,6 +116,7 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.PositionalMisses += o.PositionalMisses
 	s.HeapPushes += o.HeapPushes
 	s.HeapEvictions += o.HeapEvictions
+	s.correctionProbes += o.correctionProbes
 	s.Elapsed += o.Elapsed
 	for i, sh := range o.Shards {
 		if i < len(s.Shards) {

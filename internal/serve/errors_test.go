@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -237,35 +238,140 @@ func TestDegradedResponseSurfacing(t *testing.T) {
 	}
 }
 
-// TestBackendFailureIs503: when degradation cannot absorb the fault
-// (every shard fails) the request maps to 503 — a backend problem —
-// with the usual JSON envelope, not a 400.
+// TestBackendFailureIs503 is the table for the one decision
+// isBackendFailure makes: an error that is the server's doing — a fault
+// degradation could not absorb, a live-index mutation that failed after
+// the body validated, a shard that answered with an error or could not
+// be reached — is a 503 backend_unavailable with the usual envelope,
+// never a 400 that blames the caller. None of the I/O rows goes through
+// the fault registry: the errors are real ones (a vanished directory, a
+// stopped server), which is what used to fall through to bad_request.
 func TestBackendFailureIs503(t *testing.T) {
 	defer fault.Disarm()
-	s, q := degradingServer(t)
-	fault.Arm(fault.NewRegistry(37).Set(fault.ShardEval, fault.Policy{ErrRate: 1}))
-
-	w := do(t, s, http.MethodGet, "/v1/baseline?q="+paramEscape(q.Text)+"&k=10", "")
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", w.Code, w.Body.String())
+	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	q := env.Queries[0]
+	search := "/v1/baseline?q=" + paramEscape(q.Text) + "&k=10"
+	// brokenLive is a live server with two committed documents and one
+	// buffered, whose directory has been deleted under it: every commit,
+	// segment write and merge from here on fails in the file system.
+	brokenLive := func(t *testing.T) *Server {
+		s := liveServer(t, 8)
+		for _, body := range []string{
+			`{"add":[{"name":"d1","text":"alpha beta"},{"name":"d2","text":"beta gamma"}],"flush":true}`,
+			`{"add":[{"name":"d3","text":"gamma delta"}]}`,
+		} {
+			if w := do(t, s, http.MethodPost, "/v1/ingest", body); w.Code != http.StatusOK {
+				t.Fatalf("fixture ingest: %d %s", w.Code, w.Body.String())
+			}
+		}
+		if err := os.RemoveAll(s.cfg.Engine.Live().Dir()); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	if !strings.Contains(w.Body.String(), "injected") {
-		t.Errorf("503 envelope %s does not carry the fault", w.Body.String())
+	remote := func(t *testing.T, stopShards bool) *Server {
+		rs, stop := loopbackShards(t, env.Engine.Index(), 2)
+		if stopShards {
+			stop()
+		}
+		s, _ := testServer(t, Config{Engine: sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(), sqe.WithDistributedSearcher(rs))})
+		return s
 	}
-	if got := metricValue(t, s, `sqe_http_errors_total{endpoint="baseline"}`); got != 1 {
-		t.Errorf("error counter = %g, want 1", got)
+	cases := []struct {
+		name    string
+		server  func(t *testing.T) *Server
+		arm     *fault.Registry
+		method  string
+		target  string
+		body    string
+		wantErr string
+	}{
+		{
+			name:    "every shard faults",
+			server:  func(t *testing.T) *Server { s, _ := degradingServer(t); return s },
+			arm:     fault.NewRegistry(37).Set(fault.ShardEval, fault.Policy{ErrRate: 1}),
+			method:  http.MethodGet,
+			target:  search,
+			wantErr: "injected",
+		},
+		{
+			name:    "delete batch cannot commit its manifest",
+			server:  brokenLive,
+			method:  http.MethodPost,
+			target:  "/v1/ingest",
+			body:    `{"delete":["d1","d3"]}`,
+			wantErr: "nothing deleted",
+		},
+		{
+			name:    "flush cannot write its segment",
+			server:  brokenLive,
+			method:  http.MethodPost,
+			target:  "/v1/ingest",
+			body:    `{"flush":true}`,
+			wantErr: "flush:",
+		},
+		{
+			name:    "compaction cannot write its segment",
+			server:  brokenLive,
+			method:  http.MethodPost,
+			target:  "/v1/ingest",
+			body:    `{"compact":true}`,
+			wantErr: "compact:",
+		},
+		{
+			name:    "shard answers with an error",
+			server:  func(t *testing.T) *Server { return remote(t, false) },
+			arm:     fault.NewRegistry(41).Set(fault.RPCServer, fault.Policy{ErrRate: 1}),
+			method:  http.MethodGet,
+			target:  search,
+			wantErr: "server error",
+		},
+		{
+			name:    "shards unreachable",
+			server:  func(t *testing.T) *Server { return remote(t, true) },
+			method:  http.MethodGet,
+			target:  search,
+			wantErr: "rpc",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.server(t)
+			if c.arm != nil {
+				fault.Arm(c.arm)
+				defer fault.Disarm()
+			}
+			w := do(t, s, c.method, c.target, c.body)
+			if w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("status %d, want 503: %s", w.Code, w.Body.String())
+			}
+			var e apiError
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+				t.Fatalf("error body is not the typed envelope: %v\n%s", err, w.Body.String())
+			}
+			if e.Err.Code != CodeBackendUnavailable || !strings.Contains(e.Err.Message, c.wantErr) {
+				t.Errorf("envelope %+v, want code %q and a message mentioning %q", e.Err, CodeBackendUnavailable, c.wantErr)
+			}
+			endpoint := strings.TrimPrefix(strings.SplitN(c.target, "?", 2)[0], "/v1/")
+			if got := metricValue(t, s, `sqe_http_errors_total{endpoint="`+endpoint+`"}`); got != 1 {
+				t.Errorf("error counter = %g, want 1", got)
+			}
+		})
 	}
 }
 
 // loopbackShards serves ix as n RPC shard servers on loopback TCP and
 // returns the coordinator over them, wired as sqe-serve's coordinator
-// mode wires it (client retries off: the degradation policy owns them).
-func loopbackShards(t *testing.T, ix *index.Index, n int) *search.RemoteSharded {
+// mode wires it (client retries off: the degradation policy owns them),
+// plus a function that stops every shard server.
+func loopbackShards(t *testing.T, ix *index.Index, n int) (*search.RemoteSharded, func()) {
 	t.Helper()
 	sh := index.NewSharded(ix, n)
 	groups := make([]*rpc.Group, n)
+	var servers []*rpc.Server
 	for i := range groups {
 		srv := rpc.NewServer()
+		servers = append(servers, srv)
 		search.NewShardService(sh.Shard(i), i, n).Register(srv)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -281,17 +387,25 @@ func loopbackShards(t *testing.T, ix *index.Index, n int) *search.RemoteSharded 
 		t.Fatal(err)
 	}
 	t.Cleanup(rs.Close)
-	return rs
+	return rs, func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+	}
 }
 
 // TestChaosOverHTTP: seeded random error, latency and panic faults
 // driven through the HTTP handlers — at every registered point over
-// in-process shards, and at the coordinator's rpc.client_call over RPC
-// shard servers (they share this process's registry, so arming the rest
-// would inject inside the shard handlers, which a coordinator process
-// never does). Every reply must be a 200 with results (degraded or not)
-// or a typed 5xx envelope, and once the registry is disarmed the same
-// request serves clean again.
+// in-process shards, and over RPC shard servers at both ends of the
+// wire: the coordinator's rpc.client_call (a transport failure) and the
+// shards' rpc.server_handle (the shard answers with an error, which
+// reaches the coordinator as an rpc.ServerError, not as an injected
+// fault). The servers share this process's registry, so arming the
+// remaining points would inject inside the shard handlers' evaluators,
+// which a coordinator process never runs. Every reply must be a 200 with
+// results (degraded or not) or a typed 5xx envelope — never a 4xx: no
+// failure here is the caller's — and once the registry is disarmed the
+// same request serves clean again.
 func TestChaosOverHTTP(t *testing.T) {
 	defer fault.Disarm()
 	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
@@ -299,13 +413,14 @@ func TestChaosOverHTTP(t *testing.T) {
 	q := env.Queries[0]
 	params := "q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q))
 	paths := []string{"/v1/search?" + params + "&k=10", "/v1/search?" + params + "&k=5&set=T", "/v1/baseline?" + params + "&k=10"}
+	remote, _ := loopbackShards(t, ix, 2)
 	for _, c := range []struct {
 		name     string
 		searcher sqe.Option
 		points   []fault.Point
 	}{
 		{"in-process shards", sqe.WithShards(4), fault.Points()},
-		{"rpc shards", sqe.WithDistributedSearcher(loopbackShards(t, ix, 2)), []fault.Point{fault.RPCClient}},
+		{"rpc shards", sqe.WithDistributedSearcher(remote), []fault.Point{fault.RPCClient, fault.RPCServer}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := testServer(t, Config{Engine: sqe.NewEngine(g, ix, c.searcher,
@@ -318,7 +433,7 @@ func TestChaosOverHTTP(t *testing.T) {
 					pol.ErrRate, pol.PanicRate = 0.15, 0.05
 				case fault.MotifExpand:
 					pol.ErrRate, pol.Transient = 0.25, false
-				case fault.ExpansionCache, fault.RPCClient:
+				case fault.ExpansionCache, fault.RPCClient, fault.RPCServer:
 					pol.ErrRate = 0.30
 				}
 				reg.Set(p, pol)

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	sqe "repro"
+	"repro/internal/fault"
 )
 
 // liveServer builds a Server over a fresh live engine (empty segmented
@@ -95,6 +99,73 @@ func TestIngestEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+
+	t.Run("delete list is one commit", ingestDeleteListIsOneCommit)
+}
+
+// ingestDeleteListIsOneCommit: the delete list of one /v1/ingest is one
+// atomic batch. 64 names spread over two committed segments and the
+// buffer — listed with one repeat and one unknown name — are deleted
+// under exactly one manifest commit and counted exactly; and when the
+// commit fails, the whole list stays undeleted, in memory and on disk,
+// and the reply blames the backend.
+func ingestDeleteListIsOneCommit(t *testing.T) {
+	defer fault.Disarm()
+	s := liveServer(t, 40)
+	var adds []string
+	for i := 0; i < 100; i++ {
+		adds = append(adds, fmt.Sprintf(`{"name":"doc%03d","text":"alpha beta gamma doc%03d"}`, i, i))
+	}
+	w := do(t, s, http.MethodPost, "/v1/ingest", `{"add":[`+strings.Join(adds, ",")+`]}`)
+	if r := decodeIngest(t, w); w.Code != http.StatusOK || r.Segments != 2 || r.BufferDocs != 20 {
+		t.Fatalf("fixture: status %d, %+v", w.Code, r)
+	}
+	deleteList := func(from, to int, extra ...string) string {
+		var names []string
+		for i := from; i < to; i++ {
+			names = append(names, fmt.Sprintf(`"doc%03d"`, i))
+		}
+		for _, e := range extra {
+			names = append(names, `"`+e+`"`)
+		}
+		return `{"delete":[` + strings.Join(names, ",") + `]}`
+	}
+	const commits = "sqe_live_manifest_commits_total"
+	before := metricValue(t, s, commits)
+
+	// doc020..doc083: 20 in the first segment, 40 in the second, 4 buffered.
+	w = do(t, s, http.MethodPost, "/v1/ingest", deleteList(20, 84, "doc050", "nosuchdoc"))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if r := decodeIngest(t, w); r.Deleted != 64 || r.Tombstones != 64 || r.LiveDocs != 36 {
+		t.Fatalf("after the batch: %+v", r)
+	}
+	if got := metricValue(t, s, commits) - before; got != 1 {
+		t.Fatalf("one delete list made %g manifest commits, want 1", got)
+	}
+
+	// The same, with the commit failing: nothing of the list applies.
+	dir := s.cfg.Engine.Live().Dir()
+	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(fault.NewRegistry(5).Set(fault.SegmentManifest, fault.Policy{ErrRate: 1}))
+	w = do(t, s, http.MethodPost, "/v1/ingest", deleteList(0, 10, "doc090"))
+	fault.Disarm()
+	if w.Code != http.StatusServiceUnavailable || errorCode(t, w) != CodeBackendUnavailable {
+		t.Fatalf("failed commit: status %d: %s", w.Code, w.Body.String())
+	}
+	if r := decodeIngest(t, do(t, s, http.MethodPost, "/v1/ingest", "")); r.Tombstones != 64 || r.LiveDocs != 36 {
+		t.Fatalf("failed commit changed memory: %+v", r)
+	}
+	if now, err := os.ReadFile(filepath.Join(dir, "MANIFEST")); err != nil || !bytes.Equal(now, manifest) {
+		t.Fatalf("failed commit changed the manifest (err %v)", err)
+	}
+	if got := metricValue(t, s, commits) - before; got != 1 {
+		t.Fatalf("failed commit counted: %g commits since the fixture, want 1", got)
 	}
 }
 

@@ -168,6 +168,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "sqe_live_flushes_total %d\n", ls.Flushes)
 		counter("sqe_live_compactions_total", "Segment compactions completed.")
 		fmt.Fprintf(&sb, "sqe_live_compactions_total %d\n", ls.Compactions)
+		counter("sqe_live_manifest_commits_total", "Manifest commits (temp + fsync + rename): one per flush, compaction and delete batch.")
+		fmt.Fprintf(&sb, "sqe_live_manifest_commits_total %d\n", ls.ManifestCommits)
 	}
 
 	if cs, ok := s.cfg.Engine.ExpansionCacheStats(); ok {

@@ -48,6 +48,7 @@ import (
 
 	sqe "repro"
 	"repro/internal/fault"
+	"repro/internal/rpc"
 )
 
 // Config parameterises the server. Engine is required; zero values for
@@ -204,7 +205,8 @@ const (
 	// CodeBodyTooLarge: the request body exceeded MaxBodyBytes.
 	CodeBodyTooLarge = "body_too_large"
 	// CodeBackendUnavailable: a backend failure degradation could not
-	// absorb — the server, not the request, is the problem.
+	// absorb, or a live-index mutation that failed after the request
+	// validated — the server, not the request, is the problem.
 	CodeBackendUnavailable = "backend_unavailable"
 )
 
@@ -353,9 +355,6 @@ func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) 
 				writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
 					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			case isBackendFailure(err):
-				// An injected fault or contained panic that degradation
-				// could not absorb: the server, not the request, is the
-				// problem.
 				writeError(w, http.StatusServiceUnavailable, CodeBackendUnavailable, err.Error())
 			default:
 				writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
@@ -371,12 +370,29 @@ func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) 
 	}
 }
 
-// isBackendFailure reports whether err is a backend fault — an injected
-// fault or a contained panic — rather than a bad request.
+// isBackendFailure is the one place an error is blamed on the server
+// (503 backend_unavailable) instead of the caller (400 bad_request). A
+// handler's error is the caller's unless it is one of: an injected fault
+// or a contained panic that degradation could not absorb; a shard
+// server's answer (rpc.ServerError — the coordinator, not the caller,
+// composed that request) or a transport failure on the way to it; or a
+// live-index mutation that failed after the body validated (handleIngest
+// marks those with mutationError).
 func isBackendFailure(err error) bool {
 	var pe *fault.PanicError
-	return fault.IsInjected(err) || errors.As(err, &pe)
+	var se *rpc.ServerError
+	var me mutationError
+	return fault.IsInjected(err) || errors.As(err, &pe) ||
+		errors.As(err, &se) || rpc.IsTransport(err) || errors.As(err, &me)
 }
+
+// mutationError marks a failed Ingest, DeleteBatch, Flush or
+// CompactSegments: the request was well formed, the index could not
+// apply it (a manifest commit, a segment write, a merge).
+type mutationError struct{ err error }
+
+func (e mutationError) Error() string { return e.err.Error() }
+func (e mutationError) Unwrap() error { return e.err }
 
 // request is the decoded form of a work request, from either query
 // parameters or a JSON body.
@@ -607,7 +623,9 @@ type ingestDoc struct {
 
 // ingestRequest is the /v1/ingest body. Operations apply in a fixed
 // order — adds, then deletes, then flush, then compact — so one request
-// can express "replace these documents and persist".
+// can express "replace these documents and persist". The delete list is
+// one atomic batch: all of it applies, under a single manifest commit,
+// or (on a commit failure) none of it.
 type ingestRequest struct {
 	Add     []ingestDoc `json:"add"`
 	Delete  []string    `json:"delete"`
@@ -659,25 +677,25 @@ func (s *Server) handleIngest(_ context.Context, r *http.Request) (any, error) {
 		err := s.cfg.Engine.Ingest(d.Name, d.Text)
 		out.Added++
 		if err != nil {
-			return nil, fmt.Errorf("ingest %q (document buffered, flush pending): %w", d.Name, err)
+			return nil, mutationError{fmt.Errorf("ingest %q (document buffered, flush pending): %w", d.Name, err)}
 		}
 	}
-	for _, name := range req.Delete {
-		n, err := s.cfg.Engine.Delete(name)
+	if len(req.Delete) > 0 {
+		n, err := s.cfg.Engine.DeleteBatch(req.Delete)
 		if err != nil {
-			return nil, fmt.Errorf("delete %q: %w", name, err)
+			return nil, mutationError{fmt.Errorf("delete (nothing deleted): %w", err)}
 		}
-		out.Deleted += n
+		out.Deleted = n
 	}
 	if req.Flush {
 		if err := s.cfg.Engine.Flush(); err != nil {
-			return nil, fmt.Errorf("flush: %w", err)
+			return nil, mutationError{fmt.Errorf("flush: %w", err)}
 		}
 		out.Flushed = true
 	}
 	if req.Compact {
 		if err := s.cfg.Engine.CompactSegments(); err != nil {
-			return nil, fmt.Errorf("compact: %w", err)
+			return nil, mutationError{fmt.Errorf("compact: %w", err)}
 		}
 		out.Compacted = true
 	}

@@ -41,7 +41,7 @@ func OpenLiveIndex(dir string, flushDocs int) (*LiveIndex, error) {
 // retrieval routes through a snapshot-pinning segmented searcher that
 // is bit-identical to a monolithic engine over the same surviving
 // documents. Documents enter and leave through Engine.Ingest and
-// Engine.Delete (or the serving layer's /v1/ingest).
+// Engine.DeleteBatch (or the serving layer's /v1/ingest).
 //
 // Requests with PRF fail on a live engine — feedback would otherwise
 // silently come from an empty placeholder index rather than the live
@@ -80,10 +80,18 @@ func (e *Engine) Ingest(name, text string) error {
 // Delete tombstones every live document named name and returns how many
 // were deleted (0 for an unknown name; not an error).
 func (e *Engine) Delete(name string) (int, error) {
+	return e.DeleteBatch([]string{name})
+}
+
+// DeleteBatch tombstones every live document carrying one of names, all
+// or nothing, under one manifest commit and one published snapshot; it
+// returns how many documents were deleted (unknown and repeated names
+// count zero). See (*LiveIndex).DeleteBatch.
+func (e *Engine) DeleteBatch(names []string) (int, error) {
 	if e.live == nil {
 		return 0, errNoLiveIndex
 	}
-	return e.live.Delete(name)
+	return e.live.DeleteBatch(names)
 }
 
 // Flush forces the live index's buffer into a committed on-disk
