@@ -24,7 +24,9 @@ race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
 	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent' ./internal/index/
 
-# Expanded retrieval, the positional miss path it rests on (the exported
+# Expanded retrieval (SearchExpandedTopKDAAT fans out over model x k x
+# {memory, v2} on CHiC: run it on two commits for an evaluator A/B below
+# the HTTP tier), the positional miss path it rests on (the exported
 # phrase / window materialisers run the same intersection the memo
 # fills from), the memo hit every warm phrase leaf takes, and SQE_C over
 # a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
@@ -48,10 +50,10 @@ bench-build:
 shard-parity:
 	$(GO) test -count=1 -run 'Sharded|CoordinatorContract|Remote|MultiProcess' . ./internal/index/ ./internal/search/ ./cmd/sqe-serve/
 
-# The on-disk format: v1 vs v2 vs memory, Block-Max and streaming
-# cursors over v2 files.
+# The on-disk format: v1 vs v2 vs memory, the pruned evaluator and
+# streaming cursors over v2 files at small block sizes.
 index-parity:
-	$(GO) test -count=1 -run 'TestEngineFormatParity|TestV2|TestOpen|TestBuilderWriteFile|TestBuildHelper|TestBlockMax|TestStream' . ./internal/index/ ./internal/search/
+	$(GO) test -count=1 -run 'TestEngineFormatParity|TestV2|TestOpen|TestBuilderWriteFile|TestBuildHelper|TestPruned|TestStream' . ./internal/index/ ./internal/search/
 
 # The live index (DESIGN.md §5l): segmented vs monolithic, chaos and
 # crash/restart differentials, manifests, /v1/ingest.

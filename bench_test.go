@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -277,48 +278,86 @@ func BenchmarkSearchBaseline(b *testing.B) {
 	}
 }
 
-// benchSearchTopK measures top-k (k=10) retrieval alone on the fully
-// expanded SQE_T&S queries — the many-phrase-feature workload the
-// document-at-a-time evaluator targets — under either evaluator.
-// Compare the DAAT and Legacy variants with -benchmem: DAAT must show
-// fewer allocations and lower ns/op at identical rankings.
-func benchSearchTopK(b *testing.B, legacy bool) {
-	s := suite(b)
-	r := s.NewRunner(s.ImageCLEF)
-	r.Searcher.UseLegacyScorer = legacy
-	queries := s.ImageCLEF.Queries
+// expandedNodes builds the fully expanded SQE_T&S query of every query
+// of r's instance — the many-phrase-feature workload the document-at-a-
+// time evaluator targets.
+func expandedNodes(r *experiments.Runner) []search.Node {
+	queries := r.Inst.Queries
 	nodes := make([]search.Node, len(queries))
 	for qi := range queries {
 		q := &queries[qi]
 		qg := r.Expander.BuildQueryGraph(r.Entities(q, true), motif.SetTS)
 		nodes[qi] = r.Expander.BuildQuery(q.Text, qg)
 	}
+	return nodes
+}
+
+// benchSearchTopK measures top-k retrieval alone over prebuilt queries.
+func benchSearchTopK(b *testing.B, s *search.Searcher, nodes []search.Node, k int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.Searcher.Search(nodes[i%len(nodes)], 10)
+		_ = s.Search(nodes[i%len(nodes)], k)
 	}
 }
 
 // BenchmarkSearchExpandedTopKDAAT is the document-at-a-time evaluator.
-func BenchmarkSearchExpandedTopKDAAT(b *testing.B) { benchSearchTopK(b, false) }
+// ImageCLEF is the figure to read against the Legacy variant below
+// (-benchmem: DAAT must show fewer allocations and lower ns/op at
+// identical rankings); the CHiC sub-benchmarks span retrieval model × k
+// × index backing, the one-command A/B of an evaluator change below the
+// HTTP tier (run it on both commits, compare cell by cell).
+func BenchmarkSearchExpandedTopKDAAT(b *testing.B) {
+	s := suite(b)
+	b.Run("ImageCLEF", func(b *testing.B) {
+		r := s.NewRunner(s.ImageCLEF)
+		benchSearchTopK(b, r.Searcher, expandedNodes(r), 10)
+	})
+	r := s.NewRunner(s.CHiC2012)
+	nodes := expandedNodes(r)
+	path := filepath.Join(b.TempDir(), "chic.v2")
+	if err := index.WriteFile(path, s.CHiC2012.Index, index.FormatV2); err != nil {
+		b.Fatal(err)
+	}
+	disk, err := index.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	for _, m := range []struct {
+		name  string
+		model search.Model
+	}{{"dirichlet", search.ModelDirichlet}, {"jelinek-mercer", search.ModelJelinekMercer}, {"bm25", search.ModelBM25}} {
+		for _, k := range []int{10, 1000} {
+			for _, backing := range []struct {
+				name string
+				ix   *index.Index
+			}{{"memory", s.CHiC2012.Index}, {"v2", disk}} {
+				b.Run(fmt.Sprintf("CHiC/%s/k=%d/%s", m.name, k, backing.name), func(b *testing.B) {
+					sr := search.NewSearcher(backing.ix)
+					sr.Model = m.model
+					benchSearchTopK(b, sr, nodes, k)
+				})
+			}
+		}
+	}
+}
 
 // BenchmarkSearchExpandedTopKLegacy is the retained map-and-sort oracle.
-func BenchmarkSearchExpandedTopKLegacy(b *testing.B) { benchSearchTopK(b, true) }
-
-// benchSearchTopKSharded is benchSearchTopK routed through S index
-// shards. On a multi-core runner the per-shard evaluations overlap; on
-// one core the numbers expose the fan-out's coordination overhead.
-func benchSearchTopKSharded(b *testing.B, shards int) {
+func BenchmarkSearchExpandedTopKLegacy(b *testing.B) {
 	s := suite(b)
 	r := s.NewRunner(s.ImageCLEF)
-	queries := s.ImageCLEF.Queries
-	nodes := make([]search.Node, len(queries))
-	for qi := range queries {
-		q := &queries[qi]
-		qg := r.Expander.BuildQueryGraph(r.Entities(q, true), motif.SetTS)
-		nodes[qi] = r.Expander.BuildQuery(q.Text, qg)
-	}
+	r.Searcher.UseLegacyScorer = true
+	benchSearchTopK(b, r.Searcher, expandedNodes(r), 10)
+}
+
+// benchSearchTopKSharded is the ImageCLEF top-10 workload routed through
+// S index shards. On a multi-core runner the per-shard evaluations
+// overlap; on one core the numbers expose the fan-out's coordination
+// overhead.
+func benchSearchTopKSharded(b *testing.B, shards int) {
+	s := suite(b)
+	nodes := expandedNodes(s.NewRunner(s.ImageCLEF))
 	ss := search.NewShardedSearcher(index.NewSharded(s.ImageCLEF.Index, shards))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,8 +14,8 @@ import (
 // file (mmap'd, lazily decoded) must produce bit-identical rankings and
 // scores for every pipeline configuration — all three retrieval models,
 // raw and expanded queries, shard counts 1/2/4. Pruning stays on
-// everywhere, so the v2 leg also exercises Block-Max over the on-disk
-// block directory.
+// everywhere, so the v2 leg also exercises the pruned evaluator's
+// gallops through streaming cursors and the on-disk block directory.
 func TestEngineFormatParity(t *testing.T) {
 	e := demo(t)
 	dir := t.TempDir()

@@ -1,30 +1,35 @@
 package index
 
-// Block-level score-bound metadata for Block-Max pruning. A postings
-// list is viewed as consecutive fixed-size blocks of DefaultBlockSize
+// The block directory of the v2 on-disk format (v2.go). A postings list
+// is stored as consecutive fixed-size blocks of DefaultBlockSize
 // postings (the last block may be short); every block carries the same
 // summary TermBounds keeps for the whole list, plus the block's last
-// document. The pruned evaluator in internal/search uses the per-block
-// summaries as a middle tier between the O(1) whole-list bound and the
-// exact per-posting contribution: a candidate that survives the
-// whole-list test can often be rejected by the (much tighter) bound of
-// the single block that could contain it, without touching the postings
-// at all. The v2 on-disk format (v2.go) stores these summaries in its
-// block directory so an mmap-loaded index prunes without decoding; for
-// in-memory indexes they are derived lazily here, exactly like
-// ensureBounds derives the whole-list summaries.
+// document. The directory does two jobs, and neither is a pruning tier
+// (the pruned evaluator bounds a leaf by its whole list only; DESIGN.md
+// §5j has the measurement that retired per-block bounds):
+//
+//   - decode-skip granularity: a streaming cursor (stream.go) locates
+//     the block that could hold its target through LastDoc and decodes
+//     that block only, so the blocks a gallop jumps over are never read;
+//   - the cross-check on whole-list bounds: Open demands that the
+//     per-block summaries merge to the stored whole-list summary, and
+//     the cursor re-derives a block's summary on first decode, so an
+//     untrusted file cannot understate the bounds MaxScore's safety
+//     rests on without one of the two noticing.
+//
+// An in-memory index derives the summaries only when it is written out
+// (encodeV2); a v2 load reads them from the file.
 
 // DefaultBlockSize is the number of postings per block. 128 keeps the
 // per-block metadata under 1% of a typical compressed block while
-// giving the evaluator skip granularity fine enough that one heavy
-// posting does not poison a long list's bound.
+// keeping the unit a streaming cursor decodes small next to a long list.
 const DefaultBlockSize = 128
 
 // BlockBounds summarises one block of a postings list: the embedded
-// TermBounds fields describe exactly the postings of this block (so the
-// same per-model bound derivations apply unchanged), and LastDoc is the
-// block's final document — the key the evaluator locates blocks by.
-// The zero value is the correct summary of an empty block.
+// TermBounds fields describe exactly the postings of this block, and
+// LastDoc is the block's final document — the key streaming cursors
+// locate blocks by. The zero value is the correct summary of an empty
+// block.
 type BlockBounds struct {
 	// LastDoc is the largest DocID in the block.
 	LastDoc DocID
@@ -82,15 +87,15 @@ func (ix *Index) blockSizeOf() int {
 	return DefaultBlockSize
 }
 
-// BlockSize returns the posting count per block used by this index's
-// block-level summaries.
+// BlockSize returns the posting count per block of this index's v2
+// form: what a file it was loaded from uses, or what writing it will.
 func (ix *Index) BlockSize() int { return ix.blockSizeOf() }
 
-// SetBlockSize overrides the block size used when deriving block-level
-// summaries (and when writing the index in FormatV2). It exists for
-// tests and tuning experiments that need many short blocks on small
-// corpora; it must be called before the first search / block-bound
-// access — once the summaries exist the call is rejected.
+// SetBlockSize overrides the block size the index is written with in
+// FormatV2. It exists for tests and tuning experiments that need many
+// short blocks on small corpora; it must be called before the index is
+// first written or loaded — once the block summaries exist the call is
+// rejected. Searching an in-memory index does not derive them.
 func (ix *Index) SetBlockSize(n int) error {
 	if n < 1 || n > maxBlockSize {
 		return errBlockSizeRange(n)
@@ -102,9 +107,10 @@ func (ix *Index) SetBlockSize(n int) error {
 	return nil
 }
 
-// ensureBlockBounds derives every term's block summaries exactly once.
-// A v2 load pre-populates them from the file's block directory, in
-// which case the first call finds them present and keeps them.
+// ensureBlockBounds derives every term's block summaries exactly once,
+// for encodeV2 to write. A v2 load pre-populates them from the file's
+// block directory, in which case the first call finds them present and
+// keeps them.
 func (ix *Index) ensureBlockBounds() {
 	ix.blockOnce.Do(func() {
 		if ix.blockBounds != nil {
@@ -117,24 +123,4 @@ func (ix *Index) ensureBlockBounds() {
 		}
 		ix.blockBounds = bb
 	})
-}
-
-// BlockBoundsFor returns the block summaries of an analyzed term in
-// posting order; ok is false for out-of-vocabulary terms. The slice is
-// shared with the index and must not be modified.
-func (ix *Index) BlockBoundsFor(term string) ([]BlockBounds, bool) {
-	id, ok := ix.terms[term]
-	if !ok {
-		return nil, false
-	}
-	ix.ensureBlockBounds()
-	return ix.blockBounds[id], true
-}
-
-// PostingsBlockBounds summarises a query-materialised postings list
-// (phrase or unordered-window) block by block against this index's
-// document lengths, so positional leaves get Block-Max metadata as
-// tight as stored terms'.
-func (ix *Index) PostingsBlockBounds(p *Postings) []BlockBounds {
-	return blockBoundsOf(p, ix.docLens, ix.blockSizeOf())
 }

@@ -63,8 +63,8 @@ type Index struct {
 	termBounds []TermBounds
 	minDocLen  int32
 
-	// Block-level score-bound metadata (see blocks.go), derived lazily
-	// like termBounds or loaded eagerly from a v2 file's block directory.
+	// The v2 block directory's summaries (see blocks.go): loaded from a
+	// v2 file, or derived when an in-memory index is written as one.
 	blockOnce   sync.Once
 	blockBounds [][]BlockBounds
 	blockSize   int // 0 means DefaultBlockSize
@@ -141,12 +141,12 @@ func (ix *Index) StoredTermStats(id int32) (df int, cf int64) {
 	return int(ix.lazy.df[id]), ix.lazy.cf[id]
 }
 
-// StoredTermBounds returns term id's whole-list and per-block bound
-// summaries as loaded (and cross-validated) by Open, without decoding
-// its postings. Only valid on an index for which StreamableTerm
-// reported true.
-func (ix *Index) StoredTermBounds(id int32) (TermBounds, []BlockBounds) {
-	return ix.termBounds[id], ix.blockBounds[id]
+// StoredTermBounds returns term id's whole-list bound summary as loaded
+// (and cross-validated against the block directory) by Open, without
+// decoding its postings. Only valid on an index for which
+// StreamableTerm reported true.
+func (ix *Index) StoredTermBounds(id int32) TermBounds {
+	return ix.termBounds[id]
 }
 
 // PostingsByID returns term id's postings row, decoding it first when

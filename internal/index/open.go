@@ -30,8 +30,10 @@ const (
 	// layout (doc table, term dictionary, block directory, postings
 	// blocks) designed to be mmap'd. Open returns instantly after
 	// validating the metadata sections and checksumming the blocks;
-	// postings decode lazily per term, and the block directory carries
-	// the per-block Block-Max metadata the pruned evaluator skips with.
+	// postings decode lazily per term or, under a streaming cursor, per
+	// block, and the block directory carries each block's last document
+	// (what a cursor skips undecoded blocks by) and the bound summaries
+	// that vouch for the whole-list bounds.
 	FormatV2 Format = 2
 )
 

@@ -26,10 +26,9 @@ type Positional struct {
 	Freqs []int32
 	// CF is the collection frequency, the sum of Freqs.
 	CF int64
-	// Bounds and Blocks are what PostingsBounds and PostingsBlockBounds
-	// derive from (Docs, Freqs), computed once at fill.
+	// Bounds is what PostingsBounds derives from (Docs, Freqs), computed
+	// once at fill.
 	Bounds TermBounds
-	Blocks []BlockBounds
 
 	once sync.Once
 	key  string
@@ -225,7 +224,6 @@ func (e *Positional) fill(ix *Index, sc *PositionalScratch, width int32, match p
 	p := Postings{Docs: e.Docs, Freqs: e.Freqs}
 	e.CF = p.CollectionFreq()
 	e.Bounds = boundsOf(&p, ix.docLens)
-	e.Blocks = blockBoundsOf(&p, ix.docLens, ix.blockSizeOf())
 }
 
 const (

@@ -64,7 +64,7 @@ func positionalKeys(rng *rand.Rand, n int) []positionalKey {
 }
 
 // requireMatchesReference checks one memo entry against the reference
-// postings: rows, collection frequency and both bound summaries.
+// postings: rows, collection frequency and the bound summary.
 func requireMatchesReference(t *testing.T, label string, ix *Index, got *Positional, want Postings) {
 	t.Helper()
 	if len(got.Docs) != len(want.Docs) || len(got.Freqs) != len(want.Freqs) {
@@ -80,9 +80,6 @@ func requireMatchesReference(t *testing.T, label string, ix *Index, got *Positio
 	}
 	if b := ix.PostingsBounds(&want); got.Bounds != b {
 		t.Fatalf("%s: bounds %+v, reference %+v", label, got.Bounds, b)
-	}
-	if bb := ix.PostingsBlockBounds(&want); !reflect.DeepEqual(got.Blocks, bb) {
-		t.Fatalf("%s: block bounds %+v, reference %+v", label, got.Blocks, bb)
 	}
 }
 
@@ -169,7 +166,7 @@ func positionalIndexes(t *testing.T, seed int) map[string]*Index {
 // memo: whatever kind of index a leaf is resolved against, and whether
 // the entry is computed now, found warm, or recomputed after eviction,
 // it equals what PhrasePostings / UnorderedWindowPostings materialise
-// and what PostingsBounds / PostingsBlockBounds derive from that.
+// and what PostingsBounds derives from that.
 func TestPositionalMemoMatchesReference(t *testing.T) {
 	for seed := 1; seed <= 3; seed++ {
 		keys := positionalKeys(rand.New(rand.NewSource(int64(seed))), 80)

@@ -39,6 +39,10 @@ func randomIndex(t *testing.T, docs, seed int) *Index {
 // observable: corpus shape, postings rows, bounds, block summaries.
 func assertSameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
+	// A v2 load carries the directory's summaries; anything else derives
+	// them now, as writing it out would.
+	got.ensureBlockBounds()
+	want.ensureBlockBounds()
 	if got.NumDocs() != want.NumDocs() || got.NumTerms() != want.NumTerms() || got.TotalTokens() != want.TotalTokens() {
 		t.Fatalf("%s: shape %v vs %v", label, got, want)
 	}
@@ -74,8 +78,7 @@ func assertSameIndex(t *testing.T, label string, got, want *Index) {
 		if gb != wb {
 			t.Fatalf("%s: term %q bounds %+v vs %+v", label, text, gb, wb)
 		}
-		gbb, _ := got.BlockBoundsFor(text)
-		wbb, _ := want.BlockBoundsFor(text)
+		gbb, wbb := got.blockBounds[got.terms[text]], want.blockBounds[tid]
 		if len(gbb) != len(wbb) {
 			t.Fatalf("%s: term %q has %d blocks, want %d", label, text, len(gbb), len(wbb))
 		}
@@ -146,8 +149,8 @@ func TestV2OpenIsLazy(t *testing.T) {
 	if _, ok := got.BoundsFor("b"); !ok {
 		t.Fatal("BoundsFor(b) missing")
 	}
-	if bb, ok := got.BlockBoundsFor("b"); !ok || len(bb) == 0 {
-		t.Fatal("BlockBoundsFor(b) missing")
+	if bb := got.blockBounds[got.terms["b"]]; len(bb) == 0 {
+		t.Fatal("block directory of b missing")
 	}
 }
 

@@ -177,8 +177,8 @@ func sameCounters(t *testing.T, label string, got, want SearchStats, all bool) {
 		t.Fatalf("%s: counters %v, want %v", label, got, want)
 	}
 	if all && (got.DocsSkipped != want.DocsSkipped || got.BoundEvaluations != want.BoundEvaluations ||
-		got.BlockBoundEvaluations != want.BlockBoundEvaluations || got.BlocksDecoded != want.BlocksDecoded ||
-		got.BlocksTotal != want.BlocksTotal || got.HeapPushes != want.HeapPushes || got.HeapEvictions != want.HeapEvictions) {
+		got.BlocksDecoded != want.BlocksDecoded || got.BlocksTotal != want.BlocksTotal ||
+		got.HeapPushes != want.HeapPushes || got.HeapEvictions != want.HeapEvictions) {
 		t.Fatalf("%s: counters %v, want %v", label, got, want)
 	}
 }

@@ -50,13 +50,19 @@ import (
 //     what gives this test teeth: with whole-list upper bounds alone a
 //     single essential match already implies bound ≥ prefix[ness] ≥ θ —
 //     by construction of the partition — and nothing would ever be
-//     filtered. An inconclusive first test refines in two tiers:
-//     Block-Max (swap each non-essential whole-list bound for the bound
-//     of the one ~128-posting block that could contain the candidate —
-//     a block-directory lookup, no postings touched), then exact
-//     (gallop the cursor and evaluate the real delta). Most rejections
-//     resolve at the block tier, which is what lets the filter win even
-//     for models whose whole-list bounds are loose.
+//     filtered. An inconclusive first test then refines the
+//     non-essential mass leaf by leaf, largest bound first, swapping a
+//     whole-list bound for the exact delta: 0 when the cursor already
+//     passed the candidate, the real contribution when it sits on it,
+//     and — only once those free answers are spent — a gallop to the
+//     candidate (one the scoring loop would perform anyway if the
+//     candidate survives) followed by the same evaluation. The loop ends
+//     when the candidate provably loses or the bound has become its
+//     exact score.
+//
+// There is one bound per leaf, the whole-list ub: on postings lists as
+// short as this collection's a per-block bound is the list's bound over
+// again (DESIGN.md §5j has the measurement).
 //
 // θ only rises, so the non-essential prefix only grows; the partition
 // is recomputed just after threshold increases, and each filter check
@@ -87,31 +93,6 @@ type pruneBounds struct {
 	exactBG       bool
 	bgConst, wSum float64
 	mu            float64
-	// Block-Max metadata: blockUB[i][b] bounds leaf i's delta for any
-	// document in its b-th postings block — the same derivation as ub[i]
-	// applied to the block's own summary, so blockUB[i][b] ≤ ub[i] and
-	// the candidate filter can swap a whole-list bound for the (much
-	// tighter) bound of the one block that could hold the candidate
-	// WITHOUT touching the postings. blockLast[i][b] is that block's last
-	// document, the key blocks are located by. Both are nil for leaves
-	// with no block summaries (empty or unbounded); the filter then keeps
-	// the whole-list bound, which degrades pruning but never safety.
-	//
-	// The per-leaf arrays are built LAZILY, on a leaf's first tier-2
-	// consultation (buildBlockBounds): essential leaves and leaves the
-	// filter never reaches — most of them, on typical queries — never pay
-	// the O(#blocks) construction, which profiling showed rivals the
-	// whole filter's win on cheap-scoring models like BM25.
-	blockUB   [][]float64
-	blockLast [][]index.DocID
-	// argmax maps a block or whole-list summary to the (tf, dl) at which
-	// deltaExact attains the summary's maximum delta under this model;
-	// retained from derivation for the lazy per-block builds. Nil on
-	// hand-built bounds — block refinement then stays off.
-	argmax func(b index.TermBounds) (int32, float64)
-	// sc, when non-nil, supplies reusable row backings for the lazy
-	// per-block builds (pooled scratch); nil falls back to allocating.
-	sc *evalScratch
 	// dlFree marks a model whose deltaExact ignores dl entirely
 	// (Dirichlet: document length cancels out of the delta), letting the
 	// per-leaf memo below key on tf alone.
@@ -141,47 +122,6 @@ func (pb *pruneBounds) delta(l *leaf, li int, tf int32, dl float64) float64 {
 		pb.memoVal[li] = v
 	}
 	return v
-}
-
-// buildBlockBounds fills blockUB[li]/blockLast[li] from leaf li's block
-// summaries, or leaves them nil when the leaf has no usable blocks (no
-// summaries, unbounded, or empty postings). Called once per consulted
-// leaf; idempotence is the caller's job (searchMaxScore's built bitmap).
-func (pb *pruneBounds) buildBlockBounds(l *leaf, li int) {
-	if pb.argmax == nil || !l.bounded || l.bounds.MaxTF == 0 || len(l.blocks) == 0 {
-		return
-	}
-	// Even a single-block list profits: the directory proves delta 0 for
-	// any candidate past its last document.
-	var ubs []float64
-	var lasts []index.DocID
-	if pb.sc != nil {
-		ubs, lasts = pb.sc.blockRow(li, len(l.blocks))
-	} else {
-		ubs = make([]float64, len(l.blocks))
-		lasts = make([]index.DocID, len(l.blocks))
-	}
-	// Consecutive blocks overwhelmingly share an argmax — under Zipfian
-	// frequencies most blocks have MaxTF 1, and the Dirichlet argmax
-	// ignores dl entirely — so a one-entry memo removes nearly all of
-	// the per-block deltaExact (log) calls. Reusing the previously
-	// computed float for equal inputs is bit-exact: deltaExact is pure.
-	var memoTF int32
-	var memoDL, memoUB float64
-	memoOK := false
-	for bi, bb := range l.blocks {
-		lasts[bi] = bb.LastDoc
-		if bb.MaxTF > 0 {
-			btf, bdl := pb.argmax(bb.TermBounds)
-			if !memoOK || btf != memoTF || bdl != memoDL {
-				memoTF, memoDL = btf, bdl
-				memoUB = pb.deltaExact(l, btf, bdl)
-				memoOK = true
-			}
-			ubs[bi] = memoUB
-		}
-	}
-	pb.blockUB[li], pb.blockLast[li] = ubs, lasts
 }
 
 // derivePruneBounds computes the per-leaf bounds for a model at query-
@@ -220,23 +160,17 @@ func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen 
 	if sc != nil {
 		pb = &sc.pb
 		*pb = pruneBounds{
-			ub:        grow(pb.ub, len(leaves)),
-			blockUB:   grow(pb.blockUB, len(leaves)),
-			blockLast: grow(pb.blockLast, len(leaves)),
-			memoTF:    grow(pb.memoTF, len(leaves)),
-			memoDL:    grow(pb.memoDL, len(leaves)),
-			memoVal:   grow(pb.memoVal, len(leaves)),
-			sc:        sc,
+			ub:      grow(pb.ub, len(leaves)),
+			memoTF:  grow(pb.memoTF, len(leaves)),
+			memoDL:  grow(pb.memoDL, len(leaves)),
+			memoVal: grow(pb.memoVal, len(leaves)),
 		}
-		// The MaxTF == 0 case below leaves ub entries untouched and the
-		// lazy block builder assumes unbuilt rows are nil: reused
+		// The MaxTF == 0 case below leaves ub entries untouched: reused
 		// backings must present as freshly made. memoTF -1 marks the
 		// filter memo empty (no real tf is negative); memoDL/memoVal are
 		// only read behind a matching memoTF.
 		for i := range pb.ub {
 			pb.ub[i] = 0
-			pb.blockUB[i] = nil
-			pb.blockLast[i] = nil
 			pb.memoTF[i] = -1
 		}
 	} else {
@@ -292,11 +226,6 @@ func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen 
 			return b.MaxTF, 1
 		}
 	}
-	pb.argmax = argmax
-	if sc == nil {
-		pb.blockUB = make([][]float64, len(leaves))
-		pb.blockLast = make([][]index.DocID, len(leaves))
-	}
 	for i := range leaves {
 		l := &leaves[i]
 		switch {
@@ -307,8 +236,6 @@ func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen 
 		default:
 			tf, dl := argmax(l.bounds)
 			pb.ub[i] = pb.deltaExact(l, tf, dl)
-			// Per-block bounds are NOT built here: buildBlockBounds runs
-			// lazily on a leaf's first tier-2 consultation.
 		}
 	}
 	return pb
@@ -428,33 +355,9 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 		rank[li] = m
 	}
 
-	if pb.blockUB == nil || pb.blockLast == nil {
-		// Hand-built bounds (tests, future callers): no block metadata,
-		// the filter falls back to whole-list bounds everywhere.
-		pb.blockUB = make([][]float64, n)
-		pb.blockLast = make([][]index.DocID, n)
-	}
-
 	curs := sc.cursors(ix, leaves)
 	curDoc := grow(sc.curDoc, n)
 	sc.curDoc = curDoc
-	// blockHint[i] is the block the candidate filter last located for
-	// leaf i; candidates only ascend, so hints only move forward and the
-	// directory walk is amortised O(#blocks) per leaf. candUB[i] is the
-	// filter's current per-leaf contribution estimate for the candidate
-	// under test (valid only for the entries the filter touched).
-	// blockBuilt[i] records that leaf i's lazy per-block bounds were
-	// constructed (possibly as "none usable" — blockUB[i] stays nil).
-	blockHint := grow(sc.blockHint, n)
-	sc.blockHint = blockHint
-	candUB := grow(sc.candUB, n)
-	sc.candUB = candUB
-	blockBuilt := grow(sc.blockBuilt, n)
-	sc.blockBuilt = blockBuilt
-	for i := 0; i < n; i++ {
-		blockHint[i] = 0
-		blockBuilt[i] = false
-	}
 	// matched collects the essential leaves holding the candidate under
 	// test, so a rejection can consume exactly those entries without a
 	// second scan over the essential set.
@@ -475,120 +378,17 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 	ness := 0          // leaves order[:ness] are non-essential
 	nonEssDelta := 0.0 // Σ bounds of order[:ness], maintained as ness grows
 	var iters int64    // loop trips, for the cancellation cadence
-	var advanced, cands, skipped, boundEvals, blockBoundEvals int64
+	var advanced, cands, skipped, boundEvals int64
 	flushStats := func() {
 		if st != nil {
 			st.PostingsAdvanced += advanced
 			st.CandidatesExamined += cands
 			st.DocsSkipped += skipped
 			st.BoundEvaluations += boundEvals
-			st.BlockBoundEvaluations += blockBoundEvals
 			for li := range curs {
 				st.BlocksDecoded += curs[li].Decoded
 				st.BlocksTotal += int64(curs[li].NumBlocks())
 			}
-		}
-	}
-
-	// canRangeSkip gates the block-range skip below: it needs a real
-	// bound derivation (argmax) and every leaf safely bounded — one +Inf
-	// bound makes every range bound +Inf, so attempts could never
-	// succeed and would only burn directory walks.
-	canRangeSkip := pb.argmax != nil
-	for i := 0; canRangeSkip && i < n; i++ {
-		if math.IsInf(pb.ub[i], 1) {
-			canRangeSkip = false
-		}
-	}
-	// Range-skip attempts are pure speculation: sound either way, but a
-	// failed attempt costs a directory walk. Whether spans near the merge
-	// frontier can lose against θ is a property of the whole query shape
-	// (θ versus the sum of typical block bounds), so failures are heavily
-	// autocorrelated. Exponential backoff — after f consecutive failed
-	// calls, sit out 2^f-1 rejections — caps the waste at a vanishing
-	// fraction of rejections on hopeless workloads while re-probing often
-	// enough to catch a rising θ unlocking skips mid-query.
-	rsFails := 0
-	var rsWait int64
-	// rangeSkip is the block-skipping heart of Block-Max MaxScore: called
-	// after a rejected candidate, it bounds EVERY document in the span
-	// (start, boundary] at once — bg plus, per leaf, the bound of the one
-	// block that could hold a document of that span — where boundary is
-	// the nearest block edge across the leaves. If the span provably
-	// loses against θ, the essential cursors gallop straight past it and
-	// no document in it is ever enumerated as a candidate; the loop then
-	// tries the next span. Safety: a span document c matching leaf i
-	// satisfies c ≥ max(start, curDoc[i]) and c ≤ boundary ≤ that leaf's
-	// located block end, so c lies IN the located block and its delta is
-	// ≤ that block's bound (leaves with no directory contribute their
-	// whole-list ub; absent matches contribute 0 ≤ any bound). θ only
-	// rises, so a span rejected now stays rejected. Returns whether any
-	// cursor moved (callers reuse a precomputed frontier otherwise).
-	rangeSkip := func(start index.DocID) bool {
-		moved := false
-		for {
-			rb := pb.bg
-			boundary := exhausted
-			// Consult leaves in DESCENDING whole-list-bound order: on the
-			// (common) failed attempt the running bound crosses θ within a
-			// few leaves and the attempt exits without walking the rest of
-			// the directories. rb only grows, so an early exit is sound.
-			failed := false
-			for oi := n - 1; oi >= 0; oi-- {
-				li := order[oi]
-				d := curDoc[li]
-				if d == exhausted {
-					continue // nothing left to match: contributes exactly 0
-				}
-				lo := start
-				if d > lo {
-					lo = d
-				}
-				if !blockBuilt[li] {
-					blockBuilt[li] = true
-					pb.buildBlockBounds(&leaves[li], li)
-				}
-				lasts := pb.blockLast[li]
-				if lasts == nil {
-					rb += pb.ub[li] // no directory: whole-list bound holds
-				} else {
-					bh := blockHint[li]
-					for bh < len(lasts) && lasts[bh] < lo {
-						bh++
-					}
-					blockHint[li] = bh
-					blockBoundEvals++
-					if bh == len(lasts) {
-						continue // past the final block: never matches again
-					}
-					rb += pb.blockUB[li][bh]
-					if lasts[bh] < boundary {
-						boundary = lasts[bh]
-					}
-				}
-				if !(rb+pruneSlack(rb, threshold) < threshold) {
-					failed = true
-					break
-				}
-			}
-			boundEvals++
-			if failed || boundary == exhausted {
-				return moved
-			}
-			// Every document in (start-1, boundary] is beaten: gallop the
-			// essential cursors past the span without enumerating it. A
-			// streaming cursor consults its block directory here, so the
-			// skipped-over blocks are never decoded.
-			for _, li := range order[ness:] {
-				if d := curDoc[li]; d != exhausted && d <= boundary {
-					c := &curs[li]
-					r0 := c.Rank()
-					curDoc[li] = c.Advance(boundary + 1)
-					skipped += int64(c.Rank() - r0)
-					moved = true
-				}
-			}
-			start = boundary + 1
 		}
 	}
 
@@ -624,12 +424,11 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 			// One pass: sum the exact contributions of matching essential
 			// leaves, remember them, and precompute the frontier a
 			// rejection would leave behind (each match peeked one entry
-			// ahead WITHOUT committing the advance). The peeked frontier is
-			// valid as long as nothing else moves a cursor; tier 3 and a
-			// successful range skip invalidate it (frontierStale).
+			// ahead WITHOUT committing the advance). The refinement below
+			// moves only non-essential cursors, which never feed the
+			// frontier, so the peeked value stays valid.
 			matched = matched[:0]
 			pendingNext := exhausted
-			frontierStale := false
 			for _, li := range order[ness:] {
 				d := curDoc[li]
 				if d == doc {
@@ -643,65 +442,39 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 				}
 			}
 			boundEvals++
-			// Tier 2 — Block-Max refinement: while the bound is
-			// inconclusive, replace a non-essential leaf's whole-list
-			// bound with the bound of the single block that could contain
-			// this candidate, located through the block directory with the
-			// leaf's monotone hint. No cursor moves and no postings rows
-			// are touched — under an mmap'd v2 index the directory is the
-			// only memory read. A cursor already at or past the candidate
-			// is better still: its delta is exact (the posting sits under
-			// the cursor, or provably absent). Every replacement can only
-			// shrink the bound, so breaking out on a provable loss is safe.
-			m := ness
-			for bound+pruneSlack(bound, threshold) >= threshold && m > 0 {
+			// Refinement, free answers first: while the bound is
+			// inconclusive, walk the non-essential leaves in descending-
+			// bound order and swap the whole-list bound of every leaf whose
+			// cursor is already at or past the candidate for its exact
+			// delta — the posting sits under the cursor, or is provably
+			// absent. No cursor moves. A cursor still behind the candidate
+			// keeps its whole-list bound. Every replacement can only shrink
+			// the bound, so breaking out on a provable loss is safe.
+			for m := ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
 				m--
 				li := order[m]
-				d := curDoc[li]
-				val := pb.ub[li]
-				switch {
+				switch d := curDoc[li]; {
 				case d > doc:
 					// The cursor passed doc without stopping: the candidate
 					// is in none of this leaf's remaining postings.
-					val = 0
+					bound -= pb.ub[li]
 				case d == doc:
-					val = pb.delta(&leaves[li], li, curs[li].Freq(), dl)
-				default:
-					if !blockBuilt[li] {
-						blockBuilt[li] = true
-						pb.buildBlockBounds(&leaves[li], li)
-					}
-					if lasts := pb.blockLast[li]; lasts != nil {
-						bh := blockHint[li]
-						for bh < len(lasts) && lasts[bh] < doc {
-							bh++
-						}
-						blockHint[li] = bh
-						if bh < len(lasts) {
-							val = pb.blockUB[li][bh]
-						} else {
-							val = 0 // past the final block: never matches again
-						}
-						blockBoundEvals++
-					}
+					bound += pb.delta(&leaves[li], li, curs[li].Freq(), dl) - pb.ub[li]
 				}
-				candUB[li] = val
-				bound += val - pb.ub[li]
 				boundEvals++
 			}
-			// Tier 3 — exact refinement: if the block bounds were not
-			// decisive, replace them with exact contributions, galloping
-			// each cursor to the candidate (a gallop the scoring loop
-			// would perform anyway if the candidate survives). Leaves
-			// whose tier-2 value is already exact — cursor at/past doc, or
-			// the directory proved a zero delta — are skipped. The loop
-			// ends when the candidate provably loses or the bound has
-			// become its exact score: a genuine contender worth full
-			// evaluation.
-			for m2 := ness; bound+pruneSlack(bound, threshold) >= threshold && m2 > m; {
-				m2--
-				li := order[m2]
-				if curDoc[li] >= doc || candUB[li] == 0 {
+			// Then the paid ones: gallop each cursor still behind the
+			// candidate up to it (a gallop the scoring loop would perform
+			// anyway if the candidate survives) and evaluate the real
+			// delta. (The first pass only stops short of the last leaf on a
+			// provable loss, so this one never runs over leaves it did not
+			// visit.) The loop ends when the candidate provably loses or
+			// the bound has become its exact score: a genuine contender
+			// worth full evaluation.
+			for m := ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
+				m--
+				li := order[m]
+				if curDoc[li] >= doc {
 					continue
 				}
 				c := &curs[li]
@@ -709,7 +482,7 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 				d := c.Advance(doc)
 				skipped += int64(c.Rank() - r0)
 				curDoc[li] = d
-				bound -= candUB[li]
+				bound -= pb.ub[li]
 				if d == doc {
 					bound += pb.delta(&leaves[li], li, c.Freq(), dl)
 				}
@@ -717,34 +490,11 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 			}
 			if bound+pruneSlack(bound, threshold) < threshold {
 				// Consume exactly the entries the filter pass matched (the
-				// tiers moved only non-essential cursors, which never sit on
-				// doc here and never feed the frontier).
+				// refinement moved only non-essential cursors, which are
+				// not among them).
 				for _, li := range matched {
 					curDoc[li] = curs[li].Next()
 					advanced++
-				}
-				// With the rejected candidate consumed, try to disprove
-				// whole spans before enumerating the next candidate.
-				if canRangeSkip {
-					if rsWait > 0 {
-						rsWait--
-					} else if rangeSkip(doc + 1) {
-						frontierStale = true
-						rsFails = 0
-					} else {
-						if rsFails < 6 {
-							rsFails++
-						}
-						rsWait = 1<<rsFails - 1
-					}
-				}
-				if frontierStale {
-					pendingNext = exhausted
-					for _, li := range order[ness:] {
-						if d := curDoc[li]; d < pendingNext {
-							pendingNext = d
-						}
-					}
 				}
 				next = pendingNext
 				continue

@@ -9,12 +9,12 @@ import (
 // evalScratch is the pooled per-query evaluation state: every slice the
 // evaluators (searchDAAT, searchMaxScore, derivePruneBounds) used to
 // allocate per call — cursor array, candidate/bound/order/prefix
-// vectors, top-k heap backing, the prune-bound struct with its lazy
-// per-block UB tables, and the coordinator-merge buffer. A query takes
-// one scratch from the pool (reset-on-get), threads it through the
-// whole evaluation, and returns it on every exit path including
-// cancellation and degradation; in steady state a query's hot path
-// performs no evaluator allocations at all.
+// vectors, top-k heap backing, the prune-bound struct, and the
+// coordinator-merge buffer. A query takes one scratch from the pool
+// (reset-on-get), threads it through the whole evaluation, and returns
+// it on every exit path including cancellation and degradation; in
+// steady state a query's hot path performs no evaluator allocations at
+// all.
 //
 // Ownership: a scratch is single-goroutine for the duration of one
 // evaluation; the per-shard evaluators each take their own. Nothing
@@ -30,23 +30,16 @@ type evalScratch struct {
 	positional index.PositionalScratch
 
 	// MaxScore partition state.
-	order      []int
-	rank       []int
-	prefix     []float64
-	blockHint  []int
-	candUB     []float64
-	blockBuilt []bool
-	matched    []int
+	order   []int
+	rank    []int
+	prefix  []float64
+	matched []int
 
 	// topK heap backing.
 	heapDocs   []index.DocID
 	heapScores []float64
 
-	// Prune bounds plus the reusable per-leaf block-bound rows its lazy
-	// builder hands out (indexed by leaf position, not term).
-	pb            pruneBounds
-	blockUBRows   [][]float64
-	blockLastRows [][]index.DocID
+	pb pruneBounds
 
 	sorter ubSorter
 
@@ -76,14 +69,6 @@ func putScratch(sc *evalScratch) {
 		fullCurs[i].Release()
 	}
 	sc.pb.deltaExact = nil
-	sc.pb.argmax = nil
-	sc.pb.sc = nil
-	for i := range sc.pb.blockUB {
-		sc.pb.blockUB[i] = nil
-	}
-	for i := range sc.pb.blockLast {
-		sc.pb.blockLast[i] = nil
-	}
 	fullMerged := sc.merged[:cap(sc.merged)]
 	for i := range fullMerged {
 		fullMerged[i] = Result{}
@@ -125,34 +110,6 @@ func (sc *evalScratch) cursors(ix *index.Index, leaves []leaf) []index.TermCurso
 		}
 	}
 	return sc.curs
-}
-
-// blockRow hands the lazy block-bound builder a zeroed UB row and a
-// last-doc row of length nb for leaf position li, reusing backings
-// from earlier queries.
-func (sc *evalScratch) blockRow(li, nb int) ([]float64, []index.DocID) {
-	for li >= len(sc.blockUBRows) {
-		sc.blockUBRows = append(sc.blockUBRows, nil)
-		sc.blockLastRows = append(sc.blockLastRows, nil)
-	}
-	ub := sc.blockUBRows[li]
-	if cap(ub) < nb {
-		ub = make([]float64, nb)
-	} else {
-		ub = ub[:nb]
-		for i := range ub {
-			ub[i] = 0
-		}
-	}
-	sc.blockUBRows[li] = ub
-	last := sc.blockLastRows[li]
-	if cap(last) < nb {
-		last = make([]index.DocID, nb)
-	} else {
-		last = last[:nb]
-	}
-	sc.blockLastRows[li] = last
-	return ub, last
 }
 
 // ubSorter sorts a leaf-index permutation by ascending upper bound with

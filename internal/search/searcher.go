@@ -33,8 +33,8 @@ type Searcher struct {
 	Params ModelParams
 	// UseLegacyScorer switches Search back to the map-accumulate-then-
 	// sort evaluator that predates the document-at-a-time path. It is
-	// retained as the reference oracle for differential tests and as an
-	// escape hatch; results are identical either way.
+	// the reference oracle of the differential tests and nothing else: no
+	// public option reaches it. Results are identical either way.
 	UseLegacyScorer bool
 	// DisablePruning turns off MaxScore-style dynamic pruning and scores
 	// every candidate (the PR-1 DAAT behaviour). Pruning is score-safe —
@@ -76,12 +76,6 @@ type leaf struct {
 	// for any future leaf type that cannot produce one.
 	bounds  index.TermBounds
 	bounded bool
-	// blocks are the Block-Max summaries of the postings, one per fixed-
-	// size block in posting order (nil for empty leaves). Same sourcing
-	// split as bounds: term leaves share the index's metadata (which a v2
-	// file carries precomputed in its block directory), positional leaves
-	// share their memo entry's.
-	blocks []index.BlockBounds
 	// idf caches BM25's per-leaf inverse document frequency so the hot
 	// scoring and bound paths do not recompute the log per posting. It is
 	// filled by prepareLeaves AFTER any collection-statistics override
@@ -176,12 +170,11 @@ func (s *Searcher) termLeaf(term string, w float64) leaf {
 	}
 	id, ok := s.ix.TermID(term)
 	if !ok {
-		return newLeaf(s.ix, w, index.Postings{}, 0, index.TermBounds{}, nil)
+		return newLeaf(s.ix, w, index.Postings{}, 0, index.TermBounds{})
 	}
 	p := s.ix.PostingsByID(id)
 	b, _ := s.ix.BoundsFor(term)
-	bb, _ := s.ix.BlockBoundsFor(term)
-	l := newLeaf(s.ix, w, *p, p.CollectionFreq(), b, bb)
+	l := newLeaf(s.ix, w, *p, p.CollectionFreq(), b)
 	l.termID = id
 	return l
 }
@@ -196,7 +189,7 @@ func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, s
 			st.PositionalMisses++
 		}
 	}
-	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds, p.Blocks)
+	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds)
 	l.positional = p
 	return l
 }
@@ -204,7 +197,7 @@ func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, s
 // newLeaf fills a leaf's collection statistics from the index it was
 // flattened against. The leaf is anonymous (termID -1) until its caller
 // names it.
-func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.TermBounds, bb []index.BlockBounds) leaf {
+func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.TermBounds) leaf {
 	return leaf{
 		weight:   w,
 		postings: p,
@@ -213,7 +206,6 @@ func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.Ter
 		df:       float64(len(p.Docs)),
 		bounds:   b,
 		bounded:  true,
-		blocks:   bb,
 		termID:   -1,
 		nPost:    len(p.Docs),
 	}
@@ -223,15 +215,13 @@ func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.Ter
 // of a v2-backed index — no postings are decoded here.
 func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 	df, cf := ix.StoredTermStats(id)
-	b, bb := ix.StoredTermBounds(id)
 	return leaf{
 		weight:   w,
 		collProb: ix.FloorProb(cf),
 		cf:       cf,
 		df:       float64(df),
-		bounds:   b,
+		bounds:   ix.StoredTermBounds(id),
 		bounded:  true,
-		blocks:   bb,
 		termID:   id,
 		stream:   true,
 		nPost:    df,

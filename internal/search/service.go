@@ -98,15 +98,14 @@ type WireResult struct {
 
 // WireEvalStats are the shard evaluator's deterministic counters.
 type WireEvalStats struct {
-	CandidatesExamined    int64 `json:"candidates_examined"`
-	PostingsAdvanced      int64 `json:"postings_advanced"`
-	DocsSkipped           int64 `json:"docs_skipped"`
-	BoundEvaluations      int64 `json:"bound_evaluations"`
-	BlockBoundEvaluations int64 `json:"block_bound_evaluations"`
-	BlocksDecoded         int64 `json:"blocks_decoded"`
-	BlocksTotal           int64 `json:"blocks_total"`
-	HeapPushes            int64 `json:"heap_pushes"`
-	HeapEvictions         int64 `json:"heap_evictions"`
+	CandidatesExamined int64 `json:"candidates_examined"`
+	PostingsAdvanced   int64 `json:"postings_advanced"`
+	DocsSkipped        int64 `json:"docs_skipped"`
+	BoundEvaluations   int64 `json:"bound_evaluations"`
+	BlocksDecoded      int64 `json:"blocks_decoded"`
+	BlocksTotal        int64 `json:"blocks_total"`
+	HeapPushes         int64 `json:"heap_pushes"`
+	HeapEvictions      int64 `json:"heap_evictions"`
 }
 
 // EvalResponse carries a shard's top-k slice of the global ranking.
@@ -118,15 +117,14 @@ type EvalResponse struct {
 // searchStats converts the wire counters back into a SearchStats.
 func (ws *WireEvalStats) searchStats() SearchStats {
 	return SearchStats{
-		CandidatesExamined:    ws.CandidatesExamined,
-		PostingsAdvanced:      ws.PostingsAdvanced,
-		DocsSkipped:           ws.DocsSkipped,
-		BoundEvaluations:      ws.BoundEvaluations,
-		BlockBoundEvaluations: ws.BlockBoundEvaluations,
-		BlocksDecoded:         ws.BlocksDecoded,
-		BlocksTotal:           ws.BlocksTotal,
-		HeapPushes:            ws.HeapPushes,
-		HeapEvictions:         ws.HeapEvictions,
+		CandidatesExamined: ws.CandidatesExamined,
+		PostingsAdvanced:   ws.PostingsAdvanced,
+		DocsSkipped:        ws.DocsSkipped,
+		BoundEvaluations:   ws.BoundEvaluations,
+		BlocksDecoded:      ws.BlocksDecoded,
+		BlocksTotal:        ws.BlocksTotal,
+		HeapPushes:         ws.HeapPushes,
+		HeapEvictions:      ws.HeapEvictions,
 	}
 }
 
@@ -244,15 +242,14 @@ func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (
 	}
 	if st != nil {
 		resp.Stats = &WireEvalStats{
-			CandidatesExamined:    st.CandidatesExamined,
-			PostingsAdvanced:      st.PostingsAdvanced,
-			DocsSkipped:           st.DocsSkipped,
-			BoundEvaluations:      st.BoundEvaluations,
-			BlockBoundEvaluations: st.BlockBoundEvaluations,
-			BlocksDecoded:         st.BlocksDecoded,
-			BlocksTotal:           st.BlocksTotal,
-			HeapPushes:            st.HeapPushes,
-			HeapEvictions:         st.HeapEvictions,
+			CandidatesExamined: st.CandidatesExamined,
+			PostingsAdvanced:   st.PostingsAdvanced,
+			DocsSkipped:        st.DocsSkipped,
+			BoundEvaluations:   st.BoundEvaluations,
+			BlocksDecoded:      st.BlocksDecoded,
+			BlocksTotal:        st.BlocksTotal,
+			HeapPushes:         st.HeapPushes,
+			HeapEvictions:      st.HeapEvictions,
 		}
 	}
 	return resp, nil

@@ -39,19 +39,13 @@ type SearchStats struct {
 	// filter, plus one per essential/non-essential re-partition after a
 	// threshold increase.
 	BoundEvaluations int64
-	// BlockBoundEvaluations counts the Block-Max lookups within those
-	// refinements: candidate-filter steps that consulted the block
-	// directory (located a leaf's block for the candidate and read its
-	// bound) instead of galloping the postings. Zero on the unpruned and
-	// legacy paths, and on indexes without block metadata.
-	BlockBoundEvaluations int64
 	// BlocksDecoded counts the postings blocks the streaming cursors
 	// actually decoded, and BlocksTotal the blocks their terms hold in
 	// total — BlocksDecoded/BlocksTotal is the decoded-block fraction,
 	// the measure of how well decode granularity tracked pruning
 	// granularity. Both are zero when no leaf streamed (in-memory and v1
-	// indexes, or streaming disabled); the exhaustive evaluator decodes
-	// every block it is offered, so the fraction approaches 1 there.
+	// indexes); the exhaustive evaluator decodes every block it is
+	// offered, so the fraction approaches 1 there.
 	BlocksDecoded int64
 	BlocksTotal   int64
 	// PositionalHits counts the phrase/window leaves flatten found
@@ -109,7 +103,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.PostingsAdvanced += o.PostingsAdvanced
 	s.DocsSkipped += o.DocsSkipped
 	s.BoundEvaluations += o.BoundEvaluations
-	s.BlockBoundEvaluations += o.BlockBoundEvaluations
 	s.BlocksDecoded += o.BlocksDecoded
 	s.BlocksTotal += o.BlocksTotal
 	s.PositionalHits += o.PositionalHits
@@ -132,7 +125,7 @@ func (s *SearchStats) Add(o SearchStats) {
 
 // String renders the counters compactly.
 func (s SearchStats) String() string {
-	return fmt.Sprintf("leaves=%d cands=%d advanced=%d skipped=%d bound-evals=%d block-evals=%d blocks=%d/%d pushes=%d evictions=%d elapsed=%v",
+	return fmt.Sprintf("leaves=%d cands=%d advanced=%d skipped=%d bound-evals=%d blocks=%d/%d pushes=%d evictions=%d elapsed=%v",
 		s.Leaves, s.CandidatesExamined, s.PostingsAdvanced, s.DocsSkipped, s.BoundEvaluations,
-		s.BlockBoundEvaluations, s.BlocksDecoded, s.BlocksTotal, s.HeapPushes, s.HeapEvictions, s.Elapsed.Round(time.Microsecond))
+		s.BlocksDecoded, s.BlocksTotal, s.HeapPushes, s.HeapEvictions, s.Elapsed.Round(time.Microsecond))
 }

@@ -103,7 +103,7 @@ func TestSegmentedTombstonePlacements(t *testing.T) {
 		// from rank 2 down, with θ set by live documents only.
 		{"rank-1", rank1},
 		// Every posting of one 128-posting block of the longest list is
-		// dead: its block bound now dominates nothing that can be offered.
+		// dead: a whole decode unit the merge walks offers nothing.
 		{"whole-block", a.Docs[128:256]},
 		// Every document matching one leaf is gone: its df and cf correct
 		// to zero and the out-of-vocabulary floor applies.

@@ -115,8 +115,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&sb, "sqe_search_docs_skipped_total %d\n", ps.Search.DocsSkipped)
 	counter("sqe_search_bound_evaluations_total", "Score-bound tests against the top-k threshold (per-candidate checks plus leaf re-partitions).")
 	fmt.Fprintf(&sb, "sqe_search_bound_evaluations_total %d\n", ps.Search.BoundEvaluations)
-	counter("sqe_search_block_bound_evaluations_total", "Block-Max directory lookups inside the candidate filter.")
-	fmt.Fprintf(&sb, "sqe_search_block_bound_evaluations_total %d\n", ps.Search.BlockBoundEvaluations)
+	counter("sqe_search_blocks_decoded_total", "Postings blocks the streaming cursors decoded (v2-backed indexes only).")
+	fmt.Fprintf(&sb, "sqe_search_blocks_decoded_total %d\n", ps.Search.BlocksDecoded)
+	counter("sqe_search_blocks_total", "Postings blocks held by the terms the streaming cursors walked; decoded/total is the decoded-block share.")
+	fmt.Fprintf(&sb, "sqe_search_blocks_total %d\n", ps.Search.BlocksTotal)
 	counter("sqe_search_positional_hits_total", "Phrase/window leaves found already resolved in an index's positional memo.")
 	fmt.Fprintf(&sb, "sqe_search_positional_hits_total %d\n", ps.Search.PositionalHits)
 	counter("sqe_search_positional_misses_total", "Phrase/window leaves whose positional intersection the retrieval had to run.")

@@ -155,6 +155,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"sqe_search_candidates_examined_total",
 		"sqe_search_docs_skipped_total",
 		"sqe_search_bound_evaluations_total",
+		"sqe_search_blocks_decoded_total",
+		"sqe_search_blocks_total",
 		"sqe_expansion_cache_misses_total",
 	} {
 		if !strings.Contains(body, m) {
@@ -201,10 +203,10 @@ func TestShardMetrics(t *testing.T) {
 
 // TestPositionalMemoMetrics: /metrics counts how many phrase/window
 // leaves retrieval found resolved in the index's memo and how many it
-// had to intersect. Over a fresh index the first request pays the
-// misses; an identical second one pays none and finds every positional
-// leaf of the query resolved — on a monolithic engine and on in-process
-// shards alike.
+// had to intersect, and how many of a v2 file's blocks it decoded. Over
+// a fresh index the first request pays the misses; an identical second
+// one pays none and finds every positional leaf of the query resolved —
+// on a monolithic engine and on in-process shards alike.
 func TestPositionalMemoMetrics(t *testing.T) {
 	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
 	for _, shards := range []int{1, 2} {
@@ -235,6 +237,13 @@ func TestPositionalMemoMetrics(t *testing.T) {
 		}
 		if leaves := hits[0] + misses[0]; hits[1]-hits[0] != leaves {
 			t.Errorf("shards=%d: the repeated request hit %v of %v positional leaves", shards, hits[1]-hits[0], leaves)
+		}
+		// Served whole, the v2 file's term leaves stream and the block
+		// counters reach /metrics; in-process shards are cut from it into
+		// memory and stream nothing.
+		decoded, total := metricValue(t, s, "sqe_search_blocks_decoded_total"), metricValue(t, s, "sqe_search_blocks_total")
+		if shards == 1 && (decoded <= 0 || decoded > total) || shards > 1 && total != 0 {
+			t.Errorf("shards=%d: streaming cursors decoded %v of %v blocks", shards, decoded, total)
 		}
 	}
 }
