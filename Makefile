@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-build shard-parity index-parity segment-parity chaos fuzz verify
+.PHONY: build test race vet fmt bench bench-build chaos fuzz verify
 
 build:
 	$(GO) build ./...
@@ -41,36 +41,25 @@ bench:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The four targets below are not part of verify — `test` and `race`
-# already run everything they name. They re-run one slice of the suite
-# uncached, so a red `make verify` can be attributed quickly.
-
-# Partitioned retrieval: the coordinator contract over every partition
-# kind, the sharded differentials, and shard/coordinator processes.
-shard-parity:
-	$(GO) test -count=1 -run 'Sharded|CoordinatorContract|Remote|MultiProcess' . ./internal/index/ ./internal/search/ ./cmd/sqe-serve/
-
-# The on-disk format: v1 vs v2 vs memory, the pruned evaluator and
-# streaming cursors over v2 files at small block sizes.
-index-parity:
-	$(GO) test -count=1 -run 'TestEngineFormatParity|TestV2|TestOpen|TestBuilderWriteFile|TestBuildHelper|TestPruned|TestStream' . ./internal/index/ ./internal/search/
-
-# The live index (DESIGN.md §5l): segmented vs monolithic, chaos and
-# crash/restart differentials, manifests, /v1/ingest.
-segment-parity:
-	$(GO) test -race -count=1 -run 'TestSegmented|TestTombstone|TestIndexWhileChaos|TestManifest|TestWriteReadManifest|TestReadManifest|TestCleanOrphans|TestCloseIdempotent|TestOpenCloseLeakFree|TestIngest' . ./internal/index/ ./internal/search/ ./internal/serve/
-
-# Fault injection (DESIGN.md §5g): the registry, the engine-level chaos
-# harness and the HTTP-level one.
+# Not part of verify — `test` and `race` already run all of it. To
+# attribute a red `make verify` quickly, re-run one slice uncached. For
+# the bit-identity invariant the slice is a row of the differential
+# harness (DESIGN.md §7): `go test -count=1 -run
+# 'TestDifferential/shards-.*' .`, likewise `/v2.*`, `/segmented-.*`,
+# `/rpc-2`. For fault injection (DESIGN.md §5g: the registry, the
+# engine-level chaos harness and the HTTP-level one) it is this target.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Schedule|Degrad|MaxFaults|Disarmed|Panic|ErrorClassification|Points|Backend|ErrorPaths' ./internal/fault/ ./internal/serve/
 
 # Short fuzz rounds over every fuzz target with a committed seed corpus
-# (wikixml parser, index decoder). Not part of verify — run on demand or
-# in CI's cron lane.
+# (wikixml parser, live-index mutation scripts against the oracle, v2
+# decoder, manifest). Not part of verify — run on demand or in CI's cron
+# lane. An op of FuzzDifferentialScript is file I/O, so minimising each
+# coverage-interesting input for the default 60 s would leave no time to
+# fuzz.
 fuzz:
 	$(GO) test -fuzz FuzzWikiXMLParse -fuzztime 30s -run '^$$' ./internal/wikixml/
-	$(GO) test -fuzz FuzzIndexDecode -fuzztime 30s -run '^$$' ./internal/index/
+	$(GO) test -fuzz FuzzDifferentialScript -fuzztime 30s -fuzzminimizetime 2s -run '^$$' .
 	$(GO) test -fuzz FuzzBlockDecode -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzOpenV2 -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzSegmentManifest -fuzztime 30s -run '^$$' ./internal/index/

@@ -301,12 +301,10 @@ func benchSearchTopK(b *testing.B, s *search.Searcher, nodes []search.Node, k in
 	}
 }
 
-// BenchmarkSearchExpandedTopKDAAT is the document-at-a-time evaluator.
-// ImageCLEF is the figure to read against the Legacy variant below
-// (-benchmem: DAAT must show fewer allocations and lower ns/op at
-// identical rankings); the CHiC sub-benchmarks span retrieval model × k
-// × index backing, the one-command A/B of an evaluator change below the
-// HTTP tier (run it on both commits, compare cell by cell).
+// BenchmarkSearchExpandedTopKDAAT is the document-at-a-time evaluator
+// on ImageCLEF; the CHiC sub-benchmarks span retrieval model × k × index
+// backing, the one-command A/B of an evaluator change below the HTTP
+// tier (run it on both commits, compare cell by cell).
 func BenchmarkSearchExpandedTopKDAAT(b *testing.B) {
 	s := suite(b)
 	b.Run("ImageCLEF", func(b *testing.B) {
@@ -341,14 +339,6 @@ func BenchmarkSearchExpandedTopKDAAT(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkSearchExpandedTopKLegacy is the retained map-and-sort oracle.
-func BenchmarkSearchExpandedTopKLegacy(b *testing.B) {
-	s := suite(b)
-	r := s.NewRunner(s.ImageCLEF)
-	r.Searcher.UseLegacyScorer = true
-	benchSearchTopK(b, r.Searcher, expandedNodes(r), 10)
 }
 
 // benchSearchTopKSharded is the ImageCLEF top-10 workload routed through

@@ -2,8 +2,6 @@ package sqe
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,71 +9,14 @@ import (
 	"repro/internal/index"
 	"repro/internal/motif"
 	"repro/internal/search"
+	"repro/internal/search/searchtest"
 )
-
-// TestDAATMatchesLegacyOnDemoSmall is the end-to-end differential test
-// of the ISSUE acceptance criteria: on the DemoSmall corpus, for every
-// benchmark query's fully expanded SQE_T&S query (dozens of phrase
-// features — the workload the DAAT evaluator was built for), the DAAT
-// and legacy evaluators must agree on documents, order, and scores
-// (within 1e-12) under Dirichlet, Jelinek-Mercer, and BM25. An OOV term
-// is appended to each query so empty leaves are exercised too.
-func TestDAATMatchesLegacyOnDemoSmall(t *testing.T) {
-	env := demo(t)
-	eng := env.Engine
-	g := eng.Graph()
-	ex := eng.Expander()
-	ix := eng.Index()
-
-	models := []struct {
-		name  string
-		model RetrievalModel
-	}{
-		{"dirichlet", ModelDirichlet},
-		{"jelinek-mercer", ModelJelinekMercer},
-		{"bm25", ModelBM25},
-	}
-	for _, q := range env.Queries {
-		var nodes []NodeID
-		for _, title := range q.EntityTitles {
-			if id := g.ByTitle(title); id >= 0 {
-				nodes = append(nodes, id)
-			}
-		}
-		qg := ex.BuildQueryGraph(nodes, motif.SetTS)
-		// The OOV suffix analyzes to a leaf with empty postings.
-		node := ex.BuildQuery(q.Text+" zzzunseenterm", qg)
-		for _, m := range models {
-			daat := search.NewSearcher(ix)
-			legacy := search.NewSearcher(ix)
-			legacy.UseLegacyScorer = true
-			daat.Model, legacy.Model = m.model, m.model
-			for _, k := range []int{10, 1000} {
-				rd := daat.Search(node, k)
-				rl := legacy.Search(node, k)
-				label := fmt.Sprintf("%s/%s/k=%d", q.ID, m.name, k)
-				if len(rd) != len(rl) {
-					t.Fatalf("%s: DAAT %d results, legacy %d", label, len(rd), len(rl))
-				}
-				for i := range rd {
-					if rd[i].Doc != rl[i].Doc {
-						t.Fatalf("%s: rank %d: DAAT doc %d (%s), legacy doc %d (%s)",
-							label, i, rd[i].Doc, rd[i].Name, rl[i].Doc, rl[i].Name)
-					}
-					if math.Abs(rd[i].Score-rl[i].Score) > 1e-12 {
-						t.Fatalf("%s: rank %d: scores differ: %v vs %v", label, i, rd[i].Score, rl[i].Score)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestSingleConstituentPositionalIsTheTerm is the bit-identity case for
 // the one-term #1(t) / #uwN(t) a parsed query or a shard.eval frame can
 // carry: flatten serves it as the term leaf (streaming on the mmap'd v2
-// index) instead of a per-query deep copy of the term's row, and the
-// ranking, the scores and the legacy oracle cannot tell the difference.
+// index) instead of a per-query deep copy of the term's row, and
+// neither the ranking, the scores nor the oracle can tell the difference.
 // A window narrower than one term still matches nothing.
 func TestSingleConstituentPositionalIsTheTerm(t *testing.T) {
 	env := demo(t)
@@ -110,11 +51,11 @@ func TestSingleConstituentPositionalIsTheTerm(t *testing.T) {
 			search.Term{Text: "zzzunseenterm"},
 		})
 		for _, m := range []RetrievalModel{ModelDirichlet, ModelJelinekMercer, ModelBM25} {
+			oracle := search.NewSearcher(mem)
+			oracle.Model = m
 			for name, ix := range map[string]*Index{"memory": mem, "v2": v2} {
 				s := search.NewSearcher(ix)
 				s.Model = m
-				legacy := search.NewSearcher(ix)
-				legacy.Model, legacy.UseLegacyScorer = m, true
 				for _, k := range []int{10, 1000} {
 					want := s.Search(plain, k)
 					if len(want) == 0 {
@@ -123,8 +64,8 @@ func TestSingleConstituentPositionalIsTheTerm(t *testing.T) {
 					if got := s.Search(wrapped, k); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s/%s/%v/k=%d: one-term operators rank differently from the terms", q.ID, name, m, k)
 					}
-					if got := legacy.Search(wrapped, k); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s/%v/k=%d: legacy oracle diverges on one-term operators", q.ID, name, m, k)
+					if got := searchtest.Rank(oracle, wrapped, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s/%v/k=%d: the oracle diverges on one-term operators", q.ID, name, m, k)
 					}
 				}
 			}

@@ -44,7 +44,7 @@ type Point string
 // The registered injection points.
 const (
 	// IndexPostings fires inside the posting-read loops of every top-k
-	// evaluator (DAAT, MaxScore, legacy), at the cancellation-check
+	// evaluator (DAAT, MaxScore), at the cancellation-check
 	// cadence — a failing or slow posting source.
 	IndexPostings Point = "index.postings"
 	// ShardEval fires at the start of each shard's evaluation in the

@@ -1,10 +1,6 @@
 package index
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -76,147 +72,5 @@ func TestMinDocLenEmptyIndex(t *testing.T) {
 	ix := NewBuilder(analysis.Analyzer{}).Build()
 	if got := ix.MinDocLen(); got != 0 {
 		t.Fatalf("empty index MinDocLen = %d, want 0", got)
-	}
-}
-
-// TestBoundsRoundTrip: v2 files carry the bounds and reload them intact.
-func TestBoundsRoundTrip(t *testing.T) {
-	ix := boundsIndex(t)
-	var buf bytes.Buffer
-	if err := encodeV1(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), indexMagic) {
-		t.Fatalf("encoded file does not start with the v2 magic")
-	}
-	got, err := decodeV1(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, term := range []string{"a", "b", "c"} {
-		wb, _ := ix.BoundsFor(term)
-		gb, ok := got.BoundsFor(term)
-		if !ok || gb != wb {
-			t.Errorf("decoded BoundsFor(%q) = %+v ok=%v, want %+v", term, gb, ok, wb)
-		}
-	}
-	if got.MinDocLen() != ix.MinDocLen() {
-		t.Errorf("decoded MinDocLen = %d, want %d", got.MinDocLen(), ix.MinDocLen())
-	}
-}
-
-// encodeStreamNoBounds writes ix in the original "SQEIX\x01" stream
-// revision (no bounds section) so the decoder's back-compat path can be
-// pinned without checked-in fixtures.
-func encodeStreamNoBounds(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.Write(indexMagicV1)
-	var flags byte
-	if ix.analyzer.RemoveStopwords {
-		flags |= 1
-	}
-	if ix.analyzer.Stem {
-		flags |= 2
-	}
-	bw.WriteByte(flags)
-	var vb [binary.MaxVarintLen64]byte
-	wu := func(x uint64) { bw.Write(vb[:binary.PutUvarint(vb[:], x)]) }
-	ws := func(s string) { wu(uint64(len(s))); bw.WriteString(s) }
-	wu(uint64(len(ix.docNames)))
-	for d, name := range ix.docNames {
-		ws(name)
-		wu(uint64(ix.docLens[d]))
-	}
-	wu(uint64(len(ix.termText)))
-	for tid, text := range ix.termText {
-		ws(text)
-		p := &ix.postings[tid]
-		wu(uint64(len(p.Docs)))
-		prevDoc := DocID(0)
-		for i, doc := range p.Docs {
-			d := uint64(doc)
-			if i > 0 {
-				d = uint64(doc - prevDoc)
-			}
-			prevDoc = doc
-			wu(d)
-			wu(uint64(p.Freqs[i]))
-			prevPos := int32(0)
-			for j, pos := range p.Positions[i] {
-				pd := uint64(pos)
-				if j > 0 {
-					pd = uint64(pos - prevPos)
-				}
-				prevPos = pos
-				wu(pd)
-			}
-		}
-	}
-	bw.Flush()
-	return buf.Bytes()
-}
-
-// TestDecodeV1Compat: version-1 files (no bounds section) still load,
-// and the bounds are recomputed from the decoded postings.
-func TestDecodeV1Compat(t *testing.T) {
-	ix := boundsIndex(t)
-	got, err := decodeV1(bytes.NewReader(encodeStreamNoBounds(t, ix)))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if got.NumDocs() != ix.NumDocs() || got.NumTerms() != ix.NumTerms() {
-		t.Fatalf("v1 decode shape: %v vs %v", got, ix)
-	}
-	for _, term := range []string{"a", "b", "c"} {
-		wb, _ := ix.BoundsFor(term)
-		gb, ok := got.BoundsFor(term)
-		if !ok || gb != wb {
-			t.Errorf("v1 BoundsFor(%q) = %+v ok=%v, want %+v", term, gb, ok, wb)
-		}
-	}
-}
-
-// TestDecodeRejectsCorruptBounds: a v2 file whose stored bounds disagree
-// with its postings must be rejected — an understated bound would make
-// the pruned evaluator silently drop documents.
-func TestDecodeRejectsCorruptBounds(t *testing.T) {
-	ix := boundsIndex(t)
-	var buf bytes.Buffer
-	if err := encodeV1(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if _, err := decodeV1(bytes.NewReader(good)); err != nil {
-		t.Fatalf("sanity: %v", err)
-	}
-	// The last uvarints of the stream are the final term's bounds; a
-	// single-byte perturbation there must either fail the bounds
-	// cross-check or break varint framing — never load quietly with
-	// wrong metadata.
-	corrupted := 0
-	for off := len(good) - 1; off >= len(good)-8 && off > 0; off-- {
-		bad := append([]byte(nil), good...)
-		bad[off] ^= 0x01
-		got, err := decodeV1(bytes.NewReader(bad))
-		if err == nil {
-			// A flip that happens to produce the same decoded values is
-			// acceptable only if the bounds still match the postings.
-			for tid, text := range got.termText {
-				want := boundsOf(&got.postings[tid], got.docLens)
-				if gb, _ := got.BoundsFor(text); gb != want {
-					t.Fatalf("offset %d: corrupt bounds %+v accepted (postings say %+v)", off, gb, want)
-				}
-			}
-			continue
-		}
-		corrupted++
-		if !strings.Contains(err.Error(), "bound") && !strings.Contains(err.Error(), "index:") {
-			t.Fatalf("offset %d: unexpected error %v", off, err)
-		}
-	}
-	if corrupted == 0 {
-		t.Fatal("no bound perturbation was rejected")
 	}
 }

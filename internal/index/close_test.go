@@ -22,9 +22,8 @@ func openFDs(t *testing.T) (int, bool) {
 }
 
 // TestCloseIdempotent: Close must be safe to call any number of times,
-// on every index kind — in-memory (no-op), v1 (no-op: fully decoded),
-// and v2 (first call unmaps, later calls return nil without touching
-// the dead mapping). Repeated Closes must release the mapping exactly
+// on every index kind — in-memory (no-op) and v2 (first call unmaps,
+// later calls return nil without touching the dead mapping). Repeated Closes must release the mapping exactly
 // once: the MappedRegions balance (and, on Linux, the open-FD count)
 // returns to its starting value.
 func TestCloseIdempotent(t *testing.T) {
@@ -38,20 +37,17 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	for _, format := range []Format{FormatV1, FormatV2} {
-		path := filepath.Join(dir, "ix."+format.String())
-		if err := WriteFile(path, mem, format); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := ix.Close(); err != nil {
-				t.Fatalf("%v close #%d: %v", format, i, err)
-			}
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := WriteFile(path, mem, FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := ix.Close(); err != nil {
+			t.Fatalf("v2 close #%d: %v", i, err)
 		}
 	}
 

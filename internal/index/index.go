@@ -56,9 +56,8 @@ type Index struct {
 	forward [][]TermFreq
 
 	// Per-term score-bound metadata (see bounds.go). Computed lazily on
-	// first use — shard indexes are assembled by struct literal and must
-	// not pay the scan unless pruning runs — or eagerly by decodeV1,
-	// which derives the values during its postings walk.
+	// first use: shard indexes are assembled by struct literal and must
+	// not pay the scan unless pruning runs.
 	boundsOnce sync.Once
 	termBounds []TermBounds
 	minDocLen  int32

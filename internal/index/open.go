@@ -1,31 +1,27 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/analysis"
 )
 
 // The unified on-disk entry points. Every index file is opened through
-// Open — which sniffs the header magic and negotiates the format — and
-// written through WriteFile/Builder.WriteFile, which pick the encoding
-// from an explicit Format and commit atomically (temp + fsync +
-// rename, the same discipline as the expansion store). The stream-level
-// encoders behind them (encodeV1/decodeV1 in io.go, encodeV2/openV2 in
-// v2.go) are package-internal; README.md carries the migration table
+// Open — which checks the header magic — and written through
+// WriteFile/Builder.WriteFile, which take an explicit Format and commit
+// atomically (temp + fsync + rename, the same discipline as the
+// expansion store). The encoder and decoder behind them (encodeV2/openV2
+// in v2.go) are package-internal; README.md carries the migration table
 // from the old exported Encode/Decode pair.
 
 // Format selects an on-disk index encoding.
 type Format int
 
 const (
-	// FormatV1 is the original stream format ("SQEIX"): one delta+varint
-	// postings walk per term with a validated bounds trailer. Decoding
-	// materialises the whole index in memory — simple, but startup and
-	// resident set scale with the corpus.
-	FormatV1 Format = 1
 	// FormatV2 is the block-compressed format ("SQEBX"): sectioned
 	// layout (doc table, term dictionary, block directory, postings
 	// blocks) designed to be mmap'd. Open returns instantly after
@@ -37,16 +33,21 @@ const (
 	FormatV2 Format = 2
 )
 
+// ErrFormatV1 is what Open returns (wrapped, with the path) for a file
+// in the original stream format. Its reader and writer were removed;
+// the corpus has to be indexed again.
+var ErrFormatV1 = errors.New(`index: FormatV1 ("SQEIX") files are no longer supported: re-index the corpus and write it as FormatV2 (index.WriteFile, or sqe-serve -write-index)`)
+
+// magicV1 is the prefix both revisions of the removed format started
+// with; the sixth header byte was its revision.
+const magicV1 = "SQEIX"
+
 // String implements fmt.Stringer.
 func (f Format) String() string {
-	switch f {
-	case FormatV1:
-		return "v1"
-	case FormatV2:
+	if f == FormatV2 {
 		return "v2"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
 	}
+	return fmt.Sprintf("Format(%d)", int(f))
 }
 
 // openOptions collects Open's behaviour switches.
@@ -62,16 +63,14 @@ type OpenOption func(*openOptions)
 // inconsistency. This forfeits the instant-startup property and is
 // meant for files of untrusted provenance and for integrity tooling;
 // the default validation (metadata cross-checks + a full CRC scan)
-// already rejects any flip/truncate corruption. FormatV1 files always
-// decode (and hence fully validate) on Open.
+// already rejects any flip/truncate corruption.
 func WithVerify() OpenOption {
 	return func(o *openOptions) { o.verify = true }
 }
 
-// Open loads an index file in whichever format its magic declares:
-// FormatV1 decodes into memory, FormatV2 maps the file and decodes
-// postings lazily per term. Close the returned index when done (a no-op
-// for v1).
+// Open maps a FormatV2 index file and decodes postings lazily per term.
+// Close the returned index when done. A FormatV1 file fails with
+// ErrFormatV1.
 func Open(path string, opts ...OpenOption) (*Index, error) {
 	var o openOptions
 	for _, opt := range opts {
@@ -81,38 +80,28 @@ func Open(path string, opts ...OpenOption) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch magic {
-	case string(indexMagic), string(indexMagicV1):
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		ix, err := decodeV1(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return ix, nil
-	case string(indexMagicV2):
-		data, closeFn, err := mmapFile(path)
-		if err != nil {
-			return nil, err
-		}
-		ix, err := openV2(data, closeFn)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if o.verify {
-			ix.materializeAll()
-			if err := ix.Err(); err != nil {
-				ix.Close()
-				return nil, fmt.Errorf("%s: verify: %w", path, err)
-			}
-		}
-		return ix, nil
-	default:
+	switch {
+	case strings.HasPrefix(magic, magicV1):
+		return nil, fmt.Errorf("%s: %w", path, ErrFormatV1)
+	case magic != string(indexMagicV2):
 		return nil, fmt.Errorf("%s: not an index file (magic %q)", path, magic)
 	}
+	data, closeFn, err := mmapFile(path)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := openV2(data, closeFn)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if o.verify {
+		ix.materializeAll()
+		if err := ix.Err(); err != nil {
+			ix.Close()
+			return nil, fmt.Errorf("%s: verify: %w", path, err)
+		}
+	}
+	return ix, nil
 }
 
 // sniffMagic reads the 6-byte header that identifies the format.
@@ -122,7 +111,7 @@ func sniffMagic(path string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	head := make([]byte, len(indexMagic))
+	head := make([]byte, len(indexMagicV2))
 	n, err := f.Read(head)
 	if n < len(head) {
 		if err == nil {
@@ -138,23 +127,17 @@ func sniffMagic(path string) (string, error) {
 // replace path via rename, so a crash mid-write can never leave a
 // half-written index behind the path.
 func WriteFile(path string, ix *Index, format Format) error {
+	if format != FormatV2 {
+		return fmt.Errorf("index: unknown format %v", format)
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".sqe-index-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	var werr error
-	switch format {
-	case FormatV1:
-		werr = encodeV1(tmp, ix)
-	case FormatV2:
-		werr = encodeV2(tmp, ix)
-	default:
-		werr = fmt.Errorf("index: unknown format %v", format)
-	}
-	if werr != nil {
+	if err := encodeV2(tmp, ix); err != nil {
 		tmp.Close()
-		return werr
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

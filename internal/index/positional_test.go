@@ -111,8 +111,8 @@ func (m *positionalMemo) cached(t *testing.T) int {
 }
 
 // positionalIndexes builds every kind of index a positional leaf is
-// resolved against, over one seeded corpus: in memory, from a v1 file,
-// from an mmap'd v2 file, the two shards of NewSharded, and the segments
+// resolved against, over one seeded corpus: in memory, from an mmap'd
+// v2 file, the two shards of NewSharded, and the segments
 // of a live index — a flushed one plus the sealed ingest buffer. Small
 // blocks, so the block summaries have several rows.
 func positionalIndexes(t *testing.T, seed int) map[string]*Index {
@@ -126,19 +126,16 @@ func positionalIndexes(t *testing.T, seed int) map[string]*Index {
 		return ix
 	}
 	out := map[string]*Index{"memory": build()}
-	dir := t.TempDir()
-	for name, format := range map[string]Format{"v1": FormatV1, "v2": FormatV2} {
-		path := filepath.Join(dir, "ix."+name)
-		if err := WriteFile(path, build(), format); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ix.Close() })
-		out[name] = ix
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := WriteFile(path, build(), FormatV2); err != nil {
+		t.Fatal(err)
 	}
+	v2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v2.Close() })
+	out["v2"] = v2
 	sh := NewSharded(build(), 2)
 	for i := 0; i < sh.NumShards(); i++ {
 		out[fmt.Sprintf("shard%d", i)] = sh.Shard(i)

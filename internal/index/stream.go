@@ -14,7 +14,7 @@ const DocEnd = DocID(math.MaxInt32)
 // uniform interface with two backings:
 //
 //   - slice mode (Reset): a window over a fully materialised postings
-//     row — in-memory and v1 indexes, phrase/window leaves;
+//     row — in-memory indexes, phrase/window leaves;
 //   - stream mode (ResetStream): one ~blockSize-document block of a
 //     FormatV2 term decoded at a time, directly from the mmap'd
 //     postings section. Advance consults the block directory to skip

@@ -72,12 +72,27 @@ const (
 	// maxBlockSize bounds the stored block size; anything larger is a
 	// hostile header (a block must fit comfortably in decode buffers).
 	maxBlockSize = 1 << 20
-	// maxFreq mirrors decodeV1's per-posting frequency cap.
+	// maxFreq caps a stored per-posting frequency.
 	maxFreq = 1 << 24
 	// maxPosition bounds decoded token positions so hostile deltas
 	// cannot overflow int32 accumulation.
 	maxPosition = 1 << 30
 )
+
+// maxPrealloc bounds any allocation driven by a length prefix read from
+// untrusted input. Slices are allocated with at most this capacity and
+// grown by append as elements actually decode, so a truncated or corrupt
+// file claiming billions of entries fails on EOF after a ~64K-element
+// allocation instead of triggering a multi-GB make up front.
+const maxPrealloc = 1 << 16
+
+// prealloc converts a claimed element count into a safe initial capacity.
+func prealloc(n uint64) int {
+	if n > maxPrealloc {
+		return maxPrealloc
+	}
+	return int(n)
+}
 
 var errBlockSizeLate = errors.New("index: SetBlockSize after block summaries were derived")
 

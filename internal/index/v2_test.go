@@ -1,7 +1,7 @@
 package index
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -170,39 +170,27 @@ func TestV2WithVerify(t *testing.T) {
 	assertSameIndex(t, "verify", got, ix)
 }
 
-// TestOpenNegotiatesV1: Open loads FormatV1 files (both stream
-// revisions) through the same entry point.
-func TestOpenNegotiatesV1(t *testing.T) {
-	ix := randomIndex(t, 80, 13)
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "ix.v1")
-	if err := WriteFile(v1, ix, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameIndex(t, "v1", got, ix)
-	if got.Close() != nil {
-		t.Fatal("v1 Close must be a no-op")
-	}
-}
-
-// TestOpenRejectsGarbage: unknown magic and short files error cleanly.
+// TestOpenRejectsGarbage: unknown magic and short files error cleanly,
+// and both revisions of the removed stream format are named as such.
 func TestOpenRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string][]byte{
 		"garbage": []byte("NOTANINDEXFILE"),
 		"short":   []byte("SQ"),
 		"empty":   nil,
+		"v1":      []byte("SQEIX\x01\x03"),
+		"v1-rev2": []byte("SQEIX\x02"),
 	} {
 		p := filepath.Join(dir, name)
 		if err := writeRaw(p, content); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(p); err == nil {
+		_, err := Open(p)
+		if err == nil {
 			t.Fatalf("%s: accepted", name)
+		}
+		if isV1 := strings.HasPrefix(name, "v1"); errors.Is(err, ErrFormatV1) != isV1 {
+			t.Fatalf("%s: errors.Is(err, ErrFormatV1) = %v: %v", name, !isV1, err)
 		}
 	}
 }
@@ -232,32 +220,6 @@ func TestV2ShardingAndForward(t *testing.T) {
 		if len(gv) != len(wv) {
 			t.Fatalf("doc %d forward vector %d entries, want %d", d, len(gv), len(wv))
 		}
-	}
-}
-
-// TestV2RoundTripThroughV1: v1 -> v2 -> v1 preserves the bytes (the
-// formats describe the same index exactly).
-func TestV2RoundTripThroughV1(t *testing.T) {
-	ix := randomIndex(t, 90, 23)
-	var v1a bytes.Buffer
-	if err := encodeV1(&v1a, ix); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ix.v2")
-	if err := WriteFile(path, ix, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	var v1b bytes.Buffer
-	if err := encodeV1(&v1b, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1a.Bytes(), v1b.Bytes()) {
-		t.Fatal("v1 bytes diverge after a v2 round trip")
 	}
 }
 

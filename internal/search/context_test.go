@@ -25,15 +25,12 @@ func TestSearchContextCancelledUpFront(t *testing.T) {
 	s := bigSearcher(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, legacy := range []bool{false, true} {
-		s.UseLegacyScorer = legacy
-		res, err := s.SearchContext(ctx, Term{Text: "cable"}, 10)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("legacy=%v: want context.Canceled, got %v", legacy, err)
-		}
-		if res != nil {
-			t.Errorf("legacy=%v: cancelled search returned results", legacy)
-		}
+	res, err := s.SearchContext(ctx, Term{Text: "cable"}, 10)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("want context.Canceled, got %v", err)
+	}
+	if res != nil {
+		t.Error("cancelled search returned results")
 	}
 }
 
@@ -53,9 +50,6 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	cancel()
 	if _, err := searchDAAT(ctx, s.ix, nil, leaves, 10, score, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("DAAT: want context.Canceled, got %v", err)
-	}
-	if _, err := s.searchLegacy(ctx, nil, leaves, 10, score, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("legacy: want context.Canceled, got %v", err)
 	}
 }
 

@@ -15,17 +15,15 @@ const exhausted = index.DocEnd
 // searchDAAT is the document-at-a-time evaluator: the leaves' postings
 // cursors are merged in document order and every candidate goes through
 // a bounded top-k min-heap instead of a full candidate map + sort. It
-// visits exactly the union of the leaves' postings (the same candidate
-// set the legacy scorer materialises) and sums leaf contributions in
-// leaf order, so scores are bit-identical to the legacy path for every
-// retrieval model.
+// visits exactly the union of the leaves' postings and sums leaf
+// contributions in leaf order — the order Explain and ScoreDoc sum in,
+// so a document's score has the same bits on all three paths.
 //
 // The merge is a single fused pass per candidate: each leaf's current
 // document is cached in a flat slice, and while one candidate is being
 // scored the minimum over the (possibly advanced) cached documents
-// already determines the next candidate. Compared to searchLegacy this
-// allocates O(leaves + k) instead of O(candidates · leaves), and
-// resolves document names only for the k survivors.
+// already determines the next candidate. It allocates O(leaves + k)
+// and resolves document names only for the k survivors.
 //
 // The loop checks ctx every cancelCheckEvery candidates so a serving
 // deadline or a disconnected client abandons the evaluation instead of
@@ -95,8 +93,7 @@ func searchDAAT(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 				advanced++
 			}
 			// Every leaf contributes (non-matching leaves carry
-			// background mass under the LM models), in leaf order — the
-			// same summation order as the legacy scorer.
+			// background mass under the LM models), in leaf order.
 			total += score(&leaves[li], tf, dl)
 			if d < next {
 				next = d

@@ -2,46 +2,33 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/index"
 )
 
-// assertSameResults fails unless the two result lists agree on documents,
-// order, and scores (within 1e-12).
-func assertSameResults(t *testing.T, label string, daat, legacy []Result) {
+// diffOracle evaluates q under every evaluator — the cost model's choice,
+// MaxScore forced, exhaustive DAAT — and demands the oracle's ranking,
+// score bits included, from each.
+func diffOracle(t *testing.T, s *Searcher, label string, q Node, k int) {
 	t.Helper()
-	if len(daat) != len(legacy) {
-		t.Fatalf("%s: DAAT returned %d results, legacy %d", label, len(daat), len(legacy))
-	}
-	for i := range daat {
-		if daat[i].Doc != legacy[i].Doc || daat[i].Name != legacy[i].Name {
-			t.Fatalf("%s: rank %d: DAAT %v vs legacy %v", label, i, daat[i], legacy[i])
-		}
-		if math.Abs(daat[i].Score-legacy[i].Score) > 1e-12 {
-			t.Fatalf("%s: rank %d score: DAAT %v vs legacy %v", label, i, daat[i].Score, legacy[i].Score)
-		}
+	want := OracleRank(s, q, k)
+	for _, e := range []struct {
+		name                string
+		forcePrune, noPrune bool
+	}{{"cost-model", false, false}, {"maxscore", true, false}, {"daat", false, true}} {
+		ev := *s
+		ev.forcePrune, ev.DisablePruning = e.forcePrune, e.noPrune
+		requireSameResults(t, ev.Search(q, k), want, label+"/"+e.name)
 	}
 }
 
-// runBoth evaluates q under both evaluators and compares.
-func runBoth(t *testing.T, s *Searcher, label string, q Node, k int) {
-	t.Helper()
-	s.UseLegacyScorer = false
-	daat := s.Search(q, k)
-	s.UseLegacyScorer = true
-	legacy := s.Search(q, k)
-	s.UseLegacyScorer = false
-	assertSameResults(t, label, daat, legacy)
-}
-
-// TestDAATMatchesLegacyCrafted covers the structured cases the random
+// TestDAATMatchesOracleCrafted covers the structured cases the random
 // sweep might miss: exact ties (identical documents), OOV leaves that
 // carry only background mass, phrase and window leaves, and k larger
 // than the candidate set.
-func TestDAATMatchesLegacyCrafted(t *testing.T) {
+func TestDAATMatchesOracleCrafted(t *testing.T) {
 	ix := buildIndex(
 		"a b c a",
 		"a b c a", // exact duplicate of D0: guaranteed score tie
@@ -66,15 +53,15 @@ func TestDAATMatchesLegacyCrafted(t *testing.T) {
 		s.Mu = 300
 		for name, q := range queries {
 			for _, k := range []int{1, 2, 3, 100} {
-				runBoth(t, s, fmt.Sprintf("%v/%s/k=%d", model, name, k), q, k)
+				diffOracle(t, s, fmt.Sprintf("%v/%s/k=%d", model, name, k), q, k)
 			}
 		}
 	}
 }
 
-// TestDAATMatchesLegacyRandom sweeps random corpora and random weighted
+// TestDAATMatchesOracleRandom sweeps random corpora and random weighted
 // queries across all three retrieval models.
-func TestDAATMatchesLegacyRandom(t *testing.T) {
+func TestDAATMatchesOracleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for trial := 0; trial < 40; trial++ {
@@ -110,7 +97,7 @@ func TestDAATMatchesLegacyRandom(t *testing.T) {
 		s := NewSearcher(ix)
 		s.Model = model
 		k := 1 + rng.Intn(nDocs+5)
-		runBoth(t, s, fmt.Sprintf("trial=%d model=%v k=%d", trial, model, k), q, k)
+		diffOracle(t, s, fmt.Sprintf("trial=%d model=%v k=%d", trial, model, k), q, k)
 	}
 }
 
@@ -160,17 +147,11 @@ func TestSearchWithStatsCounters(t *testing.T) {
 	if st.Elapsed <= 0 {
 		t.Errorf("Elapsed = %v, want > 0", st.Elapsed)
 	}
-	// The legacy path fills the shared counters too.
-	s.UseLegacyScorer = true
-	_, stLegacy := s.SearchWithStats(q, 2)
-	if stLegacy.CandidatesExamined != 4 || stLegacy.PostingsAdvanced != 5 {
-		t.Errorf("legacy stats = %+v, want 4 candidates / 5 advanced", stLegacy)
-	}
 }
 
 // TestDAATEmptyAndDegenerate pins the edge cases: k<=0, empty queries,
 // and queries whose every leaf is OOV (candidates exist only where a
-// leaf matched — all-OOV queries rank nothing, on both paths).
+// leaf matched — all-OOV queries rank nothing, for the oracle too).
 func TestDAATEmptyAndDegenerate(t *testing.T) {
 	ix := buildIndex("a b", "c d")
 	s := NewSearcher(ix)
@@ -180,7 +161,7 @@ func TestDAATEmptyAndDegenerate(t *testing.T) {
 	if got := s.Search(Weighted{}, 10); got != nil {
 		t.Errorf("empty query: got %v", got)
 	}
-	runBoth(t, s, "all-oov", Combine(Term{Text: "zz"}, Term{Text: "yy"}), 10)
+	diffOracle(t, s, "all-oov", Combine(Term{Text: "zz"}, Term{Text: "yy"}), 10)
 	var c index.Cursor
 	if c.Valid() {
 		t.Error("zero cursor must be exhausted")

@@ -37,10 +37,12 @@ type LeafContribution struct {
 // query's leaves, sorted by descending contribution above background
 // (i.e. the leaves that helped most come first).
 func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
-	var leaves []leaf
+	sc := getScratch()
+	defer putScratch(sc)
+	leaves := sc.leaves[:0]
 	var names []string
-	var ps index.PositionalScratch
-	s.flattenNamed(q, 1, &leaves, &names, &ps)
+	s.flattenNamed(q, 1, &leaves, &names, &sc.positional)
+	sc.leaves = leaves
 	// Explain walks materialised postings rows directly (findDoc over
 	// l.postings.Docs), so streaming leaves are resolved eagerly here —
 	// this is a debugging path, not the query hot path.
@@ -50,6 +52,13 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	score := buildScorer(s.Model, s.resolveParams(), cs)
 	dl := float64(s.ix.DocLen(doc))
 	ex := Explanation{Doc: doc, Name: s.ix.DocName(doc)}
+	contribs := make([]LeafContribution, len(leaves))
+	// lift is how far each leaf raised the document above the leaf's own
+	// background mass. It is kept per leaf index, not looked up by
+	// syntax: two leaves can share theirs (RM3 repeats the user's terms
+	// at a second weight).
+	lift := make([]float64, len(leaves))
+	order := make([]int, len(leaves))
 	for li := range leaves {
 		l := &leaves[li]
 		tf := int32(0)
@@ -58,35 +67,24 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 		}
 		contrib := score(l, tf, dl)
 		ex.Score += contrib
-		ex.Leaves = append(ex.Leaves, LeafContribution{
+		contribs[li] = LeafContribution{
 			Leaf:           names[li],
 			Weight:         l.weight,
 			TF:             tf,
 			Contribution:   contrib,
 			BackgroundOnly: tf == 0,
-		})
-	}
-	// Sort by how much the leaf lifted the document above its own
-	// background mass: matched leaves first, strongest lift first.
-	lift := func(c LeafContribution) float64 {
-		if c.BackgroundOnly {
-			return 0
 		}
-		l := leaves[indexOfLeaf(names, c.Leaf)]
-		bg := score(&l, 0, dl)
-		return c.Contribution - bg
+		if tf > 0 {
+			lift[li] = contrib - score(l, 0, dl)
+		}
+		order[li] = li
 	}
-	sort.SliceStable(ex.Leaves, func(i, j int) bool { return lift(ex.Leaves[i]) > lift(ex.Leaves[j]) })
+	// Matched leaves first, strongest lift first.
+	sort.SliceStable(order, func(i, j int) bool { return lift[order[i]] > lift[order[j]] })
+	for _, li := range order {
+		ex.Leaves = append(ex.Leaves, contribs[li])
+	}
 	return ex
-}
-
-func indexOfLeaf(names []string, name string) int {
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return 0
 }
 
 // flattenNamed mirrors flatten but also records each leaf's syntax.

@@ -51,6 +51,15 @@ func TestExplainLeafAttribution(t *testing.T) {
 	if ex.Leaves[1].Leaf != "beta" || !ex.Leaves[1].BackgroundOnly {
 		t.Errorf("second leaf = %+v, want background beta", ex.Leaves[1])
 	}
+	// A term repeated at a second weight, as RM3 repeats the user's
+	// terms: each leaf's lift is its own, so the heavier one leads.
+	for _, m := range []Model{ModelDirichlet, ModelJelinekMercer, ModelBM25} {
+		s.Model = m
+		ex = s.Explain(Weight([]float64{0.05, 0.5, 0.45}, []Node{Term{Text: "alpha"}, Term{Text: "beta"}, Term{Text: "alpha"}}), 1)
+		if ex.Leaves[0].Leaf != "alpha" || ex.Leaves[0].Weight != 0.45 || ex.Leaves[1].Weight != 0.05 {
+			t.Errorf("%v: leaves %+v, want alpha w=0.45 then alpha w=0.05", m, ex.Leaves[:2])
+		}
+	}
 }
 
 func TestExplainString(t *testing.T) {

@@ -42,8 +42,7 @@ func prunedPair(ix *index.Index, model Model, params ModelParams, mu float64) (p
 }
 
 // assertIdenticalResults demands exact equality — same docs, same names,
-// same float bits — which is the pruning contract (searchDAAT vs legacy
-// uses a tolerance; pruning does not get one).
+// same float bits — which is the pruning contract.
 func assertIdenticalResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -2,10 +2,8 @@ package search
 
 import (
 	"context"
-	"sort"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/index"
 )
 
@@ -31,11 +29,6 @@ type Searcher struct {
 	Model Model
 	// Params holds the other models' parameters.
 	Params ModelParams
-	// UseLegacyScorer switches Search back to the map-accumulate-then-
-	// sort evaluator that predates the document-at-a-time path. It is
-	// the reference oracle of the differential tests and nothing else: no
-	// public option reaches it. Results are identical either way.
-	UseLegacyScorer bool
 	// DisablePruning turns off MaxScore-style dynamic pruning and scores
 	// every candidate (the PR-1 DAAT behaviour). Pruning is score-safe —
 	// rankings and scores are bit-identical either way (see maxscore.go)
@@ -91,8 +84,8 @@ type leaf struct {
 	// stream marks a term leaf of a v2-backed index that the evaluators
 	// walk through a streaming block cursor instead of a materialised
 	// postings row: postings stays empty and termID names the row. Paths
-	// that need the real row (legacy oracle, ScoreDoc, Explain) convert
-	// via materializeLeaves first.
+	// that need the real row (ScoreDoc, Explain) convert via
+	// materializeLeaves first.
 	stream bool
 	// nPost is the leaf's postings count independent of materialisation
 	// (len(postings.Docs) for materialised leaves, the stored df for
@@ -229,8 +222,8 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 }
 
 // materializeLeaves converts streaming leaves into materialised ones in
-// place, for the paths that walk postings rows directly (the legacy
-// oracle, ScoreDoc, Explain).
+// place, for the paths that walk postings rows directly (ScoreDoc,
+// Explain).
 func (s *Searcher) materializeLeaves(leaves []leaf) {
 	for li := range leaves {
 		l := &leaves[li]
@@ -251,9 +244,7 @@ func (s *Searcher) materializeLeaves(leaves []leaf) {
 // nothing carry only background mass and sort below every match of the
 // best leaf in all but degenerate cases).
 //
-// The default evaluator is document-at-a-time (see searchDAAT); the
-// pre-DAAT evaluator remains available via UseLegacyScorer and produces
-// identical rankings and scores.
+// The evaluator is document-at-a-time (see evalLeaves).
 //
 // Search never fails; it is a thin wrapper over SearchContext with a
 // background context.
@@ -328,11 +319,6 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 		disablePruning: s.DisablePruning,
 		forcePrune:     s.forcePrune,
 	}
-	if s.UseLegacyScorer {
-		prepareLeaves(cfg.model, cfg.cs, leaves)
-		s.materializeLeaves(leaves)
-		return s.searchLegacy(ctx, nil, leaves, k, buildScorer(cfg.model, cfg.params, cfg.cs), st)
-	}
 	return evalLeaves(ctx, s.ix, nil, leaves, k, cfg, st, sc)
 }
 
@@ -369,71 +355,6 @@ func evalLeaves(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
 	}
 	return searchMaxScore(ctx, ix, dead, leaves, k, score, pb, st, sc)
-}
-
-// searchLegacy is the original term-at-a-time evaluator: accumulate a
-// per-candidate tf vector in a map, score every candidate, fully sort.
-// Kept as the reference oracle for the DAAT differential tests; like the
-// other evaluators it ranks only documents outside dead.
-func (s *Searcher) searchLegacy(ctx context.Context, dead index.DocSet, leaves []leaf, k int, score scorer, st *SearchStats) ([]Result, error) {
-	// Per-candidate term frequencies, leaf-major.
-	type cand struct {
-		tfs []int32
-	}
-	cands := make(map[index.DocID]*cand)
-	for li := range leaves {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		l := &leaves[li]
-		for pi, doc := range l.postings.Docs {
-			c, ok := cands[doc]
-			if !ok {
-				c = &cand{tfs: make([]int32, len(leaves))}
-				cands[doc] = c
-			}
-			c.tfs[li] = l.postings.Freqs[pi]
-			if st != nil {
-				st.PostingsAdvanced++
-			}
-		}
-	}
-	if st != nil {
-		st.CandidatesExamined = int64(len(cands))
-	}
-	results := make([]Result, 0, len(cands))
-	scored := 0
-	for doc, c := range cands {
-		if scored%cancelCheckEvery == 0 {
-			err := ctx.Err()
-			if err == nil {
-				err = fault.Check(fault.IndexPostings)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		scored++
-		if dead.Has(doc) {
-			continue
-		}
-		dl := float64(s.ix.DocLen(doc))
-		total := 0.0
-		for li := range leaves {
-			total += score(&leaves[li], c.tfs[li], dl)
-		}
-		results = append(results, Result{Doc: doc, Name: s.ix.DocName(doc), Score: total})
-	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Doc < results[j].Doc
-	})
-	if len(results) > k {
-		results = results[:k]
-	}
-	return results, nil
 }
 
 // ScoreDoc computes the query-likelihood score of a single document; used

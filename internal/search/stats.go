@@ -28,8 +28,8 @@ type SearchStats struct {
 	// postings entries the evaluator consumed.
 	PostingsAdvanced int64
 	// DocsSkipped counts postings entries the pruned evaluator galloped
-	// over without scoring their documents (0 on the unpruned and
-	// legacy paths). An entry is either consumed or skipped, so
+	// over without scoring their documents (0 on the unpruned path).
+	// An entry is either consumed or skipped, so
 	// PostingsAdvanced + DocsSkipped equals the query's total postings
 	// mass — what PostingsAdvanced alone is without pruning.
 	DocsSkipped int64

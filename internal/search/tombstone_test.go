@@ -33,43 +33,12 @@ func skewedDocs(n, seed int) []segTestDoc {
 	return docs
 }
 
-// legacyPartition runs phase B through the reference term-at-a-time
-// evaluator, so the differential below covers every evaluator a
-// tombstoned segment can meet.
-type legacyPartition struct{ *localPartition }
-
-func (p legacyPartition) eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) ([]Result, error) {
-	leaves := prepared.([]leaf)
-	cfg := p.override(leaves, req)
-	prepareLeaves(cfg.model, cfg.cs, leaves)
-	s := Searcher{ix: p.ix}
-	s.materializeLeaves(leaves)
-	res, err := s.searchLegacy(ctx, p.dead(), leaves, req.K, buildScorer(cfg.model, cfg.params, cfg.cs), st)
-	for i := range res {
-		res[i].Doc = p.global(res[i].Doc)
-	}
-	return res, err
-}
-
-// withLegacyEval makes every partition gs pins evaluate with the legacy
-// scorer.
-func withLegacyEval(gs *SegmentedSearcher) {
-	pin := gs.pin
-	gs.pin = func() ([]partition, func(), error) {
-		parts, release, err := pin()
-		for i, p := range parts {
-			parts[i] = legacyPartition{p.(*localPartition)}
-		}
-		return parts, release, err
-	}
-}
-
 // TestSegmentedTombstonePlacements is the adversarial half of the
 // segmented differential: tombstones placed where a candidate-time
 // filter or an incremental correction could go wrong, on each kind of
 // segment a snapshot can hold (mmap'd v2 files, the memory-backed sealed
 // buffer, and both together), under every model and every evaluator,
-// against a monolithic rebuild of the survivors.
+// against the oracle over a monolithic rebuild of the survivors.
 func TestSegmentedTombstonePlacements(t *testing.T) {
 	docs := skewedDocs(650, 41)
 	full := monoSearcher(docs)
@@ -128,7 +97,6 @@ func TestSegmentedTombstonePlacements(t *testing.T) {
 		{"cost-model", func(gs *SegmentedSearcher) {}},
 		{"maxscore", func(gs *SegmentedSearcher) { gs.forcePrune = true }},
 		{"daat", func(gs *SegmentedSearcher) { gs.DisablePruning = true }},
-		{"legacy", withLegacyEval},
 	}
 	for _, shape := range shapes {
 		for _, c := range cases {
@@ -145,17 +113,18 @@ func TestSegmentedTombstonePlacements(t *testing.T) {
 				t.Fatalf("%s/%s: DeleteBatch = %d, %v; want %d", shape.name, c.name, n, err, len(deletes))
 			}
 			mono := monoSearcher(survivorsOf(docs, deletes))
-			mono.DisablePruning = true
 			for _, m := range pruningModels {
 				mono.Model, mono.Params, mono.Mu = m.model, m.params, m.mu
-				for _, e := range evaluators {
-					gs := NewSegmentedSearcher(live)
-					gs.Model, gs.Params, gs.Mu = m.model, m.params, m.mu
-					e.set(gs)
-					for qname, q := range queries {
+				for qname, q := range queries {
+					// One full ranking; every k below is a prefix of it.
+					want := OracleRank(mono, q, len(docs))
+					for _, e := range evaluators {
+						gs := NewSegmentedSearcher(live)
+						gs.Model, gs.Params, gs.Mu = m.model, m.params, m.mu
+						e.set(gs)
 						for _, k := range []int{1, 10, 1000} {
 							label := fmt.Sprintf("%s/%s/%s/%s/%s k=%d", shape.name, c.name, m.name, e.name, qname, k)
-							requireSameResults(t, rank(t, gs, q, k), mono.Search(q, k), label)
+							requireSameResults(t, rank(t, gs, q, k), want[:min(k, len(want))], label)
 						}
 					}
 				}

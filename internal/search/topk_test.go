@@ -12,17 +12,14 @@ import (
 // in the heap, whose offer path assumes k ≥ 1 — the entry points guard).
 func TestTopKZero(t *testing.T) {
 	ix := buildIndex("a b", "a c", "b c")
-	for _, legacy := range []bool{false, true} {
-		for _, pruned := range []bool{false, true} {
-			s := NewSearcher(ix)
-			s.UseLegacyScorer = legacy
-			s.DisablePruning = !pruned
-			if res := s.Search(Term{Text: "a"}, 0); res != nil {
-				t.Fatalf("legacy=%v pruned=%v: k=0 returned %d results", legacy, pruned, len(res))
-			}
-			if res := s.Search(Term{Text: "a"}, -5); res != nil {
-				t.Fatalf("legacy=%v pruned=%v: k<0 returned %d results", legacy, pruned, len(res))
-			}
+	for _, pruned := range []bool{false, true} {
+		s := NewSearcher(ix)
+		s.DisablePruning = !pruned
+		if res := s.Search(Term{Text: "a"}, 0); res != nil {
+			t.Fatalf("pruned=%v: k=0 returned %d results", pruned, len(res))
+		}
+		if res := s.Search(Term{Text: "a"}, -5); res != nil {
+			t.Fatalf("pruned=%v: k<0 returned %d results", pruned, len(res))
 		}
 	}
 }

@@ -242,10 +242,9 @@ func WithDirichletMu(mu float64) Option {
 // per-leaf score upper bounds derived from index metadata at
 // query-compile time — are skipped without being scored; rankings and
 // scores stay bit-identical to the unpruned evaluator for every
-// retrieval model and shard count (the differential tests in
-// pruning_diff_test.go enforce this). WithPruning(false) is the escape
-// hatch for debugging and the exhaustive reference those tests and the
-// bench/ oracle compare against.
+// retrieval model and shard count (TestDifferential's rows enforce
+// this). WithPruning(false) is the escape hatch for debugging and the
+// exhaustive reference the bench/ oracle compares against.
 func WithPruning(on bool) Option {
 	return func(e *Engine) { e.searcher.DisablePruning = !on }
 }
@@ -311,8 +310,8 @@ func WithSQECWorkers(n int) Option {
 // per-shard document-at-a-time scan with a final top-k merge. Each query
 // leaf's collection statistics are replaced by their exact cross-shard
 // sums before scoring, so rankings and scores are bit-identical to the
-// unsharded engine for every retrieval model (the differential tests in
-// sharded_diff_test.go enforce this). n is clamped to the document
+// unsharded engine for every retrieval model (TestDifferential's
+// shards-N rows enforce this). n is clamped to the document
 // count; n <= 1 keeps the single-index path. Shard evaluations share the
 // engine-wide worker semaphore with SQE_C runs (see WithSQECWorkers),
 // falling back to inline evaluation when the pool is saturated.

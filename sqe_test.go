@@ -3,23 +3,14 @@ package sqe
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 )
 
-var (
-	envOnce sync.Once
-	env     *DemoEnv
-	envErr  error
-)
-
+// demo is the shared DemoSmall environment (the differential harness's
+// world, differential_test.go).
 func demo(t *testing.T) *DemoEnv {
 	t.Helper()
-	envOnce.Do(func() { env, envErr = GenerateDemo(DemoSmall) })
-	if envErr != nil {
-		t.Fatal(envErr)
-	}
-	return env
+	return theWorld(t).env
 }
 
 func TestGenerateDemo(t *testing.T) {
