@@ -30,10 +30,12 @@ race:
 # phrase / window materialisers run the same intersection the memo
 # fills from), the memo hit every warm phrase leaf takes, and SQE_C over
 # a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
-# read flat across the three).
+# read flat across the three), and one compaction of a 20 000-document
+# base plus 16 tombstoned segments (B/op and allocs/op are the merge's
+# footprint; ns/op is mostly its two fsyncs).
 bench:
 	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|UnorderedWindow|SegmentedTombstoned' -benchmem .
-	$(GO) test -run NONE -bench 'PositionalLeafHit' -benchmem ./internal/index/
+	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
 # `go test ./...` skip it: this is what notices a refactor breaking the

@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,12 +131,18 @@ func WriteFile(path string, ix *Index, format Format) error {
 	if format != FormatV2 {
 		return fmt.Errorf("index: unknown format %v", format)
 	}
+	return writeAtomic(path, func(w io.Writer) error { return encodeV2(w, ix) })
+}
+
+// writeAtomic commits what write produces to path: temp file in the
+// target directory, fsync, rename.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".sqe-index-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := encodeV2(tmp, ix); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -34,7 +35,8 @@ import (
 //
 // Scoring over a Snapshot is bit-identical to a monolithic index built
 // from the same surviving documents in the same order — the contract
-// search.SegmentedSearcher builds on and segment_diff_test.go enforces.
+// search.SegmentedSearcher builds on and the segmented-* rows of the root
+// differential harness (differential_test.go) enforce.
 // The pieces of the argument live where they apply: global statistics
 // here (NumDocs/TotalTokens/FloorProb are tombstone-adjusted exact
 // sums), per-leaf statistics and DocID remapping in the searcher.
@@ -97,6 +99,8 @@ type Segmented struct {
 	flushes     atomic.Int64
 	compactions atomic.Int64
 	commits     atomic.Int64
+	// Blocks compactions wrote, by tier (merge.go).
+	mergeCopied, mergeSpliced, mergeEncoded atomic.Int64
 
 	// mergeGate, when non-nil, runs inside Compact once the merge is
 	// under way (mu held, nothing swapped yet). Tests park the mutator
@@ -184,9 +188,11 @@ func (sg *segment) release() {
 	if sg.refs.Add(-1) != 0 {
 		return
 	}
-	// Last reference: either the segment was compacted away or the
-	// Segmented is shutting down. Either way the mapping goes; the file
-	// goes only if the manifest no longer names it.
+	// Last reference: the segment was compacted away, the Segmented is
+	// shutting down, or every document of it is tombstoned (no snapshot
+	// includes it any more; Compact removes its file when it commits).
+	// Either way the mapping goes; the file goes only if the manifest no
+	// longer names it.
 	_ = sg.ix.Close()
 	if sg.dead.Load() {
 		_ = os.Remove(sg.path)
@@ -298,6 +304,11 @@ type SegmentedStats struct {
 	// rename) since open: one per flush, per compaction, and per delete
 	// batch that touched a committed segment.
 	ManifestCommits int64
+	// MergeBlocksCopied, MergeBlocksSpliced and MergeBlocksEncoded count
+	// the postings blocks completed compactions wrote, by how: copied
+	// from an input undecoded, an input's short last block extended in
+	// place, or encoded from decoded postings (merge.go).
+	MergeBlocksCopied, MergeBlocksSpliced, MergeBlocksEncoded int64
 }
 
 // Stats reports the live index's current state and lifetime counters.
@@ -314,6 +325,10 @@ func (s *Segmented) Stats() SegmentedStats {
 		Flushes:         s.flushes.Load(),
 		Compactions:     s.compactions.Load(),
 		ManifestCommits: s.commits.Load(),
+
+		MergeBlocksCopied:  s.mergeCopied.Load(),
+		MergeBlocksSpliced: s.mergeSpliced.Load(),
+		MergeBlocksEncoded: s.mergeEncoded.Load(),
 	}
 	for _, sg := range s.disk {
 		st.LiveDocs += sg.ix.NumDocs() - len(sg.del.sorted)
@@ -519,6 +534,8 @@ func (s *Segmented) flushLocked() error {
 // pinning them is released. The buffer is untouched. A no-op when
 // nothing is committed. Like a flush, the merge holds mu but not pub:
 // readers keep acquiring — pinning the pre-merge segments — throughout.
+// The merged file is streamed by writeMerged, which copies what did not
+// change instead of decoding the live index into memory.
 func (s *Segmented) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -534,14 +551,30 @@ func (s *Segmented) Compact() error {
 	if s.mergeGate != nil {
 		s.mergeGate()
 	}
-	ins := make([]mergeInput, len(s.disk))
-	for i, sg := range s.disk {
-		ins[i] = mergeInput{ix: sg.ix, dead: sg.del.dead}
+	// The merge reads the segments the current snapshot pins, under a pin
+	// of its own: their mappings stay open until it is done, whoever else
+	// releases meanwhile. A fully tombstoned segment is in no snapshot —
+	// its mapping may already be closed — and contributes nothing anyway.
+	// (cur holds its own reference until the next install, so under pub
+	// the pin cannot fail.)
+	s.pub.Lock()
+	pin := s.cur.Load()
+	pin.tryRef()
+	s.pub.Unlock()
+	defer pin.unref()
+	var ins []mergeInput
+	for _, v := range pin.views {
+		if v.seg != nil {
+			ins = append(ins, mergeInput{ix: v.ix, dead: v.dead})
+		}
 	}
-	merged := mergeInputs(s.analyzer, ins)
 	seq := s.nextSeq
 	path := filepath.Join(s.dir, segFileName(seq))
-	if err := WriteFile(path, merged, FormatV2); err != nil {
+	var counts mergeCounts
+	if err := writeAtomic(path, func(w io.Writer) (err error) {
+		counts, err = writeMerged(w, s.analyzer, ins)
+		return err
+	}); err != nil {
 		return err
 	}
 	// The crash window: the merged file exists but the manifest does not
@@ -566,8 +599,18 @@ func (s *Segmented) Compact() error {
 	s.nextSeq = seq + 1
 	for _, sg := range old {
 		sg.dead.Store(true)
+		// Only a fully tombstoned segment can be unreferenced here (the pin
+		// holds the rest): its last release ran while the manifest still
+		// named it, so its file is this commit's to remove. Should a reader
+		// release concurrently, one of the two sees the other's write.
+		if sg.refs.Load() == 0 {
+			_ = os.Remove(sg.path)
+		}
 	}
 	s.compactions.Add(1)
+	s.mergeCopied.Add(counts.copied)
+	s.mergeSpliced.Add(counts.spliced)
+	s.mergeEncoded.Add(counts.encoded)
 	s.installLocked()
 	s.pub.Unlock()
 	return nil
@@ -849,89 +892,6 @@ func (sn *Snapshot) LiveDocNames() []string {
 				out = append(out, v.ix.DocName(DocID(id)))
 			}
 		}
-	}
-	return out
-}
-
-// mergeInput is one segment (plus its tombstones) entering a merge.
-type mergeInput struct {
-	ix   *Index
-	dead DocSet
-}
-
-// mergeInputs builds the in-memory index equivalent to indexing every
-// surviving document of ins, in order. It merges at the postings level
-// — the raw text is not retained — which is exact: per-(term, doc)
-// frequencies and positions are preserved verbatim and survivor DocIDs
-// are assigned by rank, so the result is indistinguishable from a
-// monolithic rebuild for every scoring path, including positional
-// (phrase/window) evaluation. Term IDs are assigned by first occurrence
-// across inputs; scoring never depends on term order.
-func mergeInputs(a analysis.Analyzer, ins []mergeInput) *Index {
-	out := &Index{analyzer: a, terms: make(map[string]int32)}
-	total := 0
-	for _, in := range ins {
-		total += in.ix.NumDocs()
-	}
-	out.docNames = make([]string, 0, total)
-	out.docLens = make([]int32, 0, total)
-	base := 0
-	for _, in := range ins {
-		n := in.ix.NumDocs()
-		// remap[local] is the merged DocID, or -1 for tombstoned docs.
-		remap := make([]int32, n)
-		next := base
-		for id := 0; id < n; id++ {
-			if in.dead.Has(DocID(id)) {
-				remap[id] = -1
-				continue
-			}
-			remap[id] = int32(next)
-			next++
-			out.docNames = append(out.docNames, in.ix.DocName(DocID(id)))
-			dl := in.ix.DocLen(DocID(id))
-			out.docLens = append(out.docLens, dl)
-			out.totalToks += int64(dl)
-		}
-		for tid := 0; tid < in.ix.NumTerms(); tid++ {
-			// The merge works on a row of its own: a v2-backed input is
-			// decoded a row at a time and caches nothing (it is about to be
-			// retired), an in-memory input's row is copied.
-			var row Postings
-			if lz := in.ix.lazy; lz != nil {
-				row = lz.decode(in.ix, int32(tid), false)
-			} else {
-				src := &in.ix.postings[tid]
-				row = Postings{Docs: slices.Clone(src.Docs), Freqs: slices.Clone(src.Freqs), Positions: slices.Clone(src.Positions)}
-			}
-			// Survivors move to the front of the row, under their new IDs.
-			k := 0
-			for pi, doc := range row.Docs {
-				if nd := remap[doc]; nd >= 0 {
-					row.Docs[k], row.Freqs[k], row.Positions[k] = DocID(nd), row.Freqs[pi], row.Positions[pi]
-					k++
-				}
-			}
-			if k == 0 {
-				continue
-			}
-			row = Postings{Docs: row.Docs[:k:k], Freqs: row.Freqs[:k:k], Positions: row.Positions[:k:k]}
-			text := in.ix.TermText(int32(tid))
-			mid, ok := out.terms[text]
-			if !ok {
-				// The term's first input — for most terms the only one,
-				// the large segment — becomes the merged row as it stands.
-				out.terms[text] = int32(len(out.termText))
-				out.termText = append(out.termText, text)
-				out.postings = append(out.postings, row)
-				continue
-			}
-			mp := &out.postings[mid]
-			mp.Docs = append(mp.Docs, row.Docs...)
-			mp.Freqs = append(mp.Freqs, row.Freqs...)
-			mp.Positions = append(mp.Positions, row.Positions...)
-		}
-		base = next
 	}
 	return out
 }

@@ -353,19 +353,9 @@ func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32) error {
 	if lz.closed.Load() {
 		return fmt.Errorf("index: term %q streamed after Close", ix.termText[c.id])
 	}
-	slot := int(lz.starts[c.id]) + b
-	ext := lz.extents[slot]
-	buf := lz.post[ext.off : ext.off+int64(ext.size)]
+	slot, buf, base, n := lz.blockAt(ix, c.id, b)
 	if !lz.verifyBlock(slot, buf) {
 		return fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[c.id], b)
-	}
-	base := DocID(-1) // the term's first block is absolute
-	if b > 0 {
-		base = c.blocks[b-1].LastDoc
-	}
-	n := c.blockSz
-	if rest := c.n - b*c.blockSz; rest < n {
-		n = rest
 	}
 	if err := decodeBlockInto(buf, base, n, int32(len(ix.docLens)), docs, freqs, nil); err != nil {
 		return fmt.Errorf("index: term %q block %d: %w", ix.termText[c.id], b, err)

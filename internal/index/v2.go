@@ -178,17 +178,28 @@ func (lz *lazyPostings) record(err error) {
 // by the derived (exact) values, keeping pruning score-safe even when a
 // CRC-consistent file lies about them.
 func (lz *lazyPostings) materialize(ix *Index, id int32) {
-	ix.postings[id] = lz.decode(ix, id, true)
+	ix.postings[id] = lz.decode(ix, id)
+}
+
+// blockAt locates block b of term id: its directory slot, its bytes, the
+// document its first delta is coded against (the previous block's
+// stored LastDoc; -1, absolute, for the term's first) and its posting
+// count.
+func (lz *lazyPostings) blockAt(ix *Index, id int32, b int) (slot int, buf []byte, base DocID, n int) {
+	slot = int(lz.starts[id]) + b
+	ext := lz.extents[slot]
+	base = -1
+	if b > 0 {
+		base = ix.blockBounds[id][b-1].LastDoc
+	}
+	return slot, lz.post[ext.off : ext.off+int64(ext.size)], base, min(lz.blockSz, int(lz.df[id])-b*lz.blockSz)
 }
 
 // decode decodes term id's blocks into a fresh row; a failure is
-// recorded and yields the empty row. adopt is materialize's mode: each
-// block's bound summary is re-derived, and a stored one the postings
-// contradict is overwritten — which only the holder of the term's Once
-// may do. Without it the bounds are neither read nor written and the row
-// is the caller's alone: how a merge reads its inputs, whose rows it
-// rewrites in place and whose bounds it derives afresh for its output.
-func (lz *lazyPostings) decode(ix *Index, id int32, adopt bool) Postings {
+// recorded and yields the empty row. Each block's bound summary is
+// re-derived, and a stored one the postings contradict is overwritten —
+// which only the holder of the term's Once may do.
+func (lz *lazyPostings) decode(ix *Index, id int32) Postings {
 	if lz.closed.Load() {
 		lz.record(fmt.Errorf("index: term %d materialised after Close", id))
 		return Postings{}
@@ -215,16 +226,10 @@ func (lz *lazyPostings) decode(ix *Index, id int32, adopt bool) Postings {
 		if rest := df - blk*lz.blockSz; rest < n {
 			n = rest
 		}
-		var err error
-		if adopt {
-			var derived BlockBounds
-			derived, err = decodeBlock(buf, base, n, int32(len(ix.docLens)), ix.docLens, &p)
-			if want := &ix.blockBounds[id][blk]; err == nil && derived != *want {
-				*want = derived
-				dirty = true
-			}
-		} else {
-			err = decodeBlockInto(buf, base, n, int32(len(ix.docLens)), &p.Docs, &p.Freqs, &p.Positions)
+		derived, err := decodeBlock(buf, base, n, int32(len(ix.docLens)), ix.docLens, &p)
+		if want := &ix.blockBounds[id][blk]; err == nil && derived != *want {
+			*want = derived
+			dirty = true
 		}
 		if err != nil {
 			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], blk, err))
@@ -362,35 +367,51 @@ func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID
 
 // encodeBlock appends the block encoding of postings rows [lo, hi) of p
 // to dst, delta-coding the first document against base (absolute when
-// base < 0).
+// base < 0). The three regions are separate appenders so a merge can
+// splice new postings behind each region of an existing block.
 func encodeBlock(dst []byte, p *Postings, lo, hi int, base DocID) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(x uint64) {
-		n := binary.PutUvarint(tmp[:], x)
-		dst = append(dst, tmp[:n]...)
-	}
+	dst = appendDocDeltas(dst, p.Docs[lo:hi], base)
+	dst = appendFreqs(dst, p.Freqs[lo:hi])
+	return appendPositions(dst, p.Positions[lo:hi])
+}
+
+// appendDocDeltas appends a block's docs region for docs, the first
+// delta-coded against base (absolute when base < 0).
+func appendDocDeltas(dst []byte, docs []DocID, base DocID) []byte {
 	prev := base
-	for i := lo; i < hi; i++ {
-		doc := p.Docs[i]
+	for _, doc := range docs {
 		if prev < 0 {
-			put(uint64(doc))
+			dst = binary.AppendUvarint(dst, uint64(doc))
 		} else {
-			put(uint64(doc - prev))
+			dst = binary.AppendUvarint(dst, uint64(doc-prev))
 		}
 		prev = doc
 	}
-	for i := lo; i < hi; i++ {
-		put(uint64(p.Freqs[i]))
+	return dst
+}
+
+// appendFreqs appends a block's freqs region.
+func appendFreqs(dst []byte, freqs []int32) []byte {
+	for _, f := range freqs {
+		dst = binary.AppendUvarint(dst, uint64(f))
 	}
-	for i := lo; i < hi; i++ {
+	return dst
+}
+
+// appendPositions appends a block's positions region: per document, its
+// positions delta-coded, the first absolute. A document's run depends
+// on nothing but its own positions, which is why a merge can carry the
+// region of a block it extends as it stands.
+func appendPositions(dst []byte, positions [][]int32) []byte {
+	for _, ps := range positions {
 		prevPos := int32(0)
-		for j, pos := range p.Positions[i] {
+		for j, pos := range ps {
 			pd := uint64(pos)
 			if j > 0 {
 				pd = uint64(pos - prevPos)
 			}
 			prevPos = pos
-			put(pd)
+			dst = binary.AppendUvarint(dst, pd)
 		}
 	}
 	return dst
@@ -399,9 +420,128 @@ func encodeBlock(dst []byte, p *Postings, lo, hi int, base DocID) []byte {
 // crcTrail appends a section payload's IEEE CRC32 (LE), producing the
 // on-disk form of a metadata section.
 func crcTrail(payload []byte) []byte {
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(payload))
-	return append(payload, tail[:]...)
+	return binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+}
+
+// v2Writer assembles a FormatV2 image: documents, then terms one at a
+// time — each term's blocks, then its dictionary entry — and writeTo
+// frames the sections with their counts, CRCs and the header. encodeV2
+// and the compaction writer (merge.go) both write through it, so the
+// layout above is written in one place.
+type v2Writer struct {
+	analyzer analysis.Analyzer
+	bs       int
+	// Section payloads without their leading counts: docs and terms
+	// entries, directory entries, postings blocks.
+	docs, terms, dir, post []byte
+	numDocs, numTerms      int
+	// blocks summarises the blocks written so far of the current term.
+	blocks []BlockBounds
+}
+
+func newV2Writer(a analysis.Analyzer, bs int) *v2Writer {
+	return &v2Writer{analyzer: a, bs: bs}
+}
+
+// doc appends the next document's entry.
+func (w *v2Writer) doc(name string, dl int32) {
+	w.docs = binary.AppendUvarint(w.docs, uint64(len(name)))
+	w.docs = append(w.docs, name...)
+	w.docs = binary.AppendUvarint(w.docs, uint64(dl))
+	w.numDocs++
+}
+
+// lastDoc is the document the current term's next block is delta-coded
+// against: the last block's LastDoc, or -1 (absolute) for its first.
+func (w *v2Writer) lastDoc() DocID {
+	if n := len(w.blocks); n > 0 {
+		return w.blocks[n-1].LastDoc
+	}
+	return -1
+}
+
+// block records the directory entry of the current term's next block,
+// whose bytes w.post holds from start on and whose checksum is crc.
+func (w *v2Writer) block(bb BlockBounds, start int, crc uint32) {
+	last := bb.LastDoc
+	if len(w.blocks) > 0 {
+		last -= w.lastDoc()
+	}
+	w.dir = binary.AppendUvarint(w.dir, uint64(last))
+	for _, v := range [4]int32{bb.MaxTF, bb.MinDL, bb.MaxRatioTF, bb.MaxRatioDL} {
+		w.dir = binary.AppendUvarint(w.dir, uint64(v))
+	}
+	w.dir = binary.AppendUvarint(w.dir, uint64(len(w.post)-start))
+	w.dir = binary.LittleEndian.AppendUint32(w.dir, crc)
+	w.blocks = append(w.blocks, bb)
+}
+
+// appendBlock encodes rows [lo, hi) of p, summarised by bb, as the
+// current term's next block.
+func (w *v2Writer) appendBlock(p *Postings, lo, hi int, bb BlockBounds) {
+	start := len(w.post)
+	w.post = encodeBlock(w.post, p, lo, hi, w.lastDoc())
+	w.block(bb, start, crc32.ChecksumIEEE(w.post[start:]))
+}
+
+// endTerm appends the dictionary entry of the term whose blocks were
+// just written. Its whole-list summary is the merge of its block
+// summaries — exactly boundsOf over the whole row (mergeBlockBounds),
+// and what Open demands of it.
+func (w *v2Writer) endTerm(text string, df int, cf int64) {
+	b := mergeBlockBounds(w.blocks)
+	w.terms = binary.AppendUvarint(w.terms, uint64(len(text)))
+	w.terms = append(w.terms, text...)
+	w.terms = binary.AppendUvarint(w.terms, uint64(df))
+	w.terms = binary.AppendUvarint(w.terms, uint64(cf))
+	for _, v := range [4]int32{b.MaxTF, b.MinDL, b.MaxRatioTF, b.MaxRatioDL} {
+		w.terms = binary.AppendUvarint(w.terms, uint64(v))
+	}
+	w.numTerms++
+	w.blocks = w.blocks[:0]
+}
+
+// writeTo writes the image: the header, CRC-trailed like the metadata
+// sections so a flipped flags byte or length cannot open quietly, then
+// the four sections.
+func (w *v2Writer) writeTo(out io.Writer) error {
+	docsHead := binary.AppendUvarint(nil, uint64(w.numDocs))
+	termsHead := binary.AppendUvarint(nil, uint64(w.numTerms))
+	termsHead = binary.AppendUvarint(termsHead, uint64(w.bs))
+	// A section's CRC covers its count and its entries.
+	trailer := func(head, body []byte) []byte {
+		crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)
+		return binary.LittleEndian.AppendUint32(nil, crc)
+	}
+	docsTail, termsTail := trailer(docsHead, w.docs), trailer(termsHead, w.terms)
+	dir := crcTrail(w.dir)
+
+	var flags byte
+	if w.analyzer.RemoveStopwords {
+		flags |= 1
+	}
+	if w.analyzer.Stem {
+		flags |= 2
+	}
+	head := append([]byte(nil), indexMagicV2...)
+	head = append(head, flags)
+	for _, n := range [4]int{
+		len(docsHead) + len(w.docs) + 4,
+		len(termsHead) + len(w.terms) + 4,
+		len(dir),
+		len(w.post),
+	} {
+		head = binary.LittleEndian.AppendUint64(head, uint64(n))
+	}
+	head = crcTrail(head)
+
+	bw := bufio.NewWriter(out)
+	for _, sec := range [][]byte{head, docsHead, w.docs, docsTail, termsHead, w.terms, termsTail, dir, w.post} {
+		if _, err := bw.Write(sec); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // encodeV2 writes ix in FormatV2. The index must be fully materialised
@@ -409,111 +549,30 @@ func crcTrail(payload []byte) []byte {
 // that via materializeAll.
 func encodeV2(w io.Writer, ix *Index) error {
 	ix.materializeAll()
-	ix.ensureBounds()
 	ix.ensureBlockBounds()
 	bs := ix.blockSizeOf()
-
-	var tmp [binary.MaxVarintLen64]byte
-	appendUvarint := func(dst []byte, x uint64) []byte {
-		n := binary.PutUvarint(tmp[:], x)
-		return append(dst, tmp[:n]...)
-	}
-
-	// Docs section.
-	var docs []byte
-	docs = appendUvarint(docs, uint64(len(ix.docNames)))
+	vw := newV2Writer(ix.analyzer, bs)
 	for d, name := range ix.docNames {
-		docs = appendUvarint(docs, uint64(len(name)))
-		docs = append(docs, name...)
-		docs = appendUvarint(docs, uint64(ix.docLens[d]))
+		vw.doc(name, ix.docLens[d])
 	}
-	docs = crcTrail(docs)
-
-	// Terms section. postingsSize estimates the postings section on the
-	// way: a posting is rarely more than a byte each for its delta, its
-	// frequency and each of its positions.
-	var terms []byte
+	// The postings section is by far the largest, so it is sized up front
+	// rather than doubled into: a posting is rarely more than a byte each
+	// for its delta, its frequency and each of its positions.
 	var postingsSize int64
-	terms = appendUvarint(terms, uint64(len(ix.termText)))
-	terms = appendUvarint(terms, uint64(bs))
+	for tid := range ix.postings {
+		p := &ix.postings[tid]
+		postingsSize += 2*int64(len(p.Docs)) + p.CollectionFreq()
+	}
+	vw.post = make([]byte, 0, postingsSize+postingsSize/8)
 	for tid, text := range ix.termText {
 		p := &ix.postings[tid]
-		cf := p.CollectionFreq()
-		postingsSize += 2*int64(len(p.Docs)) + cf
-		terms = appendUvarint(terms, uint64(len(text)))
-		terms = append(terms, text...)
-		terms = appendUvarint(terms, uint64(len(p.Docs)))
-		terms = appendUvarint(terms, uint64(cf))
-		b := ix.termBounds[tid]
-		for _, v := range [4]int32{b.MaxTF, b.MinDL, b.MaxRatioTF, b.MaxRatioDL} {
-			terms = appendUvarint(terms, uint64(v))
-		}
-	}
-	terms = crcTrail(terms)
-
-	// Block directory + postings sections, built together. The postings
-	// section is by far the largest, so it is sized up front rather than
-	// doubled into.
-	post := make([]byte, 0, postingsSize+postingsSize/8)
-	var dir []byte
-	var crcBuf [4]byte
-	for tid := range ix.termText {
-		p := &ix.postings[tid]
-		prevLast := DocID(-1)
-		for b, blk := range ix.blockBounds[tid] {
+		for b, bb := range ix.blockBounds[tid] {
 			lo := b * bs
-			hi := lo + bs
-			if hi > len(p.Docs) {
-				hi = len(p.Docs)
-			}
-			base := DocID(-1)
-			if b > 0 {
-				base = prevLast
-			}
-			start := len(post)
-			post = encodeBlock(post, p, lo, hi, base)
-			blkBytes := post[start:]
-			if b == 0 {
-				dir = appendUvarint(dir, uint64(blk.LastDoc))
-			} else {
-				dir = appendUvarint(dir, uint64(blk.LastDoc-prevLast))
-			}
-			prevLast = blk.LastDoc
-			for _, v := range [4]int32{blk.MaxTF, blk.MinDL, blk.MaxRatioTF, blk.MaxRatioDL} {
-				dir = appendUvarint(dir, uint64(v))
-			}
-			dir = appendUvarint(dir, uint64(len(blkBytes)))
-			binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(blkBytes))
-			dir = append(dir, crcBuf[:]...)
+			vw.appendBlock(p, lo, min(lo+bs, len(p.Docs)), bb)
 		}
+		vw.endTerm(text, len(p.Docs), p.CollectionFreq())
 	}
-	dir = crcTrail(dir)
-
-	// Header, CRC-trailed like the metadata sections so a flipped flags
-	// byte or length cannot open quietly.
-	var flags byte
-	if ix.analyzer.RemoveStopwords {
-		flags |= 1
-	}
-	if ix.analyzer.Stem {
-		flags |= 2
-	}
-	head := append([]byte(nil), indexMagicV2...)
-	head = append(head, flags)
-	var u64 [8]byte
-	for _, n := range [4]int{len(docs), len(terms), len(dir), len(post)} {
-		binary.LittleEndian.PutUint64(u64[:], uint64(n))
-		head = append(head, u64[:]...)
-	}
-	head = crcTrail(head)
-
-	bw := bufio.NewWriter(w)
-	for _, sec := range [][]byte{head, docs, terms, dir, post} {
-		if _, err := bw.Write(sec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return vw.writeTo(w)
 }
 
 // sectionReader walks one CRC-trailed metadata section.

@@ -65,8 +65,12 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatal("baseline over ingested docs returned no results")
 	}
 
-	// Delete two, then compact away the tombstones.
-	w = do(t, s, http.MethodPost, "/v1/ingest", `{"delete":["doc03","doc07","nosuchdoc"],"compact":true}`)
+	// Delete two, then compact away the tombstones. Both are in later
+	// segments, so the first one's blocks keep their IDs: its eight
+	// one-document rows (doc00..doc07) are copied, the short alpha, beta
+	// and gamma rows spliced with the later segments' postings, and the
+	// ten surviving one-document rows of the later segments encoded.
+	w = do(t, s, http.MethodPost, "/v1/ingest", `{"delete":["doc13","doc17","nosuchdoc"],"compact":true}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -94,6 +98,9 @@ func TestIngestEndpoint(t *testing.T) {
 		"sqe_live_ingested_total 20",
 		"sqe_live_deleted_total 2",
 		"sqe_live_compactions_total 1",
+		"sqe_live_merge_blocks_copied_total 8",
+		"sqe_live_merge_blocks_spliced_total 3",
+		"sqe_live_merge_blocks_encoded_total 10",
 		`sqe_http_requests_total{endpoint="ingest"} 3`,
 	} {
 		if !strings.Contains(body, want) {

@@ -172,6 +172,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "sqe_live_compactions_total %d\n", ls.Compactions)
 		counter("sqe_live_manifest_commits_total", "Manifest commits (temp + fsync + rename): one per flush, compaction and delete batch.")
 		fmt.Fprintf(&sb, "sqe_live_manifest_commits_total %d\n", ls.ManifestCommits)
+		counter("sqe_live_merge_blocks_copied_total", "Postings blocks compactions copied from an input undecoded.")
+		fmt.Fprintf(&sb, "sqe_live_merge_blocks_copied_total %d\n", ls.MergeBlocksCopied)
+		counter("sqe_live_merge_blocks_spliced_total", "Postings blocks compactions wrote by extending an input's short last block in place.")
+		fmt.Fprintf(&sb, "sqe_live_merge_blocks_spliced_total %d\n", ls.MergeBlocksSpliced)
+		counter("sqe_live_merge_blocks_encoded_total", "Postings blocks compactions encoded from decoded postings.")
+		fmt.Fprintf(&sb, "sqe_live_merge_blocks_encoded_total %d\n", ls.MergeBlocksEncoded)
 	}
 
 	if cs, ok := s.cfg.Engine.ExpansionCacheStats(); ok {
