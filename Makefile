@@ -30,12 +30,14 @@ race:
 # phrase / window materialisers run the same intersection the memo
 # fills from), the memo hit every warm phrase leaf takes, and SQE_C over
 # a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
-# read flat across the three), and one compaction of a 20 000-document
+# read flat across the three), one compaction of a 20 000-document
 # base plus 16 tombstoned segments (B/op and allocs/op are the merge's
-# footprint; ns/op is mostly its two fsyncs).
+# footprint; ns/op is mostly its two fsyncs), and the two-way split of a
+# 20 000-document v2 file into shard images (B/op and allocs/op are what
+# it costs beside the mapping).
 bench:
 	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|UnorderedWindow|SegmentedTombstoned' -benchmem .
-	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact' -benchmem ./internal/index/
+	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
 # `go test ./...` skip it: this is what notices a refactor breaking the

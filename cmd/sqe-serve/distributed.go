@@ -20,10 +20,11 @@ import (
 
 // runShardServer is -mode shard: it obtains the corpus index — from an
 // on-disk file via index.Open when indexPath is set (mmap'd, lazily
-// decoded for v2), by regenerating the (deterministic) demo corpus
-// otherwise — carves out slice i of an N-way round-robin partition (the
-// same partition function the coordinator's parity baseline uses) and
-// serves it over the RPC protocol until SIGINT/SIGTERM. The bound
+// decoded), by regenerating the (deterministic) demo corpus otherwise —
+// carves out slice i of an N-way round-robin partition (the same
+// partition function the coordinator's parity baseline uses), keeps
+// only that slice, and serves it over the RPC protocol until
+// SIGINT/SIGTERM. The bound
 // address is printed to stdout as "LISTEN <addr>" so a supervisor can
 // pass :0 and discover the port.
 func runShardServer(scale sqe.DemoScale, spec, addr, indexPath string) error {
@@ -36,7 +37,6 @@ func runShardServer(scale sqe.DemoScale, spec, addr, indexPath string) error {
 		if full, err = index.Open(indexPath); err != nil {
 			return fmt.Errorf("-index %s: %w", indexPath, err)
 		}
-		defer full.Close()
 		log.Printf("shard %d/%d serving from on-disk index %s (%d docs)",
 			shard, numShards, indexPath, full.NumDocs())
 	} else {
@@ -47,16 +47,23 @@ func runShardServer(scale sqe.DemoScale, spec, addr, indexPath string) error {
 		}
 		full = env.Engine.Index()
 	}
-	sh := index.NewSharded(full, numShards)
+	// A split shard is its own in-memory image, so the parent's mapping
+	// and the other shards are released as soon as this one is cut (with
+	// one shard, the shard is the parent).
+	local := index.NewSharded(full, numShards).Shard(shard)
+	if local != full {
+		full.Close()
+	}
+	defer local.Close()
 	srv := rpc.NewServer()
-	search.NewShardService(sh.Shard(shard), shard, numShards).Register(srv)
+	search.NewShardService(local, shard, numShards).Register(srv)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("LISTEN %s\n", ln.Addr())
 	log.Printf("shard %d/%d serving RPC on %s (%d local docs)",
-		shard, numShards, ln.Addr(), sh.Shard(shard).NumDocs())
+		shard, numShards, ln.Addr(), local.NumDocs())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -39,6 +39,11 @@ func (p *Postings) CollectionFreq() int64 {
 	return cf
 }
 
+// reset empties p, keeping its capacity for reuse as a scratch row.
+func (p *Postings) reset() {
+	p.Docs, p.Freqs, p.Positions = p.Docs[:0], p.Freqs[:0], p.Positions[:0]
+}
+
 // Index is an immutable positional inverted index. Build one with a
 // Builder.
 type Index struct {
@@ -55,9 +60,9 @@ type Index struct {
 	fwdOnce sync.Once
 	forward [][]TermFreq
 
-	// Per-term score-bound metadata (see bounds.go). Computed lazily on
-	// first use: shard indexes are assembled by struct literal and must
-	// not pay the scan unless pruning runs.
+	// Per-term score-bound metadata (see bounds.go): loaded with a v2
+	// file, computed lazily on first use otherwise, so an in-memory index
+	// does not pay the scan unless pruning runs.
 	boundsOnce sync.Once
 	termBounds []TermBounds
 	minDocLen  int32
@@ -101,7 +106,7 @@ func (ix *Index) Err() error {
 }
 
 // materializeAll forces every lazily-backed postings row into memory —
-// the full-index walks (sharding, forward vectors, re-encoding) need
+// the full-index walks (forward vectors, re-encoding, WithVerify) need
 // the real rows, not the on-demand view.
 func (ix *Index) materializeAll() {
 	if ix.lazy == nil {

@@ -121,7 +121,7 @@ func (m *merger) term(i int, t int32) error {
 	src := &m.srcs[i]
 	lz, bbs, bs := src.ix.lazy, src.ix.blockBounds[t], m.out.bs
 	df := int(lz.df[t])
-	m.row.Docs, m.row.Freqs, m.row.Positions = m.row.Docs[:0], m.row.Freqs[:0], m.row.Positions[:0]
+	m.row.reset()
 
 	// Blocks [0, from) keep their IDs and slots. All are copied now but a
 	// short last block, which is held until the later inputs are known.
@@ -173,12 +173,7 @@ func (m *merger) term(i int, t int32) error {
 			}
 		}
 	}
-	for ; lo < len(m.row.Docs); lo += bs {
-		hi := min(lo+bs, len(m.row.Docs))
-		sub := Postings{Docs: m.row.Docs[lo:hi], Freqs: m.row.Freqs[lo:hi]}
-		m.out.appendBlock(&m.row, lo, hi, BlockBounds{LastDoc: m.row.Docs[hi-1], TermBounds: boundsOf(&sub, m.docLens)})
-		m.counts.encoded++
-	}
+	m.counts.encoded += int64(m.out.appendRows(&m.row, lo, m.docLens))
 	m.out.endTerm(text, carriedDF+len(m.row.Docs), carriedCF+m.row.CollectionFreq())
 	return nil
 }

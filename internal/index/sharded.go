@@ -1,5 +1,7 @@
 package index
 
+import "fmt"
+
 // Sharded partitions a document collection across S shards, each a full
 // *Index over its subset of the documents. Documents are assigned
 // round-robin by DocID: global document g lives in shard g mod S under
@@ -24,9 +26,18 @@ type Sharded struct {
 // [1, NumDocs] (an empty index yields a single empty shard). With n == 1
 // the original index is shared, not copied.
 //
-// Per-shard postings remap Docs to local IDs and copy Freqs rows; the
-// Positions rows alias the parent index's slices (both sides treat them
-// as immutable, as Index already requires of PostingsFor callers).
+// Otherwise each shard is a FormatV2 image in one heap buffer, opened
+// with the checks Open applies to a file, so it serves through the same
+// streaming cursors as an mmap'd index and shares nothing with ix: ix
+// may be closed once NewSharded returns. ix must therefore be an index a
+// v2 file can hold (names and terms up to 64 KiB); NewSharded panics on
+// one that is not. A v2-backed ix stays lazy: the split decodes one
+// term's blocks at a time into a reused row and materialises none. A
+// block that fails its checksum or decode, or whose stored bounds its
+// postings contradict, is recorded on ix.Err, as materialising it would
+// record it; a failed term splits as empty, and the shards' bounds are
+// derived from what they hold. Stored document texts are carried over
+// per shard.
 func NewSharded(ix *Index, n int) *Sharded {
 	if nd := ix.NumDocs(); n > nd {
 		n = nd
@@ -34,50 +45,105 @@ func NewSharded(ix *Index, n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
-	// Splitting walks every postings row; a v2-backed index must decode
-	// them first (shards themselves are plain in-memory indexes).
-	ix.materializeAll()
 	sh := &Sharded{numDocs: ix.NumDocs(), totalToks: ix.totalToks}
 	if n == 1 {
 		sh.shards = []*Index{ix}
 		return sh
 	}
 	sh.shards = make([]*Index, n)
-	for s := range sh.shards {
-		sh.shards[s] = &Index{
-			analyzer: ix.analyzer,
-			terms:    make(map[string]int32),
+	for s, img := range splitImages(ix, n) {
+		shard, err := openV2(img, nil)
+		if err != nil {
+			panic(fmt.Sprintf("index: shard %d of %d does not open: %v", s, n, err))
 		}
-	}
-	for g, name := range ix.docNames {
-		s := sh.shards[g%n]
-		s.docNames = append(s.docNames, name)
-		s.docLens = append(s.docLens, ix.docLens[g])
-		if len(ix.docTexts) > 0 {
-			s.docTexts = append(s.docTexts, ix.docTexts[g])
+		for g := s; g < len(ix.docTexts); g += n {
+			shard.docTexts = append(shard.docTexts, ix.docTexts[g])
 		}
-		s.totalToks += int64(ix.docLens[g])
-	}
-	for tid, text := range ix.termText {
-		p := &ix.postings[tid]
-		for row, g := range p.Docs {
-			s := sh.shards[int(g)%n]
-			id, ok := s.terms[text]
-			if !ok {
-				id = int32(len(s.termText))
-				s.terms[text] = id
-				s.termText = append(s.termText, text)
-				s.postings = append(s.postings, Postings{})
-			}
-			sp := &s.postings[id]
-			// Docs ascend globally, and g div n is monotone within a
-			// residue class, so the local postings stay sorted.
-			sp.Docs = append(sp.Docs, g/DocID(n))
-			sp.Freqs = append(sp.Freqs, p.Freqs[row])
-			sp.Positions = append(sp.Positions, p.Positions[row])
-		}
+		sh.shards[s] = shard
 	}
 	return sh
+}
+
+// splitImages writes the FormatV2 image of each of ix's n >= 2 shards at
+// ix's block size: term by term in ix's term order, each term written to
+// the shards its postings route to and left out of the others.
+func splitImages(ix *Index, n int) [][]byte {
+	out := make([]*v2Writer, n)
+	docLens := make([][]int32, n) // per shard: its length column
+	for s := range out {
+		out[s] = newV2Writer(ix.analyzer, ix.blockSizeOf())
+		out[s].post = make([]byte, 0, postingsCap(ix, n))
+	}
+	for g, name := range ix.docNames {
+		out[g%n].doc(name, ix.docLens[g])
+		docLens[g%n] = append(docLens[g%n], ix.docLens[g])
+	}
+	var scratch Postings
+	rows := make([]Postings, n) // per shard: its part of the current term
+	for id, text := range ix.termText {
+		for s := range rows {
+			rows[s].reset()
+		}
+		p := ix.splitRow(int32(id), &scratch)
+		for i, g := range p.Docs {
+			// Docs ascend globally, and g div n is monotone within a
+			// residue class, so each shard's row stays sorted.
+			r := &rows[int(g)%n]
+			r.Docs = append(r.Docs, g/DocID(n))
+			r.Freqs = append(r.Freqs, p.Freqs[i])
+			r.Positions = append(r.Positions, p.Positions[i])
+		}
+		for s, w := range out {
+			if r := &rows[s]; len(r.Docs) > 0 {
+				w.appendRows(r, 0, docLens[s])
+				w.endTerm(text, len(r.Docs), r.CollectionFreq())
+			}
+		}
+	}
+	imgs := make([][]byte, n)
+	for s := range out {
+		imgs[s], out[s] = out[s].image(), nil
+	}
+	return imgs
+}
+
+// splitRow returns term id's postings for the split: an in-memory row as
+// it stands, a v2-backed one decoded into scratch with ix.postings left
+// alone. A closed mapping is not read. Failures and stored block bounds
+// that disagree with the decoded postings are recorded as lazyPostings
+// .decode records them; a failed term yields the empty row.
+func (ix *Index) splitRow(id int32, scratch *Postings) *Postings {
+	lz := ix.lazy
+	if lz == nil {
+		return &ix.postings[id]
+	}
+	p := scratch
+	p.reset()
+	if lz.closed.Load() {
+		lz.record(fmt.Errorf("index: term %q split after Close", ix.termText[id]))
+		return p
+	}
+	for b, want := range ix.blockBounds[id] {
+		slot, buf, base, cnt := lz.blockAt(ix, id, b)
+		if !lz.verifyBlock(slot, buf) {
+			lz.record(fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[id], b))
+			p.reset()
+			return p
+		}
+		derived, err := decodeBlock(buf, base, cnt, int32(len(ix.docLens)), ix.docLens, p)
+		if err != nil {
+			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], b, err))
+			p.reset()
+			return p
+		}
+		if derived != want {
+			lz.record(fmt.Errorf("index: term %q block %d stored bounds disagree with its postings", ix.termText[id], b))
+		}
+	}
+	if got := p.CollectionFreq(); got != lz.cf[id] {
+		lz.record(fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], lz.cf[id], got))
+	}
+	return p
 }
 
 // NumShards returns the shard count S.

@@ -1,9 +1,12 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -146,6 +149,250 @@ func TestNewShardedClamps(t *testing.T) {
 	}
 	if sh.FloorProb(0) != 1e-12 {
 		t.Fatalf("empty FloorProb = %v", sh.FloorProb(0))
+	}
+}
+
+// referenceShards is the split NewSharded's images are held to, built in
+// memory: shard s holds the global documents g ≡ s (mod n) under local
+// IDs g div n, and every term of ix, in ix's term order, with the
+// postings that route to it, positions aliased. It reads ix through
+// PostingsByID, so a v2-backed ix is materialised.
+func referenceShards(ix *Index, n int) []*Index {
+	shards := make([]*Index, n)
+	for s := range shards {
+		shards[s] = &Index{analyzer: ix.analyzer, terms: make(map[string]int32), blockSize: ix.BlockSize()}
+	}
+	for g, name := range ix.docNames {
+		s := shards[g%n]
+		s.docNames = append(s.docNames, name)
+		s.docLens = append(s.docLens, ix.docLens[g])
+		s.totalToks += int64(ix.docLens[g])
+	}
+	for tid, text := range ix.termText {
+		p := ix.PostingsByID(int32(tid))
+		for row, g := range p.Docs {
+			s := shards[int(g)%n]
+			id, ok := s.terms[text]
+			if !ok {
+				id = int32(len(s.termText))
+				s.terms[text] = id
+				s.termText = append(s.termText, text)
+				s.postings = append(s.postings, Postings{})
+			}
+			sp := &s.postings[id]
+			sp.Docs = append(sp.Docs, g/DocID(n))
+			sp.Freqs = append(sp.Freqs, p.Freqs[row])
+			sp.Positions = append(sp.Positions, p.Positions[row])
+		}
+	}
+	return shards
+}
+
+// requireSplitMatches demands that each shard image ix splits into is
+// byte for byte encodeV2 of the reference split of twin (ix, or an
+// in-memory index over the same documents at the same block size).
+func requireSplitMatches(t *testing.T, label string, ix, twin *Index, n int) {
+	t.Helper()
+	imgs := splitImages(ix, n)
+	for s, ref := range referenceShards(twin, n) {
+		var want bytes.Buffer
+		if err := encodeV2(&want, ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(imgs[s], want.Bytes()) {
+			t.Fatalf("%s n=%d: shard %d image differs from the reference (%d vs %d bytes)", label, n, s, len(imgs[s]), want.Len())
+		}
+	}
+}
+
+// materialised counts ix's decoded postings rows.
+func materialised(ix *Index) int {
+	k := 0
+	for id := range ix.postings {
+		if ix.postings[id].Docs != nil {
+			k++
+		}
+	}
+	return k
+}
+
+// openV2File writes mem as a v2 file and opens it, closing it at test end.
+func openV2File(t *testing.T, mem *Index) *Index {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := WriteFile(path, mem, FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	return ix
+}
+
+// TestNewShardedMatchesReference: every shard image equals encodeV2 of
+// the in-memory reference split, for parents built in memory (with and
+// without a text store) and opened from v2 files at block sizes 128, 4
+// and 1, across shard counts. NewSharded's shards serve the reference's
+// rows and the parent's texts, and a v2 parent is left undecoded and
+// clean.
+func TestNewShardedMatchesReference(t *testing.T) {
+	docs := zipfDocs(rand.New(rand.NewSource(27)), 700, 150, "D")
+	withTexts := NewBuilder(analysis.Analyzer{})
+	withTexts.EnableTextStore()
+	for _, d := range docs {
+		withTexts.Add(d.name, d.text)
+	}
+	type parent struct {
+		name     string
+		ix, twin *Index
+	}
+	parents := []parent{
+		{name: "builder", ix: monolithic(docs)},
+		{name: "text-store", ix: withTexts.Build()},
+	}
+	for _, bs := range []int{DefaultBlockSize, 4, 1} {
+		twin := monolithic(docs)
+		if err := twin.SetBlockSize(bs); err != nil {
+			t.Fatal(err)
+		}
+		parents = append(parents, parent{fmt.Sprintf("v2-bs%d", bs), openV2File(t, twin), twin})
+	}
+	for _, p := range parents {
+		if p.twin == nil {
+			p.twin = p.ix
+		}
+		for _, n := range []int{2, 3, 4, 8} {
+			label := fmt.Sprintf("%s n=%d", p.name, n)
+			sh := NewSharded(p.ix, n)
+			requireSplitMatches(t, p.name, p.ix, p.twin, n)
+			for s, ref := range referenceShards(p.twin, n) {
+				shard := sh.Shard(s)
+				if shard.lazy == nil {
+					t.Fatalf("%s: shard %d is not v2-backed", label, s)
+				}
+				requireEquivalent(t, shard, ref)
+				if shard.HasTextStore() != p.ix.HasTextStore() {
+					t.Fatalf("%s: shard %d text store %v, parent's %v", label, s, shard.HasTextStore(), p.ix.HasTextStore())
+				}
+				for local := range shard.NumDocs() {
+					if got, want := shard.DocText(DocID(local)), p.ix.DocText(sh.GlobalDoc(s, DocID(local))); got != want {
+						t.Fatalf("%s: shard %d doc %d text %q, want %q", label, s, local, got, want)
+					}
+				}
+			}
+			if p.ix.lazy != nil {
+				if k := materialised(p.ix); k != 0 {
+					t.Fatalf("%s: the split materialised %d parent rows", label, k)
+				}
+				if err := p.ix.Err(); err != nil {
+					t.Fatalf("%s: the split recorded %v", label, err)
+				}
+			}
+		}
+	}
+}
+
+// TestNewShardedCorruptParent: a parent the split cannot trust. A closed
+// one is not read: its terms split as empty and Err names the Close. A
+// block rotted after Open drops its term from every shard and records
+// the checksum failure. A CRC-consistent file whose stored bounds lie
+// records the disagreement, and its shards carry the honest bounds —
+// their images equal the reference split of the truthful index.
+func TestNewShardedCorruptParent(t *testing.T) {
+	t.Run("closed", func(t *testing.T) {
+		ix := openV2File(t, randomIndex(t, 60, 5))
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sh := NewSharded(ix, 2)
+		for s := range sh.NumShards() {
+			if shard := sh.Shard(s); shard.NumDocs() != 30 || shard.NumTerms() != 0 {
+				t.Fatalf("shard %d of a closed parent: %v", s, shard)
+			}
+		}
+		if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "after Close") {
+			t.Fatalf("recorded %v, want the after-Close error", err)
+		}
+	})
+
+	t.Run("rotted-block", func(t *testing.T) {
+		mem := randomIndex(t, 150, 23)
+		if err := mem.SetBlockSize(4); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := encodeV2(&buf, mem); err != nil {
+			t.Fatal(err)
+		}
+		ix := openV2Heap(t, buf.Bytes())
+		lz, id := ix.lazy, ix.terms["a"]
+		ext := lz.extents[int(lz.starts[id])+1]
+		lz.post[ext.off+int64(ext.size)-1] ^= 0xFF
+		sh := NewSharded(ix, 2)
+		for s := range sh.NumShards() {
+			if _, ok := sh.Shard(s).TermID("a"); ok {
+				t.Fatalf("shard %d holds the rotted term", s)
+			}
+			if _, ok := sh.Shard(s).TermID("b"); !ok {
+				t.Fatalf("shard %d lost a healthy term", s)
+			}
+		}
+		if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("recorded %v, want the checksum error", err)
+		}
+	})
+
+	t.Run("lying-bounds", func(t *testing.T) {
+		img, honest := lyingV2Bytes(t)
+		for _, n := range []int{2, 3} {
+			ix, err := openBytes(t, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			sh := NewSharded(ix, n)
+			if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "stored bounds disagree") {
+				t.Fatalf("n=%d: recorded %v, want the bounds disagreement", n, err)
+			}
+			if k := materialised(ix); k != 0 {
+				t.Fatalf("n=%d: the split materialised %d parent rows", n, k)
+			}
+			requireSplitMatches(t, "lying-bounds", ix, honest, n)
+			for s, ref := range referenceShards(honest, n) {
+				want, _ := ref.BoundsFor("a")
+				if got, _ := sh.Shard(s).BoundsFor("a"); got != want {
+					t.Fatalf("n=%d shard %d: bounds of a %+v, want the honest %+v", n, s, got, want)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkNewSharded splits a freshly opened 20 000-document v2 file
+// two ways, as a shard server does at boot (the Open and Close are
+// untimed): B/op and allocs/op are what the split costs beside the
+// mapping, which it leaves undecoded.
+func BenchmarkNewSharded(b *testing.B) {
+	mem := monolithic(zipfDocs(rand.New(rand.NewSource(27)), 20000, 5000, "d"))
+	path := filepath.Join(b.TempDir(), "ix.v2")
+	if err := WriteFile(path, mem, FormatV2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		NewSharded(ix, 2)
+		b.StopTimer()
+		ix.Close()
+		b.StartTimer()
 	}
 }
 

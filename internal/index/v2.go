@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -424,10 +425,10 @@ func crcTrail(payload []byte) []byte {
 }
 
 // v2Writer assembles a FormatV2 image: documents, then terms one at a
-// time — each term's blocks, then its dictionary entry — and writeTo
-// frames the sections with their counts, CRCs and the header. encodeV2
-// and the compaction writer (merge.go) both write through it, so the
-// layout above is written in one place.
+// time — each term's blocks, then its dictionary entry — and writeTo or
+// image frames the sections with their counts, CRCs and the header. encodeV2,
+// the compaction writer (merge.go) and the shard split (sharded.go) all
+// write through it, so the layout above is written in one place.
 type v2Writer struct {
 	analyzer analysis.Analyzer
 	bs       int
@@ -484,6 +485,20 @@ func (w *v2Writer) appendBlock(p *Postings, lo, hi int, bb BlockBounds) {
 	w.block(bb, start, crc32.ChecksumIEEE(w.post[start:]))
 }
 
+// appendRows encodes rows [lo, len(p.Docs)) of p as the current term's
+// next blocks, each summarised from its own postings against docLens,
+// and returns how many blocks it wrote.
+func (w *v2Writer) appendRows(p *Postings, lo int, docLens []int32) int {
+	nb := 0
+	for ; lo < len(p.Docs); lo += w.bs {
+		hi := min(lo+w.bs, len(p.Docs))
+		sub := Postings{Docs: p.Docs[lo:hi], Freqs: p.Freqs[lo:hi]}
+		w.appendBlock(p, lo, hi, BlockBounds{LastDoc: p.Docs[hi-1], TermBounds: boundsOf(&sub, docLens)})
+		nb++
+	}
+	return nb
+}
+
 // endTerm appends the dictionary entry of the term whose blocks were
 // just written. Its whole-list summary is the merge of its block
 // summaries — exactly boundsOf over the whole row (mergeBlockBounds),
@@ -501,10 +516,24 @@ func (w *v2Writer) endTerm(text string, df int, cf int64) {
 	w.blocks = w.blocks[:0]
 }
 
-// writeTo writes the image: the header, CRC-trailed like the metadata
-// sections so a flipped flags byte or length cannot open quietly, then
-// the four sections.
+// writeTo writes the image.
 func (w *v2Writer) writeTo(out io.Writer) error {
+	bw := bufio.NewWriter(out)
+	for _, sec := range w.sections() {
+		if _, err := bw.Write(sec); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// image returns the image in one buffer of exactly its size.
+func (w *v2Writer) image() []byte { return bytes.Join(w.sections(), nil) }
+
+// sections frames the image, in file order: the header, CRC-trailed like
+// the metadata sections so a flipped flags byte or length cannot open
+// quietly, then the four sections.
+func (w *v2Writer) sections() [][]byte {
 	docsHead := binary.AppendUvarint(nil, uint64(w.numDocs))
 	termsHead := binary.AppendUvarint(nil, uint64(w.numTerms))
 	termsHead = binary.AppendUvarint(termsHead, uint64(w.bs))
@@ -534,14 +563,7 @@ func (w *v2Writer) writeTo(out io.Writer) error {
 		head = binary.LittleEndian.AppendUint64(head, uint64(n))
 	}
 	head = crcTrail(head)
-
-	bw := bufio.NewWriter(out)
-	for _, sec := range [][]byte{head, docsHead, w.docs, docsTail, termsHead, w.terms, termsTail, dir, w.post} {
-		if _, err := bw.Write(sec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return [][]byte{head, docsHead, w.docs, docsTail, termsHead, w.terms, termsTail, dir, w.post}
 }
 
 // encodeV2 writes ix in FormatV2. The index must be fully materialised
@@ -555,15 +577,7 @@ func encodeV2(w io.Writer, ix *Index) error {
 	for d, name := range ix.docNames {
 		vw.doc(name, ix.docLens[d])
 	}
-	// The postings section is by far the largest, so it is sized up front
-	// rather than doubled into: a posting is rarely more than a byte each
-	// for its delta, its frequency and each of its positions.
-	var postingsSize int64
-	for tid := range ix.postings {
-		p := &ix.postings[tid]
-		postingsSize += 2*int64(len(p.Docs)) + p.CollectionFreq()
-	}
-	vw.post = make([]byte, 0, postingsSize+postingsSize/8)
+	vw.post = make([]byte, 0, postingsCap(ix, 1))
 	for tid, text := range ix.termText {
 		p := &ix.postings[tid]
 		for b, bb := range ix.blockBounds[tid] {
@@ -573,6 +587,26 @@ func encodeV2(w io.Writer, ix *Index) error {
 		vw.endTerm(text, len(p.Docs), p.CollectionFreq())
 	}
 	return vw.writeTo(w)
+}
+
+// postingsCap sizes the postings buffer of one of n images cut from ix.
+// The postings section is by far the largest, so it is sized up front
+// rather than doubled into: from a v2 index's own section, otherwise at
+// about a byte per posting's delta, frequency and each of its positions.
+// An eighth on top absorbs the estimate's error and the wider deltas of a
+// split.
+func postingsCap(ix *Index, n int) int64 {
+	var size int64
+	if ix.lazy != nil {
+		size = int64(len(ix.lazy.post))
+	} else {
+		for tid := range ix.postings {
+			p := &ix.postings[tid]
+			size += 2*int64(len(p.Docs)) + p.CollectionFreq()
+		}
+	}
+	size /= int64(n)
+	return size + size/8
 }
 
 // sectionReader walks one CRC-trailed metadata section.

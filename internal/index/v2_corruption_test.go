@@ -112,25 +112,26 @@ func TestV2HostilePrefix(t *testing.T) {
 	}
 }
 
-// TestV2LyingBlockBounds: a CRC-consistent file whose block directory
-// understates a block's bounds cannot weaken pruning — the lazy decoder
-// re-derives the summary from the decoded postings, adopts the exact
-// values, and surfaces the event through Err. (Open's cross-check ties
-// the whole-list bounds to the directory, so the lie must be consistent
-// across both to get past Open at all.)
-func TestV2LyingBlockBounds(t *testing.T) {
-	ix := randomIndex(t, 60, 5)
-	if err := ix.SetBlockSize(4); err != nil {
-		t.Fatal(err)
+// lyingV2Bytes renders a small index at block size 4 into a
+// CRC-consistent image that understates term "a": MaxTF and MaxRatioTF
+// are capped at 1 in every block AND in the whole-list summary, so
+// Open's cross-check of the two still holds. honest is the same index
+// with its true summaries.
+func lyingV2Bytes(t *testing.T) (img []byte, honest *Index) {
+	t.Helper()
+	build := func() *Index {
+		ix := randomIndex(t, 60, 5)
+		if err := ix.SetBlockSize(4); err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
+	ix, honest := build(), build()
 	ix.ensureBounds()
 	ix.ensureBlockBounds()
-	// Understate term "a" everywhere: halve MaxTF in every block AND in
-	// the whole-list summary so mergeBlockBounds still matches at Open.
 	id := ix.terms["a"]
-	orig := ix.termBounds[id]
-	if orig.MaxTF < 2 {
-		t.Fatalf("corpus too uniform for the lie (MaxTF=%d)", orig.MaxTF)
+	if ix.termBounds[id].MaxTF < 2 {
+		t.Fatalf("corpus too uniform for the lie (MaxTF=%d)", ix.termBounds[id].MaxTF)
 	}
 	for b := range ix.blockBounds[id] {
 		if ix.blockBounds[id][b].MaxTF > 1 {
@@ -143,7 +144,19 @@ func TestV2LyingBlockBounds(t *testing.T) {
 	if err := encodeV2(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	got, err := openBytes(t, buf.Bytes())
+	return buf.Bytes(), honest
+}
+
+// TestV2LyingBlockBounds: a CRC-consistent file whose block directory
+// understates a block's bounds cannot weaken pruning — the lazy decoder
+// re-derives the summary from the decoded postings, adopts the exact
+// values, and surfaces the event through Err. (Open's cross-check ties
+// the whole-list bounds to the directory, so the lie must be consistent
+// across both to get past Open at all.)
+func TestV2LyingBlockBounds(t *testing.T) {
+	img, honest := lyingV2Bytes(t)
+	orig, _ := honest.BoundsFor("a")
+	got, err := openBytes(t, img)
 	if err != nil {
 		t.Fatalf("consistently lying file must pass Open (lazy decode corrects it): %v", err)
 	}
@@ -164,26 +177,9 @@ func TestV2LyingBlockBounds(t *testing.T) {
 // TestV2WithVerifyRejectsLies: eager verification turns the same lie
 // into an Open failure.
 func TestV2WithVerifyRejectsLies(t *testing.T) {
-	ix := randomIndex(t, 60, 5)
-	if err := ix.SetBlockSize(4); err != nil {
-		t.Fatal(err)
-	}
-	ix.ensureBounds()
-	ix.ensureBlockBounds()
-	id := ix.terms["a"]
-	for b := range ix.blockBounds[id] {
-		if ix.blockBounds[id][b].MaxTF > 1 {
-			ix.blockBounds[id][b].MaxTF = 1
-		}
-		ix.blockBounds[id][b].MaxRatioTF = 1
-	}
-	ix.termBounds[id] = mergeBlockBounds(ix.blockBounds[id])
-	var buf bytes.Buffer
-	if err := encodeV2(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
+	img, _ := lyingV2Bytes(t)
 	p := filepath.Join(t.TempDir(), "ix")
-	if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(p, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := Open(p, WithVerify()); err == nil {

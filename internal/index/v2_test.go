@@ -195,8 +195,9 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestV2ShardingAndForward: the full-index walks behind sharding and
-// forward vectors transparently materialise a lazy index.
+// TestV2ShardingAndForward: sharding a lazy index cuts the same shards
+// as sharding its in-memory twin, and forward vectors transparently
+// materialise it.
 func TestV2ShardingAndForward(t *testing.T) {
 	ix := randomIndex(t, 120, 17)
 	path := filepath.Join(t.TempDir(), "ix.v2")

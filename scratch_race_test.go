@@ -33,10 +33,9 @@ func TestScratchPoolConcurrentDoStress(t *testing.T) {
 	}
 	defer v2.Close()
 
-	// S=1 shares the v2 index, so its leaves stream per-block from the
-	// mapping; S>1 partitions into in-memory shards (eager leaves). The
-	// memory engine mixes in the unsharded eager path. All four drain
-	// the same global scratch pool.
+	// S=1 shares the v2 index and S>1 cuts it into v2 shard images, so
+	// their leaves stream per block; the memory engine mixes in the
+	// unsharded eager path. All four drain the same global scratch pool.
 	engines := []*Engine{
 		NewEngine(e.Engine.Graph(), v2, WithShards(1)),
 		NewEngine(e.Engine.Graph(), v2, WithShards(2)),
