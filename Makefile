@@ -71,10 +71,6 @@ fuzz:
 # The full gate run before every commit. Correctness is `go test`, under
 # -race for every package with concurrency; performance is
 # `bash bench/run.sh` (bench/README.md), which bench-build keeps
-# compiling. The last line is the one CLI whose check lives in the
-# binary: it builds an expansion store over the demo KB and re-verifies
-# every stored entry against live expansion.
+# compiling.
 verify: vet fmt build bench-build test race
-	$(GO) run ./cmd/sqe-precompute -scale small -out /tmp/sqe-precompute-verify.store -force -selfcheck
-	@rm -f /tmp/sqe-precompute-verify.store
 	@echo "verify: OK"

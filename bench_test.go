@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/experiments"
@@ -222,32 +221,6 @@ func BenchmarkMotifExpansionPerQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := &queries[i%len(queries)]
 		_ = r.Expander.BuildQueryGraph(r.Entities(q, true), motif.SetTS)
-	}
-}
-
-// BenchmarkExpansionStoreLookup is the same unit answered from a
-// precomputed store round-tripped through its binary format: the ratio
-// to BenchmarkMotifExpansionPerQuery is the store's speed-up over cold
-// expansion (bench/ reports the served equivalent as core.graph_cold_us
-// against core.cache_hit_us on expand-wide).
-func BenchmarkExpansionStoreLookup(b *testing.B) {
-	s := suite(b)
-	r := s.NewRunner(s.ImageCLEF)
-	var nodeSets [][]kb.NodeID
-	for qi := range s.ImageCLEF.Queries {
-		nodeSets = append(nodeSets, r.Entities(&s.ImageCLEF.Queries[qi], true))
-	}
-	var buf bytes.Buffer
-	if err := core.WriteStore(&buf, s.World.Graph.ContentHash(), core.PrecomputeEntries(r.Expander, nodeSets, []motif.Set{motif.SetTS})); err != nil {
-		b.Fatal(err)
-	}
-	store, err := core.ReadStore(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Expander.BuildQueryGraphStored(nodeSets[i%len(nodeSets)], motif.SetTS, nil, store)
 	}
 }
 

@@ -8,7 +8,7 @@
 //	sqe-serve [-mode serve|shard|coordinator] [-addr :8344]
 //	          [-scale small|default] [-timeout 10s] [-max-inflight 64]
 //	          [-queue 0] [-queue-timeout 0] [-cache 4096] [-workers 0]
-//	          [-shards 1] [-shard i/N] [-degrade] [-precomputed file]
+//	          [-shards 1] [-shard i/N] [-degrade]
 //	          [-index file] [-write-index file]
 //	          [-ingest] [-segments dir] [-flush-docs 0]
 //
@@ -106,24 +106,6 @@ func runWriteIndex(scale sqe.DemoScale, path string) error {
 	return nil
 }
 
-// openServingIndex opens an on-disk index for serving and insists it
-// describes the same corpus as the demo environment the rest of the
-// pipeline (graph, expansion, queries) was generated from — serving a
-// mismatched file would return confidently wrong rankings.
-func openServingIndex(path string, want *index.Index) (*index.Index, error) {
-	disk, err := index.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("-index %s: %w", path, err)
-	}
-	if disk.NumDocs() != want.NumDocs() {
-		disk.Close()
-		return nil, fmt.Errorf("-index %s: %d docs, demo corpus at this -scale has %d — wrong file or wrong -scale",
-			path, disk.NumDocs(), want.NumDocs())
-	}
-	log.Printf("serving retrieval from on-disk index %s (%d docs)", path, disk.NumDocs())
-	return disk, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sqe-serve: ")
@@ -139,7 +121,6 @@ func main() {
 	shards := flag.String("shards", "1", "mode=serve: in-process shard count; mode=coordinator: comma-separated shard server addresses (replicas of one shard separated by |)")
 	shardSpec := flag.String("shard", "", "mode=shard: which partition slice this process serves, as i/N (e.g. 0/2)")
 	degrade := flag.Bool("degrade", true, "enable graceful degradation (partial shard merges, expansion fallback, partial SQE_C, transient retries)")
-	precomputed := flag.String("precomputed", "", "path to a precomputed expansion store built by sqe-precompute (dropped with a warning if its KB hash mismatches)")
 	indexPath := flag.String("index", "", "serve retrieval from this on-disk index file (written by -write-index) instead of the in-memory demo index")
 	writeIndex := flag.String("write-index", "", "write the demo corpus index to this path and exit")
 	ingest := flag.Bool("ingest", false, "serve a live segmented engine: seed the demo corpus into an LSM index at -segments and accept POST /v1/ingest")
@@ -193,14 +174,6 @@ func main() {
 	if *degrade {
 		opts = append(opts, sqe.WithDegradation(sqe.DefaultDegradation()))
 	}
-	if *precomputed != "" {
-		store, err := sqe.OpenExpansionStore(*precomputed)
-		if err != nil {
-			log.Fatalf("precomputed store: %v", err)
-		}
-		log.Printf("loaded precomputed expansion store %s (%d entries)", *precomputed, store.Len())
-		opts = append(opts, sqe.WithPrecomputedExpansions(store))
-	}
 	var env *sqe.DemoEnv
 	var err error
 	if *ingest {
@@ -212,27 +185,14 @@ func main() {
 		}
 		env, err = buildLiveServing(scale, *segmentsDir, *flushDocs, opts)
 	} else {
-		env, err = sqe.GenerateDemo(scale, opts...)
+		env, err = buildServing(scale, *mode, *indexPath, opts)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer env.Engine.Index().Close() // unmaps an -index file; a no-op in memory
 	if live := env.Engine.Live(); live != nil {
 		defer live.Close()
-	}
-	if *indexPath != "" {
-		if *mode != "serve" {
-			log.Fatalf("-index applies to -mode serve and -mode shard, not %q", *mode)
-		}
-		disk, err := openServingIndex(*indexPath, env.Engine.Index())
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer disk.Close()
-		env.Engine = sqe.NewEngine(env.Engine.Graph(), disk, opts...)
-	}
-	if st, ok := env.Engine.ExpansionStoreStats(); ok && st.Stale {
-		log.Printf("WARNING: precomputed store %s was built over a different KB; dropped (serving live expansions)", *precomputed)
 	}
 	srv := serve.New(serve.Config{
 		Engine:       env.Engine,
@@ -278,6 +238,32 @@ func main() {
 			}
 		}
 	}
+}
+
+// buildServing builds the immutable serving engine once: over the
+// on-disk index at indexPath (an mmap with lazy per-block decode) when
+// set, over the in-memory demo index otherwise, with the demo linker in
+// either case. The file must describe the demo corpus at this -scale —
+// serving a mismatched file would return confidently wrong rankings —
+// which GenerateDemoOver checks at boot.
+func buildServing(scale sqe.DemoScale, mode, indexPath string, opts []sqe.Option) (*sqe.DemoEnv, error) {
+	if indexPath == "" {
+		return sqe.GenerateDemo(scale, opts...)
+	}
+	if mode != "serve" {
+		return nil, fmt.Errorf("-index applies to -mode serve and -mode shard, not %q", mode)
+	}
+	disk, err := index.Open(indexPath)
+	if err != nil {
+		return nil, fmt.Errorf("-index %s: %w", indexPath, err)
+	}
+	env, err := sqe.GenerateDemoOver(scale, disk, opts...)
+	if err != nil {
+		disk.Close()
+		return nil, fmt.Errorf("-index %s: %w — wrong file or wrong -scale", indexPath, err)
+	}
+	log.Printf("serving retrieval from on-disk index %s (%d docs)", indexPath, disk.NumDocs())
+	return env, nil
 }
 
 // buildLiveServing is -ingest: open (or create) the segmented index at

@@ -102,7 +102,9 @@ func decodeReply(t *testing.T, status int, hdr http.Header, body []byte) reply {
 // redundant replica dies; and degrade — 200, header and body naming the
 // dropped shard — when a shard has no server left. A second topology
 // serves the same answers from an mmap'd index file written by
-// -write-index, as does -mode serve over that file.
+// -write-index, as does -mode serve over that file. Every demo query is
+// asked three ways: SQE_C with its manual entities, as free text for the
+// linker, and as the baseline.
 func TestMultiProcessServing(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "sqe-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -119,6 +121,8 @@ func TestMultiProcessServing(t *testing.T) {
 		for _, target := range []string{
 			"/v1/search?q=" + url.QueryEscape(q.Text) + "&entities=" + url.QueryEscape(strings.Join(q.EntityTitles, ",")) + "&k=10",
 			"/v1/baseline?q=" + url.QueryEscape(q.Text) + "&k=10",
+			// Free text: the demo linker picks the entities.
+			"/v1/search?q=" + url.QueryEscape(q.Text) + "&k=10",
 		} {
 			w := httptest.NewRecorder()
 			oracle.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))

@@ -182,7 +182,7 @@ func retryTransient(ctx context.Context, pol *DegradationPolicy, deg *Degradatio
 // unexpanded query (nil Expansion) instead of failing the request.
 func (e *Engine) buildQuery(ctx context.Context, query string, nodes []NodeID, set MotifSet, ps *PipelineStats, deg *Degradation) (search.Node, *Expansion, error) {
 	if deg == nil || e.degrade == nil {
-		qg := e.expander.BuildQueryGraphStoredStats(nodes, set, e.cache, e.precomputed, ps)
+		qg := e.expander.BuildQueryGraphCached(nodes, set, e.cache, ps)
 		return e.expander.BuildQueryStats(query, qg, ps), e.expansionOf(qg), nil
 	}
 	var node search.Node
@@ -192,7 +192,7 @@ func (e *Engine) buildQuery(ctx context.Context, query string, nodes []NodeID, s
 			if err := fault.Check(fault.MotifExpand); err != nil {
 				return err
 			}
-			qg := e.expander.BuildQueryGraphStoredStats(nodes, set, e.cache, e.precomputed, ps)
+			qg := e.expander.BuildQueryGraphCached(nodes, set, e.cache, ps)
 			exp = e.expansionOf(qg)
 			node = e.expander.BuildQueryStats(query, qg, ps)
 			return nil

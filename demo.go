@@ -1,6 +1,8 @@
 package sqe
 
 import (
+	"fmt"
+
 	"repro/internal/dataset"
 	"repro/internal/entitylink"
 	"repro/internal/wikigen"
@@ -49,7 +51,17 @@ type DemoEnv struct {
 // Engine options (WithExpansionCache, WithSQECWorkers, …) are applied to
 // the environment's engine; the demo linker is installed regardless.
 func GenerateDemo(scale DemoScale, opts ...Option) (*DemoEnv, error) {
-	env, _, err := generateDemo(scale, nil, opts...)
+	return GenerateDemoOver(scale, nil, opts...)
+}
+
+// GenerateDemoOver is GenerateDemo with the engine retrieving from ix —
+// typically index.Open over a file written from the demo's index —
+// instead of the generated in-memory index. The knowledge graph, linker
+// and queries are still the demo's, so ix must hold the demo corpus at
+// this scale: a different document count is an error. A nil ix serves
+// the generated index, as GenerateDemo does.
+func GenerateDemoOver(scale DemoScale, ix *Index, opts ...Option) (*DemoEnv, error) {
+	env, _, err := generateDemo(scale, nil, ix, opts...)
 	return env, err
 }
 
@@ -65,17 +77,23 @@ type DemoDoc struct {
 // identical to the environment's index. The /v1/ingest streaming test
 // and the segment differential tests are built on this.
 func GenerateDemoCorpus(scale DemoScale, opts ...Option) (*DemoEnv, []DemoDoc, error) {
-	return generateDemo(scale, &[]DemoDoc{}, opts...)
+	return generateDemo(scale, &[]DemoDoc{}, nil, opts...)
 }
 
 // generateDemo builds the demo world and instance, capturing the
-// document stream when docs is non-nil.
-func generateDemo(scale DemoScale, docs *[]DemoDoc, opts ...Option) (*DemoEnv, []DemoDoc, error) {
+// document stream when docs is non-nil, and puts the engine over ix
+// (the generated index when nil).
+func generateDemo(scale DemoScale, docs *[]DemoDoc, ix *Index, opts ...Option) (*DemoEnv, []DemoDoc, error) {
 	world, inst, captured, err := generateDemoInstance(scale, docs)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := NewEngine(world.Graph, inst.Index, opts...)
+	if ix == nil {
+		ix = inst.Index
+	} else if ix.NumDocs() != inst.Index.NumDocs() {
+		return nil, nil, fmt.Errorf("sqe: index holds %d docs, the demo corpus at this scale has %d", ix.NumDocs(), inst.Index.NumDocs())
+	}
+	eng := NewEngine(world.Graph, ix, opts...)
 	eng.linker = dataset.BuildLinker(world, dataset.DefaultLinkerOptions())
 	return demoEnvFrom(world, inst, eng), captured, nil
 }

@@ -32,9 +32,8 @@ import (
 
 type diffWorld struct {
 	env     *DemoEnv
-	docs    []DemoDoc   // the corpus, in index order
-	queries []DemoQuery // the queries every row answers
-	store   *ExpansionStore
+	docs    []DemoDoc              // the corpus, in index order
+	queries []DemoQuery            // the queries every row answers
 	oracles map[uint64]*diffOracle // by the documents held, see oracle
 }
 
@@ -318,8 +317,8 @@ var diffRows = []struct {
 	{"shards-4", memory(WithShards(4))},
 	{"shards-4-unpruned", memory(WithShards(4), WithPruning(false))},
 	{"rpc-2", loopbackRPC(2)},
-	{"precomputed", precomputed()},
-	{"precomputed-lru", precomputed(WithExpansionCache(4096))},
+	{"lru", lru(4096, false)},
+	{"lru-evicting", lru(16, true)},
 	{"segmented-flush7", segmented(7, ingest(0, all))},
 	{"segmented-flush7-compacted", segmented(7, script(ingest(0, all), compact))},
 	{"segmented-flush7-deletes", segmented(7, script(ingest(0, all), deleteEvery(5, all)))},
@@ -399,21 +398,28 @@ func loopbackRPC(n int) subject {
 	}
 }
 
-// precomputed attaches the expansion store built over the world's
-// queries, so expansion is served from it (through the LRU it warms,
-// when opts configure one) instead of mined.
-func precomputed(opts ...Option) subject {
+// lru serves expansion through an expansion cache of the given
+// capacity, so rankings are built on cached graphs. With churn the cache
+// is first filled with the expansions of the demo queries the harness
+// does not ask, so the asks' own misses evict. The row fails unless the
+// asks hit the cache and, with churn, also evicted from it.
+func lru(capacity int, churn bool) subject {
 	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
-		if w.store == nil {
-			w.store = buildDemoStore(t, w.env, parityAblations[0])
-		}
 		return func(model ...Option) *Engine {
-			eng := NewEngine(w.env.Engine.Graph(), w.env.Engine.Index(),
-				append(append(model, WithPrecomputedExpansions(w.store)), opts...)...)
+			eng := NewEngine(w.env.Engine.Graph(), w.env.Engine.Index(), append(model, WithExpansionCache(capacity))...)
+			if churn {
+				for _, q := range w.env.Queries[len(w.queries):] {
+					for _, set := range []MotifSet{MotifT, MotifTS, MotifS} {
+						if _, err := eng.Expand(q.Text, q.EntityTitles, set); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			before, _ := eng.ExpansionCacheStats()
 			t.Cleanup(func() {
-				st, _ := eng.ExpansionStoreStats()
-				if cs, _ := eng.ExpansionCacheStats(); st.Hits+cs.Hits == 0 {
-					t.Errorf("no expansion was served from the store or the cache it warmed: %+v %+v", st, cs)
+				if cs, _ := eng.ExpansionCacheStats(); cs.Hits == before.Hits || churn && cs.Evictions == before.Evictions {
+					t.Errorf("capacity %d: the asks did not exercise the cache: %+v before, %+v after", capacity, before, cs)
 				}
 			})
 			return eng

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/kb"
@@ -196,9 +197,9 @@ func (c *ExpansionCache) Stats() CacheStats {
 // expander configuration) into a compact string key. The completeness
 // invariant: every knob that can change what this Expander produces for
 // queryNodes is in the key, so an entry can never be served under a
-// configuration other than the one that built it — the property that
-// lets keys outlive the process in the precomputed expansion store
-// (DESIGN.md §5h). Concretely the key covers:
+// configuration other than the one that built it, even when the
+// expander is reconfigured while the cache holds entries (DESIGN.md
+// §5d). Concretely the key covers:
 //
 //   - the motif set and the sorted query-node list. Duplicate nodes are
 //     deliberately kept: BuildQueryGraph([a,a,b]) differs from
@@ -214,10 +215,9 @@ func (c *ExpansionCache) Stats() CacheStats {
 //   - the part Weights and TitleWindowSlack. These shape BuildQuery,
 //     not the stored QueryGraph, but keying them means one key string
 //     fully identifies the expansion configuration an entry was built
-//     under — the conservative choice for entries that outlive a
-//     process and may be consulted by a differently-configured server.
-//     Weights are keyed in normalized form, so the zero value and the
-//     explicit default weights share entries, as they share behaviour.
+//     under. Weights are keyed in normalized form, so the zero value
+//     and the explicit default weights share entries, as they share
+//     behaviour.
 func (e *Expander) ExpansionKey(queryNodes []kb.NodeID, set motif.Set) string {
 	sorted := append([]kb.NodeID(nil), queryNodes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -261,9 +261,13 @@ func canonicalGraph(qg QueryGraph) QueryGraph {
 	return qg
 }
 
-// BuildQueryGraphCached is BuildQueryGraph through cache c: a hit
-// returns the stored graph (treat it as immutable), a miss builds and
-// stores it. c == nil degrades to a plain build.
+// BuildQueryGraphCached is BuildQueryGraph through cache c, the one
+// expansion entry point of the serving path: a hit returns the stored
+// graph (treat it as immutable), a miss builds and stores it, and a nil
+// c builds without a memo. A non-nil ps gets the motif stage's time and
+// the feature count; hits account their (tiny) lookup time to the motif
+// stage, so stage percentages stay truthful under caching. A nil ps
+// leaves the call untimed.
 //
 // Entries are stored in canonical form (canonicalGraph) and a hit
 // rebinds the caller's own query-node order, so permutations of one
@@ -272,14 +276,24 @@ func canonicalGraph(qg QueryGraph) QueryGraph {
 // order-independent of the node permutation, while the query-node
 // order (which fixes the entity part's child order and therefore the
 // floating-point summation order downstream) is always the caller's.
-func (e *Expander) BuildQueryGraphCached(queryNodes []kb.NodeID, set motif.Set, c *ExpansionCache) QueryGraph {
-	return e.BuildQueryGraphStored(queryNodes, set, c, nil)
-}
-
-// BuildQueryGraphCachedStats is BuildQueryGraphCached with the motif
-// stage timed and the feature count recorded into ps (which may be
-// nil). Cache hits still account their (tiny) lookup time to the motif
-// stage, so stage percentages stay truthful under caching.
-func (e *Expander) BuildQueryGraphCachedStats(queryNodes []kb.NodeID, set motif.Set, c *ExpansionCache, ps *PipelineStats) QueryGraph {
-	return e.BuildQueryGraphStoredStats(queryNodes, set, c, nil, ps)
+func (e *Expander) BuildQueryGraphCached(queryNodes []kb.NodeID, set motif.Set, c *ExpansionCache, ps *PipelineStats) (qg QueryGraph) {
+	if ps != nil {
+		defer func(start time.Time) {
+			ps.Stages.MotifSearch += time.Since(start)
+			ps.Features += len(qg.Features)
+		}(time.Now())
+	}
+	if c == nil {
+		return e.BuildQueryGraph(queryNodes, set)
+	}
+	key := e.ExpansionKey(queryNodes, set)
+	if hit, ok := c.Get(key); ok {
+		return QueryGraph{
+			QueryNodes: append([]kb.NodeID(nil), queryNodes...),
+			Features:   hit.Features,
+		}
+	}
+	qg = e.BuildQueryGraph(queryNodes, set)
+	c.Put(key, canonicalGraph(qg))
+	return qg
 }

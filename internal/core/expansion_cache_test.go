@@ -41,8 +41,8 @@ func cacheTestExpander(t *testing.T) (*Expander, []kb.NodeID) {
 func TestExpansionCacheHitIsBitIdentical(t *testing.T) {
 	e, nodes := cacheTestExpander(t)
 	c := NewExpansionCache(64)
-	miss := e.BuildQueryGraphCached(nodes, motif.SetTS, c)
-	hit := e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	miss := e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
+	hit := e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	if !reflect.DeepEqual(miss, hit) {
 		t.Fatalf("cache hit differs from miss: %+v vs %+v", miss, hit)
 	}
@@ -59,16 +59,16 @@ func TestExpansionCacheHitIsBitIdentical(t *testing.T) {
 func TestExpansionCacheKeySeparatesSetsAndKnobs(t *testing.T) {
 	e, nodes := cacheTestExpander(t)
 	c := NewExpansionCache(64)
-	e.BuildQueryGraphCached(nodes, motif.SetT, c)
-	e.BuildQueryGraphCached(nodes, motif.SetS, c)
-	e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	e.BuildQueryGraphCached(nodes, motif.SetT, c, nil)
+	e.BuildQueryGraphCached(nodes, motif.SetS, c, nil)
+	e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	if st := c.Stats(); st.Misses != 3 || st.Hits != 0 {
 		t.Errorf("motif sets should not share entries: %+v", st)
 	}
 	e.MaxFeatures = 1
-	e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	e.UniformFeatureWeights = true
-	e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	if st := c.Stats(); st.Misses != 5 {
 		t.Errorf("expander knobs should change the key: %+v", st)
 	}
@@ -125,8 +125,8 @@ func TestExpansionCachePermutedHitMatchesColdMiss(t *testing.T) {
 		t.Fatal("fixture produced no expansion features")
 	}
 	cache := NewExpansionCache(16)
-	miss := e.BuildQueryGraphCached(perm1, motif.SetTS, cache)
-	hit := e.BuildQueryGraphCached(perm2, motif.SetTS, cache)
+	miss := e.BuildQueryGraphCached(perm1, motif.SetTS, cache, nil)
+	hit := e.BuildQueryGraphCached(perm2, motif.SetTS, cache, nil)
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("permutations should share one entry: %+v", st)
 	}
@@ -182,8 +182,8 @@ func TestUniformWeightsHitIsBitIdentical(t *testing.T) {
 	e, nodes := cacheTestExpander(t)
 	e.UniformFeatureWeights = true
 	c := NewExpansionCache(64)
-	miss := e.BuildQueryGraphCached(nodes, motif.SetTS, c)
-	hit := e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	miss := e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
+	hit := e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	if !reflect.DeepEqual(miss, hit) {
 		t.Fatalf("uniform-weight hit differs from miss: %+v vs %+v", miss, hit)
 	}
@@ -244,7 +244,7 @@ func TestExpansionCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				set := []motif.Set{motif.SetT, motif.SetTS, motif.SetS}[i%3]
-				qg := e.BuildQueryGraphCached(nodes, set, c)
+				qg := e.BuildQueryGraphCached(nodes, set, c, nil)
 				if len(qg.QueryNodes) != len(nodes) {
 					t.Errorf("worker %d: bad graph %+v", w, qg)
 					return
@@ -288,11 +288,11 @@ func TestExpansionKeyCoversEveryKnob(t *testing.T) {
 	// And through the cache: every flip must miss, never return the
 	// entry a differently-configured expander stored.
 	c := NewExpansionCache(64)
-	e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	for i, f := range flips {
 		e2 := NewExpander(e.graph, analysis.Standard())
 		f.flip(e2)
-		e2.BuildQueryGraphCached(nodes, motif.SetTS, c)
+		e2.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 		if st := c.Stats(); st.Misses != int64(2+i) || st.Hits != 0 {
 			t.Fatalf("after flipping %s: stats %+v, want %d misses / 0 hits", f.name, st, 2+i)
 		}
@@ -314,9 +314,9 @@ func TestExpansionKeyCoversEveryKnob(t *testing.T) {
 func TestExpansionKeyAblationHitIsCorrect(t *testing.T) {
 	e, nodes := cacheTestExpander(t)
 	c := NewExpansionCache(64)
-	withCats := e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	withCats := e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	e.Matcher().UseCategories = false
-	got := e.BuildQueryGraphCached(nodes, motif.SetTS, c)
+	got := e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
 	want := NewExpander(e.graph, analysis.Standard()) // fresh, no cache
 	want.Matcher().UseCategories = false
 	if fresh := want.BuildQueryGraph(nodes, motif.SetTS); !reflect.DeepEqual(got, fresh) {
@@ -347,8 +347,8 @@ func TestExpansionKeyKeepsDuplicateNodes(t *testing.T) {
 		t.Fatal("[a] and [a,a] expand differently but share an expansion key")
 	}
 	c := NewExpansionCache(64)
-	e.BuildQueryGraphCached(nodes, motif.SetTS, c)
-	hit := e.BuildQueryGraphCached(dup, motif.SetTS, c)
+	e.BuildQueryGraphCached(nodes, motif.SetTS, c, nil)
+	hit := e.BuildQueryGraphCached(dup, motif.SetTS, c, nil)
 	if !reflect.DeepEqual(hit, qgTwice) {
 		t.Fatalf("duplicate-node build through cache = %+v, want %+v", hit, qgTwice)
 	}

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/kb"
-	"repro/internal/motif"
 	"repro/internal/search"
 )
 
@@ -80,18 +78,6 @@ func (p *PipelineStats) String() string {
 	fmt.Fprintf(&sb, "  total        %10v\n", total.Round(time.Microsecond))
 	fmt.Fprintf(&sb, "  search: %s", p.Search.String())
 	return sb.String()
-}
-
-// BuildQueryGraphStats is BuildQueryGraph with the motif-search stage
-// timed and the feature count recorded into ps (which may be nil).
-func (e *Expander) BuildQueryGraphStats(queryNodes []kb.NodeID, set motif.Set, ps *PipelineStats) QueryGraph {
-	start := time.Now()
-	qg := e.BuildQueryGraph(queryNodes, set)
-	if ps != nil {
-		ps.Stages.MotifSearch += time.Since(start)
-		ps.Features += len(qg.Features)
-	}
-	return qg
 }
 
 // BuildQueryStats is BuildQuery with the query-build stage timed into ps

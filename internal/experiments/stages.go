@@ -31,7 +31,7 @@ func StageProfile(s *Suite, inst *dataset.Instance) *StageProfileResult {
 		nodes := r.Entities(q, true)
 		ps.Stages.EntityLink += time.Since(start)
 		for _, set := range []motif.Set{motif.SetT, motif.SetTS, motif.SetS} {
-			qg := r.Expander.BuildQueryGraphStats(nodes, set, ps)
+			qg := r.Expander.BuildQueryGraphCached(nodes, set, nil, ps)
 			node := r.Expander.BuildQueryStats(q.Text, qg, ps)
 			start = time.Now()
 			_, st := r.Searcher.SearchWithStats(node, RunDepth)

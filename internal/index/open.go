@@ -14,8 +14,7 @@ import (
 // The unified on-disk entry points. Every index file is opened through
 // Open — which checks the header magic — and written through
 // WriteFile/Builder.WriteFile, which take an explicit Format and commit
-// atomically (temp + fsync + rename, the same discipline as the
-// expansion store). The encoder and decoder behind them (encodeV2/openV2
+// atomically (temp + fsync + rename). The encoder and decoder behind them (encodeV2/openV2
 // in v2.go) are package-internal; README.md carries the migration table
 // from the old exported Encode/Decode pair.
 

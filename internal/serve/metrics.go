@@ -191,24 +191,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "sqe_expansion_cache_entries %d\n", cs.Entries)
 	}
 
-	// Precomputed expansion store (WithPrecomputedExpansions); present
-	// whenever a store was attached, including one dropped as stale —
-	// the staleness gauge is precisely what an operator needs to see.
-	if ss, ok := s.cfg.Engine.ExpansionStoreStats(); ok {
-		counter("sqe_expansion_store_hits_total", "Precomputed expansion store hits.")
-		fmt.Fprintf(&sb, "sqe_expansion_store_hits_total %d\n", ss.Hits)
-		counter("sqe_expansion_store_misses_total", "Precomputed expansion store misses.")
-		fmt.Fprintf(&sb, "sqe_expansion_store_misses_total %d\n", ss.Misses)
-		gauge("sqe_expansion_store_entries", "Expansions available in the precomputed store.")
-		fmt.Fprintf(&sb, "sqe_expansion_store_entries %d\n", ss.Entries)
-		stale := 0
-		if ss.Stale {
-			stale = 1
-		}
-		gauge("sqe_expansion_store_stale", "1 when the attached store was dropped at boot for a KB content-hash mismatch.")
-		fmt.Fprintf(&sb, "sqe_expansion_store_stale %d\n", stale)
-	}
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(sb.String()))
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	sqe "repro"
-	"repro/internal/core"
 	"repro/internal/index"
 )
 
@@ -244,39 +243,6 @@ func TestPositionalMemoMetrics(t *testing.T) {
 		decoded, total := metricValue(t, s, "sqe_search_blocks_decoded_total"), metricValue(t, s, "sqe_search_blocks_total")
 		if decoded <= 0 || decoded > total {
 			t.Errorf("shards=%d: streaming cursors decoded %v of %v blocks", shards, decoded, total)
-		}
-	}
-}
-
-// TestExpansionStoreMetrics: with a precomputed store attached, /metrics
-// exports the sqe_expansion_store_* family, and a request whose entity
-// set the store holds is answered from it.
-func TestExpansionStoreMetrics(t *testing.T) {
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
-	g, q := env.Engine.Graph(), env.Queries[0]
-	scratch := sqe.NewEngine(g, env.Engine.Index())
-	entries := core.PrecomputeEntries(scratch.Expander(),
-		[][]sqe.NodeID{{g.ByTitle(q.EntityTitles[0])}}, []sqe.MotifSet{sqe.MotifT, sqe.MotifTS, sqe.MotifS})
-	path := filepath.Join(t.TempDir(), "expansions.store")
-	if err := core.WriteStoreFile(path, g.ContentHash(), entries); err != nil {
-		t.Fatal(err)
-	}
-	store, err := sqe.OpenExpansionStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := testServer(t, Config{Engine: sqe.NewEngine(g, env.Engine.Index(), sqe.WithPrecomputedExpansions(store))})
-	if w := do(t, s, http.MethodGet, "/v1/search?q="+paramEscape(q.Text)+"&entities="+paramEscape(q.EntityTitles[0]), ""); w.Code != http.StatusOK {
-		t.Fatalf("search status %d: %s", w.Code, w.Body.String())
-	}
-	for name, want := range map[string]float64{
-		"sqe_expansion_store_hits_total":   3, // SQE_C = one lookup per motif set
-		"sqe_expansion_store_misses_total": 0,
-		"sqe_expansion_store_entries":      float64(len(entries)),
-		"sqe_expansion_store_stale":        0,
-	} {
-		if got := metricValue(t, s, name); got != want {
-			t.Errorf("metric %s = %g, want %g", name, got, want)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func OpenLiveIndex(dir string, flushDocs int) (*LiveIndex, error) {
 
 // NewLiveEngine builds an Engine whose retrieval runs against a live
 // segmented index instead of an immutable one. The full expansion
-// pipeline (motifs, caches, precomputed stores, SQE_C) is unchanged;
+// pipeline (motifs, the expansion cache, SQE_C) is unchanged;
 // retrieval routes through a snapshot-pinning segmented searcher that
 // is bit-identical to a monolithic engine over the same surviving
 // documents. Documents enter and leave through Engine.Ingest and

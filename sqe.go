@@ -98,12 +98,6 @@ type (
 	// CacheStats are the expansion cache's hit/miss/eviction counters
 	// (see WithExpansionCache).
 	CacheStats = core.CacheStats
-	// ExpansionStore is a precomputed entity→expansion store built
-	// offline by cmd/sqe-precompute (see WithPrecomputedExpansions).
-	ExpansionStore = core.PrecomputedStore
-	// StoreStats are the precomputed store's hit/miss counters (see
-	// Engine.ExpansionStoreStats).
-	StoreStats = core.StoreStats
 )
 
 // Retrieval models.
@@ -171,16 +165,6 @@ type Engine struct {
 	// cache memoises motif expansions across requests; nil when caching
 	// is off (the default outside serving).
 	cache *core.ExpansionCache
-	// precomputed is the offline expansion store consulted between the
-	// cache and a live motif search; nil when none is attached (or when
-	// the attached store was dropped as stale — see precomputedStale).
-	precomputed *core.PrecomputedStore
-	// precomputedStale records that WithPrecomputedExpansions supplied a
-	// store whose KB hash did not match this engine's graph: the store
-	// was dropped (serving stale expansions would silently break the
-	// byte-identity guarantee) and the mismatch is surfaced through
-	// ExpansionStoreStats and the /metrics staleness gauge.
-	precomputedStale bool
 	// workers bounds how many of an SQE_C call's three runs evaluate
 	// concurrently, engine-wide across requests; <= 1 runs them
 	// sequentially on the caller's goroutine.
@@ -266,36 +250,6 @@ func WithExpansionCache(entries int) Option {
 	}
 }
 
-// WithPrecomputedExpansions attaches a precomputed expansion store
-// (built offline by cmd/sqe-precompute, opened with OpenExpansionStore)
-// to the engine. Requests whose (entity set, motif set, configuration)
-// key is in the store skip motif search entirely; the served graphs are
-// byte-identical to live expansion — the store holds canonical graphs
-// under the same complete keys as the LRU cache, and a hit rebinds the
-// caller's node order exactly as a cache hit does. Keys absent from the
-// store fall through to the cache/live-build path unchanged.
-//
-// The store records the content hash of the KB it was built over
-// (kb.ContentHash); NewEngine drops a store whose hash does not match
-// the engine's graph rather than serve expansions of a KB that no
-// longer exists. The mismatch is observable through
-// ExpansionStoreStats (Stale) and the serving layer's
-// sqe_expansion_store_stale gauge.
-//
-// When an expansion cache is also configured, NewEngine warms it from
-// the store at construction, so even LRU-evicted entries still hit the
-// store afterwards. A nil store is a no-op.
-func WithPrecomputedExpansions(store *ExpansionStore) Option {
-	return func(e *Engine) { e.precomputed = store }
-}
-
-// OpenExpansionStore opens and fully validates a store file written by
-// cmd/sqe-precompute (truncation and corruption are detected up front —
-// record checksums, bounds-checked lengths — never at serving time).
-func OpenExpansionStore(path string) (*ExpansionStore, error) {
-	return core.OpenStoreFile(path)
-}
-
 // WithSQECWorkers bounds how many of SQE_C's three independent runs
 // (T, T&S, S) evaluate concurrently, shared engine-wide across requests.
 // n <= 1 forces the sequential path; the default is GOMAXPROCS. Parallel
@@ -359,22 +313,6 @@ func NewEngine(g *Graph, ix *Index, opts ...Option) *Engine {
 	if e.workers > 1 {
 		e.sem = make(chan struct{}, e.workers)
 	}
-	if e.precomputed != nil {
-		if e.precomputed.KBHash() != kb.ContentHash(g) {
-			// The store was built over a different KB; serving its graphs
-			// would be silently wrong. Drop it and surface the mismatch.
-			e.precomputed = nil
-			e.precomputedStale = true
-		} else if e.cache != nil {
-			// Warm the LRU from the store so the first requests after boot
-			// hit the cache tier directly. Capacity bounds still apply —
-			// the cache keeps whatever fits.
-			e.precomputed.Range(func(key string, qg core.QueryGraph) bool {
-				e.cache.Put(key, qg)
-				return true
-			})
-		}
-	}
 	if e.sharded == nil && e.shards > 1 {
 		if sh := index.NewSharded(ix, e.shards); sh.NumShards() > 1 {
 			e.sharded = search.NewShardedSearcher(sh)
@@ -415,21 +353,6 @@ func (e *Engine) ExpansionCacheStats() (stats CacheStats, ok bool) {
 		return CacheStats{}, false
 	}
 	return e.cache.Stats(), true
-}
-
-// ExpansionStoreStats reports the precomputed expansion store's
-// counters; ok is false when the engine was built without
-// WithPrecomputedExpansions. A store dropped at construction for a KB
-// hash mismatch reports ok = true with zero counters and Stale set.
-func (e *Engine) ExpansionStoreStats() (stats StoreStats, ok bool) {
-	switch {
-	case e.precomputed != nil:
-		return e.precomputed.Stats(), true
-	case e.precomputedStale:
-		return StoreStats{Stale: true}, true
-	default:
-		return StoreStats{}, false
-	}
 }
 
 // ParseQuery parses an Indri-like structured query (#weight/#combine/
@@ -489,7 +412,7 @@ func (e *Engine) ExpandContext(ctx context.Context, query string, entityTitles [
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	qg := e.expander.BuildQueryGraphStored(nodes, set, e.cache, e.precomputed)
+	qg := e.expander.BuildQueryGraphCached(nodes, set, e.cache, nil)
 	return e.expansionOf(qg), nil
 }
 
@@ -497,7 +420,7 @@ func (e *Engine) ExpandContext(ctx context.Context, query string, entityTitles [
 // (part weights, feature caps, motif-condition ablations). Reconfigure
 // it only before the Engine starts serving concurrent traffic. Every
 // knob — including the matcher-level ablation toggles — is part of the
-// expansion cache/store key (see core.(*Expander).ExpansionKey), so
+// expansion cache key (see core.(*Expander).ExpansionKey), so
 // reconfiguring never serves entries built under the old configuration;
 // it only turns them into misses.
 func (e *Engine) Expander() *core.Expander { return e.expander }
