@@ -28,7 +28,10 @@ race:
 # {memory, v2} on CHiC: run it on two commits for an evaluator A/B below
 # the HTTP tier), the positional miss path it rests on (the exported
 # phrase / window materialisers run the same intersection the memo
-# fills from), the memo hit every warm phrase leaf takes, and SQE_C over
+# fills from; PositionalColdV2 resolves every multi-word KB title on a
+# freshly opened CHiC v2 file, block cursors and all, and its heap-MB is
+# what the opened index keeps live), the memo hit every warm phrase leaf
+# takes, and SQE_C over
 # a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
 # read flat across the three), one compaction of a 20 000-document
 # base plus 16 tombstoned segments (B/op and allocs/op are the merge's
@@ -36,7 +39,7 @@ race:
 # 20 000-document v2 file into shard images (B/op and allocs/op are what
 # it costs beside the mapping).
 bench:
-	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|UnorderedWindow|SegmentedTombstoned' -benchmem .
+	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -410,6 +411,56 @@ func BenchmarkPhrasePostings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = ix.PhrasePostings(phrases[i%len(phrases)])
 	}
+}
+
+// BenchmarkPositionalColdV2 is the cold cost of positional leaves: each
+// op opens CHiC 2012's v2 file afresh (untimed) and resolves every
+// multi-word KB article title through PhraseLeaf, as the first queries
+// of a new process do. heap-MB is the Go heap the opened index holds
+// live afterwards — its metadata, the memo, and any term row a fill
+// left decoded — measured after runtime.GC against the heap before Open.
+func BenchmarkPositionalColdV2(b *testing.B) {
+	s := suite(b)
+	path := filepath.Join(b.TempDir(), "chic.v2")
+	if err := index.WriteFile(path, s.CHiC2012.Index, index.FormatV2); err != nil {
+		b.Fatal(err)
+	}
+	a, g := s.CHiC2012.Index.Analyzer(), s.World.Graph
+	var titles [][]string
+	g.Articles(func(id kb.NodeID) bool {
+		if terms := a.AnalyzeTerms(g.Title(id)); len(terms) > 1 {
+			titles = append(titles, terms)
+		}
+		return true
+	})
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var sc index.PositionalScratch
+	var heap float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		disk, err := index.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, t := range titles {
+			disk.PhraseLeaf(t, &sc)
+		}
+		b.StopTimer()
+		heap += float64(int64(liveHeap())-int64(before)) / (1 << 20)
+		disk.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(heap/float64(b.N), "heap-MB")
+	b.ReportMetric(float64(len(titles)), "titles")
 }
 
 // BenchmarkMotifMining measures the future-work template miner over the

@@ -75,7 +75,7 @@ type Index struct {
 
 	// lazy is the mmap-backed postings source of a FormatV2 index (see
 	// v2.go); nil for in-memory indexes. When set, ix.postings starts as
-	// zero values and each term's row is decoded on first PostingsFor.
+	// zero values and stays so unless termPostings decodes a row.
 	lazy *lazyPostings
 
 	// positionals memoises resolved phrase/window leaves for the life of
@@ -84,9 +84,11 @@ type Index struct {
 }
 
 // Close releases the resources of an index loaded from a FormatV2 file
-// (the mmap region); it is a no-op for in-memory indexes. Postings rows
-// already materialised remain valid (they are copies), but the index
-// must not be searched for terms not yet touched after Close.
+// (the mmap region); it is a no-op for in-memory indexes. What was
+// copied out before Close stays valid: resolved phrase/window leaves and
+// any materialised row. Reads of the mapping after Close are refused,
+// not performed — a cursor exhausts, a phrase or window resolves empty,
+// and Err names the Close — so the index must not be searched after it.
 func (ix *Index) Close() error {
 	if ix.lazy == nil {
 		return nil
@@ -118,7 +120,12 @@ func (ix *Index) materializeAll() {
 }
 
 // termPostings returns term id's postings row, decoding it first when
-// the index is backed by a v2 file.
+// the index is backed by a v2 file — whereupon the decoded row, positions
+// and all, stays on the heap for the life of the index. Serving never
+// asks for one: term leaves and phrase/window fills stream through block
+// cursors, and Explain reads a term's tf through one. On a v2 index only
+// materializeAll (the forward index, WithVerify, re-encoding) and the
+// exported PostingsFor / PostingsByID materialise a row.
 func (ix *Index) termPostings(id int32) *Postings {
 	if lz := ix.lazy; lz != nil {
 		lz.once[id].Do(func() { lz.materialize(ix, id) })

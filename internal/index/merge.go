@@ -243,7 +243,7 @@ func (m *merger) appendSurvivors(src *mergeSource, t int32, from int) (int64, er
 		if !lz.verifyBlock(slot, buf) {
 			return 0, fmt.Errorf("index: merge: term %q block %d checksum mismatch", src.ix.termText[t], b)
 		}
-		if err := decodeBlockInto(buf, base, n, int32(len(src.ix.docLens)), &m.row.Docs, &m.row.Freqs, &m.row.Positions); err != nil {
+		if err := decodeBlockInto(buf, base, n, int32(len(src.ix.docLens)), &m.row.Docs, &m.row.Freqs, &m.row.Positions, nil); err != nil {
 			return 0, fmt.Errorf("index: merge: term %q block %d: %w", src.ix.termText[t], b, err)
 		}
 	}

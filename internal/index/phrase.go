@@ -54,9 +54,8 @@ func advance(docs []DocID, cursor int, target DocID) int {
 // chainMatches is the #1 matcher: it counts (and, when collect is set,
 // returns) the start positions p such that constituent i occurs at p+i
 // for all i.
-func chainMatches(sc *PositionalScratch, rows []int, _ int32, collect bool) (int32, []int32) {
-	lists := sc.lists
-	starts := lists[0].Positions[rows[0]]
+func chainMatches(_ *PositionalScratch, pos [][]int32, _ int32, collect bool) (int32, []int32) {
+	starts := pos[0]
 	var matched []int32
 	if collect {
 		matched = make([]int32, 0, len(starts))
@@ -64,8 +63,8 @@ func chainMatches(sc *PositionalScratch, rows []int, _ int32, collect bool) (int
 	var n int32
 	for _, p := range starts {
 		ok := true
-		for i := 1; i < len(lists); i++ {
-			if !containsPos(lists[i].Positions[rows[i]], p+int32(i)) {
+		for i := 1; i < len(pos); i++ {
+			if !containsPos(pos[i], p+int32(i)) {
 				ok = false
 				break
 			}

@@ -17,8 +17,10 @@ import (
 // operator, the match count in each, and the summaries an evaluator
 // needs to score and prune it like a stored term. It is shared by every
 // query that asks for the same leaf and must not be modified. The rows
-// live on the Go heap and never alias a v2 file's mmap, so they stay
-// valid after Close exactly as materialised term rows do.
+// are exact-size Go-heap copies, never views of a v2 file's mmap or of a
+// cursor's decode window, so they stay valid after Close. On a v2-backed
+// index they are all a fill leaves behind: the constituents are streamed
+// through block cursors, and their rows are never materialised.
 type Positional struct {
 	// Docs are the matching documents, ascending; Freqs[i] is the number
 	// of matches in Docs[i] (phrase occurrences, or minimal windows).
@@ -42,28 +44,28 @@ type Positional struct {
 var noPositional Positional
 
 // PositionalScratch is the reusable working state of positional-leaf
-// resolution: the memo key, the constituents' rows and the intersection
-// cursors. A caller that resolves many leaves (the search package's
-// pooled evaluator scratch) keeps one and a memo hit then allocates
-// nothing; the zero value is ready to use. Not safe for concurrent use.
+// resolution: the memo key, one cursor per constituent and the
+// intersection's output. A caller that resolves many leaves (the search
+// package's pooled evaluator scratch) keeps one: a memo hit then
+// allocates nothing, and a miss reuses the cursors' decode windows. The
+// zero value is ready to use. Not safe for concurrent use.
 type PositionalScratch struct {
-	key     []byte
-	ids     []int32
-	lists   []*Postings
-	cursors []int
-	rows    []int
-	docs    []DocID
-	freqs   []int32
+	key   []byte
+	ids   []int32
+	curs  []TermCursor
+	docs  []DocID
+	freqs []int32
+	// pos[i] is constituent i's position list in the current document.
+	pos [][]int32
 	// Minimal-window sweep state (window.go).
 	ptr []int
-	pos [][]int32
 }
 
 // positionMatcher finds one operator's matches inside a document every
-// constituent occurs in; rows[i] is that document's row in sc.lists[i].
+// constituent occurs in, given each constituent's position list there.
 // It returns the match count and, when collect is set, the matches'
 // start positions in a freshly allocated slice.
-type positionMatcher func(sc *PositionalScratch, rows []int, width int32, collect bool) (int32, []int32)
+type positionMatcher func(sc *PositionalScratch, pos [][]int32, width int32, collect bool) (int32, []int32)
 
 // termIDs resolves terms into sc.ids; false when one is out of
 // vocabulary (no document can match).
@@ -79,70 +81,77 @@ func (sc *PositionalScratch) termIDs(ix *Index, terms []string) bool {
 	return true
 }
 
-// loadLists fetches the rows of sc.ids into sc.lists (decoding them on a
-// v2-backed index); false when one is empty.
-func (sc *PositionalScratch) loadLists(ix *Index) bool {
-	sc.lists = sc.lists[:0]
-	for _, id := range sc.ids {
-		l := ix.termPostings(id)
-		if len(l.Docs) == 0 {
-			return false
-		}
-		sc.lists = append(sc.lists, l)
-	}
-	return true
-}
-
 // intersect is the document-intersection loop behind every positional
-// operator: it walks the documents of the rarest constituent, gallops
-// the other lists to each, and hands every document they all contain to
+// operator, over one cursor per constituent of sc.ids: block cursors in
+// positions mode on a v2-backed index, windows over the rows otherwise.
+// It walks the documents of the rarest constituent, advances the others
+// to each — a block cursor skips the blocks its directory rules out
+// without decoding them — and hands every document they all contain to
 // match. Matching documents and their match counts accumulate in
 // sc.docs / sc.freqs; positions, when non-nil, also receives each
-// document's start positions. The references into the index are dropped
-// before returning, so a pooled scratch never pins one.
-func (sc *PositionalScratch) intersect(width int32, match positionMatcher, positions *[][]int32) {
-	lists := sc.lists
+// document's start positions. It returns false when a block failed its
+// checks or the index was closed (the error is on ix.Err): the
+// documents gathered so far are then a fragment the caller must drop.
+// The cursors release their references into the index before it
+// returns, so a pooled scratch never pins one.
+func (sc *PositionalScratch) intersect(ix *Index, width int32, match positionMatcher, positions *[][]int32) bool {
+	n := len(sc.ids)
 	sc.docs, sc.freqs = sc.docs[:0], sc.freqs[:0]
-	sc.cursors, sc.rows = zeroed(sc.cursors, len(lists)), zeroed(sc.rows, len(lists))
-	cursors, rows := sc.cursors, sc.rows
+	if cap(sc.curs) < n {
+		// Carry the old cursors over: their decode windows are the value.
+		sc.curs = append(sc.curs[:cap(sc.curs)], make([]TermCursor, n-cap(sc.curs))...)
+	}
+	curs := sc.curs[:n]
+	sc.pos = zeroed(sc.pos, n)
 	rarest := 0
-	for i, l := range lists {
-		if len(l.Docs) < len(lists[rarest].Docs) {
+	for i, id := range sc.ids {
+		if ix.lazy != nil {
+			curs[i].ResetStreamPositions(ix, id)
+		} else {
+			curs[i].Reset(&ix.postings[id])
+		}
+		if curs[i].Len() < curs[rarest].Len() {
 			rarest = i
 		}
 	}
+	lead := &curs[rarest]
 docs:
-	for _, doc := range lists[rarest].Docs {
-		for i, l := range lists {
-			j := advance(l.Docs, cursors[i], doc)
-			cursors[i] = j
-			if j == len(l.Docs) {
-				break docs // a constituent is exhausted: nothing later can match
-			}
-			if l.Docs[j] != doc {
+	for doc := lead.Doc(); doc != DocEnd; doc = lead.Next() {
+		for i := range curs {
+			if got := curs[i].Advance(doc); got != doc {
+				if got == DocEnd {
+					break docs // a constituent is exhausted: nothing later can match
+				}
 				continue docs
 			}
-			rows[i] = j
+			if sc.pos[i] = curs[i].Positions(); sc.pos[i] == nil {
+				break docs // the block failed to decode; a posting has ≥ 1 position
+			}
 		}
-		n, pos := match(sc, rows, width, positions != nil)
-		if n == 0 {
+		m, pos := match(sc, sc.pos, width, positions != nil)
+		if m == 0 {
 			continue
 		}
 		sc.docs = append(sc.docs, doc)
-		sc.freqs = append(sc.freqs, n)
+		sc.freqs = append(sc.freqs, m)
 		if positions != nil {
 			*positions = append(*positions, pos)
 		}
 	}
-	clear(sc.lists)
+	ok := true
+	for i := range curs {
+		ok = ok && !curs[i].failed
+		curs[i].Release()
+	}
 	clear(sc.pos)
+	return ok
 }
 
-// zeroed returns s with length n and every element 0, reusing its
+// zeroed returns s with length n and every element zero, reusing its
 // backing when it fits.
-func zeroed(s []int, n int) []int {
+func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -151,15 +160,16 @@ func zeroed(s []int, n int) []int {
 
 // materialize is the caller-owned, position-carrying form of a
 // positional leaf — the contract of the exported PhrasePostings and
-// UnorderedWindowPostings, and the reference the memo is tested
-// against. Every slice of the result is fresh.
+// UnorderedWindowPostings. Every slice of the result is fresh.
 func (ix *Index) materialize(terms []string, width int32, match positionMatcher) Postings {
 	var sc PositionalScratch
-	if len(terms) == 0 || !sc.termIDs(ix, terms) || !sc.loadLists(ix) {
+	if len(terms) == 0 || !sc.termIDs(ix, terms) {
 		return Postings{}
 	}
 	var out Postings
-	sc.intersect(width, match, &out.Positions)
+	if !sc.intersect(ix, width, match, &out.Positions) {
+		return Postings{}
+	}
 	out.Docs, out.Freqs = sc.docs, sc.freqs
 	return out
 }
@@ -210,13 +220,10 @@ func (ix *Index) positional(terms []string, width int, match positionMatcher, sc
 // fill runs the intersection in counting mode — no position lists are
 // built — and copies the result out of the scratch at its exact size,
 // so a miss allocates a fixed number of slices however many documents
-// match.
+// match. An intersection a failed block cut short leaves the entry
+// empty, as a failed row decode always has; a fragment is never cached.
 func (e *Positional) fill(ix *Index, sc *PositionalScratch, width int32, match positionMatcher) {
-	if !sc.loadLists(ix) {
-		return
-	}
-	sc.intersect(width, match, nil)
-	if len(sc.docs) == 0 {
+	if !sc.intersect(ix, width, match, nil) || len(sc.docs) == 0 {
 		return
 	}
 	e.Docs = append(make([]DocID, 0, len(sc.docs)), sc.docs...)

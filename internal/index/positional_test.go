@@ -1,10 +1,11 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,8 +22,10 @@ type positionalKey struct {
 
 func (k positionalKey) String() string { return fmt.Sprintf("%v/%d", k.terms, k.window) }
 
-// reference is the position-materialising path the memo is proven
-// against.
+// reference is the exported, position-materialising form of the leaf.
+// The memo tests take it from an in-memory twin of the index under test,
+// so a v2-backed kind is held to rows its own block cursors never
+// produced.
 func (k positionalKey) reference(ix *Index) Postings {
 	if k.window == 0 {
 		return ix.PhrasePostings(k.terms)
@@ -110,37 +113,42 @@ func (m *positionalMemo) cached(t *testing.T) int {
 	return m.curCost + m.oldCost
 }
 
+// positionalKind is one index a positional leaf is resolved against, and
+// its twin: an in-memory index over the same documents under the same
+// IDs, which the reference is taken from.
+type positionalKind struct {
+	ix, twin *Index
+}
+
+// blockSized builds the in-memory index over docs at block size bs.
+func blockSized(t *testing.T, docs []segDoc, bs int) *Index {
+	t.Helper()
+	ix := monolithic(docs)
+	if err := ix.SetBlockSize(bs); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // positionalIndexes builds every kind of index a positional leaf is
-// resolved against, over one seeded corpus: in memory, from an mmap'd
-// v2 file, the two shards of NewSharded, and the segments
-// of a live index — a flushed one plus the sealed ingest buffer. Small
-// blocks, so the block summaries have several rows.
-func positionalIndexes(t *testing.T, seed int) map[string]*Index {
+// resolved against, over one seeded corpus: in memory, from mmap'd v2
+// files at block sizes 1, 4 and 128, the two shards of NewSharded, and
+// the segments of a live index — a flushed one plus the sealed ingest
+// buffer.
+func positionalIndexes(t *testing.T, seed int) map[string]positionalKind {
 	t.Helper()
 	docs := segCorpus(120+40*seed, seed)
-	build := func() *Index {
-		ix := monolithic(docs)
-		if err := ix.SetBlockSize(4); err != nil {
-			t.Fatal(err)
-		}
-		return ix
+	mem := monolithic(docs)
+	out := map[string]positionalKind{"memory": {mem, mem}}
+	for _, bs := range []int{1, 4, DefaultBlockSize} {
+		out[fmt.Sprintf("v2-bs%d", bs)] = positionalKind{openV2File(t, blockSized(t, docs, bs)), mem}
 	}
-	out := map[string]*Index{"memory": build()}
-	path := filepath.Join(t.TempDir(), "ix.v2")
-	if err := WriteFile(path, build(), FormatV2); err != nil {
-		t.Fatal(err)
+	sh := NewSharded(blockSized(t, docs, 4), 2)
+	for i, ref := range referenceShards(mem, sh.NumShards()) {
+		out[fmt.Sprintf("shard%d", i)] = positionalKind{sh.Shard(i), ref}
 	}
-	v2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { v2.Close() })
-	out["v2"] = v2
-	sh := NewSharded(build(), 2)
-	for i := 0; i < sh.NumShards(); i++ {
-		out[fmt.Sprintf("shard%d", i)] = sh.Shard(i)
-	}
-	seg, err := OpenSegmented(t.TempDir(), analysis.Analyzer{}, WithFlushDocs(len(docs)*2/3))
+	flushed := len(docs) * 2 / 3
+	seg, err := OpenSegmented(t.TempDir(), analysis.Analyzer{}, WithFlushDocs(flushed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,29 +160,33 @@ func positionalIndexes(t *testing.T, seed int) map[string]*Index {
 	}
 	sn := seg.Acquire()
 	t.Cleanup(sn.Release)
-	if sn.NumSegments() != 2 {
-		t.Fatalf("live index has %d segments, want a flushed one and the sealed buffer", sn.NumSegments())
+	if sn.NumSegments() != 2 || sn.Segment(0).NumDocs() != flushed {
+		t.Fatalf("live index has %d segments, want a flushed one of %d documents and the sealed buffer", sn.NumSegments(), flushed)
 	}
-	out["segment"], out["sealed-buffer"] = sn.Segment(0), sn.Segment(1)
+	out["segment"] = positionalKind{sn.Segment(0), monolithic(docs[:flushed])}
+	out["sealed-buffer"] = positionalKind{sn.Segment(1), monolithic(docs[flushed:])}
 	return out
 }
 
 // TestPositionalMemoMatchesReference is the differential gate of the
 // memo: whatever kind of index a leaf is resolved against, and whether
 // the entry is computed now, found warm, or recomputed after eviction,
-// it equals what PhrasePostings / UnorderedWindowPostings materialise
-// and what PostingsBounds derives from that.
+// it equals what PhrasePostings / UnorderedWindowPostings materialise on
+// the index's in-memory twin and what PostingsBounds derives from that.
+// Every kind backed by a v2 image resolves all of it without
+// materialising a single term row.
 func TestPositionalMemoMatchesReference(t *testing.T) {
 	for seed := 1; seed <= 3; seed++ {
 		keys := positionalKeys(rand.New(rand.NewSource(int64(seed))), 80)
-		for name, ix := range positionalIndexes(t, seed) {
+		for name, kind := range positionalIndexes(t, seed) {
+			ix := kind.ix
 			var sc PositionalScratch
 			fills := map[string]int{}
 			ix.positionals.filled = func(key string) { fills[key]++ }
 			nonEmpty := 0
 			for _, k := range keys {
 				label := fmt.Sprintf("seed %d %s %v", seed, name, k)
-				want := k.reference(ix)
+				want := k.reference(kind.twin)
 				cold, _ := k.leaf(ix, &sc)
 				requireMatchesReference(t, label+" cold", ix, cold, want)
 				warm, hit := k.leaf(ix, &sc)
@@ -207,7 +219,7 @@ func TestPositionalMemoMatchesReference(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for _, k := range keys {
 					got, _ := k.leaf(ix, &sc)
-					requireMatchesReference(t, fmt.Sprintf("seed %d %s %v evicting", seed, name, k), ix, got, k.reference(ix))
+					requireMatchesReference(t, fmt.Sprintf("seed %d %s %v evicting", seed, name, k), ix, got, k.reference(kind.twin))
 					if c := m.cached(t); c > m.budget {
 						t.Fatalf("seed %d %s: %d postings cached, budget %d", seed, name, c, m.budget)
 					}
@@ -219,6 +231,14 @@ func TestPositionalMemoMatchesReference(t *testing.T) {
 			}
 			if len(fills) != before || refills == 0 {
 				t.Fatalf("seed %d %s: eviction never forced a recomputation (%d refills)", seed, name, refills)
+			}
+			if ix.lazy != nil {
+				if n := materialised(ix); n != 0 {
+					t.Fatalf("seed %d %s: resolving the leaves materialised %d term rows", seed, name, n)
+				}
+				if err := ix.Err(); err != nil {
+					t.Fatalf("seed %d %s: a healthy image recorded %v", seed, name, err)
+				}
 			}
 		}
 	}
@@ -234,11 +254,20 @@ func TestPositionalMemoMatchesReference(t *testing.T) {
 func TestPositionalMemoConcurrent(t *testing.T) {
 	const goroutines, rounds = 8, 200
 	keys := positionalKeys(rand.New(rand.NewSource(7)), 24)
-	for _, budget := range []int{0, 12 * positionalEntryCost} {
-		ix := monolithic(segCorpus(150, 7))
-		refs := make([]Postings, len(keys))
-		for i, k := range keys {
-			refs[i] = k.reference(ix)
+	docs := segCorpus(150, 7)
+	mem := monolithic(docs)
+	refs := make([]Postings, len(keys))
+	for i, k := range keys {
+		refs[i] = k.reference(mem)
+	}
+	for _, leg := range []struct {
+		backing string
+		budget  int
+	}{{"memory", 0}, {"memory", 12 * positionalEntryCost}, {"v2", 0}, {"v2", 12 * positionalEntryCost}} {
+		budget := leg.budget
+		ix := monolithic(docs)
+		if leg.backing == "v2" {
+			ix = openV2File(t, blockSized(t, docs, 4))
 		}
 		m := &ix.positionals
 		m.budget = budget
@@ -272,12 +301,12 @@ func TestPositionalMemoConcurrent(t *testing.T) {
 					}
 					want := &refs[i]
 					if !reflect.DeepEqual(got.Docs, want.Docs) || !reflect.DeepEqual(got.Freqs, want.Freqs) || got.CF != want.CollectionFreq() {
-						t.Errorf("budget %d: %v diverges from the reference", budget, keys[i])
+						t.Errorf("%v: %v diverges from the reference", leg, keys[i])
 						return
 					}
 					if budget > 0 {
 						if c := m.cached(t); c > budget {
-							t.Errorf("budget %d: %d postings cached", budget, c)
+							t.Errorf("%v: %d postings cached", leg, c)
 							return
 						}
 					}
@@ -290,14 +319,17 @@ func TestPositionalMemoConcurrent(t *testing.T) {
 		for key, n := range fills {
 			total += n
 			if budget == 0 && n != 1 {
-				t.Errorf("key %q intersected %d times while resident", key, n)
+				t.Errorf("%v: key %q intersected %d times while resident", leg, key, n)
 			}
 		}
 		if int64(total) != misses.Load() {
-			t.Errorf("budget %d: %d intersections ran, callers were told of %d misses", budget, total, misses.Load())
+			t.Errorf("%v: %d intersections ran, callers were told of %d misses", leg, total, misses.Load())
 		}
 		if budget > 0 && total <= len(fills) {
-			t.Errorf("budget %d: eviction never forced a recomputation (%d fills of %d keys)", budget, total, len(fills))
+			t.Errorf("%v: eviction never forced a recomputation (%d fills of %d keys)", leg, total, len(fills))
+		}
+		if n := materialised(ix); ix.lazy != nil && n != 0 {
+			t.Errorf("%v: %d term rows materialised", leg, n)
 		}
 	}
 }
@@ -322,38 +354,148 @@ func TestPositionalHitAllocatesNothing(t *testing.T) {
 
 // TestPositionalMissAllocsIndependentOfMatches: a cold miss through a
 // warmed scratch allocates a fixed handful of objects — the entry, its
-// key, the two rows, the block summaries — not one per matching
-// document, so doubling the corpus does not move the count.
+// key, the two rows — not one per matching document, nor on a v2 index
+// one per decoded block (the cursors decode positions into the
+// scratch's reused windows), so doubling the corpus does not move the
+// count.
 func TestPositionalMissAllocsIndependentOfMatches(t *testing.T) {
 	keys := []positionalKey{{terms: []string{"a", "b"}}, {terms: []string{"a", "b"}, window: 4}}
-	var perCorpus [2][]float64
-	for i, n := range []int{400, 800} {
-		ix := monolithic(segCorpus(n, 5))
-		var sc PositionalScratch
-		for _, k := range keys {
-			if p, _ := k.leaf(ix, &sc); len(p.Docs) < n/20 {
-				t.Fatalf("%v matches only %d of %d documents", k, len(p.Docs), n)
+	for _, backing := range []string{"memory", "v2"} {
+		var perCorpus [2][]float64
+		for i, n := range []int{400, 800} {
+			ix := blockSized(t, segCorpus(n, 5), 4)
+			if backing == "v2" {
+				ix = openV2File(t, ix)
 			}
-			m := &ix.positionals
-			allocs := testing.AllocsPerRun(20, func() {
-				m.mu.Lock()
-				clear(m.cur)
-				clear(m.old)
-				m.curCost, m.oldCost = 0, 0
-				m.mu.Unlock()
-				if _, hit := k.leaf(ix, &sc); hit {
-					t.Fatal("the emptied memo reported a hit")
-				}
-			})
-			if allocs > 8 {
-				t.Errorf("%v over %d documents: a cold miss allocates %.1f times", k, n, allocs)
-			}
-			perCorpus[i] = append(perCorpus[i], allocs)
+			perCorpus[i] = missAllocs(t, ix, keys, n)
+		}
+		if !reflect.DeepEqual(perCorpus[0], perCorpus[1]) {
+			t.Errorf("%s: miss allocations grew with the corpus: %v at 400 documents, %v at 800", backing, perCorpus[0], perCorpus[1])
 		}
 	}
-	if !reflect.DeepEqual(perCorpus[0], perCorpus[1]) {
-		t.Errorf("miss allocations grew with the corpus: %v at 400 documents, %v at 800", perCorpus[0], perCorpus[1])
+}
+
+// missAllocs returns, per key, the allocations of a cold miss on ix of n
+// documents through one warmed scratch.
+func missAllocs(t *testing.T, ix *Index, keys []positionalKey, n int) []float64 {
+	t.Helper()
+	var sc PositionalScratch
+	var out []float64
+	for _, k := range keys {
+		if p, _ := k.leaf(ix, &sc); len(p.Docs) < n/20 {
+			t.Fatalf("%v matches only %d of %d documents", k, len(p.Docs), n)
+		}
+		m := &ix.positionals
+		allocs := testing.AllocsPerRun(20, func() {
+			m.mu.Lock()
+			clear(m.cur)
+			clear(m.old)
+			m.curCost, m.oldCost = 0, 0
+			m.mu.Unlock()
+			if _, hit := k.leaf(ix, &sc); hit {
+				t.Fatal("the emptied memo reported a hit")
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%v over %d documents: a cold miss allocates %.1f times", k, n, allocs)
+		}
+		out = append(out, allocs)
 	}
+	return out
+}
+
+// abKeys are the two operators the failure tests resolve over "a" and
+// "b", the most frequent terms of randomIndex.
+var abKeys = []positionalKey{{terms: []string{"a", "b"}}, {terms: []string{"a", "b"}, window: 5}}
+
+// requireEmptyFill demands that key k resolves to the empty leaf on ix,
+// that the empty result is what the memo keeps, that the exported form
+// agrees, that ix.Err recorded an error naming want, and that nothing
+// was materialised on the way.
+func requireEmptyFill(t *testing.T, label string, ix *Index, k positionalKey, want string) {
+	t.Helper()
+	var sc PositionalScratch
+	got, hit := k.leaf(ix, &sc)
+	if hit || len(got.Docs) != 0 || len(got.Freqs) != 0 || got.CF != 0 || got.Bounds != (TermBounds{}) {
+		t.Fatalf("%s %v: hit=%v, the failed fill kept %d documents (cf %d)", label, k, hit, len(got.Docs), got.CF)
+	}
+	if again, hit := k.leaf(ix, &sc); !hit || again != got {
+		t.Fatalf("%s %v: the empty result was not the cached one (hit=%v)", label, k, hit)
+	}
+	if p := k.reference(ix); len(p.Docs) != 0 || len(p.Positions) != 0 {
+		t.Fatalf("%s %v: the exported form kept %d documents", label, k, len(p.Docs))
+	}
+	if err := ix.Err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s %v: recorded %v, want %q", label, k, err, want)
+	}
+	if n := materialised(ix); n != 0 {
+		t.Fatalf("%s %v: %d term rows materialised", label, k, n)
+	}
+}
+
+// TestPositionalFillFailure: a fill that cannot read a constituent's
+// block resolves to the empty leaf, as a row that failed to decode
+// always did, and records why. A block that rots after Open is met
+// only once matches have already been gathered — the fragment must not
+// be cached. An index closed before its first fill reads nothing. A
+// CRC-consistent file whose block bounds lie decodes fine: the leaf is
+// the honest one, and the disagreement is recorded.
+func TestPositionalFillFailure(t *testing.T) {
+	mem := randomIndex(t, 300, 11)
+	if err := mem.SetBlockSize(4); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := encodeV2(&buf, mem); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("rotted-block", func(t *testing.T) {
+		for _, k := range abKeys {
+			ix := openV2Heap(t, append([]byte(nil), buf.Bytes()...))
+			want := k.reference(mem)
+			// Rot the block of "a" holding the last match, behind blocks
+			// that already matched.
+			id, last := ix.terms["a"], want.Docs[len(want.Docs)-1]
+			b := 0
+			for ix.blockBounds[id][b].LastDoc < last {
+				b++
+			}
+			if b == 0 || ix.blockBounds[id][b-1].LastDoc < want.Docs[0] {
+				t.Fatalf("%v: every match sits in block %d of a", k, b)
+			}
+			lz := ix.lazy
+			ext := lz.extents[int(lz.starts[id])+b]
+			lz.post[ext.off+int64(ext.size)-1] ^= 0xFF
+			requireEmptyFill(t, "rotted", ix, k, "checksum mismatch")
+		}
+	})
+
+	t.Run("closed", func(t *testing.T) {
+		ix := openV2File(t, mem)
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range abKeys {
+			requireEmptyFill(t, "closed", ix, k, "after Close")
+		}
+	})
+
+	t.Run("lying-bounds", func(t *testing.T) {
+		img, honest := lyingV2Bytes(t)
+		ix := openV2Heap(t, img)
+		var sc PositionalScratch
+		for _, k := range abKeys {
+			got, _ := k.leaf(ix, &sc)
+			requireMatchesReference(t, fmt.Sprintf("lying %v", k), ix, got, k.reference(honest))
+		}
+		if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "disagreed") {
+			t.Fatalf("recorded %v, want the bounds disagreement", err)
+		}
+		if n := materialised(ix); n != 0 {
+			t.Fatalf("%d term rows materialised", n)
+		}
+	})
 }
 
 // BenchmarkPositionalLeafHit is the warm path every served phrase leaf

@@ -205,17 +205,6 @@ func requireSplitMatches(t *testing.T, label string, ix, twin *Index, n int) {
 	}
 }
 
-// materialised counts ix's decoded postings rows.
-func materialised(ix *Index) int {
-	k := 0
-	for id := range ix.postings {
-		if ix.postings[id].Docs != nil {
-			k++
-		}
-	}
-	return k
-}
-
 // openV2File writes mem as a v2 file and opens it, closing it at test end.
 func openV2File(t *testing.T, mem *Index) *Index {
 	t.Helper()

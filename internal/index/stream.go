@@ -15,14 +15,15 @@ const DocEnd = DocID(math.MaxInt32)
 //
 //   - slice mode (Reset): a window over a fully materialised postings
 //     row — in-memory indexes, phrase/window leaves;
-//   - stream mode (ResetStream): one ~blockSize-document block of a
+//   - stream mode (ResetStream, or ResetStreamPositions to decode each
+//     block's position lists too): one ~blockSize-document block of a
 //     FormatV2 term decoded at a time, directly from the mmap'd
 //     postings section. Advance consults the block directory to skip
 //     whole blocks without decoding them, and moving onto a block whose
 //     first document already satisfies the target parks the cursor
 //     there pending — reading only the block's first uvarint — so a
 //     merely-peeked block costs no decode at all. Decode happens lazily
-//     on the first Freq/Next/in-block landing, with the same per-block
+//     on the first Freq/Positions/Next/in-block landing, with the same per-block
 //     CRC check and bound re-derivation as the eager materialiser;
 //     failures are recorded on the index (Index.Err) and exhaust the
 //     cursor instead of panicking.
@@ -32,15 +33,16 @@ const DocEnd = DocID(math.MaxInt32)
 // counts the blocks this cursor actually paid to decode (the numerator
 // of SearchStats.BlocksDecoded).
 //
-// A TermCursor is single-goroutine state. The decode window backing is
-// retained across Reset/ResetStream/Release, which is what makes pooled
-// reuse allocation-free in steady state.
+// A TermCursor is single-goroutine state. The decode window backing,
+// positions included, is retained across Reset/ResetStream/Release,
+// which is what makes pooled reuse allocation-free in steady state.
 type TermCursor struct {
 	// Current decode window (stream mode) or the whole row (slice mode).
 	docs  []DocID
 	freqs []int32
-	j     int   // position inside docs
-	cur   DocID // docs[j], or the peeked block-first doc, or DocEnd
+	pos   [][]int32 // the row's positions, or the block's in positions mode
+	j     int       // position inside docs
+	cur   DocID     // docs[j], or the peeked block-first doc, or DocEnd
 
 	// Stream-mode state; ix == nil means slice mode.
 	ix      *Index
@@ -50,10 +52,16 @@ type TermCursor struct {
 	loaded  bool // docs/freqs hold block blk (false: parked on its first doc)
 	n       int  // total postings (df)
 	blockSz int
+	withPos bool // positions mode: blocks decode their position lists too
+	// failed records that a block failed its checks and exhausted the
+	// cursor early, which DocEnd alone does not tell apart from the end.
+	failed bool
 
 	// Reusable decode backing; survives Reset and Release.
 	wdocs  []DocID
 	wfreqs []int32
+	wpos   [][]int32
+	wposBk []int32 // one array behind every list of wpos
 
 	// Decoded counts blocks this cursor decoded since its last Reset.
 	Decoded int64
@@ -68,14 +76,15 @@ func (c *TermCursor) Reset(p *Postings) {
 	c.loaded = true
 	c.j = 0
 	c.Decoded = 0
+	c.failed = false
 	if p == nil || len(p.Docs) == 0 {
-		c.docs, c.freqs = nil, nil
+		c.docs, c.freqs, c.pos = nil, nil, nil
 		c.n = 0
 		c.cur = DocEnd
 		c.loaded = false // guarded slow paths; see exhaust
 		return
 	}
-	c.docs, c.freqs = p.Docs, p.Freqs
+	c.docs, c.freqs, c.pos = p.Docs, p.Freqs, p.Positions
 	c.n = len(p.Docs)
 	c.cur = p.Docs[0]
 }
@@ -83,17 +92,25 @@ func (c *TermCursor) Reset(p *Postings) {
 // ResetStream points the cursor at term id of a FormatV2-backed index,
 // parked on the first document of the first block without decoding it.
 // The index must be lazy-backed (StreamableTerm reported true).
-func (c *TermCursor) ResetStream(ix *Index, id int32) {
+func (c *TermCursor) ResetStream(ix *Index, id int32) { c.resetStream(ix, id, false) }
+
+// ResetStreamPositions is ResetStream in positions mode: every block the
+// cursor decodes also yields its position lists, which Positions serves.
+func (c *TermCursor) ResetStreamPositions(ix *Index, id int32) { c.resetStream(ix, id, true) }
+
+func (c *TermCursor) resetStream(ix *Index, id int32, withPos bool) {
 	lz := ix.lazy
 	c.ix = ix
 	c.id = id
 	c.blocks = ix.blockBounds[id]
 	c.blockSz = lz.blockSz
 	c.n = int(lz.df[id])
-	c.docs, c.freqs = nil, nil
+	c.docs, c.freqs, c.pos = nil, nil, nil
 	c.j = 0
 	c.blk = 0
 	c.loaded = false
+	c.withPos = withPos
+	c.failed = false
 	c.Decoded = 0
 	if c.n == 0 {
 		c.exhaust()
@@ -143,6 +160,19 @@ func (c *TermCursor) freqSlow() int32 {
 		return 0
 	}
 	return c.freqs[c.j]
+}
+
+// Positions returns the term's token positions in the current document,
+// ascending; nil once the cursor is exhausted (or a decode failed). A
+// slice-mode cursor serves its row's Positions; a stream-mode cursor
+// must be in positions mode, and decodes the parked block on first touch
+// as Freq does. The slice is read-only and, in stream mode, valid until
+// the cursor leaves the block.
+func (c *TermCursor) Positions() []int32 {
+	if c.cur == DocEnd || !c.ensureLoaded() {
+		return nil
+	}
+	return c.pos[c.j]
 }
 
 // Next advances to the following posting and returns its document
@@ -276,7 +306,7 @@ func (c *TermCursor) enterBlock(b int, target DocID) DocID {
 	for ; b < len(c.blocks); b++ {
 		if first, ok := c.peekFirst(b); ok && target <= first {
 			c.blk, c.j, c.loaded = b, 0, false
-			c.docs, c.freqs = nil, nil
+			c.docs, c.freqs, c.pos = nil, nil, nil
 			c.cur = first
 			return first
 		}
@@ -302,7 +332,7 @@ func (c *TermCursor) moveToBlock(b int) {
 		return
 	}
 	c.blk, c.j, c.loaded = b, 0, false
-	c.docs, c.freqs = nil, nil
+	c.docs, c.freqs, c.pos = nil, nil, nil
 	if first, ok := c.peekFirst(b); ok {
 		c.cur = first
 		return
@@ -345,9 +375,10 @@ func (c *TermCursor) peekFirst(b int) (DocID, bool) {
 
 // decodeStream decodes block b into the given slices, with the same
 // closed-index guard, CRC check, structural validation and error
-// taxonomy as the eager materialiser. Positions are validated but not
-// retained (the streaming evaluator never needs them).
-func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32) error {
+// taxonomy as the eager materialiser. Positions are always validated;
+// they are kept only when positions is non-nil, in the cursor's reused
+// backing.
+func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32, positions *[][]int32) error {
 	ix := c.ix
 	lz := ix.lazy
 	if lz.closed.Load() {
@@ -357,7 +388,7 @@ func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32) error {
 	if !lz.verifyBlock(slot, buf) {
 		return fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[c.id], b)
 	}
-	if err := decodeBlockInto(buf, base, n, int32(len(ix.docLens)), docs, freqs, nil); err != nil {
+	if err := decodeBlockInto(buf, base, n, int32(len(ix.docLens)), docs, freqs, positions, &c.wposBk); err != nil {
 		return fmt.Errorf("index: term %q block %d: %w", ix.termText[c.id], b, err)
 	}
 	return nil
@@ -370,8 +401,14 @@ func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32) error {
 func (c *TermCursor) loadBlock(b int) bool {
 	c.wdocs = c.wdocs[:0]
 	c.wfreqs = c.wfreqs[:0]
-	if err := c.decodeStream(b, &c.wdocs, &c.wfreqs); err != nil {
+	var pos *[][]int32
+	if c.withPos {
+		c.wpos = c.wpos[:0]
+		pos = &c.wpos
+	}
+	if err := c.decodeStream(b, &c.wdocs, &c.wfreqs, pos); err != nil {
 		c.ix.lazy.record(err)
+		c.failed = true
 		c.exhaust()
 		return false
 	}
@@ -386,6 +423,9 @@ func (c *TermCursor) loadBlock(b int) bool {
 		c.ix.lazy.record(fmt.Errorf("index: term %q stored block bounds disagreed with postings (corrected)", c.ix.termText[c.id]))
 	}
 	c.docs, c.freqs = c.wdocs, c.wfreqs
+	if c.withPos {
+		c.pos = c.wpos
+	}
 	c.blk = b
 	c.loaded = true
 	return true
@@ -396,7 +436,7 @@ func (c *TermCursor) loadBlock(b int) bool {
 func (c *TermCursor) recordBlockError(b int) {
 	var docs []DocID
 	var freqs []int32
-	if err := c.decodeStream(b, &docs, &freqs); err != nil {
+	if err := c.decodeStream(b, &docs, &freqs, nil); err != nil {
 		c.ix.lazy.record(err)
 	}
 }
@@ -421,7 +461,7 @@ func (c *TermCursor) ensureLoaded() bool {
 func (c *TermCursor) exhaust() {
 	c.cur = DocEnd
 	c.loaded = false
-	c.docs, c.freqs = nil, nil
+	c.docs, c.freqs, c.pos = nil, nil, nil
 	c.j = 0
 }
 
@@ -430,7 +470,7 @@ func (c *TermCursor) exhaust() {
 // for reuse.
 func (c *TermCursor) Release() {
 	c.ix = nil
-	c.docs, c.freqs = nil, nil
+	c.docs, c.freqs, c.pos = nil, nil, nil
 	c.blocks = nil
 	c.n = 0
 	c.cur = DocEnd

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +45,8 @@ func streamPair(t *testing.T, img []byte, term string) (*Index, int32, *Postings
 // TestStreamCursorMatchesSliceCursor: full differential — every walk a
 // streaming cursor can take (next-walk, advance to every present and
 // absent document, peeks at every position) must agree with a slice
-// cursor over the materialised row. Block sizes force single-block,
+// cursor over the materialised row, and so must the position lists a
+// positions-mode cursor serves. Block sizes force single-block,
 // partial-trailing-block and whole-list-in-one-block shapes.
 func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 	for _, bs := range []int{1, 3, 4, 7, 1 << 14} {
@@ -60,9 +62,10 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 			sx, id, p := streamPair(t, buf.Bytes(), term)
 			label := fmt.Sprintf("bs=%d term=%q", bs, term)
 
-			// Walk with Next, checking Doc/Freq/Rank/PeekNext at every step.
+			// Walk with Next in positions mode, checking Doc/Freq/Rank/
+			// PeekNext/Positions at every step.
 			var sc TermCursor
-			sc.ResetStream(sx, id)
+			sc.ResetStreamPositions(sx, id)
 			if sc.Len() != len(p.Docs) {
 				t.Fatalf("%s: Len=%d want %d", label, sc.Len(), len(p.Docs))
 			}
@@ -80,6 +83,9 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 				if got := sc.Freq(); got != p.Freqs[i] {
 					t.Fatalf("%s: step %d Freq=%d want %d", label, i, got, p.Freqs[i])
 				}
+				if got := sc.Positions(); !slices.Equal(got, p.Positions[i]) {
+					t.Fatalf("%s: step %d Positions=%v want %v", label, i, got, p.Positions[i])
+				}
 				sc.Next()
 			}
 			if sc.Doc() != DocEnd || sc.Rank() != len(p.Docs) {
@@ -87,6 +93,9 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 			}
 			if sc.Next() != DocEnd || sc.PeekNext() != DocEnd {
 				t.Fatalf("%s: exhausted cursor moved", label)
+			}
+			if decoded := sc.Decoded; sc.Positions() != nil || sc.Decoded != decoded {
+				t.Fatalf("%s: an exhausted cursor served positions or decoded again", label)
 			}
 
 			// Advance from a fresh cursor to every possible target.
@@ -109,13 +118,14 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 				}
 			}
 
-			// Seeded random interleavings of Next/Advance/Freq/PeekNext.
+			// Seeded random interleavings of Next/Advance/Freq/PeekNext/
+			// Positions, in positions mode.
 			rng := rand.New(rand.NewSource(int64(bs)))
 			var st, sl TermCursor
-			st.ResetStream(sx, id)
+			st.ResetStreamPositions(sx, id)
 			sl.Reset(p)
 			for op := 0; op < 500 && st.Doc() != DocEnd; op++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					if g, w := st.Next(), sl.Next(); g != w {
 						t.Fatalf("%s: op %d Next %d vs %d", label, op, g, w)
@@ -132,6 +142,10 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 				case 3:
 					if g, w := st.PeekNext(), sl.PeekNext(); g != w {
 						t.Fatalf("%s: op %d PeekNext %d vs %d", label, op, g, w)
+					}
+				case 4:
+					if g, w := st.Positions(), sl.Positions(); !slices.Equal(g, w) {
+						t.Fatalf("%s: op %d Positions %v vs %v", label, op, g, w)
 					}
 				}
 				if st.Rank() != sl.Rank() {

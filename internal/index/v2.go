@@ -54,18 +54,22 @@ import (
 // bounds; directory lengths must tile the postings section exactly) and
 // CRC-scans the postings blocks, so flip/truncate corruption anywhere
 // in the file fails Open deterministically. Postings are then served
-// two ways. Whole-row materialisation (termPostings) decodes a term on
-// first use; that decoder re-derives each block's bound summary from
-// the decoded postings and ADOPTS the derived values on disagreement
-// (recording the event via Index.Err). Streaming block cursors
-// (TermCursor.ResetStream, stream.go) instead decode one block at a
-// time and TRUST the stored, CRC-tied, Open-cross-validated directory
-// for block selection and score bounds — they re-derive each decoded
-// block's summary and record a disagreement via Index.Err, so a
-// CRC-consistent file whose bounds lie is detected the moment a lied-
-// about block is decoded and the query degrades rather than silently
-// dropping documents. Open(..., WithVerify()) forces every term through
-// the full decoder up front, the right mode for untrusted files.
+// two ways. Streaming block cursors (TermCursor.ResetStream, stream.go)
+// serve every query: term leaves, and — in positions mode
+// (ResetStreamPositions), one cursor per constituent — the phrase and
+// window intersections behind positional leaves. They decode one block
+// at a time into a reused window and TRUST the stored, CRC-tied,
+// Open-cross-validated directory for block selection and score bounds;
+// they re-derive each decoded block's summary and record a disagreement
+// via Index.Err, so a CRC-consistent file whose bounds lie is detected
+// the moment a lied-about block is decoded and the query degrades
+// rather than silently dropping documents. Whole-row materialisation
+// (termPostings) decodes a term into ix.postings, kept for the life of
+// the index; only the full-index walks (forward vectors, re-encoding,
+// WithVerify) use it. That decoder ADOPTS the re-derived bounds on
+// disagreement (recording the event via Index.Err). Open(...,
+// WithVerify()) forces every term through it up front, the right mode
+// for untrusted files.
 
 var indexMagicV2 = []byte("SQEBX\x01")
 
@@ -260,7 +264,7 @@ func (lz *lazyPostings) decode(ix *Index, id int32) Postings {
 func decodeBlock(buf []byte, base DocID, n int, numDocs int32, docLens []int32, p *Postings) (BlockBounds, error) {
 	var bb BlockBounds
 	start := len(p.Docs)
-	if err := decodeBlockInto(buf, base, n, numDocs, &p.Docs, &p.Freqs, &p.Positions); err != nil {
+	if err := decodeBlockInto(buf, base, n, numDocs, &p.Docs, &p.Freqs, &p.Positions, nil); err != nil {
 		return bb, err
 	}
 	last := base // n == 0 decodes nothing; keep the caller's base
@@ -278,11 +282,21 @@ func decodeBlock(buf []byte, base DocID, n int, numDocs int32, docLens []int32, 
 // inside the corpus, frequencies sit in (0, maxFreq], every position
 // list has freq entries below maxPosition, and the block's bytes are
 // consumed exactly. A nil positions pointer validates and discards the
-// position data without allocating — the streaming cursor's mode, which
-// keeps per-block decode zero-allocation in steady state.
-func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID, freqs *[]int32, positions *[][]int32) error {
+// position data without allocating — the plain streaming cursor's mode.
+// Otherwise the position lists are appended to *positions, all of them
+// backed by one array: a fresh one per block when backing is nil (rows
+// that outlive the call), else *backing, reused and grown in place — a
+// positions-mode cursor's, which keeps its per-block decode
+// allocation-free in steady state.
+func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID, freqs *[]int32, positions *[][]int32, backing *[]int32) error {
 	pos := 0
 	read := func() (uint64, error) {
+		// Nearly every value of a block — a gap, a frequency, a position
+		// delta — fits one byte.
+		if pos < len(buf) && buf[pos] < 0x80 {
+			pos++
+			return uint64(buf[pos-1]), nil
+		}
 		v, w := binary.Uvarint(buf[pos:])
 		if w <= 0 {
 			return 0, errors.New("truncated uvarint")
@@ -323,21 +337,26 @@ func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID
 		*freqs = append(*freqs, int32(f))
 	}
 	// One backing array holds the whole block's position lists, each
-	// handed out as a full slice expression of it: a block costs one
-	// allocation instead of one per posting. Rows are read-only, so
+	// handed out as a full slice expression of it: a block costs at most
+	// one allocation instead of one per posting. Rows are read-only, so
 	// sharing a backing is safe. (Should the count exceed the prealloc
 	// cap the backing regrows and earlier lists keep the old array.)
-	var backing []int32
+	var bk []int32
 	if positions != nil {
 		var total uint64
 		for _, f := range (*freqs)[fstart:] {
 			total += uint64(f)
 		}
-		backing = make([]int32, 0, prealloc(total))
+		if backing != nil {
+			bk = (*backing)[:0]
+		}
+		if uint64(cap(bk)) < total {
+			bk = make([]int32, 0, prealloc(total))
+		}
 	}
 	for i := 0; i < n; i++ {
 		f := (*freqs)[fstart+i]
-		start := len(backing)
+		start := len(bk)
 		prevPos := int32(0)
 		for j := int32(0); j < f; j++ {
 			pd, err := read()
@@ -353,12 +372,15 @@ func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID
 			}
 			prevPos = pp
 			if positions != nil {
-				backing = append(backing, pp)
+				bk = append(bk, pp)
 			}
 		}
 		if positions != nil {
-			*positions = append(*positions, backing[start:len(backing):len(backing)])
+			*positions = append(*positions, bk[start:len(bk):len(bk)])
 		}
+	}
+	if backing != nil && positions != nil {
+		*backing = bk
 	}
 	if pos != len(buf) {
 		return fmt.Errorf("%d trailing bytes", len(buf)-pos)

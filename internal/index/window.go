@@ -23,14 +23,9 @@ func (ix *Index) UnorderedWindowPostings(terms []string, window int) Postings {
 // position lists and counts (and, when collect is set, returns the start
 // position of) every minimal window of width ≤ window covering one
 // occurrence of each constituent.
-func windowMatches(sc *PositionalScratch, rows []int, window int32, collect bool) (int32, []int32) {
-	lists := sc.lists
-	sc.ptr = zeroed(sc.ptr, len(lists))
-	sc.pos = sc.pos[:0]
-	for i, l := range lists {
-		sc.pos = append(sc.pos, l.Positions[rows[i]])
-	}
-	ptr, pos := sc.ptr, sc.pos
+func windowMatches(sc *PositionalScratch, pos [][]int32, window int32, collect bool) (int32, []int32) {
+	sc.ptr = zeroed(sc.ptr, len(pos))
+	ptr := sc.ptr
 	var matches []int32
 	var n int32
 	for {

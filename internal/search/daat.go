@@ -16,8 +16,8 @@ const exhausted = index.DocEnd
 // cursors are merged in document order and every candidate goes through
 // a bounded top-k min-heap instead of a full candidate map + sort. It
 // visits exactly the union of the leaves' postings and sums leaf
-// contributions in leaf order — the order Explain and ScoreDoc sum in,
-// so a document's score has the same bits on all three paths.
+// contributions in leaf order — the order Explain sums in, so a
+// document's score has the same bits on both paths.
 //
 // The merge is a single fused pass per candidate: each leaf's current
 // document is cached in a flat slice, and while one candidate is being

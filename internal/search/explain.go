@@ -43,10 +43,6 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	var names []string
 	s.flattenNamed(q, 1, &leaves, &names, &sc.positional)
 	sc.leaves = leaves
-	// Explain walks materialised postings rows directly (findDoc over
-	// l.postings.Docs), so streaming leaves are resolved eagerly here —
-	// this is a debugging path, not the query hot path.
-	s.materializeLeaves(leaves)
 	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
 	prepareLeaves(s.Model, cs, leaves)
 	score := buildScorer(s.Model, s.resolveParams(), cs)
@@ -59,10 +55,18 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	// at a second weight).
 	lift := make([]float64, len(leaves))
 	order := make([]int, len(leaves))
+	// A streaming leaf's tf is read through a block cursor, which decodes
+	// at most the one block holding doc; a materialised row is searched.
+	var cur index.TermCursor
 	for li := range leaves {
 		l := &leaves[li]
 		tf := int32(0)
-		if i := findDoc(l.postings.Docs, doc); i >= 0 {
+		if l.stream {
+			cur.ResetStream(s.ix, l.termID)
+			if cur.Advance(doc) == doc {
+				tf = cur.Freq()
+			}
+		} else if i := findDoc(l.postings.Docs, doc); i >= 0 {
 			tf = l.postings.Freqs[i]
 		}
 		contrib := score(l, tf, dl)

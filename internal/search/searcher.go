@@ -83,9 +83,7 @@ type leaf struct {
 	positional *index.Positional
 	// stream marks a term leaf of a v2-backed index that the evaluators
 	// walk through a streaming block cursor instead of a materialised
-	// postings row: postings stays empty and termID names the row. Paths
-	// that need the real row (ScoreDoc, Explain) convert via
-	// materializeLeaves first.
+	// postings row: postings stays empty and termID names the row.
 	stream bool
 	// nPost is the leaf's postings count independent of materialisation
 	// (len(postings.Docs) for materialised leaves, the stored df for
@@ -221,22 +219,6 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 	}
 }
 
-// materializeLeaves converts streaming leaves into materialised ones in
-// place, for the paths that walk postings rows directly (ScoreDoc,
-// Explain).
-func (s *Searcher) materializeLeaves(leaves []leaf) {
-	for li := range leaves {
-		l := &leaves[li]
-		if !l.stream {
-			continue
-		}
-		if p := s.ix.PostingsByID(l.termID); p != nil {
-			l.postings = *p
-		}
-		l.stream = false
-	}
-}
-
 // Search scores the query and returns the top k documents ordered by
 // descending score; ties break on ascending DocID so results are
 // deterministic. Only documents containing at least one query leaf are
@@ -355,31 +337,6 @@ func evalLeaves(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
 	}
 	return searchMaxScore(ctx, ix, dead, leaves, k, score, pb, st, sc)
-}
-
-// ScoreDoc computes the query-likelihood score of a single document; used
-// by the relevance-model PRF, which needs P(Q|D) for the feedback set.
-func (s *Searcher) ScoreDoc(q Node, doc index.DocID) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
-	leaves := sc.leaves[:0]
-	s.flatten(q, 1, &leaves, &sc.positional, nil)
-	sc.leaves = leaves
-	s.materializeLeaves(leaves)
-	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
-	prepareLeaves(s.Model, cs, leaves)
-	score := buildScorer(s.Model, s.resolveParams(), cs)
-	dl := float64(s.ix.DocLen(doc))
-	total := 0.0
-	for li := range leaves {
-		l := &leaves[li]
-		tf := int32(0)
-		if i := findDoc(l.postings.Docs, doc); i >= 0 {
-			tf = l.postings.Freqs[i]
-		}
-		total += score(l, tf, dl)
-	}
-	return total
 }
 
 // findDoc binary-searches a sorted doc list, returning the row index or

@@ -181,14 +181,27 @@ func TestTopKTruncation(t *testing.T) {
 	}
 }
 
-func TestScoreDocMatchesSearch(t *testing.T) {
-	ix := buildIndex("a b c", "a a b", "x y z")
-	s := NewSearcher(ix)
-	q := Combine(Term{Text: "a"}, Term{Text: "b"})
-	res := s.Search(q, 10)
-	for _, r := range res {
-		if got := s.ScoreDoc(q, r.Doc); math.Abs(got-r.Score) > 1e-12 {
-			t.Errorf("ScoreDoc(%s) = %v, Search score %v", r.Name, got, r.Score)
+// TestExplainScoreMatchesSearch: Explain's score of every ranked
+// document is the evaluator's, in memory and over the index's v2 file at
+// one posting per block, where term leaves stream and Explain reads
+// their tf through a block cursor.
+func TestExplainScoreMatchesSearch(t *testing.T) {
+	mem := blockSized(t, buildIndex("a b c", "a a b", "x y z", "b a", "c c a b"), 1)
+	q := Weight([]float64{2, 1, 1}, []Node{
+		Combine(Term{Text: "a"}, Term{Text: "b"}),
+		Phrase{Terms: []string{"a", "b"}},
+		Unordered{Terms: []string{"b", "c"}, Width: 4},
+	})
+	for name, ix := range map[string]*index.Index{"memory": mem, "v2": v2Copy(t, mem)} {
+		s := NewSearcher(ix)
+		res := s.Search(q, 10)
+		if len(res) != 4 {
+			t.Fatalf("%s: %d results, want 4", name, len(res))
+		}
+		for _, r := range res {
+			if got := s.Explain(q, r.Doc).Score; math.Abs(got-r.Score) > 1e-12 {
+				t.Errorf("%s: Explain(%s).Score = %v, Search score %v", name, r.Name, got, r.Score)
+			}
 		}
 	}
 }
