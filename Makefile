@@ -37,9 +37,11 @@ race:
 # base plus 16 tombstoned segments (B/op and allocs/op are the merge's
 # footprint; ns/op is mostly its two fsyncs), and the two-way split of a
 # 20 000-document v2 file into shard images (B/op and allocs/op are what
-# it costs beside the mapping).
+# it costs beside the mapping). RemoteEvaluate is coordinator-s2 below
+# the HTTP tier: two shard servers on loopback behind the RPC
+# coordinator (B/op and allocs/op count both ends of the wire).
 bench:
-	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned' -benchmem .
+	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
@@ -60,7 +62,7 @@ chaos:
 
 # Short fuzz rounds over every fuzz target with a committed seed corpus
 # (wikixml parser, live-index mutation scripts against the oracle, v2
-# decoder, manifest). Not part of verify — run on demand or in CI's cron
+# decoder, manifest, shard RPC bodies). Not part of verify — run on demand or in CI's cron
 # lane. An op of FuzzDifferentialScript is file I/O, so minimising each
 # coverage-interesting input for the default 60 s would leave no time to
 # fuzz.
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBlockDecode -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzOpenV2 -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzSegmentManifest -fuzztime 30s -run '^$$' ./internal/index/
+	$(GO) test -fuzz FuzzShardFrame -fuzztime 30s -run '^$$' ./internal/search/
 
 # The full gate run before every commit. Correctness is `go test`, under
 # -race for every package with concurrency; performance is

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/kb"
 	"repro/internal/motif"
+	"repro/internal/rpc"
 	"repro/internal/search"
 	"repro/internal/wikigen"
 )
@@ -333,6 +335,41 @@ func benchSearchTopKSharded(b *testing.B, shards int) {
 func BenchmarkSearchExpandedTopKSharded2(b *testing.B) { benchSearchTopKSharded(b, 2) }
 func BenchmarkSearchExpandedTopKSharded4(b *testing.B) { benchSearchTopKSharded(b, 4) }
 func BenchmarkSearchExpandedTopKSharded8(b *testing.B) { benchSearchTopKSharded(b, 8) }
+
+// BenchmarkRemoteEvaluate is the coordinator-s2 shape below the HTTP
+// tier: expanded CHiC queries at k = 10 over two shard servers on
+// loopback behind NewRemoteSharded, so each op is one shard.stats plus
+// one shard.eval per shard. Client and servers share the process, so
+// B/op and allocs/op count both ends of the wire.
+func BenchmarkRemoteEvaluate(b *testing.B) {
+	s := suite(b)
+	nodes := expandedNodes(s.NewRunner(s.CHiC2012))
+	sh := index.NewSharded(s.CHiC2012.Index, 2)
+	groups := make([]*rpc.Group, sh.NumShards())
+	for i := range groups {
+		srv := rpc.NewServer()
+		search.NewShardService(sh.Shard(i), i, sh.NumShards()).Register(srv)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		defer srv.Close()
+		groups[i] = rpc.NewGroup([]*rpc.Client{rpc.NewClient(ln.Addr().String(), rpc.ClientOptions{MaxRetries: -1})}, rpc.GroupOptions{})
+	}
+	rs, err := search.NewRemoteSharded(context.Background(), groups)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rs.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rs.Evaluate(context.Background(), nodes[i%len(nodes)], 10, search.EvalOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSearchExpanded measures one full SQE_T&S retrieval including
 // expansion and query construction.

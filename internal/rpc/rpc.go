@@ -2,24 +2,32 @@
 // framed-message RPC over TCP connecting the search coordinator to
 // shard-server processes (see search.RemoteSharded and cmd/sqe-serve's
 // shard/coordinator modes). The repo takes no dependencies, so the
-// protocol is deliberately small:
+// protocol is deliberately small and binary:
 //
-//	frame   := length(uint32, big-endian) payload(length bytes)
-//	payload := JSON
+//	frame    := length(uint32, big-endian) payload(length bytes)
+//	request  := WireVersion  uvarint(len(method)) method  body
+//	response := WireVersion  0x00  body
+//	          | WireVersion  0x01  uvarint(len(code)) code  uvarint(len(message)) message
 //
-// A connection carries a sequence of request/response round trips in
-// lock step (no multiplexing — the coordinator pools connections
-// instead, which keeps both ends trivially correct). Requests name a
-// method and carry a JSON body; responses carry either a body or a
-// typed error:
+// A frame goes out in one Write. A connection carries a sequence of
+// request/response round trips in lock step (no multiplexing — the
+// coordinator pools connections instead, which keeps both ends
+// trivially correct).
 //
-//	request  {"method": "shard.eval", "body": {…}}
-//	response {"ok": true,  "body": {…}}
-//	response {"ok": false, "error": {"code": "…", "message": "…"}}
+// A body is a value's AppendBinary output when it has that method (the
+// shape of encoding.BinaryAppender) and is decoded with
+// encoding.BinaryUnmarshaler; the search package's shard messages carry
+// floats as their raw IEEE-754 bits, so statistics and scores cross the
+// wire without loss. Any other value is JSON. That fallback, and
+// Handler's json.RawMessage parameter, exist only because bench/
+// registers and calls a JSON handler; they go once ROADMAP item 1 (a)
+// unbinds bench/.
 //
-// JSON is safe for the engine's bit-identity guarantee: Go's encoder
-// emits the shortest float64 representation that round-trips exactly,
-// so statistics and scores cross the wire without loss.
+// A peer speaking another wire version — the JSON envelope this format
+// replaced starts its payload with '{' — is refused, never retried: a
+// server closes the connection without a reply, and a client gets
+// ErrWireVersion. A mixed-version topology therefore fails at the
+// coordinator's handshake, at boot.
 //
 // Failure handling is layered the same way the single-process engine
 // layers it:
@@ -43,6 +51,7 @@ package rpc
 
 import (
 	"context"
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -60,18 +69,74 @@ import (
 // allocation request.
 const MaxFrame = 64 << 20
 
-// writeFrame writes one length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds MaxFrame", len(payload))
+// WireVersion is the first byte of every payload.
+const WireVersion byte = 2
+
+// Response status bytes.
+const (
+	statusOK    byte = 0
+	statusError byte = 1
+)
+
+// ErrWireVersion is the error a client returns when the server's reply
+// is not in this package's wire format. It is terminal: asking the same
+// server again gets the same answer.
+var ErrWireVersion = errors.New("rpc: peer speaks another wire version")
+
+// startFrame resets buf to a frame holding only its length header (to be
+// filled in by sendFrame) and the version byte.
+func startFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0, WireVersion) }
+
+// sendFrame fills in frame's length header and writes it in one Write.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("rpc: frame of %d bytes exceeds MaxFrame", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
+}
+
+// appendString appends s with its uvarint length prefix.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// cutString splits a uvarint-length-prefixed string off the front of p.
+func cutString(p []byte) (s, rest []byte, ok bool) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return nil, nil, false
+	}
+	return p[k : k+int(n)], p[k+int(n):], true
+}
+
+// binaryAppender is encoding.BinaryAppender, spelled out because that
+// interface is newer than the go line in go.mod.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// appendBody appends v's encoding to b: AppendBinary when v has it, JSON
+// otherwise (see the package comment for why JSON remains).
+func appendBody(b []byte, v any) ([]byte, error) {
+	if a, ok := v.(binaryAppender); ok {
+		return a.AppendBinary(b)
+	}
+	j, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, j...), nil
+}
+
+// decodeBody is appendBody's inverse.
+func decodeBody(body []byte, out any) error {
+	if u, ok := out.(encoding.BinaryUnmarshaler); ok {
+		return u.UnmarshalBinary(body)
+	}
+	return json.Unmarshal(body, out)
 }
 
 // readFrame reads one length-prefixed payload.
@@ -91,24 +156,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// request is the client→server payload.
-type request struct {
-	Method string          `json:"method"`
-	Body   json.RawMessage `json:"body,omitempty"`
-}
-
-// response is the server→client payload.
-type response struct {
-	OK    bool            `json:"ok"`
-	Body  json.RawMessage `json:"body,omitempty"`
-	Error *wireError      `json:"error,omitempty"`
-}
-
-// wireError is the typed error envelope an application failure crosses
-// the wire as.
-type wireError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+// appendError appends an error response's status, code and message to
+// a started frame.
+func appendError(frame []byte, code, message string) []byte {
+	return appendString(appendString(append(frame, statusError), code), message)
 }
 
 // ServerError is an application-level error returned by the remote
@@ -151,9 +202,15 @@ func IsTransport(err error) bool {
 }
 
 // Handler serves one method: decode the raw body, do the work, return a
-// result to be JSON-encoded (or an error, which crosses the wire as a
-// ServerError).
-type Handler func(ctx context.Context, body json.RawMessage) (any, error)
+// result to be encoded like a request body (or an error, which crosses
+// the wire as a ServerError).
+type Handler func(ctx context.Context, body Body) (any, error)
+
+// Body is a request body as the client encoded it. It is
+// json.RawMessage rather than []byte only because bench/ registers a
+// Handler literal with that parameter type; it becomes []byte once
+// ROADMAP item 1 (a) unbinds bench/.
+type Body = json.RawMessage
 
 // Server dispatches framed requests to registered handlers. Construct
 // with NewServer, register with Handle, then Serve a listener.
@@ -222,56 +279,53 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
+	// The response frame is built in one buffer the connection reuses.
+	var frame []byte
 	for {
 		payload, err := readFrame(conn)
 		if err != nil {
 			return // client went away or stream corrupt; nothing to answer
 		}
-		var req request
-		if err := json.Unmarshal(payload, &req); err != nil {
-			_ = s.reply(conn, response{Error: &wireError{Code: "bad_request", Message: err.Error()}})
+		if len(payload) == 0 || payload[0] != WireVersion {
+			return // another wire version: it could not read our reply
+		}
+		method, body, ok := cutString(payload[1:])
+		if !ok {
+			_ = sendFrame(conn, appendError(startFrame(frame), "bad_request", "rpc: malformed method name"))
 			return
 		}
-		resp := s.dispatch(req)
-		if err := s.reply(conn, resp); err != nil {
+		frame = s.dispatch(startFrame(frame), method, body)
+		if err := sendFrame(conn, frame); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch runs one request through the fault hook and its handler,
-// containing handler panics into error responses so one bad request
-// cannot kill the shard process.
-func (s *Server) dispatch(req request) (resp response) {
+// dispatch runs one request through the fault hook and its handler and
+// appends the response to the started frame, containing handler panics
+// into error responses so one bad request cannot kill the shard process.
+func (s *Server) dispatch(frame, method, body []byte) (resp []byte) {
 	defer func() {
 		if v := recover(); v != nil {
-			resp = response{Error: &wireError{Code: "panic", Message: fmt.Sprint(v)}}
+			resp = appendError(frame, "panic", fmt.Sprint(v))
 		}
 	}()
 	if err := fault.Check(fault.RPCServer); err != nil {
-		return response{Error: &wireError{Code: "injected_fault", Message: err.Error()}}
+		return appendError(frame, "injected_fault", err.Error())
 	}
-	h, ok := s.handlers[req.Method]
+	h, ok := s.handlers[string(method)]
 	if !ok {
-		return response{Error: &wireError{Code: "unknown_method", Message: fmt.Sprintf("no handler for %q", req.Method)}}
+		return appendError(frame, "unknown_method", fmt.Sprintf("no handler for %q", method))
 	}
-	out, err := h(context.Background(), req.Body)
+	out, err := h(context.Background(), body)
 	if err != nil {
-		return response{Error: &wireError{Code: "handler_error", Message: err.Error()}}
+		return appendError(frame, "handler_error", err.Error())
 	}
-	body, err := json.Marshal(out)
+	resp, err = appendBody(append(frame, statusOK), out)
 	if err != nil {
-		return response{Error: &wireError{Code: "encode_error", Message: err.Error()}}
+		return appendError(frame, "encode_error", err.Error())
 	}
-	return response{OK: true, Body: body}
-}
-
-func (s *Server) reply(conn net.Conn, resp response) error {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	return writeFrame(conn, payload)
+	return resp
 }
 
 // ClientOptions parameterise a Client; zero values select the noted
@@ -395,8 +449,9 @@ func (c *Client) putConn(conn net.Conn) {
 }
 
 // Call invokes method with req, decoding the response body into out
-// (which may be nil to discard it). Transport failures are retried up
-// to MaxRetries times; *ServerError is terminal.
+// (which may be nil to discard it). A nil req sends an empty body.
+// Transport failures are retried up to MaxRetries times; *ServerError
+// and ErrWireVersion are terminal.
 func (c *Client) Call(ctx context.Context, method string, req any, out any) error {
 	c.mu.Lock()
 	c.stats.Calls++
@@ -446,20 +501,19 @@ func (c *Client) attempt(ctx context.Context, method string, req any, out any) e
 	if err := fault.Check(fault.RPCClient); err != nil {
 		return &TransportError{Addr: c.addr, Op: "send", Err: err}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("rpc: encode request: %w", err)
-	}
-	payload, err := json.Marshal(request{Method: method, Body: body})
-	if err != nil {
-		return fmt.Errorf("rpc: encode frame: %w", err)
+	frame := appendString(startFrame(nil), method)
+	if req != nil {
+		var err error
+		if frame, err = appendBody(frame, req); err != nil {
+			return fmt.Errorf("rpc: encode request: %w", err)
+		}
 	}
 	for {
 		conn, pooled, err := c.getConn(ctx)
 		if err != nil {
 			return err
 		}
-		err = c.roundTrip(ctx, conn, payload, out)
+		err = c.roundTrip(ctx, conn, frame, out)
 		if err == nil {
 			c.putConn(conn)
 			return nil
@@ -479,7 +533,7 @@ func (c *Client) attempt(ctx context.Context, method string, req any, out any) e
 
 // roundTrip writes one frame and reads one response on conn, under the
 // attempt deadline.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, payload []byte, out any) error {
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, frame []byte, out any) error {
 	deadline := time.Now().Add(c.opts.CallTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -487,28 +541,36 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, payload []byte, o
 	if err := conn.SetDeadline(deadline); err != nil {
 		return &TransportError{Addr: c.addr, Op: "send", Err: err}
 	}
-	if err := writeFrame(conn, payload); err != nil {
+	if err := sendFrame(conn, frame); err != nil {
 		return &TransportError{Addr: c.addr, Op: "send", Err: err}
 	}
-	respPayload, err := readFrame(conn)
+	resp, err := readFrame(conn)
 	if err != nil {
 		return &TransportError{Addr: c.addr, Op: "recv", Err: err}
 	}
-	var resp response
-	if err := json.Unmarshal(respPayload, &resp); err != nil {
-		return &TransportError{Addr: c.addr, Op: "recv", Err: err}
+	if len(resp) > 0 && resp[0] != WireVersion {
+		return fmt.Errorf("rpc: recv %s: %w (payload starts with %q)", c.addr, ErrWireVersion, resp[0])
 	}
-	if !resp.OK {
-		we := resp.Error
-		if we == nil {
-			we = &wireError{Code: "unknown", Message: "server returned failure with no error"}
+	if len(resp) < 2 {
+		return &TransportError{Addr: c.addr, Op: "recv", Err: errors.New("short response payload")}
+	}
+	switch body := resp[2:]; resp[1] {
+	case statusOK:
+		if out == nil {
+			return nil
 		}
-		return &ServerError{Code: we.Code, Message: we.Message}
-	}
-	if out != nil {
-		if err := json.Unmarshal(resp.Body, out); err != nil {
+		if err := decodeBody(body, out); err != nil {
 			return &TransportError{Addr: c.addr, Op: "recv", Err: fmt.Errorf("decode response body: %w", err)}
 		}
+		return nil
+	case statusError:
+		code, rest, ok1 := cutString(body)
+		msg, rest, ok2 := cutString(rest)
+		if !ok1 || !ok2 || len(rest) != 0 {
+			return &TransportError{Addr: c.addr, Op: "recv", Err: errors.New("malformed error response")}
+		}
+		return &ServerError{Code: string(code), Message: string(msg)}
+	default:
+		return &TransportError{Addr: c.addr, Op: "recv", Err: fmt.Errorf("unknown response status %d", resp[1])}
 	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,7 @@ func TestCallRoundTripPreservesFloats(t *testing.T) {
 	defer c.Close()
 
 	// A float with no short decimal representation must round-trip
-	// bit-exactly — the engine's bit-identity guarantee rides on this.
+	// bit-exactly through the JSON fallback too.
 	in := echoReq{X: 0.1 + 0.2, S: "motif"}
 	var out echoReq
 	if err := c.Call(context.Background(), "echo", in, &out); err != nil {
@@ -430,5 +431,81 @@ func TestGroupServerErrorNotFailedOver(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(&secondary); n != 0 {
 		t.Fatalf("secondary handled %d calls after a deterministic application error", n)
+	}
+}
+
+// binBody is a body with its own binary codec: it crosses as its bytes.
+type binBody []byte
+
+func (b binBody) AppendBinary(p []byte) ([]byte, error) { return append(p, b...), nil }
+
+func (b *binBody) UnmarshalBinary(p []byte) error {
+	*b = append((*b)[:0], p...)
+	return nil
+}
+
+// TestBodyEncoding pins what a handler receives: a value with
+// AppendBinary crosses as its bytes, a nil request as no bytes, and
+// anything else as JSON — the fallback bench/ binds, calling a
+// json.RawMessage handler with struct{}{}.
+func TestBodyEncoding(t *testing.T) {
+	addr := startServer(t, func(s *Server) {
+		s.Handle("body", func(ctx context.Context, body json.RawMessage) (any, error) {
+			return binBody(body), nil
+		})
+		s.Handle("bench.echo", func(context.Context, json.RawMessage) (any, error) { return struct{}{}, nil })
+	})
+	c := NewClient(addr, ClientOptions{})
+	defer c.Close()
+	jsonReq := echoReq{X: 0.1 + 0.2, S: "motif"}
+	wantJSON, _ := json.Marshal(jsonReq)
+	for _, tc := range []struct {
+		name string
+		req  any
+		want []byte
+	}{
+		{"binary", binBody{0, '{', 0xff}, []byte{0, '{', 0xff}},
+		{"nil", nil, nil},
+		{"json", jsonReq, wantJSON},
+		{"empty struct", struct{}{}, []byte("{}")},
+	} {
+		var got binBody
+		if err := c.Call(context.Background(), "body", tc.req, &got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != string(tc.want) {
+			t.Fatalf("%s: handler got body %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	var out struct{}
+	if err := c.Call(context.Background(), "bench.echo", struct{}{}, &out); err != nil {
+		t.Fatalf("JSON handler and reply: %v", err)
+	}
+}
+
+// TestJSONEraClientGetsNoReply: a frame in the JSON envelope this wire
+// replaced gets no answer it could misread — the server closes that
+// connection — and the server goes on serving well-formed ones.
+func TestJSONEraClientGetsNoReply(t *testing.T) {
+	addr := startServer(t, func(s *Server) { s.Handle("echo", echoHandler) })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	legacy := []byte(`{"method":"echo","body":{"x":1,"s":"old"}}`)
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(legacy))), legacy...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("JSON frame: read %d bytes, err %v; want the connection closed with no reply", n, err)
+	}
+
+	c := NewClient(addr, ClientOptions{})
+	defer c.Close()
+	var out echoReq
+	if err := c.Call(context.Background(), "echo", echoReq{S: "new"}, &out); err != nil || out.S != "new" {
+		t.Fatalf("well-formed call after a JSON frame: %+v, %v", out, err)
 	}
 }

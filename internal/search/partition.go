@@ -202,28 +202,26 @@ func (p *localPartition) retryable(err error) bool { return fault.IsTransient(er
 // remotePartition is a shard server behind a replica group, speaking
 // the shard.stats / shard.eval frames of service.go. The server is
 // stateless between the two calls and re-flattens in eval; the handle
-// only saves re-encoding the tree.
+// is the tree's encoding, which the eval frame repeats as-is.
 type remotePartition struct {
 	group *rpc.Group
 	info  InfoResponse
 }
 
 func (p *remotePartition) stats(ctx context.Context, q Node, _ *SearchStats) ([]LeafStats, any, error) {
-	wq, err := EncodeNode(q)
+	tree, err := appendNode(nil, q, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := p.group.Call(ctx, MethodStats, StatsRequest{Query: wq}, func() any { return &StatsResponse{} })
+	out, err := p.group.Call(ctx, MethodStats, encodedTree(tree), func() any { return &StatsResponse{} })
 	if err != nil {
 		return nil, nil, err
 	}
-	return out.(*StatsResponse).Leaves, wq, nil
+	return out.(*StatsResponse).Leaves, encodedTree(tree), nil
 }
 
 func (p *remotePartition) eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) ([]Result, error) {
-	wire := *req
-	wire.Query = prepared.(WireNode)
-	out, err := p.group.Call(ctx, MethodEval, wire, func() any { return &EvalResponse{} })
+	out, err := p.group.Call(ctx, MethodEval, evalBody{tree: prepared.(encodedTree), req: req}, func() any { return &EvalResponse{} })
 	if err != nil {
 		return nil, err
 	}

@@ -23,14 +23,15 @@ type RemoteSharded struct {
 // NewRemoteSharded performs the handshake against one replica group per
 // shard: every group must answer shard.info with the expected shard
 // index and shard count. The per-shard corpus totals are retained for
-// the global statistics sums.
+// the global statistics sums. A shard speaking another wire version
+// fails the handshake with an error wrapping rpc.ErrWireVersion.
 func NewRemoteSharded(ctx context.Context, groups []*rpc.Group) (*RemoteSharded, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("search: remote coordinator needs at least one shard group")
 	}
 	parts := make([]partition, len(groups))
 	for i, g := range groups {
-		out, err := g.Call(ctx, MethodInfo, struct{}{}, func() any { return &InfoResponse{} })
+		out, err := g.Call(ctx, MethodInfo, nil, func() any { return &InfoResponse{} })
 		if err != nil {
 			return nil, fmt.Errorf("search: shard %d handshake: %w", i, err)
 		}

@@ -1,12 +1,17 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,33 +71,6 @@ func bootRemote(t *testing.T, ix *index.Index, n int) (*RemoteSharded, *ShardedS
 func evalDegraded(d Distributed, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
 	ev, err := d.Evaluate(context.Background(), q, k, EvalOptions{Degrade: &opts})
 	return ev.Results, ev.Partial, err
-}
-
-func TestWireNodeRoundTrip(t *testing.T) {
-	for qi, q := range shardQueries() {
-		wn, err := EncodeNode(q)
-		if err != nil {
-			t.Fatalf("q=%d: %v", qi, err)
-		}
-		data, err := json.Marshal(wn)
-		if err != nil {
-			t.Fatalf("q=%d: %v", qi, err)
-		}
-		var decoded WireNode
-		if err := json.Unmarshal(data, &decoded); err != nil {
-			t.Fatalf("q=%d: %v", qi, err)
-		}
-		back, err := DecodeNode(decoded)
-		if err != nil {
-			t.Fatalf("q=%d: %v", qi, err)
-		}
-		// The Indri rendering is injective over the node kinds in use;
-		// equal strings mean an identical tree (weights included, as they
-		// print with enough precision to spot structural drift).
-		if q.String() != back.String() {
-			t.Fatalf("q=%d: round trip changed tree:\n got %s\nwant %s", qi, back.String(), q.String())
-		}
-	}
 }
 
 // TestRemoteShardedStatsMatchInProcess checks every deterministic
@@ -250,19 +228,16 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	}
 }
 
-// fakeTruncatingShard implements the wire protocol by hand: a correct
-// shard.info answer (so the handshake passes), then a truncated frame —
-// a 200-byte header followed by 3 bytes and a close — for every later
-// request. It models a shard dying mid-response.
-func fakeTruncatingShard(t *testing.T, shard, numShards int) string {
+// fakeShard speaks the framing by hand: for every request frame on every
+// connection it calls answer with the payload, and hangs up when answer
+// returns false.
+func fakeShard(t *testing.T, answer func(conn net.Conn, payload []byte) bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ln.Close() })
-	infoBody, _ := json.Marshal(InfoResponse{Shard: shard, NumShards: numShards})
-	infoResp, _ := json.Marshal(map[string]any{"ok": true, "body": json.RawMessage(infoBody)})
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -273,30 +248,16 @@ func fakeTruncatingShard(t *testing.T, shard, numShards int) string {
 				defer conn.Close()
 				for {
 					var hdr [4]byte
-					if _, err := readFull(conn, hdr[:]); err != nil {
+					if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 						return
 					}
 					payload := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-					if _, err := readFull(conn, payload); err != nil {
+					if _, err := io.ReadFull(conn, payload); err != nil {
 						return
 					}
-					var req struct {
-						Method string `json:"method"`
+					if !answer(conn, payload) {
+						return
 					}
-					if json.Unmarshal(payload, &req) == nil && req.Method == MethodInfo {
-						var out [4]byte
-						binary.BigEndian.PutUint32(out[:], uint32(len(infoResp)))
-						if _, err := conn.Write(append(out[:], infoResp...)); err != nil {
-							return
-						}
-						continue
-					}
-					// Truncate: promise 200 bytes, deliver 3, hang up.
-					var out [4]byte
-					binary.BigEndian.PutUint32(out[:], 200)
-					_, _ = conn.Write(out[:])
-					_, _ = conn.Write([]byte{'{', '"', 'o'})
-					return
 				}
 			}()
 		}
@@ -304,16 +265,27 @@ func fakeTruncatingShard(t *testing.T, shard, numShards int) string {
 	return ln.Addr().String()
 }
 
-func readFull(conn net.Conn, buf []byte) (int, error) {
-	read := 0
-	for read < len(buf) {
-		n, err := conn.Read(buf[read:])
-		read += n
-		if err != nil {
-			return read, err
+// writeFrame writes payload behind its length header.
+func writeFrame(conn net.Conn, payload []byte) error {
+	_, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+	return err
+}
+
+// fakeTruncatingShard answers shard.info correctly (so the handshake
+// passes), then every later request with a truncated frame — a 200-byte
+// header followed by 3 bytes and a close. It models a shard dying
+// mid-response.
+func fakeTruncatingShard(t *testing.T, shard, numShards int) string {
+	t.Helper()
+	info, _ := InfoResponse{Shard: shard, NumShards: numShards}.AppendBinary([]byte{rpc.WireVersion, 0})
+	infoMethod := append([]byte{rpc.WireVersion, byte(len(MethodInfo))}, MethodInfo...)
+	return fakeShard(t, func(conn net.Conn, payload []byte) bool {
+		if bytes.Equal(payload, infoMethod) {
+			return writeFrame(conn, info) == nil
 		}
-	}
-	return read, nil
+		_, _ = conn.Write(append(binary.BigEndian.AppendUint32(nil, 200), rpc.WireVersion, 0, 1))
+		return false
+	})
 }
 
 // TestRemoteTruncatedStreamDegrades maps a mid-stream truncation to a
@@ -350,6 +322,34 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 	_, err = rs.Evaluate(context.Background(), q, 5, EvalOptions{})
 	if err == nil || !rpc.IsTransport(err) {
 		t.Fatalf("strict search against truncating shard: err = %v, want transport error", err)
+	}
+}
+
+// TestRemoteHandshakeRefusesJSONEraShard: a shard still speaking the
+// JSON envelope answers the binary handshake the way it answers any
+// frame it cannot parse — a JSON error envelope, then a close. The
+// coordinator must fail at construction with the typed version error,
+// on the first attempt: a retry would get the same answer.
+func TestRemoteHandshakeRefusesJSONEraShard(t *testing.T) {
+	var frames atomic.Int32
+	addr := fakeShard(t, func(conn net.Conn, payload []byte) bool {
+		frames.Add(1)
+		_ = writeFrame(conn, []byte(`{"ok":false,"error":{"code":"bad_request","message":"invalid character '\x02' looking for beginning of value"}}`))
+		return false
+	})
+	opts := testClientOptions()
+	opts.MaxRetries = 3
+	groups := []*rpc.Group{rpc.NewGroup([]*rpc.Client{rpc.NewClient(addr, opts)}, rpc.GroupOptions{})}
+	defer groups[0].Close()
+	_, err := NewRemoteSharded(context.Background(), groups)
+	if !errors.Is(err, rpc.ErrWireVersion) {
+		t.Fatalf("handshake against a JSON-era shard: err = %v, want rpc.ErrWireVersion", err)
+	}
+	if rpc.IsTransport(err) {
+		t.Fatalf("version skew classified as a retryable transport error: %v", err)
+	}
+	if n := frames.Load(); n != 1 {
+		t.Fatalf("the JSON-era shard saw %d requests, want 1 (version skew must not be retried)", n)
 	}
 }
 
@@ -471,10 +471,17 @@ func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
 	}
 }
 
+// rawBody is a request body sent as-is, for frames no coordinator
+// would encode.
+type rawBody []byte
+
+func (b rawBody) AppendBinary(p []byte) ([]byte, error) { return append(p, b...), nil }
+
 // TestShardEvalRejectsMalformedFrames: shard.eval answers a frame no
 // well-formed coordinator sends with a terminal ServerError instead of
 // scoring it — an out-of-range model used to fall through to Dirichlet
-// and hand a version-skewed coordinator a silently mis-scored shard.
+// and hand a version-skewed coordinator a silently mis-scored shard, and
+// floats crossing as raw bits can carry NaN and ±Inf.
 func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 	ix := buildShardCorpus(40, 3)
 	addr, _ := startShardServer(t, NewShardService(index.NewSharded(ix, 1).Shard(0), 0, 1), nil)
@@ -488,35 +495,49 @@ func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 		return out.(*EvalResponse), nil
 	}
 
-	wq, err := EncodeNode(Term{Text: "cable"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	good := EvalRequest{
-		Query: wq, K: 5, Model: int(ModelBM25), Mu: 2500, Lambda: 0.4, K1: 1.2, B: 0.75,
+		Query: Term{Text: "cable"}, K: 5, Model: int(ModelBM25), Mu: 2500, Lambda: 0.4, K1: 1.2, B: 0.75,
 		NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens(),
 		Overrides: []LeafOverride{{CF: 30, DF: 20, CollProb: 0.05}},
 	}
 	if resp, err := call(good); err != nil || len(resp.Results) == 0 {
 		t.Fatalf("well-formed frame: %v, %+v", err, resp)
 	}
-	goodJSON, err := json.Marshal(good)
+	goodBytes, err := good.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	with := func(edit func(*EvalRequest)) EvalRequest {
 		req := good
+		req.Overrides = slices.Clone(good.Overrides)
 		edit(&req)
 		return req
 	}
+	// A tree one level deeper than the decoder accepts: single-child
+	// #weight nodes down to a term.
+	var bomb []byte
+	for i := 0; i < maxWireDepth; i++ {
+		bomb = appendFloat(append(bomb, kindWeighted, 1), 1)
+	}
+	bomb = good.appendParams(appendString(append(bomb, kindTerm), "cable"))
 	for name, req := range map[string]any{
 		"model past the last": with(func(r *EvalRequest) { r.Model = int(ModelBM25) + 1 }),
 		"negative model":      with(func(r *EvalRequest) { r.Model = -1 }),
 		"negative num_docs":   with(func(r *EvalRequest) { r.NumDocs = -1 }),
 		"negative total_toks": with(func(r *EvalRequest) { r.TotalToks = -1 }),
-		// JSON cannot carry NaN or ±Inf; an overflowing literal is how a
-		// non-finite parameter would arrive.
-		"non-finite mu": json.RawMessage(strings.Replace(string(goodJSON), `"mu":2500`, `"mu":1e999`, 1)),
+		"NaN mu":              with(func(r *EvalRequest) { r.Mu = math.NaN() }),
+		"+Inf lambda":         with(func(r *EvalRequest) { r.Lambda = math.Inf(1) }),
+		"-Inf b":              with(func(r *EvalRequest) { r.B = math.Inf(-1) }),
+		"NaN override df":     with(func(r *EvalRequest) { r.Overrides[0].DF = math.NaN() }),
+		"negative coll_prob":  with(func(r *EvalRequest) { r.Overrides[0].CollProb = -0.05 }),
+		"+Inf coll_prob":      with(func(r *EvalRequest) { r.Overrides[0].CollProb = math.Inf(1) }),
+		"NaN child weight":    with(func(r *EvalRequest) { r.Query = Weight([]float64{math.NaN()}, []Node{Term{Text: "cable"}}) }),
+		"depth bomb":          rawBody(bomb),
+		"oversized count":     rawBody(good.appendParams(binary.AppendUvarint([]byte{kindWeighted}, 1<<40))),
+		"unknown node kind":   rawBody(append([]byte{kindWeighted + 1}, goodBytes[1:]...)),
+		"truncated frame":     rawBody(goodBytes[:len(goodBytes)/2]),
+		"trailing byte":       rawBody(append(slices.Clone(goodBytes), 0)),
+		"empty body":          nil,
 	} {
 		_, err := call(req)
 		var se *rpc.ServerError

@@ -2,8 +2,8 @@ package search
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/index"
 	"repro/internal/rpc"
@@ -22,67 +22,68 @@ const (
 // collection statistics (integer sums, so the totals match the
 // unsharded index bit for bit).
 type InfoResponse struct {
-	Shard     int   `json:"shard"`
-	NumShards int   `json:"num_shards"`
-	NumDocs   int   `json:"num_docs"`
-	TotalToks int64 `json:"total_toks"`
+	Shard     int
+	NumShards int
+	NumDocs   int
+	TotalToks int64
 }
 
 // StatsRequest asks a shard to flatten a query against its local index
 // and report per-leaf collection statistics (phase A of a search).
 type StatsRequest struct {
-	Query WireNode `json:"query"`
+	Query Node
 }
 
 // LeafStats are one leaf's shard-local collection statistics.
 type LeafStats struct {
-	CF int64   `json:"cf"`
-	DF float64 `json:"df"`
+	CF int64
+	DF float64
 }
 
 // StatsResponse carries the per-leaf statistics in flatten order. The
 // leaf count doubles as the cross-shard consistency check: flatten is
 // structure-driven, so every shard must produce the same count.
 type StatsResponse struct {
-	Leaves []LeafStats `json:"leaves"`
+	Leaves []LeafStats
 }
 
 // LeafOverride is the global statistics the coordinator pushes down for
 // one leaf in phase B: the exact cross-shard sums plus the globally
 // floored collection probability.
 type LeafOverride struct {
-	CF       int64   `json:"cf"`
-	DF       float64 `json:"df"`
-	CollProb float64 `json:"coll_prob"`
+	CF       int64
+	DF       float64
+	CollProb float64
 }
 
 // EvalRequest asks a partition to evaluate a query under coordinator-
 // supplied global statistics (phase B): override each leaf's statistics
 // with Overrides, score with a scorer built from the global
 // NumDocs/TotalToks, and return the local top k remapped to global
-// DocIDs. It is the one request shape in process and on the wire; only
-// a remote partition fills Query (the shard server re-flattens the tree
-// — no per-query state survives between the two phases).
+// DocIDs. It is the one request shape in process and on the wire. Query
+// is set only on a shard server, decoded from the frame (it re-flattens
+// the tree — no per-query state survives between the two phases); the
+// coordinator sends the tree it encoded for phase A instead.
 type EvalRequest struct {
-	Query WireNode `json:"query"`
-	K     int      `json:"k"`
+	Query Node
+	K     int
 	// Model and params pin the scoring function; the shard applies them
 	// verbatim (no local defaults beyond ModelParams.withDefaults, which
 	// the coordinator has already resolved).
-	Model          int     `json:"model"`
-	Mu             float64 `json:"mu"`
-	Lambda         float64 `json:"lambda"`
-	K1             float64 `json:"k1"`
-	B              float64 `json:"b"`
-	DisablePruning bool    `json:"disable_pruning,omitempty"`
+	Model          int
+	Mu             float64
+	Lambda         float64
+	K1             float64
+	B              float64
+	DisablePruning bool
 	// Global collection statistics. The shard derives avgDocLen as
 	// float64(TotalToks)/float64(NumDocs) — the same expression
 	// index.Sharded.AvgDocLen evaluates, so the scorer closure is built
 	// over bit-identical inputs.
-	NumDocs   int            `json:"num_docs"`
-	TotalToks int64          `json:"total_toks"`
-	Overrides []LeafOverride `json:"overrides"`
-	WantStats bool           `json:"want_stats,omitempty"`
+	NumDocs   int
+	TotalToks int64
+	Overrides []LeafOverride
+	WantStats bool
 	// forcePrune is Searcher.forcePrune for in-process partitions
 	// (test-only); unexported, so it never reaches the wire.
 	forcePrune bool
@@ -91,27 +92,27 @@ type EvalRequest struct {
 // WireResult is one ranked document crossing the wire; Doc is the
 // GLOBAL DocID (the shard remaps before answering).
 type WireResult struct {
-	Doc   int64   `json:"doc"`
-	Name  string  `json:"name"`
-	Score float64 `json:"score"`
+	Doc   int64
+	Name  string
+	Score float64
 }
 
 // WireEvalStats are the shard evaluator's deterministic counters.
 type WireEvalStats struct {
-	CandidatesExamined int64 `json:"candidates_examined"`
-	PostingsAdvanced   int64 `json:"postings_advanced"`
-	DocsSkipped        int64 `json:"docs_skipped"`
-	BoundEvaluations   int64 `json:"bound_evaluations"`
-	BlocksDecoded      int64 `json:"blocks_decoded"`
-	BlocksTotal        int64 `json:"blocks_total"`
-	HeapPushes         int64 `json:"heap_pushes"`
-	HeapEvictions      int64 `json:"heap_evictions"`
+	CandidatesExamined int64
+	PostingsAdvanced   int64
+	DocsSkipped        int64
+	BoundEvaluations   int64
+	BlocksDecoded      int64
+	BlocksTotal        int64
+	HeapPushes         int64
+	HeapEvictions      int64
 }
 
 // EvalResponse carries a shard's top-k slice of the global ranking.
 type EvalResponse struct {
-	Results []WireResult   `json:"results"`
-	Stats   *WireEvalStats `json:"stats,omitempty"`
+	Results []WireResult
+	Stats   *WireEvalStats
 }
 
 // searchStats converts the wire counters back into a SearchStats.
@@ -133,8 +134,9 @@ func (ws *WireEvalStats) searchStats() SearchStats {
 // Dirichlet, and a version-skewed coordinator would merge a silently
 // mis-scored shard into its ranking; the error crosses the wire as a
 // terminal ServerError, so it is dropped or surfaced, never retried.
-// (Non-finite parameters never get this far: JSON has no encoding for
-// them and the decoder refuses an overflowing literal.)
+// Floats cross as raw bits, so NaN and ±Inf arrive intact and are
+// refused here: a non-finite parameter, statistic or weight would score
+// every document NaN.
 func (req *EvalRequest) validate() error {
 	switch Model(req.Model) {
 	case ModelDirichlet, ModelJelinekMercer, ModelBM25:
@@ -143,6 +145,38 @@ func (req *EvalRequest) validate() error {
 	}
 	if req.NumDocs < 0 || req.TotalToks < 0 {
 		return fmt.Errorf("negative collection totals (num_docs %d, total_toks %d)", req.NumDocs, req.TotalToks)
+	}
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{{"mu", req.Mu}, {"lambda", req.Lambda}, {"k1", req.K1}, {"b", req.B}} {
+		if !finite(p.v) {
+			return fmt.Errorf("non-finite %s %v", p.name, p.v)
+		}
+	}
+	for i, o := range req.Overrides {
+		if !finite(o.DF) || o.DF < 0 || !finite(o.CollProb) || o.CollProb < 0 {
+			return fmt.Errorf("leaf %d: df %v and coll_prob %v must be finite and non-negative", i, o.DF, o.CollProb)
+		}
+	}
+	return finiteWeights(req.Query)
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// finiteWeights refuses a tree with a non-finite child weight.
+func finiteWeights(n Node) error {
+	w, ok := n.(Weighted)
+	if !ok {
+		return nil
+	}
+	for _, c := range w.Children {
+		if !finite(c.Weight) {
+			return fmt.Errorf("non-finite child weight %v", c.Weight)
+		}
+		if err := finiteWeights(c.Node); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -180,34 +214,26 @@ func (svc *ShardService) Register(srv *rpc.Server) {
 	srv.Handle(MethodEval, svc.handleEval)
 }
 
-func (svc *ShardService) handleInfo(ctx context.Context, body json.RawMessage) (any, error) {
+func (svc *ShardService) handleInfo(ctx context.Context, body rpc.Body) (any, error) {
 	numDocs, totalToks := svc.part.totals()
 	return InfoResponse{Shard: svc.shard, NumShards: svc.numShards, NumDocs: numDocs, TotalToks: totalToks}, nil
 }
 
-func (svc *ShardService) handleStats(ctx context.Context, body json.RawMessage) (any, error) {
+func (svc *ShardService) handleStats(ctx context.Context, body rpc.Body) (any, error) {
 	var req StatsRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalBinary(body); err != nil {
 		return nil, err
 	}
-	q, err := DecodeNode(req.Query)
-	if err != nil {
-		return nil, err
-	}
-	leaves, _, err := svc.part.stats(ctx, q, nil)
+	leaves, _, err := svc.part.stats(ctx, req.Query, nil)
 	return StatsResponse{Leaves: leaves}, err
 }
 
-func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (any, error) {
+func (svc *ShardService) handleEval(ctx context.Context, body rpc.Body) (any, error) {
 	var req EvalRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalBinary(body); err != nil {
 		return nil, err
 	}
 	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	q, err := DecodeNode(req.Query)
-	if err != nil {
 		return nil, err
 	}
 	if req.K <= 0 {
@@ -216,7 +242,7 @@ func (svc *ShardService) handleEval(ctx context.Context, body json.RawMessage) (
 	// Stateless between the phases: the shard flattens again rather
 	// than remembering phase A's leaves. The index's positional memo
 	// makes the second flatten a set of lookups.
-	leaves := svc.part.flatten(q, nil)
+	leaves := svc.part.flatten(req.Query, nil)
 	if len(leaves) != len(req.Overrides) {
 		// The coordinator derived the overrides from this query's flatten
 		// on other shards; a count mismatch means this shard was built

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -357,6 +358,15 @@ func TestBackendFailureIs503(t *testing.T) {
 				t.Errorf("error counter = %g, want 1", got)
 			}
 		})
+	}
+}
+
+// TestWireVersionSkewIsBackendFailure: a shard that starts speaking
+// another wire version after boot (replaced by an older binary) is the
+// server's problem, not the caller's.
+func TestWireVersionSkewIsBackendFailure(t *testing.T) {
+	if err := fmt.Errorf("search: shard 1: %w", rpc.ErrWireVersion); !isBackendFailure(err) {
+		t.Fatalf("%v classified as the caller's error", err)
 	}
 }
 

@@ -375,15 +375,17 @@ func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) 
 // handler's error is the caller's unless it is one of: an injected fault
 // or a contained panic that degradation could not absorb; a shard
 // server's answer (rpc.ServerError — the coordinator, not the caller,
-// composed that request) or a transport failure on the way to it; or a
-// live-index mutation that failed after the body validated (handleIngest
-// marks those with mutationError).
+// composed that request), a transport failure on the way to it, or a
+// shard speaking another wire version; or a live-index mutation that
+// failed after the body validated (handleIngest marks those with
+// mutationError).
 func isBackendFailure(err error) bool {
 	var pe *fault.PanicError
 	var se *rpc.ServerError
 	var me mutationError
 	return fault.IsInjected(err) || errors.As(err, &pe) ||
-		errors.As(err, &se) || rpc.IsTransport(err) || errors.As(err, &me)
+		errors.As(err, &se) || rpc.IsTransport(err) || errors.Is(err, rpc.ErrWireVersion) ||
+		errors.As(err, &me)
 }
 
 // mutationError marks a failed Ingest, DeleteBatch, Flush or
