@@ -18,8 +18,8 @@ test:
 # Race-checks the packages with concurrency: parallel expansion, the
 # index's positional-leaf and tombstone-correction memos (their
 # contention tests ten times over), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
-# the HTTP serving layer, and the root package's parallel-SQE_C /
-# shared-Engine / index-while-chaos stress tests.
+# the HTTP serving layer, and the root package's shared-Engine /
+# index-while-chaos stress tests.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
 	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent' ./internal/index/
@@ -40,8 +40,10 @@ race:
 # it costs beside the mapping). RemoteEvaluate is coordinator-s2 below
 # the HTTP tier: two shard servers on loopback behind the RPC
 # coordinator (B/op and allocs/op count both ends of the wire).
+# SQECRequest is one warmed SQE_C Engine.Do over a v2 file: run it with
+# -cpu 1 on two commits, since its ns/op is the request's CPU there.
 bench:
-	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate' -benchmem .
+	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
@@ -62,7 +64,8 @@ chaos:
 
 # Short fuzz rounds over every fuzz target with a committed seed corpus
 # (wikixml parser, live-index mutation scripts against the oracle, v2
-# decoder, manifest, shard RPC bodies). Not part of verify — run on demand or in CI's cron
+# decoder, manifest, shard RPC bodies, the one-pass multi-run evaluator
+# against separate evaluations). Not part of verify — run on demand or in CI's cron
 # lane. An op of FuzzDifferentialScript is file I/O, so minimising each
 # coverage-interesting input for the default 60 s would leave no time to
 # fuzz.
@@ -73,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz FuzzOpenV2 -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzSegmentManifest -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzShardFrame -fuzztime 30s -run '^$$' ./internal/search/
+	$(GO) test -fuzz FuzzSearchRunsParity -fuzztime 30s -run '^$$' ./internal/search/
 
 # The full gate run before every commit. Correctness is `go test`, under
 # -race for every package with concurrency; performance is

@@ -574,6 +574,45 @@ func BenchmarkUnorderedWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkSQECRequest is one SQE_C Engine.Do (k = 10, explicit
+// entities) over the DemoDefault corpus served from a v2 file, warmed so
+// the expansion cache and the positional memo hit: a search-hot request
+// below the HTTP tier — entity resolution, three query builds, the one
+// retrieval pass over the runs' union of leaves, and the splice.
+func BenchmarkSQECRequest(b *testing.B) {
+	env, err := GenerateDemo(DemoDefault)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "demo.v2")
+	if err := index.WriteFile(path, env.Engine.Index(), index.FormatV2); err != nil {
+		b.Fatal(err)
+	}
+	disk, err := index.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	eng := NewEngine(env.Engine.Graph(), disk, WithExpansionCache(4096))
+	reqs := make([]SearchRequest, len(env.Queries))
+	for i, q := range env.Queries {
+		reqs[i] = SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
+	}
+	ctx := context.Background()
+	for _, req := range reqs { // warm
+		if _, err := eng.Do(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Do(ctx, reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSegmentedTombstoned is SQE_C retrieval (k = 10) over a live
 // index holding the DemoSmall collection as one v2 segment, with 0, 64
 // and 1 024 of its documents tombstoned, warmed so the expansion cache,

@@ -117,7 +117,7 @@ func main() {
 	queueDepth := flag.Int("queue", 0, "admission-queue depth: requests that wait for a slot instead of shedding (0 = shed immediately)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "max time a queued request waits for a slot (0 = 100ms default when -queue > 0)")
 	cacheSize := flag.Int("cache", 4096, "expansion cache entries (0 = off)")
-	workers := flag.Int("workers", 0, "concurrent SQE_C runs engine-wide (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "engine-wide worker pool for shard fan-outs (0 = GOMAXPROCS, 1 = inline)")
 	shards := flag.String("shards", "1", "mode=serve: in-process shard count; mode=coordinator: comma-separated shard server addresses (replicas of one shard separated by |)")
 	shardSpec := flag.String("shard", "", "mode=shard: which partition slice this process serves, as i/N (e.g. 0/2)")
 	degrade := flag.Bool("degrade", true, "enable graceful degradation (partial shard merges, expansion fallback, partial SQE_C, transient retries)")

@@ -31,9 +31,12 @@ type DegradationPolicy struct {
 	// substitution.
 	ExpansionFallback bool
 	// PartialSQEC lets an SQE_C request continue when one of its three
-	// runs (T, T&S, S) fails: the splice combines the surviving run
-	// lists and Degraded.DroppedRuns names the missing ones. All three
-	// failing fails the request with the first run's error.
+	// runs (T, T&S, S) fails its expansion or query build: the run is
+	// dropped before the shared evaluation, the splice combines the
+	// surviving run lists and Degraded.DroppedRuns names the missing
+	// ones. All three failing fails the request with the first run's
+	// error. A failed evaluation is not a run's failure: it is retried
+	// (or shard-degraded under PartialShards) for the request as a whole.
 	PartialSQEC bool
 	// MaxRetries re-runs a stage that failed with a transient fault
 	// (fault.IsTransient) up to this many extra times before the
@@ -75,8 +78,8 @@ func WithDegradation(p DegradationPolicy) Option {
 // response.
 type Degradation struct {
 	// DroppedShards lists the index shards whose results are missing
-	// from the ranking. For SQE_C requests the three runs retrieve
-	// independently, so a shard index may appear once per run that
+	// from the ranking. A partitioned engine retrieves SQE_C's three runs
+	// one after another, so a shard index may appear once per run that
 	// dropped it.
 	DroppedShards []int `json:"dropped_shards,omitempty"`
 	// ShardErrors[i] is the failure that dropped DroppedShards[i].
@@ -105,19 +108,6 @@ func (d *Degradation) Degraded() bool {
 func (d *Degradation) empty() bool {
 	return len(d.DroppedShards) == 0 && len(d.DroppedRuns) == 0 &&
 		d.ExpansionFallbacks == 0 && d.Retries == 0
-}
-
-// add folds o into d; doC merges the per-run records in run order, so
-// parallel and sequential SQE_C report identically.
-func (d *Degradation) add(o *Degradation) {
-	if o == nil {
-		return
-	}
-	d.DroppedShards = append(d.DroppedShards, o.DroppedShards...)
-	d.ShardErrors = append(d.ShardErrors, o.ShardErrors...)
-	d.DroppedRuns = append(d.DroppedRuns, o.DroppedRuns...)
-	d.ExpansionFallbacks += o.ExpansionFallbacks
-	d.Retries += o.Retries
 }
 
 // absorb folds a sharded search's partial-result report into d.
@@ -175,6 +165,15 @@ func retryTransient(ctx context.Context, pol *DegradationPolicy, deg *Degradatio
 	return err
 }
 
+// guarded runs f behind panic containment and transient retry (retries
+// counted into deg) when degradation is on; with deg nil it runs f bare.
+func (e *Engine) guarded(ctx context.Context, deg *Degradation, f func() error) error {
+	if deg == nil {
+		return f()
+	}
+	return retryTransient(ctx, e.degrade, deg, func() error { return guardPanic(f) })
+}
+
 // buildQuery runs entity expansion and query construction for one motif
 // set. With degradation enabled (deg non-nil) the stage is guarded —
 // fault hook, panic containment, transient retry — and, under
@@ -187,16 +186,14 @@ func (e *Engine) buildQuery(ctx context.Context, query string, nodes []NodeID, s
 	}
 	var node search.Node
 	var exp *Expansion
-	err := retryTransient(ctx, e.degrade, deg, func() error {
-		return guardPanic(func() error {
-			if err := fault.Check(fault.MotifExpand); err != nil {
-				return err
-			}
-			qg := e.expander.BuildQueryGraphCached(nodes, set, e.cache, ps)
-			exp = e.expansionOf(qg)
-			node = e.expander.BuildQueryStats(query, qg, ps)
-			return nil
-		})
+	err := e.guarded(ctx, deg, func() error {
+		if err := fault.Check(fault.MotifExpand); err != nil {
+			return err
+		}
+		qg := e.expander.BuildQueryGraphCached(nodes, set, e.cache, ps)
+		exp = e.expansionOf(qg)
+		node = e.expander.BuildQueryStats(query, qg, ps)
+		return nil
 	})
 	if err != nil {
 		if e.degrade.ExpansionFallback && ctx.Err() == nil {

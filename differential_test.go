@@ -86,14 +86,17 @@ var diffModels = []struct {
 	{"bm25", []Option{WithRetrievalModel(ModelBM25, ModelParams{})}},
 }
 
-// diffRequests is the request-shape leg: the SQE_C splice, one expanded
-// run at a shallow and at a deep cut, the raw baseline, and feedback on
-// top of an expanded run. At the deep cut the heap fills late and the
-// last ranks go to documents matching only weak leaves — the documents a
-// wrong non-essential set in the pruned evaluator loses.
+// diffRequests is the request-shape leg: the SQE_C splice and one
+// expanded run, each at a shallow and at a deep cut, the raw baseline,
+// and feedback on top of an expanded run. At the deep cut the heap fills
+// late and the last ranks go to documents matching only weak leaves —
+// the documents a wrong non-essential set in the pruned evaluator loses.
+// The oracle engine is partitioned, so it evaluates SQE_C's three runs
+// one by one; every single-index row diffs its one pass against that.
 func diffRequests(q DemoQuery) []SearchRequest {
 	return []SearchRequest{
 		{Query: q.Text, EntityTitles: q.EntityTitles, K: 10},
+		{Query: q.Text, EntityTitles: q.EntityTitles, K: 200},
 		{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 25},
 		{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 200},
 		{Query: q.Text, K: 25, Baseline: true},

@@ -7,12 +7,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // parallelEngine builds a second Engine over the shared demo env's
-// substrates with the serving options on: forced-parallel SQE_C plus an
-// expansion cache. The demo linker is not re-installed — these tests use
-// explicit entity titles.
+// substrates with the given options. The demo linker is not
+// re-installed — these tests use explicit entity titles.
 func parallelEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	e := demo(t)
@@ -38,59 +39,83 @@ func searchBaseline(ctx context.Context, eng *Engine, q DemoQuery, k int) ([]Res
 	return doResults(ctx, eng, SearchRequest{Query: q.Text, K: k, Baseline: true})
 }
 
-// TestParallelSQECMatchesSequential is the parity gate for the
-// concurrent serving layer: the parallel SQE_C path must return
-// byte-identical rankings AND scores to the sequential path for every
-// demo query, with and without the expansion cache.
+// TestParallelSQECMatchesSequential is the parity gate for SQE_C's one
+// pass: a single-index engine evaluates the three runs together, and its
+// splice must be byte-identical — rankings AND scores — to splicing the
+// three runs' own explicit-set requests, for every demo query at a
+// shallow and a deep cut, whatever WithSQECWorkers says and with or
+// without the expansion cache.
 func TestParallelSQECMatchesSequential(t *testing.T) {
 	e := demo(t)
-	seq := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithSQECWorkers(1))
-	par := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithSQECWorkers(3))
-	parCached := NewEngine(e.Engine.Graph(), e.Engine.Index(),
-		WithSQECWorkers(3), WithExpansionCache(1024))
+	g, ix := e.Engine.Graph(), e.Engine.Index()
+	ref := NewEngine(g, ix)
+	engines := map[string]*Engine{
+		"workers=1":       NewEngine(g, ix, WithSQECWorkers(1)),
+		"workers=3":       NewEngine(g, ix, WithSQECWorkers(3)),
+		"workers=3+cache": NewEngine(g, ix, WithSQECWorkers(3), WithExpansionCache(1024)),
+	}
+	ctx := context.Background()
 	for _, k := range []int{10, 300} {
 		for _, q := range e.Queries {
-			want, err := searchC(context.Background(), seq, q, k)
-			if err != nil {
-				t.Fatalf("%s: sequential: %v", q.ID, err)
+			var runs [3][]Result
+			for i, set := range sqecSets {
+				res, err := doResults(ctx, ref, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: set, K: k})
+				if err != nil {
+					t.Fatalf("%s: run %s: %v", q.ID, sqecRunNames[i], err)
+				}
+				runs[i] = res
 			}
-			for name, eng := range map[string]*Engine{"parallel": par, "parallel+cache": parCached} {
-				got, err := searchC(context.Background(), eng, q, k)
+			want := core.SpliceResultsC(k, runs[0], runs[1], runs[2])
+			for name, eng := range engines {
+				got, err := searchC(ctx, eng, q, k)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", q.ID, name, err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s/%s k=%d: results diverge from sequential path", q.ID, name, k)
+					t.Fatalf("%s/%s k=%d: the one pass diverges from the three runs spliced", q.ID, name, k)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelSQECStats asserts the parallel path accumulates the same
-// deterministic counters as the sequential one (timings differ; counts
-// must not).
+// TestParallelSQECStats pins what an SQE_C request's stats say ran: on a
+// single index one evaluator pass whatever WithSQECWorkers says, with
+// identical deterministic counters, over the union of the three runs'
+// leaves (fewer than their sum: T&S's leaves are T's plus S's); on a
+// partitioned engine, three passes.
 func TestParallelSQECStats(t *testing.T) {
 	e := demo(t)
+	g, ix := e.Engine.Graph(), e.Engine.Index()
 	q := e.Queries[0]
-	seq := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithSQECWorkers(1))
-	par := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithSQECWorkers(3))
-	var psSeq, psPar PipelineStats
-	for eng, ps := range map[*Engine]*PipelineStats{seq: &psSeq, par: &psPar} {
-		resp, err := eng.Do(context.Background(), SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 50, CollectStats: true})
+	stats := func(eng *Engine, set MotifSet) *PipelineStats {
+		t.Helper()
+		resp, err := eng.Do(context.Background(), SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: set, K: 50, CollectStats: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		*ps = *resp.Stats
+		return resp.Stats
 	}
-	if psSeq.Queries != psPar.Queries || psSeq.Retrievals != psPar.Retrievals ||
-		psSeq.Features != psPar.Features {
-		t.Errorf("pipeline counters diverge: seq=%+v par=%+v", psSeq, psPar)
+	seq := stats(NewEngine(g, ix, WithSQECWorkers(1)), 0)
+	par := stats(NewEngine(g, ix, WithSQECWorkers(3)), 0)
+	if seq.Retrievals != 1 || par.Retrievals != 1 {
+		t.Errorf("Retrievals = %d / %d, want one pass", seq.Retrievals, par.Retrievals)
 	}
-	if psSeq.Search.CandidatesExamined != psPar.Search.CandidatesExamined ||
-		psSeq.Search.PostingsAdvanced != psPar.Search.PostingsAdvanced ||
-		psSeq.Search.Leaves != psPar.Search.Leaves {
-		t.Errorf("search counters diverge: seq=%+v par=%+v", psSeq.Search, psPar.Search)
+	if seq.Queries != par.Queries || seq.Features != par.Features ||
+		seq.Search.CandidatesExamined != par.Search.CandidatesExamined ||
+		seq.Search.PostingsAdvanced != par.Search.PostingsAdvanced ||
+		seq.Search.Leaves != par.Search.Leaves {
+		t.Errorf("counters depend on the worker count: seq=%+v par=%+v", seq, par)
+	}
+	var leaves int
+	for _, set := range sqecSets {
+		leaves += stats(e.Engine, set).Search.Leaves
+	}
+	if seq.Search.Leaves >= leaves {
+		t.Errorf("the pass has %d leaves, the three runs %d together", seq.Search.Leaves, leaves)
+	}
+	if sh := stats(NewEngine(g, ix, WithShards(2)), 0); sh.Retrievals != 3 {
+		t.Errorf("partitioned engine: Retrievals = %d, want one per run", sh.Retrievals)
 	}
 }
 

@@ -120,7 +120,8 @@ func TestExpandedRetrievalAllocations(t *testing.T) {
 
 // TestSearchWithStatsPopulates checks the stats plumbing end to end:
 // running the SQE_C pipeline with a collector attached must attribute
-// time to every stage and count 3 retrievals per query.
+// time to every stage and count one evaluator pass (a single index
+// evaluates the three runs together).
 func TestSearchWithStatsPopulates(t *testing.T) {
 	env := demo(t)
 	q := env.Queries[0]
@@ -136,8 +137,8 @@ func TestSearchWithStatsPopulates(t *testing.T) {
 	if ps == nil {
 		t.Fatal("CollectStats returned no stats")
 	}
-	if ps.Queries != 1 || ps.Retrievals != 3 {
-		t.Errorf("Queries=%d Retrievals=%d, want 1/3", ps.Queries, ps.Retrievals)
+	if ps.Queries != 1 || ps.Retrievals != 1 {
+		t.Errorf("Queries=%d Retrievals=%d, want 1/1", ps.Queries, ps.Retrievals)
 	}
 	if ps.Stages.MotifSearch <= 0 || ps.Stages.QueryBuild <= 0 || ps.Stages.Retrieval <= 0 {
 		t.Errorf("stage timings not populated: %+v", ps.Stages)

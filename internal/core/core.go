@@ -295,9 +295,9 @@ func ResultNames(results []search.Result) []string {
 // necessarily with different scores, since the three expansions build
 // different queries — the Result (doc, score) of the *first* run in
 // T → T&S → S order wins, regardless of which segment the name was
-// spliced from. The rule is deterministic and order-independent of the
-// evaluation schedule, which is what lets the parallel SQE_C path return
-// byte-identical output to the sequential one. Every spliced name is
+// spliced from. The rule is deterministic and independent of how the
+// runs were evaluated — together in one pass or one by one — so every
+// engine shape splices byte-identically. Every spliced name is
 // guaranteed present in the map (names come from the runs themselves),
 // so no result is ever dropped.
 func SpliceResultsC(limit int, runT, runTS, runS []search.Result) []search.Result {

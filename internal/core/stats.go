@@ -43,8 +43,9 @@ type PipelineStats struct {
 	Search search.SearchStats
 	// Queries counts the pipeline executions aggregated here.
 	Queries int
-	// Retrievals counts the individual index retrievals (SQE_C runs
-	// three per query).
+	// Retrievals counts evaluator passes: one per explicit-set or
+	// baseline query; an SQE_C query is one pass on a single index (its
+	// three runs evaluated together) and three on a partitioned engine.
 	Retrievals int
 	// Features counts the expansion features produced by motif search.
 	Features int

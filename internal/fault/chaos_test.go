@@ -375,6 +375,47 @@ func TestChaosSQECRunDrop(t *testing.T) {
 	}
 }
 
+// TestChaosSharedSQECEvalIsAllOrNothing: on a single index SQE_C's three
+// runs share one evaluation, so a fault inside it is one event for the
+// request — retried into the full, exact splice when transient, the
+// request's error otherwise — and never a splice of whichever runs
+// happened to survive.
+func TestChaosSharedSQECEvalIsAllOrNothing(t *testing.T) {
+	defer fault.Disarm()
+	pol := directedPolicy()
+	pol.MaxRetries = 1
+	env := demoEnv(t, sqe.WithDegradation(pol))
+	q := env.Queries[0]
+	ctx := context.Background()
+	req := sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
+	clean, err := env.Engine.Do(ctx, req)
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+
+	fault.Arm(fault.NewRegistry(29).Set(fault.IndexPostings, fault.Policy{ErrRate: 1, Transient: true, MaxFaults: 1}))
+	resp, err := env.Engine.Do(ctx, req)
+	fault.Disarm()
+	if err != nil {
+		t.Fatalf("a transient evaluation fault failed the request instead of retrying: %v", err)
+	}
+	if d := resp.Degraded; d == nil || d.Retries != 1 || d.Degraded() {
+		t.Fatalf("Degraded = %+v, want one retry and nothing dropped", d)
+	}
+	if !reflect.DeepEqual(resp.Results, clean.Results) {
+		t.Fatal("the retried splice differs from the clean one")
+	}
+
+	fault.Arm(fault.NewRegistry(31).Set(fault.IndexPostings, fault.Policy{ErrRate: 1}))
+	resp, err = env.Engine.Do(ctx, req)
+	if err == nil {
+		t.Fatalf("a persistent evaluation fault returned %+v, want an error", resp)
+	}
+	if !fault.IsInjected(err) {
+		t.Fatalf("error %v is not the injected fault", err)
+	}
+}
+
 // TestChaosCacheFaultIsHarmless fails every expansion-cache access: the
 // cache must degrade to misses/skips — identical results, no error, and
 // no degradation marker (a cold cache is not a degraded response).

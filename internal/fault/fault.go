@@ -57,8 +57,9 @@ const (
 	// failing cache backend. The cache degrades to a miss/skip by
 	// design, so this point never fails a request on its own.
 	ExpansionCache Point = "core.expansion_cache"
-	// SQECRun fires at the start of each of SQE_C's three sub-runs — a
-	// failing run of the combination.
+	// SQECRun fires once per SQE_C run, around that run's expansion and
+	// query build — a run of the combination failing before the shared
+	// evaluation, which PartialSQEC splices around.
 	SQECRun Point = "engine.sqec_run"
 	// RPCClient fires before each RPC call attempt on the coordinator
 	// side — a refused, slow, or truncated connection to a shard server.

@@ -389,7 +389,7 @@ func TestCoordinatorContract(t *testing.T) {
 		t.Run(kind.name+"/saturated-sem-runs-inline", func(t *testing.T) {
 			// With no free slot every partition call must fall back to
 			// the caller's goroutine — the no-deadlock property that lets
-			// the engine share one pool between SQE_C runs and fan-out.
+			// concurrent requests' fan-outs share the engine's one pool.
 			f := kind.build(t)
 			sem := make(chan struct{}, 1)
 			sem <- struct{}{}

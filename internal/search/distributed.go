@@ -30,7 +30,7 @@ type ShardConfig struct {
 	// are bit-identical either way.
 	DisablePruning bool
 	// Sem, when non-nil, bounds how many partition calls run on extra
-	// goroutines (it is shared with the engine's SQE_C run pool). The
+	// goroutines (the engine's worker pool, sized by WithSQECWorkers). The
 	// fan-out only try-acquires: when the pool is saturated the call
 	// runs inline on the caller's goroutine, so a caller that already
 	// holds a slot can always finish — sharing the semaphore cannot

@@ -152,13 +152,12 @@ func (pb *pruneBounds) delta(l *leaf, li int, tf int32, dl float64) float64 {
 // All weights are positive (flatten drops non-positive ones), which
 // every "maximise each summand independently" step above relies on.
 //
-// sc, when non-nil, supplies the bounds struct and its array backings
-// from pooled scratch (reset here); nil allocates fresh — the mode
-// hand-built test bounds and one-shot callers use.
-func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen int32, leaves []leaf, sc *evalScratch) *pruneBounds {
-	var pb *pruneBounds
-	if sc != nil {
-		pb = &sc.pb
+// dst, when non-nil, is the bounds struct to fill, typically pooled
+// scratch whose array backings are reused (reset here); nil allocates
+// fresh — the mode hand-built test bounds and one-shot callers use.
+func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen int32, leaves []leaf, dst *pruneBounds) *pruneBounds {
+	pb := dst
+	if pb != nil {
 		*pb = pruneBounds{
 			ub:      grow(pb.ub, len(leaves)),
 			memoTF:  grow(pb.memoTF, len(leaves)),

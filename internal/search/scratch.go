@@ -45,6 +45,23 @@ type evalScratch struct {
 
 	// merged backs the sharded/remote coordinators' k·S merge buffer.
 	merged []Result
+
+	// searchRuns' state: where each run's leaves end, the union leaves,
+	// the run-leaf → union map and its inverse (occ*), the per-union-leaf
+	// driving counts, list and per-candidate cores, and one slot per run.
+	runEnds        []int
+	union          []leaf
+	uOf            []int
+	occStart, fill []int
+	occRun, occJ   []int32
+	essCount       []int32
+	drv            []int
+	stamp          []int64
+	coreA, coreB   []float64
+	tfAt           []int32
+	bgCore, wOf    []float64
+	lgMemo         []float64
+	runs           []runEval
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -64,6 +81,15 @@ func putScratch(sc *evalScratch) {
 		full[i] = leaf{}
 	}
 	sc.leaves = sc.leaves[:0]
+	fullUnion := sc.union[:cap(sc.union)]
+	for i := range fullUnion {
+		fullUnion[i] = leaf{}
+	}
+	sc.union = sc.union[:0]
+	runs := sc.runs[:cap(sc.runs)]
+	for i := range runs {
+		runs[i].pb.deltaExact = nil
+	}
 	fullCurs := sc.curs[:cap(sc.curs)]
 	for i := range fullCurs {
 		fullCurs[i].Release()
@@ -110,6 +136,18 @@ func (sc *evalScratch) cursors(ix *index.Index, leaves []leaf) []index.TermCurso
 		}
 	}
 	return sc.curs
+}
+
+// runSlots returns n run slots, keeping the slices earlier queries grew
+// in each.
+func (sc *evalScratch) runSlots(n int) []runEval {
+	if cap(sc.runs) < n {
+		next := make([]runEval, n)
+		copy(next, sc.runs[:cap(sc.runs)])
+		sc.runs = next
+	}
+	sc.runs = sc.runs[:n]
+	return sc.runs
 }
 
 // ubSorter sorts a leaf-index permutation by ascending upper bound with

@@ -294,14 +294,18 @@ func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := scoring{
+	return evalLeaves(ctx, s.ix, nil, leaves, k, s.scoring(), st, sc)
+}
+
+// scoring resolves the searcher's configuration against its own index.
+func (s *Searcher) scoring() scoring {
+	return scoring{
 		model:          s.Model,
 		params:         s.resolveParams(),
 		cs:             collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()},
 		disablePruning: s.DisablePruning,
 		forcePrune:     s.forcePrune,
 	}
-	return evalLeaves(ctx, s.ix, nil, leaves, k, cfg, st, sc)
 }
 
 // scoring is the resolved configuration of one evaluation: the model,
@@ -332,7 +336,7 @@ func evalLeaves(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 	if cfg.disablePruning {
 		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
 	}
-	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, sc)
+	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, &sc.pb)
 	if !cfg.forcePrune && !pruneWorthwhile(leaves, pb) {
 		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
 	}

@@ -17,8 +17,10 @@ import (
 // i's own slice of the work. New counters must follow the same rule —
 // the pruning counters (DocsSkipped, BoundEvaluations) do.
 type SearchStats struct {
-	// Leaves is the number of flattened query leaves scored. Sharded:
-	// the per-shard leaf count (identical on every shard), NOT a sum.
+	// Leaves is the number of flattened query leaves scored; for a
+	// several-run pass (Searcher.SearchRuns) the union's, each distinct
+	// leaf once. Sharded: the per-shard leaf count (identical on every
+	// shard), NOT a sum.
 	Leaves int
 	// CandidatesExamined counts the distinct documents scored (without
 	// pruning: the size of the union of the leaves' postings; with

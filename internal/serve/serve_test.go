@@ -21,7 +21,7 @@ var (
 )
 
 // testServer builds a Server over a shared DemoSmall engine (with the
-// serving options on: cache + forced-parallel SQE_C) plus a fresh demo
+// serving options on: cache + a two-worker pool) plus a fresh demo
 // query to drive it with.
 func testServer(t *testing.T, cfg Config) (*Server, sqe.DemoQuery) {
 	t.Helper()
@@ -149,7 +149,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, m := range []string{
 		"sqe_http_requests_total{endpoint=\"search\"} 1",
 		"sqe_pipeline_queries_total 1",
-		"sqe_pipeline_retrievals_total 3", // SQE_C = three runs
+		"sqe_pipeline_retrievals_total 1", // SQE_C = one pass over a single index
 		"sqe_pipeline_stage_seconds_total{stage=\"retrieval\"}",
 		"sqe_search_candidates_examined_total",
 		"sqe_search_docs_skipped_total",

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -152,15 +151,8 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 // accumulate into ps when non-nil; degradation events accumulate into
 // deg when non-nil (see Engine.buildQuery and Engine.retrieve).
 func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTitles []string, k int, prfCfg *PRFConfig, ps *PipelineStats, deg *Degradation) ([]Result, *Expansion, error) {
-	start := time.Now()
-	nodes, err := e.resolveEntities(query, entityTitles)
-	if ps != nil {
-		ps.Stages.EntityLink += time.Since(start)
-	}
+	nodes, err := e.linkEntities(ctx, query, entityTitles, ps)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	node, exp, err := e.buildQuery(ctx, query, nodes, set, ps, deg)
@@ -171,7 +163,7 @@ func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTi
 		// The feedback pass is a small fixed-depth retrieval over the
 		// unsharded searcher; it contributes to query construction, not
 		// to the final retrieval's timing.
-		start = time.Now()
+		start := time.Now()
 		node = prf.Reformulate(e.searcher, node, *prfCfg)
 		if ps != nil {
 			ps.Stages.QueryBuild += time.Since(start)
@@ -184,110 +176,90 @@ func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTi
 	return res, exp, nil
 }
 
+// linkEntities resolves a request's entities, timed into the entity-link
+// stage, and checks the context before any expansion starts.
+func (e *Engine) linkEntities(ctx context.Context, query string, entityTitles []string, ps *PipelineStats) ([]NodeID, error) {
+	start := time.Now()
+	nodes, err := e.resolveEntities(query, entityTitles)
+	if ps != nil {
+		ps.Stages.EntityLink += time.Since(start)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return nodes, ctx.Err()
+}
+
 // sqecRunNames are the paper's names for SQE_C's runs, in splice order;
 // Degradation.DroppedRuns uses them.
 var sqecRunNames = [3]string{"T", "TS", "S"}
 
-// doC runs the paper's SQE_C combination: three independent runs (T,
-// T&S, S) spliced at ranks 5 and 200. With the engine's worker count
-// above one the runs evaluate concurrently behind the engine-wide
-// semaphore; per-run stats are accumulated privately and merged in run
-// order, so output and stats are byte-identical to the sequential path.
-// The returned Expansion is the combined (T&S) run's.
-//
-// With degradation enabled each run is guarded (fault hook, panic
-// containment, transient retry), and under PartialSQEC a failed run is
-// dropped from the splice — the survivors still cover their rank bands,
-// and Degradation.DroppedRuns names the missing lists. All three runs
-// failing fails the request with the first run's error.
 // sqecSets is the run order of the SQE_C combination: triangular alone,
 // both motifs, square alone — the splice in core.SpliceResultsC keys off
 // this order.
 var sqecSets = [3]MotifSet{MotifT, MotifTS, MotifS}
 
+// doC runs the paper's SQE_C combination: the T, T&S and S runs spliced
+// at ranks 5 and 200. The entities are resolved once for all three
+// runs; each run then expands and builds its own tree, and retrieveRuns
+// evaluates the trees together. The returned Expansion is the combined
+// (T&S) run's.
+//
+// With degradation enabled each run's expansion and query build is
+// guarded (the engine.sqec_run fault point, panic containment, transient
+// retry), and under PartialSQEC a run that fails there is dropped before
+// the evaluation: the survivors still cover their rank bands, and
+// Degradation.DroppedRuns names the missing lists. All three failing
+// fails the request with the first run's error. The evaluation is one
+// event for the whole request (see retrieveRuns), never a reason to drop
+// a run.
 func (e *Engine) doC(ctx context.Context, query string, entityTitles []string, k int, ps *PipelineStats, deg *Degradation) ([]Result, *Expansion, error) {
-	var runs [3][]Result
-	var exps [3]*Expansion
-	var errs [3]error
-	// Each run records degradation privately; the records merge in run
-	// order below, so parallel and sequential SQE_C report identically.
-	var degs [3]*Degradation
-	runOne := func(i int, set MotifSet, ps *PipelineStats) {
-		if deg == nil {
-			runs[i], exps[i], errs[i] = e.doSet(ctx, set, query, entityTitles, k, nil, ps, nil)
-			return
-		}
-		degs[i] = &Degradation{}
-		errs[i] = retryTransient(ctx, e.degrade, degs[i], func() error {
-			return guardPanic(func() error {
-				if err := fault.Check(fault.SQECRun); err != nil {
-					return err
-				}
-				var err error
-				runs[i], exps[i], err = e.doSet(ctx, set, query, entityTitles, k, nil, ps, degs[i])
-				return err
-			})
-		})
+	nodes, err := e.linkEntities(ctx, query, entityTitles, ps)
+	if err != nil {
+		return nil, nil, err
 	}
 	partial := deg != nil && e.degrade.PartialSQEC
-	if e.workers <= 1 {
-		for i, set := range sqecSets {
-			runOne(i, set, ps)
-			if errs[i] != nil && !partial {
-				return nil, nil, errs[i]
-			}
-		}
-	} else {
-		var pss [3]*PipelineStats
-		var wg sync.WaitGroup
-		for i, set := range sqecSets {
-			if ps != nil {
-				pss[i] = &PipelineStats{}
-			}
-			wg.Add(1)
-			go func(i int, set MotifSet) {
-				defer wg.Done()
-				e.sem <- struct{}{}
-				defer func() { <-e.sem }()
-				runOne(i, set, pss[i])
-			}(i, set)
-		}
-		wg.Wait()
-		if ps != nil {
-			for _, p := range pss {
-				ps.Add(p)
-			}
-		}
-	}
-	if deg != nil {
-		for _, d := range degs {
-			deg.add(d)
-		}
-	}
+	var exps [3]*Expansion
+	var built []int // the runs behind trees, in run order
+	var trees []search.Node
 	var firstErr error
-	failed := 0
-	for _, err := range errs {
+	for i, set := range sqecSets {
+		var node search.Node
+		err := e.guarded(ctx, deg, func() (err error) {
+			if deg != nil {
+				if err = fault.Check(fault.SQECRun); err != nil {
+					return err
+				}
+			}
+			node, exps[i], err = e.buildQuery(ctx, query, nodes, set, ps, deg)
+			return err
+		})
 		if err != nil {
-			failed++
+			// A cancelled parent context is the caller's signal and is
+			// never degraded into a partial splice.
+			if !partial || ctx.Err() != nil {
+				return nil, nil, err
+			}
 			if firstErr == nil {
 				firstErr = err
 			}
+			exps[i] = nil
+			deg.DroppedRuns = append(deg.DroppedRuns, sqecRunNames[i])
+			continue
 		}
+		built = append(built, i)
+		trees = append(trees, node)
 	}
-	if firstErr != nil {
-		// First error in run order, so parallel failures are reported
-		// identically to sequential ones. A cancelled parent context is
-		// the caller's signal and is never degraded into a partial
-		// splice; neither is a request with no surviving run.
-		if !partial || failed == len(errs) || ctx.Err() != nil {
-			return nil, nil, firstErr
-		}
-		for i, err := range errs {
-			if err != nil {
-				runs[i], exps[i] = nil, nil
-				deg.DroppedRuns = append(deg.DroppedRuns, sqecRunNames[i])
-			}
-		}
+	if len(trees) == 0 {
+		return nil, nil, firstErr
+	}
+	lists, err := e.retrieveRuns(ctx, trees, k, ps, deg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var runs [3][]Result
+	for j, i := range built {
+		runs[i] = lists[j]
 	}
 	return core.SpliceResultsC(k, runs[0], runs[1], runs[2]), exps[1], nil
 }
@@ -349,27 +321,66 @@ func (e *Engine) retrieve(ctx context.Context, node search.Node, k int, ps *Pipe
 		}
 		res, st = ev.Results, ev.Stats
 	} else {
-		eval := func() (err error) {
+		err = e.guarded(ctx, deg, func() (err error) {
 			if ps == nil {
 				res, err = e.searcher.SearchContext(ctx, node, k)
 			} else {
 				res, st, err = e.searcher.SearchWithStatsContext(ctx, node, k)
 			}
 			return err
-		}
-		if deg != nil {
-			err = retryTransient(ctx, e.degrade, deg, func() error { return guardPanic(eval) })
-		} else {
-			err = eval()
-		}
+		})
 	}
+	recordRetrieval(ps, start, st)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// retrieveRuns evaluates several trees for one request and returns one
+// ranking per tree, in order, each bit-identical to retrieve on that
+// tree alone. A single index evaluates them in one pass over the union
+// of their leaves (search.Searcher.SearchRuns; DESIGN.md "SQE_C in one
+// pass"), behind retrieve's panic containment and transient retry. A
+// partitioned engine runs retrieve once per tree, one after another;
+// each call's partition fan-out is still parallel. Either way a failure
+// fails every tree: there is no per-tree partial result.
+func (e *Engine) retrieveRuns(ctx context.Context, nodes []search.Node, k int, ps *PipelineStats, deg *Degradation) ([][]Result, error) {
+	if e.sharded != nil {
+		out := make([][]Result, len(nodes))
+		for i, node := range nodes {
+			res, err := e.retrieve(ctx, node, k, ps, deg)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+		}
+		return out, nil
+	}
+	start := time.Now()
+	var out [][]Result
+	var st SearchStats
+	err := e.guarded(ctx, deg, func() (err error) {
+		var stp *SearchStats
+		if ps != nil {
+			st, stp = SearchStats{}, &st
+		}
+		out, err = e.searcher.SearchRuns(ctx, nodes, k, stp)
+		return err
+	})
+	recordRetrieval(ps, start, st)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// recordRetrieval attributes one evaluator pass, its wall-clock and its
+// counters to ps when non-nil.
+func recordRetrieval(ps *PipelineStats, start time.Time, st SearchStats) {
 	if ps != nil {
 		ps.Stages.Retrieval += time.Since(start)
 		ps.Search.Add(st)
 		ps.Retrievals++
 	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

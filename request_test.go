@@ -53,7 +53,9 @@ func TestSearchRequestValidation(t *testing.T) {
 }
 
 // TestDoStatsParity pins Do's stats contract: one query per call, one
-// retrieval per run (three for SQE_C, one for an explicit set).
+// retrieval per evaluator pass — one for SQE_C on a single index (its
+// three runs share the pass), three on a partitioned engine, one for an
+// explicit set.
 func TestDoStatsParity(t *testing.T) {
 	e := demo(t)
 	eng := e.Engine
@@ -64,8 +66,16 @@ func TestDoStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if do.Stats == nil || do.Stats.Queries != 1 || do.Stats.Retrievals != 3 {
+	if do.Stats == nil || do.Stats.Queries != 1 || do.Stats.Retrievals != 1 {
 		t.Fatalf("Do SQE_C stats: %+v", do.Stats)
+	}
+	sharded := NewEngine(eng.Graph(), eng.Index(), WithShards(2))
+	doSharded, err := sharded.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 20, CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doSharded.Stats.Queries != 1 || doSharded.Stats.Retrievals != 3 {
+		t.Fatalf("Do SQE_C stats on a sharded engine: %+v", doSharded.Stats)
 	}
 	doSet, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 20, CollectStats: true})
 	if err != nil {
@@ -228,8 +238,8 @@ func TestDoCacheHitByteIdentical(t *testing.T) {
 
 // TestDoConcurrentSharded hammers Do on one shared sharded engine from
 // many goroutines mixing configurations; under -race (Makefile `race`
-// target) this is the data-race gate for the sharded fan-out sharing
-// the engine semaphore with parallel SQE_C runs.
+// target) this is the data-race gate for concurrent sharded fan-outs
+// sharing the engine's worker pool.
 func TestDoConcurrentSharded(t *testing.T) {
 	e := demo(t)
 	eng := NewEngine(e.Engine.Graph(), e.Engine.Index(),

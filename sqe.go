@@ -165,13 +165,11 @@ type Engine struct {
 	// cache memoises motif expansions across requests; nil when caching
 	// is off (the default outside serving).
 	cache *core.ExpansionCache
-	// workers bounds how many of an SQE_C call's three runs evaluate
-	// concurrently, engine-wide across requests; <= 1 runs them
-	// sequentially on the caller's goroutine.
+	// workers sizes sem (see WithSQECWorkers); <= 1 leaves it nil.
 	workers int
-	// sem is the engine-wide worker semaphore (nil when workers <= 1).
-	// SQE_C runs block on it; shard fan-outs only try-acquire it (see
-	// search.ShardConfig.Sem), so sharing one pool cannot deadlock.
+	// sem is the engine-wide worker pool partition fan-outs try-acquire
+	// (search.ShardConfig.Sem); nil runs every partition call on the
+	// caller's goroutine.
 	sem chan struct{}
 	// shards is the shard count requested via WithShards (0/1 =
 	// unsharded).
@@ -250,11 +248,14 @@ func WithExpansionCache(entries int) Option {
 	}
 }
 
-// WithSQECWorkers bounds how many of SQE_C's three independent runs
-// (T, T&S, S) evaluate concurrently, shared engine-wide across requests.
-// n <= 1 forces the sequential path; the default is GOMAXPROCS. Parallel
-// and sequential paths return byte-identical results — the runs are
-// independent and the combination is deterministic.
+// WithSQECWorkers sizes the engine-wide worker pool that partition
+// fan-outs (WithShards, WithDistributedSearcher, a live engine's
+// segments) draw extra goroutines from; n <= 1 evaluates every partition
+// on the caller's goroutine, and the default is GOMAXPROCS. Results are
+// byte-identical whatever n is. The name is historical: SQE_C's three
+// runs no longer take workers — a single index evaluates them in one
+// pass, a partitioned engine one after another. The option stays only
+// because the benchmark harness binds it; ROADMAP item 7 deletes it.
 func WithSQECWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -266,9 +267,11 @@ func WithSQECWorkers(n int) Option {
 // sums before scoring, so rankings and scores are bit-identical to the
 // unsharded engine for every retrieval model (TestDifferential's
 // shards-N rows enforce this). n is clamped to the document
-// count; n <= 1 keeps the single-index path. Shard evaluations share the
-// engine-wide worker semaphore with SQE_C runs (see WithSQECWorkers),
-// falling back to inline evaluation when the pool is saturated.
+// count; n <= 1 keeps the single-index path. Shard evaluations draw
+// extra goroutines from the engine-wide worker pool (its size is
+// WithSQECWorkers' only remaining effect) and run inline when it is
+// saturated. A sharded engine evaluates SQE_C's three runs one after
+// another rather than in one pass (DESIGN.md "SQE_C in one pass").
 func WithShards(n int) Option {
 	return func(e *Engine) { e.shards = n }
 }
