@@ -43,16 +43,16 @@ func searchBaseline(ctx context.Context, eng *Engine, q DemoQuery, k int) ([]Res
 // pass: a single-index engine evaluates the three runs together, and its
 // splice must be byte-identical — rankings AND scores — to splicing the
 // three runs' own explicit-set requests, for every demo query at a
-// shallow and a deep cut, whatever WithSQECWorkers says and with or
-// without the expansion cache.
+// shallow and a deep cut, with and without the expansion cache.
+// (WithSQECWorkers only sizes a partitioned engine's fan-out pool; a
+// single index has none.)
 func TestParallelSQECMatchesSequential(t *testing.T) {
 	e := demo(t)
 	g, ix := e.Engine.Graph(), e.Engine.Index()
 	ref := NewEngine(g, ix)
 	engines := map[string]*Engine{
-		"workers=1":       NewEngine(g, ix, WithSQECWorkers(1)),
-		"workers=3":       NewEngine(g, ix, WithSQECWorkers(3)),
-		"workers=3+cache": NewEngine(g, ix, WithSQECWorkers(3), WithExpansionCache(1024)),
+		"plain": ref,
+		"cache": NewEngine(g, ix, WithExpansionCache(1024)),
 	}
 	ctx := context.Background()
 	for _, k := range []int{10, 300} {
@@ -80,8 +80,7 @@ func TestParallelSQECMatchesSequential(t *testing.T) {
 }
 
 // TestParallelSQECStats pins what an SQE_C request's stats say ran: on a
-// single index one evaluator pass whatever WithSQECWorkers says, with
-// identical deterministic counters, over the union of the three runs'
+// single index one evaluator pass over the union of the three runs'
 // leaves (fewer than their sum: T&S's leaves are T's plus S's); on a
 // partitioned engine, three passes.
 func TestParallelSQECStats(t *testing.T) {
@@ -96,23 +95,16 @@ func TestParallelSQECStats(t *testing.T) {
 		}
 		return resp.Stats
 	}
-	seq := stats(NewEngine(g, ix, WithSQECWorkers(1)), 0)
-	par := stats(NewEngine(g, ix, WithSQECWorkers(3)), 0)
-	if seq.Retrievals != 1 || par.Retrievals != 1 {
-		t.Errorf("Retrievals = %d / %d, want one pass", seq.Retrievals, par.Retrievals)
-	}
-	if seq.Queries != par.Queries || seq.Features != par.Features ||
-		seq.Search.CandidatesExamined != par.Search.CandidatesExamined ||
-		seq.Search.PostingsAdvanced != par.Search.PostingsAdvanced ||
-		seq.Search.Leaves != par.Search.Leaves {
-		t.Errorf("counters depend on the worker count: seq=%+v par=%+v", seq, par)
+	one := stats(NewEngine(g, ix), 0)
+	if one.Retrievals != 1 {
+		t.Errorf("Retrievals = %d, want one pass", one.Retrievals)
 	}
 	var leaves int
 	for _, set := range sqecSets {
 		leaves += stats(e.Engine, set).Search.Leaves
 	}
-	if seq.Search.Leaves >= leaves {
-		t.Errorf("the pass has %d leaves, the three runs %d together", seq.Search.Leaves, leaves)
+	if one.Search.Leaves >= leaves {
+		t.Errorf("the pass has %d leaves, the three runs %d together", one.Search.Leaves, leaves)
 	}
 	if sh := stats(NewEngine(g, ix, WithShards(2)), 0); sh.Retrievals != 3 {
 		t.Errorf("partitioned engine: Retrievals = %d, want one per run", sh.Retrievals)
@@ -125,8 +117,7 @@ func TestParallelSQECStats(t *testing.T) {
 // Engine. Results are verified against single-threaded expectations.
 func TestEngineConcurrentStress(t *testing.T) {
 	e := demo(t)
-	eng := NewEngine(e.Engine.Graph(), e.Engine.Index(),
-		WithSQECWorkers(2), WithExpansionCache(128))
+	eng := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithExpansionCache(128))
 	queries := e.Queries
 	type expect struct {
 		search   []Result
@@ -252,24 +243,26 @@ func TestEngineOptions(t *testing.T) {
 func TestSearchContextCancellation(t *testing.T) {
 	e := demo(t)
 	q := e.Queries[0]
-	for _, workers := range []int{1, 3} {
-		eng := parallelEngine(t, WithSQECWorkers(workers))
+	for name, eng := range map[string]*Engine{
+		"single":   parallelEngine(t),
+		"shards-2": parallelEngine(t, WithShards(2), WithSQECWorkers(3)),
+	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := searchC(ctx, eng, q, 10); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: SQE_C want context.Canceled, got %v", workers, err)
+			t.Errorf("%s: SQE_C want context.Canceled, got %v", name, err)
 		}
 		if _, err := searchBaseline(ctx, eng, q, 10); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: BaselineSQE_C want context.Canceled, got %v", workers, err)
+			t.Errorf("%s: BaselineSQE_C want context.Canceled, got %v", name, err)
 		}
 		if _, err := eng.ExpandContext(ctx, q.Text, q.EntityTitles, MotifTS); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: ExpandContext want context.Canceled, got %v", workers, err)
+			t.Errorf("%s: ExpandContext want context.Canceled, got %v", name, err)
 		}
 	}
 	// A generous deadline must not interfere with a normal search.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	eng := parallelEngine(t, WithSQECWorkers(3))
+	eng := parallelEngine(t)
 	res, err := searchC(ctx, eng, q, 10)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("deadline search failed: %v (%d results)", err, len(res))

@@ -310,6 +310,134 @@ func pruneSlack(bound, threshold float64) float64 {
 	return s * 1e-9
 }
 
+// pruneState is one query's MaxScore state over its leaves: order lists
+// leaf indices by ascending bound (ties: leaf order), prefix[m] = bg + Σ
+// bounds of order[:m+1], rank inverts order, the first ness entries of
+// order are the non-essential set with bound mass nonEssDelta, and θ is
+// the threshold they are judged against. θ only rises, so ness only
+// grows. searchMaxScore keeps one; searchRuns keeps one per run.
+type pruneState struct {
+	pb          *pruneBounds
+	order, rank []int
+	prefix      []float64
+	ness        int
+	nonEssDelta float64
+	threshold   float64
+	// freeAt[j] is the candidate whose free refinement pass last
+	// resolved leaf j (see refine).
+	freeAt []int64
+}
+
+// reset sorts pb's leaves into a fresh partition: every leaf essential,
+// θ = −∞. The comparator is a total order, so the (unstable) sort
+// produces one well-defined permutation.
+func (p *pruneState) reset(pb *pruneBounds, sorter *ubSorter) {
+	n := len(pb.ub)
+	p.pb = pb
+	p.order = grow(p.order, n)
+	for i := range p.order {
+		p.order[i] = i
+	}
+	*sorter = ubSorter{order: p.order, ub: pb.ub}
+	sort.Sort(sorter)
+	p.prefix = grow(p.prefix, n)
+	p.rank = grow(p.rank, n)
+	p.freeAt = grow(p.freeAt, n)
+	cum := pb.bg
+	for m, li := range p.order {
+		cum += pb.ub[li]
+		p.prefix[m] = cum
+		p.rank[li] = m
+		p.freeAt[m] = -1
+	}
+	p.ness, p.nonEssDelta, p.threshold = 0, 0, math.Inf(-1)
+}
+
+// refine is the candidate filter's refinement. bound holds a candidate's
+// background mass, the non-essential mass and the exact contributions
+// of its matching essential leaves; while it is inconclusive against θ,
+// walk the non-essential leaves in descending-bound order and swap each
+// whole-list bound for the exact delta. Free answers come first: a
+// cursor already at or past the candidate gives the delta, or proves
+// the posting absent, without moving. A cursor still behind keeps its
+// whole-list bound until the paid pass gallops it up to the candidate
+// (a gallop the scoring loop would perform anyway if the candidate
+// survives) and evaluates the real delta. Every swap can only shrink the
+// bound, so stopping on a provable loss is safe; otherwise refine
+// returns the candidate's exact score bound: a genuine contender.
+//
+// leaves are the state's own leaves; leaf j reads cursor cur[j], or
+// cursor j when cur is nil. stamp names the candidate: the free pass
+// marks the leaves it resolved with it, so the paid pass visits exactly
+// the others — even when two leaves share a cursor and the gallop made
+// for one has already moved it for the other.
+func (p *pruneState) refine(bound float64, leaves []leaf, cur []int, curs []index.TermCursor, curDoc []index.DocID, doc index.DocID, dl float64, stamp int64, skipped, boundEvals *int64) float64 {
+	pb, threshold := p.pb, p.threshold
+	for m := p.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
+		m--
+		j := p.order[m]
+		u := j
+		if cur != nil {
+			u = cur[j]
+		}
+		switch d := curDoc[u]; {
+		case d > doc:
+			// The cursor passed doc without stopping: the candidate is
+			// in none of this leaf's remaining postings.
+			bound -= pb.ub[j]
+			p.freeAt[j] = stamp
+		case d == doc:
+			bound += pb.delta(&leaves[j], j, curs[u].Freq(), dl) - pb.ub[j]
+			p.freeAt[j] = stamp
+		}
+		*boundEvals++
+	}
+	// (The free pass only stops short of the last leaf on a provable
+	// loss, so the paid one never runs over leaves it did not visit.)
+	for m := p.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
+		m--
+		j := p.order[m]
+		if p.freeAt[j] == stamp {
+			continue
+		}
+		u := j
+		if cur != nil {
+			u = cur[j]
+		}
+		c := &curs[u]
+		d := curDoc[u]
+		if d < doc {
+			r0 := c.Rank()
+			d = c.Advance(doc)
+			*skipped += int64(c.Rank() - r0)
+			curDoc[u] = d
+		}
+		bound -= pb.ub[j]
+		if d == doc {
+			bound += pb.delta(&leaves[j], j, c.Freq(), dl)
+		}
+		*boundEvals++
+	}
+	return bound
+}
+
+// raise lifts θ and demotes every leaf whose prefix now provably loses
+// against it. It returns ness as it was: order[from:ness] are the leaves
+// just demoted.
+func (p *pruneState) raise(threshold float64) (from int) {
+	from = p.ness
+	p.threshold = threshold
+	for p.ness < len(p.order) {
+		ub := p.prefix[p.ness]
+		if !(ub+pruneSlack(ub, threshold) < threshold) {
+			break
+		}
+		p.nonEssDelta += p.pb.ub[p.order[p.ness]]
+		p.ness++
+	}
+	return from
+}
+
 // searchMaxScore is searchDAAT with MaxScore pruning. Same contract and
 // bit-identical results; see the file comment for the safety argument.
 // sc is the caller's pooled scratch (pb normally lives inside it); nil
@@ -330,29 +458,9 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 		defer putScratch(sc)
 	}
 	n := len(leaves)
-
-	// order lists leaf indices by ascending bound (ties: leaf order);
-	// prefix[m] = bg + Σ bounds of order[:m+1]; rank inverts order. The
-	// first ness entries of order are the current non-essential set.
-	// The comparator is a total order, so the (unstable) sort produces
-	// one well-defined permutation.
-	order := grow(sc.order, n)
-	sc.order = order
-	for i := range order {
-		order[i] = i
-	}
-	sc.sorter = ubSorter{order: order, ub: pb.ub}
-	sort.Sort(&sc.sorter)
-	prefix := grow(sc.prefix, n)
-	sc.prefix = prefix
-	rank := grow(sc.rank, n)
-	sc.rank = rank
-	cum := pb.bg
-	for m, li := range order {
-		cum += pb.ub[li]
-		prefix[m] = cum
-		rank[li] = m
-	}
+	ps := &sc.ps
+	ps.reset(pb, &sc.sorter)
+	order, rank := ps.order, ps.rank
 
 	curs := sc.cursors(ix, leaves)
 	curDoc := grow(sc.curDoc, n)
@@ -373,10 +481,7 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 
 	h := topK{docs: sc.heapDocs[:0], scores: sc.heapScores[:0], k: k}
 	defer func() { sc.heapDocs, sc.heapScores = h.docs[:0], h.scores[:0] }()
-	threshold := math.Inf(-1)
-	ness := 0          // leaves order[:ness] are non-essential
-	nonEssDelta := 0.0 // Σ bounds of order[:ness], maintained as ness grows
-	var iters int64    // loop trips, for the cancellation cadence
+	var iters int64 // loop trips, for the cancellation cadence
 	var advanced, cands, skipped, boundEvals int64
 	flushStats := func() {
 		if st != nil {
@@ -405,27 +510,28 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 		iters++
 		doc := next
 		dl := float64(ix.DocLen(doc))
+		ness := ps.ness
 		// Candidate filter: once the heap is full, bound this document's
 		// best possible score — its background mass (evaluated exactly at
 		// its length when the model permits), the non-essential mass, and
 		// the EXACT contributions of the essential leaves that hold it,
 		// whose (tf, dl) already sit under the cursors (essential cursors
 		// are never behind the merge frontier, so curDoc==doc detects
-		// every essential match). If that provably loses against θ, the
-		// matching entries are consumed and the document is never fully
-		// scored.
+		// every essential match) — and refine it. If that provably loses
+		// against θ, the matching entries are consumed and the document is
+		// never fully scored.
 		if len(h.docs) == k {
 			bound := pb.bg
 			if pb.exactBG {
 				bound = pb.bgConst - pb.wSum*math.Log(dl+pb.mu)
 			}
-			bound += nonEssDelta
+			bound += ps.nonEssDelta
 			// One pass: sum the exact contributions of matching essential
 			// leaves, remember them, and precompute the frontier a
 			// rejection would leave behind (each match peeked one entry
-			// ahead WITHOUT committing the advance). The refinement below
-			// moves only non-essential cursors, which never feed the
-			// frontier, so the peeked value stays valid.
+			// ahead WITHOUT committing the advance). The refinement moves
+			// only non-essential cursors, which never feed the frontier,
+			// so the peeked value stays valid.
 			matched = matched[:0]
 			pendingNext := exhausted
 			for _, li := range order[ness:] {
@@ -441,53 +547,8 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 				}
 			}
 			boundEvals++
-			// Refinement, free answers first: while the bound is
-			// inconclusive, walk the non-essential leaves in descending-
-			// bound order and swap the whole-list bound of every leaf whose
-			// cursor is already at or past the candidate for its exact
-			// delta — the posting sits under the cursor, or is provably
-			// absent. No cursor moves. A cursor still behind the candidate
-			// keeps its whole-list bound. Every replacement can only shrink
-			// the bound, so breaking out on a provable loss is safe.
-			for m := ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
-				m--
-				li := order[m]
-				switch d := curDoc[li]; {
-				case d > doc:
-					// The cursor passed doc without stopping: the candidate
-					// is in none of this leaf's remaining postings.
-					bound -= pb.ub[li]
-				case d == doc:
-					bound += pb.delta(&leaves[li], li, curs[li].Freq(), dl) - pb.ub[li]
-				}
-				boundEvals++
-			}
-			// Then the paid ones: gallop each cursor still behind the
-			// candidate up to it (a gallop the scoring loop would perform
-			// anyway if the candidate survives) and evaluate the real
-			// delta. (The first pass only stops short of the last leaf on a
-			// provable loss, so this one never runs over leaves it did not
-			// visit.) The loop ends when the candidate provably loses or
-			// the bound has become its exact score: a genuine contender
-			// worth full evaluation.
-			for m := ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
-				m--
-				li := order[m]
-				if curDoc[li] >= doc {
-					continue
-				}
-				c := &curs[li]
-				r0 := c.Rank()
-				d := c.Advance(doc)
-				skipped += int64(c.Rank() - r0)
-				curDoc[li] = d
-				bound -= pb.ub[li]
-				if d == doc {
-					bound += pb.delta(&leaves[li], li, c.Freq(), dl)
-				}
-				boundEvals++
-			}
-			if bound+pruneSlack(bound, threshold) < threshold {
+			bound = ps.refine(bound, leaves, nil, curs, curDoc, doc, dl, iters, &skipped, &boundEvals)
+			if bound+pruneSlack(bound, ps.threshold) < ps.threshold {
 				// Consume exactly the entries the filter pass matched (the
 				// refinement moved only non-essential cursors, which are
 				// not among them).
@@ -545,26 +606,15 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 			continue
 		}
 		h.offer(doc, total, st)
-		if len(h.docs) == k && h.scores[0] > threshold {
-			threshold = h.scores[0]
+		if len(h.docs) == k && h.scores[0] > ps.threshold {
 			boundEvals++
-			moved := false
-			for ness < n {
-				ub := prefix[ness]
-				if !(ub+pruneSlack(ub, threshold) < threshold) {
-					break
-				}
-				nonEssDelta += pb.ub[order[ness]]
-				ness++
-				moved = true
-			}
-			if moved {
+			if ps.raise(h.scores[0]) < ps.ness {
 				// Freshly demoted leaves stop driving candidate
 				// selection; recompute the pending minimum over what is
 				// still essential. (At most n such recomputations over
 				// the whole evaluation — ness never shrinks.)
 				next = exhausted
-				for _, li := range order[ness:] {
+				for _, li := range order[ps.ness:] {
 					if curDoc[li] < next {
 						next = curDoc[li]
 					}
@@ -575,7 +625,7 @@ func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, lea
 	// Postings left unconsumed on non-essential cursors were skipped
 	// wholesale — searchDAAT would have advanced through every one.
 	for li := range leaves {
-		if rank[li] < ness {
+		if rank[li] < ps.ness {
 			skipped += int64(curs[li].Len() - curs[li].Rank())
 		}
 	}

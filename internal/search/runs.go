@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/fault"
@@ -47,18 +46,11 @@ type runEval struct {
 	// prune: the run filters candidates and demotes leaves (MaxScore);
 	// false, under disablePruning, scores every candidate it matches.
 	prune bool
-	pb    pruneBounds
-	// order, rank, prefix, ness and nonEssDelta are searchMaxScore's
-	// partition state, indexed by the run's own leaf positions.
-	order, rank []int
-	prefix      []float64
-	ness        int
-	nonEssDelta float64
-	threshold   float64
-	// freeAt[j] is the candidate whose free refinement pass last
-	// resolved leaf j (see filterLoses).
-	freeAt []int64
-	h      topK
+	// bounds and the partition over them, indexed by the run's own leaf
+	// positions: searchMaxScore's state.
+	bounds pruneBounds
+	pruneState
+	h topK
 	// Per-candidate state: hit marks a match on one of the run's
 	// essential leaves, bound accumulates the filter's exact deltas.
 	hit   bool
@@ -164,40 +156,21 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 	clear(essCount)
 	for r := range rs {
 		run := &rs[r]
-		n := run.hi - run.lo
-		run.ness, run.nonEssDelta, run.threshold = 0, 0, math.Inf(-1)
 		run.h = topK{docs: run.h.docs[:0], scores: run.h.scores[:0], k: k}
 		run.prune = false
 		for g := run.lo; g < run.hi; g++ {
 			essCount[uOf[g]]++
 		}
-		if cfg.disablePruning || n == 0 {
+		if cfg.disablePruning || run.hi == run.lo {
 			continue
 		}
 		// Every run prunes: pruneWorthwhile weighs a query's filter
 		// against scoring it alone, but here a run that scored everything
 		// would keep all its leaves driving and every candidate on them
 		// scored, whatever the other runs proved.
-		derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves[run.lo:run.hi], &run.pb)
+		derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves[run.lo:run.hi], &run.bounds)
 		run.prune = true
-		run.order = grow(run.order, n)
-		for i := range run.order {
-			run.order[i] = i
-		}
-		sc.sorter = ubSorter{order: run.order, ub: run.pb.ub}
-		sort.Sort(&sc.sorter)
-		run.prefix = grow(run.prefix, n)
-		run.rank = grow(run.rank, n)
-		run.freeAt = grow(run.freeAt, n)
-		for j := range run.freeAt {
-			run.freeAt[j] = -1
-		}
-		cum := run.pb.bg
-		for m, li := range run.order {
-			cum += run.pb.ub[li]
-			run.prefix[m] = cum
-			run.rank[li] = m
-		}
+		run.reset(&run.bounds, &sc.sorter)
 	}
 	sc.essCount = essCount
 
@@ -222,19 +195,6 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 	coreA := grow(sc.coreA, nu)
 	coreB := grow(sc.coreB, nu)
 	tfAt := grow(sc.tfAt, nu)
-	// bgCore memoises a language model's background core (tf = 0) per
-	// union leaf and document length below bgSpan (Jelinek-Mercer's does
-	// not depend on the length: key 0); NaN marks an empty slot.
-	bgCore := grow(sc.bgCore, nu*bgSpan)
-	for i := range bgCore {
-		bgCore[i] = math.NaN()
-	}
-	// lgMemo memoises the filter's log(dl+μ) by length the same way.
-	lgMemo := grow(sc.lgMemo, bgSpan)
-	for i := range lgMemo {
-		lgMemo[i] = math.NaN()
-	}
-	sc.lgMemo = lgMemo
 	// wOf is each run leaf's multiplier: its weight, or w·idf for BM25.
 	wOf := grow(sc.wOf, len(leaves))
 	for g := range leaves {
@@ -243,7 +203,7 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 			wOf[g] = leaves[g].weight * leaves[g].idf
 		}
 	}
-	sc.stamp, sc.coreA, sc.coreB, sc.tfAt, sc.bgCore, sc.wOf = stamp, coreA, coreB, tfAt, bgCore, wOf
+	sc.stamp, sc.coreA, sc.coreB, sc.tfAt, sc.wOf = stamp, coreA, coreB, tfAt, wOf
 	defer func() { sc.drv, sc.matched = drv[:0], matched[:0] }()
 
 	params := cfg.params
@@ -298,13 +258,6 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 			break
 		}
 		dl := float64(ix.DocLen(doc))
-		bgKey := -1
-		switch {
-		case cfg.model == ModelJelinekMercer:
-			bgKey = 0
-		case cfg.model != ModelBM25 && dl < bgSpan:
-			bgKey = int(dl)
-		}
 		for r := range rs {
 			rs[r].hit, rs[r].bound = false, 0
 		}
@@ -332,7 +285,7 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 		// and are scored too: a weighted sum over cores mostly computed
 		// already, and an offer their filter would have rejected is one
 		// their heap rejects. The exact Dirichlet background's log(dl+μ)
-		// is the same for every run.
+		// is the same for every run: computed once, on first use.
 		anyScored := false
 		for r := range rs {
 			if run := &rs[r]; run.hit && (!run.prune || len(run.h.docs) < k) {
@@ -340,14 +293,14 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 				break
 			}
 		}
+		lgDL := math.NaN()
 		for r := range rs {
 			run := &rs[r]
 			if anyScored || !run.hit {
 				continue
 			}
-			lgDL := 0.0
-			if run.pb.exactBG {
-				lgDL = lgLen(lgMemo, dl, mu)
+			if run.pb.exactBG && lgDL != lgDL {
+				lgDL = math.Log(dl + mu)
 			}
 			if run.filterLoses(leaves, uOf, curs, curDoc, doc, dl, lgDL, iters, &skipped, &boundEvals) {
 				run.hit = false
@@ -404,16 +357,6 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 							coreA[u] = t * (k1 + 1)
 							coreB[u] = t + k1*(1-bp+bp*dl/avgdl)
 						}
-					case tf == 0 && bgKey >= 0:
-						// A background core is a pure function of the leaf
-						// and the length: reuse it bit for bit.
-						slot := u*bgSpan + bgKey
-						if v := bgCore[slot]; v == v {
-							coreA[u] = v
-						} else {
-							coreA[u] = lmCore(cfg.model, mu, lambda, union[u].collProb, tf, dl)
-							bgCore[slot] = coreA[u]
-						}
 					default:
 						coreA[u] = lmCore(cfg.model, mu, lambda, union[u].collProb, tf, dl)
 					}
@@ -435,8 +378,14 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 				run.h.offer(doc, total, st)
 			}
 			if run.prune && len(run.h.docs) == k && run.h.scores[0] > run.threshold {
-				if run.raise(uOf, essCount, &boundEvals) {
-					demoted = true
+				// Leaves the run just demoted release their union leaf.
+				boundEvals++
+				from := run.raise(run.h.scores[0])
+				for _, j := range run.order[from:run.ness] {
+					u := uOf[run.lo+j]
+					if essCount[u]--; essCount[u] == 0 {
+						demoted = true
+					}
 				}
 			}
 		}
@@ -469,23 +418,6 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 	return out, nil
 }
 
-// bgSpan bounds the document lengths whose background cores searchRuns
-// memoises; this collection's documents are a few dozen tokens long.
-const bgSpan = 64
-
-// lgLen is log(dl+μ), memoised in memo for lengths below bgSpan.
-func lgLen(memo []float64, dl, mu float64) float64 {
-	if dl >= bgSpan {
-		return math.Log(dl + mu)
-	}
-	i := int(dl)
-	if v := memo[i]; v == v {
-		return v
-	}
-	memo[i] = math.Log(dl + mu)
-	return memo[i]
-}
-
 // lmCore is a language model's per-leaf core — the scorer closure's
 // expression without the weight: Dirichlet's log((tf+μp)/(dl+μ)),
 // Jelinek-Mercer's log((1−λ)·tf/dl + λp).
@@ -503,79 +435,16 @@ func lmCore(model Model, mu, lambda, collProb float64, tf int32, dl float64) flo
 // filterLoses is searchMaxScore's candidate filter for one run whose
 // heap is full: run.bound holds the exact deltas of the run's matching
 // essential leaves; add the background (lgDL is log(dl+μ), read only
-// for Dirichlet's exact background) and the non-essential mass, refine
-// the non-essential leaves free answers first, then paid gallops, and
-// report whether the candidate provably loses against θ. stamp names
-// the candidate: the free pass marks the leaves it resolved with it,
-// because a leaf the run holds twice shares its cursor, and the paid
-// gallop made for one occurrence must still resolve the other.
+// for Dirichlet's exact background) and the non-essential mass, refine,
+// and report whether the candidate provably loses against θ.
 func (run *runEval) filterLoses(leaves []leaf, uOf []int, curs []index.TermCursor, curDoc []index.DocID, doc index.DocID, dl, lgDL float64, stamp int64, skipped, boundEvals *int64) bool {
-	pb := &run.pb
+	pb := run.pb
 	bound := pb.bg
 	if pb.exactBG {
 		bound = pb.bgConst - pb.wSum*lgDL
 	}
 	bound += run.nonEssDelta + run.bound
-	threshold := run.threshold
 	*boundEvals++
-	for m := run.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
-		m--
-		j := run.order[m]
-		u := uOf[run.lo+j]
-		switch d := curDoc[u]; {
-		case d > doc:
-			bound -= pb.ub[j]
-			run.freeAt[j] = stamp
-		case d == doc:
-			bound += pb.delta(&leaves[run.lo+j], j, curs[u].Freq(), dl) - pb.ub[j]
-			run.freeAt[j] = stamp
-		}
-		*boundEvals++
-	}
-	for m := run.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
-		m--
-		j := run.order[m]
-		if run.freeAt[j] == stamp {
-			continue
-		}
-		u := uOf[run.lo+j]
-		c := &curs[u]
-		d := curDoc[u]
-		if d < doc {
-			r0 := c.Rank()
-			d = c.Advance(doc)
-			*skipped += int64(c.Rank() - r0)
-			curDoc[u] = d
-		}
-		bound -= pb.ub[j]
-		if d == doc {
-			bound += pb.delta(&leaves[run.lo+j], j, c.Freq(), dl)
-		}
-		*boundEvals++
-	}
-	return bound+pruneSlack(bound, threshold) < threshold
-}
-
-// raise lifts the run's θ to its heap root and demotes every leaf whose
-// prefix now provably loses, releasing the run's hold on its union leaf.
-// It reports whether some union leaf stopped driving.
-func (run *runEval) raise(uOf []int, essCount []int32, boundEvals *int64) bool {
-	run.threshold = run.h.scores[0]
-	*boundEvals++
-	released := false
-	for run.ness < len(run.order) {
-		ub := run.prefix[run.ness]
-		if !(ub+pruneSlack(ub, run.threshold) < run.threshold) {
-			break
-		}
-		j := run.order[run.ness]
-		run.nonEssDelta += run.pb.ub[j]
-		run.ness++
-		u := uOf[run.lo+j]
-		essCount[u]--
-		if essCount[u] == 0 {
-			released = true
-		}
-	}
-	return released
+	bound = run.refine(bound, leaves[run.lo:run.hi], uOf[run.lo:run.hi], curs, curDoc, doc, dl, stamp, skipped, boundEvals)
+	return bound+pruneSlack(bound, run.threshold) < run.threshold
 }

@@ -30,9 +30,7 @@ type evalScratch struct {
 	positional index.PositionalScratch
 
 	// MaxScore partition state.
-	order   []int
-	rank    []int
-	prefix  []float64
+	ps      pruneState
 	matched []int
 
 	// topK heap backing.
@@ -59,8 +57,7 @@ type evalScratch struct {
 	stamp          []int64
 	coreA, coreB   []float64
 	tfAt           []int32
-	bgCore, wOf    []float64
-	lgMemo         []float64
+	wOf            []float64
 	runs           []runEval
 }
 
@@ -88,13 +85,14 @@ func putScratch(sc *evalScratch) {
 	sc.union = sc.union[:0]
 	runs := sc.runs[:cap(sc.runs)]
 	for i := range runs {
-		runs[i].pb.deltaExact = nil
+		runs[i].bounds.deltaExact = nil
 	}
 	fullCurs := sc.curs[:cap(sc.curs)]
 	for i := range fullCurs {
 		fullCurs[i].Release()
 	}
 	sc.pb.deltaExact = nil
+	sc.ps.pb = nil
 	fullMerged := sc.merged[:cap(sc.merged)]
 	for i := range fullMerged {
 		fullMerged[i] = Result{}
