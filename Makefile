@@ -24,9 +24,10 @@ race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
 	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent' ./internal/index/
 
-# Expanded retrieval (SearchExpandedTopKDAAT fans out over model x k x
-# {memory, v2} on CHiC: run it on two commits for an evaluator A/B below
-# the HTTP tier), the positional miss path it rests on (the exported
+# Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
+# the few-leaf queries the cost model scores exhaustively), expanded
+# retrieval (SearchExpandedTopKDAAT fans out over model x k x {memory,
+# v2} on CHiC), the positional miss path it rests on (the exported
 # phrase / window materialisers run the same intersection the memo
 # fills from; PositionalColdV2 resolves every multi-word KB title on a
 # freshly opened CHiC v2 file, block cursors and all, and its heap-MB is
@@ -40,10 +41,12 @@ race:
 # it costs beside the mapping). RemoteEvaluate is coordinator-s2 below
 # the HTTP tier: two shard servers on loopback behind the RPC
 # coordinator (B/op and allocs/op count both ends of the wire).
-# SQECRequest is one warmed SQE_C Engine.Do over a v2 file: run it with
-# -cpu 1 on two commits, since its ns/op is the request's CPU there.
+# SQECRequest is one warmed SQE_C Engine.Do over a v2 file. An evaluator
+# A/B runs these on two commits interleaved (parent, change, parent, ...)
+# at -cpu 1, where ns/op is the request's CPU: the shared host drifts
+# more between back-to-back runs than most changes move them.
 bench:
-	$(GO) test -run NONE -bench 'SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest' -benchmem .
+	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and

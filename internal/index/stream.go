@@ -254,7 +254,7 @@ func (c *TermCursor) Advance(target DocID) DocID {
 
 func (c *TermCursor) advanceSlow(target DocID) DocID {
 	if c.ix == nil {
-		j := Advance(c.docs, c.j, target)
+		j := advance(c.docs, c.j, target)
 		if j >= len(c.docs) {
 			c.exhaust()
 			return DocEnd
@@ -265,7 +265,7 @@ func (c *TermCursor) advanceSlow(target DocID) DocID {
 	}
 	if c.loaded {
 		if n := len(c.docs); n > 0 && target <= c.docs[n-1] {
-			j := Advance(c.docs, c.j, target)
+			j := advance(c.docs, c.j, target)
 			c.j = j
 			c.cur = c.docs[j]
 			return c.cur
@@ -314,7 +314,7 @@ func (c *TermCursor) enterBlock(b int, target DocID) DocID {
 		if !c.loadBlock(b) {
 			return c.cur // exhausted; error recorded on the index
 		}
-		if j := Advance(c.docs, 0, target); j < len(c.docs) {
+		if j := advance(c.docs, 0, target); j < len(c.docs) {
 			c.j = j
 			c.cur = c.docs[j]
 			return c.cur

@@ -159,6 +159,22 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 	}
 }
 
+// TestTermCursorEmptyRow: a slice-mode cursor over a nil or empty row —
+// an out-of-vocabulary leaf's — starts exhausted, and every accessor on
+// it is inert.
+func TestTermCursorEmptyRow(t *testing.T) {
+	for name, p := range map[string]*Postings{"nil": nil, "empty": {}} {
+		var c TermCursor
+		c.Reset(p)
+		if c.Doc() != DocEnd || c.Len() != 0 || c.Rank() != 0 {
+			t.Errorf("%s: Doc=%d Len=%d Rank=%d, want exhausted", name, c.Doc(), c.Len(), c.Rank())
+		}
+		if c.Advance(3) != DocEnd || c.Next() != DocEnd || c.PeekNext() != DocEnd || c.Freq() != 0 {
+			t.Errorf("%s: an accessor moved an exhausted cursor", name)
+		}
+	}
+}
+
 // TestStreamCursorSingleBlockTerm: a term whose whole list fits one
 // block exercises the one-block edges (peek past the last block, park
 // then decode, advance beyond the end).

@@ -43,13 +43,18 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	// A context that cancels itself the first time the evaluator looks
 	// at it would need scheduling tricks; instead cancel immediately but
 	// enter through the internal path with the up-front checks already
-	// passed: run the evaluators directly.
+	// passed: run the top-k loop directly, pruned and exhaustive.
 	var leaves []leaf
 	s.flatten(q, 1, &leaves, new(index.PositionalScratch), nil)
-	score := buildScorer(s.Model, s.resolveParams(), collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()})
 	cancel()
-	if _, err := searchDAAT(ctx, s.ix, nil, leaves, 10, score, nil, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("DAAT: want context.Canceled, got %v", err)
+	for _, prune := range []bool{true, false} {
+		cfg := s.scoring()
+		cfg.forcePrune, cfg.disablePruning = prune, !prune
+		sc := getScratch()
+		if _, err := searchRuns(ctx, s.ix, nil, leaves, []int{len(leaves)}, 10, cfg, nil, sc, make([][]Result, 1)); !errors.Is(err, context.Canceled) {
+			t.Errorf("prune=%v: want context.Canceled, got %v", prune, err)
+		}
+		putScratch(sc)
 	}
 }
 

@@ -223,7 +223,7 @@ func TestCoordinatorContract(t *testing.T) {
 					for qi, q := range f.queries {
 						for _, kk := range []int{1, k, 1000} {
 							label := fmt.Sprintf("model=%v prune=%v q=%d k=%d", cfg.Model, prune, qi, kk)
-							want := f.mono.Search(q, kk)
+							want := OracleRank(f.mono, q, kk)
 							ev, err := f.co.Evaluate(ctx, q, kk, EvalOptions{CollectStats: true})
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)

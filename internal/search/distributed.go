@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -329,7 +330,9 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 	})
 	if st != nil {
 		st.Shards = make([]ShardStats, n)
+		union := 0
 		for i, pst := range partStats {
+			union = max(union, pst.Leaves)
 			st.Add(pst)
 			st.Shards[i] = ShardStats{
 				Elapsed:            pst.Elapsed,
@@ -338,6 +341,10 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 				DocsSkipped:        pst.DocsSkipped,
 			}
 		}
+		// Leaves is per partition, not a sum: the largest union a
+		// partition evaluated. A shard server's count does not cross the
+		// wire; with none reported it stays the flattened count.
+		st.Leaves = cmp.Or(union, nLeaves)
 	}
 	if err := settle(evalOuts, ""); err != nil {
 		return nil, err

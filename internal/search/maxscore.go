@@ -1,35 +1,34 @@
 package search
 
 import (
-	"context"
 	"math"
 	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/index"
 )
 
-// MaxScore-style score-safe dynamic pruning (Turtle & Flood 1995) for
-// the document-at-a-time evaluator. The idea: once the top-k heap is
-// full, its worst retained score θ is a floor every new result must
-// beat. Each leaf carries a precomputed upper bound on how much it can
-// add over its background (no-match) contribution; sorting leaves by
-// that bound splits them into a "non-essential" prefix — whose bounds,
-// plus the maximum background mass, sum below θ — and an "essential"
-// rest. A document matching no essential leaf cannot reach θ, so the
-// merge only draws candidates from essential cursors and gallops the
-// non-essential ones forward, never scoring the skipped documents.
+// MaxScore-style score-safe dynamic pruning (Turtle & Flood 1995): the
+// bounds, partition and candidate filter searchRuns keeps per pruned
+// run (runs.go has the loop). The idea: once the top-k heap is full, its
+// worst retained score θ is a floor every new result must beat. Each
+// leaf carries a precomputed upper bound on how much it can add over its
+// background (no-match) contribution; sorting leaves by that bound
+// splits them into a "non-essential" prefix — whose bounds, plus the
+// maximum background mass, sum below θ — and an "essential" rest. A
+// document matching no essential leaf cannot reach θ, so the merge only
+// draws candidates from essential cursors and gallops the non-essential
+// ones forward, never scoring the skipped documents.
 //
-// The implementation is score-SAFE, meaning bit-identical to searchDAAT
-// (asserted by differential and fuzz tests at every layer):
+// Pruning is score-SAFE, meaning bit-identical to scoring every
+// candidate (asserted against the oracle by differential and fuzz tests
+// at every layer):
 //
-//   - Candidates that are scored go through the same code shape:
-//     contributions summed over ALL leaves in original leaf order, so
-//     float summation order — and thus every scored value — is
-//     unchanged.
-//   - Candidates are produced in ascending DocID order in both paths,
-//     and only provably-losing documents are withheld; rejected offers
-//     never mutate the heap, so the heap's state evolves identically.
+//   - Candidates that are scored are summed over ALL leaves in original
+//     leaf order, so float summation order — and thus every scored
+//     value — is unchanged.
+//   - Candidates are produced in ascending DocID order either way, and
+//     only provably-losing documents are withheld; rejected offers never
+//     mutate the heap, so the heap's state evolves identically.
 //   - The skip test is strict (bound < θ) with a small relative slack
 //     (see pruneSlack), so a document whose bound ties θ — which could
 //     displace the heap root on the DocID tiebreak — is always scored.
@@ -240,14 +239,14 @@ func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen 
 	return pb
 }
 
-// minPruneMass is the per-query postings mass below which the pruned
-// evaluator cannot recoup its setup (partition sort, bound arrays,
-// filter bookkeeping): at this size even scoring everything touches so
-// few postings that searchDAAT wins outright.
+// minPruneMass is the per-query postings mass below which pruning
+// cannot recoup its setup (partition sort, bound arrays, filter
+// bookkeeping): at this size even scoring everything touches so few
+// postings that exhaustive scoring wins outright.
 const minPruneMass = 64
 
-// minPruneLeaves is the leaf-count floor below which MaxScore falls
-// back to exhaustive DAAT. The candidate filter's reject path costs a
+// minPruneLeaves is the leaf-count floor below which a single run is
+// scored exhaustively rather than pruned. The candidate filter's reject path costs a
 // pass over the essential leaves plus bound bookkeeping — the same
 // order of work as simply scoring the candidate when the query has only
 // a handful of leaves. Measured on the benchmark corpora, raw keyword
@@ -258,10 +257,10 @@ const minPruneMass = 64
 // the two regimes.
 const minPruneLeaves = 8
 
-// pruneWorthwhile is the cost-based evaluator choice: it predicts from
-// the flattened leaves and their bound statistics whether MaxScore can
-// beat exhaustive DAAT on this query, and falls back to DAAT when it
-// cannot. The prediction is cheap and deliberately coarse — pruning is
+// pruneWorthwhile is the cost model of a single run's mode: it predicts
+// from the flattened leaves and their bound statistics whether MaxScore
+// can beat exhaustive scoring on this query, and leaves the run
+// unpruned when it cannot. The prediction is cheap and deliberately coarse — pruning is
 // skipped only when it cannot help or measurably loses:
 //
 //   - a query with fewer than minPruneLeaves leaves cannot move enough
@@ -315,7 +314,7 @@ func pruneSlack(bound, threshold float64) float64 {
 // bounds of order[:m+1], rank inverts order, the first ness entries of
 // order are the non-essential set with bound mass nonEssDelta, and θ is
 // the threshold they are judged against. θ only rises, so ness only
-// grows. searchMaxScore keeps one; searchRuns keeps one per run.
+// grows. searchRuns keeps one per run.
 type pruneState struct {
 	pb          *pruneBounds
 	order, rank []int
@@ -326,12 +325,14 @@ type pruneState struct {
 	// freeAt[j] is the candidate whose free refinement pass last
 	// resolved leaf j (see refine).
 	freeAt []int64
+	// unionOf[m] is the union leaf of order[m], whose cursor it reads.
+	unionOf []int
 }
 
-// reset sorts pb's leaves into a fresh partition: every leaf essential,
-// θ = −∞. The comparator is a total order, so the (unstable) sort
-// produces one well-defined permutation.
-func (p *pruneState) reset(pb *pruneBounds, sorter *ubSorter) {
+// reset sorts pb's leaves, whose union leaves rl names, into a fresh
+// partition: every leaf essential, θ = −∞. The comparator is a total
+// order, so the (unstable) sort produces one well-defined permutation.
+func (p *pruneState) reset(pb *pruneBounds, rl []runLeaf, sorter *ubSorter) {
 	n := len(pb.ub)
 	p.pb = pb
 	p.order = grow(p.order, n)
@@ -343,12 +344,14 @@ func (p *pruneState) reset(pb *pruneBounds, sorter *ubSorter) {
 	p.prefix = grow(p.prefix, n)
 	p.rank = grow(p.rank, n)
 	p.freeAt = grow(p.freeAt, n)
+	p.unionOf = grow(p.unionOf, n)
 	cum := pb.bg
 	for m, li := range p.order {
 		cum += pb.ub[li]
 		p.prefix[m] = cum
 		p.rank[li] = m
 		p.freeAt[m] = -1
+		p.unionOf[m] = rl[li].u
 	}
 	p.ness, p.nonEssDelta, p.threshold = 0, 0, math.Inf(-1)
 }
@@ -366,21 +369,17 @@ func (p *pruneState) reset(pb *pruneBounds, sorter *ubSorter) {
 // bound, so stopping on a provable loss is safe; otherwise refine
 // returns the candidate's exact score bound: a genuine contender.
 //
-// leaves are the state's own leaves; leaf j reads cursor cur[j], or
-// cursor j when cur is nil. stamp names the candidate: the free pass
+// leaves are the state's own leaves; leaf order[m] reads the cursor of
+// union leaf unionOf[m], parked on docs[unionOf[m]]. stamp names the candidate: the free pass
 // marks the leaves it resolved with it, so the paid pass visits exactly
 // the others — even when two leaves share a cursor and the gallop made
 // for one has already moved it for the other.
-func (p *pruneState) refine(bound float64, leaves []leaf, cur []int, curs []index.TermCursor, curDoc []index.DocID, doc index.DocID, dl float64, stamp int64, skipped, boundEvals *int64) float64 {
+func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCursor, docs []index.DocID, doc index.DocID, dl float64, stamp int64, skipped, boundEvals *int64) float64 {
 	pb, threshold := p.pb, p.threshold
 	for m := p.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
 		m--
-		j := p.order[m]
-		u := j
-		if cur != nil {
-			u = cur[j]
-		}
-		switch d := curDoc[u]; {
+		j, u := p.order[m], p.unionOf[m]
+		switch d := docs[u]; {
 		case d > doc:
 			// The cursor passed doc without stopping: the candidate is
 			// in none of this leaf's remaining postings.
@@ -400,17 +399,14 @@ func (p *pruneState) refine(bound float64, leaves []leaf, cur []int, curs []inde
 		if p.freeAt[j] == stamp {
 			continue
 		}
-		u := j
-		if cur != nil {
-			u = cur[j]
-		}
+		u := p.unionOf[m]
 		c := &curs[u]
-		d := curDoc[u]
+		d := docs[u]
 		if d < doc {
 			r0 := c.Rank()
 			d = c.Advance(doc)
 			*skipped += int64(c.Rank() - r0)
-			curDoc[u] = d
+			docs[u] = d
 		}
 		bound -= pb.ub[j]
 		if d == doc {
@@ -436,199 +432,4 @@ func (p *pruneState) raise(threshold float64) (from int) {
 		p.ness++
 	}
 	return from
-}
-
-// searchMaxScore is searchDAAT with MaxScore pruning. Same contract and
-// bit-identical results; see the file comment for the safety argument.
-// sc is the caller's pooled scratch (pb normally lives inside it); nil
-// self-acquires one for the call.
-//
-// dead is searchDAAT's: documents that are scored if the merge reaches
-// them but never offered. Pruning stays safe with them in the lists —
-// every bound is taken over a superset of the live documents, so it
-// still dominates each live one, and a document that is never offered
-// cannot raise θ, so nothing is skipped that an index without the dead
-// documents would have kept.
-func searchMaxScore(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, k int, score scorer, pb *pruneBounds, st *SearchStats, sc *evalScratch) ([]Result, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	n := len(leaves)
-	ps := &sc.ps
-	ps.reset(pb, &sc.sorter)
-	order, rank := ps.order, ps.rank
-
-	curs := sc.cursors(ix, leaves)
-	curDoc := grow(sc.curDoc, n)
-	sc.curDoc = curDoc
-	// matched collects the essential leaves holding the candidate under
-	// test, so a rejection can consume exactly those entries without a
-	// second scan over the essential set.
-	matched := sc.matched[:0]
-	defer func() { sc.matched = matched[:0] }()
-	next := exhausted
-	for li := range curs {
-		d := curs[li].Doc()
-		curDoc[li] = d
-		if d < next {
-			next = d
-		}
-	}
-
-	h := topK{docs: sc.heapDocs[:0], scores: sc.heapScores[:0], k: k}
-	defer func() { sc.heapDocs, sc.heapScores = h.docs[:0], h.scores[:0] }()
-	var iters int64 // loop trips, for the cancellation cadence
-	var advanced, cands, skipped, boundEvals int64
-	flushStats := func() {
-		if st != nil {
-			st.PostingsAdvanced += advanced
-			st.CandidatesExamined += cands
-			st.DocsSkipped += skipped
-			st.BoundEvaluations += boundEvals
-			for li := range curs {
-				st.BlocksDecoded += curs[li].Decoded
-				st.BlocksTotal += int64(curs[li].NumBlocks())
-			}
-		}
-	}
-
-	for next != exhausted {
-		if iters%cancelCheckEvery == 0 {
-			err := ctx.Err()
-			if err == nil {
-				err = fault.Check(fault.IndexPostings)
-			}
-			if err != nil {
-				flushStats()
-				return nil, err
-			}
-		}
-		iters++
-		doc := next
-		dl := float64(ix.DocLen(doc))
-		ness := ps.ness
-		// Candidate filter: once the heap is full, bound this document's
-		// best possible score — its background mass (evaluated exactly at
-		// its length when the model permits), the non-essential mass, and
-		// the EXACT contributions of the essential leaves that hold it,
-		// whose (tf, dl) already sit under the cursors (essential cursors
-		// are never behind the merge frontier, so curDoc==doc detects
-		// every essential match) — and refine it. If that provably loses
-		// against θ, the matching entries are consumed and the document is
-		// never fully scored.
-		if len(h.docs) == k {
-			bound := pb.bg
-			if pb.exactBG {
-				bound = pb.bgConst - pb.wSum*math.Log(dl+pb.mu)
-			}
-			bound += ps.nonEssDelta
-			// One pass: sum the exact contributions of matching essential
-			// leaves, remember them, and precompute the frontier a
-			// rejection would leave behind (each match peeked one entry
-			// ahead WITHOUT committing the advance). The refinement moves
-			// only non-essential cursors, which never feed the frontier,
-			// so the peeked value stays valid.
-			matched = matched[:0]
-			pendingNext := exhausted
-			for _, li := range order[ness:] {
-				d := curDoc[li]
-				if d == doc {
-					c := &curs[li]
-					bound += pb.delta(&leaves[li], li, c.Freq(), dl)
-					matched = append(matched, li)
-					d = c.PeekNext()
-				}
-				if d < pendingNext {
-					pendingNext = d
-				}
-			}
-			boundEvals++
-			bound = ps.refine(bound, leaves, nil, curs, curDoc, doc, dl, iters, &skipped, &boundEvals)
-			if bound+pruneSlack(bound, ps.threshold) < ps.threshold {
-				// Consume exactly the entries the filter pass matched (the
-				// refinement moved only non-essential cursors, which are
-				// not among them).
-				for _, li := range matched {
-					curDoc[li] = curs[li].Next()
-					advanced++
-				}
-				next = pendingNext
-				continue
-			}
-		}
-		total := 0.0
-		next = exhausted
-		for li := range leaves {
-			l := &leaves[li]
-			d := curDoc[li]
-			var tf int32
-			if rank[li] < ness {
-				// Non-essential: position on demand with a galloping
-				// seek; the postings rows jumped over are documents this
-				// leaf never scored — the work pruning saved.
-				if d < doc {
-					c := &curs[li]
-					r0 := c.Rank()
-					d = c.Advance(doc)
-					skipped += int64(c.Rank() - r0)
-					curDoc[li] = d
-				}
-				if d == doc {
-					c := &curs[li]
-					tf = c.Freq()
-					curDoc[li] = c.Next()
-					advanced++
-				}
-				// Contribute in leaf order like searchDAAT — but do not
-				// let a non-essential cursor drive candidate selection.
-				total += score(l, tf, dl)
-				continue
-			}
-			// Essential: the same fused consume-and-advance as searchDAAT.
-			if d == doc {
-				c := &curs[li]
-				tf = c.Freq()
-				d = c.Next()
-				curDoc[li] = d
-				advanced++
-			}
-			total += score(l, tf, dl)
-			if d < next {
-				next = d
-			}
-		}
-		cands++
-		if dead.Has(doc) {
-			continue
-		}
-		h.offer(doc, total, st)
-		if len(h.docs) == k && h.scores[0] > ps.threshold {
-			boundEvals++
-			if ps.raise(h.scores[0]) < ps.ness {
-				// Freshly demoted leaves stop driving candidate
-				// selection; recompute the pending minimum over what is
-				// still essential. (At most n such recomputations over
-				// the whole evaluation — ness never shrinks.)
-				next = exhausted
-				for _, li := range order[ps.ness:] {
-					if curDoc[li] < next {
-						next = curDoc[li]
-					}
-				}
-			}
-		}
-	}
-	// Postings left unconsumed on non-essential cursors were skipped
-	// wholesale — searchDAAT would have advanced through every one.
-	for li := range leaves {
-		if rank[li] < ps.ness {
-			skipped += int64(curs[li].Len() - curs[li].Rank())
-		}
-	}
-	flushStats()
-	return h.drain(ix), nil
 }

@@ -25,6 +25,9 @@ var pruningModels = []struct {
 }
 
 // prunedPair returns two searchers over ix differing only in pruning.
+// Both run the one top-k loop, so full is no reference for pruned's
+// rankings: those are checked against OracleRank(full, …), which shares
+// no evaluator code. full's own counters are the exhaustive mode's.
 func prunedPair(ix *index.Index, model Model, params ModelParams, mu float64) (pruned, full *Searcher) {
 	pruned = NewSearcher(ix)
 	full = NewSearcher(ix)
@@ -35,8 +38,8 @@ func prunedPair(ix *index.Index, model Model, params ModelParams, mu float64) (p
 	}
 	full.DisablePruning = true
 	// The differential corpora are tiny and the queries short — exactly
-	// what the cost model routes to DAAT. Force the pruned evaluator so
-	// the differentials actually exercise it.
+	// what the cost model scores exhaustively. Force pruning so the
+	// differentials actually exercise it.
 	pruned.forcePrune = true
 	return pruned, full
 }
@@ -50,7 +53,7 @@ func assertIdenticalResults(t *testing.T, label string, got, want []Result) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s rank %d: pruned (%d,%q,%v) != full (%d,%q,%v)",
+			t.Fatalf("%s rank %d: got (%d,%q,%v) != want (%d,%q,%v)",
 				label, i, got[i].Doc, got[i].Name, got[i].Score,
 				want[i].Doc, want[i].Name, want[i].Score)
 		}
@@ -98,7 +101,7 @@ func buildSkewedIndex(docs, seed int) *index.Index {
 }
 
 // TestMaxScoreMatchesDAATCrafted: the core differential — pruned top-k
-// bit-identical to unpruned across models, queries and k.
+// bit-identical to the oracle across models, queries and k.
 func TestMaxScoreMatchesDAATCrafted(t *testing.T) {
 	corpora := map[string]*index.Index{
 		"tiny": buildIndex("a b c", "a a b", "b c d", "a", "c d z", "a b c d z"),
@@ -110,12 +113,13 @@ func TestMaxScoreMatchesDAATCrafted(t *testing.T) {
 	}
 	for cname, ix := range corpora {
 		for _, m := range pruningModels {
+			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
 			for qname, q := range pruningQueries() {
+				// One full ranking; every k below is a prefix of it.
+				want := OracleRank(full, q, ix.NumDocs())
 				for _, k := range []int{1, 2, 3, 10, 1000} {
-					pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-					want := full.Search(q, k)
 					got := pruned.Search(q, k)
-					assertIdenticalResults(t, fmt.Sprintf("%s/%s/%s k=%d", cname, m.name, qname, k), got, want)
+					assertIdenticalResults(t, fmt.Sprintf("%s/%s/%s k=%d", cname, m.name, qname, k), got, want[:min(k, len(want))])
 				}
 			}
 		}
@@ -140,15 +144,33 @@ func TestMaxScoreMatchesDAATRandom(t *testing.T) {
 		k := 1 + rng.Intn(30)
 		m := pruningModels[rng.Intn(len(pruningModels))]
 		pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-		want := full.Search(q, k)
+		want := OracleRank(full, q, k)
 		got := pruned.Search(q, k)
 		assertIdenticalResults(t, fmt.Sprintf("trial %d %s k=%d", trial, m.name, k), got, want)
 	}
 }
 
+// unionMass is the postings mass of q's distinct leaves over s's index,
+// counted through Explain: each document adds one per distinct leaf
+// name it matches, so a leaf the query repeats counts once.
+func unionMass(s *Searcher, q Node) int64 {
+	var mass int64
+	for d := 0; d < s.Index().NumDocs(); d++ {
+		seen := map[string]bool{}
+		for _, l := range s.Explain(q, index.DocID(d)).Leaves {
+			if l.TF > 0 && !seen[l.Leaf] {
+				seen[l.Leaf] = true
+				mass++
+			}
+		}
+	}
+	return mass
+}
+
 // TestMaxScoreCounterInvariants pins the accounting identity: every
-// postings entry is either consumed (PostingsAdvanced) or skipped
-// (DocsSkipped), so their sum equals the exhaustive path's advances;
+// postings entry of the query's distinct leaves is either consumed
+// (PostingsAdvanced) or skipped (DocsSkipped), so their sum is the union
+// mass in either mode — the dup-term row's repeated leaf counts once;
 // pruned candidates are a subset of the full candidate set; and the
 // heap sees the identical accepted sequence (same pushes/evictions).
 func TestMaxScoreCounterInvariants(t *testing.T) {
@@ -159,9 +181,10 @@ func TestMaxScoreCounterInvariants(t *testing.T) {
 			_, pst := pruned.SearchWithStats(q, 10)
 			_, fst := full.SearchWithStats(q, 10)
 			label := fmt.Sprintf("%s/%s", m.name, qname)
-			if pst.PostingsAdvanced+pst.DocsSkipped != fst.PostingsAdvanced {
-				t.Errorf("%s: advanced %d + skipped %d != full postings mass %d",
-					label, pst.PostingsAdvanced, pst.DocsSkipped, fst.PostingsAdvanced)
+			mass := unionMass(full, q)
+			if pst.PostingsAdvanced+pst.DocsSkipped != mass || fst.PostingsAdvanced != mass {
+				t.Errorf("%s: advanced %d + skipped %d (exhaustive: %d) != union postings mass %d",
+					label, pst.PostingsAdvanced, pst.DocsSkipped, fst.PostingsAdvanced, mass)
 			}
 			if pst.CandidatesExamined > fst.CandidatesExamined {
 				t.Errorf("%s: pruned candidates %d > full %d", label, pst.CandidatesExamined, fst.CandidatesExamined)
@@ -216,42 +239,40 @@ func TestMaxScoreActuallyPrunes(t *testing.T) {
 func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 	ix := buildSkewedIndex(500, 13)
 	s := NewSearcher(ix)
+	q := Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"})
 	var leaves []leaf
-	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &leaves, new(index.PositionalScratch), nil)
+	s.flatten(q, 1, &leaves, new(index.PositionalScratch), nil)
 	for li := range leaves {
 		leaves[li].bounded = false
 	}
-	params := s.resolveParams()
-	cs := collStats{numDocs: float64(ix.NumDocs()), avgDocLen: ix.AvgDocLen()}
-	score := buildScorer(s.Model, params, cs)
-	pb := derivePruneBounds(s.Model, params, cs, ix.MinDocLen(), leaves, nil)
+	cfg := s.scoring()
+	cfg.forcePrune = true
+	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, nil)
 	for i, ub := range pb.ub {
 		if !math.IsInf(ub, 1) {
 			t.Fatalf("leaf %d: unbounded leaf got finite bound %v", i, ub)
 		}
 	}
-	var pst, fst SearchStats
-	got, err := searchMaxScore(context.Background(), ix, nil, leaves, 10, score, pb, &pst, nil)
+	var pst SearchStats
+	sc := getScratch()
+	defer putScratch(sc)
+	got, err := searchRuns(context.Background(), ix, nil, leaves, []int{len(leaves)}, 10, cfg, &pst, sc, make([][]Result, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fullLeaves []leaf
-	s.flatten(Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}), 1, &fullLeaves, new(index.PositionalScratch), nil)
-	want, err := searchDAAT(context.Background(), ix, nil, fullLeaves, 10, score, &fst, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalResults(t, "unbounded fallback", got, want)
+	assertIdenticalResults(t, "unbounded fallback", got[0], OracleRank(s, q, 10))
 	if pst.DocsSkipped != 0 {
-		t.Fatalf("unbounded leaves must disable partition skipping: pruned=%v full=%v", pst, fst)
+		t.Fatalf("unbounded leaves must disable partition skipping: %v", pst)
 	}
-	if pst.CandidatesExamined > fst.CandidatesExamined {
+	full := NewSearcher(ix)
+	full.DisablePruning = true
+	if _, fst := full.SearchWithStats(q, 10); pst.CandidatesExamined > fst.CandidatesExamined {
 		t.Fatalf("pruned path fully scored more documents than the exhaustive one: pruned=%v full=%v", pst, fst)
 	}
 }
 
 // TestMaxScoreCancellation: the pruned loop honours the context like
-// searchDAAT does.
+// the exhaustive one does.
 func TestMaxScoreCancellation(t *testing.T) {
 	ix := buildSkewedIndex(100, 17)
 	s := NewSearcher(ix)
@@ -264,19 +285,19 @@ func TestMaxScoreCancellation(t *testing.T) {
 }
 
 // TestShardedPruning: per-shard pruning with shared-nothing thresholds
-// stays bit-identical to the unsharded pruned searcher AND to the
-// exhaustive path, across shard counts; the pruned sharded stats keep
-// the per-shard-sum convention and the postings accounting identity.
+// stays bit-identical to the oracle across shard counts; the pruned
+// sharded stats keep the per-shard-sum convention and the postings
+// accounting identity over the query's distinct leaves.
 func TestShardedPruning(t *testing.T) {
 	ix := buildSkewedIndex(600, 19)
 	for _, m := range pruningModels {
-		for _, S := range []int{1, 2, 4, 8} {
-			for qname, q := range pruningQueries() {
+		full := NewSearcher(ix)
+		full.Model, full.Params, full.Mu = m.model, m.params, m.mu
+		for qname, q := range pruningQueries() {
+			want := OracleRank(full, q, ix.NumDocs())
+			mass := unionMass(full, q)
+			for _, S := range []int{1, 2, 4, 8} {
 				for _, k := range []int{1, 5, 25} {
-					full := NewSearcher(ix)
-					full.Model, full.Params, full.Mu = m.model, m.params, m.mu
-					full.DisablePruning = true
-					want := full.Search(q, k)
 
 					ss := NewShardedSearcher(index.NewSharded(ix, S))
 					ss.Model, ss.Params, ss.Mu = m.model, m.params, m.mu
@@ -285,7 +306,7 @@ func TestShardedPruning(t *testing.T) {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("%s/S=%d/%s k=%d", m.name, S, qname, k)
-					assertIdenticalResults(t, label, got, want)
+					assertIdenticalResults(t, label, got, want[:min(k, len(want))])
 
 					var skipped int64
 					for _, sh := range st.Shards {
@@ -294,10 +315,9 @@ func TestShardedPruning(t *testing.T) {
 					if skipped != st.DocsSkipped {
 						t.Fatalf("%s: per-shard skips %d != aggregate %d", label, skipped, st.DocsSkipped)
 					}
-					_, fullSt := full.SearchWithStats(q, k)
-					if st.PostingsAdvanced+st.DocsSkipped != fullSt.PostingsAdvanced {
-						t.Fatalf("%s: sharded advanced %d + skipped %d != postings mass %d",
-							label, st.PostingsAdvanced, st.DocsSkipped, fullSt.PostingsAdvanced)
+					if st.PostingsAdvanced+st.DocsSkipped != mass {
+						t.Fatalf("%s: sharded advanced %d + skipped %d != union postings mass %d",
+							label, st.PostingsAdvanced, st.DocsSkipped, mass)
 					}
 				}
 			}

@@ -144,16 +144,17 @@ func (p *localPartition) eval(ctx context.Context, prepared any, req *EvalReques
 }
 
 // score overrides the flattened leaves with req's global statistics and
-// evaluates them. It rewrites only the fields the override owns, so a
-// retry over the same leaves is safe.
+// evaluates them as one run of the top-k loop. It rewrites only the
+// fields the override owns, so a retry over the same leaves is safe.
 func (p *localPartition) score(ctx context.Context, leaves []leaf, req *EvalRequest, st *SearchStats) ([]Result, error) {
 	cfg := p.override(leaves, req)
 	sc := getScratch()
 	defer putScratch(sc)
-	res, err := evalLeaves(ctx, p.ix, p.dead(), leaves, req.K, cfg, st, sc)
-	if err != nil {
+	var out [1][]Result
+	if _, err := searchRuns(ctx, p.ix, p.dead(), leaves, []int{len(leaves)}, req.K, cfg, st, sc, out[:]); err != nil {
 		return nil, err
 	}
+	res := out[0]
 	for i := range res {
 		res[i].Doc = p.global(res[i].Doc)
 	}

@@ -9,16 +9,15 @@ import (
 	"repro/internal/index"
 )
 
-// Several runs in one pass (DESIGN.md "SQE_C in one pass"). SQE_C's T,
-// T&S and S trees share the raw-query and entity-title parts exactly,
-// and T&S's features are T's plus S's, so the three evaluations walk
-// mostly the same postings. searchRuns walks them once: the runs'
-// flattened leaves are merged into a union, one cursor per union leaf,
-// and every run keeps its own top-k heap, threshold θ and MaxScore
-// partition over its own leaves.
+// The top-k loop (DESIGN.md §5f, §5o). Every evaluation — a single
+// tree, a shard, a live segment, a shard server, SQE_C's three trees —
+// is one call to searchRuns over one or more runs: flattened trees
+// whose leaves are merged into a union, one cursor per union leaf, and
+// every run keeps its own top-k heap, threshold θ and MaxScore partition
+// over its own leaves.
 //
-// Each run's top-k is bit-identical to evaluating its tree alone
-// (searchMaxScore or searchDAAT), for three reasons:
+// Each run's top-k is bit-identical to an exhaustive evaluation of its
+// tree alone, for three reasons:
 //
 //   - Scores. A scored candidate gets each union leaf's model core
 //     (Dirichlet and Jelinek-Mercer: the log; BM25: the numerator and
@@ -35,19 +34,19 @@ import (
 //     held alone at every step, and its θ and partition evolve
 //     identically.
 //   - Skipping. A union leaf drives candidate selection while it is
-//     essential for at least one run that holds it (essCount > 0), so
+//     essential for at least one run that holds it (unionLeaf.ess > 0), so
 //     every candidate some run would have drawn is enumerated. A
 //     candidate is passed over only when every run that matches it
-//     proves it loses with searchMaxScore's filter, refinement passes
+//     proves it loses with the MaxScore filter, refinement passes
 //     included.
 type runEval struct {
 	// lo, hi delimit the run's leaves in the flattened slice.
 	lo, hi int
 	// prune: the run filters candidates and demotes leaves (MaxScore);
-	// false, under disablePruning, scores every candidate it matches.
+	// false scores every candidate it matches.
 	prune bool
 	// bounds and the partition over them, indexed by the run's own leaf
-	// positions: searchMaxScore's state.
+	// positions.
 	bounds pruneBounds
 	pruneState
 	h topK
@@ -58,393 +57,588 @@ type runEval struct {
 }
 
 // sameLeaf reports whether two leaves of one index share their postings
-// and statistics: the same term row or the same positional memo entry.
+// and statistics: the same term row or the same positional memo entry,
+// carrying the same collection statistics. Every phrase or window with
+// an out-of-vocabulary constituent resolves to one shared empty entry,
+// which a partition's global-statistics override gives each leaf its
+// own cf, df and collProb; those merge only where the statistics agree.
 // Anonymous leaves (out-of-vocabulary terms) never merge.
 func sameLeaf(a, b *leaf) bool {
-	if a.positional != nil {
-		return a.positional == b.positional
+	if a.positional != b.positional || a.termID != b.termID || a.positional == nil && a.termID < 0 {
+		return false
 	}
-	return a.termID >= 0 && b.positional == nil && a.termID == b.termID
+	return a.cf == b.cf && a.df == b.df && a.collProb == b.collProb
 }
 
 // SearchRuns evaluates several query trees over the index in one pass
 // and returns one top-k per tree, in order. Each is bit-identical to
 // SearchContext on that tree alone; the pass scores each distinct leaf
-// once per candidate and decodes each shared posting once. Counters —
-// Leaves being the union's leaf count — accumulate into st when non-nil.
+// once per candidate and decodes each shared posting once. Counters
+// accumulate into st when non-nil.
 func (s *Searcher) SearchRuns(ctx context.Context, qs []Node, k int, st *SearchStats) ([][]Result, error) {
 	start := time.Now()
 	if st != nil {
 		defer func() { st.Elapsed += time.Since(start) }()
 	}
 	out := make([][]Result, len(qs))
-	if k <= 0 {
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
+	if err := s.evaluate(ctx, qs, k, st, out); err != nil {
 		return nil, err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	leaves := sc.leaves[:0]
-	ends := sc.runEnds[:0]
-	for _, q := range qs {
-		s.flatten(q, 1, &leaves, &sc.positional, st)
-		ends = append(ends, len(leaves))
-	}
-	sc.leaves, sc.runEnds = leaves, ends
-	if len(leaves) == 0 {
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return searchRuns(ctx, s.ix, nil, leaves, ends, k, s.scoring(), st, sc, out)
+	return out, nil
 }
 
-// searchRuns is the one-pass evaluator. leaves holds every run's
-// flattened leaves back to back, run r's ending at ends[r]; out receives
-// one ranking per run. dead is searchDAAT's. The statistics contract is
-// evalLeaves': any override is already written to the leaves.
+// searchRuns is the top-k loop. leaves holds every run's flattened
+// leaves back to back, run r's ending at ends[r]; out receives one
+// ranking per run. dead lists documents of ix that no longer exist (a
+// live segment's tombstones): their postings are walked, they are in the
+// lists, but they are never offered to a heap, so the survivors and the
+// thresholds they set are exactly those of an index without them — and
+// every bound, taken over a superset of the live documents, still
+// dominates.
+//
+// Any statistics override must already be written to the leaves: the
+// per-leaf caches and the bound arithmetic derive from what they hold
+// now, while postings summaries and the minimum document length stay
+// local to ix (bounds only need to dominate the documents ix can
+// produce).
+//
+// A run prunes unless cfg.disablePruning is set. A single run prunes
+// only when cfg.forcePrune is set or pruneWorthwhile predicts the filter
+// pays; among several, every run prunes: pruneWorthwhile weighs a
+// query's filter against scoring it alone, but inside one pass a run
+// that scored everything would keep all its leaves driving and every
+// candidate on them scored, whatever the other runs proved.
+//
+// The loop checks ctx every cancelCheckEvery candidates, so a serving
+// deadline or a disconnected client abandons the evaluation with
+// ctx.Err() and no results.
 func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, ends []int, k int, cfg scoring, st *SearchStats, sc *evalScratch, out [][]Result) ([][]Result, error) {
-	prepareLeaves(cfg.model, cfg.cs, leaves)
+	// The pass lives in the scratch and start's frames are gone before
+	// run's: the loop runs on partition fan-out goroutines, whose stacks
+	// start small and grow by copying.
+	p := &sc.pass
+	p.ix, p.dead, p.leaves, p.k, p.st = ix, dead, leaves, k, st
+	p.start(ends, &cfg, sc)
+	err := p.run(ctx)
+	if st != nil {
+		st.Leaves += len(p.ul)
+		st.PostingsAdvanced += p.advanced
+		st.CandidatesExamined += p.cands
+		st.DocsSkipped += p.skipped
+		st.BoundEvaluations += p.boundEvals
+		for u := range p.curs {
+			st.BlocksDecoded += p.curs[u].Decoded
+			st.BlocksTotal += int64(p.curs[u].NumBlocks())
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for r := range p.rs {
+		out[r] = p.rs[r].h.drain(ix)
+	}
+	return out, nil
+}
 
-	// The union: uOf maps each run leaf to its union leaf; occ lists, per
-	// union leaf, the (run, run-local index) pairs holding it, grouped by
-	// union leaf through occStart.
-	union := sc.union[:0]
-	uOf := grow(sc.uOf, len(leaves))
+// pass is one searchRuns evaluation: its inputs, the union and run state
+// built over them, and the counters. Its slices keep their backing from
+// one evaluation to the next (evalScratch.pass); putScratch drops the
+// references into the index and the caller.
+type pass struct {
+	ix     *index.Index
+	dead   index.DocSet
+	leaves []leaf
+	k      int
+	st     *SearchStats
+	// The model and its parameters, resolved.
+	model                     Model
+	mu, lambda, k1, bp, avgdl float64
+
+	ul   []unionLeaf
+	docs []index.DocID
+	curs []index.TermCursor
+	rl   []runLeaf
+	rs   []runEval
+	// occ lists, per union leaf u, the (run, run-local leaf) pairs
+	// holding it: occRun[o], occJ[o] for o in [occStart[u], occStart[u+1]).
+	occStart, fill []int
+	occRun, occJ   []int32
+	// drv lists the driving union leaves, the essential-for-someone
+	// ones; matched, those at the candidate; seen and epoch are cover's;
+	// first is start's.
+	drv, matched, first []int
+	seen                []int32
+	epoch               int32
+
+	iters, advanced, cands, skipped, boundEvals int64
+}
+
+// start sets the pass up over p.leaves, run r's ending at ends[r]: the
+// union, every run's heap and — by the mode rule — partition, and one
+// cursor per union leaf. Its steps are methods of their own, so the
+// deepest of them (bound derivation) runs on a shallow stack.
+func (p *pass) start(ends []int, cfg *scoring, sc *evalScratch) {
+	prepareLeaves(cfg.model, cfg.cs, p.leaves)
+	params := cfg.params
+	p.model, p.mu, p.lambda, p.k1, p.bp, p.avgdl = cfg.model, params.Mu, params.Lambda, params.K1, params.B, cfg.cs.avgDocLen
+	if p.avgdl == 0 {
+		p.avgdl = 1
+	}
+	p.iters, p.advanced, p.cands, p.skipped, p.boundEvals = 0, 0, 0, 0, 0
+	union := p.unite(ends, sc)
+	p.prepareRuns(cfg, sc)
+	nu := len(union)
+	p.curs = sc.cursors(p.ix, union)
+	p.docs = grow(p.docs, nu)
+	for u := range p.curs {
+		p.docs[u] = p.curs[u].Doc()
+	}
+	p.drv, p.matched, p.seen = p.drv[:0], p.matched[:0], grow(p.seen, nu)
+	clear(p.seen)
+}
+
+// unite merges p.leaves into the union and returns its leaves: rl maps
+// each run leaf to its union leaf, first lists the leaf each union leaf
+// first occurs as, and occ lists, per union leaf, the (run, run-local
+// index) pairs holding it, grouped by union leaf through occStart. When
+// every leaf is distinct the union is the leaves themselves, not a copy.
+func (p *pass) unite(ends []int, sc *evalScratch) []leaf {
+	leaves := p.leaves
+	first := p.first[:0]
+	rl := grow(p.rl, len(leaves))
 	for g := range leaves {
 		u := 0
-		for u < len(union) && !sameLeaf(&union[u], &leaves[g]) {
+		for u < len(first) && !sameLeaf(&leaves[first[u]], &leaves[g]) {
 			u++
 		}
-		if u == len(union) {
+		if u == len(first) {
+			first = append(first, g)
+		}
+		rl[g] = runLeaf{u: u, w: leaves[g].weight}
+		if p.model == ModelBM25 {
+			rl[g].w = leaves[g].weight * leaves[g].idf
+		}
+	}
+	p.first, p.rl = first, rl
+	union := leaves
+	if len(first) < len(leaves) {
+		union = sc.union[:0]
+		for _, g := range first {
 			union = append(union, leaves[g])
 		}
-		uOf[g] = u
+		sc.union = union
 	}
-	sc.union, sc.uOf = union, uOf
 	nu := len(union)
-	occStart := grow(sc.occStart, nu+1)
+	ul := grow(p.ul, nu)
+	for u := range ul {
+		ul[u] = unionLeaf{stamp: -1, collProb: union[u].collProb}
+	}
+	occStart := grow(p.occStart, nu+1)
 	clear(occStart)
-	for g := range leaves {
-		occStart[uOf[g]+1]++
+	for g := range rl {
+		occStart[rl[g].u+1]++
 	}
 	for u := 0; u < nu; u++ {
 		occStart[u+1] += occStart[u]
 	}
-	occRun := grow(sc.occRun, len(leaves))
-	occJ := grow(sc.occJ, len(leaves))
-	fill := grow(sc.fill, nu)
+	occRun := grow(p.occRun, len(leaves))
+	occJ := grow(p.occJ, len(leaves))
+	fill := grow(p.fill, nu)
 	copy(fill, occStart[:nu])
 	rs := sc.runSlots(len(ends))
 	lo := 0
 	for r, hi := range ends {
 		for g := lo; g < hi; g++ {
-			u := uOf[g]
+			u := rl[g].u
 			occRun[fill[u]], occJ[fill[u]] = int32(r), int32(g-lo)
 			fill[u]++
 		}
 		rs[r].lo, rs[r].hi = lo, hi
 		lo = hi
 	}
-	sc.occStart, sc.occRun, sc.occJ, sc.fill = occStart, occRun, occJ, fill
+	p.ul, p.occStart, p.occRun, p.occJ, p.fill, p.rs = ul, occStart, occRun, occJ, fill, rs
+	return union
+}
 
-	// Per-run partition state, exactly as searchMaxScore sets it up.
-	essCount := grow(sc.essCount, nu)
-	clear(essCount)
+// prepareRuns resets every run's heap and applies the mode rule: a run
+// that prunes gets its bounds and a fresh partition.
+func (p *pass) prepareRuns(cfg *scoring, sc *evalScratch) {
+	rs, rl, ul := p.rs, p.rl, p.ul
 	for r := range rs {
 		run := &rs[r]
-		run.h = topK{docs: run.h.docs[:0], scores: run.h.scores[:0], k: k}
+		run.h = topK{docs: run.h.docs[:0], scores: run.h.scores[:0], k: p.k}
 		run.prune = false
 		for g := run.lo; g < run.hi; g++ {
-			essCount[uOf[g]]++
+			ul[rl[g].u].ess++
 		}
 		if cfg.disablePruning || run.hi == run.lo {
 			continue
 		}
-		// Every run prunes: pruneWorthwhile weighs a query's filter
-		// against scoring it alone, but here a run that scored everything
-		// would keep all its leaves driving and every candidate on them
-		// scored, whatever the other runs proved.
-		derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves[run.lo:run.hi], &run.bounds)
+		leaves := p.leaves[run.lo:run.hi]
+		derivePruneBounds(cfg.model, cfg.params, cfg.cs, p.ix.MinDocLen(), leaves, &run.bounds)
+		if len(rs) == 1 && !cfg.forcePrune && !pruneWorthwhile(leaves, &run.bounds) {
+			continue
+		}
 		run.prune = true
-		run.reset(&run.bounds, &sc.sorter)
+		run.reset(&run.bounds, rl[run.lo:run.hi], &sc.sorter)
 	}
-	sc.essCount = essCount
+}
 
-	curs := sc.cursors(ix, union)
-	curDoc := grow(sc.curDoc, nu)
-	sc.curDoc = curDoc
-	// drv lists the driving union leaves, the essential-for-someone ones.
-	drv := sc.drv[:0]
-	for u := range curs {
-		curDoc[u] = curs[u].Doc()
-		drv = append(drv, u)
-	}
-	// Per-candidate union state: matched lists the driving leaves at the
-	// candidate; stamp[u] == iters marks union leaf u scored for it, with
-	// its model core in coreA (BM25: numerator; coreB the denominator,
-	// tfAt the frequency).
-	matched := sc.matched[:0]
-	stamp := grow(sc.stamp, nu)
-	for u := range stamp {
-		stamp[u] = -1
-	}
-	coreA := grow(sc.coreA, nu)
-	coreB := grow(sc.coreB, nu)
-	tfAt := grow(sc.tfAt, nu)
-	// wOf is each run leaf's multiplier: its weight, or w·idf for BM25.
-	wOf := grow(sc.wOf, len(leaves))
-	for g := range leaves {
-		wOf[g] = leaves[g].weight
-		if cfg.model == ModelBM25 {
-			wOf[g] = leaves[g].weight * leaves[g].idf
-		}
-	}
-	sc.stamp, sc.coreA, sc.coreB, sc.tfAt, sc.wOf = stamp, coreA, coreB, tfAt, wOf
-	defer func() { sc.drv, sc.matched = drv[:0], matched[:0] }()
+// unionLeaf is a union leaf's state over one pass, in one struct so
+// scoring touches one cache line per leaf: how many (run, leaf) pairs
+// hold it essential — it drives candidate selection while that is
+// positive — its smoothing probability, and the candidate it was last
+// scored for (stamp) with its frequency and model core there (BM25:
+// numerator and denominator). Its cursor's current document is in
+// pass.docs, which the scans read densely.
+type unionLeaf struct {
+	tf           int32
+	ess          int32
+	stamp        int64
+	collProb     float64
+	coreA, coreB float64
+}
 
-	params := cfg.params
-	mu, lambda, k1, bp := params.Mu, params.Lambda, params.K1, params.B
-	avgdl := cfg.cs.avgDocLen
-	if avgdl == 0 {
-		avgdl = 1
-	}
-	var iters int64
-	var advanced, cands, skipped, boundEvals int64
-	flushStats := func() {
-		if st != nil {
-			st.Leaves += nu
-			st.PostingsAdvanced += advanced
-			st.CandidatesExamined += cands
-			st.DocsSkipped += skipped
-			st.BoundEvaluations += boundEvals
-			for u := range curs {
-				st.BlocksDecoded += curs[u].Decoded
-				st.BlocksTotal += int64(curs[u].NumBlocks())
-			}
-		}
-	}
+// runLeaf is a run leaf as the loop reads it: its union leaf and its
+// multiplier — its weight, or w·idf for BM25.
+type runLeaf struct {
+	u int
+	w float64
+}
 
-	for {
-		if iters%cancelCheckEvery == 0 {
+// run draws the candidates in ascending DocID order and offers each to
+// the runs it hits.
+func (p *pass) run(ctx context.Context) error {
+	// next is the candidate after the current one: the driving leaves'
+	// smallest current document once the current one's postings are
+	// consumed. Every union leaf drives at the start.
+	next := p.rebuild()
+	// uncovered: some run may miss a candidate, so the candidate's hits
+	// need a scan. filtering: some pruned run's heap is full, so
+	// candidates face its filter; heaps never shrink, so it never clears,
+	// and until it is set no run has demoted a leaf: every union leaf
+	// drives.
+	uncovered := p.cover()
+	filtering := false
+	for next != exhausted {
+		if p.iters%cancelCheckEvery == 0 {
 			err := ctx.Err()
 			if err == nil {
 				err = fault.Check(fault.IndexPostings)
 			}
 			if err != nil {
-				flushStats()
-				return nil, err
+				return err
 			}
 		}
-		// One pass over the driving leaves finds the candidate — their
-		// smallest current document — and the leaves holding it. Driving
-		// cursors are never behind the candidate, and nothing below moves
-		// one except consuming it there.
-		doc := exhausted
-		matched = matched[:0]
-		for _, u := range drv {
-			switch d := curDoc[u]; {
-			case d < doc:
-				doc = d
-				matched = append(matched[:0], u)
-			case d == doc:
-				matched = append(matched, u)
-			}
-		}
-		if doc == exhausted {
-			break
-		}
-		dl := float64(ix.DocLen(doc))
-		for r := range rs {
-			rs[r].hit, rs[r].bound = false, 0
-		}
-		// Which runs the candidate hits, and — for runs with a full heap —
-		// the exact deltas of their matching essential leaves.
-		for _, u := range matched {
-			tf := curs[u].Freq()
-			tfAt[u] = tf
-			for o := occStart[u]; o < occStart[u+1]; o++ {
-				run := &rs[occRun[o]]
-				j := int(occJ[o])
-				if run.prune && run.rank[j] < run.ness {
-					continue
+		p.iters++
+		doc := next
+		dl := float64(p.ix.DocLen(doc))
+		// Without a scan every non-empty run holds every union leaf
+		// essential, so each is hit and none filters; the first scores
+		// every leaf, and the next candidate is folded in as they are
+		// consumed.
+		scan := uncovered || filtering
+		next = exhausted
+		if scan {
+			next = p.scan(doc)
+			if !p.hit(doc, dl) {
+				for _, u := range p.matched {
+					p.docs[u] = p.curs[u].Next()
+					p.advanced++
 				}
-				run.hit = true
-				if run.prune && len(run.h.docs) == k {
-					run.bound += run.pb.delta(&leaves[run.lo+j], j, tf, dl)
-				}
-			}
-		}
-		// A hit run that does not filter (heap not full, or not pruning)
-		// scores the candidate. Otherwise each hit run runs
-		// searchMaxScore's filter until one does not reject it. Once the
-		// candidate is scored, the remaining hit runs skip their filters
-		// and are scored too: a weighted sum over cores mostly computed
-		// already, and an offer their filter would have rejected is one
-		// their heap rejects. The exact Dirichlet background's log(dl+μ)
-		// is the same for every run: computed once, on first use.
-		anyScored := false
-		for r := range rs {
-			if run := &rs[r]; run.hit && (!run.prune || len(run.h.docs) < k) {
-				anyScored = true
-				break
-			}
-		}
-		lgDL := math.NaN()
-		for r := range rs {
-			run := &rs[r]
-			if anyScored || !run.hit {
 				continue
 			}
-			if run.pb.exactBG && lgDL != lgDL {
-				lgDL = math.Log(dl + mu)
-			}
-			if run.filterLoses(leaves, uOf, curs, curDoc, doc, dl, lgDL, iters, &skipped, &boundEvals) {
-				run.hit = false
-				continue
-			}
-			anyScored = true
-		}
-		iters++
-		if !anyScored {
-			for _, u := range matched {
-				curDoc[u] = curs[u].Next()
-				advanced++
-			}
-			continue
 		}
 
 		// Full scoring: every surviving run sums its own leaves in its own
-		// order; a union leaf's cursor is positioned, read, consumed and
-		// its core computed on first touch.
-		cands++
+		// order and is offered the candidate.
+		p.cands++
 		demoted := false
-		for r := range rs {
-			run := &rs[r]
-			if !run.hit {
+		for r := range p.rs {
+			run := &p.rs[r]
+			if scan && !run.hit || run.hi == run.lo {
 				continue
 			}
-			total := 0.0
-			for g := run.lo; g < run.hi; g++ {
-				u := uOf[g]
-				if stamp[u] != iters {
-					stamp[u] = iters
-					d := curDoc[u]
-					if d < doc {
-						// A cursor no run drives: position on demand with a
-						// galloping seek, as searchMaxScore does.
-						c := &curs[u]
-						r0 := c.Rank()
-						d = c.Advance(doc)
-						skipped += int64(c.Rank() - r0)
-						curDoc[u] = d
-					}
-					var tf int32
-					if d == doc {
-						c := &curs[u]
-						tf = c.Freq()
-						curDoc[u] = c.Next()
-						advanced++
-					}
-					tfAt[u] = tf
-					switch {
-					case cfg.model == ModelBM25:
-						if tf != 0 {
-							t := float64(tf)
-							coreA[u] = t * (k1 + 1)
-							coreB[u] = t + k1*(1-bp+bp*dl/avgdl)
-						}
-					default:
-						coreA[u] = lmCore(cfg.model, mu, lambda, union[u].collProb, tf, dl)
-					}
-				}
-				// The scorer closures' expressions, factored: w·core for
-				// the language models, ((w·idf)·num)/den for BM25 (wOf
-				// holds w·idf, rounded as the closure rounds it). The
-				// conversion pins the product's rounding (no fused
-				// multiply-add), as the closure's return does.
-				if cfg.model == ModelBM25 {
-					if tfAt[u] != 0 {
-						total += wOf[g] * coreA[u] / coreB[u]
-					}
-				} else {
-					total += float64(wOf[g] * coreA[u])
-				}
+			var total float64
+			total, next = p.score(p.rl[run.lo:run.hi], doc, dl, !scan, next)
+			if !p.dead.Has(doc) {
+				run.h.offer(doc, total, p.st)
 			}
-			if !dead.Has(doc) {
-				run.h.offer(doc, total, st)
-			}
-			if run.prune && len(run.h.docs) == k && run.h.scores[0] > run.threshold {
-				// Leaves the run just demoted release their union leaf.
-				boundEvals++
-				from := run.raise(run.h.scores[0])
-				for _, j := range run.order[from:run.ness] {
-					u := uOf[run.lo+j]
-					if essCount[u]--; essCount[u] == 0 {
+			if run.prune && len(run.h.docs) == p.k {
+				filtering = true
+				if run.h.scores[0] > run.threshold {
+					// Leaves the run just demoted release their union leaf.
+					p.boundEvals++
+					from := run.raise(run.h.scores[0])
+					for _, j := range run.order[from:run.ness] {
+						p.ul[p.rl[run.lo+j].u].ess--
 						demoted = true
 					}
 				}
 			}
 		}
-		// Driving leaves at the candidate that no scored run touched.
-		for _, u := range matched {
-			if stamp[u] != iters {
-				curDoc[u] = curs[u].Next()
-				advanced++
-			}
-		}
-		if demoted {
-			// Leaves no run holds essential any more stop driving (at
-			// most once per union leaf over the whole evaluation).
-			drv = drv[:0]
-			for u := range curs {
-				if essCount[u] > 0 {
-					drv = append(drv, u)
+		if scan {
+			// Driving leaves at the candidate that no scored run touched.
+			for _, u := range p.matched {
+				if p.ul[u].stamp != p.iters {
+					p.docs[u] = p.curs[u].Next()
+					p.advanced++
 				}
 			}
 		}
+		if demoted {
+			next = p.rebuild()
+			uncovered = p.cover()
+		}
 	}
 	// Postings left on cursors nobody drove were skipped wholesale.
-	for u := range curs {
-		skipped += int64(curs[u].Len() - curs[u].Rank())
+	for u := range p.curs {
+		p.skipped += int64(p.curs[u].Len() - p.curs[u].Rank())
 	}
-	flushStats()
-	for r := range rs {
-		out[r] = rs[r].h.drain(ix)
-	}
-	return out, nil
+	return nil
 }
 
-// lmCore is a language model's per-leaf core — the scorer closure's
-// expression without the weight: Dirichlet's log((tf+μp)/(dl+μ)),
-// Jelinek-Mercer's log((1−λ)·tf/dl + λp).
-func lmCore(model Model, mu, lambda, collProb float64, tf int32, dl float64) float64 {
-	if model == ModelJelinekMercer {
-		var ml float64
-		if dl > 0 {
-			ml = float64(tf) / dl
+// rebuild lists the driving union leaves — leaves no run holds
+// essential any more stop driving — and returns the smallest current
+// document among them. It runs once at the start and once per demotion.
+func (p *pass) rebuild() index.DocID {
+	next := exhausted
+	p.drv = p.drv[:0]
+	for u := range p.ul {
+		if p.ul[u].ess > 0 {
+			p.drv = append(p.drv, u)
+			next = min(next, p.docs[u])
 		}
-		return math.Log((1-lambda)*ml + lambda*collProb)
 	}
-	return math.Log((float64(tf) + mu*collProb) / (dl + mu))
+	return next
 }
 
-// filterLoses is searchMaxScore's candidate filter for one run whose
-// heap is full: run.bound holds the exact deltas of the run's matching
-// essential leaves; add the background (lgDL is log(dl+μ), read only
-// for Dirichlet's exact background) and the non-essential mass, refine,
-// and report whether the candidate provably loses against θ.
-func (run *runEval) filterLoses(leaves []leaf, uOf []int, curs []index.TermCursor, curDoc []index.DocID, doc index.DocID, dl, lgDL float64, stamp int64, skipped, boundEvals *int64) bool {
-	pb := run.pb
+// cover reports whether some non-empty run may miss a candidate: a run
+// covers the driving leaves when it holds essential as many distinct
+// union leaves as drive (a run's essential leaves always drive, so then
+// it holds every driving one), and every candidate sits on a driving
+// leaf. seen marks the union leaves counted for a run with epoch, which
+// advances once per run.
+func (p *pass) cover() (uncovered bool) {
+	for r := range p.rs {
+		run := &p.rs[r]
+		p.epoch++
+		n := 0
+		for g := run.lo; g < run.hi; g++ {
+			if j := g - run.lo; run.prune && run.rank[j] < run.ness {
+				continue
+			}
+			if u := p.rl[g].u; p.seen[u] != p.epoch {
+				p.seen[u] = p.epoch
+				n++
+			}
+		}
+		if n != len(p.drv) && run.hi > run.lo {
+			uncovered = true
+		}
+	}
+	return uncovered
+}
+
+// scan lists the driving leaves at doc in p.matched and returns the next
+// candidate, peeked past them: nothing but consuming them there moves a
+// driving cursor before the next candidate.
+func (p *pass) scan(doc index.DocID) index.DocID {
+	docs, curs := p.docs, p.curs
+	next := exhausted
+	matched := p.matched[:0]
+	for _, u := range p.drv {
+		d := docs[u]
+		if d == doc {
+			matched = append(matched, u)
+			d = curs[u].PeekNext()
+		}
+		next = min(next, d)
+	}
+	p.matched = matched
+	return next
+}
+
+// hit marks the runs doc hits — a match on a leaf the run holds
+// essential — and reports whether any of them scores it. A hit run that
+// does not filter (heap not full, or not pruning) scores it. Otherwise
+// each hit run runs the filter until one does not reject it. Once the
+// candidate is scored, the remaining hit runs skip their filters and are
+// scored too: a weighted sum over cores mostly computed already, and an
+// offer their filter would have rejected is one their heap rejects.
+func (p *pass) hit(doc index.DocID, dl float64) bool {
+	rs, k := p.rs, p.k
+	for r := range rs {
+		rs[r].hit, rs[r].bound = false, 0
+	}
+	// For runs with a full heap, the exact deltas of their matching
+	// essential leaves.
+	for _, u := range p.matched {
+		tf := p.curs[u].Freq()
+		for o := p.occStart[u]; o < p.occStart[u+1]; o++ {
+			run := &rs[p.occRun[o]]
+			j := int(p.occJ[o])
+			if run.prune && run.rank[j] < run.ness {
+				continue
+			}
+			run.hit = true
+			if run.prune && len(run.h.docs) == k {
+				run.bound += run.bounds.delta(&p.leaves[run.lo+j], j, tf, dl)
+			}
+		}
+	}
+	for r := range rs {
+		if run := &rs[r]; run.hit && (!run.prune || len(run.h.docs) < k) {
+			return true
+		}
+	}
+	// The exact Dirichlet background's log(dl+μ) is the same for every
+	// run: computed once, on first use.
+	lgDL := math.NaN()
+	scored := false
+	for r := range rs {
+		run := &rs[r]
+		if scored || !run.hit {
+			continue
+		}
+		if run.bounds.exactBG && lgDL != lgDL {
+			lgDL = math.Log(dl + p.mu)
+		}
+		if p.filterLoses(run, doc, dl, lgDL) {
+			run.hit = false
+			continue
+		}
+		scored = true
+	}
+	return scored
+}
+
+// filterLoses is the MaxScore candidate filter for a run whose heap is
+// full: run.bound holds the exact deltas of the run's matching essential
+// leaves; add the background (lgDL is log(dl+μ), read only for
+// Dirichlet's exact background) and the non-essential mass, refine, and
+// report whether the candidate provably loses against θ.
+func (p *pass) filterLoses(run *runEval, doc index.DocID, dl, lgDL float64) bool {
+	pb := &run.bounds
 	bound := pb.bg
 	if pb.exactBG {
 		bound = pb.bgConst - pb.wSum*lgDL
 	}
 	bound += run.nonEssDelta + run.bound
-	*boundEvals++
-	bound = run.refine(bound, leaves[run.lo:run.hi], uOf[run.lo:run.hi], curs, curDoc, doc, dl, stamp, skipped, boundEvals)
+	p.boundEvals++
+	bound = run.refine(bound, p.leaves[run.lo:run.hi], p.curs, p.docs, doc, dl, p.iters, &p.skipped, &p.boundEvals)
 	return bound+pruneSlack(bound, run.threshold) < run.threshold
+}
+
+// score sums one run's leaves rl at doc, in the run's order. A union
+// leaf's frequency is read, and its core computed, on its first touch
+// for the candidate (see tf); with fold, next takes the minimum of the
+// documents the touched cursors move to.
+//
+// The sums are the scorer closures' expressions, factored: w·core for
+// the language models, ((w·idf)·num)/den for BM25 (w holds w·idf,
+// rounded as the closure rounds it). The conversion pins the product's
+// rounding (no fused multiply-add), as the closure's return does.
+func (p *pass) score(rl []runLeaf, doc index.DocID, dl float64, fold bool, next index.DocID) (float64, index.DocID) {
+	ul, docs, curs, stamp := p.ul, p.docs, p.curs, p.iters
+	total := 0.0
+	switch p.model {
+	case ModelJelinekMercer:
+		lambda := p.lambda
+		for _, l := range rl {
+			x := &ul[l.u]
+			core := x.coreA
+			if x.stamp != stamp {
+				x.stamp = stamp
+				var tf int32
+				if d := docs[l.u]; d == doc {
+					c := &curs[l.u]
+					tf, docs[l.u] = c.Freq(), c.Next()
+					p.advanced++
+				} else if d < doc {
+					tf = p.tf(l.u, doc)
+				}
+				var ml float64
+				if dl > 0 {
+					ml = float64(tf) / dl
+				}
+				core = math.Log((1-lambda)*ml + lambda*x.collProb)
+				x.coreA = core
+				if fold {
+					next = min(next, docs[l.u])
+				}
+			}
+			total += float64(l.w * core)
+		}
+	case ModelBM25:
+		k1, norm := p.k1, 1-p.bp+p.bp*dl/p.avgdl
+		for _, l := range rl {
+			x := &ul[l.u]
+			if x.stamp != stamp {
+				x.stamp = stamp
+				var tf int32
+				if d := docs[l.u]; d == doc {
+					c := &curs[l.u]
+					tf, docs[l.u] = c.Freq(), c.Next()
+					p.advanced++
+				} else if d < doc {
+					tf = p.tf(l.u, doc)
+				}
+				if x.tf = tf; tf != 0 {
+					t := float64(tf)
+					x.coreA, x.coreB = t*(k1+1), t+k1*norm
+				}
+				if fold {
+					next = min(next, docs[l.u])
+				}
+			}
+			if x.tf != 0 {
+				total += l.w * x.coreA / x.coreB
+			}
+		}
+	default: // Dirichlet, and whatever buildScorer scores as Dirichlet
+		mu := p.mu
+		dlmu := dl + mu
+		for _, l := range rl {
+			x := &ul[l.u]
+			core := x.coreA
+			if x.stamp != stamp {
+				x.stamp = stamp
+				var tf int32
+				if d := docs[l.u]; d == doc {
+					c := &curs[l.u]
+					tf, docs[l.u] = c.Freq(), c.Next()
+					p.advanced++
+				} else if d < doc {
+					tf = p.tf(l.u, doc)
+				}
+				core = math.Log((float64(tf) + mu*x.collProb) / dlmu)
+				x.coreA = core
+				if fold {
+					next = min(next, docs[l.u])
+				}
+			}
+			total += float64(l.w * core)
+		}
+	}
+	return total, next
+}
+
+// tf is score's read of a cursor behind doc — one no run drives: it
+// gallops up, counting the postings it jumps over (documents the leaf
+// never scored) as skipped, and returns the frequency at doc, consuming
+// the posting there, or 0.
+func (p *pass) tf(u int, doc index.DocID) int32 {
+	c := &p.curs[u]
+	r0 := c.Rank()
+	d := c.Advance(doc)
+	p.skipped += int64(c.Rank() - r0)
+	var tf int32
+	if d == doc {
+		tf = c.Freq()
+		d = c.Next()
+		p.advanced++
+	}
+	p.docs[u] = d
+	return tf
 }

@@ -34,8 +34,9 @@ func runTrees(w [4]float64, empty int) []Node {
 }
 
 // assertRunsMatchSeparate evaluates trees in one pass on s and diffs
-// each ranking against the exhaustive evaluation of that tree alone.
-func assertRunsMatchSeparate(t *testing.T, label string, s, full *Searcher, trees []Node, k int) {
+// each ranking against the oracle's ranking of that tree alone; want
+// holds each tree's full oracle ranking, of which the top k is a prefix.
+func assertRunsMatchSeparate(t *testing.T, label string, s *Searcher, trees []Node, want [][]Result, k int) {
 	t.Helper()
 	got, err := s.SearchRuns(context.Background(), trees, k, nil)
 	if err != nil {
@@ -44,14 +45,24 @@ func assertRunsMatchSeparate(t *testing.T, label string, s, full *Searcher, tree
 	if len(got) != len(trees) {
 		t.Fatalf("%s: %d rankings for %d trees", label, len(got), len(trees))
 	}
-	for r, q := range trees {
-		assertIdenticalResults(t, fmt.Sprintf("%s run %d", label, r), got[r], full.Search(q, k))
+	for r := range trees {
+		assertIdenticalResults(t, fmt.Sprintf("%s run %d", label, r), got[r], want[r][:min(k, len(want[r]))])
 	}
 }
 
+// oracleRankings is each tree's full ranking by the oracle under ref's
+// model.
+func oracleRankings(ref *Searcher, trees []Node) [][]Result {
+	out := make([][]Result, len(trees))
+	for r, q := range trees {
+		out[r] = OracleRank(ref, q, ref.Index().NumDocs())
+	}
+	return out
+}
+
 // runsSearchers returns the one-pass evaluator under every pruning
-// switch — forced, default (a pass prunes every run either way) and
-// off — beside the exhaustive reference.
+// switch — forced, default (a pass of several runs prunes every run
+// either way) and off — and the reference for OracleRank.
 func runsSearchers(ix *index.Index, model Model, params ModelParams, mu float64) (modes map[string]*Searcher, full *Searcher) {
 	forced, full := prunedPair(ix, model, params, mu)
 	def, _ := prunedPair(ix, model, params, mu)
@@ -62,7 +73,7 @@ func runsSearchers(ix *index.Index, model Model, params ModelParams, mu float64)
 }
 
 // TestSearchRunsMatchesSeparate: every run of a one-pass evaluation is
-// bit-identical to its own exhaustive evaluation — over crafted ties and
+// bit-identical to the oracle's ranking of its tree — over crafted ties and
 // lengths, a skewed corpus, their v2 files at a tiny block size, every
 // model, every pruning mode, shallow and deep cuts. The last leg
 // evaluates every pruning query at once: eleven runs, one pass.
@@ -82,14 +93,20 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 	for cname, ix := range corpora {
 		for _, m := range pruningModels {
 			modes, full := runsSearchers(ix, m.model, m.params, m.mu)
+			wantAll := oracleRankings(full, all)
+			var trees [][]Node
+			var want [][][]Result
+			for empty := -1; empty < 3; empty++ {
+				trees = append(trees, runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, empty))
+				want = append(want, oracleRankings(full, trees[len(trees)-1]))
+			}
 			for mode, s := range modes {
 				for _, k := range []int{1, 3, 10, 1000} {
 					label := fmt.Sprintf("%s/%s/%s k=%d", cname, m.name, mode, k)
-					for empty := -1; empty < 3; empty++ {
-						assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, empty), s, full,
-							runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, empty), k)
+					for i := range trees {
+						assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, i-1), s, trees[i], want[i], k)
 					}
-					assertRunsMatchSeparate(t, label+" all-queries", s, full, all, k)
+					assertRunsMatchSeparate(t, label+" all-queries", s, all, wantAll, k)
 				}
 			}
 		}
@@ -159,7 +176,7 @@ func TestSearchRunsEdges(t *testing.T) {
 
 // FuzzSearchRunsParity fuzzes corpus shape, model, pruning, k, the
 // runs' weights and which run is empty, asserting each run of the one
-// pass equals the exhaustive evaluation of its tree alone, score bits
+// pass equals the oracle's ranking of its tree alone, score bits
 // included. The seed corpus is testdata/fuzz/FuzzSearchRunsParity.
 func FuzzSearchRunsParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, docs, kk, model, flags uint8, w1, w2, w3, w4 float64) {
@@ -186,6 +203,88 @@ func FuzzSearchRunsParity(f *testing.F) {
 			s = modes["forced"]
 		}
 		trees := runTrees([4]float64{clamp(w1), clamp(w2), clamp(w3), clamp(w4)}, int(flags>>1)%4)
-		assertRunsMatchSeparate(t, m.name, s, full, trees, k)
+		assertRunsMatchSeparate(t, m.name, s, trees, oracleRankings(full, trees), k)
 	})
+}
+
+// TestSearchRunsOverriddenLeaves: a partition evaluates its leaves under
+// the coordinator's global statistics, written over them as
+// localPartition.score writes them. Phrases with a constituent outside
+// the partition's vocabulary all resolve to one shared empty memo entry
+// there, yet carry different global statistics; the loop must score
+// each with its own, not merge them into one union leaf. Each shard's
+// top k is the oracle's ranking of the whole corpus restricted to that
+// shard's documents.
+func TestSearchRunsOverriddenLeaves(t *testing.T) {
+	b := index.NewBuilder(plain)
+	for i := 0; i < 24; i++ {
+		text := "x v w filler"
+		if i%2 == 1 { // only shard 1 of 2 (odd documents) holds y
+			text = "x y w"
+			if i%3 == 0 {
+				text += " v y w y w"
+			}
+		}
+		b.Add(fmt.Sprintf("D%02d", i), text)
+	}
+	ix := b.Build()
+	sh := index.NewSharded(ix, 2)
+	parts := shardPartitions(sh)
+	q := Combine(Term{Text: "x"}, Phrase{Terms: []string{"x", "y"}},
+		Phrase{Terms: []string{"y", "w"}}, Phrase{Terms: []string{"v", "y"}})
+	ctx := context.Background()
+	for _, m := range pruningModels {
+		mono := NewSearcher(ix)
+		mono.Model, mono.Params, mono.Mu = m.model, m.params, m.mu
+		want := OracleRank(mono, q, ix.NumDocs())
+		params := mono.resolveParams()
+		req := &EvalRequest{Model: int(m.model), Mu: params.Mu, Lambda: params.Lambda, K1: params.K1, B: params.B,
+			NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens()}
+		prepared := make([][]leaf, len(parts))
+		for i, p := range parts {
+			ls, prep, err := p.stats(ctx, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepared[i] = prep.([]leaf)
+			if req.Overrides == nil {
+				req.Overrides = make([]LeafOverride, len(ls))
+			}
+			for li, l := range ls {
+				req.Overrides[li].CF += l.CF
+				req.Overrides[li].DF += l.DF
+			}
+		}
+		for li := range req.Overrides {
+			o := &req.Overrides[li]
+			o.CollProb = index.FloorProb(o.CF, req.TotalToks)
+		}
+		for i, p := range parts {
+			lp := p.(*localPartition)
+			leaves := prepared[i]
+			cfg := lp.override(leaves, req)
+			var shardWant []Result
+			for _, r := range want {
+				if int(r.Doc)%len(parts) == i {
+					shardWant = append(shardWant, r)
+				}
+			}
+			for _, prune := range []bool{false, true} {
+				cfg.forcePrune, cfg.disablePruning = prune, !prune
+				for _, k := range []int{3, 100} {
+					sc := getScratch()
+					got, err := searchRuns(ctx, lp.ix, nil, leaves, []int{len(leaves)}, k, cfg, nil, sc, make([][]Result, 1))
+					putScratch(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r := range got[0] {
+						got[0][r].Doc = sh.GlobalDoc(i, got[0][r].Doc)
+					}
+					label := fmt.Sprintf("%s/shard=%d/prune=%v k=%d", m.name, i, prune, k)
+					requireSameResults(t, got[0], shardWant[:min(k, len(shardWant))], label)
+				}
+			}
+		}
+	}
 }

@@ -7,14 +7,13 @@ import (
 )
 
 // evalScratch is the pooled per-query evaluation state: every slice the
-// evaluators (searchDAAT, searchMaxScore, derivePruneBounds) used to
-// allocate per call — cursor array, candidate/bound/order/prefix
-// vectors, top-k heap backing, the prune-bound struct, and the
-// coordinator-merge buffer. A query takes one scratch from the pool
-// (reset-on-get), threads it through the whole evaluation, and returns
-// it on every exit path including cancellation and degradation; in
-// steady state a query's hot path performs no evaluator allocations at
-// all.
+// top-k loop (searchRuns, derivePruneBounds) would otherwise allocate
+// per call — cursor array, union and per-candidate vectors, per-run
+// heaps, bounds and partitions — and the coordinator-merge buffer. A
+// query takes one scratch from the pool (reset-on-get), threads it
+// through the whole evaluation, and returns it on every exit path
+// including cancellation and degradation; in steady state a query's hot
+// path performs no evaluator allocations at all.
 //
 // Ownership: a scratch is single-goroutine for the duration of one
 // evaluation; the per-shard evaluators each take their own. Nothing
@@ -23,21 +22,10 @@ import (
 type evalScratch struct {
 	leaves []leaf
 	curs   []index.TermCursor
-	curDoc []index.DocID
 
 	// positional is flatten's key and intersection state for the index's
 	// positional-leaf memo; it holds no index reference between lookups.
 	positional index.PositionalScratch
-
-	// MaxScore partition state.
-	ps      pruneState
-	matched []int
-
-	// topK heap backing.
-	heapDocs   []index.DocID
-	heapScores []float64
-
-	pb pruneBounds
 
 	sorter ubSorter
 
@@ -45,20 +33,11 @@ type evalScratch struct {
 	merged []Result
 
 	// searchRuns' state: where each run's leaves end, the union leaves,
-	// the run-leaf → union map and its inverse (occ*), the per-union-leaf
-	// driving counts, list and per-candidate cores, and one slot per run.
-	runEnds        []int
-	union          []leaf
-	uOf            []int
-	occStart, fill []int
-	occRun, occJ   []int32
-	essCount       []int32
-	drv            []int
-	stamp          []int64
-	coreA, coreB   []float64
-	tfAt           []int32
-	wOf            []float64
-	runs           []runEval
+	// one slot per run, and the pass, whose slices are reused too.
+	runEnds []int
+	union   []leaf
+	runs    []runEval
+	pass    pass
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -87,12 +66,12 @@ func putScratch(sc *evalScratch) {
 	for i := range runs {
 		runs[i].bounds.deltaExact = nil
 	}
+	p := &sc.pass
+	p.ix, p.dead, p.leaves, p.st, p.curs, p.rs = nil, nil, nil, nil, nil, nil
 	fullCurs := sc.curs[:cap(sc.curs)]
 	for i := range fullCurs {
 		fullCurs[i].Release()
 	}
-	sc.pb.deltaExact = nil
-	sc.ps.pb = nil
 	fullMerged := sc.merged[:cap(sc.merged)]
 	for i := range fullMerged {
 		fullMerged[i] = Result{}

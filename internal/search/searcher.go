@@ -30,15 +30,15 @@ type Searcher struct {
 	// Params holds the other models' parameters.
 	Params ModelParams
 	// DisablePruning turns off MaxScore-style dynamic pruning and scores
-	// every candidate (the PR-1 DAAT behaviour). Pruning is score-safe —
-	// rankings and scores are bit-identical either way (see maxscore.go)
-	// — so the switch exists for debugging, for the full-evaluation side
-	// of benchmarks, and for tests that assert exhaustive-path counters.
+	// every candidate. Pruning is score-safe — rankings and scores are
+	// bit-identical either way (see maxscore.go) — so the switch exists
+	// for debugging, for the full-evaluation side of benchmarks, and for
+	// tests that assert exhaustive-path counters.
 	DisablePruning bool
-	// forcePrune bypasses the cost-based evaluator choice and runs
-	// MaxScore whenever pruning is enabled at all. Test-only: the
-	// differential suites exercise the pruned evaluator on corpora and
-	// queries the cost model would (correctly) route to DAAT.
+	// forcePrune bypasses the cost model (pruneWorthwhile) and prunes
+	// whenever pruning is enabled at all. Test-only: the differential
+	// suites exercise pruning on corpora and queries the cost model
+	// would (correctly) score exhaustively.
 	forcePrune bool
 }
 
@@ -64,7 +64,7 @@ type leaf struct {
 	// leaves read the index's precomputed metadata, phrase/window leaves
 	// the summary their memo entry was filled with, so positional bounds
 	// are just as tight. bounded=false marks a leaf with no safe summary;
-	// the pruned evaluator gives it an infinite upper bound, keeping it
+	// pruning gives it an infinite upper bound, keeping it
 	// permanently essential (full evaluation), which preserves safety
 	// for any future leaf type that cannot produce one.
 	bounds  index.TermBounds
@@ -81,7 +81,7 @@ type leaf struct {
 	// segment's tombstone corrections are memoised under.
 	termID     int32
 	positional *index.Positional
-	// stream marks a term leaf of a v2-backed index that the evaluators
+	// stream marks a term leaf of a v2-backed index that the top-k loop
 	// walk through a streaming block cursor instead of a materialised
 	// postings row: postings stays empty and termID names the row.
 	stream bool
@@ -226,7 +226,7 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 // nothing carry only background mass and sort below every match of the
 // best leaf in all but degenerate cases).
 //
-// The evaluator is document-at-a-time (see evalLeaves).
+// The evaluator is document-at-a-time (see searchRuns).
 //
 // Search never fails; it is a thin wrapper over SearchContext with a
 // background context.
@@ -261,40 +261,51 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, q Node, k int) ([
 	return res, st, err
 }
 
-// cancelCheckEvery is how many candidates the evaluators score between
+// cancelCheckEvery is how many candidates the top-k loop draws between
 // context checks. Checking costs one atomic load; at this granularity it
 // is invisible next to scoring while still bounding the cancellation
 // latency to a few hundred microseconds on any realistic index.
 const cancelCheckEvery = 4096
 
 func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) ([]Result, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
+	var out [1][]Result
+	if err := s.evaluate(ctx, []Node{q}, k, st, out[:]); err != nil {
 		return nil, err
 	}
-	// One pooled scratch covers the whole evaluation — leaf vector,
-	// cursors, bounds, heap — and goes back on every exit path (the
-	// defer) including cancellation.
+	return out[0], nil
+}
+
+// evaluate flattens the trees qs and fills out with one top-k per tree
+// from one pass of the top-k loop (searchRuns). One pooled scratch covers
+// the whole evaluation — leaf vector, cursors, bounds, heaps — and goes
+// back on every exit path (the defer) including cancellation.
+func (s *Searcher) evaluate(ctx context.Context, qs []Node, k int, st *SearchStats, out [][]Result) error {
+	if k <= 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	sc := getScratch()
 	defer putScratch(sc)
 	leaves := sc.leaves[:0]
-	s.flatten(q, 1, &leaves, &sc.positional, st)
-	sc.leaves = leaves
-	if len(leaves) == 0 {
-		return nil, nil
+	ends := sc.runEnds[:0]
+	for _, q := range qs {
+		s.flatten(q, 1, &leaves, &sc.positional, st)
+		ends = append(ends, len(leaves))
 	}
-	if st != nil {
-		st.Leaves = len(leaves)
+	sc.leaves, sc.runEnds = leaves, ends
+	if len(leaves) == 0 {
+		return nil
 	}
 	// Flattening intersects the phrase/window leaves no earlier query
 	// resolved, which can be the bulk of the work for a heavily expanded
 	// query on a cold index; re-check before the evaluation loop starts.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return evalLeaves(ctx, s.ix, nil, leaves, k, s.scoring(), st, sc)
+	_, err := searchRuns(ctx, s.ix, nil, leaves, ends, k, s.scoring(), st, sc, out)
+	return err
 }
 
 // scoring resolves the searcher's configuration against its own index.
@@ -318,29 +329,6 @@ type scoring struct {
 	cs             collStats
 	disablePruning bool
 	forcePrune     bool
-}
-
-// evalLeaves scores flattened leaves against ix and returns its top k
-// among the documents not in dead (a live segment's tombstones; nil
-// everywhere else). It is the one place the evaluator is chosen — exhaustive DAAT when
-// pruning is off or the cost model says it will not pay, MaxScore
-// otherwise — so a monolithic search, a shard, a segment and a shard
-// server cannot disagree about it. Any statistics override must already
-// be written to the leaves: the per-leaf caches and the bound
-// arithmetic derive from what they hold now, while postings summaries
-// and the minimum document length stay local to ix (bounds only need to
-// dominate the documents ix can produce).
-func evalLeaves(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, k int, cfg scoring, st *SearchStats, sc *evalScratch) ([]Result, error) {
-	prepareLeaves(cfg.model, cfg.cs, leaves)
-	score := buildScorer(cfg.model, cfg.params, cfg.cs)
-	if cfg.disablePruning {
-		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
-	}
-	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, &sc.pb)
-	if !cfg.forcePrune && !pruneWorthwhile(leaves, pb) {
-		return searchDAAT(ctx, ix, dead, leaves, k, score, st, sc)
-	}
-	return searchMaxScore(ctx, ix, dead, leaves, k, score, pb, st, sc)
 }
 
 // findDoc binary-searches a sorted doc list, returning the row index or

@@ -119,8 +119,8 @@ func requireSameResults(t *testing.T, got, want []Result, label string) {
 }
 
 // TestSegmentedSearcherParity: the segmented searcher is bit-identical
-// to a monolithic Searcher over the surviving documents, across models,
-// flush sizes, delete schedules, compaction states and pruning modes.
+// to the oracle over the surviving documents, across models, flush
+// sizes, delete schedules, compaction states and pruning modes.
 func TestSegmentedSearcherParity(t *testing.T) {
 	docs := segTestCorpus(120, 11)
 	deleteSets := [][]string{
@@ -139,11 +139,9 @@ func TestSegmentedSearcherParity(t *testing.T) {
 						gs.DisablePruning = !prune
 						gs.forcePrune = prune
 						mono.Model = model
-						mono.DisablePruning = !prune
-						mono.forcePrune = prune
 						for qi, q := range segTestQueries() {
 							label := fmt.Sprintf("flush=%d del=%d compact=%v model=%d prune=%v q=%d", flushDocs, di, compact, model, prune, qi)
-							want := mono.Search(q, 10)
+							want := OracleRank(mono, q, 10)
 							requireSameResults(t, rank(t, gs, q, 10), want, label)
 						}
 					}

@@ -17,23 +17,26 @@ import (
 // i's own slice of the work. New counters must follow the same rule —
 // the pruning counters (DocsSkipped, BoundEvaluations) do.
 type SearchStats struct {
-	// Leaves is the number of flattened query leaves scored; for a
-	// several-run pass (Searcher.SearchRuns) the union's, each distinct
-	// leaf once. Sharded: the per-shard leaf count (identical on every
-	// shard), NOT a sum.
+	// Leaves is the number of distinct leaves the evaluation scored: the
+	// union of its trees' flattened leaves, so a leaf repeated within a
+	// tree, or shared by a several-run pass's trees (Searcher.SearchRuns),
+	// counts once. Partitioned: the largest union a partition evaluated,
+	// NOT a sum (a shard server's count does not cross the wire; over RPC
+	// it is the flattened leaf count).
 	Leaves int
 	// CandidatesExamined counts the distinct documents scored (without
 	// pruning: the size of the union of the leaves' postings; with
 	// pruning: the subset of that union actually evaluated).
 	CandidatesExamined int64
-	// PostingsAdvanced counts cursor advances across all leaves — the
-	// postings entries the evaluator consumed.
+	// PostingsAdvanced counts cursor advances across the distinct leaves
+	// — the postings entries the evaluator consumed.
 	PostingsAdvanced int64
-	// DocsSkipped counts postings entries the pruned evaluator galloped
-	// over without scoring their documents (0 on the unpruned path).
+	// DocsSkipped counts postings entries pruning galloped over without
+	// scoring their documents (0 on the unpruned path).
 	// An entry is either consumed or skipped, so
-	// PostingsAdvanced + DocsSkipped equals the query's total postings
-	// mass — what PostingsAdvanced alone is without pruning.
+	// PostingsAdvanced + DocsSkipped equals the postings mass of the
+	// query's distinct leaves — what PostingsAdvanced alone is without
+	// pruning.
 	DocsSkipped int64
 	// BoundEvaluations counts score-bound tests against the running
 	// top-k threshold: one per candidate upper-bound check once the
@@ -46,8 +49,8 @@ type SearchStats struct {
 	// total — BlocksDecoded/BlocksTotal is the decoded-block fraction,
 	// the measure of how well decode granularity tracked pruning
 	// granularity. Both are zero when no leaf streamed (in-memory and v1
-	// indexes); the exhaustive evaluator decodes every block it is
-	// offered, so the fraction approaches 1 there.
+	// indexes); exhaustive scoring decodes every block it is offered, so
+	// the fraction approaches 1 there.
 	BlocksDecoded int64
 	BlocksTotal   int64
 	// PositionalHits counts the phrase/window leaves flatten found

@@ -95,8 +95,8 @@ func TestSegmentedTombstonePlacements(t *testing.T) {
 		set  func(gs *SegmentedSearcher)
 	}{
 		{"cost-model", func(gs *SegmentedSearcher) {}},
-		{"maxscore", func(gs *SegmentedSearcher) { gs.forcePrune = true }},
-		{"daat", func(gs *SegmentedSearcher) { gs.DisablePruning = true }},
+		{"pruned", func(gs *SegmentedSearcher) { gs.forcePrune = true }},
+		{"exhaustive", func(gs *SegmentedSearcher) { gs.DisablePruning = true }},
 	}
 	for _, shape := range shapes {
 		for _, c := range cases {

@@ -85,7 +85,7 @@ func TestTopKAllEqualScores(t *testing.T) {
 }
 
 // FuzzPrunedTopKParity fuzzes corpus shape, model, k and query weights,
-// asserting the pruned top-k is bit-identical to the unpruned one. Run
+// asserting the pruned top-k is bit-identical to the oracle's. Run
 // with `go test -fuzz FuzzPrunedTopKParity` for continuous exploration;
 // the seed corpus below runs as a regular test.
 func FuzzPrunedTopKParity(f *testing.F) {
@@ -116,16 +116,7 @@ func FuzzPrunedTopKParity(f *testing.F) {
 		)
 		m := pruningModels[int(model)%len(pruningModels)]
 		pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-		want := full.Search(q, k)
-		got := pruned.Search(q, k)
-		if len(got) != len(want) {
-			t.Fatalf("%d results, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rank %d: pruned %+v != full %+v", i, got[i], want[i])
-			}
-		}
+		assertIdenticalResults(t, m.name, pruned.Search(q, k), OracleRank(full, q, k))
 	})
 }
 

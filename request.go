@@ -169,11 +169,11 @@ func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTi
 			ps.Stages.QueryBuild += time.Since(start)
 		}
 	}
-	res, err := e.retrieve(ctx, node, k, ps, deg)
+	lists, err := e.retrieve(ctx, []search.Node{node}, k, ps, deg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, exp, nil
+	return lists[0], exp, nil
 }
 
 // linkEntities resolves a request's entities, timed into the entity-link
@@ -201,7 +201,7 @@ var sqecSets = [3]MotifSet{MotifT, MotifTS, MotifS}
 
 // doC runs the paper's SQE_C combination: the T, T&S and S runs spliced
 // at ranks 5 and 200. The entities are resolved once for all three
-// runs; each run then expands and builds its own tree, and retrieveRuns
+// runs; each run then expands and builds its own tree, and retrieve
 // evaluates the trees together. The returned Expansion is the combined
 // (T&S) run's.
 //
@@ -211,7 +211,7 @@ var sqecSets = [3]MotifSet{MotifT, MotifTS, MotifS}
 // the evaluation: the survivors still cover their rank bands, and
 // Degradation.DroppedRuns names the missing lists. All three failing
 // fails the request with the first run's error. The evaluation is one
-// event for the whole request (see retrieveRuns), never a reason to drop
+// event for the whole request (see retrieve), never a reason to drop
 // a run.
 func (e *Engine) doC(ctx context.Context, query string, entityTitles []string, k int, ps *PipelineStats, deg *Degradation) ([]Result, *Expansion, error) {
 	nodes, err := e.linkEntities(ctx, query, entityTitles, ps)
@@ -253,7 +253,7 @@ func (e *Engine) doC(ctx context.Context, query string, entityTitles []string, k
 	if len(trees) == 0 {
 		return nil, nil, firstErr
 	}
-	lists, err := e.retrieveRuns(ctx, trees, k, ps, deg)
+	lists, err := e.retrieve(ctx, trees, k, ps, deg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -275,7 +275,11 @@ func (e *Engine) doBaseline(ctx context.Context, query string, k int, prfCfg *PR
 	if ps != nil {
 		ps.Stages.QueryBuild += time.Since(start)
 	}
-	return e.retrieve(ctx, node, k, ps, deg)
+	lists, err := e.retrieve(ctx, []search.Node{node}, k, ps, deg)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
 }
 
 // expansionOf converts the expander's query graph into the public
@@ -295,82 +299,58 @@ func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 	return exp
 }
 
-// retrieve runs one retrieval: through the partitioned searcher when the
-// engine has one (WithShards, WithDistributedSearcher, NewLiveEngine),
-// the monolithic searcher otherwise — results are bit-identical either
-// way. Wall-clock and evaluator counters (per-partition rows included)
-// are attributed to ps when non-nil. With degradation enabled (deg
-// non-nil) the partitioned path runs with per-partition deadlines,
-// transient retries and — under PartialShards — partial merges, while
-// the monolithic path gets panic containment and transient retries
-// (there is no partial result to salvage from a single index).
-func (e *Engine) retrieve(ctx context.Context, node search.Node, k int, ps *PipelineStats, deg *Degradation) ([]Result, error) {
-	start := time.Now()
-	var res []Result
-	var st SearchStats
-	var err error
-	if e.sharded != nil {
-		opts := search.EvalOptions{CollectStats: ps != nil}
-		if deg != nil {
-			opts.Degrade = e.searchDegradeOptions()
-		}
-		var ev search.Evaluation
-		ev, err = e.sharded.Evaluate(ctx, node, k, opts)
-		if deg != nil {
-			deg.absorb(ev.Partial)
-		}
-		res, st = ev.Results, ev.Stats
-	} else {
-		err = e.guarded(ctx, deg, func() (err error) {
-			if ps == nil {
-				res, err = e.searcher.SearchContext(ctx, node, k)
-			} else {
-				res, st, err = e.searcher.SearchWithStatsContext(ctx, node, k)
+// retrieve evaluates a request's trees — one, or SQE_C's three — and
+// returns one ranking per tree, in order, each bit-identical to
+// evaluating that tree alone on a monolithic index. Each loop trip is one
+// evaluator pass, timed and counted into ps when non-nil (per-partition
+// rows included):
+//
+//   - A single index evaluates every tree in one pass over the union of
+//     their leaves (search.Searcher.SearchRuns; DESIGN.md "SQE_C in one
+//     pass"), with panic containment and transient retry when
+//     degradation is enabled (deg non-nil); there is no partial result
+//     to salvage from a single index.
+//   - A partitioned engine (WithShards, WithDistributedSearcher,
+//     NewLiveEngine) makes one Evaluate per tree, one after another;
+//     each call's partition fan-out is still parallel, and with
+//     degradation enabled runs with per-partition deadlines, transient
+//     retries and — under PartialShards — partial merges.
+//
+// Either way a failure fails every tree: there is no per-tree partial
+// result.
+func (e *Engine) retrieve(ctx context.Context, nodes []search.Node, k int, ps *PipelineStats, deg *Degradation) ([][]Result, error) {
+	out := make([][]Result, len(nodes))
+	opts := search.EvalOptions{CollectStats: ps != nil}
+	if deg != nil && e.sharded != nil {
+		opts.Degrade = e.searchDegradeOptions()
+	}
+	for i := 0; i < len(nodes); {
+		start := time.Now()
+		var st SearchStats
+		var err error
+		if e.sharded != nil {
+			var ev search.Evaluation
+			ev, err = e.sharded.Evaluate(ctx, nodes[i], k, opts)
+			if deg != nil {
+				deg.absorb(ev.Partial)
 			}
-			return err
-		})
-	}
-	recordRetrieval(ps, start, st)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// retrieveRuns evaluates several trees for one request and returns one
-// ranking per tree, in order, each bit-identical to retrieve on that
-// tree alone. A single index evaluates them in one pass over the union
-// of their leaves (search.Searcher.SearchRuns; DESIGN.md "SQE_C in one
-// pass"), behind retrieve's panic containment and transient retry. A
-// partitioned engine runs retrieve once per tree, one after another;
-// each call's partition fan-out is still parallel. Either way a failure
-// fails every tree: there is no per-tree partial result.
-func (e *Engine) retrieveRuns(ctx context.Context, nodes []search.Node, k int, ps *PipelineStats, deg *Degradation) ([][]Result, error) {
-	if e.sharded != nil {
-		out := make([][]Result, len(nodes))
-		for i, node := range nodes {
-			res, err := e.retrieve(ctx, node, k, ps, deg)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
+			out[i], st = ev.Results, ev.Stats
+			i++
+		} else {
+			err = e.guarded(ctx, deg, func() (err error) {
+				var stp *SearchStats
+				if ps != nil {
+					st, stp = SearchStats{}, &st
+				}
+				out, err = e.searcher.SearchRuns(ctx, nodes, k, stp)
+				return err
+			})
+			i = len(nodes)
 		}
-		return out, nil
-	}
-	start := time.Now()
-	var out [][]Result
-	var st SearchStats
-	err := e.guarded(ctx, deg, func() (err error) {
-		var stp *SearchStats
-		if ps != nil {
-			st, stp = SearchStats{}, &st
+		recordRetrieval(ps, start, st)
+		if err != nil {
+			return nil, err
 		}
-		out, err = e.searcher.SearchRuns(ctx, nodes, k, stp)
-		return err
-	})
-	recordRetrieval(ps, start, st)
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

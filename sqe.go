@@ -219,11 +219,11 @@ func WithDirichletMu(mu float64) Option {
 }
 
 // WithPruning toggles MaxScore-style score-safe dynamic pruning in the
-// document-at-a-time evaluator (default on). With pruning, candidates
+// document-at-a-time top-k loop (default on). With pruning, candidates
 // that provably cannot enter the current top-k — judged against
 // per-leaf score upper bounds derived from index metadata at
 // query-compile time — are skipped without being scored; rankings and
-// scores stay bit-identical to the unpruned evaluator for every
+// scores stay bit-identical to exhaustive scoring for every
 // retrieval model and shard count (TestDifferential's rows enforce
 // this). WithPruning(false) is the escape hatch for debugging and the
 // exhaustive reference the bench/ oracle compares against.
@@ -370,7 +370,11 @@ func (e *Engine) ParseQueryContext(ctx context.Context, query string, k int) ([]
 	if err != nil {
 		return nil, err
 	}
-	return e.retrieve(ctx, node, k, nil, nil)
+	lists, err := e.retrieve(ctx, []search.Node{node}, k, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
 }
 
 // resolveEntities maps entity titles to query nodes; unknown titles are
