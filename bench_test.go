@@ -328,7 +328,7 @@ func benchSearchTopKSharded(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = ss.Evaluate(context.Background(), nodes[i%len(nodes)], 10, search.EvalOptions{})
+		_, _ = ss.Evaluate(context.Background(), nodes[i%len(nodes):i%len(nodes)+1], 10, search.EvalOptions{})
 	}
 }
 
@@ -365,7 +365,7 @@ func BenchmarkRemoteEvaluate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rs.Evaluate(context.Background(), nodes[i%len(nodes)], 10, search.EvalOptions{}); err != nil {
+		if _, err := rs.Evaluate(context.Background(), nodes[i%len(nodes):i%len(nodes)+1], 10, search.EvalOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -575,12 +575,15 @@ func BenchmarkUnorderedWindow(b *testing.B) {
 }
 
 // BenchmarkSQECRequest is one SQE_C Engine.Do (k = 10, explicit
-// entities) over the DemoDefault corpus served from a v2 file, warmed so
-// the expansion cache and the positional memo hit: a search-hot request
-// below the HTTP tier — entity resolution, three query builds, the one
-// retrieval pass over the runs' union of leaves, and the splice.
+// entities) over the DemoDefault corpus, warmed so the expansion cache
+// and the positional memo hit: a search-hot request below the HTTP tier
+// — entity resolution, three query builds, the one evaluation over the
+// trees' union of leaves, and the splice. The sub-benchmarks replay the
+// same requests over three serving shapes of the same documents: one v2
+// file, two in-process shards of it, and a live index of v2 segments
+// (one flushed every 1 024 documents).
 func BenchmarkSQECRequest(b *testing.B) {
-	env, err := GenerateDemo(DemoDefault)
+	env, docs, err := GenerateDemoCorpus(DemoDefault)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -593,23 +596,47 @@ func BenchmarkSQECRequest(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer disk.Close()
-	eng := NewEngine(env.Engine.Graph(), disk, WithExpansionCache(4096))
+	live, err := OpenLiveIndex(b.TempDir(), 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer live.Close()
+	for _, d := range docs {
+		if err := live.Ingest(d.Name, d.Text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := live.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	g := env.Engine.Graph()
 	reqs := make([]SearchRequest, len(env.Queries))
 	for i, q := range env.Queries {
 		reqs[i] = SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
 	}
 	ctx := context.Background()
-	for _, req := range reqs { // warm
-		if _, err := eng.Do(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Do(ctx, reqs[i%len(reqs)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name string
+		eng  *Engine
+	}{
+		{"v2", NewEngine(g, disk, WithExpansionCache(4096))},
+		{"shards=2", NewEngine(g, disk, WithExpansionCache(4096), WithShards(2))},
+		{"live", NewLiveEngine(g, live, WithExpansionCache(4096))},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			for _, req := range reqs { // warm
+				if _, err := shape.eng.Do(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := shape.eng.Do(ctx, reqs[i%len(reqs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package sqe
 
 import (
 	"context"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/fault"
@@ -18,12 +17,14 @@ import (
 type DegradationPolicy struct {
 	// PartialShards merges the surviving shards' results when a shard's
 	// evaluation fails (error, panic, or ShardDeadline), reporting the
-	// dropped shards in SearchResponse.Degraded. Surviving shards'
+	// dropped shards in SearchResponse.Degraded. A single index is one
+	// shard, with nothing to salvage when it fails. Surviving shards'
 	// scores are unaffected — shards fail only after the cross-shard
 	// statistics override, so the partial ranking is exactly the
 	// complete ranking minus the dropped shards' documents.
 	PartialShards bool
-	// ShardDeadline bounds each shard evaluation attempt (0 = none).
+	// ShardDeadline bounds each attempt of each shard call (0 = none);
+	// on an unsharded engine the whole index is the one shard.
 	ShardDeadline time.Duration
 	// ExpansionFallback retries a failed motif expansion as the plain
 	// unexpanded query (QL_Q over the same text). The response then
@@ -40,7 +41,8 @@ type DegradationPolicy struct {
 	PartialSQEC bool
 	// MaxRetries re-runs a stage that failed with a transient fault
 	// (fault.IsTransient) up to this many extra times before the
-	// failure is degraded or surfaced.
+	// failure is degraded or surfaced. A negative count means none: the
+	// stage still runs once.
 	MaxRetries int
 	// RetryBackoff is the base delay between retries; attempt i waits
 	// i×RetryBackoff.
@@ -77,10 +79,10 @@ func WithDegradation(p DegradationPolicy) Option {
 // cancelled request fails with the context's error, not a partial
 // response.
 type Degradation struct {
-	// DroppedShards lists the index shards whose results are missing
-	// from the ranking. A partitioned engine retrieves SQE_C's three runs
-	// one after another, so a shard index may appear once per run that
-	// dropped it.
+	// DroppedShards lists the index shards (a live engine's segments)
+	// whose results are missing from the ranking, ascending. A request's
+	// trees — SQE_C's three included — share one evaluation, so a shard
+	// is in or out for the whole request and appears at most once.
 	DroppedShards []int `json:"dropped_shards,omitempty"`
 	// ShardErrors[i] is the failure that dropped DroppedShards[i].
 	ShardErrors []string `json:"shard_errors,omitempty"`
@@ -110,68 +112,17 @@ func (d *Degradation) empty() bool {
 		d.ExpansionFallbacks == 0 && d.Retries == 0
 }
 
-// absorb folds a sharded search's partial-result report into d.
-func (d *Degradation) absorb(pi search.PartialInfo) {
-	d.DroppedShards = append(d.DroppedShards, pi.DroppedShards...)
-	d.ShardErrors = append(d.ShardErrors, pi.ShardErrors...)
-	d.Retries += pi.Retries
-}
-
-// searchDegradeOptions maps the engine policy onto the partitioned
-// searcher's knobs.
-func (e *Engine) searchDegradeOptions() *search.DegradeOptions {
-	return &search.DegradeOptions{
-		AllowPartial:  e.degrade.PartialShards,
-		ShardDeadline: e.degrade.ShardDeadline,
-		MaxRetries:    e.degrade.MaxRetries,
-		RetryBackoff:  e.degrade.RetryBackoff,
-	}
-}
-
-// guardPanic runs f, converting a panic — injected or genuine — into an
-// error carrying the panic value and stack.
-func guardPanic(f func() error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fault.AsPanicError(v, debug.Stack())
-		}
-	}()
-	return f()
-}
-
-// retryTransient runs f, re-running it after transient faults up to
-// pol.MaxRetries extra times with linear backoff. Retries are counted
-// into deg; parent-context cancellation aborts the loop immediately.
-func retryTransient(ctx context.Context, pol *DegradationPolicy, deg *Degradation, f func() error) error {
-	var err error
-	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
-		if attempt > 0 {
-			deg.Retries++
-			if pol.RetryBackoff > 0 {
-				t := time.NewTimer(time.Duration(attempt) * pol.RetryBackoff)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				case <-t.C:
-				}
-			}
-		}
-		err = f()
-		if err == nil || !fault.IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-	}
-	return err
-}
-
 // guarded runs f behind panic containment and transient retry (retries
 // counted into deg) when degradation is on; with deg nil it runs f bare.
 func (e *Engine) guarded(ctx context.Context, deg *Degradation, f func() error) error {
 	if deg == nil {
 		return f()
 	}
-	return retryTransient(ctx, e.degrade, deg, func() error { return guardPanic(f) })
+	retries, err := fault.Retry(ctx, e.degrade.MaxRetries, e.degrade.RetryBackoff, fault.IsTransient, func() error {
+		return fault.Contain(f)
+	})
+	deg.Retries += retries
+	return err
 }
 
 // buildQuery runs entity expansion and query construction for one motif

@@ -526,13 +526,14 @@ func diffLive(t *testing.T, live *LiveIndex, held []DemoDoc) {
 	mono := search.NewSearcher(monolithic(held))
 	for _, m := range []search.Model{search.ModelDirichlet, search.ModelJelinekMercer, search.ModelBM25} {
 		gs.Model, mono.Model = m, m
-		for qi, q := range chaosQueries() {
-			got, err := gs.Evaluate(context.Background(), q, 10, search.EvalOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := searchtest.Rank(mono, q, 10); !reflect.DeepEqual(got.Results, want) {
-				t.Errorf("model %v query %d: live index diverges from the oracle\n got: %v\nwant: %v", m, qi, got.Results, want)
+		qs := chaosQueries()
+		got, err := gs.Evaluate(context.Background(), qs, 10, search.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range qs {
+			if want := searchtest.Rank(mono, q, 10); !reflect.DeepEqual(got.Results[qi], want) {
+				t.Errorf("model %v query %d: live index diverges from the oracle\n got: %v\nwant: %v", m, qi, got.Results[qi], want)
 			}
 		}
 	}

@@ -79,10 +79,10 @@ func TestParallelSQECMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSQECStats pins what an SQE_C request's stats say ran: on a
-// single index one evaluator pass over the union of the three runs'
-// leaves (fewer than their sum: T&S's leaves are T's plus S's); on a
-// partitioned engine, three passes.
+// TestParallelSQECStats pins what an SQE_C request's stats say ran: one
+// evaluation over the union of the three runs' leaves (fewer than their
+// sum: T&S's leaves are T's plus S's), on a single index and on a
+// partitioned engine alike.
 func TestParallelSQECStats(t *testing.T) {
 	e := demo(t)
 	g, ix := e.Engine.Graph(), e.Engine.Index()
@@ -106,8 +106,8 @@ func TestParallelSQECStats(t *testing.T) {
 	if one.Search.Leaves >= leaves {
 		t.Errorf("the pass has %d leaves, the three runs %d together", one.Search.Leaves, leaves)
 	}
-	if sh := stats(NewEngine(g, ix, WithShards(2)), 0); sh.Retrievals != 3 {
-		t.Errorf("partitioned engine: Retrievals = %d, want one per run", sh.Retrievals)
+	if sh := stats(NewEngine(g, ix, WithShards(2)), 0); sh.Retrievals != 1 || len(sh.Search.Shards) != 2 {
+		t.Errorf("partitioned engine: Retrievals = %d over %d shards, want one evaluation over 2", sh.Retrievals, len(sh.Search.Shards))
 	}
 }
 

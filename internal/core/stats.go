@@ -43,9 +43,8 @@ type PipelineStats struct {
 	Search search.SearchStats
 	// Queries counts the pipeline executions aggregated here.
 	Queries int
-	// Retrievals counts evaluator passes: one per explicit-set or
-	// baseline query; an SQE_C query is one pass on a single index (its
-	// three runs evaluated together) and three on a partitioned engine.
+	// Retrievals counts evaluations: one per query on every engine — an
+	// SQE_C query's three runs are evaluated together.
 	Retrievals int
 	// Features counts the expansion features produced by motif search.
 	Features int

@@ -278,39 +278,69 @@ func TestChaosShardDropIsExactSubset(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRetriesStillRuns: a negative retry budget means no
+// retries, not no attempt — every request still runs every stage once
+// and answers exactly what the engine without degradation answers, on a
+// single index and on a sharded engine.
+func TestNegativeMaxRetriesStillRuns(t *testing.T) {
+	env := demoEnv(t)
+	ctx := context.Background()
+	for _, shards := range []int{1, 2} {
+		eng := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(), sqe.WithShards(shards),
+			sqe.WithDegradation(sqe.DegradationPolicy{MaxRetries: -1}))
+		for i, req := range chaosRequests(env) {
+			want, err := env.Engine.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Do(ctx, req)
+			if err != nil {
+				t.Fatalf("shards=%d request %d: %v", shards, i, err)
+			}
+			if len(got.Results) == 0 || !reflect.DeepEqual(got.Results, want.Results) {
+				t.Fatalf("shards=%d request %d: %d results, want the plain engine's %d", shards, i, len(got.Results), len(want.Results))
+			}
+		}
+	}
+}
+
 // TestChaosTransientRetryRestoresExactResults fails one shard with a
 // transient fault under MaxRetries=2: the retry must succeed, results
 // must match the fault-free run exactly, and the response must report
-// the retry without claiming degradation.
+// the retry without claiming degradation. An unsharded engine's index is
+// its one shard and is retried the same way.
 func TestChaosTransientRetryRestoresExactResults(t *testing.T) {
 	defer fault.Disarm()
 	pol := directedPolicy()
 	pol.MaxRetries = 2
 	pol.RetryBackoff = time.Millisecond
-	env := demoEnv(t, sqe.WithShards(4), sqe.WithDegradation(pol))
-	q := env.Queries[0]
-	ctx := context.Background()
-	req := sqe.SearchRequest{Query: q.Text, K: 20, Baseline: true}
+	for _, shards := range []int{1, 4} {
+		fault.Disarm()
+		env := demoEnv(t, sqe.WithShards(shards), sqe.WithDegradation(pol))
+		q := env.Queries[0]
+		ctx := context.Background()
+		req := sqe.SearchRequest{Query: q.Text, K: 20, Baseline: true}
 
-	clean, err := env.Engine.Do(ctx, req)
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
+		clean, err := env.Engine.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("shards=%d: clean run: %v", shards, err)
+		}
 
-	fault.Arm(fault.NewRegistry(5).Set(fault.ShardEval,
-		fault.Policy{ErrRate: 1, Transient: true, MaxFaults: 1}))
-	resp, err := env.Engine.Do(ctx, req)
-	if err != nil {
-		t.Fatalf("request failed despite retry budget: %v", err)
-	}
-	if resp.Degraded == nil || resp.Degraded.Retries == 0 {
-		t.Fatalf("Degraded = %+v, want a recorded retry", resp.Degraded)
-	}
-	if resp.Degraded.Degraded() {
-		t.Fatalf("retry-only response claims degradation: %+v", resp.Degraded)
-	}
-	if !reflect.DeepEqual(resp.Results, clean.Results) {
-		t.Fatal("results after a successful retry differ from the fault-free run")
+		fault.Arm(fault.NewRegistry(5).Set(fault.ShardEval,
+			fault.Policy{ErrRate: 1, Transient: true, MaxFaults: 1}))
+		resp, err := env.Engine.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("shards=%d: request failed despite retry budget: %v", shards, err)
+		}
+		if resp.Degraded == nil || resp.Degraded.Retries == 0 {
+			t.Fatalf("shards=%d: Degraded = %+v, want a recorded retry", shards, resp.Degraded)
+		}
+		if resp.Degraded.Degraded() {
+			t.Fatalf("shards=%d: retry-only response claims degradation: %+v", shards, resp.Degraded)
+		}
+		if !reflect.DeepEqual(resp.Results, clean.Results) {
+			t.Fatalf("shards=%d: results after a successful retry differ from the fault-free run", shards)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package fault_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -205,5 +207,49 @@ func TestPointsCatalogIsACopy(t *testing.T) {
 	a[0] = "mutated"
 	if b := fault.Points(); b[0] == "mutated" {
 		t.Fatal("Points() returns a shared slice")
+	}
+}
+
+// TestRetry pins the one retry loop: a negative budget still runs the
+// call once, transient failures are re-run up to the budget, anything
+// else ends the loop, and a context finishing during a backoff ends it
+// with the context's error.
+func TestRetry(t *testing.T) {
+	transient := &fault.Error{Point: fault.ShardEval, Transient: true}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name         string
+		maxRetries   int
+		fails        int
+		err          error
+		calls, retry int
+	}{
+		{"negative budget runs once", -1, 0, nil, 1, 0},
+		{"negative budget surfaces the failure", -3, 1, transient, 1, 0},
+		{"retried to success", 2, 2, nil, 3, 2},
+		{"out of retries", 1, 5, transient, 2, 1},
+	} {
+		calls := 0
+		retries, err := fault.Retry(ctx, c.maxRetries, 0, fault.IsTransient, func() error {
+			calls++
+			if calls <= c.fails {
+				return transient
+			}
+			return nil
+		})
+		if err != c.err || calls != c.calls || retries != c.retry {
+			t.Errorf("%s: err %v after %d calls and %d retries, want %v, %d, %d", c.name, err, calls, retries, c.err, c.calls, c.retry)
+		}
+	}
+	hard := errors.New("hard")
+	calls := 0
+	if _, err := fault.Retry(ctx, 3, 0, fault.IsTransient, func() error { calls++; return hard }); err != hard || calls != 1 {
+		t.Errorf("non-retryable failure: err %v after %d calls", err, calls)
+	}
+	cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	retries, err := fault.Retry(cctx, 3, time.Hour, fault.IsTransient, func() error { return transient })
+	if !errors.Is(err, context.DeadlineExceeded) || retries != 1 {
+		t.Errorf("cancelled during backoff: err %v, %d retries", err, retries)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/index"
 )
 
@@ -46,10 +47,12 @@ var errFlaky = errors.New("flaky partition")
 
 // script is what one partition does wrong during one Evaluate: the
 // errors its successive stats and eval calls return (nil or exhausted
-// means "behave"), and a hook run at the start of every eval.
+// means "behave"), a hook run at the start of every eval, and a value
+// its stats call panics with.
 type script struct {
 	stats, eval []error
 	onEval      func()
+	statsPanic  any
 }
 
 // scriptedPartition wraps a real partition and fails on script.
@@ -67,21 +70,24 @@ func next(errs *[]error) error {
 	return err
 }
 
-func (p *scriptedPartition) stats(ctx context.Context, q Node, st *SearchStats) ([]LeafStats, any, error) {
-	if err := next(&p.script.stats); err != nil {
-		return nil, nil, err
+func (p *scriptedPartition) stats(ctx context.Context, qs []Node, pc *partCall, st *SearchStats) error {
+	if p.statsPanic != nil {
+		panic(p.statsPanic)
 	}
-	return p.partition.stats(ctx, q, st)
+	if err := next(&p.script.stats); err != nil {
+		return err
+	}
+	return p.partition.stats(ctx, qs, pc, st)
 }
 
-func (p *scriptedPartition) eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) ([]Result, error) {
+func (p *scriptedPartition) eval(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error {
 	if p.onEval != nil {
 		p.onEval()
 	}
 	if err := next(&p.script.eval); err != nil {
-		return nil, err
+		return err
 	}
-	return p.partition.eval(ctx, prepared, req, st)
+	return p.partition.eval(ctx, req, pc, st)
 }
 
 func (p *scriptedPartition) retryable(err error) bool {
@@ -220,15 +226,15 @@ func TestCoordinatorContract(t *testing.T) {
 					cfg.DisablePruning = !prune
 					f.co.Configure(cfg)
 					f.co.forcePrune = prune
-					for qi, q := range f.queries {
-						for _, kk := range []int{1, k, 1000} {
+					for _, kk := range []int{1, k, 1000} {
+						for qi, q := range f.queries {
 							label := fmt.Sprintf("model=%v prune=%v q=%d k=%d", cfg.Model, prune, qi, kk)
 							want := OracleRank(f.mono, q, kk)
-							ev, err := f.co.Evaluate(ctx, q, kk, EvalOptions{CollectStats: true})
+							got, ev, err := evalOne(ctx, f.co, q, kk, EvalOptions{CollectStats: true})
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							requireSameResults(t, ev.Results, want, label)
+							requireSameResults(t, got, want, label)
 							if len(ev.Stats.Shards) != n {
 								t.Fatalf("%s: %d Shards rows, want %d", label, len(ev.Stats.Shards), n)
 							}
@@ -236,6 +242,16 @@ func TestCoordinatorContract(t *testing.T) {
 								_, heldSt := f.held.SearchWithStats(q, kk)
 								sameCounters(t, label, ev.Stats, heldSt, false)
 							}
+						}
+						// Every query in one evaluation: each tree's ranking
+						// is still its own.
+						ev, err := f.co.Evaluate(ctx, f.queries, kk, EvalOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for qi, q := range f.queries {
+							label := fmt.Sprintf("model=%v prune=%v all-trees q=%d k=%d", cfg.Model, prune, qi, kk)
+							requireSameResults(t, ev.Results[qi], OracleRank(f.mono, q, kk), label)
 						}
 					}
 				}
@@ -249,11 +265,11 @@ func TestCoordinatorContract(t *testing.T) {
 				f.co.forcePrune = false
 				for qi, q := range f.queries {
 					want, wantSt := one.SearchWithStats(q, k)
-					ev, err := f.co.Evaluate(ctx, q, k, EvalOptions{CollectStats: true})
+					got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{CollectStats: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameResults(t, ev.Results, want, fmt.Sprintf("one-partition q=%d", qi))
+					requireSameResults(t, got, want, fmt.Sprintf("one-partition q=%d", qi))
 					sameCounters(t, fmt.Sprintf("one-partition q=%d", qi), ev.Stats, wantSt, true)
 				}
 			}
@@ -264,7 +280,7 @@ func TestCoordinatorContract(t *testing.T) {
 			victim := f.numParts(t) - 1
 			f.inject(map[int]script{victim: {eval: []error{errors.New("wedged")}}})
 			for qi, q := range f.queries {
-				ev, err := f.co.Evaluate(ctx, q, k, EvalOptions{Degrade: partial})
+				got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{Degrade: partial})
 				if victim == 0 {
 					// The only partition failed: nothing to salvage.
 					if err == nil || !strings.Contains(err.Error(), "wedged") {
@@ -285,11 +301,59 @@ func TestCoordinatorContract(t *testing.T) {
 						want = append(want, r)
 					}
 				}
-				requireSameResults(t, ev.Results, want, fmt.Sprintf("q=%d partial", qi))
+				requireSameResults(t, got, want, fmt.Sprintf("q=%d partial", qi))
+			}
+			// All the trees in one evaluation: the victim is out for every
+			// tree, and reported once.
+			if victim > 0 {
+				ev, err := f.co.Evaluate(ctx, f.queries, k, EvalOptions{Degrade: partial})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pi := ev.Partial; len(pi.DroppedShards) != 1 || pi.DroppedShards[0] != victim {
+					t.Fatalf("all trees: partial info %+v, want partition %d dropped once", pi, victim)
+				}
+				for qi, q := range f.queries {
+					var want []Result
+					for _, r := range f.mono.Search(q, f.mono.Index().NumDocs()) {
+						if f.owner(r.Doc) != victim && len(want) < k {
+							want = append(want, r)
+						}
+					}
+					requireSameResults(t, ev.Results[qi], want, fmt.Sprintf("all trees q=%d partial", qi))
+				}
 			}
 			// Strict mode surfaces the failure instead.
-			if _, err := f.co.Evaluate(ctx, f.queries[0], k, EvalOptions{}); err == nil || !strings.Contains(err.Error(), "wedged") {
+			if _, _, err := evalOne(ctx, f.co, f.queries[0], k, EvalOptions{}); err == nil || !strings.Contains(err.Error(), "wedged") {
 				t.Fatalf("strict: err = %v", err)
+			}
+		})
+
+		t.Run(kind.name+"/stats-panic-contained", func(t *testing.T) {
+			// A panic in phase A — a partition's flatten, positional fills
+			// or tombstone corrections — runs on a fan-out goroutine, where
+			// an escaped panic kills the process. The coordinator contains
+			// it: the partition fails like any other.
+			f := kind.build(t)
+			victim := min(1, f.numParts(t)-1)
+			f.inject(map[int]script{victim: {statsPanic: "flatten blew up"}})
+			var pe *fault.PanicError
+			if _, err := f.co.Evaluate(ctx, f.queries, k, EvalOptions{}); !errors.As(err, &pe) {
+				t.Fatalf("strict: err = %v, want a contained panic", err)
+			}
+			ev, err := f.co.Evaluate(ctx, f.queries, k, EvalOptions{Degrade: partial})
+			if victim == 0 {
+				if !errors.As(err, &pe) {
+					t.Fatalf("sole partition panicked: err = %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pi := ev.Partial; len(pi.DroppedShards) != 1 || pi.DroppedShards[0] != victim ||
+				!strings.HasPrefix(pi.ShardErrors[0], "stats phase: ") {
+				t.Fatalf("partial info %+v, want partition %d dropped in the stats phase", pi, victim)
 			}
 		})
 
@@ -301,7 +365,7 @@ func TestCoordinatorContract(t *testing.T) {
 			}
 			f.inject(scripts)
 			for _, opts := range []EvalOptions{{}, {Degrade: partial}} {
-				ev, err := f.co.Evaluate(ctx, f.queries[0], k, opts)
+				ev, err := f.co.Evaluate(ctx, f.queries, k, opts)
 				if err == nil || err.Error() != "boom 0" || ev.Results != nil {
 					t.Fatalf("opts %+v: err = %v, results %v; want partition 0's error", opts, err, ev.Results)
 				}
@@ -313,12 +377,12 @@ func TestCoordinatorContract(t *testing.T) {
 			cctx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			f.inject(map[int]script{0: {eval: []error{context.Canceled}, onEval: cancel}})
-			ev, err := f.co.Evaluate(cctx, f.queries[0], k, EvalOptions{Degrade: partial})
+			ev, err := f.co.Evaluate(cctx, f.queries, k, EvalOptions{Degrade: partial})
 			if !errors.Is(err, context.Canceled) || ev.Results != nil || ev.Partial.Degraded() {
 				t.Fatalf("cancelled parent: err = %v, results %v, partial %+v", err, ev.Results, ev.Partial)
 			}
 			// Already cancelled on entry: no partition is touched.
-			if _, err := f.co.Evaluate(cctx, f.queries[0], k, EvalOptions{CollectStats: true}); !errors.Is(err, context.Canceled) {
+			if _, _, err := evalOne(cctx, f.co, f.queries[0], k, EvalOptions{CollectStats: true}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled: err = %v", err)
 			}
 		})
@@ -334,17 +398,17 @@ func TestCoordinatorContract(t *testing.T) {
 			q := f.queries[0]
 			want := f.mono.Search(q, k)
 			const wantRetries = 3 // one stats re-run plus two eval re-runs
-			ev, err := f.co.Evaluate(ctx, q, k, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true, MaxRetries: 2}})
+			got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true, MaxRetries: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ev.Partial.Retries != wantRetries || ev.Partial.Degraded() {
 				t.Fatalf("partial info %+v, want %d retries and no drop", ev.Partial, wantRetries)
 			}
-			requireSameResults(t, ev.Results, want, "after retries")
+			requireSameResults(t, got, want, "after retries")
 			// Out of retries, the flaky partition is dropped (or, alone,
 			// fails the query) — and the spent retries are still counted.
-			ev, err = f.co.Evaluate(ctx, q, k, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true, MaxRetries: 1}})
+			_, ev, err = evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true, MaxRetries: 1}})
 			if last == 0 {
 				if !errors.Is(err, errFlaky) {
 					t.Fatalf("sole partition out of retries: err = %v", err)
@@ -367,7 +431,7 @@ func TestCoordinatorContract(t *testing.T) {
 				0:    {eval: []error{errors.New("eval down")}},
 				last: {stats: []error{errors.New("stats down")}},
 			})
-			ev, err := f.co.Evaluate(ctx, f.queries[0], k, EvalOptions{Degrade: partial})
+			got, ev, err := evalOne(ctx, f.co, f.queries[0], k, EvalOptions{Degrade: partial})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,12 +440,12 @@ func TestCoordinatorContract(t *testing.T) {
 				pi.ShardErrors[0] != "eval down" || pi.ShardErrors[1] != "stats phase: stats down" {
 				t.Fatalf("partial info %+v", pi)
 			}
-			for _, r := range ev.Results {
+			for _, r := range got {
 				if o := f.owner(r.Doc); o == 0 || o == last {
 					t.Fatalf("result %+v comes from dropped partition %d", r, o)
 				}
 			}
-			if len(ev.Results) == 0 {
+			if len(got) == 0 {
 				t.Fatal("survivors produced no results")
 			}
 		})
@@ -400,11 +464,11 @@ func TestCoordinatorContract(t *testing.T) {
 				if !saturated {
 					<-sem
 				}
-				ev, err := f.co.Evaluate(ctx, q, k, EvalOptions{})
+				got, _, err := evalOne(ctx, f.co, q, k, EvalOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResults(t, ev.Results, want, fmt.Sprintf("saturated=%v", saturated))
+				requireSameResults(t, got, want, fmt.Sprintf("saturated=%v", saturated))
 			}
 		})
 	}

@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // DegradeOptions configures graceful degradation for partitioned
@@ -22,7 +24,8 @@ type DegradeOptions struct {
 	// MaxRetries re-runs a partition call that failed with a failure the
 	// partition classifies as transient (fault.IsTransient in process,
 	// rpc.IsTransport across the wire) up to this many extra times
-	// before declaring the partition failed.
+	// before declaring the partition failed. A negative count means
+	// none.
 	MaxRetries int
 	// RetryBackoff is the base delay between retry attempts; attempt i
 	// waits i×RetryBackoff (linear backoff, bounded by MaxRetries).
@@ -46,47 +49,28 @@ type PartialInfo struct {
 func (p *PartialInfo) Degraded() bool { return p != nil && len(p.DroppedShards) > 0 }
 
 // attempt drives one partition call under the degradation policy: a
-// per-attempt deadline (opts.ShardDeadline) and bounded retry with
-// linear backoff for failures the partition calls retryable — both
-// partition calls are pure reads, so a retry after an ambiguous failure
-// is safe. Everything else (deterministic application errors, deadline
-// expiry, parent cancellation) ends the loop. With nil opts it is a
-// single attempt under the caller's context. retries reports how many
-// re-runs happened; partitions run concurrently, so the coordinator
-// sums the per-partition counts after the fan-out instead of sharing a
-// counter.
+// per-attempt deadline (opts.ShardDeadline), panic containment, and
+// bounded retry with linear backoff for failures the partition calls
+// retryable — both partition calls are pure reads, so a retry after an
+// ambiguous failure is safe. Everything else (deterministic application
+// errors, panics, deadline expiry, parent cancellation) ends the loop.
+// With nil opts it is a single contained attempt under the caller's
+// context. retries reports how many re-runs happened; partitions run
+// concurrently, so the coordinator sums the per-partition counts after
+// the fan-out instead of sharing a counter.
 func attempt(ctx context.Context, opts *DegradeOptions, retryable func(error) bool, call func(ctx context.Context) error) (retries int, err error) {
-	attempts := 1
-	var backoff time.Duration
+	var o DegradeOptions
 	if opts != nil {
-		attempts += opts.MaxRetries
-		backoff = opts.RetryBackoff
+		o = *opts
 	}
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			retries++
-			if backoff > 0 {
-				t := time.NewTimer(time.Duration(i) * backoff)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return retries, ctx.Err()
-				case <-t.C:
-				}
+	return fault.Retry(ctx, o.MaxRetries, o.RetryBackoff, retryable, func() error {
+		return fault.Contain(func() error {
+			if o.ShardDeadline <= 0 {
+				return call(ctx)
 			}
-		}
-		attemptCtx := ctx
-		var cancel context.CancelFunc
-		if opts != nil && opts.ShardDeadline > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, opts.ShardDeadline)
-		}
-		err = call(attemptCtx)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil || !retryable(err) || ctx.Err() != nil {
-			break
-		}
-	}
-	return retries, err
+			attemptCtx, cancel := context.WithTimeout(ctx, o.ShardDeadline)
+			defer cancel()
+			return call(attemptCtx)
+		})
+	})
 }

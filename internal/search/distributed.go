@@ -4,31 +4,35 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/index"
 )
 
-// ShardConfig is the retrieval configuration of a partitioned searcher.
-// An Engine mirrors its own onto the searcher at construction (the
-// engine owns the knobs; the searcher applies them). Like Searcher's
-// fields they are read on every call and must not be mutated
-// concurrently with searches.
+// ShardConfig is the retrieval configuration of a searcher. An Engine
+// mirrors its own onto its searcher at construction (the engine owns
+// the knobs; the searcher applies them). The fields are read on every
+// call and must not be mutated concurrently with searches.
 type ShardConfig struct {
 	// Mu is the Dirichlet smoothing parameter; zero means DefaultMu.
+	// Kept beside Params.Mu because it is the one knob experiments
+	// sweep.
 	Mu float64
 	// Model selects the retrieval function (default Dirichlet QL).
 	Model Model
 	// Params holds the other models' parameters.
 	Params ModelParams
 	// DisablePruning turns off MaxScore pruning in every partition's
-	// evaluator (see Searcher.DisablePruning). With pruning on, each
-	// partition prunes against its own top-k threshold — shared-nothing
-	// — which is safe because every partition must surface its local
-	// top k for the merge regardless of what the others hold. Results
-	// are bit-identical either way.
+	// evaluator and scores every candidate. Pruning is score-safe —
+	// rankings and scores are bit-identical either way (maxscore.go) —
+	// so the switch exists for debugging, for the full-evaluation side
+	// of benchmarks, and for tests that assert exhaustive-path counters.
+	// With pruning on, each partition prunes against its own top-k
+	// threshold — shared-nothing — which is safe because every partition
+	// must surface its local top k for the merge regardless of what the
+	// others hold.
 	DisablePruning bool
 	// Sem, when non-nil, bounds how many partition calls run on extra
 	// goroutines (the engine's worker pool, sized by WithSQECWorkers). The
@@ -52,8 +56,9 @@ type EvalOptions struct {
 
 // Evaluation is the outcome of one Evaluate call.
 type Evaluation struct {
-	// Results is the global top k (score desc, DocID asc).
-	Results []Result
+	// Results holds one ranking per tree, in the trees' order: each
+	// tree's global top k (score desc, DocID asc).
+	Results [][]Result
 	// Stats is zero unless EvalOptions.CollectStats was set.
 	Stats SearchStats
 	// Partial reports dropped partitions and retries; zero unless
@@ -61,26 +66,33 @@ type Evaluation struct {
 	Partial PartialInfo
 }
 
-// Distributed is the engine-facing contract of partitioned retrieval,
-// satisfied by ShardedSearcher, SegmentedSearcher and RemoteSharded —
-// which are one coordinator over three kinds of partition, so they
-// return bit-identical rankings over the same documents.
+// Distributed is the engine-facing contract of retrieval, satisfied by
+// Searcher, ShardedSearcher, SegmentedSearcher and RemoteSharded —
+// which are one coordinator over four kinds of partition (a whole
+// index, a shard, a live segment, a shard server), so they return
+// bit-identical rankings over the same documents.
 type Distributed interface {
 	// NumShards returns the shard count S.
 	NumShards() int
 	// Configure applies the engine's retrieval configuration. Called
 	// once at engine construction, before any searches.
 	Configure(cfg ShardConfig)
-	// Evaluate returns the global top k for q.
-	Evaluate(ctx context.Context, q Node, k int, opts EvalOptions) (Evaluation, error)
+	// Evaluate returns one global top k per tree of qs, in order —
+	// SQE_C's three trees share one evaluation (DESIGN.md "SQE_C in one
+	// pass"). A partition is in or out for all of them: a failure is
+	// never one tree's.
+	Evaluate(ctx context.Context, qs []Node, k int, opts EvalOptions) (Evaluation, error)
 }
 
-// coordinator is the scatter-gather evaluator the three partitioned
-// searchers embed; its configuration fields are promoted onto them.
+// coordinator is the scatter-gather evaluator every searcher embeds;
+// its configuration fields are promoted onto them.
 type coordinator struct {
 	ShardConfig
-	// forcePrune mirrors Searcher.forcePrune for in-process partitions
-	// (test-only; it does not cross the wire).
+	// forcePrune bypasses the cost model (pruneWorthwhile) and prunes
+	// whenever pruning is enabled at all. Test-only: the differential
+	// suites exercise pruning on corpora and queries the cost model
+	// would (correctly) score exhaustively. It applies to in-process
+	// partitions; it does not cross the wire.
 	forcePrune bool
 	// shards is what NumShards reports.
 	shards int
@@ -90,7 +102,7 @@ type coordinator struct {
 }
 
 // fixed makes pin return the same partitions for every evaluation.
-func fixed(parts []partition) func() ([]partition, func(), error) {
+func fixed(parts ...partition) func() ([]partition, func(), error) {
 	return func() ([]partition, func(), error) { return parts, nil, nil }
 }
 
@@ -100,6 +112,8 @@ func (c *coordinator) NumShards() int { return c.shards }
 // Configure implements Distributed.
 func (c *coordinator) Configure(cfg ShardConfig) { c.ShardConfig = cfg }
 
+// resolveParams merges the Mu field into the model parameters: Mu
+// predates Params and wins when set.
 func (c *coordinator) resolveParams() ModelParams {
 	params := c.Params.withDefaults()
 	if c.Mu > 0 {
@@ -110,8 +124,27 @@ func (c *coordinator) resolveParams() ModelParams {
 
 // Evaluate implements Distributed: it pins the current partitions and
 // runs the scatter-gather over them.
-func (c *coordinator) Evaluate(ctx context.Context, q Node, k int, opts EvalOptions) (Evaluation, error) {
-	var ev Evaluation
+func (c *coordinator) Evaluate(ctx context.Context, qs []Node, k int, opts EvalOptions) (Evaluation, error) {
+	out := make([][]Result, len(qs))
+	ev, err := c.evaluateInto(ctx, qs, k, opts, out)
+	if err == nil {
+		ev.Results = out
+	}
+	return ev, err
+}
+
+// SearchWithStatsContext is a one-tree Evaluate with CollectStats,
+// unpacked. It is kept only as the method value bench/sut.go binds on
+// every searcher type; new code calls Evaluate.
+func (c *coordinator) SearchWithStatsContext(ctx context.Context, q Node, k int) ([]Result, SearchStats, error) {
+	var out [1][]Result
+	ev, err := c.evaluateInto(ctx, []Node{q}, k, EvalOptions{CollectStats: true}, out[:])
+	return out[0], ev.Stats, err
+}
+
+// evaluateInto is Evaluate into out, one slot per tree, leaving
+// ev.Results unset: the one-tree wrappers pass a slot on their stack.
+func (c *coordinator) evaluateInto(ctx context.Context, qs []Node, k int, opts EvalOptions, out [][]Result) (ev Evaluation, err error) {
 	if k <= 0 {
 		return ev, nil
 	}
@@ -130,86 +163,184 @@ func (c *coordinator) Evaluate(ctx context.Context, q Node, k int, opts EvalOpti
 	if opts.CollectStats {
 		st = &ev.Stats
 	}
-	ev.Results, err = c.scatterGather(ctx, parts, q, k, opts.Degrade, st, &ev.Partial)
+	g := getGather(len(parts))
+	defer g.put()
+	// The trees are copied into the pooled state, which is what the
+	// partitions see: a caller's one-tree slice stays on its stack.
+	g.qs = append(g.qs[:0], qs...)
+	g.ctx, g.parts, g.opts, g.wantStats = ctx, parts, opts.Degrade, st != nil
+	if err := c.scatterGather(g, k, st, &ev.Partial, out); err != nil {
+		clear(out)
+		return ev, err
+	}
 	if st != nil {
 		st.Elapsed = time.Since(start)
 	}
-	return ev, err
+	return ev, nil
 }
 
-// SearchWithStatsContext is Evaluate with CollectStats, unpacked. It is
-// kept only as the method value bench/sut.go binds on every searcher
-// type; new code calls Evaluate.
-func (c *coordinator) SearchWithStatsContext(ctx context.Context, q Node, k int) ([]Result, SearchStats, error) {
-	ev, err := c.Evaluate(ctx, q, k, EvalOptions{CollectStats: true})
-	return ev.Results, ev.Stats, err
+// gather is the pooled state of one scatter-gather: its inputs, one call
+// per partition, the request carrying the global statistics and the
+// merge's read positions. Nothing returned to the caller aliases it.
+type gather struct {
+	ctx       context.Context
+	qs        []Node
+	parts     []partition
+	opts      *DegradeOptions
+	wantStats bool
+	calls     []partCall
+	req       EvalRequest
+	heads     []int
+	wg        sync.WaitGroup
 }
 
-// scatterGather is the partitioned evaluation; DESIGN.md "Partitioned
-// evaluation" gives the exactness argument. Phase A gathers per-leaf
-// statistics from every partition, the coordinator sums them into global
-// overrides, phase B evaluates every partition under those overrides,
-// and the bounded per-partition rankings merge by (score desc, DocID
-// asc).
+var gatherPool = sync.Pool{New: func() any { return new(gather) }}
+
+// getGather takes a gather with a call for each of n partitions (a shard
+// handler's one).
+func getGather(n int) *gather {
+	g := gatherPool.Get().(*gather)
+	g.calls = grow(g.calls, n)
+	return g
+}
+
+// put returns g to the pool after dropping every reference that could
+// pin a context, a tree, an index or an mmap region across requests.
+func (g *gather) put() {
+	clear(g.qs)
+	g.ctx, g.qs, g.parts, g.opts = nil, g.qs[:0], nil, nil
+	for i := range g.calls {
+		g.calls[i].release()
+	}
+	gatherPool.Put(g)
+}
+
+// partStat returns partition i's counters when stats are wanted.
+func (g *gather) partStat(i int) *SearchStats {
+	if !g.wantStats {
+		return nil
+	}
+	return &g.calls[i].st
+}
+
+// statsPhase is phase A on partition i: flatten and per-leaf statistics.
+func (g *gather) statsPhase(i int) {
+	pc, p := &g.calls[i], g.parts[i]
+	pc.retries, pc.err = attempt(g.ctx, g.opts, p.retryable, func(ctx context.Context) error {
+		return p.stats(ctx, g.qs, pc, g.partStat(i))
+	})
+}
+
+// evalPhase is phase B on partition i, unless phase A took it out.
+// Failed attempts leave their counters in the partition's stats, so a
+// dropped partition still reports the work it did.
+func (g *gather) evalPhase(i int) {
+	pc, p := &g.calls[i], g.parts[i]
+	pc.retries, pc.err = 0, nil
+	if pc.down != nil {
+		return
+	}
+	start := time.Now()
+	pc.retries, pc.err = attempt(g.ctx, g.opts, p.retryable, func(ctx context.Context) error {
+		return p.eval(ctx, &g.req, pc, g.partStat(i))
+	})
+	pc.st.Elapsed = time.Since(start)
+}
+
+// partCall is one partition's state over one scatter-gather. It is
+// pooled with the gather, so its buffers serve one evaluation after
+// another; every field a phase reads is rewritten by the phase before.
+type partCall struct {
+	// leaves are phase A's per-leaf local statistics, every tree's back
+	// to back, and ends[t] is where tree t's leaves end.
+	leaves []LeafStats
+	ends   []int
+	// What phase B reuses of phase A: an in-process partition's
+	// flattened leaves; a remote partition's encoded trees.
+	flat  []leaf
+	trees []encodedTree
+	// res holds phase B's ranking of every tree; an in-process partition
+	// backs them with buf.
+	res [][]Result
+	buf []Result
+	// st collects the partition's counters over both phases: the
+	// positional-memo lookups of its flatten, then its evaluator's.
+	st SearchStats
+	// err and retries are the current phase's outcome; down is the
+	// failure that took the partition out (stats-tier ones labelled),
+	// nil while it is in.
+	err     error
+	retries int
+	down    error
+}
+
+// release drops the call's references into the index, the trees and
+// the results and zeroes its outcome, keeping its backing arrays.
+func (pc *partCall) release() {
+	clear(pc.flat[:cap(pc.flat)])
+	clear(pc.trees)
+	clear(pc.res)
+	clear(pc.buf[:cap(pc.buf)])
+	pc.flat, pc.trees, pc.buf, pc.st, pc.err, pc.down = pc.flat[:0], pc.trees[:0], pc.buf[:0], SearchStats{}, nil, nil
+}
+
+// scatterGather is the partitioned evaluation of g.qs into out, one
+// ranking per tree; DESIGN.md "Partitioned evaluation" gives the
+// exactness argument. Phase A gathers every tree's per-leaf statistics
+// from every partition, the coordinator sums them into global
+// overrides, phase B evaluates every partition under those overrides —
+// all trees in one pass of the top-k loop — and, per tree, the bounded
+// per-partition rankings merge by (score desc, DocID asc).
 //
 // Under opts.AllowPartial a failing partition is taken out instead of
 // failing the query, in two tiers: out in phase A, it never reported
 // statistics and the survivors score against the surviving sub-corpus;
 // out in phase B, the override already happened and the partial ranking
-// is exactly the complete ranking minus its documents. Parent-context
-// cancellation is the caller's signal and is never degraded away, and a
-// phase nothing survives returns its first error — an empty "partial"
-// result would be indistinguishable from a query matching nothing.
-func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q Node, k int, opts *DegradeOptions, st *SearchStats, pi *PartialInfo) ([]Result, error) {
+// is exactly the complete ranking minus its documents. Either way it is
+// out for every tree. Parent-context cancellation is the caller's signal
+// and is never degraded away, and a phase nothing survives returns its
+// first error — an empty "partial" result would be indistinguishable
+// from a query matching nothing.
+func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *PartialInfo, out [][]Result) error {
+	ctx, parts := g.ctx, g.parts
 	n := len(parts)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	strict := opts == nil || !opts.AllowPartial
-
-	// down[i] is the failure that took partition i out (stats-tier ones
-	// labelled), nil while it is in. However the search ends, pi lists
-	// what was taken out, ascending.
-	down := make([]error, n)
+	strict := g.opts == nil || !g.opts.AllowPartial
+	calls := g.calls
+	// However the search ends, pi lists what was taken out, ascending.
 	defer func() {
-		for i, err := range down {
-			if err != nil {
+		for i := range calls {
+			if err := calls[i].down; err != nil {
 				pi.DroppedShards = append(pi.DroppedShards, i)
 				pi.ShardErrors = append(pi.ShardErrors, err.Error())
 			}
 		}
 	}()
-	// call is one partition's outcome in one phase.
-	type call struct {
-		leaves   []LeafStats
-		prepared any
-		res      []Result
-		err      error
-		retries  int
-	}
 	// settle takes one phase's failures out, and returns the error that
 	// ends the search, if any.
-	settle := func(outs []call, label string) error {
+	settle := func(label string) error {
 		var firstErr error
 		survivors := 0
-		for i := range outs {
-			pi.Retries += outs[i].retries
+		for i := range calls {
+			pi.Retries += calls[i].retries
 		}
-		for i := range outs {
-			if down[i] != nil {
+		for i := range calls {
+			pc := &calls[i]
+			if pc.down != nil {
 				continue
 			}
-			err := outs[i].err
-			if err == nil {
+			if pc.err == nil {
 				survivors++
 				continue
 			}
 			if strict || ctx.Err() != nil {
-				return err
+				return pc.err
 			}
-			down[i] = fmt.Errorf("%s%w", label, err)
+			pc.down = fmt.Errorf("%s%w", label, pc.err)
 			if firstErr == nil {
-				firstErr = err
+				firstErr = pc.err
 			}
 		}
 		if survivors == 0 {
@@ -217,60 +348,40 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 		}
 		return nil
 	}
-
-	// partStats[i] collects partition i's counters over both phases:
-	// the positional-memo lookups of its flatten, then its evaluator's.
-	var partStats []SearchStats
-	if st != nil {
-		partStats = make([]SearchStats, n)
-	}
-	partStat := func(i int) *SearchStats {
-		if st == nil {
-			return nil
-		}
-		return &partStats[i]
-	}
-
 	// Phase A: flatten and per-leaf statistics, in parallel — on a cold
 	// index flattening an expanded query (it intersects the phrase and
 	// window leaves nobody resolved yet) is a large share of the cost.
-	statsOuts := make([]call, n)
-	fanOutShards(c.Sem, n, func(i int) {
-		o := &statsOuts[i]
-		o.retries, o.err = attempt(ctx, opts, parts[i].retryable, func(ctx context.Context) (err error) {
-			o.leaves, o.prepared, err = parts[i].stats(ctx, q, partStat(i))
-			return err
-		})
-	})
-	if err := settle(statsOuts, "stats phase: "); err != nil {
-		return nil, err
+	fanOutShards(c.Sem, g, (*gather).statsPhase)
+	if err := settle("stats phase: "); err != nil {
+		return err
 	}
 
 	// Flatten is structure-driven — leaf set, order and normalised
 	// weights depend only on the query tree and the analyzer — so every
-	// partition must report the same leaf count; a divergence means one
-	// was built against a different analyzer and scoring would be
+	// partition must report the same leaves per tree; a divergence means
+	// one was built against a different analyzer and scoring would be
 	// silently wrong.
-	nLeaves, ref := -1, -1
-	for i := range statsOuts {
-		if down[i] != nil {
+	ref := -1
+	for i := range calls {
+		if calls[i].down != nil {
 			continue
 		}
-		got := len(statsOuts[i].leaves)
-		if nLeaves == -1 {
-			nLeaves, ref = got, i
-		} else if got != nLeaves {
-			return nil, fmt.Errorf("search: partition %d flattened %d leaves, partition %d flattened %d", i, got, ref, nLeaves)
+		if ref == -1 {
+			ref = i
+		} else if !slices.Equal(calls[i].ends, calls[ref].ends) {
+			return fmt.Errorf("search: partition %d flattened %d leaves ending at %v, partition %d %d ending at %v",
+				i, len(calls[i].leaves), calls[i].ends, ref, len(calls[ref].leaves), calls[ref].ends)
 		}
 	}
-	if nLeaves == 0 {
-		return nil, nil
-	}
+	nLeaves := len(calls[ref].leaves)
 	if st != nil {
 		st.Leaves = nLeaves
 	}
+	if nLeaves == 0 {
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// The global-statistics override over the contributing partitions.
@@ -278,7 +389,8 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 	// ascending partition order so it, and everything downstream, is the
 	// same double on every path.
 	params := c.resolveParams()
-	req := &EvalRequest{
+	req := &g.req
+	*req = EvalRequest{
 		K:              k,
 		Model:          int(c.Model),
 		Mu:             params.Mu,
@@ -286,12 +398,12 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 		K1:             params.K1,
 		B:              params.B,
 		DisablePruning: c.DisablePruning,
-		Overrides:      make([]LeafOverride, nLeaves),
+		Overrides:      grow(req.Overrides, nLeaves),
 		WantStats:      st != nil,
 		forcePrune:     c.forcePrune,
 	}
 	for i := range parts {
-		if down[i] == nil {
+		if calls[i].down == nil {
 			numDocs, totalToks := parts[i].totals()
 			req.NumDocs += numDocs
 			req.TotalToks += totalToks
@@ -300,40 +412,25 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 	for li := range req.Overrides {
 		var cf int64
 		var df float64
-		for i := range statsOuts {
-			if down[i] == nil {
-				cf += statsOuts[i].leaves[li].CF
-				df += statsOuts[i].leaves[li].DF
+		for i := range calls {
+			if calls[i].down == nil {
+				cf += calls[i].leaves[li].CF
+				df += calls[i].leaves[li].DF
 			}
 		}
 		req.Overrides[li] = LeafOverride{CF: cf, DF: df, CollProb: index.FloorProb(cf, req.TotalToks)}
 	}
 
-	// Phase B: per-partition evaluation into bounded top-k rankings.
-	// Failed attempts leave their counters in the partition's stats, so
-	// a dropped partition still reports the work it did.
-	evalOuts := make([]call, n)
-	fanOutShards(c.Sem, n, func(i int) {
-		if down[i] != nil {
-			return
-		}
-		pst := partStat(i)
-		start := time.Now()
-		o := &evalOuts[i]
-		o.retries, o.err = attempt(ctx, opts, parts[i].retryable, func(ctx context.Context) (err error) {
-			o.res, err = parts[i].eval(ctx, statsOuts[i].prepared, req, pst)
-			return err
-		})
-		if pst != nil {
-			pst.Elapsed = time.Since(start)
-		}
-	})
+	// Phase B: per-partition evaluation of every tree into bounded top-k
+	// rankings.
+	fanOutShards(c.Sem, g, (*gather).evalPhase)
 	if st != nil {
 		st.Shards = make([]ShardStats, n)
 		union := 0
-		for i, pst := range partStats {
+		for i := range calls {
+			pst := &calls[i].st
 			union = max(union, pst.Leaves)
-			st.Add(pst)
+			st.Add(*pst)
 			st.Shards[i] = ShardStats{
 				Elapsed:            pst.Elapsed,
 				CandidatesExamined: pst.CandidatesExamined,
@@ -346,51 +443,69 @@ func (c *coordinator) scatterGather(ctx context.Context, parts []partition, q No
 		// wire; with none reported it stays the flattened count.
 		st.Leaves = cmp.Or(union, nLeaves)
 	}
-	if err := settle(evalOuts, ""); err != nil {
-		return nil, err
+	if err := settle(""); err != nil {
+		return err
 	}
 
-	// Merge the ≤ n·k survivors by the global result ordering and
-	// truncate. Partitions resolved document names themselves, so
-	// survivors are complete Results already. The merge accumulates into
-	// a pooled backing; only the final ≤ k slice is copied out (results
-	// outlive the scratch).
-	msc := getScratch()
-	defer putScratch(msc)
-	all := msc.merged[:0]
-	for i := range evalOuts {
-		if down[i] == nil {
-			all = append(all, evalOuts[i].res...)
+	// Per tree, merge the partitions' rankings — each already in the
+	// global order over its own documents — into the top k, taking the
+	// best head each step: the ranking is copied once, into the fresh
+	// slice the caller keeps. Partitions resolved document names
+	// themselves, so their results are complete already.
+	heads := grow(g.heads, n)
+	g.heads = heads
+	for t := range out {
+		total := 0
+		for i := range calls {
+			heads[i] = 0
+			if calls[i].down == nil {
+				total += len(calls[i].res[t])
+			}
 		}
+		if total == 0 {
+			continue
+		}
+		ranked := make([]Result, min(total, k))
+		for r := range ranked {
+			best := -1
+			for i := range calls {
+				if calls[i].down == nil && heads[i] < len(calls[i].res[t]) &&
+					(best < 0 || byRank(calls[i].res[t][heads[i]], calls[best].res[t][heads[best]]) < 0) {
+					best = i
+				}
+			}
+			ranked[r] = calls[best].res[t][heads[best]]
+			heads[best]++
+		}
+		out[t] = ranked
 	}
-	msc.merged = all
-	sort.Sort(&resultSorter{all})
-	if len(all) > k {
-		all = all[:k]
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	out := make([]Result, len(all))
-	copy(out, all)
-	return out, nil
+	return nil
 }
 
-// fanOutShards runs f(0..n-1), using extra goroutines where the
-// semaphore (if any) has free slots and the caller's goroutine
-// otherwise. It never blocks on the semaphore — see ShardConfig.Sem.
-// Partition 0 always runs on the caller's goroutine, after the others
-// have been launched.
-func fanOutShards(sem chan struct{}, n int, f func(i int)) {
-	if n == 1 {
-		f(0)
-		return
+// byRank is the global result ordering: score desc, DocID asc — a total
+// order, since a DocID is in one partition only.
+func byRank(a, b Result) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
 	}
-	var wg sync.WaitGroup
+	return cmp.Compare(a.Doc, b.Doc)
+}
+
+// fanOutShards runs phase(g, i) for every partition i, using extra
+// goroutines where the semaphore (if any) has free slots and the
+// caller's goroutine otherwise. It never blocks on the semaphore — see
+// ShardConfig.Sem. Partition 0 always runs on the caller's goroutine,
+// after the others have been launched.
+func fanOutShards(sem chan struct{}, g *gather, phase func(g *gather, i int)) {
+	n := len(g.parts)
+	wg := &g.wg
 	for i := 1; i < n; i++ {
 		if sem == nil {
 			wg.Add(1)
-			go func(i int) { defer wg.Done(); f(i) }(i)
+			go func(i int) { defer wg.Done(); phase(g, i) }(i)
 			continue
 		}
 		select {
@@ -398,12 +513,12 @@ func fanOutShards(sem chan struct{}, n int, f func(i int)) {
 			wg.Add(1)
 			go func(i int) {
 				defer func() { <-sem; wg.Done() }()
-				f(i)
+				phase(g, i)
 			}(i)
 		default:
-			f(i)
+			phase(g, i)
 		}
 	}
-	f(0)
+	phase(g, 0)
 	wg.Wait()
 }

@@ -41,7 +41,7 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	defer putScratch(sc)
 	leaves := sc.leaves[:0]
 	var names []string
-	s.flattenNamed(q, 1, &leaves, &names, &sc.positional)
+	flattenNamed(s.ix, q, 1, &leaves, &names, &sc.positional)
 	sc.leaves = leaves
 	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
 	prepareLeaves(s.Model, cs, leaves)
@@ -92,14 +92,14 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 }
 
 // flattenNamed mirrors flatten but also records each leaf's syntax.
-func (s *Searcher) flattenNamed(n Node, w float64, out *[]leaf, names *[]string, ps *index.PositionalScratch) {
+func flattenNamed(ix *index.Index, n Node, w float64, out *[]leaf, names *[]string, ps *index.PositionalScratch) {
 	if w <= 0 {
 		return
 	}
 	switch x := n.(type) {
 	case Term, Phrase, Unordered:
 		before := len(*out)
-		s.flatten(n, w, out, ps, nil)
+		flatten(ix, n, w, out, ps, nil)
 		for i := before; i < len(*out); i++ {
 			*names = append(*names, x.(Node).String())
 		}
@@ -115,7 +115,7 @@ func (s *Searcher) flattenNamed(n Node, w float64, out *[]leaf, names *[]string,
 		}
 		for _, c := range x.Children {
 			if c.Weight > 0 && !IsEmpty(c.Node) {
-				s.flattenNamed(c.Node, w*c.Weight/total, out, names, ps)
+				flattenNamed(ix, c.Node, w*c.Weight/total, out, names, ps)
 			}
 		}
 	}

@@ -241,11 +241,11 @@ func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 	s := NewSearcher(ix)
 	q := Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"})
 	var leaves []leaf
-	s.flatten(q, 1, &leaves, new(index.PositionalScratch), nil)
+	flatten(s.ix, q, 1, &leaves, new(index.PositionalScratch), nil)
 	for li := range leaves {
 		leaves[li].bounded = false
 	}
-	cfg := s.scoring()
+	cfg := monoScoring(s)
 	cfg.forcePrune = true
 	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, nil)
 	for i, ub := range pb.ub {
@@ -256,11 +256,11 @@ func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 	var pst SearchStats
 	sc := getScratch()
 	defer putScratch(sc)
-	got, err := searchRuns(context.Background(), ix, nil, leaves, []int{len(leaves)}, 10, cfg, &pst, sc, make([][]Result, 1))
+	got, err := searchRuns(context.Background(), ix, nil, leaves, []int{len(leaves)}, 10, cfg, &pst, sc, make([][]Result, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalResults(t, "unbounded fallback", got[0], OracleRank(s, q, 10))
+	assertIdenticalResults(t, "unbounded fallback", got, OracleRank(s, q, 10))
 	if pst.DocsSkipped != 0 {
 		t.Fatalf("unbounded leaves must disable partition skipping: %v", pst)
 	}

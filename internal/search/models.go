@@ -77,16 +77,6 @@ type collStats struct {
 	avgDocLen float64
 }
 
-// resolveParams merges the back-compat Mu field into the model params.
-func (s *Searcher) resolveParams() ModelParams {
-	params := s.Params.withDefaults()
-	// Back-compat: the Mu field predates Params and wins when set.
-	if s.Mu > 0 {
-		params.Mu = s.Mu
-	}
-	return params
-}
-
 // prepareLeaves fills the per-leaf scoring caches that depend on the
 // model and the (possibly overridden) collection statistics — today
 // just BM25's idf. It MUST run after any cross-shard statistics

@@ -2,8 +2,6 @@ package search
 
 import (
 	"context"
-	"runtime/debug"
-	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/index"
@@ -11,26 +9,30 @@ import (
 )
 
 // partition is one slice of a corpus as the coordinator sees it: a
-// shard of an index.Sharded, a segment of a pinned index.Snapshot, or a
-// shard server behind an rpc.Group. The coordinator (scatterGather)
-// owns everything that must agree across slices — the statistics sums,
-// the degradation policy, the merge — so an implementation only answers
-// for its own documents. DESIGN.md "Partitioned evaluation" states the
-// contract and why it makes the merged ranking bit-identical to a
-// monolithic evaluation.
+// whole index, a shard of an index.Sharded, a segment of a pinned
+// index.Snapshot, or a shard server behind an rpc.Group. The coordinator
+// (scatterGather) owns everything that must agree across slices — the
+// statistics sums, the degradation policy, panic containment, the merge
+// — so an implementation only answers for its own documents. DESIGN.md
+// "Partitioned evaluation" states the contract and why it makes the
+// merged ranking bit-identical to a monolithic evaluation.
+//
+// Both calls carry every tree of the request and keep their state in
+// pc, which the coordinator holds from one phase to the next.
 type partition interface {
-	// stats flattens q against the partition and reports each leaf's
-	// local collection and document frequency over its live documents,
-	// in flatten order, plus an opaque handle that lets eval reuse the
-	// work (the flattened leaves in process, the encoded tree on the
-	// wire). A local partition counts its positional-memo hits and
-	// misses into st when non-nil.
-	stats(ctx context.Context, q Node, st *SearchStats) (leaves []LeafStats, prepared any, err error)
+	// stats flattens each tree of qs against the partition and reports
+	// every leaf's local collection and document frequency over its live
+	// documents into pc.leaves, the trees' leaves back to back in
+	// flatten order and tree t's ending at pc.ends[t], keeping in pc
+	// what eval reuses (the flattened leaves in process, the encoded
+	// trees on the wire). A local partition counts its positional-memo
+	// hits and misses into st when non-nil.
+	stats(ctx context.Context, qs []Node, pc *partCall, st *SearchStats) error
 	// eval scores the partition's documents under the global statistics
-	// in req and returns its top req.K in (score desc, DocID asc) order,
-	// already carrying global DocIDs. Evaluator counters accumulate into
-	// st when non-nil.
-	eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) ([]Result, error)
+	// in req and sets pc.res[t] to tree t's top req.K in (score desc,
+	// DocID asc) order, already carrying global DocIDs. Evaluator
+	// counters accumulate into st when non-nil.
+	eval(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error
 	// totals returns the partition's live document and token counts.
 	totals() (numDocs int, totalToks int64)
 	// retryable reports whether err is a transient failure worth
@@ -38,9 +40,10 @@ type partition interface {
 	retryable(err error) bool
 }
 
-// localPartition evaluates an index in this process: a round-robin
-// shard, a live segment (segment seg of the pinned snapshot sn), or —
-// inside ShardService — the slice a shard server holds.
+// localPartition evaluates an index in this process: a whole index
+// (Searcher), a round-robin shard, a live segment (segment seg of the
+// pinned snapshot sn), or — inside ShardService — the slice a shard
+// server holds.
 //
 // A tombstoned segment is flattened and evaluated exactly like any
 // other: its postings, bounds and block metadata still cover the dead
@@ -51,7 +54,8 @@ type partition interface {
 // offering a candidate to the heap — so a tombstoned partition is
 // evaluated with the request's own K.
 type localPartition struct {
-	ix     *index.Index
+	ix *index.Index
+	// global maps a local DocID to the global one; nil is the identity.
 	global func(local index.DocID) index.DocID
 	// sn is nil unless the partition is a live segment.
 	sn  *index.Snapshot
@@ -86,79 +90,67 @@ func snapshotPartitions(sn *index.Snapshot) []partition {
 	return parts
 }
 
-// flatten flattens q against the partition's index and corrects each
-// leaf's statistics for the tombstones.
-func (p *localPartition) flatten(q Node, st *SearchStats) []leaf {
-	local := Searcher{ix: p.ix}
+// stats flattens every tree into pc, where eval finds the leaves, and
+// corrects each leaf's statistics for the tombstones.
+func (p *localPartition) stats(ctx context.Context, qs []Node, pc *partCall, st *SearchStats) error {
 	sc := getScratch()
 	defer putScratch(sc)
-	// Flattened into the scratch, then copied out at size: the leaves
-	// outlive this call (they are the prepared handle eval reuses).
-	sc.leaves = sc.leaves[:0]
-	local.flatten(q, 1, &sc.leaves, &sc.positional, st)
-	leaves := slices.Clone(sc.leaves)
-	if p.sn == nil || len(p.sn.Tombstones(p.seg)) == 0 {
-		return leaves
+	leaves, ends := pc.flat[:0], pc.ends[:0]
+	for _, q := range qs {
+		flatten(p.ix, q, 1, &leaves, &sc.positional, st)
+		ends = append(ends, len(leaves))
 	}
-	for li := range leaves {
-		l := &leaves[li]
-		var c index.Correction
-		switch {
-		case l.positional != nil:
-			c = p.sn.PositionalCorrection(p.seg, l.positional)
-		case l.termID >= 0:
-			c = p.sn.TermCorrection(p.seg, l.termID)
-		}
-		l.cf -= c.CF
-		l.df -= float64(c.DF)
-		if st != nil {
-			st.correctionProbes += int64(c.Probes)
+	pc.flat, pc.ends = leaves, ends
+	if p.sn != nil && len(p.sn.Tombstones(p.seg)) > 0 {
+		for li := range leaves {
+			l := &leaves[li]
+			var c index.Correction
+			switch {
+			case l.positional != nil:
+				c = p.sn.PositionalCorrection(p.seg, l.positional)
+			case l.termID >= 0:
+				c = p.sn.TermCorrection(p.seg, l.termID)
+			}
+			l.cf -= c.CF
+			l.df -= float64(c.DF)
+			if st != nil {
+				st.correctionProbes += int64(c.Probes)
+			}
 		}
 	}
-	return leaves
-}
-
-func (p *localPartition) stats(ctx context.Context, q Node, st *SearchStats) ([]LeafStats, any, error) {
-	leaves := p.flatten(q, st)
-	out := make([]LeafStats, len(leaves))
+	pc.leaves = grow(pc.leaves, len(leaves))
 	for i := range leaves {
-		out[i] = LeafStats{CF: leaves[i].cf, DF: leaves[i].df}
+		pc.leaves[i] = LeafStats{CF: leaves[i].cf, DF: leaves[i].df}
 	}
-	return out, leaves, nil
+	return nil
 }
 
-// eval is score behind the in-process fault hook and panic containment.
-// Partition evaluations run on fan-out goroutines, where an uncaught
-// panic — injected or genuine — would kill the process before any
-// engine-level recovery could run, so the recover is unconditional.
-func (p *localPartition) eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) (res []Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, fault.AsPanicError(v, debug.Stack())
-		}
-	}()
+// eval is score behind the in-process fault hook.
+func (p *localPartition) eval(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error {
 	if err := fault.Check(fault.ShardEval); err != nil {
-		return nil, err
+		return err
 	}
-	return p.score(ctx, prepared.([]leaf), req, st)
+	return p.score(ctx, req, pc, st)
 }
 
-// score overrides the flattened leaves with req's global statistics and
-// evaluates them as one run of the top-k loop. It rewrites only the
-// fields the override owns, so a retry over the same leaves is safe.
-func (p *localPartition) score(ctx context.Context, leaves []leaf, req *EvalRequest, st *SearchStats) ([]Result, error) {
-	cfg := p.override(leaves, req)
+// score overrides stats' flattened leaves with req's global statistics
+// and evaluates every tree as one run of the top-k loop. It rewrites
+// only the fields the override owns, so a retry over the same leaves is
+// safe.
+func (p *localPartition) score(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error {
+	cfg := p.override(pc.flat, req)
+	pc.res = grow(pc.res, len(pc.ends))
 	sc := getScratch()
 	defer putScratch(sc)
-	var out [1][]Result
-	if _, err := searchRuns(ctx, p.ix, p.dead(), leaves, []int{len(leaves)}, req.K, cfg, st, sc, out[:]); err != nil {
-		return nil, err
+	buf, err := searchRuns(ctx, p.ix, p.dead(), pc.flat, pc.ends, req.K, cfg, st, sc, pc.res, pc.buf[:0])
+	pc.buf = buf
+	if err != nil || p.global == nil {
+		return err
 	}
-	res := out[0]
-	for i := range res {
-		res[i].Doc = p.global(res[i].Doc)
+	for i := range buf {
+		buf[i].Doc = p.global(buf[i].Doc)
 	}
-	return res, nil
+	return nil
 }
 
 // dead returns the partition's deleted documents; nil unless it is a
@@ -201,40 +193,61 @@ func (p *localPartition) totals() (int, int64) {
 func (p *localPartition) retryable(err error) bool { return fault.IsTransient(err) }
 
 // remotePartition is a shard server behind a replica group, speaking
-// the shard.stats / shard.eval frames of service.go. The server is
-// stateless between the two calls and re-flattens in eval; the handle
-// is the tree's encoding, which the eval frame repeats as-is.
+// the shard.stats / shard.eval frames of service.go, one tree a frame.
+// The server is stateless between the two calls and re-flattens in
+// eval; pc keeps each tree's encoding, which its eval frame repeats
+// as-is.
 type remotePartition struct {
 	group *rpc.Group
 	info  InfoResponse
 }
 
-func (p *remotePartition) stats(ctx context.Context, q Node, _ *SearchStats) ([]LeafStats, any, error) {
-	tree, err := appendNode(nil, q, 1)
-	if err != nil {
-		return nil, nil, err
+func (p *remotePartition) stats(ctx context.Context, qs []Node, pc *partCall, _ *SearchStats) error {
+	pc.leaves, pc.ends, pc.trees = pc.leaves[:0], pc.ends[:0], pc.trees[:0]
+	for _, q := range qs {
+		tree, err := appendNode(nil, q, 1)
+		if err != nil {
+			return err
+		}
+		out, err := p.group.Call(ctx, MethodStats, encodedTree(tree), func() any { return &StatsResponse{} })
+		if err != nil {
+			return err
+		}
+		pc.leaves = append(pc.leaves, out.(*StatsResponse).Leaves...)
+		pc.ends = append(pc.ends, len(pc.leaves))
+		pc.trees = append(pc.trees, tree)
 	}
-	out, err := p.group.Call(ctx, MethodStats, encodedTree(tree), func() any { return &StatsResponse{} })
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.(*StatsResponse).Leaves, encodedTree(tree), nil
+	return nil
 }
 
-func (p *remotePartition) eval(ctx context.Context, prepared any, req *EvalRequest, st *SearchStats) ([]Result, error) {
-	out, err := p.group.Call(ctx, MethodEval, evalBody{tree: prepared.(encodedTree), req: req}, func() any { return &EvalResponse{} })
-	if err != nil {
-		return nil, err
+// eval sends one eval frame per tree with the tree's slice of the
+// overrides; a tree that flattened to nothing has nothing to score.
+func (p *remotePartition) eval(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error {
+	pc.res = grow(pc.res, len(pc.ends))
+	lo := 0
+	for t, hi := range pc.ends {
+		pc.res[t] = nil
+		if hi == lo {
+			continue
+		}
+		sub := *req
+		sub.Overrides = req.Overrides[lo:hi]
+		lo = hi
+		out, err := p.group.Call(ctx, MethodEval, evalBody{tree: pc.trees[t], req: &sub}, func() any { return &EvalResponse{} })
+		if err != nil {
+			return err
+		}
+		resp := out.(*EvalResponse)
+		res := make([]Result, len(resp.Results))
+		for i, wr := range resp.Results {
+			res[i] = Result{Doc: index.DocID(wr.Doc), Name: wr.Name, Score: wr.Score}
+		}
+		pc.res[t] = res
+		if st != nil && resp.Stats != nil {
+			st.Add(resp.Stats.searchStats())
+		}
 	}
-	resp := out.(*EvalResponse)
-	res := make([]Result, len(resp.Results))
-	for i, wr := range resp.Results {
-		res[i] = Result{Doc: index.DocID(wr.Doc), Name: wr.Name, Score: wr.Score}
-	}
-	if st != nil && resp.Stats != nil {
-		st.Add(resp.Stats.searchStats())
-	}
-	return res, nil
+	return nil
 }
 
 func (p *remotePartition) totals() (int, int64) { return p.info.NumDocs, p.info.TotalToks }

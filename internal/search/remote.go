@@ -43,7 +43,7 @@ func NewRemoteSharded(ctx context.Context, groups []*rpc.Group) (*RemoteSharded,
 		parts[i] = &remotePartition{group: g, info: info}
 	}
 	return &RemoteSharded{
-		coordinator: coordinator{shards: len(groups), pin: fixed(parts)},
+		coordinator: coordinator{shards: len(groups), pin: fixed(parts...)},
 		groups:      groups,
 	}, nil
 }

@@ -69,8 +69,8 @@ func bootRemote(t *testing.T, ix *index.Index, n int) (*RemoteSharded, *ShardedS
 
 // evalDegraded is Evaluate under opts, unpacked.
 func evalDegraded(d Distributed, q Node, k int, opts DegradeOptions) ([]Result, PartialInfo, error) {
-	ev, err := d.Evaluate(context.Background(), q, k, EvalOptions{Degrade: &opts})
-	return ev.Results, ev.Partial, err
+	res, ev, err := evalOne(context.Background(), d, q, k, EvalOptions{Degrade: &opts})
+	return res, ev.Partial, err
 }
 
 // TestRemoteShardedStatsMatchInProcess checks every deterministic
@@ -319,7 +319,7 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 	}
 
 	// Strict mode surfaces the transport error instead.
-	_, err = rs.Evaluate(context.Background(), q, 5, EvalOptions{})
+	_, _, err = evalOne(context.Background(), rs, q, 5, EvalOptions{})
 	if err == nil || !rpc.IsTransport(err) {
 		t.Fatalf("strict search against truncating shard: err = %v, want transport error", err)
 	}

@@ -3,7 +3,7 @@ package search
 import (
 	"context"
 	"math"
-	"time"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/index"
@@ -70,31 +70,15 @@ func sameLeaf(a, b *leaf) bool {
 	return a.cf == b.cf && a.df == b.df && a.collProb == b.collProb
 }
 
-// SearchRuns evaluates several query trees over the index in one pass
-// and returns one top-k per tree, in order. Each is bit-identical to
-// SearchContext on that tree alone; the pass scores each distinct leaf
-// once per candidate and decodes each shared posting once. Counters
-// accumulate into st when non-nil.
-func (s *Searcher) SearchRuns(ctx context.Context, qs []Node, k int, st *SearchStats) ([][]Result, error) {
-	start := time.Now()
-	if st != nil {
-		defer func() { st.Elapsed += time.Since(start) }()
-	}
-	out := make([][]Result, len(qs))
-	if err := s.evaluate(ctx, qs, k, st, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // searchRuns is the top-k loop. leaves holds every run's flattened
-// leaves back to back, run r's ending at ends[r]; out receives one
-// ranking per run. dead lists documents of ix that no longer exist (a
-// live segment's tombstones): their postings are walked, they are in the
-// lists, but they are never offered to a heap, so the survivors and the
-// thresholds they set are exactly those of an index without them — and
-// every bound, taken over a superset of the live documents, still
-// dominates.
+// leaves back to back, run r's ending at ends[r]; every run's ranking is
+// appended to buf, which searchRuns returns, and out[r] set to run r's
+// slice of it (nil when the run ranks nothing). dead lists documents of
+// ix that no longer exist (a live segment's tombstones): their postings
+// are walked, they are in the lists, but they are never offered to a
+// heap, so the survivors and the thresholds they set are exactly those
+// of an index without them — and every bound, taken over a superset of
+// the live documents, still dominates.
 //
 // Any statistics override must already be written to the leaves: the
 // per-leaf caches and the bound arithmetic derive from what they hold
@@ -112,7 +96,7 @@ func (s *Searcher) SearchRuns(ctx context.Context, qs []Node, k int, st *SearchS
 // The loop checks ctx every cancelCheckEvery candidates, so a serving
 // deadline or a disconnected client abandons the evaluation with
 // ctx.Err() and no results.
-func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, ends []int, k int, cfg scoring, st *SearchStats, sc *evalScratch, out [][]Result) ([][]Result, error) {
+func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, ends []int, k int, cfg scoring, st *SearchStats, sc *evalScratch, out [][]Result, buf []Result) ([]Result, error) {
 	// The pass lives in the scratch and start's frames are gone before
 	// run's: the loop runs on partition fan-out goroutines, whose stacks
 	// start small and grow by copying.
@@ -132,12 +116,22 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 		}
 	}
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
+	n := 0
 	for r := range p.rs {
-		out[r] = p.rs[r].h.drain(ix)
+		n += len(p.rs[r].h.docs)
 	}
-	return out, nil
+	buf = slices.Grow(buf, n)
+	for r := range p.rs {
+		lo := len(buf)
+		buf = p.rs[r].h.drain(buf, ix)
+		out[r] = nil
+		if len(buf) > lo {
+			out[r] = buf[lo:len(buf):len(buf)]
+		}
+	}
+	return buf, nil
 }
 
 // pass is one searchRuns evaluation: its inputs, the union and run state

@@ -33,20 +33,82 @@ func runTrees(w [4]float64, empty int) []Node {
 	return trees
 }
 
-// assertRunsMatchSeparate evaluates trees in one pass on s and diffs
+// runsShape is one evaluator the one-evaluation tests drive: a searcher
+// over a corpus, its coordinator (for the pruning switches), and the
+// monolithic reference over the documents it holds live.
+type runsShape struct {
+	name string
+	d    Distributed
+	co   *coordinator
+	ref  *Searcher
+}
+
+// runsShapeNames are the shapes runsShapes builds, in order.
+var runsShapeNames = []string{"mono", "shards-2", "segments-tombstoned", "remote-2"}
+
+// runsShapes builds the named shapes over docs: the whole index, two
+// in-process shards, live segments of a few documents each with every
+// fifth document deleted, and two shard servers on loopback. ix, when
+// non-nil, replaces the index built from docs for the mono and sharded
+// shapes (a v2 copy at a tiny block size).
+func runsShapes(t *testing.T, docs []segTestDoc, ix *index.Index, names ...string) []runsShape {
+	t.Helper()
+	full := monoSearcher(docs)
+	if ix == nil {
+		ix = full.Index()
+	}
+	var out []runsShape
+	for _, name := range names {
+		switch name {
+		case "mono":
+			s := NewSearcher(ix)
+			out = append(out, runsShape{name, s, &s.coordinator, full})
+		case "shards-2":
+			ss := NewShardedSearcher(index.NewSharded(ix, 2))
+			out = append(out, runsShape{name, ss, &ss.coordinator, full})
+		case "segments-tombstoned":
+			var deletes []string
+			for i := 2; i < len(docs); i += 5 {
+				deletes = append(deletes, docs[i].name)
+			}
+			gs := NewSegmentedSearcher(buildSegmented(t, docs, max(2, len(docs)/4), deletes, false))
+			out = append(out, runsShape{name, gs, &gs.coordinator, monoSearcher(survivorsOf(docs, deletes))})
+		case "remote-2":
+			rs, _ := bootRemote(t, ix, 2)
+			out = append(out, runsShape{name, rs, &rs.coordinator, full})
+		default:
+			t.Fatalf("unknown shape %q", name)
+		}
+	}
+	return out
+}
+
+// configure sets the shape's model on both sides and its pruning mode:
+// forced (every run prunes; a shard server applies its cost model to a
+// lone run), default (a several-run pass prunes every run either way)
+// or unpruned.
+func (sh runsShape) configure(model Model, params ModelParams, mu float64, mode string) {
+	sh.co.Configure(ShardConfig{Model: model, Params: params, Mu: mu, DisablePruning: mode == "unpruned"})
+	sh.co.forcePrune = mode == "forced"
+	sh.ref.Model, sh.ref.Params, sh.ref.Mu = model, params, mu
+}
+
+var runsModes = []string{"forced", "default", "unpruned"}
+
+// assertRunsMatchSeparate evaluates trees in one Evaluate on d and diffs
 // each ranking against the oracle's ranking of that tree alone; want
 // holds each tree's full oracle ranking, of which the top k is a prefix.
-func assertRunsMatchSeparate(t *testing.T, label string, s *Searcher, trees []Node, want [][]Result, k int) {
+func assertRunsMatchSeparate(t *testing.T, label string, d Distributed, trees []Node, want [][]Result, k int) {
 	t.Helper()
-	got, err := s.SearchRuns(context.Background(), trees, k, nil)
+	ev, err := d.Evaluate(context.Background(), trees, k, EvalOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if len(got) != len(trees) {
-		t.Fatalf("%s: %d rankings for %d trees", label, len(got), len(trees))
+	if len(ev.Results) != len(trees) {
+		t.Fatalf("%s: %d rankings for %d trees", label, len(ev.Results), len(trees))
 	}
 	for r := range trees {
-		assertIdenticalResults(t, fmt.Sprintf("%s run %d", label, r), got[r], want[r][:min(k, len(want[r]))])
+		assertIdenticalResults(t, fmt.Sprintf("%s run %d", label, r), ev.Results[r], want[r][:min(k, len(want[r]))])
 	}
 }
 
@@ -60,53 +122,64 @@ func oracleRankings(ref *Searcher, trees []Node) [][]Result {
 	return out
 }
 
-// runsSearchers returns the one-pass evaluator under every pruning
-// switch — forced, default (a pass of several runs prunes every run
-// either way) and off — and the reference for OracleRank.
-func runsSearchers(ix *index.Index, model Model, params ModelParams, mu float64) (modes map[string]*Searcher, full *Searcher) {
-	forced, full := prunedPair(ix, model, params, mu)
-	def, _ := prunedPair(ix, model, params, mu)
-	def.forcePrune = false
-	unpruned, _ := prunedPair(ix, model, params, mu)
-	unpruned.forcePrune, unpruned.DisablePruning = false, true
-	return map[string]*Searcher{"forced": forced, "default": def, "unpruned": unpruned}, full
+// textsOf names raw texts D0, D1, … as a corpus.
+func textsOf(texts ...string) []segTestDoc {
+	docs := make([]segTestDoc, len(texts))
+	for i, text := range texts {
+		docs[i] = segTestDoc{name: fmt.Sprintf("D%d", i), text: text}
+	}
+	return docs
 }
 
-// TestSearchRunsMatchesSeparate: every run of a one-pass evaluation is
-// bit-identical to the oracle's ranking of its tree — over crafted ties and
-// lengths, a skewed corpus, their v2 files at a tiny block size, every
-// model, every pruning mode, shallow and deep cuts. The last leg
-// evaluates every pruning query at once: eleven runs, one pass.
+// TestSearchRunsMatchesSeparate: every tree of one evaluation is
+// bit-identical to the oracle's ranking of that tree alone — on a whole
+// index, two shards, tombstoned live segments and two shard servers;
+// over crafted ties and lengths, a skewed corpus, their v2 files at a
+// tiny block size, every model, every pruning mode, shallow and deep
+// cuts. The last leg evaluates every pruning query at once: eleven
+// trees, one evaluation.
 func TestSearchRunsMatchesSeparate(t *testing.T) {
-	corpora := map[string]*index.Index{
-		"ties":    buildIndex("a b", "a b", "a b", "a b", "b c", "b c", "z"),
-		"lengths": buildIndex("a", "a a a a a a a a a a a a", "a b", "b", "z a"),
-		"skewed":  buildSkewedIndex(400, 5),
+	type corpus struct {
+		docs   []segTestDoc
+		v2     bool
+		shapes []string
 	}
-	for name, ix := range map[string]*index.Index{"ties": corpora["ties"], "skewed": corpora["skewed"]} {
-		corpora[name+"-v2"] = v2Copy(t, blockSized(t, ix, 4))
+	corpora := map[string]corpus{
+		"ties":    {docs: textsOf("a b", "a b", "a b", "a b", "b c", "b c", "z"), shapes: runsShapeNames},
+		"lengths": {docs: textsOf("a", "a a a a a a a a a a a a", "a b", "b", "z a"), shapes: runsShapeNames[:2]},
+		"skewed":  {docs: skewedDocs(400, 5), shapes: runsShapeNames},
+	}
+	for _, name := range []string{"ties", "skewed"} {
+		corpora[name+"-v2"] = corpus{docs: corpora[name].docs, v2: true, shapes: runsShapeNames[:2]}
 	}
 	var all []Node
 	for _, q := range pruningQueries() {
 		all = append(all, q)
 	}
-	for cname, ix := range corpora {
-		for _, m := range pruningModels {
-			modes, full := runsSearchers(ix, m.model, m.params, m.mu)
-			wantAll := oracleRankings(full, all)
-			var trees [][]Node
-			var want [][][]Result
-			for empty := -1; empty < 3; empty++ {
-				trees = append(trees, runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, empty))
-				want = append(want, oracleRankings(full, trees[len(trees)-1]))
-			}
-			for mode, s := range modes {
-				for _, k := range []int{1, 3, 10, 1000} {
-					label := fmt.Sprintf("%s/%s/%s k=%d", cname, m.name, mode, k)
-					for i := range trees {
-						assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, i-1), s, trees[i], want[i], k)
+	for cname, c := range corpora {
+		var ix *index.Index
+		if c.v2 {
+			ix = v2Copy(t, blockSized(t, monoSearcher(c.docs).Index(), 4))
+		}
+		for _, sh := range runsShapes(t, c.docs, ix, c.shapes...) {
+			for _, m := range pruningModels {
+				sh.configure(m.model, m.params, m.mu, "default")
+				wantAll := oracleRankings(sh.ref, all)
+				var trees [][]Node
+				var want [][][]Result
+				for empty := -1; empty < 3; empty++ {
+					trees = append(trees, runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, empty))
+					want = append(want, oracleRankings(sh.ref, trees[len(trees)-1]))
+				}
+				for _, mode := range runsModes {
+					sh.configure(m.model, m.params, m.mu, mode)
+					for _, k := range []int{1, 3, 10, 1000} {
+						label := fmt.Sprintf("%s/%s/%s/%s k=%d", cname, sh.name, m.name, mode, k)
+						for i := range trees {
+							assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, i-1), sh.d, trees[i], want[i], k)
+						}
+						assertRunsMatchSeparate(t, label+" all-queries", sh.d, all, wantAll, k)
 					}
-					assertRunsMatchSeparate(t, label+" all-queries", s, all, wantAll, k)
 				}
 			}
 		}
@@ -120,17 +193,20 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 // pass skips nothing and tests no bound; and the pass scores fewer
 // candidates than the three separate pruned evaluations together.
 func TestSearchRunsCounters(t *testing.T) {
-	ix := buildSkewedIndex(2000, 11)
+	docs := skewedDocs(2000, 11)
 	trees := runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, -1)
+	sh := runsShapes(t, docs, nil, "mono")[0]
 	for _, m := range pruningModels {
-		modes, _ := runsSearchers(ix, m.model, m.params, m.mu)
-		var pst, fst SearchStats
-		if _, err := modes["forced"].SearchRuns(context.Background(), trees, 5, &pst); err != nil {
-			t.Fatal(err)
+		stats := func(mode string) SearchStats {
+			sh.configure(m.model, m.params, m.mu, mode)
+			ev, err := sh.d.Evaluate(context.Background(), trees, 5, EvalOptions{CollectStats: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ev.Stats
 		}
-		if _, err := modes["unpruned"].SearchRuns(context.Background(), trees, 5, &fst); err != nil {
-			t.Fatal(err)
-		}
+		fst := stats("unpruned")
+		pst := stats("forced")
 		// a, #1(a b), z, #uw8(b c), nosuchterm, c.
 		if pst.Leaves != 6 || fst.Leaves != 6 {
 			t.Errorf("%s: Leaves = %d / %d, want the union's 6", m.name, pst.Leaves, fst.Leaves)
@@ -144,8 +220,11 @@ func TestSearchRunsCounters(t *testing.T) {
 		}
 		var separate int64
 		for _, q := range trees {
-			_, st := modes["forced"].SearchWithStats(q, 5)
-			separate += st.CandidatesExamined
+			_, ev, err := evalOne(context.Background(), sh.d, q, 5, EvalOptions{CollectStats: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			separate += ev.Stats.CandidatesExamined
 		}
 		if pst.CandidatesExamined >= separate {
 			t.Errorf("%s: one pass scored %d candidates, the separate runs %d together", m.name, pst.CandidatesExamined, separate)
@@ -154,31 +233,37 @@ func TestSearchRunsCounters(t *testing.T) {
 }
 
 // TestSearchRunsEdges: k <= 0 and an empty tree list answer without
-// evaluating; a cancelled context fails the pass.
+// evaluating; a cancelled context fails the evaluation.
 func TestSearchRunsEdges(t *testing.T) {
 	s := NewSearcher(buildSkewedIndex(100, 3))
 	trees := runTrees([4]float64{1, 1, 1, 1}, -1)
+	ctx := context.Background()
 	for _, k := range []int{0, -1} {
-		got, err := s.SearchRuns(context.Background(), trees, k, nil)
-		if err != nil || len(got) != len(trees) || got[0] != nil {
-			t.Fatalf("k=%d: %v, %v", k, got, err)
+		ev, err := s.Evaluate(ctx, trees, k, EvalOptions{})
+		if err != nil || len(ev.Results) != len(trees) || ev.Results[0] != nil {
+			t.Fatalf("k=%d: %v, %v", k, ev.Results, err)
 		}
 	}
-	if got, err := s.SearchRuns(context.Background(), nil, 10, nil); err != nil || len(got) != 0 {
-		t.Fatalf("no trees: %v, %v", got, err)
+	if ev, err := s.Evaluate(ctx, nil, 10, EvalOptions{}); err != nil || len(ev.Results) != 0 {
+		t.Fatalf("no trees: %v, %v", ev.Results, err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if got, err := s.SearchRuns(ctx, trees, 10, nil); err == nil || got != nil {
-		t.Fatalf("cancelled: %v, %v", got, err)
+	if ev, err := s.Evaluate(cctx, trees, 10, EvalOptions{}); err == nil || ev.Results != nil {
+		t.Fatalf("cancelled: %v, %v", ev.Results, err)
 	}
 }
 
 // FuzzSearchRunsParity fuzzes corpus shape, model, pruning, k, the
-// runs' weights and which run is empty, asserting each run of the one
-// pass equals the oracle's ranking of its tree alone, score bits
-// included. The seed corpus is testdata/fuzz/FuzzSearchRunsParity.
+// trees' weights, which tree is empty and the evaluator (whole index,
+// two shards, tombstoned segments, two shard servers), asserting each
+// tree of one evaluation equals the oracle's ranking of that tree
+// alone, score bits included. The seed corpus is
+// testdata/fuzz/FuzzSearchRunsParity plus one seed per evaluator.
 func FuzzSearchRunsParity(f *testing.F) {
+	for shape := range runsShapeNames {
+		f.Add(int64(7), uint8(90), uint8(5), uint8(shape), uint8(1|2<<1|shape<<3), 0.6, 0.3, 0.1, 0.25)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, docs, kk, model, flags uint8, w1, w2, w3, w4 float64) {
 		if docs == 0 {
 			docs = 1
@@ -195,15 +280,16 @@ func FuzzSearchRunsParity(f *testing.F) {
 			}
 			return w
 		}
-		ix := buildSkewedIndex(int(docs), int(seed))
 		m := pruningModels[int(model)%len(pruningModels)]
-		modes, full := runsSearchers(ix, m.model, m.params, m.mu)
-		s := modes["unpruned"]
+		name := runsShapeNames[int(flags>>3)%len(runsShapeNames)]
+		sh := runsShapes(t, skewedDocs(int(docs), int(seed)), nil, name)[0]
+		mode := "unpruned"
 		if flags&1 != 0 {
-			s = modes["forced"]
+			mode = "forced"
 		}
+		sh.configure(m.model, m.params, m.mu, mode)
 		trees := runTrees([4]float64{clamp(w1), clamp(w2), clamp(w3), clamp(w4)}, int(flags>>1)%4)
-		assertRunsMatchSeparate(t, m.name, s, trees, oracleRankings(full, trees), k)
+		assertRunsMatchSeparate(t, m.name+"/"+name, sh.d, trees, oracleRankings(sh.ref, trees), k)
 	})
 }
 
@@ -240,17 +326,15 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 		params := mono.resolveParams()
 		req := &EvalRequest{Model: int(m.model), Mu: params.Mu, Lambda: params.Lambda, K1: params.K1, B: params.B,
 			NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens()}
-		prepared := make([][]leaf, len(parts))
+		calls := make([]partCall, len(parts))
 		for i, p := range parts {
-			ls, prep, err := p.stats(ctx, q, nil)
-			if err != nil {
+			if err := p.stats(ctx, []Node{q}, &calls[i], nil); err != nil {
 				t.Fatal(err)
 			}
-			prepared[i] = prep.([]leaf)
 			if req.Overrides == nil {
-				req.Overrides = make([]LeafOverride, len(ls))
+				req.Overrides = make([]LeafOverride, len(calls[i].leaves))
 			}
-			for li, l := range ls {
+			for li, l := range calls[i].leaves {
 				req.Overrides[li].CF += l.CF
 				req.Overrides[li].DF += l.DF
 			}
@@ -261,7 +345,7 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 		}
 		for i, p := range parts {
 			lp := p.(*localPartition)
-			leaves := prepared[i]
+			leaves := calls[i].flat
 			cfg := lp.override(leaves, req)
 			var shardWant []Result
 			for _, r := range want {
@@ -273,16 +357,16 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 				cfg.forcePrune, cfg.disablePruning = prune, !prune
 				for _, k := range []int{3, 100} {
 					sc := getScratch()
-					got, err := searchRuns(ctx, lp.ix, nil, leaves, []int{len(leaves)}, k, cfg, nil, sc, make([][]Result, 1))
+					got, err := searchRuns(ctx, lp.ix, nil, leaves, calls[i].ends, k, cfg, nil, sc, make([][]Result, 1), nil)
 					putScratch(sc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for r := range got[0] {
-						got[0][r].Doc = sh.GlobalDoc(i, got[0][r].Doc)
+					for r := range got {
+						got[r].Doc = sh.GlobalDoc(i, got[r].Doc)
 					}
 					label := fmt.Sprintf("%s/shard=%d/prune=%v k=%d", m.name, i, prune, k)
-					requireSameResults(t, got[0], shardWant[:min(k, len(shardWant))], label)
+					requireSameResults(t, got, shardWant[:min(k, len(shardWant))], label)
 				}
 			}
 		}

@@ -9,16 +9,17 @@ import (
 // evalScratch is the pooled per-query evaluation state: every slice the
 // top-k loop (searchRuns, derivePruneBounds) would otherwise allocate
 // per call — cursor array, union and per-candidate vectors, per-run
-// heaps, bounds and partitions — and the coordinator-merge buffer. A
-// query takes one scratch from the pool (reset-on-get), threads it
-// through the whole evaluation, and returns it on every exit path
-// including cancellation and degradation; in steady state a query's hot
-// path performs no evaluator allocations at all.
+// heaps, bounds and partitions. A partition's flatten and its
+// evaluation each take one scratch from the pool (reset-on-get), thread
+// it through, and return it on every exit path including cancellation
+// and degradation; in steady state a query's hot path performs no
+// evaluator allocations at all.
 //
 // Ownership: a scratch is single-goroutine for the duration of one
 // evaluation; the per-shard evaluators each take their own. Nothing
 // returned to the caller may alias scratch memory — results are drained
-// into fresh slices — which is what putScratch's invariants rely on.
+// into the coordinator's buffers and merged into fresh slices — which
+// is what putScratch's invariants rely on.
 type evalScratch struct {
 	leaves []leaf
 	curs   []index.TermCursor
@@ -29,15 +30,11 @@ type evalScratch struct {
 
 	sorter ubSorter
 
-	// merged backs the sharded/remote coordinators' k·S merge buffer.
-	merged []Result
-
-	// searchRuns' state: where each run's leaves end, the union leaves,
-	// one slot per run, and the pass, whose slices are reused too.
-	runEnds []int
-	union   []leaf
-	runs    []runEval
-	pass    pass
+	// searchRuns' state: the union leaves, one slot per run, and the
+	// pass, whose slices are reused too.
+	union []leaf
+	runs  []runEval
+	pass  pass
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -72,11 +69,6 @@ func putScratch(sc *evalScratch) {
 	for i := range fullCurs {
 		fullCurs[i].Release()
 	}
-	fullMerged := sc.merged[:cap(sc.merged)]
-	for i := range fullMerged {
-		fullMerged[i] = Result{}
-	}
-	sc.merged = sc.merged[:0]
 	sc.sorter = ubSorter{}
 	scratchPool.Put(sc)
 }
@@ -147,20 +139,3 @@ func (s *ubSorter) Less(a, b int) bool {
 }
 
 func (s *ubSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-
-// resultSorter orders merged results by the global ranking (score desc,
-// DocID asc). Pointer receiver for the same no-allocation reason as
-// ubSorter; the order is total, so the permutation is algorithm-
-// independent.
-type resultSorter struct{ r []Result }
-
-func (s *resultSorter) Len() int { return len(s.r) }
-
-func (s *resultSorter) Less(a, b int) bool {
-	if s.r[a].Score != s.r[b].Score {
-		return s.r[a].Score > s.r[b].Score
-	}
-	return s.r[a].Doc < s.r[b].Doc
-}
-
-func (s *resultSorter) Swap(a, b int) { s.r[a], s.r[b] = s.r[b], s.r[a] }

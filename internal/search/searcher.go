@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/index"
 )
@@ -18,32 +17,26 @@ type Result struct {
 	Score float64
 }
 
-// Searcher evaluates structured queries against an index.
+// Searcher evaluates structured queries against an index: the
+// coordinator over one partition, the whole index. Its configuration —
+// Mu, Model, Params, DisablePruning — is the promoted ShardConfig, and
+// Evaluate evaluates several trees in one pass.
 type Searcher struct {
+	coordinator
 	ix *index.Index
-	// Mu is the Dirichlet smoothing parameter; zero means DefaultMu.
-	// Kept as a top-level field (rather than only Params.Mu) because it
-	// is the one knob experiments sweep.
-	Mu float64
-	// Model selects the retrieval function (default Dirichlet QL).
-	Model Model
-	// Params holds the other models' parameters.
-	Params ModelParams
-	// DisablePruning turns off MaxScore-style dynamic pruning and scores
-	// every candidate. Pruning is score-safe — rankings and scores are
-	// bit-identical either way (see maxscore.go) — so the switch exists
-	// for debugging, for the full-evaluation side of benchmarks, and for
-	// tests that assert exhaustive-path counters.
-	DisablePruning bool
-	// forcePrune bypasses the cost model (pruneWorthwhile) and prunes
-	// whenever pruning is enabled at all. Test-only: the differential
-	// suites exercise pruning on corpora and queries the cost model
-	// would (correctly) score exhaustively.
-	forcePrune bool
 }
 
 // NewSearcher returns a Searcher over ix with the default μ.
-func NewSearcher(ix *index.Index) *Searcher { return &Searcher{ix: ix, Mu: DefaultMu} }
+func NewSearcher(ix *index.Index) *Searcher {
+	return &Searcher{
+		coordinator: coordinator{
+			ShardConfig: ShardConfig{Mu: DefaultMu},
+			shards:      1,
+			pin:         fixed(&localPartition{ix: ix}),
+		},
+		ix: ix,
+	}
+}
 
 // Index returns the underlying index.
 func (s *Searcher) Index() *index.Index { return s.ix }
@@ -92,17 +85,18 @@ type leaf struct {
 	nPost int
 }
 
-// flatten walks the query tree multiplying normalised weights down to the
-// leaves. Empty leaves are kept (they contribute only background mass) —
-// dropping them would change ranking between two queries that differ in
-// an OOV term, which matters for the QL baselines.
+// flatten walks the query tree over ix, multiplying normalised weights
+// down to the leaves. Empty leaves are kept (they contribute only
+// background mass) — dropping them would change ranking between two
+// queries that differ in an OOV term, which matters for the QL
+// baselines.
 //
 // Phrase and window leaves come out of the index's positional memo
 // (index.PhraseLeaf / WindowLeaf; DESIGN.md "Positional leaves are
 // resolved once per index"): ps holds the lookup key, and st, when
 // non-nil, counts the leaves found resolved against the intersections
 // this call had to run.
-func (s *Searcher) flatten(n Node, w float64, out *[]leaf, ps *index.PositionalScratch, st *SearchStats) {
+func flatten(ix *index.Index, n Node, w float64, out *[]leaf, ps *index.PositionalScratch, st *SearchStats) {
 	if w <= 0 {
 		return
 	}
@@ -111,25 +105,25 @@ func (s *Searcher) flatten(n Node, w float64, out *[]leaf, ps *index.PositionalS
 		if x.Text == "" {
 			return
 		}
-		*out = append(*out, s.termLeaf(x.Text, w))
+		*out = append(*out, termLeaf(ix, x.Text, w))
 	case Phrase:
 		switch len(x.Terms) {
 		case 0:
 		case 1:
 			// #1(t) is t: the term's own row, never a copy of it.
-			*out = append(*out, s.termLeaf(x.Terms[0], w))
+			*out = append(*out, termLeaf(ix, x.Terms[0], w))
 		default:
-			p, hit := s.ix.PhraseLeaf(x.Terms, ps)
-			*out = append(*out, positionalLeaf(s.ix, w, p, hit, st))
+			p, hit := ix.PhraseLeaf(x.Terms, ps)
+			*out = append(*out, positionalLeaf(ix, w, p, hit, st))
 		}
 	case Unordered:
 		switch {
 		case len(x.Terms) == 0:
 		case len(x.Terms) == 1 && x.Width >= 1:
-			*out = append(*out, s.termLeaf(x.Terms[0], w))
+			*out = append(*out, termLeaf(ix, x.Terms[0], w))
 		default:
-			p, hit := s.ix.WindowLeaf(x.Terms, x.Width, ps)
-			*out = append(*out, positionalLeaf(s.ix, w, p, hit, st))
+			p, hit := ix.WindowLeaf(x.Terms, x.Width, ps)
+			*out = append(*out, positionalLeaf(ix, w, p, hit, st))
 		}
 	case Weighted:
 		var total float64
@@ -143,7 +137,7 @@ func (s *Searcher) flatten(n Node, w float64, out *[]leaf, ps *index.PositionalS
 		}
 		for _, c := range x.Children {
 			if c.Weight > 0 && !IsEmpty(c.Node) {
-				s.flatten(c.Node, w*c.Weight/total, out, ps, st)
+				flatten(ix, c.Node, w*c.Weight/total, out, ps, st)
 			}
 		}
 	}
@@ -152,20 +146,20 @@ func (s *Searcher) flatten(n Node, w float64, out *[]leaf, ps *index.PositionalS
 // termLeaf is the leaf of one analysed term: streaming on a v2-backed
 // index, the shared materialised row otherwise, empty when the term is
 // out of vocabulary.
-func (s *Searcher) termLeaf(term string, w float64) leaf {
-	if id, ok := s.ix.StreamableTerm(term); ok {
+func termLeaf(ix *index.Index, term string, w float64) leaf {
+	if id, ok := ix.StreamableTerm(term); ok {
 		// v2-backed term leaf: stats and bounds come from the stored
 		// (Open-cross-validated) metadata; the postings stay on disk
 		// until a block cursor touches them.
-		return newStreamLeaf(s.ix, w, id)
+		return newStreamLeaf(ix, w, id)
 	}
-	id, ok := s.ix.TermID(term)
+	id, ok := ix.TermID(term)
 	if !ok {
-		return newLeaf(s.ix, w, index.Postings{}, 0, index.TermBounds{})
+		return newLeaf(ix, w, index.Postings{}, 0, index.TermBounds{})
 	}
-	p := s.ix.PostingsByID(id)
-	b, _ := s.ix.BoundsFor(term)
-	l := newLeaf(s.ix, w, *p, p.CollectionFreq(), b)
+	p := ix.PostingsByID(id)
+	b, _ := ix.BoundsFor(term)
+	l := newLeaf(ix, w, *p, p.CollectionFreq(), b)
 	l.termID = id
 	return l
 }
@@ -226,10 +220,8 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 // nothing carry only background mass and sort below every match of the
 // best leaf in all but degenerate cases).
 //
-// The evaluator is document-at-a-time (see searchRuns).
-//
-// Search never fails; it is a thin wrapper over SearchContext with a
-// background context.
+// Search, SearchContext and SearchWithStats are one-tree wrappers over
+// Evaluate; Search never fails (a background context cannot expire).
 func (s *Searcher) Search(q Node, k int) []Result {
 	res, _ := s.SearchContext(context.Background(), q, k)
 	return res
@@ -238,10 +230,11 @@ func (s *Searcher) Search(q Node, k int) []Result {
 // SearchContext is Search under a context: the evaluator checks ctx
 // periodically (every cancelCheckEvery candidates) and abandons the
 // evaluation with ctx.Err() once the deadline passes or the caller
-// cancels. This is the primary retrieval entry point; the context-free
-// Search delegates here.
+// cancels.
 func (s *Searcher) SearchContext(ctx context.Context, q Node, k int) ([]Result, error) {
-	return s.search(ctx, q, k, nil)
+	var out [1][]Result
+	_, err := s.evaluateInto(ctx, []Node{q}, k, EvalOptions{}, out[:])
+	return out[0], err
 }
 
 // SearchWithStats is Search plus per-query instrumentation: candidate,
@@ -251,73 +244,11 @@ func (s *Searcher) SearchWithStats(q Node, k int) ([]Result, SearchStats) {
 	return res, st
 }
 
-// SearchWithStatsContext is SearchContext plus instrumentation. On
-// cancellation the counters cover the work done up to the abort point.
-func (s *Searcher) SearchWithStatsContext(ctx context.Context, q Node, k int) ([]Result, SearchStats, error) {
-	var st SearchStats
-	start := time.Now()
-	res, err := s.search(ctx, q, k, &st)
-	st.Elapsed = time.Since(start)
-	return res, st, err
-}
-
 // cancelCheckEvery is how many candidates the top-k loop draws between
 // context checks. Checking costs one atomic load; at this granularity it
 // is invisible next to scoring while still bounding the cancellation
 // latency to a few hundred microseconds on any realistic index.
 const cancelCheckEvery = 4096
-
-func (s *Searcher) search(ctx context.Context, q Node, k int, st *SearchStats) ([]Result, error) {
-	var out [1][]Result
-	if err := s.evaluate(ctx, []Node{q}, k, st, out[:]); err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// evaluate flattens the trees qs and fills out with one top-k per tree
-// from one pass of the top-k loop (searchRuns). One pooled scratch covers
-// the whole evaluation — leaf vector, cursors, bounds, heaps — and goes
-// back on every exit path (the defer) including cancellation.
-func (s *Searcher) evaluate(ctx context.Context, qs []Node, k int, st *SearchStats, out [][]Result) error {
-	if k <= 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	leaves := sc.leaves[:0]
-	ends := sc.runEnds[:0]
-	for _, q := range qs {
-		s.flatten(q, 1, &leaves, &sc.positional, st)
-		ends = append(ends, len(leaves))
-	}
-	sc.leaves, sc.runEnds = leaves, ends
-	if len(leaves) == 0 {
-		return nil
-	}
-	// Flattening intersects the phrase/window leaves no earlier query
-	// resolved, which can be the bulk of the work for a heavily expanded
-	// query on a cold index; re-check before the evaluation loop starts.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, err := searchRuns(ctx, s.ix, nil, leaves, ends, k, s.scoring(), st, sc, out)
-	return err
-}
-
-// scoring resolves the searcher's configuration against its own index.
-func (s *Searcher) scoring() scoring {
-	return scoring{
-		model:          s.Model,
-		params:         s.resolveParams(),
-		cs:             collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()},
-		disablePruning: s.DisablePruning,
-		forcePrune:     s.forcePrune,
-	}
-}
 
 // scoring is the resolved configuration of one evaluation: the model,
 // its parameters, the collection statistics the scorer closes over (the

@@ -61,11 +61,15 @@ func (o *Oracle) Configure(cfg search.ShardConfig) {
 	o.s.Mu, o.s.Model, o.s.Params = cfg.Mu, cfg.Model, cfg.Params
 }
 
-// Evaluate implements search.Distributed. It reports no statistics and
-// never degrades.
-func (o *Oracle) Evaluate(ctx context.Context, q search.Node, k int, _ search.EvalOptions) (search.Evaluation, error) {
+// Evaluate implements search.Distributed by ranking each tree on its
+// own. It reports no statistics and never degrades.
+func (o *Oracle) Evaluate(ctx context.Context, qs []search.Node, k int, _ search.EvalOptions) (search.Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return search.Evaluation{}, err
 	}
-	return search.Evaluation{Results: Rank(o.s, q, k)}, nil
+	ev := search.Evaluation{Results: make([][]search.Result, len(qs))}
+	for i, q := range qs {
+		ev.Results[i] = Rank(o.s, q, k)
+	}
+	return ev, nil
 }

@@ -45,7 +45,10 @@ func NewSegmentedSearcher(live *index.Segmented) *SegmentedSearcher {
 // pin; it is not released here.
 func (gs *SegmentedSearcher) SearchSnapshot(ctx context.Context, sn *index.Snapshot, q Node, k int) ([]Result, error) {
 	pinned := gs.coordinator
-	pinned.pin = fixed(snapshotPartitions(sn))
-	ev, err := pinned.Evaluate(ctx, q, k, EvalOptions{})
-	return ev.Results, err
+	pinned.pin = fixed(snapshotPartitions(sn)...)
+	ev, err := pinned.Evaluate(ctx, []Node{q}, k, EvalOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return ev.Results[0], nil
 }

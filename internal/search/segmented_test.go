@@ -204,19 +204,19 @@ func TestSegmentedSearcherDegradation(t *testing.T) {
 
 	fault.Arm(fault.NewRegistry(42).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 1}))
 	defer fault.Disarm()
-	ev, err := gs.Evaluate(context.Background(), Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true}})
+	res, ev, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true}})
 	if err != nil {
 		t.Fatalf("degraded search failed: %v", err)
 	}
 	if !ev.Partial.Degraded() || len(ev.Partial.DroppedShards) != 1 {
 		t.Fatalf("expected exactly one dropped segment, got %+v", ev.Partial)
 	}
-	if len(ev.Results) == 0 {
+	if len(res) == 0 {
 		t.Fatal("surviving segments produced no results")
 	}
 
 	fault.Arm(fault.NewRegistry(42).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 1}))
-	if _, err := gs.Evaluate(context.Background(), Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{}}); err == nil {
+	if _, _, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{}}); err == nil {
 		t.Fatal("strict mode should fail on a segment fault")
 	}
 }
@@ -264,7 +264,7 @@ func TestSegmentedSearcherClosed(t *testing.T) {
 	live := buildSegmented(t, segTestCorpus(10, 16), 4, nil, false)
 	gs := NewSegmentedSearcher(live)
 	live.Close()
-	if _, err := gs.Evaluate(context.Background(), Term{Text: "alpha"}, 5, EvalOptions{}); err == nil {
+	if _, _, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 5, EvalOptions{}); err == nil {
 		t.Fatal("search on closed index should fail")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/rpc"
@@ -224,8 +225,13 @@ func (svc *ShardService) handleStats(ctx context.Context, body rpc.Body) (any, e
 	if err := req.UnmarshalBinary(body); err != nil {
 		return nil, err
 	}
-	leaves, _, err := svc.part.stats(ctx, req.Query, nil)
-	return StatsResponse{Leaves: leaves}, err
+	g := getGather(1)
+	defer g.put()
+	pc := &g.calls[0]
+	err := svc.part.stats(ctx, []Node{req.Query}, pc, nil)
+	// The reply is encoded after the handler returns: it must not alias
+	// the pooled call.
+	return StatsResponse{Leaves: slices.Clone(pc.leaves)}, err
 }
 
 func (svc *ShardService) handleEval(ctx context.Context, body rpc.Body) (any, error) {
@@ -242,26 +248,31 @@ func (svc *ShardService) handleEval(ctx context.Context, body rpc.Body) (any, er
 	// Stateless between the phases: the shard flattens again rather
 	// than remembering phase A's leaves. The index's positional memo
 	// makes the second flatten a set of lookups.
-	leaves := svc.part.flatten(req.Query, nil)
-	if len(leaves) != len(req.Overrides) {
+	g := getGather(1)
+	defer g.put()
+	pc := &g.calls[0]
+	if err := svc.part.stats(ctx, []Node{req.Query}, pc, nil); err != nil {
+		return nil, err
+	}
+	if len(pc.leaves) != len(req.Overrides) {
 		// The coordinator derived the overrides from this query's flatten
 		// on other shards; a count mismatch means this shard was built
 		// against a different analyzer and scoring would be silently
 		// wrong — same invariant as the coordinator's leaf-count check.
 		return nil, fmt.Errorf("shard %d flattened %d leaves, coordinator supplied %d overrides",
-			svc.shard, len(leaves), len(req.Overrides))
+			svc.shard, len(pc.leaves), len(req.Overrides))
 	}
-	if len(leaves) == 0 {
+	if len(pc.leaves) == 0 {
 		return EvalResponse{}, nil
 	}
 	var st *SearchStats
 	if req.WantStats {
 		st = &SearchStats{}
 	}
-	res, err := svc.part.score(ctx, leaves, &req, st)
-	if err != nil {
+	if err := svc.part.score(ctx, &req, pc, st); err != nil {
 		return nil, err
 	}
+	res := pc.res[0]
 	resp := EvalResponse{Results: make([]WireResult, len(res))}
 	for i, r := range res {
 		resp.Results[i] = WireResult{Doc: int64(r.Doc), Name: r.Name, Score: r.Score}

@@ -17,6 +17,6 @@ func NewShardedSearcher(sh *index.Sharded) *ShardedSearcher {
 	return &ShardedSearcher{coordinator{
 		ShardConfig: ShardConfig{Mu: DefaultMu},
 		shards:      sh.NumShards(),
-		pin:         fixed(shardPartitions(sh)),
+		pin:         fixed(shardPartitions(sh)...),
 	}}
 }

@@ -56,11 +56,11 @@ func shardQueries() []Node {
 // rank is d.Evaluate with no options, for tests that only rank.
 func rank(t testing.TB, d Distributed, q Node, k int) []Result {
 	t.Helper()
-	ev, err := d.Evaluate(context.Background(), q, k, EvalOptions{})
+	res, _, err := evalOne(context.Background(), d, q, k, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ev.Results
+	return res
 }
 
 func shardedOver(ix *index.Index, n int, model Model, params ModelParams) (*Searcher, *ShardedSearcher) {
@@ -177,7 +177,7 @@ func TestShardedCancellation(t *testing.T) {
 	ss := NewShardedSearcher(index.NewSharded(ix, 4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ev, err := ss.Evaluate(ctx, Term{Text: "cable"}, 10, EvalOptions{})
+	ev, err := ss.Evaluate(ctx, []Node{Term{Text: "cable"}}, 10, EvalOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

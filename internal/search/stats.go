@@ -19,10 +19,10 @@ import (
 type SearchStats struct {
 	// Leaves is the number of distinct leaves the evaluation scored: the
 	// union of its trees' flattened leaves, so a leaf repeated within a
-	// tree, or shared by a several-run pass's trees (Searcher.SearchRuns),
-	// counts once. Partitioned: the largest union a partition evaluated,
-	// NOT a sum (a shard server's count does not cross the wire; over RPC
-	// it is the flattened leaf count).
+	// tree, or shared by several trees of one evaluation, counts once.
+	// Partitioned: the largest union a partition evaluated, NOT a sum (a
+	// shard server's count does not cross the wire; over RPC it is the
+	// trees' flattened leaf count).
 	Leaves int
 	// CandidatesExamined counts the distinct documents scored (without
 	// pruning: the size of the union of the leaves' postings; with
@@ -76,9 +76,10 @@ type SearchStats struct {
 	correctionProbes int64
 	// Elapsed is the wall-clock time of the evaluation.
 	Elapsed time.Duration
-	// Shards holds per-shard instrumentation when the retrieval ran on a
-	// ShardedSearcher (indexed by shard; nil for unsharded retrievals).
-	// The aggregate counters above already include every shard's work.
+	// Shards holds one row per partition the evaluation ran over: a
+	// Searcher's whole index, a ShardedSearcher's or RemoteSharded's
+	// shards, a SegmentedSearcher's live segments. The aggregate counters
+	// above already include every partition's work.
 	Shards []ShardStats
 }
 

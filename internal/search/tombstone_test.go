@@ -167,19 +167,19 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 			parts[i] = &scriptedPartition{partition: p, script: script{onEval: between}}
 		}
 		pinned := gs.coordinator
-		pinned.pin = fixed(parts)
+		pinned.pin = fixed(parts...)
 		// A saturated pool runs every partition call on this goroutine, so
 		// the batch lands before the first evaluation and the hook may
 		// fail the test.
 		pinned.Sem = make(chan struct{}, 1)
 		pinned.Sem <- struct{}{}
-		ev, err := pinned.Evaluate(ctx, q, 10, EvalOptions{})
+		got, _, err := evalOne(ctx, &pinned, q, 10, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, ev.Results, before.Search(q, 10), qname+": pinned across the delete")
+		requireSameResults(t, got, before.Search(q, 10), qname+": pinned across the delete")
 		// Both phases again on the old snapshot, now behind the memo.
-		got, err := gs.SearchSnapshot(ctx, sn, q, 10)
+		got, err = gs.SearchSnapshot(ctx, sn, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 	ctx := context.Background()
 	search := func() Evaluation {
 		t.Helper()
-		ev, err := gs.Evaluate(ctx, q, k, EvalOptions{CollectStats: true})
+		ev, err := gs.Evaluate(ctx, []Node{q}, k, EvalOptions{CollectStats: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 		t.Fatalf("segment without tombstones probed %d", clean.Stats.correctionProbes)
 	}
 	// 64 names: the rank-1 document, and 63 documents matching only "a".
-	batch := []string{clean.Results[0].Name}
+	batch := []string{clean.Results[0][0].Name}
 	for d := 100; len(batch) < 64; d += 29 {
 		batch = append(batch, docs[d].name)
 	}
@@ -236,7 +236,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 	mono := monoSearcher(survivorsOf(docs, batch))
 
 	first := search()
-	requireSameResults(t, first.Results, mono.Search(q, k), "after the batch")
+	requireSameResults(t, first.Results[0], mono.Search(q, k), "after the batch")
 	st := first.Stats
 	if st.correctionProbes == 0 || st.correctionProbes > 64*leaves {
 		t.Errorf("first query after a 64-name batch probed %d tombstones, want 1..%d", st.correctionProbes, 64*leaves)
@@ -255,7 +255,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 	}
 
 	again := search()
-	requireSameResults(t, again.Results, first.Results, "repeat")
+	requireSameResults(t, again.Results[0], first.Results[0], "repeat")
 	if again.Stats.correctionProbes != 0 {
 		t.Errorf("repeat query against an unchanged snapshot probed %d tombstones", again.Stats.correctionProbes)
 	}

@@ -1,6 +1,10 @@
 package search
 
-import "repro/internal/index"
+import (
+	"slices"
+
+	"repro/internal/index"
+)
 
 // exhausted is the sentinel document a drained cursor parks on; it
 // compares above every real DocID, so the running minimum naturally
@@ -84,21 +88,19 @@ func (h *topK) siftDown(i int) {
 	}
 }
 
-// drain empties the heap into a descending-ranked result list, resolving
-// document names only for the survivors.
-func (h *topK) drain(ix *index.Index) []Result {
+// drain empties the heap onto dst as a descending-ranked result list,
+// resolving document names only for the survivors.
+func (h *topK) drain(dst []Result, ix *index.Index) []Result {
 	n := len(h.docs)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Result, n)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
 	for i := n - 1; i >= 0; i-- {
 		doc, score := h.docs[0], h.scores[0]
 		h.swap(0, len(h.docs)-1)
 		h.docs = h.docs[:len(h.docs)-1]
 		h.scores = h.scores[:len(h.scores)-1]
 		h.siftDown(0)
-		out[i] = Result{Doc: doc, Name: ix.DocName(doc), Score: score}
+		dst[base+i] = Result{Doc: doc, Name: ix.DocName(doc), Score: score}
 	}
-	return out
+	return dst
 }

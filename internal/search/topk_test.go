@@ -145,7 +145,7 @@ func FuzzTopKHeapOrdering(f *testing.F) {
 			scores[i] = sc{doc: int32(i), score: s}
 			h.offer(index.DocID(i), s, nil)
 		}
-		got := h.drain(ix)
+		got := h.drain(nil, ix)
 		// Reference: sort by (score desc, doc asc), truncate.
 		ref := append([]sc(nil), scores...)
 		for i := 1; i < len(ref); i++ {

@@ -299,68 +299,37 @@ func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 	return exp
 }
 
-// retrieve evaluates a request's trees — one, or SQE_C's three — and
-// returns one ranking per tree, in order, each bit-identical to
-// evaluating that tree alone on a monolithic index. Each loop trip is one
-// evaluator pass, timed and counted into ps when non-nil (per-partition
-// rows included):
-//
-//   - A single index evaluates every tree in one pass over the union of
-//     their leaves (search.Searcher.SearchRuns; DESIGN.md "SQE_C in one
-//     pass"), with panic containment and transient retry when
-//     degradation is enabled (deg non-nil); there is no partial result
-//     to salvage from a single index.
-//   - A partitioned engine (WithShards, WithDistributedSearcher,
-//     NewLiveEngine) makes one Evaluate per tree, one after another;
-//     each call's partition fan-out is still parallel, and with
-//     degradation enabled runs with per-partition deadlines, transient
-//     retries and — under PartialShards — partial merges.
-//
-// Either way a failure fails every tree: there is no per-tree partial
-// result.
+// retrieve evaluates a request's trees — one, or SQE_C's three — in one
+// Evaluate and returns one ranking per tree, in order, each
+// bit-identical to evaluating that tree alone on a monolithic index
+// (DESIGN.md "SQE_C in one pass"). Every engine kind takes this path: a
+// single index is a coordinator over one partition. The pass is timed
+// and counted into ps when non-nil (per-partition rows included). With
+// degradation enabled (deg non-nil) every partition call runs with a
+// deadline, panic containment and transient retries, and — under
+// PartialShards — a failed partition is dropped from every tree's
+// merge; there is no per-tree partial result.
 func (e *Engine) retrieve(ctx context.Context, nodes []search.Node, k int, ps *PipelineStats, deg *Degradation) ([][]Result, error) {
-	out := make([][]Result, len(nodes))
 	opts := search.EvalOptions{CollectStats: ps != nil}
-	if deg != nil && e.sharded != nil {
-		opts.Degrade = e.searchDegradeOptions()
+	if deg != nil {
+		p := e.degrade
+		opts.Degrade = &search.DegradeOptions{AllowPartial: p.PartialShards, ShardDeadline: p.ShardDeadline,
+			MaxRetries: p.MaxRetries, RetryBackoff: p.RetryBackoff}
 	}
-	for i := 0; i < len(nodes); {
-		start := time.Now()
-		var st SearchStats
-		var err error
-		if e.sharded != nil {
-			var ev search.Evaluation
-			ev, err = e.sharded.Evaluate(ctx, nodes[i], k, opts)
-			if deg != nil {
-				deg.absorb(ev.Partial)
-			}
-			out[i], st = ev.Results, ev.Stats
-			i++
-		} else {
-			err = e.guarded(ctx, deg, func() (err error) {
-				var stp *SearchStats
-				if ps != nil {
-					st, stp = SearchStats{}, &st
-				}
-				out, err = e.searcher.SearchRuns(ctx, nodes, k, stp)
-				return err
-			})
-			i = len(nodes)
-		}
-		recordRetrieval(ps, start, st)
-		if err != nil {
-			return nil, err
-		}
+	start := time.Now()
+	ev, err := e.dist.Evaluate(ctx, nodes, k, opts)
+	if deg != nil {
+		deg.DroppedShards = append(deg.DroppedShards, ev.Partial.DroppedShards...)
+		deg.ShardErrors = append(deg.ShardErrors, ev.Partial.ShardErrors...)
+		deg.Retries += ev.Partial.Retries
 	}
-	return out, nil
-}
-
-// recordRetrieval attributes one evaluator pass, its wall-clock and its
-// counters to ps when non-nil.
-func recordRetrieval(ps *PipelineStats, start time.Time, st SearchStats) {
 	if ps != nil {
 		ps.Stages.Retrieval += time.Since(start)
-		ps.Search.Add(st)
+		ps.Search.Add(ev.Stats)
 		ps.Retrievals++
 	}
+	if err != nil {
+		return nil, err
+	}
+	return ev.Results, nil
 }

@@ -53,9 +53,9 @@ func TestSearchRequestValidation(t *testing.T) {
 }
 
 // TestDoStatsParity pins Do's stats contract: one query per call, one
-// retrieval per evaluator pass — one for SQE_C on a single index (its
-// three runs share the pass), three on a partitioned engine, one for an
-// explicit set.
+// retrieval per evaluation — one for SQE_C (its three runs share the
+// evaluation) on a single index and on a partitioned engine alike, one
+// for an explicit set.
 func TestDoStatsParity(t *testing.T) {
 	e := demo(t)
 	eng := e.Engine
@@ -74,7 +74,7 @@ func TestDoStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doSharded.Stats.Queries != 1 || doSharded.Stats.Retrievals != 3 {
+	if doSharded.Stats.Queries != 1 || doSharded.Stats.Retrievals != 1 {
 		t.Fatalf("Do SQE_C stats on a sharded engine: %+v", doSharded.Stats)
 	}
 	doSet, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 20, CollectStats: true})

@@ -43,8 +43,8 @@ func TestEngineShardedStats(t *testing.T) {
 	if len(got.Stats.Search.Shards) != 4 {
 		t.Fatalf("Shards stats entries = %d, want 4", len(got.Stats.Search.Shards))
 	}
-	if len(want.Stats.Search.Shards) != 0 {
-		t.Fatalf("unsharded engine reported shard stats: %d", len(want.Stats.Search.Shards))
+	if len(want.Stats.Search.Shards) != 1 {
+		t.Fatalf("unsharded engine reported %d shard stats rows, want its one shard's", len(want.Stats.Search.Shards))
 	}
 	// Work counters partition exactly across shards.
 	if got.Stats.Search.CandidatesExamined != want.Stats.Search.CandidatesExamined ||

@@ -86,8 +86,9 @@ type (
 	ModelParams = search.ModelParams
 	// SearchStats carries the retrieval evaluator's per-query counters.
 	SearchStats = search.SearchStats
-	// ShardSearchStats is one shard's slice of a sharded retrieval's
-	// counters (SearchStats.Shards).
+	// ShardSearchStats is one shard's slice of a retrieval's counters
+	// (SearchStats.Shards; an unsharded engine's index is its one
+	// shard).
 	ShardSearchStats = search.ShardStats
 	// PipelineStats aggregates per-stage timings (entity linking, motif
 	// search, query build, retrieval) and evaluator counters.
@@ -174,21 +175,23 @@ type Engine struct {
 	// shards is the shard count requested via WithShards (0/1 =
 	// unsharded).
 	shards int
-	// sharded is the partitioned retrieval path; nil when the engine is
-	// monolithic. It is the in-process ShardedSearcher (WithShards), an
+	// dist is the retrieval path every request's trees go through in one
+	// Evaluate: the searcher itself (a coordinator over one partition,
+	// the whole index), the in-process ShardedSearcher (WithShards), an
 	// RPC coordinator over shard-server processes
 	// (WithDistributedSearcher) or a snapshot-pinning segmented searcher
 	// (NewLiveEngine); all return results bit-identical to a monolithic
 	// searcher over the same documents — see internal/search.Distributed.
-	sharded search.Distributed
+	// searcher serves PRF, Index and the analyzer.
+	dist search.Distributed
 	// degrade, when non-nil, enables graceful degradation in Do (see
 	// WithDegradation and DegradationPolicy); nil keeps the strict
 	// all-or-nothing behaviour.
 	degrade *DegradationPolicy
 	// live, when non-nil, is the segmented index a live engine serves
 	// and mutates (see NewLiveEngine); retrieval then routes through
-	// sharded (a snapshot-pinning segmented searcher) and searcher wraps
-	// an empty placeholder.
+	// dist (a snapshot-pinning segmented searcher) and searcher wraps an
+	// empty placeholder.
 	live *LiveIndex
 }
 
@@ -253,9 +256,9 @@ func WithExpansionCache(entries int) Option {
 // segments) draw extra goroutines from; n <= 1 evaluates every partition
 // on the caller's goroutine, and the default is GOMAXPROCS. Results are
 // byte-identical whatever n is. The name is historical: SQE_C's three
-// runs no longer take workers — a single index evaluates them in one
-// pass, a partitioned engine one after another. The option stays only
-// because the benchmark harness binds it; ROADMAP item 7 deletes it.
+// runs no longer take workers — every engine evaluates them in one
+// pass. The option stays only because the benchmark harness binds it;
+// ROADMAP item 7 deletes it.
 func WithSQECWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -267,11 +270,11 @@ func WithSQECWorkers(n int) Option {
 // sums before scoring, so rankings and scores are bit-identical to the
 // unsharded engine for every retrieval model (TestDifferential's
 // shards-N rows enforce this). n is clamped to the document
-// count; n <= 1 keeps the single-index path. Shard evaluations draw
-// extra goroutines from the engine-wide worker pool (its size is
-// WithSQECWorkers' only remaining effect) and run inline when it is
-// saturated. A sharded engine evaluates SQE_C's three runs one after
-// another rather than in one pass (DESIGN.md "SQE_C in one pass").
+// count; n <= 1 keeps the whole index as the one shard. Shard
+// evaluations draw extra goroutines from the engine-wide worker pool
+// (its size is WithSQECWorkers' only remaining effect) and run inline
+// when it is saturated. Each shard evaluates SQE_C's three runs in one
+// pass, as an unsharded engine does (DESIGN.md "SQE_C in one pass").
 func WithShards(n int) Option {
 	return func(e *Engine) { e.shards = n }
 }
@@ -297,7 +300,7 @@ type DistributedSearcher = search.Distributed
 // enforces the full bit-identity over real processes. Takes precedence
 // over WithShards.
 func WithDistributedSearcher(d DistributedSearcher) Option {
-	return func(e *Engine) { e.sharded = d }
+	return func(e *Engine) { e.dist = d }
 }
 
 // NewEngine builds an Engine over a KB graph and a document index,
@@ -316,32 +319,28 @@ func NewEngine(g *Graph, ix *Index, opts ...Option) *Engine {
 	if e.workers > 1 {
 		e.sem = make(chan struct{}, e.workers)
 	}
-	if e.sharded == nil && e.shards > 1 {
+	if e.dist == nil && e.shards > 1 {
 		if sh := index.NewSharded(ix, e.shards); sh.NumShards() > 1 {
-			e.sharded = search.NewShardedSearcher(sh)
+			e.dist = search.NewShardedSearcher(sh)
 		}
 	}
-	if e.sharded != nil {
-		// Mirror the retrieval configuration the options set on the
-		// unsharded searcher; the two paths must score identically.
-		e.sharded.Configure(search.ShardConfig{
-			Mu:             e.searcher.Mu,
-			Model:          e.searcher.Model,
-			Params:         e.searcher.Params,
-			DisablePruning: e.searcher.DisablePruning,
-			Sem:            e.sem,
-		})
+	if e.dist == nil {
+		e.dist = e.searcher
 	}
+	// Mirror the retrieval configuration the options set on the searcher
+	// onto the retrieval path (the searcher itself when unsharded).
+	e.dist.Configure(search.ShardConfig{
+		Mu:             e.searcher.Mu,
+		Model:          e.searcher.Model,
+		Params:         e.searcher.Params,
+		DisablePruning: e.searcher.DisablePruning,
+		Sem:            e.sem,
+	})
 	return e
 }
 
 // Shards returns the engine's effective shard count (1 when unsharded).
-func (e *Engine) Shards() int {
-	if e.sharded != nil {
-		return e.sharded.NumShards()
-	}
-	return 1
-}
+func (e *Engine) Shards() int { return e.dist.NumShards() }
 
 // Graph returns the engine's KB graph.
 func (e *Engine) Graph() *Graph { return e.graph }
