@@ -16,13 +16,13 @@ test:
 	$(GO) test ./...
 
 # Race-checks the packages with concurrency: parallel expansion, the
-# index's positional-leaf and tombstone-correction memos (their
-# contention tests ten times over), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
+# index's positional-leaf and tombstone-correction memos and its
+# read-only stored bounds (their contention tests ten times over), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
 # the HTTP serving layer, and the root package's shared-Engine /
 # index-while-chaos stress tests.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
-	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent' ./internal/index/
+	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten' ./internal/index/
 
 # Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
 # the few-leaf queries the cost model scores exhaustively), expanded
@@ -31,8 +31,9 @@ race:
 # phrase / window materialisers run the same intersection the memo
 # fills from; PositionalColdV2 resolves every multi-word KB title on a
 # freshly opened CHiC v2 file, block cursors and all, and its heap-MB is
-# what the opened index keeps live), the memo hit every warm phrase leaf
-# takes, and SQE_C over
+# what the opened index keeps live), the first forward vector PRF reads
+# from a freshly opened CHiC v2 file (DocVectorColdV2; heap-MB likewise),
+# the memo hit every warm phrase leaf takes, and SQE_C over
 # a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
 # read flat across the three), one compaction of a 20 000-document
 # base plus 16 tombstoned segments (B/op and allocs/op are the merge's
@@ -46,7 +47,7 @@ race:
 # at -cpu 1, where ns/op is the request's CPU: the shared host drifts
 # more between back-to-back runs than most changes move them.
 bench:
-	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest' -benchmem .
+	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|DocVectorColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and

@@ -470,12 +470,6 @@ func BenchmarkPositionalColdV2(b *testing.B) {
 		}
 		return true
 	})
-	liveHeap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	var sc index.PositionalScratch
 	var heap float64
 	b.ReportAllocs()
@@ -498,6 +492,46 @@ func BenchmarkPositionalColdV2(b *testing.B) {
 	}
 	b.ReportMetric(heap/float64(b.N), "heap-MB")
 	b.ReportMetric(float64(len(titles)), "titles")
+}
+
+// BenchmarkDocVectorColdV2 is the first feedback document of a PRF
+// request on a new process: each op opens CHiC 2012's v2 file afresh
+// (untimed) and reads one forward vector, which builds the forward
+// index. heap-MB is the Go heap the opened index holds live afterwards —
+// its metadata, the forward index, and any term row the build left
+// decoded — measured as BenchmarkPositionalColdV2 measures it.
+func BenchmarkDocVectorColdV2(b *testing.B) {
+	s := suite(b)
+	path := filepath.Join(b.TempDir(), "chic.v2")
+	if err := index.WriteFile(path, s.CHiC2012.Index, index.FormatV2); err != nil {
+		b.Fatal(err)
+	}
+	var heap float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		disk, err := index.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		disk.DocVector(0)
+		b.StopTimer()
+		heap += float64(int64(liveHeap())-int64(before)) / (1 << 20)
+		disk.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(heap/float64(b.N), "heap-MB")
+}
+
+// liveHeap is the Go heap still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkMotifMining measures the future-work template miner over the

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -198,7 +199,10 @@ func (r *Runner) PRFRun(cfg prf.Config, build func(q *dataset.Query) search.Node
 		if base == nil || search.IsEmpty(base) {
 			return nil
 		}
-		return prf.Reformulate(r.Searcher, base, cfg)
+		// run drops a search error; the feedback search's goes the same
+		// way (nil scores the query as empty).
+		node, _ := prf.Reformulate(context.Background(), r.Searcher, base, cfg)
+		return node
 	})
 }
 

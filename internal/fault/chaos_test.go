@@ -446,6 +446,32 @@ func TestChaosSharedSQECEvalIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestChaosPRFFeedbackFaultFailsRequest: a fault in PRF's feedback
+// retrieval is the request's error. A swallowed one would let the
+// request rank without feedback, with no error and no degradation
+// marker to say so.
+func TestChaosPRFFeedbackFaultFailsRequest(t *testing.T) {
+	defer fault.Disarm()
+	env := demoEnv(t)
+	q := env.Queries[0]
+	ctx := context.Background()
+	req := sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10, MotifSet: sqe.MotifTS, PRF: &sqe.PRFConfig{}}
+	for _, r := range []sqe.SearchRequest{req, {Query: q.Text, K: 10, Baseline: true, PRF: &sqe.PRFConfig{}}} {
+		fault.Arm(fault.NewRegistry(37).Set(fault.IndexPostings, fault.Policy{ErrRate: 1, MaxFaults: 1}))
+		resp, err := env.Engine.Do(ctx, r)
+		fault.Disarm()
+		if err == nil {
+			t.Fatalf("baseline=%v: a feedback fault returned %d results (Degraded %+v), want the fault", r.Baseline, len(resp.Results), resp.Degraded)
+		}
+		if !fault.IsInjected(err) {
+			t.Fatalf("baseline=%v: error %v is not the injected fault", r.Baseline, err)
+		}
+		if _, err := env.Engine.Do(ctx, r); err != nil {
+			t.Fatalf("baseline=%v: disarmed: %v", r.Baseline, err)
+		}
+	}
+}
+
 // TestChaosCacheFaultIsHarmless fails every expansion-cache access: the
 // cache must degrade to misses/skips — identical results, no error, and
 // no degradation marker (a cold cache is not a degraded response).

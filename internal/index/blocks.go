@@ -1,5 +1,7 @@
 package index
 
+import "errors"
+
 // The block directory of the v2 on-disk format (v2.go). A postings list
 // is stored as consecutive fixed-size blocks of DefaultBlockSize
 // postings (the last block may be short); every block carries the same
@@ -17,8 +19,9 @@ package index
 //     untrusted file cannot understate the bounds MaxScore's safety
 //     rests on without one of the two noticing.
 //
-// An in-memory index derives the summaries only when it is written out
-// (encodeV2); a v2 load reads them from the file.
+// A writer derives each block's summary from the postings it encodes
+// (v2Writer.appendRows); a v2 load reads them from the file, and an
+// in-memory index holds none.
 
 // DefaultBlockSize is the number of postings per block. 128 keeps the
 // per-block metadata under 1% of a typical compressed block while
@@ -34,28 +37,6 @@ type BlockBounds struct {
 	// LastDoc is the largest DocID in the block.
 	LastDoc DocID
 	TermBounds
-}
-
-// blockBoundsOf splits p into blocks of size bs and summarises each.
-func blockBoundsOf(p *Postings, docLens []int32, bs int) []BlockBounds {
-	if len(p.Docs) == 0 {
-		return nil
-	}
-	nb := (len(p.Docs) + bs - 1) / bs
-	out := make([]BlockBounds, nb)
-	for b := 0; b < nb; b++ {
-		lo := b * bs
-		hi := lo + bs
-		if hi > len(p.Docs) {
-			hi = len(p.Docs)
-		}
-		sub := Postings{Docs: p.Docs[lo:hi], Freqs: p.Freqs[lo:hi]}
-		out[b] = BlockBounds{
-			LastDoc:    p.Docs[hi-1],
-			TermBounds: boundsOf(&sub, docLens),
-		}
-	}
-	return out
 }
 
 // mergeBlockBounds recomposes the whole-list summary from per-block
@@ -91,36 +72,18 @@ func (ix *Index) blockSizeOf() int {
 // form: what a file it was loaded from uses, or what writing it will.
 func (ix *Index) BlockSize() int { return ix.blockSizeOf() }
 
-// SetBlockSize overrides the block size the index is written with in
-// FormatV2. It exists for tests and tuning experiments that need many
-// short blocks on small corpora; it must be called before the index is
-// first written or loaded — once the block summaries exist the call is
-// rejected. Searching an in-memory index does not derive them.
+// SetBlockSize overrides the block size an in-memory index is written
+// with in FormatV2, from its next write on. It exists for tests and
+// tuning experiments that need many short blocks on small corpora. An
+// index loaded from a v2 file keeps the file's block size and refuses
+// the call.
 func (ix *Index) SetBlockSize(n int) error {
 	if n < 1 || n > maxBlockSize {
 		return errBlockSizeRange(n)
 	}
-	if ix.blockBounds != nil {
-		return errBlockSizeLate
+	if ix.lazy != nil {
+		return errors.New("index: SetBlockSize on an index loaded from a v2 file")
 	}
 	ix.blockSize = n
 	return nil
-}
-
-// ensureBlockBounds derives every term's block summaries exactly once,
-// for encodeV2 to write. A v2 load pre-populates them from the file's
-// block directory, in which case the first call finds them present and
-// keeps them.
-func (ix *Index) ensureBlockBounds() {
-	ix.blockOnce.Do(func() {
-		if ix.blockBounds != nil {
-			return
-		}
-		bs := ix.blockSizeOf()
-		bb := make([][]BlockBounds, len(ix.postings))
-		for i := range ix.postings {
-			bb[i] = blockBoundsOf(&ix.postings[i], ix.docLens, bs)
-		}
-		ix.blockBounds = bb
-	})
 }

@@ -58,9 +58,8 @@ func minDocLenOf(docLens []int32) int32 {
 }
 
 // ensureBounds computes the per-term summaries and the corpus minimum
-// document length exactly once. Decode pre-populates both (validating
-// them against the file's postings as it goes), in which case the
-// first call finds them present and keeps them.
+// document length exactly once. A v2 load pre-populates both from the
+// file, in which case the first call finds them present and keeps them.
 func (ix *Index) ensureBounds() {
 	ix.boundsOnce.Do(func() {
 		if ix.termBounds != nil {

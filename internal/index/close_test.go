@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,9 +121,10 @@ func TestOpenCloseLeakFree(t *testing.T) {
 	}
 }
 
-// TestUseAfterCloseMaterialize: touching a not-yet-materialised term
-// after Close must record the canonical error and score the term as
-// absent — never read the unmapped region.
+// TestUseAfterCloseMaterialize: decoding a term's row after Close must
+// record the canonical error and read the term as absent — never read
+// the unmapped region. A row decoded before Close is the caller's heap
+// copy and stays valid.
 func TestUseAfterCloseMaterialize(t *testing.T) {
 	ix := randomIndex(t, 100, 17)
 	path := filepath.Join(t.TempDir(), "ix.v2")
@@ -133,26 +135,26 @@ func TestUseAfterCloseMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Materialise one term before Close: its copy must survive.
 	pre := got.PostingsFor("a")
 	if pre == nil || len(pre.Docs) == 0 {
-		t.Fatal("pre-close materialisation failed")
+		t.Fatal("pre-close decode failed")
 	}
-	preDocs := len(pre.Docs)
+	want := ix.PostingsFor("a")
 	if err := got.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The already-materialised row is a heap copy and stays valid.
-	if p := got.PostingsFor("a"); p == nil || len(p.Docs) != preDocs {
-		t.Fatal("materialised row did not survive Close")
+	if !slices.Equal(pre.Docs, want.Docs) || !slices.Equal(pre.Positions[len(pre.Positions)-1], want.Positions[len(want.Positions)-1]) {
+		t.Fatal("the row decoded before Close did not survive it")
 	}
-	// A fresh term cannot decode any more: empty row + recorded error.
-	if p := got.PostingsFor("b"); p != nil && len(p.Docs) != 0 {
-		t.Fatalf("post-close materialisation produced %d postings", len(p.Docs))
+	// No term decodes any more: empty row + recorded error.
+	for _, term := range []string{"a", "b"} {
+		if p := got.PostingsFor(term); p != nil && len(p.Docs) != 0 {
+			t.Fatalf("post-close decode of %q produced %d postings", term, len(p.Docs))
+		}
 	}
 	err = got.Err()
 	if err == nil {
-		t.Fatal("post-close materialisation left Err() nil")
+		t.Fatal("post-close decode left Err() nil")
 	}
 	if !strings.Contains(err.Error(), "after Close") {
 		t.Fatalf("recorded %v, want the after-Close error", err)

@@ -7,21 +7,28 @@ type TermFreq struct {
 }
 
 // DocVector returns the term-frequency vector of doc (term IDs with
-// frequencies, unordered). The forward index is materialised lazily on
-// first use and cached; it is what pseudo-relevance feedback needs to
-// estimate P(w|D) over the feedback documents.
+// frequencies, unordered). The forward index is built on first use and
+// cached; it is what pseudo-relevance feedback needs to estimate P(w|D)
+// over the feedback documents. The build walks every term once with one
+// plain-mode cursor (a v2 file's positions are validated and dropped),
+// so no term row is kept beside it.
 func (ix *Index) DocVector(doc DocID) []TermFreq {
 	ix.fwdOnce.Do(ix.buildForward)
 	return ix.forward[doc]
 }
 
 func (ix *Index) buildForward() {
-	ix.materializeAll() // inversion walks every postings row
 	ix.forward = make([][]TermFreq, len(ix.docNames))
-	for tid := range ix.postings {
-		p := &ix.postings[tid]
-		for i, doc := range p.Docs {
-			ix.forward[doc] = append(ix.forward[doc], TermFreq{Term: int32(tid), Freq: p.Freqs[i]})
+	var c TermCursor
+	for id := range int32(len(ix.termText)) {
+		c.resetTerm(ix, id, false)
+		for d := c.Doc(); d != DocEnd; d = c.Next() {
+			// Freq is 0 only for a block that failed to decode, which
+			// exhausts the cursor and is recorded on Err.
+			if f := c.Freq(); f > 0 {
+				ix.forward[d] = append(ix.forward[d], TermFreq{Term: id, Freq: f})
+			}
 		}
 	}
+	c.Release()
 }

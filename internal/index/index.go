@@ -45,10 +45,12 @@ func (p *Postings) reset() {
 }
 
 // Index is an immutable positional inverted index. Build one with a
-// Builder.
+// Builder, or Open a FormatV2 file.
 type Index struct {
 	analyzer analysis.Analyzer
 	terms    map[string]int32
+	// postings holds an in-memory index's rows; nil on a v2-backed one,
+	// which keeps no row (see readRow).
 	postings []Postings
 	termText []string
 
@@ -67,15 +69,13 @@ type Index struct {
 	termBounds []TermBounds
 	minDocLen  int32
 
-	// The v2 block directory's summaries (see blocks.go): loaded from a
-	// v2 file, or derived when an in-memory index is written as one.
-	blockOnce   sync.Once
+	// The v2 block directory's summaries (see blocks.go), loaded and
+	// validated by Open and never written after; nil in memory.
 	blockBounds [][]BlockBounds
 	blockSize   int // 0 means DefaultBlockSize
 
 	// lazy is the mmap-backed postings source of a FormatV2 index (see
-	// v2.go); nil for in-memory indexes. When set, ix.postings starts as
-	// zero values and stays so unless termPostings decodes a row.
+	// v2.go); nil for in-memory indexes.
 	lazy *lazyPostings
 
 	// positionals memoises resolved phrase/window leaves for the life of
@@ -86,9 +86,10 @@ type Index struct {
 // Close releases the resources of an index loaded from a FormatV2 file
 // (the mmap region); it is a no-op for in-memory indexes. What was
 // copied out before Close stays valid: resolved phrase/window leaves and
-// any materialised row. Reads of the mapping after Close are refused,
-// not performed — a cursor exhausts, a phrase or window resolves empty,
-// and Err names the Close — so the index must not be searched after it.
+// the rows PostingsFor returned. Reads of the mapping after Close are
+// refused, not performed — a cursor exhausts, a phrase or window resolves
+// empty, a row reads empty, and Err names the Close — so the index must
+// not be searched after it.
 func (ix *Index) Close() error {
 	if ix.lazy == nil {
 		return nil
@@ -107,30 +108,47 @@ func (ix *Index) Err() error {
 	return ix.lazy.err()
 }
 
-// materializeAll forces every lazily-backed postings row into memory —
-// the full-index walks (forward vectors, re-encoding, WithVerify) need
-// the real rows, not the on-demand view.
-func (ix *Index) materializeAll() {
-	if ix.lazy == nil {
-		return
+// readRow returns term id's postings row: an in-memory index's own row,
+// shared, or a v2-backed index's decoded into scratch, which the caller
+// owns. It is the one whole-row reader of a v2 file — re-encoding, the
+// shard split and PostingsFor read through it; queries, the forward
+// index and WithVerify read through block cursors (stream.go). A closed
+// mapping is not read. A failed checksum or decode, and a stored block
+// summary or cf the postings contradict, are recorded on Err, as a
+// cursor records them, and nothing Open validated is rewritten; a term
+// that fails yields the empty row.
+func (ix *Index) readRow(id int32, scratch *Postings) *Postings {
+	lz := ix.lazy
+	if lz == nil {
+		return &ix.postings[id]
 	}
-	for id := range ix.postings {
-		ix.termPostings(int32(id))
+	p := scratch
+	p.reset()
+	if lz.closed.Load() {
+		lz.record(fmt.Errorf("index: term %q read after Close", ix.termText[id]))
+		return p
 	}
-}
-
-// termPostings returns term id's postings row, decoding it first when
-// the index is backed by a v2 file — whereupon the decoded row, positions
-// and all, stays on the heap for the life of the index. Serving never
-// asks for one: term leaves and phrase/window fills stream through block
-// cursors, and Explain reads a term's tf through one. On a v2 index only
-// materializeAll (the forward index, WithVerify, re-encoding) and the
-// exported PostingsFor / PostingsByID materialise a row.
-func (ix *Index) termPostings(id int32) *Postings {
-	if lz := ix.lazy; lz != nil {
-		lz.once[id].Do(func() { lz.materialize(ix, id) })
+	for b, want := range ix.blockBounds[id] {
+		slot, buf, base, cnt := lz.blockAt(ix, id, b)
+		if !lz.verifyBlock(slot, buf) {
+			lz.record(fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[id], b))
+			p.reset()
+			return p
+		}
+		derived, err := decodeBlock(buf, base, cnt, int32(len(ix.docLens)), ix.docLens, p)
+		if err != nil {
+			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], b, err))
+			p.reset()
+			return p
+		}
+		if derived != want {
+			lz.record(errBoundsLie(ix, id, b))
+		}
 	}
-	return &ix.postings[id]
+	if got := p.CollectionFreq(); got != lz.cf[id] {
+		lz.record(errCFLie(ix, id, got))
+	}
+	return p
 }
 
 // StreamableTerm reports whether term can be served by a streaming
@@ -160,11 +178,12 @@ func (ix *Index) StoredTermBounds(id int32) TermBounds {
 	return ix.termBounds[id]
 }
 
-// PostingsByID returns term id's postings row, decoding it first when
-// the index is backed by a v2 file. Shared with the index; do not
-// modify.
+// PostingsByID returns term id's postings row. On an in-memory index
+// the row is shared with the index and must not be modified; on a
+// v2-backed one every call decodes a fresh row the caller owns, and the
+// index keeps none of it.
 func (ix *Index) PostingsByID(id int32) *Postings {
-	return ix.termPostings(id)
+	return ix.readRow(id, new(Postings))
 }
 
 // Analyzer returns the analyzer documents were indexed with; queries must
@@ -175,7 +194,7 @@ func (ix *Index) Analyzer() analysis.Analyzer { return ix.analyzer }
 func (ix *Index) NumDocs() int { return len(ix.docNames) }
 
 // NumTerms returns the vocabulary size.
-func (ix *Index) NumTerms() int { return len(ix.postings) }
+func (ix *Index) NumTerms() int { return len(ix.termText) }
 
 // TotalTokens returns the collection length |C| in tokens (post-analysis).
 func (ix *Index) TotalTokens() int64 { return ix.totalToks }
@@ -197,25 +216,30 @@ func (ix *Index) TermID(term string) (int32, bool) {
 func (ix *Index) TermText(id int32) string { return ix.termText[id] }
 
 // PostingsFor returns the postings of an analyzed term, or nil when the
-// term is out of vocabulary. The returned struct is shared with the index
-// and must not be modified.
+// term is out of vocabulary. As with PostingsByID, an in-memory index's
+// row is shared and must not be modified, and a v2-backed index decodes
+// a fresh one per call.
 func (ix *Index) PostingsFor(term string) *Postings {
 	id, ok := ix.terms[term]
 	if !ok {
 		return nil
 	}
-	return ix.termPostings(id)
+	return ix.PostingsByID(id)
 }
 
 // CollectionProb returns the collection language-model probability
 // P(w|C) = cf(w)/|C|, with add-epsilon flooring for out-of-vocabulary
-// terms so that log-probabilities stay finite.
+// terms so that log-probabilities stay finite. A v2-backed index reads
+// the stored cf; nothing is decoded.
 func (ix *Index) CollectionProb(term string) float64 {
-	cf := int64(0)
-	if p := ix.PostingsFor(term); p != nil {
-		cf = p.CollectionFreq()
+	id, ok := ix.terms[term]
+	switch {
+	case !ok:
+		return ix.FloorProb(0)
+	case ix.lazy != nil:
+		return ix.FloorProb(ix.lazy.cf[id])
 	}
-	return ix.FloorProb(cf)
+	return ix.FloorProb(ix.postings[id].CollectionFreq())
 }
 
 // FloorProb converts a collection frequency into a probability with a

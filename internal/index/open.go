@@ -26,8 +26,8 @@ const (
 	// layout (doc table, term dictionary, block directory, postings
 	// blocks) designed to be mmap'd. Open returns instantly after
 	// validating the metadata sections and checksumming the blocks;
-	// postings decode lazily per term or, under a streaming cursor, per
-	// block, and the block directory carries each block's last document
+	// postings decode one block at a time under streaming cursors, and
+	// the block directory carries each block's last document
 	// (what a cursor skips undecoded blocks by) and the bound summaries
 	// that vouch for the whole-list bounds.
 	FormatV2 Format = 2
@@ -60,10 +60,13 @@ type OpenOption func(*openOptions)
 
 // WithVerify makes Open of a FormatV2 file decode and validate every
 // postings block up front instead of lazily, failing Open on the first
-// inconsistency. This forfeits the instant-startup property and is
-// meant for files of untrusted provenance and for integrity tooling;
-// the default validation (metadata cross-checks + a full CRC scan)
-// already rejects any flip/truncate corruption.
+// inconsistency: a block's checksum, structure or positions, a stored
+// block summary its postings contradict, a stored cf that is not the sum
+// of the term's frequencies. It walks each term with one block cursor
+// and keeps nothing it decoded. This forfeits the instant-startup
+// property and is meant for files of untrusted provenance and for
+// integrity tooling; the default validation (metadata cross-checks + a
+// full CRC scan) already rejects any flip/truncate corruption.
 func WithVerify() OpenOption {
 	return func(o *openOptions) { o.verify = true }
 }
@@ -95,13 +98,32 @@ func Open(path string, opts ...OpenOption) (*Index, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if o.verify {
-		ix.materializeAll()
-		if err := ix.Err(); err != nil {
+		if err := ix.verify(); err != nil {
 			ix.Close()
 			return nil, fmt.Errorf("%s: verify: %w", path, err)
 		}
 	}
 	return ix, nil
+}
+
+// verify walks every term of a v2-backed index with a plain-mode
+// cursor, which checksums, decodes and re-derives the summary of each
+// block, and sums the term's frequencies against its stored cf. It
+// returns Err: the first problem the walk, or anything before it,
+// recorded.
+func (ix *Index) verify() error {
+	var c TermCursor
+	for id := range int32(len(ix.termText)) {
+		var cf int64
+		for c.ResetStream(ix, id); c.Doc() != DocEnd; c.Next() {
+			cf += int64(c.Freq())
+		}
+		if cf != ix.lazy.cf[id] {
+			ix.lazy.record(errCFLie(ix, id, cf))
+		}
+	}
+	c.Release()
+	return ix.Err()
 }
 
 // sniffMagic reads the 6-byte header that identifies the format.

@@ -18,7 +18,7 @@ package index
 // this: it resolves phrases through PhraseLeaf, which runs the same
 // intersection once per index and keeps counts only.
 func (ix *Index) PhrasePostings(terms []string) Postings {
-	return ix.materialize(terms, 0, chainMatches)
+	return ix.positionalPostings(terms, 0, chainMatches)
 }
 
 // advance moves cursor forward in docs (sorted ascending) until

@@ -105,11 +105,7 @@ func (sc *PositionalScratch) intersect(ix *Index, width int32, match positionMat
 	sc.pos = zeroed(sc.pos, n)
 	rarest := 0
 	for i, id := range sc.ids {
-		if ix.lazy != nil {
-			curs[i].ResetStreamPositions(ix, id)
-		} else {
-			curs[i].Reset(&ix.postings[id])
-		}
+		curs[i].resetTerm(ix, id, true)
 		if curs[i].Len() < curs[rarest].Len() {
 			rarest = i
 		}
@@ -158,10 +154,10 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// materialize is the caller-owned, position-carrying form of a
+// positionalPostings is the caller-owned, position-carrying form of a
 // positional leaf — the contract of the exported PhrasePostings and
 // UnorderedWindowPostings. Every slice of the result is fresh.
-func (ix *Index) materialize(terms []string, width int32, match positionMatcher) Postings {
+func (ix *Index) positionalPostings(terms []string, width int32, match positionMatcher) Postings {
 	var sc PositionalScratch
 	if len(terms) == 0 || !sc.termIDs(ix, terms) {
 		return Postings{}

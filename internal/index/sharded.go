@@ -31,13 +31,11 @@ type Sharded struct {
 // streaming cursors as an mmap'd index and shares nothing with ix: ix
 // may be closed once NewSharded returns. ix must therefore be an index a
 // v2 file can hold (names and terms up to 64 KiB); NewSharded panics on
-// one that is not. A v2-backed ix stays lazy: the split decodes one
-// term's blocks at a time into a reused row and materialises none. A
-// block that fails its checksum or decode, or whose stored bounds its
-// postings contradict, is recorded on ix.Err, as materialising it would
-// record it; a failed term splits as empty, and the shards' bounds are
-// derived from what they hold. Stored document texts are carried over
-// per shard.
+// one that is not. A v2-backed ix is read one term at a time into a
+// reused row (readRow), so a block that fails its checksum or decode, or
+// whose stored bounds its postings contradict, is recorded on ix.Err; a
+// failed term splits as empty, and the shards' bounds are derived from
+// what they hold. Stored document texts are carried over per shard.
 func NewSharded(ix *Index, n int) *Sharded {
 	if nd := ix.NumDocs(); n > nd {
 		n = nd
@@ -84,7 +82,7 @@ func splitImages(ix *Index, n int) [][]byte {
 		for s := range rows {
 			rows[s].reset()
 		}
-		p := ix.splitRow(int32(id), &scratch)
+		p := ix.readRow(int32(id), &scratch)
 		for i, g := range p.Docs {
 			// Docs ascend globally, and g div n is monotone within a
 			// residue class, so each shard's row stays sorted.
@@ -105,45 +103,6 @@ func splitImages(ix *Index, n int) [][]byte {
 		imgs[s], out[s] = out[s].image(), nil
 	}
 	return imgs
-}
-
-// splitRow returns term id's postings for the split: an in-memory row as
-// it stands, a v2-backed one decoded into scratch with ix.postings left
-// alone. A closed mapping is not read. Failures and stored block bounds
-// that disagree with the decoded postings are recorded as lazyPostings
-// .decode records them; a failed term yields the empty row.
-func (ix *Index) splitRow(id int32, scratch *Postings) *Postings {
-	lz := ix.lazy
-	if lz == nil {
-		return &ix.postings[id]
-	}
-	p := scratch
-	p.reset()
-	if lz.closed.Load() {
-		lz.record(fmt.Errorf("index: term %q split after Close", ix.termText[id]))
-		return p
-	}
-	for b, want := range ix.blockBounds[id] {
-		slot, buf, base, cnt := lz.blockAt(ix, id, b)
-		if !lz.verifyBlock(slot, buf) {
-			lz.record(fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[id], b))
-			p.reset()
-			return p
-		}
-		derived, err := decodeBlock(buf, base, cnt, int32(len(ix.docLens)), ix.docLens, p)
-		if err != nil {
-			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], b, err))
-			p.reset()
-			return p
-		}
-		if derived != want {
-			lz.record(fmt.Errorf("index: term %q block %d stored bounds disagree with its postings", ix.termText[id], b))
-		}
-	}
-	if got := p.CollectionFreq(); got != lz.cf[id] {
-		lz.record(fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], lz.cf[id], got))
-	}
-	return p
 }
 
 // NumShards returns the shard count S.

@@ -156,7 +156,7 @@ func TestNewShardedClamps(t *testing.T) {
 // memory: shard s holds the global documents g ≡ s (mod n) under local
 // IDs g div n, and every term of ix, in ix's term order, with the
 // postings that route to it, positions aliased. It reads ix through
-// PostingsByID, so a v2-backed ix is materialised.
+// PostingsByID.
 func referenceShards(ix *Index, n int) []*Index {
 	shards := make([]*Index, n)
 	for s := range shards {
@@ -271,13 +271,8 @@ func TestNewShardedMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if p.ix.lazy != nil {
-				if k := materialised(p.ix); k != 0 {
-					t.Fatalf("%s: the split materialised %d parent rows", label, k)
-				}
-				if err := p.ix.Err(); err != nil {
-					t.Fatalf("%s: the split recorded %v", label, err)
-				}
+			if err := p.ix.Err(); err != nil {
+				t.Fatalf("%s: the split recorded %v", label, err)
 			}
 		}
 	}
@@ -344,9 +339,6 @@ func TestNewShardedCorruptParent(t *testing.T) {
 			sh := NewSharded(ix, n)
 			if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "stored bounds disagree") {
 				t.Fatalf("n=%d: recorded %v, want the bounds disagreement", n, err)
-			}
-			if k := materialised(ix); k != 0 {
-				t.Fatalf("n=%d: the split materialised %d parent rows", n, k)
 			}
 			requireSplitMatches(t, "lying-bounds", ix, honest, n)
 			for s, ref := range referenceShards(honest, n) {

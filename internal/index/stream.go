@@ -15,18 +15,18 @@ const DocEnd = DocID(math.MaxInt32)
 //
 //   - slice mode (Reset): a window over a fully materialised postings
 //     row — in-memory indexes, phrase/window leaves;
-//   - stream mode (ResetStream, or ResetStreamPositions to decode each
-//     block's position lists too): one ~blockSize-document block of a
-//     FormatV2 term decoded at a time, directly from the mmap'd
-//     postings section. Advance consults the block directory to skip
+//   - stream mode (ResetStream; positions mode, for phrase and window
+//     fills, decodes each block's position lists too): one
+//     ~blockSize-document block of a FormatV2 term decoded at a time,
+//     directly from the mmap'd postings section. Advance consults the block directory to skip
 //     whole blocks without decoding them, and moving onto a block whose
 //     first document already satisfies the target parks the cursor
 //     there pending — reading only the block's first uvarint — so a
 //     merely-peeked block costs no decode at all. Decode happens lazily
 //     on the first Freq/Positions/Next/in-block landing, with the same per-block
-//     CRC check and bound re-derivation as the eager materialiser;
-//     failures are recorded on the index (Index.Err) and exhaust the
-//     cursor instead of panicking.
+//     CRC check and bound re-derivation as readRow; failures are
+//     recorded on the index (Index.Err) and exhaust the cursor instead
+//     of panicking.
 //
 // Rank/Len expose the cursor's absolute position so callers can account
 // skipped postings exactly as the materialised evaluator did; Decoded
@@ -94,9 +94,17 @@ func (c *TermCursor) Reset(p *Postings) {
 // The index must be lazy-backed (StreamableTerm reported true).
 func (c *TermCursor) ResetStream(ix *Index, id int32) { c.resetStream(ix, id, false) }
 
-// ResetStreamPositions is ResetStream in positions mode: every block the
-// cursor decodes also yields its position lists, which Positions serves.
-func (c *TermCursor) ResetStreamPositions(ix *Index, id int32) { c.resetStream(ix, id, true) }
+// resetTerm points the cursor at term id as ix serves it: streaming on
+// a v2-backed index, over the term's row otherwise. withPos selects
+// positions mode for a stream: every block the cursor decodes also
+// yields its position lists, which Positions serves.
+func (c *TermCursor) resetTerm(ix *Index, id int32, withPos bool) {
+	if ix.lazy == nil {
+		c.Reset(&ix.postings[id])
+		return
+	}
+	c.resetStream(ix, id, withPos)
+}
 
 func (c *TermCursor) resetStream(ix *Index, id int32, withPos bool) {
 	lz := ix.lazy
@@ -375,7 +383,7 @@ func (c *TermCursor) peekFirst(b int) (DocID, bool) {
 
 // decodeStream decodes block b into the given slices, with the same
 // closed-index guard, CRC check, structural validation and error
-// taxonomy as the eager materialiser. Positions are always validated;
+// taxonomy as readRow. Positions are always validated;
 // they are kept only when positions is non-nil, in the cursor's reused
 // backing.
 func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32, positions *[][]int32) error {
@@ -395,9 +403,9 @@ func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32, position
 }
 
 // loadBlock decodes block b into the reusable window and re-derives its
-// bound summary, recording a disagreement with the directory the same
-// way the eager path does. On decode failure the error is recorded and
-// the cursor exhausts (the term degrades, it does not panic).
+// bound summary, recording a disagreement with the directory as readRow
+// does. On decode failure the error is recorded and the cursor exhausts
+// (the term degrades, it does not panic).
 func (c *TermCursor) loadBlock(b int) bool {
 	c.wdocs = c.wdocs[:0]
 	c.wfreqs = c.wfreqs[:0]
@@ -416,11 +424,10 @@ func (c *TermCursor) loadBlock(b int) bool {
 	sub := Postings{Docs: c.wdocs, Freqs: c.wfreqs}
 	derived := BlockBounds{LastDoc: c.wdocs[len(c.wdocs)-1], TermBounds: boundsOf(&sub, c.ix.docLens)}
 	if derived != c.blocks[b] {
-		// Unlike the materialiser this cannot adopt the derived values
-		// (other cursors may already have consulted the stored ones), so
-		// a lying directory degrades the index instead: the event is
-		// recorded and surfaced via Index.Err.
-		c.ix.lazy.record(fmt.Errorf("index: term %q stored block bounds disagreed with postings (corrected)", c.ix.termText[c.id]))
+		// The stored values stay: other cursors read them concurrently,
+		// and may already have pruned by them. A lying directory
+		// degrades the index instead, through Index.Err.
+		c.ix.lazy.record(errBoundsLie(c.ix, c.id, b))
 	}
 	c.docs, c.freqs = c.wdocs, c.wfreqs
 	if c.withPos {

@@ -45,7 +45,7 @@ func streamPair(t *testing.T, img []byte, term string) (*Index, int32, *Postings
 // TestStreamCursorMatchesSliceCursor: full differential — every walk a
 // streaming cursor can take (next-walk, advance to every present and
 // absent document, peeks at every position) must agree with a slice
-// cursor over the materialised row, and so must the position lists a
+// cursor over the decoded row, and so must the position lists a
 // positions-mode cursor serves. Block sizes force single-block,
 // partial-trailing-block and whole-list-in-one-block shapes.
 func TestStreamCursorMatchesSliceCursor(t *testing.T) {
@@ -65,7 +65,7 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 			// Walk with Next in positions mode, checking Doc/Freq/Rank/
 			// PeekNext/Positions at every step.
 			var sc TermCursor
-			sc.ResetStreamPositions(sx, id)
+			sc.resetStream(sx, id, true)
 			if sc.Len() != len(p.Docs) {
 				t.Fatalf("%s: Len=%d want %d", label, sc.Len(), len(p.Docs))
 			}
@@ -122,7 +122,7 @@ func TestStreamCursorMatchesSliceCursor(t *testing.T) {
 			// Positions, in positions mode.
 			rng := rand.New(rand.NewSource(int64(bs)))
 			var st, sl TermCursor
-			st.ResetStreamPositions(sx, id)
+			st.resetStream(sx, id, true)
 			sl.Reset(p)
 			for op := 0; op < 500 && st.Doc() != DocEnd; op++ {
 				switch rng.Intn(5) {
@@ -335,8 +335,8 @@ func tamperExtent(t *testing.T, ix *Index, id int32, b, shift, shrink int) {
 
 // TestStreamErrorTaxonomyMatchesEager: for the same tampered directory
 // entry — offset pointing mid-block, or size truncating the block — the
-// streaming cursor must record exactly the error the eager materialiser
-// records (same wrap, same taxonomy). Walked with Next so both paths
+// streaming cursor must record exactly the error the whole-row reader
+// behind PostingsFor records (same wrap, same taxonomy). Walked with Next so both paths
 // meet the tampered block as their first failure.
 func TestStreamErrorTaxonomyMatchesEager(t *testing.T) {
 	const bs = 4
@@ -358,7 +358,8 @@ func TestStreamErrorTaxonomyMatchesEager(t *testing.T) {
 		{"truncated block", 0, 1},
 		{"shifted and truncated", 2, 2},
 	} {
-		// Eager leg: materialise the term, collect the recorded error.
+		// Eager leg: decode the term's whole row, collect the recorded
+		// error.
 		eager := openV2Heap(t, append([]byte(nil), img...))
 		eid, ok := eager.StreamableTerm("a")
 		if !ok {
@@ -369,7 +370,7 @@ func TestStreamErrorTaxonomyMatchesEager(t *testing.T) {
 		eagerErr := eager.Err()
 
 		// Streaming leg: identical tamper, full Next-walk (decodes blocks
-		// in the same order the materialiser does).
+		// in the same order the row reader does).
 		stream := openV2Heap(t, append([]byte(nil), img...))
 		sid, _ := stream.StreamableTerm("a")
 		tamperExtent(t, stream, sid, 1, tc.shift, tc.shrink)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/analysis"
@@ -53,23 +52,23 @@ import (
 // (stored whole-list bounds must equal the merge of the stored block
 // bounds; directory lengths must tile the postings section exactly) and
 // CRC-scans the postings blocks, so flip/truncate corruption anywhere
-// in the file fails Open deterministically. Postings are then served
-// two ways. Streaming block cursors (TermCursor.ResetStream, stream.go)
-// serve every query: term leaves, and — in positions mode
-// (ResetStreamPositions), one cursor per constituent — the phrase and
-// window intersections behind positional leaves. They decode one block
-// at a time into a reused window and TRUST the stored, CRC-tied,
-// Open-cross-validated directory for block selection and score bounds;
-// they re-derive each decoded block's summary and record a disagreement
-// via Index.Err, so a CRC-consistent file whose bounds lie is detected
-// the moment a lied-about block is decoded and the query degrades
-// rather than silently dropping documents. Whole-row materialisation
-// (termPostings) decodes a term into ix.postings, kept for the life of
-// the index; only the full-index walks (forward vectors, re-encoding,
-// WithVerify) use it. That decoder ADOPTS the re-derived bounds on
-// disagreement (recording the event via Index.Err). Open(...,
-// WithVerify()) forces every term through it up front, the right mode
-// for untrusted files.
+// in the file fails Open deterministically. What Open validated is never
+// written again. Postings are then read two ways, with one failure
+// policy. Streaming block cursors (TermCursor.ResetStream, stream.go)
+// serve every query, the forward index and Open(..., WithVerify()):
+// term leaves, and — in positions mode, one
+// cursor per constituent — the phrase and window intersections behind
+// positional leaves. They decode one block at a time into a reused
+// window and TRUST the stored, CRC-tied, Open-cross-validated directory
+// for block selection and score bounds. readRow (index.go) decodes one
+// whole term into a caller's scratch row, for re-encoding, the shard
+// split and PostingsFor; the index keeps no row. Both re-derive each
+// decoded block's summary and record a disagreement via Index.Err, so a
+// CRC-consistent file whose bounds lie is detected the moment a
+// lied-about block is decoded and the query degrades rather than
+// silently dropping documents. WithVerify walks every term up front and
+// fails Open on the first such record, the right mode for untrusted
+// files.
 
 var indexMagicV2 = []byte("SQEBX\x01")
 
@@ -99,8 +98,6 @@ func prealloc(n uint64) int {
 	return int(n)
 }
 
-var errBlockSizeLate = errors.New("index: SetBlockSize after block summaries were derived")
-
 func errBlockSizeRange(n int) error {
 	return fmt.Errorf("index: block size %d outside [1, %d]", n, maxBlockSize)
 }
@@ -112,7 +109,6 @@ type lazyPostings struct {
 	post    []byte        // postings section (a view into the mapping)
 	extents []blockExtent // one per block, directory order
 	starts  []int32       // per term: first extent index; len numTerms+1
-	once    []sync.Once   // per term
 	df      []int32       // per term: stored document frequency
 	cf      []int64       // per term: stored collection frequency
 	blockSz int
@@ -175,17 +171,6 @@ func (lz *lazyPostings) record(err error) {
 	lz.firstErr.CompareAndSwap(nil, &err)
 }
 
-// materialize decodes term id's blocks into ix.postings[id]. Called
-// under the term's sync.Once. Structural failures leave the row empty
-// (the term scores as if absent) and are recorded — unreachable in
-// practice behind Open's CRC scan, but the decoder refuses to guess.
-// Bound summaries that disagree with the decoded postings are replaced
-// by the derived (exact) values, keeping pruning score-safe even when a
-// CRC-consistent file lies about them.
-func (lz *lazyPostings) materialize(ix *Index, id int32) {
-	ix.postings[id] = lz.decode(ix, id)
-}
-
 // blockAt locates block b of term id: its directory slot, its bytes, the
 // document its first delta is coded against (the previous block's
 // stored LastDoc; -1, absolute, for the term's first) and its posting
@@ -200,67 +185,20 @@ func (lz *lazyPostings) blockAt(ix *Index, id int32, b int) (slot int, buf []byt
 	return slot, lz.post[ext.off : ext.off+int64(ext.size)], base, min(lz.blockSz, int(lz.df[id])-b*lz.blockSz)
 }
 
-// decode decodes term id's blocks into a fresh row; a failure is
-// recorded and yields the empty row. Each block's bound summary is
-// re-derived, and a stored one the postings contradict is overwritten —
-// which only the holder of the term's Once may do.
-func (lz *lazyPostings) decode(ix *Index, id int32) Postings {
-	if lz.closed.Load() {
-		lz.record(fmt.Errorf("index: term %d materialised after Close", id))
-		return Postings{}
-	}
-	df := int(lz.df[id])
-	if df == 0 {
-		return Postings{}
-	}
-	var p Postings
-	p.Docs = make([]DocID, 0, prealloc(uint64(df)))
-	p.Freqs = make([]int32, 0, prealloc(uint64(df)))
-	p.Positions = make([][]int32, 0, prealloc(uint64(df)))
-	base := DocID(-1) // first block's first doc is absolute
-	dirty := false
-	for b := lz.starts[id]; b < lz.starts[id+1]; b++ {
-		blk := int(b - lz.starts[id])
-		ext := lz.extents[b]
-		buf := lz.post[ext.off : ext.off+int64(ext.size)]
-		if !lz.verifyBlock(int(b), buf) {
-			lz.record(fmt.Errorf("index: term %q block %d checksum mismatch", ix.termText[id], blk))
-			return Postings{}
-		}
-		n := lz.blockSz
-		if rest := df - blk*lz.blockSz; rest < n {
-			n = rest
-		}
-		derived, err := decodeBlock(buf, base, n, int32(len(ix.docLens)), ix.docLens, &p)
-		if want := &ix.blockBounds[id][blk]; err == nil && derived != *want {
-			*want = derived
-			dirty = true
-		}
-		if err != nil {
-			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], blk, err))
-			return Postings{}
-		}
-		base = p.Docs[len(p.Docs)-1]
-	}
-	if dirty {
-		// The directory lied (possible only for a deliberately crafted
-		// file — Open's CRC scan ties it to its stored bytes, not to the
-		// postings). The decoded postings are authoritative: rebuild the
-		// whole-list summary from the corrected blocks and surface the
-		// event. Search materialises a term before reading its bounds,
-		// so the corrected values are the ones pruning sees.
-		ix.termBounds[id] = mergeBlockBounds(ix.blockBounds[id])
-		lz.record(fmt.Errorf("index: term %q stored block bounds disagreed with postings (corrected)", ix.termText[id]))
-	}
-	if got := p.CollectionFreq(); got != lz.cf[id] {
-		lz.record(fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], lz.cf[id], got))
-	}
-	return p
+// errBoundsLie is what a reader records when term id's block b decodes
+// to another summary than the directory stores; errCFLie, when its
+// frequencies sum to got, not the stored cf.
+func errBoundsLie(ix *Index, id int32, b int) error {
+	return fmt.Errorf("index: term %q block %d stored bounds disagree with its postings", ix.termText[id], b)
+}
+
+func errCFLie(ix *Index, id int32, got int64) error {
+	return fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], ix.lazy.cf[id], got)
 }
 
 // decodeBlock decodes one compressed block (exactly n postings) into p
-// and returns the bound summary derived from what it decoded. The
-// materialiser's whole-row form of decodeBlockInto.
+// and returns the bound summary derived from what it decoded: readRow's
+// whole-row form of decodeBlockInto.
 func decodeBlock(buf []byte, base DocID, n int, numDocs int32, docLens []int32, p *Postings) (BlockBounds, error) {
 	var bb BlockBounds
 	start := len(p.Docs)
@@ -310,6 +248,11 @@ func decodeBlockInto(buf []byte, base DocID, n int, numDocs int32, docs *[]DocID
 		dd, err := read()
 		if err != nil {
 			return fmt.Errorf("doc %d: %w", i, err)
+		}
+		// A larger delta would wrap in DocID's 32 bits — onto prev
+		// itself, say — and pass the checks below.
+		if dd >= uint64(numDocs) {
+			return fmt.Errorf("doc %d: delta %d outside corpus of %d", i, dd, numDocs)
 		}
 		var doc DocID
 		if prev < 0 {
@@ -588,24 +531,20 @@ func (w *v2Writer) sections() [][]byte {
 	return [][]byte{head, docsHead, w.docs, docsTail, termsHead, w.terms, termsTail, dir, w.post}
 }
 
-// encodeV2 writes ix in FormatV2. The index must be fully materialised
-// (the writer walks every postings row); encode-side callers guarantee
-// that via materializeAll.
+// encodeV2 writes ix in FormatV2 at its block size. Each term's row —
+// an in-memory index's as it stands, a v2-backed one's decoded by
+// readRow into one reused scratch row — is written by appendRows, which
+// derives every block's summary from the postings it encodes.
 func encodeV2(w io.Writer, ix *Index) error {
-	ix.materializeAll()
-	ix.ensureBlockBounds()
-	bs := ix.blockSizeOf()
-	vw := newV2Writer(ix.analyzer, bs)
+	vw := newV2Writer(ix.analyzer, ix.blockSizeOf())
 	for d, name := range ix.docNames {
 		vw.doc(name, ix.docLens[d])
 	}
 	vw.post = make([]byte, 0, postingsCap(ix, 1))
-	for tid, text := range ix.termText {
-		p := &ix.postings[tid]
-		for b, bb := range ix.blockBounds[tid] {
-			lo := b * bs
-			vw.appendBlock(p, lo, min(lo+bs, len(p.Docs)), bb)
-		}
+	var scratch Postings
+	for id, text := range ix.termText {
+		p := ix.readRow(int32(id), &scratch)
+		vw.appendRows(p, 0, ix.docLens)
 		vw.endTerm(text, len(p.Docs), p.CollectionFreq())
 	}
 	return vw.writeTo(w)
@@ -865,7 +804,6 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 		post:    post,
 		extents: make([]blockExtent, 0, totalBlocks),
 		starts:  make([]int32, len(ix.termText)+1),
-		once:    make([]sync.Once, len(ix.termText)),
 		blockSz: bs,
 		closeFn: closeFn,
 	}
@@ -951,7 +889,6 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 	}
 
 	ix.minDocLen = minDocLenOf(ix.docLens)
-	ix.postings = make([]Postings, len(ix.termText))
 	lz.df = dfs
 	lz.cf = cfs
 	lz.crcOK = make([]uint32, (len(lz.extents)+31)/32)

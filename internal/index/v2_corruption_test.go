@@ -3,8 +3,12 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -115,75 +119,158 @@ func TestV2HostilePrefix(t *testing.T) {
 // lyingV2Bytes renders a small index at block size 4 into a
 // CRC-consistent image that understates term "a": MaxTF and MaxRatioTF
 // are capped at 1 in every block AND in the whole-list summary, so
-// Open's cross-check of the two still holds. honest is the same index
-// with its true summaries.
+// Open's cross-check of the two still holds. honest is the index the
+// image lies about.
 func lyingV2Bytes(t *testing.T) (img []byte, honest *Index) {
 	t.Helper()
-	build := func() *Index {
-		ix := randomIndex(t, 60, 5)
-		if err := ix.SetBlockSize(4); err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	ix, honest := build(), build()
-	ix.ensureBounds()
-	ix.ensureBlockBounds()
-	id := ix.terms["a"]
-	if ix.termBounds[id].MaxTF < 2 {
-		t.Fatalf("corpus too uniform for the lie (MaxTF=%d)", ix.termBounds[id].MaxTF)
-	}
-	for b := range ix.blockBounds[id] {
-		if ix.blockBounds[id][b].MaxTF > 1 {
-			ix.blockBounds[id][b].MaxTF = 1
-		}
-		ix.blockBounds[id][b].MaxRatioTF = 1
-	}
-	ix.termBounds[id] = mergeBlockBounds(ix.blockBounds[id])
-	var buf bytes.Buffer
-	if err := encodeV2(&buf, ix); err != nil {
+	return hostileV2Bytes(t, "bounds")
+}
+
+// hostileV2Bytes renders the index of lyingV2Bytes with term "a"
+// written wrong in a way no checksum catches: "bounds" is
+// lyingV2Bytes's lie, written through appendBlock with explicit bounds;
+// "cf" states a collection frequency one above the postings' sum;
+// "trailing" appends a byte to each of a's blocks, inside the block's
+// CRC. Every other term goes through appendRows, as encodeV2 writes it.
+func hostileV2Bytes(t *testing.T, lie string) (img []byte, honest *Index) {
+	t.Helper()
+	const bs = 4
+	honest = randomIndex(t, 60, 5)
+	if err := honest.SetBlockSize(bs); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), honest
+	if b, _ := honest.BoundsFor("a"); b.MaxTF < 2 {
+		t.Fatalf("corpus too uniform for the lie (MaxTF=%d)", b.MaxTF)
+	}
+	w := newV2Writer(honest.analyzer, bs)
+	for d, name := range honest.docNames {
+		w.doc(name, honest.docLens[d])
+	}
+	for id, text := range honest.termText {
+		p := &honest.postings[id]
+		cf := p.CollectionFreq()
+		switch {
+		case text != "a":
+			w.appendRows(p, 0, honest.docLens)
+		case lie == "cf":
+			w.appendRows(p, 0, honest.docLens)
+			cf++
+		default:
+			for lo := 0; lo < len(p.Docs); lo += bs {
+				hi := min(lo+bs, len(p.Docs))
+				sub := Postings{Docs: p.Docs[lo:hi], Freqs: p.Freqs[lo:hi]}
+				bb := BlockBounds{LastDoc: p.Docs[hi-1], TermBounds: boundsOf(&sub, honest.docLens)}
+				if lie == "bounds" {
+					bb.MaxTF, bb.MaxRatioTF = min(bb.MaxTF, 1), 1
+					w.appendBlock(p, lo, hi, bb)
+					continue
+				}
+				start := len(w.post)
+				w.post = append(encodeBlock(w.post, p, lo, hi, w.lastDoc()), 0)
+				w.block(bb, start, crc32.ChecksumIEEE(w.post[start:]))
+			}
+		}
+		w.endTerm(text, len(p.Docs), cf)
+	}
+	return w.image(), honest
 }
 
 // TestV2LyingBlockBounds: a CRC-consistent file whose block directory
-// understates a block's bounds cannot weaken pruning — the lazy decoder
-// re-derives the summary from the decoded postings, adopts the exact
-// values, and surfaces the event through Err. (Open's cross-check ties
-// the whole-list bounds to the directory, so the lie must be consistent
-// across both to get past Open at all.)
+// understates a block's bounds passes Open (its cross-check ties the
+// whole-list bounds to the directory, so the lie must be consistent
+// across both to get that far), and the first read of the lying term —
+// a whole row or a cursor's block — records the disagreement on Err.
 func TestV2LyingBlockBounds(t *testing.T) {
-	img, honest := lyingV2Bytes(t)
-	orig, _ := honest.BoundsFor("a")
-	got, err := openBytes(t, img)
-	if err != nil {
-		t.Fatalf("consistently lying file must pass Open (lazy decode corrects it): %v", err)
-	}
-	defer got.Close()
-	// Materialising the lying term corrects its summaries...
-	if got.PostingsFor("a") == nil {
-		t.Fatal("term a missing")
-	}
-	if b, _ := got.BoundsFor("a"); b != orig {
-		t.Fatalf("bounds after materialisation = %+v, want corrected %+v", b, orig)
-	}
-	// ...and the event is on the record.
-	if got.Err() == nil {
-		t.Fatal("corrected bound lie left Err() nil")
+	img, _ := lyingV2Bytes(t)
+	for _, read := range []string{"row", "cursor"} {
+		got, err := openBytes(t, img)
+		if err != nil {
+			t.Fatalf("consistently lying file must pass Open: %v", err)
+		}
+		defer got.Close()
+		if got.Err() != nil {
+			t.Fatalf("Err before any read: %v", got.Err())
+		}
+		if read == "row" {
+			got.PostingsFor("a")
+		} else {
+			var c TermCursor
+			c.ResetStream(got, got.terms["a"])
+			c.Freq()
+		}
+		if err := got.Err(); err == nil || !strings.Contains(err.Error(), "stored bounds disagree") {
+			t.Fatalf("%s read: recorded %v, want the bounds disagreement", read, err)
+		}
 	}
 }
 
-// TestV2WithVerifyRejectsLies: eager verification turns the same lie
-// into an Open failure.
-func TestV2WithVerifyRejectsLies(t *testing.T) {
+// TestV2StoredBoundsNeverRewritten: what Open validated is read-only.
+// One goroutine streams the lying term with a cursor, reading its stored
+// bounds as it goes, while another decodes its whole row through
+// PostingsFor. Both record the lie and neither corrects it, so the two
+// do not race (run under -race), and the stored summaries read as Open
+// loaded them afterwards.
+func TestV2StoredBoundsNeverRewritten(t *testing.T) {
 	img, _ := lyingV2Bytes(t)
-	p := filepath.Join(t.TempDir(), "ix")
-	if err := os.WriteFile(p, img, 0o644); err != nil {
-		t.Fatal(err)
+	ix := openV2Heap(t, img)
+	id, _ := ix.StreamableTerm("a")
+	stored, blocks := ix.StoredTermBounds(id), slices.Clone(ix.blockBounds[id])
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var c TermCursor
+		for range 20 {
+			for c.ResetStream(ix, id); c.Doc() != DocEnd; c.Next() {
+				c.Freq()
+				ix.StoredTermBounds(id)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for range 20 {
+			ix.PostingsFor("a")
+		}
+	}()
+	wg.Wait()
+	if got := ix.StoredTermBounds(id); got != stored {
+		t.Fatalf("stored bounds of a rewritten to %+v, Open loaded %+v", got, stored)
 	}
-	if got, err := Open(p, WithVerify()); err == nil {
-		got.Close()
-		t.Fatal("WithVerify accepted a file with lying block bounds")
+	if !slices.Equal(ix.blockBounds[id], blocks) {
+		t.Fatal("the block directory of a was rewritten")
+	}
+	if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "stored bounds disagree") {
+		t.Fatalf("recorded %v, want the bounds disagreement", err)
+	}
+}
+
+// TestV2WithVerifyRejectsLies: files that pass Open's checks but lie
+// about term "a" — its bounds, its cf, its blocks' bytes — fail Open
+// under WithVerify, each with its own error.
+func TestV2WithVerifyRejectsLies(t *testing.T) {
+	for lie, want := range map[string]string{
+		"bounds":   "stored bounds disagree",
+		"cf":       "stored cf",
+		"trailing": "trailing bytes",
+	} {
+		img, _ := hostileV2Bytes(t, lie)
+		ix, err := openBytes(t, img)
+		if err != nil {
+			t.Fatalf("%s: the lie did not get past Open: %v", lie, err)
+		}
+		ix.Close()
+		p := filepath.Join(t.TempDir(), "ix")
+		if err := os.WriteFile(p, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Open(p, WithVerify())
+		if err == nil {
+			got.Close()
+			t.Fatalf("%s: WithVerify accepted the lie", lie)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: WithVerify failed with %v, want %q", lie, err, want)
+		}
 	}
 }

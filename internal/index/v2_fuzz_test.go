@@ -29,7 +29,7 @@ func FuzzBlockDecode(f *testing.F) {
 	// entry points INTO a block instead of at its start (a CRC-consistent
 	// hostile directory). The suffix of an honest encoding re-parses as a
 	// different varint stream; the decoder must reject or re-validate it
-	// like any other input — both the eager materialiser and the
+	// like any other input — both the whole-row reader and the
 	// streaming cursor route through this same decoder (see
 	// TestStreamErrorTaxonomyMatchesEager for the parity check).
 	{
@@ -93,9 +93,9 @@ func FuzzBlockDecode(f *testing.F) {
 }
 
 // FuzzOpenV2 feeds arbitrary bytes to the whole-file v2 parser: an
-// error or a usable lazy index, never a panic, and anything parseV2
-// accepts must materialise every term without structural errors OR
-// record the failure through Err — and must re-encode.
+// error or a usable lazy index, never a panic: anything parseV2 accepts
+// must stream every term through a block cursor, recording any failure
+// through Err, and must re-encode.
 func FuzzOpenV2(f *testing.F) {
 	ix := Build(analysis.Standard(), []Document{
 		{Name: "DocA", Text: "cable cars climb the steep hill"},
@@ -117,7 +117,7 @@ func FuzzOpenV2(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got.materializeAll()
+		_ = got.verify()
 		var out bytes.Buffer
 		if err := encodeV2(&out, got); err != nil {
 			t.Fatalf("accepted index does not re-encode: %v", err)

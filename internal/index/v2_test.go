@@ -1,11 +1,13 @@
 package index
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,14 +37,11 @@ func randomIndex(t *testing.T, docs, seed int) *Index {
 	return b.Build()
 }
 
-// assertSameIndex demands got (fully materialised) equals want in every
-// observable: corpus shape, postings rows, bounds, block summaries.
+// assertSameIndex demands got (v2-backed) equals want (in memory) in
+// every observable: corpus shape, postings rows, bounds, and the block
+// summaries got's directory holds against those writing want derives.
 func assertSameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
-	// A v2 load carries the directory's summaries; anything else derives
-	// them now, as writing it out would.
-	got.ensureBlockBounds()
-	want.ensureBlockBounds()
 	if got.NumDocs() != want.NumDocs() || got.NumTerms() != want.NumTerms() || got.TotalTokens() != want.TotalTokens() {
 		t.Fatalf("%s: shape %v vs %v", label, got, want)
 	}
@@ -78,7 +77,9 @@ func assertSameIndex(t *testing.T, label string, got, want *Index) {
 		if gb != wb {
 			t.Fatalf("%s: term %q bounds %+v vs %+v", label, text, gb, wb)
 		}
-		gbb, wbb := got.blockBounds[got.terms[text]], want.blockBounds[tid]
+		w := newV2Writer(want.analyzer, got.BlockSize())
+		w.appendRows(wp, 0, want.docLens)
+		gbb, wbb := got.blockBounds[got.terms[text]], w.blocks
 		if len(gbb) != len(wbb) {
 			t.Fatalf("%s: term %q has %d blocks, want %d", label, text, len(gbb), len(wbb))
 		}
@@ -95,7 +96,8 @@ func assertSameIndex(t *testing.T, label string, got, want *Index) {
 
 // TestV2RoundTrip: write FormatV2, Open (lazy mmap), observe an index
 // identical to the in-memory original — across block sizes that force
-// single-posting, mid-size, and whole-list blocks.
+// single-posting, mid-size, and whole-list blocks — and re-encode the
+// opened index to the file's bytes.
 func TestV2RoundTrip(t *testing.T) {
 	for _, bs := range []int{1, 3, DefaultBlockSize, 1 << 14} {
 		ix := randomIndex(t, 200, 42)
@@ -114,6 +116,13 @@ func TestV2RoundTrip(t *testing.T) {
 			t.Fatalf("bs=%d: loaded block size %d", bs, got.BlockSize())
 		}
 		assertSameIndex(t, fmt.Sprintf("bs=%d", bs), got, ix)
+		var again bytes.Buffer
+		if err := encodeV2(&again, got); err != nil {
+			t.Fatalf("bs=%d: re-encode: %v", bs, err)
+		}
+		if file, err := os.ReadFile(path); err != nil || !bytes.Equal(again.Bytes(), file) {
+			t.Fatalf("bs=%d: re-encoding the opened index changed its bytes (%v)", bs, err)
+		}
 		if err := got.Err(); err != nil {
 			t.Fatalf("bs=%d: corruption recorded on honest file: %v", bs, err)
 		}
@@ -123,8 +132,8 @@ func TestV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2OpenIsLazy: Open must not decode postings; the first
-// PostingsFor does.
+// TestV2OpenIsLazy: Open decodes no postings, and the index keeps no
+// row: PostingsFor decodes a fresh one per call, which the caller owns.
 func TestV2OpenIsLazy(t *testing.T) {
 	ix := randomIndex(t, 300, 7)
 	path := filepath.Join(t.TempDir(), "ix.v2")
@@ -136,16 +145,17 @@ func TestV2OpenIsLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	for tid := range got.postings {
-		if got.postings[tid].Docs != nil {
-			t.Fatalf("term %d decoded at Open", tid)
-		}
+	if got.postings != nil {
+		t.Fatal("a v2-backed index holds postings rows")
 	}
 	p := got.PostingsFor("a")
 	if p == nil || len(p.Docs) == 0 {
-		t.Fatal("PostingsFor(a) did not materialise")
+		t.Fatal("PostingsFor(a) decoded nothing")
 	}
-	// Bounds and block bounds are available without materialisation.
+	if q := got.PostingsFor("a"); &q.Docs[0] == &p.Docs[0] || got.postings != nil {
+		t.Fatal("PostingsFor(a) handed out a row the index keeps")
+	}
+	// Bounds and block bounds are available without decoding.
 	if _, ok := got.BoundsFor("b"); !ok {
 		t.Fatal("BoundsFor(b) missing")
 	}
@@ -196,8 +206,8 @@ func TestOpenRejectsGarbage(t *testing.T) {
 }
 
 // TestV2ShardingAndForward: sharding a lazy index cuts the same shards
-// as sharding its in-memory twin, and forward vectors transparently
-// materialise it.
+// as sharding its in-memory twin, and its forward vectors, read through
+// block cursors, equal the twin's.
 func TestV2ShardingAndForward(t *testing.T) {
 	ix := randomIndex(t, 120, 17)
 	path := filepath.Join(t.TempDir(), "ix.v2")
@@ -216,11 +226,13 @@ func TestV2ShardingAndForward(t *testing.T) {
 			t.Fatalf("shard %d: %d docs, want %d", s, sh.Shard(s).NumDocs(), wantSh.Shard(s).NumDocs())
 		}
 	}
-	for d := 0; d < 10; d++ {
-		gv, wv := got.DocVector(DocID(d)), ix.DocVector(DocID(d))
-		if len(gv) != len(wv) {
-			t.Fatalf("doc %d forward vector %d entries, want %d", d, len(gv), len(wv))
+	for d := range DocID(ix.NumDocs()) {
+		if gv, wv := got.DocVector(d), ix.DocVector(d); !reflect.DeepEqual(gv, wv) {
+			t.Fatalf("doc %d forward vector %v, want %v", d, gv, wv)
 		}
+	}
+	if got.postings != nil || got.Err() != nil {
+		t.Fatalf("the forward build kept rows or recorded %v", got.Err())
 	}
 }
 
@@ -270,7 +282,9 @@ func TestBuildHelper(t *testing.T) {
 	}
 }
 
-// TestSetBlockSizeGuards: range and too-late errors.
+// TestSetBlockSizeGuards: out-of-range sizes are refused, an in-memory
+// index takes a new size after a write, and an index loaded from a v2
+// file refuses any.
 func TestSetBlockSizeGuards(t *testing.T) {
 	ix := randomIndex(t, 10, 29)
 	if err := ix.SetBlockSize(0); err == nil {
@@ -279,8 +293,11 @@ func TestSetBlockSizeGuards(t *testing.T) {
 	if err := ix.SetBlockSize(maxBlockSize + 1); err == nil {
 		t.Fatal("oversized block size accepted")
 	}
-	ix.ensureBlockBounds()
-	if err := ix.SetBlockSize(64); err == nil {
-		t.Fatal("SetBlockSize after derivation accepted")
+	disk := openV2File(t, ix)
+	if err := ix.SetBlockSize(64); err != nil {
+		t.Fatalf("in-memory SetBlockSize after a write: %v", err)
+	}
+	if err := disk.SetBlockSize(64); err == nil {
+		t.Fatal("SetBlockSize on a v2-backed index accepted")
 	}
 }

@@ -16,7 +16,7 @@ func (ix *Index) UnorderedWindowPostings(terms []string, window int) Postings {
 	if window < len(terms) {
 		return Postings{}
 	}
-	return ix.materialize(terms, int32(window), windowMatches)
+	return ix.positionalPostings(terms, int32(window), windowMatches)
 }
 
 // windowMatches is the #uwN matcher: it sweeps the constituents'

@@ -14,6 +14,7 @@
 package prf
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -54,12 +55,13 @@ type WeightedTerm struct {
 
 // RelevanceModel estimates P(w|Q) over the top feedback documents of q
 // and returns the top fbTerms concepts by weight. It returns nil when
-// the query retrieves nothing.
-func RelevanceModel(s *search.Searcher, q search.Node, cfg Config) []WeightedTerm {
+// the query retrieves nothing, and the feedback retrieval's error —
+// ctx's included — when it fails.
+func RelevanceModel(ctx context.Context, s *search.Searcher, q search.Node, cfg Config) ([]WeightedTerm, error) {
 	cfg = cfg.withDefaults()
-	top := s.Search(q, cfg.FbDocs)
-	if len(top) == 0 {
-		return nil
+	top, err := s.SearchContext(ctx, q, cfg.FbDocs)
+	if err != nil || len(top) == 0 {
+		return nil, err
 	}
 	// Convert log P(Q|D) scores into normalised probabilities.
 	maxScore := top[0].Score
@@ -96,17 +98,21 @@ func RelevanceModel(s *search.Searcher, q search.Node, cfg Config) []WeightedTer
 	if len(terms) > cfg.FbTerms {
 		terms = terms[:cfg.FbTerms]
 	}
-	return terms
+	return terms, nil
 }
 
 // Reformulate runs the relevance model and builds the reformulated query:
 // a #weight over the feedback concepts, optionally interpolated with the
 // original query by cfg.OrigWeight. When feedback produces no concepts
-// the original query is returned unchanged.
-func Reformulate(s *search.Searcher, q search.Node, cfg Config) search.Node {
-	terms := RelevanceModel(s, q, cfg)
+// the original query is returned unchanged; when the feedback retrieval
+// fails, its error is.
+func Reformulate(ctx context.Context, s *search.Searcher, q search.Node, cfg Config) (search.Node, error) {
+	terms, err := RelevanceModel(ctx, s, q, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if len(terms) == 0 {
-		return q
+		return q, nil
 	}
 	weights := make([]float64, len(terms))
 	nodes := make([]search.Node, len(terms))
@@ -116,10 +122,10 @@ func Reformulate(s *search.Searcher, q search.Node, cfg Config) search.Node {
 	}
 	fb := search.Weight(weights, nodes)
 	if cfg.OrigWeight <= 0 {
-		return fb
+		return fb, nil
 	}
 	return search.Weight(
 		[]float64{cfg.OrigWeight, 1 - cfg.OrigWeight},
 		[]search.Node{q, fb},
-	)
+	), nil
 }

@@ -1,6 +1,8 @@
 package prf
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,7 +26,10 @@ func TestRelevanceModelPicksFeedbackTerms(t *testing.T) {
 		"query apple date",
 		"unrelated words entirely",
 	)
-	terms := RelevanceModel(s, search.Term{Text: "query"}, Config{FbDocs: 3, FbTerms: 3})
+	terms, err := RelevanceModel(context.Background(), s, search.Term{Text: "query"}, Config{FbDocs: 3, FbTerms: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(terms) != 3 {
 		t.Fatalf("terms = %+v", terms)
 	}
@@ -44,15 +49,30 @@ func TestRelevanceModelPicksFeedbackTerms(t *testing.T) {
 
 func TestRelevanceModelEmptyOnNoResults(t *testing.T) {
 	s := searcher("a b c")
-	if terms := RelevanceModel(s, search.Term{Text: "zzz"}, DefaultConfig()); terms != nil {
-		t.Errorf("expected nil for retrieving nothing, got %+v", terms)
+	if terms, err := RelevanceModel(context.Background(), s, search.Term{Text: "zzz"}, DefaultConfig()); terms != nil || err != nil {
+		t.Errorf("expected nil for retrieving nothing, got %+v, %v", terms, err)
+	}
+}
+
+// TestFeedbackErrorIsReturned: a feedback retrieval that fails — here
+// under an already-cancelled context — fails the reformulation instead
+// of silently handing back the original query.
+func TestFeedbackErrorIsReturned(t *testing.T) {
+	s := searcher("q alpha", "q alpha", "q beta")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if node, err := Reformulate(ctx, s, search.Term{Text: "q"}, DefaultConfig()); !errors.Is(err, context.Canceled) || node != nil {
+		t.Fatalf("Reformulate under a cancelled context = %v, %v; want context.Canceled", node, err)
 	}
 }
 
 func TestReformulateReplaces(t *testing.T) {
 	s := searcher("q alpha", "q alpha", "q beta")
 	orig := search.Term{Text: "q"}
-	node := Reformulate(s, orig, Config{FbDocs: 2, FbTerms: 2})
+	node, err := Reformulate(context.Background(), s, orig, Config{FbDocs: 2, FbTerms: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	str := node.String()
 	if !strings.Contains(str, "alpha") {
 		t.Errorf("reformulated query %q missing feedback term", str)
@@ -67,7 +87,10 @@ func TestReformulateReplaces(t *testing.T) {
 func TestReformulateInterpolates(t *testing.T) {
 	s := searcher("q alpha", "q alpha")
 	orig := search.Term{Text: "q"}
-	node := Reformulate(s, orig, Config{FbDocs: 2, FbTerms: 1, OrigWeight: 0.5})
+	node, err := Reformulate(context.Background(), s, orig, Config{FbDocs: 2, FbTerms: 1, OrigWeight: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	str := node.String()
 	// RM3 form: outer #weight with the original query as one child.
 	if !strings.Contains(str, "0.5 q") {
@@ -78,7 +101,10 @@ func TestReformulateInterpolates(t *testing.T) {
 func TestReformulateFallsBackToOriginal(t *testing.T) {
 	s := searcher("a b")
 	orig := search.Term{Text: "zzz"}
-	node := Reformulate(s, orig, DefaultConfig())
+	node, err := Reformulate(context.Background(), s, orig, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if node.String() != "zzz" {
 		t.Errorf("expected original query back, got %q", node.String())
 	}
@@ -105,7 +131,10 @@ func TestFeedbackFollowsTopDocs(t *testing.T) {
 	)
 	// A small μ keeps P(Q|D) sensitive to tf on these tiny documents.
 	s.Mu = 5
-	terms := RelevanceModel(s, search.Term{Text: "q"}, Config{FbDocs: 2, FbTerms: 10})
+	terms, err := RelevanceModel(context.Background(), s, search.Term{Text: "q"}, Config{FbDocs: 2, FbTerms: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wStrong, wWeak float64
 	for _, tm := range terms {
 		switch tm.Term {

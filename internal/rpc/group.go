@@ -4,36 +4,27 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
-// GroupOptions parameterise a replica Group.
-type GroupOptions struct {
-	// HedgeDelay starts the same call on the next replica when the
-	// current one has not answered within this delay; the first answer
-	// wins. Zero disables hedging (pure sequential failover).
-	HedgeDelay time.Duration
-}
+// GroupOptions parameterise a replica Group. It has no fields; it stays
+// only because bench/ constructs it (ROADMAP item 1 (a)).
+type GroupOptions struct{}
 
 // GroupStats are a group's monotonic counters.
 type GroupStats struct {
 	// Calls counts Call invocations on the group.
 	Calls int64
-	// Hedges counts hedged (speculative) attempts launched.
-	Hedges int64
 	// Failovers counts replicas abandoned for the next one after a
 	// transport error.
 	Failovers int64
 }
 
 // Group fans calls over a replica set serving the same shard. A call
-// walks the replicas in order: a transport error fails over to the
-// next; with HedgeDelay set, a slow replica gets raced by the next one
-// without waiting for it to fail. An application error (*ServerError)
-// is terminal — the shard answered, and a twin would answer the same.
+// walks the replicas in order on the caller's goroutine: a transport
+// error fails over to the next. An application error (*ServerError) is
+// terminal — the shard answered, and a twin would answer the same.
 type Group struct {
 	replicas []*Client
-	opts     GroupOptions
 
 	mu    sync.Mutex
 	stats GroupStats
@@ -41,11 +32,11 @@ type Group struct {
 
 // NewGroup builds a group over the given replica clients; replicas must
 // be non-empty.
-func NewGroup(replicas []*Client, opts GroupOptions) *Group {
+func NewGroup(replicas []*Client, _ GroupOptions) *Group {
 	if len(replicas) == 0 {
 		panic("rpc: NewGroup with no replicas")
 	}
-	return &Group{replicas: append([]*Client(nil), replicas...), opts: opts}
+	return &Group{replicas: append([]*Client(nil), replicas...)}
 }
 
 // Replicas returns the group's clients (the live slice header copy;
@@ -66,95 +57,34 @@ func (g *Group) Close() {
 	}
 }
 
-// attemptResult carries one replica attempt's outcome to the selector.
-type attemptResult struct {
-	idx int
-	err error
-	out any
-}
-
-// Call invokes method across the replica set, decoding the winning
-// response into out. Because hedged attempts race, each attempt decodes
-// into its own value produced by newOut, and the winner is returned;
-// this keeps a losing late response from clobbering the winner's
-// buffer. newOut may be nil when the response body is discarded.
-func (g *Group) Call(ctx context.Context, method string, req any, newOut func() any) (any, error) {
+// Call invokes method across the replica set, decoding the response into
+// out (nil discards it). It returns the first replica's error when every
+// replica failed, and ctx's error once ctx is done.
+func (g *Group) Call(ctx context.Context, method string, req, out any) error {
 	g.mu.Lock()
 	g.stats.Calls++
 	g.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan attemptResult, len(g.replicas))
-	launch := func(idx int) {
-		go func() {
-			var out any
-			if newOut != nil {
-				out = newOut()
-			}
-			err := g.replicas[idx].Call(ctx, method, req, out)
-			results <- attemptResult{idx: idx, err: err, out: out}
-		}()
-	}
-
-	var hedge <-chan time.Time
-	nextHedge := func() {
-		if g.opts.HedgeDelay > 0 {
-			t := time.NewTimer(g.opts.HedgeDelay)
-			// The timer leaks until it fires; with per-call timers of
-			// hedge-delay magnitude that is fine.
-			hedge = t.C
-		}
-	}
-
-	launched := 1
-	launch(0)
-	nextHedge()
-
 	var firstErr error
-	pending := launched
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedge:
-			hedge = nil
-			if launched < len(g.replicas) {
-				g.mu.Lock()
-				g.stats.Hedges++
-				g.mu.Unlock()
-				launch(launched)
-				launched++
-				pending++
-				nextHedge()
-			}
-		case res := <-results:
-			pending--
-			if res.err == nil {
-				return res.out, nil
-			}
-			var se *ServerError
-			if errors.As(res.err, &se) {
-				// The shard processed the request and failed it;
-				// replicas are identical, so don't ask a twin.
-				return nil, res.err
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			// Transport failure: fail over to the next unlaunched
-			// replica immediately.
-			if launched < len(g.replicas) {
-				g.mu.Lock()
-				g.stats.Failovers++
-				g.mu.Unlock()
-				launch(launched)
-				launched++
-				pending++
-			} else if pending == 0 {
-				return nil, firstErr
-			}
+	for i, c := range g.replicas {
+		if i > 0 {
+			g.mu.Lock()
+			g.stats.Failovers++
+			g.mu.Unlock()
+		}
+		err := c.Call(ctx, method, req, out)
+		if err == nil {
+			return nil
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		var se *ServerError
+		if errors.As(err, &se) {
+			return err
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
+	return firstErr
 }

@@ -38,12 +38,12 @@
 //     method is a pure read, so retrying after an ambiguous failure is
 //     safe.
 //   - Group fans a call over a replica set: sequential failover on
-//     error, plus an optional hedge — if the primary has not answered
-//     within HedgeDelay, the same call starts on the next replica and
-//     the first answer wins.
+//     error, on the caller's goroutine.
 //   - Application errors (a handler returning an error) come back as
-//     *ServerError and are never retried or hedged around: the replica
+//     *ServerError and are never retried or failed over: the replica
 //     answered; asking again or asking a twin would answer the same.
+//   - Cancelling the caller's context ends a call in flight: the
+//     connection's deadline moves to now, and the call returns.
 //
 // The fault points rpc.client_call and rpc.server_handle let the chaos
 // harness inject refused/slow/truncated calls deterministically.
@@ -532,7 +532,8 @@ func (c *Client) attempt(ctx context.Context, method string, req any, out any) e
 }
 
 // roundTrip writes one frame and reads one response on conn, under the
-// attempt deadline.
+// attempt deadline. Cancelling ctx moves the deadline to now, so a
+// cancel-only context ends the round trip as promptly as a deadline.
 func (c *Client) roundTrip(ctx context.Context, conn net.Conn, frame []byte, out any) error {
 	deadline := time.Now().Add(c.opts.CallTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -541,6 +542,8 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, frame []byte, out
 	if err := conn.SetDeadline(deadline); err != nil {
 		return &TransportError{Addr: c.addr, Op: "send", Err: err}
 	}
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })
+	defer stop()
 	if err := sendFrame(conn, frame); err != nil {
 		return &TransportError{Addr: c.addr, Op: "send", Err: err}
 	}

@@ -338,12 +338,11 @@ func TestGroupFailoverOnRefused(t *testing.T) {
 	}, GroupOptions{})
 	defer g.Close()
 
-	out, err := g.Call(context.Background(), "echo", echoReq{S: "failover"},
-		func() any { return &echoReq{} })
-	if err != nil {
+	var out echoReq
+	if err := g.Call(context.Background(), "echo", echoReq{S: "failover"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if got := out.(*echoReq).S; got != "failover" {
+	if got := out.S; got != "failover" {
 		t.Fatalf("got %q from failover replica", got)
 	}
 	if st := g.Stats(); st.Failovers != 1 {
@@ -364,45 +363,55 @@ func TestGroupAllReplicasDownReturnsFirstError(t *testing.T) {
 	}
 	g := NewGroup(addrs, GroupOptions{})
 	defer g.Close()
-	_, err := g.Call(context.Background(), "echo", nil, nil)
+	err := g.Call(context.Background(), "echo", nil, nil)
 	if !IsTransport(err) {
 		t.Fatalf("all replicas down: err = %v, want transport error", err)
 	}
 }
 
-func TestGroupHedgesSlowPrimary(t *testing.T) {
-	// Primary answers after 300ms; secondary answers immediately. With a
-	// 20ms hedge delay the call should finish well before the primary.
-	slow := startServer(t, func(s *Server) {
+// TestGroupCallHonorsCancellation: a group call whose context is
+// cancelled while the replica holds the request unanswered returns
+// promptly with the context's error, without trying the next replica.
+func TestGroupCallHonorsCancellation(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var second int32
+	stuck := startServer(t, func(s *Server) {
 		s.Handle("echo", func(ctx context.Context, body json.RawMessage) (any, error) {
-			time.Sleep(300 * time.Millisecond)
-			return echoReq{S: "slow"}, nil
+			<-release
+			return echoReq{}, nil
 		})
 	})
-	fast := startServer(t, func(s *Server) {
+	twin := startServer(t, func(s *Server) {
 		s.Handle("echo", func(ctx context.Context, body json.RawMessage) (any, error) {
-			return echoReq{S: "fast"}, nil
+			atomic.AddInt32(&second, 1)
+			return echoReq{}, nil
 		})
 	})
 	g := NewGroup([]*Client{
-		NewClient(slow, ClientOptions{}),
-		NewClient(fast, ClientOptions{}),
-	}, GroupOptions{HedgeDelay: 20 * time.Millisecond})
+		NewClient(stuck, ClientOptions{CallTimeout: time.Minute}),
+		NewClient(twin, ClientOptions{}),
+	}, GroupOptions{})
 	defer g.Close()
-
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- g.Call(ctx, "echo", echoReq{}, &echoReq{}) }()
+	time.Sleep(20 * time.Millisecond)
 	start := time.Now()
-	out, err := g.Call(context.Background(), "echo", echoReq{}, func() any { return &echoReq{} })
-	if err != nil {
-		t.Fatal(err)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("cancelled call took %v to return", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("group call did not return after its context was cancelled")
 	}
-	if got := out.(*echoReq).S; got != "fast" {
-		t.Fatalf("hedge winner = %q, want the fast replica", got)
-	}
-	if el := time.Since(start); el > 250*time.Millisecond {
-		t.Fatalf("hedged call took %v — waited for the slow primary", el)
-	}
-	if st := g.Stats(); st.Hedges != 1 {
-		t.Fatalf("group stats = %+v, want 1 hedge", st)
+	if n := atomic.LoadInt32(&second); n != 0 {
+		t.Fatalf("the twin handled %d calls after the caller cancelled", n)
 	}
 }
 
@@ -424,7 +433,7 @@ func TestGroupServerErrorNotFailedOver(t *testing.T) {
 		NewClient(other, ClientOptions{}),
 	}, GroupOptions{})
 	defer g.Close()
-	_, err := g.Call(context.Background(), "echo", nil, func() any { return &echoReq{} })
+	err := g.Call(context.Background(), "echo", nil, &echoReq{})
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want ServerError", err)

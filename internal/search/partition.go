@@ -209,11 +209,11 @@ func (p *remotePartition) stats(ctx context.Context, qs []Node, pc *partCall, _ 
 		if err != nil {
 			return err
 		}
-		out, err := p.group.Call(ctx, MethodStats, encodedTree(tree), func() any { return &StatsResponse{} })
-		if err != nil {
+		var out StatsResponse
+		if err := p.group.Call(ctx, MethodStats, encodedTree(tree), &out); err != nil {
 			return err
 		}
-		pc.leaves = append(pc.leaves, out.(*StatsResponse).Leaves...)
+		pc.leaves = append(pc.leaves, out.Leaves...)
 		pc.ends = append(pc.ends, len(pc.leaves))
 		pc.trees = append(pc.trees, tree)
 	}
@@ -233,11 +233,10 @@ func (p *remotePartition) eval(ctx context.Context, req *EvalRequest, pc *partCa
 		sub := *req
 		sub.Overrides = req.Overrides[lo:hi]
 		lo = hi
-		out, err := p.group.Call(ctx, MethodEval, evalBody{tree: pc.trees[t], req: &sub}, func() any { return &EvalResponse{} })
-		if err != nil {
+		var resp EvalResponse
+		if err := p.group.Call(ctx, MethodEval, evalBody{tree: pc.trees[t], req: &sub}, &resp); err != nil {
 			return err
 		}
-		resp := out.(*EvalResponse)
 		res := make([]Result, len(resp.Results))
 		for i, wr := range resp.Results {
 			res[i] = Result{Doc: index.DocID(wr.Doc), Name: wr.Name, Score: wr.Score}

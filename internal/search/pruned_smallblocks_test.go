@@ -101,9 +101,9 @@ func TestPrunedCounterInvariants(t *testing.T) {
 }
 
 // TestPrunedSearchDerivesNoBlockSummaries: a pruned expanded query over
-// a memory-backed index leaves the index's block summaries underived —
-// they exist for the v2 writer, not for the evaluator — so the block
-// size can still be chosen afterwards.
+// a memory-backed index reads no block summaries — only the v2 writer
+// derives them, as it writes — so the block size can still be chosen
+// afterwards.
 func TestPrunedSearchDerivesNoBlockSummaries(t *testing.T) {
 	ix := buildSkewedIndex(300, 41)
 	for _, m := range pruningModels {

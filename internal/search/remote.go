@@ -31,11 +31,10 @@ func NewRemoteSharded(ctx context.Context, groups []*rpc.Group) (*RemoteSharded,
 	}
 	parts := make([]partition, len(groups))
 	for i, g := range groups {
-		out, err := g.Call(ctx, MethodInfo, nil, func() any { return &InfoResponse{} })
-		if err != nil {
+		var info InfoResponse
+		if err := g.Call(ctx, MethodInfo, nil, &info); err != nil {
 			return nil, fmt.Errorf("search: shard %d handshake: %w", i, err)
 		}
-		info := *out.(*InfoResponse)
 		if info.Shard != i || info.NumShards != len(groups) {
 			return nil, fmt.Errorf("search: shard group %d serves shard %d/%d, want %d/%d",
 				i, info.Shard, info.NumShards, i, len(groups))

@@ -488,11 +488,11 @@ func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 	g := rpc.NewGroup([]*rpc.Client{rpc.NewClient(addr, testClientOptions())}, rpc.GroupOptions{})
 	defer g.Close()
 	call := func(req any) (*EvalResponse, error) {
-		out, err := g.Call(context.Background(), MethodEval, req, func() any { return &EvalResponse{} })
-		if err != nil {
+		var out EvalResponse
+		if err := g.Call(context.Background(), MethodEval, req, &out); err != nil {
 			return nil, err
 		}
-		return out.(*EvalResponse), nil
+		return &out, nil
 	}
 
 	good := EvalRequest{

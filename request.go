@@ -164,9 +164,12 @@ func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTi
 		// unsharded searcher; it contributes to query construction, not
 		// to the final retrieval's timing.
 		start := time.Now()
-		node = prf.Reformulate(e.searcher, node, *prfCfg)
+		node, err = prf.Reformulate(ctx, e.searcher, node, *prfCfg)
 		if ps != nil {
 			ps.Stages.QueryBuild += time.Since(start)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	lists, err := e.retrieve(ctx, []search.Node{node}, k, ps, deg)
@@ -269,11 +272,15 @@ func (e *Engine) doC(ctx context.Context, query string, entityTitles []string, k
 func (e *Engine) doBaseline(ctx context.Context, query string, k int, prfCfg *PRFConfig, ps *PipelineStats, deg *Degradation) ([]Result, error) {
 	start := time.Now()
 	node := e.expander.QLQuery(query)
+	var err error
 	if prfCfg != nil {
-		node = prf.Reformulate(e.searcher, node, *prfCfg)
+		node, err = prf.Reformulate(ctx, e.searcher, node, *prfCfg)
 	}
 	if ps != nil {
 		ps.Stages.QueryBuild += time.Since(start)
+	}
+	if err != nil {
+		return nil, err
 	}
 	lists, err := e.retrieve(ctx, []search.Node{node}, k, ps, deg)
 	if err != nil {
