@@ -615,7 +615,9 @@ func BenchmarkUnorderedWindow(b *testing.B) {
 // trees' union of leaves, and the splice. The sub-benchmarks replay the
 // same requests over three serving shapes of the same documents: one v2
 // file, two in-process shards of it, and a live index of v2 segments
-// (one flushed every 1 024 documents).
+// (one flushed every 1 024 documents) — and over the v2 file once more
+// under DefaultDegradation, the configuration sqe-serve and bench/ serve
+// with.
 func BenchmarkSQECRequest(b *testing.B) {
 	env, docs, err := GenerateDemoCorpus(DemoDefault)
 	if err != nil {
@@ -654,6 +656,7 @@ func BenchmarkSQECRequest(b *testing.B) {
 		eng  *Engine
 	}{
 		{"v2", NewEngine(g, disk, WithExpansionCache(4096))},
+		{"v2+degrade", NewEngine(g, disk, WithExpansionCache(4096), WithDegradation(DefaultDegradation()))},
 		{"shards=2", NewEngine(g, disk, WithExpansionCache(4096), WithShards(2))},
 		{"live", NewLiveEngine(g, live, WithExpansionCache(4096))},
 	} {

@@ -120,7 +120,7 @@ func main() {
 	workers := flag.Int("workers", 0, "engine-wide worker pool for shard fan-outs (0 = GOMAXPROCS, 1 = inline)")
 	shards := flag.String("shards", "1", "mode=serve: in-process shard count; mode=coordinator: comma-separated shard server addresses (replicas of one shard separated by |)")
 	shardSpec := flag.String("shard", "", "mode=shard: which partition slice this process serves, as i/N (e.g. 0/2)")
-	degrade := flag.Bool("degrade", true, "enable graceful degradation (partial shard merges, expansion fallback, partial SQE_C, transient retries)")
+	degrade := flag.Bool("degrade", true, "enable graceful degradation (partial shard merges, expansion fallback, transient retries)")
 	indexPath := flag.String("index", "", "serve retrieval from this on-disk index file (written by -write-index) instead of the in-memory demo index")
 	writeIndex := flag.String("write-index", "", "write the demo corpus index to this path and exit")
 	ingest := flag.Bool("ingest", false, "serve a live segmented engine: seed the demo corpus into an LSM index at -segments and accept POST /v1/ingest")

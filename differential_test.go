@@ -464,7 +464,7 @@ func TestDifferential(t *testing.T) {
 					asks := []func(*Engine) (*SearchResponse, error){
 						// A hand-written structured query, parsed.
 						func(e *Engine) (*SearchResponse, error) {
-							res, err := e.ParseQuery(fmt.Sprintf("#weight(0.7 #combine(%s) 0.3 #uw8(%s))", q.Text, q.Text), 15)
+							res, err := e.ParseQuery(context.Background(), fmt.Sprintf("#weight(0.7 #combine(%s) 0.3 #uw8(%s))", q.Text, q.Text), 15)
 							return &SearchResponse{Results: res}, err
 						},
 					}

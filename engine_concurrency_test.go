@@ -61,7 +61,7 @@ func TestParallelSQECMatchesSequential(t *testing.T) {
 			for i, set := range sqecSets {
 				res, err := doResults(ctx, ref, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: set, K: k})
 				if err != nil {
-					t.Fatalf("%s: run %s: %v", q.ID, sqecRunNames[i], err)
+					t.Fatalf("%s: run %v: %v", q.ID, set, err)
 				}
 				runs[i] = res
 			}

@@ -201,7 +201,7 @@ func (r *Runner) PRFRun(cfg prf.Config, build func(q *dataset.Query) search.Node
 		}
 		// run drops a search error; the feedback search's goes the same
 		// way (nil scores the query as empty).
-		node, _ := prf.Reformulate(context.Background(), r.Searcher, base, cfg)
+		node, _ := prf.Reformulate(context.Background(), r.Searcher, r.Searcher.Index(), base, cfg)
 		return node
 	})
 }

@@ -29,12 +29,6 @@ func demoEnv(t *testing.T, opts ...sqe.Option) *sqe.DemoEnv {
 	return env
 }
 
-// directedPolicy degrades everything but never retries, so a directed
-// single-fault schedule maps to exactly one degradation event.
-func directedPolicy() sqe.DegradationPolicy {
-	return sqe.DegradationPolicy{PartialShards: true, ExpansionFallback: true, PartialSQEC: true}
-}
-
 // remoteEngine builds a second engine over env's corpus whose retrieval
 // fans out over real RPC to in-process shard servers on loopback, so the
 // rpc.client_call and rpc.server_handle fault points sit on the request
@@ -124,7 +118,7 @@ func TestChaosEngineUnderRandomFaults(t *testing.T) {
 	for _, p := range fault.Points() {
 		pol := fault.Policy{ErrRate: 0.03, Transient: true, LatencyRate: 0.02, Latency: 100 * time.Microsecond}
 		switch p {
-		case fault.ShardEval, fault.SQECRun:
+		case fault.ShardEval:
 			pol.ErrRate, pol.PanicRate = 0.2, 0.05
 		case fault.MotifExpand:
 			pol.ErrRate, pol.Transient = 0.3, false
@@ -230,13 +224,15 @@ func TestChaosEngineUnderRandomFaults(t *testing.T) {
 	}
 }
 
-// TestChaosShardDropIsExactSubset fails exactly one shard (no retries)
-// and checks the partial merge: one dropped shard reported, and every
-// surviving result carries a score bit-identical to the full ranking's
-// — partial merges happen after the cross-shard statistics override.
+// TestChaosShardDropIsExactSubset fails exactly one shard under the
+// zero policy (degrade, no retries), so the single fault is exactly one
+// degradation event, and checks the partial merge: one dropped shard
+// reported, and every surviving result carries a score bit-identical to
+// the full ranking's — partial merges happen after the cross-shard
+// statistics override.
 func TestChaosShardDropIsExactSubset(t *testing.T) {
 	defer fault.Disarm()
-	env := demoEnv(t, sqe.WithShards(4), sqe.WithDegradation(directedPolicy()))
+	env := demoEnv(t, sqe.WithShards(4), sqe.WithDegradation(sqe.DegradationPolicy{}))
 	q := env.Queries[0]
 	ctx := context.Background()
 
@@ -311,9 +307,7 @@ func TestNegativeMaxRetriesStillRuns(t *testing.T) {
 // its one shard and is retried the same way.
 func TestChaosTransientRetryRestoresExactResults(t *testing.T) {
 	defer fault.Disarm()
-	pol := directedPolicy()
-	pol.MaxRetries = 2
-	pol.RetryBackoff = time.Millisecond
+	pol := sqe.DegradationPolicy{MaxRetries: 2, RetryBackoff: time.Millisecond}
 	for _, shards := range []int{1, 4} {
 		fault.Disarm()
 		env := demoEnv(t, sqe.WithShards(shards), sqe.WithDegradation(pol))
@@ -349,7 +343,7 @@ func TestChaosTransientRetryRestoresExactResults(t *testing.T) {
 // baseline, no Expansion, fallback counted.
 func TestChaosExpansionFallback(t *testing.T) {
 	defer fault.Disarm()
-	env := demoEnv(t, sqe.WithDegradation(directedPolicy()))
+	env := demoEnv(t, sqe.WithDegradation(sqe.DegradationPolicy{}))
 	q := env.Queries[0]
 	ctx := context.Background()
 
@@ -376,32 +370,40 @@ func TestChaosExpansionFallback(t *testing.T) {
 	}
 }
 
-// TestChaosSQECRunDrop fails exactly one of SQE_C's three sub-runs: the
-// splice must continue over the survivors and name the dropped run.
-func TestChaosSQECRunDrop(t *testing.T) {
+// TestChaosSQECRetryBudgetPerRun: each SQE_C run's expansion gets the
+// policy's retry budget once. Under a persistent transient expansion
+// fault every run tries twice (one retry), then falls back to the
+// unexpanded query — so the request ranks like the QL baseline and
+// reports three fallbacks, three retries and six expansion attempts.
+func TestChaosSQECRetryBudgetPerRun(t *testing.T) {
 	defer fault.Disarm()
-	env := demoEnv(t, sqe.WithDegradation(directedPolicy()))
+	env := demoEnv(t, sqe.WithDegradation(sqe.DegradationPolicy{MaxRetries: 1, RetryBackoff: time.Millisecond}))
 	q := env.Queries[0]
 	ctx := context.Background()
 
-	fault.Arm(fault.NewRegistry(13).Set(fault.SQECRun, fault.Policy{ErrRate: 1, MaxFaults: 1}))
-	resp, err := env.Engine.Do(ctx, sqe.SearchRequest{
-		Query: q.Text, EntityTitles: q.EntityTitles, K: 10,
-	})
+	baseline, err := env.Engine.Do(ctx, sqe.SearchRequest{Query: q.Text, K: 10, Baseline: true})
 	if err != nil {
-		t.Fatalf("SQE_C failed instead of continuing partially: %v", err)
+		t.Fatalf("baseline: %v", err)
 	}
-	d := resp.Degraded
-	if d == nil || len(d.DroppedRuns) != 1 {
-		t.Fatalf("Degraded = %+v, want exactly one dropped run", d)
+
+	reg := fault.NewRegistry(13).Set(fault.MotifExpand, fault.Policy{ErrRate: 1, Transient: true})
+	fault.Arm(reg)
+	resp, err := env.Engine.Do(ctx, sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10})
+	fault.Disarm()
+	if err != nil {
+		t.Fatalf("SQE_C failed instead of falling back: %v", err)
 	}
-	switch d.DroppedRuns[0] {
-	case "T", "TS", "S":
-	default:
-		t.Fatalf("dropped run named %q, want T, TS or S", d.DroppedRuns[0])
+	if d := resp.Degraded; d == nil || d.ExpansionFallbacks != 3 || d.Retries != 3 {
+		t.Fatalf("Degraded = %+v, want 3 expansion fallbacks and 3 retries", d)
 	}
-	if len(resp.Results) == 0 {
-		t.Fatal("partial splice produced no results")
+	if hits := reg.Stats()[fault.MotifExpand].Hits; hits != 6 {
+		t.Fatalf("the expansion was tried %d times, want 6 (2 per run)", hits)
+	}
+	if resp.Expansion != nil {
+		t.Fatal("fallback response still carries an Expansion")
+	}
+	if !reflect.DeepEqual(resp.Results, baseline.Results) {
+		t.Fatal("three fallen-back runs spliced differ from the plain QL baseline")
 	}
 }
 
@@ -412,9 +414,7 @@ func TestChaosSQECRunDrop(t *testing.T) {
 // happened to survive.
 func TestChaosSharedSQECEvalIsAllOrNothing(t *testing.T) {
 	defer fault.Disarm()
-	pol := directedPolicy()
-	pol.MaxRetries = 1
-	env := demoEnv(t, sqe.WithDegradation(pol))
+	env := demoEnv(t, sqe.WithDegradation(sqe.DegradationPolicy{MaxRetries: 1}))
 	q := env.Queries[0]
 	ctx := context.Background()
 	req := sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
@@ -477,7 +477,7 @@ func TestChaosPRFFeedbackFaultFailsRequest(t *testing.T) {
 // no degradation marker (a cold cache is not a degraded response).
 func TestChaosCacheFaultIsHarmless(t *testing.T) {
 	defer fault.Disarm()
-	env := demoEnv(t, sqe.WithExpansionCache(256), sqe.WithDegradation(directedPolicy()))
+	env := demoEnv(t, sqe.WithExpansionCache(256), sqe.WithDegradation(sqe.DegradationPolicy{}))
 	q := env.Queries[0]
 	ctx := context.Background()
 	req := sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10, MotifSet: sqe.MotifTS}
@@ -505,7 +505,7 @@ func TestChaosCacheFaultIsHarmless(t *testing.T) {
 // TestChaosPanicContained injects panics (not errors) at the guarded
 // stages and checks they degrade like any other failure instead of
 // escaping: a panicking shard is dropped, a panicking expansion falls
-// back, a panicking SQE_C run is spliced around.
+// back — in an SQE_C request, that one run's.
 func TestChaosPanicContained(t *testing.T) {
 	defer fault.Disarm()
 	ctx := context.Background()
@@ -518,7 +518,7 @@ func TestChaosPanicContained(t *testing.T) {
 	}{
 		{
 			"shard", fault.ShardEval,
-			[]sqe.Option{sqe.WithShards(4), sqe.WithDegradation(directedPolicy())},
+			[]sqe.Option{sqe.WithShards(4), sqe.WithDegradation(sqe.DegradationPolicy{})},
 			func(q sqe.DemoQuery) sqe.SearchRequest {
 				return sqe.SearchRequest{Query: q.Text, K: 10, Baseline: true}
 			},
@@ -530,7 +530,7 @@ func TestChaosPanicContained(t *testing.T) {
 		},
 		{
 			"expansion", fault.MotifExpand,
-			[]sqe.Option{sqe.WithDegradation(directedPolicy())},
+			[]sqe.Option{sqe.WithDegradation(sqe.DegradationPolicy{})},
 			func(q sqe.DemoQuery) sqe.SearchRequest {
 				return sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10, MotifSet: sqe.MotifT}
 			},
@@ -541,14 +541,14 @@ func TestChaosPanicContained(t *testing.T) {
 			},
 		},
 		{
-			"sqec run", fault.SQECRun,
-			[]sqe.Option{sqe.WithDegradation(directedPolicy())},
+			"sqec run", fault.MotifExpand,
+			[]sqe.Option{sqe.WithDegradation(sqe.DegradationPolicy{})},
 			func(q sqe.DemoQuery) sqe.SearchRequest {
 				return sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
 			},
 			func(t *testing.T, resp *sqe.SearchResponse) {
-				if resp.Degraded == nil || len(resp.Degraded.DroppedRuns) != 1 {
-					t.Fatalf("Degraded = %+v, want one dropped run", resp.Degraded)
+				if resp.Degraded == nil || resp.Degraded.ExpansionFallbacks != 1 {
+					t.Fatalf("Degraded = %+v, want one run's expansion fallback", resp.Degraded)
 				}
 			},
 		},
@@ -575,7 +575,7 @@ func TestChaosPanicContained(t *testing.T) {
 // fail with the underlying injected error — not return an empty 200.
 func TestChaosAllShardsFailedIsAnError(t *testing.T) {
 	defer fault.Disarm()
-	env := demoEnv(t, sqe.WithShards(4), sqe.WithDegradation(directedPolicy()))
+	env := demoEnv(t, sqe.WithShards(4), sqe.WithDegradation(sqe.DegradationPolicy{}))
 	q := env.Queries[0]
 
 	fault.Arm(fault.NewRegistry(23).Set(fault.ShardEval, fault.Policy{ErrRate: 1}))

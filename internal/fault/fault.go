@@ -50,17 +50,14 @@ const (
 	// ShardEval fires at the start of each shard's evaluation in the
 	// sharded searcher — a failing or slow shard.
 	ShardEval Point = "search.shard_eval"
-	// MotifExpand fires before motif expansion builds the query graph —
-	// a failing or slow KB lookup.
+	// MotifExpand fires before every motif expansion (Engine.Do's runs
+	// and Engine.Expand alike) builds its query graph — a failing or
+	// slow KB lookup.
 	MotifExpand Point = "core.motif_expand"
 	// ExpansionCache fires inside the expansion cache's Get and Put — a
 	// failing cache backend. The cache degrades to a miss/skip by
 	// design, so this point never fails a request on its own.
 	ExpansionCache Point = "core.expansion_cache"
-	// SQECRun fires once per SQE_C run, around that run's expansion and
-	// query build — a run of the combination failing before the shared
-	// evaluation, which PartialSQEC splices around.
-	SQECRun Point = "engine.sqec_run"
 	// RPCClient fires before each RPC call attempt on the coordinator
 	// side — a refused, slow, or truncated connection to a shard server.
 	// Injected errors surface as transport errors, so the client's
@@ -90,7 +87,7 @@ const (
 
 // Points returns the registered point catalog (a fresh copy).
 func Points() []Point {
-	return []Point{IndexPostings, ShardEval, MotifExpand, ExpansionCache, SQECRun, RPCClient, RPCServer, SegmentFlush, SegmentMerge, SegmentManifest}
+	return []Point{IndexPostings, ShardEval, MotifExpand, ExpansionCache, RPCClient, RPCServer, SegmentFlush, SegmentMerge, SegmentManifest}
 }
 
 // Policy configures the faults one point injects. The zero value

@@ -76,18 +76,18 @@ func TestScheduleDeterministicFromSeed(t *testing.T) {
 
 func TestMaxFaultsBudget(t *testing.T) {
 	defer fault.Disarm()
-	reg := fault.NewRegistry(1).Set(fault.SQECRun, fault.Policy{ErrRate: 1, MaxFaults: 2})
+	reg := fault.NewRegistry(1).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 2})
 	fault.Arm(reg)
 	var errs int
 	for i := 0; i < 10; i++ {
-		if fault.Check(fault.SQECRun) != nil {
+		if fault.Check(fault.ShardEval) != nil {
 			errs++
 		}
 	}
 	if errs != 2 {
 		t.Fatalf("MaxFaults=2 with ErrRate=1 injected %d errors over 10 checks", errs)
 	}
-	st := reg.Stats()[fault.SQECRun]
+	st := reg.Stats()[fault.ShardEval]
 	if st.Hits != 10 || st.Errors != 2 || st.Panics != 0 {
 		t.Fatalf("stats = %+v, want Hits=10 Errors=2 Panics=0", st)
 	}
@@ -187,7 +187,7 @@ func TestErrorClassification(t *testing.T) {
 		{"wrapped transient", fmt.Errorf("shard 3: %w", transient), true, true},
 		{"double wrapped", fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", hard)), true, false},
 		{"genuine panic", fault.AsPanicError(errors.New("nil map write"), nil), false, false},
-		{"injected panic", fault.AsPanicError(&fault.InjectedPanic{Point: fault.SQECRun}, nil), true, false},
+		{"injected panic", fault.AsPanicError(&fault.InjectedPanic{Point: fault.ShardEval}, nil), true, false},
 	}
 	for _, c := range cases {
 		if got := fault.IsInjected(c.err); got != c.injected {

@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/index"
 	"repro/internal/search"
 )
 
@@ -54,15 +55,19 @@ type WeightedTerm struct {
 }
 
 // RelevanceModel estimates P(w|Q) over the top feedback documents of q
-// and returns the top fbTerms concepts by weight. It returns nil when
+// and returns the top fbTerms concepts by weight. The feedback retrieval
+// is one strict Evaluate on d — any engine's retrieval path, whose
+// result DocIDs are global — and the feedback documents' vectors are
+// read from ix, the index d's documents belong to. It returns nil when
 // the query retrieves nothing, and the feedback retrieval's error —
 // ctx's included — when it fails.
-func RelevanceModel(ctx context.Context, s *search.Searcher, q search.Node, cfg Config) ([]WeightedTerm, error) {
+func RelevanceModel(ctx context.Context, d search.Distributed, ix *index.Index, q search.Node, cfg Config) ([]WeightedTerm, error) {
 	cfg = cfg.withDefaults()
-	top, err := s.SearchContext(ctx, q, cfg.FbDocs)
-	if err != nil || len(top) == 0 {
+	ev, err := d.Evaluate(ctx, []search.Node{q}, cfg.FbDocs, search.EvalOptions{})
+	if err != nil || len(ev.Results[0]) == 0 {
 		return nil, err
 	}
+	top := ev.Results[0]
 	// Convert log P(Q|D) scores into normalised probabilities.
 	maxScore := top[0].Score
 	probs := make([]float64, len(top))
@@ -71,7 +76,6 @@ func RelevanceModel(ctx context.Context, s *search.Searcher, q search.Node, cfg 
 		probs[i] = math.Exp(r.Score - maxScore)
 		z += probs[i]
 	}
-	ix := s.Index()
 	model := make(map[int32]float64)
 	for i, r := range top {
 		pqd := probs[i] / z
@@ -106,8 +110,8 @@ func RelevanceModel(ctx context.Context, s *search.Searcher, q search.Node, cfg 
 // original query by cfg.OrigWeight. When feedback produces no concepts
 // the original query is returned unchanged; when the feedback retrieval
 // fails, its error is.
-func Reformulate(ctx context.Context, s *search.Searcher, q search.Node, cfg Config) (search.Node, error) {
-	terms, err := RelevanceModel(ctx, s, q, cfg)
+func Reformulate(ctx context.Context, d search.Distributed, ix *index.Index, q search.Node, cfg Config) (search.Node, error) {
+	terms, err := RelevanceModel(ctx, d, ix, q, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func TestRelevanceModelPicksFeedbackTerms(t *testing.T) {
 		"query apple date",
 		"unrelated words entirely",
 	)
-	terms, err := RelevanceModel(context.Background(), s, search.Term{Text: "query"}, Config{FbDocs: 3, FbTerms: 3})
+	terms, err := RelevanceModel(context.Background(), s, s.Index(), search.Term{Text: "query"}, Config{FbDocs: 3, FbTerms: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRelevanceModelPicksFeedbackTerms(t *testing.T) {
 
 func TestRelevanceModelEmptyOnNoResults(t *testing.T) {
 	s := searcher("a b c")
-	if terms, err := RelevanceModel(context.Background(), s, search.Term{Text: "zzz"}, DefaultConfig()); terms != nil || err != nil {
+	if terms, err := RelevanceModel(context.Background(), s, s.Index(), search.Term{Text: "zzz"}, DefaultConfig()); terms != nil || err != nil {
 		t.Errorf("expected nil for retrieving nothing, got %+v, %v", terms, err)
 	}
 }
@@ -61,7 +61,7 @@ func TestFeedbackErrorIsReturned(t *testing.T) {
 	s := searcher("q alpha", "q alpha", "q beta")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if node, err := Reformulate(ctx, s, search.Term{Text: "q"}, DefaultConfig()); !errors.Is(err, context.Canceled) || node != nil {
+	if node, err := Reformulate(ctx, s, s.Index(), search.Term{Text: "q"}, DefaultConfig()); !errors.Is(err, context.Canceled) || node != nil {
 		t.Fatalf("Reformulate under a cancelled context = %v, %v; want context.Canceled", node, err)
 	}
 }
@@ -69,7 +69,7 @@ func TestFeedbackErrorIsReturned(t *testing.T) {
 func TestReformulateReplaces(t *testing.T) {
 	s := searcher("q alpha", "q alpha", "q beta")
 	orig := search.Term{Text: "q"}
-	node, err := Reformulate(context.Background(), s, orig, Config{FbDocs: 2, FbTerms: 2})
+	node, err := Reformulate(context.Background(), s, s.Index(), orig, Config{FbDocs: 2, FbTerms: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReformulateReplaces(t *testing.T) {
 func TestReformulateInterpolates(t *testing.T) {
 	s := searcher("q alpha", "q alpha")
 	orig := search.Term{Text: "q"}
-	node, err := Reformulate(context.Background(), s, orig, Config{FbDocs: 2, FbTerms: 1, OrigWeight: 0.5})
+	node, err := Reformulate(context.Background(), s, s.Index(), orig, Config{FbDocs: 2, FbTerms: 1, OrigWeight: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReformulateInterpolates(t *testing.T) {
 func TestReformulateFallsBackToOriginal(t *testing.T) {
 	s := searcher("a b")
 	orig := search.Term{Text: "zzz"}
-	node, err := Reformulate(context.Background(), s, orig, DefaultConfig())
+	node, err := Reformulate(context.Background(), s, s.Index(), orig, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFeedbackFollowsTopDocs(t *testing.T) {
 	)
 	// A small μ keeps P(Q|D) sensitive to tf on these tiny documents.
 	s.Mu = 5
-	terms, err := RelevanceModel(context.Background(), s, search.Term{Text: "q"}, Config{FbDocs: 2, FbTerms: 10})
+	terms, err := RelevanceModel(context.Background(), s, s.Index(), search.Term{Text: "q"}, Config{FbDocs: 2, FbTerms: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestCoordinatorContract(t *testing.T) {
 		{Model: ModelBM25, Params: ModelParams{K1: 1.2, B: 0.75}},
 	}
 	ctx := context.Background()
-	partial := &DegradeOptions{AllowPartial: true}
+	partial := &DegradeOptions{}
 	const k = 10
 	for _, kind := range kinds {
 		t.Run(kind.name+"/bit-identical", func(t *testing.T) {
@@ -398,7 +398,7 @@ func TestCoordinatorContract(t *testing.T) {
 			q := f.queries[0]
 			want := f.mono.Search(q, k)
 			const wantRetries = 3 // one stats re-run plus two eval re-runs
-			got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true, MaxRetries: 2}})
+			got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{MaxRetries: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func TestCoordinatorContract(t *testing.T) {
 			requireSameResults(t, got, want, "after retries")
 			// Out of retries, the flaky partition is dropped (or, alone,
 			// fails the query) — and the spent retries are still counted.
-			_, ev, err = evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true, MaxRetries: 1}})
+			_, ev, err = evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{MaxRetries: 1}})
 			if last == 0 {
 				if !errors.Is(err, errFlaky) {
 					t.Fatalf("sole partition out of retries: err = %v", err)

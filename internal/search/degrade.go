@@ -7,25 +7,23 @@ import (
 	"repro/internal/fault"
 )
 
-// DegradeOptions configures graceful degradation for partitioned
-// retrieval. The zero value disables every mechanism: any partition
-// failure fails the query.
+// DegradeOptions is the degradation policy: what a deployment tunes
+// about failing or stalling partitions. A non-nil policy always means
+// partial merges — the surviving partitions' results are merged when
+// some fail (error, panic, or ShardDeadline) — and the engine adds
+// expansion fallback on top (sqe.DegradationPolicy is this type). The
+// zero value degrades with no deadline and no retries. Parent-context
+// cancellation is never degraded away: if the caller's ctx is done, the
+// search fails with ctx.Err().
 type DegradeOptions struct {
-	// AllowPartial merges the surviving partitions' results when some
-	// fail (error, panic, or per-partition deadline), instead of failing
-	// the whole query. Parent-context cancellation is never degraded
-	// away: if the caller's ctx is done, the search fails with ctx.Err()
-	// regardless of this setting.
-	AllowPartial bool
 	// ShardDeadline bounds each attempt of each partition call (0 = no
 	// per-partition deadline). A partition that exceeds it is treated
-	// like a failed one: dropped under AllowPartial, fatal otherwise.
+	// like a failed one and dropped.
 	ShardDeadline time.Duration
-	// MaxRetries re-runs a partition call that failed with a failure the
-	// partition classifies as transient (fault.IsTransient in process,
-	// rpc.IsTransport across the wire) up to this many extra times
-	// before declaring the partition failed. A negative count means
-	// none.
+	// MaxRetries re-runs a call that failed with a failure classified as
+	// transient (fault.IsTransient in process, rpc.IsTransport across
+	// the wire) up to this many extra times before declaring it failed.
+	// A negative count means none: the call still runs once.
 	MaxRetries int
 	// RetryBackoff is the base delay between retry attempts; attempt i
 	// waits i×RetryBackoff (linear backoff, bounded by MaxRetries).

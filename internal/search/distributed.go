@@ -49,8 +49,8 @@ type EvalOptions struct {
 	// the wall-clock and one Shards row per partition.
 	CollectStats bool
 	// Degrade, when non-nil, applies per-partition deadlines, transient
-	// retries and — under AllowPartial — partial merges. Nil keeps the
-	// strict all-or-nothing behaviour.
+	// retries and partial merges. Nil keeps the strict all-or-nothing
+	// behaviour.
 	Degrade *DegradeOptions
 }
 
@@ -292,7 +292,7 @@ func (pc *partCall) release() {
 // all trees in one pass of the top-k loop — and, per tree, the bounded
 // per-partition rankings merge by (score desc, DocID asc).
 //
-// Under opts.AllowPartial a failing partition is taken out instead of
+// Under a degradation policy a failing partition is taken out instead of
 // failing the query, in two tiers: out in phase A, it never reported
 // statistics and the survivors score against the surviving sub-corpus;
 // out in phase B, the override already happened and the partial ranking
@@ -307,7 +307,7 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 	if n == 0 {
 		return nil
 	}
-	strict := g.opts == nil || !g.opts.AllowPartial
+	strict := g.opts == nil
 	calls := g.calls
 	// However the search ends, pi lists what was taken out, ascending.
 	defer func() {

@@ -125,10 +125,7 @@ func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
 	defer rs.Close()
 
 	q := Combine(Term{Text: "cable"}, Term{Text: "car"}, Term{Text: "tram"})
-	res, pi, err := evalDegraded(rs, q, k, DegradeOptions{
-		AllowPartial:  true,
-		ShardDeadline: 50 * time.Millisecond,
-	})
+	res, pi, err := evalDegraded(rs, q, k, DegradeOptions{ShardDeadline: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	q := Term{Text: "cable"}
 
 	// Healthy first: not degraded.
-	if _, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true}); err != nil || pi.Degraded() {
+	if _, pi, err := evalDegraded(rs, q, 5, DegradeOptions{}); err != nil || pi.Degraded() {
 		t.Fatalf("healthy search: err=%v degraded=%v", err, pi.Degraded())
 	}
 
@@ -195,9 +192,9 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	deadSrv.Close()
 	groups[dead].Close() // drop pooled connections to the dead server
 
-	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true, MaxRetries: 1})
+	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{MaxRetries: 1})
 	if err != nil {
-		t.Fatalf("dead shard with AllowPartial: %v", err)
+		t.Fatalf("dead shard under degradation: %v", err)
 	}
 	if len(pi.DroppedShards) != 1 || pi.DroppedShards[0] != dead {
 		t.Fatalf("dropped shards = %v, want [%d]", pi.DroppedShards, dead)
@@ -212,7 +209,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 		t.Fatal("surviving shard produced no results for an in-vocabulary term")
 	}
 	// Deterministic: the same degraded query again gives the same answer.
-	res2, _, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true})
+	res2, _, err := evalDegraded(rs, q, 5, DegradeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +219,9 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 		}
 	}
 
-	// Without AllowPartial the query must fail outright.
-	if _, _, err := evalDegraded(rs, q, 5, DegradeOptions{}); err == nil {
-		t.Fatal("dead shard without AllowPartial: expected an error")
+	// Without degradation the query must fail outright.
+	if _, _, err := evalOne(context.Background(), rs, q, 5, EvalOptions{}); err == nil {
+		t.Fatal("dead shard without degradation: expected an error")
 	}
 }
 
@@ -307,9 +304,9 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 	defer rs.Close()
 
 	q := Term{Text: "cable"}
-	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true})
+	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{})
 	if err != nil {
-		t.Fatalf("truncated shard with AllowPartial: %v", err)
+		t.Fatalf("truncated shard under degradation: %v", err)
 	}
 	if len(pi.DroppedShards) != 1 || pi.DroppedShards[0] != broken {
 		t.Fatalf("dropped shards = %v (%v), want [%d]", pi.DroppedShards, pi.ShardErrors, broken)
@@ -385,7 +382,7 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	defer rs.Close()
 
 	q := Combine(Term{Text: "cable"}, Term{Text: "bay"})
-	res, pi, err := evalDegraded(rs, q, 10, DegradeOptions{AllowPartial: true})
+	res, pi, err := evalDegraded(rs, q, 10, DegradeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +424,7 @@ func TestRemoteHandshakeRejectsMisconfiguredShard(t *testing.T) {
 
 // TestRemoteServerErrorDropsShardExactly: a deterministic application
 // error from one shard's eval (not a transport fault) is dropped
-// without retry under AllowPartial — PR 5's exact tier again.
+// without retry under degradation: the exact (phase-B) tier.
 func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
 	ix := buildShardCorpus(70, 37)
 	const n, bad = 2, 0
@@ -453,7 +450,7 @@ func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
 	defer rs.Close()
 
 	q := Term{Text: "cable"}
-	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{AllowPartial: true, MaxRetries: 2})
+	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,8 +194,8 @@ func TestSegmentedSearcherStats(t *testing.T) {
 
 // TestSegmentedSearcherDegradation: the in-process fault point
 // (fault.ShardEval) is wired into segment evaluation — an injected
-// failure drops that segment under AllowPartial and fails the query
-// without it. What a drop does to the ranking is the coordinator
+// failure drops that segment under a degradation policy and fails the
+// query without one. What a drop does to the ranking is the coordinator
 // contract's business (coordinator_test.go).
 func TestSegmentedSearcherDegradation(t *testing.T) {
 	docs := segTestCorpus(60, 14)
@@ -204,7 +204,7 @@ func TestSegmentedSearcherDegradation(t *testing.T) {
 
 	fault.Arm(fault.NewRegistry(42).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 1}))
 	defer fault.Disarm()
-	res, ev, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{AllowPartial: true}})
+	res, ev, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{}})
 	if err != nil {
 		t.Fatalf("degraded search failed: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestSegmentedSearcherDegradation(t *testing.T) {
 	}
 
 	fault.Arm(fault.NewRegistry(42).Set(fault.ShardEval, fault.Policy{ErrRate: 1, MaxFaults: 1}))
-	if _, _, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 10, EvalOptions{Degrade: &DegradeOptions{}}); err == nil {
+	if _, _, err := evalOne(context.Background(), gs, Term{Text: "alpha"}, 10, EvalOptions{}); err == nil {
 		t.Fatal("strict mode should fail on a segment fault")
 	}
 }

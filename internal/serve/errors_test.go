@@ -186,9 +186,7 @@ func degradingServer(t *testing.T) (*Server, sqe.DemoQuery) {
 	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
 	eng := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(),
 		sqe.WithShards(4),
-		sqe.WithDegradation(sqe.DegradationPolicy{
-			PartialShards: true, ExpansionFallback: true, PartialSQEC: true,
-		}))
+		sqe.WithDegradation(sqe.DegradationPolicy{}))
 	return testServer(t, Config{Engine: eng})
 }
 
@@ -361,6 +359,32 @@ func TestBackendFailureIs503(t *testing.T) {
 	}
 }
 
+// TestExpansionFaultPointCoversEveryExpansion arms core.motif_expand on
+// a strict engine: every expansion goes through the one guarded step
+// where the point fires, so an SQE_C request, a single-set request and
+// Expand all return the injected error, and /v1/expand answers 503
+// backend_unavailable.
+func TestExpansionFaultPointCoversEveryExpansion(t *testing.T) {
+	defer fault.Disarm()
+	s, q := testServer(t, Config{})
+	eng := s.cfg.Engine
+	ctx := context.Background()
+	fault.Arm(fault.NewRegistry(43).Set(fault.MotifExpand, fault.Policy{ErrRate: 1}))
+	for _, set := range []sqe.MotifSet{0, sqe.MotifTS} {
+		if _, err := eng.Do(ctx, sqe.SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: set, K: 10}); !fault.IsInjected(err) {
+			t.Errorf("Do(set=%v) = %v, want the injected fault", set, err)
+		}
+	}
+	if _, err := eng.Expand(q.Text, q.EntityTitles, sqe.MotifTS); !fault.IsInjected(err) {
+		t.Errorf("Expand = %v, want the injected fault", err)
+	}
+	w := do(t, s, http.MethodGet, "/v1/expand?q="+paramEscape(q.Text)+"&entities="+paramEscape(entitiesParam(q)), "")
+	var e apiError
+	if w.Code != http.StatusServiceUnavailable || json.Unmarshal(w.Body.Bytes(), &e) != nil || e.Err.Code != CodeBackendUnavailable {
+		t.Fatalf("/v1/expand: HTTP %d %s, want 503 %s", w.Code, w.Body.String(), CodeBackendUnavailable)
+	}
+}
+
 // TestWireVersionSkewIsBackendFailure: a shard that starts speaking
 // another wire version after boot (replaced by an older binary) is the
 // server's problem, not the caller's.
@@ -439,7 +463,7 @@ func TestChaosOverHTTP(t *testing.T) {
 			for _, p := range c.points {
 				pol := fault.Policy{ErrRate: 0.02, Transient: true, LatencyRate: 0.01, Latency: 200 * time.Microsecond}
 				switch p {
-				case fault.ShardEval, fault.SQECRun:
+				case fault.ShardEval:
 					pol.ErrRate, pol.PanicRate = 0.15, 0.05
 				case fault.MotifExpand:
 					pol.ErrRate, pol.Transient = 0.25, false

@@ -56,12 +56,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("sqe_uptime_seconds", "Seconds since the server started.")
 	fmt.Fprintf(&sb, "sqe_uptime_seconds %g\n", time.Since(s.start).Seconds())
 
-	counter("sqe_degraded_responses_total", "200 responses whose results were degraded (shards or runs dropped, expansion replaced).")
+	counter("sqe_degraded_responses_total", "200 responses whose results were degraded (shards dropped, expansion replaced).")
 	fmt.Fprintf(&sb, "sqe_degraded_responses_total %d\n", s.degraded.Load())
 	counter("sqe_degraded_dropped_shards_total", "Shard results missing from partial merges.")
 	fmt.Fprintf(&sb, "sqe_degraded_dropped_shards_total %d\n", s.droppedShards.Load())
-	counter("sqe_degraded_dropped_runs_total", "SQE_C run lists missing from splices.")
-	fmt.Fprintf(&sb, "sqe_degraded_dropped_runs_total %d\n", s.droppedRuns.Load())
 	counter("sqe_retries_total", "Pipeline stage re-runs after transient faults.")
 	fmt.Fprintf(&sb, "sqe_retries_total %d\n", s.degRetries.Load())
 	counter("sqe_expansion_fallbacks_total", "Motif expansions replaced by the plain unexpanded query.")

@@ -137,7 +137,6 @@ type Server struct {
 	degRetries    atomic.Int64 // transient-fault stage retries
 	degFallbacks  atomic.Int64 // expansions replaced by the raw query
 	droppedShards atomic.Int64 // shard results missing from merges
-	droppedRuns   atomic.Int64 // SQE_C run lists missing from splices
 
 	// mu guards the aggregated pipeline stats fed by every search and
 	// baseline request (the same counters sqe-bench reports per run).
@@ -245,8 +244,8 @@ type degrader interface {
 }
 
 // DegradedHeader is the response header set when a 200 response's
-// results were degraded (shards or runs dropped, expansion replaced).
-// Its value is a compact summary, e.g. "shards=1 runs=T".
+// results were degraded (shards dropped, expansion replaced).
+// Its value is a compact summary, e.g. "shards=1 expansion_fallback=2".
 const DegradedHeader = "X-SQE-Degraded"
 
 // degradedHeaderValue renders the compact header summary.
@@ -254,9 +253,6 @@ func degradedHeaderValue(d *sqe.Degradation) string {
 	var parts []string
 	if len(d.DroppedShards) > 0 {
 		parts = append(parts, fmt.Sprintf("shards=%d", len(d.DroppedShards)))
-	}
-	if len(d.DroppedRuns) > 0 {
-		parts = append(parts, "runs="+strings.Join(d.DroppedRuns, ","))
 	}
 	if d.ExpansionFallbacks > 0 {
 		parts = append(parts, fmt.Sprintf("expansion_fallback=%d", d.ExpansionFallbacks))
@@ -521,7 +517,6 @@ func (s *Server) runDo(ctx context.Context, req sqe.SearchRequest) (*sqe.SearchR
 		s.degRetries.Add(int64(d.Retries))
 		s.degFallbacks.Add(int64(d.ExpansionFallbacks))
 		s.droppedShards.Add(int64(len(d.DroppedShards)))
-		s.droppedRuns.Add(int64(len(d.DroppedRuns)))
 	}
 	return resp, nil
 }

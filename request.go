@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/prf"
 	"repro/internal/search"
 )
@@ -86,29 +85,37 @@ type SearchResponse struct {
 	// Expansion is the expansion used to build the final query: the
 	// single run's for an explicit MotifSet, the combined (T&S) run's
 	// for SQE_C. Nil for Baseline requests, which expand nothing — and
-	// for requests whose expansion was degraded to the unexpanded
-	// query (see Degraded.ExpansionFallbacks), or whose T&S run was
-	// dropped from an SQE_C splice.
+	// for requests whose (T&S) expansion was degraded to the unexpanded
+	// query (see Degraded.ExpansionFallbacks).
 	Expansion *Expansion
 	// Degraded reports what graceful degradation did to this request:
-	// dropped shards or SQE_C runs, expansion fallbacks, transient-
-	// fault retries. Nil when nothing happened — always nil on engines
-	// built without WithDegradation.
+	// dropped shards, expansion fallbacks, transient-fault retries. Nil
+	// when nothing happened — always nil on engines built without
+	// WithDegradation.
 	Degraded *Degradation
 }
 
 // Do runs one retrieval through the SQE pipeline; it is the retrieval
-// entry point. The context's deadline or cancellation aborts retrieval
+// entry point, and every request takes one path: the entities are
+// resolved, the request's trees are built — one QL tree for Baseline,
+// one expanded tree for a motif set, SQE_C's three (T, T&S, S) — PRF
+// reformulates the tree when the request asks for it, one Evaluate
+// ranks every tree, and SQE_C's three rankings are spliced at ranks 5
+// and 200. The context's deadline or cancellation aborts retrieval
 // mid-evaluation (including inside every shard's loop on a sharded
 // engine).
+//
+// With degradation on (WithDegradation) an expansion that fails is
+// replaced by the plain unexpanded query, each SQE_C run on its own,
+// and retrieve merges the surviving shards; Degraded reports both.
 func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	if e.live != nil && req.PRF != nil {
-		// PRF reformulates against the engine's unsharded searcher, which
-		// on a live engine wraps an empty placeholder index — feedback
-		// would silently come from no documents.
+		// PRF reads the feedback documents' vectors from the engine's
+		// index, which on a live engine is an empty placeholder —
+		// feedback would silently come from no documents.
 		return nil, errors.New("sqe: PRF is not supported on a live (segmented) engine")
 	}
 	if err := ctx.Err(); err != nil {
@@ -123,17 +130,62 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 		deg = &Degradation{}
 	}
 	resp := &SearchResponse{}
-	var err error
-	switch {
-	case req.Baseline:
-		resp.Results, err = e.doBaseline(ctx, req.Query, req.K, req.PRF, ps, deg)
-	case req.MotifSet == 0:
-		resp.Results, resp.Expansion, err = e.doC(ctx, req.Query, req.EntityTitles, req.K, ps, deg)
-	default:
-		resp.Results, resp.Expansion, err = e.doSet(ctx, req.MotifSet, req.Query, req.EntityTitles, req.K, req.PRF, ps, deg)
+	var trees []search.Node
+	if req.Baseline {
+		start := time.Now()
+		trees = []search.Node{e.expander.QLQuery(req.Query)}
+		if ps != nil {
+			ps.Stages.QueryBuild += time.Since(start)
+		}
+	} else {
+		nodes, err := e.linkEntities(ctx, req.Query, req.EntityTitles, ps)
+		if err != nil {
+			return nil, err
+		}
+		sets := sqecSets[:]
+		if req.MotifSet != 0 {
+			sets = []MotifSet{req.MotifSet}
+		}
+		trees = make([]search.Node, len(sets))
+		for i, set := range sets {
+			qg, err := e.expand(ctx, nodes, set, ps, deg)
+			switch {
+			case err == nil:
+				trees[i] = e.expander.BuildQueryStats(req.Query, qg, ps)
+				if len(sets) == 1 || set == MotifTS {
+					resp.Expansion = e.expansionOf(qg)
+				}
+			case deg != nil && ctx.Err() == nil:
+				// A cancelled parent context is the caller's signal and
+				// is never degraded into a fallback.
+				deg.ExpansionFallbacks++
+				trees[i] = e.expander.QLQuery(req.Query)
+			default:
+				return nil, err
+			}
+		}
 	}
+	if req.PRF != nil {
+		// The feedback pass is a small fixed-depth strict retrieval on the
+		// engine's retrieval path; it contributes to query construction,
+		// not to the final retrieval's timing.
+		start := time.Now()
+		var err error
+		trees[0], err = prf.Reformulate(ctx, e.dist, e.ix, trees[0], *req.PRF)
+		if ps != nil {
+			ps.Stages.QueryBuild += time.Since(start)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	lists, err := e.retrieve(ctx, trees, req.K, ps, deg)
 	if err != nil {
 		return nil, err
+	}
+	resp.Results = lists[0]
+	if len(lists) == len(sqecSets) {
+		resp.Results = core.SpliceResultsC(req.K, lists[0], lists[1], lists[2])
 	}
 	if ps != nil {
 		ps.Queries++
@@ -145,42 +197,9 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 	return resp, nil
 }
 
-// doSet runs one motif configuration end to end: entity resolution,
-// (cached) motif expansion, three-part query construction, optional PRF
-// reformulation, retrieval. Stage timings and evaluator counters
-// accumulate into ps when non-nil; degradation events accumulate into
-// deg when non-nil (see Engine.buildQuery and Engine.retrieve).
-func (e *Engine) doSet(ctx context.Context, set MotifSet, query string, entityTitles []string, k int, prfCfg *PRFConfig, ps *PipelineStats, deg *Degradation) ([]Result, *Expansion, error) {
-	nodes, err := e.linkEntities(ctx, query, entityTitles, ps)
-	if err != nil {
-		return nil, nil, err
-	}
-	node, exp, err := e.buildQuery(ctx, query, nodes, set, ps, deg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if prfCfg != nil {
-		// The feedback pass is a small fixed-depth retrieval over the
-		// unsharded searcher; it contributes to query construction, not
-		// to the final retrieval's timing.
-		start := time.Now()
-		node, err = prf.Reformulate(ctx, e.searcher, node, *prfCfg)
-		if ps != nil {
-			ps.Stages.QueryBuild += time.Since(start)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	lists, err := e.retrieve(ctx, []search.Node{node}, k, ps, deg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lists[0], exp, nil
-}
-
 // linkEntities resolves a request's entities, timed into the entity-link
-// stage, and checks the context before any expansion starts.
+// stage when ps is non-nil, and checks the context before any expansion
+// starts.
 func (e *Engine) linkEntities(ctx context.Context, query string, entityTitles []string, ps *PipelineStats) ([]NodeID, error) {
 	start := time.Now()
 	nodes, err := e.resolveEntities(query, entityTitles)
@@ -193,101 +212,10 @@ func (e *Engine) linkEntities(ctx context.Context, query string, entityTitles []
 	return nodes, ctx.Err()
 }
 
-// sqecRunNames are the paper's names for SQE_C's runs, in splice order;
-// Degradation.DroppedRuns uses them.
-var sqecRunNames = [3]string{"T", "TS", "S"}
-
 // sqecSets is the run order of the SQE_C combination: triangular alone,
 // both motifs, square alone — the splice in core.SpliceResultsC keys off
 // this order.
 var sqecSets = [3]MotifSet{MotifT, MotifTS, MotifS}
-
-// doC runs the paper's SQE_C combination: the T, T&S and S runs spliced
-// at ranks 5 and 200. The entities are resolved once for all three
-// runs; each run then expands and builds its own tree, and retrieve
-// evaluates the trees together. The returned Expansion is the combined
-// (T&S) run's.
-//
-// With degradation enabled each run's expansion and query build is
-// guarded (the engine.sqec_run fault point, panic containment, transient
-// retry), and under PartialSQEC a run that fails there is dropped before
-// the evaluation: the survivors still cover their rank bands, and
-// Degradation.DroppedRuns names the missing lists. All three failing
-// fails the request with the first run's error. The evaluation is one
-// event for the whole request (see retrieve), never a reason to drop
-// a run.
-func (e *Engine) doC(ctx context.Context, query string, entityTitles []string, k int, ps *PipelineStats, deg *Degradation) ([]Result, *Expansion, error) {
-	nodes, err := e.linkEntities(ctx, query, entityTitles, ps)
-	if err != nil {
-		return nil, nil, err
-	}
-	partial := deg != nil && e.degrade.PartialSQEC
-	var exps [3]*Expansion
-	var built []int // the runs behind trees, in run order
-	var trees []search.Node
-	var firstErr error
-	for i, set := range sqecSets {
-		var node search.Node
-		err := e.guarded(ctx, deg, func() (err error) {
-			if deg != nil {
-				if err = fault.Check(fault.SQECRun); err != nil {
-					return err
-				}
-			}
-			node, exps[i], err = e.buildQuery(ctx, query, nodes, set, ps, deg)
-			return err
-		})
-		if err != nil {
-			// A cancelled parent context is the caller's signal and is
-			// never degraded into a partial splice.
-			if !partial || ctx.Err() != nil {
-				return nil, nil, err
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			exps[i] = nil
-			deg.DroppedRuns = append(deg.DroppedRuns, sqecRunNames[i])
-			continue
-		}
-		built = append(built, i)
-		trees = append(trees, node)
-	}
-	if len(trees) == 0 {
-		return nil, nil, firstErr
-	}
-	lists, err := e.retrieve(ctx, trees, k, ps, deg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var runs [3][]Result
-	for j, i := range built {
-		runs[i] = lists[j]
-	}
-	return core.SpliceResultsC(k, runs[0], runs[1], runs[2]), exps[1], nil
-}
-
-// doBaseline runs the plain query-likelihood baseline (QL_Q), optionally
-// with PRF on top.
-func (e *Engine) doBaseline(ctx context.Context, query string, k int, prfCfg *PRFConfig, ps *PipelineStats, deg *Degradation) ([]Result, error) {
-	start := time.Now()
-	node := e.expander.QLQuery(query)
-	var err error
-	if prfCfg != nil {
-		node, err = prf.Reformulate(ctx, e.searcher, node, *prfCfg)
-	}
-	if ps != nil {
-		ps.Stages.QueryBuild += time.Since(start)
-	}
-	if err != nil {
-		return nil, err
-	}
-	lists, err := e.retrieve(ctx, []search.Node{node}, k, ps, deg)
-	if err != nil {
-		return nil, err
-	}
-	return lists[0], nil
-}
 
 // expansionOf converts the expander's query graph into the public
 // Expansion shape.
@@ -313,15 +241,13 @@ func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 // single index is a coordinator over one partition. The pass is timed
 // and counted into ps when non-nil (per-partition rows included). With
 // degradation enabled (deg non-nil) every partition call runs with a
-// deadline, panic containment and transient retries, and — under
-// PartialShards — a failed partition is dropped from every tree's
-// merge; there is no per-tree partial result.
+// deadline, panic containment and transient retries, and a failed
+// partition is dropped from every tree's merge; there is no per-tree
+// partial result.
 func (e *Engine) retrieve(ctx context.Context, nodes []search.Node, k int, ps *PipelineStats, deg *Degradation) ([][]Result, error) {
 	opts := search.EvalOptions{CollectStats: ps != nil}
 	if deg != nil {
-		p := e.degrade
-		opts.Degrade = &search.DegradeOptions{AllowPartial: p.PartialShards, ShardDeadline: p.ShardDeadline,
-			MaxRetries: p.MaxRetries, RetryBackoff: p.RetryBackoff}
+		opts.Degrade = e.degrade
 	}
 	start := time.Now()
 	ev, err := e.dist.Evaluate(ctx, nodes, k, opts)

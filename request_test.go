@@ -77,12 +77,12 @@ func TestDoStatsParity(t *testing.T) {
 	if doSharded.Stats.Queries != 1 || doSharded.Stats.Retrievals != 1 {
 		t.Fatalf("Do SQE_C stats on a sharded engine: %+v", doSharded.Stats)
 	}
-	doSet, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 20, CollectStats: true})
+	setResp, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 20, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doSet.Stats.Queries != 1 || doSet.Stats.Retrievals != 1 {
-		t.Fatalf("Do set stats: %+v", doSet.Stats)
+	if setResp.Stats.Queries != 1 || setResp.Stats.Retrievals != 1 {
+		t.Fatalf("Do set stats: %+v", setResp.Stats)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestDoExpansion(t *testing.T) {
 	eng := e.Engine
 	q := e.Queries[0]
 	ctx := context.Background()
-	doSet, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 10})
+	setResp, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, MotifSet: MotifTS, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestDoExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(doSet.Expansion, want) {
+	if !reflect.DeepEqual(setResp.Expansion, want) {
 		t.Fatal("Do(set=TS).Expansion != Expand(TS)")
 	}
-	doC, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10})
+	sqecResp, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(doC.Expansion, want) {
+	if !reflect.DeepEqual(sqecResp.Expansion, want) {
 		t.Fatal("Do(SQE_C).Expansion should be the combined (T&S) run's")
 	}
 	doB, err := eng.Do(ctx, SearchRequest{Query: q.Text, K: 10, Baseline: true})
@@ -119,7 +119,7 @@ func TestDoExpansion(t *testing.T) {
 	if doB.Expansion != nil {
 		t.Fatal("baseline request returned an expansion")
 	}
-	if doSet.Stats != nil || doC.Stats != nil {
+	if setResp.Stats != nil || sqecResp.Stats != nil {
 		t.Fatal("Stats must be nil without CollectStats")
 	}
 }

@@ -159,8 +159,10 @@ type Expansion struct {
 // immutable afterwards: any number of goroutines may call Do, Expand
 // and ParseQuery concurrently.
 type Engine struct {
-	graph    *Graph
-	searcher *search.Searcher
+	graph *Graph
+	// ix is the document index: the analyzer's, PRF's doc vectors' and
+	// Index()'s source. On a live engine it is an empty placeholder.
+	ix       *Index
 	expander *core.Expander
 	linker   *entitylink.Linker
 	// cache memoises motif expansions across requests; nil when caching
@@ -175,14 +177,17 @@ type Engine struct {
 	// shards is the shard count requested via WithShards (0/1 =
 	// unsharded).
 	shards int
+	// cfg is the retrieval configuration the options stage; NewEngine
+	// applies it to dist (with Sem set to the worker pool).
+	cfg search.ShardConfig
 	// dist is the retrieval path every request's trees go through in one
-	// Evaluate: the searcher itself (a coordinator over one partition,
-	// the whole index), the in-process ShardedSearcher (WithShards), an
-	// RPC coordinator over shard-server processes
-	// (WithDistributedSearcher) or a snapshot-pinning segmented searcher
-	// (NewLiveEngine); all return results bit-identical to a monolithic
-	// searcher over the same documents — see internal/search.Distributed.
-	// searcher serves PRF, Index and the analyzer.
+	// Evaluate — PRF's feedback pass included: a searcher over ix (a
+	// coordinator over one partition, the whole index), the in-process
+	// ShardedSearcher (WithShards), an RPC coordinator over shard-server
+	// processes (WithDistributedSearcher) or a snapshot-pinning segmented
+	// searcher (NewLiveEngine); all return results bit-identical to a
+	// monolithic searcher over the same documents, with global DocIDs —
+	// see internal/search.Distributed.
 	dist search.Distributed
 	// degrade, when non-nil, enables graceful degradation in Do (see
 	// WithDegradation and DegradationPolicy); nil keeps the strict
@@ -190,8 +195,8 @@ type Engine struct {
 	degrade *DegradationPolicy
 	// live, when non-nil, is the segmented index a live engine serves
 	// and mutates (see NewLiveEngine); retrieval then routes through
-	// dist (a snapshot-pinning segmented searcher) and searcher wraps an
-	// empty placeholder.
+	// dist (a snapshot-pinning segmented searcher) and ix is an empty
+	// placeholder.
 	live *LiveIndex
 }
 
@@ -210,15 +215,15 @@ func WithLinker(dict *entitylink.Dictionary) Option {
 // provided for comparison studies — SQE's expansions are model-agnostic.
 func WithRetrievalModel(m RetrievalModel, params ModelParams) Option {
 	return func(e *Engine) {
-		e.searcher.Model = m
-		e.searcher.Params = params
+		e.cfg.Model = m
+		e.cfg.Params = params
 	}
 }
 
 // WithDirichletMu overrides the retrieval model's smoothing parameter μ
 // (default 2500).
 func WithDirichletMu(mu float64) Option {
-	return func(e *Engine) { e.searcher.Mu = mu }
+	return func(e *Engine) { e.cfg.Mu = mu }
 }
 
 // WithPruning toggles MaxScore-style score-safe dynamic pruning in the
@@ -231,7 +236,7 @@ func WithDirichletMu(mu float64) Option {
 // this). WithPruning(false) is the escape hatch for debugging and the
 // exhaustive reference the bench/ oracle compares against.
 func WithPruning(on bool) Option {
-	return func(e *Engine) { e.searcher.DisablePruning = !on }
+	return func(e *Engine) { e.cfg.DisablePruning = !on }
 }
 
 // WithExpansionCache bounds a sharded LRU cache over motif expansions
@@ -309,9 +314,10 @@ func WithDistributedSearcher(d DistributedSearcher) Option {
 func NewEngine(g *Graph, ix *Index, opts ...Option) *Engine {
 	e := &Engine{
 		graph:    g,
-		searcher: search.NewSearcher(ix),
+		ix:       ix,
 		expander: core.NewExpander(g, ix.Analyzer()),
 		workers:  runtime.GOMAXPROCS(0),
+		cfg:      search.ShardConfig{Mu: search.DefaultMu},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -325,17 +331,10 @@ func NewEngine(g *Graph, ix *Index, opts ...Option) *Engine {
 		}
 	}
 	if e.dist == nil {
-		e.dist = e.searcher
+		e.dist = search.NewSearcher(ix)
 	}
-	// Mirror the retrieval configuration the options set on the searcher
-	// onto the retrieval path (the searcher itself when unsharded).
-	e.dist.Configure(search.ShardConfig{
-		Mu:             e.searcher.Mu,
-		Model:          e.searcher.Model,
-		Params:         e.searcher.Params,
-		DisablePruning: e.searcher.DisablePruning,
-		Sem:            e.sem,
-	})
+	e.cfg.Sem = e.sem
+	e.dist.Configure(e.cfg)
 	return e
 }
 
@@ -346,7 +345,7 @@ func (e *Engine) Shards() int { return e.dist.NumShards() }
 func (e *Engine) Graph() *Graph { return e.graph }
 
 // Index returns the engine's document index.
-func (e *Engine) Index() *Index { return e.searcher.Index() }
+func (e *Engine) Index() *Index { return e.ix }
 
 // ExpansionCacheStats reports the expansion cache's counters; ok is
 // false when the engine was built without WithExpansionCache.
@@ -358,14 +357,11 @@ func (e *Engine) ExpansionCacheStats() (stats CacheStats, ok bool) {
 }
 
 // ParseQuery parses an Indri-like structured query (#weight/#combine/
-// #1/#uwN/quotes) with the engine's analyzer and retrieves the top k.
-func (e *Engine) ParseQuery(query string, k int) ([]Result, error) {
-	return e.ParseQueryContext(context.Background(), query, k)
-}
-
-// ParseQueryContext is ParseQuery under a context deadline.
-func (e *Engine) ParseQueryContext(ctx context.Context, query string, k int) ([]Result, error) {
-	node, err := search.Parse(e.searcher.Index().Analyzer(), query)
+// #1/#uwN/quotes) with the engine's analyzer and retrieves the top k
+// under ctx, strictly: a parsed query bypasses Do's pipeline and its
+// degradation.
+func (e *Engine) ParseQuery(ctx context.Context, query string, k int) ([]Result, error) {
+	node, err := search.Parse(e.ix.Analyzer(), query)
 	if err != nil {
 		return nil, err
 	}
@@ -409,16 +405,23 @@ func (e *Engine) Expand(query string, entityTitles []string, set MotifSet) (*Exp
 
 // ExpandContext is Expand under a context: the check happens before the
 // motif search starts (motif search itself is not interruptible — it is
-// bounded by the query's neighbourhood, not the corpus).
+// bounded by the query's neighbourhood, not the corpus). It runs Do's
+// expansion step, under the engine's retry budget when degradation is
+// on; with no unexpanded answer to fall back to, a failed expansion is
+// returned as the error.
 func (e *Engine) ExpandContext(ctx context.Context, query string, entityTitles []string, set MotifSet) (*Expansion, error) {
-	nodes, err := e.resolveEntities(query, entityTitles)
+	nodes, err := e.linkEntities(ctx, query, entityTitles, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	var deg *Degradation
+	if e.degrade != nil {
+		deg = &Degradation{}
+	}
+	qg, err := e.expand(ctx, nodes, set, nil, deg)
+	if err != nil {
 		return nil, err
 	}
-	qg := e.expander.BuildQueryGraphCached(nodes, set, e.cache, nil)
 	return e.expansionOf(qg), nil
 }
 

@@ -275,14 +275,14 @@ func TestParseQuery(t *testing.T) {
 	e := demo(t)
 	q := e.Queries[0]
 	words := strings.Fields(q.Text)
-	res, err := e.Engine.ParseQuery("#weight(2 "+words[0]+" 1 "+words[1]+")", 5)
+	res, err := e.Engine.ParseQuery(context.Background(), "#weight(2 "+words[0]+" 1 "+words[1]+")", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) == 0 {
 		t.Error("parsed query retrieved nothing")
 	}
-	if _, err := e.Engine.ParseQuery("#weight(", 5); err == nil {
+	if _, err := e.Engine.ParseQuery(context.Background(), "#weight(", 5); err == nil {
 		t.Error("bad query should error")
 	}
 }
