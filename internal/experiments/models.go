@@ -37,8 +37,8 @@ func ModelComparison(s *Suite, inst *dataset.Instance) *ModelComparisonResult {
 	for _, model := range []search.Model{search.ModelDirichlet, search.ModelJelinekMercer, search.ModelBM25} {
 		r := s.NewRunner(inst)
 		r.Searcher.Model = model
-		base := eval.Evaluate("QL_Q", inst.Qrels, r.QLQ())
-		sqe := eval.Evaluate("SQE", inst.Qrels, r.SQE(motif.SetTS, true))
+		base := s.evaluate("models", inst, model.String()+"/QL_Q", r.QLQ())
+		sqe := s.evaluate("models", inst, model.String()+"/SQE_T&S", r.SQE(motif.SetTS, true))
 		res.Table.Rows = append(res.Table.Rows,
 			rowFromReport(model.String()+"/QL_Q", base, nil, res.Table.Tops),
 			rowFromReport(model.String()+"/SQE_T&S", sqe, nil, res.Table.Tops),

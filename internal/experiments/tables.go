@@ -100,15 +100,16 @@ type Table1Result struct {
 // Table1 runs the Image CLEF configuration study.
 func Table1(s *Suite) *Table1Result {
 	r := s.NewRunner(s.ImageCLEF)
-	reports := map[string]*eval.Report{
-		"QL_Q":    r.Evaluate("QL_Q", r.QLQ()),
-		"QL_E":    r.Evaluate("QL_E", r.QLE(true)),
-		"QL_Q&E":  r.Evaluate("QL_Q&E", r.QLQE(true)),
-		"SQE_T":   r.Evaluate("SQE_T", r.SQE(motif.SetT, true)),
-		"SQE_T&S": r.Evaluate("SQE_T&S", r.SQE(motif.SetTS, true)),
-		"SQE_S":   r.Evaluate("SQE_S", r.SQE(motif.SetS, true)),
-		"SQE_UB":  r.Evaluate("SQE_UB", r.SQEUB()),
+	runs := map[string]eval.Run{
+		"QL_Q":    r.QLQ(),
+		"QL_E":    r.QLE(true),
+		"QL_Q&E":  r.QLQE(true),
+		"SQE_T":   r.SQE(motif.SetT, true),
+		"SQE_T&S": r.SQE(motif.SetTS, true),
+		"SQE_S":   r.SQE(motif.SetS, true),
+		"SQE_UB":  r.SQEUB(),
 	}
+	reports := s.evaluateAll("table1", s.ImageCLEF, runs)
 	base := eval.BestPerQuery(reports["QL_Q"], reports["QL_E"], reports["QL_Q&E"])
 	res := &Table1Result{
 		Table:   PrecisionTable{Title: "Table 1: Image CLEF configuration study (manual entities)", Tops: eval.Tops},
@@ -157,16 +158,17 @@ type Table2Result struct {
 // Table2 runs the SQE_C evaluation for inst.
 func Table2(s *Suite, inst *dataset.Instance) *Table2Result {
 	r := s.NewRunner(inst)
-	reports := map[string]*eval.Report{
-		"QL_Q":       r.Evaluate("QL_Q", r.QLQ()),
-		"QL_E (M)":   r.Evaluate("QL_E (M)", r.QLE(true)),
-		"QL_E (A)":   r.Evaluate("QL_E (A)", r.QLE(false)),
-		"QL_Q&E (M)": r.Evaluate("QL_Q&E (M)", r.QLQE(true)),
-		"QL_Q&E (A)": r.Evaluate("QL_Q&E (A)", r.QLQE(false)),
-		"Q_X":        r.Evaluate("Q_X", r.QX(true)),
-		"SQE_C (M)":  r.Evaluate("SQE_C (M)", r.SQEC(true)),
-		"SQE_C (A)":  r.Evaluate("SQE_C (A)", r.SQEC(false)),
+	runs := map[string]eval.Run{
+		"QL_Q":       r.QLQ(),
+		"QL_E (M)":   r.QLE(true),
+		"QL_E (A)":   r.QLE(false),
+		"QL_Q&E (M)": r.QLQE(true),
+		"QL_Q&E (A)": r.QLQE(false),
+		"Q_X":        r.QX(true),
+		"SQE_C (M)":  r.SQEC(true),
+		"SQE_C (A)":  r.SQEC(false),
 	}
+	reports := s.evaluateAll("table2", inst, runs)
 	base := eval.BestPerQuery(
 		reports["QL_Q"], reports["QL_E (M)"], reports["QL_E (A)"],
 		reports["QL_Q&E (M)"], reports["QL_Q&E (A)"],
@@ -211,12 +213,13 @@ func Table3(s *Suite, inst *dataset.Instance, t2 *Table2Result) *Table3Result {
 	// expanded query.
 	cfgSQE := cfg
 	cfgSQE.OrigWeight = 0.5
-	reports := map[string]*eval.Report{
-		"PRF_Q":     r.Evaluate("PRF_Q", r.PRFRun(cfg, func(q *dataset.Query) search.Node { return r.Expander.QLQuery(q.Text) })),
-		"PRF_E":     r.Evaluate("PRF_E", r.PRFRun(cfg, func(q *dataset.Query) search.Node { return r.Expander.QLEntities(r.Entities(q, false)) })),
-		"PRF_Q&E":   r.Evaluate("PRF_Q&E", r.PRFRun(cfg, func(q *dataset.Query) search.Node { return r.Expander.QLQueryEntities(q.Text, r.Entities(q, false)) })),
-		"SQE_C/PRF": r.Evaluate("SQE_C/PRF", r.SQECPRF(cfgSQE, false)),
+	runs := map[string]eval.Run{
+		"PRF_Q":     r.PRFRun(cfg, func(q *dataset.Query) search.Node { return r.Expander.QLQuery(q.Text) }),
+		"PRF_E":     r.PRFRun(cfg, func(q *dataset.Query) search.Node { return r.Expander.QLEntities(r.Entities(q, false)) }),
+		"PRF_Q&E":   r.PRFRun(cfg, func(q *dataset.Query) search.Node { return r.Expander.QLQueryEntities(q.Text, r.Entities(q, false)) }),
+		"SQE_C/PRF": r.SQECPRF(cfgSQE, false),
 	}
+	reports := s.evaluateAll("table3", inst, runs)
 	refs := map[string]string{
 		"PRF_Q":     "QL_Q",
 		"PRF_E":     "QL_E (A)",
