@@ -227,21 +227,6 @@ func BenchmarkMotifExpansionPerQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExpansion measures the paper's parallelisation remark:
-// all query graphs of a set built on all cores.
-func BenchmarkParallelExpansion(b *testing.B) {
-	s := suite(b)
-	r := s.NewRunner(s.ImageCLEF)
-	var nodeSets [][]kb.NodeID
-	for qi := range s.ImageCLEF.Queries {
-		nodeSets = append(nodeSets, r.Entities(&s.ImageCLEF.Queries[qi], true))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Expander.BuildQueryGraphs(nodeSets, motif.SetTS, 0)
-	}
-}
-
 // BenchmarkSearchBaseline measures one plain query-likelihood retrieval.
 func BenchmarkSearchBaseline(b *testing.B) {
 	s := suite(b)

@@ -74,7 +74,7 @@ func main() {
 		return strings.Join(parts, ", ")
 	}
 	showRun := func(q *dataset.Query, name string, node search.Node) {
-		res := r.Searcher.Search(node, *topFlag)
+		res := r.Rank(q, *topFlag, nil, node)
 		rel := inst.Qrels[q.ID]
 		marks := make([]string, len(res))
 		hits := 0
@@ -120,7 +120,7 @@ func main() {
 		showRun(q, "SQE_UB", r.Expander.BuildQuery(q.Text, ub))
 		if *explainFlag {
 			node := r.Expander.BuildQuery(q.Text, qgTS)
-			if top := r.Searcher.Search(node, 1); len(top) > 0 {
+			if top := r.Rank(q, 1, nil, node); len(top) > 0 {
 				fmt.Printf("  explanation of SQE_T&S top result:\n%s", indent(r.Searcher.Explain(node, top[0].Doc).String()))
 			}
 		}

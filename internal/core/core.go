@@ -227,57 +227,9 @@ func (e *Expander) QLExpansionOnly(qg QueryGraph) search.Node {
 	return e.expansionPart(qg.Features)
 }
 
-// Segment describes one slice of an SQE_C combination: take results from
-// Run until the combined list reaches Upto entries (Upto <= 0 means "the
-// rest").
-type Segment struct {
-	Run  []string
-	Upto int
-}
-
-// Splice implements the SQE_C combination (Section 2.2.1): result lists
-// from differently-configured expansions are concatenated range-wise —
-// the paper uses ranks 1–5 from SQE_T, 6–200 from SQE_T&S and 201+ from
-// SQE_S. Duplicates are kept only at their first occurrence; segments
-// are consumed in order and each contributes documents (skipping ones
-// already taken) until the output reaches its Upto bound.
-func Splice(limit int, segments ...Segment) []string {
-	out := make([]string, 0, limit)
-	seen := make(map[string]bool, limit)
-	for _, seg := range segments {
-		upto := seg.Upto
-		if upto <= 0 || upto > limit {
-			upto = limit
-		}
-		for _, doc := range seg.Run {
-			if len(out) >= upto {
-				break
-			}
-			if seen[doc] {
-				continue
-			}
-			seen[doc] = true
-			out = append(out, doc)
-		}
-		if len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
 // DefaultSpliceCuts are the paper's SQE_C cut points: first 5 results
 // from SQE_T, through rank 200 from SQE_T&S, remainder from SQE_S.
 var DefaultSpliceCuts = [2]int{5, 200}
-
-// SpliceC applies the paper's SQE_C configuration to three ranked lists.
-func SpliceC(limit int, runT, runTS, runS []string) []string {
-	return Splice(limit,
-		Segment{Run: runT, Upto: DefaultSpliceCuts[0]},
-		Segment{Run: runTS, Upto: DefaultSpliceCuts[1]},
-		Segment{Run: runS},
-	)
-}
 
 // ResultNames extracts the document names from a ranked result list.
 func ResultNames(results []search.Result) []string {
@@ -288,31 +240,54 @@ func ResultNames(results []search.Result) []string {
 	return out
 }
 
-// SpliceResultsC applies the SQE_C combination to three ranked Result
-// lists and materialises the combined list with scores attached.
+// SpliceResultsC applies the paper's SQE_C combination — cut at
+// DefaultSpliceCuts — to three ranked Result lists.
+func SpliceResultsC(limit int, runT, runTS, runS []search.Result) []search.Result {
+	return SpliceResults(limit, DefaultSpliceCuts, runT, runTS, runS)
+}
+
+// SpliceResults implements the SQE_C combination (Section 2.2.1): the
+// result lists of differently-configured expansions are concatenated
+// range-wise — runT fills the output through rank cuts[0], runTS through
+// rank cuts[1] and runS up to limit (a cut <= 0 or beyond limit is
+// limit). Each run contributes documents in its rank order, skipping
+// ones already taken, until the output reaches its cut.
 //
 // Tie rule: when the same document name appears in more than one run —
 // necessarily with different scores, since the three expansions build
 // different queries — the Result (doc, score) of the *first* run in
-// T → T&S → S order wins, regardless of which segment the name was
-// spliced from. The rule is deterministic and independent of how the
-// runs were evaluated — together in one pass or one by one — so every
-// engine shape splices byte-identically. Every spliced name is
-// guaranteed present in the map (names come from the runs themselves),
-// so no result is ever dropped.
-func SpliceResultsC(limit int, runT, runTS, runS []search.Result) []search.Result {
-	names := SpliceC(limit, ResultNames(runT), ResultNames(runTS), ResultNames(runS))
-	byName := make(map[string]search.Result, len(runT)+len(runTS)+len(runS))
-	for _, rs := range [][]search.Result{runT, runTS, runS} {
-		for _, r := range rs {
-			if _, ok := byName[r.Name]; !ok {
-				byName[r.Name] = r
+// T → T&S → S order wins, regardless of which run the name was spliced
+// from. The rule is deterministic and independent of how the runs were
+// evaluated — together in one pass or one by one — so every engine
+// shape splices byte-identically.
+func SpliceResults(limit int, cuts [2]int, runT, runTS, runS []search.Result) []search.Result {
+	runs := [3][]search.Result{runT, runTS, runS}
+	// first maps each name to its Result in the first run that ranks it.
+	// A spliced name leaves the map, so the map is also the set of names
+	// still free to take.
+	first := make(map[string]search.Result, len(runT)+len(runTS)+len(runS))
+	for _, run := range runs {
+		for _, r := range run {
+			if _, ok := first[r.Name]; !ok {
+				first[r.Name] = r
 			}
 		}
 	}
-	out := make([]search.Result, 0, len(names))
-	for _, n := range names {
-		out = append(out, byName[n])
+	out := make([]search.Result, 0, min(limit, len(first)))
+	for i, run := range runs {
+		upto := limit
+		if i < len(cuts) && cuts[i] > 0 && cuts[i] < limit {
+			upto = cuts[i]
+		}
+		for _, r := range run {
+			if len(out) >= upto {
+				break
+			}
+			if f, ok := first[r.Name]; ok {
+				delete(first, r.Name)
+				out = append(out, f)
+			}
+		}
 	}
 	return out
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/kb"
 	"repro/internal/motif"
-	"repro/internal/search"
 )
 
 // cacheTestExpander builds a tiny KB with one triangular motif so
@@ -368,38 +367,6 @@ func TestExpansionCacheCapacityExact(t *testing.T) {
 		}
 		if got := c.Len(); got != n {
 			t.Errorf("capacity %d: saturated cache holds %d entries", n, got)
-		}
-	}
-}
-
-func TestSpliceResultsCFirstRunWins(t *testing.T) {
-	res := func(name string, score float64) search.Result {
-		return search.Result{Name: name, Score: score}
-	}
-	runT := []search.Result{res("a", 3), res("b", 2)}
-	runTS := []search.Result{res("b", 9), res("c", 8), res("d", 7)}
-	runS := []search.Result{res("d", 5), res("e", 4)}
-	out := SpliceResultsC(10, runT, runTS, runS)
-	want := map[string]float64{
-		"a": 3, // only in T
-		"b": 2, // T and TS collide → T's score wins
-		"c": 8, // only in TS
-		"d": 7, // TS and S collide → TS's score wins
-		"e": 4, // only in S
-	}
-	if len(out) != len(want) {
-		t.Fatalf("got %d results, want %d: %+v", len(out), len(want), out)
-	}
-	for _, r := range out {
-		if want[r.Name] != r.Score {
-			t.Errorf("%s: score %v, want %v (first-run-wins)", r.Name, r.Score, want[r.Name])
-		}
-	}
-	// Order must follow the splice of the names.
-	names := SpliceC(10, ResultNames(runT), ResultNames(runTS), ResultNames(runS))
-	for i, r := range out {
-		if names[i] != r.Name {
-			t.Errorf("rank %d: %s, want %s", i, r.Name, names[i])
 		}
 	}
 }

@@ -76,19 +76,3 @@ func TestMineMotifsRecoversPaperMotifs(t *testing.T) {
 		t.Error("rendering incomplete")
 	}
 }
-
-func TestMeasureParallelSpeedup(t *testing.T) {
-	s := smallSuite(t)
-	res := MeasureParallelSpeedup(s, s.ImageCLEF, 4, 2)
-	if len(res.Workers) == 0 || len(res.Workers) != len(res.Speedups) {
-		t.Fatalf("speedup result malformed: %+v", res)
-	}
-	if res.Workers[0] != 1 {
-		t.Error("first measurement should be single-worker")
-	}
-	for _, sp := range res.Speedups {
-		if sp <= 0 {
-			t.Errorf("non-positive speedup: %+v", res.Speedups)
-		}
-	}
-}

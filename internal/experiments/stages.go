@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/motif"
 )
 
 // StageProfileResult is the per-stage cost attribution of one dataset's
@@ -20,25 +18,15 @@ type StageProfileResult struct {
 	Stats   *core.PipelineStats
 }
 
-// StageProfile runs the SQE_C workload of inst with the stats layer
-// threaded through every stage.
+// StageProfile runs the SQE_C workload of inst the way Engine.Do
+// serves it — three expansions and one evaluation per query — with the
+// stats layer threaded through every stage.
 func StageProfile(s *Suite, inst *dataset.Instance) *StageProfileResult {
 	r := s.NewRunner(inst)
 	ps := &core.PipelineStats{}
 	for qi := range inst.Queries {
 		q := &inst.Queries[qi]
-		start := time.Now()
-		nodes := r.Entities(q, true)
-		ps.Stages.EntityLink += time.Since(start)
-		for _, set := range []motif.Set{motif.SetT, motif.SetTS, motif.SetS} {
-			qg := r.Expander.BuildQueryGraphCached(nodes, set, nil, ps)
-			node := r.Expander.BuildQueryStats(q.Text, qg, ps)
-			start = time.Now()
-			_, st := r.Searcher.SearchWithStats(node, RunDepth)
-			ps.Stages.Retrieval += time.Since(start)
-			ps.Search.Add(st)
-			ps.Retrievals++
-		}
+		r.Rank(q, RunDepth, ps, r.sqecTrees(q, true, ps)...)
 		ps.Queries++
 	}
 	return &StageProfileResult{Dataset: inst.Name, Stats: ps}
