@@ -15,7 +15,7 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Race-checks the packages with concurrency: parallel expansion, the
+# Race-checks the packages with concurrency: the expansion cache, the
 # index's positional-leaf and tombstone-correction memos and its
 # read-only stored bounds (their contention tests ten times over), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
 # the HTTP serving layer, and the root package's shared-Engine /

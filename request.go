@@ -29,7 +29,8 @@ type SearchRequest struct {
 	K int
 	// PRF, when non-nil, applies pseudo-relevance feedback on top of the
 	// expanded (or baseline) query. It requires an explicit MotifSet or
-	// Baseline — the SQE_C combination has no PRF variant in the paper.
+	// Baseline: Do does not serve SQE_C∘PRF, which the paper's Table 3
+	// reports and internal/experiments evaluates offline.
 	PRF *PRFConfig
 	// Baseline runs the plain query-likelihood baseline (QL_Q): no
 	// expansion, no entities. It excludes MotifSet and EntityTitles.
@@ -58,7 +59,7 @@ func (r SearchRequest) Validate() error {
 			return errors.New("sqe: Baseline excludes EntityTitles (the baseline runs no expansion)")
 		}
 	} else if r.PRF != nil && r.MotifSet == 0 {
-		return errors.New("sqe: PRF requires an explicit MotifSet or Baseline (SQE_C has no PRF variant)")
+		return errors.New("sqe: PRF requires an explicit MotifSet or Baseline (Do does not serve SQE_C with PRF; the experiments evaluate it offline)")
 	}
 	if p := r.PRF; p != nil {
 		if p.FbDocs < 0 {
