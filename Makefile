@@ -17,12 +17,13 @@ test:
 
 # Race-checks the packages with concurrency: the expansion cache, the
 # index's positional-leaf and tombstone-correction memos and its
-# read-only stored bounds (their contention tests ten times over), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
+# read-only stored bounds (their contention tests ten times over, with a
+# reader filling a leaf while Compact carries the memo), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
 # the HTTP serving layer, and the root package's shared-Engine /
 # index-while-chaos stress tests.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
-	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten' ./internal/index/
+	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten|TestCompactCarriesNoUnfinishedFill' ./internal/index/
 
 # Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
 # the few-leaf queries the cost model scores exhaustively), expanded
@@ -37,17 +38,21 @@ race:
 # a live segment with 0 / 64 / 1024 tombstones (ns/op and allocs/op must
 # read flat across the three), one compaction of a 20 000-document
 # base plus 16 tombstoned segments (B/op and allocs/op are the merge's
-# footprint; ns/op is mostly its two fsyncs), and the two-way split of a
+# footprint; ns/op is mostly its two fsyncs) — cold, and Warm with 1 024
+# phrases resolved on every segment, whose difference is what carrying
+# the positional memo into the merged segment costs — and the two-way split of a
 # 20 000-document v2 file into shard images (B/op and allocs/op are what
 # it costs beside the mapping). RemoteEvaluate is coordinator-s2 below
 # the HTTP tier: two shard servers on loopback behind the RPC
 # coordinator (B/op and allocs/op count both ends of the wire).
-# SQECRequest is one warmed SQE_C Engine.Do over a v2 file. An evaluator
+# SQECRequest is one warmed SQE_C Engine.Do over a v2 file;
+# SQECAfterCompact is one lap of SQE_C requests right after a compaction
+# of a warmed live engine (what the carried memo saves). An evaluator
 # A/B runs these on two commits interleaved (parent, change, parent, ...)
 # at -cpu 1, where ns/op is the request's CPU: the shared host drifts
 # more between back-to-back runs than most changes move them.
 bench:
-	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|DocVectorColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest' -benchmem .
+	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|DocVectorColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest|SQECAfterCompact' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and

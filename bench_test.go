@@ -662,6 +662,69 @@ func BenchmarkSQECRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkSQECAfterCompact is one lap of SQE_C requests (k = 10, one
+// per DemoDefault query) right after a compaction of a warmed live
+// engine: live-mixed's read path at the moment its base segment is new.
+// Untimed before each lap, 64 fresh copies of corpus documents are
+// ingested and flushed, the previous lap's copies deleted, and the
+// segments compacted; the lap before has resolved every leaf on every
+// segment. The merged segment starts with the leaves its inputs
+// resolved, so a lap costs about what a warm one does; without that it
+// re-runs every phrase and window intersection on the merged base.
+// ns/op is one lap.
+func BenchmarkSQECAfterCompact(b *testing.B) {
+	env, docs, err := GenerateDemoLive(DemoDefault, b.TempDir(), 1<<20, WithExpansionCache(4096)) // no automatic flush
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := env.Engine
+	defer eng.Live().Close()
+	for _, d := range docs {
+		if err := eng.Ingest(d.Name, d.Text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	lap := func() {
+		for _, q := range env.Queries {
+			if _, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	lap()
+	var copies []string
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dead := copies
+		copies = nil
+		for j := range 64 {
+			d := docs[(i*64+j)%len(docs)]
+			name := fmt.Sprintf("%s~%d", d.Name, i)
+			if err := eng.Ingest(name, d.Text); err != nil {
+				b.Fatal(err)
+			}
+			copies = append(copies, name)
+		}
+		if err := eng.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.DeleteBatch(dead); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.CompactSegments(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		lap()
+	}
+}
+
 // BenchmarkSegmentedTombstoned is SQE_C retrieval (k = 10) over a live
 // index holding the DemoSmall collection as one v2 segment, with 0, 64
 // and 1 024 of its documents tombstoned, warmed so the expansion cache,

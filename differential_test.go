@@ -208,6 +208,10 @@ type liveRun struct {
 	live      *LiveIndex
 	committed []modelDoc
 	buffer    []modelDoc // volatile: a restart drops it
+	// warm asks the queries the run is later diffed on, so a compaction
+	// carries their memoised phrase and window leaves into the merged
+	// segment, and the diff checks the carried entries.
+	warm func(*LiveIndex) error
 }
 
 type modelDoc struct {
@@ -217,7 +221,7 @@ type modelDoc struct {
 
 func startLiveRun(t testing.TB, corpus []DemoDoc, flushDocs int) *liveRun {
 	t.Helper()
-	r := &liveRun{corpus: corpus, dir: t.TempDir(), flushDocs: flushDocs}
+	r := &liveRun{corpus: corpus, dir: t.TempDir(), flushDocs: flushDocs, warm: warmChaos}
 	var err error
 	if r.live, err = OpenLiveIndex(r.dir, flushDocs); err != nil {
 		t.Fatal(err)
@@ -265,6 +269,9 @@ func (r *liveRun) apply(o op) error {
 		}
 		return err
 	case opCompact:
+		if err := r.warm(r.live); err != nil && !fault.IsInjected(err) {
+			return err
+		}
 		return r.live.Compact()
 	case opRestart:
 		if err := r.live.Close(); err != nil {
@@ -299,6 +306,12 @@ func (r *liveRun) held() []DemoDoc {
 	return out
 }
 
+// warmChaos evaluates diffLive's queries over every segment of live.
+func warmChaos(live *LiveIndex) error {
+	_, err := search.NewSegmentedSearcher(live).Evaluate(context.Background(), chaosQueries(), 10, search.EvalOptions{})
+	return err
+}
+
 // ---- the registry ----
 
 // A subject arranges the world's documents one way and returns how to
@@ -326,6 +339,10 @@ var diffRows = []struct {
 	{"segmented-flush7-compacted", segmented(7, script(ingest(0, all), compact))},
 	{"segmented-flush7-deletes", segmented(7, script(ingest(0, all), deleteEvery(5, all)))},
 	{"segmented-flush7-deletes-compacted", segmented(7, script(ingest(0, all), deleteEvery(5, all), compact))},
+	// The second compaction merges a base that has answered the row's
+	// questions with the segments flushed since: its phrase and window
+	// leaves are carried, renumbered past the deletes, not refilled.
+	{"segmented-recompacted", segmented(7, script(ingest(0, 1600), compact, ingest(1600, all), deleteEvery(5, all), compact))},
 	{"segmented-buffered", segmented(all+1, ingest(0, all))},
 	{"segmented-buffered-deletes", segmented(all+1, script(ingest(0, all), deleteEvery(5, all)))},
 	// A crash with 40 documents still in the buffer: the reopened index
@@ -431,10 +448,22 @@ func lru(capacity int, churn bool) subject {
 }
 
 // segmented streams the script into a live index flushing every
-// flushDocs documents.
+// flushDocs documents. A compaction first asks the row's questions, so
+// the merged segment's phrase and window leaves are the carried ones.
 func segmented(flushDocs int, s []op) subject {
 	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
 		r := startLiveRun(t, w.docs, flushDocs)
+		r.warm = func(live *LiveIndex) error {
+			eng := NewLiveEngine(w.env.Engine.Graph(), live)
+			for _, q := range w.queries {
+				for _, ask := range diffAsks(q, true) {
+					if _, err := ask(eng); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
 		for i, o := range s {
 			if err := r.apply(o); err != nil {
 				t.Fatalf("op %d (%+v): %v", i, o, err)
@@ -444,6 +473,25 @@ func segmented(flushDocs int, s []op) subject {
 			return NewLiveEngine(w.env.Engine.Graph(), r.live, model...)
 		}, r.held()
 	}
+}
+
+// diffAsks is what TestDifferential asks each row about q: a
+// hand-written structured query, parsed, and diffRequests — without the
+// PRF request on a live engine, which rejects it
+// (TestSegmentedEngineRejectsPRF).
+func diffAsks(q DemoQuery, live bool) []func(*Engine) (*SearchResponse, error) {
+	asks := []func(*Engine) (*SearchResponse, error){
+		func(e *Engine) (*SearchResponse, error) {
+			res, err := e.ParseQuery(context.Background(), fmt.Sprintf("#weight(0.7 #combine(%s) 0.3 #uw8(%s))", q.Text, q.Text), 15)
+			return &SearchResponse{Results: res}, err
+		},
+	}
+	for _, req := range diffRequests(q) {
+		if req.PRF == nil || !live {
+			asks = append(asks, func(e *Engine) (*SearchResponse, error) { return e.Do(context.Background(), req) })
+		}
+	}
+	return asks
 }
 
 // TestDifferential: every row returns, for every retrieval model and
@@ -461,20 +509,7 @@ func TestDifferential(t *testing.T) {
 			for mi, m := range diffModels {
 				eng := engine(m.opts...)
 				for qi, q := range w.queries {
-					asks := []func(*Engine) (*SearchResponse, error){
-						// A hand-written structured query, parsed.
-						func(e *Engine) (*SearchResponse, error) {
-							res, err := e.ParseQuery(context.Background(), fmt.Sprintf("#weight(0.7 #combine(%s) 0.3 #uw8(%s))", q.Text, q.Text), 15)
-							return &SearchResponse{Results: res}, err
-						},
-					}
-					for _, req := range diffRequests(q) {
-						if req.PRF != nil && eng.Live() != nil {
-							continue // rejected: TestSegmentedEngineRejectsPRF
-						}
-						asks = append(asks, func(e *Engine) (*SearchResponse, error) { return e.Do(context.Background(), req) })
-					}
-					for ai, ask := range asks {
+					for ai, ask := range diffAsks(q, eng.Live() != nil) {
 						want := oracle.reply(t, mi, qi, ai, ask)
 						got, err := ask(eng)
 						if err != nil {

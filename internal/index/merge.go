@@ -72,16 +72,17 @@ type merger struct {
 }
 
 // writeMerged writes the merge of ins to w — byte for byte what encodeV2
-// writes for the reference's in-memory merge — and counts its blocks by
-// tier. Every input must be an open FormatV2 segment, and stay mapped
-// until the call returns.
-func writeMerged(w io.Writer, a analysis.Analyzer, ins []mergeInput) (mergeCounts, error) {
+// writes for the reference's in-memory merge — counts its blocks by
+// tier, and returns each input's map from local to merged DocID (-1
+// when tombstoned). Every input must be an open FormatV2 segment, and
+// stay mapped until the call returns.
+func writeMerged(w io.Writer, a analysis.Analyzer, ins []mergeInput) (mergeCounts, [][]int32, error) {
 	m := &merger{out: newV2Writer(a, DefaultBlockSize)}
 	postCap := 0
 	for i, in := range ins {
 		lz := in.ix.lazy
 		if lz == nil || lz.closed.Load() {
-			return mergeCounts{}, fmt.Errorf("index: merge input %d is not an open v2 segment", i)
+			return mergeCounts{}, nil, fmt.Errorf("index: merge input %d is not an open v2 segment", i)
 		}
 		n := in.ix.NumDocs()
 		src := mergeSource{mergeInput: in, remap: make([]int32, n), base: len(m.docLens), firstDead: DocID(n),
@@ -107,11 +108,18 @@ func writeMerged(w io.Writer, a analysis.Analyzer, ins []mergeInput) (mergeCount
 				continue
 			}
 			if err := m.term(i, t); err != nil {
-				return mergeCounts{}, err
+				return mergeCounts{}, nil, err
 			}
 		}
 	}
-	return m.counts, m.out.writeTo(w)
+	if err := m.out.writeTo(w); err != nil {
+		return mergeCounts{}, nil, err
+	}
+	remaps := make([][]int32, len(m.srcs))
+	for i := range m.srcs {
+		remaps[i] = m.srcs[i].remap
+	}
+	return m.counts, remaps, nil
 }
 
 // term writes the merged row of input i's term t, its first occurrence

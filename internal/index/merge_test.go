@@ -173,7 +173,7 @@ func TestMergeWriterMatchesReference(t *testing.T) {
 				ins = append(ins, openInput(t, filepath.Join(dir, fmt.Sprintf("in%d.v2", k)), docs, sizes[rng.Intn(len(sizes))], dead))
 			}
 			var got bytes.Buffer
-			counts, err := writeMerged(&got, analysis.Analyzer{}, ins)
+			counts, _, err := writeMerged(&got, analysis.Analyzer{}, ins)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,8 +298,18 @@ func TestSegmentedCompactRemovesFullyTombstonedSegment(t *testing.T) {
 // half its size: a 20 000-document base whose tail — the previous
 // cycle's documents — is being deleted, plus 16 flushed 64-document
 // segments with every 8th document tombstoned. The segments and the
-// deletes are rebuilt untimed before each compaction.
-func BenchmarkSegmentedCompact(b *testing.B) {
+// deletes are rebuilt untimed before each compaction. No leaf is
+// resolved, so the merged segment's memo starts empty.
+func BenchmarkSegmentedCompact(b *testing.B) { benchSegmentedCompact(b, 0) }
+
+// BenchmarkSegmentedCompactWarm is BenchmarkSegmentedCompact with 1 024
+// two- and three-word phrases resolved on every segment before each
+// compaction, as readers leave them: what carrying the memo into the
+// merged segment adds to a merge (fills on the small inputs, the
+// renumbered rows).
+func BenchmarkSegmentedCompactWarm(b *testing.B) { benchSegmentedCompact(b, 1024) }
+
+func benchSegmentedCompact(b *testing.B, phrases int) {
 	const baseDocs, batch, batches, vocab = 20000, 64, 16, 5000
 	rng := rand.New(rand.NewSource(27))
 	s, err := OpenSegmented(b.TempDir(), analysis.Analyzer{}, WithFlushDocs(1<<20))
@@ -321,6 +331,13 @@ func BenchmarkSegmentedCompact(b *testing.B) {
 	if err := s.Compact(); err != nil {
 		b.Fatal(err)
 	}
+	keys := make([][]string, phrases)
+	for i := range keys {
+		for range 2 + i%2 {
+			keys[i] = append(keys[i], fmt.Sprintf("w%d", 2+rng.Intn(60)))
+		}
+	}
+	var sc PositionalScratch
 	var window []string // the previous cycle's documents, now the base's tail
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -341,6 +358,13 @@ func BenchmarkSegmentedCompact(b *testing.B) {
 			b.Fatal(err)
 		}
 		window = next
+		sn := s.Acquire()
+		for seg := range sn.NumSegments() {
+			for _, k := range keys {
+				sn.Segment(seg).PhraseLeaf(k, &sc)
+			}
+		}
+		sn.Release()
 		b.StartTimer()
 		if err := s.Compact(); err != nil {
 			b.Fatal(err)

@@ -195,10 +195,12 @@ func (ix *Index) positional(terms []string, width int, match positionMatcher, sc
 	if len(terms) == 0 || !sc.termIDs(ix, terms) {
 		return &noPositional, true
 	}
-	sc.key = binary.AppendUvarint(sc.key[:0], uint64(width))
-	for _, id := range sc.ids {
-		sc.key = binary.LittleEndian.AppendUint32(sc.key, uint32(id))
-	}
+	return ix.resolve(width, match, sc)
+}
+
+// resolve is positional over the term IDs already in sc.ids.
+func (ix *Index) resolve(width int, match positionMatcher, sc *PositionalScratch) (*Positional, bool) {
+	sc.key = appendPositionalKey(sc.key[:0], width, sc.ids)
 	m := &ix.positionals
 	e, created := m.lookup(sc.key)
 	e.once.Do(func() {
@@ -211,6 +213,16 @@ func (ix *Index) positional(terms []string, width int, match positionMatcher, sc
 		m.admit(e)
 	}
 	return e, !created
+}
+
+// appendPositionalKey appends the memo key of the leaf over ids under
+// width to dst.
+func appendPositionalKey(dst []byte, width int, ids []int32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(width))
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	}
+	return dst
 }
 
 // fill runs the intersection in counting mode — no position lists are
@@ -323,4 +335,113 @@ func (m *positionalMemo) insertLocked(e *Positional) {
 	}
 	m.cur[e.key] = e
 	m.curCost += e.cost
+}
+
+// carryPositionals seeds dst's memo from the memos of the segments it
+// was merged from: ins, in merge order, where remaps[i] maps ins[i]'s
+// DocIDs to dst's, -1 where tombstoned. A merge keeps every surviving
+// document's tokens and positions verbatim and in input order, so a
+// leaf's entry on dst is the concatenation of its entries on the inputs,
+// renumbered and without the tombstoned documents — the rows a fill on
+// dst computes, whose CF and Bounds are derived here as a fill derives
+// them. The keys carried are the ones the largest input has admitted; a
+// fill still under way there is uncharged, so it is neither copied nor
+// waited for. The other inputs resolve each key through their own memo,
+// filling it where it is missing. A key with a constituent dst does not
+// know is the empty leaf on dst and is skipped. Nothing is carried when
+// an input has recorded an error: a fill that failed on it cached an
+// empty entry in place of its matches. Entries are admitted under dst's
+// budget rules. dst must not be shared yet.
+func (dst *Index) carryPositionals(ins []mergeInput, remaps [][]int32) {
+	if len(ins) == 0 {
+		return // every committed document was deleted
+	}
+	big := 0
+	for i, in := range ins {
+		if in.ix.NumDocs() > ins[big].ix.NumDocs() {
+			big = i
+		}
+	}
+	var held []*Positional
+	m := &ins[big].ix.positionals
+	m.mu.RLock()
+	// The old generation first, so the young one is inserted last on dst
+	// and stays young there.
+	for _, gen := range [2]map[string]*Positional{m.old, m.cur} {
+		for _, e := range gen {
+			if e.cost > 0 {
+				held = append(held, e)
+			}
+		}
+	}
+	m.mu.RUnlock()
+
+	dm := &dst.positionals
+	var sc PositionalScratch
+	var key []byte
+	var texts []string
+	parts := make([]*Positional, len(ins))
+	carried := make([]*Positional, 0, len(held))
+	for _, e := range held {
+		raw := []byte(e.key)
+		width, n := binary.Uvarint(raw)
+		match := positionMatcher(windowMatches)
+		if width == 0 {
+			match = chainMatches
+		}
+		texts = texts[:0]
+		for ; n < len(raw); n += 4 {
+			texts = append(texts, ins[big].ix.termText[binary.LittleEndian.Uint32(raw[n:])])
+		}
+		if !sc.termIDs(dst, texts) {
+			continue
+		}
+		key = appendPositionalKey(key[:0], int(width), sc.ids)
+		rows := 0
+		for i, in := range ins {
+			switch {
+			case i == big:
+				parts[i] = e
+			case sc.termIDs(in.ix, texts):
+				parts[i], _ = in.ix.resolve(int(width), match, &sc)
+			default:
+				parts[i] = &noPositional
+			}
+			for _, d := range parts[i].Docs {
+				if remaps[i][d] >= 0 {
+					rows++
+				}
+			}
+		}
+		cost := rows + positionalEntryCost
+		if cost > dm.budgetOf()/8 {
+			continue // a fill would not keep it either
+		}
+		c := &Positional{key: string(key), cost: cost}
+		c.once.Do(func() {})
+		if rows > 0 {
+			c.Docs, c.Freqs = make([]DocID, 0, rows), make([]int32, 0, rows)
+			for i, p := range parts {
+				for j, d := range p.Docs {
+					if nd := remaps[i][d]; nd >= 0 {
+						c.Docs = append(c.Docs, DocID(nd))
+						c.Freqs = append(c.Freqs, p.Freqs[j])
+						c.CF += int64(p.Freqs[j])
+					}
+				}
+			}
+			c.Bounds = boundsOf(&Postings{Docs: c.Docs, Freqs: c.Freqs}, dst.docLens)
+		}
+		carried = append(carried, c)
+	}
+	for _, in := range ins {
+		if in.ix.Err() != nil {
+			return
+		}
+	}
+	dm.mu.Lock()
+	defer dm.mu.Unlock()
+	for _, c := range carried {
+		dm.insertLocked(c)
+	}
 }

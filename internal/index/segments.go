@@ -535,7 +535,9 @@ func (s *Segmented) flushLocked() error {
 // nothing is committed. Like a flush, the merge holds mu but not pub:
 // readers keep acquiring — pinning the pre-merge segments — throughout.
 // The merged file is streamed by writeMerged, which copies what did not
-// change instead of decoding the live index into memory.
+// change instead of decoding the live index into memory, and the merged
+// segment starts with the phrase and window leaves its inputs resolved
+// (carryPositionals), so it does not pay their fills again.
 func (s *Segmented) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -571,8 +573,9 @@ func (s *Segmented) Compact() error {
 	seq := s.nextSeq
 	path := filepath.Join(s.dir, segFileName(seq))
 	var counts mergeCounts
+	var remaps [][]int32
 	if err := writeAtomic(path, func(w io.Writer) (err error) {
-		counts, err = writeMerged(w, s.analyzer, ins)
+		counts, remaps, err = writeMerged(w, s.analyzer, ins)
 		return err
 	}); err != nil {
 		return err
@@ -592,6 +595,9 @@ func (s *Segmented) Compact() error {
 		ix.Close()
 		return err
 	}
+	// Readers keep filling the inputs' memos meanwhile; the merged index
+	// is not published yet.
+	ix.carryPositionals(ins, remaps)
 	sg := &segment{seq: seq, path: path, ix: ix, memo: newCorrections(nil), names: nameIndexOf(ix.docNames)}
 	s.pub.Lock()
 	old := s.disk

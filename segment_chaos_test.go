@@ -49,8 +49,8 @@ func chaosText(rng *rand.Rand) string {
 }
 
 // chaosQueries is the query mix the readers replay: a bare term, a
-// weighted combination with an out-of-vocabulary child, and a weighted
-// phrase + term tree.
+// weighted combination with an out-of-vocabulary child, a weighted
+// phrase + term tree, and a window beside a three-term phrase.
 func chaosQueries() []search.Node {
 	return []search.Node{
 		search.Term{Text: "alpha"},
@@ -62,6 +62,10 @@ func chaosQueries() []search.Node {
 		search.Weighted{Children: []search.Child{
 			{Weight: 0.7, Node: search.Phrase{Terms: []string{"alpha", "beta"}}},
 			{Weight: 0.3, Node: search.Term{Text: "gamma"}},
+		}},
+		search.Weighted{Children: []search.Child{
+			{Weight: 0.5, Node: search.Unordered{Terms: []string{"gamma", "delta"}, Width: 6}},
+			{Weight: 0.5, Node: search.Phrase{Terms: []string{"beta", "alpha", "gamma"}}},
 		}},
 	}
 }
