@@ -16,14 +16,15 @@ test:
 	$(GO) test ./...
 
 # Race-checks the packages with concurrency: the expansion cache, the
-# index's positional-leaf and tombstone-correction memos and its
-# read-only stored bounds (their contention tests ten times over, with a
-# reader filling a leaf while Compact carries the memo), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
+# index's positional-leaf and tombstone-correction memos, its read-only
+# stored bounds and its once-per-block bounds check (their contention
+# tests ten times over, with a reader filling a leaf while Compact
+# carries the memo), the retrieval hot path, the RPC wire, the fault-injection chaos harness,
 # the HTTP serving layer, and the root package's shared-Engine /
 # index-while-chaos stress tests.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
-	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten|TestCompactCarriesNoUnfinishedFill' ./internal/index/
+	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten|TestV2BoundsCheckedOncePerBlock|TestCompactCarriesNoUnfinishedFill' ./internal/index/
 
 # Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
 # the few-leaf queries the cost model scores exhaustively), expanded
@@ -45,6 +46,9 @@ race:
 # it costs beside the mapping). RemoteEvaluate is coordinator-s2 below
 # the HTTP tier: two shard servers on loopback behind the RPC
 # coordinator (B/op and allocs/op count both ends of the wire).
+# KBDecode is the KB's boot: kb.Decode of the default world at ×1, ×8
+# and ×32 TopicsPerDomain, with the heap the graph holds (heap-MB);
+# generating the ×32 world takes ~7 s of its run.
 # SQECRequest is one warmed SQE_C Engine.Do over a v2 file;
 # SQECAfterCompact is one lap of SQE_C requests right after a compaction
 # of a warmed live engine (what the carried memo saves). An evaluator
@@ -52,7 +56,7 @@ race:
 # at -cpu 1, where ns/op is the request's CPU: the shared host drifts
 # more between back-to-back runs than most changes move them.
 bench:
-	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|DocVectorColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest|SQECAfterCompact' -benchmem .
+	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|DocVectorColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest|SQECAfterCompact|KBDecode' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
 
 # bench/ is a nested module, so the root `go vet ./...` and
@@ -74,7 +78,7 @@ chaos:
 # Short fuzz rounds over every fuzz target with a committed seed corpus
 # (wikixml parser, live-index mutation scripts against the oracle, v2
 # decoder, manifest, shard RPC bodies, the one-pass multi-run evaluator
-# against separate evaluations). Not part of verify — run on demand or in CI's cron
+# against separate evaluations, the KB decoder). Not part of verify — run on demand or in CI's cron
 # lane. An op of FuzzDifferentialScript is file I/O, so minimising each
 # coverage-interesting input for the default 60 s would leave no time to
 # fuzz.
@@ -86,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSegmentManifest -fuzztime 30s -run '^$$' ./internal/index/
 	$(GO) test -fuzz FuzzShardFrame -fuzztime 30s -run '^$$' ./internal/search/
 	$(GO) test -fuzz FuzzSearchRunsParity -fuzztime 30s -run '^$$' ./internal/search/
+	$(GO) test -fuzz FuzzKBDecode -fuzztime 30s -run '^$$' ./internal/kb/
 
 # The full gate run before every commit. Correctness is `go test`, under
 # -race for every package with concurrency; performance is

@@ -409,6 +409,51 @@ func BenchmarkGraphEncodeDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkKBDecode is the KB's boot cost at paper-ward scale: kb.Decode
+// of the default world's encoding with TopicsPerDomain ×1, ×8 and ×32
+// (5 806, 46 115 and 184 303 articles). heap-MB is the Go heap the
+// decoded graph holds, measured after runtime.GC against the heap before
+// Decode. Each scale's world is generated once per process, untimed;
+// generating ×32 takes ~7 s of the run.
+func BenchmarkKBDecode(b *testing.B) {
+	for _, scale := range []int{1, 8, 32} {
+		var data []byte // the encoding, kept across the b.N rounds
+		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
+			if data == nil {
+				cfg := wikigen.DefaultConfig()
+				cfg.TopicsPerDomain *= scale
+				w, err := wikigen.Generate(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := kb.Encode(&buf, w.Graph); err != nil {
+					b.Fatal(err)
+				}
+				data = buf.Bytes()
+			}
+			var heap float64
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := liveHeap()
+				b.StartTimer()
+				g, err := kb.Decode(bytes.NewReader(data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				heap += float64(int64(liveHeap())-int64(before)) / (1 << 20)
+				runtime.KeepAlive(g)
+				b.StartTimer()
+			}
+			b.ReportMetric(heap/float64(b.N), "heap-MB")
+		})
+	}
+}
+
 // BenchmarkPorterStem measures the stemmer on a representative word mix.
 func BenchmarkPorterStem(b *testing.B) {
 	words := []string{"generalizations", "running", "cars", "relational", "sky", "hopefulness", "funicular"}

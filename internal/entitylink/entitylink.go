@@ -49,31 +49,32 @@ func NewDictionary(analyzer analysis.Analyzer) *Dictionary {
 	}
 }
 
-// normalise joins the analyzed terms of a surface with single spaces.
-func (d *Dictionary) normalise(surface string) (string, int) {
-	terms := d.analyzer.AnalyzeTerms(surface)
-	return strings.Join(terms, " "), len(terms)
-}
-
 // AddSurface registers surface as a mention of article with the given
 // commonness. Surfaces are analyzed, so "Cable Cars" and "cable car"
 // collide the way anchor text does.
 func (d *Dictionary) AddSurface(surface string, article kb.NodeID, commonness float64) {
-	key, n := d.normalise(surface)
+	d.addSurfaceTerms(d.analyzer.AnalyzeTerms(surface), article, commonness)
+}
+
+// addSurfaceTerms registers an analyzed surface: its terms joined with
+// single spaces are the key Link looks spans up by.
+func (d *Dictionary) addSurfaceTerms(terms []string, article kb.NodeID, commonness float64) {
+	key := strings.Join(terms, " ")
 	if key == "" {
 		return
 	}
 	d.surfaces[key] = append(d.surfaces[key], Candidate{Article: article, Commonness: commonness})
-	if n > d.maxSpan {
-		d.maxSpan = n
+	if len(terms) > d.maxSpan {
+		d.maxSpan = len(terms)
 	}
 }
 
 // AddTitle registers an article title both as a full surface form and in
-// the unigram fallback index.
+// the unigram fallback index, from one analysis of the title.
 func (d *Dictionary) AddTitle(title string, article kb.NodeID, commonness float64) {
-	d.AddSurface(title, article, commonness)
-	for _, t := range d.analyzer.AnalyzeTerms(title) {
+	terms := d.analyzer.AnalyzeTerms(title)
+	d.addSurfaceTerms(terms, article, commonness)
+	for _, t := range terms {
 		d.unigrams[t] = append(d.unigrams[t], Candidate{Article: article, Commonness: commonness})
 	}
 }

@@ -221,3 +221,35 @@ func TestUseAfterCloseStreamCursor(t *testing.T) {
 		t.Fatal("dead cursor moved")
 	}
 }
+
+// TestNamesOutliveClose: the document names and term texts an opened v2
+// file hands out are heap copies, not views of the mapping, so strings
+// read before Close stay valid after it unmaps the file (a view would
+// fault on the first read below).
+func TestNamesOutliveClose(t *testing.T) {
+	mem := randomIndex(t, 50, 3)
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := WriteFile(path, mem, FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, terms []string
+	for d := range mem.NumDocs() {
+		names = append(names, ix.DocName(DocID(d)))
+	}
+	for id := range int32(mem.NumTerms()) {
+		terms = append(terms, ix.TermText(id))
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(names, mem.docNames) {
+		t.Fatalf("doc names after Close = %q, want %q", names, mem.docNames)
+	}
+	if !slices.Equal(terms, mem.termText) {
+		t.Fatalf("term texts after Close = %q, want %q", terms, mem.termText)
+	}
+}

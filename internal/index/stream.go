@@ -402,10 +402,12 @@ func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32, position
 	return nil
 }
 
-// loadBlock decodes block b into the reusable window and re-derives its
-// bound summary, recording a disagreement with the directory as readRow
-// does. On decode failure the error is recorded and the cursor exhausts
-// (the term degrades, it does not panic).
+// loadBlock decodes block b into the reusable window. The first decode
+// of a block since Open re-derives its bound summary, recording a
+// disagreement with the directory as readRow does; later decodes of the
+// same bytes skip the derivation (the extent's boundsOK bit). On decode
+// failure the error is recorded and the cursor exhausts (the term
+// degrades, it does not panic).
 func (c *TermCursor) loadBlock(b int) bool {
 	c.wdocs = c.wdocs[:0]
 	c.wfreqs = c.wfreqs[:0]
@@ -421,13 +423,18 @@ func (c *TermCursor) loadBlock(b int) bool {
 		return false
 	}
 	c.Decoded++
-	sub := Postings{Docs: c.wdocs, Freqs: c.wfreqs}
-	derived := BlockBounds{LastDoc: c.wdocs[len(c.wdocs)-1], TermBounds: boundsOf(&sub, c.ix.docLens)}
-	if derived != c.blocks[b] {
-		// The stored values stay: other cursors read them concurrently,
-		// and may already have pruned by them. A lying directory
-		// degrades the index instead, through Index.Err.
-		c.ix.lazy.record(errBoundsLie(c.ix, c.id, b))
+	lz := c.ix.lazy
+	if slot := int(lz.starts[c.id]) + b; !lz.boundsOK.has(slot) {
+		sub := Postings{Docs: c.wdocs, Freqs: c.wfreqs}
+		derived := BlockBounds{LastDoc: c.wdocs[len(c.wdocs)-1], TermBounds: boundsOf(&sub, c.ix.docLens)}
+		if derived != c.blocks[b] {
+			// The stored values stay: other cursors read them
+			// concurrently, and may already have pruned by them. A
+			// lying directory degrades the index instead, through
+			// Index.Err.
+			lz.record(errBoundsLie(c.ix, c.id, b))
+		}
+		lz.boundsOK.set(slot)
 	}
 	c.docs, c.freqs = c.wdocs, c.wfreqs
 	if c.withPos {

@@ -98,6 +98,46 @@ func prealloc(n uint64) int {
 	return int(n)
 }
 
+// tableHint presizes a table of n entries read from a section of
+// secLen bytes in which every entry takes at least minEntry bytes: a
+// count the section cannot hold fails the parse, so the hint never
+// exceeds what the section's own bytes vouch for.
+func tableHint(n uint64, secLen, minEntry int) int {
+	return int(min(n, uint64(secLen/minEntry)))
+}
+
+// stringArena collects the strings of one section table (document
+// names, term texts) into a single heap copy: strings returns them all as
+// substrings of one string, so a table of n strings costs three
+// allocations however large n is, and none of them aliases the mapping
+// the bytes were read from.
+type stringArena struct {
+	buf  []byte
+	ends []int
+}
+
+func newStringArena(entries, bytes int) *stringArena {
+	return &stringArena{buf: make([]byte, 0, bytes), ends: make([]int, 0, entries)}
+}
+
+func (a *stringArena) add(b []byte) {
+	a.buf = append(a.buf, b...)
+	a.ends = append(a.ends, len(a.buf))
+}
+
+// strings copies the collected bytes into one string and returns the
+// collected strings, in order, as substrings of it.
+func (a *stringArena) strings() []string {
+	s := string(a.buf)
+	out := make([]string, len(a.ends))
+	from := 0
+	for i, end := range a.ends {
+		out[i] = s[from:end]
+		from = end
+	}
+	return out
+}
+
 func errBlockSizeRange(n int) error {
 	return fmt.Errorf("index: block size %d outside [1, %d]", n, maxBlockSize)
 }
@@ -112,7 +152,11 @@ type lazyPostings struct {
 	df      []int32       // per term: stored document frequency
 	cf      []int64       // per term: stored collection frequency
 	blockSz int
-	crcOK   []uint32 // 1 bit per extent: block CRC re-verified since Open
+	crcOK   stickyBits // per extent: block CRC re-verified since Open
+	// boundsOK is per extent: the summary a cursor derived from the
+	// block's first decode has been compared with the directory's (and a
+	// disagreement recorded). Later decodes decode the same bytes.
+	boundsOK stickyBits
 
 	closeFn  func() error
 	closed   atomic.Bool
@@ -126,6 +170,26 @@ type blockExtent struct {
 	crc  uint32
 }
 
+// stickyBits is a bitset whose bits, once set, stay set: concurrent
+// readers set and test them without a lock.
+type stickyBits []uint32
+
+func newStickyBits(n int) stickyBits { return make(stickyBits, (n+31)/32) }
+
+func (s stickyBits) has(i int) bool {
+	return atomic.LoadUint32(&s[i>>5])&(uint32(1)<<(i&31)) != 0
+}
+
+func (s stickyBits) set(i int) {
+	word, bit := &s[i>>5], uint32(1)<<(i&31)
+	for {
+		old := atomic.LoadUint32(word)
+		if old&bit != 0 || atomic.CompareAndSwapUint32(word, old, old|bit) {
+			return
+		}
+	}
+}
+
 // verifyBlock checksums extent slot's bytes against the directory at
 // most once per slot since Open. Open already bulk-verified every block,
 // so the per-decode check only defends against the mapping changing
@@ -135,19 +199,14 @@ type blockExtent struct {
 // straight to parsing, which is what keeps repeated streaming decodes
 // of a hot block off the checksum path.
 func (lz *lazyPostings) verifyBlock(slot int, buf []byte) bool {
-	word, bit := &lz.crcOK[slot>>5], uint32(1)<<(slot&31)
-	if atomic.LoadUint32(word)&bit != 0 {
+	if lz.crcOK.has(slot) {
 		return true
 	}
 	if crc32.ChecksumIEEE(buf) != lz.extents[slot].crc {
 		return false
 	}
-	for {
-		old := atomic.LoadUint32(word)
-		if atomic.CompareAndSwapUint32(word, old, old|bit) {
-			return true
-		}
-	}
+	lz.crcOK.set(slot)
+	return true
 }
 
 func (lz *lazyPostings) close() error {
@@ -673,7 +732,6 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 
 	ix := &Index{
 		analyzer: analysis.Analyzer{RemoveStopwords: flags&1 != 0, Stem: flags&2 != 0},
-		terms:    make(map[string]int32),
 	}
 
 	// Docs.
@@ -688,8 +746,10 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 	if numDocs > 1<<31 {
 		return nil, fmt.Errorf("index: doc count %d exceeds limit", numDocs)
 	}
-	ix.docNames = make([]string, 0, prealloc(numDocs))
-	ix.docLens = make([]int32, 0, prealloc(numDocs))
+	// A document takes at least two bytes: its name and length prefixes.
+	nd := tableHint(numDocs, len(ds.buf), 2)
+	names := newStringArena(nd, len(ds.buf))
+	ix.docLens = make([]int32, 0, nd)
 	for d := uint64(0); d < numDocs; d++ {
 		nl, err := ds.uvarint("doc name length")
 		if err != nil {
@@ -709,13 +769,14 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 		if dl > 1<<31 {
 			return nil, fmt.Errorf("index: doc %d length %d out of range", d, dl)
 		}
-		ix.docNames = append(ix.docNames, string(name))
+		names.add(name)
 		ix.docLens = append(ix.docLens, int32(dl))
 		ix.totalToks += int64(dl)
 	}
 	if err := ds.done(); err != nil {
 		return nil, err
 	}
+	ix.docNames = names.strings()
 
 	// Terms.
 	ts, err := newSection(termsSec, "terms")
@@ -738,10 +799,13 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 	}
 	bs := int(bsz)
 	ix.blockSize = bs
-	ix.termText = make([]string, 0, prealloc(numTerms))
-	ix.termBounds = make([]TermBounds, 0, prealloc(numTerms))
-	dfs := make([]int32, 0, prealloc(numTerms))
-	cfs := make([]int64, 0, prealloc(numTerms))
+	// A term takes at least seven bytes: its length prefix, df, cf and
+	// four bounds.
+	nt := tableHint(numTerms, len(ts.buf), 7)
+	texts := newStringArena(nt, len(ts.buf))
+	ix.termBounds = make([]TermBounds, 0, nt)
+	dfs := make([]int32, 0, nt)
+	cfs := make([]int64, 0, nt)
 	totalBlocks := 0
 	for t := uint64(0); t < numTerms; t++ {
 		tl, err := ts.uvarint("term length")
@@ -751,13 +815,9 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 		if tl > 1<<16 {
 			return nil, fmt.Errorf("index: term length %d exceeds limit", tl)
 		}
-		tb, err := ts.bytes(tl, "term")
+		text, err := ts.bytes(tl, "term")
 		if err != nil {
 			return nil, err
-		}
-		text := string(tb)
-		if _, dup := ix.terms[text]; dup {
-			return nil, fmt.Errorf("index: duplicate term %q", text)
 		}
 		df, err := ts.uvarint("df")
 		if err != nil {
@@ -784,8 +844,7 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 			}
 			*field = int32(v)
 		}
-		ix.terms[text] = int32(t)
-		ix.termText = append(ix.termText, text)
+		texts.add(text)
 		ix.termBounds = append(ix.termBounds, b)
 		dfs = append(dfs, int32(df))
 		cfs = append(cfs, int64(cf))
@@ -793,6 +852,14 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 	}
 	if err := ts.done(); err != nil {
 		return nil, err
+	}
+	ix.termText = texts.strings()
+	ix.terms = make(map[string]int32, len(ix.termText))
+	for t, text := range ix.termText {
+		if _, dup := ix.terms[text]; dup {
+			return nil, fmt.Errorf("index: duplicate term %q", text)
+		}
+		ix.terms[text] = int32(t)
 	}
 
 	// Block directory.
@@ -891,7 +958,8 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 	ix.minDocLen = minDocLenOf(ix.docLens)
 	lz.df = dfs
 	lz.cf = cfs
-	lz.crcOK = make([]uint32, (len(lz.extents)+31)/32)
+	lz.crcOK = newStickyBits(len(lz.extents))
+	lz.boundsOK = newStickyBits(len(lz.extents))
 	ix.lazy = lz
 	return ix, nil
 }

@@ -245,6 +245,51 @@ func TestV2StoredBoundsNeverRewritten(t *testing.T) {
 	}
 }
 
+// TestV2BoundsCheckedOncePerBlock: a cursor compares a block's derived
+// summary with the directory on the block's first decode since Open
+// only. Cursors racing over the lying term (run under -race) all see the
+// lie recorded and leave every one of its extents marked, and no other
+// term's; a later walk of the same blocks compares nothing, so with the
+// latch cleared it records nothing.
+func TestV2BoundsCheckedOncePerBlock(t *testing.T) {
+	img, _ := lyingV2Bytes(t)
+	ix := openV2Heap(t, img)
+	id, _ := ix.StreamableTerm("a")
+	lz := ix.lazy
+	walk := func(positions bool) {
+		var c TermCursor
+		for c.resetStream(ix, id, positions); c.Doc() != DocEnd; c.Next() {
+			c.Freq()
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				walk(g%2 == 1)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ix.Err(); err == nil || !strings.Contains(err.Error(), "stored bounds disagree") {
+		t.Fatalf("recorded %v, want the bounds disagreement", err)
+	}
+	for slot := range lz.extents {
+		inA := slot >= int(lz.starts[id]) && slot < int(lz.starts[id+1])
+		if lz.boundsOK.has(slot) != inA {
+			t.Fatalf("extent %d: bounds checked = %v, want %v", slot, !inA, inA)
+		}
+	}
+	lz.firstErr.Store(nil)
+	walk(false)
+	walk(true)
+	if err := ix.Err(); err != nil {
+		t.Fatalf("a block's second decode compared its bounds again: %v", err)
+	}
+}
+
 // TestV2WithVerifyRejectsLies: files that pass Open's checks but lie
 // about term "a" — its bounds, its cf, its blocks' bytes — fail Open
 // under WithVerify, each with its own error.

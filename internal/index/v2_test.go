@@ -301,3 +301,32 @@ func TestSetBlockSizeGuards(t *testing.T) {
 		t.Fatal("SetBlockSize on a v2-backed index accepted")
 	}
 }
+
+// TestOpenAllocsIndependentOfCorpus: Open of a v2 file allocates the
+// same number of times whatever its number of documents and terms — the
+// names and term texts land in one string each, and every table is
+// sized before it is filled — so boot cost is not one allocation per
+// row. The larger file has ten times the documents and terms.
+func TestOpenAllocsIndependentOfCorpus(t *testing.T) {
+	allocs := func(docs int) float64 {
+		b := NewBuilder(analysis.Analyzer{})
+		for d := range docs {
+			b.Add(fmt.Sprintf("D%05d", d), fmt.Sprintf("a b t%d a", d))
+		}
+		path := filepath.Join(t.TempDir(), "ix.v2")
+		if err := WriteFile(path, b.Build(), FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			ix, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Close()
+		})
+	}
+	small, large := allocs(60), allocs(600)
+	if large > small {
+		t.Fatalf("Open allocates %v times for 600 documents, %v for 60: allocations grow with the corpus", large, small)
+	}
+}

@@ -129,12 +129,12 @@ func (b *Builder) Build() *Graph {
 			g.numCategories++
 		}
 	}
-	g.linkIn = buildCSR(n, reverseEdges(b.links))
 	g.linkOut = buildCSR(n, b.links)
-	g.members = buildCSR(n, reverseEdges(b.membership))
+	g.linkIn = g.linkOut.transpose(n)
 	g.memberOf = buildCSR(n, b.membership)
-	g.children = buildCSR(n, reverseEdges(b.contain))
+	g.members = g.memberOf.transpose(n)
 	g.parents = buildCSR(n, b.contain)
+	g.children = g.parents.transpose(n)
 	b.links, b.membership, b.contain = nil, nil, nil
 	return g
 }

@@ -1,6 +1,6 @@
 package kb
 
-import "sort"
+import "slices"
 
 // csr is a compressed-sparse-row adjacency structure over NodeIDs. Row i
 // occupies targets[offsets[i]:offsets[i+1]] and every row is sorted
@@ -28,36 +28,65 @@ func (c *csr) numEdges() int { return len(c.targets) }
 type edge struct{ from, to NodeID }
 
 // buildCSR constructs a csr over numNodes rows from an unsorted edge
-// list, deduplicating parallel edges. The input slice is sorted in place.
+// list, deduplicating parallel edges, in time linear in the edges plus
+// the rows' own sorts: a counting pass buckets the targets by source,
+// then each (short) row is sorted, deduplicated and packed down over the
+// duplicates removed before it. edges is not modified.
 func buildCSR(numNodes int, edges []edge) csr {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
 	offsets := make([]int32, numNodes+1)
-	targets := make([]NodeID, 0, len(edges))
-	prev := edge{from: -1, to: -1}
 	for _, e := range edges {
-		if e == prev {
-			continue
-		}
-		prev = e
-		targets = append(targets, e.to)
 		offsets[e.from+1]++
 	}
 	for i := 1; i <= numNodes; i++ {
 		offsets[i] += offsets[i-1]
 	}
-	return csr{offsets: offsets, targets: targets}
+	targets := make([]NodeID, len(edges))
+	// offsets[from] is row from's write cursor: after the scatter it
+	// stands at the row's end.
+	for _, e := range edges {
+		targets[offsets[e.from]] = e.to
+		offsets[e.from]++
+	}
+	var w, lo int32
+	for i := range numNodes {
+		hi := offsets[i]
+		row := targets[lo:hi]
+		slices.Sort(row)
+		offsets[i] = w
+		prev := Invalid
+		for _, t := range row {
+			if t != prev {
+				targets[w], prev = t, t
+				w++
+			}
+		}
+		lo = hi
+	}
+	offsets[numNodes] = w
+	return csr{offsets: offsets, targets: targets[:w]}
 }
 
-// reverse returns the transposed edge list.
-func reverseEdges(edges []edge) []edge {
-	out := make([]edge, len(edges))
-	for i, e := range edges {
-		out[i] = edge{from: e.to, to: e.from}
+// transpose returns the reverse relation of c over numNodes rows.
+// Sources are visited in ascending order, so every reverse row comes out
+// sorted, and since c's rows hold no duplicate neither does any reverse
+// row: no sort is needed.
+func (c *csr) transpose(numNodes int) csr {
+	offsets := make([]int32, numNodes+1)
+	for _, t := range c.targets {
+		offsets[t+1]++
 	}
-	return out
+	for i := 1; i <= numNodes; i++ {
+		offsets[i] += offsets[i-1]
+	}
+	targets := make([]NodeID, len(c.targets))
+	for from := range NodeID(len(c.offsets) - 1) {
+		for _, t := range c.row(from) {
+			targets[offsets[t]] = from
+			offsets[t]++
+		}
+	}
+	// Each cursor stands at its row's end, the next row's start.
+	copy(offsets[1:], offsets[:numNodes])
+	offsets[0] = 0
+	return csr{offsets: offsets, targets: targets}
 }

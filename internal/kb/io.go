@@ -95,11 +95,13 @@ func Decode(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kb: reading node count: %w", err)
 	}
-	const maxNodes = 1 << 28
+	const maxNodes, maxNodeHint = 1 << 28, 1 << 16
 	if numNodes > maxNodes {
 		return nil, fmt.Errorf("kb: node count %d exceeds limit %d", numNodes, maxNodes)
 	}
-	b := NewBuilder(int(numNodes))
+	// The count is not yet backed by bytes read, so it only presizes up
+	// to maxNodeHint: a short hostile input cannot claim gigabytes.
+	b := NewBuilder(int(min(numNodes, maxNodeHint)))
 	for i := uint64(0); i < numNodes; i++ {
 		kindByte, err := br.ReadByte()
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 //	categories: C1 (domain), C2 (topic, child of C1), C3 (facet, child of C1)
 //	links: A↔B, A→C, C→A, B→H
 //	memberships: A∈{C2,C3}, B∈{C2,C3}, C∈{C2}, H∈{C1}
-func buildTestGraph(t *testing.T) (*Graph, map[string]NodeID) {
+func buildTestGraph(t testing.TB) (*Graph, map[string]NodeID) {
 	t.Helper()
 	b := NewBuilder(8)
 	ids := map[string]NodeID{}
@@ -248,6 +248,40 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Valid magic, truncated body.
 	if _, err := Decode(bytes.NewReader(magic)); err == nil {
 		t.Error("truncated input should not decode")
+	}
+}
+
+// TestDecodeDeduplicatesRepeatedTarget: a hand-built encoding whose
+// link row repeats a target (a delta of 0) decodes with the repeat
+// removed, as the Builder removes a parallel edge.
+func TestDecodeDeduplicatesRepeatedTarget(t *testing.T) {
+	data := append([]byte(nil), magic...)
+	data = append(data, 3) // three nodes, all articles
+	for _, title := range []string{"A", "B", "C"} {
+		data = append(data, byte(KindArticle), 1, title[0])
+	}
+	data = append(data,
+		3,          // links: three rows
+		3, 1, 0, 1, // A: targets 1, 1 (delta 0), 2
+		1, 0, //       B: target 0
+		0, //          C: none
+		0, // membership: no rows
+		0, // containment: no rows
+	)
+	g, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.OutLinks(0); !reflect.DeepEqual(got, []NodeID{1, 2}) {
+		t.Fatalf("OutLinks(A) = %v, want [1 2]", got)
+	}
+	for a, want := range [][]NodeID{{1}, {0}, {0}} {
+		if got := g.InLinks(NodeID(a)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("InLinks(%d) = %v, want %v", a, got, want)
+		}
+	}
+	if g.linkOut.numEdges() != 3 || g.linkIn.numEdges() != 3 {
+		t.Fatalf("edges out/in = %d/%d, want 3/3", g.linkOut.numEdges(), g.linkIn.numEdges())
 	}
 }
 
