@@ -235,7 +235,7 @@ func BenchmarkSearchBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := &queries[i%len(queries)]
-		_ = r.Searcher.Search(r.Expander.QLQuery(q.Text), 1000)
+		_, _ = r.Searcher.Evaluate(context.Background(), []search.Node{r.Expander.QLQuery(q.Text)}, 1000, search.EvalOptions{})
 	}
 }
 
@@ -258,7 +258,7 @@ func benchSearchTopK(b *testing.B, s *search.Searcher, nodes []search.Node, k in
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Search(nodes[i%len(nodes)], k)
+		_, _ = s.Evaluate(context.Background(), nodes[i%len(nodes):i%len(nodes)+1], k, search.EvalOptions{})
 	}
 }
 
@@ -366,7 +366,7 @@ func BenchmarkSearchExpanded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := &queries[i%len(queries)]
 		qg := r.Expander.BuildQueryGraph(r.Entities(q, true), motif.SetTS)
-		_ = r.Searcher.Search(r.Expander.BuildQuery(q.Text, qg), 1000)
+		_, _ = r.Searcher.Evaluate(context.Background(), []search.Node{r.Expander.BuildQuery(q.Text, qg)}, 1000, search.EvalOptions{})
 	}
 }
 
@@ -604,7 +604,7 @@ func BenchmarkSearchBM25(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := &queries[i%len(queries)]
-		_ = r.Searcher.Search(r.Expander.QLQuery(q.Text), 1000)
+		_, _ = r.Searcher.Evaluate(context.Background(), []search.Node{r.Expander.QLQuery(q.Text)}, 1000, search.EvalOptions{})
 	}
 }
 

@@ -57,11 +57,11 @@ func TestSingleConstituentPositionalIsTheTerm(t *testing.T) {
 				s := search.NewSearcher(ix)
 				s.Model = m
 				for _, k := range []int{10, 1000} {
-					want := s.Search(plain, k)
+					want := rankOne(t, s, plain, k)
 					if len(want) == 0 {
 						t.Fatalf("%s/%s/%v: term query matched nothing", q.ID, name, m)
 					}
-					if got := s.Search(wrapped, k); !reflect.DeepEqual(got, want) {
+					if got := rankOne(t, s, wrapped, k); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s/%s/%v/k=%d: one-term operators rank differently from the terms", q.ID, name, m, k)
 					}
 					if got := searchtest.Rank(oracle, wrapped, k); !reflect.DeepEqual(got, want) {
@@ -71,6 +71,16 @@ func TestSingleConstituentPositionalIsTheTerm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rankOne is q's top k under s.Evaluate, alone.
+func rankOne(t *testing.T, s *search.Searcher, q search.Node, k int) []search.Result {
+	t.Helper()
+	ev, err := s.Evaluate(context.Background(), []search.Node{q}, k, search.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev.Results[0]
 }
 
 // TestExpandedRetrievalAllocations is the expanded-query twin of the
@@ -95,6 +105,7 @@ func TestExpandedRetrievalAllocations(t *testing.T) {
 	defer v2.Close()
 	g, ex := env.Engine.Graph(), env.Engine.Expander()
 	s := search.NewSearcher(v2)
+	ctx := context.Background()
 	for _, q := range env.Queries {
 		var nodes []NodeID
 		for _, title := range q.EntityTitles {
@@ -102,14 +113,17 @@ func TestExpandedRetrievalAllocations(t *testing.T) {
 				nodes = append(nodes, id)
 			}
 		}
-		node := ex.BuildQuery(q.Text, ex.BuildQueryGraph(nodes, motif.SetTS))
-		_, st := s.SearchWithStats(node, 10)
-		if st.PositionalHits+st.PositionalMisses == 0 {
+		qs := []search.Node{ex.BuildQuery(q.Text, ex.BuildQueryGraph(nodes, motif.SetTS))}
+		ev, err := s.Evaluate(ctx, qs, 10, search.EvalOptions{CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ev.Stats; st.PositionalHits+st.PositionalMisses == 0 {
 			t.Fatalf("%s: the expanded query has no phrase leaf", q.ID)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if len(s.Search(node, 10)) == 0 {
-				t.Fatalf("%s: no results", q.ID)
+			if ev, err := s.Evaluate(ctx, qs, 10, search.EvalOptions{}); err != nil || len(ev.Results[0]) == 0 {
+				t.Fatalf("%s: no results (%v)", q.ID, err)
 			}
 		})
 		if allocs > 32 {

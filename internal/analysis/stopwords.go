@@ -39,7 +39,3 @@ func IsStopword(term string) bool {
 	_, ok := stopwords[term]
 	return ok
 }
-
-// StopwordCount returns the size of the stopword list; exposed for tests
-// and for collection statistics.
-func StopwordCount() int { return len(stopwordList) }

@@ -82,8 +82,8 @@ func TestIsStopword(t *testing.T) {
 			t.Errorf("IsStopword(%q) = true, want false", w)
 		}
 	}
-	if StopwordCount() < 100 {
-		t.Errorf("StopwordCount() = %d, want a substantial list", StopwordCount())
+	if len(stopwordList) < 100 {
+		t.Errorf("stopword list has %d words, want a substantial list", len(stopwordList))
 	}
 }
 

@@ -195,17 +195,6 @@ func TestAvgRelevantNearProfile(t *testing.T) {
 	}
 }
 
-func TestQueryByID(t *testing.T) {
-	_, ic, _, _ := smallEnv(t)
-	q := &ic.Queries[0]
-	if got := ic.QueryByID(q.ID); got != q {
-		t.Error("QueryByID failed")
-	}
-	if ic.QueryByID("nope") != nil {
-		t.Error("QueryByID of unknown id should be nil")
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	w, _, _, _ := smallEnv(t)
 	if _, err := Build(w, CollectionProfile{Name: "empty"}); err == nil {

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
@@ -52,7 +53,11 @@ func TestDiagQLQ(t *testing.T) {
 		t.Logf("%s %q: %d terms, rel=%d, docs-matching-all=%d (of which relevant=%d)",
 			q.ID, q.Text, len(terms), q.NumRelevant, full, fullRel)
 		node := search.BagOfWords(a, q.Text)
-		res := search.NewSearcher(inst.Index).Search(node, 10)
+		ev, err := search.NewSearcher(inst.Index).Evaluate(context.Background(), []search.Node{node}, 10, search.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := ev.Results[0]
 		hits := 0
 		for _, r := range res {
 			if rel[r.Name] {

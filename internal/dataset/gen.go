@@ -55,16 +55,6 @@ type Instance struct {
 	GroundTruth map[string][]core.Feature
 }
 
-// QueryByID returns the query with the given ID, or nil.
-func (in *Instance) QueryByID(id string) *Query {
-	for i := range in.Queries {
-		if in.Queries[i].ID == id {
-			return &in.Queries[i]
-		}
-	}
-	return nil
-}
-
 // DocSink observes every generated document; used to export the corpus
 // alongside indexing it.
 type DocSink func(name, text string)

@@ -13,7 +13,6 @@
 package entitylink
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -212,15 +211,4 @@ func Precision(linked [][]kb.NodeID, gold [][]kb.NodeID) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// SortCandidates orders a candidate list by descending commonness for
-// stable inspection output.
-func SortCandidates(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Commonness != cands[j].Commonness {
-			return cands[i].Commonness > cands[j].Commonness
-		}
-		return cands[i].Article < cands[j].Article
-	})
 }

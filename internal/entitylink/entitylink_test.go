@@ -140,14 +140,6 @@ func TestPrecisionMetric(t *testing.T) {
 	}
 }
 
-func TestSortCandidates(t *testing.T) {
-	c := []Candidate{{Article: 2, Commonness: 0.5}, {Article: 1, Commonness: 0.9}, {Article: 3, Commonness: 0.5}}
-	SortCandidates(c)
-	if c[0].Article != 1 || c[1].Article != 2 || c[2].Article != 3 {
-		t.Errorf("sorted = %+v", c)
-	}
-}
-
 func TestDictionaryNormalisesSurfaces(t *testing.T) {
 	d := NewDictionary(analysis.Standard())
 	b := kb.NewBuilder(1)

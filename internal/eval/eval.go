@@ -128,17 +128,6 @@ func Evaluate(name string, qrels Qrels, run Run) *Report {
 	return r
 }
 
-// SignificantOver reports whether this run's P@k improves over base with
-// p < alpha under a paired two-tailed t-test, at every requested top.
-func (r *Report) SignificantOver(base *Report, k int, alpha float64) bool {
-	a, b := r.PerQuery[k], base.PerQuery[k]
-	if len(a) == 0 || len(a) != len(b) {
-		return false
-	}
-	t, p := PairedTTest(a, b)
-	return t > 0 && p < alpha
-}
-
 // PercentGain returns the percentage improvement of x over base, the
 // quantity plotted in the paper's Figures 5 and 6 and the %G columns of
 // Table 3. A zero base with positive x reports +100%.

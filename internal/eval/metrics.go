@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"sort"
 )
 
 // This file extends the evaluation substrate beyond the paper's P@k with
@@ -32,19 +31,6 @@ func AveragePrecision(rel map[string]bool, ranked []string) float64 {
 	return sum / float64(len(rel))
 }
 
-// MeanAveragePrecision computes MAP over all judged queries.
-func MeanAveragePrecision(qrels Qrels, run Run) float64 {
-	ids := qrels.Queries()
-	if len(ids) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, id := range ids {
-		sum += AveragePrecision(qrels[id], run[id])
-	}
-	return sum / float64(len(ids))
-}
-
 // ReciprocalRank returns 1/rank of the first relevant document, or 0
 // when none is retrieved.
 func ReciprocalRank(rel map[string]bool, ranked []string) float64 {
@@ -54,19 +40,6 @@ func ReciprocalRank(rel map[string]bool, ranked []string) float64 {
 		}
 	}
 	return 0
-}
-
-// MeanReciprocalRank computes MRR over all judged queries.
-func MeanReciprocalRank(qrels Qrels, run Run) float64 {
-	ids := qrels.Queries()
-	if len(ids) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, id := range ids {
-		sum += ReciprocalRank(qrels[id], run[id])
-	}
-	return sum / float64(len(ids))
 }
 
 // RecallAt computes recall at cutoff k: relevant-retrieved-in-top-k /
@@ -211,25 +184,4 @@ func RobustnessIndex(qrels Qrels, run, base Run, k int) float64 {
 		}
 	}
 	return float64(improved-hurt) / float64(len(ids))
-}
-
-// PerQueryDelta returns, per query ID, the P@k difference run − base,
-// sorted by query ID — the raw material for win/loss analyses.
-func PerQueryDelta(qrels Qrels, run, base Run, k int) []QueryDelta {
-	ids := qrels.Queries()
-	out := make([]QueryDelta, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, QueryDelta{
-			QueryID: id,
-			Delta:   PrecisionAt(qrels[id], run[id], k) - PrecisionAt(qrels[id], base[id], k),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].QueryID < out[j].QueryID })
-	return out
-}
-
-// QueryDelta is one query's precision difference between two runs.
-type QueryDelta struct {
-	QueryID string
-	Delta   float64
 }

@@ -129,19 +129,6 @@ func TestRobustnessIndex(t *testing.T) {
 	}
 }
 
-func TestPerQueryDelta(t *testing.T) {
-	q := make(Qrels)
-	q.AddJudgment("q1", "d1")
-	q.AddJudgment("q2", "d2")
-	run := Run{"q1": {"d1"}, "q2": {}}
-	base := Run{"q1": {}, "q2": {"d2"}}
-	deltas := PerQueryDelta(q, run, base, 1)
-	want := []QueryDelta{{"q1", 1}, {"q2", -1}}
-	if !reflect.DeepEqual(deltas, want) {
-		t.Errorf("deltas = %v", deltas)
-	}
-}
-
 // Property: AP, RR, recall, nDCG all live in [0,1].
 func TestMetricRangesProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -43,8 +43,9 @@ func WriteRunTREC(w io.Writer, run Run, tag string) error {
 	return bw.Flush()
 }
 
-// ReadRunTREC parses a TREC run file. Documents are ordered by ascending
-// rank per query; malformed lines are reported with their line number.
+// ReadRunTREC parses a TREC run file. Documents are ordered per query by
+// descending score, ties broken by ascending rank (trec_eval's
+// semantics); malformed lines are reported with their line number.
 func ReadRunTREC(r io.Reader) (Run, error) {
 	type entry struct {
 		doc   string

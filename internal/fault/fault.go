@@ -25,8 +25,9 @@
 //     evaluator code; the degradation layer must contain them).
 //
 // The registered point catalog (Points) covers the pipeline's hot
-// paths: index posting reads inside the evaluator loops, per-shard
-// evaluation, motif expansion, the expansion cache, and SQE_C sub-runs.
+// paths: index posting reads inside the top-k loop, per-partition
+// evaluation, motif expansion, the expansion cache, the shard RPC wire
+// and a live index's flushes, merges and manifest commits.
 package fault
 
 import (
@@ -43,12 +44,13 @@ type Point string
 
 // The registered injection points.
 const (
-	// IndexPostings fires inside the posting-read loops of every top-k
-	// evaluator (DAAT, MaxScore), at the cancellation-check
-	// cadence — a failing or slow posting source.
+	// IndexPostings fires inside the posting-read loop of the one top-k
+	// loop, searchRuns, at the cancellation-check cadence — a failing or
+	// slow posting source.
 	IndexPostings Point = "index.postings"
-	// ShardEval fires at the start of each shard's evaluation in the
-	// sharded searcher — a failing or slow shard.
+	// ShardEval fires at the start of every in-process partition's
+	// evaluation (localPartition.eval): a whole index, a shard or a live
+	// segment — a failing or slow shard.
 	ShardEval Point = "search.shard_eval"
 	// MotifExpand fires before every motif expansion (Engine.Do's runs
 	// and Engine.Expand alike) builds its query graph — a failing or
@@ -319,9 +321,6 @@ func Disarm() { active.Store(nil) }
 // used by /metrics to export injection counters while a chaos run is
 // live.
 func Armed() *Registry { return active.Load() }
-
-// Enabled reports whether a registry is armed.
-func Enabled() bool { return active.Load() != nil }
 
 // Check is the hot-path hook: with no registry armed it is one atomic
 // load and a nil comparison. With a registry armed it may sleep

@@ -118,8 +118,8 @@ func TestMaxFaultsDoesNotCapLatency(t *testing.T) {
 
 func TestDisarmedCheckIsFree(t *testing.T) {
 	fault.Disarm()
-	if fault.Enabled() {
-		t.Fatal("Enabled() true after Disarm")
+	if fault.Armed() != nil {
+		t.Fatal("Armed() non-nil after Disarm")
 	}
 	if err := fault.Check(fault.ShardEval); err != nil {
 		t.Fatalf("disarmed Check returned %v", err)

@@ -56,7 +56,6 @@ type Index struct {
 
 	docNames  []string
 	docLens   []int32
-	docTexts  []string // raw text, only when built with EnableTextStore
 	totalToks int64
 
 	fwdOnce sync.Once
@@ -227,21 +226,6 @@ func (ix *Index) PostingsFor(term string) *Postings {
 	return ix.PostingsByID(id)
 }
 
-// CollectionProb returns the collection language-model probability
-// P(w|C) = cf(w)/|C|, with add-epsilon flooring for out-of-vocabulary
-// terms so that log-probabilities stay finite. A v2-backed index reads
-// the stored cf; nothing is decoded.
-func (ix *Index) CollectionProb(term string) float64 {
-	id, ok := ix.terms[term]
-	switch {
-	case !ok:
-		return ix.FloorProb(0)
-	case ix.lazy != nil:
-		return ix.FloorProb(ix.lazy.cf[id])
-	}
-	return ix.FloorProb(ix.postings[id].CollectionFreq())
-}
-
 // FloorProb converts a collection frequency into a probability with a
 // 0.5-occurrence floor (the usual OOV treatment in LM retrieval).
 func (ix *Index) FloorProb(cf int64) float64 { return FloorProb(cf, ix.totalToks) }
@@ -288,8 +272,6 @@ type Builder struct {
 
 	docNames  []string
 	docLens   []int32
-	docTexts  []string
-	storeText bool
 	totalToks int64
 }
 
@@ -303,9 +285,6 @@ func NewBuilder(a analysis.Analyzer) *Builder {
 func (b *Builder) Add(name, text string) DocID {
 	doc := DocID(len(b.docNames))
 	b.docNames = append(b.docNames, name)
-	if b.storeText {
-		b.docTexts = append(b.docTexts, text)
-	}
 	toks := b.analyzer.Analyze(text)
 	b.docLens = append(b.docLens, int32(len(toks)))
 	b.totalToks += int64(len(toks))
@@ -340,7 +319,6 @@ func (b *Builder) Build() *Index {
 		termText:  b.termText,
 		docNames:  b.docNames,
 		docLens:   b.docLens,
-		docTexts:  b.docTexts,
 		totalToks: b.totalToks,
 		postings:  make([]Postings, len(b.termText)),
 	}

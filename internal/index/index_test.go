@@ -86,12 +86,12 @@ func TestTermIDs(t *testing.T) {
 
 func TestCollectionProb(t *testing.T) {
 	ix := buildIndex(t, "a a a b") // 4 tokens
-	if got := ix.CollectionProb("a"); got != 0.75 {
-		t.Errorf("CollectionProb(a) = %f", got)
+	if got := ix.FloorProb(ix.PostingsFor("a").CollectionFreq()); got != 0.75 {
+		t.Errorf("FloorProb(cf(a)) = %f", got)
 	}
 	// OOV floor: 0.5/|C|
-	if got := ix.CollectionProb("zzz"); got != 0.5/4 {
-		t.Errorf("CollectionProb(zzz) = %f", got)
+	if got := ix.FloorProb(0); got != 0.5/4 {
+		t.Errorf("FloorProb(0) = %f", got)
 	}
 }
 

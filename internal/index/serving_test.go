@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -44,9 +45,16 @@ func TestServingMaterialisesNoRows(t *testing.T) {
 		search.Phrase{Terms: []string{"a", "b"}},
 		search.Unordered{Terms: []string{"b", "d"}, Width: 4},
 	})
-	want := search.NewSearcher(mem).Search(q, 20)
+	rank := func(s *search.Searcher) []search.Result {
+		ev, err := s.Evaluate(context.Background(), []search.Node{q}, 20, search.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.Results[0]
+	}
+	want := rank(search.NewSearcher(mem))
 	s := search.NewSearcher(disk)
-	got := s.Search(q, 20)
+	got := rank(s)
 	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("%d results over v2, %d in memory", len(got), len(want))
 	}

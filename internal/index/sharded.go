@@ -54,9 +54,6 @@ func NewSharded(ix *Index, n int) *Sharded {
 		if err != nil {
 			panic(fmt.Sprintf("index: shard %d of %d does not open: %v", s, n, err))
 		}
-		for g := s; g < len(ix.docTexts); g += n {
-			shard.docTexts = append(shard.docTexts, ix.docTexts[g])
-		}
 		sh.shards[s] = shard
 	}
 	return sh

@@ -221,25 +221,18 @@ func openV2File(t *testing.T, mem *Index) *Index {
 }
 
 // TestNewShardedMatchesReference: every shard image equals encodeV2 of
-// the in-memory reference split, for parents built in memory (with and
-// without a text store) and opened from v2 files at block sizes 128, 4
-// and 1, across shard counts. NewSharded's shards serve the reference's
-// rows and the parent's texts, and a v2 parent is left undecoded and
-// clean.
+// the in-memory reference split, for parents built in memory and opened
+// from v2 files at block sizes 128, 4 and 1, across shard counts.
+// NewSharded's shards serve the reference's rows, and a v2 parent is
+// left undecoded and clean.
 func TestNewShardedMatchesReference(t *testing.T) {
 	docs := zipfDocs(rand.New(rand.NewSource(27)), 700, 150, "D")
-	withTexts := NewBuilder(analysis.Analyzer{})
-	withTexts.EnableTextStore()
-	for _, d := range docs {
-		withTexts.Add(d.name, d.text)
-	}
 	type parent struct {
 		name     string
 		ix, twin *Index
 	}
 	parents := []parent{
 		{name: "builder", ix: monolithic(docs)},
-		{name: "text-store", ix: withTexts.Build()},
 	}
 	for _, bs := range []int{DefaultBlockSize, 4, 1} {
 		twin := monolithic(docs)
@@ -262,14 +255,6 @@ func TestNewShardedMatchesReference(t *testing.T) {
 					t.Fatalf("%s: shard %d is not v2-backed", label, s)
 				}
 				requireEquivalent(t, shard, ref)
-				if shard.HasTextStore() != p.ix.HasTextStore() {
-					t.Fatalf("%s: shard %d text store %v, parent's %v", label, s, shard.HasTextStore(), p.ix.HasTextStore())
-				}
-				for local := range shard.NumDocs() {
-					if got, want := shard.DocText(DocID(local)), p.ix.DocText(sh.GlobalDoc(s, DocID(local))); got != want {
-						t.Fatalf("%s: shard %d doc %d text %q, want %q", label, s, local, got, want)
-					}
-				}
 			}
 			if err := p.ix.Err(); err != nil {
 				t.Fatalf("%s: the split recorded %v", label, err)

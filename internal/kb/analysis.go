@@ -121,44 +121,6 @@ func ConnectedComponents(g *Graph) []int {
 	return sizes
 }
 
-// BFSDistances returns, for a sample of source articles, the
-// distribution of shortest-path distances (hyperlinks, undirected) as a
-// histogram dist→count, exploring at most maxDist hops. It answers "how
-// far apart are articles?", the search-space problem the paper's motifs
-// sidestep by staying within 1–2 hops.
-func BFSDistances(g *Graph, sources []NodeID, maxDist int) map[int]int {
-	hist := make(map[int]int)
-	dist := make([]int32, g.NumNodes())
-	for _, src := range sources {
-		if g.Kind(src) != KindArticle {
-			continue
-		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue := []NodeID{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			d := dist[cur]
-			if int(d) >= maxDist {
-				continue
-			}
-			for _, nbrs := range [][]NodeID{g.OutLinks(cur), g.InLinks(cur)} {
-				for _, nb := range nbrs {
-					if dist[nb] < 0 {
-						dist[nb] = d + 1
-						hist[int(d+1)]++
-						queue = append(queue, nb)
-					}
-				}
-			}
-		}
-	}
-	return hist
-}
-
 // AnalysisReport bundles the structural profile of a graph.
 type AnalysisReport struct {
 	Stats          Stats

@@ -61,38 +61,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	// Chain a→b→c→d.
-	b := NewBuilder(4)
-	var ids []NodeID
-	for _, n := range []string{"a", "b", "c", "d"} {
-		id, _ := b.AddArticle(n)
-		ids = append(ids, id)
-	}
-	for i := 0; i+1 < len(ids); i++ {
-		if err := b.AddLink(ids[i], ids[i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.Build()
-	hist := BFSDistances(g, []NodeID{ids[0]}, 10)
-	if hist[1] != 1 || hist[2] != 1 || hist[3] != 1 {
-		t.Errorf("hist = %v", hist)
-	}
-	// maxDist truncates.
-	hist = BFSDistances(g, []NodeID{ids[0]}, 2)
-	if hist[3] != 0 {
-		t.Errorf("maxDist ignored: %v", hist)
-	}
-	// Category sources are skipped.
-	b2 := NewBuilder(1)
-	c, _ := b2.AddCategory("Category:X")
-	g2 := b2.Build()
-	if h := BFSDistances(g2, []NodeID{c}, 3); len(h) != 0 {
-		t.Errorf("category source should be skipped: %v", h)
-	}
-}
-
 func TestAnalyzeReport(t *testing.T) {
 	g, _ := buildTestGraph(t)
 	r := Analyze(g)

@@ -204,12 +204,3 @@ func (m *Miner) Score(truth []GroundTruth) []TemplateScore {
 	})
 	return out
 }
-
-// Mine returns the top-k templates by F1. k <= 0 returns all.
-func (m *Miner) Mine(truth []GroundTruth, k int) []TemplateScore {
-	scores := m.Score(truth)
-	if k > 0 && len(scores) > k {
-		scores = scores[:k]
-	}
-	return scores
-}

@@ -56,18 +56,6 @@ func TestMinerMetricsConsistent(t *testing.T) {
 	}
 }
 
-func TestMineTopK(t *testing.T) {
-	f := build(t)
-	truth := []GroundTruth{{QueryNode: f.ids["Q"], Good: []kb.NodeID{f.ids["TRI"]}}}
-	m := NewMiner(f.g)
-	if got := m.Mine(truth, 3); len(got) != 3 {
-		t.Errorf("Mine(3) = %d results", len(got))
-	}
-	if got := m.Mine(truth, 0); len(got) != len(AllTemplates()) {
-		t.Errorf("Mine(0) should return all templates")
-	}
-}
-
 func TestMinerEmptyTruth(t *testing.T) {
 	f := build(t)
 	for _, s := range NewMiner(f.g).Score(nil) {

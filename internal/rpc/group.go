@@ -39,10 +39,6 @@ func NewGroup(replicas []*Client, _ GroupOptions) *Group {
 	return &Group{replicas: append([]*Client(nil), replicas...)}
 }
 
-// Replicas returns the group's clients (the live slice header copy;
-// callers must not mutate).
-func (g *Group) Replicas() []*Client { return g.replicas }
-
 // Stats snapshots the group's counters.
 func (g *Group) Stats() GroupStats {
 	g.mu.Lock()

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestConcurrentSearches(t *testing.T) {
 	}
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
-		want[i] = s.Search(q, 10)
+		want[i] = rank(t, s, q, 10)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -41,7 +42,11 @@ func TestConcurrentSearches(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				for i, q := range queries {
-					got := s.Search(q, 10)
+					got, _, err := evalOne(context.Background(), s, q, 10, EvalOptions{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					if len(got) != len(want[i]) {
 						t.Errorf("concurrent result count differs for query %d", i)
 						return

@@ -25,7 +25,7 @@ func TestSearchContextCancelledUpFront(t *testing.T) {
 	s := bigSearcher(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := s.SearchContext(ctx, Term{Text: "cable"}, 10)
+	res, _, err := evalOne(ctx, s, Term{Text: "cable"}, 10, EvalOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
@@ -58,13 +58,15 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	}
 }
 
+// TestSearchContextBackgroundMatchesSearch: SearchWithStatsContext, the
+// one-tree form bench/ binds, ranks as Evaluate does and fills the stats.
 func TestSearchContextBackgroundMatchesSearch(t *testing.T) {
 	s := bigSearcher(t, 64)
 	q := Combine(Term{Text: "cable"}, Term{Text: "bay"})
-	want := s.Search(q, 10)
-	got, err := s.SearchContext(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
+	want := rank(t, s, q, 10)
+	got, st, err := s.SearchWithStatsContext(context.Background(), q, 10)
+	if err != nil || st.CandidatesExamined == 0 {
+		t.Fatalf("SearchWithStatsContext: st=%+v err=%v", st, err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("result count %d != %d", len(got), len(want))
@@ -73,9 +75,5 @@ func TestSearchContextBackgroundMatchesSearch(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("result %d differs: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-	res, st, err := s.SearchWithStatsContext(context.Background(), q, 10)
-	if err != nil || len(res) != len(want) || st.CandidatesExamined == 0 {
-		t.Fatalf("SearchWithStatsContext: res=%d st=%+v err=%v", len(res), st, err)
 	}
 }

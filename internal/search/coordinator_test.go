@@ -144,7 +144,7 @@ func segmentRank1Fixture(t *testing.T) *contractFixture {
 	full := monoSearcher(segTestCorpus(120, 11))
 	var deletes []string
 	for _, q := range segTestQueries() {
-		if top := full.Search(q, 1)[0].Name; !slices.Contains(deletes, top) {
+		if top := rank(t, full, q, 1)[0].Name; !slices.Contains(deletes, top) {
 			deletes = append(deletes, top)
 		}
 	}
@@ -239,7 +239,7 @@ func TestCoordinatorContract(t *testing.T) {
 								t.Fatalf("%s: %d Shards rows, want %d", label, len(ev.Stats.Shards), n)
 							}
 							if !prune {
-								_, heldSt := f.held.SearchWithStats(q, kk)
+								_, heldSt := rankStats(t, f.held, q, kk)
 								sameCounters(t, label, ev.Stats, heldSt, false)
 							}
 						}
@@ -264,7 +264,7 @@ func TestCoordinatorContract(t *testing.T) {
 				f.co.Configure(ShardConfig{})
 				f.co.forcePrune = false
 				for qi, q := range f.queries {
-					want, wantSt := one.SearchWithStats(q, k)
+					want, wantSt := rankStats(t, one, q, k)
 					got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{CollectStats: true})
 					if err != nil {
 						t.Fatal(err)
@@ -296,7 +296,7 @@ func TestCoordinatorContract(t *testing.T) {
 					t.Fatalf("q=%d: partial info %+v, want partition %d dropped unretried", qi, pi, victim)
 				}
 				var want []Result
-				for _, r := range f.mono.Search(q, f.mono.Index().NumDocs()) {
+				for _, r := range rank(t, f.mono, q, f.mono.Index().NumDocs()) {
 					if f.owner(r.Doc) != victim && len(want) < k {
 						want = append(want, r)
 					}
@@ -315,7 +315,7 @@ func TestCoordinatorContract(t *testing.T) {
 				}
 				for qi, q := range f.queries {
 					var want []Result
-					for _, r := range f.mono.Search(q, f.mono.Index().NumDocs()) {
+					for _, r := range rank(t, f.mono, q, f.mono.Index().NumDocs()) {
 						if f.owner(r.Doc) != victim && len(want) < k {
 							want = append(want, r)
 						}
@@ -396,7 +396,7 @@ func TestCoordinatorContract(t *testing.T) {
 			scripts[last] = s
 			f.inject(scripts)
 			q := f.queries[0]
-			want := f.mono.Search(q, k)
+			want := rank(t, f.mono, q, k)
 			const wantRetries = 3 // one stats re-run plus two eval re-runs
 			got, ev, err := evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{MaxRetries: 2}})
 			if err != nil {
@@ -459,7 +459,7 @@ func TestCoordinatorContract(t *testing.T) {
 			sem <- struct{}{}
 			f.co.Sem = sem
 			q := f.queries[len(f.queries)-1]
-			want := f.mono.Search(q, k)
+			want := rank(t, f.mono, q, k)
 			for _, saturated := range []bool{true, false} {
 				if !saturated {
 					<-sem

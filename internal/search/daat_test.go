@@ -18,7 +18,7 @@ func diffOracle(t *testing.T, s *Searcher, label string, q Node, k int) {
 	}{{"cost-model", false, false}, {"pruned", true, false}, {"exhaustive", false, true}} {
 		ev := *s
 		ev.forcePrune, ev.DisablePruning = e.forcePrune, e.noPrune
-		requireSameResults(t, ev.Search(q, k), want, label+"/"+e.name)
+		requireSameResults(t, rank(t, &ev, q, k), want, label+"/"+e.name)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestSearchWithStatsCounters(t *testing.T) {
 	// counters are asserted in maxscore_test.go.
 	s.DisablePruning = true
 	q := Combine(Term{Text: "a"}, Term{Text: "b"})
-	res, st := s.SearchWithStats(q, 2)
+	res, st := rankStats(t, s, q, 2)
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -153,10 +153,10 @@ func TestSearchWithStatsCounters(t *testing.T) {
 func TestDAATEmptyAndDegenerate(t *testing.T) {
 	ix := buildIndex("a b", "c d")
 	s := NewSearcher(ix)
-	if got := s.Search(Term{Text: "a"}, 0); got != nil {
+	if got := rank(t, s, Term{Text: "a"}, 0); got != nil {
 		t.Errorf("k=0: got %v", got)
 	}
-	if got := s.Search(Weighted{}, 10); got != nil {
+	if got := rank(t, s, Weighted{}, 10); got != nil {
 		t.Errorf("empty query: got %v", got)
 	}
 	diffOracle(t, s, "all-oov", Combine(Term{Text: "zz"}, Term{Text: "yy"}), 10)

@@ -81,6 +81,16 @@ type Distributed interface {
 	// SQE_C's three trees share one evaluation (DESIGN.md "SQE_C in one
 	// pass"). A partition is in or out for all of them: a failure is
 	// never one tree's.
+	//
+	// Each ranking is ordered by descending score, ties broken on
+	// ascending DocID, so results are deterministic. Only documents
+	// that match at least one of the tree's leaves are ranked (standard
+	// practice in LM retrieval engines: a document matching nothing
+	// carries only background mass and sorts below every match of the
+	// best leaf in all but degenerate cases). k <= 0 ranks nothing. ctx
+	// is checked up front and every cancelCheckEvery candidates of the
+	// top-k loop; once it is done the evaluation is abandoned with
+	// ctx.Err().
 	Evaluate(ctx context.Context, qs []Node, k int, opts EvalOptions) (Evaluation, error)
 }
 
@@ -143,7 +153,7 @@ func (c *coordinator) SearchWithStatsContext(ctx context.Context, q Node, k int)
 }
 
 // evaluateInto is Evaluate into out, one slot per tree, leaving
-// ev.Results unset: the one-tree wrappers pass a slot on their stack.
+// ev.Results unset: SearchWithStatsContext passes a slot on its stack.
 func (c *coordinator) evaluateInto(ctx context.Context, qs []Node, k int, opts EvalOptions, out [][]Result) (ev Evaluation, err error) {
 	if k <= 0 {
 		return ev, nil

@@ -13,7 +13,7 @@ func TestExplainMatchesSearchScore(t *testing.T) {
 		Combine(Term{Text: "a"}, Term{Text: "b"}),
 		Phrase{Terms: []string{"a", "b"}},
 	})
-	res := s.Search(q, 10)
+	res := rank(t, s, q, 10)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}

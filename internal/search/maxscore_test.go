@@ -118,7 +118,7 @@ func TestMaxScoreMatchesDAATCrafted(t *testing.T) {
 				// One full ranking; every k below is a prefix of it.
 				want := OracleRank(full, q, ix.NumDocs())
 				for _, k := range []int{1, 2, 3, 10, 1000} {
-					got := pruned.Search(q, k)
+					got := rank(t, pruned, q, k)
 					assertIdenticalResults(t, fmt.Sprintf("%s/%s/%s k=%d", cname, m.name, qname, k), got, want[:min(k, len(want))])
 				}
 			}
@@ -145,7 +145,7 @@ func TestMaxScoreMatchesDAATRandom(t *testing.T) {
 		m := pruningModels[rng.Intn(len(pruningModels))]
 		pruned, full := prunedPair(ix, m.model, m.params, m.mu)
 		want := OracleRank(full, q, k)
-		got := pruned.Search(q, k)
+		got := rank(t, pruned, q, k)
 		assertIdenticalResults(t, fmt.Sprintf("trial %d %s k=%d", trial, m.name, k), got, want)
 	}
 }
@@ -178,8 +178,8 @@ func TestMaxScoreCounterInvariants(t *testing.T) {
 	for _, m := range pruningModels {
 		for qname, q := range pruningQueries() {
 			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-			_, pst := pruned.SearchWithStats(q, 10)
-			_, fst := full.SearchWithStats(q, 10)
+			_, pst := rankStats(t, pruned, q, 10)
+			_, fst := rankStats(t, full, q, 10)
 			label := fmt.Sprintf("%s/%s", m.name, qname)
 			mass := unionMass(full, q)
 			if pst.PostingsAdvanced+pst.DocsSkipped != mass || fst.PostingsAdvanced != mass {
@@ -212,7 +212,7 @@ func TestMaxScoreActuallyPrunes(t *testing.T) {
 	q := Combine(Term{Text: "z"}, Term{Text: "a"}, Term{Text: "b"},
 		Term{Text: "c"}, Term{Text: "d"}, Term{Text: "e"},
 		Term{Text: "f"}, Term{Text: "g"})
-	_, st := s.SearchWithStats(q, 5)
+	_, st := rankStats(t, s, q, 5)
 	if st.DocsSkipped == 0 {
 		t.Fatalf("no postings skipped on a 2000-doc skewed corpus: %v", st)
 	}
@@ -221,7 +221,7 @@ func TestMaxScoreActuallyPrunes(t *testing.T) {
 	}
 	full := NewSearcher(ix)
 	full.DisablePruning = true
-	_, fst := full.SearchWithStats(q, 5)
+	_, fst := rankStats(t, full, q, 5)
 	if st.CandidatesExamined >= fst.CandidatesExamined {
 		t.Fatalf("pruning scored as many candidates as the full scan (%d vs %d)",
 			st.CandidatesExamined, fst.CandidatesExamined)
@@ -266,7 +266,7 @@ func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
 	}
 	full := NewSearcher(ix)
 	full.DisablePruning = true
-	if _, fst := full.SearchWithStats(q, 10); pst.CandidatesExamined > fst.CandidatesExamined {
+	if _, fst := rankStats(t, full, q, 10); pst.CandidatesExamined > fst.CandidatesExamined {
 		t.Fatalf("pruned path fully scored more documents than the exhaustive one: pruned=%v full=%v", pst, fst)
 	}
 }
@@ -278,7 +278,7 @@ func TestMaxScoreCancellation(t *testing.T) {
 	s := NewSearcher(ix)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := s.SearchContext(ctx, Term{Text: "a"}, 10)
+	res, _, err := evalOne(ctx, s, Term{Text: "a"}, 10, EvalOptions{})
 	if err == nil || res != nil {
 		t.Fatalf("cancelled pruned search: res=%v err=%v", res, err)
 	}

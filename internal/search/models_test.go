@@ -33,7 +33,7 @@ func TestJelinekMercerScore(t *testing.T) {
 	s := NewSearcher(ix)
 	s.Model = ModelJelinekMercer
 	s.Params.Lambda = 0.5
-	res := s.Search(Term{Text: "a"}, 10)
+	res := rank(t, s, Term{Text: "a"}, 10)
 	if len(res) != 1 {
 		t.Fatalf("results = %v", res)
 	}
@@ -48,7 +48,7 @@ func TestBM25Score(t *testing.T) {
 	ix := buildIndex("a a b", "b c", "c d")
 	s := NewSearcher(ix)
 	s.Model = ModelBM25
-	res := s.Search(Term{Text: "a"}, 10)
+	res := rank(t, s, Term{Text: "a"}, 10)
 	if len(res) != 1 {
 		t.Fatalf("results = %v", res)
 	}
@@ -69,7 +69,7 @@ func TestBM25IgnoresNonMatching(t *testing.T) {
 	// Query a OR c: each doc matches one leaf; the other contributes 0
 	// (no background mass), so both docs score > -inf and rank by their
 	// own match.
-	res := s.Search(Combine(Term{Text: "a"}, Term{Text: "c"}), 10)
+	res := rank(t, s, Combine(Term{Text: "a"}, Term{Text: "c"}), 10)
 	if len(res) != 2 {
 		t.Fatalf("results = %v", res)
 	}
@@ -90,7 +90,7 @@ func TestModelsAgreeOnStrongMatch(t *testing.T) {
 	for _, m := range []Model{ModelDirichlet, ModelJelinekMercer, ModelBM25} {
 		s := NewSearcher(ix)
 		s.Model = m
-		res := s.Search(Term{Text: "cable"}, 10)
+		res := rank(t, s, Term{Text: "cable"}, 10)
 		if len(res) != 2 {
 			t.Fatalf("%v: results = %v", m, res)
 		}
@@ -105,7 +105,7 @@ func TestExplainHonoursModel(t *testing.T) {
 	s := NewSearcher(ix)
 	s.Model = ModelBM25
 	q := Combine(Term{Text: "a"}, Term{Text: "b"})
-	res := s.Search(q, 10)
+	res := rank(t, s, q, 10)
 	for _, r := range res {
 		ex := s.Explain(q, r.Doc)
 		if math.Abs(ex.Score-r.Score) > 1e-12 {
@@ -118,7 +118,7 @@ func TestPhraseLeafUnderBM25(t *testing.T) {
 	ix := buildIndex("cable car here", "car cable there", "cable car cable car")
 	s := NewSearcher(ix)
 	s.Model = ModelBM25
-	res := s.Search(Phrase{Terms: []string{"cable", "car"}}, 10)
+	res := rank(t, s, Phrase{Terms: []string{"cable", "car"}}, 10)
 	if len(res) != 2 {
 		t.Fatalf("results = %v", res)
 	}

@@ -43,15 +43,6 @@ func Parse(a analysis.Analyzer, input string) (Node, error) {
 	}
 }
 
-// MustParse is Parse but panics on error; for tests and constants.
-func MustParse(a analysis.Analyzer, input string) Node {
-	n, err := Parse(a, input)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 type parser struct {
 	a   analysis.Analyzer
 	in  string

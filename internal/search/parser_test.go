@@ -167,22 +167,13 @@ func TestParsedQuerySearches(t *testing.T) {
 	ix := buildIndex("cable car rides", "tram depot", "cable maintenance")
 	s := NewSearcher(ix)
 	n := mustParse(t, plainA, "#weight(2 #1(cable car) 1 tram)")
-	res := s.Search(n, 10)
+	res := rank(t, s, n, 10)
 	if len(res) != 2 {
 		t.Fatalf("results = %v", res)
 	}
 	if res[0].Name != "D0" {
 		t.Errorf("top = %s", res[0].Name)
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse should panic on bad input")
-		}
-	}()
-	MustParse(plainA, "#weight(")
 }
 
 func TestParseEmptyInput(t *testing.T) {

@@ -59,8 +59,8 @@ func TestPrunedMatchesDAATSmallBlocks(t *testing.T) {
 					for _, k := range []int{1, 3, 10} {
 						want := all[:min(k, len(all))]
 						label := fmt.Sprintf("bs=%d/%s/%s/%s k=%d", bs, cname, m.name, qname, k)
-						assertIdenticalResults(t, label+" memory", pruned.Search(q, k), want)
-						assertIdenticalResults(t, label+" v2", streamed.Search(q, k), want)
+						assertIdenticalResults(t, label+" memory", rank(t, pruned, q, k), want)
+						assertIdenticalResults(t, label+" v2", rank(t, streamed, q, k), want)
 					}
 				}
 			}
@@ -81,8 +81,8 @@ func TestPrunedCounterInvariants(t *testing.T) {
 	for _, m := range pruningModels {
 		for qname, q := range pruningQueries() {
 			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-			_, pst := pruned.SearchWithStats(q, 10)
-			_, fst := full.SearchWithStats(q, 10)
+			_, pst := rankStats(t, pruned, q, 10)
+			_, fst := rankStats(t, full, q, 10)
 			label := fmt.Sprintf("%s/%s", m.name, qname)
 			mass := unionMass(full, q)
 			if pst.PostingsAdvanced+pst.DocsSkipped != mass || fst.PostingsAdvanced != mass {
@@ -109,7 +109,7 @@ func TestPrunedSearchDerivesNoBlockSummaries(t *testing.T) {
 	for _, m := range pruningModels {
 		for _, q := range pruningQueries() {
 			pruned, _ := prunedPair(ix, m.model, m.params, m.mu)
-			if _, st := pruned.SearchWithStats(q, 10); st.BlocksTotal != 0 {
+			if _, st := rankStats(t, pruned, q, 10); st.BlocksTotal != 0 {
 				t.Fatalf("%s: a memory-backed index reported %d blocks", m.name, st.BlocksTotal)
 			}
 		}
@@ -138,8 +138,8 @@ func TestPrunedOverV2File(t *testing.T) {
 				full := NewSearcher(mem)
 				full.Model, full.Params, full.Mu = m.model, m.params, m.mu
 				full.DisablePruning = true
-				_, fst := full.SearchWithStats(q, k)
-				got, pst := pruned.SearchWithStats(q, k)
+				_, fst := rankStats(t, full, q, k)
+				got, pst := rankStats(t, pruned, q, k)
 				assertIdenticalResults(t, fmt.Sprintf("v2/%s/%s k=%d", m.name, qname, k), got, OracleRank(full, q, k))
 				scoredFull += fst.CandidatesExamined
 				scoredPruned += pst.CandidatesExamined

@@ -61,15 +61,11 @@ func (u Unordered) String() string {
 	return fmt.Sprintf("#uw%d(%s)", u.Width, strings.Join(u.Terms, " "))
 }
 
-// TitleWindow analyzes a title and returns it as an unordered window of
-// the given slack (width = #terms + slack), a looser alternative to
-// TitlePhrase; single-word titles collapse to a Term.
-func TitleWindow(a analysis.Analyzer, title string, slack int) Node {
-	return WindowOfTerms(a.AnalyzeTerms(title), slack)
-}
-
-// WindowOfTerms is TitleWindow over an already-analysed title. The node
-// shares terms, which must not be modified afterwards.
+// WindowOfTerms returns an analysed title as an unordered window of the
+// given slack (width = #terms + slack), a looser alternative to
+// PhraseOfTerms; a one-term title collapses to a Term and an empty one
+// to an empty Phrase. The node shares terms, which must not be modified
+// afterwards.
 func WindowOfTerms(terms []string, slack int) Node {
 	switch len(terms) {
 	case 0:
@@ -142,14 +138,10 @@ func BagOfWords(a analysis.Analyzer, text string) Weighted {
 	return Combine(nodes...)
 }
 
-// TitlePhrase analyzes a title and returns it as a phrase leaf for exact
-// n-gram matching; single-word titles collapse to a Term.
-func TitlePhrase(a analysis.Analyzer, title string) Node {
-	return PhraseOfTerms(a.AnalyzeTerms(title))
-}
-
-// PhraseOfTerms is TitlePhrase over an already-analysed title. The node
-// shares terms, which must not be modified afterwards.
+// PhraseOfTerms returns an analysed title as a phrase leaf for exact
+// n-gram matching; a one-term title collapses to a Term and an empty one
+// to an empty Phrase. The node shares terms, which must not be modified
+// afterwards.
 func PhraseOfTerms(terms []string) Node {
 	switch len(terms) {
 	case 0:

@@ -138,7 +138,7 @@ func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
 
 	// Exact-partial invariant: complete ranking minus the slow shard's
 	// documents (round-robin: global doc g lives in shard g mod n).
-	full := NewSearcher(ix).Search(q, ix.NumDocs())
+	full := rank(t, NewSearcher(ix), q, ix.NumDocs())
 	var want []Result
 	for _, r := range full {
 		if int(r.Doc)%n != slow {

@@ -1,10 +1,6 @@
 package search
 
-import (
-	"context"
-
-	"repro/internal/index"
-)
+import "repro/internal/index"
 
 // DefaultMu is the Dirichlet smoothing parameter μ. 2500 is Indri's
 // long-standing default and works well for short caption-style documents.
@@ -211,37 +207,6 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 		stream:   true,
 		nPost:    df,
 	}
-}
-
-// Search scores the query and returns the top k documents ordered by
-// descending score; ties break on ascending DocID so results are
-// deterministic. Only documents containing at least one query leaf are
-// ranked (standard practice in LM retrieval engines: documents matching
-// nothing carry only background mass and sort below every match of the
-// best leaf in all but degenerate cases).
-//
-// Search, SearchContext and SearchWithStats are one-tree wrappers over
-// Evaluate; Search never fails (a background context cannot expire).
-func (s *Searcher) Search(q Node, k int) []Result {
-	res, _ := s.SearchContext(context.Background(), q, k)
-	return res
-}
-
-// SearchContext is Search under a context: the evaluator checks ctx
-// periodically (every cancelCheckEvery candidates) and abandons the
-// evaluation with ctx.Err() once the deadline passes or the caller
-// cancels.
-func (s *Searcher) SearchContext(ctx context.Context, q Node, k int) ([]Result, error) {
-	var out [1][]Result
-	_, err := s.evaluateInto(ctx, []Node{q}, k, EvalOptions{}, out[:])
-	return out[0], err
-}
-
-// SearchWithStats is Search plus per-query instrumentation: candidate,
-// postings and heap counters, and the evaluation wall-clock.
-func (s *Searcher) SearchWithStats(q Node, k int) ([]Result, SearchStats) {
-	res, st, _ := s.SearchWithStatsContext(context.Background(), q, k)
-	return res, st
 }
 
 // cancelCheckEvery is how many candidates the top-k loop draws between

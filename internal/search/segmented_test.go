@@ -249,7 +249,7 @@ func TestSegmentedSearcherPinnedSnapshot(t *testing.T) {
 	}
 
 	for qi, q := range segTestQueries() {
-		want := mono.Search(q, 10)
+		want := rank(t, mono, q, 10)
 		got, err := gs.SearchSnapshot(context.Background(), sn, q, 10)
 		if err != nil {
 			t.Fatalf("q%d: %v", qi, err)

@@ -63,6 +63,16 @@ func rank(t testing.TB, d Distributed, q Node, k int) []Result {
 	return res
 }
 
+// rankStats is rank with CollectStats: the ranking and its counters.
+func rankStats(t testing.TB, d Distributed, q Node, k int) ([]Result, SearchStats) {
+	t.Helper()
+	res, ev, err := evalOne(context.Background(), d, q, k, EvalOptions{CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ev.Stats
+}
+
 func shardedOver(ix *index.Index, n int, model Model, params ModelParams) (*Searcher, *ShardedSearcher) {
 	ref := NewSearcher(ix)
 	ref.Model = model
@@ -106,7 +116,7 @@ func TestShardedBitIdentical(t *testing.T) {
 				for qi, q := range shardQueries() {
 					for _, k := range []int{1, 3, 10, 1000} {
 						ref, ss := shardedOver(corpus.ix, s, m.model, m.params)
-						want := ref.Search(q, k)
+						want := rank(t, ref, q, k)
 						got := rank(t, ss, q, k)
 						if len(got) != len(want) {
 							t.Fatalf("%s/%s S=%d q=%d k=%d: %d results, want %d",
@@ -136,7 +146,7 @@ func TestShardedMuOverrideMatches(t *testing.T) {
 	ss := NewShardedSearcher(index.NewSharded(ix, 4))
 	ss.Mu = 500
 	q := Combine(Term{Text: "cable"}, Term{Text: "harbour"})
-	want := ref.Search(q, 20)
+	want := rank(t, ref, q, 20)
 	got := rank(t, ss, q, 20)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
@@ -160,7 +170,7 @@ func TestShardedEdgeCases(t *testing.T) {
 	// OOV-only query still ranks every document (background mass), like
 	// the unsharded searcher.
 	ref := NewSearcher(ix)
-	want := ref.Search(Term{Text: "zeppelin"}, 10)
+	want := rank(t, ref, Term{Text: "zeppelin"}, 10)
 	got := rank(t, ss, Term{Text: "zeppelin"}, 10)
 	if len(got) != len(want) {
 		t.Fatalf("OOV: %d results, want %d", len(got), len(want))

@@ -8,7 +8,7 @@ import (
 // SearchStats instruments one retrieval: how much work the evaluator did
 // and how long it took. All counters are cheap increments on the hot
 // path; collecting them costs nothing measurable next to scoring, so
-// Search always fills them when the caller asks (SearchWithStats).
+// Evaluate fills them whenever the caller asks (EvalOptions.CollectStats).
 //
 // Aggregation convention for sharded retrievals: every top-level counter
 // is the SUM of the per-shard evaluators' work (each shard evaluates

@@ -53,7 +53,7 @@ func TestSegmentedTombstonePlacements(t *testing.T) {
 
 	var rank1 []index.DocID
 	for _, q := range queries {
-		if res := full.Search(q, 1); len(res) == 1 && !slices.Contains(rank1, res[0].Doc) {
+		if res := rank(t, full, q, 1); len(res) == 1 && !slices.Contains(rank1, res[0].Doc) {
 			rank1 = append(rank1, res[0].Doc)
 		}
 	}
@@ -159,7 +159,7 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 				if _, err := live.DeleteBatch(second); err != nil {
 					t.Errorf("DeleteBatch between the phases: %v", err)
 				}
-				requireSameResults(t, rank(t, gs, q, 10), after.Search(q, 10), qname+": new snapshot, between the phases")
+				requireSameResults(t, rank(t, gs, q, 10), rank(t, after, q, 10), qname+": new snapshot, between the phases")
 			})
 		}
 		parts := snapshotPartitions(sn)
@@ -177,13 +177,13 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, got, before.Search(q, 10), qname+": pinned across the delete")
+		requireSameResults(t, got, rank(t, before, q, 10), qname+": pinned across the delete")
 		// Both phases again on the old snapshot, now behind the memo.
 		got, err = gs.SearchSnapshot(ctx, sn, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, got, before.Search(q, 10), qname+": pinned, after the delete")
+		requireSameResults(t, got, rank(t, before, q, 10), qname+": pinned, after the delete")
 		sn.Release()
 	}
 }
@@ -236,7 +236,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 	mono := monoSearcher(survivorsOf(docs, batch))
 
 	first := search()
-	requireSameResults(t, first.Results[0], mono.Search(q, k), "after the batch")
+	requireSameResults(t, first.Results[0], rank(t, mono, q, k), "after the batch")
 	st := first.Stats
 	if st.correctionProbes == 0 || st.correctionProbes > 64*leaves {
 		t.Errorf("first query after a 64-name batch probed %d tombstones, want 1..%d", st.correctionProbes, 64*leaves)

@@ -15,10 +15,10 @@ func TestTopKZero(t *testing.T) {
 	for _, pruned := range []bool{false, true} {
 		s := NewSearcher(ix)
 		s.DisablePruning = !pruned
-		if res := s.Search(Term{Text: "a"}, 0); res != nil {
+		if res := rank(t, s, Term{Text: "a"}, 0); res != nil {
 			t.Fatalf("pruned=%v: k=0 returned %d results", pruned, len(res))
 		}
-		if res := s.Search(Term{Text: "a"}, -5); res != nil {
+		if res := rank(t, s, Term{Text: "a"}, -5); res != nil {
 			t.Fatalf("pruned=%v: k<0 returned %d results", pruned, len(res))
 		}
 	}
@@ -31,7 +31,7 @@ func TestTopKOne(t *testing.T) {
 	for _, pruned := range []bool{false, true} {
 		s := NewSearcher(ix)
 		s.DisablePruning = !pruned
-		res := s.Search(Term{Text: "a"}, 1)
+		res := rank(t, s, Term{Text: "a"}, 1)
 		if len(res) != 1 {
 			t.Fatalf("pruned=%v: got %d results", pruned, len(res))
 		}
@@ -49,7 +49,7 @@ func TestTopKLargerThanCorpus(t *testing.T) {
 	for _, pruned := range []bool{false, true} {
 		s := NewSearcher(ix)
 		s.DisablePruning = !pruned
-		res := s.Search(Combine(Term{Text: "a"}, Term{Text: "b"}), 1000)
+		res := rank(t, s, Combine(Term{Text: "a"}, Term{Text: "b"}), 1000)
 		if len(res) != 3 {
 			t.Fatalf("pruned=%v: got %d results, want 3 (docs containing a or b)", pruned, len(res))
 		}
@@ -69,7 +69,7 @@ func TestTopKAllEqualScores(t *testing.T) {
 	for _, pruned := range []bool{false, true} {
 		s := NewSearcher(ix)
 		s.DisablePruning = !pruned
-		res := s.Search(Term{Text: "a"}, 4)
+		res := rank(t, s, Term{Text: "a"}, 4)
 		if len(res) != 4 {
 			t.Fatalf("pruned=%v: got %d results", pruned, len(res))
 		}
@@ -116,7 +116,7 @@ func FuzzPrunedTopKParity(f *testing.F) {
 		)
 		m := pruningModels[int(model)%len(pruningModels)]
 		pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-		assertIdenticalResults(t, m.name, pruned.Search(q, k), OracleRank(full, q, k))
+		assertIdenticalResults(t, m.name, rank(t, pruned, q, k), OracleRank(full, q, k))
 	})
 }
 

@@ -14,7 +14,7 @@ func TestUnorderedNodeScoring(t *testing.T) {
 		"cable x y z q car", // outside window 3
 	)
 	s := NewSearcher(ix)
-	res := s.Search(Unordered{Terms: []string{"cable", "car"}, Width: 3}, 10)
+	res := rank(t, s, Unordered{Terms: []string{"cable", "car"}, Width: 3}, 10)
 	names := map[string]bool{}
 	for _, r := range res {
 		names[r.Name] = true
@@ -42,18 +42,18 @@ func TestUnorderedIsEmpty(t *testing.T) {
 
 func TestTitleWindow(t *testing.T) {
 	a := analysis.Standard()
-	n := TitleWindow(a, "Cable Car", 2)
+	n := WindowOfTerms(a.AnalyzeTerms("Cable Car"), 2)
 	uw, ok := n.(Unordered)
 	if !ok {
-		t.Fatalf("TitleWindow returned %T", n)
+		t.Fatalf("WindowOfTerms returned %T", n)
 	}
 	if uw.Width != 4 { // 2 terms + slack 2
 		t.Errorf("width = %d", uw.Width)
 	}
-	if _, ok := TitleWindow(a, "Funicular", 2).(Term); !ok {
+	if _, ok := WindowOfTerms(a.AnalyzeTerms("Funicular"), 2).(Term); !ok {
 		t.Error("single-word title should collapse to Term")
 	}
-	if !IsEmpty(TitleWindow(a, "the of", 2)) {
+	if !IsEmpty(WindowOfTerms(a.AnalyzeTerms("the of"), 2)) {
 		t.Error("stopword-only title should be empty")
 	}
 }
@@ -63,8 +63,8 @@ func TestUnorderedVersusPhraseRanking(t *testing.T) {
 	// phrase; both must appear in flattened queries without error.
 	ix := buildIndex("alpha beta", "beta alpha", "alpha x beta")
 	s := NewSearcher(ix)
-	phrase := s.Search(Phrase{Terms: []string{"alpha", "beta"}}, 10)
-	window := s.Search(Unordered{Terms: []string{"alpha", "beta"}, Width: 3}, 10)
+	phrase := rank(t, s, Phrase{Terms: []string{"alpha", "beta"}}, 10)
+	window := rank(t, s, Unordered{Terms: []string{"alpha", "beta"}, Width: 3}, 10)
 	if len(phrase) != 1 {
 		t.Errorf("phrase matched %d docs", len(phrase))
 	}
@@ -75,7 +75,7 @@ func TestUnorderedVersusPhraseRanking(t *testing.T) {
 		Phrase{Terms: []string{"alpha", "beta"}},
 		Unordered{Terms: []string{"alpha", "beta"}, Width: 3},
 	})
-	if got := s.Search(mixed, 10); len(got) != 3 || got[0].Name != "D0" {
+	if got := rank(t, s, mixed, 10); len(got) != 3 || got[0].Name != "D0" {
 		t.Errorf("mixed query ranking = %v", got)
 	}
 	if !strings.Contains(mixed.String(), "#uw3") {

@@ -86,7 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	counter("sqe_pipeline_queries_total", "SQE pipeline executions served.")
 	fmt.Fprintf(&sb, "sqe_pipeline_queries_total %d\n", ps.Queries)
-	counter("sqe_pipeline_retrievals_total", "Evaluator passes (SQE_C: one on a single index, three on a partitioned engine).")
+	counter("sqe_pipeline_retrievals_total", "Evaluator passes, one per request (SQE_C evaluates its three runs in one pass).")
 	fmt.Fprintf(&sb, "sqe_pipeline_retrievals_total %d\n", ps.Retrievals)
 	counter("sqe_pipeline_features_total", "Expansion features produced by motif search.")
 	fmt.Fprintf(&sb, "sqe_pipeline_features_total %d\n", ps.Features)

@@ -169,12 +169,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 // TestShardMetrics: a sharded engine surfaces per-shard evaluator
 // counters in /metrics; baseline requests contribute pipeline stats too
-// (they go through the same Do path as /search).
+// (they go through the same Do path as /search). An SQE_C request on the
+// 4-shard engine is one evaluator pass, like the baseline's.
 func TestShardMetrics(t *testing.T) {
 	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
 	eng := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(), sqe.WithShards(4))
 	s, q := testServer(t, Config{Engine: eng})
-	if w := do(t, s, http.MethodGet, "/v1/search?q="+paramEscape(q.Text)+"&entities="+paramEscape(entitiesParam(q))+"&set=TS", ""); w.Code != http.StatusOK {
+	if w := do(t, s, http.MethodGet, "/v1/search?q="+paramEscape(q.Text)+"&entities="+paramEscape(entitiesParam(q)), ""); w.Code != http.StatusOK {
 		t.Fatalf("search status %d: %s", w.Code, w.Body.String())
 	}
 	if w := do(t, s, http.MethodGet, "/v1/baseline?q="+paramEscape(q.Text), ""); w.Code != http.StatusOK {

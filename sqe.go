@@ -13,13 +13,19 @@
 //
 // Quickstart:
 //
-//	env := sqe.GenerateDemo(sqe.DemoSmall)   // synthetic Wikipedia + corpus
+//	env, err := sqe.GenerateDemo(sqe.DemoSmall) // synthetic Wikipedia + corpus
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	eng := env.Engine
 //	resp, err := eng.Do(ctx, sqe.SearchRequest{
 //		Query:        "cable cars",
 //		EntityTitles: []string{"cable car"},
 //		K:            10,
 //	})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	for _, r := range resp.Results {
 //		fmt.Println(r.Name, r.Score)
 //	}
