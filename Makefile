@@ -16,6 +16,7 @@ test:
 	$(GO) test ./...
 
 # Race-checks the packages with concurrency: the expansion cache, the
+# motif rows (their concurrent cold fill), the
 # index's positional-leaf and tombstone-correction memos, its read-only
 # stored bounds and its once-per-block bounds check (their contention
 # tests ten times over, with a reader filling a leaf while Compact
@@ -23,7 +24,7 @@ test:
 # the HTTP serving layer, and the root package's shared-Engine /
 # index-while-chaos stress tests.
 race:
-	$(GO) test -race . ./internal/core/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
+	$(GO) test -race . ./internal/core/... ./internal/motif/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
 	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten|TestV2BoundsCheckedOncePerBlock|TestCompactCarriesNoUnfinishedFill' ./internal/index/
 
 # Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
@@ -55,9 +56,16 @@ race:
 # A/B runs these on two commits interleaved (parent, change, parent, ...)
 # at -cpu 1, where ns/op is the request's CPU: the shared host drifts
 # more between back-to-back runs than most changes move them.
+# ServeExpand and ServeSearch drive serve.Server.ServeHTTP through
+# httptest, the HTTP tier without a socket: ServeExpand is expand-wide's
+# stream (1–3 articles drawn from the default world, a 4096-entry
+# expansion cache), ServeSearch the demo's queries with their entities
+# at k = 10; they live in internal/serve because serve imports the root
+# package.
 bench:
 	$(GO) test -run NONE -bench 'SearchBaseline|SearchExpandedTopK|PhrasePostings|PositionalColdV2|DocVectorColdV2|UnorderedWindow|SegmentedTombstoned|RemoteEvaluate|SQECRequest|SQECAfterCompact|KBDecode' -benchmem .
 	$(GO) test -run NONE -bench 'PositionalLeafHit|SegmentedCompact|NewSharded' -benchmem ./internal/index/
+	$(GO) test -run NONE -bench 'ServeExpand|ServeSearch' -benchmem ./internal/serve/
 
 # bench/ is a nested module, so the root `go vet ./...` and
 # `go test ./...` skip it: this is what notices a refactor breaking the
@@ -78,7 +86,8 @@ chaos:
 # Short fuzz rounds over every fuzz target with a committed seed corpus
 # (wikixml parser, live-index mutation scripts against the oracle, v2
 # decoder, manifest, shard RPC bodies, the one-pass multi-run evaluator
-# against separate evaluations, the KB decoder). Not part of verify — run on demand or in CI's cron
+# against separate evaluations, the KB decoder, the HTTP request-body
+# parser against encoding/json). Not part of verify — run on demand or in CI's cron
 # lane. An op of FuzzDifferentialScript is file I/O, so minimising each
 # coverage-interesting input for the default 60 s would leave no time to
 # fuzz.
@@ -91,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz FuzzShardFrame -fuzztime 30s -run '^$$' ./internal/search/
 	$(GO) test -fuzz FuzzSearchRunsParity -fuzztime 30s -run '^$$' ./internal/search/
 	$(GO) test -fuzz FuzzKBDecode -fuzztime 30s -run '^$$' ./internal/kb/
+	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 30s -fuzzminimizetime 2s -run '^$$' ./internal/serve/
 
 # The full gate run before every commit. Correctness is `go test`, under
 # -race for every package with concurrency; performance is

@@ -5,7 +5,8 @@ package analysis
 // (with steps 1a/1b/1c and 5a/5b) and is ASCII-only: terms containing
 // non-ASCII letters are returned unchanged, as are terms shorter than
 // three characters (stemming them is never beneficial and the original
-// algorithm leaves them alone).
+// algorithm leaves them alone). A word no rule changes is returned as
+// is, not copied back into a new string.
 func PorterStem(word string) string {
 	if len(word) <= 2 {
 		return word
@@ -25,6 +26,9 @@ func PorterStem(word string) string {
 	s.step4()
 	s.step5a()
 	s.step5b()
+	if string(s.b) == word {
+		return word
+	}
 	return string(s.b)
 }
 

@@ -8,6 +8,7 @@ package analysis
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single term occurrence produced by the tokenizer.
@@ -23,28 +24,51 @@ type Token struct {
 // Tokenize splits text into lowercase alphanumeric terms. Unicode letters
 // and digits are kept; everything else separates tokens. Positions are
 // assigned in input order starting at 0.
+//
+// Each term is one allocation: an ASCII token (nearly every token) is
+// cut from text and lowercased straight into its string; a token with
+// other letters is lowercased rune by rune.
 func Tokenize(text string) []Token {
 	tokens := make([]Token, 0, len(text)/6+1)
-	var sb strings.Builder
-	pos := 0
-	flush := func() {
-		if sb.Len() == 0 {
-			return
+	start, ascii := -1, true
+	for i, r := range text {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+			ascii = ascii && r < utf8.RuneSelf
+			continue
 		}
-		tokens = append(tokens, Token{Term: sb.String(), Position: pos})
-		pos++
-		sb.Reset()
-	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			sb.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
+		if start >= 0 {
+			tokens = append(tokens, Token{Term: lowerTerm(text[start:i], ascii), Position: len(tokens)})
+			start, ascii = -1, true
 		}
 	}
-	flush()
+	if start >= 0 {
+		tokens = append(tokens, Token{Term: lowerTerm(text[start:], ascii), Position: len(tokens)})
+	}
 	return tokens
+}
+
+// lowerTerm returns tok in lower case, as unicode.ToLower maps each of
+// its runes; ascii says tok is all ASCII.
+func lowerTerm(tok string, ascii bool) string {
+	var sb strings.Builder
+	sb.Grow(len(tok))
+	if ascii {
+		for i := 0; i < len(tok); i++ {
+			c := tok[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			sb.WriteByte(c)
+		}
+	} else {
+		for _, r := range tok {
+			sb.WriteRune(unicode.ToLower(r))
+		}
+	}
+	return sb.String()
 }
 
 // Terms returns just the term strings of Tokenize(text), preserving order.

@@ -142,12 +142,15 @@ func (e *Expander) BuildQueryGraph(queryNodes []kb.NodeID, set motif.Set) QueryG
 		matches = matches[:e.MaxFeatures]
 	}
 	qg := QueryGraph{QueryNodes: append([]kb.NodeID(nil), queryNodes...)}
-	for _, m := range matches {
+	if len(matches) > 0 {
+		qg.Features = make([]Feature, len(matches))
+	}
+	for i, m := range matches {
 		w := float64(m.Motifs)
 		if e.UniformFeatureWeights {
 			w = 1
 		}
-		qg.Features = append(qg.Features, Feature{Article: m.Article, Weight: w})
+		qg.Features[i] = Feature{Article: m.Article, Weight: w}
 	}
 	return qg
 }

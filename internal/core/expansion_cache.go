@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -220,7 +220,7 @@ func (c *ExpansionCache) Stats() CacheStats {
 //     behaviour.
 func (e *Expander) ExpansionKey(queryNodes []kb.NodeID, set motif.Set) string {
 	sorted := append([]kb.NodeID(nil), queryNodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	buf := make([]byte, 0, 2+20+24+4*len(sorted))
 	buf = append(buf, byte(set))
 	flags := byte(0)
@@ -252,10 +252,9 @@ func (e *Expander) ExpansionKey(queryNodes []kb.NodeID, set motif.Set) string {
 // |m_a| order, perturbing the downstream floating-point summation order
 // and breaking hit/miss byte-identity at the ULP level.
 func canonicalGraph(qg QueryGraph) QueryGraph {
-	nodeLess := func(i, j int) bool { return qg.QueryNodes[i] < qg.QueryNodes[j] }
-	if !sort.SliceIsSorted(qg.QueryNodes, nodeLess) {
+	if !slices.IsSorted(qg.QueryNodes) {
 		sorted := append([]kb.NodeID(nil), qg.QueryNodes...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		qg.QueryNodes = sorted
 	}
 	return qg

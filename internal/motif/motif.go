@@ -20,7 +20,9 @@
 package motif
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/kb"
 )
@@ -84,7 +86,25 @@ type Matcher struct {
 	// the "no-category" ablation (any doubly-linked article matches,
 	// with one instance).
 	UseCategories bool
+
+	// rows[b] is the row table under ConditionBits() == b, allocated
+	// the first time a query runs under b: rows[b][q] is article q's
+	// row, built the first time a query names q (see Expand).
+	rows [4]atomic.Pointer[[]atomic.Pointer[[]rowEntry]]
 }
+
+// rowEntry is one candidate of an article's row: a doubly-linked
+// neighbour (any out-neighbour under the single-link ablation) with its
+// triangular and square instance counts. Under the no-category ablation
+// both counts are zero and the entry weighs 1 under every set.
+type rowEntry struct {
+	article kb.NodeID
+	tri, sq int32
+}
+
+// noEntries is the shared row of an article with no candidates, so a
+// built empty row is told apart from an unbuilt one without allocating.
+var noEntries []rowEntry
 
 // NewMatcher returns a Matcher with the paper's conditions enabled.
 func NewMatcher(g *kb.Graph) *Matcher {
@@ -95,40 +115,106 @@ func NewMatcher(g *kb.Graph) *Matcher {
 // Both switches change Expand's output, so any cache or store key over
 // expansion results must include these bits — see
 // core.(*Expander).ExpansionKey, whose completeness invariant rests on
-// this method staying in sync with the exported fields above.
+// this method staying in sync with the exported fields above. The row
+// tables are keyed by it too.
 func (m *Matcher) ConditionBits() uint8 {
 	var b uint8
 	if m.RequireReciprocal {
-		b |= 1
+		b |= requireReciprocalBit
 	}
 	if m.UseCategories {
-		b |= 2
+		b |= useCategoriesBit
 	}
 	return b
 }
+
+// The ConditionBits of each ablation switch.
+const (
+	requireReciprocalBit = 1
+	useCategoriesBit     = 2
+)
 
 // Expand runs motif search from the given query nodes and returns all
 // matches sorted by descending |m_a| (ties: ascending article ID).
 // Query nodes themselves are never reported as expansion nodes.
 //
-// The accumulator is a flat slice, not a map: each query node's
-// candidate scan appends at most one entry per out-neighbour (CSR rows
-// are sorted and deduplicated), and the handful of cross-query-node
-// duplicates is folded by one sort-and-merge pass at the end. Queries
-// have 1–5 nodes with hundreds of neighbours, so this trades hashing
-// every candidate for two O(M log M) sorts of a slice that was going
-// to be sorted anyway.
+// Expand is a fold of per-article rows (ROADMAP item 2): a query node
+// reaches the other query nodes only through their exclusion, so the
+// result is the concatenation of the query nodes' rows, minus entries
+// that are query nodes, each entry weighed by the motif set, folded by
+// foldMatches. A row holds both counts, so one row serves every set; it
+// is built by the first query that names its article, and goroutines
+// racing on a cold row all build the same one, so whichever store lands
+// last is as good as the first. Rows are bounded by the KB: at most one
+// per article per condition setting.
 func (m *Matcher) Expand(queryNodes []kb.NodeID, set Set) []Match {
-	var acc []Match
+	bits := m.ConditionBits()
+	table := m.table(bits)
+	n := 0
 	for _, q := range queryNodes {
 		// Skip invalid IDs (kb.Invalid from a failed entity-link lookup)
 		// instead of indexing out of range deep inside the CSR rows.
 		if q < 0 || m.g.Kind(q) != kb.KindArticle {
 			continue
 		}
-		m.expandFrom(q, set, queryNodes, &acc)
+		n += len(m.row(table, bits, q))
+	}
+	acc := make([]Match, 0, n)
+	tri, sq := int32(0), int32(0)
+	if set.Has(Triangular) {
+		tri = 1
+	}
+	if set.Has(Square) {
+		sq = 1
+	}
+	for _, q := range queryNodes {
+		if q < 0 || m.g.Kind(q) != kb.KindArticle {
+			continue
+		}
+		for _, e := range *table[q].Load() {
+			if containsNode(queryNodes, e.article) {
+				continue
+			}
+			w := 1
+			if bits&useCategoriesBit != 0 {
+				w = int(tri*e.tri + sq*e.sq)
+			}
+			if w > 0 {
+				acc = append(acc, Match{Article: e.article, Motifs: w})
+			}
+		}
 	}
 	return foldMatches(acc)
+}
+
+// table returns the row table of condition setting bits, allocating it
+// on the setting's first use.
+func (m *Matcher) table(bits uint8) []atomic.Pointer[[]rowEntry] {
+	slot := &m.rows[bits]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	t := make([]atomic.Pointer[[]rowEntry], m.g.NumNodes())
+	if !slot.CompareAndSwap(nil, &t) {
+		return *slot.Load()
+	}
+	return t
+}
+
+// row returns article q's row in table, the table of condition setting
+// bits, building it on first use.
+func (m *Matcher) row(table []atomic.Pointer[[]rowEntry], bits uint8, q kb.NodeID) []rowEntry {
+	slot := &table[q]
+	if r := slot.Load(); r != nil {
+		return *r
+	}
+	r := m.scanRow(q, bits)
+	if len(r) == 0 {
+		slot.Store(&noEntries)
+	} else {
+		slot.Store(&r)
+	}
+	return r
 }
 
 // foldMatches merges per-(query node, article) entries into one entry
@@ -139,7 +225,7 @@ func foldMatches(acc []Match) []Match {
 	if len(acc) == 0 {
 		return []Match{}
 	}
-	sort.Slice(acc, func(i, j int) bool { return acc[i].Article < acc[j].Article })
+	slices.SortFunc(acc, func(a, b Match) int { return cmp.Compare(a.Article, b.Article) })
 	out := acc[:1]
 	for _, e := range acc[1:] {
 		if last := &out[len(out)-1]; last.Article == e.Article {
@@ -148,11 +234,11 @@ func foldMatches(acc []Match) []Match {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Motifs != out[j].Motifs {
-			return out[i].Motifs > out[j].Motifs
+	slices.SortFunc(out, func(a, b Match) int {
+		if a.Motifs != b.Motifs {
+			return cmp.Compare(b.Motifs, a.Motifs)
 		}
-		return out[i].Article < out[j].Article
+		return cmp.Compare(a.Article, b.Article)
 	})
 	return out
 }
@@ -168,36 +254,30 @@ func containsNode(nodes []kb.NodeID, n kb.NodeID) bool {
 	return false
 }
 
-// expandFrom accumulates motif instance counts for one query node.
-// Candidates are exactly the doubly-linked neighbours of q (or all
-// out-neighbours under the single-link ablation), so the scan cost is
-// O(outdeg(q) · log d) — this is what keeps expansion sub-second
-// (paper Table 4).
-func (m *Matcher) expandFrom(q kb.NodeID, set Set, queryNodes []kb.NodeID, acc *[]Match) {
+// scanRow builds article q's row under condition setting bits. Candidates are exactly the
+// doubly-linked neighbours of q (or all out-neighbours under the
+// single-link ablation), so the scan cost is O(outdeg(q) · log d) —
+// this is what keeps expansion sub-second (paper Table 4). Entries that
+// no motif set can weigh above zero are left out.
+func (m *Matcher) scanRow(q kb.NodeID, bits uint8) []rowEntry {
+	var row []rowEntry
 	qCats := m.g.Categories(q)
 	for _, e := range m.g.OutLinks(q) {
-		if containsNode(queryNodes, e) {
+		if bits&requireReciprocalBit != 0 && !m.g.HasLink(e, q) {
 			continue
 		}
-		if m.RequireReciprocal && !m.g.HasLink(e, q) {
-			continue
-		}
-		if !m.UseCategories {
-			*acc = append(*acc, Match{Article: e, Motifs: 1})
+		if bits&useCategoriesBit == 0 {
+			row = append(row, rowEntry{article: e})
 			continue
 		}
 		eCats := m.g.Categories(e)
-		n := 0
-		if set.Has(Triangular) {
-			n += triangularInstances(qCats, eCats)
-		}
-		if set.Has(Square) {
-			n += m.squareInstances(qCats, eCats)
-		}
-		if n > 0 {
-			*acc = append(*acc, Match{Article: e, Motifs: n})
+		tri := triangularInstances(qCats, eCats)
+		sq := m.squareInstances(qCats, eCats)
+		if tri > 0 || sq > 0 {
+			row = append(row, rowEntry{article: e, tri: int32(tri), sq: int32(sq)})
 		}
 	}
+	return row
 }
 
 // triangularInstances returns the number of triangular motif instances

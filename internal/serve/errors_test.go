@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -504,6 +506,35 @@ func TestChaosOverHTTP(t *testing.T) {
 			}
 			if h := w.Header().Get(DegradedHeader); h != "" {
 				t.Errorf("post-disarm reply still marked degraded: %q", h)
+			}
+		})
+	}
+}
+
+// TestWriteJSONUnencodableIs503: a reply that encoding cannot render (a
+// non-finite float) goes out as the typed 503 envelope, not as a 200
+// with an empty body, and no degradation header rides on it.
+func TestWriteJSONUnencodableIs503(t *testing.T) {
+	for name, v := range map[string]*searchResponse{
+		"NaN took_ms": {Query: "q", TookMs: math.NaN()},
+		"+Inf score":  {Query: "q", Results: []resultJSON{{Rank: 1, Name: "d", Score: math.Inf(1)}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			w.Header().Set(DegradedHeader, "shards=1")
+			writeJSON(w, http.StatusOK, v)
+			if w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("status %d, want 503; body %q", w.Code, w.Body.String())
+			}
+			var env apiError
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+				t.Fatalf("body %q is not the envelope: %v", w.Body.String(), err)
+			}
+			if env.Err.Code != CodeBackendUnavailable || !strings.Contains(env.Err.Message, "unsupported value") {
+				t.Errorf("envelope %+v", env.Err)
+			}
+			if h := w.Header().Get(DegradedHeader); h != "" {
+				t.Errorf("503 carries %s: %q", DegradedHeader, h)
 			}
 		})
 	}

@@ -36,10 +36,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -225,14 +225,6 @@ func writeError(w http.ResponseWriter, status int, code, message string) {
 	writeJSON(w, status, apiError{Err: errorBody{Code: code, Message: message}})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // statusClientClosedRequest is nginx's conventional status for requests
 // abandoned by the client; no standard constant exists.
 const statusClientClosedRequest = 499
@@ -260,19 +252,20 @@ func degradedHeaderValue(d *sqe.Degradation) string {
 	return strings.Join(parts, " ")
 }
 
-// admit runs admission control for one work request. It returns a
-// release function and true when the request may evaluate; otherwise it
-// has already written the 429 and returns false. With the limiter
-// saturated and a queue configured, the request waits — bounded by
-// QueueDepth slots and QueueTimeout — for capacity instead of failing a
-// burst the server could have absorbed a few milliseconds later.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *endpointStats) (release func(), ok bool) {
+// admit runs admission control for one work request. It returns true
+// when the request may evaluate, and the caller then owes a release;
+// otherwise it has already written the 429 and returns false. With the
+// limiter saturated and a queue configured, the request waits — bounded
+// by QueueDepth slots and QueueTimeout — for capacity instead of
+// failing a burst the server could have absorbed a few milliseconds
+// later.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *endpointStats) bool {
 	if s.limiter == nil {
-		return func() {}, true
+		return true
 	}
 	select {
 	case s.limiter <- struct{}{}:
-		return func() { <-s.limiter }, true
+		return true
 	default:
 	}
 	message := "server at max in-flight requests"
@@ -284,7 +277,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *endpointStats
 			select {
 			case s.limiter <- struct{}{}:
 				s.queueLen.Add(-1)
-				return func() { <-s.limiter }, true
+				return true
 			case <-t.C:
 				s.queueLen.Add(-1)
 				s.queueTimeouts.Add(1)
@@ -293,7 +286,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *endpointStats
 				s.queueLen.Add(-1)
 				st.errors.Add(1)
 				writeError(w, statusClientClosedRequest, CodeClientClosed, "client closed request")
-				return nil, false
+				return false
 			}
 		} else {
 			s.queueLen.Add(-1)
@@ -304,7 +297,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *endpointStats
 	st.errors.Add(1)
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusTooManyRequests, CodeOverloaded, message)
-	return nil, false
+	return false
+}
+
+// release frees the in-flight slot admit took.
+func (s *Server) release() {
+	if s.limiter != nil {
+		<-s.limiter
+	}
 }
 
 // work wraps a handler with the serving policies: method check,
@@ -312,7 +312,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *endpointStats
 // the body-size cap, the per-request timeout, counters, the mapping
 // from context/fault errors to HTTP statuses and error codes, and the
 // degraded-response header.
-func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) (any, error)) http.HandlerFunc {
+func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) (jsonReply, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		st.requests.Add(1)
 		if r.Method != http.MethodGet && r.Method != http.MethodPost {
@@ -323,11 +323,10 @@ func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) 
 		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
-		release, ok := s.admit(w, r, st)
-		if !ok {
+		if !s.admit(w, r, st) {
 			return
 		}
-		defer release()
+		defer s.release()
 		s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
 		ctx := r.Context()
@@ -362,7 +361,9 @@ func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) 
 				w.Header().Set(DegradedHeader, degradedHeaderValue(d))
 			}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		if !writeJSON(w, http.StatusOK, resp) {
+			st.errors.Add(1)
+		}
 	}
 }
 
@@ -405,7 +406,10 @@ type request struct {
 // a body, merges the JSON fields over them.
 func (s *Server) decodeRequest(r *http.Request) (request, error) {
 	var req request
-	q := r.URL.Query()
+	var q url.Values // nil when there is no query string: Get reads ""
+	if r.URL.RawQuery != "" {
+		q = r.URL.Query()
+	}
 	req.Query = q.Get("q")
 	if req.Query == "" {
 		req.Query = q.Get("query")
@@ -426,11 +430,12 @@ func (s *Server) decodeRequest(r *http.Request) (request, error) {
 	}
 	req.Set = q.Get("set")
 	if r.Method == http.MethodPost && r.Body != nil && r.ContentLength != 0 {
-		dec := json.NewDecoder(r.Body)
-		// Reject unknown fields: a typo like "entites" would otherwise
-		// silently run a different query than the client intended.
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		p, body, err := readBody(r.Body)
+		if err != nil || !parseRequest(body, &req) {
+			err = decodeJSON(body, err, &req)
+		}
+		putBuf(p, body)
+		if err != nil {
 			return req, fmt.Errorf("bad JSON body: %w", err)
 		}
 	}
@@ -521,7 +526,7 @@ func (s *Server) runDo(ctx context.Context, req sqe.SearchRequest) (*sqe.SearchR
 	return resp, nil
 }
 
-func (s *Server) handleSearch(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleSearch(ctx context.Context, r *http.Request) (jsonReply, error) {
 	req, err := s.decodeRequest(r)
 	if err != nil {
 		return nil, err
@@ -548,7 +553,7 @@ func (s *Server) handleSearch(ctx context.Context, r *http.Request) (any, error)
 	}, nil
 }
 
-func (s *Server) handleBaseline(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleBaseline(ctx context.Context, r *http.Request) (jsonReply, error) {
 	req, err := s.decodeRequest(r)
 	if err != nil {
 		return nil, err
@@ -582,7 +587,7 @@ type expandResponse struct {
 	TookMs          float64       `json:"took_ms"`
 }
 
-func (s *Server) handleExpand(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleExpand(ctx context.Context, r *http.Request) (jsonReply, error) {
 	req, err := s.decodeRequest(r)
 	if err != nil {
 		return nil, err
@@ -647,15 +652,16 @@ type ingestResponse struct {
 // handleIngest ignores its context: the mutation calls are not
 // context-aware (each is a quick buffer append or a local disk commit
 // that must not be torn by a client disconnect mid-write).
-func (s *Server) handleIngest(_ context.Context, r *http.Request) (any, error) {
+func (s *Server) handleIngest(_ context.Context, r *http.Request) (jsonReply, error) {
 	if s.cfg.Engine.Live() == nil {
 		return nil, errors.New("engine serves an immutable index; ingest requires a live (segmented) deployment")
 	}
 	var req ingestRequest
 	if r.Body != nil && r.ContentLength != 0 {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		p, body, err := readBody(r.Body)
+		err = decodeJSON(body, err, &req)
+		putBuf(p, body)
+		if err != nil {
 			return nil, fmt.Errorf("bad JSON body: %w", err)
 		}
 	}
@@ -705,10 +711,17 @@ func (s *Server) handleIngest(_ context.Context, r *http.Request) (any, error) {
 	return &out, nil
 }
 
+// healthzResponse is the /healthz body.
+type healthzResponse struct {
+	InFlight int64   `json:"in_flight"`
+	Status   string  `json:"status"`
+	UptimeS  float64 `json:"uptime_s"`
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"uptime_s":  time.Since(s.start).Seconds(),
-		"in_flight": s.inFlight.Load(),
+	writeJSON(w, http.StatusOK, &healthzResponse{
+		InFlight: s.inFlight.Load(),
+		Status:   "ok",
+		UptimeS:  time.Since(s.start).Seconds(),
 	})
 }

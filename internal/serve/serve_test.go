@@ -23,7 +23,7 @@ var (
 // testServer builds a Server over a shared DemoSmall engine (with the
 // serving options on: cache + a two-worker pool) plus a fresh demo
 // query to drive it with.
-func testServer(t *testing.T, cfg Config) (*Server, sqe.DemoQuery) {
+func testServer(t testing.TB, cfg Config) (*Server, sqe.DemoQuery) {
 	t.Helper()
 	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
 	if cfg.Engine == nil {

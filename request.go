@@ -222,15 +222,21 @@ var sqecSets = [3]MotifSet{MotifT, MotifTS, MotifS}
 // Expansion shape.
 func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 	exp := &Expansion{QueryNodes: qg.QueryNodes}
-	for _, n := range qg.QueryNodes {
-		exp.QueryNodeTitles = append(exp.QueryNodeTitles, e.graph.Title(n))
+	if len(qg.QueryNodes) > 0 {
+		exp.QueryNodeTitles = make([]string, len(qg.QueryNodes))
 	}
-	for _, f := range qg.Features {
-		exp.Features = append(exp.Features, Feature{
+	for i, n := range qg.QueryNodes {
+		exp.QueryNodeTitles[i] = e.graph.Title(n)
+	}
+	if len(qg.Features) > 0 {
+		exp.Features = make([]Feature, len(qg.Features))
+	}
+	for i, f := range qg.Features {
+		exp.Features[i] = Feature{
 			Article: f.Article,
 			Title:   e.graph.Title(f.Article),
 			Weight:  f.Weight,
-		})
+		}
 	}
 	return exp
 }
