@@ -42,7 +42,10 @@ type BlockBounds struct {
 // mergeBlockBounds recomposes the whole-list summary from per-block
 // summaries. Block order is posting order and ties keep the earliest
 // block (whose own argmax kept the earliest posting), so the merged
-// ratio pair is the same pair boundsOf derives from the full list.
+// ratio pair is the same pair boundsOf derives from the full list. Open
+// and the per-block check compare all four fields; only MaxTF feeds a
+// score bound, the other three are cross-checked for the layout's sake
+// until ROADMAP item 4's format revision drops them.
 func mergeBlockBounds(blocks []BlockBounds) TermBounds {
 	var t TermBounds
 	for i, b := range blocks {

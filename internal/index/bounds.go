@@ -3,24 +3,27 @@ package index
 // Score-bound metadata for dynamic pruning. For every postings list the
 // index keeps the small summary from which the MaxScore-style pruned
 // evaluator in internal/search derives per-leaf score upper bounds at
-// query-compile time: the maximum term frequency, the minimum matching-
-// document length, and the (tf, dl) pair maximising tf/dl over the
-// list. Which field feeds which retrieval model's bound is the
-// evaluator's business (DESIGN.md §5f); the index only guarantees the
-// summaries are exact for the postings they describe.
+// query-compile time. The evaluator prunes only Dirichlet and reads
+// only the maximum term frequency (DESIGN.md §5f). The minimum
+// matching-document length and the (tf, dl) pair maximising tf/dl are
+// computed, written and cross-checked because the FormatV2
+// layout carries them; no evaluator reads them, and the format
+// revision of ROADMAP item 4 drops them. The index guarantees every
+// summary is exact for the postings it describes.
 
 // TermBounds summarises one postings list for score-bound derivation.
 // The zero value is the correct summary of an empty postings list.
 type TermBounds struct {
-	// MaxTF is the largest term frequency in any posting.
+	// MaxTF is the largest term frequency in any posting: the one field
+	// the Dirichlet bound reads.
 	MaxTF int32
 	// MinDL is the length of the shortest document in the postings.
+	// Layout only: written and cross-checked, read by no evaluator.
 	MinDL int32
 	// MaxRatioTF and MaxRatioDL are the (tf, dl) of the posting with the
-	// largest tf/dl ratio — the argmax pair score functions monotone in
-	// tf/dl (Jelinek-Mercer) take their exact bound from. Ties keep the
-	// earliest posting; comparisons cross-multiply in int64, so the
-	// argmax is exact, with no float rounding.
+	// largest tf/dl ratio. Ties keep the earliest posting; comparisons
+	// cross-multiply in int64, so the argmax is exact, with no float
+	// rounding. Layout only, like MinDL.
 	MaxRatioTF int32
 	MaxRatioDL int32
 }

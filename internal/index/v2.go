@@ -36,6 +36,11 @@ import (
 //	        uvarint MaxTF, MinDL, MaxRatioTF, MaxRatioDL,
 //	        uvarint compressed byte length, uint32 LE crc32 of the bytes
 //
+// Of the four bound fields (TermBounds) only MaxTF feeds a score bound:
+// the evaluator prunes Dirichlet alone. MinDL, MaxRatioTF and MaxRatioDL
+// are written and cross-checked like the rest of the layout, read by no
+// evaluator, and dropped by the next format revision (ROADMAP item 4).
+//
 // Block byte offsets are the running sum of the directory's lengths, in
 // directory order, from the start of the postings section; the sum must
 // land exactly on the section's end. Every block encodes:

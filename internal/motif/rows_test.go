@@ -49,7 +49,7 @@ func articlesOf(g *kb.Graph) []kb.NodeID {
 
 func checkExpand(t *testing.T, m *Matcher, qn []kb.NodeID, set Set) {
 	t.Helper()
-	got, want := m.Expand(qn, set), m.scanExpand(qn, set)
+	got, want := m.Expand(qn, set), referenceExpand(m, qn, set)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reciprocal=%v categories=%v set %v nodes %v:\n got %v\nwant %v",
 			m.RequireReciprocal, m.UseCategories, set, qn, got, want)
@@ -57,7 +57,8 @@ func checkExpand(t *testing.T, m *Matcher, qn []kb.NodeID, set Set) {
 }
 
 // TestRowsMatchScanEveryArticle: on the default world, expanding every
-// article alone under every set and matcher setting equals the scan.
+// article alone under every set and matcher setting equals
+// referenceExpand.
 func TestRowsMatchScanEveryArticle(t *testing.T) {
 	g := theDefaultWorld(t).Graph
 	arts := articlesOf(g)
@@ -94,9 +95,9 @@ func randomNodes(rng *rand.Rand, g *kb.Graph, arts []kb.NodeID) []kb.NodeID {
 }
 
 // TestRowsMatchScanRandomDraws: random 1-, 2- and 3-node queries, rows
-// warm or cold, equal the scan under every set and matcher setting.
-// Drawing neighbours of one another makes the query-node exclusion
-// bite.
+// warm or cold, equal referenceExpand under every set and matcher
+// setting. Drawing neighbours of one another makes the query-node
+// exclusion bite.
 func TestRowsMatchScanRandomDraws(t *testing.T) {
 	g := theDefaultWorld(t).Graph
 	arts := articlesOf(g)
@@ -132,15 +133,15 @@ func TestRowsFollowAblationFlips(t *testing.T) {
 }
 
 // TestRowsConcurrentColdFill: goroutines that share one cold Matcher
-// and race to build the same rows all get the scan's answer (run under
-// -race by `make race`).
+// and race to build the same rows all get referenceExpand's answer (run
+// under -race by `make race`).
 func TestRowsConcurrentColdFill(t *testing.T) {
 	g := theDefaultWorld(t).Graph
 	arts := articlesOf(g)[:400]
 	ref := NewMatcher(g)
 	want := make([][]Match, len(arts))
 	for i, a := range arts {
-		want[i] = ref.scanExpand([]kb.NodeID{a, arts[(i+1)%len(arts)]}, SetTS)
+		want[i] = referenceExpand(ref, []kb.NodeID{a, arts[(i+1)%len(arts)]}, SetTS)
 	}
 	m := NewMatcher(g)
 	var wg sync.WaitGroup
@@ -152,7 +153,7 @@ func TestRowsConcurrentColdFill(t *testing.T) {
 			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(arts)) {
 				got := m.Expand([]kb.NodeID{arts[i], arts[(i+1)%len(arts)]}, SetTS)
 				if !reflect.DeepEqual(got, want[i]) {
-					errs <- "worker saw a row that differs from the scan"
+					errs <- "worker saw a row that differs from referenceExpand"
 					return
 				}
 			}

@@ -25,7 +25,9 @@ type ShardConfig struct {
 	// Params holds the other models' parameters.
 	Params ModelParams
 	// DisablePruning turns off MaxScore pruning in every partition's
-	// evaluator and scores every candidate. Pruning is score-safe —
+	// evaluator and scores every candidate. Only Dirichlet is pruned;
+	// the other models score every candidate either way. Pruning is
+	// score-safe —
 	// rankings and scores are bit-identical either way (maxscore.go) —
 	// so the switch exists for debugging, for the full-evaluation side
 	// of benchmarks, and for tests that assert exhaustive-path counters.
@@ -98,8 +100,9 @@ type Distributed interface {
 // its configuration fields are promoted onto them.
 type coordinator struct {
 	ShardConfig
-	// forcePrune bypasses the cost model (pruneWorthwhile) and prunes
-	// whenever pruning is enabled at all. Test-only: the differential
+	// forcePrune bypasses the cost model (pruneWorthwhile) and prunes a
+	// Dirichlet run whenever pruning is enabled at all; it does not make
+	// another model prune. Test-only: the differential
 	// suites exercise pruning on corpora and queries the cost model
 	// would (correctly) score exhaustively. It applies to in-process
 	// partitions; it does not cross the wire.

@@ -9,11 +9,13 @@ import (
 
 // MaxScore-style score-safe dynamic pruning (Turtle & Flood 1995): the
 // bounds, partition and candidate filter searchRuns keeps per pruned
-// run (runs.go has the loop). The idea: once the top-k heap is full, its
-// worst retained score θ is a floor every new result must beat. Each
-// leaf carries a precomputed upper bound on how much it can add over its
-// background (no-match) contribution; sorting leaves by that bound
-// splits them into a "non-essential" prefix — whose bounds, plus the
+// run (runs.go has the loop). Only Dirichlet — the served model — is
+// pruned; the other models rank exhaustively (see prepareRuns).
+//
+// The idea: once the top-k heap is full, its worst retained score θ is
+// a floor every new result must beat. Each leaf carries a precomputed
+// upper bound on how much it can add over its background (no-match)
+// contribution; sorting leaves by that bound splits them into a "non-essential" prefix — whose bounds, plus the
 // maximum background mass, sum below θ — and an "essential" rest. A
 // document matching no essential leaf cannot reach θ, so the merge only
 // draws candidates from essential cursors and gallops the non-essential
@@ -39,12 +41,11 @@ import (
 //     enumerated — the merge draws candidates from essential cursors
 //     only, and non-essential cursors gallop forward in bulk.
 //  2. Candidate filtering: an enumerated candidate is bounded BEFORE
-//     full scoring by its background mass (exact at its document length
-//     when the model permits), the non-essential mass, and the EXACT
-//     contributions of the essential leaves that actually match it —
-//     their (tf, dl) already sit under the cursors, so evaluating them
-//     costs one log per matching leaf against a full evaluation's one
-//     per leaf. If that provably loses, the matching entries are
+//     full scoring by its background mass (exact at its document
+//     length), the non-essential mass, and the EXACT contributions of
+//     the essential leaves that actually match it — their tf already
+//     sits under the cursors, so evaluating them costs one log per
+//     matching leaf against a full evaluation's one per leaf. If that provably loses, the matching entries are
 //     consumed and the document is never fully scored. Exactness is
 //     what gives this test teeth: with whole-list upper bounds alone a
 //     single essential match already implies bound ≥ prefix[ness] ≥ θ —
@@ -70,173 +71,70 @@ type pruneBounds struct {
 	// ub[i] bounds leaf i's score delta over its background
 	// contribution for ANY document in the index:
 	//   ub[i] ≥ score(leaf i, tf, dl) − score(leaf i, 0, dl)  ∀ (tf, dl).
-	// +Inf marks a leaf with no safe bound; it stays essential forever,
-	// which degrades pruning but never safety.
 	ub []float64
-	// deltaExact evaluates one leaf's delta for a concrete (tf, dl) —
-	// the same quantity ub[i] bounds, computed exactly. The candidate
-	// filter uses it on matching essential leaves, whose (tf, dl) are
-	// already under the cursors. It is exact for every leaf type (the
-	// scorer needs nothing but tf and dl either), so it applies even to
-	// leaves with no safe whole-list bound.
-	deltaExact func(l *leaf, tf int32, dl float64) float64
 	// bg bounds the total background mass: for every document,
-	// Σ_i score(leaf i, 0, dl) ≤ bg. Zero for BM25 (no background).
-	bg float64
-	// Dirichlet's background is the one model-dependent piece the filter
-	// can evaluate EXACTLY once a candidate's length is known:
+	// Σ_i score(leaf i, 0, dl) ≤ bg. Once a candidate's length is known
+	// the filter evaluates it exactly:
 	//   Σ_i w_i·log(μ·p_i/(dl+μ)) = bgConst − wSum·log(dl+μ)
-	// with bgConst = Σ w_i·log(μ·p_i) and wSum = Σ w_i. exactBG marks
-	// that decomposition as valid; other models use the constant bg
-	// (already exact for Jelinek-Mercer, zero for BM25).
-	exactBG       bool
-	bgConst, wSum float64
-	mu            float64
-	// dlFree marks a model whose deltaExact ignores dl entirely
-	// (Dirichlet: document length cancels out of the delta), letting the
-	// per-leaf memo below key on tf alone.
-	dlFree bool
-	// Per-leaf one-entry memo of the filter's last deltaExact input and
+	// with bgConst = Σ w_i·log(μ·p_i) and wSum = Σ w_i.
+	bg, bgConst, wSum float64
+	mu                float64
+	// Per-leaf one-entry memo of the filter's last leafDelta input and
 	// output (memoTF[li] == -1: empty). Candidate term frequencies are
 	// Zipfian — overwhelmingly 1 — so consecutive consultations of a
 	// leaf repeat the same input, and reusing the previously computed
-	// float for an equal input is bit-exact: deltaExact is pure. Nil on
-	// hand-built or unpooled bounds; delta then always computes.
+	// float for an equal input is bit-exact: leafDelta is pure.
 	memoTF  []int32
-	memoDL  []float64
 	memoVal []float64
 }
 
-// delta is deltaExact behind the per-leaf one-entry memo.
-func (pb *pruneBounds) delta(l *leaf, li int, tf int32, dl float64) float64 {
-	if pb.memoTF != nil && pb.memoTF[li] == tf && (pb.dlFree || pb.memoDL[li] == dl) {
+// leafDelta is one leaf's exact delta over its background at term
+// frequency tf: w·[log((tf+μp)/(dl+μ)) − log(μp/(dl+μ))] collapses to
+// w·log(1 + tf/(μp)), free of the document length. ub[i] is its value
+// at the list's MaxTF; the candidate filter evaluates it on matching
+// leaves, whose tf is already under the cursors.
+func (pb *pruneBounds) leafDelta(l *leaf, tf int32) float64 {
+	return l.weight * math.Log(1+float64(tf)/(pb.mu*l.collProb))
+}
+
+// delta is leafDelta behind the per-leaf one-entry memo.
+func (pb *pruneBounds) delta(l *leaf, li int, tf int32) float64 {
+	if pb.memoTF[li] == tf {
 		return pb.memoVal[li]
 	}
-	v := pb.deltaExact(l, tf, dl)
-	if pb.memoTF != nil {
-		pb.memoTF[li] = tf
-		if !pb.dlFree {
-			pb.memoDL[li] = dl
-		}
-		pb.memoVal[li] = v
-	}
+	v := pb.leafDelta(l, tf)
+	pb.memoTF[li], pb.memoVal[li] = tf, v
 	return v
 }
 
-// derivePruneBounds computes the per-leaf bounds for a model at query-
-// compile time, mirroring buildScorer's model switch (including its
-// "unknown models score as Dirichlet" default). Derivations and safety
-// arguments are in DESIGN.md §5f; in brief:
-//
-//   - Dirichlet: the delta w·[log((tf+μp)/(dl+μ)) − log(μp/(dl+μ))]
-//     collapses to w·log(1 + tf/(μp)) — document length cancels — so
-//     MaxTF alone gives the exact per-leaf maximum. The background
-//     w·log(μp/(dl+μ)) is maximised at the corpus-wide minimum
-//     document length.
-//   - Jelinek-Mercer: the delta w·log(1 + (1−λ)(tf/dl)/(λp)) is
-//     monotone in tf/dl, so the stored (tf, dl) argmax-ratio pair gives
-//     the exact maximum. The background w·log(λp) is constant.
-//   - BM25: no background; the contribution increases in tf and
-//     decreases in dl, so evaluating at (MaxTF, MinDL) bounds it. Note
-//     the ratio pair is NOT safe here (tf saturates: a (1,1) posting
-//     has the best ratio but a (100,200) posting scores higher), which
-//     is why TermBounds carries MaxTF/MinDL separately.
-//
-// The whole-list ub[i] is deltaExact evaluated at the summary's argmax
-// (Dirichlet: MaxTF; Jelinek-Mercer: the ratio pair; BM25: MaxTF at
-// MinDL). For Dirichlet the background is additionally kept decomposed
-// (bgConst, wSum) so the candidate filter can evaluate it exactly at a
-// candidate's length; see pruneBounds.
-//
-// All weights are positive (flatten drops non-positive ones), which
-// every "maximise each summand independently" step above relies on.
-//
-// dst, when non-nil, is the bounds struct to fill, typically pooled
-// scratch whose array backings are reused (reset here); nil allocates
-// fresh — the mode hand-built test bounds and one-shot callers use.
-func derivePruneBounds(model Model, params ModelParams, cs collStats, minDocLen int32, leaves []leaf, dst *pruneBounds) *pruneBounds {
-	pb := dst
-	if pb != nil {
-		*pb = pruneBounds{
-			ub:      grow(pb.ub, len(leaves)),
-			memoTF:  grow(pb.memoTF, len(leaves)),
-			memoDL:  grow(pb.memoDL, len(leaves)),
-			memoVal: grow(pb.memoVal, len(leaves)),
-		}
-		// The MaxTF == 0 case below leaves ub entries untouched: reused
-		// backings must present as freshly made. memoTF -1 marks the
-		// filter memo empty (no real tf is negative); memoDL/memoVal are
-		// only read behind a matching memoTF.
-		for i := range pb.ub {
-			pb.ub[i] = 0
-			pb.memoTF[i] = -1
-		}
-	} else {
-		pb = &pruneBounds{ub: make([]float64, len(leaves))}
+// derive fills pb — pooled scratch whose array backings it reuses —
+// with the Dirichlet bounds of leaves at smoothing mu: ub[i] is
+// leafDelta at the leaf's MaxTF, and the background
+// w·log(μp/(dl+μ)) is maximised at the index's minimum document length
+// minDocLen. The safety arguments are in DESIGN.md §5f. All weights are
+// positive (flatten drops non-positive ones), which maximising each
+// summand independently relies on.
+func (pb *pruneBounds) derive(mu float64, minDocLen int32, leaves []leaf) {
+	*pb = pruneBounds{
+		ub:      grow(pb.ub, len(leaves)),
+		mu:      mu,
+		memoTF:  grow(pb.memoTF, len(leaves)),
+		memoVal: grow(pb.memoVal, len(leaves)),
 	}
-	// argmax maps a whole-list summary to the (tf, dl) at which
-	// deltaExact attains the list's maximum delta under this model.
-	var argmax func(b index.TermBounds) (int32, float64)
-	switch model {
-	case ModelJelinekMercer:
-		lambda := params.Lambda
-		for i := range leaves {
-			pb.bg += leaves[i].weight * math.Log(lambda*leaves[i].collProb)
-		}
-		pb.deltaExact = func(l *leaf, tf int32, dl float64) float64 {
-			return l.weight * math.Log(1+(1-lambda)*(float64(tf)/dl)/(lambda*l.collProb))
-		}
-		argmax = func(b index.TermBounds) (int32, float64) {
-			return b.MaxRatioTF, float64(b.MaxRatioDL)
-		}
-	case ModelBM25:
-		k1, bp := params.K1, params.B
-		avgdl := cs.avgDocLen
-		if avgdl == 0 {
-			avgdl = 1
-		}
-		pb.deltaExact = func(l *leaf, tf int32, dl float64) float64 {
-			// l.idf was cached by prepareLeaves — the candidate filter
-			// calls this per matching leaf, and recomputing the log here
-			// used to dominate the filter's cost under BM25.
-			t := float64(tf)
-			return l.weight * l.idf * (t * (k1 + 1)) / (t + k1*(1-bp+bp*dl/avgdl))
-		}
-		argmax = func(b index.TermBounds) (int32, float64) {
-			return b.MaxTF, float64(b.MinDL)
-		}
-	default: // Dirichlet, and whatever buildScorer scores as Dirichlet
-		mu := params.Mu
-		dlMin := float64(minDocLen)
-		pb.exactBG = true
-		pb.mu = mu
-		for i := range leaves {
-			l := &leaves[i]
-			pb.bg += l.weight * math.Log(mu*l.collProb/(dlMin+mu))
-			pb.bgConst += l.weight * math.Log(mu*l.collProb)
-			pb.wSum += l.weight
-		}
-		pb.deltaExact = func(l *leaf, tf int32, dl float64) float64 {
-			return l.weight * math.Log(1+float64(tf)/(mu*l.collProb))
-		}
-		pb.dlFree = true // the Dirichlet delta is dl-independent
-		argmax = func(b index.TermBounds) (int32, float64) {
-			return b.MaxTF, 1
-		}
-	}
+	dlMin := float64(minDocLen)
 	for i := range leaves {
 		l := &leaves[i]
-		switch {
-		case !l.bounded:
-			pb.ub[i] = math.Inf(1)
-		case l.bounds.MaxTF == 0:
-			// Empty postings never match: delta is exactly 0.
-		default:
-			tf, dl := argmax(l.bounds)
-			pb.ub[i] = pb.deltaExact(l, tf, dl)
+		pb.bg += l.weight * math.Log(mu*l.collProb/(dlMin+mu))
+		pb.bgConst += l.weight * math.Log(mu*l.collProb)
+		pb.wSum += l.weight
+		// memoTF -1 marks the filter memo empty (no real tf is
+		// negative); memoVal is only read behind a matching memoTF.
+		pb.memoTF[i] = -1
+		pb.ub[i] = 0 // empty postings never match: delta is exactly 0
+		if l.maxTF > 0 {
+			pb.ub[i] = pb.leafDelta(l, l.maxTF)
 		}
 	}
-	return pb
 }
 
 // minPruneMass is the per-query postings mass below which pruning
@@ -250,8 +148,8 @@ const minPruneMass = 64
 // pass over the essential leaves plus bound bookkeeping — the same
 // order of work as simply scoring the candidate when the query has only
 // a handful of leaves. Measured on the benchmark corpora, raw keyword
-// queries (2–5 leaves) run 1.4–1.9x SLOWER pruned than exhaustive for
-// every model, while heavily expanded SQE queries (~30 leaves) win:
+// queries (2–5 leaves) run 1.4–1.9x SLOWER pruned than exhaustive,
+// while heavily expanded SQE queries (~30 leaves) win:
 // with few leaves the ub partition cannot push enough mass into the
 // non-essential set to pay for the filter. Eight is comfortably between
 // the two regimes.
@@ -269,9 +167,8 @@ const minPruneLeaves = 8
 //     everything essential, nothing ever skipped);
 //   - a query whose total postings mass is tiny is cheaper to score
 //     exhaustively than to sort and bound;
-//   - leaves whose bounds are all infinite (no safe summary) or all
-//     zero (every list empty) stay permanently essential, so the filter
-//     never fires.
+//   - leaves whose bounds are all zero (every list empty) stay
+//     permanently essential, so the filter never fires.
 //
 // Falling back changes counters only (DocsSkipped and the bound/block
 // counters stay 0, PostingsAdvanced equals the full mass — exactly the
@@ -282,14 +179,12 @@ func pruneWorthwhile(leaves []leaf, pb *pruneBounds) bool {
 		return false
 	}
 	var mass int64
-	finite := false
+	bounded := false
 	for i := range leaves {
 		mass += int64(leaves[i].nPost)
-		if pb.ub[i] > 0 && !math.IsInf(pb.ub[i], 1) {
-			finite = true
-		}
+		bounded = bounded || pb.ub[i] > 0
 	}
-	return finite && mass >= minPruneMass
+	return bounded && mass >= minPruneMass
 }
 
 // pruneSlack is the safety margin added to a bound before comparing it
@@ -374,7 +269,7 @@ func (p *pruneState) reset(pb *pruneBounds, rl []runLeaf, sorter *ubSorter) {
 // marks the leaves it resolved with it, so the paid pass visits exactly
 // the others — even when two leaves share a cursor and the gallop made
 // for one has already moved it for the other.
-func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCursor, docs []index.DocID, doc index.DocID, dl float64, stamp int64, skipped, boundEvals *int64) float64 {
+func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCursor, docs []index.DocID, doc index.DocID, stamp int64, skipped, boundEvals *int64) float64 {
 	pb, threshold := p.pb, p.threshold
 	for m := p.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
 		m--
@@ -386,7 +281,7 @@ func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCurso
 			bound -= pb.ub[j]
 			p.freeAt[j] = stamp
 		case d == doc:
-			bound += pb.delta(&leaves[j], j, curs[u].Freq(), dl) - pb.ub[j]
+			bound += pb.delta(&leaves[j], j, curs[u].Freq()) - pb.ub[j]
 			p.freeAt[j] = stamp
 		}
 		*boundEvals++
@@ -410,7 +305,7 @@ func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCurso
 		}
 		bound -= pb.ub[j]
 		if d == doc {
-			bound += pb.delta(&leaves[j], j, c.Freq(), dl)
+			bound += pb.delta(&leaves[j], j, c.Freq())
 		}
 		*boundEvals++
 	}

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,6 +22,10 @@ var pruningModels = []struct {
 	{"jelinek-mercer", ModelJelinekMercer, ModelParams{Lambda: 0.4}, 0},
 	{"bm25", ModelBM25, ModelParams{K1: 1.2, B: 0.75}, 0},
 }
+
+// dirichletModels are pruningModels' Dirichlet rows. Dirichlet is the
+// one model pruned, so tests that assert pruning work run over these.
+var dirichletModels = pruningModels[:2]
 
 // prunedPair returns two searchers over ix differing only in pruning.
 // Both run the one top-k loop, so full is no reference for pruned's
@@ -198,6 +201,30 @@ func TestMaxScoreCounterInvariants(t *testing.T) {
 			}
 		}
 	}
+	// The mode rule: only Dirichlet prunes. An expanded query with
+	// enough leaves for the cost model, forced or not, ranks
+	// exhaustively under Jelinek-Mercer and BM25.
+	expanded := Combine(Term{Text: "z"}, Term{Text: "a"}, Term{Text: "b"}, Term{Text: "c"},
+		Term{Text: "d"}, Term{Text: "e"}, Term{Text: "f"}, Term{Text: "g"},
+		Phrase{Terms: []string{"a", "b"}}, Unordered{Terms: []string{"b", "c"}, Width: 8})
+	for _, m := range pruningModels {
+		for _, forced := range []bool{true, false} {
+			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+			pruned.forcePrune = forced
+			got, pst := rankStats(t, pruned, expanded, 10)
+			label := fmt.Sprintf("%s/expanded forced=%v", m.name, forced)
+			assertIdenticalResults(t, label, got, OracleRank(full, expanded, 10))
+			if m.model == ModelDirichlet {
+				if pst.DocsSkipped == 0 {
+					t.Errorf("%s: Dirichlet skipped nothing: %+v", label, pst)
+				}
+				continue
+			}
+			if mass := unionMass(full, expanded); pst.DocsSkipped != 0 || pst.BoundEvaluations != 0 || pst.PostingsAdvanced != mass {
+				t.Errorf("%s: not exhaustive (union postings mass %d): %+v", label, mass, pst)
+			}
+		}
+	}
 }
 
 // TestMaxScoreActuallyPrunes guards against the evaluator silently
@@ -225,49 +252,6 @@ func TestMaxScoreActuallyPrunes(t *testing.T) {
 	if st.CandidatesExamined >= fst.CandidatesExamined {
 		t.Fatalf("pruning scored as many candidates as the full scan (%d vs %d)",
 			st.CandidatesExamined, fst.CandidatesExamined)
-	}
-}
-
-// TestMaxScoreUnboundedLeafFallback: a leaf marked unbounded gets an
-// infinite upper bound — permanently essential, so partition skipping
-// never fires (DocsSkipped stays 0) — and the evaluation still returns
-// the exact unpruned results. This is the safety valve for leaf types
-// without a derivable whole-list bound. The candidate filter legally
-// still applies: it evaluates matching leaves' contributions exactly
-// from the (tf, dl) under the cursors, which needs no precomputed
-// bound.
-func TestMaxScoreUnboundedLeafFallback(t *testing.T) {
-	ix := buildSkewedIndex(500, 13)
-	s := NewSearcher(ix)
-	q := Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"})
-	var leaves []leaf
-	flatten(s.ix, q, 1, &leaves, new(index.PositionalScratch), nil)
-	for li := range leaves {
-		leaves[li].bounded = false
-	}
-	cfg := monoScoring(s)
-	cfg.forcePrune = true
-	pb := derivePruneBounds(cfg.model, cfg.params, cfg.cs, ix.MinDocLen(), leaves, nil)
-	for i, ub := range pb.ub {
-		if !math.IsInf(ub, 1) {
-			t.Fatalf("leaf %d: unbounded leaf got finite bound %v", i, ub)
-		}
-	}
-	var pst SearchStats
-	sc := getScratch()
-	defer putScratch(sc)
-	got, err := searchRuns(context.Background(), ix, nil, leaves, []int{len(leaves)}, 10, cfg, &pst, sc, make([][]Result, 1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalResults(t, "unbounded fallback", got, OracleRank(s, q, 10))
-	if pst.DocsSkipped != 0 {
-		t.Fatalf("unbounded leaves must disable partition skipping: %v", pst)
-	}
-	full := NewSearcher(ix)
-	full.DisablePruning = true
-	if _, fst := rankStats(t, full, q, 10); pst.CandidatesExamined > fst.CandidatesExamined {
-		t.Fatalf("pruned path fully scored more documents than the exhaustive one: pruned=%v full=%v", pst, fst)
 	}
 }
 

@@ -2,10 +2,12 @@ package search
 
 import "math"
 
-// Model selects the retrieval function. The paper's model is Dirichlet-
-// smoothed query likelihood; the alternatives exist for comparison
-// studies (the "retrieval substrate" ablation) and for downstream users
-// who prefer them.
+// Model selects the retrieval function. The paper's model, and the one
+// every served request scores with, is Dirichlet-smoothed query
+// likelihood; only it is pruned (MaxScore, maxscore.go). Jelinek-Mercer
+// and BM25 exist for comparison studies (the "retrieval substrate"
+// ablation) and for downstream users who prefer them, and rank
+// exhaustively: the same rankings, with every matching candidate scored.
 type Model int
 
 const (
@@ -80,11 +82,11 @@ type collStats struct {
 // prepareLeaves fills the per-leaf scoring caches that depend on the
 // model and the (possibly overridden) collection statistics — today
 // just BM25's idf. It MUST run after any cross-shard statistics
-// override (the sharded evaluators rewrite df) and before the scorer or
-// the bound machinery touches the leaves: both read l.idf instead of
-// recomputing the log per posting. The cached value is the exact
-// expression the scorer previously evaluated inline, so scores are
-// bit-identical — the same double, computed once.
+// override (the sharded evaluators rewrite df) and before the scorer
+// touches the leaves: it reads l.idf instead of recomputing the log per
+// posting. The cached value is the exact expression the scorer
+// previously evaluated inline, so scores are bit-identical — the same
+// double, computed once.
 func prepareLeaves(model Model, cs collStats, leaves []leaf) {
 	if model != ModelBM25 {
 		return

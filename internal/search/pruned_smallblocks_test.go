@@ -129,7 +129,7 @@ func TestPrunedOverV2File(t *testing.T) {
 	mem := blockSized(t, buildSkewedIndex(350, 31), 4)
 	disk := v2Copy(t, mem)
 	var scoredFull, scoredPruned, decoded, blocks int64
-	for _, m := range pruningModels {
+	for _, m := range dirichletModels {
 		for qname, q := range pruningQueries() {
 			for _, k := range []int{1, 5, 25} {
 				pruned := NewSearcher(disk)
@@ -165,7 +165,7 @@ func TestPrunedOverV2File(t *testing.T) {
 func TestPrunedShardedSmallBlocks(t *testing.T) {
 	ix := blockSized(t, buildSkewedIndex(600, 37), 4)
 	var skipped int64
-	for _, m := range pruningModels {
+	for _, m := range dirichletModels {
 		ref := NewSearcher(ix)
 		ref.Model, ref.Params, ref.Mu = m.model, m.params, m.mu
 		for _, S := range []int{1, 2, 4} {

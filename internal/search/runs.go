@@ -86,9 +86,11 @@ func sameLeaf(a, b *leaf) bool {
 // local to ix (bounds only need to dominate the documents ix can
 // produce).
 //
-// A run prunes unless cfg.disablePruning is set. A single run prunes
-// only when cfg.forcePrune is set or pruneWorthwhile predicts the filter
-// pays; among several, every run prunes: pruneWorthwhile weighs a
+// A run prunes when the model is scored as Dirichlet, the paper's and
+// the served model, and cfg.disablePruning is not set; Jelinek-Mercer
+// and BM25 rank exhaustively. A Dirichlet single run prunes only when
+// cfg.forcePrune is set or pruneWorthwhile predicts the filter pays;
+// among several, every Dirichlet run prunes: pruneWorthwhile weighs a
 // query's filter against scoring it alone, but inside one pass a run
 // that scored everything would keep all its leaves driving and every
 // candidate on them scored, whatever the other runs proved.
@@ -255,9 +257,12 @@ func (p *pass) unite(ends []int, sc *evalScratch) []leaf {
 }
 
 // prepareRuns resets every run's heap and applies the mode rule: a run
-// that prunes gets its bounds and a fresh partition.
+// that prunes gets its bounds and a fresh partition. Only a model
+// scored as Dirichlet prunes — ModelDirichlet and, as in buildScorer,
+// every unknown model; Jelinek-Mercer and BM25 rank exhaustively.
 func (p *pass) prepareRuns(cfg *scoring, sc *evalScratch) {
 	rs, rl, ul := p.rs, p.rl, p.ul
+	prunable := !cfg.disablePruning && cfg.model != ModelJelinekMercer && cfg.model != ModelBM25
 	for r := range rs {
 		run := &rs[r]
 		run.h = topK{docs: run.h.docs[:0], scores: run.h.scores[:0], k: p.k}
@@ -265,11 +270,11 @@ func (p *pass) prepareRuns(cfg *scoring, sc *evalScratch) {
 		for g := run.lo; g < run.hi; g++ {
 			ul[rl[g].u].ess++
 		}
-		if cfg.disablePruning || run.hi == run.lo {
+		if !prunable || run.hi == run.lo {
 			continue
 		}
 		leaves := p.leaves[run.lo:run.hi]
-		derivePruneBounds(cfg.model, cfg.params, cfg.cs, p.ix.MinDocLen(), leaves, &run.bounds)
+		run.bounds.derive(p.mu, p.ix.MinDocLen(), leaves)
 		if len(rs) == 1 && !cfg.forcePrune && !pruneWorthwhile(leaves, &run.bounds) {
 			continue
 		}
@@ -477,7 +482,7 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 			}
 			run.hit = true
 			if run.prune && len(run.h.docs) == k {
-				run.bound += run.bounds.delta(&p.leaves[run.lo+j], j, tf, dl)
+				run.bound += run.bounds.delta(&p.leaves[run.lo+j], j, tf)
 			}
 		}
 	}
@@ -486,8 +491,8 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 			return true
 		}
 	}
-	// The exact Dirichlet background's log(dl+μ) is the same for every
-	// run: computed once, on first use.
+	// The exact background's log(dl+μ) is the same for every run:
+	// computed once, on first use.
 	lgDL := math.NaN()
 	scored := false
 	for r := range rs {
@@ -495,10 +500,10 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 		if scored || !run.hit {
 			continue
 		}
-		if run.bounds.exactBG && lgDL != lgDL {
+		if lgDL != lgDL {
 			lgDL = math.Log(dl + p.mu)
 		}
-		if p.filterLoses(run, doc, dl, lgDL) {
+		if p.filterLoses(run, doc, lgDL) {
 			run.hit = false
 			continue
 		}
@@ -509,18 +514,15 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 
 // filterLoses is the MaxScore candidate filter for a run whose heap is
 // full: run.bound holds the exact deltas of the run's matching essential
-// leaves; add the background (lgDL is log(dl+μ), read only for
-// Dirichlet's exact background) and the non-essential mass, refine, and
-// report whether the candidate provably loses against θ.
-func (p *pass) filterLoses(run *runEval, doc index.DocID, dl, lgDL float64) bool {
+// leaves; add the exact background (lgDL is log(dl+μ)) and the
+// non-essential mass, refine, and report whether the candidate provably
+// loses against θ.
+func (p *pass) filterLoses(run *runEval, doc index.DocID, lgDL float64) bool {
 	pb := &run.bounds
-	bound := pb.bg
-	if pb.exactBG {
-		bound = pb.bgConst - pb.wSum*lgDL
-	}
+	bound := pb.bgConst - pb.wSum*lgDL
 	bound += run.nonEssDelta + run.bound
 	p.boundEvals++
-	bound = run.refine(bound, p.leaves[run.lo:run.hi], p.curs, p.docs, doc, dl, p.iters, &p.skipped, &p.boundEvals)
+	bound = run.refine(bound, p.leaves[run.lo:run.hi], p.curs, p.docs, doc, p.iters, &p.skipped, &p.boundEvals)
 	return bound+pruneSlack(bound, run.threshold) < run.threshold
 }
 

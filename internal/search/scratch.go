@@ -7,7 +7,7 @@ import (
 )
 
 // evalScratch is the pooled per-query evaluation state: every slice the
-// top-k loop (searchRuns, derivePruneBounds) would otherwise allocate
+// top-k loop (searchRuns, pruneBounds.derive) would otherwise allocate
 // per call — cursor array, union and per-candidate vectors, per-run
 // heaps, bounds and partitions. A partition's flatten and its
 // evaluation each take one scratch from the pool (reset-on-get), thread
@@ -59,10 +59,6 @@ func putScratch(sc *evalScratch) {
 		fullUnion[i] = leaf{}
 	}
 	sc.union = sc.union[:0]
-	runs := sc.runs[:cap(sc.runs)]
-	for i := range runs {
-		runs[i].bounds.deltaExact = nil
-	}
 	p := &sc.pass
 	p.ix, p.dead, p.leaves, p.st, p.curs, p.rs = nil, nil, nil, nil, nil, nil
 	fullCurs := sc.curs[:cap(sc.curs)]

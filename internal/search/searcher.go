@@ -49,17 +49,13 @@ type leaf struct {
 	collProb float64
 	cf       int64
 	df       float64
-	// bounds summarises the postings for score-bound derivation: term
-	// leaves read the index's precomputed metadata, phrase/window leaves
-	// the summary their memo entry was filled with, so positional bounds
-	// are just as tight. bounded=false marks a leaf with no safe summary;
-	// pruning gives it an infinite upper bound, keeping it
-	// permanently essential (full evaluation), which preserves safety
-	// for any future leaf type that cannot produce one.
-	bounds  index.TermBounds
-	bounded bool
+	// maxTF is the largest term frequency in the postings, the one
+	// summary the Dirichlet bound needs: term leaves read the index's
+	// precomputed metadata, phrase/window leaves the summary their memo
+	// entry was filled with, so positional bounds are just as tight.
+	maxTF int32
 	// idf caches BM25's per-leaf inverse document frequency so the hot
-	// scoring and bound paths do not recompute the log per posting. It is
+	// scoring path does not recompute the log per posting. It is
 	// filled by prepareLeaves AFTER any collection-statistics override
 	// (the sharded evaluators rewrite df first); zero for other models.
 	idf float64
@@ -151,11 +147,11 @@ func termLeaf(ix *index.Index, term string, w float64) leaf {
 	}
 	id, ok := ix.TermID(term)
 	if !ok {
-		return newLeaf(ix, w, index.Postings{}, 0, index.TermBounds{})
+		return newLeaf(ix, w, index.Postings{}, 0, 0)
 	}
 	p := ix.PostingsByID(id)
 	b, _ := ix.BoundsFor(term)
-	l := newLeaf(ix, w, *p, p.CollectionFreq(), b)
+	l := newLeaf(ix, w, *p, p.CollectionFreq(), b.MaxTF)
 	l.termID = id
 	return l
 }
@@ -170,7 +166,7 @@ func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, s
 			st.PositionalMisses++
 		}
 	}
-	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds)
+	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds.MaxTF)
 	l.positional = p
 	return l
 }
@@ -178,15 +174,14 @@ func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, s
 // newLeaf fills a leaf's collection statistics from the index it was
 // flattened against. The leaf is anonymous (termID -1) until its caller
 // names it.
-func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, b index.TermBounds) leaf {
+func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, maxTF int32) leaf {
 	return leaf{
 		weight:   w,
 		postings: p,
 		collProb: ix.FloorProb(cf),
 		cf:       cf,
 		df:       float64(len(p.Docs)),
-		bounds:   b,
-		bounded:  true,
+		maxTF:    maxTF,
 		termID:   -1,
 		nPost:    len(p.Docs),
 	}
@@ -201,8 +196,7 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 		collProb: ix.FloorProb(cf),
 		cf:       cf,
 		df:       float64(df),
-		bounds:   ix.StoredTermBounds(id),
-		bounded:  true,
+		maxTF:    ix.StoredTermBounds(id).MaxTF,
 		termID:   id,
 		stream:   true,
 		nPost:    df,

@@ -217,8 +217,10 @@ func WithLinker(dict *entitylink.Dictionary) Option {
 }
 
 // WithRetrievalModel switches the scoring function. The paper's model is
-// ModelDirichlet (the default); ModelJelinekMercer and ModelBM25 are
-// provided for comparison studies — SQE's expansions are model-agnostic.
+// ModelDirichlet (the default), the only one pruned; ModelJelinekMercer
+// and ModelBM25 are provided for comparison studies — SQE's expansions
+// are model-agnostic — and rank exhaustively: every matching candidate
+// is scored, whatever WithPruning says, with the same rankings.
 func WithRetrievalModel(m RetrievalModel, params ModelParams) Option {
 	return func(e *Engine) {
 		e.cfg.Model = m
@@ -233,13 +235,13 @@ func WithDirichletMu(mu float64) Option {
 }
 
 // WithPruning toggles MaxScore-style score-safe dynamic pruning in the
-// document-at-a-time top-k loop (default on). With pruning, candidates
-// that provably cannot enter the current top-k — judged against
-// per-leaf score upper bounds derived from index metadata at
-// query-compile time — are skipped without being scored; rankings and
-// scores stay bit-identical to exhaustive scoring for every
-// retrieval model and shard count (TestDifferential's rows enforce
-// this). WithPruning(false) is the escape hatch for debugging and the
+// document-at-a-time top-k loop (default on). It applies to
+// ModelDirichlet; the other models always rank exhaustively. With
+// pruning, candidates that provably cannot enter the current top-k —
+// judged against per-leaf score upper bounds derived from index
+// metadata at query-compile time — are skipped without being scored;
+// rankings and scores stay bit-identical to exhaustive scoring for
+// every shard count (TestDifferential's rows enforce this). WithPruning(false) is the escape hatch for debugging and the
 // exhaustive reference the bench/ oracle compares against.
 func WithPruning(on bool) Option {
 	return func(e *Engine) { e.cfg.DisablePruning = !on }
