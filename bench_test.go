@@ -1,7 +1,7 @@
 package sqe
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the experiment index):
+// paper's evaluation (see DESIGN.md §13 for the experiment index):
 //
 //	BenchmarkFigure2          — ground-truth cycle analysis (Fig. 2a/2b/2c)
 //	BenchmarkTable1           — configuration study on Image CLEF (Table 1)
@@ -13,7 +13,7 @@ package sqe
 //
 // Precision shapes are exported through b.ReportMetric (P@5, P@100, …),
 // so `go test -bench . -benchmem` reproduces both the numbers and the
-// costs. Ablation benches cover the design choices DESIGN.md §5 calls
+// costs. Ablation benches cover the design choices DESIGN.md §13 calls
 // out, and micro-benches cover the substrates.
 
 import (
@@ -178,7 +178,7 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) -----------------------------------
+// --- Ablation benches (DESIGN.md §13) -----------------------------------
 
 func benchAblation(b *testing.B, row string) {
 	s := suite(b)

@@ -12,7 +12,7 @@
 //	          [-index file] [-write-index file]
 //	          [-ingest] [-segments dir] [-flush-docs 0]
 //
-// On-disk index (DESIGN.md §5j): -write-index builds the demo corpus,
+// On-disk index (DESIGN.md §8.1): -write-index builds the demo corpus,
 // writes its index to the given path as a FormatV2 file and exits.
 // -index makes -mode serve and -mode shard retrieve from such a file
 // via index.Open — an mmap with lazy per-block decode — instead of the
@@ -21,7 +21,7 @@
 // file must describe the same corpus at the same -scale (checked at
 // boot).
 //
-// Modes (see DESIGN.md §5i):
+// Modes (see DESIGN.md §10):
 //
 //	-mode serve        (default) one process, optional in-process shards
 //	                   (-shards N).
@@ -50,7 +50,7 @@
 // All work endpoints also accept POST with a JSON body
 // {"query": …, "entities": […], "k": …, "set": …}.
 //
-// -ingest serves a live segmented engine (DESIGN.md §5l) instead of an
+// -ingest serves a live segmented engine (DESIGN.md §8.4) instead of an
 // immutable one: the deterministic demo corpus is streamed into an LSM
 // index rooted at -segments (a fresh temp directory when unset) and
 // POST /v1/ingest then accepts live adds, deletes, flushes and
@@ -61,8 +61,7 @@
 //
 // The binary carries no self-test: main_test.go drives the three modes
 // as real processes, and everything below the process boundary is
-// covered by `go test ./...` (DESIGN.md "Where things are verified and
-// measured").
+// covered by `go test ./...` (DESIGN.md §14).
 package main
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/entitylink"
 	"repro/internal/wikigen"
 )
 
@@ -161,17 +160,6 @@ func demoEnvFrom(world *wikigen.World, inst *dataset.Instance, eng *Engine) *Dem
 	return env
 }
 
-// MustGenerateDemo is GenerateDemo but panics on error; the error paths
-// are configuration mistakes that cannot happen with the built-in
-// scales.
-func MustGenerateDemo(scale DemoScale, opts ...Option) *DemoEnv {
-	env, err := GenerateDemo(scale, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return env
-}
-
 // PrecisionAt computes precision-at-k of a ranked result list against a
 // relevance set, TrecEval-style (lists shorter than k count the missing
 // ranks as non-relevant).
@@ -189,11 +177,4 @@ func PrecisionAt(results []Result, relevant map[string]bool, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(k)
-}
-
-// NewEntityDictionary returns an empty entity-linking dictionary using
-// the engine's text pipeline; fill it with AddTitle/AddSurface and
-// install it with the WithLinker option.
-func NewEntityDictionary(e *Engine) *entitylink.Dictionary {
-	return entitylink.NewDictionary(e.Index().Analyzer())
 }

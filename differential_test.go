@@ -245,7 +245,7 @@ func (r *liveRun) apply(o op) error {
 		return err
 	case opDelete:
 		name := r.corpus[o.doc].Name
-		n, err := r.live.Delete(name)
+		n, err := r.live.DeleteBatch([]string{name})
 		if err != nil {
 			return err
 		}

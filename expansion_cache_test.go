@@ -35,9 +35,9 @@ func TestExpansionCacheParity(t *testing.T) {
 	for _, ab := range parityAblations {
 		t.Run(ab.name, func(t *testing.T) {
 			live := NewEngine(base.Engine.Graph(), base.Engine.Index())
-			ab.apply(live.Expander())
+			ab.apply(live.expander)
 			cached := NewEngine(base.Engine.Graph(), base.Engine.Index(), WithExpansionCache(4096))
-			ab.apply(cached.Expander())
+			ab.apply(cached.expander)
 			for pass := 1; pass <= 2; pass++ {
 				before, _ := cached.ExpansionCacheStats()
 				for _, set := range sets {

@@ -103,7 +103,7 @@ func TestExpandedRetrievalAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	g, ex := env.Engine.Graph(), env.Engine.Expander()
+	g, ex := env.Engine.Graph(), env.Engine.expander
 	s := search.NewSearcher(v2)
 	ctx := context.Background()
 	for _, q := range env.Queries {

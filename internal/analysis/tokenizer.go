@@ -71,16 +71,6 @@ func lowerTerm(tok string, ascii bool) string {
 	return sb.String()
 }
 
-// Terms returns just the term strings of Tokenize(text), preserving order.
-func Terms(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Term
-	}
-	return out
-}
-
 // Analyzer is a configurable text pipeline: tokenize, optionally drop
 // stopwords, optionally stem. The zero value tokenizes only.
 type Analyzer struct {

@@ -130,9 +130,6 @@ func (e *Expander) titleNode(id kb.NodeID) search.Node {
 // ablation switches (reciprocity, category conditions).
 func (e *Expander) Matcher() *motif.Matcher { return e.matcher }
 
-// Graph returns the KB graph the expander works on.
-func (e *Expander) Graph() *kb.Graph { return e.graph }
-
 // BuildQueryGraph runs motif search from queryNodes with the given motif
 // set and returns the resulting query graph. Features arrive sorted by
 // descending |m_a|.

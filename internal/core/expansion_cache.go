@@ -63,14 +63,6 @@ type CacheStats struct {
 	Entries   int64
 }
 
-// Add accumulates o into s.
-func (s *CacheStats) Add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-}
-
 // NewExpansionCache returns a cache bounded to exactly capacity entries
 // in total: each shard gets ⌊capacity/16⌋ and the remainder is spread
 // one entry each over the first capacity%16 shards. (Rounding every
@@ -165,18 +157,6 @@ func (c *ExpansionCache) Put(key string, qg QueryGraph) {
 	s.entries[key] = s.ll.PushFront(&cacheEntry{key: key, qg: qg})
 }
 
-// Len returns the current number of cached entries.
-func (c *ExpansionCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats sums the per-shard counters. The snapshot is not atomic across
 // shards, which is fine for monitoring.
 func (c *ExpansionCache) Stats() CacheStats {
@@ -199,7 +179,7 @@ func (c *ExpansionCache) Stats() CacheStats {
 // queryNodes is in the key, so an entry can never be served under a
 // configuration other than the one that built it, even when the
 // expander is reconfigured while the cache holds entries (DESIGN.md
-// §5d). Concretely the key covers:
+// §7). Concretely the key covers:
 //
 //   - the motif set and the sorted query-node list. Duplicate nodes are
 //     deliberately kept: BuildQueryGraph([a,a,b]) differs from

@@ -13,6 +13,15 @@ import (
 
 // cacheTestExpander builds a tiny KB with one triangular motif so
 // expansions are non-empty.
+// cacheLen counts the entries c's shards hold.
+func cacheLen(c *ExpansionCache) int {
+	n := 0
+	for i := range c.shards {
+		n += c.shards[i].ll.Len()
+	}
+	return n
+}
+
 func cacheTestExpander(t *testing.T) (*Expander, []kb.NodeID) {
 	t.Helper()
 	b := kb.NewBuilder(8)
@@ -196,15 +205,15 @@ func TestExpansionCacheEvictionBounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), QueryGraph{})
 	}
-	if n := c.Len(); n > 32 {
+	if n := cacheLen(c); n > 32 {
 		t.Errorf("cache grew to %d entries, capacity 32", n)
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
 		t.Error("expected evictions after overfilling")
 	}
-	if st.Entries != int64(c.Len()) {
-		t.Errorf("Stats.Entries %d != Len %d", st.Entries, c.Len())
+	if st.Entries != int64(cacheLen(c)) {
+		t.Errorf("Stats.Entries %d != %d entries held", st.Entries, cacheLen(c))
 	}
 }
 
@@ -365,7 +374,7 @@ func TestExpansionCacheCapacityExact(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			c.Put(fmt.Sprintf("key-%d", i), QueryGraph{})
 		}
-		if got := c.Len(); got != n {
+		if got := cacheLen(c); got != n {
 			t.Errorf("capacity %d: saturated cache holds %d entries", n, got)
 		}
 	}

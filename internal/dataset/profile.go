@@ -90,7 +90,7 @@ type CollectionProfile struct {
 type Scale int
 
 const (
-	// ScaleDefault is the benchmark scale (see DESIGN.md §6).
+	// ScaleDefault is the benchmark scale (see DESIGN.md §13).
 	ScaleDefault Scale = iota
 	// ScaleSmall is the unit-test scale.
 	ScaleSmall

@@ -179,36 +179,3 @@ func (l *Linker) LinkArticles(text string) []kb.NodeID {
 	}
 	return out
 }
-
-// Precision measures linking precision against gold article sets: the
-// fraction of linked articles that are correct, macro-averaged over
-// inputs. Exposed so tests can verify the substrate reproduces the
-// paper's ~80% claim on generated query sets.
-func Precision(linked [][]kb.NodeID, gold [][]kb.NodeID) float64 {
-	if len(linked) != len(gold) || len(linked) == 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for i := range linked {
-		if len(linked[i]) == 0 {
-			continue
-		}
-		goldSet := make(map[kb.NodeID]bool, len(gold[i]))
-		for _, g := range gold[i] {
-			goldSet[g] = true
-		}
-		correct := 0
-		for _, a := range linked[i] {
-			if goldSet[a] {
-				correct++
-			}
-		}
-		sum += float64(correct) / float64(len(linked[i]))
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

@@ -125,21 +125,6 @@ func TestLinkArticles(t *testing.T) {
 	}
 }
 
-func TestPrecisionMetric(t *testing.T) {
-	linked := [][]kb.NodeID{{1, 2}, {3}, {}}
-	gold := [][]kb.NodeID{{1}, {3}, {9}}
-	// query 1: 1/2 correct; query 2: 1/1; query 3 skipped (nothing linked)
-	if got := Precision(linked, gold); got != 0.75 {
-		t.Errorf("Precision = %f, want 0.75", got)
-	}
-	if Precision(nil, nil) != 0 {
-		t.Error("empty input should be 0")
-	}
-	if Precision(linked, gold[:2]) != 0 {
-		t.Error("mismatched lengths should be 0")
-	}
-}
-
 func TestDictionaryNormalisesSurfaces(t *testing.T) {
 	d := NewDictionary(analysis.Standard())
 	b := kb.NewBuilder(1)

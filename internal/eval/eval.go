@@ -25,9 +25,6 @@ func (q Qrels) AddJudgment(query, doc string) {
 	m[doc] = true
 }
 
-// NumRelevant returns the number of relevant documents for query.
-func (q Qrels) NumRelevant(query string) int { return len(q[query]) }
-
 // Queries returns the judged query IDs, sorted.
 func (q Qrels) Queries() []string {
 	out := make([]string, 0, len(q))

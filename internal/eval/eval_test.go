@@ -37,8 +37,8 @@ func TestQrels(t *testing.T) {
 	q.AddJudgment("q1", "d2")
 	q.AddJudgment("q2", "d3")
 	q["q3"] = map[string]bool{}
-	if q.NumRelevant("q1") != 2 || q.NumRelevant("q3") != 0 {
-		t.Error("NumRelevant wrong")
+	if len(q["q1"]) != 2 || len(q["q3"]) != 0 {
+		t.Error("relevant counts wrong")
 	}
 	ids := q.Queries()
 	if len(ids) != 3 || ids[0] != "q1" || ids[2] != "q3" {

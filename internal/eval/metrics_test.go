@@ -241,11 +241,11 @@ func TestReadQrelsZeroRelevance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.NumRelevant("q1") != 1 {
+	if len(q["q1"]) != 1 {
 		t.Error("q1 judgment lost")
 	}
 	// q2 exists with zero relevant docs.
-	if _, ok := q["q2"]; !ok || q.NumRelevant("q2") != 0 {
+	if _, ok := q["q2"]; !ok || len(q["q2"]) != 0 {
 		t.Error("zero-relevant query should survive")
 	}
 	if _, err := ReadQrelsTREC(strings.NewReader("q1 0 d\n")); err == nil {

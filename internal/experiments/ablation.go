@@ -10,7 +10,7 @@ import (
 )
 
 // AblationResult reports mean precision for a set of design-choice
-// ablations of SQE (DESIGN.md §5), all on one dataset with manual
+// ablations of SQE (DESIGN.md §13), all on one dataset with manual
 // entities and the combined motif set so differences isolate the ablated
 // choice.
 type AblationResult struct {
@@ -73,7 +73,7 @@ func Ablations(s *Suite, inst *dataset.Instance) *AblationResult {
 
 	// Small Dirichlet μ.
 	r = s.NewRunner(inst)
-	r.Searcher.Mu = 250
+	r.Searcher.Params.Mu = 250
 	add("mu-250", r.SQE(motif.SetTS, true))
 
 	// Unordered windows (slack 2) instead of exact title phrases.
@@ -98,7 +98,7 @@ func MuSweep(s *Suite, inst *dataset.Instance, mus []float64) *MuSweepResult {
 	res := &MuSweepResult{Dataset: inst.Name, Mus: mus}
 	for _, mu := range mus {
 		r := s.NewRunner(inst)
-		r.Searcher.Mu = mu
+		r.Searcher.Params.Mu = mu
 		run := r.SQE(motif.SetTS, true)
 		res.P10 = append(res.P10, eval.MeanPrecisionAt(inst.Qrels, run, 10))
 	}

@@ -169,7 +169,7 @@ func TestChaosEngineUnderRandomFaults(t *testing.T) {
 			case i%10 == 9:
 				err = live.Compact()
 			case i%7 == 6:
-				_, err = live.Delete(fmt.Sprintf("L%03d", i-3))
+				_, err = live.DeleteBatch([]string{fmt.Sprintf("L%03d", i-3)})
 			default:
 				err = live.Ingest(fmt.Sprintf("L%03d", i), "alpha beta gamma delta")
 			}

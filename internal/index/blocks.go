@@ -7,8 +7,8 @@ import "errors"
 // postings (the last block may be short); every block carries the same
 // summary TermBounds keeps for the whole list, plus the block's last
 // document. The directory does two jobs, and neither is a pruning tier
-// (the pruned evaluator bounds a leaf by its whole list only; DESIGN.md
-// §5j has the measurement that retired per-block bounds):
+// (the pruned evaluator bounds a leaf by its whole list only; CHANGES.md
+// records the measurement that retired per-block bounds):
 //
 //   - decode-skip granularity: a streaming cursor (stream.go) locates
 //     the block that could hold its target through LastDoc and decodes

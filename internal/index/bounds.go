@@ -4,7 +4,7 @@ package index
 // index keeps the small summary from which the MaxScore-style pruned
 // evaluator in internal/search derives per-leaf score upper bounds at
 // query-compile time. The evaluator prunes only Dirichlet and reads
-// only the maximum term frequency (DESIGN.md §5f). The minimum
+// only the maximum term frequency (DESIGN.md §9.3). The minimum
 // matching-document length and the (tf, dl) pair maximising tf/dl are
 // computed, written and cross-checked because the FormatV2
 // layout carries them; no evaluator reads them, and the format

@@ -268,7 +268,7 @@ func TestSegmentedCompactRemovesFullyTombstonedSegment(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := readManifest(s.Dir())
+	m, err := readManifest(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSegmentedCompactRemovesFullyTombstonedSegment(t *testing.T) {
 	for _, e := range m.Segments {
 		want = append(want, segFileName(e.Seq))
 	}
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"repro/internal/analysis"
 )
 
 // The unified on-disk entry points. Every index file is opened through
@@ -175,32 +173,4 @@ func writeAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// WriteFile builds the index and writes it to path in one step,
-// returning the built index. The Builder must not be used afterwards
-// (same contract as Build).
-func (b *Builder) WriteFile(path string, format Format) (*Index, error) {
-	ix := b.Build()
-	if err := WriteFile(path, ix, format); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Document is one input document for Build.
-type Document struct {
-	Name string
-	Text string
-}
-
-// Build indexes docs with the given analyzer — the convenience form of
-// the NewBuilder/Add/Build cycle for callers that already hold the
-// corpus in memory.
-func Build(a analysis.Analyzer, docs []Document) *Index {
-	b := NewBuilder(a)
-	for _, d := range docs {
-		b.Add(d.Name, d.Text)
-	}
-	return b.Build()
 }

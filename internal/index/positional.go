@@ -10,8 +10,7 @@ import (
 // immutable, so the documents, frequencies and bound summaries of
 // "these terms under this operator" are a property of the index; the
 // memo below keeps them, keyed by the constituents' term IDs, for as
-// long as the index itself lives. DESIGN.md "Positional leaves are
-// resolved once per index" has the full argument.
+// long as the index itself lives. DESIGN.md §8.3 has the full argument.
 
 // Positional is one resolved positional leaf: the documents matching the
 // operator, the match count in each, and the summaries an evaluator

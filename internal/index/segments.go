@@ -37,9 +37,10 @@ import (
 // from the same surviving documents in the same order — the contract
 // search.SegmentedSearcher builds on and the segmented-* rows of the root
 // differential harness (differential_test.go) enforce.
-// The pieces of the argument live where they apply: global statistics
-// here (NumDocs/TotalTokens/FloorProb are tombstone-adjusted exact
-// sums), per-leaf statistics and DocID remapping in the searcher.
+// The pieces of the argument live where they apply: each segment's live
+// document and token counts here (tombstoned documents subtracted
+// exactly), their global sums, per-leaf statistics and DocID remapping
+// in the searcher.
 //
 // A Segmented is safe for concurrent use: mutators serialise on an
 // internal lock, readers are lock-free (one atomic load + refcount per
@@ -280,9 +281,6 @@ func (s *Segmented) closeSegmentsLocked() {
 	s.disk = nil
 }
 
-// Dir returns the segment directory.
-func (s *Segmented) Dir() string { return s.dir }
-
 // Analyzer returns the analyzer documents are indexed with.
 func (s *Segmented) Analyzer() analysis.Analyzer { return s.analyzer }
 
@@ -370,12 +368,6 @@ func (s *Segmented) Ingest(name, text string) error {
 		}
 	}
 	return nil
-}
-
-// Delete tombstones every live document named name (committed or
-// buffered) and returns how many were deleted: DeleteBatch of one name.
-func (s *Segmented) Delete(name string) (int, error) {
-	return s.DeleteBatch([]string{name})
 }
 
 // DeleteBatch tombstones every live document carrying one of names and
@@ -687,7 +679,7 @@ func (s *Segmented) sealBufferLocked() *Index {
 // Requires pub (or, at open, sole ownership).
 func (s *Segmented) installLocked() {
 	s.gen++
-	sn := &Snapshot{gen: s.gen}
+	sn := &Snapshot{}
 	sn.refs.Store(1)
 	view := func(sg *segment, ix *Index, del tombstones, memo *corrections) {
 		live := ix.NumDocs() - len(del.sorted)
@@ -708,7 +700,6 @@ func (s *Segmented) installLocked() {
 	for i, v := range sn.views {
 		sn.prefix[i+1] = sn.prefix[i] + v.liveDocs
 		sn.numDocs += v.liveDocs
-		sn.totalToks += v.liveToks
 	}
 	if old := s.cur.Swap(sn); old != nil {
 		old.unref()
@@ -757,14 +748,12 @@ func (s *Segmented) Acquire() *Snapshot {
 // statistics. A Snapshot pins its segments — their mmaps stay open and
 // their files on disk — until Release.
 type Snapshot struct {
-	gen     uint64
 	views   []segView
 	refs    atomic.Int32
 	numDocs int
 	// prefix[i] is the global DocID of segment i's first live document;
 	// prefix[len(views)] == numDocs.
-	prefix    []int
-	totalToks int64
+	prefix []int
 }
 
 // segView is one segment's slice of a snapshot. tombs and dead are the
@@ -809,9 +798,6 @@ func (sn *Snapshot) unref() {
 // file.
 func (sn *Snapshot) Release() { sn.unref() }
 
-// Gen returns the snapshot's epoch (monotonic across mutations).
-func (sn *Snapshot) Gen() uint64 { return sn.gen }
-
 // NumSegments returns the number of segments with live documents.
 func (sn *Snapshot) NumSegments() int { return len(sn.views) }
 
@@ -855,26 +841,6 @@ func (sn *Snapshot) PositionalCorrection(i int, p *Positional) Correction {
 	}
 	return v.memo.lookup(v.ix, v.tombs, leafKey{term: -1, positional: p.key}, p)
 }
-
-// NumDocs returns the number of live documents across all segments.
-func (sn *Snapshot) NumDocs() int { return sn.numDocs }
-
-// TotalTokens returns the live collection length |C| in tokens:
-// tombstoned documents' tokens are subtracted exactly, so smoothing
-// matches a monolithic index over the surviving documents bit for bit.
-func (sn *Snapshot) TotalTokens() int64 { return sn.totalToks }
-
-// AvgDocLen returns the live mean document length.
-func (sn *Snapshot) AvgDocLen() float64 {
-	if sn.numDocs == 0 {
-		return 0
-	}
-	return float64(sn.totalToks) / float64(sn.numDocs)
-}
-
-// FloorProb converts a live collection frequency into a probability
-// with the same 0.5-occurrence OOV floor as Index.FloorProb.
-func (sn *Snapshot) FloorProb(cf int64) float64 { return FloorProb(cf, sn.totalToks) }
 
 // GlobalDoc maps segment i's local DocID to the global DocID a
 // monolithic index over the surviving documents (in ingestion order)

@@ -58,7 +58,7 @@ func requireEquivalent(t *testing.T, got, want *Index) {
 		t.Fatalf("NumDocs %d, want %d", g, w)
 	}
 	if g, w := got.TotalTokens(), want.TotalTokens(); g != w {
-		t.Fatalf("TotalTokens %d, want %d", g, w)
+		t.Fatalf("live tokens %d, want %d", g, w)
 	}
 	for d := 0; d < want.NumDocs(); d++ {
 		if g, w := got.DocName(DocID(d)), want.DocName(DocID(d)); g != w {
@@ -98,6 +98,16 @@ func requireEquivalent(t *testing.T, got, want *Index) {
 	}
 }
 
+// liveTokens is the snapshot's live collection length: its segments'
+// live token counts, summed.
+func liveTokens(sn *Snapshot) int64 {
+	var n int64
+	for i := 0; i < sn.NumSegments(); i++ {
+		n += sn.SegmentLiveTokens(i)
+	}
+	return n
+}
+
 // monolithic builds the reference index over docs.
 func monolithic(docs []segDoc) *Index {
 	b := NewBuilder(analysis.Analyzer{})
@@ -125,12 +135,12 @@ func TestSegmentedIngestFlushCompact(t *testing.T) {
 
 	sn := s.Acquire()
 	defer sn.Release()
-	if sn.NumDocs() != len(docs) {
-		t.Fatalf("snapshot NumDocs %d, want %d", sn.NumDocs(), len(docs))
+	if sn.numDocs != len(docs) {
+		t.Fatalf("snapshot live docs %d, want %d", sn.numDocs, len(docs))
 	}
 	mono := monolithic(docs)
-	if sn.TotalTokens() != mono.TotalTokens() {
-		t.Fatalf("snapshot TotalTokens %d, want %d", sn.TotalTokens(), mono.TotalTokens())
+	if liveTokens(sn) != mono.TotalTokens() {
+		t.Fatalf("snapshot live tokens %d, want %d", liveTokens(sn), mono.TotalTokens())
 	}
 	names := sn.LiveDocNames()
 	for i, d := range docs {
@@ -166,7 +176,7 @@ func TestSegmentedDeleteAndGlobalDocs(t *testing.T) {
 		name string
 		n    int
 	}{{"D00007", 1}, {"D00055", 1}, {"NOPE", 0}} {
-		n, err := s.Delete(want.name)
+		n, err := s.DeleteBatch([]string{want.name})
 		if err != nil {
 			t.Fatalf("Delete(%s): %v", want.name, err)
 		}
@@ -182,12 +192,12 @@ func TestSegmentedDeleteAndGlobalDocs(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	if sn.NumDocs() != len(survivors) {
-		t.Fatalf("NumDocs %d, want %d", sn.NumDocs(), len(survivors))
+	if sn.numDocs != len(survivors) {
+		t.Fatalf("NumDocs %d, want %d", sn.numDocs, len(survivors))
 	}
 	mono := monolithic(survivors)
-	if sn.TotalTokens() != mono.TotalTokens() {
-		t.Fatalf("TotalTokens %d, want %d", sn.TotalTokens(), mono.TotalTokens())
+	if liveTokens(sn) != mono.TotalTokens() {
+		t.Fatalf("live tokens %d, want %d", liveTokens(sn), mono.TotalTokens())
 	}
 	names := sn.LiveDocNames()
 	for i, d := range survivors {
@@ -242,7 +252,7 @@ func TestSegmentedDeleteReingest(t *testing.T) {
 	if st := s.Stats(); st.LiveDocs != 6 {
 		t.Fatalf("LiveDocs %d, want 6", st.LiveDocs)
 	}
-	n, err := s.Delete("dup")
+	n, err := s.DeleteBatch([]string{"dup"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +267,8 @@ func TestSegmentedDeleteReingest(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	if sn.NumDocs() != 1 || sn.TotalTokens() != 2 {
-		t.Fatalf("after re-ingest: %d docs, %d tokens", sn.NumDocs(), sn.TotalTokens())
+	if sn.numDocs != 1 || liveTokens(sn) != 2 {
+		t.Fatalf("after re-ingest: %d docs, %d tokens", sn.numDocs, liveTokens(sn))
 	}
 }
 
@@ -274,7 +284,7 @@ func TestSegmentedReopenDurability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Delete("D00003"); err != nil {
+	if _, err := s.DeleteBatch([]string{"D00003"}); err != nil {
 		t.Fatal(err)
 	}
 	// 48 committed (3 flushes of 16), 2 buffered; the buffered docs are
@@ -300,7 +310,7 @@ func TestSegmentedReopenDurability(t *testing.T) {
 			survivors = append(survivors, d)
 		}
 	}
-	if sn.TotalTokens() != monolithic(survivors).TotalTokens() {
+	if liveTokens(sn) != monolithic(survivors).TotalTokens() {
 		t.Fatal("reopened token total diverges from surviving docs")
 	}
 }
@@ -441,7 +451,7 @@ func TestSegmentedFaultedMutationsLeaveStateUnchanged(t *testing.T) {
 	// every one of its documents live — the buffered one too, although its
 	// tombstone would not have needed the manifest — and the manifest file
 	// as it was.
-	manifest, err := os.ReadFile(filepath.Join(s.Dir(), manifestName))
+	manifest, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +463,7 @@ func TestSegmentedFaultedMutationsLeaveStateUnchanged(t *testing.T) {
 			t.Fatalf("DeleteBatch(%v) = %d, %v; want 0 and the injected fault", names, n, err)
 		}
 	}
-	if now, err := os.ReadFile(filepath.Join(s.Dir(), manifestName)); err != nil || !bytes.Equal(now, manifest) {
+	if now, err := os.ReadFile(filepath.Join(s.dir, manifestName)); err != nil || !bytes.Equal(now, manifest) {
 		t.Fatalf("faulted mutations rewrote the manifest (err %v)", err)
 	}
 
@@ -475,7 +485,7 @@ func TestSegmentedFaultedMutationsLeaveStateUnchanged(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush after fault: %v", err)
 	}
-	if _, err := s.Delete("D00001"); err != nil {
+	if _, err := s.DeleteBatch([]string{"D00001"}); err != nil {
 		t.Fatalf("Delete after fault: %v", err)
 	}
 	if err := s.Compact(); err != nil {
@@ -503,7 +513,7 @@ func TestSegmentedClosedOperations(t *testing.T) {
 	if err := s.Ingest("d", "x"); err == nil {
 		t.Fatal("Ingest after Close should fail")
 	}
-	if _, err := s.Delete("d"); err == nil {
+	if _, err := s.DeleteBatch([]string{"d"}); err == nil {
 		t.Fatal("Delete after Close should fail")
 	}
 	if err := s.Flush(); err == nil {

@@ -12,14 +12,12 @@ import "fmt"
 //
 // The shards carry only shard-local postings and lengths; the collection
 // statistics that smoothing needs (total tokens, collection frequencies,
-// document frequencies) must be taken globally — Sharded exposes the
-// global totals, and search.ShardedSearcher overrides every query leaf's
-// statistics with the cross-shard sums so Dirichlet/JM/BM25 scores are
-// bit-identical to evaluating the unsharded index.
+// document frequencies) must be taken globally — search.ShardedSearcher
+// overrides every query leaf's statistics with the cross-shard sums so
+// Dirichlet/JM/BM25 scores are bit-identical to evaluating the unsharded
+// index.
 type Sharded struct {
-	shards    []*Index
-	numDocs   int
-	totalToks int64
+	shards []*Index
 }
 
 // NewSharded splits ix into n round-robin shards. n is clamped to
@@ -43,7 +41,7 @@ func NewSharded(ix *Index, n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
-	sh := &Sharded{numDocs: ix.NumDocs(), totalToks: ix.totalToks}
+	sh := &Sharded{}
 	if n == 1 {
 		sh.shards = []*Index{ix}
 		return sh
@@ -107,26 +105,6 @@ func (sh *Sharded) NumShards() int { return len(sh.shards) }
 
 // Shard returns shard i as a standalone index over its documents.
 func (sh *Sharded) Shard(i int) *Index { return sh.shards[i] }
-
-// NumDocs returns the global document count.
-func (sh *Sharded) NumDocs() int { return sh.numDocs }
-
-// TotalTokens returns the global collection length |C| in tokens.
-func (sh *Sharded) TotalTokens() int64 { return sh.totalToks }
-
-// AvgDocLen returns the global mean document length.
-func (sh *Sharded) AvgDocLen() float64 {
-	if sh.numDocs == 0 {
-		return 0
-	}
-	return float64(sh.totalToks) / float64(sh.numDocs)
-}
-
-// FloorProb converts a global collection frequency into P(w|C) with the
-// same 0.5-occurrence OOV floor as Index.FloorProb, over the global
-// token count — the global-stats invariant that keeps sharded smoothing
-// bit-identical to unsharded.
-func (sh *Sharded) FloorProb(cf int64) float64 { return FloorProb(cf, sh.totalToks) }
 
 // GlobalDoc maps a shard-local document ID back to the global DocID.
 func (sh *Sharded) GlobalDoc(shard int, local DocID) DocID {

@@ -38,12 +38,6 @@ func TestNewShardedPartitionInvariants(t *testing.T) {
 		if sh.NumShards() != n {
 			t.Fatalf("n=%d: NumShards=%d", n, sh.NumShards())
 		}
-		if sh.NumDocs() != ix.NumDocs() || sh.TotalTokens() != ix.TotalTokens() {
-			t.Fatalf("n=%d: global stats %d/%d want %d/%d", n, sh.NumDocs(), sh.TotalTokens(), ix.NumDocs(), ix.TotalTokens())
-		}
-		if sh.AvgDocLen() != ix.AvgDocLen() {
-			t.Fatalf("n=%d: AvgDocLen %v want %v", n, sh.AvgDocLen(), ix.AvgDocLen())
-		}
 		// Every document appears exactly once, in the right shard, with
 		// its name and length intact; GlobalDoc round-trips.
 		var docsSeen, toks int64
@@ -144,11 +138,11 @@ func TestNewShardedClamps(t *testing.T) {
 	// Empty index: a single empty shard, no panic.
 	empty := NewBuilder(analysis.Standard()).Build()
 	sh := NewSharded(empty, 4)
-	if sh.NumShards() != 1 || sh.NumDocs() != 0 {
-		t.Fatalf("empty index: %d shards, %d docs", sh.NumShards(), sh.NumDocs())
+	if sh.NumShards() != 1 || sh.Shard(0).NumDocs() != 0 {
+		t.Fatalf("empty index: %d shards, %d docs", sh.NumShards(), sh.Shard(0).NumDocs())
 	}
-	if sh.FloorProb(0) != 1e-12 {
-		t.Fatalf("empty FloorProb = %v", sh.FloorProb(0))
+	if p := sh.Shard(0).FloorProb(0); p != 1e-12 {
+		t.Fatalf("empty FloorProb = %v", p)
 	}
 }
 
@@ -362,11 +356,18 @@ func BenchmarkNewSharded(b *testing.B) {
 	}
 }
 
+// TestShardedFloorProbMatchesIndex: P(w|C) over the shards' summed
+// token counts, which is what the coordinator smooths with, is the
+// index's own.
 func TestShardedFloorProbMatchesIndex(t *testing.T) {
 	ix := buildRandomIndex(t, 40, 3)
 	sh := NewSharded(ix, 4)
+	var toks int64
+	for s := 0; s < sh.NumShards(); s++ {
+		toks += sh.Shard(s).TotalTokens()
+	}
 	for _, cf := range []int64{0, 1, 2, 17, ix.TotalTokens()} {
-		if got, want := sh.FloorProb(cf), ix.FloorProb(cf); got != want {
+		if got, want := FloorProb(cf, toks), ix.FloorProb(cf); got != want {
 			t.Fatalf("FloorProb(%d): sharded %v != index %v", cf, got, want)
 		}
 	}

@@ -52,8 +52,8 @@ func checkCorrections(sn *Snapshot) error {
 			p := ix.PostingsByID(id)
 			got, want := sn.TermCorrection(i, id), recount(sn, i, p.Docs, p.Freqs)
 			if got.CF != want.CF || got.DF != want.DF {
-				return fmt.Errorf("gen %d segment %d term %q: correction cf=%d df=%d, recount cf=%d df=%d",
-					sn.Gen(), i, ix.TermText(id), got.CF, got.DF, want.CF, want.DF)
+				return fmt.Errorf("segment %d term %q: correction cf=%d df=%d, recount cf=%d df=%d",
+					i, ix.TermText(id), got.CF, got.DF, want.CF, want.DF)
 			}
 		}
 		phrase, _ := ix.PhraseLeaf([]string{"a", "b"}, &sc)
@@ -61,8 +61,8 @@ func checkCorrections(sn *Snapshot) error {
 		for _, p := range []*Positional{phrase, window} {
 			got, want := sn.PositionalCorrection(i, p), recount(sn, i, p.Docs, p.Freqs)
 			if got.CF != want.CF || got.DF != want.DF {
-				return fmt.Errorf("gen %d segment %d positional: correction cf=%d df=%d, recount cf=%d df=%d",
-					sn.Gen(), i, got.CF, got.DF, want.CF, want.DF)
+				return fmt.Errorf("segment %d positional: correction cf=%d df=%d, recount cf=%d df=%d",
+					i, got.CF, got.DF, want.CF, want.DF)
 			}
 		}
 	}
@@ -153,8 +153,8 @@ func TestSegmentedAcquireDuringCompact(t *testing.T) {
 		close(resume)
 		t.Fatal("Acquire blocked behind a merge in progress")
 	}
-	if sn.NumDocs() != len(docs) {
-		t.Errorf("snapshot during the merge sees %d documents, want all %d ingested", sn.NumDocs(), len(docs))
+	if sn.numDocs != len(docs) {
+		t.Errorf("snapshot during the merge sees %d documents, want all %d ingested", sn.numDocs, len(docs))
 	}
 	if sn.NumSegments() != 3 {
 		t.Errorf("snapshot during the merge has %d segments, want the two pre-merge ones and the buffer", sn.NumSegments())
@@ -169,7 +169,7 @@ func TestSegmentedAcquireDuringCompact(t *testing.T) {
 	}
 	// The pinned view still reads the merged-away files.
 	for _, name := range []string{"seg-1.v2", "seg-2.v2"} {
-		if _, err := os.Stat(filepath.Join(s.Dir(), name)); err != nil {
+		if _, err := os.Stat(filepath.Join(s.dir, name)); err != nil {
 			t.Errorf("pinned pre-merge segment %s vanished: %v", name, err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestTombstoneCorrectionsIncremental(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dir := s.Dir()
+	dir := s.dir
 	s.Close()
 	s2, err := OpenSegmented(dir, s.Analyzer(), WithFlushDocs(256))
 	if err != nil {

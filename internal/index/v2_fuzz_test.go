@@ -97,11 +97,11 @@ func FuzzBlockDecode(f *testing.F) {
 // must stream every term through a block cursor, recording any failure
 // through Err, and must re-encode.
 func FuzzOpenV2(f *testing.F) {
-	ix := Build(analysis.Standard(), []Document{
-		{Name: "DocA", Text: "cable cars climb the steep hill"},
-		{Name: "DocB", Text: "the tram shares rails with the cable car"},
-		{Name: "DocC", Text: "funicular railways and cable cars"},
-	})
+	b := NewBuilder(analysis.Standard())
+	b.Add("DocA", "cable cars climb the steep hill")
+	b.Add("DocB", "the tram shares rails with the cable car")
+	b.Add("DocC", "funicular railways and cable cars")
+	ix := b.Build()
 	_ = ix.SetBlockSize(2)
 	var buf bytes.Buffer
 	if err := encodeV2(&buf, ix); err != nil {

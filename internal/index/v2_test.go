@@ -253,14 +253,15 @@ func TestV2EmptyIndex(t *testing.T) {
 	}
 }
 
-// TestBuilderWriteFile: the one-step build+persist entry point.
+// TestBuilderWriteFile: a built index written with WriteFile opens as
+// the same index.
 func TestBuilderWriteFile(t *testing.T) {
 	b := NewBuilder(analysis.Analyzer{})
 	b.Add("D0", "x y x")
 	b.Add("D1", "y z")
 	path := filepath.Join(t.TempDir(), "ix.v2")
-	built, err := b.WriteFile(path, FormatV2)
-	if err != nil {
+	built := b.Build()
+	if err := WriteFile(path, built, FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Open(path)
@@ -269,17 +270,6 @@ func TestBuilderWriteFile(t *testing.T) {
 	}
 	defer got.Close()
 	assertSameIndex(t, "builder", got, built)
-}
-
-// TestBuildHelper: index.Build is NewBuilder/Add/Build.
-func TestBuildHelper(t *testing.T) {
-	ix := Build(analysis.Analyzer{}, []Document{{Name: "D0", Text: "p q"}, {Name: "D1", Text: "q r q"}})
-	if ix.NumDocs() != 2 || ix.NumTerms() != 3 {
-		t.Fatalf("Build produced %v", ix)
-	}
-	if p := ix.PostingsFor("q"); p == nil || p.CollectionFreq() != 3 {
-		t.Fatalf("Build postings wrong: %+v", p)
-	}
 }
 
 // TestSetBlockSizeGuards: out-of-range sizes are refused, an in-memory

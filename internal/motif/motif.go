@@ -79,7 +79,7 @@ type Matcher struct {
 	g *kb.Graph
 	// RequireReciprocal controls the double-link condition. The paper's
 	// motifs require it; setting this to false is the ablation of
-	// DESIGN.md §5 ("single-link"), which shows why the condition
+	// DESIGN.md §13 ("single-link"), which shows why the condition
 	// matters.
 	RequireReciprocal bool
 	// UseCategories controls the category conditions; disabling them is

@@ -3,21 +3,11 @@ package rpc
 import (
 	"context"
 	"errors"
-	"sync"
 )
 
 // GroupOptions parameterise a replica Group. It has no fields; it stays
 // only because bench/ constructs it (ROADMAP item 1 (a)).
 type GroupOptions struct{}
-
-// GroupStats are a group's monotonic counters.
-type GroupStats struct {
-	// Calls counts Call invocations on the group.
-	Calls int64
-	// Failovers counts replicas abandoned for the next one after a
-	// transport error.
-	Failovers int64
-}
 
 // Group fans calls over a replica set serving the same shard. A call
 // walks the replicas in order on the caller's goroutine: a transport
@@ -25,9 +15,6 @@ type GroupStats struct {
 // terminal — the shard answered, and a twin would answer the same.
 type Group struct {
 	replicas []*Client
-
-	mu    sync.Mutex
-	stats GroupStats
 }
 
 // NewGroup builds a group over the given replica clients; replicas must
@@ -37,13 +24,6 @@ func NewGroup(replicas []*Client, _ GroupOptions) *Group {
 		panic("rpc: NewGroup with no replicas")
 	}
 	return &Group{replicas: append([]*Client(nil), replicas...)}
-}
-
-// Stats snapshots the group's counters.
-func (g *Group) Stats() GroupStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
 }
 
 // Close closes every replica client.
@@ -57,16 +37,8 @@ func (g *Group) Close() {
 // out (nil discards it). It returns the first replica's error when every
 // replica failed, and ctx's error once ctx is done.
 func (g *Group) Call(ctx context.Context, method string, req, out any) error {
-	g.mu.Lock()
-	g.stats.Calls++
-	g.mu.Unlock()
 	var firstErr error
-	for i, c := range g.replicas {
-		if i > 0 {
-			g.mu.Lock()
-			g.stats.Failovers++
-			g.mu.Unlock()
-		}
+	for _, c := range g.replicas {
 		err := c.Call(ctx, method, req, out)
 		if err == nil {
 			return nil

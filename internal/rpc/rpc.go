@@ -397,9 +397,6 @@ func NewClient(addr string, opts ClientOptions) *Client {
 	return &Client{addr: addr, opts: opts.withDefaults()}
 }
 
-// Addr returns the address this client calls.
-func (c *Client) Addr() string { return c.addr }
-
 // Stats snapshots the client's counters.
 func (c *Client) Stats() CallStats {
 	c.mu.Lock()

@@ -332,10 +332,9 @@ func TestGroupFailoverOnRefused(t *testing.T) {
 	_ = dead.Close()
 	liveAddr := startServer(t, func(s *Server) { s.Handle("echo", echoHandler) })
 
-	g := NewGroup([]*Client{
-		NewClient(deadAddr, ClientOptions{MaxRetries: -1}),
-		NewClient(liveAddr, ClientOptions{}),
-	}, GroupOptions{})
+	deadClient := NewClient(deadAddr, ClientOptions{MaxRetries: -1})
+	liveClient := NewClient(liveAddr, ClientOptions{})
+	g := NewGroup([]*Client{deadClient, liveClient}, GroupOptions{})
 	defer g.Close()
 
 	var out echoReq
@@ -345,8 +344,8 @@ func TestGroupFailoverOnRefused(t *testing.T) {
 	if got := out.S; got != "failover" {
 		t.Fatalf("got %q from failover replica", got)
 	}
-	if st := g.Stats(); st.Failovers != 1 {
-		t.Fatalf("group stats = %+v, want 1 failover", st)
+	if d, l := deadClient.Stats(), liveClient.Stats(); d.Failures != 1 || l.Calls != 1 {
+		t.Fatalf("replica stats dead=%+v live=%+v, want one failure then one call", d, l)
 	}
 }
 

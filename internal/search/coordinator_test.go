@@ -378,7 +378,7 @@ func TestCoordinatorContract(t *testing.T) {
 			defer cancel()
 			f.inject(map[int]script{0: {eval: []error{context.Canceled}, onEval: cancel}})
 			ev, err := f.co.Evaluate(cctx, f.queries, k, EvalOptions{Degrade: partial})
-			if !errors.Is(err, context.Canceled) || ev.Results != nil || ev.Partial.Degraded() {
+			if !errors.Is(err, context.Canceled) || ev.Results != nil || len(ev.Partial.DroppedShards) > 0 {
 				t.Fatalf("cancelled parent: err = %v, results %v, partial %+v", err, ev.Results, ev.Partial)
 			}
 			// Already cancelled on entry: no partition is touched.
@@ -402,7 +402,7 @@ func TestCoordinatorContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev.Partial.Retries != wantRetries || ev.Partial.Degraded() {
+			if ev.Partial.Retries != wantRetries || len(ev.Partial.DroppedShards) > 0 {
 				t.Fatalf("partial info %+v, want %d retries and no drop", ev.Partial, wantRetries)
 			}
 			requireSameResults(t, got, want, "after retries")

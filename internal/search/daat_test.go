@@ -48,7 +48,7 @@ func TestDAATMatchesOracleCrafted(t *testing.T) {
 	for _, model := range []Model{ModelDirichlet, ModelJelinekMercer, ModelBM25} {
 		s := NewSearcher(ix)
 		s.Model = model
-		s.Mu = 300
+		s.Params.Mu = 300
 		for name, q := range queries {
 			for _, k := range []int{1, 2, 3, 100} {
 				diffOracle(t, s, fmt.Sprintf("%v/%s/k=%d", model, name, k), q, k)

@@ -43,9 +43,6 @@ type PartialInfo struct {
 	Retries int
 }
 
-// Degraded reports whether any partition was dropped.
-func (p *PartialInfo) Degraded() bool { return p != nil && len(p.DroppedShards) > 0 }
-
 // attempt drives one partition call under the degradation policy: a
 // per-attempt deadline (opts.ShardDeadline), panic containment, and
 // bounded retry with linear backoff for failures the partition calls

@@ -16,13 +16,10 @@ import (
 // the knobs; the searcher applies them). The fields are read on every
 // call and must not be mutated concurrently with searches.
 type ShardConfig struct {
-	// Mu is the Dirichlet smoothing parameter; zero means DefaultMu.
-	// Kept beside Params.Mu because it is the one knob experiments
-	// sweep.
-	Mu float64
 	// Model selects the retrieval function (default Dirichlet QL).
 	Model Model
-	// Params holds the other models' parameters.
+	// Params holds the model's parameters, Dirichlet's μ among them;
+	// a zero field takes its default (ModelParams).
 	Params ModelParams
 	// DisablePruning turns off MaxScore pruning in every partition's
 	// evaluator and scores every candidate. Only Dirichlet is pruned;
@@ -74,15 +71,13 @@ type Evaluation struct {
 // index, a shard, a live segment, a shard server), so they return
 // bit-identical rankings over the same documents.
 type Distributed interface {
-	// NumShards returns the shard count S.
-	NumShards() int
 	// Configure applies the engine's retrieval configuration. Called
 	// once at engine construction, before any searches.
 	Configure(cfg ShardConfig)
 	// Evaluate returns one global top k per tree of qs, in order —
-	// SQE_C's three trees share one evaluation (DESIGN.md "SQE_C in one
-	// pass"). A partition is in or out for all of them: a failure is
-	// never one tree's.
+	// SQE_C's three trees share one evaluation (DESIGN.md §9.2). A
+	// partition is in or out for all of them: a failure is never one
+	// tree's.
 	//
 	// Each ranking is ordered by descending score, ties broken on
 	// ascending DocID, so results are deterministic. Only documents
@@ -119,21 +114,11 @@ func fixed(parts ...partition) func() ([]partition, func(), error) {
 	return func() ([]partition, func(), error) { return parts, nil, nil }
 }
 
-// NumShards implements Distributed.
+// NumShards returns the shard count S.
 func (c *coordinator) NumShards() int { return c.shards }
 
 // Configure implements Distributed.
 func (c *coordinator) Configure(cfg ShardConfig) { c.ShardConfig = cfg }
-
-// resolveParams merges the Mu field into the model parameters: Mu
-// predates Params and wins when set.
-func (c *coordinator) resolveParams() ModelParams {
-	params := c.Params.withDefaults()
-	if c.Mu > 0 {
-		params.Mu = c.Mu
-	}
-	return params
-}
 
 // Evaluate implements Distributed: it pins the current partitions and
 // runs the scatter-gather over them.
@@ -298,8 +283,7 @@ func (pc *partCall) release() {
 }
 
 // scatterGather is the partitioned evaluation of g.qs into out, one
-// ranking per tree; DESIGN.md "Partitioned evaluation" gives the
-// exactness argument. Phase A gathers every tree's per-leaf statistics
+// ranking per tree; DESIGN.md §9.1 gives the exactness argument. Phase A gathers every tree's per-leaf statistics
 // from every partition, the coordinator sums them into global
 // overrides, phase B evaluates every partition under those overrides —
 // all trees in one pass of the top-k loop — and, per tree, the bounded
@@ -401,7 +385,7 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 	// Integer sums are order-independent; the float df sum runs in
 	// ascending partition order so it, and everything downstream, is the
 	// same double on every path.
-	params := c.resolveParams()
+	params := c.Params.withDefaults()
 	req := &g.req
 	*req = EvalRequest{
 		K:              k,

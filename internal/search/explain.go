@@ -45,7 +45,7 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	sc.leaves = leaves
 	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
 	prepareLeaves(s.Model, cs, leaves)
-	score := buildScorer(s.Model, s.resolveParams(), cs)
+	score := buildScorer(s.Model, s.Params.withDefaults(), cs)
 	dl := float64(s.ix.DocLen(doc))
 	ex := Explanation{Doc: doc, Name: s.ix.DocName(doc)}
 	contribs := make([]LeafContribution, len(leaves))

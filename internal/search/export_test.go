@@ -14,7 +14,7 @@ var OracleRank func(s *Searcher, q Node, k int) []Result
 func monoScoring(s *Searcher) scoring {
 	return scoring{
 		model:          s.Model,
-		params:         s.resolveParams(),
+		params:         s.Params.withDefaults(),
 		cs:             collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()},
 		disablePruning: s.DisablePruning,
 		forcePrune:     s.forcePrune,

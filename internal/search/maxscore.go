@@ -62,7 +62,7 @@ import (
 //
 // There is one bound per leaf, the whole-list ub: on postings lists as
 // short as this collection's a per-block bound is the list's bound over
-// again (DESIGN.md §5j has the measurement).
+// again (CHANGES.md records the measurement).
 //
 // θ only rises, so the non-essential prefix only grows; the partition
 // is recomputed just after threshold increases, and each filter check
@@ -111,7 +111,7 @@ func (pb *pruneBounds) delta(l *leaf, li int, tf int32) float64 {
 // with the Dirichlet bounds of leaves at smoothing mu: ub[i] is
 // leafDelta at the leaf's MaxTF, and the background
 // w·log(μp/(dl+μ)) is maximised at the index's minimum document length
-// minDocLen. The safety arguments are in DESIGN.md §5f. All weights are
+// minDocLen. The safety arguments are in DESIGN.md §9.3. All weights are
 // positive (flatten drops non-positive ones), which maximising each
 // summand independently relies on.
 func (pb *pruneBounds) derive(mu float64, minDocLen int32, leaves []leaf) {

@@ -15,12 +15,11 @@ var pruningModels = []struct {
 	name   string
 	model  Model
 	params ModelParams
-	mu     float64
 }{
-	{"dirichlet", ModelDirichlet, ModelParams{}, DefaultMu},
-	{"dirichlet-small-mu", ModelDirichlet, ModelParams{}, 50},
-	{"jelinek-mercer", ModelJelinekMercer, ModelParams{Lambda: 0.4}, 0},
-	{"bm25", ModelBM25, ModelParams{K1: 1.2, B: 0.75}, 0},
+	{"dirichlet", ModelDirichlet, ModelParams{Mu: DefaultMu}},
+	{"dirichlet-small-mu", ModelDirichlet, ModelParams{Mu: 50}},
+	{"jelinek-mercer", ModelJelinekMercer, ModelParams{Lambda: 0.4}},
+	{"bm25", ModelBM25, ModelParams{K1: 1.2, B: 0.75}},
 }
 
 // dirichletModels are pruningModels' Dirichlet rows. Dirichlet is the
@@ -31,13 +30,12 @@ var dirichletModels = pruningModels[:2]
 // Both run the one top-k loop, so full is no reference for pruned's
 // rankings: those are checked against OracleRank(full, …), which shares
 // no evaluator code. full's own counters are the exhaustive mode's.
-func prunedPair(ix *index.Index, model Model, params ModelParams, mu float64) (pruned, full *Searcher) {
+func prunedPair(ix *index.Index, model Model, params ModelParams) (pruned, full *Searcher) {
 	pruned = NewSearcher(ix)
 	full = NewSearcher(ix)
 	for _, s := range []*Searcher{pruned, full} {
 		s.Model = model
 		s.Params = params
-		s.Mu = mu
 	}
 	full.DisablePruning = true
 	// The differential corpora are tiny and the queries short — exactly
@@ -116,7 +114,7 @@ func TestMaxScoreMatchesDAATCrafted(t *testing.T) {
 	}
 	for cname, ix := range corpora {
 		for _, m := range pruningModels {
-			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+			pruned, full := prunedPair(ix, m.model, m.params)
 			for qname, q := range pruningQueries() {
 				// One full ranking; every k below is a prefix of it.
 				want := OracleRank(full, q, ix.NumDocs())
@@ -146,7 +144,7 @@ func TestMaxScoreMatchesDAATRandom(t *testing.T) {
 		q := Weight(ws, ns)
 		k := 1 + rng.Intn(30)
 		m := pruningModels[rng.Intn(len(pruningModels))]
-		pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+		pruned, full := prunedPair(ix, m.model, m.params)
 		want := OracleRank(full, q, k)
 		got := rank(t, pruned, q, k)
 		assertIdenticalResults(t, fmt.Sprintf("trial %d %s k=%d", trial, m.name, k), got, want)
@@ -180,7 +178,7 @@ func TestMaxScoreCounterInvariants(t *testing.T) {
 	ix := buildSkewedIndex(400, 7)
 	for _, m := range pruningModels {
 		for qname, q := range pruningQueries() {
-			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+			pruned, full := prunedPair(ix, m.model, m.params)
 			_, pst := rankStats(t, pruned, q, 10)
 			_, fst := rankStats(t, full, q, 10)
 			label := fmt.Sprintf("%s/%s", m.name, qname)
@@ -209,7 +207,7 @@ func TestMaxScoreCounterInvariants(t *testing.T) {
 		Phrase{Terms: []string{"a", "b"}}, Unordered{Terms: []string{"b", "c"}, Width: 8})
 	for _, m := range pruningModels {
 		for _, forced := range []bool{true, false} {
-			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+			pruned, full := prunedPair(ix, m.model, m.params)
 			pruned.forcePrune = forced
 			got, pst := rankStats(t, pruned, expanded, 10)
 			label := fmt.Sprintf("%s/expanded forced=%v", m.name, forced)
@@ -276,7 +274,7 @@ func TestShardedPruning(t *testing.T) {
 	ix := buildSkewedIndex(600, 19)
 	for _, m := range pruningModels {
 		full := NewSearcher(ix)
-		full.Model, full.Params, full.Mu = m.model, m.params, m.mu
+		full.Model, full.Params = m.model, m.params
 		for qname, q := range pruningQueries() {
 			want := OracleRank(full, q, ix.NumDocs())
 			mass := unionMass(full, q)
@@ -284,7 +282,7 @@ func TestShardedPruning(t *testing.T) {
 				for _, k := range []int{1, 5, 25} {
 
 					ss := NewShardedSearcher(index.NewSharded(ix, S))
-					ss.Model, ss.Params, ss.Mu = m.model, m.params, m.mu
+					ss.Model, ss.Params = m.model, m.params
 					got, st, err := ss.SearchWithStatsContext(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // (scatterGather) owns everything that must agree across slices — the
 // statistics sums, the degradation policy, panic containment, the merge
 // — so an implementation only answers for its own documents. DESIGN.md
-// "Partitioned evaluation" states the contract and why it makes the
-// merged ranking bit-identical to a monolithic evaluation.
+// §9.1 states the contract and why it makes the merged ranking
+// bit-identical to a monolithic evaluation.
 //
 // Both calls carry every tree of the request and keep their state in
 // pc, which the coordinator holds from one phase to the next.

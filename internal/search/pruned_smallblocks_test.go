@@ -52,8 +52,8 @@ func TestPrunedMatchesDAATSmallBlocks(t *testing.T) {
 		for cname, ix := range corpora {
 			disk := v2Copy(t, ix)
 			for _, m := range pruningModels {
-				pruned, full := prunedPair(ix, m.model, m.params, m.mu)
-				streamed, _ := prunedPair(disk, m.model, m.params, m.mu)
+				pruned, full := prunedPair(ix, m.model, m.params)
+				streamed, _ := prunedPair(disk, m.model, m.params)
 				for qname, q := range pruningQueries() {
 					all := OracleRank(full, q, ix.NumDocs())
 					for _, k := range []int{1, 3, 10} {
@@ -80,7 +80,7 @@ func TestPrunedCounterInvariants(t *testing.T) {
 	ix := blockSized(t, buildSkewedIndex(400, 29), 3)
 	for _, m := range pruningModels {
 		for qname, q := range pruningQueries() {
-			pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+			pruned, full := prunedPair(ix, m.model, m.params)
 			_, pst := rankStats(t, pruned, q, 10)
 			_, fst := rankStats(t, full, q, 10)
 			label := fmt.Sprintf("%s/%s", m.name, qname)
@@ -108,7 +108,7 @@ func TestPrunedSearchDerivesNoBlockSummaries(t *testing.T) {
 	ix := buildSkewedIndex(300, 41)
 	for _, m := range pruningModels {
 		for _, q := range pruningQueries() {
-			pruned, _ := prunedPair(ix, m.model, m.params, m.mu)
+			pruned, _ := prunedPair(ix, m.model, m.params)
 			if _, st := rankStats(t, pruned, q, 10); st.BlocksTotal != 0 {
 				t.Fatalf("%s: a memory-backed index reported %d blocks", m.name, st.BlocksTotal)
 			}
@@ -133,10 +133,10 @@ func TestPrunedOverV2File(t *testing.T) {
 		for qname, q := range pruningQueries() {
 			for _, k := range []int{1, 5, 25} {
 				pruned := NewSearcher(disk)
-				pruned.Model, pruned.Params, pruned.Mu = m.model, m.params, m.mu
+				pruned.Model, pruned.Params = m.model, m.params
 				pruned.forcePrune = true
 				full := NewSearcher(mem)
-				full.Model, full.Params, full.Mu = m.model, m.params, m.mu
+				full.Model, full.Params = m.model, m.params
 				full.DisablePruning = true
 				_, fst := rankStats(t, full, q, k)
 				got, pst := rankStats(t, pruned, q, k)
@@ -167,13 +167,13 @@ func TestPrunedShardedSmallBlocks(t *testing.T) {
 	var skipped int64
 	for _, m := range dirichletModels {
 		ref := NewSearcher(ix)
-		ref.Model, ref.Params, ref.Mu = m.model, m.params, m.mu
+		ref.Model, ref.Params = m.model, m.params
 		for _, S := range []int{1, 2, 4} {
 			for qname, q := range pruningQueries() {
 				want := OracleRank(ref, q, 10)
 
 				ss := NewShardedSearcher(index.NewSharded(ix, S))
-				ss.Model, ss.Params, ss.Mu = m.model, m.params, m.mu
+				ss.Model, ss.Params = m.model, m.params
 				ss.forcePrune = true
 				got, st, err := ss.SearchWithStatsContext(context.Background(), q, 10)
 				if err != nil {

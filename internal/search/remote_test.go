@@ -184,8 +184,8 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	q := Term{Text: "cable"}
 
 	// Healthy first: not degraded.
-	if _, pi, err := evalDegraded(rs, q, 5, DegradeOptions{}); err != nil || pi.Degraded() {
-		t.Fatalf("healthy search: err=%v degraded=%v", err, pi.Degraded())
+	if _, pi, err := evalDegraded(rs, q, 5, DegradeOptions{}); err != nil || len(pi.DroppedShards) > 0 {
+		t.Fatalf("healthy search: err=%v degraded=%v", err, len(pi.DroppedShards) > 0)
 	}
 
 	// Kill the shard process (listener + live connections).
@@ -368,9 +368,10 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	live0, _ := startShardServer(t, NewShardService(sh.Shard(0), 0, n), nil)
 	live1, _ := startShardServer(t, NewShardService(sh.Shard(1), 1, n), nil)
 
+	deadReplica := rpc.NewClient(deadAddr, testClientOptions())
 	groups := []*rpc.Group{
 		rpc.NewGroup([]*rpc.Client{
-			rpc.NewClient(deadAddr, testClientOptions()),
+			deadReplica,
 			rpc.NewClient(live0, testClientOptions()),
 		}, rpc.GroupOptions{}),
 		rpc.NewGroup([]*rpc.Client{rpc.NewClient(live1, testClientOptions())}, rpc.GroupOptions{}),
@@ -386,7 +387,7 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pi.Degraded() {
+	if len(pi.DroppedShards) > 0 {
 		t.Fatalf("failover surfaced as degradation: %+v", pi)
 	}
 	want := rank(t, NewShardedSearcher(sh), q, 10)
@@ -399,8 +400,8 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 				i, res[i].Doc, res[i].Score, want[i].Doc, want[i].Score)
 		}
 	}
-	if fo := groups[0].Stats().Failovers; fo == 0 {
-		t.Fatal("no failover recorded on the replica group")
+	if deadReplica.Stats().Failures == 0 {
+		t.Fatal("the dead replica recorded no failure: the group never failed over")
 	}
 }
 

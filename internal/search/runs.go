@@ -9,7 +9,7 @@ import (
 	"repro/internal/index"
 )
 
-// The top-k loop (DESIGN.md §5f, §5o). Every evaluation — a single
+// The top-k loop (DESIGN.md §9.2, §9.3). Every evaluation — a single
 // tree, a shard, a live segment, a shard server, SQE_C's three trees —
 // is one call to searchRuns over one or more runs: flattened trees
 // whose leaves are merged into a union, one cursor per union leaf, and

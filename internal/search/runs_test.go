@@ -87,10 +87,10 @@ func runsShapes(t *testing.T, docs []segTestDoc, ix *index.Index, names ...strin
 // forced (every run prunes; a shard server applies its cost model to a
 // lone run), default (a several-run pass prunes every run either way)
 // or unpruned.
-func (sh runsShape) configure(model Model, params ModelParams, mu float64, mode string) {
-	sh.co.Configure(ShardConfig{Model: model, Params: params, Mu: mu, DisablePruning: mode == "unpruned"})
+func (sh runsShape) configure(model Model, params ModelParams, mode string) {
+	sh.co.Configure(ShardConfig{Model: model, Params: params, DisablePruning: mode == "unpruned"})
 	sh.co.forcePrune = mode == "forced"
-	sh.ref.Model, sh.ref.Params, sh.ref.Mu = model, params, mu
+	sh.ref.Model, sh.ref.Params = model, params
 }
 
 var runsModes = []string{"forced", "default", "unpruned"}
@@ -163,7 +163,7 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 		}
 		for _, sh := range runsShapes(t, c.docs, ix, c.shapes...) {
 			for _, m := range pruningModels {
-				sh.configure(m.model, m.params, m.mu, "default")
+				sh.configure(m.model, m.params, "default")
 				wantAll := oracleRankings(sh.ref, all)
 				var trees [][]Node
 				var want [][][]Result
@@ -172,7 +172,7 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 					want = append(want, oracleRankings(sh.ref, trees[len(trees)-1]))
 				}
 				for _, mode := range runsModes {
-					sh.configure(m.model, m.params, m.mu, mode)
+					sh.configure(m.model, m.params, mode)
 					for _, k := range []int{1, 3, 10, 1000} {
 						label := fmt.Sprintf("%s/%s/%s/%s k=%d", cname, sh.name, m.name, mode, k)
 						for i := range trees {
@@ -198,7 +198,7 @@ func TestSearchRunsCounters(t *testing.T) {
 	sh := runsShapes(t, docs, nil, "mono")[0]
 	for _, m := range pruningModels {
 		stats := func(mode string) SearchStats {
-			sh.configure(m.model, m.params, m.mu, mode)
+			sh.configure(m.model, m.params, mode)
 			ev, err := sh.d.Evaluate(context.Background(), trees, 5, EvalOptions{CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
@@ -287,7 +287,7 @@ func FuzzSearchRunsParity(f *testing.F) {
 		if flags&1 != 0 {
 			mode = "forced"
 		}
-		sh.configure(m.model, m.params, m.mu, mode)
+		sh.configure(m.model, m.params, mode)
 		trees := runTrees([4]float64{clamp(w1), clamp(w2), clamp(w3), clamp(w4)}, int(flags>>1)%4)
 		assertRunsMatchSeparate(t, m.name+"/"+name, sh.d, trees, oracleRankings(sh.ref, trees), k)
 	})
@@ -321,9 +321,9 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 	ctx := context.Background()
 	for _, m := range pruningModels {
 		mono := NewSearcher(ix)
-		mono.Model, mono.Params, mono.Mu = m.model, m.params, m.mu
+		mono.Model, mono.Params = m.model, m.params
 		want := OracleRank(mono, q, ix.NumDocs())
-		params := mono.resolveParams()
+		params := mono.Params.withDefaults()
 		req := &EvalRequest{Model: int(m.model), Mu: params.Mu, Lambda: params.Lambda, K1: params.K1, B: params.B,
 			NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens()}
 		calls := make([]partCall, len(parts))

@@ -15,7 +15,7 @@ type Result struct {
 
 // Searcher evaluates structured queries against an index: the
 // coordinator over one partition, the whole index. Its configuration —
-// Mu, Model, Params, DisablePruning — is the promoted ShardConfig, and
+// Model, Params, DisablePruning — is the promoted ShardConfig, and
 // Evaluate evaluates several trees in one pass.
 type Searcher struct {
 	coordinator
@@ -26,9 +26,8 @@ type Searcher struct {
 func NewSearcher(ix *index.Index) *Searcher {
 	return &Searcher{
 		coordinator: coordinator{
-			ShardConfig: ShardConfig{Mu: DefaultMu},
-			shards:      1,
-			pin:         fixed(&localPartition{ix: ix}),
+			shards: 1,
+			pin:    fixed(&localPartition{ix: ix}),
 		},
 		ix: ix,
 	}
@@ -84,10 +83,9 @@ type leaf struct {
 // baselines.
 //
 // Phrase and window leaves come out of the index's positional memo
-// (index.PhraseLeaf / WindowLeaf; DESIGN.md "Positional leaves are
-// resolved once per index"): ps holds the lookup key, and st, when
-// non-nil, counts the leaves found resolved against the intersections
-// this call had to run.
+// (index.PhraseLeaf / WindowLeaf; DESIGN.md §8.3): ps holds the lookup
+// key, and st, when non-nil, counts the leaves found resolved against
+// the intersections this call had to run.
 func flatten(ix *index.Index, n Node, w float64, out *[]leaf, ps *index.PositionalScratch, st *SearchStats) {
 	if w <= 0 {
 		return

@@ -29,7 +29,7 @@ func dirichlet(tf, docLen float64, collProb, mu float64) float64 {
 func TestSingleTermScore(t *testing.T) {
 	ix := buildIndex("a a b", "b c")
 	s := NewSearcher(ix)
-	s.Mu = 100
+	s.Params.Mu = 100
 	res := rank(t, s, Term{Text: "a"}, 10)
 	if len(res) != 1 {
 		t.Fatalf("got %d results, want 1 (only D0 contains 'a')", len(res))
@@ -44,7 +44,7 @@ func TestSingleTermScore(t *testing.T) {
 func TestCombineEqualsSumOfLogsScaled(t *testing.T) {
 	ix := buildIndex("a b c d", "a x y z")
 	s := NewSearcher(ix)
-	s.Mu = 50
+	s.Params.Mu = 50
 	q := Combine(Term{Text: "a"}, Term{Text: "b"})
 	res := rank(t, s, q, 10)
 	if len(res) != 2 {

@@ -52,13 +52,10 @@ type Oracle struct{ s *search.Searcher }
 // the same order.
 func New(ix *index.Index) *Oracle { return &Oracle{s: search.NewSearcher(ix)} }
 
-// NumShards implements search.Distributed.
-func (o *Oracle) NumShards() int { return 1 }
-
 // Configure implements search.Distributed: the model and its parameters
 // apply; pruning and the worker pool have nothing here to act on.
 func (o *Oracle) Configure(cfg search.ShardConfig) {
-	o.s.Mu, o.s.Model, o.s.Params = cfg.Mu, cfg.Model, cfg.Params
+	o.s.Model, o.s.Params = cfg.Model, cfg.Params
 }
 
 // Evaluate implements search.Distributed by ranking each tree on its

@@ -26,8 +26,7 @@ type SegmentedSearcher struct{ coordinator }
 // default μ.
 func NewSegmentedSearcher(live *index.Segmented) *SegmentedSearcher {
 	return &SegmentedSearcher{coordinator{
-		ShardConfig: ShardConfig{Mu: DefaultMu},
-		shards:      1,
+		shards: 1,
 		pin: func() ([]partition, func(), error) {
 			sn := live.Acquire()
 			if sn == nil {

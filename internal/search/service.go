@@ -10,7 +10,7 @@ import (
 	"repro/internal/rpc"
 )
 
-// The RPC methods a shard server exposes. See DESIGN.md §5i for the
+// The RPC methods a shard server exposes. See DESIGN.md §10 for the
 // two-phase protocol they implement.
 const (
 	MethodInfo  = "shard.info"

@@ -15,8 +15,7 @@ type ShardedSearcher struct{ coordinator }
 // NewShardedSearcher returns a ShardedSearcher over sh with the default μ.
 func NewShardedSearcher(sh *index.Sharded) *ShardedSearcher {
 	return &ShardedSearcher{coordinator{
-		ShardConfig: ShardConfig{Mu: DefaultMu},
-		shards:      sh.NumShards(),
-		pin:         fixed(shardPartitions(sh)...),
+		shards: sh.NumShards(),
+		pin:    fixed(shardPartitions(sh)...),
 	}}
 }

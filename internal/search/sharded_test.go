@@ -142,9 +142,9 @@ func TestShardedBitIdentical(t *testing.T) {
 func TestShardedMuOverrideMatches(t *testing.T) {
 	ix := buildShardCorpus(80, 3)
 	ref := NewSearcher(ix)
-	ref.Mu = 500
+	ref.Params.Mu = 500
 	ss := NewShardedSearcher(index.NewSharded(ix, 4))
-	ss.Mu = 500
+	ss.Params.Mu = 500
 	q := Combine(Term{Text: "cable"}, Term{Text: "harbour"})
 	want := rank(t, ref, q, 20)
 	got := rank(t, ss, q, 20)

@@ -114,13 +114,13 @@ func TestSegmentedTombstonePlacements(t *testing.T) {
 			}
 			mono := monoSearcher(survivorsOf(docs, deletes))
 			for _, m := range pruningModels {
-				mono.Model, mono.Params, mono.Mu = m.model, m.params, m.mu
+				mono.Model, mono.Params = m.model, m.params
 				for qname, q := range queries {
 					// One full ranking; every k below is a prefix of it.
 					want := OracleRank(mono, q, len(docs))
 					for _, e := range evaluators {
 						gs := NewSegmentedSearcher(live)
-						gs.Model, gs.Params, gs.Mu = m.model, m.params, m.mu
+						gs.Model, gs.Params = m.model, m.params
 						e.set(gs)
 						for _, k := range []int{1, 10, 1000} {
 							label := fmt.Sprintf("%s/%s/%s/%s/%s k=%d", shape.name, c.name, m.name, e.name, qname, k)

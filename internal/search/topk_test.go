@@ -115,7 +115,7 @@ func FuzzPrunedTopKParity(f *testing.F) {
 			[]Node{Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}},
 		)
 		m := pruningModels[int(model)%len(pruningModels)]
-		pruned, full := prunedPair(ix, m.model, m.params, m.mu)
+		pruned, full := prunedPair(ix, m.model, m.params)
 		assertIdenticalResults(t, m.name, rank(t, pruned, q, k), OracleRank(full, q, k))
 	})
 }

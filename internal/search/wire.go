@@ -6,7 +6,7 @@ import (
 	"math"
 )
 
-// The shard methods' bodies (DESIGN.md §5i) are hand-encoded: every
+// The shard methods' bodies (DESIGN.md §10) are hand-encoded: every
 // message implements AppendBinary (the shape of encoding.BinaryAppender)
 // and encoding.BinaryUnmarshaler, which internal/rpc prefers to JSON.
 // Counts and lengths are uvarints, other integers zigzag varints, floats

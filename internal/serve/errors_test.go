@@ -185,7 +185,7 @@ func TestErrorPaths(t *testing.T) {
 // degradation on (no retries, so one injected fault is one event).
 func degradingServer(t *testing.T) (*Server, sqe.DemoQuery) {
 	t.Helper()
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	eng := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(),
 		sqe.WithShards(4),
 		sqe.WithDegradation(sqe.DegradationPolicy{}))
@@ -249,14 +249,15 @@ func TestDegradedResponseSurfacing(t *testing.T) {
 // stopped server), which is what used to fall through to bad_request.
 func TestBackendFailureIs503(t *testing.T) {
 	defer fault.Disarm()
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	q := env.Queries[0]
 	search := "/v1/baseline?q=" + paramEscape(q.Text) + "&k=10"
 	// brokenLive is a live server with two committed documents and one
 	// buffered, whose directory has been deleted under it: every commit,
 	// segment write and merge from here on fails in the file system.
 	brokenLive := func(t *testing.T) *Server {
-		s := liveServer(t, 8)
+		dir := t.TempDir()
+		s := liveServerIn(t, dir, 8)
 		for _, body := range []string{
 			`{"add":[{"name":"d1","text":"alpha beta"},{"name":"d2","text":"beta gamma"}],"flush":true}`,
 			`{"add":[{"name":"d3","text":"gamma delta"}]}`,
@@ -265,7 +266,7 @@ func TestBackendFailureIs503(t *testing.T) {
 				t.Fatalf("fixture ingest: %d %s", w.Code, w.Body.String())
 			}
 		}
-		if err := os.RemoveAll(s.cfg.Engine.Live().Dir()); err != nil {
+		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -444,7 +445,7 @@ func loopbackShards(t *testing.T, ix *index.Index, n int) (*search.RemoteSharded
 // same request serves clean again.
 func TestChaosOverHTTP(t *testing.T) {
 	defer fault.Disarm()
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	g, ix := env.Engine.Graph(), env.Engine.Index()
 	q := env.Queries[0]
 	params := "q=" + paramEscape(q.Text) + "&entities=" + paramEscape(entitiesParam(q))

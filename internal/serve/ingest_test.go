@@ -20,8 +20,14 @@ import (
 // index on the shared demo graph).
 func liveServer(t *testing.T, flushDocs int) *Server {
 	t.Helper()
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
-	live, err := sqe.OpenLiveIndex(t.TempDir(), flushDocs)
+	return liveServerIn(t, t.TempDir(), flushDocs)
+}
+
+// liveServerIn is liveServer with the segmented index rooted at dir.
+func liveServerIn(t *testing.T, dir string, flushDocs int) *Server {
+	t.Helper()
+	loadEnv(t)
+	live, err := sqe.OpenLiveIndex(dir, flushDocs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +125,8 @@ func TestIngestEndpoint(t *testing.T) {
 // and the reply blames the backend.
 func ingestDeleteListIsOneCommit(t *testing.T) {
 	defer fault.Disarm()
-	s := liveServer(t, 40)
+	dir := t.TempDir()
+	s := liveServerIn(t, dir, 40)
 	var adds []string
 	for i := 0; i < 100; i++ {
 		adds = append(adds, fmt.Sprintf(`{"name":"doc%03d","text":"alpha beta gamma doc%03d"}`, i, i))
@@ -154,7 +161,6 @@ func ingestDeleteListIsOneCommit(t *testing.T) {
 	}
 
 	// The same, with the commit failing: nothing of the list applies.
-	dir := s.cfg.Engine.Live().Dir()
 	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
 	if err != nil {
 		t.Fatal(err)

@@ -51,16 +51,19 @@ import (
 	"repro/internal/rpc"
 )
 
+// defaultK is the result depth when a request omits k; maxK caps the
+// requestable depth.
+const (
+	defaultK = 10
+	maxK     = 1000
+)
+
 // Config parameterises the server. Engine is required; zero values for
 // the rest select the defaults noted on each field.
 type Config struct {
 	// Engine serves every request; it must be safe for concurrent use
 	// (any options-constructed Engine is).
 	Engine *sqe.Engine
-	// DefaultK is the result depth when a request omits k (default 10).
-	DefaultK int
-	// MaxK caps the requestable result depth (default 1000).
-	MaxK int
 	// Timeout bounds each work request end to end (default 10s; <0
 	// disables).
 	Timeout time.Duration
@@ -85,12 +88,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DefaultK == 0 {
-		c.DefaultK = 10
-	}
-	if c.MaxK == 0 {
-		c.MaxK = 1000
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 10 * time.Second
 	}
@@ -443,11 +440,9 @@ func (s *Server) decodeRequest(r *http.Request) (request, error) {
 		return req, errors.New("missing query (q parameter or JSON body)")
 	}
 	if req.K <= 0 {
-		req.K = s.cfg.DefaultK
+		req.K = defaultK
 	}
-	if req.K > s.cfg.MaxK {
-		req.K = s.cfg.MaxK
-	}
+	req.K = min(req.K, maxK)
 	return req, nil
 }
 

@@ -18,14 +18,24 @@ import (
 var (
 	envOnce sync.Once
 	env     *sqe.DemoEnv
+	envErr  error
 )
+
+// loadEnv generates the shared DemoSmall environment into env once.
+func loadEnv(t testing.TB) {
+	t.Helper()
+	envOnce.Do(func() { env, envErr = sqe.GenerateDemo(sqe.DemoSmall) })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+}
 
 // testServer builds a Server over a shared DemoSmall engine (with the
 // serving options on: cache + a two-worker pool) plus a fresh demo
 // query to drive it with.
 func testServer(t testing.TB, cfg Config) (*Server, sqe.DemoQuery) {
 	t.Helper()
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	if cfg.Engine == nil {
 		cfg.Engine = sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(),
 			sqe.WithSQECWorkers(2), sqe.WithExpansionCache(256))
@@ -172,7 +182,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // (they go through the same Do path as /search). An SQE_C request on the
 // 4-shard engine is one evaluator pass, like the baseline's.
 func TestShardMetrics(t *testing.T) {
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	eng := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(), sqe.WithShards(4))
 	s, q := testServer(t, Config{Engine: eng})
 	if w := do(t, s, http.MethodGet, "/v1/search?q="+paramEscape(q.Text)+"&entities="+paramEscape(entitiesParam(q)), ""); w.Code != http.StatusOK {
@@ -208,7 +218,7 @@ func TestShardMetrics(t *testing.T) {
 // one pays none and finds every positional leaf of the query resolved —
 // on a monolithic engine and on in-process shards alike.
 func TestPositionalMemoMetrics(t *testing.T) {
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	for _, shards := range []int{1, 2} {
 		path := filepath.Join(t.TempDir(), "ix.v2")
 		if err := index.WriteFile(path, env.Engine.Index(), index.FormatV2); err != nil {

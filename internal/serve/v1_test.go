@@ -99,7 +99,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // ascending shard index, one family at a time, so successive scrapes
 // diff line-for-line deterministically.
 func TestShardMetricLabelOrder(t *testing.T) {
-	envOnce.Do(func() { env = sqe.MustGenerateDemo(sqe.DemoSmall) })
+	loadEnv(t)
 	eng := sqe.NewEngine(env.Engine.Graph(), env.Engine.Index(), sqe.WithShards(4))
 	s, q := testServer(t, Config{Engine: eng})
 	if w := do(t, s, http.MethodGet, "/v1/search?q="+paramEscape(q.Text)+"&entities="+paramEscape(entitiesParam(q))+"&set=TS", ""); w.Code != http.StatusOK {

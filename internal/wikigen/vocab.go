@@ -78,6 +78,3 @@ func (v *Vocab) Words(n int) []string {
 	}
 	return out
 }
-
-// Size reports how many distinct words have been issued.
-func (v *Vocab) Size() int { return len(v.seen) }

@@ -244,8 +244,8 @@ func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 // retrieve evaluates a request's trees — one, or SQE_C's three — in one
 // Evaluate and returns one ranking per tree, in order, each
 // bit-identical to evaluating that tree alone on a monolithic index
-// (DESIGN.md "SQE_C in one pass"). Every engine kind takes this path: a
-// single index is a coordinator over one partition. The pass is timed
+// (DESIGN.md §9.2). Every engine kind takes this path: a single index
+// is a coordinator over one partition. The pass is timed
 // and counted into ps when non-nil (per-partition rows included). With
 // degradation enabled (deg non-nil) every partition call runs with a
 // deadline, panic containment and transient retries, and a failed

@@ -161,8 +161,8 @@ func TestIndexWhileChaos(t *testing.T) {
 					}
 					want := searchtest.Rank(mono, q, 10)
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("reader %d query %d gen %d: pinned snapshot diverges from the oracle\n got: %v\nwant: %v",
-							r, qi, sn.Gen(), got, want)
+						t.Errorf("reader %d query %d: pinned snapshot diverges from the oracle\n got: %v\nwant: %v",
+							r, qi, got, want)
 					}
 					comparisons.Add(1)
 				}

@@ -66,12 +66,15 @@ func TestEngineShardedStats(t *testing.T) {
 func TestWithShardsClamp(t *testing.T) {
 	e := demo(t)
 	docs := e.Engine.Index().NumDocs()
-	if got := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithShards(docs+100)).Shards(); got != docs {
-		t.Fatalf("Shards()=%d, want clamp to NumDocs=%d", got, docs)
+	shards := func(n int) int {
+		return NewEngine(e.Engine.Graph(), e.Engine.Index(), WithShards(n)).dist.(interface{ NumShards() int }).NumShards()
+	}
+	if got := shards(docs + 100); got != docs {
+		t.Fatalf("%d shards, want clamp to NumDocs=%d", got, docs)
 	}
 	for _, n := range []int{0, 1, -3} {
-		if got := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithShards(n)).Shards(); got != 1 {
-			t.Fatalf("WithShards(%d): Shards()=%d, want 1", n, got)
+		if got := shards(n); got != 1 {
+			t.Fatalf("WithShards(%d): %d shards, want 1", n, got)
 		}
 	}
 }

@@ -35,7 +35,7 @@
 //
 //	eng := sqe.NewEngine(graph, ix,
 //		sqe.WithLinker(dict),
-//		sqe.WithDirichletMu(500),
+//		sqe.WithRetrievalModel(sqe.ModelDirichlet, sqe.ModelParams{Mu: 500}),
 //		sqe.WithExpansionCache(4096),
 //		sqe.WithShards(4),
 //	)
@@ -90,18 +90,13 @@ type (
 	RetrievalModel = search.Model
 	// ModelParams holds the retrieval models' parameters.
 	ModelParams = search.ModelParams
-	// SearchStats carries the retrieval evaluator's per-query counters.
-	SearchStats = search.SearchStats
 	// ShardSearchStats is one shard's slice of a retrieval's counters
-	// (SearchStats.Shards; an unsharded engine's index is its one
-	// shard).
+	// (PipelineStats.Search.Shards; an unsharded engine's index is its
+	// one shard).
 	ShardSearchStats = search.ShardStats
 	// PipelineStats aggregates per-stage timings (entity linking, motif
 	// search, query build, retrieval) and evaluator counters.
 	PipelineStats = core.PipelineStats
-	// StageTimings is the per-stage wall-clock breakdown inside
-	// PipelineStats.
-	StageTimings = core.StageTimings
 	// CacheStats are the expansion cache's hit/miss/eviction counters
 	// (see WithExpansionCache).
 	CacheStats = core.CacheStats
@@ -209,29 +204,25 @@ type Engine struct {
 // Option configures an Engine at construction (see NewEngine).
 type Option func(*Engine)
 
-// WithLinker installs an entity-linking dictionary so that Search and
+// WithLinker installs an entity-linking dictionary so that Do and
 // Expand can resolve entities from free text when no explicit entity
 // titles are given.
 func WithLinker(dict *entitylink.Dictionary) Option {
 	return func(e *Engine) { e.linker = entitylink.NewLinker(dict) }
 }
 
-// WithRetrievalModel switches the scoring function. The paper's model is
-// ModelDirichlet (the default), the only one pruned; ModelJelinekMercer
-// and ModelBM25 are provided for comparison studies — SQE's expansions
-// are model-agnostic — and rank exhaustively: every matching candidate
-// is scored, whatever WithPruning says, with the same rankings.
+// WithRetrievalModel sets the scoring function and its parameters; a
+// zero parameter takes its default (Dirichlet's μ is ModelParams.Mu,
+// default 2500). The paper's model is ModelDirichlet (the default), the
+// only one pruned; ModelJelinekMercer and ModelBM25 are provided for
+// comparison studies — SQE's expansions are model-agnostic — and rank
+// exhaustively: every matching candidate is scored, whatever
+// WithPruning says, with the same rankings.
 func WithRetrievalModel(m RetrievalModel, params ModelParams) Option {
 	return func(e *Engine) {
 		e.cfg.Model = m
 		e.cfg.Params = params
 	}
-}
-
-// WithDirichletMu overrides the retrieval model's smoothing parameter μ
-// (default 2500).
-func WithDirichletMu(mu float64) Option {
-	return func(e *Engine) { e.cfg.Mu = mu }
 }
 
 // WithPruning toggles MaxScore-style score-safe dynamic pruning in the
@@ -287,7 +278,7 @@ func WithSQECWorkers(n int) Option {
 // evaluations draw extra goroutines from the engine-wide worker pool
 // (its size is WithSQECWorkers' only remaining effect) and run inline
 // when it is saturated. Each shard evaluates SQE_C's three runs in one
-// pass, as an unsharded engine does (DESIGN.md "SQE_C in one pass").
+// pass, as an unsharded engine does (DESIGN.md §9.2).
 func WithShards(n int) Option {
 	return func(e *Engine) { e.shards = n }
 }
@@ -325,7 +316,6 @@ func NewEngine(g *Graph, ix *Index, opts ...Option) *Engine {
 		ix:       ix,
 		expander: core.NewExpander(g, ix.Analyzer()),
 		workers:  runtime.GOMAXPROCS(0),
-		cfg:      search.ShardConfig{Mu: search.DefaultMu},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -345,9 +335,6 @@ func NewEngine(g *Graph, ix *Index, opts ...Option) *Engine {
 	e.dist.Configure(e.cfg)
 	return e
 }
-
-// Shards returns the engine's effective shard count (1 when unsharded).
-func (e *Engine) Shards() int { return e.dist.NumShards() }
 
 // Graph returns the engine's KB graph.
 func (e *Engine) Graph() *Graph { return e.graph }
@@ -432,12 +419,3 @@ func (e *Engine) ExpandContext(ctx context.Context, query string, entityTitles [
 	}
 	return e.expansionOf(qg), nil
 }
-
-// Expander exposes the underlying expander for advanced configuration
-// (part weights, feature caps, motif-condition ablations). Reconfigure
-// it only before the Engine starts serving concurrent traffic. Every
-// knob — including the matcher-level ablation toggles — is part of the
-// expansion cache key (see core.(*Expander).ExpansionKey), so
-// reconfiguring never serves entries built under the old configuration;
-// it only turns them into misses.
-func (e *Engine) Expander() *core.Expander { return e.expander }

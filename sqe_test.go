@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/entitylink"
 )
 
 // demo is the shared DemoSmall environment (the differential harness's
@@ -197,10 +199,10 @@ func TestPrecisionAtHelper(t *testing.T) {
 	}
 }
 
-// TestWithDirichletMu checks the μ option actually reaches the scorer:
+// TestModelParamsMu checks ModelParams.Mu actually reaches the scorer:
 // two engines over the same corpus differing only in μ must score
 // differently.
-func TestWithDirichletMu(t *testing.T) {
+func TestModelParamsMu(t *testing.T) {
 	e := demo(t)
 	q := e.Queries[0]
 	ctx := context.Background()
@@ -209,7 +211,7 @@ func TestWithDirichletMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithDirichletMu(10))
+	tuned := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithRetrievalModel(ModelDirichlet, ModelParams{Mu: 10}))
 	after, err := tuned.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +225,8 @@ func TestWithDirichletMu(t *testing.T) {
 }
 
 func TestNewEntityDictionary(t *testing.T) {
-	e := MustGenerateDemo(DemoSmall)
-	d := NewEntityDictionary(e.Engine)
+	e := demo(t)
+	d := entitylink.NewDictionary(e.Engine.Index().Analyzer())
 	var title string
 	g := e.Engine.Graph()
 	g.Articles(func(id NodeID) bool { title = g.Title(id); return false })
@@ -242,7 +244,7 @@ func TestNewEntityDictionary(t *testing.T) {
 }
 
 func TestWithRetrievalModel(t *testing.T) {
-	e := MustGenerateDemo(DemoSmall)
+	e := demo(t)
 	q := e.Queries[0]
 	ctx := context.Background()
 	req := SearchRequest{Query: q.Text, K: 5, Baseline: true}
