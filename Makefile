@@ -15,8 +15,9 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Race-checks the packages with concurrency: the expansion cache, the
-# motif rows (their concurrent cold fill), the
+# Race-checks the packages with concurrency: the expansion cache and
+# the title leaves cached per article (their concurrent cold fill ten
+# times over), the motif rows (their concurrent cold fill), the
 # index's positional-leaf and tombstone-correction memos, its read-only
 # stored bounds and its once-per-block bounds check (their contention
 # tests ten times over, with a reader filling a leaf while Compact
@@ -26,6 +27,7 @@ test:
 race:
 	$(GO) test -race . ./internal/core/... ./internal/motif/... ./internal/index/... ./internal/search/... ./internal/rpc/... ./internal/fault/... ./internal/serve/...
 	$(GO) test -race -count=10 -run 'TestPositionalMemoConcurrent|TestTombstoneCorrectionsConcurrent|TestV2StoredBoundsNeverRewritten|TestV2BoundsCheckedOncePerBlock|TestCompactCarriesNoUnfinishedFill' ./internal/index/
+	$(GO) test -race -count=10 -run 'TestTitleLeafConcurrentFill' ./internal/core/
 
 # Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
 # the few-leaf queries the cost model scores exhaustively), expanded
@@ -50,7 +52,8 @@ race:
 # KBDecode is the KB's boot: kb.Decode of the default world at ×1, ×8
 # and ×32 TopicsPerDomain, with the heap the graph holds (heap-MB);
 # generating the ×32 world takes ~7 s of its run.
-# SQECRequest is one warmed SQE_C Engine.Do over a v2 file;
+# SQECRequest is one warmed SQE_C Engine.Do over a v2 file (and over
+# shards, a live index, and at k = 1000, where S is never dropped);
 # SQECAfterCompact is one lap of SQE_C requests right after a compaction
 # of a warmed live engine (what the carried memo saves). An evaluator
 # A/B runs these on two commits interleaved (parent, change, parent, ...)

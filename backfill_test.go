@@ -1,0 +1,148 @@
+package sqe
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/search"
+)
+
+// backfillShapes are the engine shapes TestBackfillPage runs on. The
+// live one is a compacted 1 600-document base beside 7-document
+// segments, with tombstones in both: at K = 10 the base can drop S and
+// the small segments cannot, so a request drops S in some segments and
+// keeps it in others. The duplicated one holds every document twice
+// under its name, so T&S can hold K documents but fewer names.
+var backfillShapes = []struct {
+	name string
+	subject
+}{
+	{"memory", memory()},
+	{"v2", v2File()},
+	{"shards-2", memory(WithShards(2))},
+	{"segmented-mixed", segmented(7, script(ingest(0, 1600), compact, ingest(1600, all), deleteEvery(5, all)))},
+	{"segmented-duplicated", segmented(all+1, script(ingest(0, 400), ingest(0, 400), flush))},
+	{"rpc-2", loopbackRPC(2)},
+}
+
+// sqecTrees builds q's three SQE_C trees the way Do does.
+func sqecTrees(t *testing.T, e *Engine, q DemoQuery) []search.Node {
+	t.Helper()
+	ctx := context.Background()
+	nodes, err := e.resolveEntities(q.Text, q.EntityTitles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := make([]search.Node, len(sqecSets))
+	for i, set := range sqecSets {
+		qg, err := e.expand(ctx, nodes, set, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = e.expander.BuildQuery(q.Text, qg)
+	}
+	return trees
+}
+
+// TestBackfillPage holds Do's SQE_C page, which evaluates S as a
+// backfill tree (search.EvalOptions.Backfill), to the splice of all
+// three trees' full rankings, on every engine shape: where S is dropped,
+// where T&S ranks fewer than K documents and S is kept, where segments
+// disagree, and where T&S's K documents carry fewer than K names and Do
+// has to evaluate again with S kept. A shard server ranks every frame,
+// so the rpc shape never drops.
+func TestBackfillPage(t *testing.T) {
+	w := theWorld(t)
+	ctx := context.Background()
+	for _, shape := range backfillShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			engine, _ := shape.subject(t, w)
+			eng := engine()
+			var dropped, kept, short, again int
+			for _, q := range w.env.Queries[:8] {
+				trees := sqecTrees(t, eng, q)
+				for _, k := range []int{1, 10, 200} {
+					full, err := eng.dist.Evaluate(ctx, trees, k, search.EvalOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := core.SpliceResultsC(k, full.Results[0], full.Results[1], full.Results[2])
+					resp, err := eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: k, CollectStats: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(resp.Results, want) {
+						t.Fatalf("%s k=%d: Do's page diverges from the three-run splice\n got: %v\nwant: %v", q.ID, k, resp.Results, want)
+					}
+					if resp.Stats.Retrievals > 1 {
+						again++
+					}
+					ev, err := eng.dist.Evaluate(ctx, trees, k, search.EvalOptions{Backfill: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(ev.Results[:2], full.Results[:2]) {
+						t.Fatalf("%s k=%d: a backfill evaluation moved T or T&S", q.ID, k)
+					}
+					switch {
+					case ev.BackfillDropped:
+						dropped++
+						if ev.Results[2] != nil || len(ev.Results[1]) != k {
+							t.Fatalf("%s k=%d: S dropped with %d S results beside %d T&S ones", q.ID, k, len(ev.Results[2]), len(ev.Results[1]))
+						}
+					case !reflect.DeepEqual(ev.Results[2], full.Results[2]):
+						t.Fatalf("%s k=%d: S kept but ranked differently", q.ID, k)
+					default:
+						kept++
+						if len(full.Results[1]) < k {
+							short++
+						}
+					}
+				}
+			}
+			t.Logf("S dropped %d times, kept %d (T&S short %d); Do evaluated again %d times", dropped, kept, short, again)
+			if shape.name == "rpc-2" {
+				if dropped > 0 {
+					t.Errorf("a shard server dropped S %d times", dropped)
+				}
+				return
+			}
+			if dropped == 0 || short == 0 {
+				t.Errorf("the shape did not exercise both paths: S dropped %d times, T&S short %d times", dropped, short)
+			}
+			if (again > 0) != (shape.name == "segmented-duplicated") {
+				t.Errorf("Do evaluated a request again %d times", again)
+			}
+		})
+	}
+}
+
+// TestSQECRequestAllocations caps what a warm SQE_C Engine.Do allocates:
+// the expansion memo hits, every title leaf is cached on its article,
+// the user's query is analysed once, and the evaluation runs on pooled
+// scratch, so what remains is the request's own trees, their flatten
+// and the splice: 53–57 allocations on these queries.
+func TestSQECRequestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches at random")
+	}
+	env := demo(t)
+	eng := NewEngine(env.Engine.Graph(), env.Engine.Index(), WithExpansionCache(4096))
+	ctx := context.Background()
+	for _, q := range env.Queries[:8] {
+		req := SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
+		if _, err := eng.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if resp, err := eng.Do(ctx, req); err != nil || len(resp.Results) == 0 {
+				t.Fatalf("%s: no results (%v)", q.ID, err)
+			}
+		})
+		if allocs > 80 {
+			t.Errorf("%s: a warm SQE_C request allocates %.0f times, want <= 80", q.ID, allocs)
+		}
+	}
+}

@@ -647,7 +647,9 @@ func BenchmarkUnorderedWindow(b *testing.B) {
 // file, two in-process shards of it, and a live index of v2 segments
 // (one flushed every 1 024 documents) — and over the v2 file once more
 // under DefaultDegradation, the configuration sqe-serve and bench/ serve
-// with.
+// with. At k = 10 S is a backfill tree, dropped once T&S holds k
+// documents; v2-k=1000 is the v2 file at the paper's run depth, where
+// the page reaches S's ranks and all three trees are ranked.
 func BenchmarkSQECRequest(b *testing.B) {
 	env, docs, err := GenerateDemoCorpus(DemoDefault)
 	if err != nil {
@@ -676,20 +678,22 @@ func BenchmarkSQECRequest(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := env.Engine.Graph()
-	reqs := make([]SearchRequest, len(env.Queries))
-	for i, q := range env.Queries {
-		reqs[i] = SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
-	}
 	ctx := context.Background()
 	for _, shape := range []struct {
 		name string
 		eng  *Engine
+		k    int
 	}{
-		{"v2", NewEngine(g, disk, WithExpansionCache(4096))},
-		{"v2+degrade", NewEngine(g, disk, WithExpansionCache(4096), WithDegradation(DefaultDegradation()))},
-		{"shards=2", NewEngine(g, disk, WithExpansionCache(4096), WithShards(2))},
-		{"live", NewLiveEngine(g, live, WithExpansionCache(4096))},
+		{"v2", NewEngine(g, disk, WithExpansionCache(4096)), 10},
+		{"v2+degrade", NewEngine(g, disk, WithExpansionCache(4096), WithDegradation(DefaultDegradation())), 10},
+		{"shards=2", NewEngine(g, disk, WithExpansionCache(4096), WithShards(2)), 10},
+		{"live", NewLiveEngine(g, live, WithExpansionCache(4096)), 10},
+		{"v2-k=1000", NewEngine(g, disk, WithExpansionCache(4096)), 1000},
 	} {
+		reqs := make([]SearchRequest, len(env.Queries))
+		for i, q := range env.Queries {
+			reqs[i] = SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: shape.k}
+		}
 		b.Run(shape.name, func(b *testing.B) {
 			for _, req := range reqs { // warm
 				if _, err := shape.eng.Do(ctx, req); err != nil {

@@ -1,8 +1,10 @@
 package analysis
 
 // ReferencePorterStem is PorterStem as it was before an unchanged word
-// was returned as is: the stem always copied back into a new string.
-// differential_test.go holds PorterStem to it.
+// was returned as is — the stem always copied back into a new string —
+// and before steps 2–4 switched on the penultimate letter: each scans
+// its whole rule list in order. differential_test.go and FuzzPorterStem
+// hold PorterStem to it.
 func ReferencePorterStem(word string) string {
 	if len(word) <= 2 {
 		return word
@@ -17,9 +19,9 @@ func ReferencePorterStem(word string) string {
 	s.step1a()
 	s.step1b()
 	s.step1c()
-	s.step2()
-	s.step3()
-	s.step4()
+	s.firstOf(step2List)
+	s.firstOf(step3List)
+	s.step4Of(step4List)
 	s.step5a()
 	s.step5b()
 	return string(s.b)

@@ -5,14 +5,17 @@ import (
 	"unicode/utf8"
 )
 
-// FuzzPorterStem asserts the stemmer never panics, never grows a word
-// and is stable on ASCII lowercase input.
+// FuzzPorterStem asserts the stemmer never panics, never grows a word,
+// is stable on ASCII lowercase input and stems as the reference does.
 func FuzzPorterStem(f *testing.F) {
-	for _, seed := range []string{"", "a", "running", "caresses", "sky", "generalizations", "ponies", "ääkköset", "1234", "abcdefghij"} {
+	for _, seed := range []string{"", "a", "running", "caresses", "sky", "generalizations", "ponies", "ääkköset", "1234", "abcdefghij", "relational", "hopefulness", "adjustment", "ies"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, word string) {
 		stem := PorterStem(word)
+		if ref := ReferencePorterStem(word); stem != ref {
+			t.Fatalf("stem of %q is %q, reference %q", word, stem, ref)
+		}
 		if len(stem) > len(word) {
 			t.Fatalf("stem %q longer than word %q", stem, word)
 		}

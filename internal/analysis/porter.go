@@ -197,7 +197,36 @@ func (s *stemmer) step1c() {
 	}
 }
 
-var step2Rules = []struct{ suf, rep string }{
+// rule is one suffix rewrite of steps 2–4.
+type rule struct{ suf, rep string }
+
+// byPenultimate groups rules by their suffix's penultimate letter,
+// keeping their order within a group. A word can only end in a suffix
+// whose penultimate letter is its own, so trying the word's group in
+// order finds the rule a scan of the whole list finds first — the
+// switch of Porter's reference implementation, without the scan.
+func byPenultimate(rules []rule) (groups [26][]rule) {
+	for _, r := range rules {
+		c := r.suf[len(r.suf)-2] - 'a'
+		groups[c] = append(groups[c], r)
+	}
+	return groups
+}
+
+// group returns the rules of groups that can match the word: those of
+// its penultimate letter (none for a word shorter than two letters;
+// every suffix of steps 2–4 has two or more).
+func (s *stemmer) group(groups *[26][]rule) []rule {
+	n := len(s.b)
+	if n < 2 {
+		return nil
+	}
+	return groups[s.b[n-2]-'a']
+}
+
+// stepNList is step N's rules in the order Porter tries them;
+// stepNRules is the same list grouped for the switch.
+var step2List = []rule{
 	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"},
 	{"anci", "ance"}, {"izer", "ize"}, {"abli", "able"},
 	{"alli", "al"}, {"entli", "ent"}, {"eli", "e"}, {"ousli", "ous"},
@@ -207,34 +236,45 @@ var step2Rules = []struct{ suf, rep string }{
 	{"biliti", "ble"},
 }
 
-func (s *stemmer) step2() {
-	for _, r := range step2Rules {
-		if s.replaceIfM(r.suf, r.rep, 0) {
-			return
-		}
-	}
-}
+var step2Rules = byPenultimate(step2List)
 
-var step3Rules = []struct{ suf, rep string }{
+func (s *stemmer) step2() { s.firstOf(s.group(&step2Rules)) }
+
+var step3List = []rule{
 	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
 	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
 }
 
-func (s *stemmer) step3() {
-	for _, r := range step3Rules {
+var step3Rules = byPenultimate(step3List)
+
+func (s *stemmer) step3() { s.firstOf(s.group(&step3Rules)) }
+
+// firstOf applies the first of rules (steps 2 and 3: replace when
+// m > 0) whose suffix the word ends in.
+func (s *stemmer) firstOf(rules []rule) {
+	for _, r := range rules {
 		if s.replaceIfM(r.suf, r.rep, 0) {
 			return
 		}
 	}
 }
 
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-	"ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+// Step 4's rules delete their suffix: rep is always empty.
+var step4List = []rule{
+	{"al", ""}, {"ance", ""}, {"ence", ""}, {"er", ""}, {"ic", ""},
+	{"able", ""}, {"ible", ""}, {"ant", ""}, {"ement", ""}, {"ment", ""},
+	{"ent", ""}, {"ion", ""}, {"ou", ""}, {"ism", ""}, {"ate", ""},
+	{"iti", ""}, {"ous", ""}, {"ive", ""}, {"ize", ""},
 }
 
-func (s *stemmer) step4() {
-	for _, suf := range step4Suffixes {
+var step4Rules = byPenultimate(step4List)
+
+func (s *stemmer) step4() { s.step4Of(s.group(&step4Rules)) }
+
+// step4Of applies the first of rules whose suffix the word ends in.
+func (s *stemmer) step4Of(rules []rule) {
+	for _, r := range rules {
+		suf := r.suf
 		if !s.hasSuffix(suf) {
 			continue
 		}

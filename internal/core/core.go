@@ -46,10 +46,11 @@ type Expander struct {
 	graph    *kb.Graph
 	matcher  *motif.Matcher
 	analyzer analysis.Analyzer
-	// titles[id] is node id's title as the analyzer renders it, filled
-	// the first time a query names the node. It holds terms, not query
-	// nodes: TitleWindowSlack may change between two queries.
-	titles []atomic.Pointer[[]string]
+	// titles[id] is node id's title as the analyzer renders it and its
+	// leaf, filled the first time a query names the node. The leaf is
+	// the one for the TitleWindowSlack it was built under, and is built
+	// again from the terms when a query runs under another.
+	titles []atomic.Pointer[title]
 
 	// Weights are the three-part combination weights (user query,
 	// entity titles, expansion titles). The zero value means equal
@@ -98,32 +99,45 @@ func NewExpander(g *kb.Graph, a analysis.Analyzer) *Expander {
 		graph:            g,
 		matcher:          motif.NewMatcher(g),
 		analyzer:         a,
-		titles:           make([]atomic.Pointer[[]string], g.NumNodes()),
+		titles:           make([]atomic.Pointer[title], g.NumNodes()),
 		TitleWindowSlack: -1,
 	}
 }
 
-// titleTerms returns node id's analysed title, running the tokenizer
-// and stemmer over it only the first time. Goroutines racing on a cold
-// node all compute the same terms, so whichever store lands last is as
-// good as the first. The slice is shared and read-only.
-func (e *Expander) titleTerms(id kb.NodeID) []string {
-	slot := &e.titles[id]
-	if t := slot.Load(); t != nil {
-		return *t
-	}
-	terms := e.analyzer.AnalyzeTerms(e.graph.Title(id))
-	slot.Store(&terms)
-	return terms
+// title is one article's analysed title and its query leaf under the
+// window slack slack (negative: an exact phrase). Shared and read-only.
+type title struct {
+	terms []string
+	slack int
+	leaf  search.Node
 }
 
-// titleNode renders one node's title under the configured proximity
-// operator.
+// titleNode returns node id's title leaf under the configured proximity
+// operator. The tokenizer and stemmer run over a title only the first
+// time, and the leaf is built once per slack: every query naming the
+// node shares it, so a request's trees share their title leaves too.
+// Goroutines racing on a cold node all build the same title, so
+// whichever store lands last is as good as the first.
 func (e *Expander) titleNode(id kb.NodeID) search.Node {
-	if e.TitleWindowSlack >= 0 {
-		return search.WindowOfTerms(e.titleTerms(id), e.TitleWindowSlack)
+	slot := &e.titles[id]
+	slack := max(e.TitleWindowSlack, -1)
+	t := slot.Load()
+	if t != nil && t.slack == slack {
+		return t.leaf
 	}
-	return search.PhraseOfTerms(e.titleTerms(id))
+	next := &title{slack: slack}
+	if t != nil {
+		next.terms = t.terms
+	} else {
+		next.terms = e.analyzer.AnalyzeTerms(e.graph.Title(id))
+	}
+	if slack >= 0 {
+		next.leaf = search.WindowOfTerms(next.terms, slack)
+	} else {
+		next.leaf = search.PhraseOfTerms(next.terms)
+	}
+	slot.Store(next)
+	return next.leaf
 }
 
 // Matcher exposes the underlying motif matcher so callers can toggle the
@@ -164,23 +178,21 @@ func GroundTruthGraph(queryNodes []kb.NodeID, features []Feature) QueryGraph {
 
 // entityPart builds the #combine of query-node title phrases.
 func (e *Expander) entityPart(queryNodes []kb.NodeID) search.Node {
-	nodes := make([]search.Node, 0, len(queryNodes))
-	for _, q := range queryNodes {
-		nodes = append(nodes, e.titleNode(q))
+	ch := make([]search.Child, len(queryNodes))
+	for i, q := range queryNodes {
+		ch[i] = search.Child{Weight: 1, Node: e.titleNode(q)}
 	}
-	return search.Combine(nodes...)
+	return search.Weighted{Children: ch}
 }
 
 // expansionPart builds the #weight over expansion-feature title phrases,
 // each weighted proportionally to |m_a|.
 func (e *Expander) expansionPart(features []Feature) search.Node {
-	weights := make([]float64, 0, len(features))
-	nodes := make([]search.Node, 0, len(features))
-	for _, f := range features {
-		weights = append(weights, f.Weight)
-		nodes = append(nodes, e.titleNode(f.Article))
+	ch := make([]search.Child, len(features))
+	for i, f := range features {
+		ch[i] = search.Child{Weight: f.Weight, Node: e.titleNode(f.Article)}
 	}
-	return search.Weight(weights, nodes)
+	return search.Weighted{Children: ch}
 }
 
 // BuildQuery assembles the expanded query of Section 2.3: a three-part
@@ -189,14 +201,16 @@ func (e *Expander) expansionPart(features []Feature) search.Node {
 // (no entities, no features) drop out with their weight renormalised by
 // the #weight semantics.
 func (e *Expander) BuildQuery(userQuery string, qg QueryGraph) search.Node {
+	return e.buildQuery(e.QLQuery(userQuery), qg)
+}
+
+// buildQuery is BuildQuery around the user's query already built as
+// its QL_Q tree (QLQuery), which the trees of one request share.
+func (e *Expander) buildQuery(user search.Node, qg QueryGraph) search.Node {
 	w := e.Weights.normalized()
 	return search.Weight(
 		[]float64{w.Query, w.Entities, w.Expansion},
-		[]search.Node{
-			search.BagOfWords(e.analyzer, userQuery),
-			e.entityPart(qg.QueryNodes),
-			e.expansionPart(qg.Features),
-		},
+		[]search.Node{user, e.entityPart(qg.QueryNodes), e.expansionPart(qg.Features)},
 	)
 }
 

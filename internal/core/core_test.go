@@ -314,3 +314,55 @@ func TestPartWeightsNormalized(t *testing.T) {
 		t.Errorf("custom weights altered: %+v", w)
 	}
 }
+
+// TestTitleLeafConcurrentFill races goroutines on cold title leaves:
+// every caller gets the leaf a fresh expander builds, and once a slot
+// is filled every later query shares the one cached leaf. A changed
+// TitleWindowSlack builds the window leaf, and changing it back the
+// phrase again. Under -race it is what checks the slots' publication
+// (make race runs it ten times over).
+func TestTitleLeafConcurrentFill(t *testing.T) {
+	e, ids := expander(t)
+	fresh, _ := expander(t)
+	articles := []kb.NodeID{ids["Query Article"], ids["First Expansion"], ids["Second Expansion"]}
+	const workers = 8
+	got := make([][]search.Node, workers)
+	start := make(chan struct{})
+	done := make(chan int)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			<-start
+			for i := 0; i < 50; i++ {
+				for _, id := range articles {
+					got[w] = append(got[w], e.titleNode(id))
+				}
+			}
+			done <- w
+		}(w)
+	}
+	close(start)
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	for w := range got {
+		for i, n := range got[w] {
+			if want := fresh.titleNode(articles[i%len(articles)]); !reflect.DeepEqual(n, want) {
+				t.Fatalf("worker %d call %d: leaf %v, want %v", w, i, n, want)
+			}
+		}
+	}
+	for _, id := range articles {
+		a, b := e.titleNode(id), e.titleNode(id)
+		if p, ok := a.(search.Phrase); !ok || &p.Terms[0] != &b.(search.Phrase).Terms[0] {
+			t.Fatalf("%s: leaf %v is not one shared phrase", e.graph.Title(id), a)
+		}
+	}
+	e.TitleWindowSlack = 2
+	if n, ok := e.titleNode(articles[0]).(search.Unordered); !ok || n.Width != len(n.Terms)+2 {
+		t.Fatalf("slack 2: leaf %v, want a window of width len+2", n)
+	}
+	e.TitleWindowSlack = -1
+	if _, ok := e.titleNode(articles[0]).(search.Phrase); !ok {
+		t.Fatal("slack -1 again: leaf is not a phrase")
+	}
+}

@@ -80,11 +80,12 @@ func (p *PipelineStats) String() string {
 	return sb.String()
 }
 
-// BuildQueryStats is BuildQuery with the query-build stage timed into ps
-// (which may be nil).
-func (e *Expander) BuildQueryStats(userQuery string, qg QueryGraph, ps *PipelineStats) search.Node {
+// BuildQueryStats is BuildQuery around the user's query already built
+// by QLQuery — a request analyses it once for all its trees — with the
+// query-build stage timed into ps (which may be nil).
+func (e *Expander) BuildQueryStats(user search.Node, qg QueryGraph, ps *PipelineStats) search.Node {
 	start := time.Now()
-	node := e.BuildQuery(userQuery, qg)
+	node := e.buildQuery(user, qg)
 	if ps != nil {
 		ps.Stages.QueryBuild += time.Since(start)
 	}

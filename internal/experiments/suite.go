@@ -219,10 +219,15 @@ func (r *Runner) sqecTrees(q *dataset.Query, manual bool, ps *core.PipelineStats
 	if ps != nil {
 		ps.Stages.EntityLink += time.Since(start)
 	}
+	start = time.Now()
+	user := r.Expander.QLQuery(q.Text)
+	if ps != nil {
+		ps.Stages.QueryBuild += time.Since(start)
+	}
 	trees := make([]search.Node, len(sqecSets))
 	for i, set := range sqecSets {
 		qg := r.Expander.BuildQueryGraphCached(nodes, set, nil, ps)
-		trees[i] = r.Expander.BuildQueryStats(q.Text, qg, ps)
+		trees[i] = r.Expander.BuildQueryStats(user, qg, ps)
 	}
 	return trees
 }

@@ -45,13 +45,13 @@ func TestSearchContextCancelledMidEvaluation(t *testing.T) {
 	// enter through the internal path with the up-front checks already
 	// passed: run the top-k loop directly, pruned and exhaustive.
 	var leaves []leaf
-	flatten(s.ix, q, 1, &leaves, new(index.PositionalScratch), nil)
+	flatten(s.ix, q, 1, &leaves, new(flatScratch), nil)
 	cancel()
 	for _, prune := range []bool{true, false} {
 		cfg := monoScoring(s)
 		cfg.forcePrune, cfg.disablePruning = prune, !prune
 		sc := getScratch()
-		if _, err := searchRuns(ctx, s.ix, nil, leaves, []int{len(leaves)}, 10, cfg, nil, sc, make([][]Result, 1), nil); !errors.Is(err, context.Canceled) {
+		if _, _, err := searchRuns(ctx, s.ix, nil, leaves, []int{len(leaves)}, 10, cfg, nil, sc, make([][]Result, 1), nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("prune=%v: want context.Canceled, got %v", prune, err)
 		}
 		putScratch(sc)

@@ -51,6 +51,15 @@ type EvalOptions struct {
 	// retries and partial merges. Nil keeps the strict all-or-nothing
 	// behaviour.
 	Degrade *DegradeOptions
+	// Backfill marks the last tree as wanted only while the tree before
+	// it ranks fewer than k documents — SQE_S behind SQE_T&S in an SQE_C
+	// splice whose page ends at or before the second cut. An in-process
+	// partition stops evaluating the last tree once the tree before it
+	// holds k of its documents; when a surviving partition did, the
+	// merged ranking of the tree before has k entries, Results' last
+	// entry is nil and Evaluation.BackfillDropped is set. A shard server
+	// ranks every frame it receives. Ignored with fewer than two trees.
+	Backfill bool
 }
 
 // Evaluation is the outcome of one Evaluate call.
@@ -63,6 +72,9 @@ type Evaluation struct {
 	// Partial reports dropped partitions and retries; zero unless
 	// EvalOptions.Degrade was set and something happened.
 	Partial PartialInfo
+	// BackfillDropped reports that EvalOptions.Backfill dropped the last
+	// tree: its entry in Results is nil.
+	BackfillDropped bool
 }
 
 // Distributed is the engine-facing contract of retrieval, satisfied by
@@ -166,8 +178,8 @@ func (c *coordinator) evaluateInto(ctx context.Context, qs []Node, k int, opts E
 	// The trees are copied into the pooled state, which is what the
 	// partitions see: a caller's one-tree slice stays on its stack.
 	g.qs = append(g.qs[:0], qs...)
-	g.ctx, g.parts, g.opts, g.wantStats = ctx, parts, opts.Degrade, st != nil
-	if err := c.scatterGather(g, k, st, &ev.Partial, out); err != nil {
+	g.ctx, g.parts, g.opts, g.wantStats, g.backfill = ctx, parts, opts.Degrade, st != nil, opts.Backfill && len(qs) > 1
+	if ev.BackfillDropped, err = c.scatterGather(g, k, st, &ev.Partial, out); err != nil {
 		clear(out)
 		return ev, err
 	}
@@ -186,6 +198,7 @@ type gather struct {
 	parts     []partition
 	opts      *DegradeOptions
 	wantStats bool
+	backfill  bool
 	calls     []partCall
 	req       EvalRequest
 	heads     []int
@@ -234,7 +247,7 @@ func (g *gather) statsPhase(i int) {
 // dropped partition still reports the work it did.
 func (g *gather) evalPhase(i int) {
 	pc, p := &g.calls[i], g.parts[i]
-	pc.retries, pc.err = 0, nil
+	pc.retries, pc.err, pc.dropped = 0, nil, false
 	if pc.down != nil {
 		return
 	}
@@ -258,9 +271,11 @@ type partCall struct {
 	flat  []leaf
 	trees []encodedTree
 	// res holds phase B's ranking of every tree; an in-process partition
-	// backs them with buf.
-	res [][]Result
-	buf []Result
+	// backs them with buf. dropped: phase B dropped the backfill tree,
+	// whose res entry is nil.
+	res     [][]Result
+	buf     []Result
+	dropped bool
 	// st collects the partition's counters over both phases: the
 	// positional-memo lookups of its flatten, then its evaluator's.
 	st SearchStats
@@ -279,7 +294,7 @@ func (pc *partCall) release() {
 	clear(pc.trees)
 	clear(pc.res)
 	clear(pc.buf[:cap(pc.buf)])
-	pc.flat, pc.trees, pc.buf, pc.st, pc.err, pc.down = pc.flat[:0], pc.trees[:0], pc.buf[:0], SearchStats{}, nil, nil
+	pc.flat, pc.trees, pc.buf, pc.st, pc.err, pc.down, pc.dropped = pc.flat[:0], pc.trees[:0], pc.buf[:0], SearchStats{}, nil, nil, false
 }
 
 // scatterGather is the partitioned evaluation of g.qs into out, one
@@ -287,7 +302,9 @@ func (pc *partCall) release() {
 // from every partition, the coordinator sums them into global
 // overrides, phase B evaluates every partition under those overrides —
 // all trees in one pass of the top-k loop — and, per tree, the bounded
-// per-partition rankings merge by (score desc, DocID asc).
+// per-partition rankings merge by (score desc, DocID asc). dropped
+// reports that a surviving partition dropped the backfill tree, which
+// then has no ranking (EvalOptions.Backfill).
 //
 // Under a degradation policy a failing partition is taken out instead of
 // failing the query, in two tiers: out in phase A, it never reported
@@ -298,11 +315,11 @@ func (pc *partCall) release() {
 // and is never degraded away, and a phase nothing survives returns its
 // first error — an empty "partial" result would be indistinguishable
 // from a query matching nothing.
-func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *PartialInfo, out [][]Result) error {
+func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *PartialInfo, out [][]Result) (dropped bool, err error) {
 	ctx, parts := g.ctx, g.parts
 	n := len(parts)
 	if n == 0 {
-		return nil
+		return false, nil
 	}
 	strict := g.opts == nil
 	calls := g.calls
@@ -350,7 +367,7 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 	// window leaves nobody resolved yet) is a large share of the cost.
 	fanOutShards(c.Sem, g, (*gather).statsPhase)
 	if err := settle("stats phase: "); err != nil {
-		return err
+		return false, err
 	}
 
 	// Flatten is structure-driven — leaf set, order and normalised
@@ -366,7 +383,7 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 		if ref == -1 {
 			ref = i
 		} else if !slices.Equal(calls[i].ends, calls[ref].ends) {
-			return fmt.Errorf("search: partition %d flattened %d leaves ending at %v, partition %d %d ending at %v",
+			return false, fmt.Errorf("search: partition %d flattened %d leaves ending at %v, partition %d %d ending at %v",
 				i, len(calls[i].leaves), calls[i].ends, ref, len(calls[ref].leaves), calls[ref].ends)
 		}
 	}
@@ -375,10 +392,10 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 		st.Leaves = nLeaves
 	}
 	if nLeaves == 0 {
-		return nil
+		return false, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
 	}
 
 	// The global-statistics override over the contributing partitions.
@@ -398,6 +415,7 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 		Overrides:      grow(req.Overrides, nLeaves),
 		WantStats:      st != nil,
 		forcePrune:     c.forcePrune,
+		backfill:       g.backfill,
 	}
 	for i := range parts {
 		if calls[i].down == nil {
@@ -441,7 +459,10 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 		st.Leaves = cmp.Or(union, nLeaves)
 	}
 	if err := settle(""); err != nil {
-		return err
+		return false, err
+	}
+	for i := range calls {
+		dropped = dropped || calls[i].down == nil && calls[i].dropped
 	}
 
 	// Per tree, merge the partitions' rankings — each already in the
@@ -452,6 +473,9 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 	heads := grow(g.heads, n)
 	g.heads = heads
 	for t := range out {
+		if dropped && t == len(out)-1 {
+			break
+		}
 		total := 0
 		for i := range calls {
 			heads[i] = 0
@@ -476,7 +500,7 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 		}
 		out[t] = ranked
 	}
-	return nil
+	return dropped, nil
 }
 
 // byRank is the global result ordering: score desc, DocID asc — a total

@@ -31,8 +31,8 @@ import (
 //   - Candidates are produced in ascending DocID order either way, and
 //     only provably-losing documents are withheld; rejected offers never
 //     mutate the heap, so the heap's state evolves identically.
-//   - The skip test is strict (bound < θ) with a small relative slack
-//     (see pruneSlack), so a document whose bound ties θ — which could
+//   - The skip test is strict (bound < θ) with a small relative margin
+//     (see pruneLimit), so a document whose bound ties θ — which could
 //     displace the heap root on the DocID tiebreak — is always scored.
 //
 // Two pruning mechanisms compose, both judged against θ:
@@ -54,11 +54,10 @@ import (
 //     non-essential mass leaf by leaf, largest bound first, swapping a
 //     whole-list bound for the exact delta: 0 when the cursor already
 //     passed the candidate, the real contribution when it sits on it,
-//     and — only once those free answers are spent — a gallop to the
-//     candidate (one the scoring loop would perform anyway if the
-//     candidate survives) followed by the same evaluation. The loop ends
-//     when the candidate provably loses or the bound has become its
-//     exact score.
+//     and for a cursor still behind, a gallop to the candidate (one the
+//     scoring loop would perform anyway if the candidate survives)
+//     followed by the same evaluation. The loop ends when the candidate
+//     provably loses or the bound has become its exact score.
 //
 // There is one bound per leaf, the whole-list ub: on postings lists as
 // short as this collection's a per-block bound is the list's bound over
@@ -187,39 +186,36 @@ func pruneWorthwhile(leaves []leaf, pb *pruneBounds) bool {
 	return bounded && mass >= minPruneMass
 }
 
-// pruneSlack is the safety margin added to a bound before comparing it
-// against the heap threshold. The bound arithmetic sums the same
-// quantities as the scorer in a different order and form, so a bound
-// can sit a few ulps below a score it is supposed to dominate; skipping
-// demands the bound be below θ by clearly more than that noise. 1e-9
-// relative is many orders of magnitude above the worst accumulated
-// rounding of a few hundred double operations, and costs effectively
-// nothing in pruning power (scores that close to θ are genuine
-// contenders that must be evaluated anyway).
-func pruneSlack(bound, threshold float64) float64 {
-	s := math.Abs(bound)
-	if t := math.Abs(threshold); t > s {
-		s = t
-	}
-	return s * 1e-9
+// pruneLimit is θ lowered by a safety margin: a bound proves a loss only
+// below it. The bound arithmetic sums the same quantities as the scorer
+// in a different order and form, so a bound can sit a few ulps below a
+// score it is supposed to dominate; skipping demands the bound be below
+// θ by clearly more than that noise. A margin of 2e-9·|θ| is many orders
+// of magnitude above the worst accumulated rounding of a few hundred
+// double operations, and costs effectively nothing in pruning power
+// (scores that close to θ are genuine contenders that must be evaluated
+// anyway). It is at least as demanding as a relative margin of 1e-9 on
+// the larger of |bound| and |θ|: bound < pruneLimit(θ) implies
+// bound + 1e-9·max(|bound|, |θ|) < θ for every sign of θ. Being one
+// number per θ, it is computed when θ rises, not per comparison.
+func pruneLimit(threshold float64) float64 {
+	return threshold - 2e-9*math.Abs(threshold)
 }
 
 // pruneState is one query's MaxScore state over its leaves: order lists
 // leaf indices by ascending bound (ties: leaf order), prefix[m] = bg + Σ
 // bounds of order[:m+1], rank inverts order, the first ness entries of
 // order are the non-essential set with bound mass nonEssDelta, and θ is
-// the threshold they are judged against. θ only rises, so ness only
-// grows. searchRuns keeps one per run.
+// the threshold they are judged against, through limit =
+// pruneLimit(θ). θ only rises, so ness only grows. searchRuns keeps one
+// per run.
 type pruneState struct {
-	pb          *pruneBounds
-	order, rank []int
-	prefix      []float64
-	ness        int
-	nonEssDelta float64
-	threshold   float64
-	// freeAt[j] is the candidate whose free refinement pass last
-	// resolved leaf j (see refine).
-	freeAt []int64
+	pb               *pruneBounds
+	order, rank      []int
+	prefix           []float64
+	ness             int
+	nonEssDelta      float64
+	threshold, limit float64
 	// unionOf[m] is the union leaf of order[m], whose cursor it reads.
 	unionOf []int
 }
@@ -238,63 +234,38 @@ func (p *pruneState) reset(pb *pruneBounds, rl []runLeaf, sorter *ubSorter) {
 	sort.Sort(sorter)
 	p.prefix = grow(p.prefix, n)
 	p.rank = grow(p.rank, n)
-	p.freeAt = grow(p.freeAt, n)
 	p.unionOf = grow(p.unionOf, n)
 	cum := pb.bg
 	for m, li := range p.order {
 		cum += pb.ub[li]
 		p.prefix[m] = cum
 		p.rank[li] = m
-		p.freeAt[m] = -1
 		p.unionOf[m] = rl[li].u
 	}
-	p.ness, p.nonEssDelta, p.threshold = 0, 0, math.Inf(-1)
+	p.ness, p.nonEssDelta, p.threshold, p.limit = 0, 0, math.Inf(-1), math.Inf(-1)
 }
 
 // refine is the candidate filter's refinement. bound holds a candidate's
 // background mass, the non-essential mass and the exact contributions
 // of its matching essential leaves; while it is inconclusive against θ,
 // walk the non-essential leaves in descending-bound order and swap each
-// whole-list bound for the exact delta. Free answers come first: a
-// cursor already at or past the candidate gives the delta, or proves
-// the posting absent, without moving. A cursor still behind keeps its
-// whole-list bound until the paid pass gallops it up to the candidate
-// (a gallop the scoring loop would perform anyway if the candidate
-// survives) and evaluates the real delta. Every swap can only shrink the
-// bound, so stopping on a provable loss is safe; otherwise refine
-// returns the candidate's exact score bound: a genuine contender.
+// whole-list bound for the exact delta. A cursor already past the
+// candidate proves the posting absent and one on it gives the delta,
+// both without moving; a cursor still behind gallops up to the
+// candidate first (a gallop the scoring loop would perform anyway if the
+// candidate survives). Every swap can only shrink the bound, so stopping
+// on a provable loss is safe; otherwise refine returns the candidate's
+// exact score bound: a genuine contender.
 //
 // leaves are the state's own leaves; leaf order[m] reads the cursor of
-// union leaf unionOf[m], parked on docs[unionOf[m]]. stamp names the candidate: the free pass
-// marks the leaves it resolved with it, so the paid pass visits exactly
-// the others — even when two leaves share a cursor and the gallop made
-// for one has already moved it for the other.
-func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCursor, docs []index.DocID, doc index.DocID, stamp int64, skipped, boundEvals *int64) float64 {
-	pb, threshold := p.pb, p.threshold
-	for m := p.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
+// union leaf unionOf[m], parked on docs[unionOf[m]]. Each leaf is
+// visited once, so two leaves sharing a cursor each swap their own
+// bound: the second finds the cursor where the first left it.
+func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCursor, docs []index.DocID, doc index.DocID, skipped, boundEvals *int64) float64 {
+	pb, limit := p.pb, p.limit
+	for m := p.ness; bound >= limit && m > 0; {
 		m--
 		j, u := p.order[m], p.unionOf[m]
-		switch d := docs[u]; {
-		case d > doc:
-			// The cursor passed doc without stopping: the candidate is
-			// in none of this leaf's remaining postings.
-			bound -= pb.ub[j]
-			p.freeAt[j] = stamp
-		case d == doc:
-			bound += pb.delta(&leaves[j], j, curs[u].Freq()) - pb.ub[j]
-			p.freeAt[j] = stamp
-		}
-		*boundEvals++
-	}
-	// (The free pass only stops short of the last leaf on a provable
-	// loss, so the paid one never runs over leaves it did not visit.)
-	for m := p.ness; bound+pruneSlack(bound, threshold) >= threshold && m > 0; {
-		m--
-		j := p.order[m]
-		if p.freeAt[j] == stamp {
-			continue
-		}
-		u := p.unionOf[m]
 		c := &curs[u]
 		d := docs[u]
 		if d < doc {
@@ -317,10 +288,9 @@ func (p *pruneState) refine(bound float64, leaves []leaf, curs []index.TermCurso
 // just demoted.
 func (p *pruneState) raise(threshold float64) (from int) {
 	from = p.ness
-	p.threshold = threshold
+	p.threshold, p.limit = threshold, pruneLimit(threshold)
 	for p.ness < len(p.order) {
-		ub := p.prefix[p.ness]
-		if !(ub+pruneSlack(ub, threshold) < threshold) {
+		if !(p.prefix[p.ness] < p.limit) {
 			break
 		}
 		p.nonEssDelta += p.pb.ub[p.order[p.ness]]

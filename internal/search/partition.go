@@ -90,14 +90,18 @@ func snapshotPartitions(sn *index.Snapshot) []partition {
 	return parts
 }
 
-// stats flattens every tree into pc, where eval finds the leaves, and
+// stats flattens every tree into pc, where eval finds the leaves, each
+// distinct phrase or window node resolved once across the trees, and
 // corrects each leaf's statistics for the tombstones.
 func (p *localPartition) stats(ctx context.Context, qs []Node, pc *partCall, st *SearchStats) error {
 	sc := getScratch()
 	defer putScratch(sc)
 	leaves, ends := pc.flat[:0], pc.ends[:0]
+	if len(qs) > 1 && sc.flat.resolved == nil {
+		sc.flat.resolved = make(map[positionalNode]int)
+	}
 	for _, q := range qs {
-		flatten(p.ix, q, 1, &leaves, &sc.positional, st)
+		flatten(p.ix, q, 1, &leaves, &sc.flat, st)
 		ends = append(ends, len(leaves))
 	}
 	pc.flat, pc.ends = leaves, ends
@@ -134,7 +138,8 @@ func (p *localPartition) eval(ctx context.Context, req *EvalRequest, pc *partCal
 }
 
 // score overrides stats' flattened leaves with req's global statistics
-// and evaluates every tree as one run of the top-k loop. It rewrites
+// and evaluates every tree as one run of the top-k loop, reporting on pc
+// whether the loop dropped a backfill tree. It rewrites
 // only the fields the override owns, so a retry over the same leaves is
 // safe.
 func (p *localPartition) score(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error {
@@ -142,8 +147,8 @@ func (p *localPartition) score(ctx context.Context, req *EvalRequest, pc *partCa
 	pc.res = grow(pc.res, len(pc.ends))
 	sc := getScratch()
 	defer putScratch(sc)
-	buf, err := searchRuns(ctx, p.ix, p.dead(), pc.flat, pc.ends, req.K, cfg, st, sc, pc.res, pc.buf[:0])
-	pc.buf = buf
+	buf, dropped, err := searchRuns(ctx, p.ix, p.dead(), pc.flat, pc.ends, req.K, cfg, st, sc, pc.res, pc.buf[:0])
+	pc.buf, pc.dropped = buf, dropped
 	if err != nil || p.global == nil {
 		return err
 	}
@@ -180,6 +185,7 @@ func (p *localPartition) override(leaves []leaf, req *EvalRequest) scoring {
 		cs:             collStats{numDocs: float64(req.NumDocs), avgDocLen: avgDocLen},
 		disablePruning: req.DisablePruning,
 		forcePrune:     req.forcePrune,
+		backfill:       req.backfill,
 	}
 }
 

@@ -95,17 +95,23 @@ func sameLeaf(a, b *leaf) bool {
 // that scored everything would keep all its leaves driving and every
 // candidate on them scored, whatever the other runs proved.
 //
+// With cfg.backfill and two runs or more, the last run is a backfill
+// run: it is wanted only while the run before it ranks fewer than k
+// documents. Once that run's heap holds k (live) documents, the pass
+// drops the backfill run — it is never hit, scored or drained again —
+// out's last entry stays nil and dropped is true.
+//
 // The loop checks ctx every cancelCheckEvery candidates, so a serving
 // deadline or a disconnected client abandons the evaluation with
 // ctx.Err() and no results.
-func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, ends []int, k int, cfg scoring, st *SearchStats, sc *evalScratch, out [][]Result, buf []Result) ([]Result, error) {
+func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves []leaf, ends []int, k int, cfg scoring, st *SearchStats, sc *evalScratch, out [][]Result, buf []Result) (_ []Result, dropped bool, err error) {
 	// The pass lives in the scratch and start's frames are gone before
 	// run's: the loop runs on partition fan-out goroutines, whose stacks
 	// start small and grow by copying.
 	p := &sc.pass
 	p.ix, p.dead, p.leaves, p.k, p.st = ix, dead, leaves, k, st
 	p.start(ends, &cfg, sc)
-	err := p.run(ctx)
+	err = p.run(ctx)
 	if st != nil {
 		st.Leaves += len(p.ul)
 		st.PostingsAdvanced += p.advanced
@@ -118,7 +124,7 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 		}
 	}
 	if err != nil {
-		return buf, err
+		return buf, false, err
 	}
 	n := 0
 	for r := range p.rs {
@@ -133,7 +139,8 @@ func searchRuns(ctx context.Context, ix *index.Index, dead index.DocSet, leaves 
 			out[r] = buf[lo:len(buf):len(buf)]
 		}
 	}
-	return buf, nil
+	clear(out[len(p.rs):])
+	return buf, p.dropped, nil
 }
 
 // pass is one searchRuns evaluation: its inputs, the union and run state
@@ -156,9 +163,14 @@ type pass struct {
 	rl   []runLeaf
 	rs   []runEval
 	// occ lists, per union leaf u, the (run, run-local leaf) pairs
-	// holding it: occRun[o], occJ[o] for o in [occStart[u], occStart[u+1]).
-	occStart, fill []int
-	occRun, occJ   []int32
+	// holding it: occRun[o], occJ[o] for o in [occStart[u], occEnd[u]),
+	// grouped by run in run order. occEnd[u] is occStart[u+1] until the
+	// backfill run is dropped, which takes its pairs off the end.
+	occStart, occEnd []int
+	occRun, occJ     []int32
+	// backfill: the last run is the backfill run and still in the pass;
+	// dropped: the pass dropped it (see searchRuns).
+	backfill, dropped bool
 	// drv lists the driving union leaves, the essential-for-someone
 	// ones; matched, those at the candidate; seen and epoch are cover's;
 	// first is start's.
@@ -166,7 +178,29 @@ type pass struct {
 	seen                []int32
 	epoch               int32
 
+	// The log memos (Dirichlet): lgDL[dl] is log(dl+μ), the filter's
+	// exact background; bgCore[dl·len(ul)+u] is union leaf u's core at
+	// tf = 0, log(μ·p/(dl+μ)). Both are pure functions of the pass's
+	// inputs, so a memoised value is the value recomputed. Only lengths
+	// below dlMemoCap are memoised. An entry is valid in the pass whose
+	// memoEpoch it carries, so a pass starts with nothing cleared; row is
+	// the current candidate's bgCore row, nil past the cap.
+	lgDL, bgCore []logMemo
+	row          []logMemo
+	memoEpoch    uint32
+
 	iters, advanced, cands, skipped, boundEvals int64
+}
+
+// dlMemoCap bounds the document lengths the log memos hold: a caption
+// record here is ~13 tokens (p50) and under 32 in the generated corpora,
+// and longer documents compute their logs as they go.
+const dlMemoCap = 64
+
+// logMemo is one memoised log and the pass (memoEpoch) it belongs to.
+type logMemo struct {
+	v     float64
+	epoch uint32
 }
 
 // start sets the pass up over p.leaves, run r's ending at ends[r]: the
@@ -181,9 +215,17 @@ func (p *pass) start(ends []int, cfg *scoring, sc *evalScratch) {
 		p.avgdl = 1
 	}
 	p.iters, p.advanced, p.cands, p.skipped, p.boundEvals = 0, 0, 0, 0, 0
+	p.backfill, p.dropped = cfg.backfill && len(ends) > 1, false
 	union := p.unite(ends, sc)
 	p.prepareRuns(cfg, sc)
 	nu := len(union)
+	if p.memoEpoch++; p.memoEpoch == 0 {
+		// The stamps wrapped: forget every entry once.
+		clear(p.lgDL)
+		clear(p.bgCore)
+		p.memoEpoch = 1
+	}
+	p.lgDL, p.bgCore = grow(p.lgDL, dlMemoCap), grow(p.bgCore, dlMemoCap*nu)
 	p.curs = sc.cursors(p.ix, union)
 	p.docs = grow(p.docs, nu)
 	for u := range p.curs {
@@ -239,20 +281,21 @@ func (p *pass) unite(ends []int, sc *evalScratch) []leaf {
 	}
 	occRun := grow(p.occRun, len(leaves))
 	occJ := grow(p.occJ, len(leaves))
-	fill := grow(p.fill, nu)
-	copy(fill, occStart[:nu])
+	// occEnd is each group's fill position, and its end once filled.
+	occEnd := grow(p.occEnd, nu)
+	copy(occEnd, occStart[:nu])
 	rs := sc.runSlots(len(ends))
 	lo := 0
 	for r, hi := range ends {
 		for g := lo; g < hi; g++ {
 			u := rl[g].u
-			occRun[fill[u]], occJ[fill[u]] = int32(r), int32(g-lo)
-			fill[u]++
+			occRun[occEnd[u]], occJ[occEnd[u]] = int32(r), int32(g-lo)
+			occEnd[u]++
 		}
 		rs[r].lo, rs[r].hi = lo, hi
 		lo = hi
 	}
-	p.ul, p.occStart, p.occRun, p.occJ, p.fill, p.rs = ul, occStart, occRun, occJ, fill, rs
+	p.ul, p.occStart, p.occRun, p.occJ, p.occEnd, p.rs = ul, occStart, occRun, occJ, occEnd, rs
 	return union
 }
 
@@ -331,7 +374,13 @@ func (p *pass) run(ctx context.Context) error {
 		}
 		p.iters++
 		doc := next
-		dl := float64(p.ix.DocLen(doc))
+		n := p.ix.DocLen(doc)
+		dl := float64(n)
+		p.row = nil
+		if n < dlMemoCap {
+			nu := len(p.ul)
+			p.row = p.bgCore[int(n)*nu : int(n)*nu+nu]
+		}
 		// Without a scan every non-empty run holds every union leaf
 		// essential, so each is hit and none filters; the first scores
 		// every leaf, and the next candidate is folded in as they are
@@ -340,7 +389,7 @@ func (p *pass) run(ctx context.Context) error {
 		next = exhausted
 		if scan {
 			next = p.scan(doc)
-			if !p.hit(doc, dl) {
+			if !p.hit(doc, n) {
 				for _, u := range p.matched {
 					p.docs[u] = p.curs[u].Next()
 					p.advanced++
@@ -375,6 +424,13 @@ func (p *pass) run(ctx context.Context) error {
 					}
 				}
 			}
+			if p.backfill && r == len(p.rs)-2 && len(run.h.docs) == p.k {
+				// The backfill run can place no document any more: it
+				// leaves the pass before it is scored here.
+				p.drop()
+				demoted = true
+				break
+			}
 		}
 		if scan {
 			// Driving leaves at the candidate that no scored run touched.
@@ -395,6 +451,25 @@ func (p *pass) run(ctx context.Context) error {
 		p.skipped += int64(p.curs[u].Len() - p.curs[u].Rank())
 	}
 	return nil
+}
+
+// drop takes the backfill run, the last, out of the pass: the union
+// leaves it holds essential lose its claim to drive, its pairs leave the
+// occ lists (they end every group, see unite), and the run slice ends
+// before it, so nothing hits, scores or drains it again. The caller
+// rebuilds and re-covers.
+func (p *pass) drop() {
+	last := len(p.rs) - 1
+	run := &p.rs[last]
+	for g := run.lo; g < run.hi; g++ {
+		u := p.rl[g].u
+		p.occEnd[u]--
+		if j := g - run.lo; !run.prune || run.rank[j] >= run.ness {
+			p.ul[u].ess--
+		}
+	}
+	p.rs = p.rs[:last]
+	p.backfill, p.dropped = false, true
 }
 
 // rebuild lists the driving union leaves — leaves no run holds
@@ -465,7 +540,7 @@ func (p *pass) scan(doc index.DocID) index.DocID {
 // candidate is scored, the remaining hit runs skip their filters and are
 // scored too: a weighted sum over cores mostly computed already, and an
 // offer their filter would have rejected is one their heap rejects.
-func (p *pass) hit(doc index.DocID, dl float64) bool {
+func (p *pass) hit(doc index.DocID, dl int32) bool {
 	rs, k := p.rs, p.k
 	for r := range rs {
 		rs[r].hit, rs[r].bound = false, 0
@@ -474,7 +549,7 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 	// essential leaves.
 	for _, u := range p.matched {
 		tf := p.curs[u].Freq()
-		for o := p.occStart[u]; o < p.occStart[u+1]; o++ {
+		for o := p.occStart[u]; o < p.occEnd[u]; o++ {
 			run := &rs[p.occRun[o]]
 			j := int(p.occJ[o])
 			if run.prune && run.rank[j] < run.ness {
@@ -492,7 +567,7 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 		}
 	}
 	// The exact background's log(dl+μ) is the same for every run:
-	// computed once, on first use.
+	// looked up once, on first use.
 	lgDL := math.NaN()
 	scored := false
 	for r := range rs {
@@ -501,7 +576,7 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 			continue
 		}
 		if lgDL != lgDL {
-			lgDL = math.Log(dl + p.mu)
+			lgDL = p.logDLMu(dl)
 		}
 		if p.filterLoses(run, doc, lgDL) {
 			run.hit = false
@@ -510,6 +585,18 @@ func (p *pass) hit(doc index.DocID, dl float64) bool {
 		scored = true
 	}
 	return scored
+}
+
+// logDLMu is log(dl+μ), through the lgDL memo below dlMemoCap.
+func (p *pass) logDLMu(dl int32) float64 {
+	if dl >= dlMemoCap {
+		return math.Log(float64(dl) + p.mu)
+	}
+	e := &p.lgDL[dl]
+	if e.epoch != p.memoEpoch {
+		*e = logMemo{v: math.Log(float64(dl) + p.mu), epoch: p.memoEpoch}
+	}
+	return e.v
 }
 
 // filterLoses is the MaxScore candidate filter for a run whose heap is
@@ -522,8 +609,8 @@ func (p *pass) filterLoses(run *runEval, doc index.DocID, lgDL float64) bool {
 	bound := pb.bgConst - pb.wSum*lgDL
 	bound += run.nonEssDelta + run.bound
 	p.boundEvals++
-	bound = run.refine(bound, p.leaves[run.lo:run.hi], p.curs, p.docs, doc, p.iters, &p.skipped, &p.boundEvals)
-	return bound+pruneSlack(bound, run.threshold) < run.threshold
+	bound = run.refine(bound, p.leaves[run.lo:run.hi], p.curs, p.docs, doc, &p.skipped, &p.boundEvals)
+	return bound < run.limit
 }
 
 // score sums one run's leaves rl at doc, in the run's order. A union
@@ -593,7 +680,7 @@ func (p *pass) score(rl []runLeaf, doc index.DocID, dl float64, fold bool, next 
 			}
 		}
 	default: // Dirichlet, and whatever buildScorer scores as Dirichlet
-		mu := p.mu
+		mu, row, epoch := p.mu, p.row, p.memoEpoch
 		dlmu := dl + mu
 		for _, l := range rl {
 			x := &ul[l.u]
@@ -608,7 +695,16 @@ func (p *pass) score(rl []runLeaf, doc index.DocID, dl float64, fold bool, next 
 				} else if d < doc {
 					tf = p.tf(l.u, doc)
 				}
-				core = math.Log((float64(tf) + mu*x.collProb) / dlmu)
+				if tf == 0 && row != nil {
+					// The background core, memoised per (leaf, length).
+					e := &row[l.u]
+					if e.epoch != epoch {
+						*e = logMemo{v: math.Log((float64(tf) + mu*x.collProb) / dlmu), epoch: epoch}
+					}
+					core = e.v
+				} else {
+					core = math.Log((float64(tf) + mu*x.collProb) / dlmu)
+				}
 				x.coreA = core
 				if fold {
 					next = min(next, docs[l.u])

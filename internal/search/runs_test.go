@@ -98,18 +98,34 @@ var runsModes = []string{"forced", "default", "unpruned"}
 // assertRunsMatchSeparate evaluates trees in one Evaluate on d and diffs
 // each ranking against the oracle's ranking of that tree alone; want
 // holds each tree's full oracle ranking, of which the top k is a prefix.
-func assertRunsMatchSeparate(t *testing.T, label string, d Distributed, trees []Node, want [][]Result, k int) {
+// It evaluates them again with the last as a backfill tree: the others
+// rank as before, and the last either ranks as before or is dropped —
+// nil, beside k documents of the tree before it. It reports the drop.
+func assertRunsMatchSeparate(t *testing.T, label string, d Distributed, trees []Node, want [][]Result, k int) (dropped bool) {
 	t.Helper()
-	ev, err := d.Evaluate(context.Background(), trees, k, EvalOptions{})
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+	for _, backfill := range []bool{false, true} {
+		ev, err := d.Evaluate(context.Background(), trees, k, EvalOptions{Backfill: backfill})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(ev.Results) != len(trees) {
+			t.Fatalf("%s: %d rankings for %d trees", label, len(ev.Results), len(trees))
+		}
+		if ev.BackfillDropped && (!backfill || len(trees) < 2) {
+			t.Fatalf("%s backfill=%v: %d trees, the last dropped", label, backfill, len(trees))
+		}
+		for r := range trees {
+			if r == len(trees)-1 && ev.BackfillDropped {
+				if ev.Results[r] != nil || len(ev.Results[r-1]) != k {
+					t.Fatalf("%s: the backfill run dropped with %d results beside %d of the run before", label, len(ev.Results[r]), len(ev.Results[r-1]))
+				}
+				dropped = true
+				continue
+			}
+			assertIdenticalResults(t, fmt.Sprintf("%s backfill=%v run %d", label, backfill, r), ev.Results[r], want[r][:min(k, len(want[r]))])
+		}
 	}
-	if len(ev.Results) != len(trees) {
-		t.Fatalf("%s: %d rankings for %d trees", label, len(ev.Results), len(trees))
-	}
-	for r := range trees {
-		assertIdenticalResults(t, fmt.Sprintf("%s run %d", label, r), ev.Results[r], want[r][:min(k, len(want[r]))])
-	}
+	return dropped
 }
 
 // oracleRankings is each tree's full ranking by the oracle under ref's
@@ -156,6 +172,7 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 	for _, q := range pruningQueries() {
 		all = append(all, q)
 	}
+	drops := 0
 	for cname, c := range corpora {
 		var ix *index.Index
 		if c.v2 {
@@ -176,13 +193,20 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 					for _, k := range []int{1, 3, 10, 1000} {
 						label := fmt.Sprintf("%s/%s/%s/%s k=%d", cname, sh.name, m.name, mode, k)
 						for i := range trees {
-							assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, i-1), sh.d, trees[i], want[i], k)
+							if assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, i-1), sh.d, trees[i], want[i], k) {
+								drops++
+							}
 						}
-						assertRunsMatchSeparate(t, label+" all-queries", sh.d, all, wantAll, k)
+						if assertRunsMatchSeparate(t, label+" all-queries", sh.d, all, wantAll, k) {
+							drops++
+						}
 					}
 				}
 			}
 		}
+	}
+	if drops == 0 {
+		t.Error("no evaluation dropped its backfill run")
 	}
 }
 
@@ -357,7 +381,7 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 				cfg.forcePrune, cfg.disablePruning = prune, !prune
 				for _, k := range []int{3, 100} {
 					sc := getScratch()
-					got, err := searchRuns(ctx, lp.ix, nil, leaves, calls[i].ends, k, cfg, nil, sc, make([][]Result, 1), nil)
+					got, _, err := searchRuns(ctx, lp.ix, nil, leaves, calls[i].ends, k, cfg, nil, sc, make([][]Result, 1), nil)
 					putScratch(sc)
 					if err != nil {
 						t.Fatal(err)

@@ -24,9 +24,10 @@ type evalScratch struct {
 	leaves []leaf
 	curs   []index.TermCursor
 
-	// positional is flatten's key and intersection state for the index's
-	// positional-leaf memo; it holds no index reference between lookups.
-	positional index.PositionalScratch
+	// flat is flatten's state: the key and intersection state for the
+	// index's positional-leaf memo, which holds no index reference
+	// between lookups, and the request's resolved nodes, cleared on put.
+	flat flatScratch
 
 	sorter ubSorter
 
@@ -60,12 +61,13 @@ func putScratch(sc *evalScratch) {
 	}
 	sc.union = sc.union[:0]
 	p := &sc.pass
-	p.ix, p.dead, p.leaves, p.st, p.curs, p.rs = nil, nil, nil, nil, nil, nil
+	p.ix, p.dead, p.leaves, p.st, p.curs, p.rs, p.row = nil, nil, nil, nil, nil, nil, nil
 	fullCurs := sc.curs[:cap(sc.curs)]
 	for i := range fullCurs {
 		fullCurs[i].Release()
 	}
 	sc.sorter = ubSorter{}
+	clear(sc.flat.resolved)
 	scratchPool.Put(sc)
 }
 

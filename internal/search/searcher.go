@@ -83,10 +83,12 @@ type leaf struct {
 // baselines.
 //
 // Phrase and window leaves come out of the index's positional memo
-// (index.PhraseLeaf / WindowLeaf; DESIGN.md §8.3): ps holds the lookup
+// (index.PhraseLeaf / WindowLeaf; DESIGN.md §8.3): fs holds the lookup
 // key, and st, when non-nil, counts the leaves found resolved against
-// the intersections this call had to run.
-func flatten(ix *index.Index, n Node, w float64, out *[]leaf, ps *index.PositionalScratch, st *SearchStats) {
+// the intersections this call had to run. With fs.resolved a node
+// flattened before in the same call is copied from its first leaf, not
+// looked up again.
+func flatten(ix *index.Index, n Node, w float64, out *[]leaf, fs *flatScratch, st *SearchStats) {
 	if w <= 0 {
 		return
 	}
@@ -103,8 +105,7 @@ func flatten(ix *index.Index, n Node, w float64, out *[]leaf, ps *index.Position
 			// #1(t) is t: the term's own row, never a copy of it.
 			*out = append(*out, termLeaf(ix, x.Terms[0], w))
 		default:
-			p, hit := ix.PhraseLeaf(x.Terms, ps)
-			*out = append(*out, positionalLeaf(ix, w, p, hit, st))
+			fs.positionalLeaf(ix, x.Terms, -1, w, out, st)
 		}
 	case Unordered:
 		switch {
@@ -112,8 +113,7 @@ func flatten(ix *index.Index, n Node, w float64, out *[]leaf, ps *index.Position
 		case len(x.Terms) == 1 && x.Width >= 1:
 			*out = append(*out, termLeaf(ix, x.Terms[0], w))
 		default:
-			p, hit := ix.WindowLeaf(x.Terms, x.Width, ps)
-			*out = append(*out, positionalLeaf(ix, w, p, hit, st))
+			fs.positionalLeaf(ix, x.Terms, x.Width, w, out, st)
 		}
 	case Weighted:
 		var total float64
@@ -127,7 +127,7 @@ func flatten(ix *index.Index, n Node, w float64, out *[]leaf, ps *index.Position
 		}
 		for _, c := range x.Children {
 			if c.Weight > 0 && !IsEmpty(c.Node) {
-				flatten(ix, c.Node, w*c.Weight/total, out, ps, st)
+				flatten(ix, c.Node, w*c.Weight/total, out, fs, st)
 			}
 		}
 	}
@@ -154,9 +154,54 @@ func termLeaf(ix *index.Index, term string, w float64) leaf {
 	return l
 }
 
-// positionalLeaf is the leaf of a resolved phrase or window. It shares
+// flatScratch is flatten's reusable state: the positional memo's lookup
+// key and, across the trees of one request, the phrase and window nodes
+// already resolved.
+type flatScratch struct {
+	positional index.PositionalScratch
+	// resolved maps a phrase or window node to the position in flatten's
+	// output of its first leaf. A request's trees share their title
+	// nodes (core builds one per article), so each resolves once. A key
+	// names a node by its terms' backing array, which the node's builder
+	// must not modify; a node built afresh with equal terms misses and
+	// resolves again. Nil: every node resolves.
+	resolved map[positionalNode]int
+}
+
+// positionalNode is a phrase or window node's key in flatScratch.resolved:
+// its terms' first element and length, and its width (-1: a phrase).
+type positionalNode struct {
+	terms    *string
+	n, width int
+}
+
+// positionalLeaf appends the leaf of the phrase (width -1) or window
+// over terms at weight w: a copy of the node's first leaf when the call
+// resolved it already, else the index's memo entry.
+func (fs *flatScratch) positionalLeaf(ix *index.Index, terms []string, width int, w float64, out *[]leaf, st *SearchStats) {
+	key := positionalNode{terms: &terms[0], n: len(terms), width: width}
+	if at, ok := fs.resolved[key]; ok {
+		l := (*out)[at]
+		l.weight = w
+		*out = append(*out, l)
+		return
+	}
+	var p *index.Positional
+	var hit bool
+	if width < 0 {
+		p, hit = ix.PhraseLeaf(terms, &fs.positional)
+	} else {
+		p, hit = ix.WindowLeaf(terms, width, &fs.positional)
+	}
+	if fs.resolved != nil {
+		fs.resolved[key] = len(*out)
+	}
+	*out = append(*out, resolvedLeaf(ix, w, p, hit, st))
+}
+
+// resolvedLeaf is the leaf of a resolved phrase or window. It shares
 // the memo entry's rows, which every consumer only reads.
-func positionalLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, st *SearchStats) leaf {
+func resolvedLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, st *SearchStats) leaf {
 	if st != nil {
 		if hit {
 			st.PositionalHits++
@@ -210,13 +255,15 @@ const cancelCheckEvery = 4096
 // scoring is the resolved configuration of one evaluation: the model,
 // its parameters, the collection statistics the scorer closes over (the
 // index's own for a monolithic search, the cross-partition globals
-// under a coordinator) and the pruning switches.
+// under a coordinator), the pruning switches, and whether the last run
+// is a backfill run (EvalOptions.Backfill).
 type scoring struct {
 	model          Model
 	params         ModelParams
 	cs             collStats
 	disablePruning bool
 	forcePrune     bool
+	backfill       bool
 }
 
 // findDoc binary-searches a sorted doc list, returning the row index or

@@ -86,8 +86,9 @@ type EvalRequest struct {
 	Overrides []LeafOverride
 	WantStats bool
 	// forcePrune is Searcher.forcePrune for in-process partitions
-	// (test-only); unexported, so it never reaches the wire.
-	forcePrune bool
+	// (test-only) and backfill is EvalOptions.Backfill; unexported, so
+	// neither reaches the wire, and a shard server ranks every frame.
+	forcePrune, backfill bool
 }
 
 // WireResult is one ranked document crossing the wire; Doc is the

@@ -41,8 +41,10 @@ type SearchStats struct {
 	// BoundEvaluations counts score-bound tests against the running
 	// top-k threshold: one per candidate upper-bound check once the
 	// heap is full, one per refinement step inside the candidate
-	// filter, plus one per essential/non-essential re-partition after a
-	// threshold increase.
+	// filter (its one loop visits each non-essential leaf at most once
+	// per candidate), plus one per essential/non-essential re-partition
+	// after a threshold increase. A dropped backfill run adds none after
+	// its drop.
 	BoundEvaluations int64
 	// BlocksDecoded counts the postings blocks the streaming cursors
 	// actually decoded, and BlocksTotal the blocks their terms hold in
@@ -56,8 +58,9 @@ type SearchStats struct {
 	// PositionalHits counts the phrase/window leaves flatten found
 	// already resolved in the index's positional memo (or trivially empty:
 	// an out-of-vocabulary constituent), PositionalMisses those whose
-	// intersection this retrieval ran. Counted by in-process partitions
-	// only; a shard server's lookups do not cross the wire.
+	// intersection this retrieval ran: one lookup per distinct node of
+	// the request, whichever of its trees name it. Counted by in-process
+	// partitions only; a shard server's lookups do not cross the wire.
 	PositionalHits   int64
 	PositionalMisses int64
 	// HeapPushes counts insertions into the bounded top-k heap while it

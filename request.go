@@ -131,13 +131,16 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 		deg = &Degradation{}
 	}
 	resp := &SearchResponse{}
+	// The user's query is analysed once: it is the baseline's tree, and
+	// every expanded tree (and fallback) of the request shares it.
+	start := time.Now()
+	user := e.expander.QLQuery(req.Query)
+	if ps != nil {
+		ps.Stages.QueryBuild += time.Since(start)
+	}
 	var trees []search.Node
 	if req.Baseline {
-		start := time.Now()
-		trees = []search.Node{e.expander.QLQuery(req.Query)}
-		if ps != nil {
-			ps.Stages.QueryBuild += time.Since(start)
-		}
+		trees = []search.Node{user}
 	} else {
 		nodes, err := e.linkEntities(ctx, req.Query, req.EntityTitles, ps)
 		if err != nil {
@@ -152,7 +155,7 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 			qg, err := e.expand(ctx, nodes, set, ps, deg)
 			switch {
 			case err == nil:
-				trees[i] = e.expander.BuildQueryStats(req.Query, qg, ps)
+				trees[i] = e.expander.BuildQueryStats(user, qg, ps)
 				if len(sets) == 1 || set == MotifTS {
 					resp.Expansion = e.expansionOf(qg)
 				}
@@ -160,7 +163,7 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 				// A cancelled parent context is the caller's signal and
 				// is never degraded into a fallback.
 				deg.ExpansionFallbacks++
-				trees[i] = e.expander.QLQuery(req.Query)
+				trees[i] = user
 			default:
 				return nil, err
 			}
@@ -180,13 +183,30 @@ func (e *Engine) Do(ctx context.Context, req SearchRequest) (*SearchResponse, er
 			return nil, err
 		}
 	}
-	lists, err := e.retrieve(ctx, trees, req.K, ps, deg)
+	// An SQE_C page that ends by the second cut takes S only where T&S
+	// ranks fewer than K documents, so S is a backfill tree (DESIGN.md
+	// §11).
+	sqec := len(trees) == len(sqecSets)
+	lists, dropped, err := e.retrieve(ctx, trees, req.K, sqec && req.K <= core.DefaultSpliceCuts[1], ps, deg)
 	if err != nil {
 		return nil, err
 	}
 	resp.Results = lists[0]
-	if len(lists) == len(sqecSets) {
+	if sqec {
 		resp.Results = core.SpliceResultsC(req.K, lists[0], lists[1], lists[2])
+		if dropped && len(resp.Results) < req.K {
+			// T&S ranked K documents, but some of them share a name, so
+			// the page is short and S had a place on it after all. The
+			// page comes from the second evaluation, so only its dropped
+			// shards are reported; both evaluations' retries count.
+			if deg != nil {
+				deg.DroppedShards, deg.ShardErrors = deg.DroppedShards[:0], deg.ShardErrors[:0]
+			}
+			if lists, _, err = e.retrieve(ctx, trees, req.K, false, ps, deg); err != nil {
+				return nil, err
+			}
+			resp.Results = core.SpliceResultsC(req.K, lists[0], lists[1], lists[2])
+		}
 	}
 	if ps != nil {
 		ps.Queries++
@@ -245,14 +265,16 @@ func (e *Engine) expansionOf(qg core.QueryGraph) *Expansion {
 // Evaluate and returns one ranking per tree, in order, each
 // bit-identical to evaluating that tree alone on a monolithic index
 // (DESIGN.md §9.2). Every engine kind takes this path: a single index
-// is a coordinator over one partition. The pass is timed
+// is a coordinator over one partition. With backfill the last tree is
+// search.EvalOptions.Backfill's, and dropped reports that its ranking
+// is nil. The pass is timed
 // and counted into ps when non-nil (per-partition rows included). With
 // degradation enabled (deg non-nil) every partition call runs with a
 // deadline, panic containment and transient retries, and a failed
 // partition is dropped from every tree's merge; there is no per-tree
 // partial result.
-func (e *Engine) retrieve(ctx context.Context, nodes []search.Node, k int, ps *PipelineStats, deg *Degradation) ([][]Result, error) {
-	opts := search.EvalOptions{CollectStats: ps != nil}
+func (e *Engine) retrieve(ctx context.Context, nodes []search.Node, k int, backfill bool, ps *PipelineStats, deg *Degradation) (_ [][]Result, dropped bool, err error) {
+	opts := search.EvalOptions{CollectStats: ps != nil, Backfill: backfill}
 	if deg != nil {
 		opts.Degrade = e.degrade
 	}
@@ -269,7 +291,7 @@ func (e *Engine) retrieve(ctx context.Context, nodes []search.Node, k int, ps *P
 		ps.Retrievals++
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return ev.Results, nil
+	return ev.Results, ev.BackfillDropped, nil
 }

@@ -360,7 +360,7 @@ func (e *Engine) ParseQuery(ctx context.Context, query string, k int) ([]Result,
 	if err != nil {
 		return nil, err
 	}
-	lists, err := e.retrieve(ctx, []search.Node{node}, k, nil, nil)
+	lists, _, err := e.retrieve(ctx, []search.Node{node}, k, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
