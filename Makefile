@@ -81,7 +81,9 @@ bench-build:
 # the bit-identity invariant the slice is a row of the differential
 # harness (DESIGN.md §14): `go test -count=1 -run
 # 'TestDifferential/shards-.*' .`, likewise `/v2.*`, `/segmented-.*`,
-# `/rpc-2`. For fault injection (DESIGN.md §11: the registry, the
+# `/rpc-2`; one layer down, a shape of the evaluator harness: `go test
+# -count=1 -run 'TestParity/<shape>.*' ./internal/search/`, likewise
+# `TestParity/v2-bs1.*`, `/tombstones-.*`. For fault injection (DESIGN.md §11: the registry, the
 # engine-level chaos harness and the HTTP-level one) it is this target.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Schedule|Degrad|MaxFaults|Disarmed|Panic|ErrorClassification|Points|Backend|ErrorPaths' ./internal/fault/ ./internal/serve/

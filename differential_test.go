@@ -348,6 +348,26 @@ var diffRows = []struct {
 	// A crash with 40 documents still in the buffer: the reopened index
 	// holds what was committed, deletes and compaction included.
 	{"segmented-reopened", segmented(64, script(ingest(0, all), deleteEvery(5, all), flush, compact, ingest(0, 40), restart))},
+	// A compacted 1 600-document base beside seven-document segments,
+	// tombstones in both, holding segmented-flush7-deletes' documents:
+	// at K = 10 the base can drop SQE_S's backfill run and the small
+	// segments cannot, so one request drops it in some segments and
+	// keeps it in others.
+	{"segmented-mixed", segmented(7, script(ingest(0, 1600), compact, ingest(1600, all), deleteEvery(5, all)))},
+	// The first 400 documents twice each under their names: T&S can hold
+	// K documents but fewer names, and Do evaluates again with S kept.
+	{"segmented-duplicated", segmented(all+1, script(ingest(0, 400), ingest(0, 400), flush))},
+}
+
+// diffRow returns the diffRows row called name.
+func diffRow(t *testing.T, name string) subject {
+	for _, row := range diffRows {
+		if row.name == name {
+			return row.subject
+		}
+	}
+	t.Fatalf("no diffRows row %q", name)
+	return nil
 }
 
 // all is the size of the DemoSmall corpus, which the scripts above

@@ -52,10 +52,6 @@ type Expander struct {
 	// again from the terms when a query runs under another.
 	titles []atomic.Pointer[title]
 
-	// Weights are the three-part combination weights (user query,
-	// entity titles, expansion titles). The zero value means equal
-	// thirds.
-	Weights PartWeights
 	// MaxFeatures caps the number of expansion features per query
 	// (highest |m_a| first); 0 means unlimited, which is the paper's
 	// configuration.
@@ -68,29 +64,6 @@ type Expander struct {
 	// (Indri's #uwN; the looser proximity the paper's feature function
 	// also supports). -1, the default, keeps exact phrase matching.
 	TitleWindowSlack int
-}
-
-// PartWeights weights the three parts of the expanded query.
-type PartWeights struct {
-	Query     float64
-	Entities  float64
-	Expansion float64
-}
-
-// DefaultPartWeights are the three-part combination weights used when
-// the Expander's Weights field is left zero: equal thirds, the natural
-// reading of the paper's "three-part combination". The paper prescribes
-// the within-part weighting (expansion features ∝ |m_a|) but not the
-// part weights.
-var DefaultPartWeights = PartWeights{Query: 1, Entities: 1, Expansion: 1}
-
-// normalized returns the weights with the zero value defaulting to
-// DefaultPartWeights.
-func (w PartWeights) normalized() PartWeights {
-	if w.Query == 0 && w.Entities == 0 && w.Expansion == 0 {
-		return DefaultPartWeights
-	}
-	return w
 }
 
 // NewExpander returns an Expander with the paper's motif conditions.
@@ -207,9 +180,11 @@ func (e *Expander) BuildQuery(userQuery string, qg QueryGraph) search.Node {
 // buildQuery is BuildQuery around the user's query already built as
 // its QL_Q tree (QLQuery), which the trees of one request share.
 func (e *Expander) buildQuery(user search.Node, qg QueryGraph) search.Node {
-	w := e.Weights.normalized()
+	// Equal thirds, the natural reading of the paper's "three-part
+	// combination": the paper prescribes the within-part weighting
+	// (expansion features ∝ |m_a|) but not the part weights.
 	return search.Weight(
-		[]float64{w.Query, w.Entities, w.Expansion},
+		[]float64{1, 1, 1},
 		[]search.Node{user, e.entityPart(qg.QueryNodes), e.expansionPart(qg.Features)},
 	)
 }

@@ -305,16 +305,6 @@ func TestDescribeGraph(t *testing.T) {
 	}
 }
 
-func TestPartWeightsNormalized(t *testing.T) {
-	if w := (PartWeights{}).normalized(); w != DefaultPartWeights {
-		t.Errorf("zero weights should default, got %+v", w)
-	}
-	custom := PartWeights{Query: 2, Entities: 0, Expansion: 1}
-	if w := custom.normalized(); w != custom {
-		t.Errorf("custom weights altered: %+v", w)
-	}
-}
-
 // TestTitleLeafConcurrentFill races goroutines on cold title leaves:
 // every caller gets the leaf a fresh expander builds, and once a slot
 // is filled every later query shares the one cached leaf. A changed

@@ -3,7 +3,6 @@ package core
 import (
 	"container/list"
 	"encoding/binary"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -192,16 +191,13 @@ func (c *ExpansionCache) Stats() CacheStats {
 //   - the matcher ablation switches (RequireReciprocal, UseCategories),
 //     which change Expand's output. These used to be missing — toggling
 //     an ablation against a live cache silently returned stale graphs.
-//   - the part Weights and TitleWindowSlack. These shape BuildQuery,
-//     not the stored QueryGraph, but keying them means one key string
-//     fully identifies the expansion configuration an entry was built
-//     under. Weights are keyed in normalized form, so the zero value
-//     and the explicit default weights share entries, as they share
-//     behaviour.
+//   - TitleWindowSlack. It shapes BuildQuery, not the stored
+//     QueryGraph, but keying it means one key string fully identifies
+//     the expansion configuration an entry was built under.
 func (e *Expander) ExpansionKey(queryNodes []kb.NodeID, set motif.Set) string {
 	sorted := append([]kb.NodeID(nil), queryNodes...)
 	slices.Sort(sorted)
-	buf := make([]byte, 0, 2+20+24+4*len(sorted))
+	buf := make([]byte, 0, 2+20+4*len(sorted))
 	buf = append(buf, byte(set))
 	flags := byte(0)
 	if e.UniformFeatureWeights {
@@ -211,10 +207,6 @@ func (e *Expander) ExpansionKey(queryNodes []kb.NodeID, set motif.Set) string {
 	buf = append(buf, flags)
 	buf = binary.AppendVarint(buf, int64(e.MaxFeatures))
 	buf = binary.AppendVarint(buf, int64(e.TitleWindowSlack))
-	w := e.Weights.normalized()
-	for _, f := range [3]float64{w.Query, w.Entities, w.Expansion} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
 	for _, n := range sorted {
 		buf = binary.AppendVarint(buf, int64(n))
 	}

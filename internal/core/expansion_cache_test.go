@@ -281,7 +281,6 @@ func TestExpansionKeyCoversEveryKnob(t *testing.T) {
 		{"MaxFeatures", func(e *Expander) { e.MaxFeatures = 7 }},
 		{"UniformFeatureWeights", func(e *Expander) { e.UniformFeatureWeights = true }},
 		{"TitleWindowSlack", func(e *Expander) { e.TitleWindowSlack = 2 }},
-		{"Weights", func(e *Expander) { e.Weights = PartWeights{Query: 2, Entities: 1, Expansion: 1} }},
 		{"RequireReciprocal", func(e *Expander) { e.Matcher().RequireReciprocal = false }},
 		{"UseCategories", func(e *Expander) { e.Matcher().UseCategories = false }},
 	}
@@ -304,13 +303,6 @@ func TestExpansionKeyCoversEveryKnob(t *testing.T) {
 		if st := c.Stats(); st.Misses != int64(2+i) || st.Hits != 0 {
 			t.Fatalf("after flipping %s: stats %+v, want %d misses / 0 hits", f.name, st, 2+i)
 		}
-	}
-	// The zero Weights value and the explicit defaults behave
-	// identically, so they must share a key.
-	e3 := NewExpander(e.graph, analysis.Standard())
-	e3.Weights = DefaultPartWeights
-	if e3.ExpansionKey(nodes, motif.SetTS) != base {
-		t.Error("explicit default weights should share the zero value's key")
 	}
 }
 

@@ -33,7 +33,7 @@ type Sharded struct {
 // reused row (readRow), so a block that fails its checksum or decode, or
 // whose stored bounds its postings contradict, is recorded on ix.Err; a
 // failed term splits as empty, and the shards' bounds are derived from
-// what they hold. Stored document texts are carried over per shard.
+// what they hold.
 func NewSharded(ix *Index, n int) *Sharded {
 	if nd := ix.NumDocs(); n > nd {
 		n = nd

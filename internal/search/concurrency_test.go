@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -47,15 +48,9 @@ func TestConcurrentSearches(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if len(got) != len(want[i]) {
-						t.Errorf("concurrent result count differs for query %d", i)
+					if !slices.Equal(got, want[i]) {
+						t.Errorf("concurrent ranking differs for query %d", i)
 						return
-					}
-					for j := range got {
-						if got[j].Name != want[i][j].Name {
-							t.Errorf("concurrent ordering differs for query %d", i)
-							return
-						}
 					}
 				}
 			}

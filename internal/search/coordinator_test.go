@@ -111,22 +111,27 @@ func (f *contractFixture) inject(scripts map[int]script) {
 	}
 }
 
+// contractQueries are the first two runTrees trees. The third holds one
+// leaf twice, which a shard server, reporting its flattened leaf count,
+// counts twice in Leaves where an in-process partition counts the union.
+func contractQueries() []Node { return runTrees(runWeights, -1)[:2] }
+
 func shardFixture(n int) func(t *testing.T) *contractFixture {
 	return func(t *testing.T) *contractFixture {
-		ix := buildShardCorpus(150, 21)
+		ix := skewedIndex(150, 21)
 		ss := NewShardedSearcher(index.NewSharded(ix, n))
 		mono := NewSearcher(ix)
-		return &contractFixture{co: &ss.coordinator, mono: mono, held: mono, queries: shardQueries(),
+		return &contractFixture{co: &ss.coordinator, mono: mono, held: mono, queries: contractQueries(),
 			owner: func(d index.DocID) int { return int(d) % n }}
 	}
 }
 
 func rpcFixture(t *testing.T) *contractFixture {
 	const n = 3
-	ix := buildShardCorpus(150, 21)
+	ix := skewedIndex(150, 21)
 	rs, _ := bootRemote(t, ix, n)
 	mono := NewSearcher(ix)
-	return &contractFixture{co: &rs.coordinator, mono: mono, held: mono, queries: shardQueries(),
+	return &contractFixture{co: &rs.coordinator, mono: mono, held: mono, queries: contractQueries(),
 		owner: func(d index.DocID) int { return int(d) % n }}
 }
 
@@ -141,9 +146,9 @@ func segmentFixture(t *testing.T) *contractFixture {
 // first, so every partition holding one must fill its top k from rank 2
 // down while the dead document still heads its postings.
 func segmentRank1Fixture(t *testing.T) *contractFixture {
-	full := monoSearcher(segTestCorpus(120, 11))
+	full := monoSearcher(skewedDocs(120, 11))
 	var deletes []string
-	for _, q := range segTestQueries() {
+	for _, q := range contractQueries() {
 		if top := rank(t, full, q, 1)[0].Name; !slices.Contains(deletes, top) {
 			deletes = append(deletes, top)
 		}
@@ -152,8 +157,8 @@ func segmentRank1Fixture(t *testing.T) *contractFixture {
 }
 
 func segmentFixtureDeleting(t *testing.T, deletes []string) *contractFixture {
-	docs := segTestCorpus(120, 11)
-	live := buildSegmented(t, docs, 25, deletes, false)
+	docs := skewedDocs(120, 11)
+	live := buildSegmented(t, docs, 25, deletes)
 	gs := NewSegmentedSearcher(live)
 	sn := live.Acquire()
 	defer sn.Release()
@@ -163,7 +168,7 @@ func segmentFixtureDeleting(t *testing.T, deletes []string) *contractFixture {
 		ends = append(ends, end)
 	}
 	return &contractFixture{co: &gs.coordinator, mono: monoSearcher(survivorsOf(docs, deletes)), held: monoSearcher(docs),
-		queries: segTestQueries(),
+		queries: contractQueries(),
 		owner: func(d index.DocID) int {
 			for i, end := range ends {
 				if int(d) < end {
@@ -234,7 +239,7 @@ func TestCoordinatorContract(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							requireSameResults(t, got, want, label)
+							sameResults(t, label, got, want)
 							if len(ev.Stats.Shards) != n {
 								t.Fatalf("%s: %d Shards rows, want %d", label, len(ev.Stats.Shards), n)
 							}
@@ -251,7 +256,7 @@ func TestCoordinatorContract(t *testing.T) {
 						}
 						for qi, q := range f.queries {
 							label := fmt.Sprintf("model=%v prune=%v all-trees q=%d k=%d", cfg.Model, prune, qi, kk)
-							requireSameResults(t, ev.Results[qi], OracleRank(f.mono, q, kk), label)
+							sameResults(t, label, ev.Results[qi], OracleRank(f.mono, q, kk))
 						}
 					}
 				}
@@ -269,7 +274,7 @@ func TestCoordinatorContract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameResults(t, got, want, fmt.Sprintf("one-partition q=%d", qi))
+					sameResults(t, fmt.Sprintf("one-partition q=%d", qi), got, want)
 					sameCounters(t, fmt.Sprintf("one-partition q=%d", qi), ev.Stats, wantSt, true)
 				}
 			}
@@ -301,7 +306,7 @@ func TestCoordinatorContract(t *testing.T) {
 						want = append(want, r)
 					}
 				}
-				requireSameResults(t, got, want, fmt.Sprintf("q=%d partial", qi))
+				sameResults(t, fmt.Sprintf("q=%d partial", qi), got, want)
 			}
 			// All the trees in one evaluation: the victim is out for every
 			// tree, and reported once.
@@ -320,7 +325,7 @@ func TestCoordinatorContract(t *testing.T) {
 							want = append(want, r)
 						}
 					}
-					requireSameResults(t, ev.Results[qi], want, fmt.Sprintf("all trees q=%d partial", qi))
+					sameResults(t, fmt.Sprintf("all trees q=%d partial", qi), ev.Results[qi], want)
 				}
 			}
 			// Strict mode surfaces the failure instead.
@@ -405,7 +410,7 @@ func TestCoordinatorContract(t *testing.T) {
 			if ev.Partial.Retries != wantRetries || len(ev.Partial.DroppedShards) > 0 {
 				t.Fatalf("partial info %+v, want %d retries and no drop", ev.Partial, wantRetries)
 			}
-			requireSameResults(t, got, want, "after retries")
+			sameResults(t, "after retries", got, want)
 			// Out of retries, the flaky partition is dropped (or, alone,
 			// fails the query) — and the spent retries are still counted.
 			_, ev, err = evalOne(ctx, f.co, q, k, EvalOptions{Degrade: &DegradeOptions{MaxRetries: 1}})
@@ -468,7 +473,7 @@ func TestCoordinatorContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResults(t, got, want, fmt.Sprintf("saturated=%v", saturated))
+				sameResults(t, fmt.Sprintf("saturated=%v", saturated), got, want)
 			}
 		})
 	}

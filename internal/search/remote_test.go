@@ -78,9 +78,9 @@ func evalDegraded(d Distributed, q Node, k int, opts DegradeOptions) ([]Result, 
 // included, which the coordinator contract compares only in process):
 // remote stats must equal in-process sharded stats counter for counter.
 func TestRemoteShardedStatsMatchInProcess(t *testing.T) {
-	ix := buildShardCorpus(150, 21)
+	ix := skewedIndex(150, 21)
 	rs, ss := bootRemote(t, ix, 4)
-	q := Combine(Term{Text: "cable"}, Term{Text: "car"}, Term{Text: "bay"})
+	q := Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "c"})
 	_, wantSt, err := ss.SearchWithStatsContext(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestRemoteShardedStatsMatchInProcess(t *testing.T) {
 // the degraded ranking must be bit-identical to the complete ranking
 // minus the dropped shard's documents.
 func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
-	ix := buildShardCorpus(100, 5)
+	ix := skewedIndex(100, 5)
 	const n, slow, k = 4, 2, 10
 	sh := index.NewSharded(ix, n)
 	groups := make([]*rpc.Group, n)
@@ -124,7 +124,7 @@ func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
 	}
 	defer rs.Close()
 
-	q := Combine(Term{Text: "cable"}, Term{Text: "car"}, Term{Text: "tram"})
+	q := Combine(Term{Text: "a"}, Term{Text: "b"}, Term{Text: "d"})
 	res, pi, err := evalDegraded(rs, q, k, DegradeOptions{ShardDeadline: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -145,18 +145,7 @@ func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
 			want = append(want, r)
 		}
 	}
-	if len(want) > k {
-		want = want[:k]
-	}
-	if len(res) != len(want) {
-		t.Fatalf("%d partial results, want %d", len(res), len(want))
-	}
-	for i := range want {
-		if res[i] != want[i] {
-			t.Fatalf("rank %d: got (%d,%v), want (%d,%v) — partial merge is not exact",
-				i, res[i].Doc, res[i].Score, want[i].Doc, want[i].Score)
-		}
-	}
+	sameResults(t, "partial merge", res, want[:min(k, len(want))])
 }
 
 // TestRemoteDeadShardDegradesAtStatsPhase maps a refused connection (the
@@ -164,7 +153,7 @@ func TestRemoteEvalTimeoutDegradesExactPartial(t *testing.T) {
 // degrades, the drop is labelled as stats-phase, and the surviving
 // shards still answer deterministically.
 func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
-	ix := buildShardCorpus(80, 13)
+	ix := skewedIndex(80, 13)
 	const n, dead = 2, 1
 	sh := index.NewSharded(ix, n)
 	groups := make([]*rpc.Group, n)
@@ -181,7 +170,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	q := Term{Text: "cable"}
+	q := Term{Text: "a"}
 
 	// Healthy first: not degraded.
 	if _, pi, err := evalDegraded(rs, q, 5, DegradeOptions{}); err != nil || len(pi.DroppedShards) > 0 {
@@ -213,11 +202,7 @@ func TestRemoteDeadShardDegradesAtStatsPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res {
-		if res[i] != res2[i] {
-			t.Fatal("stats-phase degraded ranking is not deterministic")
-		}
-	}
+	sameResults(t, "stats-phase degraded ranking, asked again", res2, res)
 
 	// Without degradation the query must fail outright.
 	if _, _, err := evalOne(context.Background(), rs, q, 5, EvalOptions{}); err == nil {
@@ -288,7 +273,7 @@ func fakeTruncatingShard(t *testing.T, shard, numShards int) string {
 // TestRemoteTruncatedStreamDegrades maps a mid-stream truncation to a
 // degraded (dropped-shard) query rather than a failed or corrupt one.
 func TestRemoteTruncatedStreamDegrades(t *testing.T) {
-	ix := buildShardCorpus(60, 17)
+	ix := skewedIndex(60, 17)
 	const n, broken = 2, 1
 	sh := index.NewSharded(ix, n)
 	addr0, _ := startShardServer(t, NewShardService(sh.Shard(0), 0, n), nil)
@@ -303,7 +288,7 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 	}
 	defer rs.Close()
 
-	q := Term{Text: "cable"}
+	q := Term{Text: "a"}
 	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{})
 	if err != nil {
 		t.Fatalf("truncated shard under degradation: %v", err)
@@ -354,7 +339,7 @@ func TestRemoteHandshakeRefusesJSONEraShard(t *testing.T) {
 // dead primary is a transport detail, not a degradation — the query
 // fails over and stays bit-identical and non-degraded.
 func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
-	ix := buildShardCorpus(90, 29)
+	ix := skewedIndex(90, 29)
 	const n = 2
 	sh := index.NewSharded(ix, n)
 
@@ -382,7 +367,7 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	}
 	defer rs.Close()
 
-	q := Combine(Term{Text: "cable"}, Term{Text: "bay"})
+	q := Combine(Term{Text: "a"}, Term{Text: "c"})
 	res, pi, err := evalDegraded(rs, q, 10, DegradeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -390,16 +375,7 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 	if len(pi.DroppedShards) > 0 {
 		t.Fatalf("failover surfaced as degradation: %+v", pi)
 	}
-	want := rank(t, NewShardedSearcher(sh), q, 10)
-	if len(res) != len(want) {
-		t.Fatalf("%d results, want %d", len(res), len(want))
-	}
-	for i := range want {
-		if res[i] != want[i] {
-			t.Fatalf("rank %d: failover result (%d,%v) != (%d,%v)",
-				i, res[i].Doc, res[i].Score, want[i].Doc, want[i].Score)
-		}
-	}
+	sameResults(t, "failover", res, rank(t, NewShardedSearcher(sh), q, 10))
 	if deadReplica.Stats().Failures == 0 {
 		t.Fatal("the dead replica recorded no failure: the group never failed over")
 	}
@@ -408,7 +384,7 @@ func TestRemoteReplicaFailoverMasksDeadPrimary(t *testing.T) {
 // TestRemoteHandshakeRejectsMisconfiguredShard: a group answering with
 // the wrong shard index must fail construction, not scoring.
 func TestRemoteHandshakeRejectsMisconfiguredShard(t *testing.T) {
-	ix := buildShardCorpus(40, 31)
+	ix := skewedIndex(40, 31)
 	sh := index.NewSharded(ix, 2)
 	// Both groups point at shard 0's server.
 	addr, _ := startShardServer(t, NewShardService(sh.Shard(0), 0, 2), nil)
@@ -427,7 +403,7 @@ func TestRemoteHandshakeRejectsMisconfiguredShard(t *testing.T) {
 // error from one shard's eval (not a transport fault) is dropped
 // without retry under degradation: the exact (phase-B) tier.
 func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
-	ix := buildShardCorpus(70, 37)
+	ix := skewedIndex(70, 37)
 	const n, bad = 2, 0
 	sh := index.NewSharded(ix, n)
 	groups := make([]*rpc.Group, n)
@@ -450,7 +426,7 @@ func TestRemoteServerErrorDropsShardExactly(t *testing.T) {
 	}
 	defer rs.Close()
 
-	q := Term{Text: "cable"}
+	q := Term{Text: "a"}
 	res, pi, err := evalDegraded(rs, q, 5, DegradeOptions{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +457,7 @@ func (b rawBody) AppendBinary(p []byte) ([]byte, error) { return append(p, b...)
 // and hand a version-skewed coordinator a silently mis-scored shard, and
 // floats crossing as raw bits can carry NaN and ±Inf.
 func TestShardEvalRejectsMalformedFrames(t *testing.T) {
-	ix := buildShardCorpus(40, 3)
+	ix := skewedIndex(40, 3)
 	addr, _ := startShardServer(t, NewShardService(index.NewSharded(ix, 1).Shard(0), 0, 1), nil)
 	g := rpc.NewGroup([]*rpc.Client{rpc.NewClient(addr, testClientOptions())}, rpc.GroupOptions{})
 	defer g.Close()
@@ -494,7 +470,7 @@ func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 	}
 
 	good := EvalRequest{
-		Query: Term{Text: "cable"}, K: 5, Model: int(ModelBM25), Mu: 2500, Lambda: 0.4, K1: 1.2, B: 0.75,
+		Query: Term{Text: "a"}, K: 5, Model: int(ModelBM25), Mu: 2500, Lambda: 0.4, K1: 1.2, B: 0.75,
 		NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens(),
 		Overrides: []LeafOverride{{CF: 30, DF: 20, CollProb: 0.05}},
 	}
@@ -529,7 +505,7 @@ func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 		"NaN override df":     with(func(r *EvalRequest) { r.Overrides[0].DF = math.NaN() }),
 		"negative coll_prob":  with(func(r *EvalRequest) { r.Overrides[0].CollProb = -0.05 }),
 		"+Inf coll_prob":      with(func(r *EvalRequest) { r.Overrides[0].CollProb = math.Inf(1) }),
-		"NaN child weight":    with(func(r *EvalRequest) { r.Query = Weight([]float64{math.NaN()}, []Node{Term{Text: "cable"}}) }),
+		"NaN child weight":    with(func(r *EvalRequest) { r.Query = Weight([]float64{math.NaN()}, []Node{Term{Text: "a"}}) }),
 		"depth bomb":          rawBody(bomb),
 		"oversized count":     rawBody(good.appendParams(binary.AppendUvarint([]byte{kindWeighted}, 1<<40))),
 		"unknown node kind":   rawBody(append([]byte{kindWeighted + 1}, goodBytes[1:]...)),

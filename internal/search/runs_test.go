@@ -8,208 +8,6 @@ import (
 	"repro/internal/index"
 )
 
-// runTrees is an SQE_C-shaped triple over buildSkewedIndex's vocabulary:
-// the runs share terms and a phrase under different weights, the second
-// holds an out-of-vocabulary term, the third holds one leaf twice (once
-// as a term, once as a one-term phrase) and a window. empty in [0, 3)
-// replaces that run with a tree that flattens to no leaves.
-func runTrees(w [4]float64, empty int) []Node {
-	trees := []Node{
-		Weight([]float64{w[0], w[1], w[2]}, []Node{
-			Term{Text: "a"}, Phrase{Terms: []string{"a", "b"}}, Term{Text: "z"},
-		}),
-		Weight([]float64{w[0], w[1], w[2], w[3], 1}, []Node{
-			Term{Text: "a"}, Phrase{Terms: []string{"a", "b"}}, Term{Text: "z"},
-			Unordered{Terms: []string{"b", "c"}, Width: 8}, Term{Text: "nosuchterm"},
-		}),
-		Weight([]float64{w[3], 1, w[1], w[2]}, []Node{
-			Unordered{Terms: []string{"b", "c"}, Width: 8}, Term{Text: "a"},
-			Phrase{Terms: []string{"a"}}, Term{Text: "c"},
-		}),
-	}
-	if empty >= 0 && empty < len(trees) {
-		trees[empty] = Weighted{}
-	}
-	return trees
-}
-
-// runsShape is one evaluator the one-evaluation tests drive: a searcher
-// over a corpus, its coordinator (for the pruning switches), and the
-// monolithic reference over the documents it holds live.
-type runsShape struct {
-	name string
-	d    Distributed
-	co   *coordinator
-	ref  *Searcher
-}
-
-// runsShapeNames are the shapes runsShapes builds, in order.
-var runsShapeNames = []string{"mono", "shards-2", "segments-tombstoned", "remote-2"}
-
-// runsShapes builds the named shapes over docs: the whole index, two
-// in-process shards, live segments of a few documents each with every
-// fifth document deleted, and two shard servers on loopback. ix, when
-// non-nil, replaces the index built from docs for the mono and sharded
-// shapes (a v2 copy at a tiny block size).
-func runsShapes(t *testing.T, docs []segTestDoc, ix *index.Index, names ...string) []runsShape {
-	t.Helper()
-	full := monoSearcher(docs)
-	if ix == nil {
-		ix = full.Index()
-	}
-	var out []runsShape
-	for _, name := range names {
-		switch name {
-		case "mono":
-			s := NewSearcher(ix)
-			out = append(out, runsShape{name, s, &s.coordinator, full})
-		case "shards-2":
-			ss := NewShardedSearcher(index.NewSharded(ix, 2))
-			out = append(out, runsShape{name, ss, &ss.coordinator, full})
-		case "segments-tombstoned":
-			var deletes []string
-			for i := 2; i < len(docs); i += 5 {
-				deletes = append(deletes, docs[i].name)
-			}
-			gs := NewSegmentedSearcher(buildSegmented(t, docs, max(2, len(docs)/4), deletes, false))
-			out = append(out, runsShape{name, gs, &gs.coordinator, monoSearcher(survivorsOf(docs, deletes))})
-		case "remote-2":
-			rs, _ := bootRemote(t, ix, 2)
-			out = append(out, runsShape{name, rs, &rs.coordinator, full})
-		default:
-			t.Fatalf("unknown shape %q", name)
-		}
-	}
-	return out
-}
-
-// configure sets the shape's model on both sides and its pruning mode:
-// forced (every run prunes; a shard server applies its cost model to a
-// lone run), default (a several-run pass prunes every run either way)
-// or unpruned.
-func (sh runsShape) configure(model Model, params ModelParams, mode string) {
-	sh.co.Configure(ShardConfig{Model: model, Params: params, DisablePruning: mode == "unpruned"})
-	sh.co.forcePrune = mode == "forced"
-	sh.ref.Model, sh.ref.Params = model, params
-}
-
-var runsModes = []string{"forced", "default", "unpruned"}
-
-// assertRunsMatchSeparate evaluates trees in one Evaluate on d and diffs
-// each ranking against the oracle's ranking of that tree alone; want
-// holds each tree's full oracle ranking, of which the top k is a prefix.
-// It evaluates them again with the last as a backfill tree: the others
-// rank as before, and the last either ranks as before or is dropped —
-// nil, beside k documents of the tree before it. It reports the drop.
-func assertRunsMatchSeparate(t *testing.T, label string, d Distributed, trees []Node, want [][]Result, k int) (dropped bool) {
-	t.Helper()
-	for _, backfill := range []bool{false, true} {
-		ev, err := d.Evaluate(context.Background(), trees, k, EvalOptions{Backfill: backfill})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if len(ev.Results) != len(trees) {
-			t.Fatalf("%s: %d rankings for %d trees", label, len(ev.Results), len(trees))
-		}
-		if ev.BackfillDropped && (!backfill || len(trees) < 2) {
-			t.Fatalf("%s backfill=%v: %d trees, the last dropped", label, backfill, len(trees))
-		}
-		for r := range trees {
-			if r == len(trees)-1 && ev.BackfillDropped {
-				if ev.Results[r] != nil || len(ev.Results[r-1]) != k {
-					t.Fatalf("%s: the backfill run dropped with %d results beside %d of the run before", label, len(ev.Results[r]), len(ev.Results[r-1]))
-				}
-				dropped = true
-				continue
-			}
-			assertIdenticalResults(t, fmt.Sprintf("%s backfill=%v run %d", label, backfill, r), ev.Results[r], want[r][:min(k, len(want[r]))])
-		}
-	}
-	return dropped
-}
-
-// oracleRankings is each tree's full ranking by the oracle under ref's
-// model.
-func oracleRankings(ref *Searcher, trees []Node) [][]Result {
-	out := make([][]Result, len(trees))
-	for r, q := range trees {
-		out[r] = OracleRank(ref, q, ref.Index().NumDocs())
-	}
-	return out
-}
-
-// textsOf names raw texts D0, D1, … as a corpus.
-func textsOf(texts ...string) []segTestDoc {
-	docs := make([]segTestDoc, len(texts))
-	for i, text := range texts {
-		docs[i] = segTestDoc{name: fmt.Sprintf("D%d", i), text: text}
-	}
-	return docs
-}
-
-// TestSearchRunsMatchesSeparate: every tree of one evaluation is
-// bit-identical to the oracle's ranking of that tree alone — on a whole
-// index, two shards, tombstoned live segments and two shard servers;
-// over crafted ties and lengths, a skewed corpus, their v2 files at a
-// tiny block size, every model, every pruning mode, shallow and deep
-// cuts. The last leg evaluates every pruning query at once: eleven
-// trees, one evaluation.
-func TestSearchRunsMatchesSeparate(t *testing.T) {
-	type corpus struct {
-		docs   []segTestDoc
-		v2     bool
-		shapes []string
-	}
-	corpora := map[string]corpus{
-		"ties":    {docs: textsOf("a b", "a b", "a b", "a b", "b c", "b c", "z"), shapes: runsShapeNames},
-		"lengths": {docs: textsOf("a", "a a a a a a a a a a a a", "a b", "b", "z a"), shapes: runsShapeNames[:2]},
-		"skewed":  {docs: skewedDocs(400, 5), shapes: runsShapeNames},
-	}
-	for _, name := range []string{"ties", "skewed"} {
-		corpora[name+"-v2"] = corpus{docs: corpora[name].docs, v2: true, shapes: runsShapeNames[:2]}
-	}
-	var all []Node
-	for _, q := range pruningQueries() {
-		all = append(all, q)
-	}
-	drops := 0
-	for cname, c := range corpora {
-		var ix *index.Index
-		if c.v2 {
-			ix = v2Copy(t, blockSized(t, monoSearcher(c.docs).Index(), 4))
-		}
-		for _, sh := range runsShapes(t, c.docs, ix, c.shapes...) {
-			for _, m := range pruningModels {
-				sh.configure(m.model, m.params, "default")
-				wantAll := oracleRankings(sh.ref, all)
-				var trees [][]Node
-				var want [][][]Result
-				for empty := -1; empty < 3; empty++ {
-					trees = append(trees, runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, empty))
-					want = append(want, oracleRankings(sh.ref, trees[len(trees)-1]))
-				}
-				for _, mode := range runsModes {
-					sh.configure(m.model, m.params, mode)
-					for _, k := range []int{1, 3, 10, 1000} {
-						label := fmt.Sprintf("%s/%s/%s/%s k=%d", cname, sh.name, m.name, mode, k)
-						for i := range trees {
-							if assertRunsMatchSeparate(t, fmt.Sprintf("%s empty=%d", label, i-1), sh.d, trees[i], want[i], k) {
-								drops++
-							}
-						}
-						if assertRunsMatchSeparate(t, label+" all-queries", sh.d, all, wantAll, k) {
-							drops++
-						}
-					}
-				}
-			}
-		}
-	}
-	if drops == 0 {
-		t.Error("no evaluation dropped its backfill run")
-	}
-}
-
 // TestSearchRunsCounters pins the one pass's accounting: Leaves counts
 // the union (a leaf shared by runs, or repeated in one, counts once);
 // every union posting is consumed or skipped, so the pruned pass's
@@ -217,20 +15,19 @@ func TestSearchRunsMatchesSeparate(t *testing.T) {
 // pass skips nothing and tests no bound; and the pass scores fewer
 // candidates than the three separate pruned evaluations together.
 func TestSearchRunsCounters(t *testing.T) {
-	docs := skewedDocs(2000, 11)
-	trees := runTrees([4]float64{0.6, 0.3, 0.1, 0.25}, -1)
-	sh := runsShapes(t, docs, nil, "mono")[0]
-	for _, m := range pruningModels {
+	trees := runTrees(runWeights, -1)
+	s := NewSearcher(skewedIndex(2000, 11))
+	for _, m := range parityModels {
 		stats := func(mode string) SearchStats {
-			sh.configure(m.model, m.params, mode)
-			ev, err := sh.d.Evaluate(context.Background(), trees, 5, EvalOptions{CollectStats: true})
+			configure(&s.coordinator, m, mode)
+			ev, err := s.Evaluate(context.Background(), trees, 5, EvalOptions{CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ev.Stats
 		}
-		fst := stats("unpruned")
-		pst := stats("forced")
+		fst := stats(unpruned)
+		pst := stats(forced)
 		// a, #1(a b), z, #uw8(b c), nosuchterm, c.
 		if pst.Leaves != 6 || fst.Leaves != 6 {
 			t.Errorf("%s: Leaves = %d / %d, want the union's 6", m.name, pst.Leaves, fst.Leaves)
@@ -244,7 +41,7 @@ func TestSearchRunsCounters(t *testing.T) {
 		}
 		var separate int64
 		for _, q := range trees {
-			_, ev, err := evalOne(context.Background(), sh.d, q, 5, EvalOptions{CollectStats: true})
+			_, ev, err := evalOne(context.Background(), s, q, 5, EvalOptions{CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +56,7 @@ func TestSearchRunsCounters(t *testing.T) {
 // TestSearchRunsEdges: k <= 0 and an empty tree list answer without
 // evaluating; a cancelled context fails the evaluation.
 func TestSearchRunsEdges(t *testing.T) {
-	s := NewSearcher(buildSkewedIndex(100, 3))
+	s := NewSearcher(skewedIndex(100, 3))
 	trees := runTrees([4]float64{1, 1, 1, 1}, -1)
 	ctx := context.Background()
 	for _, k := range []int{0, -1} {
@@ -278,16 +75,32 @@ func TestSearchRunsEdges(t *testing.T) {
 	}
 }
 
-// FuzzSearchRunsParity fuzzes corpus shape, model, pruning, k, the
-// trees' weights, which tree is empty and the evaluator (whole index,
-// two shards, tombstoned segments, two shard servers), asserting each
-// tree of one evaluation equals the oracle's ranking of that tree
-// alone, score bits included. The seed corpus is
-// testdata/fuzz/FuzzSearchRunsParity plus one seed per evaluator.
+// fuzzShapes are the evaluators FuzzSearchRunsParity drives, one per
+// partition kind.
+var fuzzShapes = []struct {
+	name  string
+	build shape
+}{{"mono", whole(0)}, {"shards-2", shards(2, 0)}, {"segments-tombstoned", tombstoned()}, {"remote-2", remote(2)}}
+
+// FuzzSearchRunsParity fuzzes corpus size, model, pruning, k, the
+// trees' weights, how many of the runTrees triple one evaluation holds
+// and which is empty, and the evaluator, asserting each tree of one
+// evaluation equals the oracle's ranking of that tree alone, score bits
+// included (diffTrees). flags packs the switches: bit 0 forces pruning
+// (else pruning is off), bits 1–2 name the empty tree (3: none), bits
+// 3–4 the shape, and bits 6–7 cut the triple to 3 − n%3 trees, so one
+// tree takes the single-run path. The seed corpus is
+// testdata/fuzz/FuzzSearchRunsParity, one triple per shape, and one tree
+// per shape.
 func FuzzSearchRunsParity(f *testing.F) {
-	for shape := range runsShapeNames {
+	for shape := range fuzzShapes {
 		f.Add(int64(7), uint8(90), uint8(5), uint8(shape), uint8(1|2<<1|shape<<3), 0.6, 0.3, 0.1, 0.25)
 	}
+	const oneTree = 1 | 3<<1 | 2<<6
+	f.Add(int64(1), uint8(60), uint8(10), uint8(0), uint8(oneTree|0<<3), 1.0, 1.0, 1.0, 1.0)
+	f.Add(int64(2), uint8(200), uint8(1), uint8(1), uint8(oneTree|1<<3), 0.9, 0.05, 0.05, 1.0)
+	f.Add(int64(3), uint8(30), uint8(255), uint8(2), uint8(oneTree|2<<3), 0.2, 0.3, 0.5, 1.0)
+	f.Add(int64(4), uint8(120), uint8(3), uint8(0), uint8(oneTree|3<<3), 7.5, 0.001, 2.0, 1.0)
 	f.Fuzz(func(t *testing.T, seed int64, docs, kk, model, flags uint8, w1, w2, w3, w4 float64) {
 		if docs == 0 {
 			docs = 1
@@ -304,16 +117,17 @@ func FuzzSearchRunsParity(f *testing.F) {
 			}
 			return w
 		}
-		m := pruningModels[int(model)%len(pruningModels)]
-		name := runsShapeNames[int(flags>>3)%len(runsShapeNames)]
-		sh := runsShapes(t, skewedDocs(int(docs), int(seed)), nil, name)[0]
-		mode := "unpruned"
+		m := parityModels[int(model)%len(parityModels)]
+		s := fuzzShapes[int(flags>>3)%len(fuzzShapes)]
+		sub := s.build(t, skewedDocs(int(docs), int(seed)))
+		mode := unpruned
 		if flags&1 != 0 {
-			mode = "forced"
+			mode = forced
 		}
-		sh.configure(m.model, m.params, mode)
+		configure(sub.co, m, mode)
 		trees := runTrees([4]float64{clamp(w1), clamp(w2), clamp(w3), clamp(w4)}, int(flags>>1)%4)
-		assertRunsMatchSeparate(t, m.name+"/"+name, sh.d, trees, oracleRankings(sh.ref, trees), k)
+		trees = trees[:3-int(flags>>6)%3]
+		diffTrees(t, m.name+"/"+s.name+"/"+mode, sub.d, trees, (&oracle{}).rankings("", sub.live, m, []parityQuery{{"fuzz", trees}})[0], k)
 	})
 }
 
@@ -343,7 +157,7 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 	q := Combine(Term{Text: "x"}, Phrase{Terms: []string{"x", "y"}},
 		Phrase{Terms: []string{"y", "w"}}, Phrase{Terms: []string{"v", "y"}})
 	ctx := context.Background()
-	for _, m := range pruningModels {
+	for _, m := range parityModels {
 		mono := NewSearcher(ix)
 		mono.Model, mono.Params = m.model, m.params
 		want := OracleRank(mono, q, ix.NumDocs())
@@ -390,7 +204,7 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 						got[r].Doc = sh.GlobalDoc(i, got[r].Doc)
 					}
 					label := fmt.Sprintf("%s/shard=%d/prune=%v k=%d", m.name, i, prune, k)
-					requireSameResults(t, got, shardWant[:min(k, len(shardWant))], label)
+					sameResults(t, label, got, shardWant[:min(k, len(shardWant))])
 				}
 			}
 		}

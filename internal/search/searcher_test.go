@@ -13,13 +13,7 @@ import (
 
 var plain = analysis.Analyzer{}
 
-func buildIndex(docs ...string) *index.Index {
-	b := index.NewBuilder(plain)
-	for i, d := range docs {
-		b.Add("D"+string(rune('0'+i)), d)
-	}
-	return b.Build()
-}
+func buildIndex(docs ...string) *index.Index { return monoSearcher(textsOf(docs...)).Index() }
 
 // dirichlet computes the reference leaf score by hand.
 func dirichlet(tf, docLen float64, collProb, mu float64) float64 {
@@ -186,13 +180,13 @@ func TestTopKTruncation(t *testing.T) {
 // one posting per block, where term leaves stream and Explain reads
 // their tf through a block cursor.
 func TestExplainScoreMatchesSearch(t *testing.T) {
-	mem := blockSized(t, buildIndex("a b c", "a a b", "x y z", "b a", "c c a b"), 1)
+	mem := buildIndex("a b c", "a a b", "x y z", "b a", "c c a b")
 	q := Weight([]float64{2, 1, 1}, []Node{
 		Combine(Term{Text: "a"}, Term{Text: "b"}),
 		Phrase{Terms: []string{"a", "b"}},
 		Unordered{Terms: []string{"b", "c"}, Width: 4},
 	})
-	for name, ix := range map[string]*index.Index{"memory": mem, "v2": v2Copy(t, mem)} {
+	for name, ix := range map[string]*index.Index{"memory": mem, "v2": v2Copy(t, mem, 1)} {
 		s := NewSearcher(ix)
 		res := rank(t, s, q, 10)
 		if len(res) != 4 {
@@ -298,5 +292,59 @@ func TestMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSearchWithStatsCounters sanity-checks the instrumentation: the
+// DAAT counters must reflect the actual postings traffic and heap
+// activity of a known query.
+func TestSearchWithStatsCounters(t *testing.T) {
+	ix := buildIndex("a b", "a c", "a d", "b c")
+	s := NewSearcher(ix)
+	// The exact counts below describe exhaustive scoring (every
+	// candidate scored, every posting consumed); the pruned path's
+	// counters are held by TestParity.
+	s.DisablePruning = true
+	q := Combine(Term{Text: "a"}, Term{Text: "b"})
+	res, st := rankStats(t, s, q, 2)
+	if len(res) != 2 {
+		t.Fatalf("got %d results", len(res))
+	}
+	if st.Leaves != 2 {
+		t.Errorf("Leaves = %d, want 2", st.Leaves)
+	}
+	// Candidates: union of docs containing a (D0..D2) or b (D0, D3) = 4.
+	if st.CandidatesExamined != 4 {
+		t.Errorf("CandidatesExamined = %d, want 4", st.CandidatesExamined)
+	}
+	// Postings advanced: |postings(a)| + |postings(b)| = 3 + 2 = 5.
+	if st.PostingsAdvanced != 5 {
+		t.Errorf("PostingsAdvanced = %d, want 5", st.PostingsAdvanced)
+	}
+	if st.HeapPushes != 2 {
+		t.Errorf("HeapPushes = %d, want 2", st.HeapPushes)
+	}
+	if st.HeapPushes+st.HeapEvictions > st.CandidatesExamined {
+		t.Errorf("heap traffic %d exceeds candidates %d", st.HeapPushes+st.HeapEvictions, st.CandidatesExamined)
+	}
+	if st.Elapsed <= 0 {
+		t.Errorf("Elapsed = %v, want > 0", st.Elapsed)
+	}
+}
+
+// TestDAATEmptyAndDegenerate pins the edge cases: k<=0, empty queries,
+// and queries whose every leaf is OOV (candidates exist only where a
+// leaf matched — all-OOV queries rank nothing, for the oracle too).
+func TestDAATEmptyAndDegenerate(t *testing.T) {
+	ix := buildIndex("a b", "c d")
+	s := NewSearcher(ix)
+	if got := rank(t, s, Term{Text: "a"}, 0); got != nil {
+		t.Errorf("k=0: got %v", got)
+	}
+	if got := rank(t, s, Weighted{}, 10); got != nil {
+		t.Errorf("empty query: got %v", got)
+	}
+	if got := rank(t, s, Combine(Term{Text: "zz"}, Term{Text: "yy"}), 10); got != nil {
+		t.Errorf("all-OOV query: got %v", got)
 	}
 }

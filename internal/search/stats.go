@@ -50,8 +50,8 @@ type SearchStats struct {
 	// actually decoded, and BlocksTotal the blocks their terms hold in
 	// total — BlocksDecoded/BlocksTotal is the decoded-block fraction,
 	// the measure of how well decode granularity tracked pruning
-	// granularity. Both are zero when no leaf streamed (in-memory and v1
-	// indexes); exhaustive scoring decodes every block it is offered, so
+	// granularity. Both are zero when no leaf streamed (an in-memory
+	// index); exhaustive scoring decodes every block it is offered, so
 	// the fraction approaches 1 there.
 	BlocksDecoded int64
 	BlocksTotal   int64

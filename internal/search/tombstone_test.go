@@ -3,135 +3,10 @@ package search
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/index"
 )
-
-// skewedDocs is buildSkewedIndex's corpus as named documents ("a"
-// everywhere, "z" rare, varied lengths), for streaming into a live
-// index.
-func skewedDocs(n, seed int) []segTestDoc {
-	rng := rand.New(rand.NewSource(int64(seed)))
-	vocab := []string{"a", "a", "a", "a", "b", "b", "c", "c", "d", "e", "f", "g"}
-	docs := make([]segTestDoc, n)
-	for d := range docs {
-		var sb strings.Builder
-		for i, l := 0, 2+rng.Intn(30); i < l; i++ {
-			sb.WriteString(vocab[rng.Intn(len(vocab))])
-			sb.WriteByte(' ')
-		}
-		if rng.Intn(17) == 0 {
-			sb.WriteString("z ")
-		}
-		docs[d] = segTestDoc{name: fmt.Sprintf("D%05d", d), text: sb.String()}
-	}
-	return docs
-}
-
-// TestSegmentedTombstonePlacements is the adversarial half of the
-// segmented differential: tombstones placed where a candidate-time
-// filter or an incremental correction could go wrong, on each kind of
-// segment a snapshot can hold (mmap'd v2 files, the memory-backed sealed
-// buffer, and both together), under every model and every evaluator,
-// against the oracle over a monolithic rebuild of the survivors.
-func TestSegmentedTombstonePlacements(t *testing.T) {
-	docs := skewedDocs(650, 41)
-	full := monoSearcher(docs)
-	names := func(ids []index.DocID) []string {
-		out := make([]string, len(ids))
-		for i, d := range ids {
-			out[i] = docs[d].name
-		}
-		return out
-	}
-	queries := pruningQueries()
-
-	var rank1 []index.DocID
-	for _, q := range queries {
-		if res := rank(t, full, q, 1); len(res) == 1 && !slices.Contains(rank1, res[0].Doc) {
-			rank1 = append(rank1, res[0].Doc)
-		}
-	}
-	a := full.Index().PostingsFor("a")
-	var allButOne []index.DocID
-	for d := 0; d < 300; d++ {
-		if d != 7 {
-			allButOne = append(allButOne, index.DocID(d))
-		}
-	}
-	cases := []struct {
-		name string
-		dead []index.DocID
-	}{
-		// The best document of every query is gone: the heap must fill
-		// from rank 2 down, with θ set by live documents only.
-		{"rank-1", rank1},
-		// Every posting of one 128-posting block of the longest list is
-		// dead: a whole decode unit the merge walks offers nothing.
-		{"whole-block", a.Docs[128:256]},
-		// Every document matching one leaf is gone: its df and cf correct
-		// to zero and the out-of-vocabulary floor applies.
-		{"leaf-to-zero", full.Index().PostingsFor("z").Docs},
-		// One survivor in a segment of 300 (and k = 1000 ≥ live matches
-		// below): nearly every candidate the merge produces is dead.
-		{"all-but-one", allButOne},
-	}
-	shapes := []struct {
-		name      string
-		flushDocs int
-		flush     bool
-	}{
-		{"v2", 5000, true},      // one mmap'd segment
-		{"buffer", 5000, false}, // the sealed buffer only
-		{"mixed", 300, false},   // two v2 segments and a 50-document buffer
-	}
-	evaluators := []struct {
-		name string
-		set  func(gs *SegmentedSearcher)
-	}{
-		{"cost-model", func(gs *SegmentedSearcher) {}},
-		{"pruned", func(gs *SegmentedSearcher) { gs.forcePrune = true }},
-		{"exhaustive", func(gs *SegmentedSearcher) { gs.DisablePruning = true }},
-	}
-	for _, shape := range shapes {
-		for _, c := range cases {
-			deletes := names(c.dead)
-			live := buildSegmented(t, docs, shape.flushDocs, nil, false)
-			if shape.flush {
-				if err := live.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// One batch: every tombstone lands in one snapshot, after
-			// every segment of the shape exists.
-			if n, err := live.DeleteBatch(deletes); err != nil || n != len(deletes) {
-				t.Fatalf("%s/%s: DeleteBatch = %d, %v; want %d", shape.name, c.name, n, err, len(deletes))
-			}
-			mono := monoSearcher(survivorsOf(docs, deletes))
-			for _, m := range pruningModels {
-				mono.Model, mono.Params = m.model, m.params
-				for qname, q := range queries {
-					// One full ranking; every k below is a prefix of it.
-					want := OracleRank(mono, q, len(docs))
-					for _, e := range evaluators {
-						gs := NewSegmentedSearcher(live)
-						gs.Model, gs.Params = m.model, m.params
-						e.set(gs)
-						for _, k := range []int{1, 10, 1000} {
-							label := fmt.Sprintf("%s/%s/%s/%s/%s k=%d", shape.name, c.name, m.name, e.name, qname, k)
-							requireSameResults(t, rank(t, gs, q, k), want[:min(k, len(want))], label)
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestSegmentedDeleteBetweenPhases: a delete batch that lands between a
 // query's statistics phase and its evaluation phase — and a second query
@@ -146,8 +21,9 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 	after := monoSearcher(survivorsOf(docs, append(append([]string(nil), first...), second...)))
 	ctx := context.Background()
 
-	for qname, q := range pruningQueries() {
-		live := buildSegmented(t, docs, 300, nil, false) // two v2 segments and the buffer
+	for _, pq := range singleTrees() {
+		qname, q := pq.name, pq.trees[0]
+		live := buildSegmented(t, docs, 300, nil) // two v2 segments and the buffer
 		if _, err := live.DeleteBatch(first); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +35,7 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 				if _, err := live.DeleteBatch(second); err != nil {
 					t.Errorf("DeleteBatch between the phases: %v", err)
 				}
-				requireSameResults(t, rank(t, gs, q, 10), rank(t, after, q, 10), qname+": new snapshot, between the phases")
+				sameResults(t, qname+": new snapshot, between the phases", rank(t, gs, q, 10), rank(t, after, q, 10))
 			})
 		}
 		parts := snapshotPartitions(sn)
@@ -177,13 +53,13 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, got, rank(t, before, q, 10), qname+": pinned across the delete")
+		sameResults(t, qname+": pinned across the delete", got, rank(t, before, q, 10))
 		// Both phases again on the old snapshot, now behind the memo.
 		got, err = gs.SearchSnapshot(ctx, sn, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, got, rank(t, before, q, 10), qname+": pinned, after the delete")
+		sameResults(t, qname+": pinned, after the delete", got, rank(t, before, q, 10))
 		sn.Release()
 	}
 }
@@ -195,15 +71,15 @@ func TestSegmentedDeleteBetweenPhases(t *testing.T) {
 // the first query after a 64-name batch performs at most 64 per leaf.
 func TestTombstonedSegmentEvidence(t *testing.T) {
 	// "a" in every document (16 blocks of 128), "z" in five, far apart.
-	var docs []segTestDoc
+	var docs []testDoc
 	for d := 0; d < 2000; d++ {
 		text := strings.Repeat("a ", 1+d%5) + "b c"
 		if d%400 == 17 {
 			text += " z z z"
 		}
-		docs = append(docs, segTestDoc{name: fmt.Sprintf("D%05d", d), text: text})
+		docs = append(docs, testDoc{name: fmt.Sprintf("D%05d", d), text: text})
 	}
-	live := buildSegmented(t, docs, 5000, nil, false)
+	live := buildSegmented(t, docs, 5000, nil)
 	if err := live.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +112,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 	mono := monoSearcher(survivorsOf(docs, batch))
 
 	first := search()
-	requireSameResults(t, first.Results[0], rank(t, mono, q, k), "after the batch")
+	sameResults(t, "after the batch", first.Results[0], rank(t, mono, q, k))
 	st := first.Stats
 	if st.correctionProbes == 0 || st.correctionProbes > 64*leaves {
 		t.Errorf("first query after a 64-name batch probed %d tombstones, want 1..%d", st.correctionProbes, 64*leaves)
@@ -255,7 +131,7 @@ func TestTombstonedSegmentEvidence(t *testing.T) {
 	}
 
 	again := search()
-	requireSameResults(t, again.Results[0], first.Results[0], "repeat")
+	sameResults(t, "repeat", again.Results[0], first.Results[0])
 	if again.Stats.correctionProbes != 0 {
 		t.Errorf("repeat query against an unchanged snapshot probed %d tombstones", again.Stats.correctionProbes)
 	}

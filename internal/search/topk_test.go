@@ -85,9 +85,10 @@ func TestTopKAllEqualScores(t *testing.T) {
 }
 
 // FuzzPrunedTopKParity fuzzes corpus shape, model, k and query weights,
-// asserting the pruned top-k is bit-identical to the oracle's. Run
-// with `go test -fuzz FuzzPrunedTopKParity` for continuous exploration;
-// the seed corpus below runs as a regular test.
+// asserting the pruned top-k of one weighted term tree on a monolithic
+// index is bit-identical to the oracle's. Run with
+// `go test -fuzz FuzzPrunedTopKParity` for continuous exploration; the
+// seed corpus below runs as a regular test.
 func FuzzPrunedTopKParity(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(60), uint8(0), 1.0, 1.0, 1.0)
 	f.Add(int64(2), uint8(1), uint8(200), uint8(1), 0.9, 0.05, 0.05)
@@ -109,14 +110,16 @@ func FuzzPrunedTopKParity(f *testing.F) {
 			}
 			return w
 		}
-		ix := buildSkewedIndex(int(docs), int(seed))
+		ix := skewedIndex(int(docs), int(seed))
 		q := Weight(
 			[]float64{clamp(w1), clamp(w2), clamp(w3)},
 			[]Node{Term{Text: "a"}, Term{Text: "b"}, Term{Text: "z"}},
 		)
-		m := pruningModels[int(model)%len(pruningModels)]
-		pruned, full := prunedPair(ix, m.model, m.params)
-		assertIdenticalResults(t, m.name, rank(t, pruned, q, k), OracleRank(full, q, k))
+		m := parityModels[int(model)%len(parityModels)]
+		pruned, full := NewSearcher(ix), NewSearcher(ix)
+		configure(&pruned.coordinator, m, forced)
+		configure(&full.coordinator, m, unpruned)
+		sameResults(t, m.name, rank(t, pruned, q, k), OracleRank(full, q, k))
 	})
 }
 
@@ -132,7 +135,7 @@ func FuzzTopKHeapOrdering(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		docs := int(n)
-		ix := buildSkewedIndex(docs+1, int(seed))
+		ix := skewedIndex(docs+1, int(seed))
 		type sc struct {
 			doc   int32
 			score float64

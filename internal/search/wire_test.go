@@ -82,7 +82,7 @@ func sameBits(a, b reflect.Value) bool {
 }
 
 // wireMessages is one value of every shard message, edge floats in
-// every float field, plus a stats request per shardQueries tree.
+// every float field, plus a stats request per runTrees tree.
 func wireMessages() []shardFrame {
 	weights := make([]Node, len(edgeFloats))
 	for i := range weights {
@@ -96,7 +96,7 @@ func wireMessages() []shardFrame {
 		{Weight: 2, Node: Weighted{}},
 	}}
 	var msgs []shardFrame
-	for _, q := range append(shardQueries(), edgeTree) {
+	for _, q := range append(runTrees(runWeights, -1), edgeTree) {
 		msgs = append(msgs, &StatsRequest{Query: q})
 	}
 	var leaves []LeafStats
