@@ -31,8 +31,8 @@ race:
 
 # Baseline retrieval (SearchBaseline: raw keyword queries at k = 1000,
 # the few-leaf queries the cost model scores exhaustively), expanded
-# retrieval (SearchExpandedTopKDAAT fans out over model x k x {memory,
-# v2} on CHiC), the positional miss path it rests on (the exported
+# retrieval (SearchExpandedTopKDAAT fans out over k x {memory, v2} on
+# CHiC), the positional miss path it rests on (the exported
 # phrase / window materialisers run the same intersection the memo
 # fills from; PositionalColdV2 resolves every multi-word KB title on a
 # freshly opened CHiC v2 file, block cursors and all, and its heap-MB is

@@ -48,8 +48,7 @@ func TestBackfillPage(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range backfillShapes {
 		t.Run(name, func(t *testing.T) {
-			engine, _ := diffRow(t, name)(t, w)
-			eng := engine()
+			eng, _ := diffRow(t, name)(t, w)
 			var dropped, kept, short, again int
 			for _, q := range w.env.Queries[:8] {
 				trees := sqecTrees(t, eng, q)

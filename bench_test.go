@@ -263,8 +263,7 @@ func benchSearchTopK(b *testing.B, s *search.Searcher, nodes []search.Node, k in
 }
 
 // BenchmarkSearchExpandedTopKDAAT is the document-at-a-time evaluator
-// on ImageCLEF; the CHiC sub-benchmarks span retrieval model × k × index
-// backing, the one-command A/B of an evaluator change below the HTTP
+// on ImageCLEF; the CHiC sub-benchmarks span k × index backing, the one-command A/B of an evaluator change below the HTTP
 // tier (run it on both commits, compare cell by cell).
 func BenchmarkSearchExpandedTopKDAAT(b *testing.B) {
 	s := suite(b)
@@ -283,21 +282,14 @@ func BenchmarkSearchExpandedTopKDAAT(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer disk.Close()
-	for _, m := range []struct {
-		name  string
-		model search.Model
-	}{{"dirichlet", search.ModelDirichlet}, {"jelinek-mercer", search.ModelJelinekMercer}, {"bm25", search.ModelBM25}} {
-		for _, k := range []int{10, 1000} {
-			for _, backing := range []struct {
-				name string
-				ix   *index.Index
-			}{{"memory", s.CHiC2012.Index}, {"v2", disk}} {
-				b.Run(fmt.Sprintf("CHiC/%s/k=%d/%s", m.name, k, backing.name), func(b *testing.B) {
-					sr := search.NewSearcher(backing.ix)
-					sr.Model = m.model
-					benchSearchTopK(b, sr, nodes, k)
-				})
-			}
+	for _, k := range []int{10, 1000} {
+		for _, backing := range []struct {
+			name string
+			ix   *index.Index
+		}{{"memory", s.CHiC2012.Index}, {"v2", disk}} {
+			b.Run(fmt.Sprintf("CHiC/k=%d/%s", k, backing.name), func(b *testing.B) {
+				benchSearchTopK(b, search.NewSearcher(backing.ix), nodes, k)
+			})
 		}
 	}
 }
@@ -573,17 +565,6 @@ func BenchmarkMotifMining(b *testing.B) {
 	}
 }
 
-// BenchmarkModelComparison runs the retrieval-model study (Dirichlet vs
-// JM vs BM25 under the same expansion).
-func BenchmarkModelComparison(b *testing.B) {
-	s := suite(b)
-	for i := 0; i < b.N; i++ {
-		res := experiments.ModelComparison(s, s.ImageCLEF)
-		b.ReportMetric(res.Gain["dirichlet"], "dirichlet:%gain@10")
-		b.ReportMetric(res.Gain["bm25"], "bm25:%gain@10")
-	}
-}
-
 // BenchmarkCrossKBMining runs the template miner on both KB profiles
 // (the paper's "other KBs, other structures" conjecture).
 func BenchmarkCrossKBMining(b *testing.B) {
@@ -592,19 +573,6 @@ func BenchmarkCrossKBMining(b *testing.B) {
 		if _, err := experiments.CrossKBMining(s, dataset.ScaleDefault); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSearchBM25 measures one plain retrieval under BM25.
-func BenchmarkSearchBM25(b *testing.B) {
-	s := suite(b)
-	r := s.NewRunner(s.ImageCLEF)
-	r.Searcher.Model = search.ModelBM25
-	queries := s.ImageCLEF.Queries
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := &queries[i%len(queries)]
-		_, _ = r.Searcher.Evaluate(context.Background(), []search.Node{r.Expander.QLQuery(q.Text)}, 1000, search.EvalOptions{})
 	}
 }
 

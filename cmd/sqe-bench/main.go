@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sqe-bench [-scale small|default] [-trec dir]
-//	          [-exp all|fig2,tab1,fig5,tab2,fig6,tab3,tab4,stages,models,ablation,mining,summary]
+//	          [-exp all|fig2,tab1,fig5,tab2,fig6,tab3,tab4,stages,ablation,mining,summary]
 //
 // How fast the system serves is measured by bench/ (see bench/README.md),
 // not here.
@@ -25,7 +25,7 @@ import (
 
 // experimentNames are the values -exp accepts besides "all".
 var experimentNames = []string{"fig2", "tab1", "fig5", "tab2", "fig6", "tab3", "tab4",
-	"stages", "models", "ablation", "mining", "summary"}
+	"stages", "ablation", "mining", "summary"}
 
 // parseExperiments turns an -exp value — names separated by commas or
 // spaces — into a set. An unknown name is an error, not an experiment
@@ -120,9 +120,6 @@ func main() {
 		for _, inst := range suite.Instances() {
 			fmt.Println(experiments.StageProfile(suite, inst))
 		}
-	}
-	if want("models") {
-		fmt.Println(experiments.ModelComparison(suite, suite.ImageCLEF))
 	}
 	if want("ablation") {
 		fmt.Println(experiments.Ablations(suite, suite.ImageCLEF).Table.String())

@@ -19,6 +19,7 @@ func TestParseExperiments(t *testing.T) {
 		{"tab1,bogus", nil},
 		{"tab", nil},     // the old substring filter matched nothing and exited 0
 		{"pruning", nil}, // retired with the second benchmark system
+		{"models", nil},  // retired: Dirichlet is the only retrieval model
 	} {
 		got, err := parseExperiments(c.spec)
 		if c.want == nil {

@@ -25,7 +25,7 @@ import (
 // returns. It is stated here once: diffRows lists the shapes, and
 // TestDifferential diffs each against the oracle engine — the same
 // pipeline with searchtest.Oracle as its retrieval stage — for every
-// retrieval model and request shape. FuzzDifferentialScript drives the
+// request shape. FuzzDifferentialScript drives the
 // live index through arbitrary mutation scripts against the same oracle.
 
 // ---- the world: one generated corpus, built once ----
@@ -75,17 +75,6 @@ func monolithic(docs []DemoDoc) *Index {
 	return b.Build()
 }
 
-// diffModels is the retrieval-model leg of the matrix: the inner loop
-// over one built index.
-var diffModels = []struct {
-	name string
-	opts []Option
-}{
-	{"dirichlet", nil},
-	{"jelinek-mercer", []Option{WithRetrievalModel(ModelJelinekMercer, ModelParams{Lambda: 0.4})}},
-	{"bm25", []Option{WithRetrievalModel(ModelBM25, ModelParams{})}},
-}
-
 // diffRequests is the request-shape leg: the SQE_C splice and one
 // expanded run, each at a shallow and at a deep cut, the raw baseline,
 // and feedback on top of an expanded run. At the deep cut the heap fills
@@ -106,11 +95,11 @@ func diffRequests(q DemoQuery) []SearchRequest {
 }
 
 // diffOracle answers for one set of held documents: an oracle engine
-// per model over their monolithic index, and its replies, memoised —
-// rows that hold the same documents share them.
+// over their monolithic index, and its replies, memoised — rows that
+// hold the same documents share them.
 type diffOracle struct {
-	engines []*Engine
-	replies map[[3]int]*SearchResponse // by model, query, request
+	engine  *Engine
+	replies map[[2]int]*SearchResponse // by query, request
 }
 
 // oracle returns the oracle for the documents a row holds, in order.
@@ -123,10 +112,9 @@ func (w *diffWorld) oracle(held []DemoDoc) *diffOracle {
 	o := w.oracles[h.Sum64()]
 	if o == nil {
 		ix := monolithic(held)
-		o = &diffOracle{replies: map[[3]int]*SearchResponse{}}
-		for _, m := range diffModels {
-			opts := append([]Option{WithDistributedSearcher(searchtest.New(ix))}, m.opts...)
-			o.engines = append(o.engines, NewEngine(w.env.Engine.Graph(), ix, opts...))
+		o = &diffOracle{
+			engine:  NewEngine(w.env.Engine.Graph(), ix, WithDistributedSearcher(searchtest.New(ix))),
+			replies: map[[2]int]*SearchResponse{},
 		}
 		w.oracles[h.Sum64()] = o
 	}
@@ -134,11 +122,11 @@ func (w *diffWorld) oracle(held []DemoDoc) *diffOracle {
 }
 
 // reply is the oracle engine's answer to ask, which the key names.
-func (o *diffOracle) reply(t *testing.T, model, query, request int, ask func(*Engine) (*SearchResponse, error)) *SearchResponse {
+func (o *diffOracle) reply(t *testing.T, query, request int, ask func(*Engine) (*SearchResponse, error)) *SearchResponse {
 	t.Helper()
-	key := [3]int{model, query, request}
+	key := [2]int{query, request}
 	if o.replies[key] == nil {
-		resp, err := ask(o.engines[model])
+		resp, err := ask(o.engine)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -314,10 +302,10 @@ func warmChaos(live *LiveIndex) error {
 
 // ---- the registry ----
 
-// A subject arranges the world's documents one way and returns how to
-// put an engine on the arrangement (called once per retrieval model)
-// and the documents it then holds, in index order.
-type subject func(t *testing.T, w *diffWorld) (engine func(opts ...Option) *Engine, held []DemoDoc)
+// A subject arranges the world's documents one way and returns an
+// engine on the arrangement and the documents it then holds, in index
+// order.
+type subject func(t *testing.T, w *diffWorld) (engine *Engine, held []DemoDoc)
 
 // diffRows is every serving shape. Adding one is one line.
 var diffRows = []struct {
@@ -375,16 +363,14 @@ func diffRow(t *testing.T, name string) subject {
 const all = 2200
 
 func memory(opts ...Option) subject {
-	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
-		return func(model ...Option) *Engine {
-			return NewEngine(w.env.Engine.Graph(), w.env.Engine.Index(), append(model, opts...)...)
-		}, w.docs
+	return func(t *testing.T, w *diffWorld) (*Engine, []DemoDoc) {
+		return NewEngine(w.env.Engine.Graph(), w.env.Engine.Index(), opts...), w.docs
 	}
 }
 
 // v2File serves the corpus from an mmap'd FormatV2 file.
 func v2File(opts ...Option) subject {
-	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
+	return func(t *testing.T, w *diffWorld) (*Engine, []DemoDoc) {
 		path := filepath.Join(t.TempDir(), "ix.v2")
 		if err := index.WriteFile(path, w.env.Engine.Index(), index.FormatV2); err != nil {
 			t.Fatal(err)
@@ -399,16 +385,14 @@ func v2File(opts ...Option) subject {
 			}
 			v2.Close()
 		})
-		return func(model ...Option) *Engine {
-			return NewEngine(w.env.Engine.Graph(), v2, append(model, opts...)...)
-		}, w.docs
+		return NewEngine(w.env.Engine.Graph(), v2, opts...), w.docs
 	}
 }
 
 // loopbackRPC serves the corpus from n shard servers on loopback TCP
 // behind the RPC coordinator.
 func loopbackRPC(n int) subject {
-	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
+	return func(t *testing.T, w *diffWorld) (*Engine, []DemoDoc) {
 		ix := w.env.Engine.Index()
 		sh := index.NewSharded(ix, n)
 		addrs := make([]string, n)
@@ -423,18 +407,16 @@ func loopbackRPC(n int) subject {
 			t.Cleanup(srv.Close)
 			addrs[i] = ln.Addr().String()
 		}
-		return func(model ...Option) *Engine {
-			groups := make([]*rpc.Group, n)
-			for i, addr := range addrs {
-				groups[i] = rpc.NewGroup([]*rpc.Client{rpc.NewClient(addr, rpc.ClientOptions{})}, rpc.GroupOptions{})
-			}
-			rs, err := search.NewRemoteSharded(context.Background(), groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rs.Close)
-			return NewEngine(w.env.Engine.Graph(), ix, append(model, WithDistributedSearcher(rs))...)
-		}, w.docs
+		groups := make([]*rpc.Group, n)
+		for i, addr := range addrs {
+			groups[i] = rpc.NewGroup([]*rpc.Client{rpc.NewClient(addr, rpc.ClientOptions{})}, rpc.GroupOptions{})
+		}
+		rs, err := search.NewRemoteSharded(context.Background(), groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rs.Close)
+		return NewEngine(w.env.Engine.Graph(), ix, WithDistributedSearcher(rs)), w.docs
 	}
 }
 
@@ -444,26 +426,24 @@ func loopbackRPC(n int) subject {
 // does not ask, so the asks' own misses evict. The row fails unless the
 // asks hit the cache and, with churn, also evicted from it.
 func lru(capacity int, churn bool) subject {
-	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
-		return func(model ...Option) *Engine {
-			eng := NewEngine(w.env.Engine.Graph(), w.env.Engine.Index(), append(model, WithExpansionCache(capacity))...)
-			if churn {
-				for _, q := range w.env.Queries[len(w.queries):] {
-					for _, set := range []MotifSet{MotifT, MotifTS, MotifS} {
-						if _, err := eng.Expand(q.Text, q.EntityTitles, set); err != nil {
-							t.Fatal(err)
-						}
+	return func(t *testing.T, w *diffWorld) (*Engine, []DemoDoc) {
+		eng := NewEngine(w.env.Engine.Graph(), w.env.Engine.Index(), WithExpansionCache(capacity))
+		if churn {
+			for _, q := range w.env.Queries[len(w.queries):] {
+				for _, set := range []MotifSet{MotifT, MotifTS, MotifS} {
+					if _, err := eng.Expand(q.Text, q.EntityTitles, set); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
-			before, _ := eng.ExpansionCacheStats()
-			t.Cleanup(func() {
-				if cs, _ := eng.ExpansionCacheStats(); cs.Hits == before.Hits || churn && cs.Evictions == before.Evictions {
-					t.Errorf("capacity %d: the asks did not exercise the cache: %+v before, %+v after", capacity, before, cs)
-				}
-			})
-			return eng
-		}, w.docs
+		}
+		before, _ := eng.ExpansionCacheStats()
+		t.Cleanup(func() {
+			if cs, _ := eng.ExpansionCacheStats(); cs.Hits == before.Hits || churn && cs.Evictions == before.Evictions {
+				t.Errorf("capacity %d: the asks did not exercise the cache: %+v before, %+v after", capacity, before, cs)
+			}
+		})
+		return eng, w.docs
 	}
 }
 
@@ -471,7 +451,7 @@ func lru(capacity int, churn bool) subject {
 // flushDocs documents. A compaction first asks the row's questions, so
 // the merged segment's phrase and window leaves are the carried ones.
 func segmented(flushDocs int, s []op) subject {
-	return func(t *testing.T, w *diffWorld) (func(...Option) *Engine, []DemoDoc) {
+	return func(t *testing.T, w *diffWorld) (*Engine, []DemoDoc) {
 		r := startLiveRun(t, w.docs, flushDocs)
 		r.warm = func(live *LiveIndex) error {
 			eng := NewLiveEngine(w.env.Engine.Graph(), live)
@@ -489,9 +469,7 @@ func segmented(flushDocs int, s []op) subject {
 				t.Fatalf("op %d (%+v): %v", i, o, err)
 			}
 		}
-		return func(model ...Option) *Engine {
-			return NewLiveEngine(w.env.Engine.Graph(), r.live, model...)
-		}, r.held()
+		return NewLiveEngine(w.env.Engine.Graph(), r.live), r.held()
 	}
 }
 
@@ -514,9 +492,9 @@ func diffAsks(q DemoQuery, live bool) []func(*Engine) (*SearchResponse, error) {
 	return asks
 }
 
-// TestDifferential: every row returns, for every retrieval model and
-// request shape, the oracle engine's ranking — names, order, score bits
-// — and its expansion.
+// TestDifferential: every row returns, for every request shape, the
+// oracle engine's ranking — names, order, score bits — and its
+// expansion.
 func TestDifferential(t *testing.T) {
 	w := theWorld(t)
 	if len(w.docs) != all {
@@ -524,23 +502,20 @@ func TestDifferential(t *testing.T) {
 	}
 	for _, row := range diffRows {
 		t.Run(row.name, func(t *testing.T) {
-			engine, held := row.subject(t, w)
+			eng, held := row.subject(t, w)
 			oracle := w.oracle(held)
-			for mi, m := range diffModels {
-				eng := engine(m.opts...)
-				for qi, q := range w.queries {
-					for ai, ask := range diffAsks(q, eng.Live() != nil) {
-						want := oracle.reply(t, mi, qi, ai, ask)
-						got, err := ask(eng)
-						if err != nil {
-							t.Fatalf("%s %s ask %d: %v", m.name, q.ID, ai, err)
-						}
-						if !reflect.DeepEqual(got.Results, want.Results) {
-							t.Fatalf("%s %s ask %d: ranking diverges from the oracle\n got: %v\nwant: %v", m.name, q.ID, ai, got.Results, want.Results)
-						}
-						if !reflect.DeepEqual(got.Expansion, want.Expansion) {
-							t.Fatalf("%s %s ask %d: expansion diverges from the oracle", m.name, q.ID, ai)
-						}
+			for qi, q := range w.queries {
+				for ai, ask := range diffAsks(q, eng.Live() != nil) {
+					want := oracle.reply(t, qi, ai, ask)
+					got, err := ask(eng)
+					if err != nil {
+						t.Fatalf("%s ask %d: %v", q.ID, ai, err)
+					}
+					if !reflect.DeepEqual(got.Results, want.Results) {
+						t.Fatalf("%s ask %d: ranking diverges from the oracle\n got: %v\nwant: %v", q.ID, ai, got.Results, want.Results)
+					}
+					if !reflect.DeepEqual(got.Expansion, want.Expansion) {
+						t.Fatalf("%s ask %d: expansion diverges from the oracle", q.ID, ai)
 					}
 				}
 			}
@@ -563,7 +538,7 @@ func chaosCorpus(n int, seed int64) []DemoDoc {
 
 // diffLive checks that the live index holds exactly held, in order, and
 // diffs a searcher over it against the oracle over held for every chaos
-// query and retrieval model.
+// query.
 func diffLive(t *testing.T, live *LiveIndex, held []DemoDoc) {
 	t.Helper()
 	sn := live.Acquire()
@@ -579,17 +554,14 @@ func diffLive(t *testing.T, live *LiveIndex, held []DemoDoc) {
 	}
 	gs := search.NewSegmentedSearcher(live)
 	mono := search.NewSearcher(monolithic(held))
-	for _, m := range []search.Model{search.ModelDirichlet, search.ModelJelinekMercer, search.ModelBM25} {
-		gs.Model, mono.Model = m, m
-		qs := chaosQueries()
-		got, err := gs.Evaluate(context.Background(), qs, 10, search.EvalOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range qs {
-			if want := searchtest.Rank(mono, q, 10); !reflect.DeepEqual(got.Results[qi], want) {
-				t.Errorf("model %v query %d: live index diverges from the oracle\n got: %v\nwant: %v", m, qi, got.Results[qi], want)
-			}
+	qs := chaosQueries()
+	got, err := gs.Evaluate(context.Background(), qs, 10, search.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range qs {
+		if want := searchtest.Rank(mono, q, 10); !reflect.DeepEqual(got.Results[qi], want) {
+			t.Errorf("query %d: live index diverges from the oracle\n got: %v\nwant: %v", qi, got.Results[qi], want)
 		}
 	}
 }

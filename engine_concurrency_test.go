@@ -222,19 +222,14 @@ func TestEngineOptions(t *testing.T) {
 	e := demo(t)
 	q := e.Queries[0]
 	def := parallelEngine(t)
-	small := parallelEngine(t, WithRetrievalModel(ModelDirichlet, ModelParams{Mu: 10}))
-	bm25 := parallelEngine(t, WithRetrievalModel(ModelBM25, ModelParams{}))
+	small := parallelEngine(t, WithMu(10))
 	rd, err := searchBaseline(context.Background(), def, q, 5)
 	if err != nil || len(rd) == 0 {
 		t.Fatalf("default engine: %v (%d results)", err, len(rd))
 	}
 	rs, err := searchBaseline(context.Background(), small, q, 5)
 	if err != nil || len(rs) == 0 || rs[0].Score == rd[0].Score {
-		t.Errorf("ModelParams.Mu had no effect: err=%v", err)
-	}
-	rb, err := searchBaseline(context.Background(), bm25, q, 5)
-	if err != nil || len(rb) == 0 || rb[0].Score == rd[0].Score {
-		t.Errorf("WithRetrievalModel had no effect: err=%v", err)
+		t.Errorf("WithMu had no effect: err=%v", err)
 	}
 }
 

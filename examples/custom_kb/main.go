@@ -91,7 +91,7 @@ func main() {
 	// A small μ suits a seven-document collection. Options configure the
 	// engine at construction; it is immutable (and concurrency-safe)
 	// afterwards.
-	engine := sqe.NewEngine(graph, ix, sqe.WithRetrievalModel(sqe.ModelDirichlet, sqe.ModelParams{Mu: 10}))
+	engine := sqe.NewEngine(graph, ix, sqe.WithMu(10))
 
 	// 3. Expansion in action: "cable cars" reaches the funicular docs.
 	exp, err := engine.Expand("cable cars", []string{"Cable car"}, sqe.MotifTS)

@@ -58,7 +58,7 @@ func main() {
 	}
 	eng := sqe.NewEngine(imp.Graph, ib.Build(),
 		sqe.WithLinker(imp.Dictionary),
-		sqe.WithRetrievalModel(sqe.ModelDirichlet, sqe.ModelParams{Mu: 25})) // small μ for a tiny collection
+		sqe.WithMu(25)) // small μ for a tiny collection
 
 	for _, query := range []string{"cable cars", "graffiti street art on walls"} {
 		fmt.Printf("query: %q\n", query)

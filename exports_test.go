@@ -47,8 +47,6 @@ var exportsAllowlist = map[string]string{
 	"sqe.Engine.Graph":                        "fault and serve tests build engines over a demo's graph",
 	"sqe.Engine.ParseQuery":                   "public API README documents",
 	"sqe.GenerateDemoCorpus":                  "public API serve tests build a live demo from",
-	"sqe.ModelBM25":                           "public API README documents: WithRetrievalModel's BM25",
-	"sqe.ModelJelinekMercer":                  "public API README documents: WithRetrievalModel's JM",
 	"wikigen.MustGenerate":                    "tests generate fixed worlds",
 	"wikigen.World.TopicOf":                   "generator and dataset tests check topic assignment",
 }

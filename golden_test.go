@@ -16,8 +16,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files from current output")
 
 // The golden corpus pins end-to-end retrieval output — exact ranking
-// and exact scores — for every retrieval model × raw/expanded query
-// shape, over the deterministic demo fixture. Scores are serialised as
+// and exact scores — for the raw and the expanded query shape, over the
+// deterministic demo fixture. Scores are serialised as
 // hex floats (strconv 'x'), so the files round-trip float64 bit
 // patterns exactly: any change to tokenisation, smoothing, pruning,
 // sharded merging or splicing that moves a single bit shows up as a
@@ -47,21 +47,15 @@ func goldenResults(rs []Result) []goldenResult {
 	return out
 }
 
+// goldenModel names the golden files' retrieval model, Dirichlet.
+const goldenModel = "dirichlet"
+
 func TestGoldenRetrieval(t *testing.T) {
 	const k = 10
 	// Two engines over the identical fixture: unsharded and 4-way
 	// sharded. Both are diffed against the same golden file — shard
 	// parity is part of the pinned contract (the cross-shard statistics
 	// override makes sharded scores bit-identical to unsharded).
-	models := []struct {
-		name   string
-		model  RetrievalModel
-		params ModelParams
-	}{
-		{"dirichlet", ModelDirichlet, ModelParams{}},
-		{"jm", ModelJelinekMercer, ModelParams{}},
-		{"bm25", ModelBM25, ModelParams{}},
-	}
 	modes := []struct {
 		name string
 		req  func(q DemoQuery) SearchRequest
@@ -75,82 +69,77 @@ func TestGoldenRetrieval(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	for _, m := range models {
-		// The retrieval model is construction-time configuration (the
-		// mutating Set* wrappers are gone), so generate a fresh pair of
-		// demo environments per model: unsharded and 4-way sharded over
-		// the identical fixture — demo generation is deterministic, so
-		// every pair sees the same corpus and queries.
-		env1, err := GenerateDemo(DemoSmall, WithRetrievalModel(m.model, m.params))
-		if err != nil {
-			t.Fatalf("GenerateDemo: %v", err)
-		}
-		env4, err := GenerateDemo(DemoSmall, WithShards(4), WithRetrievalModel(m.model, m.params))
-		if err != nil {
-			t.Fatalf("GenerateDemo shards=4: %v", err)
-		}
-		queries := env1.Queries
-		if len(queries) > 3 {
-			queries = queries[:3]
-		}
-		for _, mode := range modes {
-			t.Run(m.name+"/"+mode.name, func(t *testing.T) {
-				got := goldenFile{Model: m.name, Mode: mode.name, K: k}
-				for _, q := range queries {
-					req := mode.req(q)
-					r1, err := env1.Engine.Do(ctx, req)
-					if err != nil {
-						t.Fatalf("unsharded %q: %v", q.Text, err)
-					}
-					r4, err := env4.Engine.Do(ctx, req)
-					if err != nil {
-						t.Fatalf("sharded %q: %v", q.Text, err)
-					}
-					g1, g4 := goldenResults(r1.Results), goldenResults(r4.Results)
-					if err := diffGolden(g1, g4); err != nil {
-						t.Fatalf("shards=4 diverges from shards=1 on %q: %v", q.Text, err)
-					}
-					got.Queries = append(got.Queries, goldenQuery{Query: q.Text, Results: g1})
-				}
-
-				path := filepath.Join("testdata", "golden", m.name+"_"+mode.name+".json")
-				if *updateGolden {
-					buf, err := json.MarshalIndent(got, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("wrote %s", path)
-					return
-				}
-				raw, err := os.ReadFile(path)
+	// Demo generation is deterministic, so both environments see the
+	// same corpus and queries.
+	env1, err := GenerateDemo(DemoSmall)
+	if err != nil {
+		t.Fatalf("GenerateDemo: %v", err)
+	}
+	env4, err := GenerateDemo(DemoSmall, WithShards(4))
+	if err != nil {
+		t.Fatalf("GenerateDemo shards=4: %v", err)
+	}
+	queries := env1.Queries
+	if len(queries) > 3 {
+		queries = queries[:3]
+	}
+	for _, mode := range modes {
+		t.Run(goldenModel+"/"+mode.name, func(t *testing.T) {
+			got := goldenFile{Model: goldenModel, Mode: mode.name, K: k}
+			for _, q := range queries {
+				req := mode.req(q)
+				r1, err := env1.Engine.Do(ctx, req)
 				if err != nil {
-					t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+					t.Fatalf("unsharded %q: %v", q.Text, err)
 				}
-				var want goldenFile
-				if err := json.Unmarshal(raw, &want); err != nil {
-					t.Fatalf("corrupt golden %s: %v", path, err)
+				r4, err := env4.Engine.Do(ctx, req)
+				if err != nil {
+					t.Fatalf("sharded %q: %v", q.Text, err)
 				}
-				if want.K != got.K || len(want.Queries) != len(got.Queries) {
-					t.Fatalf("golden %s shape changed: k=%d/%d queries=%d/%d (run -update if intended)",
-						path, got.K, want.K, len(got.Queries), len(want.Queries))
+				g1, g4 := goldenResults(r1.Results), goldenResults(r4.Results)
+				if err := diffGolden(g1, g4); err != nil {
+					t.Fatalf("shards=4 diverges from shards=1 on %q: %v", q.Text, err)
 				}
-				for i := range want.Queries {
-					if want.Queries[i].Query != got.Queries[i].Query {
-						t.Fatalf("query %d is %q, golden has %q", i, got.Queries[i].Query, want.Queries[i].Query)
-					}
-					if err := diffGolden(want.Queries[i].Results, got.Queries[i].Results); err != nil {
-						t.Errorf("%s, query %q: %v (run -update if the change is intended)",
-							path, want.Queries[i].Query, err)
-					}
+				got.Queries = append(got.Queries, goldenQuery{Query: q.Text, Results: g1})
+			}
+
+			path := filepath.Join("testdata", "golden", goldenModel+"_"+mode.name+".json")
+			if *updateGolden {
+				buf, err := json.MarshalIndent(got, "", "  ")
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s", path)
+				return
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+			}
+			var want goldenFile
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatalf("corrupt golden %s: %v", path, err)
+			}
+			if want.K != got.K || len(want.Queries) != len(got.Queries) {
+				t.Fatalf("golden %s shape changed: k=%d/%d queries=%d/%d (run -update if intended)",
+					path, got.K, want.K, len(got.Queries), len(want.Queries))
+			}
+			for i := range want.Queries {
+				if want.Queries[i].Query != got.Queries[i].Query {
+					t.Fatalf("query %d is %q, golden has %q", i, got.Queries[i].Query, want.Queries[i].Query)
+				}
+				if err := diffGolden(want.Queries[i].Results, got.Queries[i].Results); err != nil {
+					t.Errorf("%s, query %q: %v (run -update if the change is intended)",
+						path, want.Queries[i].Query, err)
+				}
+			}
+		})
 	}
 }
 

@@ -73,7 +73,7 @@ func Ablations(s *Suite, inst *dataset.Instance) *AblationResult {
 
 	// Small Dirichlet μ.
 	r = s.NewRunner(inst)
-	r.Searcher.Params.Mu = 250
+	r.Searcher.Mu = 250
 	add("mu-250", r.SQE(motif.SetTS, true))
 
 	// Unordered windows (slack 2) instead of exact title phrases.
@@ -98,7 +98,7 @@ func MuSweep(s *Suite, inst *dataset.Instance, mus []float64) *MuSweepResult {
 	res := &MuSweepResult{Dataset: inst.Name, Mus: mus}
 	for _, mu := range mus {
 		r := s.NewRunner(inst)
-		r.Searcher.Params.Mu = mu
+		r.Searcher.Mu = mu
 		run := r.SQE(motif.SetTS, true)
 		res.P10 = append(res.P10, eval.MeanPrecisionAt(inst.Qrels, run, 10))
 	}

@@ -5,30 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/search"
 )
-
-func TestModelComparison(t *testing.T) {
-	s := smallSuite(t)
-	res := ModelComparison(s, s.ImageCLEF)
-	if len(res.Table.Rows) != 6 {
-		t.Fatalf("rows = %d", len(res.Table.Rows))
-	}
-	for _, model := range []search.Model{search.ModelDirichlet, search.ModelJelinekMercer, search.ModelBM25} {
-		gain, ok := res.Gain[model.String()]
-		if !ok {
-			t.Fatalf("no gain for %v", model)
-		}
-		// SQE must improve over the baseline under every retrieval
-		// model — the expansion is model-agnostic.
-		if gain <= 0 {
-			t.Errorf("%v: SQE gain %+.1f%% not positive", model, gain)
-		}
-	}
-	if !strings.Contains(res.String(), "bm25") {
-		t.Error("rendering incomplete")
-	}
-}
 
 func TestCrossKBMining(t *testing.T) {
 	s := smallSuite(t)

@@ -45,7 +45,6 @@ func TestRunsGolden(t *testing.T) {
 	for _, inst := range s.Instances() {
 		Table3(s, inst, Table2(s, inst))
 		Ablations(s, inst)
-		ModelComparison(s, inst)
 	}
 	var sb strings.Builder
 	for _, b := range blocks {

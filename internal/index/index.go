@@ -50,8 +50,11 @@ type Index struct {
 	analyzer analysis.Analyzer
 	terms    map[string]int32
 	// postings holds an in-memory index's rows; nil on a v2-backed one,
-	// which keeps no row (see readRow).
+	// which keeps no row (see readRow). cf[id] is row id's collection
+	// frequency, counted as the Builder made the row (a v2-backed index
+	// reads lazy.cf instead).
 	postings []Postings
+	cf       []int64
 	termText []string
 
 	docNames  []string
@@ -152,8 +155,8 @@ func (ix *Index) readRow(id int32, scratch *Postings) *Postings {
 
 // StreamableTerm reports whether term can be served by a streaming
 // block cursor — the index is backed by a FormatV2 file — and returns
-// its ID. The stored per-term stats and bounds (StoredTermStats,
-// StoredTermBounds) are then readable without decoding any postings.
+// its ID. The stored per-term bounds (StoredTermBounds) are then
+// readable without decoding any postings.
 func (ix *Index) StreamableTerm(term string) (int32, bool) {
 	if ix.lazy == nil {
 		return 0, false
@@ -162,10 +165,13 @@ func (ix *Index) StreamableTerm(term string) (int32, bool) {
 	return id, ok
 }
 
-// StoredTermStats returns term id's stored document and collection
-// frequencies without decoding its postings. Only valid on an index for
-// which StreamableTerm reported true.
+// StoredTermStats returns term id's document and collection frequencies
+// as stored when its row was made — by the Builder, a seal of a live
+// buffer, or the writer of a v2 file — without a pass over its postings.
 func (ix *Index) StoredTermStats(id int32) (df int, cf int64) {
+	if ix.lazy == nil {
+		return len(ix.postings[id].Docs), ix.cf[id]
+	}
 	return int(ix.lazy.df[id]), ix.lazy.cf[id]
 }
 
@@ -246,14 +252,6 @@ func FloorProb(cf, totalToks int64) float64 {
 	return float64(cf) / float64(totalToks)
 }
 
-// AvgDocLen returns the mean document length.
-func (ix *Index) AvgDocLen() float64 {
-	if len(ix.docLens) == 0 {
-		return 0
-	}
-	return float64(ix.totalToks) / float64(len(ix.docLens))
-}
-
 // String summarises the index.
 func (ix *Index) String() string {
 	return fmt.Sprintf("index: %d docs, %d terms, %d tokens", ix.NumDocs(), ix.NumTerms(), ix.TotalTokens())
@@ -269,6 +267,7 @@ type Builder struct {
 	docs  [][]DocID
 	freqs [][]int32
 	pos   [][][]int32
+	cf    []int64
 
 	docNames  []string
 	docLens   []int32
@@ -297,7 +296,9 @@ func (b *Builder) Add(name, text string) DocID {
 			b.docs = append(b.docs, nil)
 			b.freqs = append(b.freqs, nil)
 			b.pos = append(b.pos, nil)
+			b.cf = append(b.cf, 0)
 		}
+		b.cf[id]++
 		n := len(b.docs[id])
 		if n > 0 && b.docs[id][n-1] == doc {
 			b.freqs[id][n-1]++
@@ -321,6 +322,7 @@ func (b *Builder) Build() *Index {
 		docLens:   b.docLens,
 		totalToks: b.totalToks,
 		postings:  make([]Postings, len(b.termText)),
+		cf:        b.cf,
 	}
 	for id := range b.termText {
 		// Documents are added in increasing DocID order, so postings are
@@ -330,7 +332,7 @@ func (b *Builder) Build() *Index {
 		}
 		ix.postings[id] = Postings{Docs: b.docs[id], Freqs: b.freqs[id], Positions: b.pos[id]}
 	}
-	b.docs, b.freqs, b.pos = nil, nil, nil
+	b.docs, b.freqs, b.pos, b.cf = nil, nil, nil, nil
 	return ix
 }
 

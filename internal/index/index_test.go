@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,49 @@ func buildIndex(t *testing.T, docs ...string) *Index {
 
 func docName(i int) string { return "D" + string(rune('0'+i)) }
 
+// checkStoredStats holds every term's stored df and cf to its row.
+func checkStoredStats(t *testing.T, label string, ix *Index) {
+	t.Helper()
+	for id := int32(0); id < int32(ix.NumTerms()); id++ {
+		p := ix.PostingsByID(id)
+		if df, cf := ix.StoredTermStats(id); df != len(p.Docs) || cf != p.CollectionFreq() {
+			t.Fatalf("%s: term %q stored df=%d cf=%d, row df=%d cf=%d",
+				label, ix.TermText(id), df, cf, len(p.Docs), p.CollectionFreq())
+		}
+	}
+}
+
+// TestStoredTermStats: the df and cf a built index, a seal of a live
+// buffer and a v2 file store per term are their rows' sums, and a seal
+// keeps its own while the buffer goes on counting.
+func TestStoredTermStats(t *testing.T) {
+	docs := segCorpus(60, 3)
+	mono := monolithic(docs)
+	checkStoredStats(t, "built", mono)
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := WriteFile(path, mono, FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	checkStoredStats(t, "v2", v2)
+
+	s := openSegForTest(t, 1000)
+	ingestAll(t, s, docs[:30])
+	sn := s.Acquire()
+	defer sn.Release()
+	seal := sn.Segment(sn.NumSegments() - 1)
+	checkStoredStats(t, "seal", seal)
+	ingestAll(t, s, docs[30:])
+	checkStoredStats(t, "earlier seal after more ingests", seal)
+	later := s.Acquire()
+	defer later.Release()
+	checkStoredStats(t, "later seal", later.Segment(later.NumSegments()-1))
+}
+
 func TestIndexCounts(t *testing.T) {
 	ix := buildIndex(t, "red fish blue fish", "one fish", "nothing here")
 	if ix.NumDocs() != 3 {
@@ -38,9 +82,6 @@ func TestIndexCounts(t *testing.T) {
 	}
 	if ix.DocName(1) != "D1" {
 		t.Errorf("DocName = %q", ix.DocName(1))
-	}
-	if ix.AvgDocLen() != 8.0/3 {
-		t.Errorf("AvgDocLen = %f", ix.AvgDocLen())
 	}
 	if ix.NumTerms() != 6 { // red fish blue one nothing here
 		t.Errorf("NumTerms = %d", ix.NumTerms())

@@ -642,7 +642,8 @@ func (s *Segmented) Close() error {
 // appends — a later Add writes past the cut (or into a regrown array),
 // and the one place it writes in place, the running frequency and
 // position list of the document being added, is by construction past
-// every seal taken before that Add began. A new seal is a new Index, so
+// every seal taken before that Add began. The per-term cf column, which
+// every Add updates in place, is the one thing copied besides the map. A new seal is a new Index, so
 // it starts a new correction memo. Requires pub.
 func (s *Segmented) sealBufferLocked() *Index {
 	if s.bufSealed != nil && s.bufSealedGen == s.bufGen {
@@ -657,6 +658,9 @@ func (s *Segmented) sealBufferLocked() *Index {
 		docLens:   slices.Clip(b.docLens),
 		totalToks: b.totalToks,
 		postings:  make([]Postings, len(b.termText)),
+		// The Builder counts an existing term's occurrences in place, so
+		// unlike the rows its cf column is copied.
+		cf: slices.Clone(b.cf),
 	}
 	for t, id := range b.terms {
 		ix.terms[t] = id
@@ -814,15 +818,12 @@ func (sn *Snapshot) Tombstones(i int) []DocID { return sn.views[i].tombs }
 // candidate. Nil when the segment has none.
 func (sn *Snapshot) Dead(i int) DocSet { return sn.views[i].dead }
 
-// SegmentLiveDocs returns segment i's live-document count.
-func (sn *Snapshot) SegmentLiveDocs(i int) int { return sn.views[i].liveDocs }
-
 // SegmentLiveTokens returns the token count of segment i's live
 // documents.
 func (sn *Snapshot) SegmentLiveTokens(i int) int64 { return sn.views[i].liveToks }
 
 // TermCorrection returns what segment i's tombstones take off term id's
-// collection and document frequency in that segment, memoised on the
+// collection frequency in that segment, memoised on the
 // segment (see corrections).
 func (sn *Snapshot) TermCorrection(i int, id int32) Correction {
 	v := &sn.views[i]

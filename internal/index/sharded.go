@@ -11,11 +11,10 @@ import "fmt"
 // reproduce single-index rankings exactly.
 //
 // The shards carry only shard-local postings and lengths; the collection
-// statistics that smoothing needs (total tokens, collection frequencies,
-// document frequencies) must be taken globally — search.ShardedSearcher
-// overrides every query leaf's statistics with the cross-shard sums so
-// Dirichlet/JM/BM25 scores are bit-identical to evaluating the unsharded
-// index.
+// statistics that smoothing needs (total tokens, collection frequencies)
+// must be taken globally — search.ShardedSearcher overrides every query
+// leaf's statistics with the cross-shard sums so Dirichlet scores are
+// bit-identical to evaluating the unsharded index.
 type Sharded struct {
 	shards []*Index
 }

@@ -69,13 +69,12 @@ func (t tombstones) with(docLens []int32, add []DocID) tombstones {
 }
 
 // Correction is what a snapshot's tombstones take off one query leaf's
-// statistics in one segment: the occurrences (CF) and documents (DF) the
-// leaf has among the deleted documents. Probes counts the tombstones
+// statistics in one segment: the occurrences (CF) the leaf has among the
+// deleted documents. Probes counts the tombstones
 // that had to be looked up in the leaf's postings to answer — zero when
 // the memo was current.
 type Correction struct {
 	CF     int64
-	DF     int
 	Probes int
 }
 
@@ -108,7 +107,6 @@ type leafKey struct {
 type correction struct {
 	covered int
 	cf      int64
-	df      int
 }
 
 func newCorrections(log []DocID) *corrections {
@@ -137,7 +135,7 @@ func (m *corrections) lookup(ix *Index, sorted []DocID, key leafKey, pos *Positi
 	log := m.log
 	m.mu.Unlock()
 	if e.covered == n {
-		return Correction{CF: e.cf, DF: e.df}
+		return Correction{CF: e.cf}
 	}
 	lo, hi := e.covered, n
 	if lo > hi {
@@ -149,28 +147,27 @@ func (m *corrections) lookup(ix *Index, sorted []DocID, key leafKey, pos *Positi
 		slices.Sort(ts)
 	}
 	var cf int64
-	var df int
 	if pos != nil {
-		cf, df = probeRow(pos.Docs, pos.Freqs, ts)
+		cf = probeRow(pos.Docs, pos.Freqs, ts)
 	} else {
-		cf, df = ix.probeTerm(key.term, ts)
+		cf = ix.probeTerm(key.term, ts)
 	}
 	if e.covered > n {
-		return Correction{CF: e.cf - cf, DF: e.df - df, Probes: len(ts)}
+		return Correction{CF: e.cf - cf, Probes: len(ts)}
 	}
-	e = correction{covered: n, cf: e.cf + cf, df: e.df + df}
+	e = correction{covered: n, cf: e.cf + cf}
 	m.mu.Lock()
 	if m.done[key].covered < n {
 		m.done[key] = e
 	}
 	m.mu.Unlock()
-	return Correction{CF: e.cf, DF: e.df, Probes: len(ts)}
+	return Correction{CF: e.cf, Probes: len(ts)}
 }
 
 // probeRow sums the frequencies of a materialised postings row over the
 // documents of ts (ascending), walking the shorter of the two against
 // the other.
-func probeRow(docs []DocID, freqs []int32, ts []DocID) (cf int64, df int) {
+func probeRow(docs []DocID, freqs []int32, ts []DocID) (cf int64) {
 	if len(docs) <= len(ts) {
 		j := 0
 		for i, d := range docs {
@@ -180,10 +177,9 @@ func probeRow(docs []DocID, freqs []int32, ts []DocID) (cf int64, df int) {
 			}
 			if ts[j] == d {
 				cf += int64(freqs[i])
-				df++
 			}
 		}
-		return cf, df
+		return cf
 	}
 	i := 0
 	for _, t := range ts {
@@ -193,10 +189,9 @@ func probeRow(docs []DocID, freqs []int32, ts []DocID) (cf int64, df int) {
 		}
 		if docs[i] == t {
 			cf += int64(freqs[i])
-			df++
 		}
 	}
-	return cf, df
+	return cf
 }
 
 // probeCursors pools the block cursors probeTerm streams with, so a
@@ -207,7 +202,7 @@ var probeCursors = sync.Pool{New: func() any { return new(TermCursor) }}
 // (ascending). On a v2-backed index it is one forward pass of a block
 // cursor: Advance consults the block directory, so only blocks whose
 // range holds a tombstone are decoded and the row is never materialised.
-func (ix *Index) probeTerm(id int32, ts []DocID) (cf int64, df int) {
+func (ix *Index) probeTerm(id int32, ts []DocID) (cf int64) {
 	if ix.lazy == nil {
 		p := &ix.postings[id]
 		return probeRow(p.Docs, p.Freqs, ts)
@@ -221,10 +216,9 @@ func (ix *Index) probeTerm(id int32, ts []DocID) (cf int64, df int) {
 		}
 		if d == t {
 			cf += int64(c.Freq())
-			df++
 		}
 	}
 	c.Release()
 	probeCursors.Put(c)
-	return cf, df
+	return cf
 }

@@ -20,14 +20,13 @@ func ingestAll(t *testing.T, s *Segmented, docs []segDoc) {
 	}
 }
 
-// recount is the from-scratch correction: the row's occurrences and
-// documents among segment i's tombstones.
+// recount is the from-scratch correction: the row's occurrences among
+// segment i's tombstones.
 func recount(sn *Snapshot, i int, docs []DocID, freqs []int32) Correction {
 	var c Correction
 	for j, d := range docs {
 		if sn.Dead(i).Has(d) {
 			c.CF += int64(freqs[j])
-			c.DF++
 		}
 	}
 	return c
@@ -51,18 +50,18 @@ func checkCorrections(sn *Snapshot) error {
 		for id := int32(0); id < int32(ix.NumTerms()); id++ {
 			p := ix.PostingsByID(id)
 			got, want := sn.TermCorrection(i, id), recount(sn, i, p.Docs, p.Freqs)
-			if got.CF != want.CF || got.DF != want.DF {
-				return fmt.Errorf("segment %d term %q: correction cf=%d df=%d, recount cf=%d df=%d",
-					i, ix.TermText(id), got.CF, got.DF, want.CF, want.DF)
+			if got.CF != want.CF {
+				return fmt.Errorf("segment %d term %q: correction cf=%d, recount cf=%d",
+					i, ix.TermText(id), got.CF, want.CF)
 			}
 		}
 		phrase, _ := ix.PhraseLeaf([]string{"a", "b"}, &sc)
 		window, _ := ix.WindowLeaf([]string{"a", "c"}, 6, &sc)
 		for _, p := range []*Positional{phrase, window} {
 			got, want := sn.PositionalCorrection(i, p), recount(sn, i, p.Docs, p.Freqs)
-			if got.CF != want.CF || got.DF != want.DF {
-				return fmt.Errorf("segment %d positional: correction cf=%d df=%d, recount cf=%d df=%d",
-					i, got.CF, got.DF, want.CF, want.DF)
+			if got.CF != want.CF {
+				return fmt.Errorf("segment %d positional: correction cf=%d, recount cf=%d",
+					i, got.CF, want.CF)
 			}
 		}
 	}
@@ -261,7 +260,7 @@ func TestTombstoneCorrectionsIncremental(t *testing.T) {
 
 // TestTombstoneCorrectionsConcurrent: readers pinned on old and new
 // snapshots look corrections up while delete batches land; each one's
-// cf/df must equal the recount of its own snapshot, whichever way the
+// cf must equal the recount of its own snapshot, whichever way the
 // shared memo has moved meanwhile.
 func TestTombstoneCorrectionsConcurrent(t *testing.T) {
 	docs := segCorpus(400, 25)

@@ -130,7 +130,7 @@ func TestFeedbackFollowsTopDocs(t *testing.T) {
 		"q weakterm filler1 filler2", // lower P(Q|D), same in-doc share
 	)
 	// A small μ keeps P(Q|D) sensitive to tf on these tiny documents.
-	s.Params.Mu = 5
+	s.Mu = 5
 	terms, err := RelevanceModel(context.Background(), s, s.Index(), search.Term{Text: "q"}, Config{FbDocs: 2, FbTerms: 10})
 	if err != nil {
 		t.Fatal(err)

@@ -69,8 +69,10 @@ import (
 // allocation request.
 const MaxFrame = 64 << 20
 
-// WireVersion is the first byte of every payload.
-const WireVersion byte = 2
+// WireVersion is the first byte of every payload. It changes whenever a
+// message body does, so that peers speaking different bodies fail at the
+// handshake instead of misreading each other's frames.
+const WireVersion byte = 3
 
 // Response status bytes.
 const (

@@ -164,7 +164,7 @@ func segmentFixtureDeleting(t *testing.T, deletes []string) *contractFixture {
 	defer sn.Release()
 	var ends []int // ends[i] is the first global DocID past segment i
 	for i, end := 0, 0; i < sn.NumSegments(); i++ {
-		end += sn.SegmentLiveDocs(i)
+		end += sn.Segment(i).NumDocs() - len(sn.Tombstones(i))
 		ends = append(ends, end)
 	}
 	return &contractFixture{co: &gs.coordinator, mono: monoSearcher(survivorsOf(docs, deletes)), held: monoSearcher(docs),
@@ -211,11 +211,6 @@ func TestCoordinatorContract(t *testing.T) {
 		{"segments-rank1-dead", segmentRank1Fixture},
 		{"rpc-3", rpcFixture},
 	}
-	models := []ShardConfig{
-		{Model: ModelDirichlet},
-		{Model: ModelJelinekMercer, Params: ModelParams{Lambda: 0.4}},
-		{Model: ModelBM25, Params: ModelParams{K1: 1.2, B: 0.75}},
-	}
 	ctx := context.Background()
 	partial := &DegradeOptions{}
 	const k = 10
@@ -224,40 +219,35 @@ func TestCoordinatorContract(t *testing.T) {
 			f := kind.build(t)
 			n := f.numParts(t)
 			f.mono.DisablePruning, f.held.DisablePruning = true, true
-			for _, cfg := range models {
-				f.mono.Model, f.mono.Params = cfg.Model, cfg.Params
-				f.held.Model, f.held.Params = cfg.Model, cfg.Params
-				for _, prune := range []bool{false, true} {
-					cfg.DisablePruning = !prune
-					f.co.Configure(cfg)
-					f.co.forcePrune = prune
-					for _, kk := range []int{1, k, 1000} {
-						for qi, q := range f.queries {
-							label := fmt.Sprintf("model=%v prune=%v q=%d k=%d", cfg.Model, prune, qi, kk)
-							want := OracleRank(f.mono, q, kk)
-							got, ev, err := evalOne(ctx, f.co, q, kk, EvalOptions{CollectStats: true})
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							sameResults(t, label, got, want)
-							if len(ev.Stats.Shards) != n {
-								t.Fatalf("%s: %d Shards rows, want %d", label, len(ev.Stats.Shards), n)
-							}
-							if !prune {
-								_, heldSt := rankStats(t, f.held, q, kk)
-								sameCounters(t, label, ev.Stats, heldSt, false)
-							}
-						}
-						// Every query in one evaluation: each tree's ranking
-						// is still its own.
-						ev, err := f.co.Evaluate(ctx, f.queries, kk, EvalOptions{})
+			for _, prune := range []bool{false, true} {
+				f.co.Configure(ShardConfig{DisablePruning: !prune})
+				f.co.forcePrune = prune
+				for _, kk := range []int{1, k, 1000} {
+					for qi, q := range f.queries {
+						label := fmt.Sprintf("prune=%v q=%d k=%d", prune, qi, kk)
+						want := OracleRank(f.mono, q, kk)
+						got, ev, err := evalOne(ctx, f.co, q, kk, EvalOptions{CollectStats: true})
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("%s: %v", label, err)
 						}
-						for qi, q := range f.queries {
-							label := fmt.Sprintf("model=%v prune=%v all-trees q=%d k=%d", cfg.Model, prune, qi, kk)
-							sameResults(t, label, ev.Results[qi], OracleRank(f.mono, q, kk))
+						sameResults(t, label, got, want)
+						if len(ev.Stats.Shards) != n {
+							t.Fatalf("%s: %d Shards rows, want %d", label, len(ev.Stats.Shards), n)
 						}
+						if !prune {
+							_, heldSt := rankStats(t, f.held, q, kk)
+							sameCounters(t, label, ev.Stats, heldSt, false)
+						}
+					}
+					// Every query in one evaluation: each tree's ranking
+					// is still its own.
+					ev, err := f.co.Evaluate(ctx, f.queries, kk, EvalOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for qi, q := range f.queries {
+						label := fmt.Sprintf("prune=%v all-trees q=%d k=%d", prune, qi, kk)
+						sameResults(t, label, ev.Results[qi], OracleRank(f.mono, q, kk))
 					}
 				}
 			}

@@ -16,15 +16,11 @@ import (
 // the knobs; the searcher applies them). The fields are read on every
 // call and must not be mutated concurrently with searches.
 type ShardConfig struct {
-	// Model selects the retrieval function (default Dirichlet QL).
-	Model Model
-	// Params holds the model's parameters, Dirichlet's μ among them;
-	// a zero field takes its default (ModelParams).
-	Params ModelParams
+	// Mu is the Dirichlet smoothing pseudo-count μ; a non-positive
+	// value means DefaultMu.
+	Mu float64
 	// DisablePruning turns off MaxScore pruning in every partition's
-	// evaluator and scores every candidate. Only Dirichlet is pruned;
-	// the other models score every candidate either way. Pruning is
-	// score-safe —
+	// evaluator and scores every candidate. Pruning is score-safe —
 	// rankings and scores are bit-identical either way (maxscore.go) —
 	// so the switch exists for debugging, for the full-evaluation side
 	// of benchmarks, and for tests that assert exhaustive-path counters.
@@ -108,8 +104,7 @@ type Distributed interface {
 type coordinator struct {
 	ShardConfig
 	// forcePrune bypasses the cost model (pruneWorthwhile) and prunes a
-	// Dirichlet run whenever pruning is enabled at all; it does not make
-	// another model prune. Test-only: the differential
+	// run whenever pruning is enabled at all. Test-only: the differential
 	// suites exercise pruning on corpora and queries the cost model
 	// would (correctly) score exhaustively. It applies to in-process
 	// partitions; it does not cross the wire.
@@ -398,42 +393,33 @@ func (c *coordinator) scatterGather(g *gather, k int, st *SearchStats, pi *Parti
 		return false, err
 	}
 
-	// The global-statistics override over the contributing partitions.
-	// Integer sums are order-independent; the float df sum runs in
-	// ascending partition order so it, and everything downstream, is the
-	// same double on every path.
-	params := c.Params.withDefaults()
+	// The global-statistics override over the contributing partitions:
+	// integer sums, order-independent, so every path floors the same
+	// collection probability.
 	req := &g.req
 	*req = EvalRequest{
 		K:              k,
-		Model:          int(c.Model),
-		Mu:             params.Mu,
-		Lambda:         params.Lambda,
-		K1:             params.K1,
-		B:              params.B,
+		Mu:             resolveMu(c.Mu),
 		DisablePruning: c.DisablePruning,
 		Overrides:      grow(req.Overrides, nLeaves),
 		WantStats:      st != nil,
 		forcePrune:     c.forcePrune,
 		backfill:       g.backfill,
 	}
+	var totalToks int64
 	for i := range parts {
 		if calls[i].down == nil {
-			numDocs, totalToks := parts[i].totals()
-			req.NumDocs += numDocs
-			req.TotalToks += totalToks
+			totalToks += parts[i].totalTokens()
 		}
 	}
 	for li := range req.Overrides {
 		var cf int64
-		var df float64
 		for i := range calls {
 			if calls[i].down == nil {
 				cf += calls[i].leaves[li].CF
-				df += calls[i].leaves[li].DF
 			}
 		}
-		req.Overrides[li] = LeafOverride{CF: cf, DF: df, CollProb: index.FloorProb(cf, req.TotalToks)}
+		req.Overrides[li] = LeafOverride{CF: cf, CollProb: index.FloorProb(cf, totalToks)}
 	}
 
 	// Phase B: per-partition evaluation of every tree into bounded top-k

@@ -43,9 +43,7 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 	var names []string
 	flattenNamed(s.ix, q, 1, &leaves, &names, &sc.flat)
 	sc.leaves = leaves
-	cs := collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()}
-	prepareLeaves(s.Model, cs, leaves)
-	score := buildScorer(s.Model, s.Params.withDefaults(), cs)
+	mu := resolveMu(s.Mu)
 	dl := float64(s.ix.DocLen(doc))
 	ex := Explanation{Doc: doc, Name: s.ix.DocName(doc)}
 	contribs := make([]LeafContribution, len(leaves))
@@ -69,7 +67,7 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 		} else if i := findDoc(l.postings.Docs, doc); i >= 0 {
 			tf = l.postings.Freqs[i]
 		}
-		contrib := score(l, tf, dl)
+		contrib := dirichlet(l, tf, dl, mu)
 		ex.Score += contrib
 		contribs[li] = LeafContribution{
 			Leaf:           names[li],
@@ -79,7 +77,7 @@ func (s *Searcher) Explain(q Node, doc index.DocID) Explanation {
 			BackgroundOnly: tf == 0,
 		}
 		if tf > 0 {
-			lift[li] = contrib - score(l, 0, dl)
+			lift[li] = contrib - dirichlet(l, 0, dl, mu)
 		}
 		order[li] = li
 	}

@@ -13,9 +13,7 @@ var OracleRank func(s *Searcher, q Node, k int) []Result
 // of s resolves, for tests that drive searchRuns directly.
 func monoScoring(s *Searcher) scoring {
 	return scoring{
-		model:          s.Model,
-		params:         s.Params.withDefaults(),
-		cs:             collStats{numDocs: float64(s.ix.NumDocs()), avgDocLen: s.ix.AvgDocLen()},
+		mu:             resolveMu(s.Mu),
 		disablePruning: s.DisablePruning,
 		forcePrune:     s.forcePrune,
 	}

@@ -9,8 +9,7 @@ import (
 
 // MaxScore-style score-safe dynamic pruning (Turtle & Flood 1995): the
 // bounds, partition and candidate filter searchRuns keeps per pruned
-// run (runs.go has the loop). Only Dirichlet — the served model — is
-// pruned; the other models rank exhaustively (see prepareRuns).
+// run (runs.go has the loop).
 //
 // The idea: once the top-k heap is full, its worst retained score θ is
 // a floor every new result must beat. Each leaf carries a precomputed

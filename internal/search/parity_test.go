@@ -167,26 +167,22 @@ func runQueries() []parityQuery {
 
 // ---- models and modes ----
 
-// parityModel is one retrieval model with its parameters.
+// parityModel is the retrieval model at one μ.
 type parityModel struct {
-	name   string
-	model  Model
-	params ModelParams
+	name string
+	mu   float64
 }
 
-// parityModels is the model matrix: Dirichlet, the one model pruned, at
-// the default μ and at a small one (the first two rows), and the two
-// models ranked exhaustively.
+// parityModels is the model matrix: Dirichlet at the default μ and at a
+// small one.
 var parityModels = []parityModel{
-	{"dirichlet", ModelDirichlet, ModelParams{Mu: DefaultMu}},
-	{"dirichlet-small-mu", ModelDirichlet, ModelParams{Mu: 50}},
-	{"jelinek-mercer", ModelJelinekMercer, ModelParams{Lambda: 0.4}},
-	{"bm25", ModelBM25, ModelParams{K1: 1.2, B: 0.75}},
+	{"dirichlet", DefaultMu},
+	{"dirichlet-small-mu", 50},
 }
 
 // The pruning modes: the cost model's choice (a lone run prunes when
 // pruneWorthwhile predicts it pays, several runs always prune), pruning
-// forced on every Dirichlet run, and pruning off. forcePrune does not
+// forced on every run, and pruning off. forcePrune does not
 // cross the wire: under it a shard server applies its cost model.
 const (
 	costModel = "cost-model"
@@ -196,9 +192,9 @@ const (
 
 var allModes = []string{costModel, forced, unpruned}
 
-// configure sets co's model and pruning mode.
+// configure sets co's μ and pruning mode.
 func configure(co *coordinator, m parityModel, mode string) {
-	co.Configure(ShardConfig{Model: m.model, Params: m.params, DisablePruning: mode == unpruned})
+	co.Configure(ShardConfig{Mu: m.mu, DisablePruning: mode == unpruned})
 	co.forcePrune = mode == forced
 }
 
@@ -369,7 +365,7 @@ func parityRows() []parityRow {
 	for _, n := range []int{1, 3, 4, 8} {
 		row(fmt.Sprintf("shards-%d", n), shards(n, 0), "ties", singleTrees(), parityModels, []string{costModel}, 1, 3, 10, 1000)
 		row(fmt.Sprintf("shards-%d", n), shards(n, 0), "skewed-400", singleTrees(), parityModels, []string{costModel}, 1, 3, 10)
-		row(fmt.Sprintf("shards-%d-bs4", n), shards(n, 4), "skewed-400", singleTrees(), parityModels[:2], []string{forced}, 10)
+		row(fmt.Sprintf("shards-%d-bs4", n), shards(n, 4), "skewed-400", singleTrees(), parityModels, []string{forced}, 10)
 	}
 	// Live segments by flush size (many small segments, a few, the
 	// sealed buffer alone), with and without deletes, before and after
@@ -408,7 +404,7 @@ func parityRows() []parityRow {
 		// One 128-posting block of the longest list: a whole decode
 		// unit the merge walks offers nothing.
 		{"whole-block", postingNames("a", 128, 256)},
-		// Every match of one leaf: its df and cf correct to zero and the
+		// Every match of one leaf: its cf corrects to zero and the
 		// out-of-vocabulary floor applies.
 		{"leaf-to-zero", postingNames("z", 0, 650)},
 		// One survivor in the mixed shape's first segment: nearly every
@@ -561,19 +557,18 @@ func unionMass(held []*index.Index, trees []Node, perTree bool) int64 {
 
 // checkCounters holds one query's evaluations at one k, one per mode, to
 // the accounting identities: every posting of the query's distinct
-// leaves is advanced or skipped exactly once; the exhaustive mode — and
-// every mode of a model other than Dirichlet — skips nothing and tests
-// no bound; pruning never examines a candidate the exhaustive mode does
-// not; the heap sees the same accepted sequence in every mode; and the
-// per-partition skips sum to the total.
-func checkCounters(t *testing.T, label string, m parityModel, modes []string, stats []SearchStats, mass int64) {
+// leaves is advanced or skipped exactly once; the exhaustive mode skips
+// nothing and tests no bound; pruning never examines a candidate the
+// exhaustive mode does not; the heap sees the same accepted sequence in
+// every mode; and the per-partition skips sum to the total.
+func checkCounters(t *testing.T, label string, modes []string, stats []SearchStats, mass int64) {
 	t.Helper()
 	for i, st := range stats {
 		l := label + " " + modes[i]
 		if st.PostingsAdvanced+st.DocsSkipped != mass {
 			t.Errorf("%s: advanced %d + skipped %d != union postings mass %d", l, st.PostingsAdvanced, st.DocsSkipped, mass)
 		}
-		if (modes[i] == unpruned || m.model != ModelDirichlet) && (st.DocsSkipped != 0 || st.BoundEvaluations != 0) {
+		if modes[i] == unpruned && (st.DocsSkipped != 0 || st.BoundEvaluations != 0) {
 			t.Errorf("%s: an exhaustive evaluation reported pruning work: %v", l, st)
 		}
 		if st.HeapPushes != stats[0].HeapPushes || st.HeapEvictions != stats[0].HeapEvictions {
@@ -607,7 +602,7 @@ func (o *oracle) rankings(corpus string, live []testDoc, m parityModel, queries 
 	ref, ok := o.refs.Load(docs)
 	if !ok {
 		s := monoSearcher(live)
-		s.Model, s.Params = m.model, m.params
+		s.Mu = m.mu
 		ref, _ = o.refs.LoadOrStore(docs, s)
 	}
 	out := make([][][]Result, len(queries))
@@ -644,8 +639,8 @@ func (o *oracle) mass(corpus string, sub subject, q parityQuery) int64 {
 // evidence is what the table as a whole must show it exercised: the
 // postings skipped per shape kind, the blocks the forced v2 rows decoded
 // of those their streamed terms hold, the candidates the v2-bs4 row over
-// skewed-400 examined under Dirichlet below k = 1000 forced and
-// unpruned, and the evaluations that dropped their backfill run.
+// skewed-400 examined below k = 1000 forced and unpruned, and the
+// evaluations that dropped their backfill run.
 type evidence struct {
 	mu                 sync.Mutex
 	rows, drops        int
@@ -655,7 +650,7 @@ type evidence struct {
 }
 
 // note adds one evaluation of row r to the evidence.
-func (ev *evidence) note(r parityRow, m parityModel, mode string, k int, st SearchStats, dropped bool) {
+func (ev *evidence) note(r parityRow, mode string, k int, st SearchStats, dropped bool) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	kind, _, _ := strings.Cut(r.shape, "-")
@@ -667,7 +662,7 @@ func (ev *evidence) note(r parityRow, m parityModel, mode string, k int, st Sear
 		ev.decoded += st.BlocksDecoded
 		ev.blocks += st.BlocksTotal
 	}
-	if r.shape == "v2-bs4" && r.corpus == "skewed-400" && m.model == ModelDirichlet && k < 1000 {
+	if r.shape == "v2-bs4" && r.corpus == "skewed-400" && k < 1000 {
 		switch mode {
 		case forced:
 			ev.pruned += st.CandidatesExamined
@@ -729,9 +724,9 @@ func (r parityRow) run(t *testing.T, o *oracle, ev *evidence) {
 					configure(sub.co, m, mode)
 					var dropped bool
 					stats[i], dropped = diffTrees(t, fmt.Sprintf("%s/%s/%s k=%d", m.name, mode, q.name, k), sub.d, q.trees, want[qi], k)
-					ev.note(r, m, mode, k, stats[i], dropped)
+					ev.note(r, mode, k, stats[i], dropped)
 				}
-				checkCounters(t, fmt.Sprintf("%s/%s k=%d", m.name, q.name, k), m, r.modes, stats, mass)
+				checkCounters(t, fmt.Sprintf("%s/%s k=%d", m.name, q.name, k), r.modes, stats, mass)
 			}
 		}
 	}

@@ -21,8 +21,8 @@ import (
 // pc, which the coordinator holds from one phase to the next.
 type partition interface {
 	// stats flattens each tree of qs against the partition and reports
-	// every leaf's local collection and document frequency over its live
-	// documents into pc.leaves, the trees' leaves back to back in
+	// every leaf's local collection frequency over its live documents
+	// into pc.leaves, the trees' leaves back to back in
 	// flatten order and tree t's ending at pc.ends[t], keeping in pc
 	// what eval reuses (the flattened leaves in process, the encoded
 	// trees on the wire). A local partition counts its positional-memo
@@ -33,8 +33,8 @@ type partition interface {
 	// DocID asc) order, already carrying global DocIDs. Evaluator
 	// counters accumulate into st when non-nil.
 	eval(ctx context.Context, req *EvalRequest, pc *partCall, st *SearchStats) error
-	// totals returns the partition's live document and token counts.
-	totals() (numDocs int, totalToks int64)
+	// totalTokens returns the partition's live token count.
+	totalTokens() int64
 	// retryable reports whether err is a transient failure worth
 	// re-running the call for.
 	retryable(err error) bool
@@ -49,7 +49,7 @@ type partition interface {
 // other: its postings, bounds and block metadata still cover the dead
 // documents, which keeps every pruning bound dominating. Tombstones
 // enter in exactly two places, both owned by the snapshot: stats takes
-// the segment's memoised correction off each leaf's cf and df, and eval
+// the segment's memoised correction off each leaf's cf, and eval
 // hands the evaluator the dead-document set, which it consults before
 // offering a candidate to the heap — so a tombstoned partition is
 // evaluated with the request's own K.
@@ -116,7 +116,6 @@ func (p *localPartition) stats(ctx context.Context, qs []Node, pc *partCall, st 
 				c = p.sn.TermCorrection(p.seg, l.termID)
 			}
 			l.cf -= c.CF
-			l.df -= float64(c.DF)
 			if st != nil {
 				st.correctionProbes += int64(c.Probes)
 			}
@@ -124,7 +123,7 @@ func (p *localPartition) stats(ctx context.Context, qs []Node, pc *partCall, st 
 	}
 	pc.leaves = grow(pc.leaves, len(leaves))
 	for i := range leaves {
-		pc.leaves[i] = LeafStats{CF: leaves[i].cf, DF: leaves[i].df}
+		pc.leaves[i] = LeafStats{CF: leaves[i].cf}
 	}
 	return nil
 }
@@ -172,28 +171,21 @@ func (p *localPartition) dead() index.DocSet {
 func (p *localPartition) override(leaves []leaf, req *EvalRequest) scoring {
 	for i := range leaves {
 		o := req.Overrides[i]
-		leaves[i].cf, leaves[i].df, leaves[i].collProb = o.CF, o.DF, o.CollProb
-	}
-	// The same expression every collection view's AvgDocLen evaluates.
-	var avgDocLen float64
-	if req.NumDocs > 0 {
-		avgDocLen = float64(req.TotalToks) / float64(req.NumDocs)
+		leaves[i].cf, leaves[i].collProb = o.CF, o.CollProb
 	}
 	return scoring{
-		model:          Model(req.Model),
-		params:         ModelParams{Mu: req.Mu, Lambda: req.Lambda, K1: req.K1, B: req.B},
-		cs:             collStats{numDocs: float64(req.NumDocs), avgDocLen: avgDocLen},
+		mu:             req.Mu,
 		disablePruning: req.DisablePruning,
 		forcePrune:     req.forcePrune,
 		backfill:       req.backfill,
 	}
 }
 
-func (p *localPartition) totals() (int, int64) {
+func (p *localPartition) totalTokens() int64 {
 	if p.sn != nil {
-		return p.sn.SegmentLiveDocs(p.seg), p.sn.SegmentLiveTokens(p.seg)
+		return p.sn.SegmentLiveTokens(p.seg)
 	}
-	return p.ix.NumDocs(), p.ix.TotalTokens()
+	return p.ix.TotalTokens()
 }
 
 func (p *localPartition) retryable(err error) bool { return fault.IsTransient(err) }
@@ -255,6 +247,6 @@ func (p *remotePartition) eval(ctx context.Context, req *EvalRequest, pc *partCa
 	return nil
 }
 
-func (p *remotePartition) totals() (int, int64) { return p.info.NumDocs, p.info.TotalToks }
+func (p *remotePartition) totalTokens() int64 { return p.info.TotalToks }
 
 func (p *remotePartition) retryable(err error) bool { return rpc.IsTransport(err) }

@@ -313,10 +313,25 @@ func TestRemoteTruncatedStreamDegrades(t *testing.T) {
 // coordinator must fail at construction with the typed version error,
 // on the first attempt: a retry would get the same answer.
 func TestRemoteHandshakeRefusesJSONEraShard(t *testing.T) {
+	requireVersionRefused(t, []byte(`{"ok":false,"error":{"code":"bad_request","message":"invalid character '\x02' looking for beginning of value"}}`))
+}
+
+// TestRemoteHandshakeRefusesWireV2Shard: a shard answering in the
+// previous wire version, 2, is refused the same way. Its reply is
+// version 2's shard.info: shard 0 of 1, no documents.
+func TestRemoteHandshakeRefusesWireV2Shard(t *testing.T) {
+	requireVersionRefused(t, []byte{2, 0, 0, 2, 0, 0})
+}
+
+// requireVersionRefused answers every frame with reply, then closes,
+// and requires the handshake to fail with rpc.ErrWireVersion after one
+// request.
+func requireVersionRefused(t *testing.T, reply []byte) {
+	t.Helper()
 	var frames atomic.Int32
 	addr := fakeShard(t, func(conn net.Conn, payload []byte) bool {
 		frames.Add(1)
-		_ = writeFrame(conn, []byte(`{"ok":false,"error":{"code":"bad_request","message":"invalid character '\x02' looking for beginning of value"}}`))
+		_ = writeFrame(conn, reply)
 		return false
 	})
 	opts := testClientOptions()
@@ -325,13 +340,13 @@ func TestRemoteHandshakeRefusesJSONEraShard(t *testing.T) {
 	defer groups[0].Close()
 	_, err := NewRemoteSharded(context.Background(), groups)
 	if !errors.Is(err, rpc.ErrWireVersion) {
-		t.Fatalf("handshake against a JSON-era shard: err = %v, want rpc.ErrWireVersion", err)
+		t.Fatalf("handshake against another wire version: err = %v, want rpc.ErrWireVersion", err)
 	}
 	if rpc.IsTransport(err) {
 		t.Fatalf("version skew classified as a retryable transport error: %v", err)
 	}
 	if n := frames.Load(); n != 1 {
-		t.Fatalf("the JSON-era shard saw %d requests, want 1 (version skew must not be retried)", n)
+		t.Fatalf("the shard saw %d requests, want 1 (version skew must not be retried)", n)
 	}
 }
 
@@ -453,9 +468,9 @@ func (b rawBody) AppendBinary(p []byte) ([]byte, error) { return append(p, b...)
 
 // TestShardEvalRejectsMalformedFrames: shard.eval answers a frame no
 // well-formed coordinator sends with a terminal ServerError instead of
-// scoring it — an out-of-range model used to fall through to Dirichlet
-// and hand a version-skewed coordinator a silently mis-scored shard, and
-// floats crossing as raw bits can carry NaN and ±Inf.
+// scoring it — a μ of zero would rank by unsmoothed maximum likelihood
+// and a negative one can score +Inf, and floats crossing as raw bits can
+// carry NaN and ±Inf.
 func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 	ix := skewedIndex(40, 3)
 	addr, _ := startShardServer(t, NewShardService(index.NewSharded(ix, 1).Shard(0), 0, 1), nil)
@@ -469,11 +484,7 @@ func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 		return &out, nil
 	}
 
-	good := EvalRequest{
-		Query: Term{Text: "a"}, K: 5, Model: int(ModelBM25), Mu: 2500, Lambda: 0.4, K1: 1.2, B: 0.75,
-		NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens(),
-		Overrides: []LeafOverride{{CF: 30, DF: 20, CollProb: 0.05}},
-	}
+	good := EvalRequest{Query: Term{Text: "a"}, K: 5, Mu: 2500, Overrides: []LeafOverride{{CF: 30, CollProb: 0.05}}}
 	if resp, err := call(good); err != nil || len(resp.Results) == 0 {
 		t.Fatalf("well-formed frame: %v, %+v", err, resp)
 	}
@@ -495,23 +506,20 @@ func TestShardEvalRejectsMalformedFrames(t *testing.T) {
 	}
 	bomb = good.appendParams(appendString(append(bomb, kindTerm), "cable"))
 	for name, req := range map[string]any{
-		"model past the last": with(func(r *EvalRequest) { r.Model = int(ModelBM25) + 1 }),
-		"negative model":      with(func(r *EvalRequest) { r.Model = -1 }),
-		"negative num_docs":   with(func(r *EvalRequest) { r.NumDocs = -1 }),
-		"negative total_toks": with(func(r *EvalRequest) { r.TotalToks = -1 }),
-		"NaN mu":              with(func(r *EvalRequest) { r.Mu = math.NaN() }),
-		"+Inf lambda":         with(func(r *EvalRequest) { r.Lambda = math.Inf(1) }),
-		"-Inf b":              with(func(r *EvalRequest) { r.B = math.Inf(-1) }),
-		"NaN override df":     with(func(r *EvalRequest) { r.Overrides[0].DF = math.NaN() }),
-		"negative coll_prob":  with(func(r *EvalRequest) { r.Overrides[0].CollProb = -0.05 }),
-		"+Inf coll_prob":      with(func(r *EvalRequest) { r.Overrides[0].CollProb = math.Inf(1) }),
-		"NaN child weight":    with(func(r *EvalRequest) { r.Query = Weight([]float64{math.NaN()}, []Node{Term{Text: "a"}}) }),
-		"depth bomb":          rawBody(bomb),
-		"oversized count":     rawBody(good.appendParams(binary.AppendUvarint([]byte{kindWeighted}, 1<<40))),
-		"unknown node kind":   rawBody(append([]byte{kindWeighted + 1}, goodBytes[1:]...)),
-		"truncated frame":     rawBody(goodBytes[:len(goodBytes)/2]),
-		"trailing byte":       rawBody(append(slices.Clone(goodBytes), 0)),
-		"empty body":          nil,
+		"zero mu":            with(func(r *EvalRequest) { r.Mu = 0 }),
+		"negative mu":        with(func(r *EvalRequest) { r.Mu = -5 }),
+		"NaN mu":             with(func(r *EvalRequest) { r.Mu = math.NaN() }),
+		"+Inf mu":            with(func(r *EvalRequest) { r.Mu = math.Inf(1) }),
+		"negative coll_prob": with(func(r *EvalRequest) { r.Overrides[0].CollProb = -0.05 }),
+		"+Inf coll_prob":     with(func(r *EvalRequest) { r.Overrides[0].CollProb = math.Inf(1) }),
+		"NaN coll_prob":      with(func(r *EvalRequest) { r.Overrides[0].CollProb = math.NaN() }),
+		"NaN child weight":   with(func(r *EvalRequest) { r.Query = Weight([]float64{math.NaN()}, []Node{Term{Text: "a"}}) }),
+		"depth bomb":         rawBody(bomb),
+		"oversized count":    rawBody(good.appendParams(binary.AppendUvarint([]byte{kindWeighted}, 1<<40))),
+		"unknown node kind":  rawBody(append([]byte{kindWeighted + 1}, goodBytes[1:]...)),
+		"truncated frame":    rawBody(goodBytes[:len(goodBytes)/2]),
+		"trailing byte":      rawBody(append(slices.Clone(goodBytes), 0)),
+		"empty body":         nil,
 	} {
 		_, err := call(req)
 		var se *rpc.ServerError

@@ -19,11 +19,10 @@ import (
 // Each run's top-k is bit-identical to an exhaustive evaluation of its
 // tree alone, for three reasons:
 //
-//   - Scores. A scored candidate gets each union leaf's model core
-//     (Dirichlet and Jelinek-Mercer: the log; BM25: the numerator and
-//     denominator) computed once, and each run then sums weight × core
-//     over its own leaves in its own flatten order — the same float
-//     operations, in the same order, as the scorer closure.
+//   - Scores. A scored candidate gets each union leaf's core, the log of
+//     its smoothed probability, computed once, and each run then sums
+//     weight × core over its own leaves in its own flatten order — the
+//     same float operations, in the same order, as dirichlet.
 //   - Offers. A run is offered a candidate only if the candidate matches
 //     one of the leaves that run holds essential — exactly the candidates
 //     its own merge would have drawn. It is offered every such candidate
@@ -61,13 +60,13 @@ type runEval struct {
 // carrying the same collection statistics. Every phrase or window with
 // an out-of-vocabulary constituent resolves to one shared empty entry,
 // which a partition's global-statistics override gives each leaf its
-// own cf, df and collProb; those merge only where the statistics agree.
+// own cf and collProb; those merge only where the statistics agree.
 // Anonymous leaves (out-of-vocabulary terms) never merge.
 func sameLeaf(a, b *leaf) bool {
 	if a.positional != b.positional || a.termID != b.termID || a.positional == nil && a.termID < 0 {
 		return false
 	}
-	return a.cf == b.cf && a.df == b.df && a.collProb == b.collProb
+	return a.cf == b.cf && a.collProb == b.collProb
 }
 
 // searchRuns is the top-k loop. leaves holds every run's flattened
@@ -86,11 +85,9 @@ func sameLeaf(a, b *leaf) bool {
 // local to ix (bounds only need to dominate the documents ix can
 // produce).
 //
-// A run prunes when the model is scored as Dirichlet, the paper's and
-// the served model, and cfg.disablePruning is not set; Jelinek-Mercer
-// and BM25 rank exhaustively. A Dirichlet single run prunes only when
-// cfg.forcePrune is set or pruneWorthwhile predicts the filter pays;
-// among several, every Dirichlet run prunes: pruneWorthwhile weighs a
+// A run prunes unless cfg.disablePruning is set. A single run prunes
+// only when cfg.forcePrune is set or pruneWorthwhile predicts the filter
+// pays; among several, every run prunes: pruneWorthwhile weighs a
 // query's filter against scoring it alone, but inside one pass a run
 // that scored everything would keep all its leaves driving and every
 // candidate on them scored, whatever the other runs proved.
@@ -153,9 +150,7 @@ type pass struct {
 	leaves []leaf
 	k      int
 	st     *SearchStats
-	// The model and its parameters, resolved.
-	model                     Model
-	mu, lambda, k1, bp, avgdl float64
+	mu     float64
 
 	ul   []unionLeaf
 	docs []index.DocID
@@ -178,7 +173,7 @@ type pass struct {
 	seen                []int32
 	epoch               int32
 
-	// The log memos (Dirichlet): lgDL[dl] is log(dl+μ), the filter's
+	// The log memos: lgDL[dl] is log(dl+μ), the filter's
 	// exact background; bgCore[dl·len(ul)+u] is union leaf u's core at
 	// tf = 0, log(μ·p/(dl+μ)). Both are pure functions of the pass's
 	// inputs, so a memoised value is the value recomputed. Only lengths
@@ -208,12 +203,7 @@ type logMemo struct {
 // cursor per union leaf. Its steps are methods of their own, so the
 // deepest of them (bound derivation) runs on a shallow stack.
 func (p *pass) start(ends []int, cfg *scoring, sc *evalScratch) {
-	prepareLeaves(cfg.model, cfg.cs, p.leaves)
-	params := cfg.params
-	p.model, p.mu, p.lambda, p.k1, p.bp, p.avgdl = cfg.model, params.Mu, params.Lambda, params.K1, params.B, cfg.cs.avgDocLen
-	if p.avgdl == 0 {
-		p.avgdl = 1
-	}
+	p.mu = cfg.mu
 	p.iters, p.advanced, p.cands, p.skipped, p.boundEvals = 0, 0, 0, 0, 0
 	p.backfill, p.dropped = cfg.backfill && len(ends) > 1, false
 	union := p.unite(ends, sc)
@@ -253,9 +243,6 @@ func (p *pass) unite(ends []int, sc *evalScratch) []leaf {
 			first = append(first, g)
 		}
 		rl[g] = runLeaf{u: u, w: leaves[g].weight}
-		if p.model == ModelBM25 {
-			rl[g].w = leaves[g].weight * leaves[g].idf
-		}
 	}
 	p.first, p.rl = first, rl
 	union := leaves
@@ -300,12 +287,9 @@ func (p *pass) unite(ends []int, sc *evalScratch) []leaf {
 }
 
 // prepareRuns resets every run's heap and applies the mode rule: a run
-// that prunes gets its bounds and a fresh partition. Only a model
-// scored as Dirichlet prunes — ModelDirichlet and, as in buildScorer,
-// every unknown model; Jelinek-Mercer and BM25 rank exhaustively.
+// that prunes gets its bounds and a fresh partition.
 func (p *pass) prepareRuns(cfg *scoring, sc *evalScratch) {
 	rs, rl, ul := p.rs, p.rl, p.ul
-	prunable := !cfg.disablePruning && cfg.model != ModelJelinekMercer && cfg.model != ModelBM25
 	for r := range rs {
 		run := &rs[r]
 		run.h = topK{docs: run.h.docs[:0], scores: run.h.scores[:0], k: p.k}
@@ -313,7 +297,7 @@ func (p *pass) prepareRuns(cfg *scoring, sc *evalScratch) {
 		for g := run.lo; g < run.hi; g++ {
 			ul[rl[g].u].ess++
 		}
-		if !prunable || run.hi == run.lo {
+		if cfg.disablePruning || run.hi == run.lo {
 			continue
 		}
 		leaves := p.leaves[run.lo:run.hi]
@@ -330,19 +314,17 @@ func (p *pass) prepareRuns(cfg *scoring, sc *evalScratch) {
 // scoring touches one cache line per leaf: how many (run, leaf) pairs
 // hold it essential — it drives candidate selection while that is
 // positive — its smoothing probability, and the candidate it was last
-// scored for (stamp) with its frequency and model core there (BM25:
-// numerator and denominator). Its cursor's current document is in
-// pass.docs, which the scans read densely.
+// scored for (stamp) with its core there. Its cursor's current document
+// is in pass.docs, which the scans read densely.
 type unionLeaf struct {
-	tf           int32
-	ess          int32
-	stamp        int64
-	collProb     float64
-	coreA, coreB float64
+	ess      int32
+	stamp    int64
+	collProb float64
+	core     float64
 }
 
 // runLeaf is a run leaf as the loop reads it: its union leaf and its
-// multiplier — its weight, or w·idf for BM25.
+// weight.
 type runLeaf struct {
 	u int
 	w float64
@@ -618,100 +600,43 @@ func (p *pass) filterLoses(run *runEval, doc index.DocID, lgDL float64) bool {
 // for the candidate (see tf); with fold, next takes the minimum of the
 // documents the touched cursors move to.
 //
-// The sums are the scorer closures' expressions, factored: w·core for
-// the language models, ((w·idf)·num)/den for BM25 (w holds w·idf,
-// rounded as the closure rounds it). The conversion pins the product's
-// rounding (no fused multiply-add), as the closure's return does.
+// The sum is dirichlet's expression, factored as w·core. The conversion
+// pins the product's rounding (no fused multiply-add), as dirichlet's
+// return does.
 func (p *pass) score(rl []runLeaf, doc index.DocID, dl float64, fold bool, next index.DocID) (float64, index.DocID) {
 	ul, docs, curs, stamp := p.ul, p.docs, p.curs, p.iters
+	mu, row, epoch := p.mu, p.row, p.memoEpoch
+	dlmu := dl + mu
 	total := 0.0
-	switch p.model {
-	case ModelJelinekMercer:
-		lambda := p.lambda
-		for _, l := range rl {
-			x := &ul[l.u]
-			core := x.coreA
-			if x.stamp != stamp {
-				x.stamp = stamp
-				var tf int32
-				if d := docs[l.u]; d == doc {
-					c := &curs[l.u]
-					tf, docs[l.u] = c.Freq(), c.Next()
-					p.advanced++
-				} else if d < doc {
-					tf = p.tf(l.u, doc)
-				}
-				var ml float64
-				if dl > 0 {
-					ml = float64(tf) / dl
-				}
-				core = math.Log((1-lambda)*ml + lambda*x.collProb)
-				x.coreA = core
-				if fold {
-					next = min(next, docs[l.u])
-				}
+	for _, l := range rl {
+		x := &ul[l.u]
+		core := x.core
+		if x.stamp != stamp {
+			x.stamp = stamp
+			var tf int32
+			if d := docs[l.u]; d == doc {
+				c := &curs[l.u]
+				tf, docs[l.u] = c.Freq(), c.Next()
+				p.advanced++
+			} else if d < doc {
+				tf = p.tf(l.u, doc)
 			}
-			total += float64(l.w * core)
-		}
-	case ModelBM25:
-		k1, norm := p.k1, 1-p.bp+p.bp*dl/p.avgdl
-		for _, l := range rl {
-			x := &ul[l.u]
-			if x.stamp != stamp {
-				x.stamp = stamp
-				var tf int32
-				if d := docs[l.u]; d == doc {
-					c := &curs[l.u]
-					tf, docs[l.u] = c.Freq(), c.Next()
-					p.advanced++
-				} else if d < doc {
-					tf = p.tf(l.u, doc)
+			if tf == 0 && row != nil {
+				// The background core, memoised per (leaf, length).
+				e := &row[l.u]
+				if e.epoch != epoch {
+					*e = logMemo{v: math.Log((float64(tf) + mu*x.collProb) / dlmu), epoch: epoch}
 				}
-				if x.tf = tf; tf != 0 {
-					t := float64(tf)
-					x.coreA, x.coreB = t*(k1+1), t+k1*norm
-				}
-				if fold {
-					next = min(next, docs[l.u])
-				}
+				core = e.v
+			} else {
+				core = math.Log((float64(tf) + mu*x.collProb) / dlmu)
 			}
-			if x.tf != 0 {
-				total += l.w * x.coreA / x.coreB
+			x.core = core
+			if fold {
+				next = min(next, docs[l.u])
 			}
 		}
-	default: // Dirichlet, and whatever buildScorer scores as Dirichlet
-		mu, row, epoch := p.mu, p.row, p.memoEpoch
-		dlmu := dl + mu
-		for _, l := range rl {
-			x := &ul[l.u]
-			core := x.coreA
-			if x.stamp != stamp {
-				x.stamp = stamp
-				var tf int32
-				if d := docs[l.u]; d == doc {
-					c := &curs[l.u]
-					tf, docs[l.u] = c.Freq(), c.Next()
-					p.advanced++
-				} else if d < doc {
-					tf = p.tf(l.u, doc)
-				}
-				if tf == 0 && row != nil {
-					// The background core, memoised per (leaf, length).
-					e := &row[l.u]
-					if e.epoch != epoch {
-						*e = logMemo{v: math.Log((float64(tf) + mu*x.collProb) / dlmu), epoch: epoch}
-					}
-					core = e.v
-				} else {
-					core = math.Log((float64(tf) + mu*x.collProb) / dlmu)
-				}
-				x.coreA = core
-				if fold {
-					next = min(next, docs[l.u])
-				}
-			}
-			total += float64(l.w * core)
-		}
+		total += float64(l.w * core)
 	}
 	return total, next
 }

@@ -159,11 +159,9 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 	ctx := context.Background()
 	for _, m := range parityModels {
 		mono := NewSearcher(ix)
-		mono.Model, mono.Params = m.model, m.params
+		mono.Mu = m.mu
 		want := OracleRank(mono, q, ix.NumDocs())
-		params := mono.Params.withDefaults()
-		req := &EvalRequest{Model: int(m.model), Mu: params.Mu, Lambda: params.Lambda, K1: params.K1, B: params.B,
-			NumDocs: ix.NumDocs(), TotalToks: ix.TotalTokens()}
+		req := &EvalRequest{Mu: m.mu}
 		calls := make([]partCall, len(parts))
 		for i, p := range parts {
 			if err := p.stats(ctx, []Node{q}, &calls[i], nil); err != nil {
@@ -174,12 +172,11 @@ func TestSearchRunsOverriddenLeaves(t *testing.T) {
 			}
 			for li, l := range calls[i].leaves {
 				req.Overrides[li].CF += l.CF
-				req.Overrides[li].DF += l.DF
 			}
 		}
 		for li := range req.Overrides {
 			o := &req.Overrides[li]
-			o.CollProb = index.FloorProb(o.CF, req.TotalToks)
+			o.CollProb = index.FloorProb(o.CF, ix.TotalTokens())
 		}
 		for i, p := range parts {
 			lp := p.(*localPartition)

@@ -1,10 +1,32 @@
 package search
 
-import "repro/internal/index"
+import (
+	"math"
+
+	"repro/internal/index"
+)
 
 // DefaultMu is the Dirichlet smoothing parameter μ. 2500 is Indri's
 // long-standing default and works well for short caption-style documents.
 const DefaultMu = 2500
+
+// resolveMu is the μ a configured value scores with: a non-positive one
+// means DefaultMu.
+func resolveMu(mu float64) float64 {
+	if mu <= 0 {
+		return DefaultMu
+	}
+	return mu
+}
+
+// dirichlet is leaf l's contribution to a document of docLen tokens
+// holding it tf times: weight · log P(l|D) under Dirichlet smoothing,
+// P(l|D) = (tf + μ·P(l|C)) / (|D| + μ). Explain, and through it the
+// test oracle, score with it; the top-k loop computes the same
+// expression factored (pass.score).
+func dirichlet(l *leaf, tf int32, docLen, mu float64) float64 {
+	return l.weight * math.Log((float64(tf)+mu*l.collProb)/(docLen+mu))
+}
 
 // Result is one ranked document.
 type Result struct {
@@ -15,8 +37,8 @@ type Result struct {
 
 // Searcher evaluates structured queries against an index: the
 // coordinator over one partition, the whole index. Its configuration —
-// Model, Params, DisablePruning — is the promoted ShardConfig, and
-// Evaluate evaluates several trees in one pass.
+// Mu, DisablePruning — is the promoted ShardConfig, and Evaluate
+// evaluates several trees in one pass.
 type Searcher struct {
 	coordinator
 	ix *index.Index
@@ -38,26 +60,20 @@ func (s *Searcher) Index() *index.Index { return s.ix }
 
 // leaf is a flattened query leaf: its postings, its collection
 // statistics and its accumulated (normalised, multiplied-through)
-// weight. cf (collection frequency) and df (document frequency) default
-// to the index the leaf was flattened against; the sharded evaluator
-// overrides them — and collProb — with global cross-shard sums so every
-// shard scores with identical collection statistics.
+// weight. cf (collection frequency) defaults to the index the leaf was
+// flattened against; the sharded evaluator overrides it — and collProb —
+// with global cross-shard sums so every shard scores with identical
+// collection statistics.
 type leaf struct {
 	weight   float64
 	postings index.Postings
 	collProb float64
 	cf       int64
-	df       float64
 	// maxTF is the largest term frequency in the postings, the one
 	// summary the Dirichlet bound needs: term leaves read the index's
 	// precomputed metadata, phrase/window leaves the summary their memo
 	// entry was filled with, so positional bounds are just as tight.
 	maxTF int32
-	// idf caches BM25's per-leaf inverse document frequency so the hot
-	// scoring path does not recompute the log per posting. It is
-	// filled by prepareLeaves AFTER any collection-statistics override
-	// (the sharded evaluators rewrite df first); zero for other models.
-	idf float64
 	// termID is the index's ID of a term leaf's term, -1 for an out-of-
 	// vocabulary term and for phrase/window leaves; positional is the memo
 	// entry a phrase/window leaf was resolved to, nil for term leaves.
@@ -135,7 +151,8 @@ func flatten(ix *index.Index, n Node, w float64, out *[]leaf, fs *flatScratch, s
 
 // termLeaf is the leaf of one analysed term: streaming on a v2-backed
 // index, the shared materialised row otherwise, empty when the term is
-// out of vocabulary.
+// out of vocabulary. Either way its cf is the one the index stored with
+// the row, not a pass over it.
 func termLeaf(ix *index.Index, term string, w float64) leaf {
 	if id, ok := ix.StreamableTerm(term); ok {
 		// v2-backed term leaf: stats and bounds come from the stored
@@ -147,9 +164,9 @@ func termLeaf(ix *index.Index, term string, w float64) leaf {
 	if !ok {
 		return newLeaf(ix, w, index.Postings{}, 0, 0)
 	}
-	p := ix.PostingsByID(id)
+	_, cf := ix.StoredTermStats(id)
 	b, _ := ix.BoundsFor(term)
-	l := newLeaf(ix, w, *p, p.CollectionFreq(), b.MaxTF)
+	l := newLeaf(ix, w, *ix.PostingsByID(id), cf, b.MaxTF)
 	l.termID = id
 	return l
 }
@@ -223,7 +240,6 @@ func newLeaf(ix *index.Index, w float64, p index.Postings, cf int64, maxTF int32
 		postings: p,
 		collProb: ix.FloorProb(cf),
 		cf:       cf,
-		df:       float64(len(p.Docs)),
 		maxTF:    maxTF,
 		termID:   -1,
 		nPost:    len(p.Docs),
@@ -238,7 +254,6 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 		weight:   w,
 		collProb: ix.FloorProb(cf),
 		cf:       cf,
-		df:       float64(df),
 		maxTF:    ix.StoredTermBounds(id).MaxTF,
 		termID:   id,
 		stream:   true,
@@ -252,15 +267,11 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 // latency to a few hundred microseconds on any realistic index.
 const cancelCheckEvery = 4096
 
-// scoring is the resolved configuration of one evaluation: the model,
-// its parameters, the collection statistics the scorer closes over (the
-// index's own for a monolithic search, the cross-partition globals
-// under a coordinator), the pruning switches, and whether the last run
-// is a backfill run (EvalOptions.Backfill).
+// scoring is the resolved configuration of one evaluation: μ, the
+// pruning switches, and whether the last run is a backfill run
+// (EvalOptions.Backfill).
 type scoring struct {
-	model          Model
-	params         ModelParams
-	cs             collStats
+	mu             float64
 	disablePruning bool
 	forcePrune     bool
 	backfill       bool

@@ -15,21 +15,21 @@ var plain = analysis.Analyzer{}
 
 func buildIndex(docs ...string) *index.Index { return monoSearcher(textsOf(docs...)).Index() }
 
-// dirichlet computes the reference leaf score by hand.
-func dirichlet(tf, docLen float64, collProb, mu float64) float64 {
+// handDirichlet computes the reference leaf score by hand.
+func handDirichlet(tf, docLen float64, collProb, mu float64) float64 {
 	return math.Log((tf + mu*collProb) / (docLen + mu))
 }
 
 func TestSingleTermScore(t *testing.T) {
 	ix := buildIndex("a a b", "b c")
 	s := NewSearcher(ix)
-	s.Params.Mu = 100
+	s.Mu = 100
 	res := rank(t, s, Term{Text: "a"}, 10)
 	if len(res) != 1 {
 		t.Fatalf("got %d results, want 1 (only D0 contains 'a')", len(res))
 	}
 	collProb := 2.0 / 5.0
-	want := dirichlet(2, 3, collProb, 100)
+	want := handDirichlet(2, 3, collProb, 100)
 	if math.Abs(res[0].Score-want) > 1e-12 {
 		t.Errorf("score = %v, want %v", res[0].Score, want)
 	}
@@ -38,7 +38,7 @@ func TestSingleTermScore(t *testing.T) {
 func TestCombineEqualsSumOfLogsScaled(t *testing.T) {
 	ix := buildIndex("a b c d", "a x y z")
 	s := NewSearcher(ix)
-	s.Params.Mu = 50
+	s.Mu = 50
 	q := Combine(Term{Text: "a"}, Term{Text: "b"})
 	res := rank(t, s, q, 10)
 	if len(res) != 2 {
@@ -51,7 +51,7 @@ func TestCombineEqualsSumOfLogsScaled(t *testing.T) {
 	// Hand-compute D0's score: equal weights normalise to 1/2 each.
 	pa := 2.0 / 8.0 // 'a' appears twice in collection of 8 tokens
 	pb := 1.0 / 8.0
-	want := 0.5*dirichlet(1, 4, pa, 50) + 0.5*dirichlet(1, 4, pb, 50)
+	want := 0.5*handDirichlet(1, 4, pa, 50) + 0.5*handDirichlet(1, 4, pb, 50)
 	if math.Abs(res[0].Score-want) > 1e-12 {
 		t.Errorf("score = %v, want %v", res[0].Score, want)
 	}

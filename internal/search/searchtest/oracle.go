@@ -6,10 +6,10 @@
 // The oracle ranks a monolithic in-memory index by scoring every
 // document through Searcher.Explain, the one-document path behind
 // cmd/sqe-inspect. It therefore shares the product's query flattening
-// and scorer closure — the float arithmetic a ranking is made of — and
-// none of what an evaluator adds on top: no cursor, merge, heap, bound,
-// cost model, partition, statistics override or tombstone code runs
-// here.
+// and Dirichlet scoring function — the float arithmetic a ranking is
+// made of — and none of what an evaluator adds on top: no cursor, merge,
+// heap, bound, cost model, partition, statistics override or tombstone
+// code runs here.
 package searchtest
 
 import (
@@ -20,8 +20,8 @@ import (
 	"repro/internal/search"
 )
 
-// Rank returns the top k documents of s's index for q under s's model
-// and parameters: every document with a matching leaf, by descending
+// Rank returns the top k documents of s's index for q under s's μ:
+// every document with a matching leaf, by descending
 // score, ties by ascending DocID. A query matching nothing, and k <= 0,
 // rank nil.
 func Rank(s *search.Searcher, q search.Node, k int) []search.Result {
@@ -52,11 +52,9 @@ type Oracle struct{ s *search.Searcher }
 // the same order.
 func New(ix *index.Index) *Oracle { return &Oracle{s: search.NewSearcher(ix)} }
 
-// Configure implements search.Distributed: the model and its parameters
-// apply; pruning and the worker pool have nothing here to act on.
-func (o *Oracle) Configure(cfg search.ShardConfig) {
-	o.s.Model, o.s.Params = cfg.Model, cfg.Params
-}
+// Configure implements search.Distributed: μ applies; pruning and the
+// worker pool have nothing here to act on.
+func (o *Oracle) Configure(cfg search.ShardConfig) { o.s.Mu = cfg.Mu }
 
 // Evaluate implements search.Distributed by ranking each tree on its
 // own. It reports no statistics and never degrades.

@@ -12,7 +12,7 @@ import (
 // coordinator over one in-process partition per live segment. Results
 // and scores are bit-identical to evaluating the same query on a
 // monolithic index built from the snapshot's surviving documents in
-// ingestion order, for every retrieval model: survivors remap to the
+// ingestion order: survivors remap to the
 // DocIDs that rebuild would assign (segment base + survivor rank),
 // which preserves the (score desc, DocID asc) tie-break bit for bit.
 // localPartition says where tombstones enter.

@@ -25,7 +25,6 @@ const (
 type InfoResponse struct {
 	Shard     int
 	NumShards int
-	NumDocs   int
 	TotalToks int64
 }
 
@@ -38,7 +37,6 @@ type StatsRequest struct {
 // LeafStats are one leaf's shard-local collection statistics.
 type LeafStats struct {
 	CF int64
-	DF float64
 }
 
 // StatsResponse carries the per-leaf statistics in flatten order. The
@@ -53,38 +51,24 @@ type StatsResponse struct {
 // floored collection probability.
 type LeafOverride struct {
 	CF       int64
-	DF       float64
 	CollProb float64
 }
 
 // EvalRequest asks a partition to evaluate a query under coordinator-
 // supplied global statistics (phase B): override each leaf's statistics
-// with Overrides, score with a scorer built from the global
-// NumDocs/TotalToks, and return the local top k remapped to global
-// DocIDs. It is the one request shape in process and on the wire. Query
+// with Overrides, score with μ = Mu, and return the local top k
+// remapped to global DocIDs. It is the one request shape in process and on the wire. Query
 // is set only on a shard server, decoded from the frame (it re-flattens
 // the tree — no per-query state survives between the two phases); the
 // coordinator sends the tree it encoded for phase A instead.
 type EvalRequest struct {
 	Query Node
 	K     int
-	// Model and params pin the scoring function; the shard applies them
-	// verbatim (no local defaults beyond ModelParams.withDefaults, which
-	// the coordinator has already resolved).
-	Model          int
+	// Mu is the resolved μ (resolveMu); the shard applies it verbatim.
 	Mu             float64
-	Lambda         float64
-	K1             float64
-	B              float64
 	DisablePruning bool
-	// Global collection statistics. The shard derives avgDocLen as
-	// float64(TotalToks)/float64(NumDocs) — the same expression
-	// index.Sharded.AvgDocLen evaluates, so the scorer closure is built
-	// over bit-identical inputs.
-	NumDocs   int
-	TotalToks int64
-	Overrides []LeafOverride
-	WantStats bool
+	Overrides      []LeafOverride
+	WantStats      bool
 	// forcePrune is Searcher.forcePrune for in-process partitions
 	// (test-only) and backfill is EvalOptions.Backfill; unexported, so
 	// neither reaches the wire, and a shard server ranks every frame.
@@ -131,34 +115,22 @@ func (ws *WireEvalStats) searchStats() SearchStats {
 	}
 }
 
-// validate rejects an eval frame no well-formed coordinator sends. An
-// unknown model would otherwise fall through buildScorer's default to
-// Dirichlet, and a version-skewed coordinator would merge a silently
-// mis-scored shard into its ranking; the error crosses the wire as a
-// terminal ServerError, so it is dropped or surfaced, never retried.
-// Floats cross as raw bits, so NaN and ±Inf arrive intact and are
-// refused here: a non-finite parameter, statistic or weight would score
-// every document NaN.
+// validate rejects an eval frame no well-formed coordinator sends, which
+// the shard would otherwise merge, silently mis-scored, into the
+// coordinator's ranking; the error crosses the wire as a terminal
+// ServerError, so it is dropped or surfaced, never retried. A
+// coordinator sends a resolved μ, always positive: μ = 0 would rank by
+// unsmoothed maximum likelihood and a negative μ can score +Inf. Floats
+// cross as raw bits, so NaN and ±Inf arrive intact and are refused
+// here: a non-finite μ, statistic or weight would score every document
+// NaN.
 func (req *EvalRequest) validate() error {
-	switch Model(req.Model) {
-	case ModelDirichlet, ModelJelinekMercer, ModelBM25:
-	default:
-		return fmt.Errorf("unknown model %d", req.Model)
-	}
-	if req.NumDocs < 0 || req.TotalToks < 0 {
-		return fmt.Errorf("negative collection totals (num_docs %d, total_toks %d)", req.NumDocs, req.TotalToks)
-	}
-	for _, p := range [...]struct {
-		name string
-		v    float64
-	}{{"mu", req.Mu}, {"lambda", req.Lambda}, {"k1", req.K1}, {"b", req.B}} {
-		if !finite(p.v) {
-			return fmt.Errorf("non-finite %s %v", p.name, p.v)
-		}
+	if !finite(req.Mu) || req.Mu <= 0 {
+		return fmt.Errorf("mu %v must be finite and positive", req.Mu)
 	}
 	for i, o := range req.Overrides {
-		if !finite(o.DF) || o.DF < 0 || !finite(o.CollProb) || o.CollProb < 0 {
-			return fmt.Errorf("leaf %d: df %v and coll_prob %v must be finite and non-negative", i, o.DF, o.CollProb)
+		if !finite(o.CollProb) || o.CollProb < 0 {
+			return fmt.Errorf("leaf %d: coll_prob %v must be finite and non-negative", i, o.CollProb)
 		}
 	}
 	return finiteWeights(req.Query)
@@ -217,8 +189,7 @@ func (svc *ShardService) Register(srv *rpc.Server) {
 }
 
 func (svc *ShardService) handleInfo(ctx context.Context, body rpc.Body) (any, error) {
-	numDocs, totalToks := svc.part.totals()
-	return InfoResponse{Shard: svc.shard, NumShards: svc.numShards, NumDocs: numDocs, TotalToks: totalToks}, nil
+	return InfoResponse{Shard: svc.shard, NumShards: svc.numShards, TotalToks: svc.part.totalTokens()}, nil
 }
 
 func (svc *ShardService) handleStats(ctx context.Context, body rpc.Body) (any, error) {

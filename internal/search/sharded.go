@@ -5,7 +5,7 @@ import "repro/internal/index"
 // ShardedSearcher evaluates structured queries against an index.Sharded:
 // the coordinator over one in-process partition per round-robin shard.
 // Results and scores are bit-identical to evaluating the same query on
-// the unsharded index, for every retrieval model — within a shard,
+// the unsharded index — within a shard,
 // ascending local DocIDs correspond to ascending global DocIDs, so each
 // shard's top k under (score desc, local DocID asc) is exactly its
 // slice of the global ordering and the merge reconstructs the unsharded

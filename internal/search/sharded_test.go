@@ -13,9 +13,9 @@ import (
 func TestShardedMuOverrideMatches(t *testing.T) {
 	ix := skewedIndex(80, 3)
 	ref := NewSearcher(ix)
-	ref.Params.Mu = 500
+	ref.Mu = 500
 	ss := NewShardedSearcher(index.NewSharded(ix, 4))
-	ss.Params.Mu = 500
+	ss.Mu = 500
 	q := Combine(Term{Text: "a"}, Term{Text: "e"})
 	sameResults(t, "mu=500", rank(t, ss, q, 20), rank(t, ref, q, 20))
 }

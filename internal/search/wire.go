@@ -59,8 +59,8 @@ const maxPrealloc = 1 << 12
 // anything is allocated.
 const (
 	minChildBytes    = 9  // weight, kind
-	minLeafBytes     = 9  // cf, df
-	minOverrideBytes = 17 // cf, df, collProb
+	minLeafBytes     = 1  // cf
+	minOverrideBytes = 9  // cf, collProb
 	minResultBytes   = 10 // doc, name length, score
 )
 
@@ -273,7 +273,7 @@ func (req *StatsRequest) UnmarshalBinary(data []byte) error {
 func (resp StatsResponse) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(resp.Leaves)))
 	for _, l := range resp.Leaves {
-		b = appendFloat(binary.AppendVarint(b, l.CF), l.DF)
+		b = binary.AppendVarint(b, l.CF)
 	}
 	return b, nil
 }
@@ -284,7 +284,7 @@ func (resp *StatsResponse) UnmarshalBinary(data []byte) error {
 	n := r.count(minLeafBytes)
 	resp.Leaves = make([]LeafStats, 0, min(n, maxPrealloc))
 	for i := 0; i < n && r.err == nil; i++ {
-		resp.Leaves = append(resp.Leaves, LeafStats{CF: r.varint(), DF: r.float()})
+		resp.Leaves = append(resp.Leaves, LeafStats{CF: r.varint()})
 	}
 	return r.done()
 }
@@ -293,14 +293,13 @@ func (resp *StatsResponse) UnmarshalBinary(data []byte) error {
 func (info InfoResponse) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(info.Shard))
 	b = binary.AppendVarint(b, int64(info.NumShards))
-	b = binary.AppendVarint(b, int64(info.NumDocs))
 	return binary.AppendVarint(b, info.TotalToks), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (info *InfoResponse) UnmarshalBinary(data []byte) error {
 	r := wireReader{buf: data}
-	*info = InfoResponse{Shard: r.int(), NumShards: r.int(), NumDocs: r.int(), TotalToks: r.varint()}
+	*info = InfoResponse{Shard: r.int(), NumShards: r.int(), TotalToks: r.varint()}
 	return r.done()
 }
 
@@ -316,11 +315,7 @@ func (req EvalRequest) AppendBinary(b []byte) ([]byte, error) {
 
 // appendParams appends everything of an eval body after the tree.
 func (req *EvalRequest) appendParams(b []byte) []byte {
-	b = binary.AppendVarint(b, int64(req.K))
-	b = binary.AppendVarint(b, int64(req.Model))
-	for _, f := range [...]float64{req.Mu, req.Lambda, req.K1, req.B} {
-		b = appendFloat(b, f)
-	}
+	b = appendFloat(binary.AppendVarint(b, int64(req.K)), req.Mu)
 	var flags byte
 	if req.DisablePruning {
 		flags |= evalDisablePruning
@@ -328,12 +323,9 @@ func (req *EvalRequest) appendParams(b []byte) []byte {
 	if req.WantStats {
 		flags |= evalWantStats
 	}
-	b = append(b, flags)
-	b = binary.AppendVarint(b, int64(req.NumDocs))
-	b = binary.AppendVarint(b, req.TotalToks)
-	b = binary.AppendUvarint(b, uint64(len(req.Overrides)))
+	b = binary.AppendUvarint(append(b, flags), uint64(len(req.Overrides)))
 	for _, o := range req.Overrides {
-		b = appendFloat(appendFloat(binary.AppendVarint(b, o.CF), o.DF), o.CollProb)
+		b = appendFloat(binary.AppendVarint(b, o.CF), o.CollProb)
 	}
 	return b
 }
@@ -341,26 +333,17 @@ func (req *EvalRequest) appendParams(b []byte) []byte {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (req *EvalRequest) UnmarshalBinary(data []byte) error {
 	r := wireReader{buf: data}
-	*req = EvalRequest{
-		Query:  r.node(1),
-		K:      r.int(),
-		Model:  r.int(),
-		Mu:     r.float(),
-		Lambda: r.float(),
-		K1:     r.float(),
-		B:      r.float(),
-	}
+	*req = EvalRequest{Query: r.node(1), K: r.int(), Mu: r.float()}
 	flags := r.byte()
 	if flags&^(evalDisablePruning|evalWantStats) != 0 {
 		r.fail("unknown eval flags %#x", flags)
 	}
 	req.DisablePruning = flags&evalDisablePruning != 0
 	req.WantStats = flags&evalWantStats != 0
-	req.NumDocs, req.TotalToks = r.int(), r.varint()
 	n := r.count(minOverrideBytes)
 	req.Overrides = make([]LeafOverride, 0, min(n, maxPrealloc))
 	for i := 0; i < n && r.err == nil; i++ {
-		req.Overrides = append(req.Overrides, LeafOverride{CF: r.varint(), DF: r.float(), CollProb: r.float()})
+		req.Overrides = append(req.Overrides, LeafOverride{CF: r.varint(), CollProb: r.float()})
 	}
 	return r.done()
 }

@@ -3,7 +3,11 @@ package search
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -103,23 +107,19 @@ func wireMessages() []shardFrame {
 	var overrides []LeafOverride
 	var results []WireResult
 	for i, f := range edgeFloats {
-		leaves = append(leaves, LeafStats{CF: int64(i) - 1, DF: f})
-		overrides = append(overrides, LeafOverride{CF: math.MaxInt64 - int64(i), DF: f, CollProb: -f})
+		leaves = append(leaves, LeafStats{CF: int64(i) - 1})
+		overrides = append(overrides, LeafOverride{CF: math.MaxInt64 - int64(i), CollProb: -f})
 		results = append(results, WireResult{Doc: math.MinInt64 + int64(i), Name: "doc", Score: f})
 	}
 	eval := func(mu float64) *EvalRequest {
-		return &EvalRequest{
-			Query: edgeTree, K: 10, Model: int(ModelJelinekMercer),
-			Mu: mu, Lambda: math.Copysign(0, -1), K1: math.SmallestNonzeroFloat64, B: math.MaxFloat64,
-			DisablePruning: true, NumDocs: math.MaxInt32, TotalToks: math.MaxInt64, Overrides: overrides,
-		}
+		return &EvalRequest{Query: edgeTree, K: 10, Mu: mu, DisablePruning: true, Overrides: overrides}
 	}
 	wantStats := eval(math.Nextafter(DefaultMu, 0))
 	wantStats.DisablePruning, wantStats.WantStats = false, true
 	return append(msgs,
 		&StatsResponse{Leaves: leaves},
 		&StatsResponse{},
-		&InfoResponse{Shard: 1, NumShards: 2, NumDocs: math.MaxInt32, TotalToks: math.MaxInt64},
+		&InfoResponse{Shard: 1, NumShards: 2, TotalToks: math.MaxInt64},
 		eval(math.Nextafter(DefaultMu, math.Inf(1))),
 		wantStats,
 		&EvalRequest{Query: Term{Text: "cable"}},
@@ -198,4 +198,32 @@ func FuzzShardFrame(f *testing.F) {
 			t.Fatalf("%T re-encodes differently:\n got %x\nwant %x", m, got, data[1:])
 		}
 	})
+}
+
+// TestShardFrameSeedsDecode: every FuzzShardFrame seed decodes but the
+// ones named for the defect they carry, so a wire change cannot leave
+// the corpus reaching only the decoders' error paths.
+func TestShardFrameSeedsDecode(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzShardFrame", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no seeds: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil || data == "" {
+			t.Fatalf("%s: not a []byte seed: %v", f, err)
+		}
+		name := filepath.Base(f)
+		defect := strings.HasSuffix(name, "-trailing") || strings.HasSuffix(name, "-truncated") ||
+			strings.HasSuffix(name, "-badmarker") || strings.HasSuffix(name, "-nonminimal")
+		err = frameKinds[int(data[0])%len(frameKinds)]().UnmarshalBinary([]byte(data[1:]))
+		if (err != nil) != defect {
+			t.Errorf("%s: decode error %v", name, err)
+		}
+	}
 }

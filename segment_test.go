@@ -33,8 +33,7 @@ func TestSegmentedEngineMutationVisibility(t *testing.T) {
 	w := theWorld(t)
 	env, docs := w.env, w.docs
 	g := env.Engine.Graph()
-	engine, _ := segmented(32, ingest(0, all))(t, w)
-	liveEng := engine()
+	liveEng, _ := segmented(32, ingest(0, all))(t, w)
 	q := env.Queries[0]
 	req := SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 5}
 	before, err := liveEng.Do(context.Background(), req)
@@ -105,8 +104,7 @@ func resultNames(rs []Result) []string {
 // it loudly.
 func TestSegmentedEngineRejectsPRF(t *testing.T) {
 	w := theWorld(t)
-	engine, _ := segmented(4, ingest(0, 10))(t, w)
-	liveEng := engine()
+	liveEng, _ := segmented(4, ingest(0, 10))(t, w)
 	q := w.env.Queries[0]
 	_, err := liveEng.Do(context.Background(), SearchRequest{
 		Query: q.Text, EntityTitles: q.EntityTitles, K: 5,
@@ -119,24 +117,15 @@ func TestSegmentedEngineRejectsPRF(t *testing.T) {
 
 // TestSegmentedGoldenRetrieval diffs the live engine against the same
 // pinned golden corpus the monolithic and sharded engines answer to:
-// after ingesting the full demo corpus (no deletes), every model ×
-// raw/expanded leg must reproduce testdata/golden byte-for-byte.
+// after ingesting the full demo corpus (no deletes), the raw and the
+// expanded leg must reproduce testdata/golden byte-for-byte.
 func TestSegmentedGoldenRetrieval(t *testing.T) {
 	const k = 10
 	w := theWorld(t)
-	engine, _ := segmented(32, ingest(0, all))(t, w)
+	liveEng, _ := segmented(32, ingest(0, all))(t, w)
 	queries := w.env.Queries
 	if len(queries) > 3 {
 		queries = queries[:3]
-	}
-	models := []struct {
-		name   string
-		model  RetrievalModel
-		params ModelParams
-	}{
-		{"dirichlet", ModelDirichlet, ModelParams{}},
-		{"jm", ModelJelinekMercer, ModelParams{}},
-		{"bm25", ModelBM25, ModelParams{}},
 	}
 	modes := []struct {
 		name string
@@ -149,32 +138,29 @@ func TestSegmentedGoldenRetrieval(t *testing.T) {
 			return SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: k}
 		}},
 	}
-	for _, m := range models {
-		liveEng := engine(WithRetrievalModel(m.model, m.params))
-		for _, mode := range modes {
-			path := filepath.Join("testdata", "golden", m.name+"_"+mode.name+".json")
-			raw, err := os.ReadFile(path)
+	for _, mode := range modes {
+		path := filepath.Join("testdata", "golden", goldenModel+"_"+mode.name+".json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden %s: %v", path, err)
+		}
+		var want goldenFile
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("corrupt golden %s: %v", path, err)
+		}
+		for i, q := range queries {
+			if i >= len(want.Queries) {
+				break
+			}
+			resp, err := liveEng.Do(context.Background(), mode.req(q))
 			if err != nil {
-				t.Fatalf("missing golden %s: %v", path, err)
+				t.Fatalf("%s %q: %v", mode.name, q.Text, err)
 			}
-			var want goldenFile
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatalf("corrupt golden %s: %v", path, err)
+			if want.Queries[i].Query != q.Text {
+				t.Fatalf("golden %s query %d is %q, demo has %q", path, i, want.Queries[i].Query, q.Text)
 			}
-			for i, q := range queries {
-				if i >= len(want.Queries) {
-					break
-				}
-				resp, err := liveEng.Do(context.Background(), mode.req(q))
-				if err != nil {
-					t.Fatalf("%s/%s %q: %v", m.name, mode.name, q.Text, err)
-				}
-				if want.Queries[i].Query != q.Text {
-					t.Fatalf("golden %s query %d is %q, demo has %q", path, i, want.Queries[i].Query, q.Text)
-				}
-				if err := diffGolden(want.Queries[i].Results, goldenResults(resp.Results)); err != nil {
-					t.Errorf("%s, query %q: live engine diverges from golden: %v", path, q.Text, err)
-				}
+			if err := diffGolden(want.Queries[i].Results, goldenResults(resp.Results)); err != nil {
+				t.Errorf("%s, query %q: live engine diverges from golden: %v", path, q.Text, err)
 			}
 		}
 	}

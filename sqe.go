@@ -35,7 +35,7 @@
 //
 //	eng := sqe.NewEngine(graph, ix,
 //		sqe.WithLinker(dict),
-//		sqe.WithRetrievalModel(sqe.ModelDirichlet, sqe.ModelParams{Mu: 500}),
+//		sqe.WithMu(500),
 //		sqe.WithExpansionCache(4096),
 //		sqe.WithShards(4),
 //	)
@@ -49,7 +49,7 @@
 //
 // WithShards(n) partitions the index into n round-robin shards whose
 // retrievals evaluate in parallel and merge into a final top-k —
-// bit-identical to the unsharded engine for every retrieval model.
+// bit-identical to the unsharded engine.
 package sqe
 
 import (
@@ -85,11 +85,6 @@ type (
 	GraphBuilder = kb.Builder
 	// PRFConfig parameterises pseudo-relevance feedback.
 	PRFConfig = prf.Config
-	// RetrievalModel selects the scoring function (Dirichlet QL, JM,
-	// BM25).
-	RetrievalModel = search.Model
-	// ModelParams holds the retrieval models' parameters.
-	ModelParams = search.ModelParams
 	// ShardSearchStats is one shard's slice of a retrieval's counters
 	// (PipelineStats.Search.Shards; an unsharded engine's index is its
 	// one shard).
@@ -100,16 +95,6 @@ type (
 	// CacheStats are the expansion cache's hit/miss/eviction counters
 	// (see WithExpansionCache).
 	CacheStats = core.CacheStats
-)
-
-// Retrieval models.
-const (
-	// ModelDirichlet is the paper's Dirichlet-smoothed query likelihood.
-	ModelDirichlet = search.ModelDirichlet
-	// ModelJelinekMercer is JM-smoothed query likelihood.
-	ModelJelinekMercer = search.ModelJelinekMercer
-	// ModelBM25 is Okapi BM25.
-	ModelBM25 = search.ModelBM25
 )
 
 // Motif configurations, named after the paper's runs.
@@ -211,29 +196,22 @@ func WithLinker(dict *entitylink.Dictionary) Option {
 	return func(e *Engine) { e.linker = entitylink.NewLinker(dict) }
 }
 
-// WithRetrievalModel sets the scoring function and its parameters; a
-// zero parameter takes its default (Dirichlet's μ is ModelParams.Mu,
-// default 2500). The paper's model is ModelDirichlet (the default), the
-// only one pruned; ModelJelinekMercer and ModelBM25 are provided for
-// comparison studies — SQE's expansions are model-agnostic — and rank
-// exhaustively: every matching candidate is scored, whatever
-// WithPruning says, with the same rankings.
-func WithRetrievalModel(m RetrievalModel, params ModelParams) Option {
-	return func(e *Engine) {
-		e.cfg.Model = m
-		e.cfg.Params = params
-	}
+// WithMu sets the Dirichlet smoothing pseudo-count μ of the retrieval
+// model, the paper's Indri-style Dirichlet-smoothed query likelihood; a
+// non-positive mu keeps the default, 2500.
+func WithMu(mu float64) Option {
+	return func(e *Engine) { e.cfg.Mu = mu }
 }
 
 // WithPruning toggles MaxScore-style score-safe dynamic pruning in the
-// document-at-a-time top-k loop (default on). It applies to
-// ModelDirichlet; the other models always rank exhaustively. With
-// pruning, candidates that provably cannot enter the current top-k —
-// judged against per-leaf score upper bounds derived from index
-// metadata at query-compile time — are skipped without being scored;
-// rankings and scores stay bit-identical to exhaustive scoring for
-// every shard count (TestDifferential's rows enforce this). WithPruning(false) is the escape hatch for debugging and the
-// exhaustive reference the bench/ oracle compares against.
+// document-at-a-time top-k loop (default on). With pruning, candidates
+// that provably cannot enter the current top-k — judged against
+// per-leaf score upper bounds derived from index metadata at
+// query-compile time — are skipped without being scored; rankings and
+// scores stay bit-identical to exhaustive scoring for every shard count
+// (TestDifferential's rows enforce this). WithPruning(false) is the
+// escape hatch for debugging and the exhaustive reference the bench/
+// oracle compares against.
 func WithPruning(on bool) Option {
 	return func(e *Engine) { e.cfg.DisablePruning = !on }
 }
@@ -272,7 +250,7 @@ func WithSQECWorkers(n int) Option {
 // per-shard document-at-a-time scan with a final top-k merge. Each query
 // leaf's collection statistics are replaced by their exact cross-shard
 // sums before scoring, so rankings and scores are bit-identical to the
-// unsharded engine for every retrieval model (TestDifferential's
+// unsharded engine (TestDifferential's
 // shards-N rows enforce this). n is clamped to the document
 // count; n <= 1 keeps the whole index as the one shard. Shard
 // evaluations draw extra goroutines from the engine-wide worker pool
@@ -292,8 +270,8 @@ type DistributedSearcher = search.Distributed
 // WithDistributedSearcher installs a pre-built distributed retrieval
 // backend — typically an RPC coordinator over shard-server processes
 // (search.NewRemoteSharded; see cmd/sqe-serve's coordinator mode). The
-// engine mirrors its retrieval configuration (model, parameters,
-// pruning, worker pool) onto the backend at construction, exactly as it
+// engine mirrors its retrieval configuration (μ, pruning, worker
+// pool) onto the backend at construction, exactly as it
 // does for WithShards, so distributed scores stay bit-identical to the
 // single-process engine over the same corpus and shard count.
 //

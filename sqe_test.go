@@ -2,6 +2,7 @@ package sqe
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -199,8 +200,8 @@ func TestPrecisionAtHelper(t *testing.T) {
 	}
 }
 
-// TestModelParamsMu checks ModelParams.Mu actually reaches the scorer:
-// two engines over the same corpus differing only in μ must score
+// TestModelParamsMu checks WithMu's μ actually reaches the scorer: two
+// engines over the same corpus differing only in μ must score
 // differently.
 func TestModelParamsMu(t *testing.T) {
 	e := demo(t)
@@ -211,7 +212,7 @@ func TestModelParamsMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithRetrievalModel(ModelDirichlet, ModelParams{Mu: 10}))
+	tuned := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithMu(10))
 	after, err := tuned.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -243,33 +244,29 @@ func TestNewEntityDictionary(t *testing.T) {
 	}
 }
 
-func TestWithRetrievalModel(t *testing.T) {
+// TestWithMu: a non-positive μ keeps the default, so the SQE_C page of
+// an engine built WithMu(0) or WithMu(-1) is the default engine's, score
+// bits included.
+func TestWithMu(t *testing.T) {
 	e := demo(t)
 	q := e.Queries[0]
 	ctx := context.Background()
-	req := SearchRequest{Query: q.Text, K: 5, Baseline: true}
-	dirichlet, err := e.Engine.Do(ctx, req)
+	req := SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10}
+	want, err := e.Engine.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm25Eng := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithRetrievalModel(ModelBM25, ModelParams{}))
-	bm25, err := bm25Eng.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	if len(want.Results) == 0 {
+		t.Fatal("the default engine returned nothing")
 	}
-	if len(dirichlet.Results) == 0 || len(bm25.Results) == 0 {
-		t.Fatal("searches returned nothing")
-	}
-	if dirichlet.Results[0].Score == bm25.Results[0].Score {
-		t.Error("model switch had no effect on scores")
-	}
-	// SQE still works under BM25.
-	resp, err := bm25Eng.Do(ctx, SearchRequest{Query: q.Text, EntityTitles: q.EntityTitles, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) == 0 {
-		t.Error("SQE under BM25 returned nothing")
+	for _, mu := range []float64{0, -1} {
+		got, err := NewEngine(e.Engine.Graph(), e.Engine.Index(), WithMu(mu)).Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Errorf("WithMu(%v) ranks differently from the default μ", mu)
+		}
 	}
 }
 

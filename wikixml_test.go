@@ -30,7 +30,7 @@ func TestImportWikiXMLEndToEnd(t *testing.T) {
 	ib.Add("d2", "a cable car in the fog")
 	ib.Add("d3", "boats in the harbor")
 	eng := NewEngine(imp.Graph, ib.Build(),
-		WithLinker(imp.Dictionary), WithRetrievalModel(ModelDirichlet, ModelParams{Mu: 10}))
+		WithLinker(imp.Dictionary), WithMu(10))
 
 	// Automatic linking through the anchor dictionary ("cable railway
 	// car" was an anchor for Cable car; the title itself links too).
