@@ -11,34 +11,36 @@ import (
 	"repro/internal/index"
 )
 
-// TestRejectsFormatV1: the stream format's reader is gone. A file that
-// starts with its magic fails index.Open with the typed error, whose
-// text says how to get a readable file, and sqe-serve -index on such a
-// file exits non-zero printing it.
+// TestRejectsFormatV1: the readers of the stream format and of
+// FormatV2's first revision are gone. A file that starts with either
+// magic fails index.Open with the typed error, whose text says how to
+// get a readable file, and sqe-serve -index on such a file exits
+// non-zero printing it.
 func TestRejectsFormatV1(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "old.idx")
-	if err := os.WriteFile(path, []byte("SQEIX\x02"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := index.Open(path)
-	if !errors.Is(err, index.ErrFormatV1) {
-		t.Fatalf("index.Open of a v1 file: %v, want ErrFormatV1", err)
-	}
-	if !strings.Contains(err.Error(), "re-index") || !strings.Contains(err.Error(), "-write-index") {
-		t.Fatalf("the error does not say how to re-index: %v", err)
-	}
-
 	bin := filepath.Join(dir, "sqe-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-index", path, "-addr", "127.0.0.1:0").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) {
-		t.Fatalf("sqe-serve -index on a v1 file: err = %v, want a non-zero exit\n%s", err, out)
-	}
-	if !strings.Contains(string(out), index.ErrFormatV1.Error()) {
-		t.Fatalf("sqe-serve did not print the re-index error:\n%s", out)
+	for name, magic := range map[string]string{"stream.idx": "SQEIX\x02", "v2-rev1.idx": "SQEBX\x01"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(magic), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := index.Open(path)
+		if !errors.Is(err, index.ErrOldFormat) {
+			t.Fatalf("index.Open of %s: %v, want ErrOldFormat", name, err)
+		}
+		if !strings.Contains(err.Error(), "re-index") || !strings.Contains(err.Error(), "-write-index") {
+			t.Fatalf("%s: the error does not say how to re-index: %v", name, err)
+		}
+		out, err := exec.Command(bin, "-index", path, "-addr", "127.0.0.1:0").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("sqe-serve -index on %s: err = %v, want a non-zero exit\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), index.ErrOldFormat.Error()) {
+			t.Fatalf("sqe-serve did not print the re-index error for %s:\n%s", name, out)
+		}
 	}
 }

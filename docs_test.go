@@ -136,3 +136,36 @@ func TestDocsCiteLiveNames(t *testing.T) {
 		}
 	}
 }
+
+// makeRunFilter matches the quoted pattern of a -run flag.
+var makeRunFilter = regexp.MustCompile(`-run '([^']*)'`)
+
+// TestMakefileRunFiltersNameLiveTests fails when a -run filter of the
+// Makefile names a Test function no test file declares. Such a filter
+// matches nothing and passes, so renaming a test that a target runs by
+// name (make race's ten-fold line) would otherwise drop it from that
+// gate without a failure.
+func TestMakefileRunFiltersNameLiveTests(t *testing.T) {
+	tests := declaredTests(t)
+	raw, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := 0
+	for _, m := range makeRunFilter.FindAllStringSubmatch(string(raw), -1) {
+		for _, alt := range strings.Split(m[1], "|") {
+			name := strings.TrimPrefix(alt, "^")
+			if !strings.HasPrefix(name, "Test") {
+				continue
+			}
+			name = citedTest.FindString(name)
+			named++
+			if !tests[name] {
+				t.Errorf("the Makefile runs %s by name, which no test file declares", name)
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("no -run filter of the Makefile names a test: the pattern no longer matches its flags")
+	}
+}

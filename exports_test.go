@@ -28,7 +28,6 @@ var exportsAllowlist = map[string]string{
 	"fault.Registry.Set":                      "fault registry: chaos tests set per-point policies",
 	"fault.Registry.TotalInjected":            "fault registry: chaos tests assert faults fired",
 	"index.Index.PhrasePostings":              "reference the positional memo is proven against",
-	"index.Index.PostingsBounds":              "reference the stored and positional bounds are checked against",
 	"index.Index.PostingsFor":                 "reference row by term text for index and search tests",
 	"index.Index.SetBlockSize":                "tests need many short blocks on small corpora",
 	"index.Index.UnorderedWindowPostings":     "reference the positional memo is proven against",

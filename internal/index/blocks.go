@@ -4,22 +4,21 @@ import "errors"
 
 // The block directory of the v2 on-disk format (v2.go). A postings list
 // is stored as consecutive fixed-size blocks of DefaultBlockSize
-// postings (the last block may be short); every block carries the same
-// summary TermBounds keeps for the whole list, plus the block's last
-// document. The directory does two jobs, and neither is a pruning tier
-// (the pruned evaluator bounds a leaf by its whole list only; CHANGES.md
-// records the measurement that retired per-block bounds):
+// postings (the last block may be short); every block's directory entry
+// carries its last document and its MaxTF. The directory does two jobs,
+// and neither is a pruning tier (the pruned evaluator bounds a leaf by
+// its whole list only; CHANGES.md records the measurement that retired
+// per-block bounds):
 //
 //   - decode-skip granularity: a streaming cursor (stream.go) locates
 //     the block that could hold its target through LastDoc and decodes
 //     that block only, so the blocks a gallop jumps over are never read;
-//   - the cross-check on whole-list bounds: Open demands that the
-//     per-block summaries merge to the stored whole-list summary, and
-//     the cursor re-derives a block's summary on first decode, so an
-//     untrusted file cannot understate the bounds MaxScore's safety
-//     rests on without one of the two noticing.
+//   - the cross-check on the whole-list MaxTF: Open demands that it be
+//     the largest block MaxTF, and a reader re-derives a block's MaxTF on
+//     its first decode, so an untrusted file cannot understate the bound
+//     MaxScore's safety rests on without one of the two noticing.
 //
-// A writer derives each block's summary from the postings it encodes
+// A writer derives each block's MaxTF from the postings it encodes
 // (v2Writer.appendRows); a v2 load reads them from the file, and an
 // in-memory index holds none.
 
@@ -28,38 +27,28 @@ import "errors"
 // keeping the unit a streaming cursor decodes small next to a long list.
 const DefaultBlockSize = 128
 
-// BlockBounds summarises one block of a postings list: the embedded
-// TermBounds fields describe exactly the postings of this block, and
-// LastDoc is the block's final document — the key streaming cursors
-// locate blocks by. The zero value is the correct summary of an empty
-// block.
+// BlockBounds is one block's directory summary. The zero value is the
+// correct summary of an empty block.
 type BlockBounds struct {
-	// LastDoc is the largest DocID in the block.
+	// LastDoc is the largest DocID in the block, the key streaming
+	// cursors locate blocks by.
 	LastDoc DocID
-	TermBounds
+	// MaxTF is the largest term frequency in the block.
+	MaxTF int32
 }
 
-// mergeBlockBounds recomposes the whole-list summary from per-block
-// summaries. Block order is posting order and ties keep the earliest
-// block (whose own argmax kept the earliest posting), so the merged
-// ratio pair is the same pair boundsOf derives from the full list. Open
-// and the per-block check compare all four fields; only MaxTF feeds a
-// score bound, the other three are cross-checked for the layout's sake
-// until ROADMAP item 4's format revision drops them.
-func mergeBlockBounds(blocks []BlockBounds) TermBounds {
-	var t TermBounds
-	for i, b := range blocks {
-		if b.MaxTF > t.MaxTF {
-			t.MaxTF = b.MaxTF
-		}
-		if i == 0 || b.MinDL < t.MinDL {
-			t.MinDL = b.MinDL
-		}
-		if i == 0 || int64(b.MaxRatioTF)*int64(t.MaxRatioDL) > int64(t.MaxRatioTF)*int64(b.MaxRatioDL) {
-			t.MaxRatioTF, t.MaxRatioDL = b.MaxRatioTF, b.MaxRatioDL
-		}
+// blockOf summarises the postings of one block.
+func blockOf(docs []DocID, freqs []int32) BlockBounds {
+	return BlockBounds{LastDoc: docs[len(docs)-1], MaxTF: maxTF(freqs)}
+}
+
+// listMaxTF is the whole-list MaxTF of a term stored as blocks.
+func listMaxTF(blocks []BlockBounds) int32 {
+	var m int32
+	for _, b := range blocks {
+		m = max(m, b.MaxTF)
 	}
-	return t
+	return m
 }
 
 // blockSizeOf returns the index's block size (DefaultBlockSize unless

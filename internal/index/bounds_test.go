@@ -16,55 +16,32 @@ func boundsIndex(t *testing.T) *Index {
 	return b.Build()
 }
 
-func TestBoundsFor(t *testing.T) {
+// TestStoredMaxTF: a built index stores each term's largest term
+// frequency, and its shortest document length.
+func TestStoredMaxTF(t *testing.T) {
 	ix := boundsIndex(t)
-	cases := []struct {
-		term string
-		want TermBounds
-	}{
-		// a: postings (D0 tf=3 dl=4), (D1 tf=1 dl=3), (D3 tf=1 dl=5);
-		// best ratio 3/4.
-		{"a", TermBounds{MaxTF: 3, MinDL: 3, MaxRatioTF: 3, MaxRatioDL: 4}},
-		// b: (D0 tf=1 dl=4), (D1 tf=2 dl=3); best ratio 2/3.
-		{"b", TermBounds{MaxTF: 2, MinDL: 3, MaxRatioTF: 2, MaxRatioDL: 3}},
-		// c: (D2 tf=1 dl=1), (D3 tf=4 dl=5); 1/1 > 4/5, argmax keeps D2.
-		{"c", TermBounds{MaxTF: 4, MinDL: 1, MaxRatioTF: 1, MaxRatioDL: 1}},
-	}
-	for _, c := range cases {
-		got, ok := ix.BoundsFor(c.term)
+	for term, want := range map[string]int32{"a": 3, "b": 2, "c": 4} {
+		id, ok := ix.TermID(term)
 		if !ok {
-			t.Fatalf("BoundsFor(%q): not found", c.term)
+			t.Fatalf("TermID(%q): not found", term)
 		}
-		if got != c.want {
-			t.Errorf("BoundsFor(%q) = %+v, want %+v", c.term, got, c.want)
+		if got := ix.StoredMaxTF(id); got != want {
+			t.Errorf("StoredMaxTF(%q) = %d, want %d", term, got, want)
 		}
-	}
-	if _, ok := ix.BoundsFor("zzz"); ok {
-		t.Error("BoundsFor(OOV) reported ok")
 	}
 	if got := ix.MinDocLen(); got != 1 {
 		t.Errorf("MinDocLen = %d, want 1", got)
 	}
 }
 
-func TestBoundsRatioTieKeepsEarliest(t *testing.T) {
-	// Two postings with the exact same ratio (1/2 and 2/4): the argmax
-	// comparison is strict, so the earlier posting wins.
-	b := NewBuilder(analysis.Analyzer{})
-	b.Add("D0", "a x")     // tf=1 dl=2
-	b.Add("D1", "a a x x") // tf=2 dl=4
-	ix := b.Build()
-	got, _ := ix.BoundsFor("a")
-	if got.MaxRatioTF != 1 || got.MaxRatioDL != 2 {
-		t.Fatalf("ratio argmax = (%d,%d), want earliest (1,2)", got.MaxRatioTF, got.MaxRatioDL)
+// TestMaxTFOfEmptyPostings: the MaxTF of no postings, and of a term
+// stored as no blocks, is zero.
+func TestMaxTFOfEmptyPostings(t *testing.T) {
+	if got := maxTF(nil); got != 0 {
+		t.Fatalf("maxTF of no postings = %d, want 0", got)
 	}
-}
-
-func TestPostingsBoundsEmpty(t *testing.T) {
-	ix := boundsIndex(t)
-	var empty Postings
-	if got := ix.PostingsBounds(&empty); got != (TermBounds{}) {
-		t.Fatalf("empty postings bounds = %+v, want zero", got)
+	if got := listMaxTF(nil); got != 0 {
+		t.Fatalf("listMaxTF of no blocks = %d, want 0", got)
 	}
 }
 

@@ -50,26 +50,21 @@ type Index struct {
 	analyzer analysis.Analyzer
 	terms    map[string]int32
 	// postings holds an in-memory index's rows; nil on a v2-backed one,
-	// which keeps no row (see readRow). cf[id] is row id's collection
-	// frequency, counted as the Builder made the row (a v2-backed index
-	// reads lazy.cf instead).
+	// which keeps no row (see readRow).
 	postings []Postings
+	// cf[id] and maxTF[id] are term id's collection frequency and largest
+	// term frequency, as the Builder counted them or a v2 file stores them.
 	cf       []int64
+	maxTF    []int32
 	termText []string
 
 	docNames  []string
 	docLens   []int32
 	totalToks int64
+	minDocLen int32 // set with docLens; see bounds.go
 
 	fwdOnce sync.Once
 	forward [][]TermFreq
-
-	// Per-term score-bound metadata (see bounds.go): loaded with a v2
-	// file, computed lazily on first use otherwise, so an in-memory index
-	// does not pay the scan unless pruning runs.
-	boundsOnce sync.Once
-	termBounds []TermBounds
-	minDocLen  int32
 
 	// The v2 block directory's summaries (see blocks.go), loaded and
 	// validated by Open and never written after; nil in memory.
@@ -137,7 +132,7 @@ func (ix *Index) readRow(id int32, scratch *Postings) *Postings {
 			p.reset()
 			return p
 		}
-		derived, err := decodeBlock(buf, base, cnt, int32(len(ix.docLens)), ix.docLens, p)
+		derived, err := decodeBlock(buf, base, cnt, int32(len(ix.docLens)), p)
 		if err != nil {
 			lz.record(fmt.Errorf("index: term %q block %d: %w", ix.termText[id], b, err))
 			p.reset()
@@ -147,7 +142,7 @@ func (ix *Index) readRow(id int32, scratch *Postings) *Postings {
 			lz.record(errBoundsLie(ix, id, b))
 		}
 	}
-	if got := p.CollectionFreq(); got != lz.cf[id] {
+	if got := p.CollectionFreq(); got != ix.cf[id] {
 		lz.record(errCFLie(ix, id, got))
 	}
 	return p
@@ -155,8 +150,7 @@ func (ix *Index) readRow(id int32, scratch *Postings) *Postings {
 
 // StreamableTerm reports whether term can be served by a streaming
 // block cursor — the index is backed by a FormatV2 file — and returns
-// its ID. The stored per-term bounds (StoredTermBounds) are then
-// readable without decoding any postings.
+// its ID.
 func (ix *Index) StreamableTerm(term string) (int32, bool) {
 	if ix.lazy == nil {
 		return 0, false
@@ -172,16 +166,13 @@ func (ix *Index) StoredTermStats(id int32) (df int, cf int64) {
 	if ix.lazy == nil {
 		return len(ix.postings[id].Docs), ix.cf[id]
 	}
-	return int(ix.lazy.df[id]), ix.lazy.cf[id]
+	return int(ix.lazy.df[id]), ix.cf[id]
 }
 
-// StoredTermBounds returns term id's whole-list bound summary as loaded
-// (and cross-validated against the block directory) by Open, without
-// decoding its postings. Only valid on an index for which
-// StreamableTerm reported true.
-func (ix *Index) StoredTermBounds(id int32) TermBounds {
-	return ix.termBounds[id]
-}
+// StoredMaxTF returns term id's largest term frequency, stored beside
+// its df and cf (on a v2 file, cross-checked by Open against the block
+// directory): the one statistic the pruned evaluator bounds a term by.
+func (ix *Index) StoredMaxTF(id int32) int32 { return ix.maxTF[id] }
 
 // PostingsByID returns term id's postings row. On an in-memory index
 // the row is shared with the index and must not be modified; on a
@@ -268,6 +259,7 @@ type Builder struct {
 	freqs [][]int32
 	pos   [][][]int32
 	cf    []int64
+	maxTF []int32
 
 	docNames  []string
 	docLens   []int32
@@ -297,6 +289,7 @@ func (b *Builder) Add(name, text string) DocID {
 			b.freqs = append(b.freqs, nil)
 			b.pos = append(b.pos, nil)
 			b.cf = append(b.cf, 0)
+			b.maxTF = append(b.maxTF, 0)
 		}
 		b.cf[id]++
 		n := len(b.docs[id])
@@ -308,6 +301,7 @@ func (b *Builder) Add(name, text string) DocID {
 			b.freqs[id] = append(b.freqs[id], 1)
 			b.pos[id] = append(b.pos[id], []int32{int32(t.Position)})
 		}
+		b.maxTF[id] = max(b.maxTF[id], b.freqs[id][len(b.freqs[id])-1])
 	}
 	return doc
 }
@@ -321,8 +315,10 @@ func (b *Builder) Build() *Index {
 		docNames:  b.docNames,
 		docLens:   b.docLens,
 		totalToks: b.totalToks,
+		minDocLen: minDocLenOf(b.docLens),
 		postings:  make([]Postings, len(b.termText)),
 		cf:        b.cf,
+		maxTF:     b.maxTF,
 	}
 	for id := range b.termText {
 		// Documents are added in increasing DocID order, so postings are
@@ -332,7 +328,7 @@ func (b *Builder) Build() *Index {
 		}
 		ix.postings[id] = Postings{Docs: b.docs[id], Freqs: b.freqs[id], Positions: b.pos[id]}
 	}
-	b.docs, b.freqs, b.pos, b.cf = nil, nil, nil, nil
+	b.docs, b.freqs, b.pos, b.cf, b.maxTF = nil, nil, nil, nil, nil
 	return ix
 }
 

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -26,35 +28,59 @@ func buildIndex(t *testing.T, docs ...string) *Index {
 
 func docName(i int) string { return "D" + string(rune('0'+i)) }
 
-// checkStoredStats holds every term's stored df and cf to its row.
+// checkStoredStats holds every term's stored df, cf and maxTF to its row.
 func checkStoredStats(t *testing.T, label string, ix *Index) {
 	t.Helper()
 	for id := int32(0); id < int32(ix.NumTerms()); id++ {
 		p := ix.PostingsByID(id)
-		if df, cf := ix.StoredTermStats(id); df != len(p.Docs) || cf != p.CollectionFreq() {
-			t.Fatalf("%s: term %q stored df=%d cf=%d, row df=%d cf=%d",
-				label, ix.TermText(id), df, cf, len(p.Docs), p.CollectionFreq())
+		var mtf int32
+		for _, tf := range p.Freqs {
+			mtf = max(mtf, tf)
 		}
+		df, cf := ix.StoredTermStats(id)
+		if df != len(p.Docs) || cf != p.CollectionFreq() || ix.StoredMaxTF(id) != mtf {
+			t.Fatalf("%s: term %q stored df=%d cf=%d maxTF=%d, row df=%d cf=%d maxTF=%d",
+				label, ix.TermText(id), df, cf, ix.StoredMaxTF(id), len(p.Docs), p.CollectionFreq(), mtf)
+		}
+	}
+	if err := ix.Err(); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
-// TestStoredTermStats: the df and cf a built index, a seal of a live
-// buffer and a v2 file store per term are their rows' sums, and a seal
-// keeps its own while the buffer goes on counting.
+// TestStoredTermStats: the df, cf and maxTF every kind of index stores
+// per term are its row's — built, a v2 file, the shards of its split, a
+// merge of v2 files whose tail blocks were spliced, and seals of a live
+// buffer — and a seal keeps its own while the buffer goes on counting.
 func TestStoredTermStats(t *testing.T) {
 	docs := segCorpus(60, 3)
+	// hot raises term a's largest tf past any segCorpus document's.
+	hot := segDoc{name: "hot", text: strings.Repeat("a ", 40)}
 	mono := monolithic(docs)
 	checkStoredStats(t, "built", mono)
-	path := filepath.Join(t.TempDir(), "ix.v2")
-	if err := WriteFile(path, mono, FormatV2); err != nil {
-		t.Fatal(err)
+	v2 := openV2File(t, mono)
+	checkStoredStats(t, "v2", v2)
+	sh := NewSharded(v2, 3)
+	for s := range sh.NumShards() {
+		checkStoredStats(t, fmt.Sprintf("shard %d", s), sh.Shard(s))
 	}
-	v2, err := Open(path)
+
+	// Every row of the first input is one short block, which the merge
+	// extends in place by the second input's postings.
+	dir := t.TempDir()
+	ins := []mergeInput{
+		openInput(t, filepath.Join(dir, "in0.v2"), docs[:40], DefaultBlockSize, nil),
+		openInput(t, filepath.Join(dir, "in1.v2"), append([]segDoc{hot}, docs[40:]...), DefaultBlockSize, []DocID{3}),
+	}
+	var img bytes.Buffer
+	counts, _, err := writeMerged(&img, plainAnalyzer, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	checkStoredStats(t, "v2", v2)
+	if counts.spliced == 0 {
+		t.Fatalf("the merge spliced no tail block: %+v", counts)
+	}
+	checkStoredStats(t, "merged", openV2Heap(t, img.Bytes()))
 
 	s := openSegForTest(t, 1000)
 	ingestAll(t, s, docs[:30])
@@ -62,6 +88,8 @@ func TestStoredTermStats(t *testing.T) {
 	defer sn.Release()
 	seal := sn.Segment(sn.NumSegments() - 1)
 	checkStoredStats(t, "seal", seal)
+	ingestAll(t, s, []segDoc{hot})
+	checkStoredStats(t, "earlier seal after a later document raised a's tf", seal)
 	ingestAll(t, s, docs[30:])
 	checkStoredStats(t, "earlier seal after more ingests", seal)
 	later := s.Acquire()

@@ -34,8 +34,8 @@ import (
 //     is decoded into one reused scratch row and encoded by encodeBlock.
 //
 // Copied bytes equal re-encoded ones because the inputs are files this
-// package wrote: encodeBlock's varints are minimal, and stored block
-// bounds are what boundsOf derives from the same documents and lengths.
+// package wrote: encodeBlock's varints are minimal, and a stored block
+// summary is what blockOf derives from the same postings.
 
 // mergeInput is one segment (plus its tombstones) entering a merge.
 type mergeInput struct {
@@ -64,11 +64,10 @@ type mergeSource struct {
 
 // merger is the state of one writeMerged call.
 type merger struct {
-	out     *v2Writer
-	srcs    []mergeSource
-	docLens []int32 // the merged length column
-	row     Postings
-	counts  mergeCounts
+	out    *v2Writer
+	srcs   []mergeSource
+	row    Postings
+	counts mergeCounts
 }
 
 // writeMerged writes the merge of ins to w — byte for byte what encodeV2
@@ -85,7 +84,7 @@ func writeMerged(w io.Writer, a analysis.Analyzer, ins []mergeInput) (mergeCount
 			return mergeCounts{}, nil, fmt.Errorf("index: merge input %d is not an open v2 segment", i)
 		}
 		n := in.ix.NumDocs()
-		src := mergeSource{mergeInput: in, remap: make([]int32, n), base: len(m.docLens), firstDead: DocID(n),
+		src := mergeSource{mergeInput: in, remap: make([]int32, n), base: m.out.numDocs, firstDead: DocID(n),
 			merged: make([]uint64, (in.ix.NumTerms()+63)/64)}
 		for id := range n {
 			if in.dead.Has(DocID(id)) {
@@ -93,9 +92,8 @@ func writeMerged(w io.Writer, a analysis.Analyzer, ins []mergeInput) (mergeCount
 				src.firstDead = min(src.firstDead, DocID(id))
 				continue
 			}
-			src.remap[id] = int32(len(m.docLens))
+			src.remap[id] = int32(m.out.numDocs)
 			m.out.doc(in.ix.docNames[id], in.ix.docLens[id])
-			m.docLens = append(m.docLens, in.ix.docLens[id])
 		}
 		postCap += len(lz.post)
 		m.srcs = append(m.srcs, src)
@@ -156,7 +154,7 @@ func (m *merger) term(i int, t int32) error {
 	var carriedDF int
 	var carriedCF int64
 	if from > 0 {
-		carriedDF, carriedCF = min(from*bs, df), lz.cf[t]-rawCF
+		carriedDF, carriedCF = min(from*bs, df), src.ix.cf[t]-rawCF
 	}
 
 	text := src.ix.termText[t]
@@ -181,7 +179,7 @@ func (m *merger) term(i int, t int32) error {
 			}
 		}
 	}
-	m.counts.encoded += int64(m.out.appendRows(&m.row, lo, m.docLens))
+	m.counts.encoded += int64(m.out.appendRows(&m.row, lo))
 	m.out.endTerm(text, carriedDF+len(m.row.Docs), carriedCF+m.row.CollectionFreq())
 	return nil
 }
@@ -221,8 +219,7 @@ func (m *merger) spliceBlock(src *mergeSource, t int32, b, n int) error {
 	w.post = appendFreqs(w.post, add.Freqs)
 	w.post = append(w.post, buf[freqsEnd:]...)
 	w.post = appendPositions(w.post, add.Positions)
-	parts := [2]BlockBounds{old, {TermBounds: boundsOf(&add, m.docLens)}}
-	w.block(BlockBounds{LastDoc: add.Docs[n-1], TermBounds: mergeBlockBounds(parts[:])}, start, crc32.ChecksumIEEE(w.post[start:]))
+	w.block(BlockBounds{LastDoc: add.Docs[n-1], MaxTF: max(old.MaxTF, maxTF(add.Freqs))}, start, crc32.ChecksumIEEE(w.post[start:]))
 	m.counts.spliced++
 	return nil
 }

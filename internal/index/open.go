@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -25,20 +26,22 @@ const (
 	// blocks) designed to be mmap'd. Open returns instantly after
 	// validating the metadata sections and checksumming the blocks;
 	// postings decode one block at a time under streaming cursors, and
-	// the block directory carries each block's last document
-	// (what a cursor skips undecoded blocks by) and the bound summaries
-	// that vouch for the whole-list bounds.
+	// the block directory carries each block's last document (what a
+	// cursor skips undecoded blocks by) and its MaxTF (what vouches for
+	// the term's).
 	FormatV2 Format = 2
 )
 
-// ErrFormatV1 is what Open returns (wrapped, with the path) for a file
-// in the original stream format. Its reader and writer were removed;
-// the corpus has to be indexed again.
-var ErrFormatV1 = errors.New(`index: FormatV1 ("SQEIX") files are no longer supported: re-index the corpus and write it as FormatV2 (index.WriteFile, or sqe-serve -write-index)`)
+// ErrOldFormat is what Open returns (wrapped, with the path and the
+// magic it found) for a file in a format revision this build no longer
+// reads. The corpus has to be indexed again.
+var ErrOldFormat = errors.New(`index: old index format, no longer supported: re-index the corpus and write it as FormatV2 (index.WriteFile, or sqe-serve -write-index)`)
 
-// magicV1 is the prefix both revisions of the removed format started
-// with; the sixth header byte was its revision.
-const magicV1 = "SQEIX"
+// oldMagics are the header prefixes of those revisions: the removed
+// stream format ("SQEIX", both of its revisions), and the first revision
+// of FormatV2, whose terms and block directory carried three bound
+// fields besides MaxTF.
+var oldMagics = []string{"SQEIX", "SQEBX\x01"}
 
 // String implements fmt.Stringer.
 func (f Format) String() string {
@@ -70,8 +73,8 @@ func WithVerify() OpenOption {
 }
 
 // Open maps a FormatV2 index file and decodes postings lazily per term.
-// Close the returned index when done. A FormatV1 file fails with
-// ErrFormatV1.
+// Close the returned index when done. A file in an older format fails
+// with ErrOldFormat.
 func Open(path string, opts ...OpenOption) (*Index, error) {
 	var o openOptions
 	for _, opt := range opts {
@@ -82,8 +85,8 @@ func Open(path string, opts ...OpenOption) (*Index, error) {
 		return nil, err
 	}
 	switch {
-	case strings.HasPrefix(magic, magicV1):
-		return nil, fmt.Errorf("%s: %w", path, ErrFormatV1)
+	case slices.ContainsFunc(oldMagics, func(m string) bool { return strings.HasPrefix(magic, m) }):
+		return nil, fmt.Errorf("%s (magic %q): %w", path, magic, ErrOldFormat)
 	case magic != string(indexMagicV2):
 		return nil, fmt.Errorf("%s: not an index file (magic %q)", path, magic)
 	}
@@ -116,7 +119,7 @@ func (ix *Index) verify() error {
 		for c.ResetStream(ix, id); c.Doc() != DocEnd; c.Next() {
 			cf += int64(c.Freq())
 		}
-		if cf != ix.lazy.cf[id] {
+		if cf != ix.cf[id] {
 			ix.lazy.record(errCFLie(ix, id, cf))
 		}
 	}

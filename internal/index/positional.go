@@ -7,13 +7,13 @@ import (
 
 // Positional leaves — exact phrases (#1) and unordered windows (#uwN) —
 // are resolved once per index, not once per query. An Index is
-// immutable, so the documents, frequencies and bound summaries of
+// immutable, so the documents, frequencies and MaxTF of
 // "these terms under this operator" are a property of the index; the
 // memo below keeps them, keyed by the constituents' term IDs, for as
 // long as the index itself lives. DESIGN.md §8.3 has the full argument.
 
 // Positional is one resolved positional leaf: the documents matching the
-// operator, the match count in each, and the summaries an evaluator
+// operator, the match count in each, and the statistics an evaluator
 // needs to score and prune it like a stored term. It is shared by every
 // query that asks for the same leaf and must not be modified. The rows
 // are exact-size Go-heap copies, never views of a v2 file's mmap or of a
@@ -27,9 +27,8 @@ type Positional struct {
 	Freqs []int32
 	// CF is the collection frequency, the sum of Freqs.
 	CF int64
-	// Bounds is what PostingsBounds derives from (Docs, Freqs), computed
-	// once at fill.
-	Bounds TermBounds
+	// MaxTF is the largest of Freqs, computed once at fill.
+	MaxTF int32
 
 	once sync.Once
 	key  string
@@ -235,9 +234,8 @@ func (e *Positional) fill(ix *Index, sc *PositionalScratch, width int32, match p
 	}
 	e.Docs = append(make([]DocID, 0, len(sc.docs)), sc.docs...)
 	e.Freqs = append(make([]int32, 0, len(sc.freqs)), sc.freqs...)
-	p := Postings{Docs: e.Docs, Freqs: e.Freqs}
-	e.CF = p.CollectionFreq()
-	e.Bounds = boundsOf(&p, ix.docLens)
+	e.CF = (&Postings{Freqs: e.Freqs}).CollectionFreq()
+	e.MaxTF = maxTF(e.Freqs)
 }
 
 const (
@@ -429,7 +427,7 @@ func (dst *Index) carryPositionals(ins []mergeInput, remaps [][]int32) {
 					}
 				}
 			}
-			c.Bounds = boundsOf(&Postings{Docs: c.Docs, Freqs: c.Freqs}, dst.docLens)
+			c.MaxTF = maxTF(c.Freqs)
 		}
 		carried = append(carried, c)
 	}

@@ -67,7 +67,7 @@ func positionalKeys(rng *rand.Rand, n int) []positionalKey {
 }
 
 // requireMatchesReference checks one memo entry against the reference
-// postings: rows, collection frequency and the bound summary.
+// postings: rows, collection frequency and MaxTF.
 func requireMatchesReference(t *testing.T, label string, ix *Index, got *Positional, want Postings) {
 	t.Helper()
 	if len(got.Docs) != len(want.Docs) || len(got.Freqs) != len(want.Freqs) {
@@ -81,8 +81,8 @@ func requireMatchesReference(t *testing.T, label string, ix *Index, got *Positio
 	if cf := want.CollectionFreq(); got.CF != cf {
 		t.Fatalf("%s: cf %d, reference %d", label, got.CF, cf)
 	}
-	if b := ix.PostingsBounds(&want); got.Bounds != b {
-		t.Fatalf("%s: bounds %+v, reference %+v", label, got.Bounds, b)
+	if m := maxTF(want.Freqs); got.MaxTF != m {
+		t.Fatalf("%s: MaxTF %d, reference %d", label, got.MaxTF, m)
 	}
 }
 
@@ -172,7 +172,7 @@ func positionalIndexes(t *testing.T, seed int) map[string]positionalKind {
 // memo: whatever kind of index a leaf is resolved against, and whether
 // the entry is computed now, found warm, or recomputed after eviction,
 // it equals what PhrasePostings / UnorderedWindowPostings materialise on
-// the index's in-memory twin and what PostingsBounds derives from that.
+// the index's in-memory twin, with the MaxTF of that.
 // Every kind backed by a v2 image resolves all of it without
 // materialising a single term row.
 func TestPositionalMemoMatchesReference(t *testing.T) {
@@ -407,7 +407,7 @@ func requireEmptyFill(t *testing.T, label string, ix *Index, k positionalKey, wa
 	t.Helper()
 	var sc PositionalScratch
 	got, hit := k.leaf(ix, &sc)
-	if hit || len(got.Docs) != 0 || len(got.Freqs) != 0 || got.CF != 0 || got.Bounds != (TermBounds{}) {
+	if hit || len(got.Docs) != 0 || len(got.Freqs) != 0 || got.CF != 0 || got.MaxTF != 0 {
 		t.Fatalf("%s %v: hit=%v, the failed fill kept %d documents (cf %d)", label, k, hit, len(got.Docs), got.CF)
 	}
 	if again, hit := k.leaf(ix, &sc); !hit || again != got {

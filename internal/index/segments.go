@@ -636,15 +636,17 @@ func (s *Segmented) Close() error {
 
 // sealBufferLocked returns an immutable Index over the buffer's current
 // contents without consuming the Builder, reusing the cached seal when
-// no document arrived since it was made. Nothing but the term map is
-// copied: every column and row is the Builder's own, cut at its current
-// length and capacity. That is safe because the Builder only ever
-// appends — a later Add writes past the cut (or into a regrown array),
-// and the one place it writes in place, the running frequency and
-// position list of the document being added, is by construction past
-// every seal taken before that Add began. The per-term cf column, which
-// every Add updates in place, is the one thing copied besides the map. A new seal is a new Index, so
-// it starts a new correction memo. Requires pub.
+// no document arrived since it was made. A new seal is a new Index, so it
+// starts a new correction memo. Requires pub.
+//
+// The rows and the per-document columns are the Builder's own, cut at
+// their current length and capacity: the Builder only appends to them,
+// so a later Add writes past the cut or into a regrown array. The one
+// in-place write to a row, the running frequency and position list of
+// the document being added, is past every seal taken before that Add
+// began. The per-term cf and maxTF columns are different: every Add
+// raises an existing term's entries in place, so the seal clones them,
+// and those clones and the term map are all it copies.
 func (s *Segmented) sealBufferLocked() *Index {
 	if s.bufSealed != nil && s.bufSealedGen == s.bufGen {
 		return s.bufSealed
@@ -657,10 +659,10 @@ func (s *Segmented) sealBufferLocked() *Index {
 		docNames:  slices.Clip(b.docNames),
 		docLens:   slices.Clip(b.docLens),
 		totalToks: b.totalToks,
+		minDocLen: minDocLenOf(b.docLens),
 		postings:  make([]Postings, len(b.termText)),
-		// The Builder counts an existing term's occurrences in place, so
-		// unlike the rows its cf column is copied.
-		cf: slices.Clone(b.cf),
+		cf:        slices.Clone(b.cf),
+		maxTF:     slices.Clone(b.maxTF),
 	}
 	for t, id := range b.terms {
 		ix.terms[t] = id

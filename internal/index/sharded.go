@@ -30,8 +30,8 @@ type Sharded struct {
 // v2 file can hold (names and terms up to 64 KiB); NewSharded panics on
 // one that is not. A v2-backed ix is read one term at a time into a
 // reused row (readRow), so a block that fails its checksum or decode, or
-// whose stored bounds its postings contradict, is recorded on ix.Err; a
-// failed term splits as empty, and the shards' bounds are derived from
+// whose stored summary its postings contradict, is recorded on ix.Err;
+// a failed term splits as empty, and the shards' MaxTFs are derived from
 // what they hold.
 func NewSharded(ix *Index, n int) *Sharded {
 	if nd := ix.NumDocs(); n > nd {
@@ -61,14 +61,12 @@ func NewSharded(ix *Index, n int) *Sharded {
 // the shards its postings route to and left out of the others.
 func splitImages(ix *Index, n int) [][]byte {
 	out := make([]*v2Writer, n)
-	docLens := make([][]int32, n) // per shard: its length column
 	for s := range out {
 		out[s] = newV2Writer(ix.analyzer, ix.blockSizeOf())
 		out[s].post = make([]byte, 0, postingsCap(ix, n))
 	}
 	for g, name := range ix.docNames {
 		out[g%n].doc(name, ix.docLens[g])
-		docLens[g%n] = append(docLens[g%n], ix.docLens[g])
 	}
 	var scratch Postings
 	rows := make([]Postings, n) // per shard: its part of the current term
@@ -87,7 +85,7 @@ func splitImages(ix *Index, n int) [][]byte {
 		}
 		for s, w := range out {
 			if r := &rows[s]; len(r.Docs) > 0 {
-				w.appendRows(r, 0, docLens[s])
+				w.appendRows(r, 0)
 				w.endTerm(text, len(r.Docs), r.CollectionFreq())
 			}
 		}

@@ -260,8 +260,8 @@ func TestNewShardedMatchesReference(t *testing.T) {
 // TestNewShardedCorruptParent: a parent the split cannot trust. A closed
 // one is not read: its terms split as empty and Err names the Close. A
 // block rotted after Open drops its term from every shard and records
-// the checksum failure. A CRC-consistent file whose stored bounds lie
-// records the disagreement, and its shards carry the honest bounds —
+// the checksum failure. A CRC-consistent file whose stored MaxTF lies
+// records the disagreement, and its shards carry the honest MaxTF —
 // their images equal the reference split of the truthful index.
 func TestNewShardedCorruptParent(t *testing.T) {
 	t.Run("closed", func(t *testing.T) {
@@ -321,9 +321,10 @@ func TestNewShardedCorruptParent(t *testing.T) {
 			}
 			requireSplitMatches(t, "lying-bounds", ix, honest, n)
 			for s, ref := range referenceShards(honest, n) {
-				want, _ := ref.BoundsFor("a")
-				if got, _ := sh.Shard(s).BoundsFor("a"); got != want {
-					t.Fatalf("n=%d shard %d: bounds of a %+v, want the honest %+v", n, s, got, want)
+				want := maxTF(ref.PostingsFor("a").Freqs)
+				id, _ := sh.Shard(s).TermID("a")
+				if got := sh.Shard(s).StoredMaxTF(id); got != want {
+					t.Fatalf("n=%d shard %d: MaxTF of a %d, want the honest %d", n, s, got, want)
 				}
 			}
 		}

@@ -403,7 +403,7 @@ func (c *TermCursor) decodeStream(b int, docs *[]DocID, freqs *[]int32, position
 }
 
 // loadBlock decodes block b into the reusable window. The first decode
-// of a block since Open re-derives its bound summary, recording a
+// of a block since Open re-derives its LastDoc and MaxTF, recording a
 // disagreement with the directory as readRow does; later decodes of the
 // same bytes skip the derivation (the extent's boundsOK bit). On decode
 // failure the error is recorded and the cursor exhausts (the term
@@ -425,9 +425,7 @@ func (c *TermCursor) loadBlock(b int) bool {
 	c.Decoded++
 	lz := c.ix.lazy
 	if slot := int(lz.starts[c.id]) + b; !lz.boundsOK.has(slot) {
-		sub := Postings{Docs: c.wdocs, Freqs: c.wfreqs}
-		derived := BlockBounds{LastDoc: c.wdocs[len(c.wdocs)-1], TermBounds: boundsOf(&sub, c.ix.docLens)}
-		if derived != c.blocks[b] {
+		if blockOf(c.wdocs, c.wfreqs) != c.blocks[b] {
 			// The stored values stay: other cursors read them
 			// concurrently, and may already have pruned by them. A
 			// lying directory degrades the index instead, through

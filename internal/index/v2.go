@@ -15,7 +15,7 @@ import (
 
 // FormatV2: the block-compressed, mmap-able on-disk index.
 //
-//	magic "SQEBX\x01"
+//	magic "SQEBX\x02"
 //	byte analyzer flags (bit0 stopwords, bit1 stemming)
 //	4 × uint64 LE section lengths: docs, terms, blockdir, postings
 //	uint32 LE crc32 of everything above (magic through lengths)
@@ -29,17 +29,14 @@ import (
 //
 //	docs:   uvarint numDocs; per doc: uvarint len(name), name, uvarint docLen
 //	terms:  uvarint numTerms; uvarint blockSize; per term:
-//	        uvarint len(text), text, uvarint df, uvarint cf,
-//	        uvarint MaxTF, MinDL, MaxRatioTF, MaxRatioDL
+//	        uvarint len(text), text, uvarint df, uvarint cf, uvarint MaxTF
 //	dir:    per term, per block (numBlocks = ceil(df/blockSize)):
 //	        uvarint lastDoc delta (absolute for the term's first block),
-//	        uvarint MaxTF, MinDL, MaxRatioTF, MaxRatioDL,
-//	        uvarint compressed byte length, uint32 LE crc32 of the bytes
+//	        uvarint MaxTF, uvarint compressed byte length,
+//	        uint32 LE crc32 of the bytes
 //
-// Of the four bound fields (TermBounds) only MaxTF feeds a score bound:
-// the evaluator prunes Dirichlet alone. MinDL, MaxRatioTF and MaxRatioDL
-// are written and cross-checked like the rest of the layout, read by no
-// evaluator, and dropped by the next format revision (ROADMAP item 4).
+// MaxTF, a term's or a block's largest term frequency, is the one
+// statistic the pruned evaluator bounds a leaf's score by.
 //
 // Block byte offsets are the running sum of the directory's lengths, in
 // directory order, from the start of the postings section; the sum must
@@ -54,8 +51,8 @@ import (
 //
 // Loading (openV2) eagerly decodes only the three metadata sections —
 // O(vocabulary + blocks), no per-posting work — cross-validates them
-// (stored whole-list bounds must equal the merge of the stored block
-// bounds; directory lengths must tile the postings section exactly) and
+// (a stored whole-list MaxTF must equal the largest stored block MaxTF;
+// directory lengths must tile the postings section exactly) and
 // CRC-scans the postings blocks, so flip/truncate corruption anywhere
 // in the file fails Open deterministically. What Open validated is never
 // written again. Postings are then read two ways, with one failure
@@ -68,14 +65,14 @@ import (
 // for block selection and score bounds. readRow (index.go) decodes one
 // whole term into a caller's scratch row, for re-encoding, the shard
 // split and PostingsFor; the index keeps no row. Both re-derive each
-// decoded block's summary and record a disagreement via Index.Err, so a
-// CRC-consistent file whose bounds lie is detected the moment a
-// lied-about block is decoded and the query degrades rather than
-// silently dropping documents. WithVerify walks every term up front and
+// decoded block's LastDoc and MaxTF and record a disagreement via
+// Index.Err, so a CRC-consistent file whose MaxTF lies is detected the
+// moment a lied-about block is decoded and the query degrades rather
+// than silently dropping documents. WithVerify walks every term up front and
 // fails Open on the first such record, the right mode for untrusted
 // files.
 
-var indexMagicV2 = []byte("SQEBX\x01")
+var indexMagicV2 = []byte("SQEBX\x02")
 
 const (
 	// maxBlockSize bounds the stored block size; anything larger is a
@@ -155,7 +152,6 @@ type lazyPostings struct {
 	extents []blockExtent // one per block, directory order
 	starts  []int32       // per term: first extent index; len numTerms+1
 	df      []int32       // per term: stored document frequency
-	cf      []int64       // per term: stored collection frequency
 	blockSz int
 	crcOK   stickyBits // per extent: block CRC re-verified since Open
 	// boundsOK is per extent: the summary a cursor derived from the
@@ -257,25 +253,21 @@ func errBoundsLie(ix *Index, id int32, b int) error {
 }
 
 func errCFLie(ix *Index, id int32, got int64) error {
-	return fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], ix.lazy.cf[id], got)
+	return fmt.Errorf("index: term %q stored cf %d != decoded %d", ix.termText[id], ix.cf[id], got)
 }
 
 // decodeBlock decodes one compressed block (exactly n postings) into p
-// and returns the bound summary derived from what it decoded: readRow's
+// and returns the summary derived from what it decoded: readRow's
 // whole-row form of decodeBlockInto.
-func decodeBlock(buf []byte, base DocID, n int, numDocs int32, docLens []int32, p *Postings) (BlockBounds, error) {
-	var bb BlockBounds
+func decodeBlock(buf []byte, base DocID, n int, numDocs int32, p *Postings) (BlockBounds, error) {
 	start := len(p.Docs)
 	if err := decodeBlockInto(buf, base, n, numDocs, &p.Docs, &p.Freqs, &p.Positions, nil); err != nil {
-		return bb, err
+		return BlockBounds{}, err
 	}
-	last := base // n == 0 decodes nothing; keep the caller's base
-	if len(p.Docs) > start {
-		last = p.Docs[len(p.Docs)-1]
+	if len(p.Docs) == start {
+		return BlockBounds{LastDoc: base}, nil // n == 0 decodes nothing; keep the caller's base
 	}
-	sub := Postings{Docs: p.Docs[start:], Freqs: p.Freqs[start:]}
-	bb = BlockBounds{LastDoc: last, TermBounds: boundsOf(&sub, docLens)}
-	return bb, nil
+	return blockOf(p.Docs[start:], p.Freqs[start:]), nil
 }
 
 // decodeBlockInto decodes one compressed block (exactly n postings),
@@ -498,9 +490,7 @@ func (w *v2Writer) block(bb BlockBounds, start int, crc uint32) {
 		last -= w.lastDoc()
 	}
 	w.dir = binary.AppendUvarint(w.dir, uint64(last))
-	for _, v := range [4]int32{bb.MaxTF, bb.MinDL, bb.MaxRatioTF, bb.MaxRatioDL} {
-		w.dir = binary.AppendUvarint(w.dir, uint64(v))
-	}
+	w.dir = binary.AppendUvarint(w.dir, uint64(bb.MaxTF))
 	w.dir = binary.AppendUvarint(w.dir, uint64(len(w.post)-start))
 	w.dir = binary.LittleEndian.AppendUint32(w.dir, crc)
 	w.blocks = append(w.blocks, bb)
@@ -515,32 +505,27 @@ func (w *v2Writer) appendBlock(p *Postings, lo, hi int, bb BlockBounds) {
 }
 
 // appendRows encodes rows [lo, len(p.Docs)) of p as the current term's
-// next blocks, each summarised from its own postings against docLens,
-// and returns how many blocks it wrote.
-func (w *v2Writer) appendRows(p *Postings, lo int, docLens []int32) int {
+// next blocks, each summarised from its own postings, and returns how
+// many blocks it wrote.
+func (w *v2Writer) appendRows(p *Postings, lo int) int {
 	nb := 0
 	for ; lo < len(p.Docs); lo += w.bs {
 		hi := min(lo+w.bs, len(p.Docs))
-		sub := Postings{Docs: p.Docs[lo:hi], Freqs: p.Freqs[lo:hi]}
-		w.appendBlock(p, lo, hi, BlockBounds{LastDoc: p.Docs[hi-1], TermBounds: boundsOf(&sub, docLens)})
+		w.appendBlock(p, lo, hi, blockOf(p.Docs[lo:hi], p.Freqs[lo:hi]))
 		nb++
 	}
 	return nb
 }
 
 // endTerm appends the dictionary entry of the term whose blocks were
-// just written. Its whole-list summary is the merge of its block
-// summaries — exactly boundsOf over the whole row (mergeBlockBounds),
-// and what Open demands of it.
+// just written. Its MaxTF is the largest of its blocks' — what Open
+// demands of it.
 func (w *v2Writer) endTerm(text string, df int, cf int64) {
-	b := mergeBlockBounds(w.blocks)
 	w.terms = binary.AppendUvarint(w.terms, uint64(len(text)))
 	w.terms = append(w.terms, text...)
 	w.terms = binary.AppendUvarint(w.terms, uint64(df))
 	w.terms = binary.AppendUvarint(w.terms, uint64(cf))
-	for _, v := range [4]int32{b.MaxTF, b.MinDL, b.MaxRatioTF, b.MaxRatioDL} {
-		w.terms = binary.AppendUvarint(w.terms, uint64(v))
-	}
+	w.terms = binary.AppendUvarint(w.terms, uint64(listMaxTF(w.blocks)))
 	w.numTerms++
 	w.blocks = w.blocks[:0]
 }
@@ -598,7 +583,7 @@ func (w *v2Writer) sections() [][]byte {
 // encodeV2 writes ix in FormatV2 at its block size. Each term's row —
 // an in-memory index's as it stands, a v2-backed one's decoded by
 // readRow into one reused scratch row — is written by appendRows, which
-// derives every block's summary from the postings it encodes.
+// derives every block's MaxTF from the postings it encodes.
 func encodeV2(w io.Writer, ix *Index) error {
 	vw := newV2Writer(ix.analyzer, ix.blockSizeOf())
 	for d, name := range ix.docNames {
@@ -608,7 +593,7 @@ func encodeV2(w io.Writer, ix *Index) error {
 	var scratch Postings
 	for id, text := range ix.termText {
 		p := ix.readRow(int32(id), &scratch)
-		vw.appendRows(p, 0, ix.docLens)
+		vw.appendRows(p, 0)
 		vw.endTerm(text, len(p.Docs), p.CollectionFreq())
 	}
 	return vw.writeTo(w)
@@ -804,13 +789,13 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 	}
 	bs := int(bsz)
 	ix.blockSize = bs
-	// A term takes at least seven bytes: its length prefix, df, cf and
-	// four bounds.
-	nt := tableHint(numTerms, len(ts.buf), 7)
+	// A term takes at least four bytes: its length prefix, df, cf and
+	// MaxTF.
+	nt := tableHint(numTerms, len(ts.buf), 4)
 	texts := newStringArena(nt, len(ts.buf))
-	ix.termBounds = make([]TermBounds, 0, nt)
 	dfs := make([]int32, 0, nt)
-	cfs := make([]int64, 0, nt)
+	ix.cf = make([]int64, 0, nt)
+	ix.maxTF = make([]int32, 0, nt)
 	totalBlocks := 0
 	for t := uint64(0); t < numTerms; t++ {
 		tl, err := ts.uvarint("term length")
@@ -838,21 +823,17 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 		if cf < df || cf > df*maxFreq {
 			return nil, fmt.Errorf("index: term %q cf %d inconsistent with df %d", text, cf, df)
 		}
-		var b TermBounds
-		for _, field := range [4]*int32{&b.MaxTF, &b.MinDL, &b.MaxRatioTF, &b.MaxRatioDL} {
-			v, err := ts.uvarint("bound")
-			if err != nil {
-				return nil, err
-			}
-			if v > 1<<31-1 {
-				return nil, fmt.Errorf("index: term %q bound value %d out of range", text, v)
-			}
-			*field = int32(v)
+		mtf, err := ts.uvarint("MaxTF")
+		if err != nil {
+			return nil, err
+		}
+		if mtf > maxFreq {
+			return nil, fmt.Errorf("index: term %q MaxTF %d out of range", text, mtf)
 		}
 		texts.add(text)
-		ix.termBounds = append(ix.termBounds, b)
 		dfs = append(dfs, int32(df))
-		cfs = append(cfs, int64(cf))
+		ix.cf = append(ix.cf, int64(cf))
+		ix.maxTF = append(ix.maxTF, int32(mtf))
 		totalBlocks += (int(df) + bs - 1) / bs
 	}
 	if err := ts.done(); err != nil {
@@ -905,17 +886,12 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 				return nil, fmt.Errorf("index: term %q block %d lastDoc %d outside corpus", ix.termText[tid], b, last)
 			}
 			prevLast = last
-			var bb BlockBounds
-			bb.LastDoc = last
-			for _, field := range [4]*int32{&bb.MaxTF, &bb.MinDL, &bb.MaxRatioTF, &bb.MaxRatioDL} {
-				v, err := dirs.uvarint("block bound")
-				if err != nil {
-					return nil, err
-				}
-				if v > 1<<31-1 {
-					return nil, fmt.Errorf("index: term %q block bound %d out of range", ix.termText[tid], v)
-				}
-				*field = int32(v)
+			mtf, err := dirs.uvarint("block MaxTF")
+			if err != nil {
+				return nil, err
+			}
+			if mtf > maxFreq {
+				return nil, fmt.Errorf("index: term %q block %d MaxTF %d out of range", ix.termText[tid], b, mtf)
 			}
 			blen, err := dirs.uvarint("block length")
 			if err != nil {
@@ -929,17 +905,15 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 				return nil, err
 			}
 			lz.extents = append(lz.extents, blockExtent{off: postOff, size: int32(blen), crc: crc})
-			flatBounds = append(flatBounds, bb)
+			flatBounds = append(flatBounds, BlockBounds{LastDoc: last, MaxTF: int32(mtf)})
 			postOff += int64(blen)
 		}
 		ix.blockBounds[tid] = flatBounds[from:len(flatBounds):len(flatBounds)]
-		// The whole-list summary must be exactly the merge of its blocks;
-		// a mismatch means one of the two CRC-valid sections lies.
-		if dfs[tid] > 0 && mergeBlockBounds(ix.blockBounds[tid]) != ix.termBounds[tid] {
-			return nil, fmt.Errorf("index: term %q stored bounds disagree with its block directory", ix.termText[tid])
-		}
-		if dfs[tid] == 0 && ix.termBounds[tid] != (TermBounds{}) {
-			return nil, fmt.Errorf("index: empty term %q has non-zero bounds", ix.termText[tid])
+		// The whole-list MaxTF must be exactly its blocks' largest (0 for
+		// an empty term); a mismatch means one of the two CRC-valid
+		// sections lies.
+		if listMaxTF(ix.blockBounds[tid]) != ix.maxTF[tid] {
+			return nil, fmt.Errorf("index: term %q stored MaxTF disagrees with its block directory", ix.termText[tid])
 		}
 	}
 	lz.starts[len(ix.termText)] = int32(len(lz.extents))
@@ -962,7 +936,6 @@ func parseV2(data []byte, closeFn func() error) (*Index, error) {
 
 	ix.minDocLen = minDocLenOf(ix.docLens)
 	lz.df = dfs
-	lz.cf = cfs
 	lz.crcOK = newStickyBits(len(lz.extents))
 	lz.boundsOK = newStickyBits(len(lz.extents))
 	ix.lazy = lz

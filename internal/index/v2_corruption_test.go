@@ -117,10 +117,9 @@ func TestV2HostilePrefix(t *testing.T) {
 }
 
 // lyingV2Bytes renders a small index at block size 4 into a
-// CRC-consistent image that understates term "a": MaxTF and MaxRatioTF
-// are capped at 1 in every block AND in the whole-list summary, so
-// Open's cross-check of the two still holds. honest is the index the
-// image lies about.
+// CRC-consistent image that understates term "a": its MaxTF is capped
+// at 1 in every block AND in its terms entry, so Open's cross-check of
+// the two still holds. honest is the index the image lies about.
 func lyingV2Bytes(t *testing.T) (img []byte, honest *Index) {
 	t.Helper()
 	return hostileV2Bytes(t, "bounds")
@@ -128,10 +127,11 @@ func lyingV2Bytes(t *testing.T) (img []byte, honest *Index) {
 
 // hostileV2Bytes renders the index of lyingV2Bytes with term "a"
 // written wrong in a way no checksum catches: "bounds" is
-// lyingV2Bytes's lie, written through appendBlock with explicit bounds;
-// "cf" states a collection frequency one above the postings' sum;
-// "trailing" appends a byte to each of a's blocks, inside the block's
-// CRC. Every other term goes through appendRows, as encodeV2 writes it.
+// lyingV2Bytes's lie; "list" caps only the terms entry's MaxTF, and
+// "block" only the directory's; "cf" states a collection frequency one
+// above the postings' sum; "trailing" appends a byte to each of a's
+// blocks, inside the block's CRC. Every other term goes through
+// appendRows, as encodeV2 writes it.
 func hostileV2Bytes(t *testing.T, lie string) (img []byte, honest *Index) {
 	t.Helper()
 	const bs = 4
@@ -139,8 +139,8 @@ func hostileV2Bytes(t *testing.T, lie string) (img []byte, honest *Index) {
 	if err := honest.SetBlockSize(bs); err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := honest.BoundsFor("a"); b.MaxTF < 2 {
-		t.Fatalf("corpus too uniform for the lie (MaxTF=%d)", b.MaxTF)
+	if m := honest.StoredMaxTF(honest.terms["a"]); m < 2 {
+		t.Fatalf("corpus too uniform for the lie (MaxTF=%d)", m)
 	}
 	w := newV2Writer(honest.analyzer, bs)
 	for d, name := range honest.docNames {
@@ -149,37 +149,65 @@ func hostileV2Bytes(t *testing.T, lie string) (img []byte, honest *Index) {
 	for id, text := range honest.termText {
 		p := &honest.postings[id]
 		cf := p.CollectionFreq()
-		switch {
-		case text != "a":
-			w.appendRows(p, 0, honest.docLens)
-		case lie == "cf":
-			w.appendRows(p, 0, honest.docLens)
-			cf++
-		default:
-			for lo := 0; lo < len(p.Docs); lo += bs {
-				hi := min(lo+bs, len(p.Docs))
-				sub := Postings{Docs: p.Docs[lo:hi], Freqs: p.Freqs[lo:hi]}
-				bb := BlockBounds{LastDoc: p.Docs[hi-1], TermBounds: boundsOf(&sub, honest.docLens)}
-				if lie == "bounds" {
-					bb.MaxTF, bb.MaxRatioTF = min(bb.MaxTF, 1), 1
-					w.appendBlock(p, lo, hi, bb)
-					continue
-				}
+		if text != "a" {
+			w.appendRows(p, 0)
+			w.endTerm(text, len(p.Docs), cf)
+			continue
+		}
+		for lo := 0; lo < len(p.Docs); lo += bs {
+			hi := min(lo+bs, len(p.Docs))
+			bb := blockOf(p.Docs[lo:hi], p.Freqs[lo:hi])
+			capped := BlockBounds{LastDoc: bb.LastDoc, MaxTF: min(bb.MaxTF, 1)}
+			switch lie {
+			case "bounds":
+				w.appendBlock(p, lo, hi, capped)
+			case "block":
+				// endTerm takes the term's MaxTF from w.blocks: the honest one.
+				w.appendBlock(p, lo, hi, capped)
+				w.blocks[len(w.blocks)-1] = bb
+			case "list":
+				w.appendBlock(p, lo, hi, bb)
+				w.blocks[len(w.blocks)-1] = capped
+			case "trailing":
 				start := len(w.post)
 				w.post = append(encodeBlock(w.post, p, lo, hi, w.lastDoc()), 0)
 				w.block(bb, start, crc32.ChecksumIEEE(w.post[start:]))
+			default:
+				w.appendBlock(p, lo, hi, bb)
 			}
+		}
+		if lie == "cf" {
+			cf++
 		}
 		w.endTerm(text, len(p.Docs), cf)
 	}
 	return w.image(), honest
 }
 
+// TestV2UnderstatedMaxTFRefusedAtOpen: a CRC-consistent file whose terms
+// entry understates a term's MaxTF, or whose block directory understates
+// the block that holds it, fails Open: the term's MaxTF must be the
+// largest of its blocks'.
+func TestV2UnderstatedMaxTFRefusedAtOpen(t *testing.T) {
+	for _, lie := range []string{"list", "block"} {
+		img, _ := hostileV2Bytes(t, lie)
+		ix, err := openBytes(t, img)
+		if err == nil {
+			ix.Close()
+			t.Fatalf("%s: Open accepted an understated MaxTF", lie)
+		}
+		if !strings.Contains(err.Error(), "stored MaxTF disagrees with its block directory") {
+			t.Fatalf("%s: Open failed with %v, want the MaxTF disagreement", lie, err)
+		}
+	}
+}
+
 // TestV2LyingBlockBounds: a CRC-consistent file whose block directory
-// understates a block's bounds passes Open (its cross-check ties the
-// whole-list bounds to the directory, so the lie must be consistent
-// across both to get that far), and the first read of the lying term —
-// a whole row or a cursor's block — records the disagreement on Err.
+// understates a block's MaxTF passes Open when its terms entry tells the
+// same lie (Open's cross-check ties the two, so the lie must be
+// consistent across both to get that far), and the first read of the
+// lying term — a whole row or a cursor's block — records the
+// disagreement on Err.
 func TestV2LyingBlockBounds(t *testing.T) {
 	img, _ := lyingV2Bytes(t)
 	for _, read := range []string{"row", "cursor"} {
@@ -206,15 +234,15 @@ func TestV2LyingBlockBounds(t *testing.T) {
 
 // TestV2StoredBoundsNeverRewritten: what Open validated is read-only.
 // One goroutine streams the lying term with a cursor, reading its stored
-// bounds as it goes, while another decodes its whole row through
+// MaxTF as it goes, while another decodes its whole row through
 // PostingsFor. Both record the lie and neither corrects it, so the two
-// do not race (run under -race), and the stored summaries read as Open
+// do not race (run under -race), and the stored MaxTFs read as Open
 // loaded them afterwards.
 func TestV2StoredBoundsNeverRewritten(t *testing.T) {
 	img, _ := lyingV2Bytes(t)
 	ix := openV2Heap(t, img)
 	id, _ := ix.StreamableTerm("a")
-	stored, blocks := ix.StoredTermBounds(id), slices.Clone(ix.blockBounds[id])
+	stored, blocks := ix.StoredMaxTF(id), slices.Clone(ix.blockBounds[id])
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -223,7 +251,7 @@ func TestV2StoredBoundsNeverRewritten(t *testing.T) {
 		for range 20 {
 			for c.ResetStream(ix, id); c.Doc() != DocEnd; c.Next() {
 				c.Freq()
-				ix.StoredTermBounds(id)
+				ix.StoredMaxTF(id)
 			}
 		}
 	}()
@@ -234,8 +262,8 @@ func TestV2StoredBoundsNeverRewritten(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := ix.StoredTermBounds(id); got != stored {
-		t.Fatalf("stored bounds of a rewritten to %+v, Open loaded %+v", got, stored)
+	if got := ix.StoredMaxTF(id); got != stored {
+		t.Fatalf("stored MaxTF of a rewritten to %d, Open loaded %d", got, stored)
 	}
 	if !slices.Equal(ix.blockBounds[id], blocks) {
 		t.Fatal("the block directory of a was rewritten")
@@ -246,7 +274,7 @@ func TestV2StoredBoundsNeverRewritten(t *testing.T) {
 }
 
 // TestV2BoundsCheckedOncePerBlock: a cursor compares a block's derived
-// summary with the directory on the block's first decode since Open
+// LastDoc and MaxTF with the directory on the block's first decode since Open
 // only. Cursors racing over the lying term (run under -race) all see the
 // lie recorded and leave every one of its extents marked, and no other
 // term's; a later walk of the same blocks compares nothing, so with the
@@ -291,7 +319,7 @@ func TestV2BoundsCheckedOncePerBlock(t *testing.T) {
 }
 
 // TestV2WithVerifyRejectsLies: files that pass Open's checks but lie
-// about term "a" — its bounds, its cf, its blocks' bytes — fail Open
+// about term "a" — its MaxTF, its cf, its blocks' bytes — fail Open
 // under WithVerify, each with its own error.
 func TestV2WithVerifyRejectsLies(t *testing.T) {
 	for lie, want := range map[string]string{

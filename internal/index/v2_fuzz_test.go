@@ -48,10 +48,6 @@ func FuzzBlockDecode(f *testing.F) {
 	}
 
 	const numDocs = 64
-	docLens := make([]int32, numDocs)
-	for i := range docLens {
-		docLens[i] = int32(i%7 + 1)
-	}
 	f.Fuzz(func(t *testing.T, data []byte, base64 int64, n int) {
 		if n < 0 || n > 1<<10 {
 			return
@@ -61,12 +57,12 @@ func FuzzBlockDecode(f *testing.F) {
 			return
 		}
 		var p Postings
-		bb, err := decodeBlock(data, base, n, numDocs, docLens, &p)
+		bb, err := decodeBlock(data, base, n, numDocs, &p)
 		if err != nil {
 			return // rejecting corrupt input is the job; panicking is not
 		}
 		// Accepted ⇒ round-trips: re-encode the decoded postings and
-		// decode again; postings and derived bounds must be identical.
+		// decode again; postings and derived summary must be identical.
 		// (Byte-identity is NOT required — binary.Uvarint accepts
 		// non-minimal encodings, which re-encode shorter.)
 		out := encodeBlock(nil, &p, 0, len(p.Docs), base)
@@ -74,12 +70,12 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatalf("re-encoding grew: %d bytes -> %d", len(data), len(out))
 		}
 		var q Postings
-		bb2, err := decodeBlock(out, base, n, numDocs, docLens, &q)
+		bb2, err := decodeBlock(out, base, n, numDocs, &q)
 		if err != nil {
 			t.Fatalf("round trip decode failed: %v", err)
 		}
 		if bb2 != bb {
-			t.Fatalf("round trip bounds %+v != %+v", bb2, bb)
+			t.Fatalf("round trip summary %+v != %+v", bb2, bb)
 		}
 		if len(q.Docs) != len(p.Docs) {
 			t.Fatalf("round trip row count %d != %d", len(q.Docs), len(p.Docs))

@@ -38,8 +38,9 @@ func randomIndex(t *testing.T, docs, seed int) *Index {
 }
 
 // assertSameIndex demands got (v2-backed) equals want (in memory) in
-// every observable: corpus shape, postings rows, bounds, and the block
-// summaries got's directory holds against those writing want derives.
+// every observable: corpus shape, postings rows, stored statistics, and
+// the block summaries got's directory holds against those writing want
+// derives.
 func assertSameIndex(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	if got.NumDocs() != want.NumDocs() || got.NumTerms() != want.NumTerms() || got.TotalTokens() != want.TotalTokens() {
@@ -72,14 +73,16 @@ func assertSameIndex(t *testing.T, label string, got, want *Index) {
 				}
 			}
 		}
-		gb, _ := got.BoundsFor(text)
-		wb, _ := want.BoundsFor(text)
-		if gb != wb {
-			t.Fatalf("%s: term %q bounds %+v vs %+v", label, text, gb, wb)
+		gid := got.terms[text]
+		gdf, gcf := got.StoredTermStats(gid)
+		wdf, wcf := want.StoredTermStats(int32(tid))
+		if gdf != wdf || gcf != wcf || got.StoredMaxTF(gid) != want.StoredMaxTF(int32(tid)) {
+			t.Fatalf("%s: term %q stats (%d, %d, %d) vs (%d, %d, %d)", label, text,
+				gdf, gcf, got.StoredMaxTF(gid), wdf, wcf, want.StoredMaxTF(int32(tid)))
 		}
 		w := newV2Writer(want.analyzer, got.BlockSize())
-		w.appendRows(wp, 0, want.docLens)
-		gbb, wbb := got.blockBounds[got.terms[text]], w.blocks
+		w.appendRows(wp, 0)
+		gbb, wbb := got.blockBounds[gid], w.blocks
 		if len(gbb) != len(wbb) {
 			t.Fatalf("%s: term %q has %d blocks, want %d", label, text, len(gbb), len(wbb))
 		}
@@ -155,9 +158,9 @@ func TestV2OpenIsLazy(t *testing.T) {
 	if q := got.PostingsFor("a"); &q.Docs[0] == &p.Docs[0] || got.postings != nil {
 		t.Fatal("PostingsFor(a) handed out a row the index keeps")
 	}
-	// Bounds and block bounds are available without decoding.
-	if _, ok := got.BoundsFor("b"); !ok {
-		t.Fatal("BoundsFor(b) missing")
+	// MaxTF and the block directory are available without decoding.
+	if got.StoredMaxTF(got.terms["b"]) == 0 {
+		t.Fatal("StoredMaxTF(b) missing")
 	}
 	if bb := got.blockBounds[got.terms["b"]]; len(bb) == 0 {
 		t.Fatal("block directory of b missing")
@@ -181,7 +184,8 @@ func TestV2WithVerify(t *testing.T) {
 }
 
 // TestOpenRejectsGarbage: unknown magic and short files error cleanly,
-// and both revisions of the removed stream format are named as such.
+// and both revisions of the removed stream format and the first
+// revision of FormatV2 fail with ErrOldFormat, naming the magic found.
 func TestOpenRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string][]byte{
@@ -190,6 +194,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 		"empty":   nil,
 		"v1":      []byte("SQEIX\x01\x03"),
 		"v1-rev2": []byte("SQEIX\x02"),
+		"old-v2":  []byte("SQEBX\x01\x03"),
 	} {
 		p := filepath.Join(dir, name)
 		if err := writeRaw(p, content); err != nil {
@@ -199,8 +204,12 @@ func TestOpenRejectsGarbage(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
-		if isV1 := strings.HasPrefix(name, "v1"); errors.Is(err, ErrFormatV1) != isV1 {
-			t.Fatalf("%s: errors.Is(err, ErrFormatV1) = %v: %v", name, !isV1, err)
+		old := strings.HasPrefix(name, "v1") || name == "old-v2"
+		if errors.Is(err, ErrOldFormat) != old {
+			t.Fatalf("%s: errors.Is(err, ErrOldFormat) = %v: %v", name, !old, err)
+		}
+		if old && !strings.Contains(err.Error(), fmt.Sprintf("%q", content[:len(indexMagicV2)])) {
+			t.Fatalf("%s: the error does not name the magic found: %v", name, err)
 		}
 	}
 }

@@ -25,9 +25,12 @@
 //
 // A peer speaking another wire version — the JSON envelope this format
 // replaced starts its payload with '{' — is refused, never retried: a
-// server closes the connection without a reply, and a client gets
-// ErrWireVersion. A mixed-version topology therefore fails at the
-// coordinator's handshake, at boot.
+// server answers with one error frame in its own version (code
+// "wire_version") and closes the connection, and a client that reads a
+// frame in another version than its own returns ErrWireVersion. Every
+// version's client treats a foreign first byte that way, so a
+// mixed-version topology fails at the coordinator's handshake, at boot,
+// whichever side is newer.
 //
 // Failure handling is layered the same way the single-process engine
 // layers it:
@@ -289,7 +292,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // client went away or stream corrupt; nothing to answer
 		}
 		if len(payload) == 0 || payload[0] != WireVersion {
-			return // another wire version: it could not read our reply
+			// Another wire version. Its client refuses a frame in ours
+			// without retrying, which a closed connection alone would not
+			// make it do. The connection closes whether or not the frame
+			// went out.
+			_ = sendFrame(conn, appendError(startFrame(frame), "wire_version",
+				fmt.Sprintf("rpc: server speaks wire version %d", WireVersion)))
+			return
 		}
 		method, body, ok := cutString(payload[1:])
 		if !ok {

@@ -491,29 +491,47 @@ func TestBodyEncoding(t *testing.T) {
 	}
 }
 
-// TestJSONEraClientGetsNoReply: a frame in the JSON envelope this wire
-// replaced gets no answer it could misread — the server closes that
-// connection — and the server goes on serving well-formed ones.
-func TestJSONEraClientGetsNoReply(t *testing.T) {
+// TestForeignWireVersionGetsOneErrorFrame: a request in another wire
+// version — the previous one, or the JSON envelope this wire replaced —
+// is answered with exactly one error frame in this version, which the
+// peer's client refuses as terminal, and then the connection closes.
+// The server goes on serving well-formed requests.
+func TestForeignWireVersionGetsOneErrorFrame(t *testing.T) {
 	addr := startServer(t, func(s *Server) { s.Handle("echo", echoHandler) })
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	legacy := []byte(`{"method":"echo","body":{"x":1,"s":"old"}}`)
-	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(legacy))), legacy...)); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
-		t.Fatalf("JSON frame: read %d bytes, err %v; want the connection closed with no reply", n, err)
+	for name, payload := range map[string][]byte{
+		"previous-version": append([]byte{WireVersion - 1, 4}, "echo"...),
+		"json-envelope":    []byte(`{"method":"echo","body":{"x":1,"s":"old"}}`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			resp, err := readFrame(conn)
+			if err != nil {
+				t.Fatalf("read the answer: %v; want one error frame", err)
+			}
+			if len(resp) < 2 || resp[0] != WireVersion || resp[1] != statusError {
+				t.Fatalf("answer %q: want an error frame in wire version %d", resp, WireVersion)
+			}
+			if code, _, ok := cutString(resp[2:]); !ok || string(code) != "wire_version" {
+				t.Fatalf("answer %q: want code wire_version", resp)
+			}
+			if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+				t.Fatalf("after the error frame: read %d bytes, err %v; want the connection closed", n, err)
+			}
+		})
 	}
 
 	c := NewClient(addr, ClientOptions{})
 	defer c.Close()
 	var out echoReq
 	if err := c.Call(context.Background(), "echo", echoReq{S: "new"}, &out); err != nil || out.S != "new" {
-		t.Fatalf("well-formed call after a JSON frame: %+v, %v", out, err)
+		t.Fatalf("well-formed call after foreign frames: %+v, %v", out, err)
 	}
 }

@@ -165,8 +165,7 @@ func termLeaf(ix *index.Index, term string, w float64) leaf {
 		return newLeaf(ix, w, index.Postings{}, 0, 0)
 	}
 	_, cf := ix.StoredTermStats(id)
-	b, _ := ix.BoundsFor(term)
-	l := newLeaf(ix, w, *ix.PostingsByID(id), cf, b.MaxTF)
+	l := newLeaf(ix, w, *ix.PostingsByID(id), cf, ix.StoredMaxTF(id))
 	l.termID = id
 	return l
 }
@@ -226,7 +225,7 @@ func resolvedLeaf(ix *index.Index, w float64, p *index.Positional, hit bool, st 
 			st.PositionalMisses++
 		}
 	}
-	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.Bounds.MaxTF)
+	l := newLeaf(ix, w, index.Postings{Docs: p.Docs, Freqs: p.Freqs}, p.CF, p.MaxTF)
 	l.positional = p
 	return l
 }
@@ -254,7 +253,7 @@ func newStreamLeaf(ix *index.Index, w float64, id int32) leaf {
 		weight:   w,
 		collProb: ix.FloorProb(cf),
 		cf:       cf,
-		maxTF:    ix.StoredTermBounds(id).MaxTF,
+		maxTF:    ix.StoredMaxTF(id),
 		termID:   id,
 		stream:   true,
 		nPost:    df,
