@@ -83,7 +83,10 @@ bench-build:
 # 'TestDifferential/shards-.*' .`, likewise `/v2.*`, `/segmented-.*`,
 # `/rpc-2`; one layer down, a shape of the evaluator harness: `go test
 # -count=1 -run 'TestParity/<shape>.*' ./internal/search/`, likewise
-# `TestParity/v2-bs1.*`, `/tombstones-.*`. For fault injection (DESIGN.md §11: the registry, the
+# `TestParity/v2-bs1.*`, `/tombstones-.*`; below that, a kind of the
+# index parity table: `go test -count=1 -run 'TestIndexParity/<kind>.*'
+# ./internal/index/`, likewise `TestIndexParity/split-.*`,
+# `/compacted-warm`. For fault injection (DESIGN.md §11: the registry, the
 # engine-level chaos harness and the HTTP-level one) it is this target.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Schedule|Degrad|MaxFaults|Disarmed|Panic|ErrorClassification|Points|Backend|ErrorPaths' ./internal/fault/ ./internal/serve/

@@ -1,7 +1,7 @@
 // Command sqe-serve boots the HTTP serving layer (internal/serve) over
-// the demo environment: the full SQE_C pipeline with parallel motif-set
-// runs, an expansion cache, per-request deadlines, admission control
-// and Prometheus metrics.
+// the demo environment: the full SQE_C pipeline, whose three motif-set
+// runs are one evaluation (DESIGN.md §9.2), an expansion cache,
+// per-request deadlines, admission control and Prometheus metrics.
 //
 // Usage:
 //

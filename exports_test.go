@@ -34,6 +34,7 @@ var exportsAllowlist = map[string]string{
 	"index.MappedRegions":                     "close tests assert every mapping is released",
 	"index.Snapshot.LiveDocNames":             "differential and tombstone tests read a snapshot's survivors",
 	"index.WithVerify":                        "corruption tests force a full checksum pass at Open",
+	"index.corruptError.Unwrap":               "error wrapping, called by errors.Is and errors.As",
 	"kb.Graph.CategoriesAll":                  "root tests compare the public graph with the KB",
 	"kb.Graph.Reciprocal":                     "KB and motif tests check link reciprocity",
 	"search.SegmentedSearcher.SearchSnapshot": "tests rank one pinned snapshot",

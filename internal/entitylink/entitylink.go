@@ -96,21 +96,19 @@ func best(cands []Candidate) (Candidate, bool) {
 // NumSurfaces returns the number of distinct surface forms.
 func (d *Dictionary) NumSurfaces() int { return len(d.surfaces) }
 
+// fallbackThreshold is the minimum commonness a unigram fallback
+// candidate needs to be linked (the Alchemy stage).
+const fallbackThreshold = 0.05
+
 // Linker spots and links entities in text.
 type Linker struct {
 	dict *Dictionary
-	// FallbackThreshold is the minimum commonness a unigram fallback
-	// candidate needs to be linked (the Alchemy stage); 0 disables the
-	// threshold.
-	FallbackThreshold float64
-	// DisableFallback turns the Alchemy-like stage off (Dexter alone).
-	DisableFallback bool
 }
 
 // NewLinker returns a Linker over dict with the combined
-// Dexter+Alchemy behaviour enabled.
+// Dexter+Alchemy behaviour.
 func NewLinker(dict *Dictionary) *Linker {
-	return &Linker{dict: dict, FallbackThreshold: 0.05}
+	return &Linker{dict: dict}
 }
 
 // Mention is one linked span.
@@ -156,15 +154,13 @@ func (l *Linker) Link(text string) []Mention {
 			i++
 		}
 	}
-	if !l.DisableFallback {
-		for _, t := range leftover {
-			c, ok := best(l.dict.unigrams[t])
-			if !ok || c.Commonness < l.FallbackThreshold || linked[c.Article] {
-				continue
-			}
-			linked[c.Article] = true
-			mentions = append(mentions, Mention{Surface: t, Article: c.Article, Fallback: true})
+	for _, t := range leftover {
+		c, ok := best(l.dict.unigrams[t])
+		if !ok || c.Commonness < fallbackThreshold || linked[c.Article] {
+			continue
 		}
+		linked[c.Article] = true
+		mentions = append(mentions, Mention{Surface: t, Article: c.Article, Fallback: true})
 	}
 	return mentions
 }

@@ -80,18 +80,22 @@ func TestFallbackRecognizer(t *testing.T) {
 	if len(ms) != 1 || ms[0].Article != ids["San Francisco"] || !ms[0].Fallback {
 		t.Errorf("fallback mention = %+v", ms)
 	}
-	l.DisableFallback = true
-	if ms := l.Link("francisco"); len(ms) != 0 {
-		t.Errorf("fallback disabled but linked %+v", ms)
-	}
 }
 
+// TestFallbackThreshold: a title unigram whose best candidate's
+// commonness is below fallbackThreshold is not linked; one at the
+// threshold is.
 func TestFallbackThreshold(t *testing.T) {
 	d, _ := dict(t)
+	rare, common := kb.NodeID(100), kb.NodeID(101) // outside dict's articles
+	d.AddTitle("Golden Gate", rare, fallbackThreshold/2)
 	l := NewLinker(d)
-	l.FallbackThreshold = 0.95 // above every candidate's commonness
-	if ms := l.Link("francisco"); len(ms) != 0 {
-		t.Errorf("threshold should suppress fallback, got %+v", ms)
+	if ms := l.Link("gate"); len(ms) != 0 {
+		t.Errorf("a unigram of commonness %v was linked: %+v", fallbackThreshold/2, ms)
+	}
+	d.AddTitle("Gate Tower", common, fallbackThreshold)
+	if ms := l.Link("gate"); len(ms) != 1 || ms[0].Article != common || !ms[0].Fallback {
+		t.Errorf("a unigram at the threshold linked %+v", ms)
 	}
 }
 

@@ -94,10 +94,11 @@ func (ix *Index) Close() error {
 	return ix.lazy.close()
 }
 
-// Err reports the first corruption the lazy decoder hit (nil for
-// in-memory indexes and healthy files). Open's integrity checks make
-// this unreachable for randomly corrupted files; it is the
-// defense-in-depth surface for the residual cases (see v2.go).
+// Err reports the first corruption the lazy decoder hit, wrapping
+// ErrCorrupt (nil for in-memory indexes and healthy files). Open's
+// integrity checks make this unreachable for randomly corrupted files;
+// it is the defense-in-depth surface for the residual cases (see v2.go).
+// It is sticky: once set, it stays.
 func (ix *Index) Err() error {
 	if ix.lazy == nil {
 		return nil

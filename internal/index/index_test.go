@@ -1,10 +1,7 @@
 package index
 
 import (
-	"bytes"
-	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,75 +24,6 @@ func buildIndex(t *testing.T, docs ...string) *Index {
 }
 
 func docName(i int) string { return "D" + string(rune('0'+i)) }
-
-// checkStoredStats holds every term's stored df, cf and maxTF to its row.
-func checkStoredStats(t *testing.T, label string, ix *Index) {
-	t.Helper()
-	for id := int32(0); id < int32(ix.NumTerms()); id++ {
-		p := ix.PostingsByID(id)
-		var mtf int32
-		for _, tf := range p.Freqs {
-			mtf = max(mtf, tf)
-		}
-		df, cf := ix.StoredTermStats(id)
-		if df != len(p.Docs) || cf != p.CollectionFreq() || ix.StoredMaxTF(id) != mtf {
-			t.Fatalf("%s: term %q stored df=%d cf=%d maxTF=%d, row df=%d cf=%d maxTF=%d",
-				label, ix.TermText(id), df, cf, ix.StoredMaxTF(id), len(p.Docs), p.CollectionFreq(), mtf)
-		}
-	}
-	if err := ix.Err(); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-}
-
-// TestStoredTermStats: the df, cf and maxTF every kind of index stores
-// per term are its row's — built, a v2 file, the shards of its split, a
-// merge of v2 files whose tail blocks were spliced, and seals of a live
-// buffer — and a seal keeps its own while the buffer goes on counting.
-func TestStoredTermStats(t *testing.T) {
-	docs := segCorpus(60, 3)
-	// hot raises term a's largest tf past any segCorpus document's.
-	hot := segDoc{name: "hot", text: strings.Repeat("a ", 40)}
-	mono := monolithic(docs)
-	checkStoredStats(t, "built", mono)
-	v2 := openV2File(t, mono)
-	checkStoredStats(t, "v2", v2)
-	sh := NewSharded(v2, 3)
-	for s := range sh.NumShards() {
-		checkStoredStats(t, fmt.Sprintf("shard %d", s), sh.Shard(s))
-	}
-
-	// Every row of the first input is one short block, which the merge
-	// extends in place by the second input's postings.
-	dir := t.TempDir()
-	ins := []mergeInput{
-		openInput(t, filepath.Join(dir, "in0.v2"), docs[:40], DefaultBlockSize, nil),
-		openInput(t, filepath.Join(dir, "in1.v2"), append([]segDoc{hot}, docs[40:]...), DefaultBlockSize, []DocID{3}),
-	}
-	var img bytes.Buffer
-	counts, _, err := writeMerged(&img, plainAnalyzer, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.spliced == 0 {
-		t.Fatalf("the merge spliced no tail block: %+v", counts)
-	}
-	checkStoredStats(t, "merged", openV2Heap(t, img.Bytes()))
-
-	s := openSegForTest(t, 1000)
-	ingestAll(t, s, docs[:30])
-	sn := s.Acquire()
-	defer sn.Release()
-	seal := sn.Segment(sn.NumSegments() - 1)
-	checkStoredStats(t, "seal", seal)
-	ingestAll(t, s, []segDoc{hot})
-	checkStoredStats(t, "earlier seal after a later document raised a's tf", seal)
-	ingestAll(t, s, docs[30:])
-	checkStoredStats(t, "earlier seal after more ingests", seal)
-	later := s.Acquire()
-	defer later.Release()
-	checkStoredStats(t, "later seal", later.Segment(later.NumSegments()-1))
-}
 
 func TestIndexCounts(t *testing.T) {
 	ix := buildIndex(t, "red fish blue fish", "one fish", "nothing here")
@@ -161,22 +89,6 @@ func TestCollectionProb(t *testing.T) {
 	// OOV floor: 0.5/|C|
 	if got := ix.FloorProb(0); got != 0.5/4 {
 		t.Errorf("FloorProb(0) = %f", got)
-	}
-}
-
-func TestDocVector(t *testing.T) {
-	ix := buildIndex(t, "x y x", "y z")
-	v := ix.DocVector(0)
-	got := map[string]int32{}
-	for _, tf := range v {
-		got[ix.TermText(tf.Term)] = tf.Freq
-	}
-	want := map[string]int32{"x": 2, "y": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DocVector(0) = %v, want %v", got, want)
-	}
-	if len(ix.DocVector(1)) != 2 {
-		t.Error("DocVector(1) wrong size")
 	}
 }
 
@@ -310,39 +222,4 @@ func findRow(docs []DocID, d DocID) int {
 		}
 	}
 	return -1
-}
-
-// Property: sum of DocLens equals TotalTokens; collection freq of every
-// term sums to TotalTokens.
-func TestIndexAccountingProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder(plainAnalyzer)
-		words := []string{"w1", "w2", "w3", "w4", "w5"}
-		for d := 0; d < 15; d++ {
-			var sb strings.Builder
-			for i := 0; i < rng.Intn(20); i++ {
-				sb.WriteString(words[rng.Intn(len(words))] + " ")
-			}
-			b.Add(docName(d%10), sb.String())
-		}
-		ix := b.Build()
-		var sumLens int64
-		for d := 0; d < ix.NumDocs(); d++ {
-			sumLens += int64(ix.DocLen(DocID(d)))
-		}
-		if sumLens != ix.TotalTokens() {
-			return false
-		}
-		var sumCF int64
-		for _, w := range words {
-			if p := ix.PostingsFor(w); p != nil {
-				sumCF += p.CollectionFreq()
-			}
-		}
-		return sumCF == ix.TotalTokens()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
 }

@@ -291,7 +291,7 @@ func TestSegmentedCompactRemovesFullyTombstonedSegment(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	requireEquivalent(t, sn.Segment(0), monolithic(docs[20:]))
+	requireParity(t, sn.Segment(0), monolithic(docs[20:]))
 }
 
 // BenchmarkSegmentedCompact is one compaction in live-mixed's shape at

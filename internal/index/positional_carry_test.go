@@ -3,9 +3,6 @@ package index
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,117 +36,6 @@ func requireColdFill(t *testing.T, fresh *Index, k positionalKey, got *Positiona
 	var sc PositionalScratch
 	want, _ := k.leaf(fresh, &sc)
 	requireMatchesReference(t, k.String(), fresh, got, Postings{Docs: want.Docs, Freqs: want.Freqs})
-}
-
-// withoutG is segCorpus with every "g" turned into an "f": an input
-// that lacks one constituent of the vocabulary.
-func withoutG(docs []segDoc) []segDoc {
-	out := make([]segDoc, len(docs))
-	for i, d := range docs {
-		out[i] = segDoc{name: "nog-" + d.name, text: strings.ReplaceAll(d.text, "g ", "f ")}
-	}
-	return out
-}
-
-// TestCompactCarriesPositionalMemo: after Compact, every phrase and
-// window leaf the base segment had resolved is in the merged segment's
-// memo, equal to a cold fill on the merged file opened afresh, and
-// resolving it there runs no intersection. The merge has tombstones in
-// the base before and after its first dead document and in a small
-// input; some keys are warm only on the base, so the small inputs fill
-// them while carrying; one small input lacks the constituent "g"; every
-// match of "qq rr" is deleted while both terms survive (an empty entry
-// is carried); and "yy" survives nowhere (its keys are skipped).
-func TestCompactCarriesPositionalMemo(t *testing.T) {
-	docs := segCorpus(340, 37)
-	specials := []segDoc{
-		{"qq-rr-1", "a qq rr b"}, {"qq-rr-2", "qq rr qq rr"}, {"rr-a-qq", "rr a qq b"}, {"yy-b", "yy b a"},
-	}
-	base := append(append(append([]segDoc(nil), docs[:150]...), specials...), docs[150:300]...)
-	s := openSegForTest(t, 1<<20)
-	for _, in := range [][]segDoc{base, docs[300:], withoutG(segCorpus(30, 38))} {
-		ingestAll(t, s, in)
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dead := []string{"qq-rr-1", "qq-rr-2", "yy-b", docs[300+5].name, docs[300+17].name}
-	for _, i := range []int{40, 41, 90, 200, 201, 260} {
-		dead = append(dead, docs[i].name)
-	}
-	if n, err := s.DeleteBatch(dead); err != nil || n != len(dead) {
-		t.Fatalf("DeleteBatch = %d, %v", n, err)
-	}
-
-	var keys []positionalKey
-	seen := map[string]bool{}
-	for _, k := range append(positionalKeys(rand.New(rand.NewSource(37)), 80),
-		positionalKey{terms: []string{"qq", "rr"}}, positionalKey{terms: []string{"qq", "rr"}, window: 2},
-		positionalKey{terms: []string{"yy", "b"}}, positionalKey{terms: []string{"g", "a"}},
-		positionalKey{terms: []string{"a", "g"}, window: 3}) {
-		if !seen[k.String()] {
-			seen[k.String()] = true
-			keys = append(keys, k)
-		}
-	}
-	sn := s.Acquire()
-	if sn.NumSegments() != 3 {
-		t.Fatalf("%d segments, want the base and two small inputs", sn.NumSegments())
-	}
-	var sc PositionalScratch
-	warm := map[string]bool{} // the keys the base memoised
-	for i, k := range keys {
-		k.leaf(sn.Segment(0), &sc)
-		if i%2 == 0 {
-			k.leaf(sn.Segment(1), &sc) // warm on a small input too
-		}
-		if _, ok := memoKey(sn.Segment(0), k); ok {
-			warm[k.String()] = true
-		}
-	}
-	sn.Release()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-
-	sn = s.Acquire()
-	defer sn.Release()
-	merged := sn.Segment(0)
-	fresh, err := Open(s.disk[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	var fills atomic.Int64
-	merged.positionals.filled = func(string) { fills.Add(1) }
-	carried, skipped := 0, 0
-	for _, k := range keys {
-		mk, ok := memoKey(merged, k)
-		if !ok {
-			if warm[k.String()] {
-				skipped++
-			}
-			continue
-		}
-		e := merged.positionals.entry(mk)
-		if e == nil {
-			t.Fatalf("%v was resolved on the base but not carried", k)
-		}
-		requireColdFill(t, fresh, k, e)
-		if got, hit := k.leaf(merged, &sc); !hit || got != e {
-			t.Fatalf("%v: the merged segment resolved it again (hit=%v)", k, hit)
-		}
-		carried++
-	}
-	if n := fills.Load(); n != 0 {
-		t.Fatalf("carried keys ran %d intersections on the merged segment", n)
-	}
-	if carried+skipped != len(warm) || skipped == 0 || carried < len(keys)/2 {
-		t.Fatalf("%d keys were warm on the base: %d carried, %d skipped", len(warm), carried, skipped)
-	}
-	if mk, _ := memoKey(merged, positionalKey{terms: []string{"qq", "rr"}}); len(merged.positionals.entry(mk).Docs) != 0 {
-		t.Fatal("qq rr matches a document on the merged segment; every match was deleted")
-	}
 }
 
 // TestCompactEverythingDeleted: when every committed document is

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // positionalKey is one leaf the tests resolve: an exact phrase when
@@ -23,9 +21,9 @@ type positionalKey struct {
 func (k positionalKey) String() string { return fmt.Sprintf("%v/%d", k.terms, k.window) }
 
 // reference is the exported, position-materialising form of the leaf.
-// The memo tests take it from an in-memory twin of the index under test,
-// so a v2-backed kind is held to rows its own block cursors never
-// produced.
+// The memo tests take it from the Builder's index of the documents the
+// index under test holds, so a v2-backed kind is held to rows its own
+// block cursors never produced.
 func (k positionalKey) reference(ix *Index) Postings {
 	if k.window == 0 {
 		return ix.PhrasePostings(k.terms)
@@ -113,13 +111,6 @@ func (m *positionalMemo) cached(t *testing.T) int {
 	return m.curCost + m.oldCost
 }
 
-// positionalKind is one index a positional leaf is resolved against, and
-// its twin: an in-memory index over the same documents under the same
-// IDs, which the reference is taken from.
-type positionalKind struct {
-	ix, twin *Index
-}
-
 // blockSized builds the in-memory index over docs at block size bs.
 func blockSized(t *testing.T, docs []segDoc, bs int) *Index {
 	t.Helper()
@@ -128,115 +119,6 @@ func blockSized(t *testing.T, docs []segDoc, bs int) *Index {
 		t.Fatal(err)
 	}
 	return ix
-}
-
-// positionalIndexes builds every kind of index a positional leaf is
-// resolved against, over one seeded corpus: in memory, from mmap'd v2
-// files at block sizes 1, 4 and 128, the two shards of NewSharded, and
-// the segments of a live index — a flushed one plus the sealed ingest
-// buffer.
-func positionalIndexes(t *testing.T, seed int) map[string]positionalKind {
-	t.Helper()
-	docs := segCorpus(120+40*seed, seed)
-	mem := monolithic(docs)
-	out := map[string]positionalKind{"memory": {mem, mem}}
-	for _, bs := range []int{1, 4, DefaultBlockSize} {
-		out[fmt.Sprintf("v2-bs%d", bs)] = positionalKind{openV2File(t, blockSized(t, docs, bs)), mem}
-	}
-	sh := NewSharded(blockSized(t, docs, 4), 2)
-	for i, ref := range referenceShards(mem, sh.NumShards()) {
-		out[fmt.Sprintf("shard%d", i)] = positionalKind{sh.Shard(i), ref}
-	}
-	flushed := len(docs) * 2 / 3
-	seg, err := OpenSegmented(t.TempDir(), analysis.Analyzer{}, WithFlushDocs(flushed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { seg.Close() })
-	for _, d := range docs {
-		if err := seg.Ingest(d.name, d.text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sn := seg.Acquire()
-	t.Cleanup(sn.Release)
-	if sn.NumSegments() != 2 || sn.Segment(0).NumDocs() != flushed {
-		t.Fatalf("live index has %d segments, want a flushed one of %d documents and the sealed buffer", sn.NumSegments(), flushed)
-	}
-	out["segment"] = positionalKind{sn.Segment(0), monolithic(docs[:flushed])}
-	out["sealed-buffer"] = positionalKind{sn.Segment(1), monolithic(docs[flushed:])}
-	return out
-}
-
-// TestPositionalMemoMatchesReference is the differential gate of the
-// memo: whatever kind of index a leaf is resolved against, and whether
-// the entry is computed now, found warm, or recomputed after eviction,
-// it equals what PhrasePostings / UnorderedWindowPostings materialise on
-// the index's in-memory twin, with the MaxTF of that.
-// Every kind backed by a v2 image resolves all of it without
-// materialising a single term row.
-func TestPositionalMemoMatchesReference(t *testing.T) {
-	for seed := 1; seed <= 3; seed++ {
-		keys := positionalKeys(rand.New(rand.NewSource(int64(seed))), 80)
-		for name, kind := range positionalIndexes(t, seed) {
-			ix := kind.ix
-			var sc PositionalScratch
-			fills := map[string]int{}
-			ix.positionals.filled = func(key string) { fills[key]++ }
-			nonEmpty := 0
-			for _, k := range keys {
-				label := fmt.Sprintf("seed %d %s %v", seed, name, k)
-				want := k.reference(kind.twin)
-				cold, _ := k.leaf(ix, &sc)
-				requireMatchesReference(t, label+" cold", ix, cold, want)
-				warm, hit := k.leaf(ix, &sc)
-				if !hit || warm != cold {
-					t.Fatalf("%s: second lookup hit=%v, same entry=%v", label, hit, warm == cold)
-				}
-				requireMatchesReference(t, label+" warm", ix, warm, want)
-				if len(want.Docs) > 0 {
-					nonEmpty++
-				}
-			}
-			if nonEmpty < len(keys)/4 {
-				t.Fatalf("seed %d %s: only %d of %d keys match anything", seed, name, nonEmpty, len(keys))
-			}
-			for key, n := range fills {
-				if n != 1 {
-					t.Fatalf("seed %d %s: key %q intersected %d times with nothing evicted", seed, name, key, n)
-				}
-			}
-
-			// Shrink the budget so that most of the key set no longer
-			// fits: generations flip, large rows stay uncached, and every
-			// answer must still be the reference's.
-			m := &ix.positionals
-			m.mu.Lock()
-			m.cur, m.old, m.curCost, m.oldCost = nil, nil, 0, 0
-			m.budget = 16 * positionalEntryCost
-			m.mu.Unlock()
-			before := len(fills)
-			for round := 0; round < 3; round++ {
-				for _, k := range keys {
-					got, _ := k.leaf(ix, &sc)
-					requireMatchesReference(t, fmt.Sprintf("seed %d %s %v evicting", seed, name, k), ix, got, k.reference(kind.twin))
-					if c := m.cached(t); c > m.budget {
-						t.Fatalf("seed %d %s: %d postings cached, budget %d", seed, name, c, m.budget)
-					}
-				}
-			}
-			refills := 0
-			for _, n := range fills {
-				refills += n - 1
-			}
-			if len(fills) != before || refills == 0 {
-				t.Fatalf("seed %d %s: eviction never forced a recomputation (%d refills)", seed, name, refills)
-			}
-			if err := ix.Err(); err != nil {
-				t.Fatalf("seed %d %s: a healthy image recorded %v", seed, name, err)
-			}
-		}
-	}
 }
 
 // TestPositionalMemoConcurrent is the race gate (run under -race

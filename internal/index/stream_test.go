@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -40,123 +38,6 @@ func streamPair(t *testing.T, img []byte, term string) (*Index, int32, *Postings
 		t.Fatalf("reference decode: %v", err)
 	}
 	return ix, id, p
-}
-
-// TestStreamCursorMatchesSliceCursor: full differential — every walk a
-// streaming cursor can take (next-walk, advance to every present and
-// absent document, peeks at every position) must agree with a slice
-// cursor over the decoded row, and so must the position lists a
-// positions-mode cursor serves. Block sizes force single-block,
-// partial-trailing-block and whole-list-in-one-block shapes.
-func TestStreamCursorMatchesSliceCursor(t *testing.T) {
-	for _, bs := range []int{1, 3, 4, 7, 1 << 14} {
-		ix := randomIndex(t, 150, 23)
-		if err := ix.SetBlockSize(bs); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := encodeV2(&buf, ix); err != nil {
-			t.Fatal(err)
-		}
-		for _, term := range []string{"a", "b", "z"} {
-			sx, id, p := streamPair(t, buf.Bytes(), term)
-			label := fmt.Sprintf("bs=%d term=%q", bs, term)
-
-			// Walk with Next in positions mode, checking Doc/Freq/Rank/
-			// PeekNext/Positions at every step.
-			var sc TermCursor
-			sc.resetStream(sx, id, true)
-			if sc.Len() != len(p.Docs) {
-				t.Fatalf("%s: Len=%d want %d", label, sc.Len(), len(p.Docs))
-			}
-			for i := range p.Docs {
-				if sc.Doc() != p.Docs[i] || sc.Rank() != i {
-					t.Fatalf("%s: step %d at (%d, rank %d), want (%d, %d)", label, i, sc.Doc(), sc.Rank(), p.Docs[i], i)
-				}
-				want := DocEnd
-				if i+1 < len(p.Docs) {
-					want = p.Docs[i+1]
-				}
-				if got := sc.PeekNext(); got != want {
-					t.Fatalf("%s: step %d PeekNext=%d want %d", label, i, got, want)
-				}
-				if got := sc.Freq(); got != p.Freqs[i] {
-					t.Fatalf("%s: step %d Freq=%d want %d", label, i, got, p.Freqs[i])
-				}
-				if got := sc.Positions(); !slices.Equal(got, p.Positions[i]) {
-					t.Fatalf("%s: step %d Positions=%v want %v", label, i, got, p.Positions[i])
-				}
-				sc.Next()
-			}
-			if sc.Doc() != DocEnd || sc.Rank() != len(p.Docs) {
-				t.Fatalf("%s: after walk at (%d, rank %d)", label, sc.Doc(), sc.Rank())
-			}
-			if sc.Next() != DocEnd || sc.PeekNext() != DocEnd {
-				t.Fatalf("%s: exhausted cursor moved", label)
-			}
-			if decoded := sc.Decoded; sc.Positions() != nil || sc.Decoded != decoded {
-				t.Fatalf("%s: an exhausted cursor served positions or decoded again", label)
-			}
-
-			// Advance from a fresh cursor to every possible target.
-			for target := DocID(0); target <= DocID(sx.NumDocs()); target++ {
-				var st, sl TermCursor
-				st.ResetStream(sx, id)
-				sl.Reset(p)
-				gd, wd := st.Advance(target), sl.Advance(target)
-				if gd != wd || st.Rank() != sl.Rank() {
-					t.Fatalf("%s: Advance(%d) = (%d, rank %d), want (%d, %d)", label, target, gd, st.Rank(), wd, sl.Rank())
-				}
-				if gd != DocEnd && st.Freq() != sl.Freq() {
-					t.Fatalf("%s: Advance(%d) Freq %d vs %d", label, target, st.Freq(), sl.Freq())
-				}
-				// One skip decodes at most the landing block, never the
-				// blocks it skipped over: decoded < total on any
-				// multi-block list.
-				if st.Decoded > 1 {
-					t.Fatalf("%s: Advance(%d) decoded %d of %d blocks", label, target, st.Decoded, st.NumBlocks())
-				}
-			}
-
-			// Seeded random interleavings of Next/Advance/Freq/PeekNext/
-			// Positions, in positions mode.
-			rng := rand.New(rand.NewSource(int64(bs)))
-			var st, sl TermCursor
-			st.resetStream(sx, id, true)
-			sl.Reset(p)
-			for op := 0; op < 500 && st.Doc() != DocEnd; op++ {
-				switch rng.Intn(5) {
-				case 0:
-					if g, w := st.Next(), sl.Next(); g != w {
-						t.Fatalf("%s: op %d Next %d vs %d", label, op, g, w)
-					}
-				case 1:
-					target := st.Doc() + DocID(rng.Intn(2*bs+2))
-					if g, w := st.Advance(target), sl.Advance(target); g != w {
-						t.Fatalf("%s: op %d Advance(%d) %d vs %d", label, op, target, g, w)
-					}
-				case 2:
-					if g, w := st.Freq(), sl.Freq(); g != w {
-						t.Fatalf("%s: op %d Freq %d vs %d", label, op, g, w)
-					}
-				case 3:
-					if g, w := st.PeekNext(), sl.PeekNext(); g != w {
-						t.Fatalf("%s: op %d PeekNext %d vs %d", label, op, g, w)
-					}
-				case 4:
-					if g, w := st.Positions(), sl.Positions(); !slices.Equal(g, w) {
-						t.Fatalf("%s: op %d Positions %v vs %v", label, op, g, w)
-					}
-				}
-				if st.Rank() != sl.Rank() {
-					t.Fatalf("%s: op %d rank %d vs %d", label, op, st.Rank(), sl.Rank())
-				}
-			}
-			if err := sx.Err(); err != nil {
-				t.Fatalf("%s: healthy file recorded %v", label, err)
-			}
-		}
-	}
 }
 
 // TestTermCursorEmptyRow: a slice-mode cursor over a nil or empty row —

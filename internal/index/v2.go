@@ -227,9 +227,25 @@ func (lz *lazyPostings) err() error {
 	return nil
 }
 
+// record keeps err, wrapped as a corruptError, unless an earlier error
+// is kept: Err is sticky.
 func (lz *lazyPostings) record(err error) {
+	err = corruptError{err}
 	lz.firstErr.CompareAndSwap(nil, &err)
 }
+
+// ErrCorrupt is wrapped by every error Index.Err reports: a block that
+// failed its checksum or decode, a stored statistic its postings
+// contradict, a read after Close. The search layer fails a query over
+// such an index with it, and the HTTP tier answers 503.
+var ErrCorrupt = errors.New("index: corrupt index")
+
+// corruptError is a recorded error: its text is err's, and it matches
+// both err and ErrCorrupt.
+type corruptError struct{ err error }
+
+func (e corruptError) Error() string   { return e.err.Error() }
+func (e corruptError) Unwrap() []error { return []error{ErrCorrupt, e.err} }
 
 // blockAt locates block b of term id: its directory slot, its bytes, the
 // document its first delta is coded against (the previous block's

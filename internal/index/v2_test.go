@@ -1,13 +1,11 @@
 package index
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -35,104 +33,6 @@ func randomIndex(t *testing.T, docs, seed int) *Index {
 		b.Add(fmt.Sprintf("D%05d", d), sb.String())
 	}
 	return b.Build()
-}
-
-// assertSameIndex demands got (v2-backed) equals want (in memory) in
-// every observable: corpus shape, postings rows, stored statistics, and
-// the block summaries got's directory holds against those writing want
-// derives.
-func assertSameIndex(t *testing.T, label string, got, want *Index) {
-	t.Helper()
-	if got.NumDocs() != want.NumDocs() || got.NumTerms() != want.NumTerms() || got.TotalTokens() != want.TotalTokens() {
-		t.Fatalf("%s: shape %v vs %v", label, got, want)
-	}
-	for d := 0; d < want.NumDocs(); d++ {
-		if got.DocName(DocID(d)) != want.DocName(DocID(d)) || got.DocLen(DocID(d)) != want.DocLen(DocID(d)) {
-			t.Fatalf("%s: doc %d diverges", label, d)
-		}
-	}
-	for tid, text := range want.termText {
-		gp := got.PostingsFor(text)
-		wp := &want.postings[tid]
-		if gp == nil {
-			t.Fatalf("%s: term %q missing", label, text)
-		}
-		if len(gp.Docs) != len(wp.Docs) {
-			t.Fatalf("%s: term %q df %d vs %d", label, text, len(gp.Docs), len(wp.Docs))
-		}
-		for i := range wp.Docs {
-			if gp.Docs[i] != wp.Docs[i] || gp.Freqs[i] != wp.Freqs[i] {
-				t.Fatalf("%s: term %q posting %d diverges", label, text, i)
-			}
-			if len(gp.Positions[i]) != len(wp.Positions[i]) {
-				t.Fatalf("%s: term %q positions %d diverge", label, text, i)
-			}
-			for j := range wp.Positions[i] {
-				if gp.Positions[i][j] != wp.Positions[i][j] {
-					t.Fatalf("%s: term %q position %d/%d diverges", label, text, i, j)
-				}
-			}
-		}
-		gid := got.terms[text]
-		gdf, gcf := got.StoredTermStats(gid)
-		wdf, wcf := want.StoredTermStats(int32(tid))
-		if gdf != wdf || gcf != wcf || got.StoredMaxTF(gid) != want.StoredMaxTF(int32(tid)) {
-			t.Fatalf("%s: term %q stats (%d, %d, %d) vs (%d, %d, %d)", label, text,
-				gdf, gcf, got.StoredMaxTF(gid), wdf, wcf, want.StoredMaxTF(int32(tid)))
-		}
-		w := newV2Writer(want.analyzer, got.BlockSize())
-		w.appendRows(wp, 0)
-		gbb, wbb := got.blockBounds[gid], w.blocks
-		if len(gbb) != len(wbb) {
-			t.Fatalf("%s: term %q has %d blocks, want %d", label, text, len(gbb), len(wbb))
-		}
-		for i := range wbb {
-			if gbb[i] != wbb[i] {
-				t.Fatalf("%s: term %q block %d bounds %+v vs %+v", label, text, i, gbb[i], wbb[i])
-			}
-		}
-	}
-	if got.MinDocLen() != want.MinDocLen() {
-		t.Fatalf("%s: MinDocLen %d vs %d", label, got.MinDocLen(), want.MinDocLen())
-	}
-}
-
-// TestV2RoundTrip: write FormatV2, Open (lazy mmap), observe an index
-// identical to the in-memory original — across block sizes that force
-// single-posting, mid-size, and whole-list blocks — and re-encode the
-// opened index to the file's bytes.
-func TestV2RoundTrip(t *testing.T) {
-	for _, bs := range []int{1, 3, DefaultBlockSize, 1 << 14} {
-		ix := randomIndex(t, 200, 42)
-		if err := ix.SetBlockSize(bs); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "ix.v2")
-		if err := WriteFile(path, ix, FormatV2); err != nil {
-			t.Fatalf("bs=%d: write: %v", bs, err)
-		}
-		got, err := Open(path)
-		if err != nil {
-			t.Fatalf("bs=%d: open: %v", bs, err)
-		}
-		if got.BlockSize() != bs {
-			t.Fatalf("bs=%d: loaded block size %d", bs, got.BlockSize())
-		}
-		assertSameIndex(t, fmt.Sprintf("bs=%d", bs), got, ix)
-		var again bytes.Buffer
-		if err := encodeV2(&again, got); err != nil {
-			t.Fatalf("bs=%d: re-encode: %v", bs, err)
-		}
-		if file, err := os.ReadFile(path); err != nil || !bytes.Equal(again.Bytes(), file) {
-			t.Fatalf("bs=%d: re-encoding the opened index changed its bytes (%v)", bs, err)
-		}
-		if err := got.Err(); err != nil {
-			t.Fatalf("bs=%d: corruption recorded on honest file: %v", bs, err)
-		}
-		if err := got.Close(); err != nil {
-			t.Fatalf("bs=%d: close: %v", bs, err)
-		}
-	}
 }
 
 // TestV2OpenIsLazy: Open decodes no postings, and the index keeps no
@@ -180,7 +80,7 @@ func TestV2WithVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	assertSameIndex(t, "verify", got, ix)
+	requireParity(t, got, ix)
 }
 
 // TestOpenRejectsGarbage: unknown magic and short files error cleanly,
@@ -211,37 +111,6 @@ func TestOpenRejectsGarbage(t *testing.T) {
 		if old && !strings.Contains(err.Error(), fmt.Sprintf("%q", content[:len(indexMagicV2)])) {
 			t.Fatalf("%s: the error does not name the magic found: %v", name, err)
 		}
-	}
-}
-
-// TestV2ShardingAndForward: sharding a lazy index cuts the same shards
-// as sharding its in-memory twin, and its forward vectors, read through
-// block cursors, equal the twin's.
-func TestV2ShardingAndForward(t *testing.T) {
-	ix := randomIndex(t, 120, 17)
-	path := filepath.Join(t.TempDir(), "ix.v2")
-	if err := WriteFile(path, ix, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	sh := NewSharded(got, 4)
-	wantSh := NewSharded(ix, 4)
-	for s := 0; s < 4; s++ {
-		if sh.Shard(s).NumDocs() != wantSh.Shard(s).NumDocs() {
-			t.Fatalf("shard %d: %d docs, want %d", s, sh.Shard(s).NumDocs(), wantSh.Shard(s).NumDocs())
-		}
-	}
-	for d := range DocID(ix.NumDocs()) {
-		if gv, wv := got.DocVector(d), ix.DocVector(d); !reflect.DeepEqual(gv, wv) {
-			t.Fatalf("doc %d forward vector %v, want %v", d, gv, wv)
-		}
-	}
-	if got.postings != nil || got.Err() != nil {
-		t.Fatalf("the forward build kept rows or recorded %v", got.Err())
 	}
 }
 
@@ -278,7 +147,7 @@ func TestBuilderWriteFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	assertSameIndex(t, "builder", got, built)
+	requireParity(t, got, built)
 }
 
 // TestSetBlockSizeGuards: out-of-range sizes are refused, an in-memory

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -467,4 +469,76 @@ func TestCoordinatorContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rottedCopy writes ix as a v2 file, opens it, and then flips the file's
+// last byte under the live mapping, as bit rot would after Open's scan
+// accepted it: the last block of ix's last term fails its checksum on
+// its first decode. It returns the opened index and that term.
+func rottedCopy(t *testing.T, ix *index.Index) (*index.Index, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ix.v2")
+	if err := index.WriteFile(path, ix, index.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := index.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	return disk, ix.TermText(int32(ix.NumTerms() - 1))
+}
+
+// TestCorruptIndexFailsQueries: a query that meets a block failing its
+// checksum fails with index.ErrCorrupt instead of ranking the postings
+// left, and so does every later query over that index, rotted block or
+// not. Under degradation the corrupt partition is dropped and listed.
+func TestCorruptIndexFailsQueries(t *testing.T) {
+	ctx := context.Background()
+	t.Run("strict", func(t *testing.T) {
+		ix, last := rottedCopy(t, skewedIndex(120, 11))
+		s := NewSearcher(ix)
+		for _, q := range []Node{Term{Text: last}, Term{Text: last}, Term{Text: "a"}} {
+			if _, _, err := evalOne(ctx, s, q, 10, EvalOptions{}); !errors.Is(err, index.ErrCorrupt) || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("%v: err = %v, want index.ErrCorrupt naming the checksum", q, err)
+			}
+		}
+	})
+	t.Run("degraded-shard", func(t *testing.T) {
+		sh := index.NewSharded(skewedIndex(120, 11), 2)
+		rotted, last := rottedCopy(t, sh.Shard(1))
+		s := NewShardedSearcher(sh)
+		parts := shardPartitions(sh)
+		parts[1].(*localPartition).ix = rotted
+		s.pin = fixed(parts...)
+		got, ev, err := evalOne(ctx, s, Term{Text: last}, 10, EvalOptions{Degrade: &DegradeOptions{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pi := ev.Partial; !slices.Equal(pi.DroppedShards, []int{1}) || !strings.Contains(pi.ShardErrors[0], "checksum mismatch") {
+			t.Fatalf("partial info %+v, want shard 1 dropped for its checksum", pi)
+		}
+		for _, r := range got {
+			if r.Doc%2 != 0 {
+				t.Fatalf("document %d of the dropped shard was ranked", r.Doc)
+			}
+		}
+	})
 }

@@ -92,7 +92,9 @@ func snapshotPartitions(sn *index.Snapshot) []partition {
 
 // stats flattens every tree into pc, where eval finds the leaves, each
 // distinct phrase or window node resolved once across the trees, and
-// corrects each leaf's statistics for the tombstones.
+// corrects each leaf's statistics for the tombstones. Like score, it
+// fails with the corruption the index has recorded (index.ErrCorrupt),
+// before or during this call: a failed block reads as no postings.
 func (p *localPartition) stats(ctx context.Context, qs []Node, pc *partCall, st *SearchStats) error {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -125,7 +127,7 @@ func (p *localPartition) stats(ctx context.Context, qs []Node, pc *partCall, st 
 	for i := range leaves {
 		pc.leaves[i] = LeafStats{CF: leaves[i].cf}
 	}
-	return nil
+	return p.ix.Err()
 }
 
 // eval is score behind the in-process fault hook.
@@ -148,6 +150,9 @@ func (p *localPartition) score(ctx context.Context, req *EvalRequest, pc *partCa
 	defer putScratch(sc)
 	buf, dropped, err := searchRuns(ctx, p.ix, p.dead(), pc.flat, pc.ends, req.K, cfg, st, sc, pc.res, pc.buf[:0])
 	pc.buf, pc.dropped = buf, dropped
+	if err == nil {
+		err = p.ix.Err()
+	}
 	if err != nil || p.global == nil {
 		return err
 	}

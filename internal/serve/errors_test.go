@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -242,8 +243,9 @@ func TestDegradedResponseSurfacing(t *testing.T) {
 // TestBackendFailureIs503 is the table for the one decision
 // isBackendFailure makes: an error that is the server's doing — a fault
 // degradation could not absorb, a live-index mutation that failed after
-// the body validated, a shard that answered with an error or could not
-// be reached — is a 503 backend_unavailable with the usual envelope,
+// the body validated, an index that recorded corruption, a shard that
+// answered with an error or could not be reached — is a 503
+// backend_unavailable with the usual envelope,
 // never a 400 that blames the caller. None of the I/O rows goes through
 // the fault registry: the errors are real ones (a vanished directory, a
 // stopped server), which is what used to fall through to bad_request.
@@ -267,6 +269,35 @@ func TestBackendFailureIs503(t *testing.T) {
 			}
 		}
 		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// rottedLive is a live server whose one committed segment rotted
+	// after it was opened: the last byte of its file, in the last block
+	// of its last term, gamma, flips under the mapping.
+	rottedLive := func(t *testing.T) *Server {
+		dir := t.TempDir()
+		s := liveServerIn(t, dir, 8)
+		body := `{"add":[{"name":"d1","text":"alpha beta"},{"name":"d2","text":"beta gamma"}],"flush":true}`
+		if w := do(t, s, http.MethodPost, "/v1/ingest", body); w.Code != http.StatusOK {
+			t.Fatalf("fixture ingest: %d %s", w.Code, w.Body.String())
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "seg-1.v2"), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, 1)
+		if _, err := f.ReadAt(b, fi.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0xFF
+		if _, err := f.WriteAt(b, fi.Size()-1); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -319,6 +350,13 @@ func TestBackendFailureIs503(t *testing.T) {
 			target:  "/v1/ingest",
 			body:    `{"compact":true}`,
 			wantErr: "compact:",
+		},
+		{
+			name:    "the index recorded corruption",
+			server:  rottedLive,
+			method:  http.MethodGet,
+			target:  "/v1/baseline?q=gamma&k=10",
+			wantErr: "checksum mismatch",
 		},
 		{
 			name:    "shard answers with an error",

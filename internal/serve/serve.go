@@ -48,6 +48,7 @@ import (
 
 	sqe "repro"
 	"repro/internal/fault"
+	"repro/internal/index"
 	"repro/internal/rpc"
 )
 
@@ -370,8 +371,9 @@ func (s *Server) work(st *endpointStats, h func(context.Context, *http.Request) 
 // or a contained panic that degradation could not absorb; a shard
 // server's answer (rpc.ServerError — the coordinator, not the caller,
 // composed that request), a transport failure on the way to it, or a
-// shard speaking another wire version; or a live-index mutation that
-// failed after the body validated (handleIngest marks those with
+// shard speaking another wire version; an index that recorded
+// corruption (index.ErrCorrupt); or a live-index mutation that failed
+// after the body validated (handleIngest marks those with
 // mutationError).
 func isBackendFailure(err error) bool {
 	var pe *fault.PanicError
@@ -379,7 +381,7 @@ func isBackendFailure(err error) bool {
 	var me mutationError
 	return fault.IsInjected(err) || errors.As(err, &pe) ||
 		errors.As(err, &se) || rpc.IsTransport(err) || errors.Is(err, rpc.ErrWireVersion) ||
-		errors.As(err, &me)
+		errors.As(err, &me) || errors.Is(err, index.ErrCorrupt)
 }
 
 // mutationError marks a failed Ingest, DeleteBatch, Flush or
